@@ -9,6 +9,13 @@
 //! Write-side operations live in [`crate::ops_write`],
 //! [`crate::ops_container`], [`crate::ops_meta`] and [`crate::ops_lock`] —
 //! all as `impl SrbConnection` blocks.
+//!
+//! Every op that touches a catalog table — the audit trail included, so
+//! audited reads too — has one shape: [`SrbConnection::begin_op`], a body
+//! whose every failure lands in one `SrbResult`, and
+//! [`SrbConnection::end_op`], the only place an op audits, commits its WAL
+//! group, pays for its durability, checkpoints, and reports to
+//! observability.
 
 use crate::auth::{AuthService, Session};
 use crate::fanout::{FanoutMode, RetryBudget};
@@ -17,7 +24,7 @@ use crate::replication::ReplicaPolicy;
 use crate::template::render_template;
 use crate::tlang::TScript;
 use bytes::Bytes;
-use srb_mcat::{AccessSpec, AuditAction, Replica, Template};
+use srb_mcat::{AccessSpec, AuditAction, Dataset, Replica, Template};
 use srb_net::Receipt;
 use srb_storage::sql::QueryResult;
 use srb_types::{
@@ -64,6 +71,19 @@ impl ObjectContent {
 /// `(name, data type, size)` dataset summaries, and the receipt.
 pub type CollectionListing = (Vec<String>, Vec<(String, String, u64)>, Receipt);
 
+/// One brokered operation in flight: opened by
+/// [`SrbConnection::begin_op`], closed by [`SrbConnection::end_op`].
+pub(crate) struct Op<'a> {
+    name: &'static str,
+    action: AuditAction,
+    subject: &'a str,
+    start: Timestamp,
+    /// Audit outcome recorded when the body succeeds.
+    pub(crate) done: &'static str,
+    /// Everything charged to the op so far.
+    pub(crate) receipt: Receipt,
+}
+
 /// An authenticated client session bound to a contact server.
 pub struct SrbConnection<'g> {
     pub(crate) grid: &'g Grid,
@@ -102,40 +122,28 @@ impl<'g> SrbConnection<'g> {
         let (cid, nonce) = grid.auth.challenge();
         let client_verifier = srb_mcat::user::derive_verifier(password);
         let response = AuthService::respond(&client_verifier, &nonce);
-        let session = match grid.auth.verify(cid, &response, user.id, &user.verifier) {
-            Ok(s) => s,
-            Err(e) => {
-                grid.mcat.audit.record(
-                    &grid.mcat.ids,
-                    grid.clock.now(),
-                    user.id,
-                    AuditAction::AuthFail,
-                    &format!("{name}@{domain}"),
-                    e.code(),
-                );
-                return Err(e);
-            }
+        // Sign-on is not an op of a connection yet, so it audits and
+        // commits for itself; its fsync opens the connection's cost tally.
+        let verified = grid.auth.verify(cid, &response, user.id, &user.verifier);
+        let (action, subject, outcome) = match &verified {
+            Ok(_) => (AuditAction::Connect, srv.name.clone(), "ok"),
+            Err(e) => (AuditAction::AuthFail, format!("{name}@{domain}"), e.code()),
         };
-        grid.mcat.audit.record(
-            &grid.mcat.ids,
+        let mcat = &grid.mcat;
+        mcat.audit.record(
+            &mcat.ids,
             grid.clock.now(),
             user.id,
-            AuditAction::Connect,
-            &srv.name,
-            "ok",
+            action,
+            &subject,
+            outcome,
         );
-        Ok(SrbConnection {
-            grid,
-            server,
-            site: srv.site,
-            session,
-            policy: ReplicaPolicy::default(),
-            fanout: FanoutMode::default(),
-            retry: RetryBudget::default(),
-            allow_stale: false,
-            trace: false,
-            op_ns: AtomicU64::new(0),
-        })
+        mcat.commit();
+        let conn = Self::from_session(grid, server, srv.site, verified?);
+        if let Some(wal) = mcat.wal() {
+            conn.op_ns.store(wal.take_pending_ns(), Ordering::Relaxed);
+        }
+        Ok(conn)
     }
 
     /// Build a connection directly from an already-valid [`Session`] —
@@ -265,48 +273,96 @@ impl<'g> SrbConnection<'g> {
         Ok(r)
     }
 
-    /// Feed a completed top-level op into the observability subsystem:
-    /// the per-op latency histogram, the slow-op log, the connection's
-    /// route-cost accumulator, and — when tracing is on — a span
-    /// covering the whole op.
-    pub(crate) fn finish_op(&self, op: &str, subject: &str, start: Timestamp, receipt: &Receipt) {
-        self.op_ns.fetch_add(receipt.sim_ns, Ordering::Relaxed);
-        if let Some(obs) = self.grid.core_obs() {
-            obs.finish_op(op, subject, receipt);
-            if self.trace {
-                obs.span(op, subject, None, start, receipt.sim_ns);
-            }
-        }
+    /// Open an op: validate the ticket, note the start time, and pay the
+    /// metadata round trip. Nothing has touched the catalog yet, so a
+    /// failure here simply propagates.
+    pub(crate) fn begin_op<'a>(
+        &self,
+        name: &'static str,
+        action: AuditAction,
+        subject: &'a str,
+    ) -> SrbResult<(UserId, Op<'a>)> {
+        let user = self.check_session()?;
+        let op = Op {
+            name,
+            action,
+            subject,
+            start: self.now(),
+            done: "ok",
+            receipt: self.mcat_rpc()?,
+        };
+        Ok((user, op))
     }
 
-    pub(crate) fn audit(&self, action: AuditAction, subject: &str, outcome: &str) {
-        self.grid.mcat.audit.record(
-            &self.grid.mcat.ids,
+    /// Close an op — the one epilogue, reached exactly once whether the
+    /// body succeeded or failed: audit row, WAL commit (one marker, one
+    /// fsync for everything the op logged), a due checkpoint, the
+    /// durability cost folded into *this* op's receipt, observability.
+    /// Hands the body's value back with the final receipt.
+    pub(crate) fn end_op<T>(
+        &self,
+        mut op: Op<'_>,
+        result: SrbResult<T>,
+    ) -> SrbResult<(T, Receipt)> {
+        let mcat = &self.grid.mcat;
+        let outcome = match &result {
+            Ok(_) => op.done,
+            Err(e) => e.code(),
+        };
+        self.audit_row(op.action, op.subject, outcome);
+        mcat.commit();
+        // A failed checkpoint costs nothing but a longer replay tail; it
+        // is counted, and the user's op stands.
+        if mcat.maybe_checkpoint().is_err() {
+            if let Some(obs) = self.grid.core_obs() {
+                obs.checkpoint_failures.inc();
+            }
+        }
+        if let Some(wal) = mcat.wal() {
+            op.receipt.sim_ns += wal.take_pending_ns();
+        }
+        self.op_ns.fetch_add(op.receipt.sim_ns, Ordering::Relaxed);
+        if let Some(obs) = self.grid.core_obs() {
+            obs.finish_op(op.name, op.subject, &op.receipt);
+            if self.trace {
+                obs.span(op.name, op.subject, None, op.start, op.receipt.sim_ns);
+            }
+        }
+        result.map(|value| (value, op.receipt))
+    }
+
+    /// Append one audit row for this session's user. Ops audit through
+    /// [`end_op`](Self::end_op); this is for the extra rows some write
+    /// mid-op, which ride the op's commit.
+    pub(crate) fn audit_row(&self, action: AuditAction, subject: &str, outcome: &str) {
+        let mcat = &self.grid.mcat;
+        mcat.audit.record(
+            &mcat.ids,
             self.now(),
             self.session.user,
             action,
             subject,
             outcome,
         );
-        // Periodic WAL checkpoints ride the audit path: every mutating op
-        // audits, so a due checkpoint lands promptly without a background
-        // thread. A failure here means the catalog snapshot failed to
-        // serialize — a programming bug caught by tests, not a reason to
-        // fail the user's op.
-        let _ = self.grid.mcat.maybe_checkpoint();
-    }
-
-    /// Fold the durability cost pooled by the catalog's WAL (appends,
-    /// group-commit fsyncs, checkpoints) since the last drain into this
-    /// op's receipt. A no-op on grids without durability enabled.
-    pub(crate) fn absorb_durability(&self, receipt: &mut Receipt) {
-        if let Some(wal) = self.grid.mcat.wal() {
-            receipt.sim_ns += wal.take_pending_ns();
-        }
     }
 
     pub(crate) fn parse(&self, path: &str) -> SrbResult<LogicalPath> {
         LogicalPath::parse(path)
+    }
+
+    /// The dataset at `path`, links followed, provided `user` holds
+    /// `needed` on it — how every per-object op starts.
+    pub(crate) fn dataset_for(
+        &self,
+        user: UserId,
+        path: &str,
+        needed: Permission,
+    ) -> SrbResult<Dataset> {
+        let mcat = &self.grid.mcat;
+        let id = mcat.resolve_dataset(&self.parse(path)?)?;
+        let ds = mcat.datasets.resolve_links(id)?;
+        mcat.require_dataset(Some(user), ds.id, needed)?;
+        Ok(ds)
     }
 
     /// Pull `bytes` from the resource's site to the contact site and note
@@ -348,26 +404,13 @@ impl<'g> SrbConnection<'g> {
     /// Open any object. `args` parameterize partial SQL queries and method
     /// objects.
     pub fn open(&self, path: &str, args: &[String]) -> SrbResult<(ObjectContent, Receipt)> {
-        let user = self.check_session()?;
-        let start = self.now();
-        let mut receipt = self.mcat_rpc()?;
-        let result = (|| {
-            let lp = self.parse(path)?;
-            let ds_id = self.grid.mcat.resolve_dataset(&lp)?;
-            let ds = self.grid.mcat.datasets.resolve_links(ds_id)?;
-            self.grid
-                .mcat
-                .require_dataset(Some(user), ds.id, Permission::Read)?;
+        let (user, mut op) = self.begin_op("open", AuditAction::Read, path)?;
+        let content = (|| {
+            let ds = self.dataset_for(user, path, Permission::Read)?;
             ds.read_allowed_by_locks(user, self.now())?;
-            self.open_resolved(&ds.replicas, args, &mut receipt)
+            self.open_resolved(&ds.replicas, args, &mut op.receipt)
         })();
-        match &result {
-            Ok(_) => self.audit(AuditAction::Read, path, "ok"),
-            Err(e) => self.audit(AuditAction::Read, path, e.code()),
-        }
-        let content = result?;
-        self.finish_op("open", path, start, &receipt);
-        Ok((content, receipt))
+        self.end_op(op, content)
     }
 
     /// Dispatch on the replica specs, with failover across byte replicas.
@@ -602,7 +645,7 @@ impl<'g> SrbConnection<'g> {
                     srv.proxies.run_command(name, args)?
                 };
                 receipt.bytes += out.len() as u64;
-                self.audit(AuditAction::Proxy, name, "ok");
+                self.audit_row(AuditAction::Proxy, name, "ok");
                 return Ok(ObjectContent::Bytes(Bytes::from(out)));
             }
         }
@@ -629,32 +672,30 @@ impl<'g> SrbConnection<'g> {
         dir_object: &str,
         rel_path: &str,
     ) -> SrbResult<(Bytes, Receipt)> {
-        let user = self.check_session()?;
-        let lp = self.parse(dir_object)?;
-        let mut receipt = self.mcat_rpc()?;
-        let ds_id = self.grid.mcat.resolve_dataset(&lp)?;
-        let ds = self.grid.mcat.datasets.resolve_links(ds_id)?;
-        self.grid
-            .mcat
-            .require_dataset(Some(user), ds.id, Permission::Read)?;
-        let Some(Replica {
-            spec: AccessSpec::ShadowDir { resource, dir_path },
-            ..
-        }) = ds.replicas.first()
-        else {
-            return Err(SrbError::Unsupported(format!(
-                "'{dir_object}' is not a registered directory"
-            )));
-        };
-        let full = format!("{}/{}", dir_path.trim_end_matches('/'), rel_path);
-        let site = self.grid.site_of_resource(*resource)?;
-        let injected_ns = self.grid.faults.inject(*resource, site)?;
-        let driver = self.grid.driver(*resource)?;
-        let (data, ns) = driver.driver().read(&full)?;
-        receipt.absorb(&Receipt::time(ns + injected_ns));
-        receipt.absorb(&self.data_transfer(*resource, data.len() as u64)?);
-        self.audit(AuditAction::Read, &format!("{dir_object}:{rel_path}"), "ok");
-        Ok((data, receipt))
+        let subject = format!("{dir_object}:{rel_path}");
+        let (user, mut op) = self.begin_op("read_from_directory", AuditAction::Read, &subject)?;
+        let data = (|| {
+            let ds = self.dataset_for(user, dir_object, Permission::Read)?;
+            let Some(Replica {
+                spec: AccessSpec::ShadowDir { resource, dir_path },
+                ..
+            }) = ds.replicas.first()
+            else {
+                return Err(SrbError::Unsupported(format!(
+                    "'{dir_object}' is not a registered directory"
+                )));
+            };
+            let full = format!("{}/{}", dir_path.trim_end_matches('/'), rel_path);
+            let site = self.grid.site_of_resource(*resource)?;
+            let injected_ns = self.grid.faults.inject(*resource, site)?;
+            let driver = self.grid.driver(*resource)?;
+            let (data, ns) = driver.driver().read(&full)?;
+            op.receipt.absorb(&Receipt::time(ns + injected_ns));
+            op.receipt
+                .absorb(&self.data_transfer(*resource, data.len() as u64)?);
+            Ok(data)
+        })();
+        self.end_op(op, data)
     }
 
     // ---------------------------------------------------------- listings --
@@ -723,12 +764,7 @@ impl<'g> SrbConnection<'g> {
     /// structural label ("file", "url", …).
     pub fn stat(&self, path: &str) -> SrbResult<(String, u64, usize, u32)> {
         let user = self.check_session()?;
-        let lp = self.parse(path)?;
-        let ds_id = self.grid.mcat.resolve_dataset(&lp)?;
-        let ds = self.grid.mcat.datasets.resolve_links(ds_id)?;
-        self.grid
-            .mcat
-            .require_dataset(Some(user), ds.id, Permission::Discover)?;
+        let ds = self.dataset_for(user, path, Permission::Discover)?;
         Ok((
             ds.data_type.clone(),
             ds.size(),

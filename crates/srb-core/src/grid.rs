@@ -461,10 +461,10 @@ impl Grid {
     }
 
     /// Enable write-ahead durability on the catalog: every MCAT mutation
-    /// is redo-logged to `device` and group-committed; checkpoints land on
-    /// the broker's audit path per `config`. Durability cost shows up in
-    /// op receipts and, when observability is on, under the `wal.*`
-    /// metrics.
+    /// is redo-logged to `device`, each op commits its records as one
+    /// group, and checkpoints land in op epilogues per `config`.
+    /// Durability cost shows up in op receipts and, when observability is
+    /// on, under the `wal.*` metrics.
     pub fn enable_durability(
         &self,
         device: Arc<srb_storage::LogDevice>,
@@ -551,28 +551,31 @@ impl Grid {
     }
 
     /// Convenience: register a normal (non-admin) user and create their
-    /// home collection `/home/<name>` (as SRB does).
+    /// home collection `/home/<name>` (as SRB does). Not a connection op,
+    /// so it commits its own WAL group, whichever way it ends.
     pub fn register_user(&self, name: &str, domain: &str, password: &str) -> SrbResult<UserId> {
-        let user = self
-            .mcat
-            .users
-            .register(&self.mcat.ids, name, domain, password, false)?;
-        let root = self.mcat.collections.root();
-        let home_path = srb_types::LogicalPath::parse("/home")?;
-        let home = match self.mcat.collections.resolve(&home_path) {
-            Ok(id) => id,
-            Err(_) => self.mcat.collections.create(
-                &self.mcat.ids,
-                root,
-                "home",
-                self.mcat.admin(),
-                self.clock.now(),
-            )?,
-        };
-        self.mcat
-            .collections
-            .create(&self.mcat.ids, home, name, user, self.clock.now())?;
-        Ok(user)
+        let mcat = &self.mcat;
+        let user = (|| {
+            let user = mcat
+                .users
+                .register(&mcat.ids, name, domain, password, false)?;
+            let home_path = srb_types::LogicalPath::parse("/home")?;
+            let home = match mcat.collections.resolve(&home_path) {
+                Ok(id) => id,
+                Err(_) => mcat.collections.create(
+                    &mcat.ids,
+                    mcat.collections.root(),
+                    "home",
+                    mcat.admin(),
+                    self.clock.now(),
+                )?,
+            };
+            mcat.collections
+                .create(&mcat.ids, home, name, user, self.clock.now())?;
+            Ok(user)
+        })();
+        mcat.commit();
+        user
     }
 
     /// Convenience: resolve a resource name to its id.

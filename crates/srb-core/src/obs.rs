@@ -55,6 +55,9 @@ pub struct CoreObs {
     pub pool_hits: Counter,
     /// `core.pool_misses`: pooled connects that ran the full handshake.
     pub pool_misses: Counter,
+    /// `wal.checkpoint_failures`: due checkpoints an op epilogue could not
+    /// install (the op itself still succeeded).
+    pub checkpoint_failures: Counter,
 }
 
 impl CoreObs {
@@ -71,6 +74,7 @@ impl CoreObs {
             repairs: m.counter("health.repairs", ""),
             pool_hits: m.counter("core.pool_hits", ""),
             pool_misses: m.counter("core.pool_misses", ""),
+            checkpoint_failures: m.counter("wal.checkpoint_failures", ""),
             obs,
         }
     }

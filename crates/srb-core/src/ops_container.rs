@@ -25,15 +25,20 @@ impl SrbConnection<'_> {
         logical_resource: &str,
         max_size: u64,
     ) -> SrbResult<Receipt> {
-        self.check_session()?;
-        let receipt = self.mcat_rpc()?;
-        let lr = self.grid.logical_resource_id(logical_resource)?;
-        self.grid
-            .mcat
-            .containers
-            .create(&self.grid.mcat.ids, name, lr, max_size, self.now())?;
-        self.audit(AuditAction::Ingest, &format!("container {name}"), "ok");
-        Ok(receipt)
+        let subject = format!("container {name}");
+        let (_, op) = self.begin_op("create_container", AuditAction::Ingest, &subject)?;
+        let done = (|| {
+            let lr = self.grid.logical_resource_id(logical_resource)?;
+            self.grid.mcat.containers.create(
+                &self.grid.mcat.ids,
+                name,
+                lr,
+                max_size,
+                self.now(),
+            )?;
+            Ok(())
+        })();
+        Ok(self.end_op(op, done)?.1)
     }
 
     /// The container's working-copy (cache-class) resource and the archive
@@ -163,36 +168,37 @@ impl SrbConnection<'_> {
     /// "Replication of a container (and its objects) is done by the SRB
     /// system using semantics associated with the logical resource."
     pub fn sync_container(&self, name: &str) -> SrbResult<Receipt> {
-        self.check_session()?;
-        let mut receipt = self.mcat_rpc()?;
-        let record = self
-            .grid
-            .mcat
-            .containers
-            .find(name)
-            .ok_or_else(|| SrbError::NotFound(format!("container '{name}'")))?;
-        let (cache_rid, archives) = self.container_members(&record)?;
-        let ct_path = Self::container_phys_path(&record);
-        let cache_driver = self.grid.driver(cache_rid)?;
-        let (data, read_ns) = cache_driver.driver().read(&ct_path)?;
-        receipt.absorb(&Receipt::time(read_ns));
-        let cache_site = self.grid.site_of_resource(cache_rid)?;
-        for rid in archives {
-            let site = self.grid.site_of_resource(rid)?;
-            let injected_ns = self.grid.faults.inject(rid, site)?;
-            let driver = self.grid.driver(rid)?;
-            let net_ns = self
+        let subject = format!("container {name}");
+        let (_, mut op) = self.begin_op("sync_container", AuditAction::Replicate, &subject)?;
+        let done = (|| {
+            let record = self
                 .grid
-                .network
-                .charge_transfer(cache_site, site, data.len() as u64)?;
-            let write_ns = injected_ns + driver.driver().write(&ct_path, &data)?;
-            self.grid.load.charge(rid, write_ns);
-            receipt.absorb(&Receipt::time(net_ns + write_ns));
-            receipt.bytes += data.len() as u64;
-        }
-        self.grid.mcat.containers.mark_synced(record.id)?;
-        self.audit(AuditAction::Replicate, &format!("container {name}"), "ok");
-        Ok(receipt)
+                .mcat
+                .containers
+                .find(name)
+                .ok_or_else(|| SrbError::NotFound(format!("container '{name}'")))?;
+            let (cache_rid, archives) = self.container_members(&record)?;
+            let ct_path = Self::container_phys_path(&record);
+            let cache_driver = self.grid.driver(cache_rid)?;
+            let (data, read_ns) = cache_driver.driver().read(&ct_path)?;
+            op.receipt.absorb(&Receipt::time(read_ns));
+            let cache_site = self.grid.site_of_resource(cache_rid)?;
+            for rid in archives {
+                let site = self.grid.site_of_resource(rid)?;
+                let injected_ns = self.grid.faults.inject(rid, site)?;
+                let driver = self.grid.driver(rid)?;
+                let net_ns =
+                    self.grid
+                        .network
+                        .charge_transfer(cache_site, site, data.len() as u64)?;
+                let write_ns = injected_ns + driver.driver().write(&ct_path, &data)?;
+                self.grid.load.charge(rid, write_ns);
+                op.receipt.absorb(&Receipt::time(net_ns + write_ns));
+                op.receipt.bytes += data.len() as u64;
+            }
+            self.grid.mcat.containers.mark_synced(record.id)
+        })();
+        Ok(self.end_op(op, done)?.1)
     }
 
     /// Read one member slice, trying the cache copy first and transparently

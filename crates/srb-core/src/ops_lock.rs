@@ -2,9 +2,10 @@
 //! "lock, pin, checkout").
 
 use crate::conn::SrbConnection;
+use bytes::Bytes;
 use srb_mcat::{AccessSpec, AuditAction, CheckoutState, LockKind, LockState, VersionRecord};
 use srb_net::Receipt;
-use srb_types::{sha256_hex, Permission, SrbError, SrbResult};
+use srb_types::{sha256_hex, Permission, SrbError, SrbResult, UserId};
 
 impl SrbConnection<'_> {
     // ---------------------------------------------------------------- lock --
@@ -12,61 +13,53 @@ impl SrbConnection<'_> {
     /// Lock an object for `ttl_secs`. A `Shared` lock blocks writes by
     /// others; an `Exclusive` lock blocks all interactions by others.
     pub fn lock(&self, path: &str, kind: LockKind, ttl_secs: u64) -> SrbResult<Receipt> {
-        let user = self.check_session()?;
-        let lp = self.parse(path)?;
-        let receipt = self.mcat_rpc()?;
-        let ds_id = self.grid.mcat.resolve_dataset(&lp)?;
-        let ds = self.grid.mcat.datasets.resolve_links(ds_id)?;
-        self.grid
-            .mcat
-            .require_dataset(Some(user), ds.id, Permission::Write)?;
-        let now = self.now();
-        self.grid.mcat.datasets.update(ds.id, |d| {
-            if let Some(l) = d.effective_lock(now) {
-                if l.holder != user {
-                    return Err(SrbError::Locked(format!(
-                        "dataset already locked by {}",
-                        l.holder
-                    )));
+        let (user, mut op) = self.begin_op("lock", AuditAction::LockOp, path)?;
+        op.done = "lock";
+        let done = (|| {
+            let ds = self.dataset_for(user, path, Permission::Write)?;
+            let now = self.now();
+            self.grid.mcat.datasets.update(ds.id, |d| {
+                if let Some(l) = d.effective_lock(now) {
+                    if l.holder != user {
+                        return Err(SrbError::Locked(format!(
+                            "dataset already locked by {}",
+                            l.holder
+                        )));
+                    }
                 }
-            }
-            d.lock = Some(LockState {
-                kind,
-                holder: user,
-                expires: now.plus_secs(ttl_secs),
-            });
-            Ok(())
-        })?;
-        self.audit(AuditAction::LockOp, path, "lock");
-        Ok(receipt)
+                d.lock = Some(LockState {
+                    kind,
+                    holder: user,
+                    expires: now.plus_secs(ttl_secs),
+                });
+                Ok(())
+            })
+        })();
+        Ok(self.end_op(op, done)?.1)
     }
 
     /// Release a lock (holder only; expired locks may be cleared by
     /// anyone with write access).
     pub fn unlock(&self, path: &str) -> SrbResult<Receipt> {
-        let user = self.check_session()?;
-        let lp = self.parse(path)?;
-        let receipt = self.mcat_rpc()?;
-        let ds_id = self.grid.mcat.resolve_dataset(&lp)?;
-        let ds = self.grid.mcat.datasets.resolve_links(ds_id)?;
-        self.grid
-            .mcat
-            .require_dataset(Some(user), ds.id, Permission::Write)?;
-        let now = self.now();
-        self.grid
-            .mcat
-            .datasets
-            .update(ds.id, |d| match d.effective_lock(now) {
-                Some(l) if l.holder != user => {
-                    Err(SrbError::Locked(format!("lock held by {}", l.holder)))
-                }
-                _ => {
-                    d.lock = None;
-                    Ok(())
-                }
-            })?;
-        self.audit(AuditAction::LockOp, path, "unlock");
-        Ok(receipt)
+        let (user, mut op) = self.begin_op("unlock", AuditAction::LockOp, path)?;
+        op.done = "unlock";
+        let done = (|| {
+            let ds = self.dataset_for(user, path, Permission::Write)?;
+            let now = self.now();
+            self.grid
+                .mcat
+                .datasets
+                .update(ds.id, |d| match d.effective_lock(now) {
+                    Some(l) if l.holder != user => {
+                        Err(SrbError::Locked(format!("lock held by {}", l.holder)))
+                    }
+                    _ => {
+                        d.lock = None;
+                        Ok(())
+                    }
+                })
+        })();
+        Ok(self.end_op(op, done)?.1)
     }
 
     // ----------------------------------------------------------------- pin --
@@ -74,80 +67,76 @@ impl SrbConnection<'_> {
     /// Pin replica `repl_num` to its resource for `ttl_secs`: the object
     /// will not be purged from a cache resource while pinned.
     pub fn pin(&self, path: &str, repl_num: u32, ttl_secs: u64) -> SrbResult<Receipt> {
-        let user = self.check_session()?;
-        let lp = self.parse(path)?;
-        let receipt = self.mcat_rpc()?;
-        let ds_id = self.grid.mcat.resolve_dataset(&lp)?;
-        let ds = self.grid.mcat.datasets.resolve_links(ds_id)?;
-        self.grid
-            .mcat
-            .require_dataset(Some(user), ds.id, Permission::Write)?;
-        let expiry = self.now().plus_secs(ttl_secs);
-        let replica = ds
-            .replicas
-            .iter()
-            .find(|r| r.repl_num == repl_num)
-            .ok_or_else(|| SrbError::NotFound(format!("replica #{repl_num} of '{path}'")))?
-            .clone();
-        // Propagate to the cache driver when the replica lives on one.
-        if let AccessSpec::Stored {
-            resource,
-            phys_path,
-        } = &replica.spec
-        {
-            if let Some(cache) = self.grid.driver(*resource)?.as_cache() {
-                cache.pin(phys_path, expiry)?;
-            }
-        }
-        self.grid.mcat.datasets.update(ds.id, |d| {
-            let r = d
+        let (user, mut op) = self.begin_op("pin", AuditAction::LockOp, path)?;
+        op.done = "pin";
+        let done = (|| {
+            let ds = self.dataset_for(user, path, Permission::Write)?;
+            let expiry = self.now().plus_secs(ttl_secs);
+            let replica = ds
                 .replicas
-                .iter_mut()
+                .iter()
                 .find(|r| r.repl_num == repl_num)
-                .ok_or_else(|| SrbError::NotFound(format!("replica #{repl_num} of '{path}'")))?;
-            r.pinned_until = Some(expiry);
-            Ok(())
-        })?;
-        self.audit(AuditAction::LockOp, path, "pin");
-        Ok(receipt)
+                .ok_or_else(|| SrbError::NotFound(format!("replica #{repl_num} of '{path}'")))?
+                .clone();
+            // Propagate to the cache driver when the replica lives on one.
+            if let AccessSpec::Stored {
+                resource,
+                phys_path,
+            } = &replica.spec
+            {
+                if let Some(cache) = self.grid.driver(*resource)?.as_cache() {
+                    cache.pin(phys_path, expiry)?;
+                }
+            }
+            self.grid.mcat.datasets.update(ds.id, |d| {
+                let r = d
+                    .replicas
+                    .iter_mut()
+                    .find(|r| r.repl_num == repl_num)
+                    .ok_or_else(|| {
+                        SrbError::NotFound(format!("replica #{repl_num} of '{path}'"))
+                    })?;
+                r.pinned_until = Some(expiry);
+                Ok(())
+            })
+        })();
+        Ok(self.end_op(op, done)?.1)
     }
 
     /// Explicit unpin.
     pub fn unpin(&self, path: &str, repl_num: u32) -> SrbResult<Receipt> {
-        let user = self.check_session()?;
-        let lp = self.parse(path)?;
-        let receipt = self.mcat_rpc()?;
-        let ds_id = self.grid.mcat.resolve_dataset(&lp)?;
-        let ds = self.grid.mcat.datasets.resolve_links(ds_id)?;
-        self.grid
-            .mcat
-            .require_dataset(Some(user), ds.id, Permission::Write)?;
-        let replica = ds
-            .replicas
-            .iter()
-            .find(|r| r.repl_num == repl_num)
-            .ok_or_else(|| SrbError::NotFound(format!("replica #{repl_num} of '{path}'")))?
-            .clone();
-        if let AccessSpec::Stored {
-            resource,
-            phys_path,
-        } = &replica.spec
-        {
-            if let Some(cache) = self.grid.driver(*resource)?.as_cache() {
-                let _ = cache.unpin(phys_path);
-            }
-        }
-        self.grid.mcat.datasets.update(ds.id, |d| {
-            let r = d
+        let (user, mut op) = self.begin_op("unpin", AuditAction::LockOp, path)?;
+        op.done = "unpin";
+        let done = (|| {
+            let ds = self.dataset_for(user, path, Permission::Write)?;
+            let replica = ds
                 .replicas
-                .iter_mut()
+                .iter()
                 .find(|r| r.repl_num == repl_num)
-                .ok_or_else(|| SrbError::NotFound(format!("replica #{repl_num} of '{path}'")))?;
-            r.pinned_until = None;
-            Ok(())
-        })?;
-        self.audit(AuditAction::LockOp, path, "unpin");
-        Ok(receipt)
+                .ok_or_else(|| SrbError::NotFound(format!("replica #{repl_num} of '{path}'")))?
+                .clone();
+            if let AccessSpec::Stored {
+                resource,
+                phys_path,
+            } = &replica.spec
+            {
+                if let Some(cache) = self.grid.driver(*resource)?.as_cache() {
+                    let _ = cache.unpin(phys_path);
+                }
+            }
+            self.grid.mcat.datasets.update(ds.id, |d| {
+                let r = d
+                    .replicas
+                    .iter_mut()
+                    .find(|r| r.repl_num == repl_num)
+                    .ok_or_else(|| {
+                        SrbError::NotFound(format!("replica #{repl_num} of '{path}'"))
+                    })?;
+                r.pinned_until = None;
+                Ok(())
+            })
+        })();
+        Ok(self.end_op(op, done)?.1)
     }
 
     // ------------------------------------------------------------ versions --
@@ -155,43 +144,45 @@ impl SrbConnection<'_> {
     /// Check an object out: no one (including other sessions of the same
     /// user) may change it until checkin.
     pub fn checkout(&self, path: &str) -> SrbResult<Receipt> {
-        let user = self.check_session()?;
-        let lp = self.parse(path)?;
-        let receipt = self.mcat_rpc()?;
-        let ds_id = self.grid.mcat.resolve_dataset(&lp)?;
-        let ds = self.grid.mcat.datasets.resolve_links(ds_id)?;
-        self.grid
-            .mcat
-            .require_dataset(Some(user), ds.id, Permission::Write)?;
-        let now = self.now();
-        self.grid.mcat.datasets.update(ds.id, |d| {
-            if let Some(c) = d.checkout {
-                return Err(SrbError::Locked(format!(
-                    "already checked out by {}",
-                    c.holder
-                )));
-            }
-            d.checkout = Some(CheckoutState {
-                holder: user,
-                at: now,
-            });
-            Ok(())
-        })?;
-        self.audit(AuditAction::LockOp, path, "checkout");
-        Ok(receipt)
+        let (user, mut op) = self.begin_op("checkout", AuditAction::LockOp, path)?;
+        op.done = "checkout";
+        let done = (|| {
+            let ds = self.dataset_for(user, path, Permission::Write)?;
+            let now = self.now();
+            self.grid.mcat.datasets.update(ds.id, |d| {
+                if let Some(c) = d.checkout {
+                    return Err(SrbError::Locked(format!(
+                        "already checked out by {}",
+                        c.holder
+                    )));
+                }
+                d.checkout = Some(CheckoutState {
+                    holder: user,
+                    at: now,
+                });
+                Ok(())
+            })
+        })();
+        Ok(self.end_op(op, done)?.1)
     }
 
     /// Check in new content: "the older version of the object is still
     /// maintained as an earlier version with a distinct version number."
     pub fn checkin(&self, path: &str, new_data: &[u8]) -> SrbResult<Receipt> {
-        let user = self.check_session()?;
-        let lp = self.parse(path)?;
-        let mut receipt = self.mcat_rpc()?;
-        let ds_id = self.grid.mcat.resolve_dataset(&lp)?;
-        let ds = self.grid.mcat.datasets.resolve_links(ds_id)?;
-        self.grid
-            .mcat
-            .require_dataset(Some(user), ds.id, Permission::Write)?;
+        let (user, mut op) = self.begin_op("checkin", AuditAction::LockOp, path)?;
+        op.done = "checkin";
+        let done = self.checkin_body(user, path, new_data, &mut op.receipt);
+        Ok(self.end_op(op, done)?.1)
+    }
+
+    fn checkin_body(
+        &self,
+        user: UserId,
+        path: &str,
+        new_data: &[u8],
+        receipt: &mut Receipt,
+    ) -> SrbResult<()> {
+        let ds = self.dataset_for(user, path, Permission::Write)?;
         match ds.checkout {
             Some(c) if c.holder == user => {}
             Some(c) => return Err(SrbError::Locked(format!("checked out by {}", c.holder))),
@@ -240,23 +231,17 @@ impl SrbConnection<'_> {
             d.checkout = None;
             Ok(())
         })?;
-        // Write the new content through the normal synchronous-update path.
-        let w = self.write(path, new_data)?;
-        receipt.absorb(&w);
-        self.audit(AuditAction::LockOp, path, "checkin");
-        Ok(receipt)
+        // Write the new content through the normal synchronous-update path
+        // (its own catalog round trip, this op's commit).
+        receipt.absorb(&self.mcat_rpc()?);
+        self.write_body(user, path, &Bytes::copy_from_slice(new_data), receipt)
     }
 
     /// Read a preserved earlier version.
-    pub fn read_version(&self, path: &str, version: u32) -> SrbResult<(bytes::Bytes, Receipt)> {
+    pub fn read_version(&self, path: &str, version: u32) -> SrbResult<(Bytes, Receipt)> {
         let user = self.check_session()?;
-        let lp = self.parse(path)?;
         let mut receipt = self.mcat_rpc()?;
-        let ds_id = self.grid.mcat.resolve_dataset(&lp)?;
-        let ds = self.grid.mcat.datasets.resolve_links(ds_id)?;
-        self.grid
-            .mcat
-            .require_dataset(Some(user), ds.id, Permission::Read)?;
+        let ds = self.dataset_for(user, path, Permission::Read)?;
         let v = ds
             .versions
             .iter()
@@ -275,12 +260,7 @@ impl SrbConnection<'_> {
     /// List preserved versions (number, size, author).
     pub fn versions(&self, path: &str) -> SrbResult<Vec<(u32, u64, srb_types::UserId)>> {
         let user = self.check_session()?;
-        let lp = self.parse(path)?;
-        let ds_id = self.grid.mcat.resolve_dataset(&lp)?;
-        let ds = self.grid.mcat.datasets.resolve_links(ds_id)?;
-        self.grid
-            .mcat
-            .require_dataset(Some(user), ds.id, Permission::Read)?;
+        let ds = self.dataset_for(user, path, Permission::Read)?;
         Ok(ds
             .versions
             .iter()

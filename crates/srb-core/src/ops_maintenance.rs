@@ -64,15 +64,14 @@ impl SrbConnection<'_> {
     /// Repair every stale replica of an object from an up-to-date one.
     /// Returns the number of replicas repaired.
     pub fn sync_replicas(&self, path: &str) -> SrbResult<(usize, Receipt)> {
-        let user = self.check_session()?;
-        let lp = self.parse(path)?;
-        let mut receipt = self.mcat_rpc()?;
-        let ds_id = self.grid.mcat.resolve_dataset(&lp)?;
-        let repaired = self.resync_dataset(ds_id, user, &mut receipt)?;
-        if repaired > 0 {
-            self.audit(AuditAction::Replicate, path, "resync");
-        }
-        Ok((repaired, receipt))
+        let (user, mut op) = self.begin_op("sync_replicas", AuditAction::Replicate, path)?;
+        op.done = "resync";
+        let repaired = (|| {
+            let lp = self.parse(path)?;
+            let ds_id = self.grid.mcat.resolve_dataset(&lp)?;
+            self.resync_dataset(ds_id, user, &mut op.receipt)
+        })();
+        self.end_op(op, repaired)
     }
 
     /// Repair one dataset's stale replicas from a fresh copy (the core of
@@ -163,50 +162,33 @@ impl SrbConnection<'_> {
     /// failures are reported, not propagated, so one bad dataset cannot
     /// abort the sweep.
     pub fn repair_stale(&self) -> SrbResult<(Vec<RepairReport>, Receipt)> {
-        let user = self.check_session()?;
-        let mut receipt = self.mcat_rpc()?;
+        let (user, mut op) = self.begin_op("repair_stale", AuditAction::Replicate, "*")?;
+        op.done = "sweep";
         let mut reports = Vec::new();
         for (ds_id, resources) in self.grid.mcat.datasets.with_stale_replicas() {
-            let subject = format!("dataset {ds_id}");
             let all_open = resources.iter().all(|r| self.grid.health.is_open(*r));
-            if all_open {
-                self.audit(AuditAction::Replicate, &subject, "repair-skip-breaker");
-                reports.push(RepairReport {
-                    dataset: ds_id,
-                    outcome: RepairOutcome::SkippedBreakerOpen,
-                });
-                continue;
-            }
-            match self.resync_dataset(ds_id, user, &mut receipt) {
-                Ok(n) => {
-                    self.audit(AuditAction::Replicate, &subject, "repair");
-                    reports.push(RepairReport {
-                        dataset: ds_id,
-                        outcome: RepairOutcome::Repaired(n),
-                    });
+            let (outcome, audited) = if all_open {
+                (RepairOutcome::SkippedBreakerOpen, "repair-skip-breaker")
+            } else {
+                match self.resync_dataset(ds_id, user, &mut op.receipt) {
+                    Ok(n) => (RepairOutcome::Repaired(n), "repair"),
+                    Err(e) => (RepairOutcome::Failed(e.code().to_string()), e.code()),
                 }
-                Err(e) => {
-                    self.audit(AuditAction::Replicate, &subject, e.code());
-                    reports.push(RepairReport {
-                        dataset: ds_id,
-                        outcome: RepairOutcome::Failed(e.code().to_string()),
-                    });
-                }
-            }
+            };
+            self.audit_row(AuditAction::Replicate, &format!("dataset {ds_id}"), audited);
+            reports.push(RepairReport {
+                dataset: ds_id,
+                outcome,
+            });
         }
-        Ok((reports, receipt))
+        self.end_op(op, Ok(reports))
     }
 
     /// Verify every replica's stored checksum against its current bytes.
     /// Returns `(repl_num, status)` pairs.
     pub fn verify_checksums(&self, path: &str) -> SrbResult<Vec<(u32, ChecksumStatus)>> {
         let user = self.check_session()?;
-        let lp = self.parse(path)?;
-        let ds_id = self.grid.mcat.resolve_dataset(&lp)?;
-        let ds = self.grid.mcat.datasets.resolve_links(ds_id)?;
-        self.grid
-            .mcat
-            .require_dataset(Some(user), ds.id, Permission::Read)?;
+        let ds = self.dataset_for(user, path, Permission::Read)?;
         let mut out = Vec::new();
         for replica in &ds.replicas {
             if !replica.spec.is_byte_addressable() {
@@ -243,69 +225,72 @@ impl SrbConnection<'_> {
     /// out-of-sync (run [`SrbConnection::sync_container`] afterwards).
     /// Returns the number of bytes reclaimed.
     pub fn compact_container(&self, name: &str) -> SrbResult<(u64, Receipt)> {
-        self.check_session()?;
-        let mut receipt = self.mcat_rpc()?;
-        let record = self
-            .grid
-            .mcat
-            .containers
-            .find(name)
-            .ok_or_else(|| SrbError::NotFound(format!("container '{name}'")))?;
-        let (cache_rid, _) = self.container_members(&record)?;
-        let ct_path = Self::container_phys_path(&record);
-        let driver = self.grid.driver(cache_rid)?;
-        let (old_bytes, read_ns) = driver.driver().read(&ct_path)?;
-        receipt.absorb(&Receipt::time(read_ns));
-        // Build the compacted image and the new slice table.
-        let mut new_bytes = Vec::with_capacity(old_bytes.len());
-        let mut moves: Vec<(srb_types::DatasetId, ContainerSlice, ContainerSlice)> = Vec::new();
-        for m in &record.members {
-            let start = (m.offset as usize).min(old_bytes.len());
-            let end = ((m.offset + m.len) as usize).min(old_bytes.len());
-            let new_offset = new_bytes.len() as u64;
-            new_bytes.extend_from_slice(&old_bytes[start..end]);
-            moves.push((
-                m.dataset,
-                ContainerSlice {
-                    container: record.id,
-                    offset: m.offset,
-                    len: m.len,
-                },
-                ContainerSlice {
-                    container: record.id,
-                    offset: new_offset,
-                    len: (end - start) as u64,
-                },
-            ));
-        }
-        let reclaimed = (old_bytes.len() - new_bytes.len()) as u64;
-        if reclaimed == 0 {
-            return Ok((0, receipt));
-        }
-        let write_ns = driver.driver().write(&ct_path, &new_bytes)?;
-        receipt.absorb(&Receipt::time(write_ns));
-        // Rewrite the catalog: replica slices first, then the container
-        // record (rebuild members + size through the existing table ops).
-        for (ds, old, new) in &moves {
-            self.grid.mcat.datasets.update(*ds, |d| {
-                for r in d.replicas.iter_mut() {
-                    if r.in_container == Some(*old) {
-                        r.in_container = Some(*new);
+        let subject = format!("container {name}");
+        let (_, mut op) = self.begin_op("compact_container", AuditAction::Write, &subject)?;
+        op.done = "compact";
+        let reclaimed = (|| {
+            let record = self
+                .grid
+                .mcat
+                .containers
+                .find(name)
+                .ok_or_else(|| SrbError::NotFound(format!("container '{name}'")))?;
+            let (cache_rid, _) = self.container_members(&record)?;
+            let ct_path = Self::container_phys_path(&record);
+            let driver = self.grid.driver(cache_rid)?;
+            let (old_bytes, read_ns) = driver.driver().read(&ct_path)?;
+            op.receipt.absorb(&Receipt::time(read_ns));
+            // Build the compacted image and the new slice table.
+            let mut new_bytes = Vec::with_capacity(old_bytes.len());
+            let mut moves: Vec<(srb_types::DatasetId, ContainerSlice, ContainerSlice)> = Vec::new();
+            for m in &record.members {
+                let start = (m.offset as usize).min(old_bytes.len());
+                let end = ((m.offset + m.len) as usize).min(old_bytes.len());
+                let new_offset = new_bytes.len() as u64;
+                new_bytes.extend_from_slice(&old_bytes[start..end]);
+                moves.push((
+                    m.dataset,
+                    ContainerSlice {
+                        container: record.id,
+                        offset: m.offset,
+                        len: m.len,
+                    },
+                    ContainerSlice {
+                        container: record.id,
+                        offset: new_offset,
+                        len: (end - start) as u64,
+                    },
+                ));
+            }
+            let reclaimed = (old_bytes.len() - new_bytes.len()) as u64;
+            if reclaimed == 0 {
+                return Ok(0);
+            }
+            let write_ns = driver.driver().write(&ct_path, &new_bytes)?;
+            op.receipt.absorb(&Receipt::time(write_ns));
+            // Rewrite the catalog: replica slices first, then the container
+            // record (rebuild members + size through the existing table ops).
+            for (ds, old, new) in &moves {
+                self.grid.mcat.datasets.update(*ds, |d| {
+                    for r in d.replicas.iter_mut() {
+                        if r.in_container == Some(*old) {
+                            r.in_container = Some(*new);
+                        }
                     }
-                }
-                Ok(())
-            })?;
-        }
-        self.grid.mcat.containers.rewrite_members(
-            record.id,
-            moves
-                .iter()
-                .map(|(ds, _, new)| (*ds, new.offset, new.len))
-                .collect(),
-            new_bytes.len() as u64,
-        )?;
-        self.audit(AuditAction::Write, &format!("container {name}"), "compact");
-        Ok((reclaimed, receipt))
+                    Ok(())
+                })?;
+            }
+            self.grid.mcat.containers.rewrite_members(
+                record.id,
+                moves
+                    .iter()
+                    .map(|(ds, _, new)| (*ds, new.offset, new.len))
+                    .collect(),
+                new_bytes.len() as u64,
+            )?;
+            Ok(reclaimed)
+        })();
+        self.end_op(op, reclaimed)
     }
 }
 

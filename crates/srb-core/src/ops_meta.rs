@@ -12,7 +12,7 @@ use srb_mcat::{
     Annotation, AnnotationKind, AuditAction, MetaKind, MetaRow, Query, QueryHit, Subject,
 };
 use srb_net::Receipt;
-use srb_types::{MetaValue, Permission, SrbError, SrbResult, Triplet};
+use srb_types::{AccessMatrix, MetaValue, Permission, SrbError, SrbResult, Triplet, UserId};
 
 impl SrbConnection<'_> {
     fn subject_of(&self, path: &str) -> SrbResult<Subject> {
@@ -47,16 +47,19 @@ impl SrbConnection<'_> {
     /// type-oriented metadata can be ingested only by users who have
     /// 'ownership' permission."
     pub fn add_metadata(&self, path: &str, triplet: Triplet) -> SrbResult<Receipt> {
-        self.check_session()?;
-        let receipt = self.mcat_rpc()?;
-        let subject = self.subject_of(path)?;
-        self.require_subject(subject, Permission::Own)?;
-        self.grid
-            .mcat
-            .metadata
-            .add(&self.grid.mcat.ids, subject, triplet, MetaKind::UserDefined);
-        self.audit(AuditAction::MetaChange, path, "ok");
-        Ok(receipt)
+        let (_, op) = self.begin_op("add_metadata", AuditAction::MetaChange, path)?;
+        let done = (|| {
+            let subject = self.subject_of(path)?;
+            self.require_subject(subject, Permission::Own)?;
+            self.grid.mcat.metadata.add(
+                &self.grid.mcat.ids,
+                subject,
+                triplet,
+                MetaKind::UserDefined,
+            );
+            Ok(())
+        })();
+        Ok(self.end_op(op, done)?.1)
     }
 
     /// Attach a type-oriented (schema) triplet, e.g. Dublin Core.
@@ -66,13 +69,13 @@ impl SrbConnection<'_> {
         schema: &str,
         triplet: Triplet,
     ) -> SrbResult<Receipt> {
-        self.check_session()?;
-        let receipt = self.mcat_rpc()?;
-        let subject = self.subject_of(path)?;
-        self.require_subject(subject, Permission::Own)?;
-        self.grid.mcat.add_type_metadata(subject, schema, triplet)?;
-        self.audit(AuditAction::MetaChange, path, "ok");
-        Ok(receipt)
+        let (_, op) = self.begin_op("add_schema_metadata", AuditAction::MetaChange, path)?;
+        let done = (|| {
+            let subject = self.subject_of(path)?;
+            self.require_subject(subject, Permission::Own)?;
+            self.grid.mcat.add_type_metadata(subject, schema, triplet)
+        })();
+        Ok(self.end_op(op, done)?.1)
     }
 
     /// All metadata rows on an object or collection (requires Read).
@@ -91,65 +94,69 @@ impl SrbConnection<'_> {
         value: MetaValue,
         units: &str,
     ) -> SrbResult<Receipt> {
-        self.check_session()?;
-        let receipt = self.mcat_rpc()?;
-        let subject = self.subject_of(path)?;
-        self.require_subject(subject, Permission::Own)?;
-        self.grid
-            .mcat
-            .metadata
-            .update(meta_id, value, units.to_string())?;
-        self.audit(AuditAction::MetaChange, path, "ok");
-        Ok(receipt)
+        let (_, op) = self.begin_op("update_metadata", AuditAction::MetaChange, path)?;
+        let done = (|| {
+            let subject = self.subject_of(path)?;
+            self.require_subject(subject, Permission::Own)?;
+            self.grid
+                .mcat
+                .metadata
+                .update(meta_id, value, units.to_string())
+        })();
+        Ok(self.end_op(op, done)?.1)
     }
 
     /// Delete one metadata row (Own).
     pub fn delete_metadata(&self, path: &str, meta_id: srb_types::MetaId) -> SrbResult<Receipt> {
-        self.check_session()?;
-        let receipt = self.mcat_rpc()?;
-        let subject = self.subject_of(path)?;
-        self.require_subject(subject, Permission::Own)?;
-        self.grid.mcat.metadata.remove(meta_id)?;
-        self.audit(AuditAction::MetaChange, path, "ok");
-        Ok(receipt)
+        let (_, op) = self.begin_op("delete_metadata", AuditAction::MetaChange, path)?;
+        let done = (|| {
+            let subject = self.subject_of(path)?;
+            self.require_subject(subject, Permission::Own)?;
+            self.grid.mcat.metadata.remove(meta_id)
+        })();
+        Ok(self.end_op(op, done)?.1)
     }
 
     /// Copy user/type metadata from another object (ingestion method 3).
     pub fn copy_metadata(&self, from: &str, to: &str) -> SrbResult<usize> {
-        self.check_session()?;
-        let src = self.subject_of(from)?;
-        let dst = self.subject_of(to)?;
-        self.require_subject(src, Permission::Read)?;
-        self.require_subject(dst, Permission::Own)?;
-        let n = self.grid.mcat.metadata.copy(&self.grid.mcat.ids, src, dst);
-        self.audit(AuditAction::MetaChange, &format!("{from} -> {to}"), "ok");
-        Ok(n)
+        let subject = format!("{from} -> {to}");
+        let (_, op) = self.begin_op("copy_metadata", AuditAction::MetaChange, &subject)?;
+        let copied = (|| {
+            let src = self.subject_of(from)?;
+            let dst = self.subject_of(to)?;
+            self.require_subject(src, Permission::Read)?;
+            self.require_subject(dst, Permission::Own)?;
+            Ok(self.grid.mcat.metadata.copy(&self.grid.mcat.ids, src, dst))
+        })();
+        Ok(self.end_op(op, copied)?.0)
     }
 
     /// Extraction method 4a: run a T-language script over the object's own
     /// content and attach the extracted triplets.
     pub fn extract_metadata(&self, path: &str, script: &str) -> SrbResult<Vec<Triplet>> {
-        self.check_session()?;
-        let subject = self.subject_of(path)?;
-        self.require_subject(subject, Permission::Own)?;
-        let Subject::Dataset(ds) = subject else {
-            return Err(SrbError::Unsupported(
-                "metadata extraction applies to datasets".into(),
-            ));
-        };
-        let (bytes, _) = self.read_dataset_bytes(ds)?;
-        let tscript = TScript::parse(script)?;
-        let triplets = tscript.extract(&String::from_utf8_lossy(&bytes));
-        for t in &triplets {
-            self.grid.mcat.metadata.add(
-                &self.grid.mcat.ids,
-                subject,
-                t.clone(),
-                MetaKind::UserDefined,
-            );
-        }
-        self.audit(AuditAction::MetaChange, path, "ok");
-        Ok(triplets)
+        let (_, op) = self.begin_op("extract_metadata", AuditAction::MetaChange, path)?;
+        let triplets = (|| {
+            let subject = self.subject_of(path)?;
+            self.require_subject(subject, Permission::Own)?;
+            let Subject::Dataset(ds) = subject else {
+                return Err(SrbError::Unsupported(
+                    "metadata extraction applies to datasets".into(),
+                ));
+            };
+            let (bytes, _) = self.read_dataset_bytes(ds)?;
+            let tscript = TScript::parse(script)?;
+            let triplets = tscript.extract(&String::from_utf8_lossy(&bytes));
+            for t in &triplets {
+                self.grid.mcat.metadata.add(
+                    &self.grid.mcat.ids,
+                    subject,
+                    t.clone(),
+                    MetaKind::UserDefined,
+                );
+            }
+            Ok(triplets)
+        })();
+        Ok(self.end_op(op, triplets)?.0)
     }
 
     /// Extraction method 4b: extract from a *second* object (e.g. a DICOM
@@ -160,42 +167,45 @@ impl SrbConnection<'_> {
         target: &str,
         script: &str,
     ) -> SrbResult<Vec<Triplet>> {
-        self.check_session()?;
-        let src = self.subject_of(source)?;
-        let dst = self.subject_of(target)?;
-        self.require_subject(src, Permission::Read)?;
-        self.require_subject(dst, Permission::Own)?;
-        let Subject::Dataset(src_ds) = src else {
-            return Err(SrbError::Unsupported("source must be a dataset".into()));
-        };
-        let (bytes, _) = self.read_dataset_bytes(src_ds)?;
-        let tscript = TScript::parse(script)?;
-        let triplets = tscript.extract(&String::from_utf8_lossy(&bytes));
-        for t in &triplets {
-            self.grid.mcat.metadata.add(
-                &self.grid.mcat.ids,
-                dst,
-                t.clone(),
-                MetaKind::FileBased(src_ds),
-            );
-        }
-        self.audit(AuditAction::MetaChange, target, "ok");
-        Ok(triplets)
+        let (_, op) = self.begin_op("extract_metadata_from", AuditAction::MetaChange, target)?;
+        let triplets = (|| {
+            let src = self.subject_of(source)?;
+            let dst = self.subject_of(target)?;
+            self.require_subject(src, Permission::Read)?;
+            self.require_subject(dst, Permission::Own)?;
+            let Subject::Dataset(src_ds) = src else {
+                return Err(SrbError::Unsupported("source must be a dataset".into()));
+            };
+            let (bytes, _) = self.read_dataset_bytes(src_ds)?;
+            let tscript = TScript::parse(script)?;
+            let triplets = tscript.extract(&String::from_utf8_lossy(&bytes));
+            for t in &triplets {
+                self.grid.mcat.metadata.add(
+                    &self.grid.mcat.ids,
+                    dst,
+                    t.clone(),
+                    MetaKind::FileBased(src_ds),
+                );
+            }
+            Ok(triplets)
+        })();
+        Ok(self.end_op(op, triplets)?.0)
     }
 
     /// Associate a file already in SRB as a metadata-carrying file for
     /// another object ("file-based metadata … for viewing"). One file may
     /// serve many objects.
     pub fn attach_meta_file(&self, target: &str, carrier: &str) -> SrbResult<Receipt> {
-        self.check_session()?;
-        let receipt = self.mcat_rpc()?;
-        let dst = self.subject_of(target)?;
-        self.require_subject(dst, Permission::Own)?;
-        let carrier_lp = self.parse(carrier)?;
-        let carrier_ds = self.grid.mcat.resolve_dataset(&carrier_lp)?;
-        self.grid.mcat.metadata.attach_meta_file(dst, carrier_ds);
-        self.audit(AuditAction::MetaChange, target, "ok");
-        Ok(receipt)
+        let (_, op) = self.begin_op("attach_meta_file", AuditAction::MetaChange, target)?;
+        let done = (|| {
+            let dst = self.subject_of(target)?;
+            self.require_subject(dst, Permission::Own)?;
+            let carrier_lp = self.parse(carrier)?;
+            let carrier_ds = self.grid.mcat.resolve_dataset(&carrier_lp)?;
+            self.grid.mcat.metadata.attach_meta_file(dst, carrier_ds);
+            Ok(())
+        })();
+        Ok(self.end_op(op, done)?.1)
     }
 
     /// Render a subject's file-based metadata. Carrier files hold either
@@ -238,21 +248,22 @@ impl SrbConnection<'_> {
         location: &str,
         text: &str,
     ) -> SrbResult<Receipt> {
-        self.check_session()?;
-        let receipt = self.mcat_rpc()?;
-        let subject = self.subject_of(path)?;
-        self.require_subject(subject, Permission::Annotate)?;
-        self.grid.mcat.annotations.add(
-            &self.grid.mcat.ids,
-            subject,
-            self.user(),
-            self.now(),
-            kind,
-            location,
-            text,
-        );
-        self.audit(AuditAction::MetaChange, path, "ok");
-        Ok(receipt)
+        let (user, op) = self.begin_op("annotate", AuditAction::MetaChange, path)?;
+        let done = (|| {
+            let subject = self.subject_of(path)?;
+            self.require_subject(subject, Permission::Annotate)?;
+            self.grid.mcat.annotations.add(
+                &self.grid.mcat.ids,
+                subject,
+                user,
+                self.now(),
+                kind,
+                location,
+                text,
+            );
+            Ok(())
+        })();
+        Ok(self.end_op(op, done)?.1)
     }
 
     /// List an object's annotations.
@@ -265,20 +276,18 @@ impl SrbConnection<'_> {
 
     /// Delete one's own annotation.
     pub fn delete_annotation(&self, id: srb_types::AnnotationId) -> SrbResult<()> {
-        self.check_session()?;
-        self.grid.mcat.annotations.remove(id, self.user())
+        let subject = format!("annotation {id}");
+        let (user, op) = self.begin_op("delete_annotation", AuditAction::MetaChange, &subject)?;
+        let done = self.grid.mcat.annotations.remove(id, user);
+        self.end_op(op, done).map(drop)
     }
 
     // --------------------------------------------------------------- query --
 
-    /// Run a conjunctive query; hits the user may not Discover are
-    /// filtered out.
-    pub fn query(&self, q: &Query) -> SrbResult<(Vec<QueryHit>, Receipt)> {
-        let user = self.check_session()?;
-        let receipt = self.mcat_rpc()?;
-        let hits = self.grid.mcat.query(q)?;
-        let visible = hits
-            .into_iter()
+    /// Hits the user may Read (permission filtering happens after the
+    /// catalog query, so a limited query or page may come back short).
+    fn visible(&self, user: UserId, hits: Vec<QueryHit>) -> Vec<QueryHit> {
+        hits.into_iter()
             .filter(|h| {
                 self.grid
                     .mcat
@@ -286,9 +295,16 @@ impl SrbConnection<'_> {
                     .map(|p| p.allows(Permission::Read))
                     .unwrap_or(false)
             })
-            .collect();
-        self.audit(AuditAction::Query, &q.scope.to_string(), "ok");
-        Ok((visible, receipt))
+            .collect()
+    }
+
+    /// Run a conjunctive query; hits the user may not Discover are
+    /// filtered out.
+    pub fn query(&self, q: &Query) -> SrbResult<(Vec<QueryHit>, Receipt)> {
+        let scope = q.scope.to_string();
+        let (user, op) = self.begin_op("query", AuditAction::Query, &scope)?;
+        let hits = self.grid.mcat.query(q).map(|h| self.visible(user, h));
+        self.end_op(op, hits)
     }
 
     /// Paging helper for the MySRB result listing: run `q` with an
@@ -316,143 +332,98 @@ impl SrbConnection<'_> {
         token: Option<&str>,
         page: usize,
     ) -> SrbResult<(Vec<QueryHit>, Option<String>, Receipt)> {
-        let user = self.check_session()?;
-        let receipt = self.mcat_rpc()?;
-        let (hits, next) = self.grid.mcat.query_page(q, token, page)?;
-        let visible = hits
-            .into_iter()
-            .filter(|h| {
-                self.grid
-                    .mcat
-                    .effective_on_dataset(Some(user), h.dataset)
-                    .map(|p| p.allows(Permission::Read))
-                    .unwrap_or(false)
-            })
-            .collect();
-        self.audit(AuditAction::Query, &q.scope.to_string(), "ok");
-        Ok((visible, next, receipt))
+        let scope = q.scope.to_string();
+        let (user, op) = self.begin_op("query_page", AuditAction::Query, &scope)?;
+        let paged = self
+            .grid
+            .mcat
+            .query_page(q, token, page)
+            .map(|(h, next)| (self.visible(user, h), next));
+        let ((hits, next), receipt) = self.end_op(op, paged)?;
+        Ok((hits, next, receipt))
     }
 
     /// The scan-path baseline of the same query (ablation A1).
     pub fn query_scan(&self, q: &Query) -> SrbResult<(Vec<QueryHit>, Receipt)> {
-        let user = self.check_session()?;
-        let receipt = self.mcat_rpc()?;
-        let hits = self.grid.mcat.query_scan(q)?;
-        let visible = hits
-            .into_iter()
-            .filter(|h| {
-                self.grid
-                    .mcat
-                    .effective_on_dataset(Some(user), h.dataset)
-                    .map(|p| p.allows(Permission::Read))
-                    .unwrap_or(false)
-            })
-            .collect();
-        self.audit(AuditAction::Query, &q.scope.to_string(), "ok");
-        Ok((visible, receipt))
+        let scope = q.scope.to_string();
+        let (user, op) = self.begin_op("query_scan", AuditAction::Query, &scope)?;
+        let hits = self.grid.mcat.query_scan(q).map(|h| self.visible(user, h));
+        self.end_op(op, hits)
     }
 
     // ----------------------------------------------------------------- acl --
 
-    /// Grant a permission level to a user on an object or collection
+    /// Apply `change` to the access matrix of an object or collection
     /// (Own required; "the selection should be done by the owner").
-    pub fn grant(
-        &self,
-        path: &str,
-        grantee: srb_types::UserId,
-        level: Permission,
-    ) -> SrbResult<()> {
-        self.check_session()?;
-        let subject = self.subject_of(path)?;
-        self.require_subject(subject, Permission::Own)?;
-        match subject {
-            Subject::Dataset(d) => self.grid.mcat.datasets.update(d, |ds| {
-                ds.acl.grant_user(grantee, level);
-                Ok(())
-            })?,
-            Subject::Collection(c) => {
-                let mut acl = self.grid.mcat.collections.get(c)?.acl;
-                acl.grant_user(grantee, level);
-                self.grid.mcat.collections.set_acl(c, acl)?;
+    fn change_acl(&self, path: &str, change: impl Fn(&mut AccessMatrix)) -> SrbResult<()> {
+        let (_, op) = self.begin_op("grant", AuditAction::AclChange, path)?;
+        let done = (|| {
+            let subject = self.subject_of(path)?;
+            self.require_subject(subject, Permission::Own)?;
+            match subject {
+                Subject::Dataset(d) => self.grid.mcat.datasets.update(d, |ds| {
+                    change(&mut ds.acl);
+                    Ok(())
+                }),
+                Subject::Collection(c) => {
+                    let mut acl = self.grid.mcat.collections.get(c)?.acl;
+                    change(&mut acl);
+                    self.grid.mcat.collections.set_acl(c, acl)
+                }
             }
-        }
-        self.audit(AuditAction::AclChange, path, "ok");
-        Ok(())
+        })();
+        self.end_op(op, done).map(drop)
     }
 
-    /// Create a user group (any authenticated user may; the creator is the
-    /// first member).
-    pub fn create_group(&self, name: &str) -> SrbResult<srb_types::GroupId> {
-        let user = self.check_session()?;
-        let g = self
-            .grid
-            .mcat
-            .users
-            .create_group(&self.grid.mcat.ids, name)?;
-        self.grid.mcat.users.add_to_group(user, g)?;
-        Ok(g)
+    /// Grant a permission level to a user on an object or collection.
+    pub fn grant(&self, path: &str, grantee: UserId, level: Permission) -> SrbResult<()> {
+        self.change_acl(path, |acl| acl.grant_user(grantee, level))
     }
 
-    /// Add a user to a group (group members may extend their group).
-    pub fn add_to_group(
-        &self,
-        group: srb_types::GroupId,
-        member: srb_types::UserId,
-    ) -> SrbResult<()> {
-        let user = self.check_session()?;
-        let grp = self.grid.mcat.users.get_group(group)?;
-        if !grp.members.contains(&user) && !self.grid.mcat.users.get(user)?.is_admin {
-            return Err(SrbError::PermissionDenied(format!(
-                "only members may extend group '{}'",
-                grp.name
-            )));
-        }
-        self.grid.mcat.users.add_to_group(member, group)
-    }
-
-    /// Grant a permission level to a *group* on an object or collection
-    /// (Own required).
+    /// Grant a permission level to a *group* on an object or collection.
     pub fn grant_group(
         &self,
         path: &str,
         group: srb_types::GroupId,
         level: Permission,
     ) -> SrbResult<()> {
-        self.check_session()?;
-        let subject = self.subject_of(path)?;
-        self.require_subject(subject, Permission::Own)?;
-        match subject {
-            Subject::Dataset(d) => self.grid.mcat.datasets.update(d, |ds| {
-                ds.acl.grant_group(group, level);
-                Ok(())
-            })?,
-            Subject::Collection(c) => {
-                let mut acl = self.grid.mcat.collections.get(c)?.acl;
-                acl.grant_group(group, level);
-                self.grid.mcat.collections.set_acl(c, acl)?;
-            }
-        }
-        self.audit(AuditAction::AclChange, path, "ok");
-        Ok(())
+        self.change_acl(path, |acl| acl.grant_group(group, level))
     }
 
     /// Set the anonymous/public level on an object or collection.
     pub fn grant_public(&self, path: &str, level: Permission) -> SrbResult<()> {
-        self.check_session()?;
-        let subject = self.subject_of(path)?;
-        self.require_subject(subject, Permission::Own)?;
-        match subject {
-            Subject::Dataset(d) => self.grid.mcat.datasets.update(d, |ds| {
-                ds.acl.public = level;
-                Ok(())
-            })?,
-            Subject::Collection(c) => {
-                let mut acl = self.grid.mcat.collections.get(c)?.acl;
-                acl.public = level;
-                self.grid.mcat.collections.set_acl(c, acl)?;
+        self.change_acl(path, |acl| acl.public = level)
+    }
+
+    /// Create a user group (any authenticated user may; the creator is the
+    /// first member).
+    pub fn create_group(&self, name: &str) -> SrbResult<srb_types::GroupId> {
+        let subject = format!("group {name}");
+        let (user, op) = self.begin_op("create_group", AuditAction::AclChange, &subject)?;
+        let group = (|| {
+            let users = &self.grid.mcat.users;
+            let g = users.create_group(&self.grid.mcat.ids, name)?;
+            users.add_to_group(user, g)?;
+            Ok(g)
+        })();
+        Ok(self.end_op(op, group)?.0)
+    }
+
+    /// Add a user to a group (group members may extend their group).
+    pub fn add_to_group(&self, group: srb_types::GroupId, member: UserId) -> SrbResult<()> {
+        let subject = format!("group {group} += {member}");
+        let (user, op) = self.begin_op("add_to_group", AuditAction::AclChange, &subject)?;
+        let done = (|| {
+            let users = &self.grid.mcat.users;
+            let grp = users.get_group(group)?;
+            if !grp.members.contains(&user) && !users.get(user)?.is_admin {
+                return Err(SrbError::PermissionDenied(format!(
+                    "only members may extend group '{}'",
+                    grp.name
+                )));
             }
-        }
-        self.audit(AuditAction::AclChange, path, "ok");
-        Ok(())
+            users.add_to_group(member, group)
+        })();
+        self.end_op(op, done).map(drop)
     }
 }

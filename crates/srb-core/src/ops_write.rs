@@ -9,7 +9,7 @@ use srb_mcat::{AccessSpec, AuditAction, MetaKind, NewDataset, ReplicaStatus, Sub
 use srb_net::Receipt;
 use srb_types::{
     sha256_hex, CollectionId, DatasetId, LogicalPath, Permission, ResourceId, SrbError, SrbResult,
-    Triplet,
+    Triplet, UserId,
 };
 use std::collections::HashSet;
 
@@ -110,57 +110,69 @@ impl SrbConnection<'_> {
 
     /// Create a collection (and any missing ancestors).
     pub fn make_collection(&self, path: &str) -> SrbResult<Receipt> {
-        let user = self.check_session()?;
-        let lp = self.parse(path)?;
-        let receipt = self.mcat_rpc()?;
-        let mut cur = LogicalPath::root();
-        let mut cur_id = self.grid.mcat.collections.root();
-        for comp in lp.components() {
-            let next = cur.child(comp)?;
-            match self.grid.mcat.collections.resolve(&next) {
-                Ok(id) => cur_id = id,
-                Err(_) => {
-                    self.grid
-                        .mcat
-                        .require_collection(Some(user), cur_id, Permission::Write)
-                        .or_else(|e| {
-                            // The admin may build anywhere.
-                            if self.grid.mcat.users.get(user)?.is_admin {
-                                Ok(())
-                            } else {
-                                Err(e)
-                            }
-                        })?;
-                    cur_id = self.grid.mcat.collections.create(
-                        &self.grid.mcat.ids,
-                        cur_id,
-                        comp,
-                        user,
-                        self.now(),
-                    )?;
+        let (user, op) = self.begin_op("make_collection", AuditAction::Ingest, path)?;
+        let done = (|| {
+            let lp = self.parse(path)?;
+            let mut cur = LogicalPath::root();
+            let mut cur_id = self.grid.mcat.collections.root();
+            for comp in lp.components() {
+                let next = cur.child(comp)?;
+                match self.grid.mcat.collections.resolve(&next) {
+                    Ok(id) => cur_id = id,
+                    Err(_) => {
+                        self.grid
+                            .mcat
+                            .require_collection(Some(user), cur_id, Permission::Write)
+                            .or_else(|e| {
+                                // The admin may build anywhere.
+                                if self.grid.mcat.users.get(user)?.is_admin {
+                                    Ok(())
+                                } else {
+                                    Err(e)
+                                }
+                            })?;
+                        cur_id = self.grid.mcat.collections.create(
+                            &self.grid.mcat.ids,
+                            cur_id,
+                            comp,
+                            user,
+                            self.now(),
+                        )?;
+                    }
                 }
+                cur = next;
             }
-            cur = next;
-        }
-        self.audit(AuditAction::Ingest, path, "ok");
-        Ok(receipt)
+            Ok(())
+        })();
+        Ok(self.end_op(op, done)?.1)
     }
 
     /// Delete a collection. `recursive` removes contained datasets and
     /// sub-collections; otherwise the collection must be empty.
     pub fn delete_collection(&self, path: &str, recursive: bool) -> SrbResult<Receipt> {
-        let user = self.check_session()?;
+        let (user, mut op) = self.begin_op("delete_collection", AuditAction::Delete, path)?;
+        let done = self.delete_collection_body(user, path, recursive, &mut op.receipt);
+        Ok(self.end_op(op, done)?.1)
+    }
+
+    /// The whole subtree goes in the caller's one op (one audit row, one
+    /// commit); each contained object still pays its own catalog round
+    /// trip.
+    fn delete_collection_body(
+        &self,
+        user: UserId,
+        path: &str,
+        recursive: bool,
+        receipt: &mut Receipt,
+    ) -> SrbResult<()> {
         let lp = self.parse(path)?;
-        let mut receipt = self.mcat_rpc()?;
         let coll = self.grid.mcat.collections.resolve_nofollow(&lp)?;
         self.grid
             .mcat
             .require_collection(Some(user), coll, Permission::Own)?;
         // A linked collection node is just unlinked.
         if self.grid.mcat.collections.get(coll)?.link_target.is_some() {
-            self.grid.mcat.collections.delete(coll)?;
-            self.audit(AuditAction::Delete, path, "ok");
-            return Ok(receipt);
+            return self.grid.mcat.collections.delete(coll);
         }
         let datasets = self.grid.mcat.datasets.list(coll);
         let subs = self.grid.mcat.collections.children(coll);
@@ -169,18 +181,16 @@ impl SrbConnection<'_> {
         }
         if recursive {
             for sub in subs {
-                let r = self.delete_collection(&sub.path.to_string(), true)?;
-                receipt.absorb(&r);
+                receipt.absorb(&self.mcat_rpc()?);
+                self.delete_collection_body(user, &sub.path.to_string(), true, receipt)?;
             }
             for d in datasets {
                 let dpath = self.grid.mcat.dataset_path(d.id)?;
-                let r = self.delete(&dpath.to_string(), None)?;
-                receipt.absorb(&r);
+                receipt.absorb(&self.mcat_rpc()?);
+                self.delete_body(user, &dpath.to_string(), None)?;
             }
         }
-        self.grid.mcat.collections.delete(coll)?;
-        self.audit(AuditAction::Delete, path, "ok");
-        Ok(receipt)
+        self.grid.mcat.collections.delete(coll)
     }
 
     // -------------------------------------------------------------- ingest --
@@ -197,62 +207,59 @@ impl SrbConnection<'_> {
         opts: IngestOptions,
     ) -> SrbResult<Receipt> {
         let data: Bytes = data.into();
-        let user = self.check_session()?;
-        let start = self.now();
-        let lp = self.parse(path)?;
-        let name = lp
-            .name()
-            .ok_or_else(|| SrbError::Invalid("cannot ingest at the root".into()))?;
-        let parent = lp
-            .parent()
-            .ok_or_else(|| SrbError::Invalid("cannot ingest at the root".into()))?;
-        let mut receipt = self.mcat_rpc()?;
-        let coll = self.grid.mcat.collections.resolve(&parent)?;
-        self.grid
-            .mcat
-            .require_collection(Some(user), coll, Permission::Write)?;
-        self.grid.mcat.validate_structural(coll, &opts.metadata)?;
+        let (user, mut op) = self.begin_op("ingest", AuditAction::Ingest, path)?;
+        let done = (|| {
+            let lp = self.parse(path)?;
+            let name = lp
+                .name()
+                .ok_or_else(|| SrbError::Invalid("cannot ingest at the root".into()))?;
+            let parent = lp
+                .parent()
+                .ok_or_else(|| SrbError::Invalid("cannot ingest at the root".into()))?;
+            let coll = self.grid.mcat.collections.resolve(&parent)?;
+            self.grid
+                .mcat
+                .require_collection(Some(user), coll, Permission::Write)?;
+            self.grid.mcat.validate_structural(coll, &opts.metadata)?;
 
-        // Container placement overrides resource placement.
-        if let Some(container) = &opts.container {
-            let r = self.ingest_into_container_impl(coll, name, &data, container, &opts, user)?;
-            receipt.absorb(&r);
-            self.audit(AuditAction::Ingest, path, "ok");
-            self.absorb_durability(&mut receipt);
-            return Ok(receipt);
-        }
+            // Container placement overrides resource placement.
+            if let Some(container) = &opts.container {
+                let r =
+                    self.ingest_into_container_impl(coll, name, &data, container, &opts, user)?;
+                op.receipt.absorb(&r);
+                return Ok(());
+            }
 
-        let resource_name = opts
-            .resource
-            .as_deref()
-            .ok_or_else(|| SrbError::Invalid("ingest needs a resource or container".into()))?;
-        let targets = self.grid.mcat.resources.resolve_targets(resource_name)?;
-        let checksum = sha256_hex(&data);
-        let legs: Vec<StoreLeg> = targets
-            .iter()
-            .map(|rid| StoreLeg {
-                resource: *rid,
-                phys_path: Self::phys_path(coll, name),
-                overwrite: false,
-            })
-            .collect();
-        let fan = self.store_fanout(&legs, &data);
-        receipt.absorb(&fan.receipt);
-        let ds = self.commit_fanout_dataset(
-            coll,
-            name,
-            &opts.data_type,
-            user,
-            &legs,
-            &fan,
-            data.len() as u64,
-            &checksum,
-        )?;
-        self.attach_ingest_metadata(ds, &opts.metadata);
-        self.audit(AuditAction::Ingest, path, "ok");
-        self.absorb_durability(&mut receipt);
-        self.finish_op("ingest", path, start, &receipt);
-        Ok(receipt)
+            let resource_name = opts
+                .resource
+                .as_deref()
+                .ok_or_else(|| SrbError::Invalid("ingest needs a resource or container".into()))?;
+            let targets = self.grid.mcat.resources.resolve_targets(resource_name)?;
+            let checksum = sha256_hex(&data);
+            let legs: Vec<StoreLeg> = targets
+                .iter()
+                .map(|rid| StoreLeg {
+                    resource: *rid,
+                    phys_path: Self::phys_path(coll, name),
+                    overwrite: false,
+                })
+                .collect();
+            let fan = self.store_fanout(&legs, &data);
+            op.receipt.absorb(&fan.receipt);
+            let ds = self.commit_fanout_dataset(
+                coll,
+                name,
+                &opts.data_type,
+                user,
+                &legs,
+                &fan,
+                data.len() as u64,
+                &checksum,
+            )?;
+            self.attach_ingest_metadata(ds, &opts.metadata);
+            Ok(())
+        })();
+        Ok(self.end_op(op, done)?.1)
     }
 
     /// Shared catalog commit for `ingest`/`copy`: the legs ran, now create
@@ -267,7 +274,7 @@ impl SrbConnection<'_> {
         coll: CollectionId,
         name: &str,
         data_type: &str,
-        user: srb_types::UserId,
+        user: UserId,
         legs: &[StoreLeg],
         fan: &FanoutOutcome,
         size: u64,
@@ -333,15 +340,20 @@ impl SrbConnection<'_> {
     /// applied.
     pub fn write(&self, path: &str, data: impl Into<Bytes>) -> SrbResult<Receipt> {
         let data: Bytes = data.into();
-        let user = self.check_session()?;
-        let start = self.now();
-        let lp = self.parse(path)?;
-        let mut receipt = self.mcat_rpc()?;
-        let ds_id = self.grid.mcat.resolve_dataset(&lp)?;
-        let ds = self.grid.mcat.datasets.resolve_links(ds_id)?;
-        self.grid
-            .mcat
-            .require_dataset(Some(user), ds.id, Permission::Write)?;
+        let (user, mut op) = self.begin_op("write", AuditAction::Write, path)?;
+        let done = self.write_body(user, path, &data, &mut op.receipt);
+        Ok(self.end_op(op, done)?.1)
+    }
+
+    /// The synchronous-update path shared by `write` and `checkin`.
+    pub(crate) fn write_body(
+        &self,
+        user: UserId,
+        path: &str,
+        data: &Bytes,
+        receipt: &mut Receipt,
+    ) -> SrbResult<()> {
+        let ds = self.dataset_for(user, path, Permission::Write)?;
         ds.write_allowed_by_locks(user, self.now())?;
         // Reject unsupported replica kinds before any bytes move.
         for replica in &ds.replicas {
@@ -363,7 +375,7 @@ impl SrbConnection<'_> {
                 }
             }
         }
-        let checksum = sha256_hex(&data);
+        let checksum = sha256_hex(data);
         // Container slices rewrite inline (they share one container file
         // and must not race); standalone stored replicas fan out.
         let mut staleness: Vec<(u32, ReplicaStatus)> = Vec::new();
@@ -371,7 +383,7 @@ impl SrbConnection<'_> {
         let mut leg_nums: Vec<u32> = Vec::new();
         for replica in &ds.replicas {
             if let Some(slice) = replica.in_container {
-                let r = self.rewrite_container_slice(ds.id, slice, &data)?;
+                let r = self.rewrite_container_slice(ds.id, slice, data)?;
                 receipt.absorb(&r);
                 staleness.push((replica.repl_num, ReplicaStatus::UpToDate));
                 continue;
@@ -389,7 +401,7 @@ impl SrbConnection<'_> {
                 leg_nums.push(replica.repl_num);
             }
         }
-        let fan = self.store_fanout(&legs, &data);
+        let fan = self.store_fanout(&legs, data);
         receipt.absorb(&fan.receipt);
         for (num, result) in leg_nums.iter().zip(&fan.results) {
             let status = if result.is_ok() {
@@ -443,14 +455,10 @@ impl SrbConnection<'_> {
             obs.legs_stale.add(went_stale);
             obs.repairs.add(repaired);
         }
-        if let Some(e) = fan.first_fatal() {
-            self.audit(AuditAction::Write, path, e.code());
-            return Err(e);
+        match fan.first_fatal() {
+            Some(e) => Err(e),
+            None => Ok(()),
         }
-        self.audit(AuditAction::Write, path, "ok");
-        self.absorb_durability(&mut receipt);
-        self.finish_op("write", path, start, &receipt);
-        Ok(receipt)
     }
 
     /// Re-ingest: replace the data, keeping all linked metadata (paper:
@@ -486,175 +494,173 @@ impl SrbConnection<'_> {
         files: Vec<(String, Bytes)>,
         opts: &IngestOptions,
     ) -> SrbResult<(Vec<DatasetId>, Receipt)> {
-        let user = self.check_session()?;
-        if opts.container.is_some() {
-            return Err(SrbError::Unsupported(
-                "bulk ingest into a container is not supported; use per-file ingest".into(),
-            ));
-        }
-        let lp = self.parse(coll_path)?;
-        let mut receipt = self.mcat_rpc()?;
-        let coll = self.grid.mcat.collections.resolve(&lp)?;
-        self.grid
-            .mcat
-            .require_collection(Some(user), coll, Permission::Write)?;
-        self.grid.mcat.validate_structural(coll, &opts.metadata)?;
-        let resource_name = opts
-            .resource
-            .as_deref()
-            .ok_or_else(|| SrbError::Invalid("bulk ingest needs a resource".into()))?;
-        let targets = self.grid.mcat.resources.resolve_targets(resource_name)?;
-        if targets.is_empty() {
-            return Err(SrbError::NotFound(format!(
-                "no physical resource behind '{resource_name}'"
-            )));
-        }
-        // Reject duplicate names before any bytes move — one read guard
-        // covers the whole batch.
-        {
-            let batch = self.grid.mcat.datasets.batch();
-            let mut seen: HashSet<&str> = HashSet::with_capacity(files.len());
-            for (name, _) in &files {
-                if batch.contains_name(coll, name) || !seen.insert(name.as_str()) {
-                    return Err(SrbError::AlreadyExists(format!(
-                        "dataset '{name}' in collection {coll}"
-                    )));
+        let subject = format!("{coll_path} [bulk {} files]", files.len());
+        let (user, mut op) = self.begin_op("ingest_bulk", AuditAction::Ingest, &subject)?;
+        let ids = (|| {
+            if opts.container.is_some() {
+                return Err(SrbError::Unsupported(
+                    "bulk ingest into a container is not supported; use per-file ingest".into(),
+                ));
+            }
+            let lp = self.parse(coll_path)?;
+            let coll = self.grid.mcat.collections.resolve(&lp)?;
+            self.grid
+                .mcat
+                .require_collection(Some(user), coll, Permission::Write)?;
+            self.grid.mcat.validate_structural(coll, &opts.metadata)?;
+            let resource_name = opts
+                .resource
+                .as_deref()
+                .ok_or_else(|| SrbError::Invalid("bulk ingest needs a resource".into()))?;
+            let targets = self.grid.mcat.resources.resolve_targets(resource_name)?;
+            if targets.is_empty() {
+                return Err(SrbError::NotFound(format!(
+                    "no physical resource behind '{resource_name}'"
+                )));
+            }
+            // Reject duplicate names before any bytes move — one read guard
+            // covers the whole batch.
+            {
+                let batch = self.grid.mcat.datasets.batch();
+                let mut seen: HashSet<&str> = HashSet::with_capacity(files.len());
+                for (name, _) in &files {
+                    if batch.contains_name(coll, name) || !seen.insert(name.as_str()) {
+                        return Err(SrbError::AlreadyExists(format!(
+                            "dataset '{name}' in collection {coll}"
+                        )));
+                    }
                 }
             }
-        }
-        // One leg per file: hash, then push to every target. The legs are
-        // pure storage I/O; every catalog mutation happens after the join,
-        // in batch order, so parallel and sequential runs commit
-        // identical state.
-        struct BulkLeg {
-            checksum: String,
-            stores: Vec<SrbResult<Receipt>>,
-            cost: Receipt,
-        }
-        let mode = self.fanout_mode();
-        let leg_results: Vec<BulkLeg> = fanout::run_legs(mode, files.len(), |i| {
-            let (name, data) = &files[i];
-            let checksum = sha256_hex(data);
-            let phys = Self::phys_path(coll, name);
-            let mut cost = Receipt::free();
-            let stores: Vec<SrbResult<Receipt>> = targets
-                .iter()
-                .map(|rid| {
-                    let r = self.store_bytes_retry(*rid, &phys, data, false);
-                    if let Ok(rr) = &r {
-                        cost.absorb(rr);
-                    }
-                    r
-                })
-                .collect();
-            BulkLeg {
-                checksum,
-                stores,
-                cost,
+            // One leg per file: hash, then push to every target. The legs are
+            // pure storage I/O; every catalog mutation happens after the join,
+            // in batch order, so parallel and sequential runs commit
+            // identical state.
+            struct BulkLeg {
+                checksum: String,
+                stores: Vec<SrbResult<Receipt>>,
+                cost: Receipt,
             }
-        });
-        let leg_costs: Vec<Receipt> = leg_results.iter().map(|l| l.cost.clone()).collect();
-        let (bulk_cost, wait_ns) = fanout::compose_with_wait(mode, &leg_costs);
-        receipt.absorb(&bulk_cost);
-        if let Some(obs) = self.grid.core_obs() {
-            obs.legs_dispatched
-                .add((files.len() * targets.len()) as u64);
-            obs.queue_wait.observe(wait_ns);
-        }
-        // A fatal error anywhere, or a file no target accepted, aborts the
-        // batch before the catalog is touched.
-        let mut abort: Option<SrbError> = leg_results
-            .iter()
-            .flat_map(|l| l.stores.iter())
-            .filter_map(|r| r.as_ref().err())
-            .find(|e| !e.is_retryable())
-            .cloned();
-        if abort.is_none() {
-            abort = leg_results
-                .iter()
-                .find(|l| l.stores.iter().all(|r| r.is_err()))
-                .and_then(|l| l.stores.iter().filter_map(|r| r.as_ref().err()).next())
-                .cloned();
-        }
-        if let Some(e) = abort {
-            for ((name, _), leg) in files.iter().zip(&leg_results) {
+            let mode = self.fanout_mode();
+            let leg_results: Vec<BulkLeg> = fanout::run_legs(mode, files.len(), |i| {
+                let (name, data) = &files[i];
+                let checksum = sha256_hex(data);
                 let phys = Self::phys_path(coll, name);
-                for (rid, r) in targets.iter().zip(&leg.stores) {
-                    if r.is_ok() {
-                        if let Ok(driver) = self.grid.driver(*rid) {
-                            let _ = driver.driver().delete(&phys);
-                        }
-                    }
-                }
-            }
-            return Err(e);
-        }
-        // Catalog commit: one write-locked batch for the dataset rows, one
-        // for the metadata rows, one audit record for the whole batch.
-        let rows: Vec<NewDataset> = files
-            .iter()
-            .zip(&leg_results)
-            .map(|((name, data), leg)| NewDataset {
-                name: name.clone(),
-                replicas: targets
+                let mut cost = Receipt::free();
+                let stores: Vec<SrbResult<Receipt>> = targets
                     .iter()
-                    .zip(&leg.stores)
-                    .map(|(rid, r)| {
-                        let spec = AccessSpec::Stored {
-                            resource: *rid,
-                            phys_path: Self::phys_path(coll, name),
-                        };
-                        match r {
-                            Ok(_) => (
-                                spec,
-                                data.len() as u64,
-                                Some(leg.checksum.clone()),
-                                ReplicaStatus::UpToDate,
-                            ),
-                            Err(_) => (spec, data.len() as u64, None, ReplicaStatus::Stale),
+                    .map(|rid| {
+                        let r = self.store_bytes_retry(*rid, &phys, data, false);
+                        if let Ok(rr) = &r {
+                            cost.absorb(rr);
                         }
+                        r
                     })
-                    .collect(),
-            })
-            .collect();
-        if let Some(obs) = self.grid.core_obs() {
-            let stale = rows
-                .iter()
-                .flat_map(|r| r.replicas.iter())
-                .filter(|(_, _, _, s)| *s == ReplicaStatus::Stale)
-                .count();
-            obs.legs_stale.add(stale as u64);
-            let failed = leg_results
+                    .collect();
+                BulkLeg {
+                    checksum,
+                    stores,
+                    cost,
+                }
+            });
+            let leg_costs: Vec<Receipt> = leg_results.iter().map(|l| l.cost.clone()).collect();
+            let (bulk_cost, wait_ns) = fanout::compose_with_wait(mode, &leg_costs);
+            op.receipt.absorb(&bulk_cost);
+            if let Some(obs) = self.grid.core_obs() {
+                obs.legs_dispatched
+                    .add((files.len() * targets.len()) as u64);
+                obs.queue_wait.observe(wait_ns);
+            }
+            // A fatal error anywhere, or a file no target accepted, aborts the
+            // batch before the catalog is touched.
+            let mut abort: Option<SrbError> = leg_results
                 .iter()
                 .flat_map(|l| l.stores.iter())
-                .filter(|r| r.is_err())
-                .count();
-            obs.legs_failed.add(failed as u64);
-        }
-        let ids = self.grid.mcat.datasets.create_batch(
-            &self.grid.mcat.ids,
-            coll,
-            &opts.data_type,
-            user,
-            rows,
-            self.now(),
-        )?;
-        if !opts.metadata.is_empty() {
-            self.grid.mcat.metadata.add_batch(
-                &self.grid.mcat.ids,
-                ids.iter().flat_map(|ds| {
-                    opts.metadata
+                .filter_map(|r| r.as_ref().err())
+                .find(|e| !e.is_retryable())
+                .cloned();
+            if abort.is_none() {
+                abort = leg_results
+                    .iter()
+                    .find(|l| l.stores.iter().all(|r| r.is_err()))
+                    .and_then(|l| l.stores.iter().filter_map(|r| r.as_ref().err()).next())
+                    .cloned();
+            }
+            if let Some(e) = abort {
+                for ((name, _), leg) in files.iter().zip(&leg_results) {
+                    let phys = Self::phys_path(coll, name);
+                    for (rid, r) in targets.iter().zip(&leg.stores) {
+                        if r.is_ok() {
+                            if let Ok(driver) = self.grid.driver(*rid) {
+                                let _ = driver.driver().delete(&phys);
+                            }
+                        }
+                    }
+                }
+                return Err(e);
+            }
+            // Catalog commit: one write-locked batch for the dataset rows, one
+            // for the metadata rows, one audit record for the whole batch.
+            let rows: Vec<NewDataset> = files
+                .iter()
+                .zip(&leg_results)
+                .map(|((name, data), leg)| NewDataset {
+                    name: name.clone(),
+                    replicas: targets
                         .iter()
-                        .map(move |t| (Subject::Dataset(*ds), t.clone(), MetaKind::UserDefined))
-                }),
-            );
-        }
-        self.audit(
-            AuditAction::Ingest,
-            &format!("{coll_path} [bulk {} files]", files.len()),
-            "ok",
-        );
-        Ok((ids, receipt))
+                        .zip(&leg.stores)
+                        .map(|(rid, r)| {
+                            let spec = AccessSpec::Stored {
+                                resource: *rid,
+                                phys_path: Self::phys_path(coll, name),
+                            };
+                            match r {
+                                Ok(_) => (
+                                    spec,
+                                    data.len() as u64,
+                                    Some(leg.checksum.clone()),
+                                    ReplicaStatus::UpToDate,
+                                ),
+                                Err(_) => (spec, data.len() as u64, None, ReplicaStatus::Stale),
+                            }
+                        })
+                        .collect(),
+                })
+                .collect();
+            if let Some(obs) = self.grid.core_obs() {
+                let stale = rows
+                    .iter()
+                    .flat_map(|r| r.replicas.iter())
+                    .filter(|(_, _, _, s)| *s == ReplicaStatus::Stale)
+                    .count();
+                obs.legs_stale.add(stale as u64);
+                let failed = leg_results
+                    .iter()
+                    .flat_map(|l| l.stores.iter())
+                    .filter(|r| r.is_err())
+                    .count();
+                obs.legs_failed.add(failed as u64);
+            }
+            let ids = self.grid.mcat.datasets.create_batch(
+                &self.grid.mcat.ids,
+                coll,
+                &opts.data_type,
+                user,
+                rows,
+                self.now(),
+            )?;
+            if !opts.metadata.is_empty() {
+                self.grid.mcat.metadata.add_batch(
+                    &self.grid.mcat.ids,
+                    ids.iter().flat_map(|ds| {
+                        opts.metadata
+                            .iter()
+                            .map(move |t| (Subject::Dataset(*ds), t.clone(), MetaKind::UserDefined))
+                    }),
+                );
+            }
+            Ok(ids)
+        })();
+        self.end_op(op, ids)
     }
 
     // ------------------------------------------------------------ register --
@@ -667,38 +673,39 @@ impl SrbConnection<'_> {
         spec: RegisterSpec,
         opts: IngestOptions,
     ) -> SrbResult<Receipt> {
-        let user = self.check_session()?;
-        let lp = self.parse(path)?;
-        let name = lp
-            .name()
-            .ok_or_else(|| SrbError::Invalid("cannot register at the root".into()))?;
-        let parent = lp
-            .parent()
-            .ok_or_else(|| SrbError::Invalid("cannot register at the root".into()))?;
-        let receipt = self.mcat_rpc()?;
-        let coll = self.grid.mcat.collections.resolve(&parent)?;
-        self.grid
-            .mcat
-            .require_collection(Some(user), coll, Permission::Write)?;
-        self.grid.mcat.validate_structural(coll, &opts.metadata)?;
-        let (access, size) = self.resolve_register_spec(&spec)?;
-        let data_type = if opts.data_type.is_empty() || opts.data_type == "generic" {
-            access.type_label().to_string()
-        } else {
-            opts.data_type.clone()
-        };
-        let ds = self.grid.mcat.datasets.create(
-            &self.grid.mcat.ids,
-            coll,
-            name,
-            &data_type,
-            user,
-            vec![(access, size, None)],
-            self.now(),
-        )?;
-        self.attach_ingest_metadata(ds, &opts.metadata);
-        self.audit(AuditAction::Register, path, "ok");
-        Ok(receipt)
+        let (user, op) = self.begin_op("register", AuditAction::Register, path)?;
+        let done = (|| {
+            let lp = self.parse(path)?;
+            let name = lp
+                .name()
+                .ok_or_else(|| SrbError::Invalid("cannot register at the root".into()))?;
+            let parent = lp
+                .parent()
+                .ok_or_else(|| SrbError::Invalid("cannot register at the root".into()))?;
+            let coll = self.grid.mcat.collections.resolve(&parent)?;
+            self.grid
+                .mcat
+                .require_collection(Some(user), coll, Permission::Write)?;
+            self.grid.mcat.validate_structural(coll, &opts.metadata)?;
+            let (access, size) = self.resolve_register_spec(&spec)?;
+            let data_type = if opts.data_type.is_empty() || opts.data_type == "generic" {
+                access.type_label().to_string()
+            } else {
+                opts.data_type.clone()
+            };
+            let ds = self.grid.mcat.datasets.create(
+                &self.grid.mcat.ids,
+                coll,
+                name,
+                &data_type,
+                user,
+                vec![(access, size, None)],
+                self.now(),
+            )?;
+            self.attach_ingest_metadata(ds, &opts.metadata);
+            Ok(())
+        })();
+        Ok(self.end_op(op, done)?.1)
     }
 
     pub(crate) fn resolve_register_spec(
@@ -787,44 +794,36 @@ impl SrbConnection<'_> {
     /// Create a new physical replica on `resource_name`. "The new replica
     /// inherits all metadata associated with its siblings."
     pub fn replicate(&self, path: &str, resource_name: &str) -> SrbResult<Receipt> {
-        let user = self.check_session()?;
-        let start = self.now();
-        let lp = self.parse(path)?;
-        let mut receipt = self.mcat_rpc()?;
-        let ds_id = self.grid.mcat.resolve_dataset(&lp)?;
-        let ds = self.grid.mcat.datasets.resolve_links(ds_id)?;
-        self.grid
-            .mcat
-            .require_dataset(Some(user), ds.id, Permission::Write)?;
-        if ds.replicas.iter().any(|r| r.in_container.is_some()) {
-            return Err(SrbError::Unsupported(
-                "replication of files inside a container is not supported by this \
-                 operation (the container replicates as a whole)"
-                    .into(),
-            ));
-        }
-        let (data, read_receipt) = self.read_dataset_bytes(ds.id)?;
-        receipt.absorb(&read_receipt);
-        let targets = self.grid.mcat.resources.resolve_targets(resource_name)?;
-        let checksum = sha256_hex(&data);
-        let base = Self::phys_path(ds.coll, &ds.name);
-        let next = ds.max_repl_num() + 1;
-        let legs: Vec<StoreLeg> = targets
-            .iter()
-            .enumerate()
-            .map(|(i, rid)| StoreLeg {
-                resource: *rid,
-                phys_path: format!("{base}.r{}", next + i as u32),
-                overwrite: false,
-            })
-            .collect();
-        let fan = self.store_fanout(&legs, &data);
-        receipt.absorb(&fan.receipt);
-        self.commit_fanout_replicas(ds.id, &legs, &fan, data.len() as u64, &checksum)?;
-        self.audit(AuditAction::Replicate, path, "ok");
-        self.absorb_durability(&mut receipt);
-        self.finish_op("replicate", path, start, &receipt);
-        Ok(receipt)
+        let (user, mut op) = self.begin_op("replicate", AuditAction::Replicate, path)?;
+        let done = (|| {
+            let ds = self.dataset_for(user, path, Permission::Write)?;
+            if ds.replicas.iter().any(|r| r.in_container.is_some()) {
+                return Err(SrbError::Unsupported(
+                    "replication of files inside a container is not supported by this \
+                     operation (the container replicates as a whole)"
+                        .into(),
+                ));
+            }
+            let (data, read_receipt) = self.read_dataset_bytes(ds.id)?;
+            op.receipt.absorb(&read_receipt);
+            let targets = self.grid.mcat.resources.resolve_targets(resource_name)?;
+            let checksum = sha256_hex(&data);
+            let base = Self::phys_path(ds.coll, &ds.name);
+            let next = ds.max_repl_num() + 1;
+            let legs: Vec<StoreLeg> = targets
+                .iter()
+                .enumerate()
+                .map(|(i, rid)| StoreLeg {
+                    resource: *rid,
+                    phys_path: format!("{base}.r{}", next + i as u32),
+                    overwrite: false,
+                })
+                .collect();
+            let fan = self.store_fanout(&legs, &data);
+            op.receipt.absorb(&fan.receipt);
+            self.commit_fanout_replicas(ds.id, &legs, &fan, data.len() as u64, &checksum)
+        })();
+        Ok(self.end_op(op, done)?.1)
     }
 
     /// Shared catalog commit for `replicate`/`ingest_replica`: add one
@@ -890,25 +889,21 @@ impl SrbConnection<'_> {
     /// replicate"; SRB "does not check whether a registered replica is
     /// really an equal of the other copy").
     pub fn register_replica(&self, path: &str, spec: RegisterSpec) -> SrbResult<Receipt> {
-        let user = self.check_session()?;
-        let lp = self.parse(path)?;
-        let receipt = self.mcat_rpc()?;
-        let ds_id = self.grid.mcat.resolve_dataset(&lp)?;
-        let ds = self.grid.mcat.datasets.resolve_links(ds_id)?;
-        self.grid
-            .mcat
-            .require_dataset(Some(user), ds.id, Permission::Write)?;
-        let (access, size) = self.resolve_register_spec(&spec)?;
-        self.grid.mcat.datasets.add_replica(
-            &self.grid.mcat.ids,
-            ds.id,
-            access,
-            size,
-            None,
-            self.now(),
-        )?;
-        self.audit(AuditAction::Replicate, path, "ok");
-        Ok(receipt)
+        let (user, op) = self.begin_op("register_replica", AuditAction::Replicate, path)?;
+        let done = (|| {
+            let ds = self.dataset_for(user, path, Permission::Write)?;
+            let (access, size) = self.resolve_register_spec(&spec)?;
+            self.grid.mcat.datasets.add_replica(
+                &self.grid.mcat.ids,
+                ds.id,
+                access,
+                size,
+                None,
+                self.now(),
+            )?;
+            Ok(())
+        })();
+        Ok(self.end_op(op, done)?.1)
     }
 
     /// Ingest new bytes as a replica ("ingest replica": e.g. a tiff and a
@@ -921,32 +916,27 @@ impl SrbConnection<'_> {
         resource_name: &str,
     ) -> SrbResult<Receipt> {
         let data: Bytes = data.into();
-        let user = self.check_session()?;
-        let lp = self.parse(path)?;
-        let mut receipt = self.mcat_rpc()?;
-        let ds_id = self.grid.mcat.resolve_dataset(&lp)?;
-        let ds = self.grid.mcat.datasets.resolve_links(ds_id)?;
-        self.grid
-            .mcat
-            .require_dataset(Some(user), ds.id, Permission::Write)?;
-        let targets = self.grid.mcat.resources.resolve_targets(resource_name)?;
-        let checksum = sha256_hex(&data);
-        let base = Self::phys_path(ds.coll, &ds.name);
-        let next = ds.max_repl_num() + 1;
-        let legs: Vec<StoreLeg> = targets
-            .iter()
-            .enumerate()
-            .map(|(i, rid)| StoreLeg {
-                resource: *rid,
-                phys_path: format!("{base}.ir{}", next + i as u32),
-                overwrite: false,
-            })
-            .collect();
-        let fan = self.store_fanout(&legs, &data);
-        receipt.absorb(&fan.receipt);
-        self.commit_fanout_replicas(ds.id, &legs, &fan, data.len() as u64, &checksum)?;
-        self.audit(AuditAction::Replicate, path, "ok");
-        Ok(receipt)
+        let (user, mut op) = self.begin_op("ingest_replica", AuditAction::Replicate, path)?;
+        let done = (|| {
+            let ds = self.dataset_for(user, path, Permission::Write)?;
+            let targets = self.grid.mcat.resources.resolve_targets(resource_name)?;
+            let checksum = sha256_hex(&data);
+            let base = Self::phys_path(ds.coll, &ds.name);
+            let next = ds.max_repl_num() + 1;
+            let legs: Vec<StoreLeg> = targets
+                .iter()
+                .enumerate()
+                .map(|(i, rid)| StoreLeg {
+                    resource: *rid,
+                    phys_path: format!("{base}.ir{}", next + i as u32),
+                    overwrite: false,
+                })
+                .collect();
+            let fan = self.store_fanout(&legs, &data);
+            op.receipt.absorb(&fan.receipt);
+            self.commit_fanout_replicas(ds.id, &legs, &fan, data.len() as u64, &checksum)
+        })();
+        Ok(self.end_op(op, done)?.1)
     }
 
     // ------------------------------------------------------------ copy/move --
@@ -955,103 +945,102 @@ impl SrbConnection<'_> {
     /// user-defined metadata or annotations … these two objects are
     /// considered to be entirely different and unconnected."
     pub fn copy(&self, src: &str, dst: &str, resource_name: &str) -> SrbResult<Receipt> {
-        let user = self.check_session()?;
-        let src_lp = self.parse(src)?;
-        let dst_lp = self.parse(dst)?;
-        let mut receipt = self.mcat_rpc()?;
-        let src_id = self.grid.mcat.resolve_dataset(&src_lp)?;
-        let src_ds = self.grid.mcat.datasets.resolve_links(src_id)?;
-        self.grid
-            .mcat
-            .require_dataset(Some(user), src_ds.id, Permission::Read)?;
-        // "Currently we do not support copy of URL, SQL or method objects."
-        if !src_ds
-            .replicas
-            .first()
-            .map(|r| r.spec.is_byte_addressable())
-            .unwrap_or(false)
-        {
-            return Err(SrbError::Unsupported(format!(
-                "copy of {} objects is not supported",
-                src_ds.type_label()
-            )));
-        }
-        let dst_name = dst_lp
-            .name()
-            .ok_or_else(|| SrbError::Invalid("destination is the root".into()))?;
-        let dst_parent = dst_lp
-            .parent()
-            .ok_or_else(|| SrbError::Invalid("destination is the root".into()))?;
-        let dst_coll = self.grid.mcat.collections.resolve(&dst_parent)?;
-        self.grid
-            .mcat
-            .require_collection(Some(user), dst_coll, Permission::Write)?;
-        let (data, read_receipt) = self.read_dataset_bytes(src_ds.id)?;
-        receipt.absorb(&read_receipt);
-        let targets = self.grid.mcat.resources.resolve_targets(resource_name)?;
-        let checksum = sha256_hex(&data);
-        let legs: Vec<StoreLeg> = targets
-            .iter()
-            .map(|rid| StoreLeg {
-                resource: *rid,
-                phys_path: Self::phys_path(dst_coll, dst_name),
-                overwrite: false,
-            })
-            .collect();
-        let fan = self.store_fanout(&legs, &data);
-        receipt.absorb(&fan.receipt);
-        self.commit_fanout_dataset(
-            dst_coll,
-            dst_name,
-            &src_ds.data_type,
-            user,
-            &legs,
-            &fan,
-            data.len() as u64,
-            &checksum,
-        )?;
-        self.audit(AuditAction::Copy, &format!("{src} -> {dst}"), "ok");
-        Ok(receipt)
+        let subject = format!("{src} -> {dst}");
+        let (user, mut op) = self.begin_op("copy", AuditAction::Copy, &subject)?;
+        let done = (|| {
+            let dst_lp = self.parse(dst)?;
+            let src_ds = self.dataset_for(user, src, Permission::Read)?;
+            // "Currently we do not support copy of URL, SQL or method objects."
+            if !src_ds
+                .replicas
+                .first()
+                .map(|r| r.spec.is_byte_addressable())
+                .unwrap_or(false)
+            {
+                return Err(SrbError::Unsupported(format!(
+                    "copy of {} objects is not supported",
+                    src_ds.type_label()
+                )));
+            }
+            let dst_name = dst_lp
+                .name()
+                .ok_or_else(|| SrbError::Invalid("destination is the root".into()))?;
+            let dst_parent = dst_lp
+                .parent()
+                .ok_or_else(|| SrbError::Invalid("destination is the root".into()))?;
+            let dst_coll = self.grid.mcat.collections.resolve(&dst_parent)?;
+            self.grid
+                .mcat
+                .require_collection(Some(user), dst_coll, Permission::Write)?;
+            let (data, read_receipt) = self.read_dataset_bytes(src_ds.id)?;
+            op.receipt.absorb(&read_receipt);
+            let targets = self.grid.mcat.resources.resolve_targets(resource_name)?;
+            let checksum = sha256_hex(&data);
+            let legs: Vec<StoreLeg> = targets
+                .iter()
+                .map(|rid| StoreLeg {
+                    resource: *rid,
+                    phys_path: Self::phys_path(dst_coll, dst_name),
+                    overwrite: false,
+                })
+                .collect();
+            let fan = self.store_fanout(&legs, &data);
+            op.receipt.absorb(&fan.receipt);
+            self.commit_fanout_dataset(
+                dst_coll,
+                dst_name,
+                &src_ds.data_type,
+                user,
+                &legs,
+                &fan,
+                data.len() as u64,
+                &checksum,
+            )?;
+            Ok(())
+        })();
+        Ok(self.end_op(op, done)?.1)
     }
 
     /// Logical move: re-home the object (or collection) in the name space;
     /// "the user-defined metadata remains unchanged".
     pub fn move_logical(&self, src: &str, dst: &str) -> SrbResult<Receipt> {
-        let user = self.check_session()?;
-        let src_lp = self.parse(src)?;
-        let dst_lp = self.parse(dst)?;
-        let receipt = self.mcat_rpc()?;
-        let dst_name = dst_lp
-            .name()
-            .ok_or_else(|| SrbError::Invalid("destination is the root".into()))?;
-        let dst_parent = dst_lp
-            .parent()
-            .ok_or_else(|| SrbError::Invalid("destination is the root".into()))?;
-        let dst_coll = self.grid.mcat.collections.resolve(&dst_parent)?;
-        self.grid
-            .mcat
-            .require_collection(Some(user), dst_coll, Permission::Write)?;
-        // Dataset move, or collection move?
-        if let Ok(ds) = self.grid.mcat.resolve_dataset(&src_lp) {
+        let subject = format!("{src} -> {dst}");
+        let (user, op) = self.begin_op("move_logical", AuditAction::Move, &subject)?;
+        let done = (|| {
+            let src_lp = self.parse(src)?;
+            let dst_lp = self.parse(dst)?;
+            let dst_name = dst_lp
+                .name()
+                .ok_or_else(|| SrbError::Invalid("destination is the root".into()))?;
+            let dst_parent = dst_lp
+                .parent()
+                .ok_or_else(|| SrbError::Invalid("destination is the root".into()))?;
+            let dst_coll = self.grid.mcat.collections.resolve(&dst_parent)?;
             self.grid
                 .mcat
-                .require_dataset(Some(user), ds, Permission::Own)?;
-            self.grid
-                .mcat
-                .datasets
-                .move_dataset(ds, dst_coll, dst_name)?;
-        } else {
-            let coll = self.grid.mcat.collections.resolve_nofollow(&src_lp)?;
-            self.grid
-                .mcat
-                .require_collection(Some(user), coll, Permission::Own)?;
-            self.grid
-                .mcat
-                .collections
-                .move_collection(coll, dst_coll, dst_name)?;
-        }
-        self.audit(AuditAction::Move, &format!("{src} -> {dst}"), "ok");
-        Ok(receipt)
+                .require_collection(Some(user), dst_coll, Permission::Write)?;
+            // Dataset move, or collection move?
+            if let Ok(ds) = self.grid.mcat.resolve_dataset(&src_lp) {
+                self.grid
+                    .mcat
+                    .require_dataset(Some(user), ds, Permission::Own)?;
+                self.grid
+                    .mcat
+                    .datasets
+                    .move_dataset(ds, dst_coll, dst_name)?;
+            } else {
+                let coll = self.grid.mcat.collections.resolve_nofollow(&src_lp)?;
+                self.grid
+                    .mcat
+                    .require_collection(Some(user), coll, Permission::Own)?;
+                self.grid
+                    .mcat
+                    .collections
+                    .move_collection(coll, dst_coll, dst_name)?;
+            }
+            Ok(())
+        })();
+        Ok(self.end_op(op, done)?.1)
     }
 
     /// Physical move: relocate the bytes of an ingested object to another
@@ -1063,14 +1052,21 @@ impl SrbConnection<'_> {
         repl_num: u32,
         resource_name: &str,
     ) -> SrbResult<Receipt> {
-        let user = self.check_session()?;
-        let lp = self.parse(path)?;
-        let mut receipt = self.mcat_rpc()?;
-        let ds_id = self.grid.mcat.resolve_dataset(&lp)?;
-        let ds = self.grid.mcat.datasets.resolve_links(ds_id)?;
-        self.grid
-            .mcat
-            .require_dataset(Some(user), ds.id, Permission::Own)?;
+        let (user, mut op) = self.begin_op("move_physical", AuditAction::Move, path)?;
+        let done = self.move_physical_body(user, path, repl_num, resource_name, &mut op.receipt);
+        Ok(self.end_op(op, done)?.1)
+    }
+
+    /// One replica's relocation, shared with `migrate_collection`.
+    fn move_physical_body(
+        &self,
+        user: UserId,
+        path: &str,
+        repl_num: u32,
+        resource_name: &str,
+        receipt: &mut Receipt,
+    ) -> SrbResult<()> {
+        let ds = self.dataset_for(user, path, Permission::Own)?;
         let replica = ds
             .replicas
             .iter()
@@ -1117,9 +1113,7 @@ impl SrbConnection<'_> {
                 phys_path: new_path.clone(),
             };
             Ok(())
-        })?;
-        self.audit(AuditAction::Move, path, "ok");
-        Ok(receipt)
+        })
     }
 
     // ---------------------------------------------------------------- link --
@@ -1127,48 +1121,50 @@ impl SrbConnection<'_> {
     /// Soft-link an object into another collection (Unix-style; chains
     /// collapse; ACL of the original governs).
     pub fn link(&self, target: &str, link_path: &str) -> SrbResult<Receipt> {
-        let user = self.check_session()?;
-        let target_lp = self.parse(target)?;
-        let link_lp = self.parse(link_path)?;
-        let receipt = self.mcat_rpc()?;
-        let link_name = link_lp
-            .name()
-            .ok_or_else(|| SrbError::Invalid("link path is the root".into()))?;
-        let link_parent = link_lp
-            .parent()
-            .ok_or_else(|| SrbError::Invalid("link path is the root".into()))?;
-        let link_coll = self.grid.mcat.collections.resolve(&link_parent)?;
-        self.grid
-            .mcat
-            .require_collection(Some(user), link_coll, Permission::Write)?;
-        if let Ok(ds) = self.grid.mcat.resolve_dataset(&target_lp) {
+        let subject = format!("{target} <- {link_path}");
+        let (user, op) = self.begin_op("link", AuditAction::Link, &subject)?;
+        let done = (|| {
+            let target_lp = self.parse(target)?;
+            let link_lp = self.parse(link_path)?;
+            let link_name = link_lp
+                .name()
+                .ok_or_else(|| SrbError::Invalid("link path is the root".into()))?;
+            let link_parent = link_lp
+                .parent()
+                .ok_or_else(|| SrbError::Invalid("link path is the root".into()))?;
+            let link_coll = self.grid.mcat.collections.resolve(&link_parent)?;
             self.grid
                 .mcat
-                .require_dataset(Some(user), ds, Permission::Read)?;
-            self.grid.mcat.datasets.create_link(
-                &self.grid.mcat.ids,
-                link_coll,
-                link_name,
-                ds,
-                user,
-                self.now(),
-            )?;
-        } else {
-            let coll = self.grid.mcat.collections.resolve(&target_lp)?;
-            self.grid
-                .mcat
-                .require_collection(Some(user), coll, Permission::Read)?;
-            self.grid.mcat.collections.link(
-                &self.grid.mcat.ids,
-                link_coll,
-                link_name,
-                coll,
-                user,
-                self.now(),
-            )?;
-        }
-        self.audit(AuditAction::Link, &format!("{target} <- {link_path}"), "ok");
-        Ok(receipt)
+                .require_collection(Some(user), link_coll, Permission::Write)?;
+            if let Ok(ds) = self.grid.mcat.resolve_dataset(&target_lp) {
+                self.grid
+                    .mcat
+                    .require_dataset(Some(user), ds, Permission::Read)?;
+                self.grid.mcat.datasets.create_link(
+                    &self.grid.mcat.ids,
+                    link_coll,
+                    link_name,
+                    ds,
+                    user,
+                    self.now(),
+                )?;
+            } else {
+                let coll = self.grid.mcat.collections.resolve(&target_lp)?;
+                self.grid
+                    .mcat
+                    .require_collection(Some(user), coll, Permission::Read)?;
+                self.grid.mcat.collections.link(
+                    &self.grid.mcat.ids,
+                    link_coll,
+                    link_name,
+                    coll,
+                    user,
+                    self.now(),
+                )?;
+            }
+            Ok(())
+        })();
+        Ok(self.end_op(op, done)?.1)
     }
 
     // -------------------------------------------------------------- delete --
@@ -1179,9 +1175,23 @@ impl SrbConnection<'_> {
     /// objects are unlinked without touching the physical object; deleting
     /// a link unlinks it.
     pub fn delete(&self, path: &str, repl_num: Option<u32>) -> SrbResult<Receipt> {
-        let user = self.check_session()?;
+        let (user, mut op) = self.begin_op("delete", AuditAction::Delete, path)?;
+        let done = self.delete_body(user, path, repl_num);
+        if let Ok(outcome) = done {
+            op.done = outcome;
+        }
+        Ok(self.end_op(op, done)?.1)
+    }
+
+    /// Shared with recursive `delete_collection`; returns the audit
+    /// outcome (`"unlink"` for a link, else `"ok"`).
+    fn delete_body(
+        &self,
+        user: UserId,
+        path: &str,
+        repl_num: Option<u32>,
+    ) -> SrbResult<&'static str> {
         let lp = self.parse(path)?;
-        let receipt = self.mcat_rpc()?;
         let ds_id = self.grid.mcat.resolve_dataset(&lp)?;
         let ds = self.grid.mcat.datasets.get(ds_id)?;
         // "A linked file cannot be deleted through the link; a delete
@@ -1196,8 +1206,7 @@ impl SrbConnection<'_> {
                 .mcat
                 .annotations
                 .remove_all(Subject::Dataset(ds_id));
-            self.audit(AuditAction::Delete, path, "unlink");
-            return Ok(receipt);
+            return Ok("unlink");
         }
         self.grid
             .mcat
@@ -1221,8 +1230,7 @@ impl SrbConnection<'_> {
                 .annotations
                 .remove_all(Subject::Dataset(ds_id));
         }
-        self.audit(AuditAction::Delete, path, "ok");
-        Ok(receipt)
+        Ok("ok")
     }
 
     /// Physically dispose of an SRB-controlled replica's bytes; registered
@@ -1249,39 +1257,37 @@ impl SrbConnection<'_> {
     /// new resource, "without changing the name by which the data is
     /// discovered and accessed" (the persistence capability).
     pub fn migrate_collection(&self, path: &str, resource_name: &str) -> SrbResult<Receipt> {
-        let user = self.check_session()?;
-        let lp = self.parse(path)?;
-        let mut receipt = self.mcat_rpc()?;
-        let root = self.grid.mcat.collections.resolve(&lp)?;
-        self.grid
-            .mcat
-            .require_collection(Some(user), root, Permission::Own)?;
-        let mut colls = vec![root];
-        colls.extend(self.grid.mcat.collections.descendants(root));
-        for coll in colls {
-            for ds in self.grid.mcat.datasets.list(coll) {
-                let replica_nums: Vec<u32> = ds
-                    .replicas
-                    .iter()
-                    .filter(|r| r.spec.is_srb_controlled() && r.in_container.is_none())
-                    .map(|r| r.repl_num)
-                    .collect();
-                if replica_nums.is_empty() {
-                    continue;
-                }
-                let dpath = self.grid.mcat.dataset_path(ds.id)?.to_string();
-                for num in replica_nums {
-                    let r = self.move_physical(&dpath, num, resource_name)?;
-                    receipt.absorb(&r);
+        let subject = format!("{path} => {resource_name}");
+        let (user, mut op) = self.begin_op("migrate_collection", AuditAction::Move, &subject)?;
+        let done = (|| {
+            let lp = self.parse(path)?;
+            let root = self.grid.mcat.collections.resolve(&lp)?;
+            self.grid
+                .mcat
+                .require_collection(Some(user), root, Permission::Own)?;
+            let mut colls = vec![root];
+            colls.extend(self.grid.mcat.collections.descendants(root));
+            for coll in colls {
+                for ds in self.grid.mcat.datasets.list(coll) {
+                    let replica_nums: Vec<u32> = ds
+                        .replicas
+                        .iter()
+                        .filter(|r| r.spec.is_srb_controlled() && r.in_container.is_none())
+                        .map(|r| r.repl_num)
+                        .collect();
+                    if replica_nums.is_empty() {
+                        continue;
+                    }
+                    let dpath = self.grid.mcat.dataset_path(ds.id)?.to_string();
+                    for num in replica_nums {
+                        op.receipt.absorb(&self.mcat_rpc()?);
+                        self.move_physical_body(user, &dpath, num, resource_name, &mut op.receipt)?;
+                    }
                 }
             }
-        }
-        self.audit(
-            AuditAction::Move,
-            &format!("{path} => {resource_name}"),
-            "ok",
-        );
-        Ok(receipt)
+            Ok(())
+        })();
+        Ok(self.end_op(op, done)?.1)
     }
 
     // ------------------------------------------------------------ plumbing --

@@ -324,49 +324,54 @@ impl Federation {
         let dst_zone = self.zone(dst)?;
         // One control round trip src -> dst carries the registration.
         let mut receipt = Receipt::time(self.charge_link_rpc(src.0, dst.0)?);
-
-        let src_lp = LogicalPath::parse(src_path)?;
-        let src_mcat = &src_zone.grid.mcat;
-        let ds = src_mcat.datasets.get(src_mcat.resolve_dataset(&src_lp)?)?;
-        let size = ds.replicas.iter().map(|r| r.size).max().unwrap_or(0);
-        let checksum = ds.replicas.first().and_then(|r| r.checksum.clone());
-
-        let dst_lp = LogicalPath::parse(dst_path)?;
-        let name = dst_lp
-            .name()
-            .ok_or_else(|| SrbError::Invalid("registration target is the root".into()))?;
-        let parent_lp = dst_lp
-            .parent()
-            .ok_or_else(|| SrbError::Invalid("registration target is the root".into()))?;
+        // Pointer row and provenance are one commit group — recovery sees
+        // both or neither — closed here whichever way the registration ends.
         let dst_mcat = &dst_zone.grid.mcat;
-        let admin = dst_mcat.admin();
-        let parent = ensure_collection(dst_mcat, &parent_lp, admin)?;
-        let url = format!("{ZONE_URL_SCHEME}{}{src_path}", src_zone.name());
-        let now = self.clock.now();
-        let id = dst_mcat.datasets.create(
-            &dst_mcat.ids,
-            parent,
-            name,
-            &ds.data_type,
-            admin,
-            vec![(AccessSpec::Url { url }, size, checksum)],
-            now,
-        )?;
-        dst_mcat.metadata.add(
-            &dst_mcat.ids,
-            Subject::Dataset(id),
-            Triplet::new(ZONE_HOME_ATTR, src_zone.name(), ""),
-            MetaKind::System,
-        );
-        dst_mcat.metadata.add(
-            &dst_mcat.ids,
-            Subject::Dataset(id),
-            Triplet::new(ZONE_PATH_ATTR, src_path, ""),
-            MetaKind::System,
-        );
+        let done = (|| {
+            let src_lp = LogicalPath::parse(src_path)?;
+            let src_mcat = &src_zone.grid.mcat;
+            let ds = src_mcat.datasets.get(src_mcat.resolve_dataset(&src_lp)?)?;
+            let size = ds.replicas.iter().map(|r| r.size).max().unwrap_or(0);
+            let checksum = ds.replicas.first().and_then(|r| r.checksum.clone());
+
+            let dst_lp = LogicalPath::parse(dst_path)?;
+            let name = dst_lp
+                .name()
+                .ok_or_else(|| SrbError::Invalid("registration target is the root".into()))?;
+            let parent_lp = dst_lp
+                .parent()
+                .ok_or_else(|| SrbError::Invalid("registration target is the root".into()))?;
+            let admin = dst_mcat.admin();
+            let parent = ensure_collection(dst_mcat, &parent_lp, admin)?;
+            let url = format!("{ZONE_URL_SCHEME}{}{src_path}", src_zone.name());
+            let id = dst_mcat.datasets.create(
+                &dst_mcat.ids,
+                parent,
+                name,
+                &ds.data_type,
+                admin,
+                vec![(AccessSpec::Url { url }, size, checksum)],
+                self.clock.now(),
+            )?;
+            dst_mcat.metadata.add(
+                &dst_mcat.ids,
+                Subject::Dataset(id),
+                Triplet::new(ZONE_HOME_ATTR, src_zone.name(), ""),
+                MetaKind::System,
+            );
+            dst_mcat.metadata.add(
+                &dst_mcat.ids,
+                Subject::Dataset(id),
+                Triplet::new(ZONE_PATH_ATTR, src_path, ""),
+                MetaKind::System,
+            );
+            Ok(())
+        })();
+        dst_mcat.commit();
         if let Some(wal) = dst_mcat.wal() {
             receipt.absorb(&Receipt::time(wal.take_pending_ns()));
         }
+        done?;
         self.metrics.counter("zone.registrations", "").inc();
         Ok(receipt)
     }

@@ -10,7 +10,8 @@
 //! Zones have independent id generators, so raw rows are never merged.
 //! Each subscription keeps remote→local id maps and re-materializes every
 //! delta through the subscriber's own table APIs — which WAL-logs the
-//! mirror writes, making the subscriber independently durable. Applied
+//! mirror writes; the pump commits them, one group per applied batch and
+//! one per resync, making the subscriber independently durable. Applied
 //! this way, full-row-image `Put`s are idempotent upserts and `Delete`s
 //! tolerate absence, exactly as on recovery replay.
 //!
@@ -182,7 +183,9 @@ impl Federation {
                     self.clock().advance(handshake_ns + ns);
                 }
                 Err(e) => {
-                    teardown_mirror(&mut inner, &self.zones_slice()[dst.0].grid.mcat);
+                    let dst_mcat = &self.zones_slice()[dst.0].grid.mcat;
+                    teardown_mirror(&mut inner, dst_mcat);
+                    dst_mcat.commit();
                     return Err(e);
                 }
             }
@@ -279,7 +282,7 @@ impl Federation {
                 let mut fetch_ns = poll_ns;
                 match export_deltas(src.device(), inner.fetched)? {
                     DeltaFetch::Resync { .. } => {
-                        let copied = self.resync_locked(sub, inner, src, dst)?;
+                        let copied = self.resync(sub, inner)?;
                         inner.resyncs += 1;
                         report.resyncs += 1;
                         self.metrics().counter("zone.resyncs", "").inc();
@@ -330,12 +333,16 @@ impl Federation {
 
         // --- apply: drain up to `batch` deltas into the mirror ---
         let mut applied = 0usize;
+        let mut outcome = Ok(());
         while applied < batch {
             let Some(delta) = inner.outbox.pop_front() else {
                 break;
             };
             let committed_at = delta.committed_at_ns;
-            self.apply_delta(sub, inner, dst, delta)?;
+            if let Err(e) = self.apply_delta(sub, inner, dst, delta) {
+                outcome = Err(e);
+                break;
+            }
             applied += 1;
             inner.applied += 1;
             let lag = self
@@ -350,26 +357,32 @@ impl Federation {
                 .histogram("zone.lag_ns", &link_label(self, sub))
                 .observe(lag);
         }
-        if applied > 0 {
-            report.applied += applied;
-            self.metrics()
-                .counter("zone.deltas_applied", "")
-                .add(applied as u64);
-            if let Some(wal) = dst.grid.mcat.wal() {
-                let apply_ns = wal.take_pending_ns();
-                self.clock().advance(apply_ns);
-                report.cost_ns += apply_ns;
-            }
+        // The applied batch is one commit group on the subscriber (a no-op
+        // when nothing was applied), closed even if a delta failed part-way.
+        dst.grid.mcat.commit();
+        if let Some(wal) = dst.grid.mcat.wal() {
+            let apply_ns = wal.take_pending_ns();
+            self.clock().advance(apply_ns);
+            report.cost_ns += apply_ns;
         }
-        Ok(())
+        report.applied += applied;
+        self.metrics()
+            .counter("zone.deltas_applied", "")
+            .add(applied as u64);
+        outcome
     }
 
     /// Rebuild the mirror from a full publisher subtree walk, then resume
     /// delta fetches from the publisher's current durable LSN. Returns the
-    /// bytes the copy would ship (the canonical export size).
+    /// bytes the copy would ship (the canonical export size). The rebuilt
+    /// mirror is one commit group on the subscriber, whichever way the
+    /// copy ends.
     fn resync(&self, sub: &Subscription, inner: &mut SubInner) -> SrbResult<u64> {
         let zones = self.zones_slice();
-        self.resync_locked(sub, inner, &zones[sub.src], &zones[sub.dst])
+        let (src, dst) = (&zones[sub.src], &zones[sub.dst]);
+        let copied = self.resync_locked(sub, inner, src, dst);
+        dst.grid.mcat.commit();
+        copied
     }
 
     fn resync_locked(

@@ -3,6 +3,7 @@
 //! kinds, a logical resource, and two users.
 
 use srb_core::{Grid, GridBuilder, SrbConnection};
+use srb_mcat::Mcat;
 use srb_net::LinkSpec;
 use srb_types::ServerId;
 
@@ -46,4 +47,21 @@ pub fn grid() -> Fixture {
 
 pub fn connect<'g>(f: &'g Fixture, user: &str) -> SrbConnection<'g> {
     SrbConnection::connect(&f.grid, f.sdsc, user, "sdsc", &format!("pw-{user}")).unwrap()
+}
+
+/// Snapshot JSON with the id-allocator watermark normalized out: recovery
+/// floors the allocator at the highest id a durable row proves, which may
+/// lag the live one by ids burned in failed or unacknowledged work. Every
+/// *row* must still match byte-for-byte.
+#[allow(dead_code)]
+pub fn normalized(m: &Mcat) -> String {
+    let mut v: serde_json::Value = serde_json::from_str(&m.snapshot_json().unwrap()).unwrap();
+    if let serde_json::Value::Map(entries) = &mut v {
+        for (key, val) in entries.iter_mut() {
+            if key == "next_id_floor" {
+                *val = serde_json::Value::Null;
+            }
+        }
+    }
+    serde_json::to_string(&v).unwrap()
 }

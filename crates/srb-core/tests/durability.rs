@@ -91,7 +91,7 @@ fn topology_mismatch_rejects_recovery() {
 }
 
 #[test]
-fn checkpoints_ride_the_audit_path() {
+fn checkpoints_ride_the_op_epilogue() {
     let f = common::grid();
     let device = Arc::new(LogDevice::new());
     f.grid
@@ -113,7 +113,7 @@ fn checkpoints_ride_the_audit_path() {
     }
     assert!(
         device.checkpoint_lsn().is_some(),
-        "ingest audits must have triggered a periodic checkpoint"
+        "ingest epilogues must have triggered a periodic checkpoint"
     );
     let snap = f.grid.metrics_snapshot();
     assert!(snap.counter("wal.appends", "") > 0);

@@ -146,8 +146,6 @@ impl AnnotationTable {
         self.wal
             .log(0, || WalOp::AnnotationPut { row: row.clone() });
         g.rows.insert(id, row);
-        drop(g);
-        self.wal.commit();
         id
     }
 
@@ -182,8 +180,6 @@ impl AnnotationTable {
             v.retain(|&a| a != id);
         }
         self.wal.log(0, || WalOp::AnnotationDelete { id });
-        drop(g);
-        self.wal.commit();
         Ok(())
     }
 
@@ -195,8 +191,6 @@ impl AnnotationTable {
                 g.rows.remove(&id);
             }
             self.wal.log(0, || WalOp::AnnotationClear { subject });
-            drop(g);
-            self.wal.commit();
         }
     }
 

@@ -151,8 +151,6 @@ impl AuditLog {
         let mut g = self.rows.lock();
         self.wal.log(0, || WalOp::AuditPut { row: row.clone() });
         g.push(row);
-        drop(g);
-        self.wal.commit();
     }
 
     /// The most recent `n` rows, newest last.

@@ -194,8 +194,9 @@ impl Mcat {
     /// Enable write-ahead durability over `device`. Everything already in
     /// the catalog (the bootstrap admin, the root collection, any rows
     /// registered before this call) is covered by an initial checkpoint;
-    /// from here on every mutation is redo-logged and fsynced at commit.
-    /// May be called at most once per catalog.
+    /// from here on every mutation is redo-logged, and durable once the
+    /// operation that made it calls [`commit`](Self::commit). May be
+    /// called at most once per catalog.
     pub fn enable_wal(
         &self,
         device: Arc<LogDevice>,
@@ -206,8 +207,7 @@ impl Mcat {
             return Err(SrbError::Invalid("durability already enabled".into()));
         }
         let walh = Arc::new(Wal::new(device, self.clock.clone(), config, metrics));
-        let cover = walh.checkpoint_cover();
-        walh.install_checkpoint(cover, &self.snapshot_json()?);
+        walh.install_checkpoint(walh.checkpoint_cover(), self.snapshot())?;
         self.attach_wal_all(&walh);
         let _ = self.wal.set(walh);
         Ok(())
@@ -218,10 +218,23 @@ impl Mcat {
         self.wal.get()
     }
 
+    /// End the current commit group: append the commit marker and fsync,
+    /// making every mutation logged since the previous marker durable and
+    /// — for recovery and replication alike — one unit. Tables never call
+    /// this; the operation that owns the mutations does, exactly once,
+    /// when it is done (`SrbConnection::end_op` in `srb-core`; code that
+    /// writes tables directly owes the call itself). A no-op without a
+    /// WAL or when nothing was logged since the last marker.
+    pub fn commit(&self) {
+        if let Some(walh) = self.wal.get() {
+            walh.commit();
+        }
+    }
+
     /// Install a periodic checkpoint if the configured interval has
-    /// elapsed on the virtual clock. Called from op epilogues; cheap when
-    /// durability is off or no checkpoint is due. Returns whether one was
-    /// installed.
+    /// elapsed on the virtual clock. Called from op epilogues, after the
+    /// op's commit; cheap when durability is off or no checkpoint is due.
+    /// Returns whether one was installed.
     pub fn maybe_checkpoint(&self) -> SrbResult<bool> {
         let Some(walh) = self.wal.get() else {
             return Ok(false);
@@ -229,7 +242,7 @@ impl Mcat {
         let Some(cover) = walh.checkpoint_claim(self.clock.now()) else {
             return Ok(false);
         };
-        walh.install_checkpoint(cover, &self.snapshot_json()?);
+        walh.install_checkpoint(cover, self.snapshot())?;
         Ok(true)
     }
 
@@ -239,9 +252,7 @@ impl Mcat {
         let Some(walh) = self.wal.get() else {
             return Err(SrbError::Invalid("durability not enabled".into()));
         };
-        let cover = walh.checkpoint_cover();
-        walh.install_checkpoint(cover, &self.snapshot_json()?);
-        Ok(())
+        walh.install_checkpoint(walh.checkpoint_cover(), self.snapshot())
     }
 
     /// Redo recovery: rebuild the catalog a crashed `device` proves — its
@@ -264,8 +275,7 @@ impl Mcat {
         clock.advance_to(Timestamp(replayed.max_at_ns));
         let walh = Arc::new(Wal::new(device, clock, config, metrics));
         walh.charge_recovery(replayed.report.recovery_ns);
-        let cover = walh.checkpoint_cover();
-        walh.install_checkpoint(cover, &mcat.snapshot_json()?);
+        walh.install_checkpoint(walh.checkpoint_cover(), mcat.snapshot())?;
         mcat.attach_wal_all(&walh);
         let _ = mcat.wal.set(walh);
         Ok((mcat, replayed.report))

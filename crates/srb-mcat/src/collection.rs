@@ -208,8 +208,6 @@ impl CollectionTable {
             .or_default()
             .insert(name.to_string(), id);
         g.children.insert(id, BTreeMap::new());
-        drop(g);
-        self.wal.commit();
         Ok(id)
     }
 
@@ -261,8 +259,6 @@ impl CollectionTable {
             .entry(parent)
             .or_default()
             .insert(name.to_string(), id);
-        drop(g);
-        self.wal.commit();
         Ok(id)
     }
 
@@ -465,8 +461,6 @@ impl CollectionTable {
                 let row = &*c;
                 self.wal
                     .log(0, || WalOp::CollectionPut { row: row.clone() });
-                drop(g);
-                self.wal.commit();
                 Ok(())
             }
             None => Err(SrbError::NotFound(format!("collection {id}"))),
@@ -482,8 +476,6 @@ impl CollectionTable {
                 let row = &*c;
                 self.wal
                     .log(0, || WalOp::CollectionPut { row: row.clone() });
-                drop(g);
-                self.wal.commit();
                 Ok(())
             }
             None => Err(SrbError::NotFound(format!("collection {id}"))),
@@ -571,8 +563,6 @@ impl CollectionTable {
                     .log(gen, || WalOp::CollectionPut { row: node.clone() });
             }
         }
-        drop(g);
-        self.wal.commit();
         Ok(())
     }
 
@@ -611,8 +601,6 @@ impl CollectionTable {
         }
         let gen = self.generation.bump_get().raw();
         self.wal.log(gen, || WalOp::CollectionDelete { id });
-        drop(g);
-        self.wal.commit();
         Ok(())
     }
 

@@ -106,8 +106,6 @@ impl ContainerTable {
         self.wal.log(0, || WalOp::ContainerPut { row: row.clone() });
         g.rows.insert(id, row);
         g.by_name.insert(name.to_string(), id);
-        drop(g);
-        self.wal.commit();
         Ok(id)
     }
 
@@ -151,8 +149,6 @@ impl ContainerTable {
         c.synced = false;
         let row = &*c;
         self.wal.log(0, || WalOp::ContainerPut { row: row.clone() });
-        drop(g);
-        self.wal.commit();
         Ok(offset)
     }
 
@@ -164,8 +160,6 @@ impl ContainerTable {
                 c.synced = true;
                 let row = &*c;
                 self.wal.log(0, || WalOp::ContainerPut { row: row.clone() });
-                drop(g);
-                self.wal.commit();
                 Ok(())
             }
             None => Err(SrbError::NotFound(format!("container {id}"))),
@@ -189,8 +183,6 @@ impl ContainerTable {
         }
         let row = &*c;
         self.wal.log(0, || WalOp::ContainerPut { row: row.clone() });
-        drop(g);
-        self.wal.commit();
         Ok(())
     }
 
@@ -219,8 +211,6 @@ impl ContainerTable {
         c.synced = false;
         let row = &*c;
         self.wal.log(0, || WalOp::ContainerPut { row: row.clone() });
-        drop(g);
-        self.wal.commit();
         Ok(())
     }
 
@@ -244,8 +234,6 @@ impl ContainerTable {
             .ok_or_else(|| SrbError::NotFound(format!("container {id}")))?;
         g.by_name.remove(&c.name);
         self.wal.log(0, || WalOp::ContainerDelete { id });
-        drop(g);
-        self.wal.commit();
         Ok(())
     }
 

@@ -425,8 +425,6 @@ impl DatasetTable {
         g.rows.insert(id, row);
         g.by_name.insert(key, id);
         g.by_coll.entry(coll).or_default().push(id);
-        drop(g);
-        self.wal.commit();
         Ok(id)
     }
 
@@ -498,8 +496,6 @@ impl DatasetTable {
             g.by_coll.entry(coll).or_default().push(id);
             out.push(id);
         }
-        drop(g);
-        self.wal.commit();
         Ok(out)
     }
 
@@ -551,8 +547,6 @@ impl DatasetTable {
         g.rows.insert(id, row);
         g.by_name.insert(key, id);
         g.by_coll.entry(coll).or_default().push(id);
-        drop(g);
-        self.wal.commit();
         Ok(id)
     }
 
@@ -642,8 +636,6 @@ impl DatasetTable {
         let out = f(d)?;
         let row = &*d;
         self.wal.log(0, || WalOp::DatasetPut { row: row.clone() });
-        drop(g);
-        self.wal.commit();
         Ok(out)
     }
 
@@ -749,8 +741,6 @@ impl DatasetTable {
         if let Some(row) = g.rows.get(&id) {
             self.wal.log(gen, || WalOp::DatasetPut { row: row.clone() });
         }
-        drop(g);
-        self.wal.commit();
         Ok(())
     }
 
@@ -767,8 +757,6 @@ impl DatasetTable {
         }
         let gen = self.generation.bump_get().raw();
         self.wal.log(gen, || WalOp::DatasetDelete { id });
-        drop(g);
-        self.wal.commit();
         Ok(d)
     }
 

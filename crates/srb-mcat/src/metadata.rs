@@ -220,8 +220,6 @@ impl MetaStore {
         let gen = self.generation.bump_get().raw();
         self.wal.log(gen, || WalOp::MetaPut { row: row.clone() });
         Self::insert_locked(&mut g, row);
-        drop(g);
-        self.wal.commit();
         id
     }
 
@@ -233,8 +231,7 @@ impl MetaStore {
     {
         let mut g = self.inner.write();
         let gen = self.generation.bump_get().raw();
-        let out = rows
-            .into_iter()
+        rows.into_iter()
             .map(|(subject, triplet, kind)| {
                 let id: MetaId = ids.next();
                 let row = MetaRow {
@@ -247,10 +244,7 @@ impl MetaStore {
                 Self::insert_locked(&mut g, row);
                 id
             })
-            .collect();
-        drop(g);
-        self.wal.commit();
-        out
+            .collect()
     }
 
     fn insert_locked(g: &mut Inner, row: MetaRow) {
@@ -298,8 +292,6 @@ impl MetaStore {
         if let Some(row) = g.rows.get(&id) {
             self.wal.log(gen, || WalOp::MetaPut { row: row.clone() });
         }
-        drop(g);
-        self.wal.commit();
         Ok(())
     }
 
@@ -327,8 +319,6 @@ impl MetaStore {
         }
         let gen = self.generation.bump_get().raw();
         self.wal.log(gen, || WalOp::MetaDelete { id });
-        drop(g);
-        self.wal.commit();
         Ok(())
     }
 
@@ -348,8 +338,6 @@ impl MetaStore {
         let mut g = self.inner.write();
         if g.meta_files.remove(&subject).is_some() {
             self.wal.log(0, || WalOp::MetaFilesClear { subject });
-            drop(g);
-            self.wal.commit();
         }
     }
 
@@ -596,8 +584,6 @@ impl MetaStore {
                 subject,
                 files: files.clone(),
             });
-            drop(g);
-            self.wal.commit();
         }
     }
 

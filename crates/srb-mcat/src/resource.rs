@@ -90,8 +90,6 @@ impl ResourceTable {
         self.wal.log(0, || WalOp::ResourcePut { row: row.clone() });
         g.physical.insert(id, row);
         g.by_name.insert(name.to_string(), id);
-        drop(g);
-        self.wal.commit();
         Ok(id)
     }
 
@@ -126,8 +124,6 @@ impl ResourceTable {
             .log(0, || WalOp::LogicalResourcePut { row: row.clone() });
         g.logical.insert(id, row);
         g.logical_by_name.insert(name.to_string(), id);
-        drop(g);
-        self.wal.commit();
         Ok(id)
     }
 

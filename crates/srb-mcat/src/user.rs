@@ -108,8 +108,6 @@ impl UserTable {
         self.wal.log(0, || WalOp::UserPut { row: row.clone() });
         g.users.insert(id, row);
         g.by_name.insert(key, id);
-        drop(g);
-        self.wal.commit();
         Ok(id)
     }
 
@@ -157,8 +155,6 @@ impl UserTable {
         self.wal.log(0, || WalOp::GroupPut { row: row.clone() });
         g.groups.insert(id, row);
         g.group_by_name.insert(name.to_string(), id);
-        drop(g);
-        self.wal.commit();
         Ok(id)
     }
 
@@ -186,8 +182,6 @@ impl UserTable {
             self.wal.log(0, || WalOp::UserPut { row: u.clone() });
             self.wal.log(0, || WalOp::GroupPut { row: grp.clone() });
         }
-        drop(g);
-        self.wal.commit();
         Ok(())
     }
 
@@ -206,8 +200,6 @@ impl UserTable {
         if let Some(grp) = g.groups.get(&group) {
             self.wal.log(0, || WalOp::GroupPut { row: grp.clone() });
         }
-        drop(g);
-        self.wal.commit();
         Ok(())
     }
 

@@ -10,11 +10,14 @@
 //!   equals apply order per table. Records are LSN-stamped and carry the
 //!   post-mutation generation of their table, making recovered generation
 //!   counters exact (continuation tokens either resume or cleanly fail).
-//! * After the guard is released the table calls `Wal::commit`, which
-//!   appends a `Commit` marker and fsyncs. Commits **group**: records from
-//!   concurrent mutations share one fsync, and a commit whose marker is
+//! * Tables only log. The *operation* that owns the mutations ends the
+//!   group: [`Mcat::commit`] — the one caller of `Wal::commit` — appends a
+//!   `Commit` marker and fsyncs, so one acknowledged op is one marker and
+//!   one fsync however many tables it touched. Commits **group**: records
+//!   from concurrent ops share one fsync, and a commit whose marker is
 //!   already durable (a concurrent leader synced past it) skips the fsync
-//!   entirely. `wal.appends` counts records, `wal.group_commits` counts
+//!   entirely; a commit with nothing logged since the last marker appends
+//!   nothing. `wal.appends` counts records, `wal.group_commits` counts
 //!   actual fsyncs.
 //! * **Checkpoints** are full-catalog snapshots installed when the virtual
 //!   clock passes the configured interval. The covered LSN is captured
@@ -32,6 +35,8 @@
 //! recovery read-back all return virtual costs. The WAL pools them in a
 //! pending-cost accumulator that ops drain into their `Receipt`s, so the
 //! price of group commit shows up in experiments (`srb_net::Receipt`).
+//!
+//! [`Mcat::commit`]: crate::Mcat::commit
 //!
 //! Determinism: everything is driven by the shared [`SimClock`] and the
 //! deterministic device; two identically-seeded runs produce byte-identical
@@ -185,8 +190,8 @@ pub struct WalRecord {
 struct CheckpointEnvelope {
     /// Virtual time the snapshot was taken.
     at_ns: u64,
-    /// [`CatalogSnapshot`] JSON.
-    snapshot: String,
+    /// The catalog image.
+    snapshot: CatalogSnapshot,
 }
 
 /// WAL tuning knobs.
@@ -218,6 +223,9 @@ struct WalState {
     next_lsn: u64,
     /// Virtual time of the last checkpoint (claim time).
     last_ckpt_ns: u64,
+    /// LSN of the last commit marker (at start-up, of the durable tail):
+    /// records past it form the open group.
+    last_marker: u64,
 }
 
 /// Metric handles, registered when the grid has observability enabled.
@@ -262,6 +270,7 @@ impl Wal {
                 WalState {
                     next_lsn,
                     last_ckpt_ns,
+                    last_marker: next_lsn - 1,
                 },
             ),
             pending_ns: AtomicU64::new(0),
@@ -279,7 +288,10 @@ impl Wal {
     /// orders records exactly as the table applied them. Buffered, not
     /// yet durable.
     pub(crate) fn append(&self, op: WalOp, gen: u64) -> Lsn {
-        let mut st = self.state.lock();
+        self.append_locked(&mut self.state.lock(), op, gen)
+    }
+
+    fn append_locked(&self, st: &mut WalState, op: WalOp, gen: u64) -> Lsn {
         let lsn = Lsn(st.next_lsn);
         st.next_lsn += 1;
         let record = WalRecord {
@@ -295,7 +307,6 @@ impl Wal {
             Err(e) => panic!("WAL record serialization: {e}"),
         };
         let cost = self.device.append(lsn, &json);
-        drop(st);
         self.pending_ns.fetch_add(cost, Ordering::Relaxed);
         if let Some(obs) = &self.obs {
             obs.appends.add(1);
@@ -303,19 +314,27 @@ impl Wal {
         lsn
     }
 
-    /// Terminate the current group and make it durable. Called after the
-    /// table guard is released. Returns the virtual cost charged (0 when a
-    /// concurrent leader's fsync already covered our marker — the group
-    /// commit win).
+    /// Terminate the open group and make it durable; [`Mcat::commit`] is
+    /// the only caller. With nothing logged since the last marker no new
+    /// marker is appended, but the call still waits on that marker's
+    /// durability. Returns the virtual cost charged (0 when nothing
+    /// needed syncing, or a concurrent leader's fsync already covered our
+    /// marker — the group commit win).
+    ///
+    /// [`Mcat::commit`]: crate::Mcat::commit
     pub(crate) fn commit(&self) -> u64 {
-        let marker = self.append(
-            WalOp::Commit {
-                at_ns: self.clock.now().nanos(),
-            },
-            0,
-        );
+        let marker = {
+            let mut st = self.state.lock();
+            if st.next_lsn - 1 > st.last_marker {
+                let at_ns = self.clock.now().nanos();
+                st.last_marker = self
+                    .append_locked(&mut st, WalOp::Commit { at_ns }, 0)
+                    .raw();
+            }
+            Lsn(st.last_marker)
+        };
         if self.device.synced_lsn() >= marker {
-            return 0; // piggybacked on a concurrent leader's fsync
+            return 0;
         }
         let (_, cost) = self.device.sync();
         if cost > 0 {
@@ -352,22 +371,31 @@ impl Wal {
     }
 
     /// Install a checkpoint snapshot covering records through `cover`.
-    pub(crate) fn install_checkpoint(&self, cover: Lsn, snapshot_json: &str) {
+    /// Fails, leaving the previous checkpoint and the log untouched, when
+    /// the device does not take it.
+    pub(crate) fn install_checkpoint(
+        &self,
+        cover: Lsn,
+        snapshot: CatalogSnapshot,
+    ) -> SrbResult<()> {
         let envelope = CheckpointEnvelope {
             at_ns: self.clock.now().nanos(),
-            snapshot: snapshot_json.to_string(),
+            snapshot,
         };
-        let json = match serde_json::to_string(&envelope) {
-            Ok(j) => j,
-            // Same reasoning as in `append`: silently dropping a
-            // checkpoint would corrupt recovery.
-            Err(e) => panic!("checkpoint envelope serialization: {e}"),
-        };
+        let json = serde_json::to_string(&envelope)
+            .map_err(|e| SrbError::Internal(format!("checkpoint serialization: {e}")))?;
+        drop(envelope); // free the rows before the device copies the text
         let cost = self.device.install_checkpoint(cover, &json);
+        if self.device.checkpoint_lsn() != Some(cover) {
+            return Err(SrbError::ResourceUnavailable(format!(
+                "log device refused the checkpoint at {cover}"
+            )));
+        }
         self.pending_ns.fetch_add(cost, Ordering::Relaxed);
         if let Some(obs) = &self.obs {
             obs.checkpoints.add(1);
         }
+        Ok(())
     }
 
     /// Record the virtual cost of a recovery read-back + replay.
@@ -379,8 +407,8 @@ impl Wal {
     }
 
     /// Drain the durability cost accumulated since the last drain, for
-    /// absorption into the current op's receipt. Under concurrency a cost
-    /// may be attributed to a neighbouring op; totals are exact.
+    /// absorption into the committing op's receipt. Under concurrency a
+    /// cost may be attributed to a neighbouring op; totals are exact.
     pub fn take_pending_ns(&self) -> u64 {
         self.pending_ns.swap(0, Ordering::Relaxed)
     }
@@ -400,7 +428,10 @@ impl Wal {
 /// A table's handle on the catalog's WAL: empty until durability is
 /// enabled, then a shared [`Wal`]. Every table owns one; logging through
 /// it is a no-op for catalogs running without a WAL, so the mutation paths
-/// pay only an atomic load when durability is off.
+/// pay only an atomic load when durability is off. Tables log and never
+/// commit: closing the group belongs to the operation ([`Mcat::commit`]).
+///
+/// [`Mcat::commit`]: crate::Mcat::commit
 #[derive(Debug, Default)]
 pub(crate) struct WalHook(std::sync::OnceLock<Arc<Wal>>);
 
@@ -419,14 +450,6 @@ impl WalHook {
     pub(crate) fn log(&self, gen: u64, op: impl FnOnce() -> WalOp) {
         if let Some(wal) = self.0.get() {
             wal.append(op(), gen);
-        }
-    }
-
-    /// Terminate and fsync the current group if a WAL is attached. Called
-    /// after the table guard is released.
-    pub(crate) fn commit(&self) {
-        if let Some(wal) = self.0.get() {
-            wal.commit();
         }
     }
 }
@@ -648,17 +671,15 @@ impl Patch {
 /// group of the tail, trailing incomplete group discarded.
 pub(crate) fn replay_device(device: &LogDevice) -> SrbResult<Replayed> {
     let (checkpoint, tail, read_ns) = device.read_back()?;
-    let Some((ckpt_lsn, snapshot_json)) = checkpoint else {
+    let Some((ckpt_lsn, checkpoint_json)) = checkpoint else {
         return Err(SrbError::Invalid(
             "log device has no checkpoint (was durability ever enabled?)".into(),
         ));
     };
-    let envelope: CheckpointEnvelope = serde_json::from_str(&snapshot_json)
-        .map_err(|e| SrbError::Parse(format!("checkpoint envelope JSON: {e}")))?;
-    let snap: CatalogSnapshot = serde_json::from_str(&envelope.snapshot)
-        .map_err(|e| SrbError::Parse(format!("checkpoint snapshot JSON: {e}")))?;
-    let admin = snap.admin;
-    let mut patch = Patch::from_snapshot(snap);
+    let envelope: CheckpointEnvelope = serde_json::from_str(&checkpoint_json)
+        .map_err(|e| SrbError::Parse(format!("checkpoint JSON: {e}")))?;
+    let admin = envelope.snapshot.admin;
+    let mut patch = Patch::from_snapshot(envelope.snapshot);
 
     let durable_lsn = tail.last().map(|&(lsn, _)| lsn).unwrap_or(ckpt_lsn);
     // The clock never runs backwards through a checkpoint, even when the
@@ -838,6 +859,10 @@ mod tests {
         assert_eq!((appends, syncs), (3, 1), "one fsync for the whole group");
         assert!(wal.take_pending_ns() > 0);
         assert_eq!(wal.take_pending_ns(), 0, "drain empties the pool");
+        // Nothing logged since the marker: no new marker, no fsync, no cost.
+        assert_eq!(wal.commit(), 0);
+        assert_eq!(device.stats(), (3, 1, 3));
+        assert_eq!(wal.take_pending_ns(), 0);
     }
 
     #[test]
@@ -875,9 +900,8 @@ mod tests {
         let device = Arc::new(LogDevice::new());
         // A checkpoint is required; build one from an empty-ish catalog.
         let mcat = crate::Mcat::new(SimClock::new(), "pw");
-        let json = mcat.snapshot_json().unwrap();
         let wal = Wal::new(device.clone(), SimClock::new(), WalConfig::default(), None);
-        wal.install_checkpoint(Lsn(0), &json);
+        wal.install_checkpoint(Lsn(0), mcat.snapshot()).unwrap();
         // Group 1: a metadata row, committed.
         wal.append(
             WalOp::MetaPut {
@@ -922,5 +946,47 @@ mod tests {
     fn replay_without_a_checkpoint_is_an_error() {
         let device = LogDevice::new();
         assert!(replay_device(&device).is_err());
+    }
+
+    #[test]
+    fn checkpoint_is_stored_once_and_old_shapes_fail_closed() {
+        let device = Arc::new(LogDevice::new());
+        let mcat = crate::Mcat::new(SimClock::new(), "pw");
+        let wal = Wal::new(device.clone(), SimClock::new(), WalConfig::default(), None);
+        wal.install_checkpoint(Lsn(0), mcat.snapshot()).unwrap();
+        let (checkpoint, _, _) = device.read_back().unwrap();
+        let json = checkpoint.unwrap().1;
+        assert!(
+            json.contains(r#""snapshot":{"#),
+            "the catalog image is nested JSON, not a JSON string"
+        );
+        assert_eq!(
+            serde_json::to_string(&replay_device(&device).unwrap().snapshot).unwrap(),
+            mcat.snapshot_json().unwrap()
+        );
+        // The pre-PR-13 envelope (snapshot JSON inside a string) and plain
+        // garbage are both parse errors, never an empty catalog.
+        let old = serde_json::json!({
+            "at_ns": 0u64,
+            "snapshot": mcat.snapshot_json().unwrap(),
+        });
+        for bad in [
+            serde_json::to_string(&old).unwrap(),
+            "{not json".to_string(),
+        ] {
+            device.install_checkpoint(Lsn(0), &bad);
+            assert!(matches!(replay_device(&device), Err(SrbError::Parse(_))));
+        }
+    }
+
+    #[test]
+    fn a_refused_checkpoint_is_an_error_and_costs_nothing() {
+        let device = Arc::new(LogDevice::new());
+        let mcat = crate::Mcat::new(SimClock::new(), "pw");
+        let wal = Wal::new(device.clone(), SimClock::new(), WalConfig::default(), None);
+        device.refuse_checkpoints(true);
+        assert!(wal.install_checkpoint(Lsn(0), mcat.snapshot()).is_err());
+        assert_eq!(device.checkpoint_lsn(), None);
+        assert_eq!(wal.take_pending_ns(), 0);
     }
 }

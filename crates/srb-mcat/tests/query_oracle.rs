@@ -384,6 +384,7 @@ fn durable_catalog(n: usize) -> (Mcat, std::sync::Arc<srb_storage::LogDevice>) {
             Triplet::new("tag", "x", ""),
             MetaKind::UserDefined,
         );
+        m.commit();
     }
     (m, device)
 }

@@ -62,8 +62,8 @@ fn stored(step: usize) -> AccessSpec {
     }
 }
 
-/// One op per step, each exactly one WAL commit group, so every recorded
-/// `(marker LSN, snapshot)` pair is an acknowledgment boundary.
+/// One op per step, committed by the step (tables only log), so every
+/// recorded `(marker LSN, snapshot)` pair is an acknowledgment boundary.
 fn run_workload(
     seed: u64,
     ops: usize,
@@ -176,6 +176,7 @@ fn run_workload(
             }
             _ => unreachable!(),
         }
+        m.commit();
         m.maybe_checkpoint().unwrap();
         let marker = m.wal().unwrap().durable_lsn();
         acked.push((marker, normalized(&m)));
@@ -309,6 +310,7 @@ fn recovered_catalog_resumes_durable_operation() {
             rec.clock.now(),
         )
         .unwrap();
+    rec.commit();
     drop(rec);
     device.crash();
     let (rec2, report2) = Mcat::recover(SimClock::new(), device, NO_CKPT, None).unwrap();
@@ -377,6 +379,7 @@ fn wal_metrics_account_for_durability_work() {
                 m.clock.now(),
             )
             .unwrap();
+        m.commit();
         m.maybe_checkpoint().unwrap();
     }
     assert!(metrics.counter("wal.appends", "").get() >= 20);
@@ -429,6 +432,7 @@ fn two_zones_recover_independently_and_registrations_survive() {
             alpha.clock.now(),
         )
         .unwrap();
+    alpha.commit();
 
     // Zone beta: registers alpha's dataset as a remote replica with
     // WAL-logged provenance — the same rows srb-core's register_remote
@@ -462,6 +466,7 @@ fn two_zones_recover_independently_and_registrations_survive() {
         Triplet::new(ZONE_PATH_ATTR, "/survey.dat", ""),
         MetaKind::System,
     );
+    beta.commit();
 
     // Both zones crash and recover independently, each from its own log.
     drop(alpha);

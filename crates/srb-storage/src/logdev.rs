@@ -60,6 +60,8 @@ struct LogInner {
     appends: u64,
     /// Total syncs performed.
     syncs: u64,
+    /// Chaos: checkpoint installs are dropped (see `refuse_checkpoints`).
+    refuse_checkpoints: bool,
 }
 
 /// The simulated sequential log medium. See the module docs.
@@ -137,6 +139,9 @@ impl LogDevice {
     /// cost of writing the snapshot and rewriting the log head.
     pub fn install_checkpoint(&self, lsn: Lsn, snapshot: &str) -> u64 {
         let mut g = self.inner.lock();
+        if g.refuse_checkpoints {
+            return 0;
+        }
         g.synced.retain(|l| l.lsn > lsn);
         g.checkpoint = Some((lsn, snapshot.to_string()));
         self.cost.write_ns(snapshot.len() as u64)
@@ -204,6 +209,14 @@ impl LogDevice {
     pub fn stats(&self) -> (u64, u64, usize) {
         let g = self.inner.lock();
         (g.appends, g.syncs, g.synced.len())
+    }
+
+    /// Chaos hook: while on, [`LogDevice::install_checkpoint`] writes
+    /// nothing and costs nothing — a checkpoint area that went read-only.
+    /// The previous checkpoint and the log stay as they were.
+    #[doc(hidden)]
+    pub fn refuse_checkpoints(&self, on: bool) {
+        self.inner.lock().refuse_checkpoints = on;
     }
 
     /// Test hook: corrupt the checksum of the last durable record,

@@ -520,7 +520,9 @@ fn check_load(root: &Path) -> Result<String, String> {
 /// WAL twin must cost strictly more wall time than the in-memory
 /// baseline (durability is never free) but not absurdly more (<= 50x,
 /// host-relative). Simulated recovery cost is deterministic and must be
-/// monotone in catalog size.
+/// monotone in catalog size. The replay applies at most one commit group
+/// per tail ingest (+1 for rounding at the checkpoint): tables only log,
+/// the op commits.
 fn check_recovery(root: &Path) -> Result<String, String> {
     let rows = rows_of(root, "BENCH_RECOVERY.json")?;
     let mut worst_overhead = 0.0f64;
@@ -550,6 +552,14 @@ fn check_recovery(root: &Path) -> Result<String, String> {
             return Err(format!(
                 "row {i}: implausible replay accounting (tail {tail}, \
                  groups {groups})"
+            ));
+        }
+        // One commit group per ingest: tables only log, the op commits.
+        let tail_datasets = num(row, "tail_datasets").unwrap_or(0.0);
+        if groups > tail_datasets + 1.0 {
+            return Err(format!(
+                "row {i}: {groups} commit groups replayed for {tail_datasets} \
+                 tail datasets — more than one group per ingest"
             ));
         }
         let base = num(row, "base_ingest_us").unwrap_or(0.0);
