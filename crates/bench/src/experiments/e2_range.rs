@@ -21,6 +21,13 @@
 //! baseline grows linearly — the `check_e2` gate in `cargo xtask
 //! benchcheck` enforces a ≥5× margin at the largest size.
 //!
+//! `serial < 100` is one-sided and anchored at the end of the index. The
+//! **window** columns measure the case that is neither: the same 100 rows
+//! taken from the middle (`serial >= n/2 AND serial < n/2 + 100`), once as
+//! a one-shot query and once as a walk of 25-row `query_page` pages. The
+//! planner folds the two bounds into one interval walk, so both must cost
+//! what the anchored range costs (gate: ≤ 3× at every size, flat in `n`).
+//!
 //! **Paging half.** A single collection of `n` entries is walked with
 //! [`srb_mcat::Mcat::list_page`] continuation tokens; fetching page `k`
 //! from its token is one bounded B-tree range read (O(page)), while the
@@ -101,6 +108,32 @@ fn range_query(m: &Mcat, coll: CollectionId) -> Query {
     scoped(m, coll).and("serial", CompareOp::Lt, 100i64)
 }
 
+/// The same 100 rows from the middle of the index, bounded on both sides.
+fn window_query(m: &Mcat, coll: CollectionId, n: usize) -> Query {
+    let lo = (n / 2) as i64;
+    scoped(m, coll)
+        .and("serial", CompareOp::Ge, lo)
+        .and("serial", CompareOp::Lt, lo + 100)
+}
+
+/// Rows per `query_page` call of the window walk.
+const WINDOW_PAGE: usize = 25;
+
+/// Walk `q` to exhaustion in [`WINDOW_PAGE`]-row pages; returns the page
+/// count.
+fn walk_pages(m: &Mcat, q: &Query) -> usize {
+    let mut pages = 0;
+    let mut token: Option<String> = None;
+    loop {
+        let (_, next) = ok(m.query_page(q, token.as_deref(), WINDOW_PAGE));
+        pages += 1;
+        match next {
+            Some(t) => token = Some(t),
+            None => return pages,
+        }
+    }
+}
+
 fn prefix_query(m: &Mcat, coll: CollectionId) -> Query {
     scoped(m, coll).and("tag", CompareOp::Like, "t00000%")
 }
@@ -114,6 +147,10 @@ struct RangeRow {
     planner_prefix_us: f64,
     single_driver_prefix_us: f64,
     scan_prefix_us: f64,
+    /// One-shot mid-index window query.
+    planner_window_us: f64,
+    /// Per page of the same window walked through `query_page`.
+    window_page_us: f64,
 }
 
 /// The size ladder 10³ → `max`, with `max` always included so capped
@@ -140,6 +177,10 @@ fn measure_range(max: usize) -> Vec<RangeRow> {
             assert_eq!(hits, ok(m.query_scan(&qr)).len());
             assert_eq!(hits, ok(m.query_single_driver(&qr)).len());
             assert_eq!(ok(m.query(&qp)).len(), ok(m.query_scan(&qp)).len());
+            let qw = window_query(m, coll, size);
+            assert_eq!(ok(m.query(&qw)), ok(m.query_scan(&qw)));
+            let pages = walk_pages(m, &qw);
+            assert_eq!(pages, hits.div_ceil(WINDOW_PAGE));
             let baseline_reps = if size >= 100_000 { 1 } else { 5 };
             RangeRow {
                 size,
@@ -162,6 +203,12 @@ fn measure_range(max: usize) -> Vec<RangeRow> {
                 scan_prefix_us: time_us(baseline_reps, || {
                     ok(m.query_scan(&qp));
                 }),
+                planner_window_us: time_us(20, || {
+                    ok(m.query(&qw));
+                }),
+                window_page_us: time_us(20, || {
+                    walk_pages(m, &qw);
+                }) / pages as f64,
             }
         })
         .collect()
@@ -329,6 +376,8 @@ pub fn run(max: usize) -> Table {
             "range scan us",
             "prefix idx us",
             "prefix scan us",
+            "window idx us",
+            "window page us",
             "range idx speedup",
         ],
     );
@@ -341,6 +390,8 @@ pub fn run(max: usize) -> Table {
             format!("{:.0}", r.scan_range_us),
             format!("{:.0}", r.planner_prefix_us),
             format!("{:.0}", r.scan_prefix_us),
+            format!("{:.0}", r.planner_window_us),
+            format!("{:.0}", r.window_page_us),
             format!(
                 "{:.1}x",
                 r.single_driver_range_us / r.planner_range_us.max(0.001)
@@ -404,6 +455,8 @@ pub fn run_json(max: usize) -> serde_json::Value {
                 "planner_prefix_us": r.planner_prefix_us,
                 "single_driver_prefix_us": r.single_driver_prefix_us,
                 "scan_prefix_us": r.scan_prefix_us,
+                "planner_window_us": r.planner_window_us,
+                "window_page_us": r.window_page_us,
                 "range_speedup_vs_single_driver":
                     r.single_driver_range_us / r.planner_range_us.max(0.001),
                 "range_speedup_vs_scan": r.scan_range_us / r.planner_range_us.max(0.001),

@@ -286,15 +286,14 @@ impl SrbConnection<'_> {
 
     /// Hits the user may Read (permission filtering happens after the
     /// catalog query, so a limited query or page may come back short).
+    /// One batched permission read per page, not one per hit.
     fn visible(&self, user: UserId, hits: Vec<QueryHit>) -> Vec<QueryHit> {
+        let ids: Vec<_> = hits.iter().map(|h| h.dataset).collect();
+        let levels = self.grid.mcat.effective_on_datasets(Some(user), &ids);
         hits.into_iter()
-            .filter(|h| {
-                self.grid
-                    .mcat
-                    .effective_on_dataset(Some(user), h.dataset)
-                    .map(|p| p.allows(Permission::Read))
-                    .unwrap_or(false)
-            })
+            .zip(levels)
+            .filter(|(_, level)| level.is_some_and(|p| p.allows(Permission::Read)))
+            .map(|(h, _)| h)
             .collect()
     }
 

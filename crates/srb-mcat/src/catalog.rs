@@ -8,17 +8,18 @@ use crate::audit::AuditLog;
 use crate::collection::{AttrRequirement, Collection, CollectionTable};
 use crate::container::ContainerTable;
 use crate::dataset::{Dataset, DatasetTable};
-use crate::metadata::{MetaKind, MetaStore, Subject, DUBLIN_CORE};
+use crate::metadata::{MetaKind, MetaStore, RangeCond, Subject, DUBLIN_CORE};
 use crate::query::{Query, QueryCondition, QueryHit};
 use crate::resource::ResourceTable;
 use crate::user::UserTable;
 use crate::wal::{self, RecoveryReport, Wal, WalConfig};
 use srb_storage::LogDevice;
 use srb_types::{
-    like_scan_prefix, CollectionId, CompareOp, CursorCodec, DatasetId, IdGen, LogicalPath,
-    MetaValue, PageToken, Permission, SimClock, SrbError, SrbResult, Timestamp, Triplet, UserId,
+    like_scan_prefix, AccessMatrix, CollectionId, CompareOp, CursorCodec, DatasetId, GroupId,
+    IdGen, LogicalPath, MetaValue, PageToken, Permission, SimClock, SrbError, SrbResult, Timestamp,
+    Triplet, UserId,
 };
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
 
 /// Seed for the catalog's cursor-signing key. Fixed so two seeded
@@ -75,6 +76,113 @@ pub struct Mcat {
     obs: Option<QueryObs>,
     /// The write-ahead log, once durability is enabled.
     wal: OnceLock<Arc<Wal>>,
+}
+
+/// A dataset row's half of its permission: its own matrix's verdict and
+/// the collection it inherits from, or — a link object — the target whose
+/// ACL governs.
+enum OwnLevel {
+    At(Permission, CollectionId),
+    Link(DatasetId),
+}
+
+impl OwnLevel {
+    fn of(d: &Dataset, user: Option<UserId>, groups: &[GroupId]) -> Self {
+        match d.link_target {
+            Some(target) => OwnLevel::Link(target),
+            None => OwnLevel::At(acl_level(&d.acl, user, groups), d.coll),
+        }
+    }
+}
+
+/// One matrix's verdict for a signed-on user or an anonymous visitor.
+fn acl_level(acl: &AccessMatrix, user: Option<UserId>, groups: &[GroupId]) -> Permission {
+    match user {
+        Some(u) => acl.effective(u, groups),
+        None => acl.effective_anonymous(),
+    }
+}
+
+/// One index source of a plan.
+enum Source<'q> {
+    /// A single index-complete condition.
+    One(&'q QueryCondition),
+    /// Every `Gt`/`Ge`/`Lt`/`Le` condition on one attribute that they
+    /// bound from both sides: one bounded index walk instead of two
+    /// half-ranges materialised and intersected.
+    Interval(Vec<&'q QueryCondition>),
+}
+
+fn is_bound(op: CompareOp) -> bool {
+    matches!(
+        op,
+        CompareOp::Gt | CompareOp::Ge | CompareOp::Lt | CompareOp::Le
+    )
+}
+
+impl<'q> Source<'q> {
+    /// Group the planner's strong conditions into sources, in order.
+    fn fold(strong: Vec<&'q QueryCondition>) -> Vec<Source<'q>> {
+        let two_sided = |attr: &str| {
+            let has =
+                |ops: [CompareOp; 2]| strong.iter().any(|c| c.attr == attr && ops.contains(&c.op));
+            has([CompareOp::Gt, CompareOp::Ge]) && has([CompareOp::Lt, CompareOp::Le])
+        };
+        let mut out: Vec<Source<'q>> = Vec::new();
+        for &c in &strong {
+            if !(is_bound(c.op) && two_sided(&c.attr)) {
+                out.push(Source::One(c));
+                continue;
+            }
+            let open = out.iter_mut().find_map(|s| match s {
+                Source::Interval(v) if v[0].attr == c.attr => Some(v),
+                _ => None,
+            });
+            match open {
+                Some(v) => v.push(c),
+                None => out.push(Source::Interval(vec![c])),
+            }
+        }
+        out
+    }
+
+    fn conds(&self) -> &[&'q QueryCondition] {
+        match self {
+            Source::One(c) => std::slice::from_ref(c),
+            Source::Interval(v) => v,
+        }
+    }
+
+    fn range_conds(v: &[&'q QueryCondition]) -> Vec<RangeCond<'q>> {
+        v.iter().map(|c| (c.op, &c.value)).collect()
+    }
+
+    fn selectivity(&self, meta: &MetaStore) -> usize {
+        match self {
+            Source::One(c) => meta.selectivity(&c.attr, c.op, &c.value),
+            Source::Interval(v) => meta.interval_selectivity(&v[0].attr, &Self::range_conds(v)),
+        }
+    }
+
+    fn candidates(&self, meta: &MetaStore) -> HashSet<DatasetId> {
+        match self {
+            Source::One(c) => meta.dataset_candidates(&c.attr, c.op, &c.value),
+            Source::Interval(v) => {
+                meta.interval_dataset_candidates(&v[0].attr, &Self::range_conds(v))
+            }
+        }
+    }
+
+    /// Served by a bounded walk of the ordered index (`mcat.range_scan`).
+    fn is_range(&self) -> bool {
+        match self {
+            Source::One(c) => {
+                is_bound(c.op)
+                    || (c.op == CompareOp::Like && like_scan_prefix(&c.value.lexical()).is_some())
+            }
+            Source::Interval(_) => true,
+        }
+    }
 }
 
 /// Pre-registered counters for the query planner; kept as handles so the
@@ -316,19 +424,28 @@ impl Mcat {
         user: Option<UserId>,
         coll: CollectionId,
     ) -> SrbResult<Permission> {
-        let groups = user.map(|u| self.users.groups_of(u)).unwrap_or_default();
+        self.collection_level(user, &self.groups_for(user), coll)
+    }
+
+    /// [`Self::effective_on_collection`] with the user's groups in hand.
+    fn collection_level(
+        &self,
+        user: Option<UserId>,
+        groups: &[GroupId],
+        coll: CollectionId,
+    ) -> SrbResult<Permission> {
         let mut best = Permission::None;
         let mut cur = Some(coll);
         while let Some(c) = cur {
             let node = self.collections.get(c)?;
-            let p = match user {
-                Some(u) => node.acl.effective(u, &groups),
-                None => node.acl.effective_anonymous(),
-            };
-            best = best.max(p);
+            best = best.max(acl_level(&node.acl, user, groups));
             cur = node.parent;
         }
         Ok(best)
+    }
+
+    fn groups_for(&self, user: Option<UserId>) -> Vec<GroupId> {
+        user.map(|u| self.users.groups_of(u)).unwrap_or_default()
     }
 
     /// Effective permission of `user` on a dataset: max of the dataset's
@@ -340,16 +457,56 @@ impl Mcat {
         user: Option<UserId>,
         dataset: DatasetId,
     ) -> SrbResult<Permission> {
-        let d = self.datasets.get(dataset)?;
-        if let Some(target) = d.link_target {
-            return self.effective_on_dataset(user, target);
-        }
-        let groups = user.map(|u| self.users.groups_of(u)).unwrap_or_default();
-        let own = match user {
-            Some(u) => d.acl.effective(u, &groups),
-            None => d.acl.effective_anonymous(),
+        let groups = self.groups_for(user);
+        let own = OwnLevel::of(&self.datasets.get(dataset)?, user, &groups);
+        self.dataset_level(user, own, |c| self.collection_level(user, &groups, c))
+    }
+
+    /// [`Self::effective_on_dataset`] for each of `datasets` (`None` where
+    /// it would fail), priced per batch — a page of query hits: the
+    /// user's groups are fetched once and before any guard, own ACLs are
+    /// read from borrowed rows under one dataset guard (dropped before any
+    /// collection read), and the inherited level is resolved once per
+    /// distinct collection.
+    pub fn effective_on_datasets(
+        &self,
+        user: Option<UserId>,
+        datasets: &[DatasetId],
+    ) -> Vec<Option<Permission>> {
+        let groups = self.groups_for(user);
+        let own: Vec<Option<OwnLevel>> = {
+            let rows = self.datasets.batch();
+            datasets
+                .iter()
+                .map(|&d| Some(OwnLevel::of(rows.get_ref(d)?, user, &groups)))
+                .collect()
         };
-        Ok(own.max(self.effective_on_collection(user, d.coll)?))
+        let mut inherited: HashMap<CollectionId, SrbResult<Permission>> = HashMap::new();
+        own.into_iter()
+            .map(|own| {
+                self.dataset_level(user, own?, |c| {
+                    inherited
+                        .entry(c)
+                        .or_insert_with(|| self.collection_level(user, &groups, c))
+                        .clone()
+                })
+                .ok()
+            })
+            .collect()
+    }
+
+    /// The one place a dataset's own level meets its inherited one;
+    /// `inherited` resolves a collection (memoised or not).
+    fn dataset_level(
+        &self,
+        user: Option<UserId>,
+        own: OwnLevel,
+        inherited: impl FnOnce(CollectionId) -> SrbResult<Permission>,
+    ) -> SrbResult<Permission> {
+        match own {
+            OwnLevel::Link(target) => self.effective_on_dataset(user, target),
+            OwnLevel::At(own, coll) => Ok(own.max(inherited(coll)?)),
+        }
     }
 
     /// Error unless `user` has `needed` on the dataset.
@@ -789,10 +946,13 @@ impl Mcat {
     /// verification sweep; `Like` patterns with a scannable literal prefix
     /// (`foo%`) are *strong* sources — the ordered index serves them as a
     /// bounded prefix range — while other patterns drive the plan only
-    /// when no point/range source exists. When even the best source's
-    /// estimated cost exceeds the number of datasets in scope, the full
-    /// scan is cheaper: every indexed condition then moves to the residual
-    /// sweep, which checks any condition kind correctly.
+    /// when no point/range source exists. Range conditions that bound one
+    /// attribute from both sides fold into a single interval [`Source`],
+    /// so a window query costs its window, not its two half-ranges. When
+    /// even the best source's estimated cost exceeds the number of
+    /// datasets in scope, the full scan is cheaper: every indexed
+    /// condition then moves to the residual sweep, which checks any
+    /// condition kind correctly.
     fn plan<'q>(
         &self,
         q: &'q Query,
@@ -817,14 +977,14 @@ impl Mcat {
         } else {
             residual.append(&mut patterns);
         }
-        let mut sources: Vec<(usize, &QueryCondition)> = strong
+        let mut sources: Vec<(usize, Source<'q>)> = Source::fold(strong)
             .into_iter()
-            .map(|c| (self.metadata.selectivity(&c.attr, c.op, &c.value), c))
+            .map(|src| (src.selectivity(&self.metadata), src))
             .collect();
         sources.sort_by_key(|(cost, _)| *cost);
         if let Some((best, _)) = sources.first() {
             if *best > self.datasets.count_in_colls(scope) {
-                residual.extend(sources.drain(..).map(|(_, c)| c));
+                residual.extend(sources.drain(..).flat_map(|(_, src)| src.conds().to_vec()));
             }
         }
 
@@ -834,33 +994,24 @@ impl Mcat {
             } else {
                 obs.plans_indexed.inc();
                 obs.indexes_probed.add(sources.len() as u64);
-                let ranges = sources
-                    .iter()
-                    .filter(|(_, c)| {
-                        matches!(
-                            c.op,
-                            CompareOp::Gt | CompareOp::Ge | CompareOp::Lt | CompareOp::Le
-                        ) || (c.op == CompareOp::Like
-                            && like_scan_prefix(&c.value.lexical()).is_some())
-                    })
-                    .count();
+                let ranges = sources.iter().filter(|(_, src)| src.is_range()).count();
                 obs.range_scans.add(ranges as u64);
             }
         }
 
         let candidates: Vec<DatasetId> = if let Some((_, driver)) = sources.first() {
-            let mut set = self
-                .metadata
-                .dataset_candidates(&driver.attr, driver.op, &driver.value);
-            for (cost, c) in &sources[1..] {
+            let mut set = driver.candidates(&self.metadata);
+            for (cost, src) in &sources[1..] {
                 if set.is_empty() {
                     break;
                 }
                 if *cost > set.len().saturating_mul(4) {
-                    self.metadata
-                        .filter_datasets(&mut set, &c.attr, c.op, &c.value);
+                    for c in src.conds() {
+                        self.metadata
+                            .filter_datasets(&mut set, &c.attr, c.op, &c.value);
+                    }
                 } else {
-                    let other = self.metadata.dataset_candidates(&c.attr, c.op, &c.value);
+                    let other = src.candidates(&self.metadata);
                     set.retain(|d| other.contains(d));
                 }
             }
@@ -900,10 +1051,11 @@ impl Mcat {
     /// wrong pages), and the client restarts from the first page.
     ///
     /// `q.limit` and `q.ordered` are ignored: the page size is `page` and
-    /// pages are always served in path order. Candidate ordering is
-    /// computed per call, but residual verification — the expensive half —
-    /// only touches the candidates actually served (plus one look-ahead
-    /// for the more-pages flag).
+    /// pages are always served in path order. Every call re-plans and
+    /// re-sorts the candidate set by path — O(candidates), which for a
+    /// two-sided range is its window — while residual verification only
+    /// touches the candidates actually served (plus one look-ahead for
+    /// the more-pages flag).
     pub fn query_page(
         &self,
         q: &Query,
@@ -1452,6 +1604,12 @@ mod tests {
         assert_eq!(
             m.effective_on_dataset(Some(reader), lnk).unwrap(),
             Permission::Read
+        );
+        // The batched form answers per id as the single one does; an
+        // unknown id reads as `None`.
+        assert_eq!(
+            m.effective_on_datasets(Some(reader), &[lnk, DatasetId(u64::MAX), condor]),
+            vec![Some(Permission::Read), None, Some(Permission::Read)]
         );
     }
 

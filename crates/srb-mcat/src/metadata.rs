@@ -173,6 +173,14 @@ struct Inner {
     /// planner's partition-wide selectivity estimate is O(1) instead of a
     /// walk over every distinct value.
     attr_counts: HashMap<String, usize>,
+    /// attribute name → datasets carrying **two or more** rows of that
+    /// name. Conjunctive conditions are satisfied per condition, by *any*
+    /// row, so on such a dataset different rows may satisfy the two halves
+    /// of a range (`{0, 2}` matches `>= 2 AND < 1`); an interval walk over
+    /// the value index sees one key at a time and would miss it. Members
+    /// are probed per condition and unioned into every interval result.
+    /// Empty for single-valued attributes, so the walk stays O(window).
+    multi: HashMap<String, HashSet<DatasetId>>,
     /// file-based metadata associations: subject → carrying datasets.
     meta_files: HashMap<Subject, Vec<DatasetId>>,
 }
@@ -247,8 +255,20 @@ impl MetaStore {
             .collect()
     }
 
+    /// The one index-maintenance path for a new row: subject list, value
+    /// index, per-attribute count and the multi-valued side set.
     fn insert_locked(g: &mut Inner, row: MetaRow) {
-        g.by_subject.entry(row.subject).or_default().push(row.id);
+        let ids = g.by_subject.entry(row.subject).or_default();
+        // One pass over the subject's earlier rows (O(k) for its k-th row;
+        // a dataset carries a handful), allocation-free unless one of
+        // them already has the name.
+        if let Subject::Dataset(d) = row.subject {
+            let name = &row.triplet.name;
+            if rows_named(&g.rows, ids, name).next().is_some() {
+                g.multi.entry(name.clone()).or_default().insert(d);
+            }
+        }
+        ids.push(row.id);
         g.index
             .entry(row.triplet.name.clone())
             .or_default()
@@ -316,6 +336,20 @@ impl MetaStore {
         }
         if let Some(n) = g.attr_counts.get_mut(&row.triplet.name) {
             *n = n.saturating_sub(1);
+        }
+        if let Subject::Dataset(d) = row.subject {
+            let left = g
+                .by_subject
+                .get(&row.subject)
+                .map_or(0, |ids| rows_named(&g.rows, ids, &row.triplet.name).count());
+            if left < 2 {
+                if let Some(set) = g.multi.get_mut(&row.triplet.name) {
+                    set.remove(&d);
+                    if set.is_empty() {
+                        g.multi.remove(&row.triplet.name);
+                    }
+                }
+            }
         }
         let gen = self.generation.bump_get().raw();
         self.wal.log(gen, || WalOp::MetaDelete { id });
@@ -403,17 +437,54 @@ impl MetaStore {
         let g = self.inner.read();
         let mut out = HashSet::new();
         walk_index(&g, name, op, value, |ids| {
-            for id in ids {
-                if let Some(MetaRow {
-                    subject: Subject::Dataset(d),
-                    ..
-                }) = g.rows.get(id)
-                {
-                    out.insert(*d);
-                }
-            }
+            out.extend(dataset_subjects(&g, ids))
         });
         out
+    }
+
+    /// Datasets satisfying **every** range condition in `conds` on the one
+    /// attribute `name` — the planner's *interval source*. Equal to
+    /// intersecting [`Self::dataset_candidates`] over the conditions, but
+    /// served by one bounded walk between the tightest lower and upper
+    /// bound (each operator re-checked per key, as the one-sided walks
+    /// do), plus a per-condition probe of the datasets carrying several
+    /// rows of `name`, which different rows may qualify. An inverted or
+    /// empty interval yields the probed datasets only.
+    pub fn interval_dataset_candidates(
+        &self,
+        name: &str,
+        conds: &[RangeCond<'_>],
+    ) -> HashSet<DatasetId> {
+        let g = self.inner.read();
+        let mut out = HashSet::new();
+        for (k, ids) in interval_range(&g, name, conds).into_iter().flatten() {
+            if conds.iter().all(|&(op, v)| op_applies(op, &k.v, v)) {
+                out.extend(dataset_subjects(&g, ids));
+            }
+        }
+        if let Some(multi) = g.multi.get(name) {
+            out.extend(multi.iter().copied().filter(|d| {
+                conds
+                    .iter()
+                    .all(|&(op, v)| subject_matches_locked(&g, Subject::Dataset(*d), name, op, v))
+            }));
+        }
+        out
+    }
+
+    /// Estimated match count of an interval source: the rows between its
+    /// bounds (exact below `RANGE_SELECTIVITY_CAP`) plus every dataset
+    /// the multi-valued probe must visit.
+    pub fn interval_selectivity(&self, name: &str, conds: &[RangeCond<'_>]) -> usize {
+        let g = self.inner.read();
+        let mut n = g.multi.get(name).map_or(0, HashSet::len);
+        for (_, ids) in interval_range(&g, name, conds).into_iter().flatten() {
+            n += ids.len();
+            if n >= Self::RANGE_SELECTIVITY_CAP {
+                break;
+            }
+        }
+        n
     }
 
     /// Drop from `set` every dataset with **no** row satisfying
@@ -464,26 +535,13 @@ impl MetaStore {
                 .get(&IndexKey::new(value.clone()))
                 .map(|v| v.len())
                 .unwrap_or(0),
-            CompareOp::Gt => {
-                let key = IndexKey::new(value.clone());
-                capped_count(
-                    &mut vals
-                        .range((Bound::Excluded(key), Bound::Unbounded))
-                        .map(|(_, v)| v.len()),
-                )
-            }
-            CompareOp::Ge => {
-                let key = IndexKey::new(value.clone());
-                capped_count(&mut vals.range(key..).map(|(_, v)| v.len()))
-            }
-            CompareOp::Lt => {
-                let key = IndexKey::new(value.clone());
-                capped_count(&mut vals.range(..key).map(|(_, v)| v.len()))
-            }
-            CompareOp::Le => {
-                let key = IndexKey::new(value.clone());
-                capped_count(&mut vals.range(..=key).map(|(_, v)| v.len()))
-            }
+            // A one-sided range is an interval with one end unbounded.
+            CompareOp::Gt | CompareOp::Ge | CompareOp::Lt | CompareOp::Le => capped_count(
+                &mut interval_range(&g, name, &[(op, value)])
+                    .into_iter()
+                    .flatten()
+                    .map(|(_, v)| v.len()),
+            ),
             CompareOp::Like => match like_scan_prefix(&value.lexical()) {
                 Some(prefix) => {
                     let probe = IndexKey::text_probe(prefix.clone());
@@ -615,15 +673,7 @@ impl MetaStore {
         {
             let mut g = t.inner.write();
             for r in rows {
-                g.by_subject.entry(r.subject).or_default().push(r.id);
-                g.index
-                    .entry(r.triplet.name.clone())
-                    .or_default()
-                    .entry(IndexKey::new(r.triplet.value.clone()))
-                    .or_default()
-                    .push(r.id);
-                *g.attr_counts.entry(r.triplet.name.clone()).or_default() += 1;
-                g.rows.insert(r.id, r);
+                Self::insert_locked(&mut g, r);
             }
             for (s, v) in meta_files {
                 g.meta_files.insert(s, v);
@@ -704,6 +754,80 @@ fn subject_matches_locked(
     })
 }
 
+/// The rows among a subject's `ids` whose attribute is `name`.
+fn rows_named<'a>(
+    rows: &'a HashMap<MetaId, MetaRow>,
+    ids: &'a [MetaId],
+    name: &'a str,
+) -> impl Iterator<Item = &'a MetaRow> {
+    ids.iter()
+        .filter_map(|id| rows.get(id))
+        .filter(move |r| r.triplet.name == name)
+}
+
+/// The dataset subjects among `ids` (collection rows share the index).
+fn dataset_subjects<'g>(g: &'g Inner, ids: &'g [MetaId]) -> impl Iterator<Item = DatasetId> + 'g {
+    ids.iter().filter_map(|id| match g.rows.get(id)?.subject {
+        Subject::Dataset(d) => Some(d),
+        Subject::Collection(_) => None,
+    })
+}
+
+/// One folded operator of an interval source: `op value` on the source's
+/// attribute, `op` one of `Gt`/`Ge`/`Lt`/`Le`.
+pub type RangeCond<'a> = (CompareOp, &'a MetaValue);
+
+/// Should a bound at `key` (exclusive if `excl`) replace `old`? `side` is
+/// the direction of tightening: `Greater` for lower bounds, `Less` for
+/// upper ones. At equal keys the exclusive bound is the tighter.
+fn tightens(old: &Bound<IndexKey>, key: &IndexKey, excl: bool, side: Ordering) -> bool {
+    match old {
+        Bound::Unbounded => true,
+        Bound::Included(k) => match key.cmp(k) {
+            Ordering::Equal => excl,
+            o => o == side,
+        },
+        Bound::Excluded(k) => key.cmp(k) == side,
+    }
+}
+
+/// The index entries between the tightest lower and upper bound in
+/// `conds`, or `None` when the attribute has no index or the interval is
+/// inverted or excludes its only point — `BTreeMap::range` panics on such
+/// bounds, so they never reach it.
+fn interval_range<'g>(
+    g: &'g Inner,
+    name: &str,
+    conds: &[RangeCond<'_>],
+) -> Option<std::collections::btree_map::Range<'g, IndexKey, Vec<MetaId>>> {
+    let vals = g.index.get(name)?;
+    let (mut lo, mut hi) = (Bound::Unbounded, Bound::Unbounded);
+    for &(op, value) in conds {
+        let (bound, excl, side) = match op {
+            CompareOp::Gt => (&mut lo, true, Ordering::Greater),
+            CompareOp::Ge => (&mut lo, false, Ordering::Greater),
+            CompareOp::Lt => (&mut hi, true, Ordering::Less),
+            CompareOp::Le => (&mut hi, false, Ordering::Less),
+            // Not a range operator: bounds nothing, re-checked per key.
+            _ => continue,
+        };
+        let key = IndexKey::new(value.clone());
+        if tightens(bound, &key, excl, side) {
+            *bound = if excl {
+                Bound::Excluded(key)
+            } else {
+                Bound::Included(key)
+            };
+        }
+    }
+    let non_empty = match (&lo, &hi) {
+        (Bound::Included(a), Bound::Included(b)) => a <= b,
+        (Bound::Included(a) | Bound::Excluded(a), Bound::Included(b) | Bound::Excluded(b)) => a < b,
+        _ => true,
+    };
+    non_empty.then(|| vals.range((lo, hi)))
+}
+
 /// Walk the ordered value index for `name`, invoking `emit` with each row-id
 /// slice whose key satisfies `op value`. The guard is already held by the
 /// caller, so resolving the emitted ids costs no further locking.
@@ -717,36 +841,18 @@ fn walk_index(
     let Some(vals) = g.index.get(name) else {
         return;
     };
-    let key = IndexKey::new(value.clone());
     match op {
         CompareOp::Eq => {
-            if let Some(v) = vals.get(&key) {
+            if let Some(v) = vals.get(&IndexKey::new(value.clone())) {
                 emit(v);
             }
         }
-        CompareOp::Gt => {
-            for (k, v) in vals.range((Bound::Excluded(key), Bound::Unbounded)) {
-                if op_applies(op, &k.v, value) {
-                    emit(v);
-                }
-            }
-        }
-        CompareOp::Ge => {
-            for (k, v) in vals.range(key..) {
-                if op_applies(op, &k.v, value) {
-                    emit(v);
-                }
-            }
-        }
-        CompareOp::Lt => {
-            for (k, v) in vals.range(..key) {
-                if op_applies(op, &k.v, value) {
-                    emit(v);
-                }
-            }
-        }
-        CompareOp::Le => {
-            for (k, v) in vals.range(..=key) {
+        // A one-sided range is an interval with one end unbounded.
+        CompareOp::Gt | CompareOp::Ge | CompareOp::Lt | CompareOp::Le => {
+            for (k, v) in interval_range(g, name, &[(op, value)])
+                .into_iter()
+                .flatten()
+            {
                 if op_applies(op, &k.v, value) {
                     emit(v);
                 }
@@ -1102,6 +1208,48 @@ mod tests {
             s.selectivity("n", CompareOp::Like, &MetaValue::Text("xy%".into())),
             1
         );
+    }
+
+    /// The multi-valued side set holds exactly the datasets with two or
+    /// more rows of a name, through every mutator and through `restore`.
+    #[test]
+    fn side_set_tracks_datasets_with_several_rows_of_a_name() {
+        fn multi(s: &MetaStore, name: &str) -> Vec<DatasetId> {
+            let g = s.inner.read();
+            let mut v: Vec<DatasetId> = g.multi.get(name).into_iter().flatten().copied().collect();
+            v.sort_unstable();
+            v
+        }
+        let (s, ids) = store();
+        let add = |subject, name: &str, v: i64| {
+            s.add(
+                &ids,
+                subject,
+                Triplet::new(name, v, ""),
+                MetaKind::UserDefined,
+            )
+        };
+        add(ds(1), "r", 0);
+        add(ds(1), "other", 2);
+        assert!(multi(&s, "r").is_empty(), "one row of each name");
+        let second = add(ds(1), "r", 2);
+        let third = add(ds(1), "r", 2);
+        add(ds(2), "r", 5);
+        let coll = Subject::Collection(CollectionId(9));
+        add(coll, "r", 1);
+        add(coll, "r", 1);
+        assert_eq!(multi(&s, "r"), [DatasetId(1)], "datasets only");
+
+        let (rows, files) = s.dump();
+        assert_eq!(multi(&MetaStore::restore(rows, files), "r"), [DatasetId(1)]);
+
+        s.remove(third).unwrap();
+        assert_eq!(multi(&s, "r"), [DatasetId(1)], "still two rows");
+        s.remove(second).unwrap();
+        assert!(s.inner.read().multi.is_empty(), "empty entries are dropped");
+        add(ds(2), "r", 6);
+        s.remove_all(ds(2));
+        assert!(s.inner.read().multi.is_empty());
     }
 
     #[test]

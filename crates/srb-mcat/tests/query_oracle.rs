@@ -161,6 +161,21 @@ fn build_query(
     q
 }
 
+/// Every page of `q`, `page` rows at a time, concatenated.
+fn all_pages(m: &Mcat, q: &Query, page: usize) -> Vec<srb_mcat::QueryHit> {
+    let mut paged = Vec::new();
+    let mut token: Option<String> = None;
+    loop {
+        let (hits, next) = m.query_page(q, token.as_deref(), page).unwrap();
+        assert!(hits.len() <= page);
+        paged.extend(hits);
+        match next {
+            Some(t) => token = Some(t),
+            None => return paged,
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -189,18 +204,7 @@ proptest! {
         // ordered, unlimited query — no skips, no duplicates, any page
         // size, however the planner served each page.
         let full_ordered = f.m.query(&q.clone().limit(0)).unwrap();
-        let mut paged = Vec::new();
-        let mut token: Option<String> = None;
-        loop {
-            let (hits, next) = f.m.query_page(&q, token.as_deref(), 2).unwrap();
-            prop_assert!(hits.len() <= 2);
-            paged.extend(hits);
-            match next {
-                Some(t) => token = Some(t),
-                None => break,
-            }
-        }
-        prop_assert_eq!(&paged, &full_ordered);
+        prop_assert_eq!(&all_pages(&f.m, &q, 2), &full_ordered);
         // Keep a mid-pagination token to check invalidation after the
         // mutation below.
         let (_, outstanding) = f.m.query_page(&q, None, 1).unwrap();
@@ -269,6 +273,134 @@ proptest! {
                 Err(srb_types::SrbError::Invalid(_))
             ));
         }
+    }
+}
+
+/// The three engines on `q`, plus the concatenation of `query_page` pages
+/// of two — all four must agree; returns the hit names.
+fn engines_agree(m: &Mcat, q: &Query) -> Vec<String> {
+    let planned = m.query(q).unwrap();
+    assert_eq!(planned, m.query_scan(q).unwrap(), "planner vs scan: {q:?}");
+    assert_eq!(
+        planned,
+        m.query_single_driver(q).unwrap(),
+        "planner vs single driver: {q:?}"
+    );
+    assert_eq!(all_pages(m, q, 2), planned, "pages vs one shot: {q:?}");
+    planned
+        .iter()
+        .map(|h| h.path.rsplit('/').next().unwrap().to_string())
+        .collect()
+}
+
+/// Two-sided ranges fold into one interval walk; conjunctive semantics
+/// stay per condition, so a dataset carrying several rows of the attribute
+/// may satisfy the two halves with *different* rows. Each case below is
+/// one the interval walk alone gets wrong or panics on.
+#[test]
+fn two_sided_ranges_keep_per_condition_semantics_on_multi_valued_attributes() {
+    // d0 {0, 2} · d1 {1} · d2 {2} · d3 {3, "blue"} · d4 {"red"} · d5 {}
+    let rows: [&[MetaValue]; 6] = [
+        &[MetaValue::Int(0), MetaValue::Int(2)],
+        &[MetaValue::Int(1)],
+        &[MetaValue::Int(2)],
+        &[MetaValue::Int(3), MetaValue::Text("blue".into())],
+        &[MetaValue::Text("red".into())],
+        &[],
+    ];
+    let f = build(&[], &[], &[(0, 1); 6], &[], &[]);
+    let mut ids = Vec::new();
+    for (d, values) in rows.iter().enumerate() {
+        for v in *values {
+            ids.push(f.m.metadata.add(
+                &f.m.ids,
+                Subject::Dataset(f.datasets[d]),
+                Triplet::new("rating", v.clone(), ""),
+                MetaKind::UserDefined,
+            ));
+        }
+    }
+    let range = |conds: &[(CompareOp, MetaValue)]| {
+        let mut q = Query::everywhere();
+        for (op, v) in conds {
+            q = q.and("rating", *op, v.clone());
+        }
+        q
+    };
+    use CompareOp::{Ge, Gt, Le, Lt};
+    let int = MetaValue::Int;
+    let text = |s: &str| MetaValue::Text(s.into());
+    type Case<'a> = (&'a [(CompareOp, MetaValue)], &'a [&'a str]);
+    let cases: [Case<'_>; 7] = [
+        // Inverted interval: only different rows of d0 can satisfy it.
+        (&[(Ge, int(2)), (Lt, int(1))], &["d0"]),
+        // Empty-excluded interval: `BTreeMap::range` would panic on it.
+        (&[(Gt, int(1)), (Lt, int(1))], &["d0"]),
+        // A single point, both ends included (d0 straddles it).
+        (&[(Ge, int(1)), (Le, int(1))], &["d0", "d1"]),
+        // The looser lower bound comes first; the tighter one must win.
+        (&[(Ge, int(0)), (Ge, int(2)), (Lt, int(3))], &["d0", "d2"]),
+        // A text bound never admits a numeric row, and vice versa…
+        (&[(Ge, text("a")), (Lt, int(5))], &["d3"]),
+        (&[(Ge, int(1)), (Lt, text("zzz"))], &["d3"]),
+        // …while an all-text window is an ordinary interval.
+        (&[(Gt, text("blue")), (Le, text("red"))], &["d4"]),
+    ];
+    for (conds, want) in &cases {
+        assert_eq!(engines_agree(&f.m, &range(conds)), *want, "{conds:?}");
+    }
+
+    // Back down to one row, d0 stops matching and leaves the probed set
+    // (an inverted interval's estimate is exactly that set's size).
+    let inverted = [(Ge, &MetaValue::Int(2)), (Lt, &MetaValue::Int(1))];
+    assert_eq!(f.m.metadata.interval_selectivity("rating", &inverted), 2);
+    f.m.metadata.remove(ids[1]).unwrap();
+    assert_eq!(f.m.metadata.interval_selectivity("rating", &inverted), 1);
+    assert!(engines_agree(&f.m, &range(&[(Ge, int(2)), (Lt, int(1))])).is_empty());
+    assert_eq!(
+        engines_agree(&f.m, &range(&[(Ge, int(0)), (Lt, int(1))])),
+        ["d0"]
+    );
+    f.m.metadata.remove_all(Subject::Dataset(f.datasets[3]));
+    assert_eq!(f.m.metadata.interval_selectivity("rating", &inverted), 0);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Two to three range conditions forced onto one attribute, over
+    /// catalogs where any dataset may carry several rows of it.
+    #[test]
+    fn interval_sources_agree_with_scan_on_multi_valued_attributes(
+        coll_parents in prop::collection::vec(0u8..4, 0..4),
+        ds_specs in prop::collection::vec((0u8..4, 0u16..200), 1..12),
+        ranged in prop::collection::vec((0u8..12, 0u8..6), 0..30),
+        other in prop::collection::vec((0u8..12, 0u8..4, 0u8..6), 0..10),
+        attr in 1u8..3,
+        lower in (2u8..4, 0u8..6),
+        upper in (4u8..6, 0u8..6),
+        third in prop::collection::vec((2u8..6, 0u8..6), 0..2),
+        extra in prop::collection::vec((0u8..6, 0u8..8, 0u8..6), 0..2),
+        rotate in 0usize..4,
+        scope_idx in 0u8..5,
+        flags in 0u8..4,
+    ) {
+        let meta: Vec<(u8, u8, u8)> = ranged
+            .iter()
+            .map(|(d, v)| (*d, attr, *v))
+            .chain(other.iter().copied())
+            .collect();
+        let f = build(&coll_parents, &[], &ds_specs, &meta, &[]);
+        let mut conds: Vec<(u8, u8, u8)> = [lower, upper]
+            .iter()
+            .chain(&third)
+            .map(|(op, v)| (attr, *op, *v))
+            .chain(extra.iter().copied())
+            .collect();
+        let n = conds.len();
+        conds.rotate_left(rotate % n);
+        let q = build_query(&f, scope_idx, &conds, flags, 0);
+        engines_agree(&f.m, &q);
     }
 }
 

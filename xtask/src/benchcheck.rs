@@ -78,7 +78,10 @@ fn rows_of(root: &Path, file: &str) -> Result<Vec<Value>, String> {
 /// planner must beat the residual-verification full scan by >= 5x on
 /// both the bounded-range and the literal-prefix predicate at the
 /// largest catalog size, and stay flat-ish (<= 20x) while the catalog
-/// grows 10x or more. Cursor page fetches must cost O(page), not
+/// grows 10x or more. A two-sided window from the middle of the index
+/// (one-shot, and per 25-row `query_page` page) must cost what the
+/// anchored one-sided range costs: <= 3x it at every size, and flat-ish
+/// like it. Cursor page fetches must cost O(page), not
 /// O(offset): the last page from its token within 5x of page one, the
 /// offset emulation of the last page >= 5x the cursor fetch. The seeded
 /// double-run digest (hits, tokens, mcat.* counters) must match exactly.
@@ -101,9 +104,21 @@ fn check_e2(root: &Path) -> Result<String, String> {
             "scan_range_us",
             "planner_prefix_us",
             "scan_prefix_us",
+            "planner_window_us",
+            "window_page_us",
         ] {
             if num(row, key).map(|t| t <= 0.0).unwrap_or(true) {
                 return Err(format!("range row {i}: missing or non-positive {key}"));
+            }
+        }
+        let anchored = num(row, "planner_range_us").unwrap_or(0.0);
+        for key in ["planner_window_us", "window_page_us"] {
+            let w = num(row, key).unwrap_or(0.0);
+            if w > anchored * 3.0 {
+                return Err(format!(
+                    "range row {i}: {key} ({w:.1} us) more than 3x the anchored range \
+                     ({anchored:.1} us) — a two-sided window is not one bounded walk"
+                ));
             }
         }
     }
@@ -111,17 +126,20 @@ fn check_e2(root: &Path) -> Result<String, String> {
     let last = &rows[rows.len() - 1];
     let size = |r: &Value| num(r, "size").unwrap_or(0.0);
     for (label, planner, scan) in [
-        ("range", "planner_range_us", "scan_range_us"),
-        ("prefix", "planner_prefix_us", "scan_prefix_us"),
+        ("range", "planner_range_us", Some("scan_range_us")),
+        ("prefix", "planner_prefix_us", Some("scan_prefix_us")),
+        ("window", "planner_window_us", None),
+        ("window page", "window_page_us", None),
     ] {
         let p = num(last, planner).unwrap_or(0.0);
-        let s = num(last, scan).unwrap_or(0.0);
-        if s < p * 5.0 {
-            return Err(format!(
-                "{label} at {} rows: indexed scan ({p:.1} us) not >= 5x faster than \
-                 the residual-verification scan ({s:.1} us)",
-                size(last)
-            ));
+        if let Some(s) = scan.map(|k| num(last, k).unwrap_or(0.0)) {
+            if s < p * 5.0 {
+                return Err(format!(
+                    "{label} at {} rows: indexed scan ({p:.1} us) not >= 5x faster than \
+                     the residual-verification scan ({s:.1} us)",
+                    size(last)
+                ));
+            }
         }
         if size(last) >= size(first) * 10.0 {
             let p0 = num(first, planner).unwrap_or(0.0);
