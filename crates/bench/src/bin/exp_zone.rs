@@ -10,5 +10,6 @@ fn main() {
         println!("wrote BENCH_ZONE.json");
     } else {
         bench::experiments::zone::run().print();
+        bench::experiments::zone::run_tail().print();
     }
 }

@@ -25,6 +25,7 @@ fn main() {
         .unwrap_or(10_000);
     bench::experiments::recovery::run(rec_max).print();
     bench::experiments::zone::run().print();
+    bench::experiments::zone::run_tail().print();
     let load = bench::experiments::load::LoadParams {
         max_sessions: 10_000,
         requests: 5_000,

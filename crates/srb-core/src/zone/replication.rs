@@ -209,10 +209,11 @@ impl Federation {
         let mut report = PumpReport::default();
         for sub in &subs {
             let mut inner = sub.state.lock();
-            self.pump_one(sub, &mut inner, batch, &mut report)?;
+            let link = link_label(self, sub);
+            self.pump_one(sub, &mut inner, &link, batch, &mut report)?;
             report.pending += inner.outbox.len();
             self.metrics()
-                .gauge("zone.outbox_depth", &link_label(self, sub))
+                .gauge("zone.outbox_depth", &link)
                 .set(inner.outbox.len() as i64);
         }
         self.metrics().counter("zone.pump_rounds", "").inc();
@@ -263,11 +264,13 @@ impl Federation {
             .collect()
     }
 
-    /// One subscription's round: poll, ship, apply.
+    /// One subscription's round: poll, ship, apply. `link` is the
+    /// subscription's metric label, built once per round.
     fn pump_one(
         &self,
         sub: &Subscription,
         inner: &mut SubInner,
+        link: &str,
         batch: usize,
         report: &mut PumpReport,
     ) -> SrbResult<()> {
@@ -334,6 +337,8 @@ impl Federation {
         // --- apply: drain up to `batch` deltas into the mirror ---
         let mut applied = 0usize;
         let mut outcome = Ok(());
+        // Registered on the first delta ever applied, looked up once a round.
+        let mut lag_hist = None;
         while applied < batch {
             let Some(delta) = inner.outbox.pop_front() else {
                 break;
@@ -353,8 +358,8 @@ impl Federation {
                 .max(1);
             inner.max_lag_ns = inner.max_lag_ns.max(lag);
             report.max_lag_ns = report.max_lag_ns.max(lag);
-            self.metrics()
-                .histogram("zone.lag_ns", &link_label(self, sub))
+            lag_hist
+                .get_or_insert_with(|| self.metrics().histogram("zone.lag_ns", link))
                 .observe(lag);
         }
         // The applied batch is one commit group on the subscriber (a no-op

@@ -30,6 +30,10 @@
 //!   tail (an unterminated trailing group was never acknowledged and is
 //!   discarded), and rebuilds the catalog in one restore — no per-record
 //!   index maintenance.
+//! * **Replication** ([`export_deltas`]) reads the same groups from a
+//!   subscriber's cursor instead of from the checkpoint. What a committed
+//!   group is, is written once — `for_each_commit_group` — and both
+//!   consumers are closures over it.
 //!
 //! Durability is not free: appends, fsyncs, checkpoint writes and the
 //! recovery read-back all return virtual costs. The WAL pools them in a
@@ -52,7 +56,7 @@ use crate::resource::{LogicalResource, Resource};
 use crate::snapshot::{CatalogSnapshot, SnapshotGenerations, SNAPSHOT_VERSION};
 use crate::user::{Group, User};
 use serde::{Deserialize, Serialize};
-use srb_storage::LogDevice;
+use srb_storage::{LogDevice, TailRead};
 use srb_types::sync::{LockRank, Mutex};
 use srb_types::{
     AnnotationId, CollectionId, ContainerId, DatasetId, Lsn, MetaId, SimClock, SrbError, SrbResult,
@@ -666,6 +670,31 @@ impl Patch {
     }
 }
 
+/// The one reader of commit groups, under recovery and replication alike:
+/// parse a slice of the durable tail and hand `on_group` each group a
+/// `Commit` marker closed — its records (with their payload lengths), the
+/// marker's LSN and its `at_ns` — in log order. Returns how many trailing
+/// records no marker closed: written but never acknowledged.
+///
+/// Any marker closes whatever precedes it, so a slice that starts inside a
+/// group yields that group's remainder.
+fn for_each_commit_group(
+    tail: &[(Lsn, String)],
+    mut on_group: impl FnMut(std::vec::Drain<'_, (WalRecord, u64)>, Lsn, u64),
+) -> SrbResult<usize> {
+    let mut group: Vec<(WalRecord, u64)> = Vec::new();
+    for (lsn, payload) in tail {
+        let record: WalRecord = serde_json::from_str(payload)
+            .map_err(|e| SrbError::Parse(format!("WAL record at {lsn}: {e}")))?;
+        if let WalOp::Commit { at_ns } = record.op {
+            on_group(group.drain(..), Lsn(record.lsn), at_ns);
+        } else {
+            group.push((record, payload.len() as u64));
+        }
+    }
+    Ok(group.len())
+}
+
 /// Redo recovery: read the device's durable image and produce the
 /// catalog snapshot it proves — checkpoint plus every complete commit
 /// group of the tail, trailing incomplete group discarded.
@@ -685,24 +714,15 @@ pub(crate) fn replay_device(device: &LogDevice) -> SrbResult<Replayed> {
     // The clock never runs backwards through a checkpoint, even when the
     // replay tail is empty.
     let mut max_at_ns = envelope.at_ns;
-    let mut group: Vec<WalRecord> = Vec::new();
     let mut groups_applied = 0usize;
-    let mut records_replayed = 0usize;
-    for (lsn, payload) in &tail {
-        let record: WalRecord = serde_json::from_str(payload)
-            .map_err(|e| SrbError::Parse(format!("WAL record at {lsn}: {e}")))?;
-        records_replayed += 1;
-        if let WalOp::Commit { at_ns } = record.op {
-            max_at_ns = max_at_ns.max(at_ns);
-            for r in group.drain(..) {
-                patch.apply(r);
-            }
-            groups_applied += 1;
-        } else {
-            group.push(record);
+    let records_discarded = for_each_commit_group(&tail, |group, _marker, at_ns| {
+        max_at_ns = max_at_ns.max(at_ns);
+        for (record, _len) in group {
+            patch.apply(record);
         }
-    }
-    let records_discarded = group.len();
+        groups_applied += 1;
+    })?;
+    let records_replayed = tail.len();
     let recovery_ns = read_ns + REPLAY_NS_PER_RECORD * records_replayed as u64;
 
     Ok(Replayed {
@@ -763,37 +783,29 @@ pub enum DeltaFetch {
 /// trailing group was never acknowledged and will reappear, terminated, on
 /// a later fetch. Commit markers themselves are consumed (their `at_ns`
 /// stamps the group) and never exported.
+///
+/// Cost follows what is new, not what the device keeps: the tail is read
+/// from the cursor ([`LogDevice::read_after`]), and whether a checkpoint
+/// pruned past `since` is settled in the same device-lock hold as the
+/// read, so a fetch never returns deltas with a pruned hole in them.
 pub fn export_deltas(device: &LogDevice, since: Lsn) -> SrbResult<DeltaFetch> {
-    if let Some(checkpoint) = device.checkpoint_lsn() {
-        if checkpoint > since {
-            return Ok(DeltaFetch::Resync { checkpoint });
-        }
-    }
-    let (_checkpoint, tail, _read_ns) = device.read_back()?;
+    let tail = match device.read_after(since) {
+        TailRead::Pruned { checkpoint } => return Ok(DeltaFetch::Resync { checkpoint }),
+        TailRead::Lines(tail) => tail,
+    };
     let mut deltas = Vec::new();
     let mut bytes = 0u64;
     let mut horizon = since;
-    let mut group: Vec<(WalRecord, u64)> = Vec::new();
-    for (lsn, payload) in &tail {
-        let record: WalRecord = serde_json::from_str(payload)
-            .map_err(|e| SrbError::Parse(format!("WAL record at {lsn}: {e}")))?;
-        if let WalOp::Commit { at_ns } = record.op {
-            for (r, len) in group.drain(..) {
-                if r.lsn > since.raw() {
-                    bytes += len;
-                    deltas.push(Delta {
-                        record: r,
-                        committed_at_ns: at_ns,
-                    });
-                }
-            }
-            if record.lsn > horizon.raw() {
-                horizon = Lsn(record.lsn);
-            }
-        } else {
-            group.push((record, payload.len() as u64));
+    for_each_commit_group(&tail, |group, marker, at_ns| {
+        for (record, len) in group {
+            bytes += len;
+            deltas.push(Delta {
+                record,
+                committed_at_ns: at_ns,
+            });
         }
-    }
+        horizon = marker;
+    })?;
     Ok(DeltaFetch::Deltas {
         deltas,
         bytes,

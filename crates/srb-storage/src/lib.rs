@@ -39,6 +39,6 @@ pub use cache::CacheDriver;
 pub use db::DbDriver;
 pub use driver::{CostModel, DriverKind, ObjStat, StorageDriver};
 pub use fs::FsDriver;
-pub use logdev::LogDevice;
+pub use logdev::{LogDevice, TailRead};
 pub use sql::{SqlEngine, SqlValue};
 pub use url::UrlDriver;

@@ -18,8 +18,17 @@
 //!   at an arbitrary LSN, simulating a crash at exactly that point.
 //!
 //! Every record carries an FNV-1a checksum computed at append time and
-//! verified on [`LogDevice::read_back`]; a corrupt line ends the readable
-//! tail (torn write) rather than failing recovery outright.
+//! verified by the tail reader; a corrupt line ends the readable tail
+//! (torn write) rather than failing recovery outright.
+//!
+//! The durable tail is LSN-ordered (the WAL appends under its state lock)
+//! and has **one reader**, `LogInner::tail_after`: recovery's
+//! [`LogDevice::read_back`] reads it from the start, replication's
+//! [`LogDevice::read_after`] seeks to a cursor by binary search. Each line
+//! is checksummed once: the device remembers how long a prefix of the tail
+//! has verified clean, readers extend that mark, and whatever damages or
+//! cuts durable lines pulls it back — so no reader is ever handed a line
+//! at or past a torn one, wherever it starts.
 
 use crate::driver::CostModel;
 use srb_types::sync::{LockRank, Mutex};
@@ -48,10 +57,33 @@ fn line_checksum(lsn: Lsn, payload: &str) -> u64 {
     h
 }
 
+/// What a cursor read found: see [`LogDevice::read_after`].
+#[derive(Debug, PartialEq, Eq)]
+pub enum TailRead {
+    /// The readable durable lines with `lsn > since`, LSN-ascending.
+    Lines(Vec<(Lsn, String)>),
+    /// A checkpoint covers LSNs past `since`: lines the cursor has not
+    /// seen were pruned, and the tail alone cannot bridge the gap.
+    Pruned {
+        /// LSN covered by the pruning checkpoint.
+        checkpoint: Lsn,
+    },
+}
+
+/// Bytes a line occupies on media: payload plus LSN and checksum.
+fn line_bytes(payload: &str) -> u64 {
+    payload.len() as u64 + 16
+}
+
 #[derive(Debug, Default)]
 struct LogInner {
-    /// Records the media has accepted (survive a crash).
+    /// Records the media has accepted (survive a crash), LSN-ascending.
     synced: Vec<LogLine>,
+    /// [`line_bytes`] summed over `synced`.
+    synced_bytes: u64,
+    /// Lines of `synced`, from the front, whose checksums have verified;
+    /// a torn line is never counted, so the mark stops in front of it.
+    verified: usize,
     /// Records still in the buffer (lost on crash).
     unsynced: Vec<LogLine>,
     /// Latest checkpoint: covered-through LSN + catalog snapshot JSON.
@@ -62,6 +94,29 @@ struct LogInner {
     syncs: u64,
     /// Chaos: checkpoint installs are dropped (see `refuse_checkpoints`).
     refuse_checkpoints: bool,
+}
+
+impl LogInner {
+    /// Index of the first durable line with an LSN above `lsn`.
+    fn line_after(&self, lsn: Lsn) -> usize {
+        self.synced.partition_point(|l| l.lsn <= lsn)
+    }
+
+    /// The one tail reader: extend the verified mark as far as checksums
+    /// hold, then copy out the verified lines with `lsn > since`.
+    fn tail_after(&mut self, since: Lsn) -> Vec<(Lsn, String)> {
+        while let Some(line) = self.synced.get(self.verified) {
+            if line_checksum(line.lsn, &line.payload) != line.checksum {
+                break; // torn tail: everything before it is still good
+            }
+            self.verified += 1;
+        }
+        let from = self.line_after(since).min(self.verified);
+        self.synced[from..self.verified]
+            .iter()
+            .map(|l| (l.lsn, l.payload.clone()))
+            .collect()
+    }
 }
 
 /// The simulated sequential log medium. See the module docs.
@@ -97,6 +152,13 @@ impl LogDevice {
     /// cost of the buffered append.
     pub fn append(&self, lsn: Lsn, payload: &str) -> u64 {
         let mut g = self.inner.lock();
+        debug_assert!(
+            g.unsynced
+                .last()
+                .or(g.synced.last())
+                .is_none_or(|l| l.lsn < lsn),
+            "log appends must be LSN-ascending: the cursor read bisects on it"
+        );
         g.unsynced.push(LogLine {
             lsn,
             payload: payload.to_string(),
@@ -114,9 +176,10 @@ impl LogDevice {
         if g.unsynced.is_empty() {
             return (Self::durable_lsn(&g), 0);
         }
-        let bytes: u64 = g.unsynced.iter().map(|l| l.payload.len() as u64 + 16).sum();
+        let bytes: u64 = g.unsynced.iter().map(|l| line_bytes(&l.payload)).sum();
         let moved = std::mem::take(&mut g.unsynced);
         g.synced.extend(moved);
+        g.synced_bytes += bytes;
         g.syncs += 1;
         (Self::durable_lsn(&g), self.cost.write_ns(bytes))
     }
@@ -142,7 +205,14 @@ impl LogDevice {
         if g.refuse_checkpoints {
             return 0;
         }
-        g.synced.retain(|l| l.lsn > lsn);
+        let covered = g.line_after(lsn);
+        let pruned: u64 = g
+            .synced
+            .drain(..covered)
+            .map(|l| line_bytes(&l.payload))
+            .sum();
+        g.synced_bytes -= pruned;
+        g.verified = g.verified.saturating_sub(covered);
         g.checkpoint = Some((lsn, snapshot.to_string()));
         self.cost.write_ns(snapshot.len() as u64)
     }
@@ -152,9 +222,13 @@ impl LogDevice {
         self.inner.lock().checkpoint.as_ref().map(|&(lsn, _)| lsn)
     }
 
-    /// Model `kill -9`: the buffered tail is lost, durable state survives.
+    /// Model `kill -9`: the buffered tail is lost, durable state survives
+    /// — and whoever reads it next re-verifies every line, as after a
+    /// real restart.
     pub fn crash(&self) {
-        self.inner.lock().unsynced.clear();
+        let mut g = self.inner.lock();
+        g.unsynced.clear();
+        g.verified = 0;
     }
 
     /// Chaos hook: crash *and* pin the durable prefix at `lsn`, discarding
@@ -162,16 +236,21 @@ impl LogDevice {
     pub fn truncate_after(&self, lsn: Lsn) {
         let mut g = self.inner.lock();
         g.unsynced.clear();
-        g.synced.retain(|l| l.lsn <= lsn);
+        let keep = g.line_after(lsn);
+        let cut: u64 = g.synced.drain(keep..).map(|l| line_bytes(&l.payload)).sum();
+        g.synced_bytes -= cut;
+        g.verified = g.verified.min(keep);
     }
 
     /// Read the durable image back for recovery: the checkpoint (if any)
-    /// plus every durable record past it, checksums verified. A corrupt
-    /// line ends the tail (torn write); a corrupt checkpoint is fatal.
+    /// plus the whole readable tail — the cursor read from before the
+    /// first LSN, so a line a late fsync landed at or below the cover is
+    /// replayed too (redo is idempotent). A corrupt line ends the tail
+    /// (torn write); a corrupt checkpoint is fatal.
     /// Returns `(checkpoint, tail, virtual cost)`.
     #[allow(clippy::type_complexity)]
     pub fn read_back(&self) -> SrbResult<(Option<(Lsn, String)>, Vec<(Lsn, String)>, u64)> {
-        let g = self.inner.lock();
+        let mut g = self.inner.lock();
         let mut bytes = 0u64;
         let checkpoint = match &g.checkpoint {
             Some((lsn, snap)) => {
@@ -183,25 +262,30 @@ impl LogDevice {
             }
             None => None,
         };
-        let mut tail = Vec::with_capacity(g.synced.len());
-        for line in &g.synced {
-            if line_checksum(line.lsn, &line.payload) != line.checksum {
-                break; // torn tail: everything before it is still good
-            }
-            bytes += line.payload.len() as u64 + 16;
-            tail.push((line.lsn, line.payload.clone()));
-        }
+        let tail = g.tail_after(Lsn::default());
+        bytes += tail.iter().map(|(_, p)| line_bytes(p)).sum::<u64>();
         Ok((checkpoint, tail, self.cost.read_ns(bytes)))
+    }
+
+    /// Cursor read for replication: the readable durable lines with
+    /// `lsn > since`, found by binary search — the device lock is held for,
+    /// and bytes are cloned in proportion to, what is new, not what is
+    /// kept. Whether a checkpoint has pruned past `since` is decided under
+    /// the same lock hold as the read, so an answer is never lines with a
+    /// hole in them. A checkpoint exactly at `since` pruned nothing the
+    /// cursor lacks. Like [`LogDevice::read_back`], the read stops in
+    /// front of a torn line.
+    pub fn read_after(&self, since: Lsn) -> TailRead {
+        let mut g = self.inner.lock();
+        match g.checkpoint {
+            Some((checkpoint, _)) if checkpoint > since => TailRead::Pruned { checkpoint },
+            _ => TailRead::Lines(g.tail_after(since)),
+        }
     }
 
     /// Durable log payload bytes currently held past the checkpoint.
     pub fn log_bytes(&self) -> u64 {
-        self.inner
-            .lock()
-            .synced
-            .iter()
-            .map(|l| l.payload.len() as u64 + 16)
-            .sum()
+        self.inner.lock().synced_bytes
     }
 
     /// `(lifetime appends, lifetime syncs, durable records past the
@@ -223,8 +307,10 @@ impl LogDevice {
     /// simulating a torn write discovered at recovery.
     #[doc(hidden)]
     pub fn corrupt_last_synced(&self) {
-        if let Some(line) = self.inner.lock().synced.last_mut() {
+        let mut g = self.inner.lock();
+        if let Some(line) = g.synced.last_mut() {
             line.checksum ^= 0xdead_beef;
+            g.verified = g.verified.min(g.synced.len() - 1);
         }
     }
 }
@@ -309,9 +395,122 @@ mod tests {
     fn stats_and_bytes_track_activity() {
         let d = LogDevice::new();
         d.append(Lsn(1), "abcd");
+        assert_eq!(d.log_bytes(), 0, "buffered is not durable");
         d.sync();
         let (appends, syncs, records) = d.stats();
         assert_eq!((appends, syncs, records), (1, 1, 1));
         assert_eq!(d.log_bytes(), 20);
+        // The running total follows every way the durable tail changes.
+        d.append(Lsn(2), "ef");
+        d.append(Lsn(3), "");
+        d.sync();
+        assert_eq!(d.log_bytes(), 20 + 18 + 16);
+        d.install_checkpoint(Lsn(1), "{snap}");
+        assert_eq!(d.log_bytes(), 18 + 16);
+        d.truncate_after(Lsn(2));
+        assert_eq!(d.log_bytes(), 18);
+        d.install_checkpoint(Lsn(9), "{snap}");
+        assert_eq!((d.log_bytes(), d.stats().2), (0, 0));
+    }
+
+    /// A device holding durable lines at `lsns`, payload `r<lsn>`.
+    fn device_with(lsns: &[u64]) -> LogDevice {
+        let d = LogDevice::new();
+        for &i in lsns {
+            d.append(Lsn(i), &format!("r{i}"));
+        }
+        d.sync();
+        d
+    }
+
+    fn lsns_after(d: &LogDevice, since: u64) -> Vec<u64> {
+        match d.read_after(Lsn(since)) {
+            TailRead::Lines(lines) => {
+                for (lsn, payload) in &lines {
+                    assert_eq!(payload, &format!("r{}", lsn.raw()));
+                }
+                lines.into_iter().map(|(lsn, _)| lsn.raw()).collect()
+            }
+            TailRead::Pruned { checkpoint } => panic!("pruned at {checkpoint}"),
+        }
+    }
+
+    #[test]
+    fn cursor_read_seeks_by_lsn() {
+        // LSNs with gaps: a cursor need not name a line that exists.
+        let d = device_with(&[3, 4, 7, 8, 9]);
+        assert_eq!(lsns_after(&d, 0), [3, 4, 7, 8, 9], "below the first line");
+        assert_eq!(lsns_after(&d, 3), [4, 7, 8, 9], "on a line");
+        assert_eq!(lsns_after(&d, 5), [7, 8, 9], "between lines");
+        assert_eq!(lsns_after(&d, 8), [9]);
+        assert_eq!(lsns_after(&d, 9), [] as [u64; 0], "at the last line");
+        assert_eq!(lsns_after(&d, 50), [] as [u64; 0], "past the end");
+        // Buffered lines are not durable and not read.
+        d.append(Lsn(10), "r10");
+        assert_eq!(lsns_after(&d, 8), [9]);
+        d.sync();
+        assert_eq!(lsns_after(&d, 8), [9, 10]);
+        // An empty tail, with and without a checkpoint.
+        assert_eq!(lsns_after(&LogDevice::new(), 0), [] as [u64; 0]);
+        d.install_checkpoint(Lsn(10), "{snap}");
+        assert_eq!(lsns_after(&d, 10), [] as [u64; 0]);
+    }
+
+    #[test]
+    fn cursor_read_reports_a_prune_past_the_cursor() {
+        let d = device_with(&[1, 2, 3, 4, 5, 6]);
+        d.install_checkpoint(Lsn(4), "{snap}");
+        for since in 0..4 {
+            assert_eq!(
+                d.read_after(Lsn(since)),
+                TailRead::Pruned { checkpoint: Lsn(4) }
+            );
+        }
+        // A checkpoint exactly at the cursor pruned nothing the cursor lacks.
+        assert_eq!(lsns_after(&d, 4), [5, 6]);
+        assert_eq!(lsns_after(&d, 5), [6]);
+    }
+
+    #[test]
+    fn cursor_read_never_passes_a_torn_line() {
+        let d = device_with(&[1, 2, 3]);
+        assert_eq!(lsns_after(&d, 0), [1, 2, 3]); // all three verified
+        d.corrupt_last_synced();
+        for i in 4..=6 {
+            d.append(Lsn(i), &format!("r{i}"));
+        }
+        d.sync();
+        assert_eq!(lsns_after(&d, 0), [1, 2]);
+        assert_eq!(lsns_after(&d, 2), [] as [u64; 0]);
+        // Clean lines behind the damage stay out of reach of any cursor,
+        // as they are for recovery.
+        assert_eq!(lsns_after(&d, 3), [] as [u64; 0]);
+        assert_eq!(lsns_after(&d, 5), [] as [u64; 0]);
+        assert_eq!(d.read_back().unwrap().1.len(), 2);
+        // Pruning the torn line away makes what follows readable again.
+        d.install_checkpoint(Lsn(3), "{snap}");
+        assert_eq!(lsns_after(&d, 3), [4, 5, 6]);
+    }
+
+    #[test]
+    fn cursor_read_survives_a_cut_below_the_cursor() {
+        let d = device_with(&[1, 2, 3, 4, 5]);
+        assert_eq!(lsns_after(&d, 4), [5]);
+        d.truncate_after(Lsn(2));
+        assert_eq!(lsns_after(&d, 4), [] as [u64; 0]);
+        assert_eq!(lsns_after(&d, 1), [2]);
+        d.crash(); // a restart re-verifies from cold
+        assert_eq!(lsns_after(&d, 0), [1, 2]);
+    }
+
+    #[test]
+    fn read_back_is_the_cursor_read_from_the_start() {
+        let d = device_with(&[1, 2, 3, 4]);
+        d.install_checkpoint(Lsn(2), "{snap}");
+        let (_, tail, cost) = d.read_back().unwrap();
+        assert_eq!(TailRead::Lines(tail), d.read_after(Lsn(2)));
+        // The read is priced on the snapshot plus the lines returned.
+        let bytes = "{snap}".len() as u64 + 2 * (2 + 16);
+        assert_eq!(cost, d.cost.read_ns(bytes));
     }
 }

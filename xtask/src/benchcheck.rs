@@ -60,16 +60,21 @@ fn check(root: &Path, file: &str, scan_field: &str, scan_scale: f64) -> Result<S
 }
 
 fn rows_of(root: &Path, file: &str) -> Result<Vec<Value>, String> {
+    array_of(root, file, "rows")
+}
+
+/// The non-empty array `key` of the artifact `file`.
+fn array_of(root: &Path, file: &str, key: &str) -> Result<Vec<Value>, String> {
     let path = root.join(file);
     let text = std::fs::read_to_string(&path)
         .map_err(|e| format!("unreadable ({e}); run the exp binary with --json first"))?;
     let v: Value = serde_json::from_str(&text).map_err(|e| format!("invalid JSON: {e}"))?;
     let rows = v
-        .get("rows")
+        .get(key)
         .and_then(Value::as_array)
-        .ok_or("missing `rows` array")?;
+        .ok_or(format!("missing `{key}` array"))?;
     if rows.is_empty() {
-        return Err("`rows` array is empty".into());
+        return Err(format!("`{key}` array is empty"));
     }
     Ok(rows.clone())
 }
@@ -617,7 +622,11 @@ fn check_recovery(root: &Path) -> Result<String, String> {
 /// byte-identically, a federated query can never beat the local one (the
 /// remote leg pays the peering link), the federated premium must grow
 /// with link latency, and the replication exposure window must be
-/// monotone non-decreasing as the link slows down.
+/// monotone non-decreasing as the link slows down. The `tail` sweep must
+/// show replication incremental: exporting and pumping a fixed batch of
+/// new records costs at most 3x more wall time behind the longest
+/// already-fetched log recorded than behind the shortest (a reader that
+/// rescans the log from LSN 1 is ~10x per decade).
 fn check_zone(root: &Path) -> Result<String, String> {
     let rows = rows_of(root, "BENCH_ZONE.json")?;
     let mut prev_latency = -1.0f64;
@@ -667,9 +676,32 @@ fn check_zone(root: &Path) -> Result<String, String> {
         prev_fed = fed;
         prev_lag = lag;
     }
+    let tail = array_of(root, "BENCH_ZONE.json", "tail")?;
+    if tail.len() < 2 {
+        return Err("`tail` needs at least two log lengths to compare".into());
+    }
+    let (short, long) = (&tail[0], &tail[tail.len() - 1]);
+    let behind = |row: &Value| num(row, "behind_records").ok_or("tail: missing behind_records");
+    let (few, many) = (behind(short)?, behind(long)?);
+    if many < 5.0 * few {
+        return Err("tail: rows must span at least 5x in log length".into());
+    }
+    for field in ["export_us", "pump_ms"] {
+        let at = |row: &Value| num(row, field).ok_or(format!("tail: missing {field}"));
+        let (lo, hi) = (at(short)?, at(long)?);
+        if lo <= 0.0 || hi > 3.0 * lo {
+            return Err(format!(
+                "tail: {field} grew {lo:.1} -> {hi:.1} from {few} to {many} records \
+                 behind the cursor — replication cost follows log length, \
+                 not what is new"
+            ));
+        }
+    }
     Ok(format!(
-        "{} link classes ok, all converged, lag monotone in link latency",
-        rows.len()
+        "{} link classes ok, all converged, lag monotone in link latency; \
+         replication flat over {:.0}x log length",
+        rows.len(),
+        many / few
     ))
 }
 
