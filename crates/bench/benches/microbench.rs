@@ -45,21 +45,6 @@ fn bench_catalog(c: &mut Criterion) {
     g.bench_function("query_conjunctive_10k", |b| {
         b.iter(|| conn.query(&q_range).unwrap())
     });
-    // The E5 six-condition workload, planner vs the pre-overhaul engine,
-    // measured at the catalog layer (no permission filtering).
-    let q6 = Query::everywhere()
-        .and("serial", CompareOp::Lt, 400i64)
-        .and("kind", CompareOp::Eq, "image")
-        .and("score", CompareOp::Ge, 200i64)
-        .and("score", CompareOp::Lt, 900i64)
-        .and("serial", CompareOp::Ge, 10i64)
-        .and("kind", CompareOp::Ne, "movie");
-    g.bench_function("query_6cond_planner_10k", |b| {
-        b.iter(|| grid.mcat.query(&q6).unwrap())
-    });
-    g.bench_function("query_6cond_single_driver_10k", |b| {
-        b.iter(|| grid.mcat.query_single_driver(&q6).unwrap())
-    });
     // Unordered paging: verification short-circuits at 25 confirmed hits.
     let q_page = Query::everywhere()
         .and("kind", CompareOp::Eq, "image")

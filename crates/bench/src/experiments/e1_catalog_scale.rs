@@ -2,10 +2,9 @@
 //!
 //! Grows the catalog through decades of size and reports per-operation
 //! wall-clock costs at each scale: ingest, point query through the
-//! multi-index planner, the same point query through the pre-overhaul
-//! single-driver engine (the "before" row for `BENCH_E1.json`), and the
-//! full-scan baseline. The claim holds if ingest and indexed-query costs
-//! stay near-flat while the scan cost grows linearly.
+//! multi-index planner, and the same point query through the full-scan
+//! baseline. The claim holds if ingest and indexed-query costs stay
+//! near-flat while the scan cost grows linearly.
 
 use crate::fixtures::{connect, ok, single_site_grid, time_us};
 use crate::table::Table;
@@ -19,7 +18,6 @@ struct Row {
     datasets: usize,
     ingest_us: f64,
     planner_us: f64,
-    single_driver_us: f64,
     scan_ms: f64,
     hits: usize,
 }
@@ -48,17 +46,13 @@ fn measure(max: usize) -> (Vec<Row>, serde_json::Value) {
         let ingest_us = t0.elapsed().as_micros() as f64 / grown.max(1) as f64;
         current = size;
 
-        // Point query on the unique attribute, through all three engines.
+        // Point query on the unique attribute, through both engines.
         let probe = (size / 2) as i64;
         let q = Query::everywhere().and("serial", CompareOp::Eq, probe);
         let hits = ok(mcat.query(&q)).len();
-        assert_eq!(hits, ok(mcat.query_single_driver(&q)).len());
         assert_eq!(hits, ok(mcat.query_scan(&q)).len());
         let planner_us = time_us(100, || {
             ok(mcat.query(&q));
-        });
-        let single_driver_us = time_us(100, || {
-            ok(mcat.query_single_driver(&q));
         });
         let scan_ms = time_us(1, || {
             ok(mcat.query_scan(&q));
@@ -67,7 +61,6 @@ fn measure(max: usize) -> (Vec<Row>, serde_json::Value) {
             datasets: size,
             ingest_us,
             planner_us,
-            single_driver_us,
             scan_ms,
             hits,
         });
@@ -78,7 +71,7 @@ fn measure(max: usize) -> (Vec<Row>, serde_json::Value) {
 }
 
 /// Run with catalog sizes up to `max` (e.g. 100_000; override with the
-/// SRB_E1_MAX environment variable in the binary).
+/// `SRB_E1_MAX` environment variable of `exp e1_catalog_scale`).
 pub fn run(max: usize) -> Table {
     let mut table = Table::new(
         "E1: catalog scalability (per-op wall time vs catalog size)",
@@ -86,7 +79,6 @@ pub fn run(max: usize) -> Table {
             "datasets",
             "ingest us/op",
             "planner us",
-            "1-driver us",
             "scan query ms",
             "hits",
         ],
@@ -96,7 +88,6 @@ pub fn run(max: usize) -> Table {
             r.datasets.to_string(),
             format!("{:.1}", r.ingest_us),
             format!("{:.1}", r.planner_us),
-            format!("{:.1}", r.single_driver_us),
             format!("{:.2}", r.scan_ms),
             r.hits.to_string(),
         ]);
@@ -104,39 +95,32 @@ pub fn run(max: usize) -> Table {
     table
 }
 
-/// The same measurements as machine-readable before/after rows for
-/// `BENCH_E1.json` (`--json` mode of the `exp_e1_catalog_scale` binary);
-/// `single_driver_us` is the "before" engine, `planner_us` the "after".
+/// The same measurements as machine-readable rows for `BENCH_E1.json`
+/// (`exp e1_catalog_scale --json`).
 pub fn run_json(max: usize) -> serde_json::Value {
-    run_json_with_metrics(max).0
-}
-
-/// `run_json` plus the grid's full metric snapshot from the same run —
-/// the `--metrics-json` flag of the binary writes it next to
-/// `BENCH_E1.json` so a seeded run's counters can be diffed offline.
-pub fn run_json_with_metrics(max: usize) -> (serde_json::Value, serde_json::Value) {
-    let (measured, metrics) = measure(max);
-    let rows: Vec<serde_json::Value> = measured
+    let rows: Vec<serde_json::Value> = measure(max)
+        .0
         .iter()
         .map(|r| {
             json!({
                 "datasets": r.datasets,
                 "ingest_us_per_op": r.ingest_us,
                 "planner_us": r.planner_us,
-                "single_driver_us": r.single_driver_us,
                 "scan_ms": r.scan_ms,
                 "hits": r.hits,
-                "speedup_vs_single_driver": r.single_driver_us / r.planner_us.max(0.001),
             })
         })
         .collect();
-    let v = json!({
+    json!({
         "experiment": "e1_catalog_scale",
         "max_datasets": max,
-        "before_engine": "single_driver",
-        "after_engine": "planner",
         "rows": rows,
-    });
-    let metrics = json!({ "experiment": "e1_catalog_scale", "snapshot": metrics });
-    (v, metrics)
+    })
+}
+
+/// The grid's full metric snapshot after the same run — `exp
+/// e1_catalog_scale --metrics-json` writes it next to `BENCH_E1.json` so a
+/// seeded run's counters can be diffed offline.
+pub fn metrics_json(max: usize) -> serde_json::Value {
+    json!({ "experiment": "e1_catalog_scale", "snapshot": measure(max).1 })
 }

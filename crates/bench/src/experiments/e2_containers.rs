@@ -7,7 +7,7 @@
 //! Sweeping the file size shows the advantage shrinking as files grow —
 //! the crossover the aggregation design targets.
 
-use crate::fixtures::{connect, federated_grid};
+use crate::fixtures::{connect, federated_grid, ok};
 use crate::table::Table;
 use srb_core::IngestOptions;
 
@@ -27,46 +27,42 @@ pub fn run(n_files: usize) -> Table {
         let (grid, [s1, ..]) = federated_grid();
         let conn = connect(&grid, s1);
         let payload = vec![0xA5u8; size];
-        conn.make_collection("/home/bench/raw").unwrap();
-        conn.make_collection("/home/bench/ct").unwrap();
+        ok(conn.make_collection("/home/bench/raw"));
+        ok(conn.make_collection("/home/bench/ct"));
         // Individually archived files.
         for i in 0..n_files {
-            conn.ingest(
+            ok(conn.ingest(
                 &format!("/home/bench/raw/f{i}"),
                 &payload,
                 IngestOptions::to_resource("hpss-caltech"),
-            )
-            .unwrap();
+            ));
         }
         // Containerized files on the cache+archive logical resource.
-        conn.create_container("ct", "ct-store", (size * n_files * 2 + 1024) as u64)
-            .unwrap();
+        ok(conn.create_container("ct", "ct-store", (size * n_files * 2 + 1024) as u64));
         for i in 0..n_files {
-            conn.ingest(
+            ok(conn.ingest(
                 &format!("/home/bench/ct/f{i}"),
                 &payload,
                 IngestOptions::into_container("ct"),
-            )
-            .unwrap();
+            ));
         }
-        conn.sync_container("ct").unwrap();
+        ok(conn.sync_container("ct"));
         // Go cold: purge the container cache and the archive staging area.
-        conn.purge_container_cache("ct").unwrap();
-        let hpss = grid.resource_id("hpss-caltech").unwrap();
-        grid.driver(hpss)
-            .unwrap()
+        ok(conn.purge_container_cache("ct"));
+        let hpss = ok(grid.resource_id("hpss-caltech"));
+        ok(ok(grid.driver(hpss))
             .as_archive()
-            .unwrap()
-            .purge_staged();
+            .ok_or("hpss-caltech is not an archive"))
+        .purge_staged();
 
         let mut per_file_ns = 0u64;
         for i in 0..n_files {
-            let (_, r) = conn.read(&format!("/home/bench/raw/f{i}")).unwrap();
+            let (_, r) = ok(conn.read(&format!("/home/bench/raw/f{i}")));
             per_file_ns += r.sim_ns;
         }
         let mut container_ns = 0u64;
         for i in 0..n_files {
-            let (_, r) = conn.read(&format!("/home/bench/ct/f{i}")).unwrap();
+            let (_, r) = ok(conn.read(&format!("/home/bench/ct/f{i}")));
             container_ns += r.sim_ns;
         }
         table.row(vec![

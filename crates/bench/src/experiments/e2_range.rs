@@ -5,13 +5,9 @@
 //! unique `serial` Int, unique `tag` Text, random `score`) is queried with
 //! two constant-result-size predicates — a bounded numeric range
 //! (`serial < 100`) and a literal text prefix (`tag like "t00000%"`) —
-//! each answered three ways on the same [`Query`]:
+//! each answered two ways on the same [`Query`]:
 //!
 //! - **planner** — ordered-index range scan ([`srb_mcat::Mcat::query`]),
-//! - **single-driver** — the pre-overhaul engine kept as an ablation
-//!   ([`srb_mcat::Mcat::query_single_driver`]); its driver-index lookup
-//!   shares `MetaStore::candidates`, so it inherits the ordered index for
-//!   the driver and only pays per-candidate re-verification on top,
 //! - **scan** — the index-free full scan ([`srb_mcat::Mcat::query_scan`]),
 //!   which verifies the range predicate against every dataset in scope:
 //!   the residual-verification baseline for range/prefix predicates.
@@ -142,10 +138,8 @@ struct RangeRow {
     size: usize,
     hits: usize,
     planner_range_us: f64,
-    single_driver_range_us: f64,
     scan_range_us: f64,
     planner_prefix_us: f64,
-    single_driver_prefix_us: f64,
     scan_prefix_us: f64,
     /// One-shot mid-index window query.
     planner_window_us: f64,
@@ -175,7 +169,6 @@ fn measure_range(max: usize) -> Vec<RangeRow> {
             let qp = prefix_query(m, coll);
             let hits = ok(m.query(&qr)).len();
             assert_eq!(hits, ok(m.query_scan(&qr)).len());
-            assert_eq!(hits, ok(m.query_single_driver(&qr)).len());
             assert_eq!(ok(m.query(&qp)).len(), ok(m.query_scan(&qp)).len());
             let qw = window_query(m, coll, size);
             assert_eq!(ok(m.query(&qw)), ok(m.query_scan(&qw)));
@@ -188,17 +181,11 @@ fn measure_range(max: usize) -> Vec<RangeRow> {
                 planner_range_us: time_us(20, || {
                     ok(m.query(&qr));
                 }),
-                single_driver_range_us: time_us(baseline_reps, || {
-                    ok(m.query_single_driver(&qr));
-                }),
                 scan_range_us: time_us(baseline_reps, || {
                     ok(m.query_scan(&qr));
                 }),
                 planner_prefix_us: time_us(20, || {
                     ok(m.query(&qp));
-                }),
-                single_driver_prefix_us: time_us(baseline_reps, || {
-                    ok(m.query_single_driver(&qp));
                 }),
                 scan_prefix_us: time_us(baseline_reps, || {
                     ok(m.query_scan(&qp));
@@ -364,7 +351,7 @@ fn determinism_block() -> serde_json::Value {
     })
 }
 
-/// Human-readable range table (the `run_all_experiments` view).
+/// Human-readable range table.
 pub fn run(max: usize) -> Table {
     let mut table = Table::new(
         &format!("E2: range/prefix query latency vs catalog size (up to {max} datasets)"),
@@ -372,7 +359,6 @@ pub fn run(max: usize) -> Table {
             "datasets",
             "hits",
             "range idx us",
-            "range 1-drv us",
             "range scan us",
             "prefix idx us",
             "prefix scan us",
@@ -386,16 +372,12 @@ pub fn run(max: usize) -> Table {
             r.size.to_string(),
             r.hits.to_string(),
             format!("{:.0}", r.planner_range_us),
-            format!("{:.0}", r.single_driver_range_us),
             format!("{:.0}", r.scan_range_us),
             format!("{:.0}", r.planner_prefix_us),
             format!("{:.0}", r.scan_prefix_us),
             format!("{:.0}", r.planner_window_us),
             format!("{:.0}", r.window_page_us),
-            format!(
-                "{:.1}x",
-                r.single_driver_range_us / r.planner_range_us.max(0.001)
-            ),
+            format!("{:.1}x", r.scan_range_us / r.planner_range_us.max(0.001)),
         ]);
     }
     table
@@ -439,9 +421,8 @@ fn page_rows_json(rows: &[PageRow]) -> Vec<serde_json::Value> {
         .collect()
 }
 
-/// Machine-readable results for `BENCH_E2.json` (`--json` mode of the
-/// `exp_e2_range` binary), gated by `check_e2` in `cargo xtask
-/// benchcheck`.
+/// Machine-readable results for `BENCH_E2.json` (`exp e2_range --json`),
+/// gated by `check_e2` in `cargo xtask benchcheck`.
 pub fn run_json(max: usize) -> serde_json::Value {
     let range_rows: Vec<serde_json::Value> = measure_range(max)
         .iter()
@@ -450,15 +431,11 @@ pub fn run_json(max: usize) -> serde_json::Value {
                 "size": r.size,
                 "hits": r.hits,
                 "planner_range_us": r.planner_range_us,
-                "single_driver_range_us": r.single_driver_range_us,
                 "scan_range_us": r.scan_range_us,
                 "planner_prefix_us": r.planner_prefix_us,
-                "single_driver_prefix_us": r.single_driver_prefix_us,
                 "scan_prefix_us": r.scan_prefix_us,
                 "planner_window_us": r.planner_window_us,
                 "window_page_us": r.window_page_us,
-                "range_speedup_vs_single_driver":
-                    r.single_driver_range_us / r.planner_range_us.max(0.001),
                 "range_speedup_vs_scan": r.scan_range_us / r.planner_range_us.max(0.001),
             })
         })

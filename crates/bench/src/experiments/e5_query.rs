@@ -2,13 +2,10 @@
 //! indexes vs full scan).
 //!
 //! A seeded catalog is queried with growing numbers of ANDed conditions;
-//! each row compares three engines on the same [`Query`]:
+//! each row compares two engines on the same [`Query`]:
 //!
 //! - **planner** — the multi-index intersection planner
 //!   ([`srb_mcat::Mcat::query`]),
-//! - **single-driver** — the pre-overhaul engine kept as an ablation
-//!   ([`srb_mcat::Mcat::query_single_driver`]): one driver index,
-//!   per-candidate verification on cloned rows,
 //! - **scan** — the index-free full scan
 //!   ([`srb_mcat::Mcat::query_scan`]).
 //!
@@ -41,7 +38,6 @@ struct Row {
     conds: usize,
     hits: usize,
     planner_us: f64,
-    single_driver_us: f64,
     scan_us: f64,
 }
 
@@ -58,13 +54,9 @@ fn measure(n: usize) -> Vec<Row> {
             q = q.and(attr, *op, val.clone());
         }
         let hits = ok(mcat.query(&q)).len();
-        assert_eq!(hits, ok(mcat.query_single_driver(&q)).len());
         assert_eq!(hits, ok(mcat.query_scan(&q)).len());
         let planner_us = time_us(20, || {
             ok(mcat.query(&q));
-        });
-        let single_driver_us = time_us(5, || {
-            ok(mcat.query_single_driver(&q));
         });
         let scan_us = time_us(1, || {
             ok(mcat.query_scan(&q));
@@ -73,7 +65,6 @@ fn measure(n: usize) -> Vec<Row> {
             conds: ncond,
             hits,
             planner_us,
-            single_driver_us,
             scan_us,
         });
     }
@@ -82,14 +73,12 @@ fn measure(n: usize) -> Vec<Row> {
 
 pub fn run(n: usize) -> Table {
     let mut table = Table::new(
-        &format!("E5: conjunctive query cost over {n} datasets (planner vs single-driver vs scan)"),
+        &format!("E5: conjunctive query cost over {n} datasets (planner vs scan)"),
         &[
             "conditions",
             "hits",
             "planner us",
-            "1-driver us",
             "scan us",
-            "1-driver/planner",
             "scan/planner",
         ],
     );
@@ -98,18 +87,15 @@ pub fn run(n: usize) -> Table {
             r.conds.to_string(),
             r.hits.to_string(),
             format!("{:.0}", r.planner_us),
-            format!("{:.0}", r.single_driver_us),
             format!("{:.0}", r.scan_us),
-            format!("{:.1}x", r.single_driver_us / r.planner_us.max(0.001)),
             format!("{:.1}x", r.scan_us / r.planner_us.max(0.001)),
         ]);
     }
     table
 }
 
-/// The same measurements as machine-readable before/after rows for
-/// `BENCH_E5.json` (`--json` mode of the `exp_e5_query` binary);
-/// `single_driver_us` is the "before" engine, `planner_us` the "after".
+/// The same measurements as machine-readable rows for `BENCH_E5.json`
+/// (`exp e5_query --json`).
 pub fn run_json(n: usize) -> serde_json::Value {
     let rows: Vec<serde_json::Value> = measure(n)
         .iter()
@@ -118,9 +104,7 @@ pub fn run_json(n: usize) -> serde_json::Value {
                 "conditions": r.conds,
                 "hits": r.hits,
                 "planner_us": r.planner_us,
-                "single_driver_us": r.single_driver_us,
                 "scan_us": r.scan_us,
-                "speedup_vs_single_driver": r.single_driver_us / r.planner_us.max(0.001),
                 "speedup_vs_scan": r.scan_us / r.planner_us.max(0.001),
             })
         })
@@ -128,8 +112,6 @@ pub fn run_json(n: usize) -> serde_json::Value {
     json!({
         "experiment": "e5_query",
         "datasets": n,
-        "before_engine": "single_driver",
-        "after_engine": "planner",
         "rows": rows,
     })
 }

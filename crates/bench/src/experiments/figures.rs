@@ -6,6 +6,7 @@
 //! * Figure 2: "File Ingestion Page with Metadata for Dublin Core
 //!   Attributes and other user-defined attributes" → the ingest form.
 
+use crate::fixtures::ok;
 use crate::table::Table;
 use mysrb::{MySrb, Request};
 use srb_core::{GridBuilder, IngestOptions, RegisterSpec, SrbConnection};
@@ -25,44 +26,35 @@ fn seeded_app_output(page: &str) -> (String, Table) {
         .db_resource("oracle-dlib", srv2)
         .logical_resource("logrsrc1", &["unix-sdsc", "hpss-caltech"]);
     let grid = gb.build();
-    grid.register_user("sekar", "sdsc", "demo").unwrap();
-    let conn = SrbConnection::connect(&grid, srv, "sekar", "sdsc", "demo").unwrap();
-    conn.make_collection("/home/sekar/Avian Culture").unwrap();
-    let avian = grid
+    ok(grid.register_user("sekar", "sdsc", "demo"));
+    let conn = ok(SrbConnection::connect(&grid, srv, "sekar", "sdsc", "demo"));
+    ok(conn.make_collection("/home/sekar/Avian Culture"));
+    let avian = ok(grid
         .mcat
         .collections
-        .resolve(&LogicalPath::parse("/home/sekar/Avian Culture").unwrap())
-        .unwrap();
-    grid.mcat
-        .collections
-        .set_requirements(
-            avian,
-            vec![
-                AttrRequirement::mandatory("culture", "culture name"),
-                AttrRequirement::vocabulary("medium", &["image", "movie", "text"], "media"),
-            ],
-        )
-        .unwrap();
-    conn.ingest(
+        .resolve(&ok(LogicalPath::parse("/home/sekar/Avian Culture"))));
+    ok(grid.mcat.collections.set_requirements(
+        avian,
+        vec![
+            AttrRequirement::mandatory("culture", "culture name"),
+            AttrRequirement::vocabulary("medium", &["image", "movie", "text"], "media"),
+        ],
+    ));
+    ok(conn.ingest(
         "/home/sekar/Avian Culture/condor.jpg",
         b"JPEG",
         IngestOptions::to_resource("logrsrc1")
             .with_type("jpeg image")
             .with_metadata(Triplet::new("culture", "avian", ""))
             .with_metadata(Triplet::new("medium", "image", "")),
-    )
-    .unwrap();
+    ));
     {
-        let db = grid
-            .driver(grid.resource_id("oracle-dlib").unwrap())
-            .unwrap();
-        db.as_db()
-            .unwrap()
+        let db = ok(grid.driver(ok(grid.resource_id("oracle-dlib"))));
+        ok(ok(db.as_db().ok_or("oracle-dlib is not a database"))
             .engine()
-            .execute("CREATE TABLE s (x)")
-            .unwrap();
+            .execute("CREATE TABLE s (x)"));
     }
-    conn.register(
+    ok(conn.register(
         "/home/sekar/Avian Culture/specimens",
         RegisterSpec::Sql {
             resource: "oracle-dlib".into(),
@@ -73,10 +65,8 @@ fn seeded_app_output(page: &str) -> (String, Table) {
         IngestOptions::default()
             .with_metadata(Triplet::new("culture", "avian", ""))
             .with_metadata(Triplet::new("medium", "text", "")),
-    )
-    .unwrap();
-    conn.make_collection("/home/sekar/Avian Culture/movies")
-        .unwrap();
+    ));
+    ok(conn.make_collection("/home/sekar/Avian Culture/movies"));
 
     let app = MySrb::new(&grid, srv, 11);
     let resp = app.handle(&Request::post(
@@ -84,14 +74,14 @@ fn seeded_app_output(page: &str) -> (String, Table) {
         "user=sekar&domain=sdsc&password=demo",
         None,
     ));
-    let key = resp
+    let key = ok(resp
         .headers
         .iter()
         .find(|(k, _)| k == "Set-Cookie")
         .and_then(|(_, v)| v.strip_prefix("mysrb_session="))
-        .map(|v| v.split(';').next().unwrap().to_string())
-        .unwrap();
-    let resp = app.handle(&Request::get(page, Some(&key)));
+        .and_then(|v| v.split(';').next())
+        .ok_or("login set no session cookie"));
+    let resp = app.handle(&Request::get(page, Some(key)));
     assert_eq!(resp.status, 200, "{}", resp.text());
     (resp.text(), Table::new("", &[""]))
 }

@@ -36,7 +36,7 @@ pub use super::e6_parallel::real_workers;
 /// Web-session TTL re-exported for the sweep block.
 use mysrb::WEB_SESSION_TTL_SECS;
 
-/// Knobs (env-capped in CI; see `exp_load`).
+/// Knobs (env-capped in CI; see `exp load`).
 #[derive(Clone, Copy, Debug)]
 pub struct LoadParams {
     /// Cap on live sessions (rows above the cap are skipped).

@@ -169,7 +169,7 @@ pub fn run(max: usize) -> Table {
 }
 
 /// Machine-readable rows for `BENCH_RECOVERY.json` (`--json` mode of the
-/// `exp_recovery` binary), gated by `cargo xtask benchcheck`.
+/// `exp recovery` binary), gated by `cargo xtask benchcheck`.
 pub fn run_json(max: usize) -> serde_json::Value {
     let rows: Vec<serde_json::Value> = measure(max)
         .iter()

@@ -88,7 +88,7 @@ pub fn zone_connect<'f>(fed: &'f srb_core::Federation, z: srb_core::ZoneId) -> S
 }
 
 /// Unwrap an experiment-infrastructure result without `.unwrap()` (the
-/// unwrap-budget ratchet covers bench library code too).
+/// `no-unwrap` lint rule covers bench library code too).
 pub fn ok<T, E: std::fmt::Display>(r: Result<T, E>) -> T {
     match r {
         Ok(v) => v,

@@ -3,7 +3,8 @@
 //! The paper has no quantitative tables, so each experiment here
 //! regenerates the evidence for one of its *claims* (DESIGN.md §5 maps
 //! experiment ids to claims). Every experiment is a pure function printing
-//! a table; the `exp_*` binaries and `run_all_experiments` wrap them.
+//! a table; the `exp` binary runs them by name from one registry
+//! ([`experiments::REGISTRY`]).
 
 pub mod experiments;
 pub mod fixtures;

@@ -11,9 +11,9 @@
 //! all as `impl SrbConnection` blocks.
 //!
 //! Every op that touches a catalog table — the audit trail included, so
-//! audited reads too — has one shape: [`SrbConnection::begin_op`], a body
+//! audited reads too — has one shape: `SrbConnection::begin_op`, a body
 //! whose every failure lands in one `SrbResult`, and
-//! [`SrbConnection::end_op`], the only place an op audits, commits its WAL
+//! `SrbConnection::end_op`, the only place an op audits, commits its WAL
 //! group, pays for its durability, checkpoints, and reports to
 //! observability.
 

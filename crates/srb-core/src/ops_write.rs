@@ -291,44 +291,45 @@ impl SrbConnection<'_> {
                 ))
             }));
         }
-        let mut replicas = Vec::with_capacity(legs.len());
-        let mut stale_nums: Vec<u32> = Vec::new();
-        for (i, (leg, result)) in legs.iter().zip(&fan.results).enumerate() {
-            let spec = AccessSpec::Stored {
-                resource: leg.resource,
-                phys_path: leg.phys_path.clone(),
-            };
-            match result {
-                Ok(_) => replicas.push((spec, size, Some(checksum.to_string()))),
-                Err(_) => {
-                    stale_nums.push((i + 1) as u32);
-                    replicas.push((spec, size, None));
+        // Each replica is born with its status: a degraded ingest logs one
+        // row image, not a create and a correction.
+        let replicas: Vec<_> = legs
+            .iter()
+            .zip(&fan.results)
+            .map(|(leg, result)| {
+                let spec = AccessSpec::Stored {
+                    resource: leg.resource,
+                    phys_path: leg.phys_path.clone(),
+                };
+                match result {
+                    Ok(_) => (
+                        spec,
+                        size,
+                        Some(checksum.to_string()),
+                        ReplicaStatus::UpToDate,
+                    ),
+                    Err(_) => (spec, size, None, ReplicaStatus::Stale),
                 }
-            }
-        }
-        let ds = self.grid.mcat.datasets.create(
+            })
+            .collect();
+        let stale = fan.results.len() - fan.successes();
+        let created = self.grid.mcat.datasets.create_batch(
             &self.grid.mcat.ids,
             coll,
-            name,
             data_type,
             user,
-            replicas,
+            vec![NewDataset {
+                name: name.to_string(),
+                replicas,
+            }],
             self.now(),
         )?;
-        if !stale_nums.is_empty() {
-            self.grid.mcat.datasets.update(ds, |d| {
-                for r in d.replicas.iter_mut() {
-                    if stale_nums.contains(&r.repl_num) {
-                        r.status = ReplicaStatus::Stale;
-                    }
-                }
-                Ok(())
-            })?;
+        if stale > 0 {
             if let Some(obs) = self.grid.core_obs() {
-                obs.legs_stale.add(stale_nums.len() as u64);
+                obs.legs_stale.add(stale as u64);
             }
         }
-        Ok(ds)
+        Ok(created[0])
     }
 
     /// Overwrite an object's data; all up replicas are updated

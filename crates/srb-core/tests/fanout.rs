@@ -125,6 +125,46 @@ fn write_with_member_down_marks_stale_then_sync_repairs_sequential_mode() {
     assert_eq!(&data[..], b"v2-longer");
 }
 
+/// Stale bytes are served only to a connection that asked for them: with
+/// every fresh replica's resource down and one `Stale` replica reachable,
+/// the default connection fails closed; after `set_allow_stale(true)` the
+/// same read returns the stale copy, flagged on the receipt.
+#[test]
+fn stale_replica_is_served_only_to_a_connection_that_opted_in() {
+    let f = grid3();
+    let mut conn = connect(&f);
+    let fs3 = f.grid.resource_id("fs3").unwrap();
+    conn.ingest("/home/u/s", b"v1", IngestOptions::to_resource("log3"))
+        .unwrap();
+    f.grid.fail_resource("fs3").unwrap();
+    conn.write("/home/u/s", b"v2").unwrap();
+    f.grid.restore_resource("fs3").unwrap();
+    f.grid.fail_resource("fs1").unwrap();
+    f.grid.fail_resource("fs2").unwrap();
+    let reps = replicas(&f, "s");
+    assert_eq!(status_on(&reps, fs3), ReplicaStatus::Stale);
+
+    assert!(!conn.allow_stale());
+    let err = conn.read("/home/u/s").unwrap_err();
+    assert!(err.is_retryable(), "fails closed, retryably: {err:?}");
+
+    conn.set_allow_stale(true);
+    let (data, receipt) = conn.read("/home/u/s").unwrap();
+    assert_eq!(&data[..], b"v1", "the stale copy, not the missed write");
+    assert!(receipt.served_stale);
+    let stale = reps
+        .iter()
+        .find(|r| r.spec.resource() == Some(fs3))
+        .unwrap();
+    assert_eq!(receipt.served_by, Some(stale.id));
+
+    // With a fresh replica back, the opted-in connection prefers it.
+    f.grid.restore_resource("fs1").unwrap();
+    let (data, receipt) = conn.read("/home/u/s").unwrap();
+    assert_eq!(&data[..], b"v2");
+    assert!(!receipt.served_stale);
+}
+
 /// Satellite 1 regression: a fatal leg error must not abandon the
 /// staleness bookkeeping for replicas that *did* take the write. The
 /// surviving replica is committed up-to-date (new bytes readable) and the

@@ -433,7 +433,9 @@ fn failed_subscribe_leaves_no_mirror_behind() {
     assert!(fed.subscriptions().is_empty());
     let beta = &fed.zone(b).unwrap().grid.mcat;
     assert!(
-        beta.collections.resolve(&"/zones".parse().unwrap()).is_err(),
+        beta.collections
+            .resolve(&"/zones".parse().unwrap())
+            .is_err(),
         "failed subscribe left a half-built mirror behind"
     );
 }

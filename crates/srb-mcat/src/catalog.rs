@@ -761,101 +761,29 @@ impl Mcat {
                 .text_matches(Subject::Dataset(row.id), &c.value.lexical())
     }
 
-    /// Candidate counts past which verification fans out across a scoped
-    /// thread pool (never when the limit push-down may short-circuit).
-    const PARALLEL_VERIFY_THRESHOLD: usize = 1024;
-    /// Smallest candidate slice worth a verifier thread of its own.
-    const PARALLEL_VERIFY_CHUNK: usize = 512;
-    /// Upper bound on verifier threads regardless of hardware width.
-    const PARALLEL_VERIFY_MAX: usize = 8;
-
-    /// Verify scope membership and residual conditions for each candidate,
-    /// holding one metadata read guard and one dataset read guard for the
-    /// entire sweep (both `McatTable` rank, so they may be held together).
-    /// With an unordered limit, stops as soon as `limit` hits confirm.
-    fn verify_candidates(
-        &self,
-        q: &Query,
-        scope: &HashSet<CollectionId>,
-        residual: &[&QueryCondition],
-        candidates: Vec<DatasetId>,
-    ) -> Vec<DatasetId> {
-        let push_down = q.limit > 0 && !q.ordered;
-        if !push_down && candidates.len() > Self::PARALLEL_VERIFY_THRESHOLD {
-            return self.verify_parallel(q, scope, residual, &candidates);
-        }
+    /// The verification sweep: of `candidates`, lazily and in their order,
+    /// those that exist, lie in `scope` and satisfy every `residual`
+    /// condition. One metadata read guard and one dataset read guard (both
+    /// `McatTable` rank, so they may be held together) serve the whole
+    /// sweep and are released when the iterator is dropped — drop it
+    /// before taking either guard again.
+    fn sweep<'a>(
+        &'a self,
+        q: &'a Query,
+        scope: &'a HashSet<CollectionId>,
+        residual: &'a [&'a QueryCondition],
+        candidates: impl Iterator<Item = DatasetId> + 'a,
+    ) -> impl Iterator<Item = DatasetId> + 'a {
         let meta = self.metadata.batch();
         let ds = self.datasets.batch();
-        let mut out = Vec::new();
-        for d in candidates {
-            let Some(row) = ds.get_ref(d) else { continue };
-            if !scope.contains(&row.coll) {
-                continue;
-            }
-            if residual
-                .iter()
-                .all(|c| self.residual_matches(q, &meta, row, c))
-            {
-                out.push(d);
-                if push_down && out.len() >= q.limit {
-                    break;
-                }
-            }
-        }
-        out
-    }
-
-    /// Scoped-thread verification for large candidate sets. Each worker
-    /// takes its own read guards (the lock-rank `HELD` stack is
-    /// thread-local, so fresh `McatTable`-rank acquisitions are legal) and
-    /// sweeps a contiguous slice; slices are re-joined in order, keeping
-    /// the result deterministic.
-    fn verify_parallel(
-        &self,
-        q: &Query,
-        scope: &HashSet<CollectionId>,
-        residual: &[&QueryCondition],
-        candidates: &[DatasetId],
-    ) -> Vec<DatasetId> {
-        let hw = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let workers = (candidates.len() / Self::PARALLEL_VERIFY_CHUNK)
-            .clamp(1, hw.min(Self::PARALLEL_VERIFY_MAX));
-        let chunk = candidates.len().div_ceil(workers);
-        let mut confirmed = Vec::with_capacity(candidates.len());
-        std::thread::scope(|s| {
-            let handles: Vec<_> = candidates
-                .chunks(chunk)
-                .map(|part| {
-                    s.spawn(move || {
-                        let meta = self.metadata.batch();
-                        let ds = self.datasets.batch();
-                        let mut out = Vec::new();
-                        for &d in part {
-                            let Some(row) = ds.get_ref(d) else { continue };
-                            if !scope.contains(&row.coll) {
-                                continue;
-                            }
-                            if residual
-                                .iter()
-                                .all(|c| self.residual_matches(q, &meta, row, c))
-                            {
-                                out.push(d);
-                            }
-                        }
-                        out
-                    })
-                })
-                .collect();
-            for h in handles {
-                match h.join() {
-                    Ok(mut part) => confirmed.append(&mut part),
-                    Err(panic) => std::panic::resume_unwind(panic),
-                }
-            }
-        });
-        confirmed
+        candidates.filter(move |&d| {
+            ds.get_ref(d).is_some_and(|row| {
+                scope.contains(&row.coll)
+                    && residual
+                        .iter()
+                        .all(|c| self.residual_matches(q, &meta, row, c))
+            })
+        })
     }
 
     /// Build hits for confirmed candidates under batch guards: one metadata
@@ -913,11 +841,10 @@ impl Mcat {
     ///    `Like`/`NotLike` sources scan whole partitions, so they drive the
     ///    plan only when no point/range source exists.
     /// 2. **Verification sweep** — scope membership plus residual
-    ///    conditions are checked against borrowed rows under one metadata
-    ///    guard and one dataset guard held for the whole sweep
-    ///    (`verify_candidates`). Unordered limited queries stop at
-    ///    `limit` confirmed hits; large ordered sweeps fan out across a
-    ///    scoped thread pool.
+    ///    conditions are checked lazily against borrowed rows under one
+    ///    metadata guard and one dataset guard (`sweep`).
+    ///    Unordered limited queries take the first `limit` confirmed
+    ///    hits; every other query drains the sweep.
     /// 3. **Hit building** — paths and selected values come from batch
     ///    guards; each hit touches its dataset row once
     ///    (`build_hits`).
@@ -925,7 +852,16 @@ impl Mcat {
         let scope = self.scope_set(&q.scope)?;
         let (candidates, residual) = self.plan(q, &scope);
         let scanned = candidates.len() as u64;
-        let confirmed = self.verify_candidates(q, &scope, &residual, candidates);
+        // The unordered limit push-down: any `limit` hits will do.
+        let stop_after = if q.limit > 0 && !q.ordered {
+            q.limit
+        } else {
+            usize::MAX
+        };
+        let confirmed: Vec<DatasetId> = self
+            .sweep(q, &scope, &residual, candidates.into_iter())
+            .take(stop_after)
+            .collect();
         if let Some(obs) = &self.obs {
             obs.candidates_scanned.add(scanned);
             obs.candidates_verified.add(confirmed.len() as u64);
@@ -1080,9 +1016,6 @@ impl Mcat {
                 .into_iter()
                 .filter_map(|d| {
                     let row = ds.get_ref(d)?;
-                    if !scope.contains(&row.coll) {
-                        return None;
-                    }
                     let path = paths.path_of(row.coll)?.child(&row.name).ok()?.to_string();
                     Some((path, d))
                 })
@@ -1095,27 +1028,18 @@ impl Mcat {
             Some(l) => ordered.partition_point(|(p, _)| p.as_str() <= l.as_str()),
             None => 0,
         };
-        let mut page_ids: Vec<DatasetId> = Vec::with_capacity(page.min(1024));
-        let mut last_path = String::new();
-        let mut more = false;
-        {
-            let meta = self.metadata.batch();
-            let ds = self.datasets.batch();
-            for (path, d) in ordered.drain(start..) {
-                let Some(row) = ds.get_ref(d) else { continue };
-                if residual
-                    .iter()
-                    .all(|c| self.residual_matches(q, &meta, row, c))
-                {
-                    if page_ids.len() == page {
-                        more = true;
-                        break;
-                    }
-                    last_path = path;
-                    page_ids.push(d);
-                }
-            }
-        }
+        // One look-ahead past the page tells whether another follows.
+        let mut page_ids: Vec<DatasetId> = self
+            .sweep(
+                q,
+                &scope,
+                &residual,
+                ordered[start..].iter().map(|(_, d)| *d),
+            )
+            .take(page.saturating_add(1))
+            .collect();
+        let more = page_ids.len() > page;
+        page_ids.truncate(page);
         let hits = self.build_hits(q, &page_ids);
         if let Some(obs) = &self.obs {
             obs.cursor_pages.inc();
@@ -1124,7 +1048,7 @@ impl Mcat {
             self.cursors.encode(&PageToken {
                 section: 0,
                 gens,
-                last: last_path,
+                last: hits.last().map(|h| h.path.clone()).unwrap_or_default(),
             })
         });
         Ok((hits, next))
@@ -1199,56 +1123,6 @@ impl Mcat {
             obs.cursor_pages.inc();
         }
         Ok((subcolls, ds_page, next))
-    }
-
-    /// The pre-overhaul engine, kept as an ablation baseline so the
-    /// before/after rows in `BENCH_E1.json` / `BENCH_E5.json` can be
-    /// measured from one binary: at most one driver index, per-candidate
-    /// scope checks on cloned rows, per-candidate `condition_matches` that
-    /// re-clones every metadata row for every condition.
-    pub fn query_single_driver(&self, q: &Query) -> SrbResult<Vec<QueryHit>> {
-        let scope = self.scope_set(&q.scope)?;
-        let driver = q
-            .conditions
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| !Self::is_system_attr(&c.attr) && c.attr != "annotation")
-            .min_by_key(|(_, c)| self.metadata.selectivity(&c.attr, c.op, &c.value));
-        let candidates: Vec<DatasetId> = match driver {
-            Some((_, c)) => {
-                let rows = self.metadata.candidates(&c.attr, c.op, &c.value);
-                let mut seen = HashSet::new();
-                self.metadata
-                    .subjects_of(&rows)
-                    .into_iter()
-                    .filter_map(|s| match s {
-                        Subject::Dataset(d) if seen.insert(d) => Some(d),
-                        _ => None,
-                    })
-                    .collect()
-            }
-            None => self.datasets_in_scope(&q.scope)?,
-        };
-        let mut hits: Vec<QueryHit> = candidates
-            .into_iter()
-            .filter(|d| {
-                self.datasets
-                    .get(*d)
-                    .map(|row| scope.contains(&row.coll))
-                    .unwrap_or(false)
-            })
-            .filter(|d| {
-                q.conditions
-                    .iter()
-                    .all(|c| self.condition_matches(q, *d, c))
-            })
-            .map(|d| self.build_hit(q, d))
-            .collect();
-        hits.sort_by(|a, b| a.path.cmp(&b.path));
-        if q.limit > 0 {
-            hits.truncate(q.limit);
-        }
-        Ok(hits)
     }
 
     /// Full-scan baseline (ablation A1): evaluate every dataset in scope
@@ -1755,7 +1629,6 @@ mod tests {
         let hits = m.query(&q).unwrap();
         assert!(hits.is_empty());
         assert_eq!(hits, m.query_scan(&q).unwrap());
-        assert_eq!(hits, m.query_single_driver(&q).unwrap());
         assert_eq!(metrics.counter("query.plans", "scan").get(), 1);
         // Same condition over the birds scope stays indexed.
         let q2 = Query::everywhere()

@@ -382,50 +382,12 @@ impl DatasetTable {
         now: Timestamp,
     ) -> SrbResult<DatasetId> {
         let mut g = self.inner.write();
-        let key = (coll, name.to_string());
-        if g.by_name.contains_key(&key) {
-            return Err(SrbError::AlreadyExists(format!(
-                "dataset '{name}' in collection {coll}"
-            )));
-        }
-        let id: DatasetId = ids.next();
-        let reps = replicas
-            .into_iter()
-            .enumerate()
-            .map(|(i, (spec, size, checksum))| Replica {
-                id: ids.next(),
-                repl_num: (i + 1) as u32,
-                spec,
-                size,
-                checksum,
-                in_container: None,
-                status: ReplicaStatus::UpToDate,
-                pinned_until: None,
-                created: now,
-            })
-            .collect();
-        let row = Dataset {
-            id,
-            coll,
-            name: name.to_string(),
-            data_type: data_type.to_string(),
-            owner,
-            acl: AccessMatrix::owned_by(owner),
-            replicas: reps,
-            link_target: None,
-            lock: None,
-            checkout: None,
-            versions: Vec::new(),
-            current_version: 1,
-            created: now,
-            modified: now,
-        };
+        let key = Self::free_key(&g, coll, name)?;
         let gen = self.generation.bump_get().raw();
-        self.wal.log(gen, || WalOp::DatasetPut { row: row.clone() });
-        g.rows.insert(id, row);
-        g.by_name.insert(key, id);
-        g.by_coll.entry(coll).or_default().push(id);
-        Ok(id)
+        let replicas = replicas
+            .into_iter()
+            .map(|(spec, size, checksum)| (spec, size, checksum, ReplicaStatus::UpToDate));
+        Ok(self.insert_new(&mut g, ids, gen, key, data_type, owner, replicas, None, now))
     }
 
     /// Create many datasets in one collection under a single write-lock
@@ -446,57 +408,19 @@ impl DatasetTable {
         let mut in_batch: HashSet<&str> = HashSet::with_capacity(batch.len());
         for nd in &batch {
             if g.by_name.contains_key(&(coll, nd.name.clone())) || !in_batch.insert(&nd.name) {
-                return Err(SrbError::AlreadyExists(format!(
-                    "dataset '{}' in collection {coll}",
-                    nd.name
-                )));
+                return Err(Self::name_taken(coll, &nd.name));
             }
         }
-        let mut out = Vec::with_capacity(batch.len());
         // One generation bump covers the whole batch: pages cut before it
         // are invalidated once, not once per row.
         let gen = self.generation.bump_get().raw();
-        for nd in batch {
-            let id: DatasetId = ids.next();
-            let reps = nd
-                .replicas
-                .into_iter()
-                .enumerate()
-                .map(|(i, (spec, size, checksum, status))| Replica {
-                    id: ids.next(),
-                    repl_num: (i + 1) as u32,
-                    spec,
-                    size,
-                    checksum,
-                    in_container: None,
-                    status,
-                    pinned_until: None,
-                    created: now,
-                })
-                .collect();
-            let row = Dataset {
-                id,
-                coll,
-                name: nd.name.clone(),
-                data_type: data_type.to_string(),
-                owner,
-                acl: AccessMatrix::owned_by(owner),
-                replicas: reps,
-                link_target: None,
-                lock: None,
-                checkout: None,
-                versions: Vec::new(),
-                current_version: 1,
-                created: now,
-                modified: now,
-            };
-            self.wal.log(gen, || WalOp::DatasetPut { row: row.clone() });
-            g.rows.insert(id, row);
-            g.by_name.insert((coll, nd.name), id);
-            g.by_coll.entry(coll).or_default().push(id);
-            out.push(id);
-        }
-        Ok(out)
+        Ok(batch
+            .into_iter()
+            .map(|nd| {
+                let (key, replicas) = ((coll, nd.name), nd.replicas.into_iter());
+                self.insert_new(&mut g, ids, gen, key, data_type, owner, replicas, None, now)
+            })
+            .collect())
     }
 
     /// Create a soft-link dataset pointing at `target`. Chaining collapses
@@ -519,22 +443,76 @@ impl DatasetTable {
                 .ok_or_else(|| SrbError::NotFound(format!("dataset {target}")))?;
             t.link_target.unwrap_or(target)
         };
+        let key = Self::free_key(&g, coll, name)?;
+        let gen = self.generation.bump_get().raw();
+        let none = std::iter::empty();
+        Ok(self.insert_new(
+            &mut g,
+            ids,
+            gen,
+            key,
+            "link",
+            owner,
+            none,
+            Some(resolved),
+            now,
+        ))
+    }
+
+    fn name_taken(coll: CollectionId, name: &str) -> SrbError {
+        SrbError::AlreadyExists(format!("dataset '{name}' in collection {coll}"))
+    }
+
+    /// The name-index key for a new `name` in `coll`, if it is free.
+    fn free_key(g: &Inner, coll: CollectionId, name: &str) -> SrbResult<(CollectionId, String)> {
         let key = (coll, name.to_string());
         if g.by_name.contains_key(&key) {
-            return Err(SrbError::AlreadyExists(format!(
-                "dataset '{name}' in collection {coll}"
-            )));
+            return Err(Self::name_taken(coll, name));
         }
+        Ok(key)
+    }
+
+    /// The one builder of a new row, under the caller's write guard and
+    /// generation stamp: the dataset's id, then one id per replica
+    /// (numbered from 1 in the order given), the row image logged, all
+    /// three indexes maintained. `key` must be free.
+    #[allow(clippy::too_many_arguments)]
+    fn insert_new(
+        &self,
+        g: &mut Inner,
+        ids: &IdGen,
+        gen: u64,
+        key: (CollectionId, String),
+        data_type: &str,
+        owner: UserId,
+        replicas: impl Iterator<Item = (AccessSpec, u64, Option<String>, ReplicaStatus)>,
+        link_target: Option<DatasetId>,
+        now: Timestamp,
+    ) -> DatasetId {
         let id: DatasetId = ids.next();
+        let replicas = replicas
+            .zip(1u32..)
+            .map(|((spec, size, checksum, status), repl_num)| Replica {
+                id: ids.next(),
+                repl_num,
+                spec,
+                size,
+                checksum,
+                in_container: None,
+                status,
+                pinned_until: None,
+                created: now,
+            })
+            .collect();
         let row = Dataset {
             id,
-            coll,
-            name: name.to_string(),
-            data_type: "link".to_string(),
+            coll: key.0,
+            name: key.1.clone(),
+            data_type: data_type.to_string(),
             owner,
             acl: AccessMatrix::owned_by(owner),
-            replicas: Vec::new(),
-            link_target: Some(resolved),
+            replicas,
+            link_target,
             lock: None,
             checkout: None,
             versions: Vec::new(),
@@ -542,12 +520,11 @@ impl DatasetTable {
             created: now,
             modified: now,
         };
-        let gen = self.generation.bump_get().raw();
         self.wal.log(gen, || WalOp::DatasetPut { row: row.clone() });
         g.rows.insert(id, row);
+        g.by_coll.entry(key.0).or_default().push(id);
         g.by_name.insert(key, id);
-        g.by_coll.entry(coll).or_default().push(id);
-        Ok(id)
+        id
     }
 
     /// Get a dataset (no link following).
@@ -717,12 +694,7 @@ impl DatasetTable {
         new_name: &str,
     ) -> SrbResult<()> {
         let mut g = self.inner.write();
-        let key_new = (new_coll, new_name.to_string());
-        if g.by_name.contains_key(&key_new) {
-            return Err(SrbError::AlreadyExists(format!(
-                "dataset '{new_name}' in collection {new_coll}"
-            )));
-        }
+        let key_new = Self::free_key(&g, new_coll, new_name)?;
         let d = g
             .rows
             .get_mut(&id)

@@ -217,18 +217,9 @@ impl MetaStore {
     /// subject ("this operation can be performed as many times as
     /// required").
     pub fn add(&self, ids: &IdGen, subject: Subject, triplet: Triplet, kind: MetaKind) -> MetaId {
-        let id: MetaId = ids.next();
-        let row = MetaRow {
-            id,
-            subject,
-            triplet,
-            kind,
-        };
         let mut g = self.inner.write();
         let gen = self.generation.bump_get().raw();
-        self.wal.log(gen, || WalOp::MetaPut { row: row.clone() });
-        Self::insert_locked(&mut g, row);
-        id
+        self.insert_new(&mut g, ids, gen, subject, triplet, kind)
     }
 
     /// Add many rows under a single write-lock acquisition — the metadata
@@ -241,18 +232,32 @@ impl MetaStore {
         let gen = self.generation.bump_get().raw();
         rows.into_iter()
             .map(|(subject, triplet, kind)| {
-                let id: MetaId = ids.next();
-                let row = MetaRow {
-                    id,
-                    subject,
-                    triplet,
-                    kind,
-                };
-                self.wal.log(gen, || WalOp::MetaPut { row: row.clone() });
-                Self::insert_locked(&mut g, row);
-                id
+                self.insert_new(&mut g, ids, gen, subject, triplet, kind)
             })
             .collect()
+    }
+
+    /// The one builder of a new row, under the caller's write guard and
+    /// generation stamp: next id, row image logged, indexes maintained.
+    fn insert_new(
+        &self,
+        g: &mut Inner,
+        ids: &IdGen,
+        gen: u64,
+        subject: Subject,
+        triplet: Triplet,
+        kind: MetaKind,
+    ) -> MetaId {
+        let id: MetaId = ids.next();
+        let row = MetaRow {
+            id,
+            subject,
+            triplet,
+            kind,
+        };
+        self.wal.log(gen, || WalOp::MetaPut { row: row.clone() });
+        Self::insert_locked(g, row);
+        id
     }
 
     /// The one index-maintenance path for a new row: subject list, value
@@ -414,20 +419,12 @@ impl MetaStore {
         })
     }
 
-    /// Row ids whose attribute `name` satisfies `op value`, found via the
-    /// ordered index. `Like`/`NotLike`/`Ne` scan only the index partition
-    /// for that attribute name.
-    pub fn candidates(&self, name: &str, op: CompareOp, value: &MetaValue) -> Vec<MetaId> {
-        let g = self.inner.read();
-        let mut out = Vec::new();
-        walk_index(&g, name, op, value, |ids| out.extend_from_slice(ids));
-        out
-    }
-
     /// Dataset subjects with at least one row whose attribute `name`
     /// satisfies `op value` — exactly the datasets satisfying that query
-    /// condition through user metadata. Index walk and row resolution run
-    /// under a single read guard; the planner intersects these sets.
+    /// condition through user metadata — found via the ordered index
+    /// (`Like`/`NotLike`/`Ne` scan only that attribute's partition). Index
+    /// walk and row resolution run under a single read guard; the planner
+    /// intersects these sets.
     pub fn dataset_candidates(
         &self,
         name: &str,
@@ -559,14 +556,6 @@ impl MetaStore {
             // `Ne`/`NotLike` scan the whole partition.
             _ => partition,
         }
-    }
-
-    /// Resolve row ids to their subjects.
-    pub fn subjects_of(&self, ids: &[MetaId]) -> Vec<Subject> {
-        let g = self.inner.read();
-        ids.iter()
-            .filter_map(|i| g.rows.get(i).map(|r| r.subject))
-            .collect()
     }
 
     /// A read guard over the store for a whole verification sweep: one
@@ -914,6 +903,17 @@ mod tests {
         Subject::Dataset(DatasetId(n))
     }
 
+    /// The datasets `dataset_candidates` finds for `name op value`, sorted.
+    fn found(s: &MetaStore, name: &str, op: CompareOp, value: &MetaValue) -> Vec<u64> {
+        let mut v: Vec<u64> = s
+            .dataset_candidates(name, op, value)
+            .into_iter()
+            .map(|d| d.0)
+            .collect();
+        v.sort_unstable();
+        v
+    }
+
     #[test]
     fn add_and_list() {
         let (s, ids) = store();
@@ -948,9 +948,7 @@ mod tests {
                 MetaKind::UserDefined,
             );
         }
-        let hits = s.candidates("n", CompareOp::Eq, &MetaValue::Int(4));
-        assert_eq!(hits.len(), 1);
-        assert_eq!(s.subjects_of(&hits), vec![ds(4)]);
+        assert_eq!(found(&s, "n", CompareOp::Eq, &MetaValue::Int(4)), [4]);
     }
 
     #[test]
@@ -964,26 +962,11 @@ mod tests {
                 MetaKind::UserDefined,
             );
         }
-        assert_eq!(
-            s.candidates("n", CompareOp::Gt, &MetaValue::Int(7)).len(),
-            2
-        );
-        assert_eq!(
-            s.candidates("n", CompareOp::Ge, &MetaValue::Int(7)).len(),
-            3
-        );
-        assert_eq!(
-            s.candidates("n", CompareOp::Lt, &MetaValue::Int(2)).len(),
-            2
-        );
-        assert_eq!(
-            s.candidates("n", CompareOp::Le, &MetaValue::Int(2)).len(),
-            3
-        );
-        assert_eq!(
-            s.candidates("n", CompareOp::Ne, &MetaValue::Int(5)).len(),
-            9
-        );
+        assert_eq!(found(&s, "n", CompareOp::Gt, &MetaValue::Int(7)).len(), 2);
+        assert_eq!(found(&s, "n", CompareOp::Ge, &MetaValue::Int(7)).len(), 3);
+        assert_eq!(found(&s, "n", CompareOp::Lt, &MetaValue::Int(2)).len(), 2);
+        assert_eq!(found(&s, "n", CompareOp::Le, &MetaValue::Int(2)).len(), 3);
+        assert_eq!(found(&s, "n", CompareOp::Ne, &MetaValue::Int(5)).len(), 9);
     }
 
     #[test]
@@ -997,8 +980,7 @@ mod tests {
             MetaKind::UserDefined,
         );
         // "pear" sorts after numbers in the index but must not satisfy > 3.
-        let hits = s.candidates("v", CompareOp::Gt, &MetaValue::Int(3));
-        assert_eq!(s.subjects_of(&hits), vec![ds(1)]);
+        assert_eq!(found(&s, "v", CompareOp::Gt, &MetaValue::Int(3)), [1]);
     }
 
     #[test]
@@ -1022,10 +1004,9 @@ mod tests {
             Triplet::new("species", "sparrow", ""),
             MetaKind::UserDefined,
         );
-        let hits = s.candidates("species", CompareOp::Like, &MetaValue::parse("condor%"));
-        assert_eq!(hits.len(), 2);
-        let hits = s.candidates("species", CompareOp::NotLike, &MetaValue::parse("condor%"));
-        assert_eq!(s.subjects_of(&hits), vec![ds(3)]);
+        let pat = MetaValue::parse("condor%");
+        assert_eq!(found(&s, "species", CompareOp::Like, &pat), [1, 2]);
+        assert_eq!(found(&s, "species", CompareOp::NotLike, &pat), [3]);
     }
 
     #[test]
@@ -1033,13 +1014,8 @@ mod tests {
         let (s, ids) = store();
         let id = s.add(&ids, ds(1), Triplet::new("n", 1, ""), MetaKind::UserDefined);
         s.update(id, MetaValue::Int(9), "".into()).unwrap();
-        assert!(s
-            .candidates("n", CompareOp::Eq, &MetaValue::Int(1))
-            .is_empty());
-        assert_eq!(
-            s.candidates("n", CompareOp::Eq, &MetaValue::Int(9)).len(),
-            1
-        );
+        assert!(found(&s, "n", CompareOp::Eq, &MetaValue::Int(1)).is_empty());
+        assert_eq!(found(&s, "n", CompareOp::Eq, &MetaValue::Int(9)), [1]);
         assert!(s.update(MetaId(999), MetaValue::Int(0), "".into()).is_err());
     }
 
@@ -1050,9 +1026,7 @@ mod tests {
         s.add(&ids, ds(1), Triplet::new("y", 2, ""), MetaKind::UserDefined);
         s.remove(a).unwrap();
         assert_eq!(s.for_subject(ds(1)).len(), 1);
-        assert!(s
-            .candidates("x", CompareOp::Eq, &MetaValue::Int(1))
-            .is_empty());
+        assert!(found(&s, "x", CompareOp::Eq, &MetaValue::Int(1)).is_empty());
         s.remove_all(ds(1));
         assert!(s.for_subject(ds(1)).is_empty());
         assert_eq!(s.count(), 0);
@@ -1160,21 +1134,18 @@ mod tests {
         );
         for pattern in ["con%", "Con%", "con%o%", "co_d%", "sparrow", "%cond%", "1%"] {
             let pat = MetaValue::Text(pattern.to_string());
-            let mut got: Vec<Subject> =
-                s.subjects_of(&s.candidates("species", CompareOp::Like, &pat));
-            got.sort_by_key(|x| format!("{x}"));
-            let mut want: Vec<Subject> = values
+            let got = found(&s, "species", CompareOp::Like, &pat);
+            let want: Vec<u64> = values
                 .iter()
                 .enumerate()
                 .filter(|(_, v)| CompareOp::Like.eval(&MetaValue::Text(v.to_string()), &pat))
-                .map(|(i, _)| ds(i as u64))
+                .map(|(i, _)| i as u64)
                 .chain(
                     CompareOp::Like
                         .eval(&MetaValue::Int(42), &pat)
-                        .then_some(ds(100)),
+                        .then_some(100),
                 )
                 .collect();
-            want.sort_by_key(|x| format!("{x}"));
             assert_eq!(got, want, "pattern {pattern}");
         }
     }

@@ -5,6 +5,12 @@
 //! acquisition/release sequences run on several threads at once, so the
 //! test also exercises that the held-rank stack is genuinely thread-local
 //! (one thread's holdings must never affect another's verdicts).
+//!
+//! Rank bookkeeping is compiled out of release builds, so the model
+//! comparison runs in debug test builds only; `cargo test --release` keeps
+//! the one case that pins the release behaviour (an inversion passes
+//! through, no panic).
+#![cfg_attr(not(debug_assertions), allow(dead_code, unused_imports))]
 
 use proptest::prelude::*;
 use srb_types::sync::{self, LockRank, Mutex};
@@ -95,6 +101,7 @@ fn ranks_strategy() -> impl Strategy<Value = Vec<u8>> {
     prop::collection::vec(0u8..8u8, 0..10)
 }
 
+#[cfg(debug_assertions)]
 proptest! {
     #[test]
     fn checker_matches_model_across_threads(seqs in seqs_strategy()) {
@@ -119,10 +126,11 @@ proptest! {
 }
 
 #[test]
-fn deliberate_inversion_panics_in_debug_builds() {
+fn deliberate_inversion_panics_in_debug_builds_only() {
     // Acceptance check for the hierarchy itself: holding an inner
     // (storage-rank) lock and then taking an outer (session-rank) lock is
-    // the classic deadlock shape; debug builds must abort the acquisition.
+    // the classic deadlock shape; debug builds must abort the acquisition,
+    // release builds carry no checker and let it through.
     let result = std::thread::spawn(|| {
         let inner = Mutex::new(LockRank::Storage, "prop.inverted.inner", ());
         let outer = Mutex::new(LockRank::Session, "prop.inverted.outer", ());
@@ -130,6 +138,10 @@ fn deliberate_inversion_panics_in_debug_builds() {
         let _boom = outer.lock();
     })
     .join();
+    if !cfg!(debug_assertions) {
+        assert!(result.is_ok(), "release builds must not check ranks");
+        return;
+    }
     let panic = result.expect_err("inverted acquisition must panic");
     let msg = panic.downcast_ref::<String>().cloned().unwrap_or_default();
     assert!(

@@ -1,8 +1,8 @@
-//! `cargo xtask benchcheck` — validate the `BENCH_E*.json` artifacts
-//! written by the `exp_*` binaries with `--json`.
+//! `cargo xtask benchcheck` — validate the `BENCH_*.json` artifacts
+//! written by `exp <name> --json`.
 //!
 //! Every file must parse and carry a non-empty `rows` array with its
-//! before/after timing fields. E1/E5 must show the indexed planner no
+//! timing fields. E1/E5 must show the indexed planner no
 //! slower than the full-scan baseline; E2 must show ordered-index range
 //! scans >= 5x faster than residual verification and cursor pages priced
 //! O(page); E6/E7 must show the parallel
@@ -26,7 +26,7 @@ fn num(row: &Value, key: &str) -> Option<f64> {
 fn check(root: &Path, file: &str, scan_field: &str, scan_scale: f64) -> Result<String, String> {
     let path = root.join(file);
     let text = std::fs::read_to_string(&path)
-        .map_err(|e| format!("unreadable ({e}); run the exp binary with --json first"))?;
+        .map_err(|e| format!("unreadable ({e}); run `exp <name> --json` first"))?;
     let v: Value = serde_json::from_str(&text).map_err(|e| format!("invalid JSON: {e}"))?;
     let rows = v
         .get("rows")
@@ -39,11 +39,9 @@ fn check(root: &Path, file: &str, scan_field: &str, scan_scale: f64) -> Result<S
     for (i, row) in rows.iter().enumerate() {
         let planner =
             num(row, "planner_us").ok_or_else(|| format!("row {i}: missing planner_us"))?;
-        let single = num(row, "single_driver_us")
-            .ok_or_else(|| format!("row {i}: missing single_driver_us"))?;
         let scan = num(row, scan_field).ok_or_else(|| format!("row {i}: missing {scan_field}"))?
             * scan_scale;
-        if planner <= 0.0 || single <= 0.0 || scan <= 0.0 {
+        if planner <= 0.0 || scan <= 0.0 {
             return Err(format!("row {i}: non-positive timing"));
         }
         if planner > scan {
@@ -67,7 +65,7 @@ fn rows_of(root: &Path, file: &str) -> Result<Vec<Value>, String> {
 fn array_of(root: &Path, file: &str, key: &str) -> Result<Vec<Value>, String> {
     let path = root.join(file);
     let text = std::fs::read_to_string(&path)
-        .map_err(|e| format!("unreadable ({e}); run the exp binary with --json first"))?;
+        .map_err(|e| format!("unreadable ({e}); run `exp <name> --json` first"))?;
     let v: Value = serde_json::from_str(&text).map_err(|e| format!("invalid JSON: {e}"))?;
     let rows = v
         .get(key)
@@ -93,7 +91,7 @@ fn array_of(root: &Path, file: &str, key: &str) -> Result<Vec<Value>, String> {
 fn check_e2(root: &Path) -> Result<String, String> {
     let path = root.join("BENCH_E2.json");
     let text = std::fs::read_to_string(&path)
-        .map_err(|e| format!("unreadable ({e}); run the exp binary with --json first"))?;
+        .map_err(|e| format!("unreadable ({e}); run `exp <name> --json` first"))?;
     let v: Value = serde_json::from_str(&text).map_err(|e| format!("invalid JSON: {e}"))?;
     let rows = v
         .get("range_rows")
@@ -105,7 +103,6 @@ fn check_e2(root: &Path) -> Result<String, String> {
     for (i, row) in rows.iter().enumerate() {
         for key in [
             "planner_range_us",
-            "single_driver_range_us",
             "scan_range_us",
             "planner_prefix_us",
             "scan_prefix_us",
@@ -404,7 +401,7 @@ fn check_obs(root: &Path) -> Result<String, String> {
 fn check_load(root: &Path) -> Result<String, String> {
     let path = root.join("BENCH_LOAD.json");
     let text = std::fs::read_to_string(&path)
-        .map_err(|e| format!("unreadable ({e}); run the exp binary with --json first"))?;
+        .map_err(|e| format!("unreadable ({e}); run `exp <name> --json` first"))?;
     let v: Value = serde_json::from_str(&text).map_err(|e| format!("invalid JSON: {e}"))?;
     let rows = v
         .get("rows")

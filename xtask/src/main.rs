@@ -7,10 +7,7 @@
 //!   - `wall-clock` — `SystemTime`/`Instant`/`thread_rng` are confined to
 //!     `srb-types/src/clock.rs` and the bench crate; the grid itself runs
 //!     on the deterministic `SimClock`.
-//!   - `unwrap-budget` — `.unwrap()`/`.expect(` in non-test library code is
-//!     ratcheted: existing occurrences are grandfathered in
-//!     `xtask/unwrap_baseline.txt`, new ones fail the build. Shrink the
-//!     baseline with `cargo xtask lint --update-baseline` after a burndown.
+//!   - `no-unwrap` — no `.unwrap()`/`.expect(` in non-test library code.
 //!   - `no-panic-ops` — `panic!`/`todo!`/`unimplemented!` are banned in
 //!     `srb-core` op handlers, which execute untrusted client requests.
 //!   - `metric-name` — literal metric registrations outside `srb-obs` must
@@ -40,11 +37,9 @@ mod lockgraph;
 mod rules;
 
 use rules::Violation;
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-const BASELINE_FILE: &str = "xtask/unwrap_baseline.txt";
 const DOT_FILE: &str = "docs/lock-graph.dot";
 
 /// Output flags shared by `lint` and `analyze`.
@@ -89,10 +84,7 @@ fn main() -> ExitCode {
         None => workspace_root(),
     };
     match args.first().map(String::as_str) {
-        Some("lint") => {
-            let update = args.iter().any(|a| a == "--update-baseline");
-            lint(&root, update, &out)
-        }
+        Some("lint") => lint(&root, &out),
         Some("analyze") => {
             let dot = args.iter().any(|a| a == "--dot");
             run_analyze(&root, dot, &out)
@@ -100,7 +92,7 @@ fn main() -> ExitCode {
         Some("benchcheck") => benchcheck::benchcheck(&root),
         _ => {
             eprintln!(
-                "usage: cargo xtask lint [--update-baseline] [--json] [--github]\n\
+                "usage: cargo xtask lint [--json] [--github]\n\
                  \x20      cargo xtask analyze [--dot] [--json] [--github]\n\
                  \x20      cargo xtask benchcheck"
             );
@@ -155,56 +147,15 @@ fn collect_rs(dir: &Path, root: &Path, out: &mut Vec<String>) {
             collect_rs(&path, root, out);
         } else if name.ends_with(".rs") {
             if let Ok(rel) = path.strip_prefix(root) {
-                // Normalize to forward slashes so rules and the baseline
-                // are platform-independent.
+                // Normalize to forward slashes so rules are
+                // platform-independent.
                 out.push(rel.to_string_lossy().replace('\\', "/"));
             }
         }
     }
 }
 
-/// Is this file part of the non-test library code covered by the unwrap
-/// ratchet? Integration tests and benches may unwrap freely.
-fn in_unwrap_scope(path: &str) -> bool {
-    (path.starts_with("src/") || path.contains("/src/"))
-        && !path.contains("/tests/")
-        && !path.contains("/benches/")
-}
-
-fn read_baseline(root: &Path) -> BTreeMap<String, usize> {
-    let mut map = BTreeMap::new();
-    let Ok(text) = std::fs::read_to_string(root.join(BASELINE_FILE)) else {
-        return map;
-    };
-    for line in text.lines() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        if let Some((path, count)) = line.rsplit_once(' ') {
-            if let Ok(n) = count.parse::<usize>() {
-                map.insert(path.to_string(), n);
-            }
-        }
-    }
-    map
-}
-
-fn write_baseline(root: &Path, counts: &BTreeMap<String, usize>) -> std::io::Result<()> {
-    let mut text = String::from(
-        "# Grandfathered .unwrap()/.expect( counts per non-test library file.\n\
-         # Regenerate with `cargo xtask lint --update-baseline` after a burndown;\n\
-         # the lint fails when a file exceeds its budget here (absent = 0).\n",
-    );
-    for (path, n) in counts {
-        if *n > 0 {
-            text.push_str(&format!("{path} {n}\n"));
-        }
-    }
-    std::fs::write(root.join(BASELINE_FILE), text)
-}
-
-fn lint(root: &Path, update_baseline: bool, out: &Output) -> ExitCode {
+fn lint(root: &Path, out: &Output) -> ExitCode {
     let files = lintable_files(root);
     if files.is_empty() {
         eprintln!("xtask lint: no source files found under {}", root.display());
@@ -212,7 +163,6 @@ fn lint(root: &Path, update_baseline: bool, out: &Output) -> ExitCode {
     }
 
     let mut violations: Vec<Violation> = Vec::new();
-    let mut unwrap_counts: BTreeMap<String, usize> = BTreeMap::new();
 
     for rel in &files {
         let Ok(src) = std::fs::read_to_string(root.join(rel)) else {
@@ -224,59 +174,11 @@ fn lint(root: &Path, update_baseline: bool, out: &Output) -> ExitCode {
         violations.extend(rules::wall_clock(rel, &lexed));
         violations.extend(rules::panic_ops(rel, &lexed));
         violations.extend(rules::metric_names(rel, &lexed));
-        if in_unwrap_scope(rel) {
-            unwrap_counts.insert(rel.clone(), rules::count_unwraps(&lexed));
-        }
+        violations.extend(rules::unwraps(rel, &lexed));
     }
-
-    if update_baseline {
-        if let Err(e) = write_baseline(root, &unwrap_counts) {
-            eprintln!("xtask lint: cannot write {BASELINE_FILE}: {e}");
-            return ExitCode::from(2);
-        }
-        let total: usize = unwrap_counts.values().sum();
-        println!(
-            "xtask lint: baseline updated ({} unwrap/expect across {} files)",
-            total,
-            unwrap_counts.values().filter(|&&n| n > 0).count()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let baseline = read_baseline(root);
-    let mut stale = 0usize;
-    for (path, &count) in &unwrap_counts {
-        let budget = baseline.get(path).copied().unwrap_or(0);
-        if count > budget {
-            violations.push(Violation {
-                path: path.clone(),
-                line: 1,
-                rule: "unwrap-budget",
-                msg: format!(
-                    "{count} unwrap/expect in non-test code exceeds the baseline budget \
-                     of {budget}; return an SrbError instead (or, if truly unreachable, \
-                     justify and run `cargo xtask lint --update-baseline`)"
-                ),
-            });
-        } else if count < budget {
-            stale += 1;
-        }
-    }
-    // A removed file whose budget lingers is also stale.
-    stale += baseline
-        .keys()
-        .filter(|p| !unwrap_counts.contains_key(*p))
-        .count();
 
     violations.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
     out.emit(&violations);
-    if stale > 0 && !out.json {
-        println!(
-            "xtask lint: note: {stale} baseline entr{} now above actual counts — \
-             run `cargo xtask lint --update-baseline` to ratchet down",
-            if stale == 1 { "y is" } else { "ies are" }
-        );
-    }
     if violations.is_empty() {
         if !out.json {
             println!("xtask lint: {} files clean", files.len());

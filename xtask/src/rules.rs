@@ -103,9 +103,18 @@ pub fn wall_clock(path: &str, lexed: &Lexed) -> Vec<Violation> {
     out
 }
 
-/// Count `.unwrap()` / `.expect(` occurrences outside `#[cfg(test)]`
-/// regions. Used by rule `unwrap-budget` (the per-file ratchet).
-pub fn count_unwraps(lexed: &Lexed) -> usize {
+/// Rule `no-unwrap`: `.unwrap()` / `.expect(` are banned in non-test
+/// library code (`src/` trees outside `#[cfg(test)]` regions; integration
+/// tests and benches may unwrap freely). A failure correct use can meet is
+/// an `SrbError`; a broken internal condition gets a `match` with
+/// `unreachable!` and its reason.
+pub fn unwraps(path: &str, lexed: &Lexed) -> Vec<Violation> {
+    let in_scope = (path.starts_with("src/") || path.contains("/src/"))
+        && !path.contains("/tests/")
+        && !path.contains("/benches/");
+    if !in_scope {
+        return Vec::new();
+    }
     let toks = &lexed.toks;
     (0..toks.len())
         .filter(|&i| {
@@ -118,7 +127,16 @@ pub fn count_unwraps(lexed: &Lexed) -> usize {
                 })
                 && !lexed.in_test(i)
         })
-        .count()
+        .map(|i| Violation {
+            path: path.to_string(),
+            line: toks[i + 1].line,
+            rule: "no-unwrap",
+            msg: format!(
+                "`.{}(` in non-test library code; return an SrbError instead",
+                toks[i + 1].text
+            ),
+        })
+        .collect()
 }
 
 /// Subsystem prefixes of the `subsystem.name` metric scheme — mirrors
@@ -279,15 +297,17 @@ mod tests {
     }
 
     #[test]
-    fn unwrap_counting_skips_test_modules() {
-        let src = "fn a() { x.unwrap(); y.expect(\"m\"); }\n\
+    fn unwraps_are_flagged_outside_test_modules_and_test_trees() {
+        let src = "fn a() { x.unwrap();\n y.expect(\"m\"); }\n\
                    #[cfg(test)]\nmod tests {\n    fn t() { z.unwrap(); }\n}\n";
-        assert_eq!(count_unwraps(&Lexed::new(src)), 2);
+        let v = unwraps("crates/srb-net/src/load.rs", &Lexed::new(src));
+        assert_eq!(v.iter().map(|v| v.line).collect::<Vec<_>>(), [1, 2]);
+        // Integration tests and benches may unwrap freely.
+        assert!(unwraps("crates/srb-net/tests/t.rs", &Lexed::new(src)).is_empty());
+        assert!(unwraps("crates/bench/benches/b.rs", &Lexed::new(src)).is_empty());
         // unwrap_or / expect_err are not unwraps.
-        assert_eq!(
-            count_unwraps(&Lexed::new("x.unwrap_or(0); y.expect_err(\"\");\n")),
-            0
-        );
+        let fine = Lexed::new("x.unwrap_or(0); y.expect_err(\"\");\n");
+        assert!(unwraps("crates/srb-net/src/load.rs", &fine).is_empty());
     }
 
     #[test]

@@ -42,10 +42,10 @@ const ANALYZE_GOLDENS: &[&str] = &[
 
 /// `path:line: [rule]` prefixes of every seeded lint violation.
 const LINT_GOLDENS: &[&str] = &[
-    "crates/fix-lint/src/bait.rs:1: [unwrap-budget]",
     "crates/fix-lint/src/bait.rs:4: [raw-lock]",
     "crates/fix-lint/src/bait.rs:5: [wall-clock]",
     "crates/fix-lint/src/bait.rs:8: [wall-clock]",
+    "crates/fix-lint/src/bait.rs:13: [no-unwrap]",
     "crates/mysrb/src/app.rs:6: [metric-name]",
     "crates/mysrb/src/app.rs:7: [metric-name]",
     "crates/srb-core/src/ops_fix.rs:5: [no-panic-ops]",
@@ -113,7 +113,7 @@ fn json_output_is_machine_readable() {
     assert_eq!(lint_code, 1);
     assert!(lint_out.trim_start().starts_with('['));
     for rule in [
-        "unwrap-budget",
+        "no-unwrap",
         "raw-lock",
         "wall-clock",
         "metric-name",

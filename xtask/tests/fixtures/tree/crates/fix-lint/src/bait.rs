@@ -1,5 +1,5 @@
 //! Seeded lint-rule fixtures: a raw parking_lot import, wall-clock
-//! reads, and one unwrap over this tree's (empty) baseline budget.
+//! reads, and one unwrap in library code.
 
 use parking_lot::Mutex;
 use std::time::Instant;
