@@ -8,6 +8,7 @@
 //! permission on the object."
 
 use crate::metadata::Subject;
+use crate::snapshot::{by_id, write_field};
 use crate::wal::{WalHook, WalOp};
 use serde::{Deserialize, Serialize};
 use srb_types::sync::{LockRank, RwLock};
@@ -203,10 +204,15 @@ impl AnnotationTable {
 
     /// Every annotation row, sorted by id (snapshots).
     pub fn dump(&self) -> Vec<Annotation> {
-        let g = self.inner.read();
-        let mut v: Vec<Annotation> = g.rows.values().cloned().collect();
-        v.sort_by_key(|a| a.id);
-        v
+        by_id(&self.inner.read().rows)
+            .into_iter()
+            .cloned()
+            .collect()
+    }
+
+    /// The image's `"annotations"` field, under one read guard.
+    pub(crate) fn write_checkpoint(&self, out: &mut String) {
+        write_field(out, "annotations", by_id(&self.inner.read().rows));
     }
 
     /// Rebuild the table from snapshot rows.

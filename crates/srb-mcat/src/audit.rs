@@ -5,6 +5,7 @@
 //! of the framework." Every brokered operation can record an audit row;
 //! auditing can be toggled per catalog.
 
+use crate::snapshot::write_field;
 use crate::wal::{WalHook, WalOp};
 use serde::{Deserialize, Serialize};
 use srb_types::sync::{LockRank, Mutex};
@@ -139,16 +140,19 @@ impl AuditLog {
         if !self.is_enabled() {
             return;
         }
-        let id: AuditId = ids.next();
-        let row = AuditRow {
-            id,
+        let mut row = AuditRow {
+            id: AuditId(0),
             at,
             user,
             action,
             subject: subject.to_string(),
             outcome: outcome.to_string(),
         };
+        // The id is drawn under the lock, so id order, log order and push
+        // order agree under any number of writers: recovery rebuilds the
+        // log in id order, `dump()` and the checkpoint in push order.
         let mut g = self.rows.lock();
+        row.id = ids.next();
         self.wal.log(0, || WalOp::AuditPut { row: row.clone() });
         g.push(row);
     }
@@ -183,6 +187,11 @@ impl AuditLog {
     /// Every audit row (snapshots).
     pub fn dump(&self) -> Vec<AuditRow> {
         self.rows.lock().clone()
+    }
+
+    /// The image's `"audit"` field, under the log's lock.
+    pub(crate) fn write_checkpoint(&self, out: &mut String) {
+        write_field(out, "audit", self.rows.lock().iter());
     }
 
     /// Rebuild the log from snapshot rows.

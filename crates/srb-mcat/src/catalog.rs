@@ -315,7 +315,7 @@ impl Mcat {
             return Err(SrbError::Invalid("durability already enabled".into()));
         }
         let walh = Arc::new(Wal::new(device, self.clock.clone(), config, metrics));
-        walh.install_checkpoint(walh.checkpoint_cover(), self.snapshot())?;
+        walh.install_checkpoint(walh.checkpoint_cover(), self)?;
         self.attach_wal_all(&walh);
         let _ = self.wal.set(walh);
         Ok(())
@@ -350,7 +350,7 @@ impl Mcat {
         let Some(cover) = walh.checkpoint_claim(self.clock.now()) else {
             return Ok(false);
         };
-        walh.install_checkpoint(cover, self.snapshot())?;
+        walh.install_checkpoint(cover, self)?;
         Ok(true)
     }
 
@@ -360,7 +360,7 @@ impl Mcat {
         let Some(walh) = self.wal.get() else {
             return Err(SrbError::Invalid("durability not enabled".into()));
         };
-        walh.install_checkpoint(walh.checkpoint_cover(), self.snapshot())
+        walh.install_checkpoint(walh.checkpoint_cover(), self)
     }
 
     /// Redo recovery: rebuild the catalog a crashed `device` proves — its
@@ -383,7 +383,7 @@ impl Mcat {
         clock.advance_to(Timestamp(replayed.max_at_ns));
         let walh = Arc::new(Wal::new(device, clock, config, metrics));
         walh.charge_recovery(replayed.report.recovery_ns);
-        walh.install_checkpoint(walh.checkpoint_cover(), mcat.snapshot())?;
+        walh.install_checkpoint(walh.checkpoint_cover(), &mcat)?;
         mcat.attach_wal_all(&walh);
         let _ = mcat.wal.set(walh);
         Ok((mcat, replayed.report))

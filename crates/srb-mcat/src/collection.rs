@@ -6,6 +6,7 @@
 //! everything ingested into the collection (paper §5: defaults, restricted
 //! vocabularies shown as drop-down lists, and mandatory attributes).
 
+use crate::snapshot::{by_id, write_field};
 use crate::wal::{WalHook, WalOp};
 use serde::{Deserialize, Serialize};
 use srb_types::sync::{LockRank, RwLock, RwLockReadGuard};
@@ -606,10 +607,15 @@ impl CollectionTable {
 
     /// Every collection row, sorted by id (snapshots).
     pub fn dump(&self) -> Vec<Collection> {
-        let g = self.inner.read();
-        let mut v: Vec<Collection> = g.nodes.values().cloned().collect();
-        v.sort_by_key(|c| c.id);
-        v
+        by_id(&self.inner.read().nodes)
+            .into_iter()
+            .cloned()
+            .collect()
+    }
+
+    /// The image's `"collections"` field, under one read guard.
+    pub(crate) fn write_checkpoint(&self, out: &mut String) {
+        write_field(out, "collections", by_id(&self.inner.read().nodes));
     }
 
     /// Rebuild the tree (path index + child lists) from snapshot rows.

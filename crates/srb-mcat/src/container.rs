@@ -10,6 +10,7 @@
 //! placement, its member slices, and whether the cached copy has been
 //! synchronized to the archive. Byte movement is `srb-core`'s job.
 
+use crate::snapshot::{by_id, write_field};
 use crate::wal::{WalHook, WalOp};
 use serde::{Deserialize, Serialize};
 use srb_types::sync::{LockRank, RwLock};
@@ -252,9 +253,15 @@ impl ContainerTable {
 
     /// All containers, sorted by id.
     pub fn list(&self) -> Vec<ContainerRecord> {
-        let mut v: Vec<ContainerRecord> = self.inner.read().rows.values().cloned().collect();
-        v.sort_by_key(|c| c.id);
-        v
+        by_id(&self.inner.read().rows)
+            .into_iter()
+            .cloned()
+            .collect()
+    }
+
+    /// The image's `"containers"` field, under one read guard.
+    pub(crate) fn write_checkpoint(&self, out: &mut String) {
+        write_field(out, "containers", by_id(&self.inner.read().rows));
     }
 
     /// Wire this table to the catalog's WAL.

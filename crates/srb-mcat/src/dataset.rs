@@ -8,6 +8,7 @@
 //! SRB "does not check whether a registered replica is really an equal of
 //! the other copy".
 
+use crate::snapshot::{by_id, write_field};
 use crate::wal::{WalHook, WalOp};
 use serde::{Deserialize, Serialize};
 use srb_types::sync::{LockRank, RwLock, RwLockReadGuard};
@@ -750,10 +751,15 @@ impl DatasetTable {
 
     /// Every dataset row, sorted by id (snapshots).
     pub fn dump(&self) -> Vec<Dataset> {
-        let g = self.inner.read();
-        let mut v: Vec<Dataset> = g.rows.values().cloned().collect();
-        v.sort_by_key(|d| d.id);
-        v
+        by_id(&self.inner.read().rows)
+            .into_iter()
+            .cloned()
+            .collect()
+    }
+
+    /// The image's `"datasets"` field, under one read guard.
+    pub(crate) fn write_checkpoint(&self, out: &mut String) {
+        write_field(out, "datasets", by_id(&self.inner.read().rows));
     }
 
     /// Rebuild the table (name + collection indexes) from snapshot rows.

@@ -7,6 +7,7 @@
 //! the query engine can answer `=` and range conditions without scanning —
 //! the design choice ablated in experiment E5/A1.
 
+use crate::snapshot::{by_id, write_field};
 use crate::wal::{WalHook, WalOp};
 use serde::{Deserialize, Serialize};
 use srb_types::sync::{LockRank, RwLock, RwLockReadGuard};
@@ -647,12 +648,21 @@ impl MetaStore {
     /// Every metadata row plus the meta-file associations (snapshots).
     pub fn dump(&self) -> (Vec<MetaRow>, Vec<(Subject, Vec<DatasetId>)>) {
         let g = self.inner.read();
-        let mut rows: Vec<MetaRow> = g.rows.values().cloned().collect();
-        rows.sort_by_key(|r| r.id);
-        let mut files: Vec<(Subject, Vec<DatasetId>)> =
-            g.meta_files.iter().map(|(k, v)| (*k, v.clone())).collect();
-        files.sort_by_key(|(s, _)| format!("{s}"));
+        let rows = by_id(&g.rows).into_iter().cloned().collect();
+        let files = meta_files_in_order(&g)
+            .into_iter()
+            .map(|(s, v)| (*s, v.clone()))
+            .collect();
         (rows, files)
+    }
+
+    /// The image's `"metadata"` and `"meta_files"` fields, under one read
+    /// guard.
+    pub(crate) fn write_checkpoint(&self, out: &mut String) {
+        let g = self.inner.read();
+        write_field(out, "metadata", by_id(&g.rows));
+        out.push(',');
+        write_field(out, "meta_files", &meta_files_in_order(&g));
     }
 
     /// Rebuild the store (subject lists + value indexes) from snapshot
@@ -741,6 +751,14 @@ fn subject_matches_locked(
                 .is_some_and(|r| r.triplet.name == name && op.eval(&r.triplet.value, value))
         })
     })
+}
+
+/// The file-based associations, ordered by subject display (`c…` before
+/// `d…`) as snapshots store them.
+fn meta_files_in_order(g: &Inner) -> Vec<(&Subject, &Vec<DatasetId>)> {
+    let mut files: Vec<(&Subject, &Vec<DatasetId>)> = g.meta_files.iter().collect();
+    files.sort_by_cached_key(|(s, _)| s.to_string());
+    files
 }
 
 /// The rows among a subject's `ids` whose attribute is `name`.

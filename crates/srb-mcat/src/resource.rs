@@ -5,6 +5,7 @@
 //! A *logical resource* "ties together two or more physical resources":
 //! storing into it writes synchronous replicas to every member (paper §5).
 
+use crate::snapshot::{by_id, write_field};
 use crate::wal::{WalHook, WalOp};
 use serde::{Deserialize, Serialize};
 use srb_storage::DriverKind;
@@ -201,16 +202,27 @@ impl ResourceTable {
 
     /// All physical resources, sorted by id.
     pub fn list(&self) -> Vec<Resource> {
-        let mut v: Vec<Resource> = self.inner.read().physical.values().cloned().collect();
-        v.sort_by_key(|r| r.id);
-        v
+        by_id(&self.inner.read().physical)
+            .into_iter()
+            .cloned()
+            .collect()
     }
 
     /// All logical resources, sorted by id.
     pub fn list_logical(&self) -> Vec<LogicalResource> {
-        let mut v: Vec<LogicalResource> = self.inner.read().logical.values().cloned().collect();
-        v.sort_by_key(|r| r.id);
-        v
+        by_id(&self.inner.read().logical)
+            .into_iter()
+            .cloned()
+            .collect()
+    }
+
+    /// The image's `"resources"` and `"logical_resources"` fields, under
+    /// one read guard.
+    pub(crate) fn write_checkpoint(&self, out: &mut String) {
+        let g = self.inner.read();
+        write_field(out, "resources", by_id(&g.physical));
+        out.push(',');
+        write_field(out, "logical_resources", by_id(&g.logical));
     }
 
     /// Wire this table to the catalog's WAL.

@@ -6,6 +6,13 @@
 //! production deployment needs across restarts and technology generations.
 //! A snapshot captures every table; restoring rebuilds all derived indexes
 //! (path maps, child lists, attribute value indexes) from the rows.
+//!
+//! The image has one text form, and two ways to produce it. `snapshot()`
+//! clones every table into a [`CatalogSnapshot`] (grid save/restore,
+//! tests); `Mcat::write_image` — behind `snapshot_json` and every WAL
+//! checkpoint — writes the same bytes straight from the live tables, one
+//! table read guard at a time, rows borrowed and ordered as `dump()`
+//! orders them: no second catalog, no tree.
 
 use crate::annotation::{Annotation, AnnotationTable};
 use crate::audit::{AuditLog, AuditRow};
@@ -18,6 +25,7 @@ use crate::resource::{LogicalResource, Resource, ResourceTable};
 use crate::user::{Group, User, UserTable};
 use serde::{Deserialize, Serialize};
 use srb_types::{DatasetId, IdGen, SimClock, SrbError, SrbResult, UserId};
+use std::collections::HashMap;
 
 /// Generation stamps of the three cursor-relevant tables at snapshot
 /// time, in the order continuation tokens embed them. Persisting them
@@ -73,6 +81,26 @@ pub struct CatalogSnapshot {
 /// Current snapshot format version.
 pub const SNAPSHOT_VERSION: u32 = 1;
 
+/// A table's rows in id order, borrowed: the order `dump()` returns and
+/// the checkpoint writes. Every table map is keyed by the row id.
+pub(crate) fn by_id<K: Ord, V>(rows: &HashMap<K, V>) -> Vec<&V> {
+    let mut v: Vec<(&K, &V)> = rows.iter().collect();
+    v.sort_unstable_by(|a, b| a.0.cmp(b.0));
+    v.into_iter().map(|(_, row)| row).collect()
+}
+
+/// One array field of the image: `"name":[row,…]`.
+pub(crate) fn write_field<'a, T: Serialize + 'a>(
+    out: &mut String,
+    name: &str,
+    rows: impl IntoIterator<Item = &'a T>,
+) {
+    out.push('"');
+    out.push_str(name);
+    out.push_str("\":");
+    serde::write_seq(rows, out);
+}
+
 impl Mcat {
     /// Capture the whole catalog.
     pub fn snapshot(&self) -> CatalogSnapshot {
@@ -92,18 +120,56 @@ impl Mcat {
             meta_files,
             annotations: self.annotations.dump(),
             audit: self.audit.dump(),
-            generations: Some(SnapshotGenerations {
-                collections: self.collections.generation().raw(),
-                datasets: self.datasets.generation().raw(),
-                metadata: self.metadata.generation().raw(),
-            }),
+            generations: Some(self.generations()),
         }
+    }
+
+    fn generations(&self) -> SnapshotGenerations {
+        SnapshotGenerations {
+            collections: self.collections.generation().raw(),
+            datasets: self.datasets.generation().raw(),
+            metadata: self.metadata.generation().raw(),
+        }
+    }
+
+    /// Write the catalog image — the text `serde_json::to_string` makes of
+    /// [`Mcat::snapshot`], byte for byte — straight from the live tables,
+    /// taking one table's read guard at a time. Under concurrent writers
+    /// the image is fuzzy in the same way a snapshot is (each table as of
+    /// its own guard), which checkpoints tolerate; see `crate::wal`.
+    pub(crate) fn write_image(&self, out: &mut String) {
+        out.push_str("{\"version\":");
+        SNAPSHOT_VERSION.write_json(out);
+        out.push_str(",\"next_id_floor\":");
+        self.ids.allocated().write_json(out);
+        out.push_str(",\"admin\":");
+        self.admin().write_json(out);
+        out.push(',');
+        self.users.write_checkpoint(out);
+        out.push(',');
+        self.resources.write_checkpoint(out);
+        out.push(',');
+        self.collections.write_checkpoint(out);
+        out.push(',');
+        self.datasets.write_checkpoint(out);
+        out.push(',');
+        self.containers.write_checkpoint(out);
+        out.push(',');
+        self.metadata.write_checkpoint(out);
+        out.push(',');
+        self.annotations.write_checkpoint(out);
+        out.push(',');
+        self.audit.write_checkpoint(out);
+        out.push_str(",\"generations\":");
+        Some(self.generations()).write_json(out);
+        out.push('}');
     }
 
     /// Capture the whole catalog as a JSON string.
     pub fn snapshot_json(&self) -> SrbResult<String> {
-        serde_json::to_string(&self.snapshot())
-            .map_err(|e| SrbError::Invalid(format!("snapshot serialization: {e}")))
+        let mut out = String::new();
+        self.write_image(&mut out);
+        Ok(out)
     }
 
     /// Rebuild a catalog from a snapshot, sharing `clock`.
@@ -240,6 +306,25 @@ mod tests {
         // Annotations and audit survived.
         assert_eq!(r.annotations.for_subject(Subject::Dataset(ds)).len(), 1);
         assert_eq!(r.audit.count(), m.audit.count());
+    }
+
+    #[test]
+    fn the_streamed_image_is_the_snapshot_text() {
+        let m = seeded();
+        m.audit.record(
+            &m.ids,
+            m.clock.now(),
+            m.admin(),
+            crate::AuditAction::Read,
+            "/zoo",
+            "ok",
+        );
+        m.metadata
+            .attach_meta_file(Subject::Collection(m.collections.root()), DatasetId(2));
+        assert_eq!(
+            m.snapshot_json().unwrap(),
+            serde_json::to_string(&m.snapshot()).unwrap()
+        );
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! stores the verifier for challenge–response auth — never the password
 //! itself.
 
+use crate::snapshot::{by_id, write_field};
 use crate::wal::{WalHook, WalOp};
 use serde::{Deserialize, Serialize};
 use srb_types::sync::{LockRank, RwLock};
@@ -224,10 +225,10 @@ impl UserTable {
 
     /// All groups, sorted by id (snapshots, admin pages).
     pub fn list_groups(&self) -> Vec<Group> {
-        let g = self.users.read();
-        let mut v: Vec<Group> = g.groups.values().cloned().collect();
-        v.sort_by_key(|x| x.id);
-        v
+        by_id(&self.users.read().groups)
+            .into_iter()
+            .cloned()
+            .collect()
     }
 
     /// Rebuild the table from snapshot rows.
@@ -254,10 +255,18 @@ impl UserTable {
 
     /// All users (for MySRB admin pages), sorted by id.
     pub fn list_users(&self) -> Vec<User> {
+        by_id(&self.users.read().users)
+            .into_iter()
+            .cloned()
+            .collect()
+    }
+
+    /// The image's `"users"` and `"groups"` fields, under one read guard.
+    pub(crate) fn write_checkpoint(&self, out: &mut String) {
         let g = self.users.read();
-        let mut v: Vec<User> = g.users.values().cloned().collect();
-        v.sort_by_key(|u| u.id);
-        v
+        write_field(out, "users", by_id(&g.users));
+        out.push(',');
+        write_field(out, "groups", by_id(&g.groups));
     }
 
     /// Wire this table to the catalog's WAL.

@@ -10,6 +10,10 @@
 //!   equals apply order per table. Records are LSN-stamped and carry the
 //!   post-mutation generation of their table, making recovered generation
 //!   counters exact (continuation tokens either resume or cleanly fail).
+//!   A record's op is encoded to text *before* the WAL mutex is taken;
+//!   under it only the LSN prefix is written and the line handed to the
+//!   device (a commit marker also writes its time there, see
+//!   `Wal::commit`).
 //! * Tables only log. The *operation* that owns the mutations ends the
 //!   group: [`Mcat::commit`] — the one caller of `Wal::commit` — appends a
 //!   `Commit` marker and fsyncs, so one acknowledged op is one marker and
@@ -19,12 +23,15 @@
 //!   entirely; a commit with nothing logged since the last marker appends
 //!   nothing. `wal.appends` counts records, `wal.group_commits` counts
 //!   actual fsyncs.
-//! * **Checkpoints** are full-catalog snapshots installed when the virtual
-//!   clock passes the configured interval. The covered LSN is captured
-//!   *before* the snapshot is taken, so a fuzzy snapshot may contain
-//!   effects of slightly later records — harmless, because redo records
-//!   are idempotent row images (`Put` overwrites, `Delete` tolerates
-//!   absence).
+//! * **Checkpoints** are full-catalog images installed when the virtual
+//!   clock passes the configured interval, streamed straight from the live
+//!   tables into one `String` the device takes by value
+//!   (`Mcat::write_image`: one table read guard at a time, no clone of
+//!   the catalog, no tree). The covered LSN is captured *before* the image
+//!   is written, so a fuzzy image may contain effects of slightly later
+//!   records — harmless, because redo records are idempotent row images
+//!   (`Put` overwrites, `Delete` tolerates absence) and recovery floors the
+//!   id allocator above every row the image holds.
 //! * **Recovery** (`replay_device`) loads the latest checkpoint, patches
 //!   its row vectors with every *complete* commit group in the durable
 //!   tail (an unterminated trailing group was never acknowledged and is
@@ -55,6 +62,7 @@ use crate::metadata::{MetaRow, Subject};
 use crate::resource::{LogicalResource, Resource};
 use crate::snapshot::{CatalogSnapshot, SnapshotGenerations, SNAPSHOT_VERSION};
 use crate::user::{Group, User};
+use crate::Mcat;
 use serde::{Deserialize, Serialize};
 use srb_storage::{LogDevice, TailRead};
 use srb_types::sync::{LockRank, Mutex};
@@ -62,6 +70,7 @@ use srb_types::{
     AnnotationId, CollectionId, ContainerId, DatasetId, Lsn, MetaId, SimClock, SrbError, SrbResult,
     Timestamp,
 };
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -187,10 +196,28 @@ pub struct WalRecord {
     pub op: WalOp,
 }
 
+thread_local! {
+    /// Where a record is encoded before the WAL mutex is taken; reused, so
+    /// encoding stops allocating once it has grown to the largest row.
+    static ENCODE_BUF: RefCell<String> = const { RefCell::new(String::new()) };
+}
+
+/// `{"lsn":` plus the longest `u64`.
+const LSN_PREFIX_MAX: usize = 27;
+
+/// The text after the LSN of a `Commit` marker's line, up to its `at_ns`.
+const MARKER_MID: &str = ",\"gen\":0,\"op\":{\"Commit\":{\"at_ns\":";
+
+/// A whole `Commit` marker line: the LSN prefix, [`MARKER_MID`], the
+/// longest `u64` and the closing `}}}`.
+const MARKER_MAX: usize = LSN_PREFIX_MAX + MARKER_MID.len() + 20 + 3;
+
 /// What the device stores as its checkpoint: the catalog snapshot plus
 /// the virtual time it was taken, so recovery restores the clock even when
 /// the checkpoint covers the entire log and the replay tail is empty.
-#[derive(Debug, Serialize, Deserialize)]
+/// Read through this type; written by [`Wal::install_checkpoint`] straight
+/// from the live tables.
+#[derive(Debug, Deserialize)]
 struct CheckpointEnvelope {
     /// Virtual time the snapshot was taken.
     at_ns: u64,
@@ -289,28 +316,37 @@ impl Wal {
 
     /// Append one redo record. Called while the mutated table's write
     /// guard is held (legal: `Wal` ranks below `McatTable`), so the log
-    /// orders records exactly as the table applied them. Buffered, not
-    /// yet durable.
-    pub(crate) fn append(&self, op: WalOp, gen: u64) -> Lsn {
-        self.append_locked(&mut self.state.lock(), op, gen)
+    /// orders records exactly as the table applied them. The op is encoded
+    /// before the WAL mutex is taken. Buffered, not yet durable.
+    pub(crate) fn append(&self, op: &WalOp, gen: u64) -> Lsn {
+        ENCODE_BUF.with_borrow_mut(|rest| {
+            rest.clear();
+            rest.push_str(",\"gen\":");
+            serde::write_u64(gen, rest);
+            rest.push_str(",\"op\":");
+            op.write_json(rest);
+            rest.push('}');
+            let line = String::with_capacity(rest.len() + LSN_PREFIX_MAX);
+            self.append_locked(&mut self.state.lock(), line, |l| l.push_str(rest))
+        })
     }
 
-    fn append_locked(&self, st: &mut WalState, op: WalOp, gen: u64) -> Lsn {
+    /// Assign the next LSN, write the `{"lsn":N` prefix into `line` and
+    /// `rest` after it, and hand the line to the device. Called under the
+    /// WAL mutex; `rest` copies text encoded before it was taken, or
+    /// writes a marker's one number.
+    fn append_locked(
+        &self,
+        st: &mut WalState,
+        mut line: String,
+        rest: impl FnOnce(&mut String),
+    ) -> Lsn {
         let lsn = Lsn(st.next_lsn);
         st.next_lsn += 1;
-        let record = WalRecord {
-            lsn: lsn.raw(),
-            gen,
-            op,
-        };
-        let json = match serde_json::to_string(&record) {
-            Ok(j) => j,
-            // Row types are plain data; a serialization failure is a
-            // programming bug, and losing a redo record silently would
-            // corrupt recovery.
-            Err(e) => panic!("WAL record serialization: {e}"),
-        };
-        let cost = self.device.append(lsn, &json);
+        line.push_str("{\"lsn\":");
+        serde::write_u64(lsn.raw(), &mut line);
+        rest(&mut line);
+        let cost = self.device.append(lsn, line);
         self.pending_ns.fetch_add(cost, Ordering::Relaxed);
         if let Some(obs) = &self.obs {
             obs.appends.add(1);
@@ -330,10 +366,17 @@ impl Wal {
         let marker = {
             let mut st = self.state.lock();
             if st.next_lsn - 1 > st.last_marker {
+                // A marker closes every record appended before it, other
+                // writers' included: its time is read under the lock so it
+                // is never earlier than any of theirs.
                 let at_ns = self.clock.now().nanos();
-                st.last_marker = self
-                    .append_locked(&mut st, WalOp::Commit { at_ns }, 0)
-                    .raw();
+                let line = String::with_capacity(MARKER_MAX);
+                let lsn = self.append_locked(&mut st, line, |l| {
+                    l.push_str(MARKER_MID);
+                    serde::write_u64(at_ns, l);
+                    l.push_str("}}}");
+                });
+                st.last_marker = lsn.raw();
             }
             Lsn(st.last_marker)
         };
@@ -374,22 +417,23 @@ impl Wal {
         Lsn(st.next_lsn - 1)
     }
 
-    /// Install a checkpoint snapshot covering records through `cover`.
-    /// Fails, leaving the previous checkpoint and the log untouched, when
-    /// the device does not take it.
-    pub(crate) fn install_checkpoint(
-        &self,
-        cover: Lsn,
-        snapshot: CatalogSnapshot,
-    ) -> SrbResult<()> {
-        let envelope = CheckpointEnvelope {
-            at_ns: self.clock.now().nanos(),
-            snapshot,
-        };
-        let json = serde_json::to_string(&envelope)
-            .map_err(|e| SrbError::Internal(format!("checkpoint serialization: {e}")))?;
-        drop(envelope); // free the rows before the device copies the text
-        let cost = self.device.install_checkpoint(cover, &json);
+    /// Install a checkpoint of `mcat` covering records through `cover`:
+    /// the [`CheckpointEnvelope`] text, the image streamed from the live
+    /// tables into the one `String` the device keeps. Fails, leaving the
+    /// previous checkpoint and the log untouched, when the device does not
+    /// take it.
+    pub(crate) fn install_checkpoint(&self, cover: Lsn, mcat: &Mcat) -> SrbResult<()> {
+        let mut text = String::new();
+        mcat.write_image(&mut text);
+        // The envelope's time is read after the image, so it is never
+        // earlier than a row the image holds; the prefix is then moved in
+        // front of it (one memmove, no second buffer).
+        let mut head = String::from("{\"at_ns\":");
+        serde::write_u64(self.clock.now().nanos(), &mut head);
+        head.push_str(",\"snapshot\":");
+        text.insert_str(0, &head);
+        text.push('}');
+        let cost = self.device.install_checkpoint(cover, text);
         if self.device.checkpoint_lsn() != Some(cover) {
             return Err(SrbError::ResourceUnavailable(format!(
                 "log device refused the checkpoint at {cover}"
@@ -453,7 +497,7 @@ impl WalHook {
     /// running without durability never pay the row clone.
     pub(crate) fn log(&self, gen: u64, op: impl FnOnce() -> WalOp) {
         if let Some(wal) = self.0.get() {
-            wal.append(op(), gen);
+            wal.append(&op(), gen);
         }
     }
 }
@@ -516,7 +560,7 @@ impl Patch {
             .generations
             .map(|g| [g.collections, g.datasets, g.metadata])
             .unwrap_or([0; 3]);
-        Patch {
+        let mut patch = Patch {
             users: snap.users.into_iter().map(|r| (r.id.raw(), r)).collect(),
             groups: snap.groups.into_iter().map(|r| (r.id.raw(), r)).collect(),
             resources: snap
@@ -550,7 +594,30 @@ impl Patch {
             audit: snap.audit.into_iter().map(|r| (r.id.raw(), r)).collect(),
             gens,
             max_id: snap.next_id_floor,
-        }
+        };
+        // A fuzzy image can hold rows allocated after it read the floor
+        // (their records may never have committed): floor above them too.
+        let row_ids = [
+            patch.users.keys().next_back(),
+            patch.groups.keys().next_back(),
+            patch.resources.keys().next_back(),
+            patch.logical_resources.keys().next_back(),
+            patch.collections.keys().next_back(),
+            patch.datasets.keys().next_back(),
+            patch.containers.keys().next_back(),
+            patch.metadata.keys().next_back(),
+            patch.annotations.keys().next_back(),
+            patch.audit.keys().next_back(),
+        ];
+        let replica_ids = patch.datasets.values().flat_map(|d| &d.replicas);
+        let max = row_ids
+            .into_iter()
+            .flatten()
+            .copied()
+            .chain(replica_ids.map(|r| r.id.raw()))
+            .max();
+        patch.note_id(max.unwrap_or(0));
+        patch
     }
 
     fn note_id(&mut self, raw: u64) {
@@ -818,6 +885,45 @@ mod tests {
     use super::*;
 
     #[test]
+    fn appended_lines_are_the_record_text() {
+        let device = Arc::new(LogDevice::new());
+        let clock = SimClock::new();
+        let wal = Wal::new(device.clone(), clock.clone(), WalConfig::default(), None);
+        let op = WalOp::MetaFilesPut {
+            subject: Subject::Collection(CollectionId(4)),
+            files: vec![DatasetId(1), DatasetId(22)],
+        };
+        wal.append(&op, 17);
+        clock.advance(u64::MAX / 2);
+        wal.commit();
+        let (_, tail, _) = device.read_back().unwrap();
+        let record = WalRecord {
+            lsn: 1,
+            gen: 17,
+            op,
+        };
+        assert_eq!(tail[0].1, serde_json::to_string(&record).unwrap());
+        let marker = WalRecord {
+            lsn: 2,
+            gen: 0,
+            op: WalOp::Commit {
+                at_ns: u64::MAX / 2,
+            },
+        };
+        assert_eq!(tail[1].1, serde_json::to_string(&marker).unwrap());
+        assert!(tail[1].1.len() <= MARKER_MAX);
+    }
+
+    #[test]
+    fn a_fuzzy_image_floors_the_allocator_above_its_rows() {
+        let mcat = crate::Mcat::new(SimClock::new(), "pw");
+        let mut snap = mcat.snapshot();
+        snap.next_id_floor = 0; // read before the rows were allocated
+        let patch = Patch::from_snapshot(snap);
+        assert_eq!(patch.max_id, mcat.ids.allocated());
+    }
+
+    #[test]
     fn record_round_trips_through_json() {
         let rec = WalRecord {
             lsn: 7,
@@ -845,7 +951,7 @@ mod tests {
         let device = Arc::new(LogDevice::new());
         let wal = Wal::new(device.clone(), SimClock::new(), WalConfig::default(), None);
         wal.append(
-            WalOp::AuditPut {
+            &WalOp::AuditPut {
                 row: AuditRow {
                     id: srb_types::AuditId(1),
                     at: Timestamp(0),
@@ -858,7 +964,7 @@ mod tests {
             0,
         );
         wal.append(
-            WalOp::MetaFilesClear {
+            &WalOp::MetaFilesClear {
                 subject: Subject::Dataset(DatasetId(1)),
             },
             2,
@@ -913,10 +1019,10 @@ mod tests {
         // A checkpoint is required; build one from an empty-ish catalog.
         let mcat = crate::Mcat::new(SimClock::new(), "pw");
         let wal = Wal::new(device.clone(), SimClock::new(), WalConfig::default(), None);
-        wal.install_checkpoint(Lsn(0), mcat.snapshot()).unwrap();
+        wal.install_checkpoint(Lsn(0), &mcat).unwrap();
         // Group 1: a metadata row, committed.
         wal.append(
-            WalOp::MetaPut {
+            &WalOp::MetaPut {
                 row: MetaRow {
                     id: MetaId(100),
                     subject: Subject::Dataset(DatasetId(5)),
@@ -929,7 +1035,7 @@ mod tests {
         wal.commit();
         // Group 2: appended but never committed (crash before fsync).
         wal.append(
-            WalOp::MetaPut {
+            &WalOp::MetaPut {
                 row: MetaRow {
                     id: MetaId(101),
                     subject: Subject::Dataset(DatasetId(5)),
@@ -947,7 +1053,7 @@ mod tests {
         assert_eq!(replayed.snapshot.generations.unwrap().metadata, 1);
         assert!(replayed.snapshot.next_id_floor >= 100);
         // Now a durable-but-unterminated group: synced without a marker.
-        wal.append(WalOp::MetaDelete { id: MetaId(100) }, 3);
+        wal.append(&WalOp::MetaDelete { id: MetaId(100) }, 3);
         device.sync();
         let replayed = replay_device(&device).unwrap();
         assert_eq!(replayed.report.records_discarded, 1);
@@ -965,7 +1071,7 @@ mod tests {
         let device = Arc::new(LogDevice::new());
         let mcat = crate::Mcat::new(SimClock::new(), "pw");
         let wal = Wal::new(device.clone(), SimClock::new(), WalConfig::default(), None);
-        wal.install_checkpoint(Lsn(0), mcat.snapshot()).unwrap();
+        wal.install_checkpoint(Lsn(0), &mcat).unwrap();
         let (checkpoint, _, _) = device.read_back().unwrap();
         let json = checkpoint.unwrap().1;
         assert!(
@@ -986,7 +1092,7 @@ mod tests {
             serde_json::to_string(&old).unwrap(),
             "{not json".to_string(),
         ] {
-            device.install_checkpoint(Lsn(0), &bad);
+            device.install_checkpoint(Lsn(0), bad);
             assert!(matches!(replay_device(&device), Err(SrbError::Parse(_))));
         }
     }
@@ -997,7 +1103,7 @@ mod tests {
         let mcat = crate::Mcat::new(SimClock::new(), "pw");
         let wal = Wal::new(device.clone(), SimClock::new(), WalConfig::default(), None);
         device.refuse_checkpoints(true);
-        assert!(wal.install_checkpoint(Lsn(0), mcat.snapshot()).is_err());
+        assert!(wal.install_checkpoint(Lsn(0), &mcat).is_err());
         assert_eq!(device.checkpoint_lsn(), None);
         assert_eq!(wal.take_pending_ns(), 0);
     }

@@ -429,7 +429,7 @@ fn a_checkpoint_racing_a_fetch_never_leaves_a_hole() {
         s.spawn(|| {
             for g in 1..=GROUPS {
                 for lsn in (g - 1) * GROUP + 1..=g * GROUP {
-                    device.append(Lsn(lsn), &race_line(lsn));
+                    device.append(Lsn(lsn), race_line(lsn));
                 }
                 device.sync();
                 if g * GROUP > LAG {

@@ -14,7 +14,10 @@
 //! commit marker at or before L. Acknowledged mutations are never lost;
 //! unacknowledged ones never half-apply.
 
-use srb_mcat::{AccessSpec, AnnotationKind, Mcat, MetaKind, Subject, WalConfig};
+use srb_mcat::{
+    export_deltas, AccessSpec, AnnotationKind, AuditAction, DeltaFetch, Mcat, MetaKind, Subject,
+    WalConfig, WalOp,
+};
 use srb_storage::{DriverKind, LogDevice};
 use srb_types::{
     CollectionId, DatasetId, Lsn, ResourceId, SimClock, SiteId, SrbError, Timestamp, Triplet,
@@ -395,6 +398,150 @@ fn two_sided_range_equals_scan_on_a_recovered_multi_valued_catalog() {
         assert_eq!(&planned, live, "recovered planner vs live scan: {q:?}");
         assert_eq!(planned, rec.query_scan(q).unwrap());
     }
+}
+
+/// Two writers, each committing 2 000 audited ingests (a dataset and a
+/// metadata row, an audit row for each) while one of them also
+/// checkpoints: the recovered catalog is the live one byte for byte,
+/// audit rows included. Audit ids are drawn under the log's lock, so the
+/// order rows are held in (what `dump()` and the checkpoint write) is the
+/// id order recovery rebuilds them in.
+#[test]
+fn two_writers_recover_byte_identical_audit_order_included() {
+    let m = Mcat::new(SimClock::new(), "pw");
+    let device = Arc::new(LogDevice::new());
+    m.enable_wal(device.clone(), NO_CKPT, None).unwrap();
+    let (root, admin) = (m.collections.root(), m.admin());
+    std::thread::scope(|s| {
+        for t in 0..2 {
+            let m = &m;
+            s.spawn(move || {
+                for i in 0..2_000 {
+                    let name = format!("t{t}-{i}");
+                    let now = m.clock.now();
+                    let d = m
+                        .datasets
+                        .create(
+                            &m.ids,
+                            root,
+                            &name,
+                            "generic",
+                            admin,
+                            vec![(stored(i), 1, None)],
+                            now,
+                        )
+                        .unwrap();
+                    m.audit
+                        .record(&m.ids, now, admin, AuditAction::Ingest, &name, "ok");
+                    m.metadata.add(
+                        &m.ids,
+                        Subject::Dataset(d),
+                        Triplet::new("step", i as i64, ""),
+                        MetaKind::UserDefined,
+                    );
+                    m.audit
+                        .record(&m.ids, now, admin, AuditAction::MetaChange, &name, "ok");
+                    m.commit();
+                    if t == 0 && i % 500 == 250 {
+                        m.checkpoint_now().unwrap();
+                    }
+                }
+            });
+        }
+    });
+    let live = normalized(&m);
+    drop(m);
+    device.crash();
+    let (rec, _) = Mcat::recover(SimClock::new(), device, NO_CKPT, None).unwrap();
+    assert_eq!(rec.audit.count(), 8_000);
+    let got = normalized(&rec);
+    let at = got.bytes().zip(live.bytes()).position(|(a, b)| a != b);
+    assert!(
+        got == live,
+        "recovered catalog differs from the live one at byte {at:?} (audit at {:?})",
+        live.find("\"audit\":")
+    );
+}
+
+/// Four writers stamping rows with an advancing clock, one of them also
+/// checkpointing: every commit marker's `at_ns` is at or after the stamp
+/// of every record it closes (a marker closes other writers' records
+/// too), and the clock recovery restores is at or after every recovered
+/// row's stamp.
+#[test]
+fn concurrent_writers_never_recover_the_clock_behind_a_row() {
+    let clock = SimClock::new();
+    let m = Mcat::new(clock.clone(), "pw");
+    let device = Arc::new(LogDevice::new());
+    m.enable_wal(device.clone(), NO_CKPT, None).unwrap();
+    let (root, admin) = (m.collections.root(), m.admin());
+    let stamp = |op: &WalOp| match op {
+        WalOp::DatasetPut { row } => Some(row.created.max(row.modified)),
+        WalOp::AuditPut { row } => Some(row.at),
+        _ => None,
+    };
+    // Every group still on the device; writer 0 checkpoints right after
+    // checking, so each group is checked once.
+    let check_groups = || {
+        let since = device.checkpoint_lsn().unwrap();
+        let Ok(DeltaFetch::Deltas { deltas, .. }) = export_deltas(&device, since) else {
+            panic!("only writer 0 checkpoints, so nothing pruned past {since}");
+        };
+        for d in deltas {
+            if let Some(at) = stamp(&d.record.op) {
+                assert!(
+                    at.nanos() <= d.committed_at_ns,
+                    "LSN {}: row stamped {} closed by a marker at {}",
+                    d.record.lsn,
+                    at.nanos(),
+                    d.committed_at_ns
+                );
+            }
+        }
+    };
+    std::thread::scope(|s| {
+        for t in 0..4 {
+            let m = &m;
+            let check_groups = &check_groups;
+            s.spawn(move || {
+                for i in 0..10_000 {
+                    m.clock.advance(1_000);
+                    let now = m.clock.now();
+                    let name = format!("t{t}-{i}");
+                    if i % 8 == 0 {
+                        let replicas = vec![(stored(i), 1, None)];
+                        let created = m
+                            .datasets
+                            .create(&m.ids, root, &name, "generic", admin, replicas, now);
+                        created.unwrap();
+                    }
+                    // Mostly cheap ops, so one writer often appends again
+                    // while the other is waking up to commit.
+                    m.audit
+                        .record(&m.ids, now, admin, AuditAction::Ingest, &name, "ok");
+                    m.commit();
+                    if t == 0 && i % 1_000 == 500 {
+                        check_groups();
+                        m.checkpoint_now().unwrap();
+                    }
+                }
+            });
+        }
+    });
+    check_groups();
+    drop(m);
+    device.crash();
+    let recovered_clock = SimClock::new();
+    let (rec, _) = Mcat::recover(recovered_clock.clone(), device, NO_CKPT, None).unwrap();
+    let snap = rec.snapshot();
+    let rows = snap.datasets.iter().map(|d| d.created.max(d.modified));
+    let latest = rows.chain(snap.audit.iter().map(|a| a.at)).max().unwrap();
+    assert_eq!(snap.datasets.len(), 5_000);
+    assert!(
+        recovered_clock.now() >= latest,
+        "recovered clock {:?} behind a row stamped {latest:?}",
+        recovered_clock.now()
+    );
 }
 
 #[test]

@@ -149,8 +149,11 @@ impl LogDevice {
     }
 
     /// Buffer one record. Cheap and *not* durable; returns the virtual
-    /// cost of the buffered append.
-    pub fn append(&self, lsn: Lsn, payload: &str) -> u64 {
+    /// cost of the buffered append. The device keeps the text it is
+    /// handed; an owned `String` is stored without a copy.
+    pub fn append(&self, lsn: Lsn, payload: impl Into<String>) -> u64 {
+        let payload = payload.into();
+        let checksum = line_checksum(lsn, &payload);
         let mut g = self.inner.lock();
         debug_assert!(
             g.unsynced
@@ -161,8 +164,8 @@ impl LogDevice {
         );
         g.unsynced.push(LogLine {
             lsn,
-            payload: payload.to_string(),
-            checksum: line_checksum(lsn, payload),
+            payload,
+            checksum,
         });
         g.appends += 1;
         Self::APPEND_NS
@@ -177,8 +180,10 @@ impl LogDevice {
             return (Self::durable_lsn(&g), 0);
         }
         let bytes: u64 = g.unsynced.iter().map(|l| line_bytes(&l.payload)).sum();
-        let moved = std::mem::take(&mut g.unsynced);
-        g.synced.extend(moved);
+        let LogInner {
+            synced, unsynced, ..
+        } = &mut *g;
+        synced.append(unsynced); // the buffer keeps its capacity
         g.synced_bytes += bytes;
         g.syncs += 1;
         (Self::durable_lsn(&g), self.cost.write_ns(bytes))
@@ -199,8 +204,13 @@ impl LogDevice {
 
     /// Atomically install a checkpoint covering records through `lsn`,
     /// pruning the covered prefix of the durable tail. Returns the virtual
-    /// cost of writing the snapshot and rewriting the log head.
-    pub fn install_checkpoint(&self, lsn: Lsn, snapshot: &str) -> u64 {
+    /// cost of writing the snapshot and rewriting the log head. The device
+    /// keeps the text it is handed — an owned `String` is stored without a
+    /// copy — and frees the checkpoint it replaces after releasing its
+    /// lock.
+    pub fn install_checkpoint(&self, lsn: Lsn, snapshot: impl Into<String>) -> u64 {
+        let snapshot = snapshot.into();
+        let cost = self.cost.write_ns(snapshot.len() as u64);
         let mut g = self.inner.lock();
         if g.refuse_checkpoints {
             return 0;
@@ -213,8 +223,10 @@ impl LogDevice {
             .sum();
         g.synced_bytes -= pruned;
         g.verified = g.verified.saturating_sub(covered);
-        g.checkpoint = Some((lsn, snapshot.to_string()));
-        self.cost.write_ns(snapshot.len() as u64)
+        let replaced = g.checkpoint.replace((lsn, snapshot));
+        drop(g);
+        drop(replaced);
+        cost
     }
 
     /// LSN covered by the current checkpoint, if any.
@@ -417,7 +429,7 @@ mod tests {
     fn device_with(lsns: &[u64]) -> LogDevice {
         let d = LogDevice::new();
         for &i in lsns {
-            d.append(Lsn(i), &format!("r{i}"));
+            d.append(Lsn(i), format!("r{i}"));
         }
         d.sync();
         d
@@ -477,7 +489,7 @@ mod tests {
         assert_eq!(lsns_after(&d, 0), [1, 2, 3]); // all three verified
         d.corrupt_last_synced();
         for i in 4..=6 {
-            d.append(Lsn(i), &format!("r{i}"));
+            d.append(Lsn(i), format!("r{i}"));
         }
         d.sync();
         assert_eq!(lsns_after(&d, 0), [1, 2]);

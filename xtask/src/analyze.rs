@@ -89,6 +89,7 @@ const ORDER_SAFE_HINTS: &[&str] = &[
 /// (producing snapshots, serialized output, or receipts).
 const SENSITIVE_FN_FRAGMENTS: &[&str] = &[
     "snapshot",
+    "checkpoint",
     "dump",
     "serialize",
     "json",

@@ -33,6 +33,7 @@ fn run(args: &[&str], root: &str) -> (String, i32) {
 
 /// `path:line: [rule]` prefixes of every seeded analyze violation.
 const ANALYZE_GOLDENS: &[&str] = &[
+    "crates/fix-det/src/checkpoint.rs:13: [hash-iter]",
     "crates/fix-det/src/snapshot.rs:15: [hash-iter]",
     "crates/fix-det/src/snapshot.rs:21: [hash-iter]",
     "crates/fix-lock/src/order.rs:36: [lock-order]",
@@ -63,7 +64,14 @@ fn analyze_detects_every_seeded_violation() {
     assert_eq!(findings, ANALYZE_GOLDENS.len(), "extra findings:\n{stdout}");
     // The clean fixtures (down-rank nesting, guard dropped before
     // dispatch, sorted/terminal/ordered iteration) must not appear.
-    for clean in ["layered", "flush_ok", "snapshot_sorted", "digest", "render"] {
+    for clean in [
+        "layered",
+        "flush_ok",
+        "snapshot_sorted",
+        "checkpoint_sorted",
+        "digest",
+        "render",
+    ] {
         assert!(
             !stdout.contains(clean),
             "false positive `{clean}`:\n{stdout}"
