@@ -35,11 +35,10 @@
 
 use crate::fixtures::{ok, single_site_grid, time_us};
 use crate::table::Table;
-use rand::{Rng, SeedableRng};
 use serde_json::json;
 use srb_core::Grid;
 use srb_mcat::{Mcat, MetaKind, NewDataset, Query, Subject};
-use srb_types::{CollectionId, CompareOp, MetaValue, Triplet};
+use srb_types::{CollectionId, CompareOp, MetaValue, SeedStream, Triplet};
 
 /// Entries per `list_page` window in the paging half.
 const PAGE: usize = 100;
@@ -53,7 +52,7 @@ fn seed_catalog(m: &Mcat, n: usize) -> CollectionId {
     let coll = ok(m
         .collections
         .create(&m.ids, m.collections.root(), "e2", admin, now));
-    let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+    let mut rng = SeedStream::new(7);
     const CHUNK: usize = 10_000;
     let mut lo = 0;
     while lo < n {
@@ -69,7 +68,7 @@ fn seed_catalog(m: &Mcat, n: usize) -> CollectionId {
             .create_batch(&m.ids, coll, "generic", admin, batch, now));
         let rows = ids.into_iter().enumerate().flat_map(|(k, d)| {
             let i = lo + k;
-            let score: i64 = rng.gen_range(0..1000);
+            let score = rng.below(1000) as i64;
             [
                 (
                     Subject::Dataset(d),

@@ -1,9 +1,8 @@
 //! Shared grid fixtures and workload generators for the experiments.
 
-use rand::{Rng, SeedableRng};
 use srb_core::{Grid, GridBuilder, IngestOptions, SrbConnection};
 use srb_net::LinkSpec;
-use srb_types::{ServerId, Triplet};
+use srb_types::{SeedStream, ServerId, Triplet};
 
 /// One site, one server, one fs resource — catalog-focused experiments.
 pub fn single_site_grid() -> (Grid, ServerId) {
@@ -115,7 +114,7 @@ pub fn connect<'g>(grid: &'g Grid, srv: ServerId) -> SrbConnection<'g> {
 /// numeric `score`. Returns ingest wall time.
 pub fn seed_datasets(conn: &SrbConnection<'_>, n: usize, resource: &str) -> std::time::Duration {
     ok(conn.make_collection("/home/bench/data"));
-    let mut rng = rand::rngs::StdRng::seed_from_u64(42);
+    let mut rng = SeedStream::new(42);
     let t0 = std::time::Instant::now();
     for i in 0..n {
         ok(conn.ingest(
@@ -124,7 +123,7 @@ pub fn seed_datasets(conn: &SrbConnection<'_>, n: usize, resource: &str) -> std:
             IngestOptions::to_resource(resource)
                 .with_metadata(Triplet::new("serial", i as i64, ""))
                 .with_metadata(Triplet::new("kind", ["image", "text", "movie"][i % 3], ""))
-                .with_metadata(Triplet::new("score", rng.gen_range(0i64..1000), "")),
+                .with_metadata(Triplet::new("score", rng.below(1000) as i64, "")),
         ));
     }
     t0.elapsed()

@@ -21,7 +21,7 @@
 use crate::conn::SrbConnection;
 use bytes::Bytes;
 use srb_net::Receipt;
-use srb_types::{ResourceId, SrbError, SrbResult};
+use srb_types::{mix64, ResourceId, SrbError, SrbResult};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// How a connection executes multi-replica storage legs.
@@ -95,13 +95,11 @@ impl RetryBudget {
         let raw = self.base_ns.saturating_mul(exp).min(self.max_backoff_ns);
         // Deterministic jitter into [raw/2, raw]: splitmix64 over the
         // (seed, key, attempt) triple.
-        let mut z = self
-            .jitter_seed
-            .wrapping_add(key.wrapping_mul(0x9e3779b97f4a7c15))
-            .wrapping_add(attempt as u64);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-        z ^= z >> 31;
+        let z = mix64(
+            self.jitter_seed
+                .wrapping_add(key.wrapping_mul(0x9e3779b97f4a7c15))
+                .wrapping_add(attempt as u64),
+        );
         let half = raw / 2;
         half + if half == 0 { 0 } else { z % (raw - half + 1) }
     }

@@ -27,6 +27,16 @@ pub fn op_cost(receipt: &Receipt) -> OpCost {
     }
 }
 
+/// Every driver family in declaration order, so `kind as usize` indexes
+/// [`CoreObs`]'s per-family storage handles.
+const DRIVER_KINDS: [DriverKind; 5] = [
+    DriverKind::FileSystem,
+    DriverKind::Archive,
+    DriverKind::Cache,
+    DriverKind::Database,
+    DriverKind::Url,
+];
+
 /// Cached metric handles for the broker's own hot paths.
 #[derive(Debug, Clone)]
 pub struct CoreObs {
@@ -58,6 +68,9 @@ pub struct CoreObs {
     /// `wal.checkpoint_failures`: due checkpoints an op epilogue could not
     /// install (the op itself still succeeded).
     pub checkpoint_failures: Counter,
+    /// `storage.ops` / `storage.op_ns` per driver family, indexed by
+    /// `DriverKind as usize`.
+    storage: [(Counter, Histogram); 5],
 }
 
 impl CoreObs {
@@ -75,6 +88,12 @@ impl CoreObs {
             pool_hits: m.counter("core.pool_hits", ""),
             pool_misses: m.counter("core.pool_misses", ""),
             checkpoint_failures: m.counter("wal.checkpoint_failures", ""),
+            storage: DRIVER_KINDS.map(|kind| {
+                (
+                    m.counter("storage.ops", kind.name()),
+                    m.histogram("storage.op_ns", kind.name()),
+                )
+            }),
             obs,
         }
     }
@@ -87,12 +106,9 @@ impl CoreObs {
     /// Count one storage-driver operation of `sim_ns` simulated cost
     /// against the driver family's `storage.ops` / `storage.op_ns`.
     pub fn storage_op(&self, kind: DriverKind, sim_ns: u64) {
-        let label = kind.name();
-        self.obs.metrics.counter("storage.ops", label).inc();
-        self.obs
-            .metrics
-            .histogram("storage.op_ns", label)
-            .observe(sim_ns);
+        let (ops, op_ns) = &self.storage[kind as usize];
+        ops.inc();
+        op_ns.observe(sim_ns);
     }
 
     /// Count one failed storage-driver operation (`storage.errors`),
@@ -175,10 +191,17 @@ mod tests {
     #[test]
     fn storage_counters_label_by_driver_kind() {
         let core = CoreObs::new(Obs::new(SimClock::new()));
+        for (i, kind) in DRIVER_KINDS.into_iter().enumerate() {
+            assert_eq!(kind as usize, i);
+            core.storage_op(kind, 1_000 * (i as u64 + 1));
+        }
         core.storage_op(DriverKind::FileSystem, 1_000);
         core.storage_error(DriverKind::Archive, "TIMEOUT");
         let snap = core.obs.snapshot();
-        assert_eq!(snap.counter("storage.ops", "file-system"), 1);
+        assert_eq!(snap.counter("storage.ops", "file-system"), 2);
+        assert_eq!(snap.counter("storage.ops", "url"), 1);
+        assert_eq!(snap.histograms["storage.op_ns"]["database"].count, 1);
+        assert_eq!(snap.histograms["storage.op_ns"]["database"].sum, 4_000);
         assert_eq!(snap.counter("storage.errors", "archive"), 1);
         assert_eq!(snap.counter("storage.error_codes", "TIMEOUT"), 1);
     }

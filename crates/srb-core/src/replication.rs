@@ -9,7 +9,7 @@
 
 use srb_mcat::{Replica, ReplicaStatus};
 use srb_net::{HealthRegistry, LoadTracker};
-use srb_types::ResourceId;
+use srb_types::{ResourceId, SeedStream};
 
 /// The candidates a read walks, grouped by how desperate the caller is.
 #[derive(Debug)]
@@ -104,17 +104,9 @@ impl ReplicaPolicy {
             ReplicaPolicy::Random(seed) => {
                 // Fisher–Yates with a splitmix64 stream — deterministic per
                 // seed, no allocation beyond the output vec.
-                let mut state = seed.wrapping_add(0x9e3779b97f4a7c15);
-                let mut next = || {
-                    state = state.wrapping_add(0x9e3779b97f4a7c15);
-                    let mut z = state;
-                    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-                    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-                    z ^ (z >> 31)
-                };
+                let mut stream = SeedStream::new(seed.wrapping_add(0x9e3779b97f4a7c15));
                 for i in (1..fresh.len()).rev() {
-                    let j = (next() % (i as u64 + 1)) as usize;
-                    fresh.swap(i, j);
+                    fresh.swap(i, stream.below(i + 1));
                 }
             }
         }

@@ -19,7 +19,7 @@ use srb_core::{Federation, GridBuilder, IngestOptions, SrbConnection, ZoneId};
 use srb_mcat::{Mcat, WalConfig};
 use srb_net::LinkSpec;
 use srb_storage::LogDevice;
-use srb_types::{Lsn, SimClock, Triplet};
+use srb_types::{Lsn, SeedStream, SimClock, Triplet};
 use std::sync::Arc;
 
 const NO_CKPT: WalConfig = WalConfig {
@@ -27,14 +27,6 @@ const NO_CKPT: WalConfig = WalConfig {
 };
 const SEED: u64 = 0x0A70_31C1_7E57;
 const OPS: usize = 36;
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 struct World {
     fed: Federation,
@@ -101,17 +93,17 @@ fn run(ops: usize) -> (World, Vec<(Lsn, String)>) {
     let mcat = &w.fed.zone(w.alpha).unwrap().grid.mcat;
     let wal = mcat.wal().unwrap();
     let mut states = vec![(wal.durable_lsn(), normalized(mcat))];
-    let mut rng = SEED;
+    let mut rng = SeedStream::new(SEED);
     let mut live: Vec<String> = Vec::new();
     for i in 0..ops {
         w.fed.clock().advance(1_000_000);
         let fresh = format!("/home/sekar/data/o{i:03}");
-        let pick = |rng: &mut u64, live: &[String]| {
-            (!live.is_empty()).then(|| (splitmix64(rng) % live.len() as u64) as usize)
+        let pick = |rng: &mut SeedStream, live: &[String]| {
+            (!live.is_empty()).then(|| rng.below(live.len()))
         };
         // Failures (a picked dataset is a remote pointer a copy cannot
         // read, …) are ops too: they audit and commit like any other.
-        match splitmix64(&mut rng) % 7 {
+        match rng.below(7) {
             0 => {
                 let opts = IngestOptions::to_resource("fs")
                     .with_metadata(Triplet::new("serial", i as i64, ""))
@@ -153,7 +145,7 @@ fn run(ops: usize) -> (World, Vec<(Lsn, String)>) {
                 }
             }
             _ => {
-                let src = format!("/home/sekar/pub{}", splitmix64(&mut rng) % 4);
+                let src = format!("/home/sekar/pub{}", rng.below(4));
                 w.fed
                     .register_remote(w.beta, &src, w.alpha, &fresh)
                     .unwrap();

@@ -8,16 +8,8 @@ use srb_core::{Federation, GridBuilder, IngestOptions, SrbConnection, ZoneId};
 use srb_mcat::{Query, WalConfig};
 use srb_net::LinkSpec;
 use srb_storage::LogDevice;
-use srb_types::{ServerId, SimClock, Triplet};
+use srb_types::{SeedStream, ServerId, SimClock, Triplet};
 use std::sync::Arc;
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// One single-site zone grid on the shared federation clock, with WAL
 /// durability and periodic checkpoints off (tests trigger checkpoints
@@ -63,14 +55,14 @@ fn conn<'f>(f: &'f Fed, z: ZoneId) -> SrbConnection<'f> {
 }
 
 /// Ingest one seeded dataset under `/home/sekar/data` and return its path.
-fn seeded_ingest(c: &SrbConnection<'_>, rng: &mut u64, i: usize, res: &str) -> String {
+fn seeded_ingest(c: &SrbConnection<'_>, rng: &mut SeedStream, i: usize, res: &str) -> String {
     let path = format!("/home/sekar/data/set{i:03}");
-    let size = 64 + (splitmix64(rng) % 4096) as usize;
+    let size = 64 + rng.below(4096);
     let mut opts = IngestOptions::to_resource(res).with_type("text");
-    if splitmix64(rng).is_multiple_of(2) {
+    if rng.next_u64().is_multiple_of(2) {
         opts = opts.with_metadata(Triplet::new(
             "project",
-            format!("p{}", splitmix64(rng) % 7).as_str(),
+            format!("p{}", rng.below(7)).as_str(),
             "",
         ));
     }
@@ -83,7 +75,7 @@ fn cross_zone_registration_carries_provenance_and_survives_recovery() {
     let f = two_zones(LinkSpec::wan());
     let ca = conn(&f, f.a);
     ca.make_collection("/home/sekar/data").unwrap();
-    let mut rng = 0xDEAD_BEEFu64;
+    let mut rng = SeedStream::new(0xDEAD_BEEF);
     let src = seeded_ingest(&ca, &mut rng, 0, "fs-alpha");
 
     f.fed
@@ -109,7 +101,7 @@ fn federated_query_tags_hits_and_paginates_across_zones() {
     let cb = conn(&f, f.b);
     ca.make_collection("/home/sekar/data").unwrap();
     cb.make_collection("/home/sekar/data").unwrap();
-    let mut rng = 42u64;
+    let mut rng = SeedStream::new(42);
     for i in 0..6 {
         let p = seeded_ingest(&ca, &mut rng, i, "fs-alpha");
         ca.add_metadata(&p, Triplet::new("grade", "hot", ""))
@@ -173,7 +165,7 @@ fn partition_chaos_oracle_no_acked_write_lost_and_byte_identical_heal() {
     let f = two_zones(LinkSpec::wan());
     let ca = conn(&f, f.a);
     ca.make_collection("/home/sekar/data").unwrap();
-    let mut rng = 0x5EED_0001u64;
+    let mut rng = SeedStream::new(0x5EED_0001);
     let mut acked: Vec<String> = Vec::new();
 
     // Phase 1: seeded workload in the home zone, then subscribe beta.
@@ -235,7 +227,7 @@ fn checkpoint_gap_forces_resync_and_still_converges() {
     let f = two_zones(LinkSpec::metro());
     let ca = conn(&f, f.a);
     ca.make_collection("/home/sekar/data").unwrap();
-    let mut rng = 0xABCDu64;
+    let mut rng = SeedStream::new(0xABCD);
     for i in 0..4 {
         seeded_ingest(&ca, &mut rng, i, "fs-alpha");
     }
@@ -269,7 +261,7 @@ fn federated_pagination_terminates_when_home_has_higher_index() {
     let cb = conn(&f, f.b);
     ca.make_collection("/home/sekar/data").unwrap();
     cb.make_collection("/home/sekar/data").unwrap();
-    let mut rng = 9u64;
+    let mut rng = SeedStream::new(9);
     for i in 0..5 {
         let p = seeded_ingest(&ca, &mut rng, i, "fs-alpha");
         ca.add_metadata(&p, Triplet::new("grade", "hot", ""))
@@ -381,7 +373,7 @@ fn irrelevant_churn_does_not_pin_cursor_into_resync() {
     let f = two_zones(LinkSpec::metro());
     let ca = conn(&f, f.a);
     ca.make_collection("/home/sekar/data").unwrap();
-    let mut rng = 3u64;
+    let mut rng = SeedStream::new(3);
     seeded_ingest(&ca, &mut rng, 0, "fs-alpha");
     let dst_root = f.fed.subscribe(f.b, f.a, "/home/sekar/data").unwrap();
     f.fed.pump_until_drained(4, 100).unwrap();
@@ -426,7 +418,7 @@ fn failed_subscribe_leaves_no_mirror_behind() {
         let ca =
             SrbConnection::connect(&zone_a.grid, zone_a.contact(), "sekar", "sdsc", "pw").unwrap();
         ca.make_collection("/home/sekar/data").unwrap();
-        let mut rng = 1u64;
+        let mut rng = SeedStream::new(1);
         seeded_ingest(&ca, &mut rng, 0, "fs-alpha");
     }
     assert!(fed.subscribe(b, a, "/home/sekar/data").is_err());
@@ -446,7 +438,7 @@ fn replication_tracks_moves_deletes_and_metadata_changes() {
     let ca = conn(&f, f.a);
     ca.make_collection("/home/sekar/data").unwrap();
     ca.make_collection("/home/sekar/data/sub").unwrap();
-    let mut rng = 7u64;
+    let mut rng = SeedStream::new(7);
     for i in 0..6 {
         seeded_ingest(&ca, &mut rng, i, "fs-alpha");
     }

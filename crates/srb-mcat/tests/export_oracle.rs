@@ -21,26 +21,9 @@ use srb_mcat::{
     export_deltas, AccessSpec, DeltaFetch, Mcat, MetaKind, Subject, WalConfig, WalOp, WalRecord,
 };
 use srb_storage::LogDevice;
-use srb_types::{DatasetId, Lsn, MetaId, ResourceId, SimClock, Triplet};
+use srb_types::{DatasetId, Lsn, MetaId, ResourceId, SeedStream, SimClock, Triplet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-
-/// splitmix64 — deterministic, dependency-free randomness.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn pick(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-}
 
 const NO_CKPT: WalConfig = WalConfig {
     checkpoint_interval_ns: 0,
@@ -121,7 +104,7 @@ struct Publisher {
     clock: SimClock,
     m: Mcat,
     device: Arc<LogDevice>,
-    rng: Rng,
+    rng: SeedStream,
     datasets: Vec<DatasetId>,
     step: usize,
 }
@@ -136,7 +119,7 @@ impl Publisher {
             clock,
             m,
             device,
-            rng: Rng(seed),
+            rng: SeedStream::new(seed),
             datasets: Vec::new(),
             step: 0,
         }
@@ -148,7 +131,7 @@ impl Publisher {
         let step = self.step;
         self.clock.advance(1_000_000);
         let m = &self.m;
-        match self.rng.pick(5) {
+        match self.rng.below(5) {
             // An ingest: the dataset row and its triplets, one group.
             0 | 1 => {
                 let id = m
@@ -170,7 +153,7 @@ impl Publisher {
                         m.clock.now(),
                     )
                     .unwrap();
-                for k in 0..self.rng.pick(3) {
+                for k in 0..self.rng.below(3) {
                     m.metadata.add(
                         &m.ids,
                         Subject::Dataset(id),
@@ -181,7 +164,7 @@ impl Publisher {
                 self.datasets.push(id);
             }
             2 if !self.datasets.is_empty() => {
-                let d = self.datasets[self.rng.pick(self.datasets.len())];
+                let d = self.datasets[self.rng.below(self.datasets.len())];
                 m.metadata.add(
                     &m.ids,
                     Subject::Dataset(d),
@@ -190,7 +173,7 @@ impl Publisher {
                 );
             }
             3 if self.datasets.len() > 2 => {
-                let d = self.datasets.remove(self.rng.pick(self.datasets.len()));
+                let d = self.datasets.remove(self.rng.below(self.datasets.len()));
                 m.datasets.delete(d).unwrap();
                 m.metadata.remove_all(Subject::Dataset(d));
             }

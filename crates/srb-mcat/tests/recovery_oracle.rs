@@ -20,27 +20,10 @@ use srb_mcat::{
 };
 use srb_storage::{DriverKind, LogDevice};
 use srb_types::{
-    CollectionId, DatasetId, Lsn, ResourceId, SimClock, SiteId, SrbError, Timestamp, Triplet,
+    CollectionId, DatasetId, Lsn, ResourceId, SeedStream, SimClock, SiteId, SrbError, Timestamp,
+    Triplet,
 };
 use std::sync::Arc;
-
-/// splitmix64 — deterministic, dependency-free randomness for the chaos
-/// schedule.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn pick(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-}
 
 /// Snapshot JSON with the id-allocator watermark normalized out: recovery
 /// floors the allocator at the highest id any durable row proves, which
@@ -77,16 +60,16 @@ fn run_workload(
     let device = Arc::new(LogDevice::new());
     m.enable_wal(device.clone(), config, None).unwrap();
     let admin = m.admin();
-    let mut rng = Rng(seed);
+    let mut rng = SeedStream::new(seed);
     let mut colls: Vec<CollectionId> = vec![m.collections.root()];
     let mut datasets: Vec<DatasetId> = Vec::new();
     let mut acked = Vec::new();
     for step in 0..ops {
         clock.advance(1_000_000);
         let now = m.clock.now();
-        match rng.pick(12) {
+        match rng.below(12) {
             0 => {
-                let p = colls[rng.pick(colls.len())];
+                let p = colls[rng.below(colls.len())];
                 if let Ok(c) = m
                     .collections
                     .create(&m.ids, p, &format!("c{step}"), admin, now)
@@ -95,7 +78,7 @@ fn run_workload(
                 }
             }
             1 | 2 => {
-                let c = colls[rng.pick(colls.len())];
+                let c = colls[rng.below(colls.len())];
                 let size = (step as u64 % 977) * 7;
                 if let Ok(d) = m.datasets.create(
                     &m.ids,
@@ -111,7 +94,7 @@ fn run_workload(
             }
             3 | 4 => {
                 if !datasets.is_empty() {
-                    let d = datasets[rng.pick(datasets.len())];
+                    let d = datasets[rng.below(datasets.len())];
                     m.metadata.add(
                         &m.ids,
                         Subject::Dataset(d),
@@ -122,20 +105,20 @@ fn run_workload(
             }
             5 => {
                 if !datasets.is_empty() {
-                    let d = datasets[rng.pick(datasets.len())];
-                    let c = colls[rng.pick(colls.len())];
+                    let d = datasets[rng.below(datasets.len())];
+                    let c = colls[rng.below(colls.len())];
                     let _ = m.datasets.move_dataset(d, c, &format!("m{step}"));
                 }
             }
             6 => {
                 if datasets.len() > 2 {
-                    let d = datasets.remove(rng.pick(datasets.len()));
+                    let d = datasets.remove(rng.below(datasets.len()));
                     let _ = m.datasets.delete(d);
                 }
             }
             7 => {
                 if !datasets.is_empty() {
-                    let d = datasets[rng.pick(datasets.len())];
+                    let d = datasets[rng.below(datasets.len())];
                     m.annotations.add(
                         &m.ids,
                         Subject::Dataset(d),
@@ -154,7 +137,7 @@ fn run_workload(
             }
             9 => {
                 if !datasets.is_empty() {
-                    let d = datasets[rng.pick(datasets.len())];
+                    let d = datasets[rng.below(datasets.len())];
                     let _ = m.datasets.update(d, |x| {
                         x.modified = now;
                         Ok(())
@@ -163,7 +146,7 @@ fn run_workload(
             }
             10 => {
                 if !datasets.is_empty() {
-                    let d = datasets[rng.pick(datasets.len())];
+                    let d = datasets[rng.below(datasets.len())];
                     let _ = m
                         .datasets
                         .add_replica(&m.ids, d, stored(step + 10_000), 16, None, now);
@@ -221,9 +204,9 @@ fn kill_at_random_lsn_recovers_exactly_the_acknowledged_prefix() {
 
     // Random kill points, plus the exact first/last ack boundaries and a
     // deliberate mid-group cut one record past an ack boundary.
-    let mut rng = Rng(seed ^ 0x5EED);
+    let mut rng = SeedStream::new(seed ^ 0x5EED);
     let mut kills: Vec<u64> = (0..8)
-        .map(|_| first + rng.next() % (last - first))
+        .map(|_| first + rng.next_u64() % (last - first))
         .collect();
     kills.push(first);
     kills.push(last);

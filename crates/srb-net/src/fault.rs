@@ -26,7 +26,7 @@
 
 use srb_obs::{MetricsRegistry, ResourceLabels};
 use srb_types::sync::{LockRank, RwLock};
-use srb_types::{ResourceId, SiteId, SrbError, SrbResult};
+use srb_types::{splitmix64, ResourceId, SiteId, SrbError, SrbResult};
 use std::collections::{HashMap, HashSet};
 
 /// How a resource misbehaves. See the module docs for per-access semantics.
@@ -86,17 +86,6 @@ impl Default for FaultPlan {
 struct Inner {
     modes: HashMap<ResourceId, FaultState>,
     down_sites: HashSet<SiteId>,
-}
-
-/// splitmix64 over (seed, n): the deterministic coin behind
-/// `FailWithProb`. Public within the crate so tests can predict draws.
-fn mix(seed: u64, n: u64) -> u64 {
-    let mut z = seed
-        .wrapping_add(0x9e3779b97f4a7c15)
-        .wrapping_add(n.wrapping_mul(0xbf58476d1ce4e5b9));
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
 }
 
 impl FaultPlan {
@@ -217,7 +206,7 @@ impl FaultPlan {
                 )))
             }
             FaultMode::FailWithProb(p, seed) => {
-                let draw = mix(seed, state.accesses);
+                let draw = splitmix64(seed, state.accesses);
                 let threshold = (p.clamp(0.0, 1.0) * u64::MAX as f64) as u64;
                 if draw < threshold {
                     Err(SrbError::Timeout(format!(

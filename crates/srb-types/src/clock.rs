@@ -7,7 +7,7 @@
 //! per-operation receipts against it) and benchmarks read it back.
 //!
 //! Wall-clock performance of the in-memory fast path is measured separately
-//! with criterion; the two never mix.
+//! (`gridbench`, the `exp` wall columns); the two never mix.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;

@@ -24,7 +24,9 @@ pub use clock::{SimClock, Timestamp};
 pub use cursor::{CursorCodec, PageToken};
 pub use error::{SrbError, SrbResult};
 pub use gen::{GenCounter, Generation, Lsn};
-pub use hash::{ct_eq, from_hex, hmac_sha256, sha256, sha256_hex, splitmix64, to_hex, Sha256};
+pub use hash::{
+    ct_eq, from_hex, hmac_sha256, mix64, sha256, sha256_hex, splitmix64, to_hex, SeedStream, Sha256,
+};
 pub use id::*;
 pub use path::LogicalPath;
 pub use sync::LockRank;

@@ -33,12 +33,15 @@
 //! holds several table locks); same-rank siblings are only acquired from
 //! within one owning module, which keeps their relative order consistent.
 //!
-//! Raw `parking_lot` construction outside this module is rejected by
-//! `cargo xtask lint` (rule `raw-lock`).
+//! The locks underneath are `std::sync`'s. A holder that panics does not
+//! poison the grid: every acquisition recovers a poisoned lock and hands
+//! out its guard. Naming a raw std `Mutex`/`RwLock` outside this module is
+//! rejected by `cargo xtask lint` (rule `raw-lock`).
 
 use std::cell::RefCell;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
+use std::sync::PoisonError;
 
 /// Position of a lock in the grid-wide hierarchy. See the module docs for
 /// the full table.
@@ -175,7 +178,7 @@ fn maybe_register(rank: LockRank, name: &'static str) -> Option<HeldToken> {
 pub struct Mutex<T: ?Sized> {
     rank: LockRank,
     name: &'static str,
-    inner: parking_lot::Mutex<T>,
+    inner: std::sync::Mutex<T>,
 }
 
 impl<T> Mutex<T> {
@@ -185,13 +188,15 @@ impl<T> Mutex<T> {
         Mutex {
             rank,
             name,
-            inner: parking_lot::Mutex::new(value),
+            inner: std::sync::Mutex::new(value),
         }
     }
 
     /// Consume the lock, returning the inner value.
     pub fn into_inner(self) -> T {
-        self.inner.into_inner()
+        self.inner
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -200,7 +205,7 @@ impl<T: ?Sized> Mutex<T> {
     pub fn lock(&self) -> MutexGuard<'_, T> {
         let token = maybe_register(self.rank, self.name);
         MutexGuard {
-            inner: self.inner.lock(),
+            inner: self.inner.lock().unwrap_or_else(PoisonError::into_inner),
             _token: token,
         }
     }
@@ -228,7 +233,7 @@ impl<T: fmt::Debug> fmt::Debug for Mutex<T> {
 
 /// Guard for [`Mutex`]; releases the rank entry on drop.
 pub struct MutexGuard<'a, T: ?Sized> {
-    inner: parking_lot::MutexGuard<'a, T>,
+    inner: std::sync::MutexGuard<'a, T>,
     _token: Option<HeldToken>,
 }
 
@@ -251,7 +256,7 @@ impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
 pub struct RwLock<T: ?Sized> {
     rank: LockRank,
     name: &'static str,
-    inner: parking_lot::RwLock<T>,
+    inner: std::sync::RwLock<T>,
 }
 
 impl<T> RwLock<T> {
@@ -260,13 +265,15 @@ impl<T> RwLock<T> {
         RwLock {
             rank,
             name,
-            inner: parking_lot::RwLock::new(value),
+            inner: std::sync::RwLock::new(value),
         }
     }
 
     /// Consume the lock, returning the inner value.
     pub fn into_inner(self) -> T {
-        self.inner.into_inner()
+        self.inner
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -279,7 +286,7 @@ impl<T: ?Sized> RwLock<T> {
     pub fn read(&self) -> RwLockReadGuard<'_, T> {
         let token = maybe_register(self.rank, self.name);
         RwLockReadGuard {
-            inner: self.inner.read(),
+            inner: self.inner.read().unwrap_or_else(PoisonError::into_inner),
             _token: token,
         }
     }
@@ -288,7 +295,7 @@ impl<T: ?Sized> RwLock<T> {
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
         let token = maybe_register(self.rank, self.name);
         RwLockWriteGuard {
-            inner: self.inner.write(),
+            inner: self.inner.write().unwrap_or_else(PoisonError::into_inner),
             _token: token,
         }
     }
@@ -316,7 +323,7 @@ impl<T: fmt::Debug> fmt::Debug for RwLock<T> {
 
 /// Shared guard for [`RwLock`]; releases the rank entry on drop.
 pub struct RwLockReadGuard<'a, T: ?Sized> {
-    inner: parking_lot::RwLockReadGuard<'a, T>,
+    inner: std::sync::RwLockReadGuard<'a, T>,
     _token: Option<HeldToken>,
 }
 
@@ -329,7 +336,7 @@ impl<T: ?Sized> Deref for RwLockReadGuard<'_, T> {
 
 /// Exclusive guard for [`RwLock`]; releases the rank entry on drop.
 pub struct RwLockWriteGuard<'a, T: ?Sized> {
-    inner: parking_lot::RwLockWriteGuard<'a, T>,
+    inner: std::sync::RwLockWriteGuard<'a, T>,
     _token: Option<HeldToken>,
 }
 
@@ -415,6 +422,57 @@ mod tests {
         let msg = violation.to_string();
         assert!(msg.contains("test.named_outer") && msg.contains("test.named_inner"));
         assert_eq!(violation.held_rank, LockRank::Storage);
+    }
+
+    #[test]
+    fn mutex_round_trip() {
+        let m = Mutex::new(LockRank::Storage, "test.round_trip", 1);
+        *m.lock() += 1;
+        assert_eq!(*m.lock(), 2);
+        assert_eq!(m.into_inner(), 2);
+    }
+
+    #[test]
+    fn rwlock_readers_and_writer() {
+        let l = RwLock::new(LockRank::McatTable, "test.readers", vec![1, 2]);
+        {
+            let a = l.read();
+            let b = l.read();
+            assert_eq!(a.len() + b.len(), 4);
+        }
+        l.write().push(3);
+        assert_eq!(*l.read(), vec![1, 2, 3]);
+    }
+
+    /// A holder that panics does not poison the grid: the next `lock`,
+    /// `read`, `write` and `into_inner` all get the value.
+    #[test]
+    fn poisoned_lock_recovers() {
+        use std::sync::Arc;
+        let m = Arc::new(Mutex::new(LockRank::Storage, "test.poisoned_mutex", 0));
+        let l = Arc::new(RwLock::new(LockRank::McatTable, "test.poisoned_rw", 0));
+        let (m2, l2) = (m.clone(), l.clone());
+        let _ = std::thread::spawn(move || {
+            let _g = m2.lock();
+            panic!("poison the mutex");
+        })
+        .join();
+        let _ = std::thread::spawn(move || {
+            let _g = l2.write();
+            panic!("poison the rwlock");
+        })
+        .join();
+        assert!(m.inner.is_poisoned() && l.inner.is_poisoned());
+
+        *m.lock() += 1;
+        assert_eq!(*m.lock(), 1);
+        assert_eq!(*l.read(), 0);
+        *l.write() += 2;
+        assert_eq!(*l.read(), 2);
+
+        let m = Arc::try_unwrap(m).unwrap();
+        let l = Arc::try_unwrap(l).unwrap();
+        assert_eq!((m.into_inner(), l.into_inner()), (1, 2));
     }
 
     #[test]

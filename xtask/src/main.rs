@@ -3,7 +3,7 @@
 //! - `cargo xtask lint` — source-level invariants rustc and clippy cannot
 //!   express, because they are policies of *this* workspace:
 //!   - `raw-lock` — every lock goes through `srb_types::sync` (ranked,
-//!     deadlock-detected); raw `parking_lot` is confined to the wrapper.
+//!     deadlock-detected); raw `std::sync` locks are confined to the wrapper.
 //!   - `wall-clock` — `SystemTime`/`Instant`/`thread_rng` are confined to
 //!     `srb-types/src/clock.rs` and the bench crate; the grid itself runs
 //!     on the deterministic `SimClock`.

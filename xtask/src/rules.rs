@@ -7,7 +7,7 @@
 //! lexer with escapes already resolved, so `"web.a\"b"` is seen as the
 //! eight characters it denotes rather than being cut at the escaped quote.
 
-use crate::lexer::{Lexed, TokKind};
+use crate::lexer::{matching_close, Lexed, Tok, TokKind};
 
 /// One finding: file, line, rule id, message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -51,30 +51,61 @@ impl Violation {
     }
 }
 
-/// Rule `raw-lock`: `parking_lot` may only be named inside the ranked
-/// wrapper module. Everything else must go through `srb_types::sync`, which
-/// is what ties every lock to a `LockRank` and keeps the deadlock
-/// detector complete — one raw lock is a blind spot.
+/// Rule `raw-lock`: `std::sync`'s `Mutex`/`RwLock` may only be named
+/// inside the ranked wrapper module, whether as a path
+/// (`std::sync::Mutex`) or in a `use std::sync::{…}` group. Everything else
+/// must go through `srb_types::sync`, which is what ties every lock to a
+/// `LockRank` and keeps the deadlock detector complete — one raw lock is a
+/// blind spot.
 pub fn raw_lock(path: &str, lexed: &Lexed) -> Vec<Violation> {
     if path == "crates/srb-types/src/sync.rs" {
         return Vec::new();
     }
-    lexed
-        .ident_lines("parking_lot")
+    let toks = &lexed.toks;
+    let is_lock = |t: &Tok| t.is_ident("Mutex") || t.is_ident("RwLock");
+    let path_sep = |i: usize| toks[i].is_punct(':') && toks[i + 1].is_punct(':');
+    let mut lines = Vec::new();
+    for i in 0..toks.len().saturating_sub(6) {
+        // `std :: sync ::` then a name or a `{…}` group.
+        let std_sync = toks[i].is_ident("std")
+            && path_sep(i + 1)
+            && toks[i + 3].is_ident("sync")
+            && path_sep(i + 4);
+        if !std_sync {
+            continue;
+        }
+        let next = &toks[i + 6];
+        if is_lock(next) {
+            lines.push(next.line);
+        } else if next.is_punct('{') {
+            // Names at the group's own level, not `mpsc::…` members.
+            let close = matching_close(toks, i + 6).unwrap_or(toks.len());
+            lines.extend(
+                (i + 7..close)
+                    .filter(|&j| {
+                        is_lock(&toks[j])
+                            && toks[j].depth == next.depth + 1
+                            && !toks[j - 1].is_punct(':')
+                    })
+                    .map(|j| toks[j].line),
+            );
+        }
+    }
+    lines
         .into_iter()
         .map(|line| Violation {
             path: path.to_string(),
             line,
             rule: "raw-lock",
-            msg: "raw parking_lot lock; use srb_types::sync::{Mutex, RwLock} with a LockRank"
+            msg: "raw std::sync lock; use srb_types::sync::{Mutex, RwLock} with a LockRank"
                 .to_string(),
         })
         .collect()
 }
 
-/// Rule `wall-clock`: `std::time::{SystemTime, Instant}` and
-/// `rand::thread_rng` are banned outside the virtual clock and the bench
-/// crate. The whole grid runs on `SimClock` so experiments replay
+/// Rule `wall-clock`: `std::time::{SystemTime, Instant}` and `thread_rng`
+/// are banned outside the virtual clock and the bench crate. The whole
+/// grid runs on `SimClock` and seeded `SeedStream`s so experiments replay
 /// identically; one wall-clock read or OS-entropy draw silently breaks
 /// that determinism.
 pub fn wall_clock(path: &str, lexed: &Lexed) -> Vec<Violation> {
@@ -94,7 +125,7 @@ pub fn wall_clock(path: &str, lexed: &Lexed) -> Vec<Violation> {
                 rule: "wall-clock",
                 msg: format!(
                     "`{word}` ({what}) breaks simulation determinism; use \
-                     srb_types::SimClock / a seeded StdRng"
+                     srb_types::SimClock / srb_types::SeedStream"
                 ),
             });
         }
@@ -271,15 +302,20 @@ mod tests {
 
     #[test]
     fn raw_lock_flags_usage_outside_wrapper() {
-        let lexed = Lexed::new("use parking_lot::RwLock;\n");
+        let lexed = Lexed::new(
+            "use std::sync::RwLock;\nuse std::sync::{Arc, Mutex as M};\nlet l = std::sync::Mutex::new(0);\n",
+        );
         let v = raw_lock("crates/srb-net/src/load.rs", &lexed);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].line, 1);
+        assert_eq!(v.iter().map(|v| v.line).collect::<Vec<_>>(), [1, 2, 3]);
         // ... but not in the wrapper module itself.
         assert!(raw_lock("crates/srb-types/src/sync.rs", &lexed).is_empty());
-        // ... and not in comments.
-        let commented = Lexed::new("// parking_lot is banned\n");
-        assert!(raw_lock("crates/srb-net/src/load.rs", &commented).is_empty());
+        // ... nor the ranked wrappers, other std::sync items, or comments.
+        let fine = Lexed::new(
+            "use srb_types::sync::{LockRank, Mutex};\n\
+             use std::sync::{Arc, OnceLock, mpsc::RwLock};\n\
+             // std::sync::Mutex is banned\n",
+        );
+        assert!(raw_lock("crates/srb-net/src/load.rs", &fine).is_empty());
     }
 
     #[test]
@@ -354,7 +390,7 @@ mod tests {
 
     #[test]
     fn srb_obs_is_not_exempt_from_clock_and_lock_bans() {
-        let lexed = Lexed::new("use parking_lot::RwLock;\nlet t = Instant::now();\n");
+        let lexed = Lexed::new("use std::sync::RwLock;\nlet t = Instant::now();\n");
         assert_eq!(wall_clock("crates/srb-obs/src/metrics.rs", &lexed).len(), 1);
         assert_eq!(raw_lock("crates/srb-obs/src/metrics.rs", &lexed).len(), 1);
     }

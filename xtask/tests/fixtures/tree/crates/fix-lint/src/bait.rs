@@ -1,7 +1,7 @@
-//! Seeded lint-rule fixtures: a raw parking_lot import, wall-clock
+//! Seeded lint-rule fixtures: a raw std::sync lock import, wall-clock
 //! reads, and one unwrap in library code.
 
-use parking_lot::Mutex;
+use std::sync::Mutex;
 use std::time::Instant;
 
 pub fn now_ms() -> u64 {
