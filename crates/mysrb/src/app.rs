@@ -209,23 +209,31 @@ impl<'g> MySrb<'g> {
     }
 
     /// Route a request to a handler, recording per-route request, status
-    /// and error metrics when the grid has observability on.
+    /// and error metrics when the grid has observability on. Requests no
+    /// route matches share the label `other`, so distinct unknown paths
+    /// cannot grow the registry.
     pub fn handle(&self, req: &Request) -> Response {
-        let resp = self.route(req);
+        let (resp, route) = match self.route(req) {
+            Some(resp) => (resp, req.path.as_str()),
+            None => (
+                Response::error(404, &format!("no such page: {}", req.path)),
+                "other",
+            ),
+        };
         if let Some(obs) = self.grid.obs() {
-            obs.metrics.counter("web.requests", &req.path).inc();
+            obs.metrics.counter("web.requests", route).inc();
             obs.metrics
                 .counter("web.status", &resp.status.to_string())
                 .inc();
             if resp.status >= 400 {
-                obs.metrics.counter("web.errors", &req.path).inc();
+                obs.metrics.counter("web.errors", route).inc();
             }
         }
         resp
     }
 
-    fn route(&self, req: &Request) -> Response {
-        match (req.method.as_str(), req.path.as_str()) {
+    fn route(&self, req: &Request) -> Option<Response> {
+        Some(match (req.method.as_str(), req.path.as_str()) {
             ("GET", "/metrics") => Response {
                 status: 200,
                 content_type: "text/plain; charset=utf-8".into(),
@@ -314,8 +322,8 @@ impl<'g> MySrb<'g> {
                         .map_err(|e| SrbError::Internal(format!("summary serialization: {e}")))
                 })
                 .into_json(),
-            _ => Response::error(404, &format!("no such page: {}", req.path)),
-        }
+            _ => return None,
+        })
     }
 
     fn with_conn<F>(&self, req: &Request, f: F) -> Response

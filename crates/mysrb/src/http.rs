@@ -1,53 +1,102 @@
-//! A minimal threaded HTTP/1.1 server for the MySRB application.
+//! A minimal HTTP/1.1 server for the MySRB application.
 //!
 //! The paper serves MySRB over https with session cookies; DESIGN.md §2
 //! documents the TLS substitution. This server handles GET/POST with
-//! urlencoded bodies, the `mysrb_session` cookie, and connection-per-thread
-//! dispatch — enough to drive every page from a real browser.
+//! urlencoded bodies and the `mysrb_session` cookie — enough to drive every
+//! page from a real browser. A fixed pool of [`WORKERS`] threads accepts
+//! connections; each answers one request per connection (`Connection:
+//! close`) in one write, within [`READ_DEADLINE`] per socket call and the
+//! [`MAX_HEAD_BYTES`]/[`MAX_BODY_BYTES`] caps (DESIGN.md §14.1).
 
 use crate::app::{MySrb, Request, Response};
 use crate::urlenc::parse_form;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, Read, Take, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::Duration;
 
-/// Parse one HTTP request from a stream.
-pub fn parse_request(stream: &mut dyn BufRead) -> std::io::Result<Option<Request>> {
-    let mut line = String::new();
-    if stream.read_line(&mut line)? == 0 {
+/// Acceptor threads `serve` runs: the most requests in service at once.
+pub const WORKERS: usize = 8;
+
+/// Longest a worker waits on one socket read or write before dropping the
+/// connection. Wall time: the simulated clock never sees the transport.
+pub const READ_DEADLINE: Duration = Duration::from_secs(5);
+
+/// Cap on the request line plus headers; past it the answer is 431.
+pub const MAX_HEAD_BYTES: u64 = 8 << 10;
+
+/// Cap on a request body; a larger `Content-Length` is answered 413.
+pub const MAX_BODY_BYTES: usize = 16 << 20;
+
+/// Why no request came out of the stream.
+#[derive(Debug)]
+pub enum RequestError {
+    /// The socket failed or timed out; the connection is dropped unanswered.
+    Io(std::io::Error),
+    /// The request is answered with this status and never reaches the app.
+    Refused(u16),
+}
+
+impl From<std::io::Error> for RequestError {
+    fn from(e: std::io::Error) -> Self {
+        RequestError::Io(e)
+    }
+}
+
+/// One head line without its line ending. A line cut by the head cap is
+/// 431; one cut by the end of the stream, or not UTF-8, is 400.
+fn head_line<'b>(
+    input: &mut Take<&mut dyn BufRead>,
+    buf: &'b mut Vec<u8>,
+) -> Result<&'b str, RequestError> {
+    buf.clear();
+    input.read_until(b'\n', buf)?;
+    if buf.last() != Some(&b'\n') {
+        let status = if input.limit() == 0 { 431 } else { 400 };
+        return Err(RequestError::Refused(status));
+    }
+    std::str::from_utf8(buf)
+        .map(str::trim_end)
+        .map_err(|_| RequestError::Refused(400))
+}
+
+/// Parse one HTTP request from a stream; `Ok(None)` when it ends before
+/// the first byte. Reads at most [`MAX_HEAD_BYTES`] of head plus the
+/// declared body, which must fit [`MAX_BODY_BYTES`].
+pub fn parse_request(stream: &mut dyn BufRead) -> Result<Option<Request>, RequestError> {
+    let mut input = Read::take(stream, MAX_HEAD_BYTES);
+    if input.fill_buf()?.is_empty() {
         return Ok(None);
     }
-    let mut parts = line.split_whitespace();
-    let method = parts.next().unwrap_or("").to_uppercase();
-    let target = parts.next().unwrap_or("/").to_string();
-    let (path, qs) = target.split_once('?').unwrap_or((target.as_str(), ""));
+    let mut buf = Vec::new();
+    let mut parts = head_line(&mut input, &mut buf)?.split_whitespace();
+    let (Some(method), Some(target)) = (parts.next(), parts.next()) else {
+        return Err(RequestError::Refused(400));
+    };
+    let (path, qs) = target.split_once('?').unwrap_or((target, ""));
     let mut req = Request {
-        method,
+        method: method.to_uppercase(),
         path: path.to_string(),
         query: parse_form(qs),
         ..Request::default()
     };
     let mut content_length = 0usize;
     loop {
-        let mut header = String::new();
-        if stream.read_line(&mut header)? == 0 {
-            break;
-        }
-        let header = header.trim_end();
+        let header = head_line(&mut input, &mut buf)?;
         if header.is_empty() {
             break;
         }
         let Some((name, value)) = header.split_once(':') else {
             continue;
         };
-        let name = name.trim().to_ascii_lowercase();
         let value = value.trim();
-        match name.as_str() {
-            "content-length" => content_length = value.parse().unwrap_or(0),
+        match name.trim().to_ascii_lowercase().as_str() {
+            "content-length" => {
+                content_length = value.parse().map_err(|_| RequestError::Refused(400))?
+            }
             "cookie" => {
                 for c in value.split(';') {
-                    let c = c.trim();
-                    if let Some(v) = c.strip_prefix("mysrb_session=") {
+                    if let Some(v) = c.trim().strip_prefix("mysrb_session=") {
                         req.session = Some(v.to_string());
                     }
                 }
@@ -55,17 +104,23 @@ pub fn parse_request(stream: &mut dyn BufRead) -> std::io::Result<Option<Request
             _ => {}
         }
     }
+    if content_length > MAX_BODY_BYTES {
+        return Err(RequestError::Refused(413));
+    }
     if content_length > 0 {
-        let mut body = vec![0u8; content_length.min(16 << 20)];
-        stream.read_exact(&mut body)?;
+        input.set_limit(content_length as u64);
+        let mut body = Vec::new();
+        input.read_to_end(&mut body)?;
+        if body.len() < content_length {
+            return Err(RequestError::Refused(400));
+        }
         req.form = parse_form(&String::from_utf8_lossy(&body));
     }
     Ok(Some(req))
 }
 
-/// Serialize a response to the wire.
-pub fn write_response(stream: &mut dyn Write, resp: &Response) -> std::io::Result<()> {
-    let reason = match resp.status {
+fn reason(status: u16) -> &'static str {
+    match status {
         200 => "OK",
         303 => "See Other",
         400 => "Bad Request",
@@ -73,58 +128,88 @@ pub fn write_response(stream: &mut dyn Write, resp: &Response) -> std::io::Resul
         403 => "Forbidden",
         404 => "Not Found",
         409 => "Conflict",
+        413 => "Content Too Large",
+        431 => "Request Header Fields Too Large",
+        500 => "Internal Server Error",
         503 => "Service Unavailable",
+        504 => "Gateway Timeout",
         _ => "Status",
-    };
+    }
+}
+
+/// Serialize a response to the wire: head and body rendered into one
+/// buffer and handed to `stream` in a single `write_all`.
+pub fn write_response(stream: &mut dyn Write, resp: &Response) -> std::io::Result<()> {
+    let mut out = Vec::with_capacity(256 + resp.body.len());
     write!(
-        stream,
+        out,
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n",
         resp.status,
-        reason,
+        reason(resp.status),
         resp.content_type,
         resp.body.len()
     )?;
     for (k, v) in &resp.headers {
-        write!(stream, "{k}: {v}\r\n")?;
+        write!(out, "{k}: {v}\r\n")?;
     }
-    stream.write_all(b"\r\n")?;
-    stream.write_all(&resp.body)?;
+    out.extend_from_slice(b"\r\n");
+    out.extend_from_slice(&resp.body);
+    stream.write_all(&out)?;
     stream.flush()
 }
 
-fn handle_client(app: &MySrb<'_>, stream: TcpStream) {
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    });
-    let mut writer = stream;
-    if let Ok(Some(req)) = parse_request(&mut reader) {
-        let resp = app.handle(&req);
-        let _ = write_response(&mut writer, &resp);
+fn handle_client(app: &MySrb<'_>, stream: &TcpStream) {
+    if stream.set_read_timeout(Some(READ_DEADLINE)).is_err()
+        || stream.set_write_timeout(Some(READ_DEADLINE)).is_err()
+    {
+        return;
+    }
+    let resp = match parse_request(&mut BufReader::new(stream)) {
+        Ok(Some(req)) => app.handle(&req),
+        Ok(None) | Err(RequestError::Io(_)) => return,
+        Err(RequestError::Refused(status)) => Response {
+            status,
+            content_type: "text/plain; charset=utf-8".into(),
+            body: format!("{status} {}\n", reason(status)).into_bytes(),
+            headers: Vec::new(),
+        },
+    };
+    let _ = write_response(&mut &*stream, &resp);
+}
+
+/// One acceptor: serve connections until one arrives after `shutdown`,
+/// then poke the listener once so the next blocked acceptor wakes too.
+fn accept_loop(app: &MySrb<'_>, listener: &TcpListener, own: SocketAddr, shutdown: &AtomicBool) {
+    loop {
+        let accepted = listener.accept();
+        if shutdown.load(Ordering::Acquire) {
+            let _ = TcpStream::connect(own);
+            return;
+        }
+        match accepted {
+            Ok((stream, _)) => handle_client(app, &stream),
+            Err(_) => return,
+        }
     }
 }
 
-/// Serve the app on `listener` until `shutdown` turns true. Each
-/// connection is handled on a scoped thread; the function returns after
-/// shutdown is observed (a final dummy connection may be needed to unblock
-/// `accept`, which `shutdown_poke` sends).
+/// Serve the app on `listener` until `shutdown` turns true, on
+/// [`WORKERS`] threads that each block in `accept` on the shared listener.
+/// Returns once every worker has seen the flag; one `shutdown_poke` after
+/// setting it is enough, as each exiting worker wakes the next.
 pub fn serve(app: &MySrb<'_>, listener: TcpListener, shutdown: &AtomicBool) {
-    if listener.set_nonblocking(false).is_err() {
-        // Can't arrange blocking accepts: a spinning non-blocking accept
-        // loop would peg a core, so refuse to serve on this listener.
+    // Blocking accepts only: a spinning non-blocking accept loop would peg
+    // a core, so refuse to serve on a listener that cannot block.
+    let Ok(own) = listener
+        .set_nonblocking(false)
+        .and_then(|()| listener.local_addr())
+    else {
         return;
-    }
+    };
+    let listener = &listener;
     std::thread::scope(|scope| {
-        for stream in listener.incoming() {
-            if shutdown.load(Ordering::Acquire) {
-                break;
-            }
-            match stream {
-                Ok(s) => {
-                    scope.spawn(move || handle_client(app, s));
-                }
-                Err(_) => break,
-            }
+        for _ in 0..WORKERS {
+            scope.spawn(move || accept_loop(app, listener, own, shutdown));
         }
     });
 }
@@ -137,8 +222,10 @@ pub fn shutdown_poke(addr: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use srb_core::GridBuilder;
-    use std::io::{Cursor, Read};
+    use srb_core::{Grid, GridBuilder, IngestOptions, SrbConnection};
+    use srb_types::ServerId;
+    use std::io::Cursor;
+    use std::sync::{mpsc, Barrier};
 
     #[test]
     fn parses_get_with_query_and_cookie() {
@@ -170,6 +257,33 @@ mod tests {
         assert!(parse_request(&mut Cursor::new("")).unwrap().is_none());
     }
 
+    fn refused(raw: &[u8]) -> Option<u16> {
+        match parse_request(&mut Cursor::new(raw)) {
+            Err(RequestError::Refused(status)) => Some(status),
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn oversized_or_malformed_requests_are_refused() {
+        let over = MAX_BODY_BYTES + 1;
+        let head = format!("POST /login HTTP/1.1\r\nContent-Length: {over}\r\n\r\n");
+        let mut cur = Cursor::new(format!("{head}user=x"));
+        assert!(matches!(
+            parse_request(&mut cur),
+            Err(RequestError::Refused(413))
+        ));
+        // Refused before a byte of the body is read.
+        assert_eq!(cur.position(), head.len() as u64);
+        let bad = b"POST /login HTTP/1.1\r\nContent-Length: ten\r\n\r\nuser=x";
+        assert_eq!(refused(bad), Some(400));
+        let mut long = b"GET /".to_vec();
+        long.resize(MAX_HEAD_BYTES as usize + 1, b'a');
+        assert_eq!(refused(&long), Some(431));
+        assert_eq!(refused(b"GET / HTTP/1.1\r\nHost: x\r\n"), Some(400));
+        assert_eq!(refused(b"\r\n\r\n"), Some(400));
+    }
+
     #[test]
     fn response_serialization() {
         let resp = Response {
@@ -187,32 +301,218 @@ mod tests {
         assert!(s.ends_with("\r\n\r\nx"));
     }
 
+    /// A sink that records each `write` call it receives.
+    #[derive(Default)]
+    struct Counting {
+        writes: Vec<usize>,
+    }
+
+    impl Write for Counting {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(buf.len());
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
     #[test]
-    fn end_to_end_over_tcp() {
+    fn write_response_hands_head_and_body_over_in_one_write() {
+        let resp = Response {
+            status: 200,
+            content_type: "text/html; charset=utf-8".into(),
+            body: vec![b'y'; 5000],
+            headers: vec![
+                ("Set-Cookie".into(), "mysrb_session=k; HttpOnly".into()),
+                ("Location".into(), "/".into()),
+            ],
+        };
+        let mut sink = Counting::default();
+        write_response(&mut sink, &resp).unwrap();
+        let mut whole = Vec::new();
+        write_response(&mut whole, &resp).unwrap();
+        assert_eq!(sink.writes, [whole.len()]);
+    }
+
+    fn grid(datasets: usize) -> (Grid, ServerId) {
         let mut gb = GridBuilder::new();
         let site = gb.site("sdsc");
         let srv = gb.server("srb", site);
         gb.fs_resource("fs", srv);
         let grid = gb.build();
         grid.register_user("u", "d", "pw").unwrap();
+        let conn = SrbConnection::connect(&grid, srv, "u", "d", "pw").unwrap();
+        for i in 0..datasets {
+            conn.ingest(
+                &format!("/home/u/d{i}"),
+                format!("payload {i}").as_bytes(),
+                IngestOptions::to_resource("fs"),
+            )
+            .unwrap();
+        }
+        (grid, srv)
+    }
+
+    /// Connect with a read timeout, so a server that never answers fails
+    /// the test instead of hanging it.
+    fn client(addr: SocketAddr) -> TcpStream {
+        let conn = TcpStream::connect(addr).unwrap();
+        conn.set_read_timeout(Some(READ_DEADLINE * 2)).unwrap();
+        conn
+    }
+
+    /// The reply to `raw`, read to the end of the stream.
+    fn roundtrip(addr: SocketAddr, raw: &str) -> String {
+        let mut conn = client(addr);
+        conn.write_all(raw.as_bytes()).unwrap();
+        let mut reply = String::new();
+        conn.read_to_string(&mut reply).unwrap();
+        reply
+    }
+
+    /// `serve` on its own thread over a leaked app, so a shutdown that never
+    /// completes fails [`Server::stop`] rather than hanging the test.
+    struct Server {
+        addr: SocketAddr,
+        shutdown: &'static AtomicBool,
+        finished: mpsc::Receiver<()>,
+        thread: std::thread::JoinHandle<()>,
+    }
+
+    impl Server {
+        fn start(datasets: usize) -> Server {
+            let (grid, srv) = grid(datasets);
+            let grid: &'static Grid = Box::leak(Box::new(grid));
+            let app: &'static MySrb<'static> = Box::leak(Box::new(crate::MySrb::new(grid, srv, 7)));
+            let shutdown: &'static AtomicBool = Box::leak(Box::new(AtomicBool::new(false)));
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap();
+            let (done, finished) = mpsc::channel();
+            let thread = std::thread::spawn(move || {
+                serve(app, listener, shutdown);
+                let _ = done.send(());
+            });
+            Server {
+                addr,
+                shutdown,
+                finished,
+                thread,
+            }
+        }
+
+        /// Set the flag, poke once, and require `serve` to return.
+        fn stop(self) {
+            self.shutdown.store(true, Ordering::Release);
+            shutdown_poke(&self.addr.to_string());
+            self.finished
+                .recv_timeout(READ_DEADLINE * 2)
+                .expect("serve returns after one shutdown_poke");
+            self.thread.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn one_poke_stops_an_idle_pool() {
+        let server = Server::start(0);
+        let reply = roundtrip(server.addr, "GET /help HTTP/1.1\r\n\r\n");
+        assert!(reply.starts_with("HTTP/1.1 200"));
+        server.stop();
+    }
+
+    #[test]
+    fn one_poke_stops_the_pool_with_clients_in_flight() {
+        let server = Server::start(0);
+        let addr = server.addr;
+        let n = WORKERS + 2;
+        let started = Barrier::new(n + 1);
+        std::thread::scope(|s| {
+            let clients: Vec<_> = (0..n)
+                .map(|_| {
+                    s.spawn(|| {
+                        let mut conn = client(addr);
+                        conn.write_all(b"GET /help HTTP/1.1\r\n").unwrap();
+                        started.wait();
+                        // The server may already have dropped a connection it
+                        // accepted after the flag; then the write can fail.
+                        let _ = conn.write_all(b"Host: x\r\n\r\n");
+                        let mut reply = Vec::new();
+                        match conn.read_to_end(&mut reply) {
+                            Ok(_) => {}
+                            Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::ConnectionReset),
+                        }
+                        reply
+                    })
+                })
+                .collect();
+            started.wait();
+            server.stop();
+            for c in clients {
+                let reply = c.join().unwrap();
+                // Answered in full, or closed unanswered by a stopping worker.
+                assert!(reply.is_empty() || reply.starts_with(b"HTTP/1.1 200"));
+            }
+        });
+    }
+
+    #[test]
+    fn more_concurrent_requests_than_workers_all_get_their_own_reply() {
+        let n = WORKERS + 2;
+        let server = Server::start(n);
+        let addr = server.addr;
+        let started = Barrier::new(n);
+        let body = "user=u&domain=d&password=pw";
+        let login = roundtrip(
+            addr,
+            &format!(
+                "POST /login HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+                body.len()
+            ),
+        );
+        let key = login
+            .lines()
+            .find_map(|l| l.strip_prefix("Set-Cookie: mysrb_session="))
+            .and_then(|v| v.split(';').next())
+            .expect("session cookie set");
+        std::thread::scope(|s| {
+            for i in 0..n {
+                let started = &started;
+                s.spawn(move || {
+                    started.wait();
+                    let reply = roundtrip(
+                        addr,
+                        &format!(
+                            "GET /view?path=%2Fhome%2Fu%2Fd{i} HTTP/1.1\r\n\
+                             Cookie: mysrb_session={key}\r\n\r\n"
+                        ),
+                    );
+                    assert!(reply.starts_with("HTTP/1.1 200"), "{reply}");
+                    assert!(reply.contains(&format!("payload {i}")), "{reply}");
+                });
+            }
+        });
+        server.stop();
+    }
+
+    #[test]
+    fn end_to_end_over_tcp() {
+        let (grid, srv) = grid(0);
         let app = crate::MySrb::new(&grid, srv, 7);
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
+        let addr = listener.local_addr().unwrap();
         let shutdown = AtomicBool::new(false);
         std::thread::scope(|s| {
             s.spawn(|| serve(&app, listener, &shutdown));
             // Login over a raw socket.
-            let mut conn = TcpStream::connect(&addr).unwrap();
             let body = "user=u&domain=d&password=pw";
-            write!(
-                conn,
-                "POST /login HTTP/1.1\r\nContent-Length: {}\r\n\r\n{}",
-                body.len(),
-                body
-            )
-            .unwrap();
-            let mut reply = String::new();
-            BufReader::new(conn).read_to_string(&mut reply).unwrap();
+            let reply = roundtrip(
+                addr,
+                &format!(
+                    "POST /login HTTP/1.1\r\nContent-Length: {}\r\n\r\n{}",
+                    body.len(),
+                    body
+                ),
+            );
             assert!(reply.starts_with("HTTP/1.1 303"));
             let key = reply
                 .lines()
@@ -220,18 +520,14 @@ mod tests {
                 .map(|v| v.split(';').next().unwrap().to_string())
                 .expect("session cookie set");
             // Browse with the cookie.
-            let mut conn = TcpStream::connect(&addr).unwrap();
-            write!(
-                conn,
-                "GET /browse?path=%2F HTTP/1.1\r\nCookie: mysrb_session={key}\r\n\r\n"
-            )
-            .unwrap();
-            let mut reply = String::new();
-            BufReader::new(conn).read_to_string(&mut reply).unwrap();
+            let reply = roundtrip(
+                addr,
+                &format!("GET /browse?path=%2F HTTP/1.1\r\nCookie: mysrb_session={key}\r\n\r\n"),
+            );
             assert!(reply.starts_with("HTTP/1.1 200"));
             assert!(reply.contains("MySRB"));
             shutdown.store(true, Ordering::Release);
-            shutdown_poke(&addr);
+            shutdown_poke(&addr.to_string());
         });
     }
 }

@@ -638,3 +638,25 @@ fn metrics_and_grid_status_endpoints() {
     assert_eq!(snap.counter("web.errors", "/view"), 1);
     assert_eq!(snap.counter("web.error_codes", "NOT_FOUND"), 1);
 }
+
+#[test]
+fn unknown_paths_share_one_metric_label() {
+    let fx = fixture();
+    let app = MySrb::new(&fx.grid, fx.srv, 1);
+    let families = |snap: &srb_obs::MetricsSnapshot| {
+        ["web.requests", "web.errors"].map(|f| snap.counters.get(f).map_or(0, |fam| fam.len()))
+    };
+    let before = families(&fx.grid.metrics_snapshot());
+    for i in 0..1000 {
+        let resp = app.handle(&Request::get(&format!("/probe/{i}"), None));
+        assert_eq!(resp.status, 404);
+    }
+    // A known path under the wrong method is unmatched too.
+    assert_eq!(app.handle(&Request::post("/browse", "", None)).status, 404);
+    let snap = fx.grid.metrics_snapshot();
+    let after = families(&snap);
+    assert!(after[0] <= before[0] + 1 && after[1] <= before[1] + 1);
+    assert_eq!(snap.counter("web.requests", "other"), 1001);
+    assert_eq!(snap.counter("web.errors", "other"), 1001);
+    assert!(!snap.render_text().contains("/probe/"));
+}
