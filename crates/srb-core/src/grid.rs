@@ -476,10 +476,11 @@ impl Grid {
 
     /// Rebuild the catalog of this (freshly built, same-topology) grid
     /// from a crashed deployment's log device: redo recovery over the
-    /// latest checkpoint. Resources are verified by name/id/kind as in
-    /// [`Grid::restore_state`]. Only the catalog is recovered — the WAL
-    /// does not carry physical bytes; pair with [`Grid::restore_state`]
-    /// (or replica resync) for the data itself.
+    /// latest checkpoint, adopted as [`Grid::restore_state`] adopts a
+    /// saved catalog — resources verified by name/id/kind, catalog metrics
+    /// re-attached. Only the catalog is recovered — the WAL does not carry
+    /// physical bytes; pair with [`Grid::restore_state`] (or replica
+    /// resync) for the data itself.
     pub fn recover_catalog(
         &mut self,
         device: Arc<srb_storage::LogDevice>,
@@ -491,29 +492,36 @@ impl Grid {
             config,
             self.obs().map(|o| &o.metrics),
         )?;
+        self.adopt_catalog(mcat)?;
+        Ok(report)
+    }
+
+    /// Swap in a rebuilt catalog — the one way a restored or recovered
+    /// catalog enters a grid. Every resource it names must be declared
+    /// here under the same id and kind (same names, same order); on a
+    /// mismatch the grid keeps its catalog. The adopted catalog reports to
+    /// this grid's metrics, as the builder's did.
+    pub(crate) fn adopt_catalog(&mut self, mcat: Mcat) -> SrbResult<()> {
         for r in mcat.resources.list() {
             let local = self.mcat.resources.find(&r.name).ok_or_else(|| {
                 SrbError::Invalid(format!(
-                    "grid topology lacks resource '{}' required by the recovered catalog",
+                    "grid topology lacks resource '{}' required by the catalog",
                     r.name
                 ))
             })?;
             if local.id != r.id || local.kind != r.kind {
                 return Err(SrbError::Invalid(format!(
-                    "resource '{}' differs between topology and recovered catalog \
+                    "resource '{}' differs between topology and catalog \
                      (declare resources in the same order)",
                     r.name
                 )));
             }
         }
-        // Re-wire catalog metrics as the builder did, so query/scan
-        // counters keep flowing after the swap.
-        let mcat = match self.obs() {
+        self.mcat = match self.obs() {
             Some(o) => mcat.with_metrics(&o.metrics),
             None => mcat,
         };
-        self.mcat = mcat;
-        Ok(report)
+        Ok(())
     }
 
     /// Look up a server.

@@ -1,12 +1,20 @@
 //! Whole-grid state save/restore.
 //!
-//! [`Grid::save_state`] captures the catalog snapshot
-//! ([`srb_mcat::CatalogSnapshot`]) together with every resource's physical
-//! objects and database tables; [`Grid::restore_state`] loads it back into
-//! a freshly built grid with the *same topology* (resources are matched by
-//! name). Together with E9's media migration this completes the
+//! [`Grid::save_state`] writes the catalog image — [`Mcat::write_image`],
+//! the same text every WAL checkpoint carries, streamed from the live
+//! tables — together with every resource's physical objects and database
+//! tables; [`Grid::restore_state`] reads it back into a freshly built grid
+//! with the *same topology* (resources are matched by name) and adopts the
+//! catalog the one way [`Grid::recover_catalog`] adopts a recovered one.
+//! Together with E9's media migration this completes the
 //! persistent-archive story: both the data and the catalog survive process
 //! and technology generations.
+//!
+//! A restore fails closed: it reads and checks the whole file — format,
+//! catalog, topology, every object's bytes and resource — before the first
+//! byte lands in a driver, so a bad file leaves the grid as it was. It
+//! refuses a grid with durability enabled, whose logged catalog a restored
+//! (unlogged) one would silently replace.
 //!
 //! Caveats, by design: cache pin expiries and archive staging state are
 //! cost-model state, not data, and reset to "staged" on restore; sessions
@@ -15,9 +23,9 @@
 
 use crate::grid::Grid;
 use serde::{Deserialize, Serialize};
-use srb_mcat::CatalogSnapshot;
+use srb_mcat::{CatalogSnapshot, Mcat};
 use srb_storage::sql::SqlValue;
-use srb_types::{from_hex, to_hex, SrbError, SrbResult};
+use srb_types::{from_hex, to_hex, SrbError, SrbResult, Timestamp};
 
 /// Serialized image of one resource's physical objects.
 #[derive(Debug, Serialize, Deserialize)]
@@ -30,8 +38,9 @@ pub struct ResourceState {
     pub tables: Vec<(String, Vec<String>, Vec<Vec<SqlValue>>)>,
 }
 
-/// A complete grid image: catalog + storage.
-#[derive(Debug, Serialize, Deserialize)]
+/// A complete grid image: catalog + storage, as read back from the text
+/// [`Grid::save_state`] writes.
+#[derive(Debug, Deserialize)]
 pub struct GridState {
     /// Format version.
     pub version: u32,
@@ -47,10 +56,16 @@ pub struct GridState {
 pub const GRID_STATE_VERSION: u32 = 1;
 
 impl Grid {
-    /// Capture the full grid state (catalog + every resource's objects).
+    /// Capture the full grid state (catalog + every resource's objects)
+    /// as `{"version":…,"catalog":…,"resources":[…],"clock_ns":…}`, the
+    /// catalog written straight from the live tables.
     pub fn save_state(&self) -> SrbResult<String> {
-        let mut resources = Vec::new();
-        for r in self.mcat.resources.list() {
+        let mut out = String::from("{\"version\":");
+        GRID_STATE_VERSION.write_json(&mut out);
+        out.push_str(",\"catalog\":");
+        self.mcat.write_image(&mut out);
+        out.push_str(",\"resources\":[");
+        for (i, r) in self.mcat.resources.list().into_iter().enumerate() {
             let driver = self.driver(r.id)?;
             let mut objects = Vec::new();
             for path in driver.driver().list("")? {
@@ -61,25 +76,33 @@ impl Grid {
                 .as_db()
                 .map(|db| db.engine().dump_tables())
                 .unwrap_or_default();
-            resources.push(ResourceState {
-                name: r.name.clone(),
+            if i > 0 {
+                out.push(',');
+            }
+            ResourceState {
+                name: r.name,
                 objects,
                 tables,
-            });
+            }
+            .write_json(&mut out);
         }
-        let state = GridState {
-            version: GRID_STATE_VERSION,
-            catalog: self.mcat.snapshot(),
-            resources,
-            clock_ns: self.clock.now().nanos(),
-        };
-        serde_json::to_string(&state).map_err(|e| SrbError::Internal(format!("serialize: {e}")))
+        out.push_str("],\"clock_ns\":");
+        self.clock.now().nanos().write_json(&mut out);
+        out.push('}');
+        Ok(out)
     }
 
     /// Load a saved state into this (freshly built, same-topology) grid.
     /// Every resource named in the state must exist here; extra resources
-    /// in the grid simply start empty.
+    /// in the grid simply start empty. Nothing is written until the whole
+    /// state has been read and checked. A grid with durability enabled is
+    /// refused with `SrbError::Invalid`.
     pub fn restore_state(&mut self, json: &str) -> SrbResult<()> {
+        if self.mcat.wal().is_some() {
+            return Err(SrbError::Invalid(
+                "cannot restore into a grid with durability enabled".into(),
+            ));
+        }
         let state: GridState = serde_json::from_str(json)
             .map_err(|e| SrbError::Parse(format!("grid state JSON: {e}")))?;
         if state.version != GRID_STATE_VERSION {
@@ -88,44 +111,37 @@ impl Grid {
                 state.version
             )));
         }
-        // Restore the catalog first: resource ids in it must agree with the
-        // topology, which we verify by name.
-        let mcat = srb_mcat::Mcat::restore(self.clock.clone(), state.catalog)?;
-        for r in mcat.resources.list() {
-            let local = self.mcat.resources.find(&r.name).ok_or_else(|| {
-                SrbError::Invalid(format!(
-                    "grid topology lacks resource '{}' required by the saved state",
-                    r.name
-                ))
-            })?;
-            if local.id != r.id || local.kind != r.kind {
-                return Err(SrbError::Invalid(format!(
-                    "resource '{}' differs between topology and saved state \
-                     (declare resources in the same order)",
-                    r.name
-                )));
-            }
-        }
-        // Physical objects.
+        let mcat = Mcat::restore(self.clock.clone(), state.catalog)?;
+        // Resources resolve through the saved catalog: once it is adopted,
+        // each of its resources is one of this grid's, under the same id.
+        let mut loads = Vec::with_capacity(state.resources.len());
         for rs in state.resources {
-            let rid = self
-                .mcat
+            let rid = mcat
                 .resources
                 .find(&rs.name)
                 .ok_or_else(|| SrbError::NotFound(format!("resource '{}'", rs.name)))?
                 .id;
+            let objects = rs
+                .objects
+                .into_iter()
+                .map(|(path, hexed)| match from_hex(&hexed) {
+                    Some(bytes) => Ok((path, bytes)),
+                    None => Err(SrbError::Parse(format!("bad hex for object '{path}'"))),
+                })
+                .collect::<SrbResult<Vec<_>>>()?;
+            loads.push((rid, objects, rs.tables));
+        }
+        self.adopt_catalog(mcat)?;
+        for (rid, objects, tables) in loads {
             let driver = self.driver(rid)?;
-            for (path, hexed) in rs.objects {
-                let bytes = from_hex(&hexed)
-                    .ok_or_else(|| SrbError::Parse(format!("bad hex for object '{path}'")))?;
+            for (path, bytes) in objects {
                 driver.driver().write(&path, &bytes)?;
             }
             if let Some(db) = driver.as_db() {
-                db.engine().restore_tables(rs.tables);
+                db.engine().restore_tables(tables);
             }
         }
-        self.clock.advance_to(srb_types::Timestamp(state.clock_ns));
-        self.mcat = mcat;
+        self.clock.advance_to(Timestamp(state.clock_ns));
         Ok(())
     }
 }
@@ -135,8 +151,10 @@ mod tests {
     use crate::grid::GridBuilder;
     use crate::ops_write::{IngestOptions, RegisterSpec};
     use crate::SrbConnection;
-    use srb_mcat::Template;
-    use srb_types::Triplet;
+    use srb_mcat::{Query, Template, WalConfig};
+    use srb_storage::LogDevice;
+    use srb_types::{to_hex, CompareOp, SrbError, Triplet};
+    use std::sync::Arc;
 
     fn build() -> crate::Grid {
         let mut gb = GridBuilder::new();
@@ -225,5 +243,83 @@ mod tests {
         let err = wrong.restore_state(&saved).unwrap_err();
         assert!(err.to_string().contains("lacks resource"));
         assert!(wrong.restore_state("{]").is_err());
+    }
+
+    /// The saved state of a grid where sekar ingested `files` to `fs`,
+    /// each tagged `k = v`.
+    fn saved_with(files: &[&str]) -> String {
+        let grid = build();
+        grid.register_user("sekar", "sdsc", "pw").unwrap();
+        let srv = grid.servers()[0].id;
+        let conn = SrbConnection::connect(&grid, srv, "sekar", "sdsc", "pw").unwrap();
+        for name in files {
+            conn.ingest(
+                &format!("/home/sekar/{name}"),
+                name.as_bytes(),
+                IngestOptions::to_resource("fs").with_metadata(Triplet::new("k", "v", "")),
+            )
+            .unwrap();
+        }
+        grid.save_state().unwrap()
+    }
+
+    /// Every driver of `grid` holds no object.
+    fn drivers_empty(grid: &crate::Grid) -> bool {
+        grid.mcat.resources.list().iter().all(|r| {
+            let driver = grid.driver(r.id).unwrap();
+            driver.driver().list("").unwrap().is_empty()
+        })
+    }
+
+    #[test]
+    fn a_restored_grid_keeps_reporting_catalog_metrics() {
+        let saved = saved_with(&["a.txt"]);
+        let mut grid = build();
+        grid.restore_state(&saved).unwrap();
+        let srv = grid.servers()[0].id;
+        let conn = SrbConnection::connect(&grid, srv, "sekar", "sdsc", "pw").unwrap();
+        let q = Query::everywhere().and("k", CompareOp::Eq, "v");
+        assert_eq!(conn.query(&q).unwrap().0.len(), 1);
+        let metrics = grid.metrics_snapshot();
+        assert!(metrics.counter("query.plans", "indexed") >= 1);
+    }
+
+    #[test]
+    fn a_durable_grid_refuses_a_restore_and_is_left_untouched() {
+        let saved = saved_with(&["a.txt"]);
+        let mut grid = build();
+        let device = Arc::new(LogDevice::new());
+        grid.enable_durability(device, WalConfig::default())
+            .unwrap();
+        let before = grid.mcat.snapshot_json().unwrap();
+        let err = grid.restore_state(&saved).unwrap_err();
+        assert!(matches!(err, SrbError::Invalid(_)), "{err:?}");
+        assert!(grid.mcat.wal().is_some(), "the logged catalog stays");
+        assert_eq!(grid.mcat.snapshot_json().unwrap(), before);
+        assert!(drivers_empty(&grid));
+    }
+
+    #[test]
+    fn a_corrupt_object_fails_the_restore_before_any_byte_lands() {
+        let files = ["a.txt", "b.txt", "c.txt"];
+        let saved = saved_with(&files);
+        // The third object in the file: read its entry back from a grid
+        // restored from the intact state.
+        let mut intact = build();
+        intact.restore_state(&saved).unwrap();
+        let fs = intact.driver(intact.resource_id("fs").unwrap()).unwrap();
+        let paths = fs.driver().list("").unwrap();
+        assert_eq!(paths.len(), files.len());
+        let (bytes, _) = fs.driver().read(&paths[2]).unwrap();
+        let entry = format!("[\"{}\",\"{}\"]", paths[2], to_hex(&bytes));
+        assert!(saved.contains(&entry));
+        let corrupt = saved.replace(&entry, &format!("[\"{}\",\"zz\"]", paths[2]));
+
+        let mut grid = build();
+        let before = grid.mcat.snapshot_json().unwrap();
+        let err = grid.restore_state(&corrupt).unwrap_err();
+        assert!(matches!(err, SrbError::Parse(_)), "{err:?}");
+        assert!(drivers_empty(&grid), "no object of the bad file landed");
+        assert_eq!(grid.mcat.snapshot_json().unwrap(), before);
     }
 }

@@ -16,7 +16,7 @@ mod common;
 
 use common::normalized;
 use srb_core::{Federation, GridBuilder, IngestOptions, SrbConnection, ZoneId};
-use srb_mcat::{Mcat, WalConfig};
+use srb_mcat::{CatalogSnapshot, Mcat, WalConfig};
 use srb_net::LinkSpec;
 use srb_storage::LogDevice;
 use srb_types::{Lsn, SeedStream, SimClock, Triplet};
@@ -198,7 +198,8 @@ fn every_lsn_recovers_to_a_whole_number_of_ops() {
         );
         // Spelled out, though equality above implies it: no pointer
         // without provenance, no dataset without its ingest triplet.
-        for d in rec.snapshot().datasets {
+        let snap: CatalogSnapshot = serde_json::from_str(&rec.snapshot_json().unwrap()).unwrap();
+        for d in snap.datasets {
             rec.remote_provenance(d.id).unwrap();
         }
     }

@@ -202,14 +202,6 @@ impl AnnotationTable {
             .any(|a| srb_types::value::like_match(pattern, &a.text))
     }
 
-    /// Every annotation row, sorted by id (snapshots).
-    pub fn dump(&self) -> Vec<Annotation> {
-        by_id(&self.inner.read().rows)
-            .into_iter()
-            .cloned()
-            .collect()
-    }
-
     /// The image's `"annotations"` field, under one read guard.
     pub(crate) fn write_checkpoint(&self, out: &mut String) {
         write_field(out, "annotations", by_id(&self.inner.read().rows));

@@ -605,14 +605,6 @@ impl CollectionTable {
         Ok(())
     }
 
-    /// Every collection row, sorted by id (snapshots).
-    pub fn dump(&self) -> Vec<Collection> {
-        by_id(&self.inner.read().nodes)
-            .into_iter()
-            .cloned()
-            .collect()
-    }
-
     /// The image's `"collections"` field, under one read guard.
     pub(crate) fn write_checkpoint(&self, out: &mut String) {
         write_field(out, "collections", by_id(&self.inner.read().nodes));

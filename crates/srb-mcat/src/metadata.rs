@@ -645,17 +645,6 @@ impl MetaStore {
             .unwrap_or_default()
     }
 
-    /// Every metadata row plus the meta-file associations (snapshots).
-    pub fn dump(&self) -> (Vec<MetaRow>, Vec<(Subject, Vec<DatasetId>)>) {
-        let g = self.inner.read();
-        let rows = by_id(&g.rows).into_iter().cloned().collect();
-        let files = meta_files_in_order(&g)
-            .into_iter()
-            .map(|(s, v)| (*s, v.clone()))
-            .collect();
-        (rows, files)
-    }
-
     /// The image's `"metadata"` and `"meta_files"` fields, under one read
     /// guard.
     pub(crate) fn write_checkpoint(&self, out: &mut String) {
@@ -754,7 +743,7 @@ fn subject_matches_locked(
 }
 
 /// The file-based associations, ordered by subject display (`c…` before
-/// `d…`) as snapshots store them.
+/// `d…`) as the image stores them.
 fn meta_files_in_order(g: &Inner) -> Vec<(&Subject, &Vec<DatasetId>)> {
     let mut files: Vec<(&Subject, &Vec<DatasetId>)> = g.meta_files.iter().collect();
     files.sort_by_cached_key(|(s, _)| s.to_string());
@@ -1229,8 +1218,11 @@ mod tests {
         add(coll, "r", 1);
         assert_eq!(multi(&s, "r"), [DatasetId(1)], "datasets only");
 
-        let (rows, files) = s.dump();
-        assert_eq!(multi(&MetaStore::restore(rows, files), "r"), [DatasetId(1)]);
+        let rows = by_id(&s.inner.read().rows).into_iter().cloned().collect();
+        assert_eq!(
+            multi(&MetaStore::restore(rows, Vec::new()), "r"),
+            [DatasetId(1)]
+        );
 
         s.remove(third).unwrap();
         assert_eq!(multi(&s, "r"), [DatasetId(1)], "still two rows");

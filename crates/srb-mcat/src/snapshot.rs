@@ -7,12 +7,12 @@
 //! A snapshot captures every table; restoring rebuilds all derived indexes
 //! (path maps, child lists, attribute value indexes) from the rows.
 //!
-//! The image has one text form, and two ways to produce it. `snapshot()`
-//! clones every table into a [`CatalogSnapshot`] (grid save/restore,
-//! tests); `Mcat::write_image` — behind `snapshot_json` and every WAL
-//! checkpoint — writes the same bytes straight from the live tables, one
-//! table read guard at a time, rows borrowed and ordered as `dump()`
-//! orders them: no second catalog, no tree.
+//! The image has one text form and one writer: [`Mcat::write_image`] —
+//! behind `snapshot_json`, every WAL checkpoint and `Grid::save_state` —
+//! writes it straight from the live tables, one table read guard at a
+//! time, rows borrowed in id order: no second catalog, no tree.
+//! [`CatalogSnapshot`] is only ever read: restore and recovery parse the
+//! text into it and rebuild the tables from its rows.
 
 use crate::annotation::{Annotation, AnnotationTable};
 use crate::audit::{AuditLog, AuditRow};
@@ -42,8 +42,9 @@ pub struct SnapshotGenerations {
     pub metadata: u64,
 }
 
-/// A complete, self-contained image of a catalog.
-#[derive(Debug, Serialize, Deserialize)]
+/// A complete, self-contained image of a catalog, as read back from the
+/// text [`Mcat::write_image`] writes.
+#[derive(Debug, Deserialize)]
 pub struct CatalogSnapshot {
     /// Snapshot format version.
     pub version: u32,
@@ -81,8 +82,8 @@ pub struct CatalogSnapshot {
 /// Current snapshot format version.
 pub const SNAPSHOT_VERSION: u32 = 1;
 
-/// A table's rows in id order, borrowed: the order `dump()` returns and
-/// the checkpoint writes. Every table map is keyed by the row id.
+/// A table's rows in id order, borrowed: the order the image writes and
+/// the tables' listings return. Every table map is keyed by the row id.
 pub(crate) fn by_id<K: Ord, V>(rows: &HashMap<K, V>) -> Vec<&V> {
     let mut v: Vec<(&K, &V)> = rows.iter().collect();
     v.sort_unstable_by(|a, b| a.0.cmp(b.0));
@@ -102,28 +103,6 @@ pub(crate) fn write_field<'a, T: Serialize + 'a>(
 }
 
 impl Mcat {
-    /// Capture the whole catalog.
-    pub fn snapshot(&self) -> CatalogSnapshot {
-        let (metadata, meta_files) = self.metadata.dump();
-        CatalogSnapshot {
-            version: SNAPSHOT_VERSION,
-            next_id_floor: self.ids.allocated(),
-            admin: self.admin(),
-            users: self.users.list_users(),
-            groups: self.users.list_groups(),
-            resources: self.resources.list(),
-            logical_resources: self.resources.list_logical(),
-            collections: self.collections.dump(),
-            datasets: self.datasets.dump(),
-            containers: self.containers.list(),
-            metadata,
-            meta_files,
-            annotations: self.annotations.dump(),
-            audit: self.audit.dump(),
-            generations: Some(self.generations()),
-        }
-    }
-
     fn generations(&self) -> SnapshotGenerations {
         SnapshotGenerations {
             collections: self.collections.generation().raw(),
@@ -132,12 +111,12 @@ impl Mcat {
         }
     }
 
-    /// Write the catalog image — the text `serde_json::to_string` makes of
-    /// [`Mcat::snapshot`], byte for byte — straight from the live tables,
-    /// taking one table's read guard at a time. Under concurrent writers
-    /// the image is fuzzy in the same way a snapshot is (each table as of
-    /// its own guard), which checkpoints tolerate; see `crate::wal`.
-    pub(crate) fn write_image(&self, out: &mut String) {
+    /// Append the catalog image — the text [`CatalogSnapshot`] reads —
+    /// to `out`, straight from the live tables, taking one table's read
+    /// guard at a time. Under concurrent writers the image is fuzzy (each
+    /// table as of its own guard), which checkpoints tolerate; see
+    /// `crate::wal`.
+    pub fn write_image(&self, out: &mut String) {
         out.push_str("{\"version\":");
         SNAPSHOT_VERSION.write_json(out);
         out.push_str(",\"next_id_floor\":");
@@ -308,34 +287,20 @@ mod tests {
         assert_eq!(r.audit.count(), m.audit.count());
     }
 
-    #[test]
-    fn the_streamed_image_is_the_snapshot_text() {
-        let m = seeded();
-        m.audit.record(
-            &m.ids,
-            m.clock.now(),
-            m.admin(),
-            crate::AuditAction::Read,
-            "/zoo",
-            "ok",
-        );
-        m.metadata
-            .attach_meta_file(Subject::Collection(m.collections.root()), DatasetId(2));
-        assert_eq!(
-            m.snapshot_json().unwrap(),
-            serde_json::to_string(&m.snapshot()).unwrap()
-        );
+    /// The image of `m`, read back.
+    fn parsed(m: &Mcat) -> CatalogSnapshot {
+        serde_json::from_str(&m.snapshot_json().unwrap()).unwrap()
     }
 
     #[test]
     fn generation_stamps_survive_restore() {
         let m = seeded();
-        let before = m.snapshot().generations.unwrap();
+        let before = parsed(&m).generations.unwrap();
         assert!(before.collections > 0 && before.datasets > 0 && before.metadata > 0);
         let r = Mcat::restore_json(SimClock::new(), &m.snapshot_json().unwrap()).unwrap();
-        assert_eq!(r.snapshot().generations.unwrap(), before);
+        assert_eq!(parsed(&r).generations.unwrap(), before);
         // A pre-WAL snapshot without stamps still restores.
-        let mut snap = m.snapshot();
+        let mut snap = parsed(&m);
         snap.generations = None;
         assert!(Mcat::restore(SimClock::new(), snap).is_ok());
     }
@@ -357,13 +322,13 @@ mod tests {
     fn bad_snapshots_rejected() {
         assert!(Mcat::restore_json(SimClock::new(), "not json").is_err());
         let m = seeded();
-        let mut snap = m.snapshot();
+        let mut snap = parsed(&m);
         snap.version = 99;
         assert!(Mcat::restore(SimClock::new(), snap).is_err());
-        let mut snap = m.snapshot();
+        let mut snap = parsed(&m);
         snap.collections.clear();
         assert!(Mcat::restore(SimClock::new(), snap).is_err());
-        let mut snap = m.snapshot();
+        let mut snap = parsed(&m);
         snap.users.clear();
         assert!(Mcat::restore(SimClock::new(), snap).is_err());
     }

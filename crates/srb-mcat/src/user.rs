@@ -223,14 +223,6 @@ impl UserTable {
             .cloned()
     }
 
-    /// All groups, sorted by id (snapshots, admin pages).
-    pub fn list_groups(&self) -> Vec<Group> {
-        by_id(&self.users.read().groups)
-            .into_iter()
-            .cloned()
-            .collect()
-    }
-
     /// Rebuild the table from snapshot rows.
     pub fn restore(users: Vec<User>, groups: Vec<Group>) -> Self {
         let t = UserTable::new();

@@ -710,8 +710,8 @@ impl Patch {
     }
 
     fn into_snapshot(mut self, admin: srb_types::UserId) -> CatalogSnapshot {
-        // dump() orders meta_files by subject display; match it so a
-        // recovered catalog's snapshot is byte-identical to a live one's.
+        // The image orders meta_files by subject display; match it so a
+        // recovered catalog's image is byte-identical to a live one's.
         self.meta_files.sort_by_key(|(s, _)| format!("{s}"));
         CatalogSnapshot {
             version: SNAPSHOT_VERSION,
@@ -917,7 +917,8 @@ mod tests {
     #[test]
     fn a_fuzzy_image_floors_the_allocator_above_its_rows() {
         let mcat = crate::Mcat::new(SimClock::new(), "pw");
-        let mut snap = mcat.snapshot();
+        let mut snap: CatalogSnapshot =
+            serde_json::from_str(&mcat.snapshot_json().unwrap()).unwrap();
         snap.next_id_floor = 0; // read before the rows were allocated
         let patch = Patch::from_snapshot(snap);
         assert_eq!(patch.max_id, mcat.ids.allocated());
@@ -1078,8 +1079,12 @@ mod tests {
             json.contains(r#""snapshot":{"#),
             "the catalog image is nested JSON, not a JSON string"
         );
+        let replayed = replay_device(&device).unwrap().snapshot;
         assert_eq!(
-            serde_json::to_string(&replay_device(&device).unwrap().snapshot).unwrap(),
+            crate::Mcat::restore(SimClock::new(), replayed)
+                .unwrap()
+                .snapshot_json()
+                .unwrap(),
             mcat.snapshot_json().unwrap()
         );
         // The pre-PR-13 envelope (snapshot JSON inside a string) and plain

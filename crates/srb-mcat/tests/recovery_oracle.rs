@@ -15,8 +15,8 @@
 //! unacknowledged ones never half-apply.
 
 use srb_mcat::{
-    export_deltas, AccessSpec, AnnotationKind, AuditAction, DeltaFetch, Mcat, MetaKind, Subject,
-    WalConfig, WalOp,
+    export_deltas, AccessSpec, AnnotationKind, AuditAction, CatalogSnapshot, DeltaFetch, Mcat,
+    MetaKind, Subject, WalConfig, WalOp,
 };
 use srb_storage::{DriverKind, LogDevice};
 use srb_types::{
@@ -516,7 +516,7 @@ fn concurrent_writers_never_recover_the_clock_behind_a_row() {
     device.crash();
     let recovered_clock = SimClock::new();
     let (rec, _) = Mcat::recover(recovered_clock.clone(), device, NO_CKPT, None).unwrap();
-    let snap = rec.snapshot();
+    let snap: CatalogSnapshot = serde_json::from_str(&rec.snapshot_json().unwrap()).unwrap();
     let rows = snap.datasets.iter().map(|d| d.created.max(d.modified));
     let latest = rows.chain(snap.audit.iter().map(|a| a.at)).max().unwrap();
     assert_eq!(snap.datasets.len(), 5_000);
