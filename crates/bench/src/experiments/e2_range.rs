@@ -14,8 +14,8 @@
 //!
 //! The planner touches O(hits) index entries however large the catalog,
 //! so its latency should stay flat in `n` while the residual-verification
-//! baseline grows linearly — the `check_e2` gate in `cargo xtask
-//! benchcheck` enforces a ≥5× margin at the largest size.
+//! baseline grows linearly — the `e2-range-beats-scan` gate in `cargo
+//! xtask benchcheck` enforces a ≥5× margin at the largest size.
 //!
 //! `serial < 100` is one-sided and anchored at the end of the index. The
 //! **window** columns measure the case that is neither: the same 100 rows
@@ -421,7 +421,7 @@ fn page_rows_json(rows: &[PageRow]) -> Vec<serde_json::Value> {
 }
 
 /// Machine-readable results for `BENCH_E2.json` (`exp e2_range --json`),
-/// gated by `check_e2` in `cargo xtask benchcheck`.
+/// gated by the `e2-*` rows of `cargo xtask benchcheck`.
 pub fn run_json(max: usize) -> serde_json::Value {
     let range_rows: Vec<serde_json::Value> = measure_range(max)
         .iter()

@@ -14,7 +14,7 @@ use srb_mcat::dataset::ContainerSlice;
 use srb_mcat::{AccessSpec, AuditAction, ContainerRecord, Subject};
 use srb_net::Receipt;
 use srb_storage::DriverKind;
-use srb_types::{sha256_hex, CollectionId, ResourceId, SrbError, SrbResult, UserId};
+use srb_types::{sha256_hex, CollectionId, DatasetId, ResourceId, SrbError, SrbResult, UserId};
 use std::sync::Arc;
 
 impl SrbConnection<'_> {
@@ -75,6 +75,9 @@ impl SrbConnection<'_> {
     }
 
     /// Ingest into a container (called from [`SrbConnection::ingest`]).
+    /// Any failure after the dataset row exists removes the row again (the
+    /// name stays reusable) and turns an already recorded slice into a
+    /// hole.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn ingest_into_container_impl(
         &self,
@@ -101,67 +104,90 @@ impl SrbConnection<'_> {
             Vec::new(),
             self.now(),
         )?;
-        let offset = match self
-            .grid
-            .mcat
-            .containers
-            .append_member(record.id, ds, data.len() as u64)
-        {
-            Ok(o) => o,
-            Err(e) => {
-                // Roll back the dataset row so the name is reusable.
-                let _ = self.grid.mcat.datasets.delete(ds);
-                return Err(e);
+        let done = (|| {
+            let (slice, receipt) = self.append_slice(&record, cache_rid, ds, false, data)?;
+            let repl_num = self.grid.mcat.datasets.add_replica(
+                &self.grid.mcat.ids,
+                ds,
+                AccessSpec::Stored {
+                    resource: cache_rid,
+                    phys_path: Self::container_phys_path(&record),
+                },
+                data.len() as u64,
+                Some(sha256_hex(data)),
+                self.now(),
+            )?;
+            self.grid.mcat.datasets.update(ds, |d| {
+                let r = d
+                    .replicas
+                    .iter_mut()
+                    .find(|r| r.repl_num == repl_num)
+                    .ok_or_else(|| {
+                        SrbError::NotFound(format!("replica #{repl_num} vanished during ingest"))
+                    })?;
+                r.in_container = Some(slice);
+                Ok(())
+            })?;
+            for t in &opts.metadata {
+                self.grid.mcat.metadata.add(
+                    &self.grid.mcat.ids,
+                    Subject::Dataset(ds),
+                    t.clone(),
+                    srb_mcat::MetaKind::UserDefined,
+                );
             }
-        };
-        let ct_path = Self::container_phys_path(&record);
+            Ok(receipt)
+        })();
+        if done.is_err() {
+            let _ = self.grid.mcat.containers.remove_member(record.id, ds);
+            let _ = self.grid.mcat.datasets.delete(ds);
+        }
+        done
+    }
+
+    /// Append `data` at the tail of the container's working copy on
+    /// `cache_rid`, then record it as `ds`'s slice — in place of `ds`'s
+    /// current slice when `replaces`. The catalog changes only once the
+    /// bytes have landed, so a failed storage leg never leaves the
+    /// container's size ahead of its bytes (which would shift every later
+    /// member). Returns the slice and the leg's storage + transfer cost.
+    fn append_slice(
+        &self,
+        record: &ContainerRecord,
+        cache_rid: ResourceId,
+        ds: DatasetId,
+        replaces: bool,
+        data: &[u8],
+    ) -> SrbResult<(ContainerSlice, Receipt)> {
+        let len = data.len() as u64;
+        if record.size + len > record.max_size {
+            return Err(SrbError::ResourceUnavailable(format!(
+                "container '{}' full ({} + {len} > {})",
+                record.name, record.size, record.max_size
+            )));
+        }
         let site = self.grid.site_of_resource(cache_rid)?;
         let injected_ns = self.grid.faults.inject(cache_rid, site)?;
         let driver = self.grid.driver(cache_rid)?;
+        let ct_path = Self::container_phys_path(record);
         let storage_ns = injected_ns + driver.driver().append(&ct_path, data)?;
+        let containers = &self.grid.mcat.containers;
+        if replaces {
+            // The bytes are recorded either way, so a missing old slice
+            // must not stop the new one.
+            let _ = containers.remove_member(record.id, ds);
+        }
+        let offset = containers.append_member(record.id, ds, len)?;
         self.grid.load.charge(cache_rid, storage_ns);
-        let net_ns = self
-            .grid
-            .network
-            .charge_transfer(self.site(), site, data.len() as u64)?;
+        let net_ns = self.grid.network.charge_transfer(self.site(), site, len)?;
         let mut receipt = Receipt::time(storage_ns + net_ns);
-        receipt.bytes = data.len() as u64;
-        let repl_num = self.grid.mcat.datasets.add_replica(
-            &self.grid.mcat.ids,
-            ds,
-            AccessSpec::Stored {
-                resource: cache_rid,
-                phys_path: ct_path,
-            },
-            data.len() as u64,
-            Some(sha256_hex(data)),
-            self.now(),
-        )?;
+        receipt.bytes = len;
         let slice = ContainerSlice {
             container: record.id,
             offset,
-            len: data.len() as u64,
+            len,
         };
-        self.grid.mcat.datasets.update(ds, |d| {
-            let r = d
-                .replicas
-                .iter_mut()
-                .find(|r| r.repl_num == repl_num)
-                .ok_or_else(|| {
-                    SrbError::NotFound(format!("replica #{repl_num} vanished during ingest"))
-                })?;
-            r.in_container = Some(slice);
-            Ok(())
-        })?;
-        for t in &opts.metadata {
-            self.grid.mcat.metadata.add(
-                &self.grid.mcat.ids,
-                Subject::Dataset(ds),
-                t.clone(),
-                srb_mcat::MetaKind::UserDefined,
-            );
-        }
-        Ok(receipt)
+        Ok((slice, receipt))
     }
 
     /// Synchronize the container's working copy onto its archive members.
@@ -222,7 +248,7 @@ impl SrbConnection<'_> {
                     self.grid.load.charge(cache_rid, ns);
                     receipt.absorb(&Receipt::time(ns));
                     receipt.absorb(&self.data_transfer(cache_rid, data.len() as u64)?);
-                    return Ok(data);
+                    return whole_slice(&record, slice, data);
                 }
                 Err(SrbError::NotFound(_)) => { /* purged: fall to archive */ }
                 Err(e) => return Err(e),
@@ -256,7 +282,7 @@ impl SrbConnection<'_> {
             let end = ((slice.offset + slice.len) as usize).min(whole.len());
             let data = whole.slice(start..end);
             receipt.absorb(&self.data_transfer(*rid, data.len() as u64)?);
-            return Ok(data);
+            return whole_slice(&record, slice, data);
         }
         Err(SrbError::ResourceUnavailable(format!(
             "container '{}' unreachable on all members",
@@ -269,34 +295,13 @@ impl SrbConnection<'_> {
     /// old bytes become a hole until the container is rewritten).
     pub(crate) fn rewrite_container_slice(
         &self,
-        ds: srb_types::DatasetId,
+        ds: DatasetId,
         old: ContainerSlice,
         data: &[u8],
     ) -> SrbResult<Receipt> {
         let record = self.grid.mcat.containers.get(old.container)?;
         let (cache_rid, _) = self.container_members(&record)?;
-        self.grid.mcat.containers.remove_member(old.container, ds)?;
-        let offset =
-            self.grid
-                .mcat
-                .containers
-                .append_member(old.container, ds, data.len() as u64)?;
-        let ct_path = Self::container_phys_path(&record);
-        let site = self.grid.site_of_resource(cache_rid)?;
-        let injected_ns = self.grid.faults.inject(cache_rid, site)?;
-        let driver = self.grid.driver(cache_rid)?;
-        let storage_ns = injected_ns + driver.driver().append(&ct_path, data)?;
-        let net_ns = self
-            .grid
-            .network
-            .charge_transfer(self.site(), site, data.len() as u64)?;
-        let mut receipt = Receipt::time(storage_ns + net_ns);
-        receipt.bytes = data.len() as u64;
-        let slice = ContainerSlice {
-            container: old.container,
-            offset,
-            len: data.len() as u64,
-        };
+        let (slice, receipt) = self.append_slice(&record, cache_rid, ds, true, data)?;
         let checksum = sha256_hex(data);
         self.grid.mcat.datasets.update(ds, |d| {
             for r in d.replicas.iter_mut() {
@@ -343,4 +348,19 @@ impl SrbConnection<'_> {
         }
         Ok(())
     }
+}
+
+/// `data` if it is all of `slice`. Fewer bytes mean the container lost
+/// bytes its catalog record still counts: `Corrupt`, never a short read.
+fn whole_slice(record: &ContainerRecord, slice: ContainerSlice, data: Bytes) -> SrbResult<Bytes> {
+    if data.len() as u64 == slice.len {
+        return Ok(data);
+    }
+    Err(SrbError::Corrupt(format!(
+        "container '{}' holds {} of the {} bytes at offset {}",
+        record.name,
+        data.len(),
+        slice.len,
+        slice.offset
+    )))
 }

@@ -4,7 +4,7 @@
 mod common;
 
 use common::{connect, grid};
-use srb_core::IngestOptions;
+use srb_core::{FaultMode, IngestOptions};
 use srb_types::SrbError;
 
 #[test]
@@ -240,4 +240,64 @@ fn deleting_members_leaves_container_consistent() {
     assert_eq!(record.members.len(), 1);
     assert_eq!(&conn.read("/home/sekar/b").unwrap().0[..], b"bbb");
     assert!(conn.read("/home/sekar/a").is_err());
+}
+
+#[test]
+fn failed_container_leg_leaves_no_slice_behind() {
+    let f = grid();
+    let conn = connect(&f, "sekar");
+    conn.create_container("ct1", "ct-store", 1 << 20).unwrap();
+    let into = || IngestOptions::into_container("ct1");
+    conn.ingest("/home/sekar/a", b"alpha", into()).unwrap();
+    f.grid
+        .set_fault_mode("cache-sdsc", FaultMode::FailNext(1))
+        .unwrap();
+    assert!(matches!(
+        conn.ingest("/home/sekar/b", b"bravo", into()),
+        Err(SrbError::Timeout(_))
+    ));
+    // Neither the slice nor the dataset row outlived the failed leg.
+    assert!(matches!(
+        conn.read("/home/sekar/b"),
+        Err(SrbError::NotFound(_))
+    ));
+    let record = f.grid.mcat.containers.find("ct1").unwrap();
+    assert_eq!((record.size, record.members.len()), (5, 1));
+    conn.ingest("/home/sekar/b", b"bravo", into()).unwrap();
+    conn.ingest("/home/sekar/c", b"charlie", into()).unwrap();
+    for (name, bytes) in [("a", "alpha"), ("b", "bravo"), ("c", "charlie")] {
+        let (data, _) = conn.read(&format!("/home/sekar/{name}")).unwrap();
+        assert_eq!(&data[..], bytes.as_bytes(), "{name}");
+    }
+}
+
+#[test]
+fn short_container_copy_reads_as_corrupt() {
+    let f = grid();
+    let conn = connect(&f, "sekar");
+    conn.create_container("ct1", "ct-store", 1 << 20).unwrap();
+    conn.ingest(
+        "/home/sekar/a",
+        b"alpha",
+        IngestOptions::into_container("ct1"),
+    )
+    .unwrap();
+    conn.sync_container("ct1").unwrap();
+    // The working copy loses its tail: the cache exit refuses it.
+    let cache = f.grid.resource_id("cache-sdsc").unwrap();
+    let cache = f.grid.driver(cache).unwrap();
+    cache.driver().write("containers/ct1", b"alp").unwrap();
+    assert!(matches!(
+        conn.read("/home/sekar/a"),
+        Err(SrbError::Corrupt(_))
+    ));
+    // So does the archive exit, once the cache copy is gone.
+    let hpss = f.grid.resource_id("hpss-caltech").unwrap();
+    let hpss = f.grid.driver(hpss).unwrap();
+    hpss.driver().write("containers/ct1", b"al").unwrap();
+    conn.purge_container_cache("ct1").unwrap();
+    assert!(matches!(
+        conn.read("/home/sekar/a"),
+        Err(SrbError::Corrupt(_))
+    ));
 }

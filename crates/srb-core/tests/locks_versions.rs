@@ -202,3 +202,23 @@ fn read_missing_version_fails() {
         Err(SrbError::NotFound(_))
     ));
 }
+
+#[test]
+fn read_version_refuses_a_copy_of_the_wrong_size() {
+    let f = grid();
+    let (sekar, _) = setup(&f);
+    sekar.checkout("/home/sekar/shared").unwrap();
+    sekar.checkin("/home/sekar/shared", b"v2").unwrap();
+    let ds = f.grid.mcat.datasets.dump();
+    let ds = ds.iter().find(|d| d.name == "shared").unwrap();
+    let v1 = &ds.versions[0];
+    let driver = f.grid.driver(v1.resource).unwrap();
+    driver
+        .driver()
+        .write(&v1.phys_path, b"tampered-longer")
+        .unwrap();
+    assert!(matches!(
+        sekar.read_version("/home/sekar/shared", 1),
+        Err(SrbError::Corrupt(_))
+    ));
+}

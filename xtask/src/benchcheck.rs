@@ -1,746 +1,439 @@
-//! `cargo xtask benchcheck` — validate the `BENCH_*.json` artifacts
-//! written by `exp <name> --json`.
+//! `cargo xtask benchcheck` — hold the `BENCH_*.json` artifacts written by
+//! `exp <name> --json` to the claims they record.
 //!
-//! Every file must parse and carry a non-empty `rows` array with its
-//! timing fields. E1/E5 must show the indexed planner no
-//! slower than the full-scan baseline; E2 must show ordered-index range
-//! scans >= 5x faster than residual verification and cursor pages priced
-//! O(page); E6/E7 must show the parallel
-//! fan-out engine no slower than the sequential ablation — strictly in
-//! simulated time (host-independent), and in wall-clock where the
-//! recording host actually had worker threads to parallelize on; the
-//! recovery artifact must show every crash recovering to a byte-identical
-//! catalog with bounded WAL overhead; the zone artifact must show every
-//! federated link class converging byte-identically with replication lag
-//! monotone in link latency. These are the regressions the bench-smoke CI
-//! job exists to catch.
+//! Every bound is one row of `GATES`, run by one interpreter; the table is
+//! the one place a bound is written, and DESIGN.md and EXPERIMENTS.md cite
+//! gates by name. A gate is plain data: the artifact; the array it walks
+//! (a dotted path such as `paging.rows`, or `""` for the document as its
+//! only row); a quantifier (`Each`); an optional guard; and one comparison
+//! `a op k·b + c` (`Cmp`) between constants and fields of the current,
+//! first or previous row. Booleans and strings compare by equality only;
+//! an array's length and a sum over a map's entries are the only
+//! aggregates. An unreadable file, invalid JSON, a missing or empty array
+//! and a missing field fail like a broken bound. A failure is a `Violation`
+//! on the artifact, ruled by the gate's name (`artifact` when the file does
+//! not load), whose message names the row and both sides' values.
 
+use crate::rules::Violation;
 use serde_json::Value;
+use std::collections::BTreeMap;
 use std::path::Path;
-use std::process::ExitCode;
+use Each::*;
+use Op::*;
+use Val::*;
 
-fn num(row: &Value, key: &str) -> Option<f64> {
-    row.get(key).and_then(Value::as_f64)
+type Str = &'static str;
+
+/// An operand. Field paths are dotted (`ablation.workers`).
+#[derive(Clone, Copy)]
+enum Val {
+    /// A constant.
+    N(f64),
+    B(bool),
+    S(Str),
+    /// A field of the current row.
+    R(Str),
+    /// A field of the walk's first row.
+    F(Str),
+    /// A field of the row before the current one (`Pair`).
+    P(Str),
+    /// The length of an array field of the current row.
+    Len(Str),
+    /// The sum of field `.1` over the entries of map `.0` of the current row.
+    Sum(Str, Str),
 }
 
-fn check(root: &Path, file: &str, scan_field: &str, scan_scale: f64) -> Result<String, String> {
-    let path = root.join(file);
-    let text = std::fs::read_to_string(&path)
-        .map_err(|e| format!("unreadable ({e}); run `exp <name> --json` first"))?;
-    let v: Value = serde_json::from_str(&text).map_err(|e| format!("invalid JSON: {e}"))?;
-    let rows = v
-        .get("rows")
-        .and_then(Value::as_array)
-        .ok_or("missing `rows` array")?;
-    if rows.is_empty() {
-        return Err("`rows` array is empty".into());
-    }
-    let mut worst = f64::INFINITY;
-    for (i, row) in rows.iter().enumerate() {
-        let planner =
-            num(row, "planner_us").ok_or_else(|| format!("row {i}: missing planner_us"))?;
-        let scan = num(row, scan_field).ok_or_else(|| format!("row {i}: missing {scan_field}"))?
-            * scan_scale;
-        if planner <= 0.0 || scan <= 0.0 {
-            return Err(format!("row {i}: non-positive timing"));
-        }
-        if planner > scan {
-            return Err(format!(
-                "row {i}: planner ({planner:.1} us) slower than the full scan ({scan:.1} us)"
-            ));
-        }
-        worst = worst.min(scan / planner);
-    }
-    Ok(format!(
-        "{} rows ok, planner beats scan by >= {worst:.1}x",
-        rows.len()
-    ))
+#[derive(Clone, Copy)]
+enum Op {
+    Lt,
+    Le,
+    Eq,
+    Ge,
+    Gt,
 }
 
-fn rows_of(root: &Path, file: &str) -> Result<Vec<Value>, String> {
-    array_of(root, file, "rows")
+/// The rows of the walked array a gate visits.
+#[derive(Clone, Copy)]
+enum Each {
+    All,
+    First,
+    Last,
+    /// The gate passes if one row passes.
+    Any,
+    /// Every row but the first; `P` reads the row before.
+    Pair,
+    /// Every entry of this map in every row; fields are read inside the
+    /// entry of the same key in the current or first row.
+    Keys(Str),
 }
 
-/// The non-empty array `key` of the artifact `file`.
-fn array_of(root: &Path, file: &str, key: &str) -> Result<Vec<Value>, String> {
-    let path = root.join(file);
-    let text = std::fs::read_to_string(&path)
-        .map_err(|e| format!("unreadable ({e}); run `exp <name> --json` first"))?;
-    let v: Value = serde_json::from_str(&text).map_err(|e| format!("invalid JSON: {e}"))?;
-    let rows = v
-        .get(key)
-        .and_then(Value::as_array)
-        .ok_or(format!("missing `{key}` array"))?;
-    if rows.is_empty() {
-        return Err(format!("`{key}` array is empty"));
-    }
-    Ok(rows.clone())
+/// `a op k·b + c`.
+#[derive(Clone, Copy)]
+struct Cmp {
+    a: Val,
+    op: Op,
+    k: f64,
+    b: Val,
+    c: f64,
 }
 
-/// E2: ordered secondary indexes + resumable cursors. The indexed
-/// planner must beat the residual-verification full scan by >= 5x on
-/// both the bounded-range and the literal-prefix predicate at the
-/// largest catalog size, and stay flat-ish (<= 20x) while the catalog
-/// grows 10x or more. A two-sided window from the middle of the index
-/// (one-shot, and per 25-row `query_page` page) must cost what the
-/// anchored one-sided range costs: <= 3x it at every size, and flat-ish
-/// like it. Cursor page fetches must cost O(page), not
-/// O(offset): the last page from its token within 5x of page one, the
-/// offset emulation of the last page >= 5x the cursor fetch. The seeded
-/// double-run digest (hits, tokens, mcat.* counters) must match exactly.
-fn check_e2(root: &Path) -> Result<String, String> {
-    let path = root.join("BENCH_E2.json");
-    let text = std::fs::read_to_string(&path)
-        .map_err(|e| format!("unreadable ({e}); run `exp <name> --json` first"))?;
-    let v: Value = serde_json::from_str(&text).map_err(|e| format!("invalid JSON: {e}"))?;
-    let rows = v
-        .get("range_rows")
-        .and_then(Value::as_array)
-        .ok_or("missing `range_rows` array")?;
-    if rows.is_empty() {
-        return Err("`range_rows` array is empty".into());
-    }
-    for (i, row) in rows.iter().enumerate() {
-        for key in [
-            "planner_range_us",
-            "scan_range_us",
-            "planner_prefix_us",
-            "scan_prefix_us",
-            "planner_window_us",
-            "window_page_us",
-        ] {
-            if num(row, key).map(|t| t <= 0.0).unwrap_or(true) {
-                return Err(format!("range row {i}: missing or non-positive {key}"));
-            }
-        }
-        let anchored = num(row, "planner_range_us").unwrap_or(0.0);
-        for key in ["planner_window_us", "window_page_us"] {
-            let w = num(row, key).unwrap_or(0.0);
-            if w > anchored * 3.0 {
-                return Err(format!(
-                    "range row {i}: {key} ({w:.1} us) more than 3x the anchored range \
-                     ({anchored:.1} us) — a two-sided window is not one bounded walk"
-                ));
-            }
-        }
-    }
-    let first = &rows[0];
-    let last = &rows[rows.len() - 1];
-    let size = |r: &Value| num(r, "size").unwrap_or(0.0);
-    for (label, planner, scan) in [
-        ("range", "planner_range_us", Some("scan_range_us")),
-        ("prefix", "planner_prefix_us", Some("scan_prefix_us")),
-        ("window", "planner_window_us", None),
-        ("window page", "window_page_us", None),
-    ] {
-        let p = num(last, planner).unwrap_or(0.0);
-        if let Some(s) = scan.map(|k| num(last, k).unwrap_or(0.0)) {
-            if s < p * 5.0 {
-                return Err(format!(
-                    "{label} at {} rows: indexed scan ({p:.1} us) not >= 5x faster than \
-                     the residual-verification scan ({s:.1} us)",
-                    size(last)
-                ));
-            }
-        }
-        if size(last) >= size(first) * 10.0 {
-            let p0 = num(first, planner).unwrap_or(0.0);
-            if p > p0 * 20.0 {
-                return Err(format!(
-                    "{label}: indexed latency not flat-ish ({p0:.1} us at {} rows -> \
-                     {p:.1} us at {} rows)",
-                    size(first),
-                    size(last)
-                ));
-            }
-        }
-    }
-    let range_speedup = num(last, "scan_range_us").unwrap_or(0.0)
-        / num(last, "planner_range_us").unwrap_or(f64::INFINITY);
-
-    // Paging: cursor fetches O(page), offset emulation O(offset).
-    let mut offset_ratio = f64::INFINITY;
-    for (block, flat_only) in [("query_paging", true), ("paging", false)] {
-        let b = v
-            .get(block)
-            .ok_or_else(|| format!("missing `{block}` block"))?;
-        let prows = b
-            .get("rows")
-            .and_then(Value::as_array)
-            .ok_or_else(|| format!("{block}: missing `rows` array"))?;
-        if prows.len() < 2 {
-            return Err(format!("{block}: need at least two page rows"));
-        }
-        let first = &prows[0];
-        let last = &prows[prows.len() - 1];
-        let (c0, cn) = (
-            num(first, "cursor_us").unwrap_or(0.0),
-            num(last, "cursor_us").unwrap_or(0.0),
-        );
-        if c0 <= 0.0 || cn <= 0.0 {
-            return Err(format!("{block}: missing or non-positive cursor_us"));
-        }
-        if cn > c0 * 5.0 {
-            return Err(format!(
-                "{block}: page {} from its cursor ({cn:.1} us) more than 5x page 1 \
-                 ({c0:.1} us) — fetch cost not independent of page number",
-                num(last, "page").unwrap_or(0.0)
-            ));
-        }
-        if !flat_only {
-            let on = num(last, "offset_us").unwrap_or(0.0);
-            if on < cn * 5.0 {
-                return Err(format!(
-                    "{block}: offset emulation of the last page ({on:.1} us) not >= 5x \
-                     its cursor fetch ({cn:.1} us) — O(offset) contrast missing",
-                ));
-            }
-            offset_ratio = on / cn;
-        }
-    }
-
-    // Determinism: two identical seeded runs must hash identically.
-    let det = v.get("determinism").ok_or("missing `determinism` block")?;
-    if det.get("identical").and_then(Value::as_bool) != Some(true) {
-        return Err(format!(
-            "determinism: seeded replay diverged (digest_a {:?}, digest_b {:?})",
-            det.get("digest_a").and_then(Value::as_str).unwrap_or("?"),
-            det.get("digest_b").and_then(Value::as_str).unwrap_or("?"),
-        ));
-    }
-
-    Ok(format!(
-        "{} sizes ok, indexed range >= {range_speedup:.0}x vs scan at {:.0} rows, \
-         cursor pages O(page) (offset {offset_ratio:.0}x dearer), digest deterministic",
-        rows.len(),
-        size(last)
-    ))
+#[derive(Clone, Copy)]
+struct Gate {
+    file: Str,
+    array: Str,
+    each: Each,
+    name: Str,
+    /// Rows where this does not hold are skipped.
+    when: Option<Cmp>,
+    test: Cmp,
 }
 
-/// E3: read success under seeded flaky faults (p = 0.3 transient
-/// timeouts on every replica). The resilient arm (circuit breakers +
-/// retry with backoff) must keep success >= 99% wherever k >= 2, must
-/// never do worse than the ablation, and must not cost more than 10x the
-/// fault-free simulated read time; the ablation must visibly lose reads
-/// on at least one row — otherwise the experiment proves nothing.
-fn check_e3(root: &Path) -> Result<String, String> {
-    let rows = rows_of(root, "BENCH_E3.json")?;
-    let mut saw_multi_replica = false;
-    let mut saw_ablation_loss = false;
-    let mut worst_on = f64::INFINITY;
-    for (i, row) in rows.iter().enumerate() {
-        let k = num(row, "k").ok_or_else(|| format!("row {i}: missing k"))? as u64;
-        let on =
-            num(row, "success_on_pct").ok_or_else(|| format!("row {i}: missing success_on_pct"))?;
-        let off = num(row, "success_off_pct")
-            .ok_or_else(|| format!("row {i}: missing success_off_pct"))?;
-        let sim_on = num(row, "sim_ms_on").ok_or_else(|| format!("row {i}: missing sim_ms_on"))?;
-        let healthy =
-            num(row, "sim_ms_healthy").ok_or_else(|| format!("row {i}: missing sim_ms_healthy"))?;
-        if sim_on <= 0.0 || healthy <= 0.0 {
-            return Err(format!("row {i} (k={k}): non-positive timing"));
-        }
-        if on < off {
-            return Err(format!(
-                "row {i} (k={k}): resilient arm ({on:.1}%) below the ablation ({off:.1}%)"
-            ));
-        }
-        if k >= 2 {
-            saw_multi_replica = true;
-            if on < 99.0 {
-                return Err(format!(
-                    "row {i} (k={k}): resilient read success {on:.1}% below the 99% floor"
-                ));
-            }
-            worst_on = worst_on.min(on);
-        }
-        if off < 99.0 {
-            saw_ablation_loss = true;
-        }
-        if sim_on > healthy * 10.0 {
-            return Err(format!(
-                "row {i} (k={k}): resilient sim time ({sim_on:.2} ms) above 10x the fault-free floor ({healthy:.2} ms)"
-            ));
-        }
+const fn g(file: Str, array: Str, each: Each, name: Str, test: Cmp) -> Gate {
+    let when = None;
+    Gate {
+        file,
+        array,
+        each,
+        name,
+        when,
+        test,
     }
-    if !saw_multi_replica {
-        return Err("no row with k >= 2".into());
-    }
-    if !saw_ablation_loss {
-        return Err("ablation never lost a read; the fault schedule is too gentle".into());
-    }
-    Ok(format!(
-        "{} rows ok, resilient success >= {worst_on:.1}% at k>=2 where the ablation loses reads",
-        rows.len()
-    ))
 }
 
-/// E6: parallel fan-out / bulk ingest vs the sequential ablation.
-/// Simulated time must improve strictly on every row. Wall-clock must
-/// not regress on bulk rows (the win is algorithmic — batched catalog
-/// locks — so it holds even single-threaded) and on fan-out rows when
-/// the host had more than one worker thread.
-fn check_e6(root: &Path) -> Result<String, String> {
-    let rows = rows_of(root, "BENCH_E6.json")?;
-    let mut worst = f64::INFINITY;
-    for (i, row) in rows.iter().enumerate() {
-        let kind = row.get("kind").and_then(Value::as_str).unwrap_or("?");
-        let sim_before =
-            num(row, "sim_ms_before").ok_or_else(|| format!("row {i}: missing sim_ms_before"))?;
-        let sim_after =
-            num(row, "sim_ms_after").ok_or_else(|| format!("row {i}: missing sim_ms_after"))?;
-        let wall_before =
-            num(row, "wall_ms_before").ok_or_else(|| format!("row {i}: missing wall_ms_before"))?;
-        let wall_after =
-            num(row, "wall_ms_after").ok_or_else(|| format!("row {i}: missing wall_ms_after"))?;
-        let workers = num(row, "workers").unwrap_or(1.0);
-        if sim_before <= 0.0 || sim_after <= 0.0 || wall_before <= 0.0 || wall_after <= 0.0 {
-            return Err(format!("row {i} ({kind}): non-positive timing"));
-        }
-        if sim_after >= sim_before {
-            return Err(format!(
-                "row {i} ({kind}): parallel sim time ({sim_after:.1} ms) not below sequential ({sim_before:.1} ms)"
-            ));
-        }
-        let wall_gated = kind == "bulk" || workers > 1.0;
-        if wall_gated && wall_after > wall_before * 1.10 {
-            return Err(format!(
-                "row {i} ({kind}): parallel wall time ({wall_after:.1} ms) slower than sequential ({wall_before:.1} ms)"
-            ));
-        }
-        worst = worst.min(sim_before / sim_after);
+impl Gate {
+    const fn when(self, guard: Cmp) -> Gate {
+        let when = Some(guard);
+        Gate { when, ..self }
     }
-    Ok(format!(
-        "{} rows ok, parallel beats sequential by >= {worst:.2}x sim time",
-        rows.len()
-    ))
 }
 
-/// E7: synchronous-replication ingest cost under both fan-out modes.
-/// Parallel must be strictly cheaper in simulated time for every
-/// fan-out width above 1 and never more expensive at width 1.
-fn check_e7(root: &Path) -> Result<String, String> {
-    let rows = rows_of(root, "BENCH_E7.json")?;
-    let mut worst = f64::INFINITY;
-    for (i, row) in rows.iter().enumerate() {
-        let k = num(row, "k").ok_or_else(|| format!("row {i}: missing k"))? as u64;
-        let seq = num(row, "sync_seq_ms").ok_or_else(|| format!("row {i}: missing sync_seq_ms"))?;
-        let par = num(row, "sync_par_ms").ok_or_else(|| format!("row {i}: missing sync_par_ms"))?;
-        if seq <= 0.0 || par <= 0.0 {
-            return Err(format!("row {i} (k={k}): non-positive timing"));
-        }
-        if k >= 2 && par >= seq {
-            return Err(format!(
-                "row {i} (k={k}): parallel sync ingest ({par:.1} ms) not below sequential ({seq:.1} ms)"
-            ));
-        }
-        if k < 2 && par > seq * 1.001 {
-            return Err(format!(
-                "row {i} (k={k}): parallel sync ingest ({par:.1} ms) above sequential ({seq:.1} ms)"
-            ));
-        }
-        if k >= 2 {
-            worst = worst.min(seq / par);
-        }
-    }
-    Ok(format!(
-        "{} rows ok, parallel sync replication >= {worst:.2}x cheaper at k>=2",
-        rows.len()
-    ))
+const fn cmp(a: Val, op: Op, k: f64, b: Val) -> Cmp {
+    let c = 0.0;
+    Cmp { a, op, k, b, c }
 }
 
-/// BENCH_OBS: the observability overhead guard. Each row pairs an
-/// identical workload with observability off (`base`) and on (`obs`);
-/// the instrumented run must stay within 5% wall-clock of the bare one,
-/// and must charge *exactly* the same simulated time — metrics never
-/// touch the virtual clock.
-fn check_obs(root: &Path) -> Result<String, String> {
-    let rows = rows_of(root, "BENCH_OBS.json")?;
-    let mut worst = 0.0f64;
-    for (i, row) in rows.iter().enumerate() {
-        let workload = row.get("workload").and_then(Value::as_str).unwrap_or("?");
-        let base = num(row, "base").ok_or_else(|| format!("row {i}: missing base"))?;
-        let obs = num(row, "obs").ok_or_else(|| format!("row {i}: missing obs"))?;
-        if base <= 0.0 || obs <= 0.0 {
-            return Err(format!("row {i} ({workload}): non-positive timing"));
-        }
-        if obs > base * 1.05 {
-            return Err(format!(
-                "row {i} ({workload}): observability overhead {:.1}% above the 5% gate \
-                 (base {base:.2}, obs {obs:.2})",
-                (obs / base - 1.0) * 100.0
-            ));
-        }
-        let sim_base =
-            num(row, "sim_ms_base").ok_or_else(|| format!("row {i}: missing sim_ms_base"))?;
-        let sim_obs =
-            num(row, "sim_ms_obs").ok_or_else(|| format!("row {i}: missing sim_ms_obs"))?;
-        if (sim_base - sim_obs).abs() > 1e-9 {
-            return Err(format!(
-                "row {i} ({workload}): metrics charged simulated time \
-                 (off {sim_base:.6} ms, on {sim_obs:.6} ms)"
-            ));
-        }
-        worst = worst.max(obs / base - 1.0);
-    }
-    Ok(format!(
-        "{} rows ok, observability overhead <= {:.1}% wall, 0 ns simulated",
-        rows.len(),
-        worst * 100.0
-    ))
+const fn is(a: Val, op: Op, b: Val) -> Cmp {
+    cmp(a, op, 1.0, b)
 }
 
-/// BENCH_LOAD: the million-session front-end under the seeded open
-/// workload. Simulated results are gated strictly (they are
-/// host-independent): per-route latency must stay flat-ish as the
-/// session count scales, the pooled connect counters must be exactly
-/// deterministic, the double-run digest must match, and the amortized
-/// sweep must reclaim every abandoned session. The sharded-vs-single-lock
-/// wall-clock speedup is gated only where the recording host had worker
-/// threads to contend on.
-fn check_load(root: &Path) -> Result<String, String> {
-    let path = root.join("BENCH_LOAD.json");
-    let text = std::fs::read_to_string(&path)
-        .map_err(|e| format!("unreadable ({e}); run `exp <name> --json` first"))?;
-    let v: Value = serde_json::from_str(&text).map_err(|e| format!("invalid JSON: {e}"))?;
-    let rows = v
-        .get("rows")
-        .and_then(Value::as_array)
-        .ok_or("missing `rows` array")?;
-    if rows.is_empty() {
-        return Err("`rows` array is empty".into());
-    }
+const fn pos(field: Str) -> Cmp {
+    is(R(field), Gt, N(0.0))
+}
 
-    // Scaling rows: sharded + pooled, standard mix (no churn).
-    let mut first_p95: Vec<(String, f64)> = Vec::new();
-    for (i, row) in rows.iter().enumerate() {
-        let sessions = num(row, "sessions").ok_or_else(|| format!("row {i}: missing sessions"))?;
-        let requests = num(row, "requests").ok_or_else(|| format!("row {i}: missing requests"))?;
-        if sessions <= 0.0 || requests <= 0.0 {
-            return Err(format!("row {i}: non-positive sessions/requests"));
-        }
-        let routes = row
-            .get("routes")
-            .and_then(Value::as_map_slice)
-            .ok_or_else(|| format!("row {i}: missing routes"))?;
-        let served: f64 = routes
-            .iter()
-            .map(|(_, r)| num(r, "count").unwrap_or(0.0))
-            .sum();
-        if served != requests {
-            return Err(format!(
-                "row {i}: route counts sum to {served}, expected {requests}"
-            ));
-        }
-        // Pooled logins are exactly deterministic: the fixture pre-warms
-        // every account, so the measured phase never misses.
-        let hits = num(row, "pool_hits").unwrap_or(-1.0);
-        let misses = num(row, "pool_misses").unwrap_or(-1.0);
-        let logins = num(row, "logins_total").unwrap_or(-2.0);
-        if misses != 0.0 || hits != logins {
-            return Err(format!(
-                "row {i}: pooled connect counters not deterministic \
-                 (hits {hits}, misses {misses}, logins {logins})"
-            ));
-        }
-        if num(row, "live_end") != Some(sessions) {
-            return Err(format!(
-                "row {i}: live sessions after a churn-free run != sessions created"
-            ));
-        }
-        // Flat-ish p95: each simulated route percentile may grow at most
-        // 2x from the smallest session count to the largest.
-        for (route, r) in routes {
-            let p95 = num(r, "sim_p95_ns").unwrap_or(0.0);
-            if i == 0 {
-                if p95 > 0.0 {
-                    first_p95.push((route.clone(), p95));
-                }
-            } else if let Some((_, base)) = first_p95.iter().find(|(n, _)| n == route) {
-                if p95 > base * 2.0 {
-                    return Err(format!(
-                        "row {i} ({route}): sim p95 {p95:.0} ns more than 2x the \
-                         {sessions:.0}-session baseline {base:.0} ns — latency not flat"
-                    ));
-                }
-            }
-        }
-    }
+const E1: Str = "BENCH_E1.json";
+const E2: Str = "BENCH_E2.json";
+const E3: Str = "BENCH_E3.json";
+const E5: Str = "BENCH_E5.json";
+const E6: Str = "BENCH_E6.json";
+const E7: Str = "BENCH_E7.json";
+const OBS: Str = "BENCH_OBS.json";
+const LOAD: Str = "BENCH_LOAD.json";
+const RECOVERY: Str = "BENCH_RECOVERY.json";
+const ZONE: Str = "BENCH_ZONE.json";
+const RR: Str = "range_rows";
+const QP: Str = "query_paging.rows";
+/// E2's flatness gates apply once the catalog has grown tenfold.
+const GREW: Cmp = cmp(R("size"), Ge, 10.0, F("size"));
 
-    // Ablation: sharded + pooled vs the single-lock, unpooled front-end.
-    let ab = v.get("ablation").ok_or("missing `ablation` block")?;
-    let workers = num(ab, "workers").ok_or("ablation: missing workers")?;
-    let sharded = ab.get("sharded").ok_or("ablation: missing sharded arm")?;
-    let single = ab
-        .get("single_lock")
-        .ok_or("ablation: missing single_lock arm")?;
-    if num(single, "pool_hits") != Some(0.0) || num(single, "pool_misses") != Some(0.0) {
-        return Err("ablation: unpooled arm touched the connection pool".into());
-    }
-    if num(sharded, "pool_hits") != num(sharded, "logins_total") {
-        return Err("ablation: pooled arm missed the connection pool".into());
-    }
-    let speedup = num(ab, "wall_speedup").ok_or("ablation: missing wall_speedup")?;
-    let wall_note = if workers >= 8.0 {
-        if speedup < 4.0 {
-            return Err(format!(
-                "ablation: sharded+pooled wall speedup {speedup:.2}x below the 4x \
-                 gate at {workers} workers"
-            ));
+#[rustfmt::skip]
+const GATES: &[Gate] = &[
+    // E1/E5: the indexed planner is never slower than the full scan.
+    g(E1, "rows", All, "e1-planner-positive", pos("planner_us")),
+    g(E1, "rows", All, "e1-scan-positive", pos("scan_ms")),
+    g(E1, "rows", All, "e1-planner-beats-scan", cmp(R("planner_us"), Le, 1000.0, R("scan_ms"))),
+    g(E5, "rows", All, "e5-planner-positive", pos("planner_us")),
+    g(E5, "rows", All, "e5-scan-positive", pos("scan_us")),
+    g(E5, "rows", All, "e5-planner-beats-scan", is(R("planner_us"), Le, R("scan_us"))),
+    // E2: indexed range/prefix/window walks beat the scan and stay flat-ish;
+    // cursor pages cost O(page), offset emulation O(offset); replay exact.
+    g(E2, RR, All, "e2-range-positive", pos("planner_range_us")),
+    g(E2, RR, All, "e2-range-scan-positive", pos("scan_range_us")),
+    g(E2, RR, All, "e2-prefix-positive", pos("planner_prefix_us")),
+    g(E2, RR, All, "e2-prefix-scan-positive", pos("scan_prefix_us")),
+    g(E2, RR, All, "e2-window-positive", pos("planner_window_us")),
+    g(E2, RR, All, "e2-window-page-positive", pos("window_page_us")),
+    g(E2, RR, All, "e2-window-near-range",
+      cmp(R("planner_window_us"), Le, 3.0, R("planner_range_us"))),
+    g(E2, RR, All, "e2-window-page-near-range",
+      cmp(R("window_page_us"), Le, 3.0, R("planner_range_us"))),
+    g(E2, RR, Last, "e2-range-beats-scan", cmp(R("scan_range_us"), Ge, 5.0, R("planner_range_us"))),
+    g(E2, RR, Last, "e2-prefix-beats-scan",
+      cmp(R("scan_prefix_us"), Ge, 5.0, R("planner_prefix_us"))),
+    g(E2, RR, Last, "e2-range-flat",
+      cmp(R("planner_range_us"), Le, 20.0, F("planner_range_us"))).when(GREW),
+    g(E2, RR, Last, "e2-prefix-flat",
+      cmp(R("planner_prefix_us"), Le, 20.0, F("planner_prefix_us"))).when(GREW),
+    g(E2, RR, Last, "e2-window-flat",
+      cmp(R("planner_window_us"), Le, 20.0, F("planner_window_us"))).when(GREW),
+    g(E2, RR, Last, "e2-window-page-flat",
+      cmp(R("window_page_us"), Le, 20.0, F("window_page_us"))).when(GREW),
+    g(E2, "", All, "e2-query-paging-pages", is(Len(QP), Ge, N(2.0))),
+    g(E2, QP, First, "e2-query-paging-first-positive", pos("cursor_us")),
+    g(E2, QP, Last, "e2-query-paging-last-positive", pos("cursor_us")),
+    g(E2, QP, Last, "e2-query-paging-flat", cmp(R("cursor_us"), Le, 5.0, F("cursor_us"))),
+    g(E2, "", All, "e2-paging-pages", is(Len("paging.rows"), Ge, N(2.0))),
+    g(E2, "paging.rows", First, "e2-paging-first-positive", pos("cursor_us")),
+    g(E2, "paging.rows", Last, "e2-paging-last-positive", pos("cursor_us")),
+    g(E2, "paging.rows", Last, "e2-paging-flat", cmp(R("cursor_us"), Le, 5.0, F("cursor_us"))),
+    g(E2, "paging.rows", Last, "e2-paging-offset-contrast",
+      cmp(R("offset_us"), Ge, 5.0, R("cursor_us"))),
+    g(E2, "", All, "e2-deterministic", is(R("determinism.identical"), Eq, B(true))),
+    // E3: under seeded flaky faults, breakers + retry hold replicated reads
+    // at bounded cost, never trail the ablation, which visibly loses reads.
+    g(E3, "rows", All, "e3-sim-on-positive", pos("sim_ms_on")),
+    g(E3, "rows", All, "e3-healthy-positive", pos("sim_ms_healthy")),
+    g(E3, "rows", All, "e3-never-trails-ablation",
+      is(R("success_on_pct"), Ge, R("success_off_pct"))),
+    g(E3, "rows", All, "e3-replicated-floor",
+      is(R("success_on_pct"), Ge, N(99.0))).when(is(R("k"), Ge, N(2.0))),
+    g(E3, "rows", Any, "e3-has-replicated-row", is(R("k"), Ge, N(2.0))),
+    g(E3, "rows", Any, "e3-ablation-loses-reads", is(R("success_off_pct"), Lt, N(99.0))),
+    g(E3, "rows", All, "e3-bounded-cost", cmp(R("sim_ms_on"), Le, 10.0, R("sim_ms_healthy"))),
+    // E6: parallel fan-out / bulk ingest beats the sequential ablation in sim
+    // time; in wall time on bulk rows and wherever the host had workers.
+    g(E6, "rows", All, "e6-sim-before-positive", pos("sim_ms_before")),
+    g(E6, "rows", All, "e6-sim-after-positive", pos("sim_ms_after")),
+    g(E6, "rows", All, "e6-wall-before-positive", pos("wall_ms_before")),
+    g(E6, "rows", All, "e6-wall-after-positive", pos("wall_ms_after")),
+    g(E6, "rows", All, "e6-sim-faster", is(R("sim_ms_after"), Lt, R("sim_ms_before"))),
+    g(E6, "rows", All, "e6-bulk-wall",
+      cmp(R("wall_ms_after"), Le, 1.10, R("wall_ms_before"))).when(is(R("kind"), Eq, S("bulk"))),
+    g(E6, "rows", All, "e6-multiworker-wall",
+      cmp(R("wall_ms_after"), Le, 1.10, R("wall_ms_before"))).when(is(R("workers"), Gt, N(1.0))),
+    // E7: parallel synchronous replication is strictly cheaper above k = 1
+    // and never dearer at k = 1.
+    g(E7, "rows", All, "e7-seq-positive", pos("sync_seq_ms")),
+    g(E7, "rows", All, "e7-par-positive", pos("sync_par_ms")),
+    g(E7, "rows", All, "e7-par-faster",
+      is(R("sync_par_ms"), Lt, R("sync_seq_ms"))).when(is(R("k"), Ge, N(2.0))),
+    g(E7, "rows", All, "e7-par-no-dearer",
+      cmp(R("sync_par_ms"), Le, 1.001, R("sync_seq_ms"))).when(is(R("k"), Lt, N(2.0))),
+    // OBS: instrumentation stays within its wall-clock budget and never
+    // charges simulated time.
+    g(OBS, "rows", All, "obs-base-positive", pos("base")),
+    g(OBS, "rows", All, "obs-obs-positive", pos("obs")),
+    g(OBS, "rows", All, "obs-wall-overhead", cmp(R("obs"), Le, 1.05, R("base"))),
+    g(OBS, "rows", All, "obs-sim-not-above",
+      Cmp { c: 1e-9, ..is(R("sim_ms_obs"), Le, R("sim_ms_base")) }),
+    g(OBS, "rows", All, "obs-sim-not-below",
+      Cmp { c: -1e-9, ..is(R("sim_ms_obs"), Ge, R("sim_ms_base")) }),
+    // LOAD: per-route sim p95 flat-ish as sessions scale; pool, digest and
+    // sweep exact; the wall speedup gated only where the host had workers.
+    g(LOAD, "rows", All, "load-sessions-positive", pos("sessions")),
+    g(LOAD, "rows", All, "load-requests-positive", pos("requests")),
+    g(LOAD, "rows", All, "load-routes-sum", is(Sum("routes", "count"), Eq, R("requests"))),
+    g(LOAD, "rows", All, "load-pool-no-misses", is(R("pool_misses"), Eq, N(0.0))),
+    g(LOAD, "rows", All, "load-pool-hits-logins", is(R("pool_hits"), Eq, R("logins_total"))),
+    g(LOAD, "rows", All, "load-live-end", is(R("live_end"), Eq, R("sessions"))),
+    g(LOAD, "rows", Keys("routes"), "load-p95-flat",
+      cmp(R("sim_p95_ns"), Le, 2.0, F("sim_p95_ns"))),
+    g(LOAD, "", All, "load-unpooled-hits", is(R("ablation.single_lock.pool_hits"), Eq, N(0.0))),
+    g(LOAD, "", All, "load-unpooled-misses", is(R("ablation.single_lock.pool_misses"), Eq, N(0.0))),
+    g(LOAD, "", All, "load-pooled-hits",
+      is(R("ablation.sharded.pool_hits"), Eq, R("ablation.sharded.logins_total"))),
+    g(LOAD, "", All, "load-speedup-8w",
+      is(R("ablation.wall_speedup"), Ge, N(4.0))).when(is(R("ablation.workers"), Ge, N(8.0))),
+    g(LOAD, "", All, "load-speedup-2w",
+      is(R("ablation.wall_speedup"), Ge, N(1.2))).when(is(R("ablation.workers"), Ge, N(2.0))),
+    g(LOAD, "", All, "load-deterministic", is(R("determinism.identical"), Eq, B(true))),
+    g(LOAD, "", All, "load-sweep-reclaimed", is(R("sweep.reclaimed"), Eq, R("sweep.sessions"))),
+    g(LOAD, "", All, "load-sweep-live", is(R("sweep.live_after"), Eq, N(0.0))),
+    g(LOAD, "", All, "load-sweep-gauge", is(R("sweep.live_gauge_after"), Eq, N(0.0))),
+    // RECOVERY: byte-identical recovery; the WAL costs something, but not much
+    // (twice the worst recorded row); one commit group per tail ingest.
+    g(RECOVERY, "rows", All, "recovery-datasets-positive", pos("datasets")),
+    g(RECOVERY, "rows", All, "recovery-base-positive", pos("base_ingest_us")),
+    g(RECOVERY, "rows", All, "recovery-wal-positive", pos("wal_ingest_us")),
+    g(RECOVERY, "rows", All, "recovery-wal-sim-positive", pos("wal_sim_ns_per_op")),
+    g(RECOVERY, "rows", All, "recovery-wall-positive", pos("recovery_wall_ms")),
+    g(RECOVERY, "rows", All, "recovery-sim-positive", pos("recovery_sim_ms")),
+    g(RECOVERY, "rows", All, "recovery-identical", is(R("identical"), Eq, B(true))),
+    g(RECOVERY, "rows", All, "recovery-groups-positive", pos("groups_applied")),
+    g(RECOVERY, "rows", All, "recovery-tail-covers-groups",
+      is(R("tail_records"), Ge, R("groups_applied"))),
+    g(RECOVERY, "rows", All, "recovery-one-group-per-ingest",
+      Cmp { c: 1.0, ..is(R("groups_applied"), Le, R("tail_datasets")) }),
+    g(RECOVERY, "rows", All, "recovery-wal-costs", is(R("wal_ingest_us"), Gt, R("base_ingest_us"))),
+    g(RECOVERY, "rows", All, "recovery-wal-overhead",
+      cmp(R("wal_ingest_us"), Le, 7.0, R("base_ingest_us"))),
+    g(RECOVERY, "rows", Pair, "recovery-sim-monotone",
+      is(R("recovery_sim_ms"), Ge, P("recovery_sim_ms"))),
+    // ZONE: every link converges; federated cost and lag grow with latency;
+    // replication cost follows what is new, not the log length (`tail`).
+    g(ZONE, "rows", All, "zone-converged", is(R("converged"), Eq, B(true))),
+    g(ZONE, "rows", All, "zone-local-positive", pos("local_query_ms")),
+    g(ZONE, "rows", All, "zone-federated-positive", pos("federated_query_ms")),
+    g(ZONE, "rows", All, "zone-lag-positive", pos("lag_ms")),
+    g(ZONE, "rows", All, "zone-federated-above-local",
+      is(R("federated_query_ms"), Ge, R("local_query_ms"))),
+    g(ZONE, "rows", Pair, "zone-latency-increasing", is(R("latency_us"), Gt, P("latency_us"))),
+    g(ZONE, "rows", Pair, "zone-premium-grows",
+      is(R("federated_query_ms"), Gt, P("federated_query_ms"))),
+    g(ZONE, "rows", Pair, "zone-lag-monotone", is(R("lag_ms"), Ge, P("lag_ms"))),
+    g(ZONE, "", All, "zone-tail-lengths", is(Len("tail"), Ge, N(2.0))),
+    g(ZONE, "tail", Last, "zone-tail-span", cmp(R("behind_records"), Ge, 5.0, F("behind_records"))),
+    g(ZONE, "tail", First, "zone-tail-export-positive", pos("export_us")),
+    g(ZONE, "tail", First, "zone-tail-pump-positive", pos("pump_ms")),
+    g(ZONE, "tail", Last, "zone-tail-export-flat", cmp(R("export_us"), Le, 3.0, F("export_us"))),
+    g(ZONE, "tail", Last, "zone-tail-pump-flat", cmp(R("pump_ms"), Le, 3.0, F("pump_ms"))),
+];
+
+/// Run every gate against the artifacts under `root`: the findings, and
+/// how many gates ran.
+pub fn benchcheck(root: &Path) -> (Vec<Violation>, usize) {
+    let mut found = Vec::new();
+    let mut docs = BTreeMap::new();
+    for gate in GATES {
+        let doc = docs.entry(gate.file).or_insert_with(|| {
+            let text = std::fs::read_to_string(root.join(gate.file))
+                .map_err(|e| format!("unreadable ({e}); run `exp <name> --json` first"));
+            let doc = text.and_then(|t| {
+                serde_json::from_str::<Value>(&t).map_err(|e| format!("invalid JSON: {e}"))
+            });
+            doc.map_err(|msg| found.push((gate.file, "artifact", msg)))
+                .ok()
+        });
+        if let Some(Err(msg)) = doc.as_ref().map(|doc| run(gate, doc)) {
+            found.push((gate.file, gate.name, msg));
         }
-        format!("wall speedup {speedup:.2}x (gated >= 4x)")
-    } else if workers >= 2.0 {
-        if speedup < 1.2 {
-            return Err(format!(
-                "ablation: sharded+pooled wall speedup {speedup:.2}x below the 1.2x \
-                 gate at {workers} workers"
-            ));
-        }
-        format!("wall speedup {speedup:.2}x (gated >= 1.2x)")
-    } else {
-        format!("wall speedup {speedup:.2}x (ungated: 1 worker)")
+    }
+    let violation = |(path, rule, msg): (Str, Str, String)| Violation {
+        path: path.to_string(),
+        line: 1,
+        rule,
+        msg,
     };
-
-    // Determinism: two identical seeded runs must hash identically.
-    let det = v.get("determinism").ok_or("missing `determinism` block")?;
-    if det.get("identical").and_then(Value::as_bool) != Some(true) {
-        return Err(format!(
-            "determinism: seeded replay diverged (digest_a {:?}, digest_b {:?})",
-            det.get("digest_a").and_then(Value::as_str).unwrap_or("?"),
-            det.get("digest_b").and_then(Value::as_str).unwrap_or("?"),
-        ));
-    }
-
-    // Sweep: every abandoned session reclaimed, gauge balanced at zero.
-    let sweep = v.get("sweep").ok_or("missing `sweep` block")?;
-    let created = num(sweep, "sessions").ok_or("sweep: missing sessions")?;
-    if num(sweep, "reclaimed") != Some(created)
-        || num(sweep, "live_after") != Some(0.0)
-        || num(sweep, "live_gauge_after") != Some(0.0)
-    {
-        return Err(format!(
-            "sweep: abandoned sessions leaked (created {created}, reclaimed {:?}, \
-             live_after {:?}, gauge {:?})",
-            num(sweep, "reclaimed"),
-            num(sweep, "live_after"),
-            num(sweep, "live_gauge_after"),
-        ));
-    }
-
-    Ok(format!(
-        "{} rows ok, p95 flat, pool + digest + sweep deterministic, {wall_note}",
-        rows.len()
-    ))
+    (found.into_iter().map(violation).collect(), GATES.len())
 }
 
-/// Recovery: WAL overhead and crash-recovery cost vs catalog size. Every
-/// row must recover to a catalog byte-identical to the pre-crash
-/// snapshot — that is the whole point of the durability layer, and any
-/// divergence is a correctness bug, not a performance regression. The
-/// WAL twin must cost strictly more wall time than the in-memory
-/// baseline (durability is never free) but not much more: <= 7x,
-/// host-relative — twice the worst recorded row. Simulated recovery cost
-/// is deterministic and must be monotone in catalog size. The replay applies at most one commit group
-/// per tail ingest (+1 for rounding at the checkpoint): tables only log,
-/// the op commits.
-fn check_recovery(root: &Path) -> Result<String, String> {
-    const WAL_OVERHEAD_MAX: f64 = 7.0;
-    let rows = rows_of(root, "BENCH_RECOVERY.json")?;
-    let mut worst_overhead = 0.0f64;
-    let mut prev_sim = 0.0f64;
-    for (i, row) in rows.iter().enumerate() {
-        for key in [
-            "datasets",
-            "base_ingest_us",
-            "wal_ingest_us",
-            "wal_sim_ns_per_op",
-            "recovery_wall_ms",
-            "recovery_sim_ms",
-        ] {
-            if num(row, key).map(|t| t <= 0.0).unwrap_or(true) {
-                return Err(format!("row {i}: missing or non-positive {key}"));
+fn lookup<'v>(v: &'v Value, path: &str) -> Option<&'v Value> {
+    path.split('.').try_fold(v, |v, key| v.get(key))
+}
+
+/// The first point of the walk that fails — or, under `Any`, that none
+/// passes.
+fn run(gate: &Gate, doc: &Value) -> Result<(), String> {
+    let rows = match gate.array {
+        "" => std::slice::from_ref(doc),
+        array => match lookup(doc, array).and_then(Value::as_array) {
+            Some(rows) if !rows.is_empty() => rows.as_slice(),
+            Some(_) => return Err(format!("`{array}` array is empty")),
+            None => return Err(format!("missing `{array}` array")),
+        },
+    };
+    let n = rows.len();
+    let span = match gate.each {
+        First => 0..1,
+        Last => n - 1..n,
+        Pair => 1..n,
+        _ => 0..n,
+    };
+    let mut passed = false;
+    for i in span {
+        let at = |key| At { gate, rows, i, key };
+        let keys = match gate.each {
+            Keys(map) => match lookup(&rows[i], map).and_then(Value::as_map_slice) {
+                Some(entries) => entries.iter().map(|(k, _)| Some(k.as_str())).collect(),
+                None => return Err(at(None).fail(format!("missing `{map}`"))),
+            },
+            _ => vec![None],
+        };
+        for at in keys.into_iter().map(at) {
+            if let Some(guard) = gate.when {
+                if !at.holds(guard)?.0 {
+                    continue;
+                }
             }
-        }
-        if row.get("identical").and_then(Value::as_bool) != Some(true) {
-            return Err(format!(
-                "row {i}: recovered catalog not byte-identical to the \
-                 pre-crash snapshot"
-            ));
-        }
-        let tail = num(row, "tail_records").unwrap_or(0.0);
-        let groups = num(row, "groups_applied").unwrap_or(0.0);
-        if groups <= 0.0 || tail < groups {
-            return Err(format!(
-                "row {i}: implausible replay accounting (tail {tail}, \
-                 groups {groups})"
-            ));
-        }
-        // One commit group per ingest: tables only log, the op commits.
-        let tail_datasets = num(row, "tail_datasets").unwrap_or(0.0);
-        if groups > tail_datasets + 1.0 {
-            return Err(format!(
-                "row {i}: {groups} commit groups replayed for {tail_datasets} \
-                 tail datasets — more than one group per ingest"
-            ));
-        }
-        let base = num(row, "base_ingest_us").unwrap_or(0.0);
-        let wal = num(row, "wal_ingest_us").unwrap_or(0.0);
-        if wal <= base {
-            return Err(format!(
-                "row {i}: WAL twin ({wal:.1} us/op) not slower than the \
-                 in-memory baseline ({base:.1} us/op) — is it logging at all?"
-            ));
-        }
-        if wal > base * WAL_OVERHEAD_MAX {
-            return Err(format!(
-                "row {i}: WAL overhead {:.1}x over the in-memory baseline \
-                 exceeds the {WAL_OVERHEAD_MAX}x gate",
-                wal / base
-            ));
-        }
-        worst_overhead = worst_overhead.max(wal / base);
-        let sim = num(row, "recovery_sim_ms").unwrap_or(0.0);
-        if sim < prev_sim {
-            return Err(format!(
-                "row {i}: simulated recovery cost shrank as the catalog grew \
-                 ({prev_sim:.2} ms -> {sim:.2} ms) — replay not scaling with \
-                 the tail"
-            ));
-        }
-        prev_sim = sim;
-    }
-    Ok(format!(
-        "{} rows ok, every crash recovered byte-identical, WAL overhead \
-         <= {worst_overhead:.1}x",
-        rows.len()
-    ))
-}
-
-/// BENCH_ZONE: federated zones. Every link class must converge
-/// byte-identically, a federated query can never beat the local one (the
-/// remote leg pays the peering link), the federated premium must grow
-/// with link latency, and the replication exposure window must be
-/// monotone non-decreasing as the link slows down. The `tail` sweep must
-/// show replication incremental: exporting and pumping a fixed batch of
-/// new records costs at most 3x more wall time behind the longest
-/// already-fetched log recorded than behind the shortest (a reader that
-/// rescans the log from LSN 1 is ~10x per decade).
-fn check_zone(root: &Path) -> Result<String, String> {
-    let rows = rows_of(root, "BENCH_ZONE.json")?;
-    let mut prev_latency = -1.0f64;
-    let mut prev_fed = -1.0f64;
-    let mut prev_lag = -1.0f64;
-    for (i, row) in rows.iter().enumerate() {
-        let latency =
-            num(row, "latency_us").ok_or_else(|| format!("row {i}: missing latency_us"))?;
-        let local =
-            num(row, "local_query_ms").ok_or_else(|| format!("row {i}: missing local_query_ms"))?;
-        let fed = num(row, "federated_query_ms")
-            .ok_or_else(|| format!("row {i}: missing federated_query_ms"))?;
-        let lag = num(row, "lag_ms").ok_or_else(|| format!("row {i}: missing lag_ms"))?;
-        if row.get("converged").and_then(Value::as_bool) != Some(true) {
-            return Err(format!(
-                "row {i}: publisher and mirror subtrees did not converge \
-                 byte-identically"
-            ));
-        }
-        if fed <= 0.0 || lag <= 0.0 {
-            return Err(format!("row {i}: non-positive federated/lag timing"));
-        }
-        if fed < local {
-            return Err(format!(
-                "row {i}: federated query ({fed:.3} ms) beat the local one \
-                 ({local:.3} ms) — the peering link is not being charged"
-            ));
-        }
-        if latency <= prev_latency {
-            return Err(format!(
-                "row {i}: rows must sweep strictly increasing link latency"
-            ));
-        }
-        if prev_fed >= 0.0 && fed <= prev_fed {
-            return Err(format!(
-                "row {i}: federated query cost did not grow with link latency \
-                 ({prev_fed:.3} ms -> {fed:.3} ms)"
-            ));
-        }
-        if prev_lag >= 0.0 && lag < prev_lag {
-            return Err(format!(
-                "row {i}: replication lag shrank as the link slowed \
-                 ({prev_lag:.3} ms -> {lag:.3} ms)"
-            ));
-        }
-        prev_latency = latency;
-        prev_fed = fed;
-        prev_lag = lag;
-    }
-    let tail = array_of(root, "BENCH_ZONE.json", "tail")?;
-    if tail.len() < 2 {
-        return Err("`tail` needs at least two log lengths to compare".into());
-    }
-    let (short, long) = (&tail[0], &tail[tail.len() - 1]);
-    let behind = |row: &Value| num(row, "behind_records").ok_or("tail: missing behind_records");
-    let (few, many) = (behind(short)?, behind(long)?);
-    if many < 5.0 * few {
-        return Err("tail: rows must span at least 5x in log length".into());
-    }
-    for field in ["export_us", "pump_ms"] {
-        let at = |row: &Value| num(row, field).ok_or(format!("tail: missing {field}"));
-        let (lo, hi) = (at(short)?, at(long)?);
-        if lo <= 0.0 || hi > 3.0 * lo {
-            return Err(format!(
-                "tail: {field} grew {lo:.1} -> {hi:.1} from {few} to {many} records \
-                 behind the cursor — replication cost follows log length, \
-                 not what is new"
-            ));
-        }
-    }
-    Ok(format!(
-        "{} link classes ok, all converged, lag monotone in link latency; \
-         replication flat over {:.0}x log length",
-        rows.len(),
-        many / few
-    ))
-}
-
-pub fn benchcheck(root: &Path) -> ExitCode {
-    let mut failed = false;
-    for (file, scan_field, scan_scale) in [
-        ("BENCH_E1.json", "scan_ms", 1000.0),
-        ("BENCH_E5.json", "scan_us", 1.0),
-    ] {
-        match check(root, file, scan_field, scan_scale) {
-            Ok(msg) => println!("xtask benchcheck: {file}: {msg}"),
-            Err(e) => {
-                eprintln!("xtask benchcheck: {file}: {e}");
-                failed = true;
+            let (ok, why) = at.holds(gate.test)?;
+            passed |= ok;
+            if !ok && !matches!(gate.each, Any) {
+                return Err(at.fail(why));
             }
         }
     }
-    for (file, checker) in [
-        (
-            "BENCH_E2.json",
-            check_e2 as fn(&Path) -> Result<String, String>,
-        ),
-        ("BENCH_E3.json", check_e3),
-        ("BENCH_E6.json", check_e6),
-        ("BENCH_E7.json", check_e7),
-        ("BENCH_OBS.json", check_obs),
-        ("BENCH_LOAD.json", check_load),
-        ("BENCH_RECOVERY.json", check_recovery),
-        ("BENCH_ZONE.json", check_zone),
-    ] {
-        match checker(root) {
-            Ok(msg) => println!("xtask benchcheck: {file}: {msg}"),
-            Err(e) => {
-                eprintln!("xtask benchcheck: {file}: {e}");
-                failed = true;
-            }
+    match gate.each {
+        Any if !passed => Err(format!("no row of `{}` passes", gate.array)),
+        _ => Ok(()),
+    }
+}
+
+/// One point of a walk: row `i`, or under `Keys(map)` its `map.key` entry.
+struct At<'a> {
+    gate: &'a Gate,
+    rows: &'a [Value],
+    i: usize,
+    key: Option<&'a str>,
+}
+
+impl<'a> At<'a> {
+    /// `msg`, prefixed with where it happened.
+    fn fail(&self, msg: String) -> String {
+        let row = match self.gate.array {
+            "" => "document".to_string(),
+            array => format!("{array}[{}]", self.i),
+        };
+        match (self.gate.each, self.key) {
+            (Keys(map), Some(key)) => format!("{row}.{map}.{key}: {msg}"),
+            _ => format!("{row}: {msg}"),
         }
     }
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
+
+    /// Whether `t` holds here, and the comparison with its values.
+    fn holds(&self, t: Cmp) -> Result<(bool, String), String> {
+        let (a, b) = (self.eval(t.a)?, self.eval(t.b)?);
+        let (ok, b) = match (a.as_f64(), b.as_f64()) {
+            (Some(x), Some(y)) => {
+                let y = t.k * y + t.c;
+                let ok = match t.op {
+                    Lt => x < y,
+                    Le => x <= y,
+                    Eq => x == y,
+                    Ge => x >= y,
+                    Gt => x > y,
+                };
+                (ok, Value::F64(y))
+            }
+            _ => (matches!(t.op, Eq) && a == b, b),
+        };
+        let op = ["<", "<=", "==", ">=", ">"][t.op as usize];
+        Ok((ok, format!("{a} {op} {b} is false")))
+    }
+
+    fn eval(&self, v: Val) -> Result<Value, String> {
+        let field = |j: Option<usize>, path: &str| {
+            let row = j.and_then(|j| self.rows.get(j));
+            let entry = match (self.gate.each, self.key) {
+                (Keys(map), Some(key)) => row.and_then(|r| lookup(r, map)?.get(key)),
+                _ => row,
+            };
+            let value = entry.and_then(|e| lookup(e, path));
+            value.ok_or_else(|| match j {
+                Some(j) if j == self.i => self.fail(format!("missing `{path}`")),
+                Some(j) => self.fail(format!("missing `{path}` in row {j}")),
+                None => self.fail("no previous row".to_string()),
+            })
+        };
+        Ok(match v {
+            N(x) => Value::F64(x),
+            B(b) => Value::Bool(b),
+            S(s) => Value::Str(s.to_string()),
+            R(p) => field(Some(self.i), p)?.clone(),
+            F(p) => field(Some(0), p)?.clone(),
+            P(p) => field(self.i.checked_sub(1), p)?.clone(),
+            Len(p) => match field(Some(self.i), p)?.as_array() {
+                Some(items) => Value::U64(items.len() as u64),
+                None => return Err(self.fail(format!("`{p}` is not an array"))),
+            },
+            Sum(map, x) => {
+                let entries = field(Some(self.i), map)?.as_map_slice();
+                let entries = entries.ok_or_else(|| self.fail(format!("`{map}` is not a map")))?;
+                let mut total = 0.0;
+                for (key, e) in entries {
+                    let n = e.get(x).and_then(Value::as_f64);
+                    total += n.ok_or_else(|| self.fail(format!("missing `{map}.{key}.{x}`")))?;
+                }
+                Value::F64(total)
+            }
+        })
     }
 }

@@ -1,4 +1,5 @@
-//! Workspace automation: invariant linting and static analysis.
+//! Workspace automation: invariant linting, static analysis and the bench
+//! artifact gates.
 //!
 //! - `cargo xtask lint` — source-level invariants rustc and clippy cannot
 //!   express, because they are policies of *this* workspace:
@@ -21,14 +22,16 @@
 //!   `HashMap`/`HashSet` iteration in snapshot/serialization functions.
 //!   `--dot` regenerates `docs/lock-graph.dot`.
 //!
-//! Both commands take `--json` (machine-readable findings) and `--github`
-//! (GitHub Actions `::error` annotations for inline PR comments).
+//! - `cargo xtask benchcheck` — holds the committed `BENCH_*.json`
+//!   artifacts to the bounds in one declarative gate table (see
+//!   `benchcheck.rs`); each broken gate is a finding on its artifact.
+//!
+//! All three commands take `--json` (machine-readable findings) and
+//! `--github` (GitHub Actions `::error` annotations for inline PR
+//! comments), and exit 1 on any finding.
 //!
 //! `vendor/` (offline dependency stand-ins) and `xtask/` itself are out of
 //! scope; everything under `crates/`, `src/`, and `tests/` is linted.
-//!
-//! `cargo xtask benchcheck` validates the `BENCH_*.json` artifacts (see
-//! `benchcheck.rs`).
 
 mod analyze;
 mod benchcheck;
@@ -42,7 +45,7 @@ use std::process::ExitCode;
 
 const DOT_FILE: &str = "docs/lock-graph.dot";
 
-/// Output flags shared by `lint` and `analyze`.
+/// Output flags shared by every command.
 #[derive(Default)]
 struct Output {
     json: bool,
@@ -71,6 +74,24 @@ impl Output {
             }
         }
     }
+
+    /// Emit `found`, then (unless `--json`) a one-line summary: `clean`
+    /// when there is nothing to report. Exit 1 on any finding.
+    fn finish(&self, cmd: &str, found: &[Violation], clean: String) -> ExitCode {
+        self.emit(found);
+        if !self.json {
+            match found.len() {
+                0 => println!("xtask {cmd}: {clean}"),
+                1 => println!("xtask {cmd}: 1 violation"),
+                n => println!("xtask {cmd}: {n} violations"),
+            }
+        }
+        if found.is_empty() {
+            ExitCode::SUCCESS
+        } else {
+            ExitCode::FAILURE
+        }
+    }
 }
 
 fn main() -> ExitCode {
@@ -89,12 +110,15 @@ fn main() -> ExitCode {
             let dot = args.iter().any(|a| a == "--dot");
             run_analyze(&root, dot, &out)
         }
-        Some("benchcheck") => benchcheck::benchcheck(&root),
+        Some("benchcheck") => {
+            let (found, gates) = benchcheck::benchcheck(&root);
+            out.finish("benchcheck", &found, format!("{gates} gates hold"))
+        }
         _ => {
             eprintln!(
                 "usage: cargo xtask lint [--json] [--github]\n\
                  \x20      cargo xtask analyze [--dot] [--json] [--github]\n\
-                 \x20      cargo xtask benchcheck"
+                 \x20      cargo xtask benchcheck [--json] [--github]"
             );
             ExitCode::from(2)
         }
@@ -178,23 +202,7 @@ fn lint(root: &Path, out: &Output) -> ExitCode {
     }
 
     violations.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
-    out.emit(&violations);
-    if violations.is_empty() {
-        if !out.json {
-            println!("xtask lint: {} files clean", files.len());
-        }
-        ExitCode::SUCCESS
-    } else {
-        if !out.json {
-            println!(
-                "xtask lint: {} violation{} in {} files",
-                violations.len(),
-                if violations.len() == 1 { "" } else { "s" },
-                files.len()
-            );
-        }
-        ExitCode::FAILURE
-    }
+    out.finish("lint", &violations, format!("{} files clean", files.len()))
 }
 
 fn run_analyze(root: &Path, dot: bool, out: &Output) -> ExitCode {
@@ -233,29 +241,11 @@ fn run_analyze(root: &Path, dot: bool, out: &Output) -> ExitCode {
             println!("xtask analyze: wrote {DOT_FILE}");
         }
     }
-    out.emit(&analysis.violations);
-    if analysis.violations.is_empty() {
-        if !out.json {
-            println!(
-                "xtask analyze: clean — {} locks, {} acquired-before edges, {} files",
-                analysis.registry.defs.len(),
-                analysis.graph.edges.len(),
-                files.len()
-            );
-        }
-        ExitCode::SUCCESS
-    } else {
-        if !out.json {
-            println!(
-                "xtask analyze: {} violation{}",
-                analysis.violations.len(),
-                if analysis.violations.len() == 1 {
-                    ""
-                } else {
-                    "s"
-                },
-            );
-        }
-        ExitCode::FAILURE
-    }
+    let clean = format!(
+        "clean — {} locks, {} acquired-before edges, {} files",
+        analysis.registry.defs.len(),
+        analysis.graph.edges.len(),
+        files.len()
+    );
+    out.finish("analyze", &analysis.violations, clean)
 }
