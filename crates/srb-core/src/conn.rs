@@ -24,7 +24,7 @@ use crate::replication::ReplicaPolicy;
 use crate::template::render_template;
 use crate::tlang::TScript;
 use bytes::Bytes;
-use srb_mcat::{AccessSpec, AuditAction, Dataset, Replica, Template};
+use srb_mcat::{AccessSpec, AuditAction, Dataset, DatasetEntry, Replica, Template};
 use srb_net::Receipt;
 use srb_storage::sql::QueryResult;
 use srb_types::{
@@ -70,6 +70,14 @@ impl ObjectContent {
 /// What [`SrbConnection::list_collection`] returns: sub-collection names,
 /// `(name, data type, size)` dataset summaries, and the receipt.
 pub type CollectionListing = (Vec<String>, Vec<(String, String, u64)>, Receipt);
+
+/// The `(name, data type, size)` summaries of listing entry rows.
+fn summaries(entries: Vec<DatasetEntry>) -> Vec<(String, String, u64)> {
+    entries
+        .into_iter()
+        .map(|d| (d.name, d.data_type, d.size))
+        .collect()
+}
 
 /// One brokered operation in flight: opened by
 /// [`SrbConnection::begin_op`], closed by [`SrbConnection::end_op`].
@@ -717,15 +725,8 @@ impl<'g> SrbConnection<'g> {
             .into_iter()
             .filter_map(|c| c.path.name().map(|n| n.to_string()))
             .collect();
-        let datasets = self
-            .grid
-            .mcat
-            .datasets
-            .list(coll)
-            .into_iter()
-            .map(|d| (d.name.clone(), d.data_type.clone(), d.size()))
-            .collect();
-        Ok((subs, datasets, receipt))
+        let (entries, _) = self.grid.mcat.datasets.list_page(coll, None, usize::MAX);
+        Ok((subs, summaries(entries), receipt))
     }
 
     /// One page of a collection listing through the catalog's resumable
@@ -752,11 +753,7 @@ impl<'g> SrbConnection<'g> {
             .into_iter()
             .filter_map(|c| c.path.name().map(|n| n.to_string()))
             .collect();
-        let rows = datasets
-            .into_iter()
-            .map(|d| (d.name.clone(), d.data_type.clone(), d.size()))
-            .collect();
-        Ok(((subs, rows, receipt), next))
+        Ok(((subs, summaries(datasets), receipt), next))
     }
 
     /// Stat a dataset: (data type, size, replica count, version). For

@@ -297,8 +297,9 @@ impl SrbConnection<'_> {
             .collect()
     }
 
-    /// Run a conjunctive query; hits the user may not Discover are
-    /// filtered out.
+    /// Run a conjunctive query; hits the user may not Read are filtered
+    /// out (a Discover grant alone does not show a hit: the root grants
+    /// every user Discover).
     pub fn query(&self, q: &Query) -> SrbResult<(Vec<QueryHit>, Receipt)> {
         let scope = q.scope.to_string();
         let (user, op) = self.begin_op("query", AuditAction::Query, &scope)?;

@@ -261,6 +261,74 @@ fn link_collection_as_subcollection() {
     assert!(subs.contains(&"alias".to_string()));
 }
 
+/// Both listings give, per dataset, the `(name, data type, size)` the
+/// `Dataset` row itself gives — a row whose first replica is stale, a
+/// link object, and pages that cross from sub-collections into datasets.
+#[test]
+fn listing_rows_equal_dataset_rows() {
+    let f = grid();
+    let conn = connect(&f, "sekar");
+    conn.make_collection("/home/sekar/mix/sub").unwrap();
+    conn.ingest(
+        "/home/sekar/mix/a.txt",
+        b"twelve bytes",
+        IngestOptions::to_resource("logrsrc1").with_type("ascii text"),
+    )
+    .unwrap();
+    conn.ingest(
+        "/home/sekar/mix/b",
+        b"1",
+        IngestOptions::to_resource("unix-sdsc"),
+    )
+    .unwrap();
+    conn.link("/home/sekar/mix/b", "/home/sekar/mix/c-link")
+        .unwrap();
+    let mcat = &f.grid.mcat;
+    let a = mcat
+        .resolve_dataset(&"/home/sekar/mix/a.txt".parse().unwrap())
+        .unwrap();
+    mcat.datasets
+        .update(a, |d| {
+            d.replicas[0].status = srb_mcat::ReplicaStatus::Stale;
+            d.replicas[0].size = 99;
+            Ok(())
+        })
+        .unwrap();
+
+    let coll = mcat
+        .collections
+        .resolve(&"/home/sekar/mix".parse().unwrap())
+        .unwrap();
+    let want: Vec<(String, String, u64)> = mcat
+        .datasets
+        .list(coll)
+        .into_iter()
+        .map(|d| (d.name.clone(), d.data_type.clone(), d.size()))
+        .collect();
+    assert_eq!(want.len(), 3);
+    assert_eq!(want[0], ("a.txt".into(), "ascii text".into(), 12));
+    assert_eq!(want[2].1, "link");
+
+    let (subs, rows, _) = conn.list_collection("/home/sekar/mix").unwrap();
+    assert_eq!((subs, &rows), (vec!["sub".to_string()], &want));
+    for limit in [1, 2, 3] {
+        let (mut subs, mut rows, mut token) = (Vec::new(), Vec::new(), None::<String>);
+        loop {
+            let ((s, r, _), next) = conn
+                .list_collection_page("/home/sekar/mix", token.as_deref(), limit)
+                .unwrap();
+            subs.extend(s);
+            rows.extend(r);
+            match next {
+                Some(t) => token = Some(t),
+                None => break,
+            }
+        }
+        assert_eq!(subs, ["sub"], "limit {limit}");
+        assert_eq!(rows, want, "limit {limit}");
+    }
+}
+
 #[test]
 fn delete_replica_by_replica_then_metadata_goes_with_last() {
     let f = grid();

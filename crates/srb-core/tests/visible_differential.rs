@@ -112,3 +112,47 @@ fn batched_filter_equals_per_hit_reference() {
         assert_eq!(sekar.query(q).unwrap().0, unfiltered);
     }
 }
+
+/// The filter is on Read: a hit the user holds only Discover on (by an
+/// explicit grant, on top of the root's public Discover) is not shown.
+#[test]
+fn discover_only_hits_are_filtered_out() {
+    let f = grid();
+    let sekar = connect(&f, "sekar");
+    let mwan = connect(&f, "mwan");
+    let reader: UserId = mwan.user();
+    sekar.make_collection("/home/sekar/shelf").unwrap();
+    for (name, level) in [
+        ("listed", Permission::Discover),
+        ("readable", Permission::Read),
+    ] {
+        let path = format!("/home/sekar/shelf/{name}");
+        put(&sekar, &path);
+        sekar.grant(&path, reader, level).unwrap();
+    }
+    let mcat = &f.grid.mcat;
+    let listed = mcat
+        .resolve_dataset(&LogicalPath::parse("/home/sekar/shelf/listed").unwrap())
+        .unwrap();
+    assert_eq!(
+        mcat.effective_on_dataset(Some(reader), listed).unwrap(),
+        Permission::Discover
+    );
+
+    let q = Query::everywhere()
+        .under(LogicalPath::parse("/home/sekar/shelf").unwrap())
+        .and("tag", CompareOp::Eq, "x");
+    let want = ["/home/sekar/shelf/readable"];
+    assert_eq!(paths(&mwan.query(&q).unwrap().0), want);
+    let mut paged = Vec::new();
+    let mut token: Option<String> = None;
+    loop {
+        let (hits, next, _) = mwan.query_page(&q, token.as_deref(), 1).unwrap();
+        paged.extend(hits);
+        match next {
+            Some(t) => token = Some(t),
+            None => break,
+        }
+    }
+    assert_eq!(paths(&paged), want);
+}

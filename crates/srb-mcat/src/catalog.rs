@@ -7,7 +7,7 @@ use crate::annotation::AnnotationTable;
 use crate::audit::AuditLog;
 use crate::collection::{AttrRequirement, Collection, CollectionTable};
 use crate::container::ContainerTable;
-use crate::dataset::{Dataset, DatasetTable};
+use crate::dataset::{Dataset, DatasetEntry, DatasetTable};
 use crate::metadata::{MetaKind, MetaStore, RangeCond, Subject, DUBLIN_CORE};
 use crate::query::{Query, QueryCondition, QueryHit};
 use crate::resource::ResourceTable;
@@ -16,10 +16,9 @@ use crate::wal::{self, RecoveryReport, Wal, WalConfig};
 use srb_storage::LogDevice;
 use srb_types::{
     like_scan_prefix, AccessMatrix, CollectionId, CompareOp, CursorCodec, DatasetId, GroupId,
-    IdGen, LogicalPath, MetaValue, PageToken, Permission, SimClock, SrbError, SrbResult, Timestamp,
-    Triplet, UserId,
+    IdGen, IdMap, IdSet, LogicalPath, MetaValue, PageToken, Permission, SimClock, SrbError,
+    SrbResult, Timestamp, Triplet, UserId,
 };
-use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
 
 /// Seed for the catalog's cursor-signing key. Fixed so two seeded
@@ -164,7 +163,7 @@ impl<'q> Source<'q> {
         }
     }
 
-    fn candidates(&self, meta: &MetaStore) -> HashSet<DatasetId> {
+    fn candidates(&self, meta: &MetaStore) -> IdSet<DatasetId> {
         match self {
             Source::One(c) => meta.dataset_candidates(&c.attr, c.op, &c.value),
             Source::Interval(v) => {
@@ -427,17 +426,21 @@ impl Mcat {
         self.collection_level(user, &self.groups_for(user), coll)
     }
 
-    /// [`Self::effective_on_collection`] with the user's groups in hand.
+    /// [`Self::effective_on_collection`] with the user's groups in hand:
+    /// the ancestors' matrices read in place under one collection guard.
     fn collection_level(
         &self,
         user: Option<UserId>,
         groups: &[GroupId],
         coll: CollectionId,
     ) -> SrbResult<Permission> {
+        let tree = self.collections.path_batch();
         let mut best = Permission::None;
         let mut cur = Some(coll);
         while let Some(c) = cur {
-            let node = self.collections.get(c)?;
+            let node = tree
+                .get_ref(c)
+                .ok_or_else(|| SrbError::NotFound(format!("collection {c}")))?;
             best = best.max(acl_level(&node.acl, user, groups));
             cur = node.parent;
         }
@@ -481,7 +484,7 @@ impl Mcat {
                 .map(|&d| Some(OwnLevel::of(rows.get_ref(d)?, user, &groups)))
                 .collect()
         };
-        let mut inherited: HashMap<CollectionId, SrbResult<Permission>> = HashMap::new();
+        let mut inherited: IdMap<CollectionId, SrbResult<Permission>> = IdMap::default();
         own.into_iter()
             .map(|own| {
                 self.dataset_level(user, own?, |c| {
@@ -623,13 +626,13 @@ impl Mcat {
     /// metadata subject index; no per-dataset `Subject` vector is built.
     pub fn queryable_attrs(&self, scope: &LogicalPath) -> SrbResult<Vec<String>> {
         let set = self.scope_set(scope)?;
-        let in_scope: HashSet<DatasetId> = self.datasets.ids_in_colls(&set).into_iter().collect();
+        let in_scope: IdSet<DatasetId> = self.datasets.ids_in_colls(&set).into_iter().collect();
         Ok(self.metadata.attr_names_in(&in_scope))
     }
 
     /// The collection set a query over `scope` searches, via the
     /// generation-stamped subtree cache on [`CollectionTable`].
-    fn scope_set(&self, scope: &LogicalPath) -> SrbResult<Arc<HashSet<CollectionId>>> {
+    fn scope_set(&self, scope: &LogicalPath) -> SrbResult<Arc<IdSet<CollectionId>>> {
         let root = self.collections.resolve(scope)?;
         Ok(self.collections.subtree_set(root))
     }
@@ -690,12 +693,9 @@ impl Mcat {
         let path = row
             .as_ref()
             .and_then(|d| {
-                self.collections
-                    .get(d.coll)
-                    .ok()
-                    .and_then(|c| c.path.child(&d.name).ok())
+                let paths = self.collections.path_batch();
+                paths.path_of(d.coll).map(|p| p.join_display(&d.name))
             })
-            .map(|p| p.to_string())
             .unwrap_or_default();
         let selected = q
             .select
@@ -770,7 +770,7 @@ impl Mcat {
     fn sweep<'a>(
         &'a self,
         q: &'a Query,
-        scope: &'a HashSet<CollectionId>,
+        scope: &'a IdSet<CollectionId>,
         residual: &'a [&'a QueryCondition],
         candidates: impl Iterator<Item = DatasetId> + 'a,
     ) -> impl Iterator<Item = DatasetId> + 'a {
@@ -799,8 +799,7 @@ impl Mcat {
                 let row = ds.get_ref(d)?;
                 let path = paths
                     .path_of(row.coll)
-                    .and_then(|p| p.child(&row.name).ok())
-                    .map(|p| p.to_string())
+                    .map(|p| p.join_display(&row.name))
                     .unwrap_or_default();
                 let selected = q
                     .select
@@ -892,7 +891,7 @@ impl Mcat {
     fn plan<'q>(
         &self,
         q: &'q Query,
-        scope: &HashSet<CollectionId>,
+        scope: &IdSet<CollectionId>,
     ) -> (Vec<DatasetId>, Vec<&'q QueryCondition>) {
         let mut strong: Vec<&QueryCondition> = Vec::new();
         let mut patterns: Vec<&QueryCondition> = Vec::new();
@@ -1016,8 +1015,7 @@ impl Mcat {
                 .into_iter()
                 .filter_map(|d| {
                     let row = ds.get_ref(d)?;
-                    let path = paths.path_of(row.coll)?.child(&row.name).ok()?.to_string();
-                    Some((path, d))
+                    Some((paths.path_of(row.coll)?.join_display(&row.name), d))
                 })
                 .collect()
         };
@@ -1057,8 +1055,9 @@ impl Mcat {
     /// One page of a collection listing — sub-collections first (name
     /// order), then datasets (name order) — resuming from an opaque
     /// continuation token. Returns the sub-collection rows, the dataset
-    /// rows, and the next token (`None` when exhausted). Each page is one
-    /// bounded range read per section: O(page) however deep the cursor.
+    /// entry rows, and the next token (`None` when exhausted). Each page
+    /// is one bounded range read per section: O(page) however deep the
+    /// cursor.
     ///
     /// Tokens carry the collection/dataset generation stamps; any
     /// structural mutation (create/move/delete, not in-place row updates)
@@ -1068,7 +1067,7 @@ impl Mcat {
         coll: CollectionId,
         token: Option<&str>,
         limit: usize,
-    ) -> SrbResult<(Vec<Collection>, Vec<Dataset>, Option<String>)> {
+    ) -> SrbResult<(Vec<Collection>, Vec<DatasetEntry>, Option<String>)> {
         let gens = vec![
             self.collections.generation().raw(),
             self.datasets.generation().raw(),
@@ -1080,7 +1079,9 @@ impl Mcat {
             }
             None => (0, None),
         };
-        self.collections.get(coll)?;
+        if self.collections.path_batch().get_ref(coll).is_none() {
+            return Err(SrbError::NotFound(format!("collection {coll}")));
+        }
         let mut subcolls = Vec::new();
         let mut remaining = limit;
         let mut after = last;
@@ -1729,6 +1730,57 @@ mod tests {
             m.query_page(&q, Some(&token), 1).unwrap_err(),
             SrbError::Invalid(_)
         ));
+    }
+
+    /// Hits and pages are in full path-string order, which is not
+    /// (collection path, name) order: `/s/a/b/c` sorts before `/s/a/b0`
+    /// because `/` sorts before `0`. Cursors resume by string comparison
+    /// across that boundary.
+    #[test]
+    fn path_order_is_full_string_order() {
+        let m = mcat();
+        let (root, admin, now) = (m.collections.root(), m.admin(), m.clock.now());
+        let s = m.collections.create(&m.ids, root, "s", admin, now).unwrap();
+        let a = m.collections.create(&m.ids, s, "a", admin, now).unwrap();
+        let b = m.collections.create(&m.ids, a, "b", admin, now).unwrap();
+        for (coll, name) in [(a, "b0"), (b, "c"), (root, "r")] {
+            let d = m
+                .datasets
+                .create(&m.ids, coll, name, "generic", admin, vec![], now)
+                .unwrap();
+            m.metadata.add(
+                &m.ids,
+                Subject::Dataset(d),
+                Triplet::new("tag", "x", ""),
+                MetaKind::UserDefined,
+            );
+        }
+        let want = ["/r", "/s/a/b/c", "/s/a/b0"];
+        let paths = |hits: &[QueryHit]| hits.iter().map(|h| h.path.clone()).collect::<Vec<_>>();
+        for q in [
+            Query::everywhere(),
+            Query::everywhere().and("tag", CompareOp::Eq, "x"),
+        ] {
+            assert_eq!(paths(&m.query(&q).unwrap()), want);
+            for page in [1, 2] {
+                let (mut walked, mut token) = (Vec::new(), None::<String>);
+                loop {
+                    let (hits, next) = m.query_page(&q, token.as_deref(), page).unwrap();
+                    walked.extend(hits);
+                    match next {
+                        Some(t) => token = Some(t),
+                        None => break,
+                    }
+                }
+                assert_eq!(paths(&walked), want, "page size {page}");
+            }
+            // The cursor after `/s/a/b/c` resumes at `/s/a/b0`.
+            let (first, next) = m.query_page(&q, None, 2).unwrap();
+            assert_eq!(paths(&first), want[..2]);
+            let (rest, end) = m.query_page(&q, next.as_deref(), 2).unwrap();
+            assert_eq!(paths(&rest), want[2..]);
+            assert!(end.is_none());
+        }
     }
 
     #[test]

@@ -11,10 +11,10 @@ use crate::wal::{WalHook, WalOp};
 use serde::{Deserialize, Serialize};
 use srb_types::sync::{LockRank, RwLock, RwLockReadGuard};
 use srb_types::{
-    AccessMatrix, CollectionId, GenCounter, Generation, IdGen, LogicalPath, SrbError, SrbResult,
-    Timestamp, UserId,
+    AccessMatrix, CollectionId, GenCounter, Generation, IdGen, IdMap, IdSet, LogicalPath, SrbError,
+    SrbResult, Timestamp, UserId,
 };
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::ops::Bound;
 use std::sync::Arc;
 
@@ -83,7 +83,7 @@ pub struct Collection {
 }
 
 /// One cached subtree: the generation it was computed at plus the set itself.
-type CachedScope = (Generation, Arc<HashSet<CollectionId>>);
+type CachedScope = (Generation, Arc<IdSet<CollectionId>>);
 
 /// The collection tree.
 #[derive(Debug)]
@@ -95,7 +95,7 @@ pub struct CollectionTable {
     /// Scope-root → cached subtree. Entries whose stamp trails
     /// [`Self::generation`] are recomputed on next use; queries sharing a
     /// scope between mutations share one `Arc`'d set.
-    scope_cache: RwLock<HashMap<CollectionId, CachedScope>>,
+    scope_cache: RwLock<IdMap<CollectionId, CachedScope>>,
     /// `query.scope_cache_hits` / `query.scope_cache_misses`, attached by
     /// the grid when observability is on.
     cache_obs: Option<(srb_obs::Counter, srb_obs::Counter)>,
@@ -111,7 +111,7 @@ impl Default for CollectionTable {
             scope_cache: RwLock::new(
                 LockRank::McatTable,
                 "mcat.collections.scope_cache",
-                HashMap::new(),
+                IdMap::default(),
             ),
             cache_obs: None,
             wal: WalHook::default(),
@@ -121,11 +121,11 @@ impl Default for CollectionTable {
 
 #[derive(Debug, Default)]
 struct Inner {
-    nodes: HashMap<CollectionId, Collection>,
+    nodes: IdMap<CollectionId, Collection>,
     by_path: HashMap<String, CollectionId>,
     /// Per-parent children keyed by child name — already in listing order,
     /// so `children`/`children_page` are bounded range reads, not sorts.
-    children: HashMap<CollectionId, BTreeMap<String, CollectionId>>,
+    children: IdMap<CollectionId, BTreeMap<String, CollectionId>>,
 }
 
 impl CollectionTable {
@@ -360,7 +360,7 @@ impl CollectionTable {
     /// The stamp is read **before** the set is computed, so a mutation that
     /// races the computation leaves the inserted entry already stale rather
     /// than fresh-but-wrong.
-    pub fn subtree_set(&self, root: CollectionId) -> Arc<HashSet<CollectionId>> {
+    pub fn subtree_set(&self, root: CollectionId) -> Arc<IdSet<CollectionId>> {
         let gen_before = self.generation.current();
         if let Some((stamp, set)) = self.scope_cache.read().get(&root) {
             if *stamp == gen_before {
@@ -389,9 +389,9 @@ impl CollectionTable {
         ));
     }
 
-    fn compute_subtree(&self, root: CollectionId) -> HashSet<CollectionId> {
+    fn compute_subtree(&self, root: CollectionId) -> IdSet<CollectionId> {
         let g = self.inner.read();
-        let mut set = HashSet::new();
+        let mut set = IdSet::default();
         set.insert(root);
         let mut stack = vec![root];
         while let Some(cur) = stack.pop() {
@@ -442,9 +442,10 @@ impl CollectionTable {
         self.wal.attach(wal);
     }
 
-    /// A read guard over the tree for batch path materialization: one lock
-    /// acquisition serves any number of [`CollPathBatch::path_of`] lookups,
-    /// and the returned paths are borrowed, not cloned.
+    /// A read guard over the tree for batch reads: one lock acquisition
+    /// serves any number of [`CollPathBatch::path_of`] and
+    /// [`CollPathBatch::get_ref`] lookups, and what they return is
+    /// borrowed, not cloned.
     pub fn path_batch(&self) -> CollPathBatch<'_> {
         CollPathBatch {
             g: self.inner.read(),
@@ -647,7 +648,12 @@ pub struct CollPathBatch<'a> {
 impl CollPathBatch<'_> {
     /// The logical path of a collection, borrowed from the table.
     pub fn path_of(&self, id: CollectionId) -> Option<&LogicalPath> {
-        self.g.nodes.get(&id).map(|n| &n.path)
+        self.get_ref(id).map(|n| &n.path)
+    }
+
+    /// The collection row, borrowed from the table.
+    pub fn get_ref(&self, id: CollectionId) -> Option<&Collection> {
+        self.g.nodes.get(&id)
     }
 }
 

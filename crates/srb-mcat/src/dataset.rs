@@ -13,10 +13,10 @@ use crate::wal::{WalHook, WalOp};
 use serde::{Deserialize, Serialize};
 use srb_types::sync::{LockRank, RwLock, RwLockReadGuard};
 use srb_types::{
-    AccessMatrix, CollectionId, ContainerId, DatasetId, GenCounter, Generation, IdGen, ReplicaId,
-    ResourceId, SrbError, SrbResult, Timestamp, UserId,
+    AccessMatrix, CollectionId, ContainerId, DatasetId, GenCounter, Generation, IdGen, IdMap,
+    IdSet, ReplicaId, ResourceId, SrbError, SrbResult, Timestamp, UserId,
 };
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::ops::Bound;
 
 /// Rendering template for registered SQL objects (paper: `HTMLREL`,
@@ -320,6 +320,20 @@ impl Dataset {
     }
 }
 
+/// What a listing page shows of one dataset row: copied out of the table
+/// without cloning the row's ACL, replicas or versions.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DatasetEntry {
+    /// Catalog id.
+    pub id: DatasetId,
+    /// Name within the collection.
+    pub name: String,
+    /// Data type.
+    pub data_type: String,
+    /// Logical size ([`Dataset::size`]).
+    pub size: u64,
+}
+
 /// One dataset to create in a [`DatasetTable::create_batch`] call: the
 /// name plus its initial replicas as `(spec, size, checksum, status)` —
 /// stale rows record replicas whose resource was down during the bulk
@@ -357,11 +371,11 @@ impl Default for DatasetTable {
 
 #[derive(Debug, Default)]
 struct Inner {
-    rows: HashMap<DatasetId, Dataset>,
+    rows: IdMap<DatasetId, Dataset>,
     /// Ordered by (collection, name): one bounded range serves both name
     /// lookup and the O(page) listing scans behind resumable cursors.
     by_name: BTreeMap<(CollectionId, String), DatasetId>,
-    by_coll: HashMap<CollectionId, Vec<DatasetId>>,
+    by_coll: IdMap<CollectionId, Vec<DatasetId>>,
 }
 
 impl DatasetTable {
@@ -571,14 +585,14 @@ impl DatasetTable {
 
     /// One page of a collection listing in name order, resuming strictly
     /// after `after` (None starts at the beginning). Returns up to `limit`
-    /// rows plus whether more remain — O(page), not O(offset), no matter
-    /// how deep the cursor is.
+    /// entry rows plus whether more remain — O(page), not O(offset), no
+    /// matter how deep the cursor is.
     pub fn list_page(
         &self,
         coll: CollectionId,
         after: Option<&str>,
         limit: usize,
-    ) -> (Vec<Dataset>, bool) {
+    ) -> (Vec<DatasetEntry>, bool) {
         let g = self.inner.read();
         let start = match after {
             Some(name) => Bound::Excluded((coll, name.to_string())),
@@ -594,7 +608,12 @@ impl DatasetTable {
             if page.len() == limit {
                 return (page, true);
             }
-            page.push(d.clone());
+            page.push(DatasetEntry {
+                id: d.id,
+                name: d.name.clone(),
+                data_type: d.data_type.clone(),
+                size: d.size(),
+            });
         }
         (page, false)
     }
@@ -810,7 +829,7 @@ impl DatasetTable {
     /// guard and without cloning any row — the scope-expansion primitive
     /// of the query engine. Order follows each collection's insertion
     /// order; callers needing a stable order sort the resulting hits.
-    pub fn ids_in_colls(&self, colls: &HashSet<CollectionId>) -> Vec<DatasetId> {
+    pub fn ids_in_colls(&self, colls: &IdSet<CollectionId>) -> Vec<DatasetId> {
         let g = self.inner.read();
         let mut out = Vec::new();
         for coll in colls {
@@ -823,7 +842,7 @@ impl DatasetTable {
 
     /// Number of datasets whose collection is in `colls` — the planner's
     /// scope size, without materializing any id list.
-    pub fn count_in_colls(&self, colls: &HashSet<CollectionId>) -> usize {
+    pub fn count_in_colls(&self, colls: &IdSet<CollectionId>) -> usize {
         let g = self.inner.read();
         colls
             .iter()
@@ -1213,9 +1232,9 @@ mod tests {
                 .unwrap();
             }
         }
-        let scope: HashSet<CollectionId> = [CollectionId(1), CollectionId(2)].into();
+        let scope: IdSet<CollectionId> = [CollectionId(1), CollectionId(2)].into_iter().collect();
         assert_eq!(t.count_in_colls(&scope), 5);
-        let one: HashSet<CollectionId> = [CollectionId(2), CollectionId(9)].into();
+        let one: IdSet<CollectionId> = [CollectionId(2), CollectionId(9)].into_iter().collect();
         assert_eq!(t.count_in_colls(&one), 2);
     }
 

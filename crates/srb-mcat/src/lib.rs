@@ -36,8 +36,8 @@ pub use catalog::{Mcat, ZONE_HOME_ATTR, ZONE_PATH_ATTR, ZONE_URL_SCHEME};
 pub use collection::{AttrRequirement, Collection};
 pub use container::ContainerRecord;
 pub use dataset::{
-    AccessSpec, CheckoutState, Dataset, LockKind, LockState, NewDataset, Replica, ReplicaStatus,
-    Template, VersionRecord,
+    AccessSpec, CheckoutState, Dataset, DatasetEntry, LockKind, LockState, NewDataset, Replica,
+    ReplicaStatus, Template, VersionRecord,
 };
 pub use metadata::{MetaKind, MetaRow, Subject};
 pub use query::{Query, QueryCondition, QueryHit};

@@ -12,11 +12,11 @@ use crate::wal::{WalHook, WalOp};
 use serde::{Deserialize, Serialize};
 use srb_types::sync::{LockRank, RwLock, RwLockReadGuard};
 use srb_types::{
-    like_scan_prefix, CollectionId, CompareOp, DatasetId, GenCounter, Generation, IdGen, MetaId,
-    MetaValue, SrbError, SrbResult, Triplet,
+    like_scan_prefix, CollectionId, CompareOp, DatasetId, GenCounter, Generation, IdGen, IdMap,
+    IdSet, MetaId, MetaValue, SrbError, SrbResult, Triplet,
 };
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::Bound;
 
 /// What a metadata row is attached to.
@@ -166,8 +166,8 @@ impl Ord for IndexKey {
 
 #[derive(Debug, Default)]
 struct Inner {
-    rows: HashMap<MetaId, MetaRow>,
-    by_subject: HashMap<Subject, Vec<MetaId>>,
+    rows: IdMap<MetaId, MetaRow>,
+    by_subject: IdMap<Subject, Vec<MetaId>>,
     /// attribute name → ordered value → row ids.
     index: HashMap<String, BTreeMap<IndexKey, Vec<MetaId>>>,
     /// attribute name → total row count, maintained incrementally so the
@@ -181,9 +181,9 @@ struct Inner {
     /// the value index sees one key at a time and would miss it. Members
     /// are probed per condition and unioned into every interval result.
     /// Empty for single-valued attributes, so the walk stays O(window).
-    multi: HashMap<String, HashSet<DatasetId>>,
+    multi: HashMap<String, IdSet<DatasetId>>,
     /// file-based metadata associations: subject → carrying datasets.
-    meta_files: HashMap<Subject, Vec<DatasetId>>,
+    meta_files: IdMap<Subject, Vec<DatasetId>>,
 }
 
 /// The triplet store.
@@ -431,9 +431,9 @@ impl MetaStore {
         name: &str,
         op: CompareOp,
         value: &MetaValue,
-    ) -> HashSet<DatasetId> {
+    ) -> IdSet<DatasetId> {
         let g = self.inner.read();
-        let mut out = HashSet::new();
+        let mut out = IdSet::default();
         walk_index(&g, name, op, value, |ids| {
             out.extend(dataset_subjects(&g, ids))
         });
@@ -452,9 +452,9 @@ impl MetaStore {
         &self,
         name: &str,
         conds: &[RangeCond<'_>],
-    ) -> HashSet<DatasetId> {
+    ) -> IdSet<DatasetId> {
         let g = self.inner.read();
-        let mut out = HashSet::new();
+        let mut out = IdSet::default();
         for (k, ids) in interval_range(&g, name, conds).into_iter().flatten() {
             if conds.iter().all(|&(op, v)| op_applies(op, &k.v, v)) {
                 out.extend(dataset_subjects(&g, ids));
@@ -475,7 +475,7 @@ impl MetaStore {
     /// the multi-valued probe must visit.
     pub fn interval_selectivity(&self, name: &str, conds: &[RangeCond<'_>]) -> usize {
         let g = self.inner.read();
-        let mut n = g.multi.get(name).map_or(0, HashSet::len);
+        let mut n = g.multi.get(name).map_or(0, IdSet::len);
         for (_, ids) in interval_range(&g, name, conds).into_iter().flatten() {
             n += ids.len();
             if n >= Self::RANGE_SELECTIVITY_CAP {
@@ -492,7 +492,7 @@ impl MetaStore {
     /// condition's match count dwarfs the surviving candidate set.
     pub fn filter_datasets(
         &self,
-        set: &mut HashSet<DatasetId>,
+        set: &mut IdSet<DatasetId>,
         name: &str,
         op: CompareOp,
         value: &MetaValue,
@@ -574,7 +574,7 @@ impl MetaStore {
     /// deduplicated — the scoped form of [`Self::attr_names`]. One pass
     /// over the subject index with set-membership probes; no `Vec<Subject>`
     /// is materialized.
-    pub fn attr_names_in(&self, datasets: &HashSet<DatasetId>) -> Vec<String> {
+    pub fn attr_names_in(&self, datasets: &IdSet<DatasetId>) -> Vec<String> {
         let g = self.inner.read();
         let mut names = BTreeSet::new();
         for (subject, ids) in &g.by_subject {
@@ -752,7 +752,7 @@ fn meta_files_in_order(g: &Inner) -> Vec<(&Subject, &Vec<DatasetId>)> {
 
 /// The rows among a subject's `ids` whose attribute is `name`.
 fn rows_named<'a>(
-    rows: &'a HashMap<MetaId, MetaRow>,
+    rows: &'a IdMap<MetaId, MetaRow>,
     ids: &'a [MetaId],
     name: &'a str,
 ) -> impl Iterator<Item = &'a MetaRow> {

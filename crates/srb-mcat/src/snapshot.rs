@@ -84,7 +84,7 @@ pub const SNAPSHOT_VERSION: u32 = 1;
 
 /// A table's rows in id order, borrowed: the order the image writes and
 /// the tables' listings return. Every table map is keyed by the row id.
-pub(crate) fn by_id<K: Ord, V>(rows: &HashMap<K, V>) -> Vec<&V> {
+pub(crate) fn by_id<K: Ord, V, S>(rows: &HashMap<K, V, S>) -> Vec<&V> {
     let mut v: Vec<(&K, &V)> = rows.iter().collect();
     v.sort_unstable_by(|a, b| a.0.cmp(b.0));
     v.into_iter().map(|(_, row)| row).collect()

@@ -9,7 +9,11 @@
 //!
 //! It also holds the workspace's one seeded generator, splitmix64: the
 //! [`mix64`] finalizer, the counter-indexed [`splitmix64`] and the stateful
-//! [`SeedStream`].
+//! [`SeedStream`]; and the [`IdHasher`] behind the catalog's id-keyed
+//! [`IdMap`]/[`IdSet`] tables, which ends in the same finalizer.
+
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Streaming SHA-256 hasher.
 #[derive(Clone)]
@@ -259,6 +263,53 @@ impl SeedStream {
     }
 }
 
+/// A fixed, cheap hasher for catalog-assigned ids.
+///
+/// Each `write_u64`/`write_usize` word (the byte path folds 8-byte
+/// chunks) is folded into the state with a rotate, xor and odd multiply,
+/// and [`mix64`] finalizes it. Ids come from one shared `IdGen`, so one
+/// table's keys often advance by a power of two; the finalizer spreads
+/// them over both the bucket bits (low) and the tag bits (top 7) of the
+/// table. Without it a stride of 8 leaves 7/8 of the buckets empty.
+///
+/// There is no per-process key, so colliding keys can be crafted: use it
+/// only for keys the catalog assigns, never for user text (names, paths,
+/// attribute names). `cargo xtask lint` rule `id-hasher-key` enforces that.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(GAMMA);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        mix64(self.0)
+    }
+}
+
+/// A `HashMap` keyed by a catalog-assigned id, on [`IdHasher`].
+pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+/// A `HashSet` of catalog-assigned ids, on [`IdHasher`].
+pub type IdSet<K> = HashSet<K, BuildHasherDefault<IdHasher>>;
+
 /// Constant-time equality for MACs and session keys.
 pub fn ct_eq(a: &[u8], b: &[u8]) -> bool {
     if a.len() != b.len() {
@@ -390,6 +441,41 @@ mod tests {
         for n in 1..1000 {
             assert!(s.below(n) < n);
         }
+    }
+
+    /// Ids at the strides a shared allocator hands one table cover every
+    /// bucket value (low 10 bits) and every tag value (top 7 bits), and no
+    /// bucket holds more than twice its share.
+    #[test]
+    fn id_hasher_spreads_strided_ids() {
+        use std::hash::BuildHasher;
+        const N: u64 = 100_000;
+        let build = BuildHasherDefault::<IdHasher>::default();
+        for stride in [1u64, 4, 8, 64] {
+            let mut low = vec![0u32; 1 << 10];
+            let mut top = vec![0u32; 1 << 7];
+            for i in 0..N {
+                let h = build.hash_one(1 + i * stride);
+                low[(h & 0x3ff) as usize] += 1;
+                top[(h >> 57) as usize] += 1;
+            }
+            assert!(low.iter().all(|&n| n > 0), "stride {stride}: empty bucket");
+            assert!(top.iter().all(|&n| n > 0), "stride {stride}: unused tag");
+            let mean = N as f64 / low.len() as f64;
+            let max = low.iter().copied().max().unwrap_or(0);
+            assert!(
+                f64::from(max) <= 2.0 * mean,
+                "stride {stride}: bucket of {max} against a mean of {mean}"
+            );
+        }
+    }
+
+    #[test]
+    fn id_hasher_byte_path_matches_word_path() {
+        let (mut words, mut bytes) = (IdHasher::default(), IdHasher::default());
+        words.write_u64(0x0102_0304_0506_0708);
+        bytes.write(&0x0102_0304_0506_0708u64.to_le_bytes());
+        assert_eq!(words.finish(), bytes.finish());
     }
 
     #[test]

@@ -25,7 +25,8 @@ pub use cursor::{CursorCodec, PageToken};
 pub use error::{SrbError, SrbResult};
 pub use gen::{GenCounter, Generation, Lsn};
 pub use hash::{
-    ct_eq, from_hex, hmac_sha256, mix64, sha256, sha256_hex, splitmix64, to_hex, SeedStream, Sha256,
+    ct_eq, from_hex, hmac_sha256, mix64, sha256, sha256_hex, splitmix64, to_hex, IdHasher, IdMap,
+    IdSet, SeedStream, Sha256,
 };
 pub use id::*;
 pub use path::LogicalPath;

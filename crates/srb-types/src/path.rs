@@ -69,6 +69,21 @@ impl LogicalPath {
         Ok(LogicalPath { components })
     }
 
+    /// The display form of `self.child(name)`, built in one pre-sized
+    /// `String`: `/name` under the root. `name` is not validated — callers
+    /// pass names a table validated on insert.
+    pub fn join_display(&self, name: &str) -> String {
+        let len = self.components.iter().map(|c| c.len() + 1).sum::<usize>() + name.len() + 1;
+        let mut out = String::with_capacity(len);
+        for c in &self.components {
+            out.push('/');
+            out.push_str(c);
+        }
+        out.push('/');
+        out.push_str(name);
+        out
+    }
+
     /// The parent collection, or `None` for the root.
     pub fn parent(&self) -> Option<Self> {
         if self.components.is_empty() {
@@ -184,6 +199,16 @@ mod tests {
         let c = p.child("z").unwrap();
         assert_eq!(c.to_string(), "/x/y/z");
         assert_eq!(c.parent().unwrap(), p);
+    }
+
+    #[test]
+    fn join_display_equals_child_display() {
+        for (parent, name) in [("/", "a"), ("/x/y", "z"), ("/Avian Culture", "b c.txt")] {
+            let p = LogicalPath::parse(parent).unwrap();
+            let joined = p.join_display(name);
+            assert_eq!(joined, p.child(name).unwrap().to_string());
+            assert_eq!(joined.capacity(), joined.len(), "sized exactly once");
+        }
     }
 
     #[test]

@@ -19,10 +19,11 @@
 //!    (virtually slow) storage leg serializes the parallel fan-out engine
 //!    and silently inflates simulated time — our analog of clippy's
 //!    `await_holding_lock`.
-//! 3. **`hash-iter`** — flags iteration over `HashMap`/`HashSet` inside
-//!    snapshot/serialization/receipt-producing functions unless the items
-//!    are sorted or consumed order-insensitively. Iteration-order leakage
-//!    is the one nondeterminism class the wall-clock ban cannot see.
+//! 3. **`hash-iter`** — flags iteration over `HashMap`/`HashSet` (and the
+//!    `IdMap`/`IdSet` aliases) inside snapshot/serialization/receipt-
+//!    producing functions unless the items are sorted or consumed
+//!    order-insensitively. Iteration-order leakage is the one
+//!    nondeterminism class the wall-clock ban cannot see.
 //!
 //! Guard liveness is tracked lexically: a `let`-bound guard lives to the
 //! end of its enclosing block (or an explicit `drop(guard)`); a guard
@@ -467,7 +468,7 @@ fn scan_file(
 
 // ------------------------------------------------------------ hash-iter --
 
-/// Identifiers declared as `HashMap`/`HashSet` (`hash`) and
+/// Identifiers declared as `HashMap`/`HashSet`/`IdMap`/`IdSet` (`hash`) and
 /// `BTreeMap`/`BTreeSet` (`ordered`) anywhere in the file: struct fields,
 /// params (`x: HashMap<…>`), and `let x = HashMap::new()` bindings.
 fn container_idents(lexed: &Lexed) -> (Vec<String>, Vec<String>) {
@@ -479,7 +480,9 @@ fn container_idents(lexed: &Lexed) -> (Vec<String>, Vec<String>) {
         if t.kind != TokKind::Ident {
             continue;
         }
-        let is_hash = t.is_ident("HashMap") || t.is_ident("HashSet");
+        let is_hash = ["HashMap", "HashSet", "IdMap", "IdSet"]
+            .iter()
+            .any(|w| t.is_ident(w));
         let is_ordered = t.is_ident("BTreeMap") || t.is_ident("BTreeSet");
         if !is_hash && !is_ordered {
             continue;

@@ -14,6 +14,8 @@
 //!   - `metric-name` — literal metric registrations outside `srb-obs` must
 //!     follow the `subsystem.name` scheme (`srb_obs::SUBSYSTEMS`); literal
 //!     span names must be bare lowercase op idents.
+//!   - `id-hasher-key` — `IdMap`/`IdSet` (the fixed id hasher) are never
+//!     keyed by user text (`String`, `str`, `LogicalPath`).
 //!
 //! - `cargo xtask analyze` — structure-aware static concurrency and
 //!   determinism analysis (see `analyze.rs`): the static lock-order graph
@@ -199,6 +201,7 @@ fn lint(root: &Path, out: &Output) -> ExitCode {
         violations.extend(rules::panic_ops(rel, &lexed));
         violations.extend(rules::metric_names(rel, &lexed));
         violations.extend(rules::unwraps(rel, &lexed));
+        violations.extend(rules::id_hasher_keys(rel, &lexed));
     }
 
     violations.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));

@@ -295,10 +295,89 @@ pub fn panic_ops(path: &str, lexed: &Lexed) -> Vec<Violation> {
     out
 }
 
+/// Key types that carry user text.
+const TEXT_KEYS: &[&str] = &["String", "str", "LogicalPath"];
+
+/// Rule `id-hasher-key`: `IdMap`/`IdSet` hash on `srb_types::IdHasher`,
+/// which is fixed and unkeyed, so colliding keys can be crafted. They are
+/// for catalog-assigned ids only; a first type argument of `String`,
+/// `str`/`&str` or `LogicalPath` is user text, which stays on `HashMap`'s
+/// keyed default hasher against hash flooding.
+pub fn id_hasher_keys(path: &str, lexed: &Lexed) -> Vec<Violation> {
+    let toks = &lexed.toks;
+    let path_sep = |j: usize| {
+        toks.get(j).is_some_and(|t| t.is_punct(':'))
+            && toks.get(j + 1).is_some_and(|t| t.is_punct(':'))
+    };
+    let mut out = Vec::new();
+    for i in 0..toks.len() {
+        if !(toks[i].is_ident("IdMap") || toks[i].is_ident("IdSet")) {
+            continue;
+        }
+        // `IdMap<` or the turbofish `IdMap::<`.
+        let mut j = if path_sep(i + 1) { i + 3 } else { i + 1 };
+        if !toks.get(j).is_some_and(|t| t.is_punct('<')) {
+            continue;
+        }
+        j += 1;
+        while toks
+            .get(j)
+            .is_some_and(|t| t.is_punct('&') || t.is_ident("mut") || t.kind == TokKind::Lifetime)
+        {
+            j += 1;
+        }
+        // A plain path `a::b::Key`, ending the first argument.
+        let mut key = None;
+        while let Some(t) = toks.get(j).filter(|t| t.kind == TokKind::Ident) {
+            key = Some(t.text.as_str());
+            j += 1;
+            if !path_sep(j) {
+                break;
+            }
+            j += 2;
+        }
+        let ends = toks
+            .get(j)
+            .is_some_and(|t| t.is_punct(',') || t.is_punct('>'));
+        if let Some(key) = key.filter(|k| ends && TEXT_KEYS.contains(k)) {
+            out.push(Violation {
+                path: path.to_string(),
+                line: toks[i].line,
+                rule: "id-hasher-key",
+                msg: format!(
+                    "`{}` keyed by `{key}`: user text must not use the fixed id \
+                     hasher (hash flooding); use a HashMap/HashSet",
+                    toks[i].text
+                ),
+            });
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lexer::Lexed;
+
+    #[test]
+    fn id_hasher_keys_flag_user_text_only() {
+        let bad = Lexed::new(
+            "struct T { a: IdMap<String, u64>,\n b: IdSet<&'a str>,\n\
+             c: IdMap<srb_types::LogicalPath, Vec<u8>> }\n\
+             let d = IdSet::<str>::default();\n",
+        );
+        let v = id_hasher_keys("crates/srb-mcat/src/x.rs", &bad);
+        assert_eq!(v.iter().map(|v| v.line).collect::<Vec<_>>(), [1, 2, 3, 4]);
+        assert!(v[2].msg.contains("`LogicalPath`"), "{}", v[2].msg);
+        // Ids, tuples, text values and plain HashMaps are fine.
+        let fine = Lexed::new(
+            "struct T { a: IdMap<DatasetId, String>, b: IdSet<Subject>,\n\
+             c: IdMap<(String, u64), u8>, d: HashMap<String, DatasetId>,\n\
+             e: IdMap<StringId, u8> }\n// IdMap<String, u8>\n",
+        );
+        assert!(id_hasher_keys("crates/srb-mcat/src/x.rs", &fine).is_empty());
+    }
 
     #[test]
     fn raw_lock_flags_usage_outside_wrapper() {

@@ -47,6 +47,9 @@ const LINT_GOLDENS: &[&str] = &[
     "crates/fix-lint/src/bait.rs:5: [wall-clock]",
     "crates/fix-lint/src/bait.rs:8: [wall-clock]",
     "crates/fix-lint/src/bait.rs:13: [no-unwrap]",
+    "crates/fix-lint/src/bait.rs:17: [id-hasher-key]",
+    "crates/fix-lint/src/bait.rs:18: [id-hasher-key]",
+    "crates/fix-lint/src/bait.rs:19: [id-hasher-key]",
     "crates/mysrb/src/app.rs:6: [metric-name]",
     "crates/mysrb/src/app.rs:7: [metric-name]",
     "crates/srb-core/src/ops_fix.rs:5: [no-panic-ops]",
@@ -126,6 +129,7 @@ fn json_output_is_machine_readable() {
         "wall-clock",
         "metric-name",
         "no-panic-ops",
+        "id-hasher-key",
     ] {
         assert!(
             lint_out.contains(&format!("\"{rule}\"")),
