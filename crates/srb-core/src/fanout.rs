@@ -116,15 +116,18 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
+    // A single leg runs inline without asking the host for its core
+    // count: that query reads cgroup files, a cost every one-file ingest
+    // would otherwise pay.
     let workers = match mode {
-        FanoutMode::Sequential => 1,
-        FanoutMode::Parallel => std::thread::available_parallelism()
+        FanoutMode::Parallel if n > 1 => std::thread::available_parallelism()
             .map(|p| p.get())
             .unwrap_or(1)
             .min(MAX_WORKERS)
             .min(n),
+        _ => 1,
     };
-    if workers <= 1 || n <= 1 {
+    if workers <= 1 {
         return (0..n).map(leg).collect();
     }
     let next = AtomicUsize::new(0);
@@ -203,13 +206,16 @@ pub(crate) fn compose_with_wait(mode: FanoutMode, legs: &[Receipt]) -> (Receipt,
     }
 }
 
-/// One storage leg: push the shared payload to `resource` at `phys_path`.
+/// One storage leg: push `data` to `resource` at `phys_path`.
 #[derive(Debug, Clone)]
 pub(crate) struct StoreLeg {
     /// Target physical resource.
     pub resource: ResourceId,
     /// Physical path within the resource.
     pub phys_path: String,
+    /// The payload — a refcount clone, so legs sharing one buffer copy
+    /// no bytes.
+    pub data: Bytes,
     /// Overwrite (`write`) vs create-new (`ingest`/`replicate`).
     pub overwrite: bool,
 }
@@ -317,18 +323,18 @@ impl SrbConnection<'_> {
         Ok(receipt)
     }
 
-    /// Execute storage legs under the connection's [`FanoutMode`]: every
-    /// leg pushes the *same* shared buffer (zero payload clones), results
+    /// Execute storage legs under the connection's [`FanoutMode`]: each
+    /// leg pushes its own refcounted payload (no byte copies), results
     /// come back in leg order, and the composed receipt reflects the
     /// execution shape. Each leg retries transient storage errors within
     /// the connection's [`RetryBudget`]; only an exhausted leg reports an
     /// error (which the committing caller records as `Stale`). No catalog
     /// state is touched.
-    pub(crate) fn store_fanout(&self, legs: &[StoreLeg], data: &Bytes) -> FanoutOutcome {
+    pub(crate) fn store_fanout(&self, legs: &[StoreLeg]) -> FanoutOutcome {
         let mode = self.fanout_mode();
         let results = run_legs(mode, legs.len(), |i| {
             let leg = &legs[i];
-            self.store_bytes_retry(leg.resource, &leg.phys_path, data, leg.overwrite)
+            self.store_bytes_retry(leg.resource, &leg.phys_path, &leg.data, leg.overwrite)
         });
         let ok: Vec<Receipt> = results.iter().filter_map(|r| r.clone().ok()).collect();
         let (receipt, wait_ns) = compose_with_wait(mode, &ok);
@@ -341,8 +347,8 @@ impl SrbConnection<'_> {
     }
 
     /// Best-effort removal of bytes stored by legs that succeeded, used
-    /// when a fatal leg error aborts an operation before any catalog row
-    /// exists to account for them.
+    /// when an operation is refused after its legs ran, so that no
+    /// catalog row exists to account for them.
     pub(crate) fn undo_stored_legs(&self, legs: &[StoreLeg], results: &[SrbResult<Receipt>]) {
         for (leg, result) in legs.iter().zip(results) {
             if result.is_ok() {

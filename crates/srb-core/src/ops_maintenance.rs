@@ -112,12 +112,13 @@ impl SrbConnection<'_> {
                 legs.push(StoreLeg {
                     resource: *resource,
                     phys_path: phys_path.clone(),
+                    data: fresh.clone(),
                     overwrite: true,
                 });
                 leg_nums.push(replica.repl_num);
             }
         }
-        let fan = self.store_fanout(&legs, &fresh);
+        let fan = self.store_fanout(&legs);
         receipt.absorb(&fan.receipt);
         let repaired_nums: Vec<u32> = leg_nums
             .iter()

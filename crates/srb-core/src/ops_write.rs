@@ -5,7 +5,9 @@
 use crate::conn::SrbConnection;
 use crate::fanout::{self, FanoutOutcome, StoreLeg};
 use bytes::Bytes;
-use srb_mcat::{AccessSpec, AuditAction, MetaKind, NewDataset, ReplicaStatus, Subject, Template};
+use srb_mcat::{
+    AccessSpec, AuditAction, Dataset, MetaKind, NewDataset, ReplicaStatus, Subject, Template,
+};
 use srb_net::Receipt;
 use srb_types::{
     sha256_hex, CollectionId, DatasetId, LogicalPath, Permission, ResourceId, SrbError, SrbResult,
@@ -235,101 +237,129 @@ impl SrbConnection<'_> {
                 .as_deref()
                 .ok_or_else(|| SrbError::Invalid("ingest needs a resource or container".into()))?;
             let targets = self.grid.mcat.resources.resolve_targets(resource_name)?;
-            let checksum = sha256_hex(&data);
-            let legs: Vec<StoreLeg> = targets
-                .iter()
-                .map(|rid| StoreLeg {
-                    resource: *rid,
-                    phys_path: Self::phys_path(coll, name),
-                    overwrite: false,
-                })
-                .collect();
-            let fan = self.store_fanout(&legs, &data);
-            op.receipt.absorb(&fan.receipt);
-            let ds = self.commit_fanout_dataset(
-                coll,
-                name,
-                &opts.data_type,
-                user,
-                &legs,
-                &fan,
-                data.len() as u64,
-                &checksum,
-            )?;
-            self.attach_ingest_metadata(ds, &opts.metadata);
+            let file = [(name.to_string(), data.clone())];
+            let (ty, meta) = (&opts.data_type, &opts.metadata);
+            self.create_datasets(user, coll, &file, &targets, ty, meta, &mut op.receipt)?;
             Ok(())
         })();
         Ok(self.end_op(op, done)?.1)
     }
 
-    /// Shared catalog commit for `ingest`/`copy`: the legs ran, now create
-    /// the dataset row on the caller thread, in leg order. A fatal leg
-    /// error aborts the whole operation (stored bytes are rolled back
-    /// best-effort); if nothing stored, the first leg error propagates;
-    /// retryable failures become `Stale` replica rows whose bytes arrive
-    /// at the next resync.
+    /// The one way new bytes become new datasets, shared by `ingest`,
+    /// `copy` and `ingest_bulk`, in four steps:
+    ///
+    /// 1. every name is checked — free in `coll`, not repeated in
+    ///    `files` — before any byte moves;
+    /// 2. each file is hashed once (in parallel for a batch);
+    /// 3. one leg per (file, target) pair runs through
+    ///    [`store_fanout`](Self::store_fanout); legs are pure storage I/O,
+    ///    so parallel and sequential runs commit identical state;
+    /// 4. one `create_batch` writes the rows in file order, a leg that
+    ///    failed retryably becoming a `Stale` replica repairable at the
+    ///    next resync, and one metadata attach gives every new dataset
+    ///    `metadata`.
+    ///
+    /// A fatal leg error, a file no target accepted, or a name a
+    /// concurrent writer took after step 1 refuses the op: every stored
+    /// leg is undone and the catalog is left untouched.
     #[allow(clippy::too_many_arguments)]
-    fn commit_fanout_dataset(
+    fn create_datasets(
         &self,
-        coll: CollectionId,
-        name: &str,
-        data_type: &str,
         user: UserId,
-        legs: &[StoreLeg],
-        fan: &FanoutOutcome,
-        size: u64,
-        checksum: &str,
-    ) -> SrbResult<DatasetId> {
-        if let Some(e) = fan.first_fatal() {
-            self.undo_stored_legs(legs, &fan.results);
-            return Err(e);
-        }
-        if fan.successes() == 0 {
-            return Err(fan.first_err().unwrap_or_else(|| {
-                SrbError::NotFound(format!(
-                    "no physical resource behind the target for '{name}'"
-                ))
-            }));
-        }
-        // Each replica is born with its status: a degraded ingest logs one
-        // row image, not a create and a correction.
-        let replicas: Vec<_> = legs
+        coll: CollectionId,
+        files: &[(String, Bytes)],
+        targets: &[ResourceId],
+        data_type: &str,
+        metadata: &[Triplet],
+        receipt: &mut Receipt,
+    ) -> SrbResult<Vec<DatasetId>> {
+        self.refuse_taken_names(coll, files.iter().map(|(name, _)| name.as_str()))?;
+        let checksums =
+            fanout::run_legs(self.fanout_mode(), files.len(), |i| sha256_hex(&files[i].1));
+        let legs: Vec<StoreLeg> = files
             .iter()
-            .zip(&fan.results)
-            .map(|(leg, result)| {
-                let spec = AccessSpec::Stored {
-                    resource: leg.resource,
-                    phys_path: leg.phys_path.clone(),
-                };
-                match result {
-                    Ok(_) => (
-                        spec,
-                        size,
-                        Some(checksum.to_string()),
-                        ReplicaStatus::UpToDate,
-                    ),
-                    Err(_) => (spec, size, None, ReplicaStatus::Stale),
-                }
+            .flat_map(|(name, data)| {
+                let phys_path = Self::phys_path(coll, name);
+                targets.iter().map(move |rid| StoreLeg {
+                    resource: *rid,
+                    phys_path: phys_path.clone(),
+                    data: data.clone(),
+                    overwrite: false,
+                })
             })
             .collect();
-        let stale = fan.results.len() - fan.successes();
-        let created = self.grid.mcat.datasets.create_batch(
+        let fan = self.store_fanout(&legs);
+        receipt.absorb(&fan.receipt);
+        // Each file owns `k` consecutive legs; `resolve_targets` never
+        // hands back an empty list, so no chunk is empty.
+        let k = targets.len();
+        let unplaced = fan.results.chunks(k).find(|r| r.iter().all(Result::is_err));
+        // File `i`'s replica on leg `j`: up to date where the leg stored,
+        // `Stale` where it failed.
+        let replica = |i: usize, j: usize| {
+            let spec = AccessSpec::Stored {
+                resource: legs[j].resource,
+                phys_path: legs[j].phys_path.clone(),
+            };
+            let size = files[i].1.len() as u64;
+            match fan.results[j] {
+                Ok(_) => (
+                    spec,
+                    size,
+                    Some(checksums[i].clone()),
+                    ReplicaStatus::UpToDate,
+                ),
+                Err(_) => (spec, size, None, ReplicaStatus::Stale),
+            }
+        };
+        let created = match fan.first_fatal().or_else(|| unplaced?[0].clone().err()) {
+            Some(e) => Err(e),
+            None => {
+                let rows = (0..files.len()).map(|i| NewDataset {
+                    name: files[i].0.clone(),
+                    replicas: (i * k..(i + 1) * k).map(|j| replica(i, j)).collect(),
+                });
+                let (ids, now) = (&self.grid.mcat.ids, self.now());
+                let batch = rows.collect();
+                self.grid
+                    .mcat
+                    .datasets
+                    .create_batch(ids, coll, data_type, user, batch, now)
+            }
+        };
+        let ids = created.inspect_err(|_| self.undo_stored_legs(&legs, &fan.results))?;
+        if let Some(obs) = self.grid.core_obs() {
+            obs.legs_stale
+                .add((fan.results.len() - fan.successes()) as u64);
+        }
+        self.grid.mcat.metadata.add_batch(
             &self.grid.mcat.ids,
-            coll,
-            data_type,
-            user,
-            vec![NewDataset {
-                name: name.to_string(),
-                replicas,
-            }],
-            self.now(),
-        )?;
-        if stale > 0 {
-            if let Some(obs) = self.grid.core_obs() {
-                obs.legs_stale.add(stale as u64);
+            ids.iter().flat_map(|ds| {
+                metadata
+                    .iter()
+                    .map(move |t| (Subject::Dataset(*ds), t.clone(), MetaKind::UserDefined))
+            }),
+        );
+        Ok(ids)
+    }
+
+    /// Refuse a name taken in `coll` or repeated among `names`, under one
+    /// read guard.
+    fn refuse_taken_names<'n>(
+        &self,
+        coll: CollectionId,
+        names: impl Iterator<Item = &'n str>,
+    ) -> SrbResult<()> {
+        let batch = self.grid.mcat.datasets.batch();
+        let mut seen: HashSet<&str> = HashSet::with_capacity(names.size_hint().0);
+        for name in names {
+            if batch.contains_name(coll, name) || !seen.insert(name) {
+                return Err(SrbError::AlreadyExists(format!(
+                    "dataset '{name}' in collection {coll}"
+                )));
             }
         }
-        Ok(created[0])
+        Ok(())
     }
 
     /// Overwrite an object's data; all up replicas are updated
@@ -397,12 +427,13 @@ impl SrbConnection<'_> {
                 legs.push(StoreLeg {
                     resource: *resource,
                     phys_path: phys_path.clone(),
+                    data: data.clone(),
                     overwrite: true,
                 });
                 leg_nums.push(replica.repl_num);
             }
         }
-        let fan = self.store_fanout(&legs, data);
+        let fan = self.store_fanout(&legs);
         receipt.absorb(&fan.receipt);
         for (num, result) in leg_nums.iter().zip(&fan.results) {
             let status = if result.is_ok() {
@@ -475,16 +506,16 @@ impl SrbConnection<'_> {
     /// call — the batched counterpart of [`SrbConnection::ingest`] for
     /// archive-bound workloads where per-file round trips dominate.
     ///
-    /// The whole batch pays for *one* session check, *one* structural-
-    /// metadata validation, *one* MCAT round trip, *one* audit row, and
-    /// two catalog lock acquisitions (dataset rows, metadata rows); the
-    /// physical stores fan out across files under the connection's
-    /// [`crate::fanout::FanoutMode`], with each file's checksum computed
-    /// inside its own leg so hashing parallelizes too.
+    /// The files take the same path as a single ingest, batched: *one*
+    /// session check, *one* structural-metadata validation, *one* MCAT
+    /// round trip, *one* name check, *one* dataset-row batch, *one*
+    /// metadata attach and *one* audit row for the whole call. The hashes
+    /// and the (file, target) storage legs fan out under the connection's
+    /// [`crate::fanout::FanoutMode`].
     ///
     /// All-or-nothing at the catalog: a duplicate name (in the collection
     /// or within the batch), a fatal storage error, or a file no target
-    /// accepted aborts the call, rolls back any stored bytes best-effort,
+    /// accepted aborts the call, removes any stored bytes best-effort,
     /// and leaves the catalog untouched. A file that reaches *some* but
     /// not all targets gets `Stale` rows for the missed ones, exactly
     /// like single-file ingest. Returns the created dataset ids in batch
@@ -514,152 +545,8 @@ impl SrbConnection<'_> {
                 .as_deref()
                 .ok_or_else(|| SrbError::Invalid("bulk ingest needs a resource".into()))?;
             let targets = self.grid.mcat.resources.resolve_targets(resource_name)?;
-            if targets.is_empty() {
-                return Err(SrbError::NotFound(format!(
-                    "no physical resource behind '{resource_name}'"
-                )));
-            }
-            // Reject duplicate names before any bytes move — one read guard
-            // covers the whole batch.
-            {
-                let batch = self.grid.mcat.datasets.batch();
-                let mut seen: HashSet<&str> = HashSet::with_capacity(files.len());
-                for (name, _) in &files {
-                    if batch.contains_name(coll, name) || !seen.insert(name.as_str()) {
-                        return Err(SrbError::AlreadyExists(format!(
-                            "dataset '{name}' in collection {coll}"
-                        )));
-                    }
-                }
-            }
-            // One leg per file: hash, then push to every target. The legs are
-            // pure storage I/O; every catalog mutation happens after the join,
-            // in batch order, so parallel and sequential runs commit
-            // identical state.
-            struct BulkLeg {
-                checksum: String,
-                stores: Vec<SrbResult<Receipt>>,
-                cost: Receipt,
-            }
-            let mode = self.fanout_mode();
-            let leg_results: Vec<BulkLeg> = fanout::run_legs(mode, files.len(), |i| {
-                let (name, data) = &files[i];
-                let checksum = sha256_hex(data);
-                let phys = Self::phys_path(coll, name);
-                let mut cost = Receipt::free();
-                let stores: Vec<SrbResult<Receipt>> = targets
-                    .iter()
-                    .map(|rid| {
-                        let r = self.store_bytes_retry(*rid, &phys, data, false);
-                        if let Ok(rr) = &r {
-                            cost.absorb(rr);
-                        }
-                        r
-                    })
-                    .collect();
-                BulkLeg {
-                    checksum,
-                    stores,
-                    cost,
-                }
-            });
-            let leg_costs: Vec<Receipt> = leg_results.iter().map(|l| l.cost.clone()).collect();
-            let (bulk_cost, wait_ns) = fanout::compose_with_wait(mode, &leg_costs);
-            op.receipt.absorb(&bulk_cost);
-            if let Some(obs) = self.grid.core_obs() {
-                obs.legs_dispatched
-                    .add((files.len() * targets.len()) as u64);
-                obs.queue_wait.observe(wait_ns);
-            }
-            // A fatal error anywhere, or a file no target accepted, aborts the
-            // batch before the catalog is touched.
-            let mut abort: Option<SrbError> = leg_results
-                .iter()
-                .flat_map(|l| l.stores.iter())
-                .filter_map(|r| r.as_ref().err())
-                .find(|e| !e.is_retryable())
-                .cloned();
-            if abort.is_none() {
-                abort = leg_results
-                    .iter()
-                    .find(|l| l.stores.iter().all(|r| r.is_err()))
-                    .and_then(|l| l.stores.iter().filter_map(|r| r.as_ref().err()).next())
-                    .cloned();
-            }
-            if let Some(e) = abort {
-                for ((name, _), leg) in files.iter().zip(&leg_results) {
-                    let phys = Self::phys_path(coll, name);
-                    for (rid, r) in targets.iter().zip(&leg.stores) {
-                        if r.is_ok() {
-                            if let Ok(driver) = self.grid.driver(*rid) {
-                                let _ = driver.driver().delete(&phys);
-                            }
-                        }
-                    }
-                }
-                return Err(e);
-            }
-            // Catalog commit: one write-locked batch for the dataset rows, one
-            // for the metadata rows, one audit record for the whole batch.
-            let rows: Vec<NewDataset> = files
-                .iter()
-                .zip(&leg_results)
-                .map(|((name, data), leg)| NewDataset {
-                    name: name.clone(),
-                    replicas: targets
-                        .iter()
-                        .zip(&leg.stores)
-                        .map(|(rid, r)| {
-                            let spec = AccessSpec::Stored {
-                                resource: *rid,
-                                phys_path: Self::phys_path(coll, name),
-                            };
-                            match r {
-                                Ok(_) => (
-                                    spec,
-                                    data.len() as u64,
-                                    Some(leg.checksum.clone()),
-                                    ReplicaStatus::UpToDate,
-                                ),
-                                Err(_) => (spec, data.len() as u64, None, ReplicaStatus::Stale),
-                            }
-                        })
-                        .collect(),
-                })
-                .collect();
-            if let Some(obs) = self.grid.core_obs() {
-                let stale = rows
-                    .iter()
-                    .flat_map(|r| r.replicas.iter())
-                    .filter(|(_, _, _, s)| *s == ReplicaStatus::Stale)
-                    .count();
-                obs.legs_stale.add(stale as u64);
-                let failed = leg_results
-                    .iter()
-                    .flat_map(|l| l.stores.iter())
-                    .filter(|r| r.is_err())
-                    .count();
-                obs.legs_failed.add(failed as u64);
-            }
-            let ids = self.grid.mcat.datasets.create_batch(
-                &self.grid.mcat.ids,
-                coll,
-                &opts.data_type,
-                user,
-                rows,
-                self.now(),
-            )?;
-            if !opts.metadata.is_empty() {
-                self.grid.mcat.metadata.add_batch(
-                    &self.grid.mcat.ids,
-                    ids.iter().flat_map(|ds| {
-                        opts.metadata
-                            .iter()
-                            .map(move |t| (Subject::Dataset(*ds), t.clone(), MetaKind::UserDefined))
-                    }),
-                );
-            }
-            Ok(ids)
+            let (ty, meta) = (&opts.data_type, &opts.metadata);
+            self.create_datasets(user, coll, &files, &targets, ty, meta, &mut op.receipt)
         })();
         self.end_op(op, ids)
     }
@@ -703,7 +590,12 @@ impl SrbConnection<'_> {
                 vec![(access, size, None)],
                 self.now(),
             )?;
-            self.attach_ingest_metadata(ds, &opts.metadata);
+            self.grid.mcat.metadata.add_batch(
+                &self.grid.mcat.ids,
+                opts.metadata
+                    .iter()
+                    .map(|t| (Subject::Dataset(ds), t.clone(), MetaKind::UserDefined)),
+            );
             Ok(())
         })();
         Ok(self.end_op(op, done)?.1)
@@ -807,30 +699,46 @@ impl SrbConnection<'_> {
             }
             let (data, read_receipt) = self.read_dataset_bytes(ds.id)?;
             op.receipt.absorb(&read_receipt);
-            let targets = self.grid.mcat.resources.resolve_targets(resource_name)?;
-            let checksum = sha256_hex(&data);
-            let base = Self::phys_path(ds.coll, &ds.name);
-            let next = ds.max_repl_num() + 1;
-            let legs: Vec<StoreLeg> = targets
-                .iter()
-                .enumerate()
-                .map(|(i, rid)| StoreLeg {
-                    resource: *rid,
-                    phys_path: format!("{base}.r{}", next + i as u32),
-                    overwrite: false,
-                })
-                .collect();
-            let fan = self.store_fanout(&legs, &data);
-            op.receipt.absorb(&fan.receipt);
-            self.commit_fanout_replicas(ds.id, &legs, &fan, data.len() as u64, &checksum)
+            self.create_replicas(&ds, data, resource_name, "r", &mut op.receipt)
         })();
         Ok(self.end_op(op, done)?.1)
     }
 
-    /// Shared catalog commit for `replicate`/`ingest_replica`: add one
-    /// replica row per leg, in leg order — `UpToDate` for stored legs,
-    /// `Stale` (repairable at resync) for legs whose resource was down.
-    /// Commits every successful leg *before* propagating a fatal leg
+    /// The one way new bytes become new replicas of `ds`, shared by
+    /// `replicate` and `ingest_replica`: one leg per target behind
+    /// `resource_name`, each stored at the dataset's physical path plus
+    /// `.{suffix}{n}` for its new replica number `n`, then committed by
+    /// [`commit_fanout_replicas`](Self::commit_fanout_replicas).
+    fn create_replicas(
+        &self,
+        ds: &Dataset,
+        data: Bytes,
+        resource_name: &str,
+        suffix: &str,
+        receipt: &mut Receipt,
+    ) -> SrbResult<()> {
+        let targets = self.grid.mcat.resources.resolve_targets(resource_name)?;
+        let checksum = sha256_hex(&data);
+        let base = Self::phys_path(ds.coll, &ds.name);
+        let legs: Vec<StoreLeg> = targets
+            .iter()
+            .zip(ds.max_repl_num() + 1..)
+            .map(|(rid, n)| StoreLeg {
+                resource: *rid,
+                phys_path: format!("{base}.{suffix}{n}"),
+                data: data.clone(),
+                overwrite: false,
+            })
+            .collect();
+        let fan = self.store_fanout(&legs);
+        receipt.absorb(&fan.receipt);
+        self.commit_fanout_replicas(ds.id, &legs, &fan, data.len() as u64, &checksum)
+    }
+
+    /// The catalog commit of [`create_replicas`](Self::create_replicas):
+    /// add one replica row per leg, in leg order — `UpToDate` for stored
+    /// legs, `Stale` (repairable at resync) for legs whose resource was
+    /// down. Commits every successful leg *before* propagating a fatal leg
     /// error; with no successes at all, the first leg error propagates
     /// and the catalog is untouched.
     fn commit_fanout_replicas(
@@ -841,11 +749,8 @@ impl SrbConnection<'_> {
         size: u64,
         checksum: &str,
     ) -> SrbResult<()> {
-        if fan.successes() == 0 {
-            if let Some(e) = fan.first_err() {
-                return Err(e);
-            }
-            return Ok(()); // zero targets: nothing to do
+        if let Some(e) = fan.first_err().filter(|_| fan.successes() == 0) {
+            return Err(e);
         }
         for (leg, result) in legs.iter().zip(&fan.results) {
             let spec = AccessSpec::Stored {
@@ -920,22 +825,7 @@ impl SrbConnection<'_> {
         let (user, mut op) = self.begin_op("ingest_replica", AuditAction::Replicate, path)?;
         let done = (|| {
             let ds = self.dataset_for(user, path, Permission::Write)?;
-            let targets = self.grid.mcat.resources.resolve_targets(resource_name)?;
-            let checksum = sha256_hex(&data);
-            let base = Self::phys_path(ds.coll, &ds.name);
-            let next = ds.max_repl_num() + 1;
-            let legs: Vec<StoreLeg> = targets
-                .iter()
-                .enumerate()
-                .map(|(i, rid)| StoreLeg {
-                    resource: *rid,
-                    phys_path: format!("{base}.ir{}", next + i as u32),
-                    overwrite: false,
-                })
-                .collect();
-            let fan = self.store_fanout(&legs, &data);
-            op.receipt.absorb(&fan.receipt);
-            self.commit_fanout_replicas(ds.id, &legs, &fan, data.len() as u64, &checksum)
+            self.create_replicas(&ds, data, resource_name, "ir", &mut op.receipt)
         })();
         Ok(self.end_op(op, done)?.1)
     }
@@ -973,30 +863,15 @@ impl SrbConnection<'_> {
             self.grid
                 .mcat
                 .require_collection(Some(user), dst_coll, Permission::Write)?;
+            // Refuse a taken destination before reading the source, so a
+            // refused copy moves no bytes at all.
+            self.refuse_taken_names(dst_coll, std::iter::once(dst_name))?;
             let (data, read_receipt) = self.read_dataset_bytes(src_ds.id)?;
             op.receipt.absorb(&read_receipt);
             let targets = self.grid.mcat.resources.resolve_targets(resource_name)?;
-            let checksum = sha256_hex(&data);
-            let legs: Vec<StoreLeg> = targets
-                .iter()
-                .map(|rid| StoreLeg {
-                    resource: *rid,
-                    phys_path: Self::phys_path(dst_coll, dst_name),
-                    overwrite: false,
-                })
-                .collect();
-            let fan = self.store_fanout(&legs, &data);
-            op.receipt.absorb(&fan.receipt);
-            self.commit_fanout_dataset(
-                dst_coll,
-                dst_name,
-                &src_ds.data_type,
-                user,
-                &legs,
-                &fan,
-                data.len() as u64,
-                &checksum,
-            )?;
+            let file = [(dst_name.to_string(), data)];
+            let ty = &src_ds.data_type;
+            self.create_datasets(user, dst_coll, &file, &targets, ty, &[], &mut op.receipt)?;
             Ok(())
         })();
         Ok(self.end_op(op, done)?.1)
@@ -1374,17 +1249,6 @@ impl SrbConnection<'_> {
                 "replica of type {} has no bytes",
                 other.type_label()
             ))),
-        }
-    }
-
-    fn attach_ingest_metadata(&self, ds: DatasetId, metadata: &[Triplet]) {
-        for t in metadata {
-            self.grid.mcat.metadata.add(
-                &self.grid.mcat.ids,
-                Subject::Dataset(ds),
-                t.clone(),
-                srb_mcat::MetaKind::UserDefined,
-            );
         }
     }
 }

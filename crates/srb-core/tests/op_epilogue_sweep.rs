@@ -191,7 +191,7 @@ fn cases() -> Vec<(&'static str, Arm, Option<Arm>)> {
                 c.s.ingest("/home/sekar/new", b"n".as_slice(), opts)
                     .map(drop)
             },
-            // Duplicate name: the bytes are stored before the row is refused.
+            // Duplicate name: refused before any byte moves.
             move |c| c.s.ingest(g, b"n".as_slice(), fs("unix-ncsa")).map(drop),
         ),
         case(
@@ -294,7 +294,7 @@ fn cases() -> Vec<(&'static str, Arm, Option<Arm>)> {
         case(
             "copy",
             move |c| c.s.copy(g, "/home/sekar/g2", "unix-ncsa").map(drop),
-            // Duplicate destination: refused after the bytes were copied.
+            // Duplicate destination: refused before the source is read.
             move |c| c.s.copy(g, f, "unix-ncsa").map(drop),
         ),
         case(

@@ -2,15 +2,13 @@
 //!
 //! Paper §2: "in some cases, it may be necessary to audit usage of the
 //! collections/datasets. Hence, auditing facilities will be needed as part
-//! of the framework." Every brokered operation can record an audit row;
-//! auditing can be toggled per catalog.
+//! of the framework." Every brokered operation records an audit row.
 
 use crate::snapshot::write_field;
 use crate::wal::{WalHook, WalOp};
 use serde::{Deserialize, Serialize};
 use srb_types::sync::{LockRank, Mutex};
 use srb_types::{AuditId, IdGen, Timestamp, UserId};
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// What happened.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -93,7 +91,6 @@ pub struct AuditRow {
 /// Append-only audit log.
 #[derive(Debug)]
 pub struct AuditLog {
-    enabled: AtomicBool,
     rows: Mutex<Vec<AuditRow>>,
     /// Redo-log hook; a no-op until the catalog enables durability.
     wal: WalHook,
@@ -102,7 +99,6 @@ pub struct AuditLog {
 impl Default for AuditLog {
     fn default() -> Self {
         AuditLog {
-            enabled: AtomicBool::default(),
             rows: Mutex::new(LockRank::McatTable, "mcat.audit", Vec::new()),
             wal: WalHook::default(),
         }
@@ -110,24 +106,12 @@ impl Default for AuditLog {
 }
 
 impl AuditLog {
-    /// New log; auditing starts enabled.
+    /// Empty log.
     pub fn new() -> Self {
-        let log = AuditLog::default();
-        log.enabled.store(true, Ordering::Relaxed);
-        log
+        AuditLog::default()
     }
 
-    /// Toggle auditing.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
-    }
-
-    /// Is auditing currently on?
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Record a row (no-op while disabled).
+    /// Record a row.
     pub fn record(
         &self,
         ids: &IdGen,
@@ -137,9 +121,6 @@ impl AuditLog {
         subject: &str,
         outcome: &str,
     ) {
-        if !self.is_enabled() {
-            return;
-        }
         let mut row = AuditRow {
             id: AuditId(0),
             at,
@@ -232,19 +213,6 @@ mod tests {
         let rows = log.recent(10);
         assert_eq!(rows[0].subject, "/a/b");
         assert_eq!(rows[0].action.name(), "ingest");
-    }
-
-    #[test]
-    fn silent_when_disabled() {
-        let log = AuditLog::new();
-        let ids = IdGen::new();
-        log.set_enabled(false);
-        assert!(!log.is_enabled());
-        log.record(&ids, Timestamp(1), UserId(1), AuditAction::Read, "/x", "ok");
-        assert_eq!(log.count(), 0);
-        log.set_enabled(true);
-        log.record(&ids, Timestamp(2), UserId(1), AuditAction::Read, "/x", "ok");
-        assert_eq!(log.count(), 1);
     }
 
     #[test]

@@ -224,15 +224,16 @@ impl MetaStore {
     }
 
     /// Add many rows under a single write-lock acquisition — the metadata
-    /// half of bulk ingest. Ids are assigned in iteration order.
+    /// half of every ingest. Ids are assigned in iteration order, and each
+    /// row bumps the generation once, exactly as [`MetaStore::add`] would.
     pub fn add_batch<I>(&self, ids: &IdGen, rows: I) -> Vec<MetaId>
     where
         I: IntoIterator<Item = (Subject, Triplet, MetaKind)>,
     {
         let mut g = self.inner.write();
-        let gen = self.generation.bump_get().raw();
         rows.into_iter()
             .map(|(subject, triplet, kind)| {
+                let gen = self.generation.bump_get().raw();
                 self.insert_new(&mut g, ids, gen, subject, triplet, kind)
             })
             .collect()

@@ -171,14 +171,21 @@ impl ResourceTable {
     ///
     /// This is the paper's ingest rule: a single physical resource stores
     /// one copy; a logical resource stores one synchronous replica per
-    /// member.
+    /// member. The list is never empty: a logical resource without
+    /// members (only a restored image can hold one) resolves to an error.
     pub fn resolve_targets(&self, name: &str) -> SrbResult<Vec<ResourceId>> {
         let g = self.inner.read();
         if let Some(id) = g.by_name.get(name) {
             return Ok(vec![*id]);
         }
         if let Some(lid) = g.logical_by_name.get(name) {
-            return Ok(g.logical[lid].members.clone());
+            let members = &g.logical[lid].members;
+            if !members.is_empty() {
+                return Ok(members.clone());
+            }
+            return Err(SrbError::NotFound(format!(
+                "no physical resource behind '{name}'"
+            )));
         }
         Err(SrbError::NotFound(format!("resource '{name}'")))
     }
@@ -288,6 +295,14 @@ mod tests {
         let (t, ids) = table();
         assert!(t.create_logical(&ids, "empty", &[]).is_err());
         assert!(t.create_logical(&ids, "ghost", &[ResourceId(42)]).is_err());
+        // A restored image can still carry one; it resolves to no targets.
+        let empty = LogicalResource {
+            id: ids.next(),
+            name: "empty".into(),
+            members: Vec::new(),
+        };
+        let t = ResourceTable::restore(Vec::new(), vec![empty]);
+        assert!(t.resolve_targets("empty").is_err());
     }
 
     #[test]

@@ -198,6 +198,10 @@ const GATES: &[Gate] = &[
     g(E6, "rows", All, "e6-sim-faster", is(R("sim_ms_after"), Lt, R("sim_ms_before"))),
     g(E6, "rows", All, "e6-bulk-wall",
       cmp(R("wall_ms_after"), Le, 1.10, R("wall_ms_before"))).when(is(R("kind"), Eq, S("bulk"))),
+    // Bulk ingest keeps its file-level lane composition: 8 lanes over 3
+    // targets is 2.67× the per-file loop's simulated time.
+    g(E6, "rows", All, "e6-bulk-sim-speedup",
+      cmp(R("sim_ms_before"), Ge, 2.0, R("sim_ms_after"))).when(is(R("kind"), Eq, S("bulk"))),
     g(E6, "rows", All, "e6-multiworker-wall",
       cmp(R("wall_ms_after"), Le, 1.10, R("wall_ms_before"))).when(is(R("workers"), Gt, N(1.0))),
     // E7: parallel synchronous replication is strictly cheaper above k = 1

@@ -75,6 +75,7 @@ const MUTANTS: &[(&str, &str, &str, &str)] = &[
     ("BENCH_E6.json", "rows.0.wall_ms_after", "0", "e6-wall-after-positive"),
     ("BENCH_E6.json", "rows.0.sim_ms_after", "1981.08", "e6-sim-faster"),
     ("BENCH_E6.json", "rows.3.wall_ms_after", "236.8", "e6-bulk-wall"),
+    ("BENCH_E6.json", "rows.3.sim_ms_after", "1128.1", "e6-bulk-sim-speedup"),
     ("BENCH_E6.json", "rows.0",
      r#"{"kind": "fanout", "workers": 2, "wall_ms_before": 169.79836, "wall_ms_after": 186.8, "sim_ms_before": 1981.08, "sim_ms_after": 660.36}"#,
      "e6-multiworker-wall"),
