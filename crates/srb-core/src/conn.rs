@@ -460,14 +460,16 @@ impl<'g> SrbConnection<'g> {
                     return self.open_method(name, *is_function, &full_args, receipt);
                 }
                 AccessSpec::ShadowDir { resource, dir_path } => {
-                    let driver = self.grid.driver(*resource)?;
-                    let fs = driver.as_fs().ok_or_else(|| {
-                        SrbError::Unsupported("shadow directory on non-fs resource".into())
+                    let (cone, _) = self.storage_call(*resource, |d| {
+                        let fs = d.as_fs().ok_or_else(|| {
+                            SrbError::Unsupported("shadow directory on non-fs resource".into())
+                        })?;
+                        Ok((fs.cone(dir_path), 0))
                     })?;
                     let rsite = self.grid.site_of_resource(*resource)?;
                     let ns = self.grid.network.charge_rpc(self.site(), rsite)?;
                     receipt.absorb(&Receipt::time(ns));
-                    return Ok(ObjectContent::Listing(fs.cone(dir_path)));
+                    return Ok(ObjectContent::Listing(cone));
                 }
                 AccessSpec::Stored { .. } | AccessSpec::RegisteredFile { .. } => {}
             }
@@ -523,8 +525,13 @@ impl<'g> SrbConnection<'g> {
         Err(last_err)
     }
 
-    /// Read one byte replica (standalone or container slice).
-    fn read_replica(&self, replica: &Replica, receipt: &mut Receipt) -> SrbResult<Bytes> {
+    /// Read one byte replica (standalone or container slice) — the one
+    /// byte read every replica read goes through.
+    pub(crate) fn read_replica(
+        &self,
+        replica: &Replica,
+        receipt: &mut Receipt,
+    ) -> SrbResult<Bytes> {
         if let Some(slice) = replica.in_container {
             return self.read_container_slice(slice, receipt);
         }
@@ -545,37 +552,21 @@ impl<'g> SrbConnection<'g> {
             }
         };
         self.retry_storage(resource, receipt, |rec| {
-            self.read_replica_once(resource, phys_path, rec)
+            self.read_physical(resource, phys_path, rec)
         })
     }
 
-    /// One storage attempt at a replica: fault injection, driver read,
-    /// cost charging. Breaker admission and outcome recording happen in
-    /// the wrapping [`retry_storage`](Self::retry_storage).
-    fn read_replica_once(
+    /// One read of a physical object: the door's read, then the transfer
+    /// to the contact site. For a replica, breaker admission and outcome
+    /// recording happen in the wrapping
+    /// [`retry_storage`](Self::retry_storage).
+    pub(crate) fn read_physical(
         &self,
         resource: srb_types::ResourceId,
         phys_path: &str,
         receipt: &mut Receipt,
     ) -> SrbResult<Bytes> {
-        let site = self.grid.site_of_resource(resource)?;
-        let injected_ns = self.grid.faults.inject(resource, site)?;
-        let driver = self.grid.driver(resource)?;
-        let _inflight = self.grid.load.begin(resource);
-        let (data, storage_ns) = match driver.driver().read(phys_path) {
-            Ok(ok) => ok,
-            Err(e) => {
-                if let Some(obs) = self.grid.core_obs() {
-                    obs.storage_error(driver.kind(), e.code());
-                }
-                return Err(e);
-            }
-        };
-        if let Some(obs) = self.grid.core_obs() {
-            obs.storage_op(driver.kind(), storage_ns);
-        }
-        let busy_ns = storage_ns + injected_ns;
-        self.grid.load.charge(resource, busy_ns);
+        let (data, busy_ns) = self.storage_call(resource, |d| d.driver().read(phys_path))?;
         receipt.absorb(&Receipt::time(busy_ns));
         let transfer = self.data_transfer(resource, data.len() as u64)?;
         receipt.absorb(&transfer);
@@ -589,27 +580,11 @@ impl<'g> SrbConnection<'g> {
         template: &Template,
         receipt: &mut Receipt,
     ) -> SrbResult<ObjectContent> {
-        let site = self.grid.site_of_resource(resource)?;
-        let injected_ns = self.grid.faults.inject(resource, site)?;
-        receipt.absorb(&Receipt::time(injected_ns));
-        let driver = self.grid.driver(resource)?;
-        let db = driver
-            .as_db()
-            .ok_or_else(|| SrbError::Unsupported("SQL object on non-database resource".into()))?;
-        let _inflight = self.grid.load.begin(resource);
-        let (result, ns) = match db.query(sql) {
-            Ok(ok) => ok,
-            Err(e) => {
-                if let Some(obs) = self.grid.core_obs() {
-                    obs.storage_error(driver.kind(), e.code());
-                }
-                return Err(e);
-            }
-        };
-        if let Some(obs) = self.grid.core_obs() {
-            obs.storage_op(driver.kind(), ns);
-        }
-        self.grid.load.charge(resource, ns);
+        let (result, ns) = self.storage_call(resource, |d| {
+            d.as_db()
+                .ok_or_else(|| SrbError::Unsupported("SQL object on non-database resource".into()))?
+                .query(sql)
+        })?;
         receipt.absorb(&Receipt::time(ns));
         let rendered = match template {
             Template::StyleSheet(sheet_ds) => {
@@ -694,14 +669,7 @@ impl<'g> SrbConnection<'g> {
                 )));
             };
             let full = format!("{}/{}", dir_path.trim_end_matches('/'), rel_path);
-            let site = self.grid.site_of_resource(*resource)?;
-            let injected_ns = self.grid.faults.inject(*resource, site)?;
-            let driver = self.grid.driver(*resource)?;
-            let (data, ns) = driver.driver().read(&full)?;
-            op.receipt.absorb(&Receipt::time(ns + injected_ns));
-            op.receipt
-                .absorb(&self.data_transfer(*resource, data.len() as u64)?);
-            Ok(data)
+            self.read_physical(*resource, &full, &mut op.receipt)
         })();
         self.end_op(op, data)
     }

@@ -17,8 +17,14 @@
 //! and message counters still add). Parallel composition models a fixed
 //! number of [`VIRTUAL_LANES`] rather than the host's thread count, so
 //! `sim_ns` is identical on every machine.
+//!
+//! Below the engine sit `SrbConnection::storage_call`, the one door
+//! through which the crate touches a resource's driver, and
+//! `SrbConnection::retry_storage`, the breaker and retry budget that
+//! replica reads, stores and deletes wrap around it.
 
 use crate::conn::SrbConnection;
+use crate::grid::ResourceDriver;
 use bytes::Bytes;
 use srb_net::Receipt;
 use srb_types::{mix64, ResourceId, SrbError, SrbResult};
@@ -255,6 +261,56 @@ impl FanoutOutcome {
 }
 
 impl SrbConnection<'_> {
+    /// The one door to a resource: every storage access in this crate
+    /// runs `access` here (the whole-grid dump and restore in `state.rs`
+    /// aside). In order: one fault-plan draw (a `Down` resource, a down
+    /// site or an injected burst refuses the access before the driver is
+    /// touched), the in-flight load guard, the access, one
+    /// `storage.ops`/`storage.errors` count, and the busy time charged to
+    /// the resource's load. `access` returns its value and its storage
+    /// nanoseconds; the door returns the value and the busy nanoseconds
+    /// (storage plus injected latency). Network transfer stays with the
+    /// caller, which knows its direction. One raw attempt: breaker
+    /// admission and retries live in
+    /// [`retry_storage`](Self::retry_storage).
+    pub(crate) fn storage_call<T>(
+        &self,
+        resource: ResourceId,
+        access: impl FnOnce(&ResourceDriver) -> SrbResult<(T, u64)>,
+    ) -> SrbResult<(T, u64)> {
+        let site = self.grid.site_of_resource(resource)?;
+        let injected_ns = self.grid.faults.inject(resource, site)?;
+        let driver = self.grid.driver(resource)?;
+        let _inflight = self.grid.load.begin(resource);
+        let (value, storage_ns) = match access(&driver) {
+            Ok(ok) => ok,
+            Err(e) => {
+                if let Some(obs) = self.grid.core_obs() {
+                    obs.storage_error(driver.kind(), e.code());
+                }
+                return Err(e);
+            }
+        };
+        if let Some(obs) = self.grid.core_obs() {
+            obs.storage_op(driver.kind(), storage_ns);
+        }
+        let busy_ns = injected_ns + storage_ns;
+        self.grid.load.charge(resource, busy_ns);
+        Ok((value, busy_ns))
+    }
+
+    /// Best-effort removal of one physical object: the door under the
+    /// retry budget and the breaker, its cost dropped. A resource that
+    /// refuses the delete keeps the object — an orphan no catalog row
+    /// accounts for.
+    pub(crate) fn discard(&self, resource: ResourceId, phys_path: &str) {
+        let _ = self.retry_storage(resource, &mut Receipt::free(), |_| {
+            self.storage_call(resource, |d| {
+                d.driver().delete(phys_path).map(|ns| ((), ns))
+            })
+        });
+    }
+
     /// Run one logical storage operation against `resource` under the
     /// connection's [`RetryBudget`] and the resource's circuit breaker.
     /// An open breaker fast-fails the whole operation up front (so
@@ -352,9 +408,7 @@ impl SrbConnection<'_> {
     pub(crate) fn undo_stored_legs(&self, legs: &[StoreLeg], results: &[SrbResult<Receipt>]) {
         for (leg, result) in legs.iter().zip(results) {
             if result.is_ok() {
-                if let Ok(driver) = self.grid.driver(leg.resource) {
-                    let _ = driver.driver().delete(&leg.phys_path);
-                }
+                self.discard(leg.resource, &leg.phys_path);
             }
         }
     }

@@ -7,7 +7,6 @@
 //! archive staging per file — the latency claim benchmarked in E2.
 
 use crate::conn::SrbConnection;
-use crate::grid::ResourceDriver;
 use crate::ops_write::IngestOptions;
 use bytes::Bytes;
 use srb_mcat::dataset::ContainerSlice;
@@ -15,7 +14,6 @@ use srb_mcat::{AccessSpec, AuditAction, ContainerRecord, Subject};
 use srb_net::Receipt;
 use srb_storage::DriverKind;
 use srb_types::{sha256_hex, CollectionId, DatasetId, ResourceId, SrbError, SrbResult, UserId};
-use std::sync::Arc;
 
 impl SrbConnection<'_> {
     /// Create a container on a logical resource.
@@ -166,11 +164,9 @@ impl SrbConnection<'_> {
                 record.name, record.size, record.max_size
             )));
         }
-        let site = self.grid.site_of_resource(cache_rid)?;
-        let injected_ns = self.grid.faults.inject(cache_rid, site)?;
-        let driver = self.grid.driver(cache_rid)?;
         let ct_path = Self::container_phys_path(record);
-        let storage_ns = injected_ns + driver.driver().append(&ct_path, data)?;
+        let ((), storage_ns) =
+            self.storage_call(cache_rid, |d| Ok(((), d.driver().append(&ct_path, data)?)))?;
         let containers = &self.grid.mcat.containers;
         if replaces {
             // The bytes are recorded either way, so a missing old slice
@@ -178,7 +174,7 @@ impl SrbConnection<'_> {
             let _ = containers.remove_member(record.id, ds);
         }
         let offset = containers.append_member(record.id, ds, len)?;
-        self.grid.load.charge(cache_rid, storage_ns);
+        let site = self.grid.site_of_resource(cache_rid)?;
         let net_ns = self.grid.network.charge_transfer(self.site(), site, len)?;
         let mut receipt = Receipt::time(storage_ns + net_ns);
         receipt.bytes = len;
@@ -205,20 +201,17 @@ impl SrbConnection<'_> {
                 .ok_or_else(|| SrbError::NotFound(format!("container '{name}'")))?;
             let (cache_rid, archives) = self.container_members(&record)?;
             let ct_path = Self::container_phys_path(&record);
-            let cache_driver = self.grid.driver(cache_rid)?;
-            let (data, read_ns) = cache_driver.driver().read(&ct_path)?;
+            let (data, read_ns) = self.storage_call(cache_rid, |d| d.driver().read(&ct_path))?;
             op.receipt.absorb(&Receipt::time(read_ns));
             let cache_site = self.grid.site_of_resource(cache_rid)?;
             for rid in archives {
+                let ((), write_ns) =
+                    self.storage_call(rid, |d| Ok(((), d.driver().write(&ct_path, &data)?)))?;
                 let site = self.grid.site_of_resource(rid)?;
-                let injected_ns = self.grid.faults.inject(rid, site)?;
-                let driver = self.grid.driver(rid)?;
                 let net_ns =
                     self.grid
                         .network
                         .charge_transfer(cache_site, site, data.len() as u64)?;
-                let write_ns = injected_ns + driver.driver().write(&ct_path, &data)?;
-                self.grid.load.charge(rid, write_ns);
                 op.receipt.absorb(&Receipt::time(net_ns + write_ns));
                 op.receipt.bytes += data.len() as u64;
             }
@@ -237,46 +230,48 @@ impl SrbConnection<'_> {
         let record = self.grid.mcat.containers.get(slice.container)?;
         let (cache_rid, archives) = self.container_members(&record)?;
         let ct_path = Self::container_phys_path(&record);
-        let cache_site = self.grid.site_of_resource(cache_rid)?;
-        if self.grid.faults.is_up(cache_rid, cache_site) {
-            let driver = self.grid.driver(cache_rid)?;
-            match driver
-                .driver()
-                .read_range(&ct_path, slice.offset, slice.len)
-            {
-                Ok((data, ns)) => {
-                    self.grid.load.charge(cache_rid, ns);
-                    receipt.absorb(&Receipt::time(ns));
-                    receipt.absorb(&self.data_transfer(cache_rid, data.len() as u64)?);
-                    return whole_slice(&record, slice, data);
-                }
-                Err(SrbError::NotFound(_)) => { /* purged: fall to archive */ }
-                Err(e) => return Err(e),
+        // The working copy first, under the retry budget and the breaker
+        // as every replica read is: a transient refusal is retried here.
+        let cache_read = self.retry_storage(cache_rid, receipt, |_| {
+            self.storage_call(cache_rid, |d| {
+                d.driver().read_range(&ct_path, slice.offset, slice.len)
+            })
+        });
+        let purged = match cache_read {
+            Ok((data, ns)) => {
+                receipt.absorb(&Receipt::time(ns));
+                receipt.absorb(&self.data_transfer(cache_rid, data.len() as u64)?);
+                return whole_slice(&record, slice, data);
             }
-        }
-        // Cache miss or cache down: recall from an archive member.
+            // Purged: recall from an archive member.
+            Err(SrbError::NotFound(_)) => true,
+            // The cache is unreachable. The archives hold the container's
+            // current bytes only once it is synced; before that they hold
+            // an older layout, so the refusal stands and `read` fails over
+            // to another replica.
+            Err(e) if e.is_retryable() && record.synced => false,
+            Err(e) => return Err(e),
+        };
         for rid in &archives {
-            let site = self.grid.site_of_resource(*rid)?;
-            if !self.grid.faults.is_up(*rid, site) {
-                continue;
-            }
-            let driver = self.grid.driver(*rid)?;
-            let (whole, ns) = driver.driver().read(&ct_path)?;
-            self.grid.load.charge(*rid, ns);
+            let (whole, ns) = match self.storage_call(*rid, |d| d.driver().read(&ct_path)) {
+                Ok(read) => read,
+                Err(e) if e.is_retryable() => continue,
+                Err(e) => return Err(e),
+            };
             receipt.absorb(&Receipt::time(ns));
-            // Re-populate the cache copy (best effort — the cache may be
-            // full of pinned objects or down).
-            if self.grid.faults.is_up(cache_rid, cache_site) {
-                if let Ok(cd) = self.grid.driver(cache_rid) {
-                    let net_ns =
-                        self.grid
-                            .network
-                            .charge_transfer(site, cache_site, whole.len() as u64)?;
-                    receipt.absorb(&Receipt::time(net_ns));
-                    if let Ok(wns) = cd.driver().write(&ct_path, &whole) {
-                        receipt.absorb(&Receipt::time(wns));
-                    }
-                }
+            // Re-populate a purged cache copy (best effort — the cache
+            // may be full of pinned objects or down). A cache that only
+            // refused the read still holds its copy, so it is left alone.
+            let refill = purged.then(|| {
+                self.storage_call(cache_rid, |d| Ok(((), d.driver().write(&ct_path, &whole)?)))
+            });
+            if let Some(Ok(((), wns))) = refill {
+                let net_ns = self.grid.network.charge_transfer(
+                    self.grid.site_of_resource(*rid)?,
+                    self.grid.site_of_resource(cache_rid)?,
+                    whole.len() as u64,
+                )?;
+                receipt.absorb(&Receipt::time(net_ns + wns));
             }
             let start = (slice.offset as usize).min(whole.len());
             let end = ((slice.offset + slice.len) as usize).min(whole.len());
@@ -337,9 +332,7 @@ impl SrbConnection<'_> {
                 "container '{name}' has no archive member to recall from"
             )));
         }
-        let ct_path = Self::container_phys_path(&record);
-        let driver: Arc<ResourceDriver> = self.grid.driver(cache_rid)?;
-        let _ = driver.driver().delete(&ct_path);
+        self.discard(cache_rid, &Self::container_phys_path(&record));
         // Also push the archive members' own staging state to tape.
         for rid in archives {
             if let Some(a) = self.grid.driver(rid)?.as_archive() {

@@ -210,7 +210,7 @@ impl SrbConnection<'_> {
             unreachable!("filtered to Stored above");
         };
         let mut tmp = Receipt::free();
-        let old_data = self.read_replica_bytes(&primary, &mut tmp)?;
+        let old_data = self.read_replica(&primary, &mut tmp)?;
         receipt.absorb(&tmp);
         let version = ds.current_version;
         let version_path = format!("{phys_path}.v{version}");
@@ -243,26 +243,25 @@ impl SrbConnection<'_> {
     /// need a checksum in `VersionRecord`, which would change the WAL and
     /// checkpoint formats.
     pub fn read_version(&self, path: &str, version: u32) -> SrbResult<(Bytes, Receipt)> {
-        let user = self.check_session()?;
-        let mut receipt = self.mcat_rpc()?;
-        let ds = self.dataset_for(user, path, Permission::Read)?;
-        let v = ds
-            .versions
-            .iter()
-            .find(|v| v.version == version)
-            .ok_or_else(|| SrbError::NotFound(format!("version {version} of '{path}'")))?;
-        let driver = self.grid.driver(v.resource)?;
-        let (data, ns) = driver.driver().read(&v.phys_path)?;
-        receipt.absorb(&Receipt::time(ns));
-        if data.len() as u64 != v.size {
-            return Err(SrbError::Corrupt(format!(
-                "version {version} of '{path}' is {} bytes, checked in as {}",
-                data.len(),
-                v.size
-            )));
-        }
-        receipt.absorb(&self.data_transfer(v.resource, data.len() as u64)?);
-        Ok((data, receipt))
+        let (user, mut op) = self.begin_op("read_version", AuditAction::Read, path)?;
+        let data = (|| {
+            let ds = self.dataset_for(user, path, Permission::Read)?;
+            let v = ds
+                .versions
+                .iter()
+                .find(|v| v.version == version)
+                .ok_or_else(|| SrbError::NotFound(format!("version {version} of '{path}'")))?;
+            let data = self.read_physical(v.resource, &v.phys_path, &mut op.receipt)?;
+            if data.len() as u64 != v.size {
+                return Err(SrbError::Corrupt(format!(
+                    "version {version} of '{path}' is {} bytes, checked in as {}",
+                    data.len(),
+                    v.size
+                )));
+            }
+            Ok(data)
+        })();
+        self.end_op(op, data)
     }
 
     /// List preserved versions (number, size, author).

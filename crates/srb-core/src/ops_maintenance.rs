@@ -188,37 +188,35 @@ impl SrbConnection<'_> {
     /// Verify every replica's stored checksum against its current bytes.
     /// Returns `(repl_num, status)` pairs.
     pub fn verify_checksums(&self, path: &str) -> SrbResult<Vec<(u32, ChecksumStatus)>> {
-        let user = self.check_session()?;
-        let ds = self.dataset_for(user, path, Permission::Read)?;
-        let mut out = Vec::new();
-        for replica in &ds.replicas {
-            if !replica.spec.is_byte_addressable() {
-                continue;
-            }
-            let Some(expected) = replica.checksum.clone() else {
-                out.push((replica.repl_num, ChecksumStatus::NoChecksum));
-                continue;
-            };
-            let mut tmp = Receipt::free();
-            match self.read_replica_bytes(replica, &mut tmp) {
-                Ok(bytes) => {
-                    let actual = sha256_hex(&bytes);
-                    if actual == expected {
-                        out.push((replica.repl_num, ChecksumStatus::Ok));
-                    } else {
-                        out.push((
-                            replica.repl_num,
-                            ChecksumStatus::Mismatch { expected, actual },
-                        ));
+        let (user, mut op) = self.begin_op("verify_checksums", AuditAction::Read, path)?;
+        let statuses = (|| {
+            let ds = self.dataset_for(user, path, Permission::Read)?;
+            let mut out = Vec::new();
+            for replica in &ds.replicas {
+                if !replica.spec.is_byte_addressable() {
+                    continue;
+                }
+                let Some(expected) = replica.checksum.clone() else {
+                    out.push((replica.repl_num, ChecksumStatus::NoChecksum));
+                    continue;
+                };
+                let status = match self.read_replica(replica, &mut op.receipt) {
+                    Ok(bytes) => {
+                        let actual = sha256_hex(&bytes);
+                        if actual == expected {
+                            ChecksumStatus::Ok
+                        } else {
+                            ChecksumStatus::Mismatch { expected, actual }
+                        }
                     }
-                }
-                Err(e) if e.is_retryable() => {
-                    out.push((replica.repl_num, ChecksumStatus::Unreachable));
-                }
-                Err(e) => return Err(e),
+                    Err(e) if e.is_retryable() => ChecksumStatus::Unreachable,
+                    Err(e) => return Err(e),
+                };
+                out.push((replica.repl_num, status));
             }
-        }
-        Ok(out)
+            Ok(out)
+        })();
+        Ok(self.end_op(op, statuses)?.0)
     }
 
     /// Rewrite a container, dropping the holes left by member updates and
@@ -238,8 +236,8 @@ impl SrbConnection<'_> {
                 .ok_or_else(|| SrbError::NotFound(format!("container '{name}'")))?;
             let (cache_rid, _) = self.container_members(&record)?;
             let ct_path = Self::container_phys_path(&record);
-            let driver = self.grid.driver(cache_rid)?;
-            let (old_bytes, read_ns) = driver.driver().read(&ct_path)?;
+            let (old_bytes, read_ns) =
+                self.storage_call(cache_rid, |d| d.driver().read(&ct_path))?;
             op.receipt.absorb(&Receipt::time(read_ns));
             // Build the compacted image and the new slice table.
             let mut new_bytes = Vec::with_capacity(old_bytes.len());
@@ -267,7 +265,9 @@ impl SrbConnection<'_> {
             if reclaimed == 0 {
                 return Ok(0);
             }
-            let write_ns = driver.driver().write(&ct_path, &new_bytes)?;
+            let ((), write_ns) = self.storage_call(cache_rid, |d| {
+                Ok(((), d.driver().write(&ct_path, &new_bytes)?))
+            })?;
             op.receipt.absorb(&Receipt::time(write_ns));
             // Rewrite the catalog: replica slices first, then the container
             // record (rebuild members + size through the existing table ops).

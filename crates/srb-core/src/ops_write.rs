@@ -611,8 +611,7 @@ impl SrbConnection<'_> {
                 phys_path,
             } => {
                 let rid = self.grid.resource_id(resource)?;
-                let driver = self.grid.driver(rid)?;
-                let stat = driver.driver().stat(phys_path)?;
+                let (stat, _) = self.storage_call(rid, |d| Ok((d.driver().stat(phys_path)?, 0)))?;
                 (
                     AccessSpec::RegisteredFile {
                         resource: rid,
@@ -967,15 +966,13 @@ impl SrbConnection<'_> {
             SrbError::NotFound(format!("no physical resource behind '{resource_name}'"))
         })?;
         let mut tmp = Receipt::free();
-        let data = self.read_replica_bytes(replica, &mut tmp)?;
+        let data = self.read_replica(replica, &mut tmp)?;
         receipt.absorb(&tmp);
         let new_path = format!("{}.mv{}", Self::phys_path(ds.coll, &ds.name), repl_num);
         let r = self.store_bytes_retry(new_rid, &new_path, &data, false)?;
         receipt.absorb(&r);
         // Best effort: remove the old copy (the old resource may be down).
-        if let Ok(driver) = self.grid.driver(old_rid) {
-            let _ = driver.driver().delete(&old_path);
-        }
+        self.discard(old_rid, &old_path);
         self.grid.mcat.datasets.update(ds.id, |d| {
             let rep = d
                 .replicas
@@ -1121,9 +1118,7 @@ impl SrbConnection<'_> {
             phys_path,
         } = &replica.spec
         {
-            if let Ok(driver) = self.grid.driver(*resource) {
-                let _ = driver.driver().delete(phys_path);
-            }
+            self.discard(*resource, phys_path);
         }
     }
 
@@ -1172,9 +1167,9 @@ impl SrbConnection<'_> {
         format!("srb/c{}/{name}", coll.raw())
     }
 
-    /// Push bytes to a resource (create or overwrite), charging transfer +
-    /// storage costs and load. One raw attempt — breaker admission,
-    /// retry, and outcome recording live in
+    /// Push bytes to a resource (create or overwrite) through the door,
+    /// then charge the transfer from the contact site. One raw attempt —
+    /// breaker admission, retry, and outcome recording live in
     /// [`store_bytes_retry`](Self::store_bytes_retry).
     pub(crate) fn store_bytes(
         &self,
@@ -1183,29 +1178,15 @@ impl SrbConnection<'_> {
         data: &[u8],
         overwrite: bool,
     ) -> SrbResult<Receipt> {
+        let ((), storage_ns) = self.storage_call(resource, |d| {
+            let ns = if overwrite {
+                d.driver().write(phys_path, data)
+            } else {
+                d.driver().create(phys_path, data)
+            }?;
+            Ok(((), ns))
+        })?;
         let site = self.grid.site_of_resource(resource)?;
-        let injected_ns = self.grid.faults.inject(resource, site)?;
-        let driver = self.grid.driver(resource)?;
-        let _inflight = self.grid.load.begin(resource);
-        let stored = if overwrite {
-            driver.driver().write(phys_path, data)
-        } else {
-            driver.driver().create(phys_path, data)
-        };
-        let ns = match stored {
-            Ok(ns) => ns,
-            Err(e) => {
-                if let Some(obs) = self.grid.core_obs() {
-                    obs.storage_error(driver.kind(), e.code());
-                }
-                return Err(e);
-            }
-        };
-        if let Some(obs) = self.grid.core_obs() {
-            obs.storage_op(driver.kind(), ns);
-        }
-        let storage_ns = injected_ns + ns;
-        self.grid.load.charge(resource, storage_ns);
         let net_ns = self
             .grid
             .network
@@ -1217,38 +1198,5 @@ impl SrbConnection<'_> {
             r.hops = 1;
         }
         Ok(r)
-    }
-
-    /// Read one replica's bytes (no failover; used by physical move).
-    pub(crate) fn read_replica_bytes(
-        &self,
-        replica: &srb_mcat::Replica,
-        receipt: &mut Receipt,
-    ) -> SrbResult<Bytes> {
-        if let Some(slice) = replica.in_container {
-            return self.read_container_slice(slice, receipt);
-        }
-        match &replica.spec {
-            AccessSpec::Stored {
-                resource,
-                phys_path,
-            }
-            | AccessSpec::RegisteredFile {
-                resource,
-                phys_path,
-            } => {
-                let site = self.grid.site_of_resource(*resource)?;
-                let injected_ns = self.grid.faults.inject(*resource, site)?;
-                let driver = self.grid.driver(*resource)?;
-                let (data, ns) = driver.driver().read(phys_path)?;
-                receipt.absorb(&Receipt::time(ns + injected_ns));
-                receipt.absorb(&self.data_transfer(*resource, data.len() as u64)?);
-                Ok(data)
-            }
-            other => Err(SrbError::Unsupported(format!(
-                "replica of type {} has no bytes",
-                other.type_label()
-            ))),
-        }
     }
 }

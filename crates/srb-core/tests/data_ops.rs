@@ -5,7 +5,7 @@ mod common;
 
 use bytes::Bytes;
 use common::{connect, grid, Fixture};
-use srb_core::{IngestOptions, RegisterSpec, SrbConnection};
+use srb_core::{ChecksumStatus, FaultMode, IngestOptions, RegisterSpec, SrbConnection};
 use srb_mcat::ReplicaStatus;
 use srb_types::{Permission, SrbError, SrbResult, Triplet};
 
@@ -585,4 +585,156 @@ fn audit_trail_records_operations() {
     let rows = f.grid.mcat.audit.for_user(conn.user());
     assert!(rows.iter().any(|r| r.outcome == "ok"));
     assert!(rows.iter().any(|r| r.outcome == "NOT_FOUND"));
+}
+
+/// Every stored object of the fixture's byte resources, with its bytes.
+fn stored_objects(f: &Fixture) -> Vec<(String, String, Bytes)> {
+    let mut all = Vec::new();
+    for name in [
+        "unix-sdsc",
+        "cache-sdsc",
+        "hpss-caltech",
+        "unix-ncsa",
+        "hpss-ncsa",
+    ] {
+        let driver = f.grid.driver(f.grid.resource_id(name).unwrap()).unwrap();
+        for path in driver.driver().list("").unwrap() {
+            let bytes = driver.driver().read(&path).unwrap().0;
+            all.push((name.to_string(), path, bytes));
+        }
+    }
+    all
+}
+
+/// Every access to a resource meets the fault plan: with the resource an
+/// op needs down, the op is refused `ResourceUnavailable` and no stored
+/// byte changes — version reads, container syncs and compactions,
+/// registered directories and file registration included. An injected
+/// burst is burned by the access it refuses, container members too.
+#[test]
+fn every_resource_access_meets_the_fault_plan() {
+    let f = grid();
+    let conn = connect(&f, "sekar");
+    let v = "/home/sekar/v";
+    conn.ingest(v, b"old", IngestOptions::to_resource("unix-sdsc"))
+        .unwrap();
+    conn.checkout(v).unwrap();
+    conn.checkin(v, b"new").unwrap();
+    // Two members on ct-store (cache-sdsc + hpss-caltech), one deleted:
+    // six bytes to sync, three to reclaim.
+    conn.create_container("ct1", "ct-store", 1 << 16).unwrap();
+    for (name, data) in [("m1", b"abc"), ("m2", b"def")] {
+        let path = format!("/home/sekar/{name}");
+        conn.ingest(&path, data, IngestOptions::into_container("ct1"))
+            .unwrap();
+    }
+    conn.delete("/home/sekar/m2", None).unwrap();
+    let ncsa = f.grid.driver(f.grid.resource_id("unix-ncsa").unwrap());
+    ncsa.unwrap().driver().create("ext/a.txt", b"AAAA").unwrap();
+    let dir = RegisterSpec::Directory {
+        resource: "unix-ncsa".into(),
+        dir_path: "ext".into(),
+    };
+    conn.register("/home/sekar/dir", dir, IngestOptions::default())
+        .unwrap();
+
+    let refused = |resource: &str, what: &str, call: &dyn Fn() -> SrbResult<()>| {
+        f.grid.fail_resource(resource).unwrap();
+        let before = stored_objects(&f);
+        let got = call();
+        assert!(
+            matches!(got, Err(SrbError::ResourceUnavailable(_))),
+            "{what} with {resource} down: {got:?}"
+        );
+        f.grid.restore_resource(resource).unwrap();
+        assert_eq!(stored_objects(&f), before, "{what} changed stored bytes");
+    };
+    refused("unix-sdsc", "read", &|| conn.read(v).map(drop));
+    refused("unix-sdsc", "read_version", &|| {
+        conn.read_version(v, 1).map(drop)
+    });
+    refused("cache-sdsc", "sync_container", &|| {
+        conn.sync_container("ct1").map(drop)
+    });
+    refused("cache-sdsc", "compact_container", &|| {
+        conn.compact_container("ct1").map(drop)
+    });
+    refused("unix-ncsa", "open of a registered directory", &|| {
+        conn.open("/home/sekar/dir", &[]).map(drop)
+    });
+    refused("unix-ncsa", "register of a file", &|| {
+        let file = RegisterSpec::File {
+            resource: "unix-ncsa".into(),
+            phys_path: "ext/a.txt".into(),
+        };
+        conn.register("/home/sekar/ext", file, IngestOptions::default())
+            .map(drop)
+    });
+    assert!(
+        conn.stat("/home/sekar/ext").is_err(),
+        "refused register left a row"
+    );
+    assert_eq!(&conn.read_version(v, 1).unwrap().0[..], b"old");
+    assert_eq!(conn.compact_container("ct1").unwrap().0, 3);
+
+    // A member read draws once per attempt: a one-shot burst on the cache
+    // refuses the first read and is spent, and the retry reads the
+    // working copy. m2 is newer than the synced archive copy, and the
+    // burst must not let that older copy overwrite it.
+    conn.sync_container("ct1").unwrap();
+    conn.ingest(
+        "/home/sekar/m2",
+        b"def",
+        IngestOptions::into_container("ct1"),
+    )
+    .unwrap();
+    let cache = f.grid.resource_id("cache-sdsc").unwrap();
+    f.grid
+        .set_fault_mode("cache-sdsc", FaultMode::FailNext(1))
+        .unwrap();
+    assert_eq!(&conn.read("/home/sekar/m1").unwrap().0[..], b"abc");
+    assert_eq!(f.grid.faults.mode(cache), None, "burst left unburned");
+    assert_eq!(&conn.read("/home/sekar/m2").unwrap().0[..], b"def");
+
+    // With the cache down, an unsynced container's archive copy is older
+    // than the catalog's slices: the member read is refused, not served
+    // from it. Once synced, the archive serves the read.
+    refused("cache-sdsc", "read of an unsynced member", &|| {
+        conn.read("/home/sekar/m1").map(drop)
+    });
+    conn.sync_container("ct1").unwrap();
+    f.grid.fail_resource("cache-sdsc").unwrap();
+    assert_eq!(&conn.read("/home/sekar/m2").unwrap().0[..], b"def");
+    f.grid.restore_resource("cache-sdsc").unwrap();
+}
+
+/// `verify_checksums` reads through the one replica read: the access is
+/// counted in `storage.ops`, charged to the resource's load, and a
+/// one-shot burst is retried away as it is for `read`.
+#[test]
+fn verify_checksums_reads_are_metered_and_retried() {
+    let f = grid();
+    let conn = connect(&f, "sekar");
+    let c = "/home/sekar/c";
+    conn.ingest(c, b"checked", IngestOptions::to_resource("unix-sdsc"))
+        .unwrap();
+    let unix = f.grid.resource_id("unix-sdsc").unwrap();
+    let fs_ops = || f.grid.metrics_snapshot().counters["storage.ops"]["file-system"];
+    let (ops, busy) = (fs_ops(), f.grid.load.busy_ns(unix));
+    let statuses = conn.verify_checksums(c).unwrap();
+    assert!(
+        matches!(statuses[..], [(_, ChecksumStatus::Ok)]),
+        "{statuses:?}"
+    );
+    assert_eq!(fs_ops(), ops + 1);
+    assert!(f.grid.load.busy_ns(unix) > busy);
+    f.grid
+        .set_fault_mode("unix-sdsc", FaultMode::FailNext(1))
+        .unwrap();
+    let statuses = conn.verify_checksums(c).unwrap();
+    assert!(
+        matches!(statuses[..], [(_, ChecksumStatus::Ok)]),
+        "{statuses:?}"
+    );
+    assert_eq!(f.grid.faults.mode(unix), None);
 }

@@ -528,6 +528,20 @@ fn cases() -> Vec<(&'static str, Arm, Option<Arm>)> {
             },
             move |c| c.s.checkin(g, b"KEY: 43\n").map(drop),
         ),
+        case(
+            "read_version",
+            move |c| {
+                c.s.checkout(g)?;
+                c.s.checkin(g, b"KEY: 43\n")?;
+                c.s.read_version(g, 1).map(drop)
+            },
+            move |c| c.s.read_version(g, 7).map(drop),
+        ),
+        case(
+            "verify_checksums",
+            move |c| c.s.verify_checksums(f).map(drop),
+            move |c| c.m.verify_checksums(f).map(drop),
+        ),
     ]
 }
 

@@ -39,6 +39,7 @@ use std::path::Path;
 /// virtual storage latency or dispatch parallel legs. Holding a ranked
 /// lock across any of these is a `guard-across-storage` violation.
 pub const STORAGE_DISPATCH: &[&str] = &[
+    "storage_call",
     "retry_storage",
     "store_bytes_retry",
     "store_fanout",

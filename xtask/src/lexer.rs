@@ -448,13 +448,18 @@ fn find_test_ranges(toks: &[Tok]) -> Vec<(usize, usize)> {
     ranges
 }
 
-/// Index of the `}` matching the `{` at `open`.
+/// Index of the bracket matching the `{`, `(` or `[` at `open`.
 pub fn matching_close(toks: &[Tok], open: usize) -> Option<usize> {
+    let (o, c) = match toks.get(open)?.text.as_str() {
+        "(" => ('(', ')'),
+        "[" => ('[', ']'),
+        _ => ('{', '}'),
+    };
     let mut depth = 0usize;
     for (j, t) in toks.iter().enumerate().skip(open) {
-        if t.is_punct('{') {
+        if t.is_punct(o) {
             depth += 1;
-        } else if t.is_punct('}') {
+        } else if t.is_punct(c) {
             depth -= 1;
             if depth == 0 {
                 return Some(j);

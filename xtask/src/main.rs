@@ -202,6 +202,7 @@ fn lint(root: &Path, out: &Output) -> ExitCode {
         violations.extend(rules::metric_names(rel, &lexed));
         violations.extend(rules::unwraps(rel, &lexed));
         violations.extend(rules::id_hasher_keys(rel, &lexed));
+        violations.extend(rules::storage_door(rel, &lexed));
     }
 
     violations.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));

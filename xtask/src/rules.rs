@@ -355,6 +355,53 @@ pub fn id_hasher_keys(path: &str, lexed: &Lexed) -> Vec<Violation> {
     out
 }
 
+/// The one door to a resource in `srb-core`: `SrbConnection::storage_call`.
+const STORAGE_DOOR: &str = "storage_call";
+
+/// Rule `storage-door`: in `srb-core`'s library code a raw driver call —
+/// a `.driver().` chain into any `StorageDriver` method but `kind` — must
+/// sit inside the argument list of a `storage_call(…)`, the one door that
+/// draws from the fault plan, meters the access and charges its load. A
+/// call outside it serves a down resource and goes uncounted. The
+/// whole-grid dump and restore in `state.rs` are the one exemption.
+pub fn storage_door(path: &str, lexed: &Lexed) -> Vec<Violation> {
+    let in_scope = path
+        .strip_prefix("crates/srb-core/src/")
+        .is_some_and(|f| f != "state.rs");
+    if !in_scope {
+        return Vec::new();
+    }
+    let toks = &lexed.toks;
+    let doors: Vec<(usize, usize)> = (0..toks.len())
+        .filter(|&i| {
+            toks[i].is_ident(STORAGE_DOOR) && toks.get(i + 1).is_some_and(|t| t.is_punct('('))
+        })
+        .filter_map(|i| matching_close(toks, i + 1).map(|close| (i + 1, close)))
+        .collect();
+    (0..toks.len().saturating_sub(5))
+        .filter(|&i| {
+            toks[i].is_punct('.')
+                && toks[i + 1].is_ident("driver")
+                && toks[i + 2].is_punct('(')
+                && toks[i + 3].is_punct(')')
+                && toks[i + 4].is_punct('.')
+                && !toks[i + 5].is_ident("kind")
+                && !lexed.in_test(i)
+                && !doors.iter().any(|&(open, close)| open < i && i < close)
+        })
+        .map(|i| Violation {
+            path: path.to_string(),
+            line: toks[i + 1].line,
+            rule: "storage-door",
+            msg: format!(
+                "raw driver call `.driver().{}(` outside `{STORAGE_DOOR}`: it skips the \
+                 fault plan, the storage metrics and the load charge",
+                toks[i + 5].text
+            ),
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -377,6 +424,26 @@ mod tests {
              e: IdMap<StringId, u8> }\n// IdMap<String, u8>\n",
         );
         assert!(id_hasher_keys("crates/srb-mcat/src/x.rs", &fine).is_empty());
+    }
+
+    #[test]
+    fn storage_door_flags_raw_driver_calls_outside_the_door() {
+        let src = "fn a() { let d = grid.driver(r)?;\n d.driver().read(p)?;\n\
+                   grid.driver(r)?.driver()\n .delete(p); }\n\
+                   fn b() { self.storage_call(r, |d| d.driver().read(p))?;\n\
+                   self.storage_call(r, |d| {\n Ok(((), d.driver().write(p, x)?))\n });\n\
+                   d.driver().kind(); }\n\
+                   #[cfg(test)]\nmod tests {\n fn t() { d.driver().read(p); }\n}\n";
+        let lexed = Lexed::new(src);
+        let v = storage_door("crates/srb-core/src/ops_x.rs", &lexed);
+        assert_eq!(v.iter().map(|v| v.line).collect::<Vec<_>>(), [2, 3]);
+        assert!(v[0].msg.contains("`.driver().read(`"), "{}", v[0].msg);
+        // The whole-grid dump and restore, and other crates, are exempt.
+        assert!(storage_door("crates/srb-core/src/state.rs", &lexed).is_empty());
+        assert!(storage_door("crates/srb-storage/src/fs.rs", &lexed).is_empty());
+        // A call after a door's argument list has closed is outside it.
+        let after = Lexed::new("self.storage_call(r, f)?; d.driver().read(p);\n");
+        assert_eq!(storage_door("crates/srb-core/src/conn.rs", &after).len(), 1);
     }
 
     #[test]

@@ -53,6 +53,7 @@ const LINT_GOLDENS: &[&str] = &[
     "crates/mysrb/src/app.rs:6: [metric-name]",
     "crates/mysrb/src/app.rs:7: [metric-name]",
     "crates/srb-core/src/ops_fix.rs:5: [no-panic-ops]",
+    "crates/srb-core/src/ops_fix.rs:13: [storage-door]",
 ];
 
 #[test]
@@ -130,6 +131,7 @@ fn json_output_is_machine_readable() {
         "metric-name",
         "no-panic-ops",
         "id-hasher-key",
+        "storage-door",
     ] {
         assert!(
             lint_out.contains(&format!("\"{rule}\"")),

@@ -6,3 +6,10 @@ pub fn handle(req: u32) -> u32 {
     }
     req
 }
+
+/// Seeded storage-door bait: a raw driver call outside the door, then the
+/// same call inside it (clean).
+pub fn read_raw(conn: &Conn, grid: &Grid, r: u64) {
+    let _ = grid.driver(r).driver().read("srb/a");
+    let _ = conn.storage_call(r, |d| d.driver().read("srb/a"));
+}
