@@ -138,7 +138,7 @@ impl SrbConnection<'_> {
         })();
         if done.is_err() {
             let _ = self.grid.mcat.containers.remove_member(record.id, ds);
-            let _ = self.grid.mcat.datasets.delete(ds);
+            let _ = self.grid.mcat.remove_dataset(ds);
         }
         done
     }

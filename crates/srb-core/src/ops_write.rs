@@ -174,7 +174,7 @@ impl SrbConnection<'_> {
             .require_collection(Some(user), coll, Permission::Own)?;
         // A linked collection node is just unlinked.
         if self.grid.mcat.collections.get(coll)?.link_target.is_some() {
-            return self.grid.mcat.collections.delete(coll);
+            return self.grid.mcat.remove_collection(coll);
         }
         let datasets = self.grid.mcat.datasets.list(coll);
         let subs = self.grid.mcat.collections.children(coll);
@@ -192,7 +192,7 @@ impl SrbConnection<'_> {
                 self.delete_body(user, &dpath.to_string(), None)?;
             }
         }
-        self.grid.mcat.collections.delete(coll)
+        self.grid.mcat.remove_collection(coll)
     }
 
     // -------------------------------------------------------------- ingest --
@@ -1073,12 +1073,7 @@ impl SrbConnection<'_> {
             self.grid
                 .mcat
                 .require_dataset(Some(user), ds_id, Permission::Read)?;
-            self.grid.mcat.datasets.delete(ds_id)?;
-            self.grid.mcat.metadata.remove_all(Subject::Dataset(ds_id));
-            self.grid
-                .mcat
-                .annotations
-                .remove_all(Subject::Dataset(ds_id));
+            self.grid.mcat.remove_dataset(ds_id)?;
             return Ok("unlink");
         }
         self.grid
@@ -1096,12 +1091,7 @@ impl SrbConnection<'_> {
             self.dispose_replica(ds_id, &replica);
         }
         if last_deleted {
-            self.grid.mcat.datasets.delete(ds_id)?;
-            self.grid.mcat.metadata.remove_all(Subject::Dataset(ds_id));
-            self.grid
-                .mcat
-                .annotations
-                .remove_all(Subject::Dataset(ds_id));
+            self.grid.mcat.remove_dataset(ds_id)?;
         }
         Ok("ok")
     }

@@ -379,7 +379,8 @@ impl Federation {
     // -------------------------------------------------------- digests --
 
     /// Canonical export of a collection subtree: one line per collection,
-    /// dataset and user-visible metadata triplet, relative to `root`,
+    /// dataset and user-visible metadata triplet — on datasets and on
+    /// collections, `root` included — relative to `root`,
     /// deterministically ordered.
     ///
     /// The export deliberately excludes everything zone-local — catalog
@@ -444,6 +445,11 @@ pub(crate) fn subtree_export(mcat: &Mcat, root: &LogicalPath) -> SrbResult<Strin
         if !rel.is_root() {
             entries.push(format!("C {rel}"));
         }
+        entries.extend(meta_lines(
+            mcat,
+            Subject::Collection(cid),
+            format!("CM {rel}"),
+        ));
         for ds in mcat.datasets.list(cid) {
             if ds.link_target.is_some() {
                 continue;
@@ -456,25 +462,30 @@ pub(crate) fn subtree_export(mcat: &Mcat, root: &LogicalPath) -> SrbResult<Strin
                 .and_then(|r| r.checksum.clone())
                 .unwrap_or_else(|| "-".to_string());
             entries.push(format!("D {ds_rel} {} {size} {checksum}", ds.data_type));
-            let mut meta: Vec<String> = mcat
-                .metadata
-                .for_subject(Subject::Dataset(ds.id))
-                .iter()
-                .filter_map(|row| {
-                    kind_tag(&row.kind).map(|tag| {
-                        format!(
-                            "M {ds_rel} {tag} {}={} [{}]",
-                            row.triplet.name,
-                            row.triplet.value.lexical(),
-                            row.triplet.units
-                        )
-                    })
-                })
-                .collect();
-            meta.sort();
-            entries.extend(meta);
+            entries.extend(meta_lines(
+                mcat,
+                Subject::Dataset(ds.id),
+                format!("M {ds_rel}"),
+            ));
         }
     }
     entries.sort();
     Ok(entries.join("\n"))
+}
+
+/// One `<head> <kind> name=value [units]` export line per user-visible
+/// triplet on `subject`: `M <path>` for a dataset, `CM <path>` for a
+/// collection.
+fn meta_lines(mcat: &Mcat, subject: Subject, head: String) -> impl Iterator<Item = String> {
+    let rows = mcat.metadata.for_subject(subject);
+    rows.into_iter().filter_map(move |row| {
+        kind_tag(&row.kind).map(|tag| {
+            format!(
+                "{head} {tag} {}={} [{}]",
+                row.triplet.name,
+                row.triplet.value.lexical(),
+                row.triplet.units
+            )
+        })
+    })
 }

@@ -17,17 +17,27 @@
 //!
 //! When the publisher's checkpoint prunes the log past the subscription's
 //! fetch cursor, the gap is unrecoverable from deltas and the
-//! subscription falls back to a **resync**: rebuild the mirror from a
-//! full subtree walk, then resume delta fetches from the publisher's
-//! current durable LSN.
+//! subscription falls back to a **resync**, which is also how
+//! [`Federation::subscribe`] seeds a mirror. A resync reads the
+//! publisher's live tables, not its log: one read-only walk turns the
+//! subtree into the row images a delta carries (`CollectionPut`,
+//! `DatasetPut`, and `MetaPut` for dataset and collection subjects,
+//! parents first). The link is charged for those rows before anything
+//! lands; only then is the mirror torn down and every row applied
+//! through the same `apply_delta` the pump uses, so a mirror holds the
+//! same rows whichever path built it, and a transfer the link refuses
+//! leaves the mirror and the fetch cursor as they were. Delta fetches
+//! resume from the publisher's durable LSN as of the walk. A failed apply
+//! tears the partial mirror down and leaves the cursor behind, so the
+//! next round resyncs again, and [`Federation::pump`] still runs the
+//! subscriptions after a failing one before it reports the error.
 
 use crate::zone::federation::{ensure_collection, Federation, ZoneId};
 use crate::zone::Zone;
 use srb_mcat::dataset::AccessSpec;
 use srb_mcat::metadata::{MetaKind, Subject};
 use srb_mcat::{
-    export_deltas, Dataset, Delta, DeltaFetch, Mcat, WalOp, ZONE_HOME_ATTR, ZONE_PATH_ATTR,
-    ZONE_URL_SCHEME,
+    export_deltas, Delta, DeltaFetch, Mcat, WalOp, ZONE_HOME_ATTR, ZONE_PATH_ATTR, ZONE_URL_SCHEME,
 };
 use srb_types::sync::{LockRank, Mutex};
 use srb_types::{
@@ -57,6 +67,7 @@ pub(crate) struct Subscription {
 
 /// Pump state: the fetch cursor, the outbox of shipped-but-unapplied
 /// deltas, and the remote→local id maps.
+#[derive(Default)]
 struct SubInner {
     /// Highest publisher LSN fetched into the outbox.
     fetched: Lsn,
@@ -154,41 +165,22 @@ impl Federation {
             dst: dst.0,
             src_root: src_lp,
             dst_root: dst_root.clone(),
-            state: Mutex::new(
-                LockRank::ZoneLink,
-                "zone.link.sub",
-                SubInner {
-                    fetched: Lsn::default(),
-                    outbox: VecDeque::new(),
-                    colls: HashMap::new(),
-                    dss: HashMap::new(),
-                    metas: HashMap::new(),
-                    applied: 0,
-                    resyncs: 0,
-                    max_lag_ns: 0,
-                },
-            ),
+            state: Mutex::new(LockRank::ZoneLink, "zone.link.sub", SubInner::default()),
         });
         {
             let mut inner = sub.state.lock();
             // Handshake round trip first: an unlinked or down pair must
-            // fail before any catalog mutation, not leave a fully built
-            // mirror behind with no subscription registered.
+            // fail before any catalog mutation. The initial copy is a
+            // resync, paid for before it lands, so a refused transfer
+            // leaves the subscriber untouched too.
             let handshake_ns = self.charge_link_rpc(dst.0, src.0)?;
-            let copied = self.resync(&sub, &mut inner)?;
-            // The initial copy crosses the link like any other transfer;
-            // a fault injected mid-copy tears the mirror back down.
-            match self.charge_link(src.0, dst.0, copied) {
-                Ok(ns) => {
-                    self.clock().advance(handshake_ns + ns);
-                }
-                Err(e) => {
-                    let dst_mcat = &self.zones_slice()[dst.0].grid.mcat;
-                    teardown_mirror(&mut inner, dst_mcat);
-                    dst_mcat.commit();
-                    return Err(e);
-                }
-            }
+            self.zone(src)?
+                .grid
+                .mcat
+                .collections
+                .resolve(&sub.src_root)?;
+            let copy_ns = self.resync(&sub, &mut inner)??;
+            self.clock().advance(handshake_ns + copy_ns);
         }
         self.subs_registry().write().push(sub);
         self.metrics().counter("zone.subscriptions", "").inc();
@@ -200,17 +192,20 @@ impl Federation {
     /// subscription to the subscriber's catalog. Link costs and apply
     /// costs advance the shared clock, so replication lag is measurable
     /// against commit times. Deterministic: subscriptions run in
-    /// registration order.
+    /// registration order. Every subscription runs even if an earlier one
+    /// fails; the round then returns the first error instead of a report.
     pub fn pump(&self, batch: usize) -> SrbResult<PumpReport> {
         if batch == 0 {
             return Err(SrbError::Invalid("pump batch must be positive".into()));
         }
         let subs: Vec<Arc<Subscription>> = self.subs_registry().read().clone();
         let mut report = PumpReport::default();
+        let mut outcome = Ok(());
         for sub in &subs {
             let mut inner = sub.state.lock();
             let link = link_label(self, sub);
-            self.pump_one(sub, &mut inner, &link, batch, &mut report)?;
+            let one = self.pump_one(sub, &mut inner, &link, batch, &mut report);
+            outcome = outcome.and(one);
             report.pending += inner.outbox.len();
             self.metrics()
                 .gauge("zone.outbox_depth", &link)
@@ -218,7 +213,7 @@ impl Federation {
         }
         self.metrics().counter("zone.pump_rounds", "").inc();
         report.cost_ns = report.cost_ns.max(1); // a round is never free
-        Ok(report)
+        outcome.map(|()| report)
     }
 
     /// Pump until every outbox is dry or `max_rounds` elapses; returns
@@ -284,16 +279,15 @@ impl Federation {
             Ok(poll_ns) => {
                 let mut fetch_ns = poll_ns;
                 match export_deltas(src.device(), inner.fetched)? {
-                    DeltaFetch::Resync { .. } => {
-                        let copied = self.resync(sub, inner)?;
-                        inner.resyncs += 1;
-                        report.resyncs += 1;
-                        self.metrics().counter("zone.resyncs", "").inc();
-                        match self.charge_link(sub.src, sub.dst, copied) {
-                            Ok(ns) => fetch_ns += ns,
-                            Err(_) => report.blocked += 1,
+                    DeltaFetch::Resync { .. } => match self.resync(sub, inner)? {
+                        Ok(ns) => {
+                            fetch_ns += ns;
+                            inner.resyncs += 1;
+                            report.resyncs += 1;
+                            self.metrics().counter("zone.resyncs", "").inc();
                         }
-                    }
+                        Err(_) => report.blocked += 1,
+                    },
                     DeltaFetch::Deltas {
                         deltas,
                         bytes,
@@ -344,7 +338,7 @@ impl Federation {
                 break;
             };
             let committed_at = delta.committed_at_ns;
-            if let Err(e) = self.apply_delta(sub, inner, dst, delta) {
+            if let Err(e) = self.apply_delta(sub, inner, dst, delta.record.op) {
                 outcome = Err(e);
                 break;
             }
@@ -377,142 +371,59 @@ impl Federation {
         outcome
     }
 
-    /// Rebuild the mirror from a full publisher subtree walk, then resume
-    /// delta fetches from the publisher's current durable LSN. Returns the
-    /// bytes the copy would ship (the canonical export size). The rebuilt
-    /// mirror is one commit group on the subscriber, whichever way the
-    /// copy ends.
-    fn resync(&self, sub: &Subscription, inner: &mut SubInner) -> SrbResult<u64> {
+    /// Rebuild the mirror from the publisher's live subtree: walk it into
+    /// the row images a delta carries, charge the link for them, and only
+    /// then tear the mirror down and apply every row through
+    /// [`apply_delta`](Self::apply_delta). The fetch cursor moves to the
+    /// publisher's durable LSN as of the walk once every row has applied.
+    /// A failed apply tears the partial mirror back down and leaves the
+    /// cursor behind, so the next round resyncs again. The rebuilt mirror
+    /// is one commit group on the subscriber, whichever way the apply
+    /// ends.
+    ///
+    /// The outer error is a catalog failure. The inner one is the link
+    /// refusing the transfer, which leaves the mirror, the outbox and the
+    /// cursor as they were; on success it holds the transfer's virtual ns.
+    fn resync(&self, sub: &Subscription, inner: &mut SubInner) -> SrbResult<SrbResult<u64>> {
         let zones = self.zones_slice();
         let (src, dst) = (&zones[sub.src], &zones[sub.dst]);
-        let copied = self.resync_locked(sub, inner, src, dst);
-        dst.grid.mcat.commit();
-        copied
-    }
-
-    fn resync_locked(
-        &self,
-        sub: &Subscription,
-        inner: &mut SubInner,
-        src: &Zone,
-        dst: &Zone,
-    ) -> SrbResult<u64> {
-        // Fetch cursor first: deltas committed during (virtual-instant)
-        // copy would be at higher LSNs and are refetched later.
-        inner.fetched = src.device().synced_lsn();
-        inner.outbox.clear();
-
-        // Tear down the existing mirror (everything this subscription
-        // created).
-        let dst_mcat = &dst.grid.mcat;
-        teardown_mirror(inner, dst_mcat);
-
-        // Copy the publisher subtree, parents before children.
-        let src_mcat = &src.grid.mcat;
-        let root_id = src_mcat.collections.resolve(&sub.src_root)?;
-        let mut coll_ids = vec![root_id];
-        coll_ids.extend(src_mcat.collections.descendants(root_id));
-        let mut colls: Vec<_> = coll_ids
-            .into_iter()
-            .filter_map(|id| src_mcat.collections.get(id).ok())
-            .filter(|c| c.link_target.is_none())
-            .collect();
-        colls.sort_by_key(|c| (c.path.depth(), c.path.to_string()));
-        let mut copied = 0u64;
-        for coll in colls {
-            let mirror_path = coll.path.rebase(&sub.src_root, &sub.dst_root)?;
-            let local = ensure_collection(dst_mcat, &mirror_path, dst_mcat.admin())?;
-            copied += mirror_path.to_string().len() as u64;
-            inner.colls.insert(
-                coll.id.raw(),
-                MirrorColl {
-                    local,
-                    src_path: coll.path.clone(),
-                },
-            );
-            for ds in src_mcat.datasets.list(coll.id) {
-                if ds.link_target.is_some() {
-                    continue;
-                }
-                copied += ds.name.len() as u64 + 64;
-                let meta = src_mcat.metadata.for_subject(Subject::Dataset(ds.id));
-                copied += meta.len() as u64 * 48;
-                self.mirror_create(inner, src, dst, &ds, coll.path.clone())?;
-                for row in meta {
-                    if matches!(row.kind, MetaKind::System | MetaKind::FileBased(_)) {
-                        continue;
-                    }
-                    if let Some(&local_ds) = inner.dss.get(&ds.id.raw()) {
-                        let new = dst_mcat.metadata.add(
-                            &dst_mcat.ids,
-                            Subject::Dataset(local_ds),
-                            row.triplet.clone(),
-                            row.kind.clone(),
-                        );
-                        inner.metas.insert(row.id.raw(), new);
-                    }
-                }
-            }
-        }
-        Ok(copied.max(1))
-    }
-
-    /// Materialize one publisher dataset row as a local mirror: a remote
-    /// pointer replica plus WAL-logged home-zone provenance.
-    fn mirror_create(
-        &self,
-        inner: &mut SubInner,
-        src: &Zone,
-        dst: &Zone,
-        row: &Dataset,
-        src_coll_path: LogicalPath,
-    ) -> SrbResult<()> {
-        let Some(mirror) = inner.colls.get(&row.coll.raw()) else {
-            return Ok(()); // parent not mirrored: outside the subtree
+        // Cursor first: deltas committed during the (virtual-instant) walk
+        // sit at higher LSNs and are fetched later.
+        let cursor = src.device().synced_lsn();
+        let (rows, bytes) = subtree_rows(&src.grid.mcat, sub)?;
+        let ns = match self.charge_link(sub.src, sub.dst, bytes) {
+            Ok(ns) => ns,
+            Err(e) => return Ok(Err(e)),
         };
         let dst_mcat = &dst.grid.mcat;
-        let src_path = src_coll_path.child(&row.name)?;
-        let size = row.replicas.iter().map(|r| r.size).max().unwrap_or(0);
-        let checksum = row.replicas.first().and_then(|r| r.checksum.clone());
-        let url = format!("{ZONE_URL_SCHEME}{}{src_path}", src.name());
-        let id = dst_mcat.datasets.create(
-            &dst_mcat.ids,
-            mirror.local,
-            &row.name,
-            &row.data_type,
-            dst_mcat.admin(),
-            vec![(AccessSpec::Url { url }, size, checksum)],
-            self.clock().now(),
-        )?;
-        dst_mcat.metadata.add(
-            &dst_mcat.ids,
-            Subject::Dataset(id),
-            Triplet::new(ZONE_HOME_ATTR, src.name(), ""),
-            MetaKind::System,
-        );
-        dst_mcat.metadata.add(
-            &dst_mcat.ids,
-            Subject::Dataset(id),
-            Triplet::new(ZONE_PATH_ATTR, src_path.to_string().as_str(), ""),
-            MetaKind::System,
-        );
-        inner.dss.insert(row.id.raw(), id);
-        Ok(())
+        teardown_mirror(inner, dst_mcat);
+        inner.outbox.clear();
+        let applied = rows
+            .into_iter()
+            .try_for_each(|op| self.apply_delta(sub, inner, dst, op));
+        if applied.is_err() {
+            teardown_mirror(inner, dst_mcat);
+        }
+        dst_mcat.commit();
+        applied?;
+        inner.fetched = cursor;
+        Ok(Ok(ns))
     }
 
-    /// Apply one shipped delta to the subscriber's catalog through its own
-    /// (WAL-logged) table APIs, translating ids through the mirror maps.
+    /// Apply one publisher row image — a shipped delta's or a resync's —
+    /// to the subscriber's catalog through its own (WAL-logged) table
+    /// APIs, translating ids through the mirror maps.
     fn apply_delta(
         &self,
         sub: &Subscription,
         inner: &mut SubInner,
         dst: &Zone,
-        delta: Delta,
+        op: WalOp,
     ) -> SrbResult<()> {
         let zones = self.zones_slice();
         let src = &zones[sub.src];
         let dst_mcat = &dst.grid.mcat;
-        match delta.record.op {
+        match op {
             WalOp::CollectionPut { row } => {
                 if row.link_target.is_some() {
                     return Ok(());
@@ -529,7 +440,8 @@ impl Federation {
                     if in_subtree {
                         mirror_move(sub, inner, dst_mcat, row.id.raw(), row.path)?;
                     } else {
-                        unmirror_branch(inner, dst_mcat, row.id.raw());
+                        let old = m.src_path.clone();
+                        unmirror(inner, dst_mcat, |p| p.starts_with(&old));
                     }
                     return Ok(());
                 }
@@ -548,7 +460,7 @@ impl Federation {
             }
             WalOp::CollectionDelete { id } => {
                 if let Some(m) = inner.colls.remove(&id.raw()) {
-                    let _ = dst_mcat.collections.delete(m.local);
+                    let _ = dst_mcat.remove_collection(m.local);
                 }
             }
             WalOp::DatasetPut { row } => {
@@ -560,8 +472,33 @@ impl Federation {
                     inner.colls.get(&row.coll.raw()),
                 ) {
                     (None, Some(mirror)) => {
-                        let src_coll_path = mirror.src_path.clone();
-                        self.mirror_create(inner, src, dst, &row, src_coll_path)?;
+                        // A new mirror: a remote pointer replica plus
+                        // WAL-logged home-zone provenance.
+                        let src_path = mirror.src_path.child(&row.name)?;
+                        let size = row.replicas.iter().map(|r| r.size).max().unwrap_or(0);
+                        let checksum = row.replicas.first().and_then(|r| r.checksum.clone());
+                        let url = format!("{ZONE_URL_SCHEME}{}{src_path}", src.name());
+                        let id = dst_mcat.datasets.create(
+                            &dst_mcat.ids,
+                            mirror.local,
+                            &row.name,
+                            &row.data_type,
+                            dst_mcat.admin(),
+                            vec![(AccessSpec::Url { url }, size, checksum)],
+                            self.clock().now(),
+                        )?;
+                        for (attr, value) in [
+                            (ZONE_HOME_ATTR, src.name()),
+                            (ZONE_PATH_ATTR, src_path.to_string().as_str()),
+                        ] {
+                            dst_mcat.metadata.add(
+                                &dst_mcat.ids,
+                                Subject::Dataset(id),
+                                Triplet::new(attr, value, ""),
+                                MetaKind::System,
+                            );
+                        }
+                        inner.dss.insert(row.id.raw(), id);
                     }
                     (Some(local), Some(mirror)) => {
                         let src_path = mirror.src_path.child(&row.name)?;
@@ -587,18 +524,14 @@ impl Federation {
                     (Some(local), None) => {
                         // Moved out of the subscribed subtree: unmirror.
                         inner.dss.remove(&row.id.raw());
-                        if dst_mcat.datasets.delete(local).is_ok() {
-                            dst_mcat.metadata.remove_all(Subject::Dataset(local));
-                        }
+                        let _ = dst_mcat.remove_dataset(local);
                     }
                     (None, None) => {}
                 }
             }
             WalOp::DatasetDelete { id } => {
                 if let Some(local) = inner.dss.remove(&id.raw()) {
-                    if dst_mcat.datasets.delete(local).is_ok() {
-                        dst_mcat.metadata.remove_all(Subject::Dataset(local));
-                    }
+                    let _ = dst_mcat.remove_dataset(local);
                 }
             }
             WalOp::MetaPut { row } => {
@@ -634,23 +567,50 @@ impl Federation {
     }
 }
 
-/// Remove everything a subscription has mirrored into `dst_mcat`:
-/// datasets first, then collections deepest-first (ancestors shared with
-/// other mirrors refuse the delete and are kept), then the id maps.
+/// Remove everything a subscription has mirrored into `dst_mcat`.
 fn teardown_mirror(inner: &mut SubInner, dst_mcat: &Mcat) {
-    for local in inner.dss.values() {
-        if dst_mcat.datasets.delete(*local).is_ok() {
-            dst_mcat.metadata.remove_all(Subject::Dataset(*local));
+    unmirror(inner, dst_mcat, |_| true);
+    inner.metas.clear();
+}
+
+/// The publisher subtree as the row images a delta carries, parents first
+/// — collections by `(depth, path)`, each followed by its metadata and
+/// then its datasets, each dataset by its own metadata — and the bytes
+/// shipping them costs. Links are zone-local aliases and stay home. A
+/// root the publisher has deleted or moved away is an empty subtree, the
+/// state its deltas would have left the mirror in.
+fn subtree_rows(src: &Mcat, sub: &Subscription) -> SrbResult<(Vec<WalOp>, u64)> {
+    let Ok(root_id) = src.collections.resolve_nofollow(&sub.src_root) else {
+        return Ok((Vec::new(), 1));
+    };
+    let mut coll_ids = vec![root_id];
+    coll_ids.extend(src.collections.descendants(root_id));
+    let mut colls: Vec<_> = coll_ids
+        .into_iter()
+        .filter_map(|id| src.collections.get(id).ok())
+        .filter(|c| c.link_target.is_none())
+        .collect();
+    colls.sort_by_key(|c| (c.path.depth(), c.path.to_string()));
+    let mut rows = Vec::new();
+    let mut bytes = 0u64;
+    for coll in colls {
+        let id = coll.id;
+        let mirror_path = coll.path.rebase(&sub.src_root, &sub.dst_root)?;
+        let meta = src.metadata.for_subject(Subject::Collection(id));
+        bytes += mirror_path.to_string().len() as u64 + meta.len() as u64 * 48;
+        rows.push(WalOp::CollectionPut { row: coll });
+        rows.extend(meta.into_iter().map(|row| WalOp::MetaPut { row }));
+        for ds in src.datasets.list(id) {
+            if ds.link_target.is_some() {
+                continue;
+            }
+            let meta = src.metadata.for_subject(Subject::Dataset(ds.id));
+            bytes += ds.name.len() as u64 + 64 + meta.len() as u64 * 48;
+            rows.push(WalOp::DatasetPut { row: ds });
+            rows.extend(meta.into_iter().map(|row| WalOp::MetaPut { row }));
         }
     }
-    let mut mirrored: Vec<&MirrorColl> = inner.colls.values().collect();
-    mirrored.sort_by_key(|m| std::cmp::Reverse(m.src_path.depth()));
-    for m in mirrored {
-        let _ = dst_mcat.collections.delete(m.local); // root mapping: kept
-    }
-    inner.colls.clear();
-    inner.dss.clear();
-    inner.metas.clear();
+    Ok((rows, bytes.max(1)))
 }
 
 /// Follow a publisher-side collection move/rename that stays inside the
@@ -694,43 +654,35 @@ fn mirror_move(
     Ok(())
 }
 
-/// Unmirror a whole collection branch after the publisher moved it out of
-/// the subscribed subtree: delete the mirrored datasets under it, then
-/// the mapped collections deepest-first, and drop their map entries.
-fn unmirror_branch(inner: &mut SubInner, dst_mcat: &Mcat, src_raw: u64) {
-    let Some(root) = inner.colls.get(&src_raw) else {
-        return;
-    };
-    let old_src = root.src_path.clone();
-    let mut gone: Vec<(u64, CollectionId, usize)> = inner
+/// Unmirror the mapped collections whose publisher path `gone` selects:
+/// the mirrored datasets in them first, then the collections
+/// deepest-first, and their map entries. A collection still holding rows
+/// this subscription did not mirror refuses the delete and is kept.
+fn unmirror(inner: &mut SubInner, dst_mcat: &Mcat, gone: impl Fn(&LogicalPath) -> bool) {
+    let mut colls: Vec<(u64, CollectionId, usize)> = inner
         .colls
         .iter()
-        .filter(|(_, m)| m.src_path.starts_with(&old_src))
+        .filter(|(_, m)| gone(&m.src_path))
         .map(|(&k, m)| (k, m.local, m.src_path.depth()))
         .collect();
-    let locals: HashSet<CollectionId> = gone.iter().map(|&(_, local, _)| local).collect();
-    let ds_gone: Vec<u64> = inner
-        .dss
-        .iter()
-        .filter(|(_, &local)| {
-            dst_mcat
-                .datasets
-                .get(local)
-                .is_ok_and(|d| locals.contains(&d.coll))
-        })
-        .map(|(&k, _)| k)
-        .collect();
-    for k in ds_gone {
-        if let Some(local) = inner.dss.remove(&k) {
-            if dst_mcat.datasets.delete(local).is_ok() {
-                dst_mcat.metadata.remove_all(Subject::Dataset(local));
-            }
-        }
+    let locals: HashSet<CollectionId> = colls.iter().map(|&(_, local, _)| local).collect();
+    let dss: Vec<(u64, DatasetId)> = {
+        let rows = dst_mcat.datasets.batch();
+        inner
+            .dss
+            .iter()
+            .filter(|(_, &local)| rows.get_ref(local).is_none_or(|d| locals.contains(&d.coll)))
+            .map(|(&k, &local)| (k, local))
+            .collect()
+    };
+    for (k, local) in dss {
+        inner.dss.remove(&k);
+        let _ = dst_mcat.remove_dataset(local);
     }
-    gone.sort_by_key(|&(_, _, depth)| std::cmp::Reverse(depth));
-    for (k, local, _) in gone {
+    colls.sort_by_key(|&(_, _, depth)| std::cmp::Reverse(depth));
+    for (k, local, _) in colls {
         inner.colls.remove(&k);
-        let _ = dst_mcat.collections.delete(local);
+        let _ = dst_mcat.remove_collection(local);
     }
 }
 

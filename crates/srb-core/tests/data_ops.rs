@@ -4,9 +4,9 @@
 mod common;
 
 use bytes::Bytes;
-use common::{connect, grid, Fixture};
+use common::{assert_no_orphans, connect, grid, Fixture};
 use srb_core::{ChecksumStatus, FaultMode, IngestOptions, RegisterSpec, SrbConnection};
-use srb_mcat::ReplicaStatus;
+use srb_mcat::{AnnotationKind, ReplicaStatus, Subject};
 use srb_types::{Permission, SrbError, SrbResult, Triplet};
 
 #[test]
@@ -511,6 +511,50 @@ fn delete_collection_recursive() {
     // Physical bytes were reclaimed.
     let unix = f.grid.resource_id("unix-sdsc").unwrap();
     assert_eq!(f.grid.driver(unix).unwrap().driver().used_bytes(), 0);
+}
+
+#[test]
+fn delete_collection_drops_its_metadata_and_annotations() {
+    let f = grid();
+    let conn = connect(&f, "sekar");
+    let rows_before = f.grid.mcat.metadata.count();
+    conn.make_collection("/home/sekar/tmp/sub").unwrap();
+    conn.add_metadata("/home/sekar/tmp", Triplet::new("retention", "short", ""))
+        .unwrap();
+    conn.add_metadata("/home/sekar/tmp/sub", Triplet::new("stage", "raw", ""))
+        .unwrap();
+    conn.annotate("/home/sekar/tmp", AnnotationKind::Comment, "", "drop me")
+        .unwrap();
+    conn.ingest(
+        "/home/sekar/tmp/sub/f",
+        b"1",
+        IngestOptions::to_resource("unix-sdsc").with_metadata(Triplet::new("k", "v", "")),
+    )
+    .unwrap();
+    let tmp = f
+        .grid
+        .mcat
+        .collections
+        .resolve(&"/home/sekar/tmp".parse().unwrap())
+        .unwrap();
+    conn.delete_collection("/home/sekar/tmp", true).unwrap();
+
+    let mcat = &f.grid.mcat;
+    assert!(mcat
+        .metadata
+        .for_subject(Subject::Collection(tmp))
+        .is_empty());
+    assert!(mcat
+        .annotations
+        .for_subject(Subject::Collection(tmp))
+        .is_empty());
+    // The admin page's row count and the checkpoint image forget it too.
+    assert_eq!(mcat.metadata.count(), rows_before);
+    let image = mcat.snapshot_json().unwrap();
+    for attr in ["retention", "stage", "drop me"] {
+        assert!(!image.contains(attr), "image still mentions `{attr}`");
+    }
+    assert_no_orphans(mcat);
 }
 
 #[test]

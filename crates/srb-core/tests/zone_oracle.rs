@@ -4,33 +4,13 @@
 //! no acknowledged home-zone write lost, and both catalogs serialize to
 //! byte-identical subtree exports after heal + pump drain.
 
-use srb_core::{Federation, GridBuilder, IngestOptions, SrbConnection, ZoneId};
-use srb_mcat::{Query, WalConfig};
-use srb_net::LinkSpec;
-use srb_storage::LogDevice;
-use srb_types::{SeedStream, ServerId, SimClock, Triplet};
-use std::sync::Arc;
+mod common;
 
-/// One single-site zone grid on the shared federation clock, with WAL
-/// durability and periodic checkpoints off (tests trigger checkpoints
-/// explicitly to exercise the resync path deterministically).
-fn zone_grid(clock: &SimClock, tag: &str) -> (srb_core::Grid, ServerId) {
-    let mut gb = GridBuilder::new();
-    gb.clock(clock.clone());
-    let site = gb.site(&format!("site-{tag}"));
-    let srv = gb.server(&format!("srb-{tag}"), site);
-    gb.fs_resource(&format!("fs-{tag}"), srv);
-    let grid = gb.build();
-    grid.enable_durability(
-        Arc::new(LogDevice::new()),
-        WalConfig {
-            checkpoint_interval_ns: 0,
-        },
-    )
-    .unwrap();
-    grid.register_user("sekar", "sdsc", "pw").unwrap();
-    (grid, srv)
-}
+use common::{assert_no_orphans, zone_grid};
+use srb_core::{FaultMode, Federation, IngestOptions, SrbConnection, ZoneId};
+use srb_mcat::{Mcat, MetaKind, Query, Subject};
+use srb_net::LinkSpec;
+use srb_types::{SeedStream, SrbError, Triplet};
 
 struct Fed {
     fed: Federation,
@@ -68,6 +48,20 @@ fn seeded_ingest(c: &SrbConnection<'_>, rng: &mut SeedStream, i: usize, res: &st
     }
     c.ingest(&path, vec![0xA5u8; size], opts).unwrap();
     path
+}
+
+/// The user-defined `name=value` triplets on the collection at `path`.
+fn coll_triplets(mcat: &Mcat, path: &str) -> Vec<String> {
+    let id = mcat.collections.resolve(&path.parse().unwrap()).unwrap();
+    let mut out: Vec<String> = mcat
+        .metadata
+        .for_subject(Subject::Collection(id))
+        .into_iter()
+        .filter(|row| row.kind == MetaKind::UserDefined)
+        .map(|row| format!("{}={}", row.triplet.name, row.triplet.value.lexical()))
+        .collect();
+    out.sort();
+    out
 }
 
 #[test]
@@ -231,7 +225,15 @@ fn checkpoint_gap_forces_resync_and_still_converges() {
     for i in 0..4 {
         seeded_ingest(&ca, &mut rng, i, "fs-alpha");
     }
+    // Collection metadata on the subscribed root: one triplet the initial
+    // copy carries, one committed after it.
+    ca.add_metadata("/home/sekar/data", Triplet::new("before", "1", ""))
+        .unwrap();
     let dst_root = f.fed.subscribe(f.b, f.a, "/home/sekar/data").unwrap();
+    let beta = &f.fed.zone(f.b).unwrap().grid.mcat;
+    assert_eq!(coll_triplets(beta, &dst_root), ["before=1"]);
+    ca.add_metadata("/home/sekar/data", Triplet::new("after", "2", ""))
+        .unwrap();
 
     // While partitioned, the publisher both writes and checkpoints, so the
     // subscriber's cursor falls behind the pruned log.
@@ -252,6 +254,255 @@ fn checkpoint_gap_forces_resync_and_still_converges() {
     let status = &f.fed.subscriptions()[0];
     assert!(status.resyncs >= 1);
     assert_eq!(status.outbox, 0);
+    // The resync rebuilt the collection metadata and left no orphan rows.
+    assert_eq!(coll_triplets(beta, &dst_root), ["after=2", "before=1"]);
+    assert_no_orphans(beta);
+}
+
+#[test]
+fn a_resync_pays_before_it_lands() {
+    let f = two_zones(LinkSpec::metro());
+    let ca = conn(&f, f.a);
+    ca.make_collection("/home/sekar/data").unwrap();
+    let mut rng = SeedStream::new(0xFA11);
+    seeded_ingest(&ca, &mut rng, 0, "fs-alpha");
+    let dst_root = f.fed.subscribe(f.b, f.a, "/home/sekar/data").unwrap();
+
+    // Checkpoint gap: the publisher writes and prunes while partitioned.
+    f.fed.partition(f.a, f.b).unwrap();
+    seeded_ingest(&ca, &mut rng, 1, "fs-alpha");
+    f.fed.zone(f.a).unwrap().grid.mcat.checkpoint_now().unwrap();
+    f.fed.heal(f.a, f.b).unwrap();
+
+    // The poll (beta -> alpha) passes; the transfer (alpha -> beta) is
+    // refused, and the subscriber sees none of the resync.
+    f.fed
+        .set_link_mode(f.a, f.b, FaultMode::FailNext(1))
+        .unwrap();
+    let beta = &f.fed.zone(f.b).unwrap().grid.mcat;
+    let image = beta.snapshot_json().unwrap();
+    let cursor = f.fed.subscriptions()[0].fetched_lsn;
+    let r = f.fed.pump(8).unwrap();
+    assert_eq!((r.blocked, r.resyncs), (1, 0));
+    assert_eq!(
+        beta.snapshot_json().unwrap(),
+        image,
+        "a refused resync landed"
+    );
+    let status = &f.fed.subscriptions()[0];
+    assert_eq!((status.fetched_lsn, status.resyncs), (cursor, 0));
+
+    // The next round pays, resyncs and converges.
+    let drained = f.fed.pump_until_drained(8, 100).unwrap();
+    assert_eq!(drained.resyncs, 1);
+    assert_eq!(
+        f.fed.subtree_digest(f.a, "/home/sekar/data").unwrap(),
+        f.fed.subtree_digest(f.b, &dst_root).unwrap()
+    );
+    assert_eq!(beta.datasets.count(), 2);
+    assert_no_orphans(beta);
+}
+
+/// Subscribe beta to `/home/sekar/data` and then to `/home/sekar/other`,
+/// let `gone` remove the first root at alpha while partitioned, force a
+/// checkpoint gap, and heal: the next rounds must empty the first mirror
+/// and keep the second converging.
+fn resync_of_a_vanished_root(gone: impl Fn(&SrbConnection<'_>)) {
+    let f = two_zones(LinkSpec::metro());
+    let ca = conn(&f, f.a);
+    for c in [
+        "/home/sekar/data",
+        "/home/sekar/data/sub",
+        "/home/sekar/other",
+    ] {
+        ca.make_collection(c).unwrap();
+    }
+    let opts = || IngestOptions::to_resource("fs-alpha").with_type("text");
+    ca.ingest("/home/sekar/data/sub/d0", vec![1u8; 64], opts())
+        .unwrap();
+    ca.add_metadata("/home/sekar/data/sub", Triplet::new("k", "v", ""))
+        .unwrap();
+    let data_root = f.fed.subscribe(f.b, f.a, "/home/sekar/data").unwrap();
+    let other_root = f.fed.subscribe(f.b, f.a, "/home/sekar/other").unwrap();
+
+    f.fed.partition(f.a, f.b).unwrap();
+    gone(&ca);
+    ca.ingest("/home/sekar/other/o0", vec![2u8; 64], opts())
+        .unwrap();
+    f.fed.zone(f.a).unwrap().grid.mcat.checkpoint_now().unwrap();
+    f.fed.heal(f.a, f.b).unwrap();
+
+    let r = f.fed.pump(8).unwrap();
+    assert_eq!(r.resyncs, 2, "both subscriptions fell into the gap");
+    let drained = f.fed.pump_until_drained(8, 100).unwrap();
+    assert_eq!(drained.pending, 0);
+    let beta = &f.fed.zone(f.b).unwrap().grid.mcat;
+    assert!(
+        beta.collections
+            .resolve(&data_root.parse().unwrap())
+            .is_err(),
+        "the vanished root's mirror is still served"
+    );
+    assert_eq!(beta.datasets.count(), 1, "only the other mirror's dataset");
+    assert_no_orphans(beta);
+    assert_eq!(
+        f.fed.subtree_digest(f.a, "/home/sekar/other").unwrap(),
+        f.fed.subtree_digest(f.b, &other_root).unwrap()
+    );
+}
+
+#[test]
+fn a_resync_of_a_deleted_root_empties_the_mirror() {
+    resync_of_a_vanished_root(|ca| {
+        ca.delete_collection("/home/sekar/data", true).unwrap();
+    });
+}
+
+#[test]
+fn a_resync_of_a_root_moved_away_empties_the_mirror() {
+    resync_of_a_vanished_root(|ca| {
+        ca.move_logical("/home/sekar/data", "/home/sekar/moved")
+            .unwrap();
+    });
+}
+
+#[test]
+fn a_failing_resync_does_not_hold_up_later_subscriptions() {
+    let f = two_zones(LinkSpec::metro());
+    let ca = conn(&f, f.a);
+    for c in ["/home/sekar/data", "/home/sekar/other"] {
+        ca.make_collection(c).unwrap();
+    }
+    let data_root = f.fed.subscribe(f.b, f.a, "/home/sekar/data").unwrap();
+    let other_root = f.fed.subscribe(f.b, f.a, "/home/sekar/other").unwrap();
+
+    // A local row at beta takes the name the publisher is about to use,
+    // so every rebuild of the first mirror collides with it.
+    let beta = &f.fed.zone(f.b).unwrap().grid.mcat;
+    let mirror = beta
+        .collections
+        .resolve(&data_root.parse().unwrap())
+        .unwrap();
+    beta.datasets
+        .create(
+            &beta.ids,
+            mirror,
+            "d0",
+            "text",
+            beta.admin(),
+            Vec::new(),
+            beta.clock.now(),
+        )
+        .unwrap();
+    f.fed.partition(f.a, f.b).unwrap();
+    let opts = || IngestOptions::to_resource("fs-alpha").with_type("text");
+    ca.ingest("/home/sekar/data/d0", vec![1u8; 64], opts())
+        .unwrap();
+    ca.ingest("/home/sekar/other/o0", vec![2u8; 64], opts())
+        .unwrap();
+    f.fed.zone(f.a).unwrap().grid.mcat.checkpoint_now().unwrap();
+    f.fed.heal(f.a, f.b).unwrap();
+
+    // Each round reports the collision, and the subscription after the
+    // failing one is still pumped.
+    for _ in 0..3 {
+        let r = f.fed.pump(8);
+        assert!(matches!(r, Err(SrbError::AlreadyExists(_))), "{r:?}");
+    }
+    let status = f.fed.subscriptions();
+    assert_eq!(status.iter().map(|s| s.resyncs).collect::<Vec<_>>(), [0, 1]);
+    assert_eq!(
+        f.fed.subtree_digest(f.a, "/home/sekar/other").unwrap(),
+        f.fed.subtree_digest(f.b, &other_root).unwrap()
+    );
+    // The failed rebuild left the local row and its collection in place.
+    assert_eq!(beta.datasets.count(), 2);
+    assert!(beta
+        .collections
+        .resolve(&data_root.parse().unwrap())
+        .is_ok());
+    assert_no_orphans(beta);
+}
+
+#[test]
+fn a_subscribe_whose_copy_collides_leaves_no_mirror_rows() {
+    let f = two_zones(LinkSpec::metro());
+    let ca = conn(&f, f.a);
+    ca.make_collection("/home/sekar/data").unwrap();
+    let opts = || IngestOptions::to_resource("fs-alpha").with_type("text");
+    for name in ["d0", "d1"] {
+        ca.ingest(&format!("/home/sekar/data/{name}"), vec![1u8; 64], opts())
+            .unwrap();
+    }
+    // A local row at beta already holds the second name at the mirror path.
+    let beta = &f.fed.zone(f.b).unwrap().grid.mcat;
+    let mut coll = beta.collections.root();
+    for part in ["zones", "alpha", "home", "sekar", "data"] {
+        coll = beta
+            .collections
+            .create(&beta.ids, coll, part, beta.admin(), beta.clock.now())
+            .unwrap();
+    }
+    let local = beta
+        .datasets
+        .create(
+            &beta.ids,
+            coll,
+            "d1",
+            "text",
+            beta.admin(),
+            Vec::new(),
+            beta.clock.now(),
+        )
+        .unwrap();
+
+    let refused = f.fed.subscribe(f.b, f.a, "/home/sekar/data");
+    assert!(
+        matches!(refused, Err(SrbError::AlreadyExists(_))),
+        "{refused:?}"
+    );
+    assert!(f.fed.subscriptions().is_empty());
+    assert_eq!(beta.datasets.count(), 1, "the copied d0 was left behind");
+    assert_no_orphans(beta);
+
+    // With the clash gone, the same subscription builds its mirror.
+    beta.remove_dataset(local).unwrap();
+    let dst_root = f.fed.subscribe(f.b, f.a, "/home/sekar/data").unwrap();
+    assert_eq!(
+        f.fed.subtree_digest(f.a, "/home/sekar/data").unwrap(),
+        f.fed.subtree_digest(f.b, &dst_root).unwrap()
+    );
+}
+
+#[test]
+fn a_refused_subscribe_copy_leaves_the_subscriber_untouched() {
+    let f = two_zones(LinkSpec::metro());
+    let ca = conn(&f, f.a);
+    ca.make_collection("/home/sekar/data").unwrap();
+    let mut rng = SeedStream::new(0xFA12);
+    seeded_ingest(&ca, &mut rng, 0, "fs-alpha");
+
+    // The handshake (beta -> alpha) passes; the copy (alpha -> beta) fails.
+    f.fed
+        .set_link_mode(f.a, f.b, FaultMode::FailNext(1))
+        .unwrap();
+    let beta = &f.fed.zone(f.b).unwrap().grid.mcat;
+    let image = beta.snapshot_json().unwrap();
+    let refused = f.fed.subscribe(f.b, f.a, "/home/sekar/data");
+    assert!(matches!(refused, Err(SrbError::Timeout(_))), "{refused:?}");
+    assert_eq!(
+        beta.snapshot_json().unwrap(),
+        image,
+        "a refused copy landed"
+    );
+    assert!(f.fed.subscriptions().is_empty());
+
+    // Retried over a healthy link, the subscription builds its mirror.
+    let dst_root = f.fed.subscribe(f.b, f.a, "/home/sekar/data").unwrap();
+    assert_eq!(
+        f.fed.subtree_digest(f.a, "/home/sekar/data").unwrap(),
+        f.fed.subtree_digest(f.b, &dst_root).unwrap()
+    );
 }
 
 #[test]

@@ -413,6 +413,33 @@ impl Mcat {
         coll.path.child(&d.name)
     }
 
+    // ---------------------------------------------------------- removal --
+
+    /// Drop a dataset with everything keyed to it: the row, then its
+    /// metadata rows and meta-file associations, then its annotations
+    /// ("when the last replica is deleted all the metadata and
+    /// annotations are also deleted"). An absent row touches nothing.
+    pub fn remove_dataset(&self, id: DatasetId) -> SrbResult<()> {
+        self.datasets.delete(id)?;
+        self.metadata.remove_all(Subject::Dataset(id));
+        self.annotations.remove_all(Subject::Dataset(id));
+        Ok(())
+    }
+
+    /// Drop a collection with everything keyed to it, in the order of
+    /// [`remove_dataset`](Self::remove_dataset). A collection that still
+    /// holds sub-collections or datasets is refused and left as it is.
+    pub fn remove_collection(&self, id: CollectionId) -> SrbResult<()> {
+        // A zero-row page reports only whether any dataset remains.
+        if self.datasets.list_page(id, None, 0).1 {
+            return Err(SrbError::Invalid(format!("collection {id} holds datasets")));
+        }
+        self.collections.delete(id)?;
+        self.metadata.remove_all(Subject::Collection(id));
+        self.annotations.remove_all(Subject::Collection(id));
+        Ok(())
+    }
+
     // ------------------------------------------------------ permissions --
 
     /// Effective permission of `user` on a collection: the collection's own

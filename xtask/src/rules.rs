@@ -402,6 +402,45 @@ pub fn storage_door(path: &str, lexed: &Lexed) -> Vec<Violation> {
         .collect()
 }
 
+/// Rule `subject-delete`: in `srb-core`'s library code a dataset or
+/// collection row is dropped only through `Mcat::remove_dataset` /
+/// `Mcat::remove_collection`, which take its metadata rows, meta-file
+/// links and annotations with it. A raw `.datasets.delete(` or
+/// `.collections.delete(` leaves them behind as orphans.
+pub fn subject_delete(path: &str, lexed: &Lexed) -> Vec<Violation> {
+    if !path.starts_with("crates/srb-core/src/") {
+        return Vec::new();
+    }
+    let toks = &lexed.toks;
+    (0..toks.len().saturating_sub(4))
+        .filter(|&i| {
+            toks[i].is_punct('.')
+                && (toks[i + 1].is_ident("datasets") || toks[i + 1].is_ident("collections"))
+                && toks[i + 2].is_punct('.')
+                && toks[i + 3].is_ident("delete")
+                && toks[i + 4].is_punct('(')
+                && !lexed.in_test(i)
+        })
+        .map(|i| {
+            let table = &toks[i + 1].text;
+            let helper = if table == "datasets" {
+                "remove_dataset"
+            } else {
+                "remove_collection"
+            };
+            Violation {
+                path: path.to_string(),
+                line: toks[i + 1].line,
+                rule: "subject-delete",
+                msg: format!(
+                    "raw `.{table}.delete(` leaves the row's metadata and annotations \
+                     behind; use `Mcat::{helper}`"
+                ),
+            }
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -444,6 +483,23 @@ mod tests {
         // A call after a door's argument list has closed is outside it.
         let after = Lexed::new("self.storage_call(r, f)?; d.driver().read(p);\n");
         assert_eq!(storage_door("crates/srb-core/src/conn.rs", &after).len(), 1);
+    }
+
+    #[test]
+    fn subject_delete_flags_raw_row_deletes_in_srb_core() {
+        let src = "fn a() { mcat.datasets.delete(id)?;\n\
+                   let _ = self.grid.mcat.collections\n .delete(c); }\n\
+                   fn b() { mcat.remove_dataset(id)?; mcat.containers.delete(k)?;\n\
+                   datasets.delete(id); mcat.datasets.deleted(); }\n\
+                   #[cfg(test)]\nmod tests {\n fn t() { m.datasets.delete(d); }\n}\n";
+        let lexed = Lexed::new(src);
+        let v = subject_delete("crates/srb-core/src/zone/replication.rs", &lexed);
+        assert_eq!(v.iter().map(|v| v.line).collect::<Vec<_>>(), [1, 2]);
+        assert!(v[0].msg.contains("Mcat::remove_dataset"), "{}", v[0].msg);
+        assert!(v[1].msg.contains("Mcat::remove_collection"), "{}", v[1].msg);
+        // The tables themselves and other crates may delete rows.
+        assert!(subject_delete("crates/srb-mcat/src/catalog.rs", &lexed).is_empty());
+        assert!(subject_delete("crates/srb-core/tests/t.rs", &lexed).is_empty());
     }
 
     #[test]

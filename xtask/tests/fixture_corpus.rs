@@ -54,6 +54,7 @@ const LINT_GOLDENS: &[&str] = &[
     "crates/mysrb/src/app.rs:7: [metric-name]",
     "crates/srb-core/src/ops_fix.rs:5: [no-panic-ops]",
     "crates/srb-core/src/ops_fix.rs:13: [storage-door]",
+    "crates/srb-core/src/ops_fix.rs:21: [subject-delete]",
 ];
 
 #[test]
@@ -132,6 +133,7 @@ fn json_output_is_machine_readable() {
         "no-panic-ops",
         "id-hasher-key",
         "storage-door",
+        "subject-delete",
     ] {
         assert!(
             lint_out.contains(&format!("\"{rule}\"")),
