@@ -1,21 +1,21 @@
 //! The federation: zone membership, peering links, cross-zone
-//! registration, and the canonical subtree export used to prove
-//! convergence.
+//! registration through the one remote-pointer writer, and the canonical
+//! subtree digest used to prove convergence.
 
 use crate::grid::Grid;
-use crate::zone::replication::Subscription;
+use crate::zone::replication::{subtree_rows, Subscription};
 use crate::zone::Zone;
-use srb_mcat::dataset::AccessSpec;
+use srb_mcat::dataset::{AccessSpec, Dataset};
 use srb_mcat::metadata::{MetaKind, Subject};
-use srb_mcat::{Mcat, WalConfig, ZONE_HOME_ATTR, ZONE_PATH_ATTR, ZONE_URL_SCHEME};
+use srb_mcat::{Mcat, WalConfig, WalOp};
 use srb_net::topology::RPC_MESSAGE_BYTES;
 use srb_net::{Admission, BreakerConfig, FaultMode, FaultPlan, HealthRegistry, LinkSpec, Receipt};
 use srb_obs::{MetricsRegistry, MetricsSnapshot};
 use srb_storage::LogDevice;
 use srb_types::sync::{LockRank, RwLock};
 use srb_types::{
-    CollectionId, LogicalPath, ResourceId, ServerId, SimClock, SiteId, SrbError, SrbResult,
-    Triplet, UserId,
+    CollectionId, DatasetId, LogicalPath, MetaValue, ResourceId, ServerId, SimClock, SiteId,
+    SrbError, SrbResult, Triplet, UserId,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -154,11 +154,6 @@ impl Federation {
         self.zones.iter().enumerate().map(|(i, z)| (ZoneId(i), z))
     }
 
-    /// Look a zone up by name.
-    pub fn zone_named(&self, name: &str) -> Option<ZoneId> {
-        self.zones.iter().position(|z| z.name == name).map(ZoneId)
-    }
-
     /// Number of member zones.
     pub fn zone_count(&self) -> usize {
         self.zones.len()
@@ -228,13 +223,6 @@ impl Federation {
     pub fn set_link_mode(&self, from: ZoneId, to: ZoneId, mode: FaultMode) -> SrbResult<()> {
         let link = self.link_info(from.0, to.0)?;
         self.faults.set_mode(link.fault, mode);
-        Ok(())
-    }
-
-    /// Clear any fault mode from one link direction.
-    pub fn clear_link_mode(&self, from: ZoneId, to: ZoneId) -> SrbResult<()> {
-        let link = self.link_info(from.0, to.0)?;
-        self.faults.clear_mode(link.fault);
         Ok(())
     }
 
@@ -308,7 +296,8 @@ impl Federation {
     ///
     /// The pointer row carries an [`AccessSpec::Url`] of the form
     /// `srb+zone://<src zone>/<path>` and two WAL-logged system-metadata
-    /// triplets ([`ZONE_HOME_ATTR`], [`ZONE_PATH_ATTR`]) so provenance
+    /// triplets ([`ZONE_HOME_ATTR`](srb_mcat::ZONE_HOME_ATTR),
+    /// [`ZONE_PATH_ATTR`](srb_mcat::ZONE_PATH_ATTR)) so provenance
     /// survives a crash with the row itself —
     /// [`Mcat::remote_provenance`] fails closed when it does not. Parent
     /// collections of `dst_path` are created as needed, owned by `dst`'s
@@ -331,9 +320,6 @@ impl Federation {
             let src_lp = LogicalPath::parse(src_path)?;
             let src_mcat = &src_zone.grid.mcat;
             let ds = src_mcat.datasets.get(src_mcat.resolve_dataset(&src_lp)?)?;
-            let size = ds.replicas.iter().map(|r| r.size).max().unwrap_or(0);
-            let checksum = ds.replicas.first().and_then(|r| r.checksum.clone());
-
             let dst_lp = LogicalPath::parse(dst_path)?;
             let name = dst_lp
                 .name()
@@ -341,31 +327,9 @@ impl Federation {
             let parent_lp = dst_lp
                 .parent()
                 .ok_or_else(|| SrbError::Invalid("registration target is the root".into()))?;
-            let admin = dst_mcat.admin();
-            let parent = ensure_collection(dst_mcat, &parent_lp, admin)?;
-            let url = format!("{ZONE_URL_SCHEME}{}{src_path}", src_zone.name());
-            let id = dst_mcat.datasets.create(
-                &dst_mcat.ids,
-                parent,
-                name,
-                &ds.data_type,
-                admin,
-                vec![(AccessSpec::Url { url }, size, checksum)],
-                self.clock.now(),
-            )?;
-            dst_mcat.metadata.add(
-                &dst_mcat.ids,
-                Subject::Dataset(id),
-                Triplet::new(ZONE_HOME_ATTR, src_zone.name(), ""),
-                MetaKind::System,
-            );
-            dst_mcat.metadata.add(
-                &dst_mcat.ids,
-                Subject::Dataset(id),
-                Triplet::new(ZONE_PATH_ATTR, src_path, ""),
-                MetaKind::System,
-            );
-            Ok(())
+            let parent = ensure_collection(dst_mcat, &parent_lp, dst_mcat.admin())?;
+            let home = (src_zone.name(), src_path);
+            put_pointer(dst_mcat, None, (parent, name), home, &ds).map(drop)
         })();
         dst_mcat.commit();
         if let Some(wal) = dst_mcat.wal() {
@@ -378,18 +342,49 @@ impl Federation {
 
     // -------------------------------------------------------- digests --
 
-    /// Canonical export of a collection subtree: one line per collection,
-    /// dataset and user-visible metadata triplet — on datasets and on
-    /// collections, `root` included — relative to `root`,
-    /// deterministically ordered.
-    ///
-    /// The export deliberately excludes everything zone-local — catalog
-    /// ids, owners, ACLs, replica locations and system metadata — so a
+    /// Canonical export of a collection subtree, rendered from the walk a
+    /// resync ships, so it sees whatever a mirror is built from: one sorted
+    /// line per collection, dataset and user-visible triplet (on `root`
+    /// too), relative to `root`. Ids, owners, ACLs, replica locations and
+    /// `System`/`FileBased` metadata are zone-local and dropped, so a
     /// publisher subtree and its converged mirror serialize to **the same
-    /// bytes**. This is the convergence oracle: replication is correct
-    /// exactly when publisher and subscriber exports are byte-identical.
+    /// bytes**. This is the convergence oracle.
     pub fn subtree_digest(&self, z: ZoneId, root: &str) -> SrbResult<String> {
-        subtree_export(&self.zone(z)?.grid.mcat, &LogicalPath::parse(root)?)
+        let mcat = &self.zone(z)?.grid.mcat;
+        let root = LogicalPath::parse(root)?;
+        let walk = subtree_rows(mcat, Subject::Collection(mcat.collections.resolve(&root)?));
+        // Rows come parents first, each subject followed by its metadata.
+        let (mut coll, mut ds, mut lines) = (LogicalPath::root(), LogicalPath::root(), Vec::new());
+        for op in walk {
+            lines.push(match op {
+                WalOp::CollectionPut { row } if row.path == root => continue,
+                WalOp::CollectionPut { row } => {
+                    coll = row.path.rebase(&root, &LogicalPath::root())?;
+                    format!("C {coll}")
+                }
+                WalOp::DatasetPut { row } => {
+                    ds = coll.child(&row.name)?;
+                    let (size, sum) = home_stat(&row);
+                    format!("D {ds} {} {size} {}", row.data_type, sum.unwrap_or("-"))
+                }
+                WalOp::MetaPut { row } => {
+                    let tag = match &row.kind {
+                        MetaKind::UserDefined => "user".to_string(),
+                        MetaKind::TypeOriented(schema) => format!("type:{schema}"),
+                        MetaKind::System | MetaKind::FileBased(_) => continue, // zone-local
+                    };
+                    let head = match row.subject {
+                        Subject::Collection(_) => format!("CM {coll}"),
+                        Subject::Dataset(_) => format!("M {ds}"),
+                    };
+                    let (t, value) = (&row.triplet, row.triplet.value.lexical());
+                    format!("{head} {tag} {}={value} [{}]", t.name, t.units)
+                }
+                _ => continue,
+            });
+        }
+        lines.sort();
+        Ok(lines.join("\n"))
     }
 }
 
@@ -420,72 +415,69 @@ pub(crate) fn ensure_collection(
     Ok(cur)
 }
 
-/// Stable one-word tag for a metadata kind in the canonical export.
-fn kind_tag(kind: &MetaKind) -> Option<String> {
-    match kind {
-        MetaKind::UserDefined => Some("user".to_string()),
-        MetaKind::TypeOriented(schema) => Some(format!("type:{schema}")),
-        // System and file-based rows are zone-local bookkeeping.
-        MetaKind::System | MetaKind::FileBased(_) => None,
-    }
+/// The size and checksum a pointer row and the digest take from a home
+/// row: its largest replica's size and its first replica's checksum.
+fn home_stat(ds: &Dataset) -> (u64, Option<&str>) {
+    let checksum = ds.replicas.first().and_then(|r| r.checksum.as_deref());
+    (
+        ds.replicas.iter().map(|r| r.size).max().unwrap_or(0),
+        checksum,
+    )
 }
 
-/// See [`Federation::subtree_digest`].
-pub(crate) fn subtree_export(mcat: &Mcat, root: &LogicalPath) -> SrbResult<String> {
-    let root_id = mcat.collections.resolve(root)?;
-    let mut colls = vec![root_id];
-    colls.extend(mcat.collections.descendants(root_id));
-    let mut entries: Vec<String> = Vec::new();
-    for cid in colls {
-        let coll = mcat.collections.get(cid)?;
-        if coll.link_target.is_some() {
-            continue; // links are zone-local aliases, not content
+/// The one writer of a remote pointer row: an admin-owned dataset at
+/// `parent`/`name` whose one replica is the URL `srb+zone://<home
+/// zone><home path>`, with the home row `src`'s type, size and checksum,
+/// then its `zone_home` and `zone_path` system triplets, WAL-logged in that
+/// order. Given the `local` row instead, it refreshes that row's type, size
+/// and checksum, first moving and [re-pointing](repoint_home) it if it
+/// is elsewhere.
+pub(crate) fn put_pointer(
+    mcat: &Mcat,
+    local: Option<DatasetId>,
+    (parent, name): (CollectionId, &str),
+    (home, home_path): (&str, &str),
+    src: &Dataset,
+) -> SrbResult<DatasetId> {
+    use srb_mcat::{ZONE_HOME_ATTR, ZONE_PATH_ATTR, ZONE_URL_SCHEME};
+    let (size, checksum) = home_stat(src);
+    let Some(local) = local else {
+        let url = format!("{ZONE_URL_SCHEME}{home}{home_path}");
+        let spec = vec![(AccessSpec::Url { url }, size, checksum.map(str::to_string))];
+        let (ids, admin, now) = (&mcat.ids, mcat.admin(), mcat.clock.now());
+        let id = mcat
+            .datasets
+            .create(ids, parent, name, &src.data_type, admin, spec, now)?;
+        for (attr, value) in [(ZONE_HOME_ATTR, home), (ZONE_PATH_ATTR, home_path)] {
+            let (of, triplet) = (Subject::Dataset(id), Triplet::new(attr, value, ""));
+            mcat.metadata.add(ids, of, triplet, MetaKind::System);
         }
-        let rel = coll.path.rebase(root, &LogicalPath::root())?;
-        if !rel.is_root() {
-            entries.push(format!("C {rel}"));
-        }
-        entries.extend(meta_lines(
-            mcat,
-            Subject::Collection(cid),
-            format!("CM {rel}"),
-        ));
-        for ds in mcat.datasets.list(cid) {
-            if ds.link_target.is_some() {
-                continue;
-            }
-            let ds_rel = rel.child(&ds.name)?;
-            let size = ds.replicas.iter().map(|r| r.size).max().unwrap_or(0);
-            let checksum = ds
-                .replicas
-                .first()
-                .and_then(|r| r.checksum.clone())
-                .unwrap_or_else(|| "-".to_string());
-            entries.push(format!("D {ds_rel} {} {size} {checksum}", ds.data_type));
-            entries.extend(meta_lines(
-                mcat,
-                Subject::Dataset(ds.id),
-                format!("M {ds_rel}"),
-            ));
-        }
+        return Ok(id);
+    };
+    let cur = mcat.datasets.get(local)?;
+    if cur.coll != parent || cur.name != name {
+        mcat.datasets.move_dataset(local, parent, name)?;
+        repoint_home(mcat, local, home_path)?;
     }
-    entries.sort();
-    Ok(entries.join("\n"))
+    mcat.datasets.update(local, |d| {
+        d.data_type = src.data_type.clone();
+        if let Some(r0) = d.replicas.first_mut() {
+            r0.size = size;
+            r0.checksum = checksum.map(str::to_string);
+        }
+        Ok(())
+    })?;
+    Ok(local)
 }
 
-/// One `<head> <kind> name=value [units]` export line per user-visible
-/// triplet on `subject`: `M <path>` for a dataset, `CM <path>` for a
-/// collection.
-fn meta_lines(mcat: &Mcat, subject: Subject, head: String) -> impl Iterator<Item = String> {
-    let rows = mcat.metadata.for_subject(subject);
-    rows.into_iter().filter_map(move |row| {
-        kind_tag(&row.kind).map(|tag| {
-            format!(
-                "{head} {tag} {}={} [{}]",
-                row.triplet.name,
-                row.triplet.value.lexical(),
-                row.triplet.units
-            )
-        })
-    })
+/// Point a remote pointer row's `zone_path` triplet at `home_path`, after
+/// its home row moved.
+pub(crate) fn repoint_home(mcat: &Mcat, local: DatasetId, home_path: &str) -> SrbResult<()> {
+    for row in mcat.metadata.for_subject(Subject::Dataset(local)) {
+        if row.kind == MetaKind::System && row.triplet.name == srb_mcat::ZONE_PATH_ATTR {
+            let path = MetaValue::Text(home_path.to_string());
+            mcat.metadata.update(row.id, path, String::new())?;
+        }
+    }
+    Ok(())
 }

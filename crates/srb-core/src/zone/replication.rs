@@ -15,34 +15,25 @@
 //! this way, full-row-image `Put`s are idempotent upserts and `Delete`s
 //! tolerate absence, exactly as on recovery replay.
 //!
-//! When the publisher's checkpoint prunes the log past the subscription's
-//! fetch cursor, the gap is unrecoverable from deltas and the
-//! subscription falls back to a **resync**, which is also how
-//! [`Federation::subscribe`] seeds a mirror. A resync reads the
-//! publisher's live tables, not its log: one read-only walk turns the
-//! subtree into the row images a delta carries (`CollectionPut`,
-//! `DatasetPut`, and `MetaPut` for dataset and collection subjects,
-//! parents first). The link is charged for those rows before anything
-//! lands; only then is the mirror torn down and every row applied
-//! through the same `apply_delta` the pump uses, so a mirror holds the
-//! same rows whichever path built it, and a transfer the link refuses
-//! leaves the mirror and the fetch cursor as they were. Delta fetches
-//! resume from the publisher's durable LSN as of the walk. A failed apply
-//! tears the partial mirror down and leaves the cursor behind, so the
-//! next round resyncs again, and [`Federation::pump`] still runs the
-//! subscriptions after a failing one before it reports the error.
+//! One walk, `subtree_rows`, is the only reader of a publisher subtree: it
+//! turns a live subject into the row images a delta carries, parents
+//! first, and the convergence digest renders it too. A **resync** (how
+//! [`Federation::subscribe`] seeds a mirror, and the fallback when a
+//! publisher checkpoint prunes past the fetch cursor) walks the subscribed
+//! root, charges the link for the rows, and only then tears the mirror down
+//! and applies them through the pump's `apply_delta`. A **move-in** (an
+//! unmapped put whose publisher id is at or below the subscription's id
+//! watermark) is a branch resync of that subject, once its live row
+//! matches the put. A refused transfer changes nothing; a failed resync
+//! tears its partial mirror down and leaves the cursor behind, and
+//! [`Federation::pump`] still runs the subscriptions after a failing one.
+//! One publisher's subscriptions into one subscriber never overlap.
 
-use crate::zone::federation::{ensure_collection, Federation, ZoneId};
-use crate::zone::Zone;
-use srb_mcat::dataset::AccessSpec;
+use crate::zone::federation::{ensure_collection, put_pointer, repoint_home, Federation, ZoneId};
 use srb_mcat::metadata::{MetaKind, Subject};
-use srb_mcat::{
-    export_deltas, Delta, DeltaFetch, Mcat, WalOp, ZONE_HOME_ATTR, ZONE_PATH_ATTR, ZONE_URL_SCHEME,
-};
+use srb_mcat::{export_deltas, Collection, Dataset, Delta, DeltaFetch, Mcat, WalOp};
 use srb_types::sync::{LockRank, Mutex};
-use srb_types::{
-    CollectionId, DatasetId, LogicalPath, Lsn, MetaId, MetaValue, SrbError, SrbResult, Triplet,
-};
+use srb_types::{CollectionId, DatasetId, LogicalPath, Lsn, MetaId, SrbError, SrbResult};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
@@ -79,6 +70,9 @@ struct SubInner {
     dss: HashMap<u64, DatasetId>,
     /// Publisher metadata row id (raw) → local row id.
     metas: HashMap<u64, MetaId>,
+    /// Publisher ids at or below this predate the next delta: the id
+    /// allocator as of the last resync, raised by each applied delta's id.
+    watermark: u64,
     /// Lifetime deltas applied.
     applied: u64,
     /// Full-mirror rebuilds forced by checkpoint gaps.
@@ -135,7 +129,9 @@ impl Federation {
     /// Performs the initial full mirror copy synchronously (charging the
     /// link for the export) and returns the mirror's local prefix,
     /// `/zones/<src zone><src_root>`. Subsequent changes flow through
-    /// [`Federation::pump`].
+    /// [`Federation::pump`]. A root equal to, above or below one already
+    /// subscribed from `src` into `dst` is refused with `AlreadyExists`:
+    /// both would map the same mirror collections.
     pub fn subscribe(&self, dst: ZoneId, src: ZoneId, src_root: &str) -> SrbResult<String> {
         if dst == src {
             return Err(SrbError::Invalid(
@@ -149,16 +145,15 @@ impl Federation {
         for part in src_lp.components() {
             dst_root = dst_root.child(part)?;
         }
-        {
-            let subs = self.subs_registry().read();
-            if subs
-                .iter()
-                .any(|s| s.src == src.0 && s.dst == dst.0 && s.src_root == src_lp)
-            {
-                return Err(SrbError::AlreadyExists(format!(
-                    "subscription {dst} <- {src} {src_root}"
-                )));
-            }
+        let overlap = self.subs_registry().read().iter().any(|s| {
+            s.src == src.0
+                && s.dst == dst.0
+                && (s.src_root.starts_with(&src_lp) || src_lp.starts_with(&s.src_root))
+        });
+        if overlap {
+            return Err(SrbError::AlreadyExists(format!(
+                "subscription {dst} <- {src} overlapping {src_root}"
+            )));
         }
         let sub = Arc::new(Subscription {
             src: src.0,
@@ -309,7 +304,7 @@ impl Federation {
                                     inner.fetched = inner.fetched.max(horizon);
                                     let relevant: Vec<Delta> = deltas
                                         .into_iter()
-                                        .filter(|d| relevant_op(&d.record.op))
+                                        .filter(|d| row_id(&d.record.op).is_some())
                                         .collect();
                                     report.fetched += relevant.len();
                                     self.metrics()
@@ -338,10 +333,28 @@ impl Federation {
                 break;
             };
             let committed_at = delta.committed_at_ns;
-            if let Err(e) = self.apply_delta(sub, inner, dst, delta.record.op) {
+            let id = row_id(&delta.record.op);
+            // A move-in is a branch resync; a refused walk waits at the head.
+            let done = match moved_in(sub, inner, &src.grid.mcat, &delta.record.op) {
+                Some(rows) if rows.is_empty() => Ok(()), // stale: a later put walks
+                Some(rows) => {
+                    let Ok(ns) = self.charge_link(sub.src, sub.dst, link_bytes(sub, &rows)) else {
+                        inner.outbox.push_front(delta);
+                        report.blocked += 1;
+                        break;
+                    };
+                    self.clock().advance(ns);
+                    report.cost_ns += ns;
+                    rows.into_iter()
+                        .try_for_each(|op| self.apply_delta(sub, inner, op))
+                }
+                None => self.apply_delta(sub, inner, delta.record.op),
+            };
+            if let Err(e) = done {
                 outcome = Err(e);
                 break;
             }
+            inner.watermark = inner.watermark.max(id.unwrap_or(0));
             applied += 1;
             inner.applied += 1;
             let lag = self
@@ -371,15 +384,12 @@ impl Federation {
         outcome
     }
 
-    /// Rebuild the mirror from the publisher's live subtree: walk it into
-    /// the row images a delta carries, charge the link for them, and only
-    /// then tear the mirror down and apply every row through
-    /// [`apply_delta`](Self::apply_delta). The fetch cursor moves to the
-    /// publisher's durable LSN as of the walk once every row has applied.
-    /// A failed apply tears the partial mirror back down and leaves the
-    /// cursor behind, so the next round resyncs again. The rebuilt mirror
-    /// is one commit group on the subscriber, whichever way the apply
-    /// ends.
+    /// Rebuild the mirror from the publisher's live subtree: walk it, charge
+    /// the link for the rows, and only then tear the mirror down and apply
+    /// every row through [`apply_delta`](Self::apply_delta), as one commit
+    /// group. Once every row has applied, the fetch cursor moves to the
+    /// publisher's durable LSN as of the walk and the watermark to its id
+    /// allocator; a failed apply tears the partial mirror back down.
     ///
     /// The outer error is a catalog failure. The inner one is the link
     /// refusing the transfer, which leaves the mirror, the outbox and the
@@ -390,8 +400,15 @@ impl Federation {
         // Cursor first: deltas committed during the (virtual-instant) walk
         // sit at higher LSNs and are fetched later.
         let cursor = src.device().synced_lsn();
-        let (rows, bytes) = subtree_rows(&src.grid.mcat, sub)?;
-        let ns = match self.charge_link(sub.src, sub.dst, bytes) {
+        let src_mcat = &src.grid.mcat;
+        let watermark = src_mcat.ids.allocated();
+        // A root the publisher has deleted or moved away is an empty
+        // subtree, the state its deltas would have left the mirror in.
+        let rows = match src_mcat.collections.resolve_nofollow(&sub.src_root) {
+            Ok(root) => subtree_rows(src_mcat, Subject::Collection(root)).collect(),
+            Err(_) => Vec::new(),
+        };
+        let ns = match self.charge_link(sub.src, sub.dst, link_bytes(sub, &rows)) {
             Ok(ns) => ns,
             Err(e) => return Ok(Err(e)),
         };
@@ -400,29 +417,23 @@ impl Federation {
         inner.outbox.clear();
         let applied = rows
             .into_iter()
-            .try_for_each(|op| self.apply_delta(sub, inner, dst, op));
+            .try_for_each(|op| self.apply_delta(sub, inner, op));
         if applied.is_err() {
             teardown_mirror(inner, dst_mcat);
         }
         dst_mcat.commit();
         applied?;
         inner.fetched = cursor;
+        inner.watermark = watermark;
         Ok(Ok(ns))
     }
 
     /// Apply one publisher row image — a shipped delta's or a resync's —
     /// to the subscriber's catalog through its own (WAL-logged) table
     /// APIs, translating ids through the mirror maps.
-    fn apply_delta(
-        &self,
-        sub: &Subscription,
-        inner: &mut SubInner,
-        dst: &Zone,
-        op: WalOp,
-    ) -> SrbResult<()> {
+    fn apply_delta(&self, sub: &Subscription, inner: &mut SubInner, op: WalOp) -> SrbResult<()> {
         let zones = self.zones_slice();
-        let src = &zones[sub.src];
-        let dst_mcat = &dst.grid.mcat;
+        let (src, dst_mcat) = (&zones[sub.src], &zones[sub.dst].grid.mcat);
         match op {
             WalOp::CollectionPut { row } => {
                 if row.link_target.is_some() {
@@ -471,55 +482,12 @@ impl Federation {
                     inner.dss.get(&row.id.raw()).copied(),
                     inner.colls.get(&row.coll.raw()),
                 ) {
-                    (None, Some(mirror)) => {
-                        // A new mirror: a remote pointer replica plus
-                        // WAL-logged home-zone provenance.
-                        let src_path = mirror.src_path.child(&row.name)?;
-                        let size = row.replicas.iter().map(|r| r.size).max().unwrap_or(0);
-                        let checksum = row.replicas.first().and_then(|r| r.checksum.clone());
-                        let url = format!("{ZONE_URL_SCHEME}{}{src_path}", src.name());
-                        let id = dst_mcat.datasets.create(
-                            &dst_mcat.ids,
-                            mirror.local,
-                            &row.name,
-                            &row.data_type,
-                            dst_mcat.admin(),
-                            vec![(AccessSpec::Url { url }, size, checksum)],
-                            self.clock().now(),
-                        )?;
-                        for (attr, value) in [
-                            (ZONE_HOME_ATTR, src.name()),
-                            (ZONE_PATH_ATTR, src_path.to_string().as_str()),
-                        ] {
-                            dst_mcat.metadata.add(
-                                &dst_mcat.ids,
-                                Subject::Dataset(id),
-                                Triplet::new(attr, value, ""),
-                                MetaKind::System,
-                            );
-                        }
+                    (local, Some(mirror)) => {
+                        let home_path = mirror.src_path.child(&row.name)?.to_string();
+                        let home = (src.name(), home_path.as_str());
+                        let at = (mirror.local, row.name.as_str());
+                        let id = put_pointer(dst_mcat, local, at, home, &row)?;
                         inner.dss.insert(row.id.raw(), id);
-                    }
-                    (Some(local), Some(mirror)) => {
-                        let src_path = mirror.src_path.child(&row.name)?;
-                        let cur = dst_mcat.datasets.get(local)?;
-                        if cur.coll != mirror.local || cur.name != row.name {
-                            let mirror_coll = mirror.local;
-                            dst_mcat
-                                .datasets
-                                .move_dataset(local, mirror_coll, &row.name)?;
-                            update_prov_path(dst_mcat, local, &src_path)?;
-                        }
-                        let size = row.replicas.iter().map(|r| r.size).max().unwrap_or(0);
-                        let checksum = row.replicas.first().and_then(|r| r.checksum.clone());
-                        dst_mcat.datasets.update(local, |d| {
-                            d.data_type = row.data_type.clone();
-                            if let Some(r0) = d.replicas.first_mut() {
-                                r0.size = size;
-                                r0.checksum = checksum.clone();
-                            }
-                            Ok(())
-                        })?;
                     }
                     (Some(local), None) => {
                         // Moved out of the subscribed subtree: unmirror.
@@ -573,44 +541,104 @@ fn teardown_mirror(inner: &mut SubInner, dst_mcat: &Mcat) {
     inner.metas.clear();
 }
 
-/// The publisher subtree as the row images a delta carries, parents first
-/// — collections by `(depth, path)`, each followed by its metadata and
-/// then its datasets, each dataset by its own metadata — and the bytes
-/// shipping them costs. Links are zone-local aliases and stay home. A
-/// root the publisher has deleted or moved away is an empty subtree, the
-/// state its deltas would have left the mirror in.
-fn subtree_rows(src: &Mcat, sub: &Subscription) -> SrbResult<(Vec<WalOp>, u64)> {
-    let Ok(root_id) = src.collections.resolve_nofollow(&sub.src_root) else {
-        return Ok((Vec::new(), 1));
+/// A publisher subject's live rows as the images a delta carries, parents
+/// first: a collection and its descendants by `(depth, path)`, each with
+/// its metadata and then its datasets, or one dataset with its metadata.
+/// Links stay home; a subject that is gone walks as nothing. Resync,
+/// move-in and [`Federation::subtree_digest`] all read a publisher through
+/// it, lazily, one collection's datasets at a time.
+pub(crate) fn subtree_rows(src: &Mcat, root: Subject) -> impl Iterator<Item = WalOp> + '_ {
+    let meta = move |of| {
+        let rows = src.metadata.for_subject(of).into_iter();
+        rows.map(|row| WalOp::MetaPut { row })
     };
-    let mut coll_ids = vec![root_id];
-    coll_ids.extend(src.collections.descendants(root_id));
-    let mut colls: Vec<_> = coll_ids
-        .into_iter()
-        .filter_map(|id| src.collections.get(id).ok())
-        .filter(|c| c.link_target.is_none())
-        .collect();
-    colls.sort_by_key(|c| (c.path.depth(), c.path.to_string()));
-    let mut rows = Vec::new();
-    let mut bytes = 0u64;
-    for coll in colls {
-        let id = coll.id;
-        let mirror_path = coll.path.rebase(&sub.src_root, &sub.dst_root)?;
-        let meta = src.metadata.for_subject(Subject::Collection(id));
-        bytes += mirror_path.to_string().len() as u64 + meta.len() as u64 * 48;
-        rows.push(WalOp::CollectionPut { row: coll });
-        rows.extend(meta.into_iter().map(|row| WalOp::MetaPut { row }));
-        for ds in src.datasets.list(id) {
-            if ds.link_target.is_some() {
-                continue;
-            }
-            let meta = src.metadata.for_subject(Subject::Dataset(ds.id));
-            bytes += ds.name.len() as u64 + 64 + meta.len() as u64 * 48;
-            rows.push(WalOp::DatasetPut { row: ds });
-            rows.extend(meta.into_iter().map(|row| WalOp::MetaPut { row }));
+    let dataset = move |row: Dataset| {
+        let of = Subject::Dataset(row.id);
+        std::iter::once(WalOp::DatasetPut { row }).chain(meta(of))
+    };
+    let collection = move |row: Collection| {
+        let (of, listed) = (Subject::Collection(row.id), src.datasets.list(row.id));
+        let listed = listed.into_iter().filter(|ds| ds.link_target.is_none());
+        let head = std::iter::once(WalOp::CollectionPut { row }).chain(meta(of));
+        head.chain(listed.flat_map(dataset))
+    };
+    let (mut colls, dss): (Vec<Collection>, Vec<Dataset>) = match root {
+        Subject::Dataset(id) => (Vec::new(), src.datasets.get(id).into_iter().collect()),
+        Subject::Collection(id) => {
+            let ids = std::iter::once(id).chain(src.collections.descendants(id));
+            let colls = ids.filter_map(|id| src.collections.get(id).ok());
+            (colls.collect(), Vec::new())
         }
+    };
+    colls.retain(|c| c.link_target.is_none());
+    colls.sort_by_key(|c| (c.path.depth(), c.path.to_string()));
+    let dss = dss.into_iter().filter(|ds| ds.link_target.is_none());
+    let colls = colls.into_iter().flat_map(collection);
+    colls.chain(dss.flat_map(dataset))
+}
+
+/// The bytes shipping walked rows costs: a collection's mirror path, a
+/// dataset's name plus 64, and 48 per metadata row.
+fn link_bytes(sub: &Subscription, rows: &[WalOp]) -> u64 {
+    let bytes = rows.iter().map(|op| match op {
+        WalOp::CollectionPut { row } => row
+            .path
+            .rebase(&sub.src_root, &sub.dst_root)
+            .map_or(0, |mirror| mirror.to_string().len() as u64),
+        WalOp::DatasetPut { row } => row.name.len() as u64 + 64,
+        WalOp::MetaPut { .. } => 48,
+        _ => 0,
+    });
+    bytes.sum::<u64>().max(1)
+}
+
+/// The rows a shipped put brings in from outside the mirror: an unmapped
+/// collection in the subtree, or an unmapped dataset under a mapped
+/// collection, whose id is at or below the watermark existed before the
+/// put and may carry rows no delta ships again. It is walked only while
+/// its live row still sits where the put put it; a stale image walks as
+/// nothing, since a later put of the subject, still unmapped, walks it.
+fn moved_in(sub: &Subscription, inner: &SubInner, src: &Mcat, op: &WalOp) -> Option<Vec<WalOp>> {
+    let (subject, brought_in) = match op {
+        WalOp::CollectionPut { row } if row.link_target.is_none() => (
+            Subject::Collection(row.id),
+            !inner.colls.contains_key(&row.id.raw()) && row.path.starts_with(&sub.src_root),
+        ),
+        WalOp::DatasetPut { row } if row.link_target.is_none() => (
+            Subject::Dataset(row.id),
+            !inner.dss.contains_key(&row.id.raw()) && inner.colls.contains_key(&row.coll.raw()),
+        ),
+        _ => return None,
+    };
+    if !brought_in || row_id(op)? > inner.watermark {
+        return None;
     }
-    Ok((rows, bytes.max(1)))
+    let rows: Vec<WalOp> = subtree_rows(src, subject).collect();
+    let current = match (op, rows.first()) {
+        (WalOp::CollectionPut { row }, Some(WalOp::CollectionPut { row: live })) => {
+            live.path == row.path
+        }
+        (WalOp::DatasetPut { row }, Some(WalOp::DatasetPut { row: live })) => {
+            (live.coll, &live.name) == (row.coll, &row.name)
+        }
+        _ => false,
+    };
+    Some(if current { rows } else { Vec::new() })
+}
+
+/// The publisher row a subtree subscription can care about — put or
+/// deleted by a collection, dataset or metadata op — by raw id; `None`
+/// for every other redo op.
+fn row_id(op: &WalOp) -> Option<u64> {
+    Some(match op {
+        WalOp::CollectionPut { row } => row.id.raw(),
+        WalOp::CollectionDelete { id } => id.raw(),
+        WalOp::DatasetPut { row } => row.id.raw(),
+        WalOp::DatasetDelete { id } => id.raw(),
+        WalOp::MetaPut { row } => row.id.raw(),
+        WalOp::MetaDelete { id } => id.raw(),
+        _ => return None,
+    })
 }
 
 /// Follow a publisher-side collection move/rename that stays inside the
@@ -645,7 +673,11 @@ fn mirror_move(
             continue;
         };
         if d.coll == local {
-            update_prov_path(dst_mcat, local_ds, &new_src_path.child(&d.name)?)?;
+            repoint_home(
+                dst_mcat,
+                local_ds,
+                &new_src_path.child(&d.name)?.to_string(),
+            )?;
         }
     }
     if let Some(m) = inner.colls.get_mut(&src_raw) {
@@ -686,33 +718,8 @@ fn unmirror(inner: &mut SubInner, dst_mcat: &Mcat, gone: impl Fn(&LogicalPath) -
     }
 }
 
-/// Which publisher redo ops a subtree subscription can ever care about.
-fn relevant_op(op: &WalOp) -> bool {
-    matches!(
-        op,
-        WalOp::CollectionPut { .. }
-            | WalOp::CollectionDelete { .. }
-            | WalOp::DatasetPut { .. }
-            | WalOp::DatasetDelete { .. }
-            | WalOp::MetaPut { .. }
-            | WalOp::MetaDelete { .. }
-    )
-}
-
 /// `src->dst` metric label for a subscription's link.
 fn link_label(fed: &Federation, sub: &Subscription) -> String {
     let zones = fed.zones_slice();
     format!("{}->{}", zones[sub.src].name(), zones[sub.dst].name())
-}
-
-/// Point the mirror's `zone_path` provenance at the dataset's new home
-/// path after a publisher-side move/rename.
-fn update_prov_path(mcat: &Mcat, local: DatasetId, src_path: &LogicalPath) -> SrbResult<()> {
-    for row in mcat.metadata.for_subject(Subject::Dataset(local)) {
-        if row.kind == MetaKind::System && row.triplet.name == ZONE_PATH_ATTR {
-            mcat.metadata
-                .update(row.id, MetaValue::Text(src_path.to_string()), String::new())?;
-        }
-    }
-    Ok(())
 }

@@ -1,11 +1,14 @@
 //! Federation behaviour: load balancing across replicas, parallel client
-//! pools, migration, and hop accounting.
+//! pools, migration, and hop accounting; and the zone convergence digest's
+//! view of a catalog.
 
 mod common;
 
-use common::{connect, grid};
-use srb_core::{IngestOptions, ReplicaPolicy, SrbConnection};
-use srb_types::Permission;
+use common::{connect, grid, zone_grid};
+use srb_core::{Federation, IngestOptions, ReplicaPolicy, SrbConnection};
+use srb_mcat::dataset::AccessSpec;
+use srb_mcat::{Dataset, Mcat, MetaKind, Subject};
+use srb_types::{CollectionId, DatasetId, MetaValue, Permission, ResourceId, Triplet, UserId};
 
 #[test]
 fn least_loaded_policy_spreads_reads_across_replicas() {
@@ -213,3 +216,152 @@ fn network_traffic_is_accounted() {
         "ingest + read moved the payload twice"
     );
 }
+
+/// The digest fixture's dataset, the collection holding it, and a
+/// sub-collection.
+struct Subjects {
+    d: DatasetId,
+    root: CollectionId,
+    sub: CollectionId,
+}
+
+/// A one-field change to the digest fixture, made straight in the catalog.
+type Mutant = (&'static str, fn(&Mcat, &Subjects));
+
+/// A triplet rewrite: the fixture's user-defined triplet and kind in, the
+/// replacement out.
+type Retag = fn(Triplet, MetaKind) -> (Triplet, MetaKind);
+
+/// `/home/sekar/data` in a one-zone federation: a dataset and a
+/// sub-collection, each carrying one user-defined triplet. Returns the
+/// subtree's digest after `mutate` has edited the catalog.
+fn digest_after(mutate: fn(&Mcat, &Subjects)) -> String {
+    let mut fed = Federation::new();
+    let (grid, srv) = zone_grid(&fed.clock().clone(), "alpha");
+    let z = fed.add_zone("alpha", grid, srv).unwrap();
+    let zone = fed.zone(z).unwrap();
+    let c = SrbConnection::connect(&zone.grid, srv, "sekar", "sdsc", "pw").unwrap();
+    c.make_collection("/home/sekar/data/sub").unwrap();
+    let opts = IngestOptions::to_resource("fs-alpha")
+        .with_type("text")
+        .with_metadata(Triplet::new("k", "v", "u"));
+    c.ingest("/home/sekar/data/d", vec![1u8; 64], opts).unwrap();
+    c.add_metadata("/home/sekar/data/sub", Triplet::new("k", "v", "u"))
+        .unwrap();
+    let m = &zone.grid.mcat;
+    let coll = |p: &str| m.collections.resolve(&p.parse().unwrap()).unwrap();
+    let subjects = Subjects {
+        d: m.resolve_dataset(&"/home/sekar/data/d".parse().unwrap())
+            .unwrap(),
+        root: coll("/home/sekar/data"),
+        sub: coll("/home/sekar/data/sub"),
+    };
+    mutate(m, &subjects);
+    fed.subtree_digest(z, "/home/sekar/data").unwrap()
+}
+
+fn edit_dataset(m: &Mcat, d: DatasetId, edit: impl FnOnce(&mut Dataset)) {
+    m.datasets
+        .update(d, |row| {
+            edit(row);
+            Ok(())
+        })
+        .unwrap();
+}
+
+/// Replace the user-defined triplet on `subject` through `edit`.
+fn retag(m: &Mcat, subject: Subject, edit: Retag) {
+    let mut rows = m.metadata.for_subject(subject).into_iter();
+    let row = rows.find(|r| r.kind == MetaKind::UserDefined).unwrap();
+    m.metadata.remove(row.id).unwrap();
+    let (t, kind) = edit(row.triplet, row.kind);
+    m.metadata.add(&m.ids, subject, t, kind);
+}
+
+#[test]
+fn the_digest_sees_every_field_a_mirror_carries_and_nothing_zone_local() {
+    let base = digest_after(|_, _| {});
+    assert!(base.contains("D /d text 64 "), "{base}");
+    assert!(base.contains("M /d user k=v [u]"), "{base}");
+    assert!(base.contains("CM /sub user k=v [u]"), "{base}");
+    let seen: [Mutant; 13] = [
+        ("dataset name", |m, s| {
+            m.datasets.move_dataset(s.d, s.root, "e").unwrap()
+        }),
+        ("data type", |m, s| {
+            edit_dataset(m, s.d, |r| r.data_type = "fits".into())
+        }),
+        ("size", |m, s| {
+            edit_dataset(m, s.d, |r| r.replicas[0].size += 1)
+        }),
+        ("checksum", |m, s| {
+            edit_dataset(m, s.d, |r| r.replicas[0].checksum = Some("beef".into()))
+        }),
+        ("collection name", |m, s| {
+            m.collections.move_collection(s.sub, s.root, "tub").unwrap()
+        }),
+        ("dataset triplet name", |m, s| {
+            retag(m, Subject::Dataset(s.d), RETAGS[0])
+        }),
+        ("dataset triplet value", |m, s| {
+            retag(m, Subject::Dataset(s.d), RETAGS[1])
+        }),
+        ("dataset triplet units", |m, s| {
+            retag(m, Subject::Dataset(s.d), RETAGS[2])
+        }),
+        ("dataset triplet kind", |m, s| {
+            retag(m, Subject::Dataset(s.d), RETAGS[3])
+        }),
+        ("collection triplet name", |m, s| {
+            retag(m, Subject::Collection(s.sub), RETAGS[0])
+        }),
+        ("collection triplet value", |m, s| {
+            retag(m, Subject::Collection(s.sub), RETAGS[1])
+        }),
+        ("collection triplet units", |m, s| {
+            retag(m, Subject::Collection(s.sub), RETAGS[2])
+        }),
+        ("collection triplet kind", |m, s| {
+            retag(m, Subject::Collection(s.sub), RETAGS[3])
+        }),
+    ];
+    for (what, mutate) in seen {
+        let got = digest_after(mutate);
+        assert_ne!(got, base, "a changed {what} left the digest");
+    }
+
+    let unseen: [Mutant; 4] = [
+        ("owner", |m, s| {
+            edit_dataset(m, s.d, |r| r.owner = UserId(r.owner.raw() + 1))
+        }),
+        ("ACL", |m, s| {
+            edit_dataset(m, s.d, |r| r.acl.public = Permission::Read)
+        }),
+        ("replica location", |m, s| {
+            edit_dataset(m, s.d, |r| {
+                r.replicas[0].spec = AccessSpec::Stored {
+                    resource: ResourceId(999),
+                    phys_path: "elsewhere".into(),
+                }
+            })
+        }),
+        ("system rows", |m, s| {
+            for subject in [Subject::Dataset(s.d), Subject::Collection(s.sub)] {
+                let t = Triplet::new("zone_home", MetaValue::Text("x".into()), "");
+                m.metadata.add(&m.ids, subject, t, MetaKind::System);
+            }
+        }),
+    ];
+    for (what, mutate) in unseen {
+        let got = digest_after(mutate);
+        assert_eq!(got, base, "a changed {what} moved the digest");
+    }
+}
+
+/// One change each to a triplet's name, value, units and kind.
+const RETAGS: [Retag; 4] = [
+    |t, k| (Triplet::new("j", t.value, t.units), k),
+    |t, k| (Triplet::new(t.name, "w", t.units), k),
+    |t, k| (Triplet::new(t.name, t.value, "nm"), k),
+    |t, _| (t, MetaKind::TypeOriented("fits".into())),
+];

@@ -1,19 +1,23 @@
 //! Differential oracle for the one mirror path: a mirror built from
 //! deltas and a mirror built by one resync hold the same subtree.
 //!
-//! Three zones share one clock. `alpha` publishes `/home/sekar/data`;
+//! Four zones share one clock. `alpha` publishes `/home/sekar/data`;
 //! `beta` subscribes first and pumps after every publisher op (with one
-//! forced checkpoint-gap resync mid-run); `gamma` subscribes once at the
-//! end, so a single resync builds its mirror. After draining, both
-//! mirrors must serialize to the publisher's digest, every mirrored
-//! dataset's `zone_path` provenance must name its current publisher path,
-//! and no zone may hold a metadata row or annotation whose subject is
-//! gone.
+//! forced checkpoint-gap resync mid-run); `omega` subscribes to beta's
+//! mirror at the start, so it replicates a replica; `gamma` subscribes
+//! once at the end, so a single resync builds its mirror. The op mix
+//! includes every op that brings rows into the subtree: ingests, bulk
+//! ingests, copies, registered files, links, and datasets and whole
+//! collections moved in from outside. After draining, every mirror must
+//! serialize to the publisher's digest, every dataset beta and gamma
+//! mirror must carry `zone_path` provenance naming its current publisher
+//! path, and no zone may hold a metadata row or annotation whose subject
+//! is gone.
 
 mod common;
 
 use common::{assert_no_orphans, zone_grid};
-use srb_core::{Federation, IngestOptions, SrbConnection, ZoneId};
+use srb_core::{Federation, Grid, IngestOptions, RegisterSpec, SrbConnection, ZoneId};
 use srb_mcat::{Mcat, MetaKind};
 use srb_net::LinkSpec;
 use srb_types::{LogicalPath, MetaId, MetaValue, SeedStream, Triplet};
@@ -27,6 +31,7 @@ struct World {
     alpha: ZoneId,
     beta: ZoneId,
     gamma: ZoneId,
+    omega: ZoneId,
 }
 
 fn world() -> World {
@@ -37,18 +42,21 @@ fn world() -> World {
         fed.add_zone(tag, grid, srv).unwrap()
     };
     let (alpha, beta, gamma) = (zone("alpha"), zone("beta"), zone("gamma"));
+    let omega = zone("omega");
     fed.link(alpha, beta, LinkSpec::metro()).unwrap();
     fed.link(alpha, gamma, LinkSpec::lan()).unwrap();
+    fed.link(beta, omega, LinkSpec::lan()).unwrap();
     World {
         fed,
         alpha,
         beta,
         gamma,
+        omega,
     }
 }
 
 /// The publisher subtree as it stands: collection paths (root first) and
-/// dataset paths, both in catalog order.
+/// dataset paths, both in catalog order, links left out.
 fn subtree(mcat: &Mcat) -> (Vec<String>, Vec<String>) {
     let root = mcat
         .collections
@@ -60,8 +68,13 @@ fn subtree(mcat: &Mcat) -> (Vec<String>, Vec<String>) {
     let mut dss = Vec::new();
     for id in ids {
         let coll = mcat.collections.get(id).unwrap();
+        if coll.link_target.is_some() {
+            continue;
+        }
         for ds in mcat.datasets.list(id) {
-            dss.push(coll.path.child(&ds.name).unwrap().to_string());
+            if ds.link_target.is_none() {
+                dss.push(coll.path.child(&ds.name).unwrap().to_string());
+            }
         }
         colls.push(coll.path.to_string());
     }
@@ -72,9 +85,66 @@ fn pick<'a>(rng: &mut SeedStream, from: &'a [String]) -> Option<&'a str> {
     (!from.is_empty()).then(|| from[rng.below(from.len())].as_str())
 }
 
+/// Some user-defined triplets, from none to two.
+fn triplets(rng: &mut SeedStream) -> Vec<Triplet> {
+    (0..rng.below(3))
+        .map(|t| {
+            Triplet::new(
+                format!("attr{t}"),
+                format!("v{}", rng.below(5)).as_str(),
+                "",
+            )
+        })
+        .collect()
+}
+
+fn ingest_opts(rng: &mut SeedStream) -> IngestOptions {
+    let opts = IngestOptions::to_resource("fs-alpha").with_type("text");
+    triplets(rng)
+        .into_iter()
+        .fold(opts, |o, t| o.with_metadata(t))
+}
+
+/// A fresh dataset outside the subtree, with metadata.
+fn outside_dataset(c: &SrbConnection<'_>, rng: &mut SeedStream, name: &str) -> String {
+    let path = format!("{OUTSIDE}/{name}");
+    c.ingest(&path, vec![7u8; 40], ingest_opts(rng)).unwrap();
+    path
+}
+
+/// A collection outside the subtree to move in: one of those that left
+/// the subtree earlier, or a fresh one holding two datasets and a
+/// sub-collection, all with metadata.
+fn outside_collection(
+    c: &SrbConnection<'_>,
+    mcat: &Mcat,
+    rng: &mut SeedStream,
+    n: usize,
+) -> String {
+    let outside = mcat.collections.resolve(&OUTSIDE.parse().unwrap()).unwrap();
+    let gone: Vec<String> = (mcat.collections.children(outside).into_iter())
+        .map(|coll| coll.path.to_string())
+        .collect();
+    if let Some(path) = pick(rng, &gone).filter(|_| rng.below(2) == 0) {
+        return path.to_string();
+    }
+    let root = format!("{OUTSIDE}/oc{n}");
+    c.make_collection(&format!("{root}/sub")).unwrap();
+    for name in ["a", "b"] {
+        outside_dataset(c, rng, &format!("oc{n}/{name}"));
+    }
+    for coll in [&root, &format!("{root}/sub")] {
+        for t in triplets(rng) {
+            c.add_metadata(coll, t).unwrap();
+        }
+    }
+    root
+}
+
 /// One seeded publisher op. Every op is one the grid accepts; an op with
 /// nothing to act on makes a fresh collection instead.
-fn publisher_op(c: &SrbConnection<'_>, mcat: &Mcat, rng: &mut SeedStream, n: usize) {
+fn publisher_op(c: &SrbConnection<'_>, grid: &Grid, rng: &mut SeedStream, n: usize) {
+    let mcat = &grid.mcat;
     let (colls, dss) = subtree(mcat);
     let subjects: Vec<String> = colls.iter().chain(&dss).cloned().collect();
     let nested = &colls[1..]; // everything but the subscribed root
@@ -88,17 +158,14 @@ fn publisher_op(c: &SrbConnection<'_>, mcat: &Mcat, rng: &mut SeedStream, n: usi
                 .map(move |r| (p.clone(), r.id))
         })
         .collect();
-    let choice = rng.below(16);
+    let choice = rng.below(22);
     let parent = pick(rng, &colls).unwrap();
     let done = match choice {
-        0..=3 => {
-            let mut opts = IngestOptions::to_resource("fs-alpha").with_type("text");
-            for t in 0..rng.below(3) {
-                let v = format!("v{}", rng.below(5));
-                opts = opts.with_metadata(Triplet::new(format!("attr{t}"), v.as_str(), ""));
-            }
-            c.ingest(&format!("{parent}/d{n}"), vec![n as u8; 16 + n], opts)
-        }
+        0..=3 => c.ingest(
+            &format!("{parent}/d{n}"),
+            vec![n as u8; 16 + n],
+            ingest_opts(rng),
+        ),
         4 | 5 => c.make_collection(&format!("{parent}/c{n}")),
         6..=8 => {
             let target = pick(rng, &subjects).unwrap();
@@ -139,6 +206,47 @@ fn publisher_op(c: &SrbConnection<'_>, mcat: &Mcat, rng: &mut SeedStream, n: usi
         }
         13 if !dss.is_empty() => c.delete(pick(rng, &dss).unwrap(), None),
         14 if !nested.is_empty() => c.delete_collection(pick(rng, nested).unwrap(), true),
+        // A dataset moved in from outside, metadata and all.
+        15 => {
+            let from = outside_dataset(c, rng, &format!("o{n}"));
+            c.move_logical(&from, &format!("{parent}/i{n}"))
+        }
+        // A collection with content moved in from outside.
+        16 => {
+            let from = outside_collection(c, mcat, rng, n);
+            c.move_logical(&from, &format!("{parent}/ic{n}"))
+        }
+        // A link into the subtree: to an outside dataset or collection.
+        17 => {
+            let target = match rng.below(2) {
+                0 => outside_dataset(c, rng, &format!("t{n}")),
+                _ => OUTSIDE.to_string(),
+            };
+            c.link(&target, &format!("{parent}/l{n}"))
+        }
+        18 if !dss.is_empty() => {
+            let from = pick(rng, &dss).unwrap();
+            c.copy(from, &format!("{parent}/cp{n}"), "fs-alpha")
+        }
+        19 => {
+            let files = (0..2 + rng.below(2))
+                .map(|i| (format!("b{n}-{i}"), vec![i as u8; 24 + n].into()))
+                .collect();
+            c.ingest_bulk(parent, files, &ingest_opts(rng))
+                .map(|(_, r)| r)
+        }
+        // A file already on the resource, registered into the subtree.
+        20 => {
+            let fs = grid.resource_id("fs-alpha").unwrap();
+            let phys_path = format!("ext/f{n}");
+            let driver = grid.driver(fs).unwrap();
+            driver.driver().create(&phys_path, &[n as u8; 32]).unwrap();
+            let spec = RegisterSpec::File {
+                resource: "fs-alpha".into(),
+                phys_path,
+            };
+            c.register(&format!("{parent}/f{n}"), spec, ingest_opts(rng))
+        }
         _ => c.make_collection(&format!("{SRC_ROOT}/c{n}")),
     };
     done.unwrap_or_else(|e| panic!("publisher op {choice} #{n} refused: {e}"));
@@ -175,6 +283,7 @@ fn run(seed: u64) {
     c.add_metadata(SRC_ROOT, Triplet::new("owner", "sekar", ""))
         .unwrap();
     let beta_root = w.fed.subscribe(w.beta, w.alpha, SRC_ROOT).unwrap();
+    let omega_root = w.fed.subscribe(w.omega, w.beta, &beta_root).unwrap();
 
     let mut rng = SeedStream::new(seed);
     for n in 0..OPS {
@@ -184,7 +293,7 @@ fn run(seed: u64) {
         if gap {
             w.fed.partition(w.alpha, w.beta).unwrap();
         }
-        publisher_op(&c, &zone(w.alpha).mcat, &mut rng, n);
+        publisher_op(&c, zone(w.alpha), &mut rng, n);
         if gap {
             zone(w.alpha).mcat.checkpoint_now().unwrap();
             w.fed.heal(w.alpha, w.beta).unwrap();
@@ -209,7 +318,12 @@ fn run(seed: u64) {
         );
         assert_provenance_current(&zone(z).mcat, root, &zone(w.alpha).mcat);
     }
-    for z in [w.alpha, w.beta, w.gamma] {
+    let chained = w.fed.subtree_digest(w.omega, &omega_root).unwrap();
+    assert_eq!(
+        chained, want,
+        "seed {seed}: the mirror of beta's mirror diverged"
+    );
+    for z in [w.alpha, w.beta, w.gamma, w.omega] {
         assert_no_orphans(&zone(z).mcat);
     }
     assert!(

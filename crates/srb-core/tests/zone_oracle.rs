@@ -719,3 +719,237 @@ fn replication_tracks_moves_deletes_and_metadata_changes() {
     assert!(status.max_lag_ns > 0);
     assert!(status.applied > 0);
 }
+
+/// Alpha publishes `/home/sekar/data` to beta; gamma subscribes to beta's
+/// mirror of it, so whatever reaches beta must reach gamma too.
+struct Chain {
+    f: Fed,
+    c: ZoneId,
+    beta_root: String,
+    gamma_root: String,
+}
+
+fn chain() -> Chain {
+    let mut f = two_zones(LinkSpec::lan());
+    let clock = f.fed.clock().clone();
+    let (grid_c, srv_c) = zone_grid(&clock, "gamma");
+    let c = f.fed.add_zone("gamma", grid_c, srv_c).unwrap();
+    f.fed.link(f.b, c, LinkSpec::lan()).unwrap();
+    let ca = conn(&f, f.a);
+    for coll in ["/home/sekar/data", "/home/sekar/out"] {
+        ca.make_collection(coll).unwrap();
+    }
+    let beta_root = f.fed.subscribe(f.b, f.a, "/home/sekar/data").unwrap();
+    let gamma_root = f.fed.subscribe(c, f.b, &beta_root).unwrap();
+    Chain {
+        f,
+        c,
+        beta_root,
+        gamma_root,
+    }
+}
+
+/// Drain, then hold every zone of the chain to alpha's digest and every
+/// catalog free of orphans; returns alpha's digest.
+fn assert_chain_converged(ch: &Chain) -> String {
+    let drained = ch.f.fed.pump_until_drained(8, 1000).unwrap();
+    assert_eq!(drained.pending, 0);
+    let fed = &ch.f.fed;
+    let want = fed.subtree_digest(ch.f.a, "/home/sekar/data").unwrap();
+    assert_eq!(fed.subtree_digest(ch.f.b, &ch.beta_root).unwrap(), want);
+    assert_eq!(fed.subtree_digest(ch.c, &ch.gamma_root).unwrap(), want);
+    for z in [ch.f.a, ch.f.b, ch.c] {
+        assert_no_orphans(&fed.zone(z).unwrap().grid.mcat);
+    }
+    want
+}
+
+#[test]
+fn a_dataset_moved_in_arrives_with_its_metadata() {
+    let ch = chain();
+    let ca = conn(&ch.f, ch.f.a);
+    let opts = IngestOptions::to_resource("fs-alpha")
+        .with_type("text")
+        .with_metadata(Triplet::new("k", 2i64, ""));
+    ca.ingest("/home/sekar/out/y", vec![7u8; 96], opts).unwrap();
+    ch.f.fed.pump_until_drained(8, 1000).unwrap();
+    ca.move_logical("/home/sekar/out/y", "/home/sekar/data/y")
+        .unwrap();
+    let want = assert_chain_converged(&ch);
+    assert!(want.contains("\nM /y user k=2 []"), "{want}");
+}
+
+#[test]
+fn a_collection_moved_in_arrives_with_its_content() {
+    let ch = chain();
+    let ca = conn(&ch.f, ch.f.a);
+    ca.make_collection("/home/sekar/out/c/sub").unwrap();
+    for (name, t) in [
+        ("d1", Triplet::new("k", 1i64, "")),
+        ("d2", Triplet::new("band", "ir", "nm")),
+    ] {
+        let opts = IngestOptions::to_resource("fs-alpha")
+            .with_type("text")
+            .with_metadata(t);
+        let path = format!("/home/sekar/out/c/{name}");
+        ca.ingest(&path, vec![1u8; 64], opts).unwrap();
+    }
+    ca.add_metadata("/home/sekar/out/c/d1", Triplet::new("grade", "hot", ""))
+        .unwrap();
+    ca.add_metadata("/home/sekar/out/c/sub", Triplet::new("tier", "2", ""))
+        .unwrap();
+    ch.f.fed.pump_until_drained(8, 1000).unwrap();
+    ca.move_logical("/home/sekar/out/c", "/home/sekar/data/c")
+        .unwrap();
+    let want = assert_chain_converged(&ch);
+    for line in [
+        "C /c/sub",
+        "D /c/d1 text 64",
+        "M /c/d1 user grade=hot []",
+        "M /c/d2 user band=ir [nm]",
+        "CM /c/sub user tier=2 []",
+    ] {
+        assert!(want.contains(line), "no `{line}` in:\n{want}");
+    }
+}
+
+/// A moved-in subject whose live name another mirrored row gives up only
+/// in a later delta: the move's put is stale by the time it applies, and
+/// the subject's later put brings it in once the name is free. Returns
+/// alpha's digest.
+fn moved_in_onto_a_name_freed_later(
+    x: &str,
+    y: &str,
+    w: &str,
+    make: impl Fn(&SrbConnection<'_>),
+) -> String {
+    let ch = chain();
+    let ca = conn(&ch.f, ch.f.a);
+    make(&ca);
+    ch.f.fed.pump_until_drained(8, 1000).unwrap();
+    let data = |name: &str| format!("/home/sekar/data/{name}");
+    ca.move_logical(&format!("/home/sekar/out/{x}"), &data(x))
+        .unwrap();
+    ca.move_logical(&data(y), &data(w)).unwrap();
+    ca.move_logical(&data(x), &data(y)).unwrap();
+    assert_chain_converged(&ch)
+}
+
+#[test]
+fn a_dataset_moved_in_onto_a_name_freed_later_converges() {
+    let want = moved_in_onto_a_name_freed_later("y", "a", "b", |ca| {
+        for (path, k) in [("/home/sekar/out/y", 2i64), ("/home/sekar/data/a", 1)] {
+            let opts = IngestOptions::to_resource("fs-alpha")
+                .with_type("text")
+                .with_metadata(Triplet::new("k", k, ""));
+            ca.ingest(path, vec![7u8; 96], opts).unwrap();
+        }
+    });
+    for line in ["D /a text 96", "M /a user k=2 []", "M /b user k=1 []"] {
+        assert!(want.contains(line), "no `{line}` in:\n{want}");
+    }
+}
+
+#[test]
+fn a_collection_moved_in_onto_a_name_freed_later_stays_apart() {
+    let want = moved_in_onto_a_name_freed_later("x", "y", "w", |ca| {
+        for (coll, k) in [("/home/sekar/out/x", 1i64), ("/home/sekar/data/y", 2)] {
+            ca.make_collection(coll).unwrap();
+            ca.add_metadata(coll, Triplet::new("k", k, "")).unwrap();
+            let opts = IngestOptions::to_resource("fs-alpha").with_type("text");
+            ca.ingest(&format!("{coll}/d{k}"), vec![1u8; 64], opts)
+                .unwrap();
+        }
+    });
+    for line in [
+        "CM /y user k=1 []",
+        "D /y/d1 text",
+        "CM /w user k=2 []",
+        "D /w/d2 text",
+    ] {
+        assert!(want.contains(line), "no `{line}` in:\n{want}");
+    }
+    assert!(!want.contains("/w/d1") && !want.contains("/y/d2"), "{want}");
+}
+
+#[test]
+fn a_move_in_the_link_refuses_waits_at_the_head_of_the_outbox() {
+    let f = two_zones(LinkSpec::metro());
+    let ca = conn(&f, f.a);
+    for coll in ["/home/sekar/data", "/home/sekar/out"] {
+        ca.make_collection(coll).unwrap();
+    }
+    let dst_root = f.fed.subscribe(f.b, f.a, "/home/sekar/data").unwrap();
+    let opts = IngestOptions::to_resource("fs-alpha")
+        .with_type("text")
+        .with_metadata(Triplet::new("k", 2i64, ""));
+    ca.ingest("/home/sekar/out/y", vec![7u8; 96], opts).unwrap();
+    ca.move_logical("/home/sekar/out/y", "/home/sekar/data/y")
+        .unwrap();
+    // Apply one delta a round until only the move is left.
+    while f.fed.subscriptions()[0].outbox != 1 {
+        f.fed.pump(1).unwrap();
+    }
+    let beta = &f.fed.zone(f.b).unwrap().grid.mcat;
+    let image = beta.snapshot_json().unwrap();
+    f.fed
+        .set_link_mode(f.a, f.b, FaultMode::FailNext(1))
+        .unwrap();
+    let r = f.fed.pump(1).unwrap();
+    assert_eq!((r.blocked, r.applied, r.pending), (1, 0, 1));
+    assert_eq!(
+        beta.snapshot_json().unwrap(),
+        image,
+        "a refused walk landed"
+    );
+
+    f.fed.pump_until_drained(8, 100).unwrap();
+    let want = f.fed.subtree_digest(f.a, "/home/sekar/data").unwrap();
+    assert_eq!(f.fed.subtree_digest(f.b, &dst_root).unwrap(), want);
+    assert!(want.contains("M /y user k=2 []"), "{want}");
+}
+
+/// Subscribe beta to `first`, then try `second` from the same publisher:
+/// the overlapping root is refused and nothing changes.
+fn overlapping_subscribe_is_refused(first: &str, second: &str) {
+    let f = two_zones(LinkSpec::lan());
+    let ca = conn(&f, f.a);
+    ca.make_collection("/home/sekar/data/sub").unwrap();
+    ca.make_collection("/home/sekar/database").unwrap();
+    ca.add_metadata("/home/sekar/data/sub", Triplet::new("k", "v", ""))
+        .unwrap();
+    // No datasets yet: a second copy of the same rows would not collide.
+    let root = f.fed.subscribe(f.b, f.a, first).unwrap();
+    let beta = &f.fed.zone(f.b).unwrap().grid.mcat;
+    let image = beta.snapshot_json().unwrap();
+    let refused = f.fed.subscribe(f.b, f.a, second);
+    assert!(
+        matches!(refused, Err(SrbError::AlreadyExists(_))),
+        "{refused:?}"
+    );
+    assert_eq!(f.fed.subscriptions().len(), 1);
+    assert_eq!(beta.snapshot_json().unwrap(), image, "the refusal wrote");
+    // A sibling that only shares a name prefix is not an overlap.
+    f.fed.subscribe(f.b, f.a, "/home/sekar/database").unwrap();
+    let opts = || IngestOptions::to_resource("fs-alpha");
+    ca.ingest("/home/sekar/data/sub/d0", vec![1u8; 64], opts())
+        .unwrap();
+    ca.ingest("/home/sekar/data/d2", vec![3u8; 64], opts())
+        .unwrap();
+    f.fed.pump_until_drained(8, 100).unwrap();
+    assert_eq!(
+        f.fed.subtree_digest(f.a, first).unwrap(),
+        f.fed.subtree_digest(f.b, &root).unwrap()
+    );
+    assert_no_orphans(beta);
+}
+
+#[test]
+fn a_subscription_under_a_subscribed_root_is_refused() {
+    overlapping_subscribe_is_refused("/home/sekar/data", "/home/sekar/data/sub");
+}
+
+#[test]
+fn a_subscription_over_a_subscribed_root_is_refused() {
+    overlapping_subscribe_is_refused("/home/sekar/data/sub", "/home/sekar/data");
+}

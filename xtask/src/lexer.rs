@@ -106,7 +106,6 @@ impl Lexed {
     }
 
     /// The innermost fn whose body contains token index `i`.
-    #[allow(dead_code)] // lexer API; exercised by unit tests
     pub fn enclosing_fn(&self, i: usize) -> Option<&FnItem> {
         self.fns
             .iter()

@@ -204,6 +204,7 @@ fn lint(root: &Path, out: &Output) -> ExitCode {
         violations.extend(rules::id_hasher_keys(rel, &lexed));
         violations.extend(rules::storage_door(rel, &lexed));
         violations.extend(rules::subject_delete(rel, &lexed));
+        violations.extend(rules::zone_pointer(rel, &lexed));
     }
 
     violations.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));

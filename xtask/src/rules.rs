@@ -441,6 +441,55 @@ pub fn subject_delete(path: &str, lexed: &Lexed) -> Vec<Violation> {
         .collect()
 }
 
+/// The one writer of remote pointer rows in `srb-core`, and the function
+/// it shares with a collection move to re-point a row's home path.
+const POINTER_FNS: [&str; 2] = ["put_pointer", "repoint_home"];
+
+/// What a remote pointer row is made of: its URL scheme and the names of
+/// its two provenance triplets.
+const POINTER_PARTS: [&str; 3] = ["ZONE_URL_SCHEME", "ZONE_HOME_ATTR", "ZONE_PATH_ATTR"];
+
+/// Rule `zone-pointer`: in `srb-core`'s library code the remote-pointer
+/// constants are named only inside `fn put_pointer`, the one function
+/// that writes a pointer row with its size, checksum and provenance
+/// triplets, and `fn repoint_home`, which re-points its `zone_path`
+/// triplet — as an identifier or as an inline format argument
+/// (`"{ZONE_URL_SCHEME}"`). A second writer is a second place for the
+/// row, its triplets or their WAL order to drift.
+pub fn zone_pointer(path: &str, lexed: &Lexed) -> Vec<Violation> {
+    if !path.starts_with("crates/srb-core/src/") {
+        return Vec::new();
+    }
+    let toks = &lexed.toks;
+    let part_in = |t: &Tok| {
+        POINTER_PARTS.into_iter().find(|part| match t.kind {
+            TokKind::Ident => t.text == *part,
+            TokKind::Str => [format!("{{{part}}}"), format!("{{{part}:")]
+                .iter()
+                .any(|arg| t.text.contains(arg.as_str())),
+            _ => false,
+        })
+    };
+    (0..toks.len())
+        .filter(|&i| !lexed.in_test(i))
+        .filter(|&i| {
+            lexed
+                .enclosing_fn(i)
+                .is_none_or(|f| !POINTER_FNS.contains(&&*f.name))
+        })
+        .filter_map(|i| part_in(&toks[i]).map(|part| (toks[i].line, part)))
+        .map(|(line, part)| Violation {
+            path: path.to_string(),
+            line,
+            rule: "zone-pointer",
+            msg: format!(
+                "`{part}` named outside `put_pointer`/`repoint_home`: a remote pointer \
+                 row and its provenance triplets have one writer"
+            ),
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -500,6 +549,26 @@ mod tests {
         // The tables themselves and other crates may delete rows.
         assert!(subject_delete("crates/srb-mcat/src/catalog.rs", &lexed).is_empty());
         assert!(subject_delete("crates/srb-core/tests/t.rs", &lexed).is_empty());
+    }
+
+    #[test]
+    fn zone_pointer_flags_pointer_parts_outside_the_writer() {
+        let src = "use srb_mcat::{Mcat, ZONE_PATH_ATTR};\n\
+                   fn mint(h: &str) -> String { [ZONE_URL_SCHEME, h].concat() }\n\
+                   fn url(h: &str) -> String { format!(\"{ZONE_URL_SCHEME}{h}\") }\n\
+                   fn put_pointer(m: &Mcat) {\n use srb_mcat::ZONE_HOME_ATTR;\n\
+                   let url = [ZONE_URL_SCHEME, h].concat();\n let f = || ZONE_PATH_ATTR; }\n\
+                   fn repoint_home() { let _ = ZONE_PATH_ATTR; }\n\
+                   // ZONE_HOME_ATTR in prose, \"ZONE_URL_SCHEME\" in a literal\n\
+                   #[cfg(test)]\nmod tests {\n fn t() { let _ = ZONE_HOME_ATTR; }\n}\n";
+        let lexed = Lexed::new(src);
+        let v = zone_pointer("crates/srb-core/src/zone/replication.rs", &lexed);
+        assert_eq!(v.iter().map(|v| v.line).collect::<Vec<_>>(), [1, 2, 3]);
+        assert!(v[1].msg.contains("`ZONE_URL_SCHEME`"), "{}", v[1].msg);
+        assert!(v[2].msg.contains("`ZONE_URL_SCHEME`"), "{}", v[2].msg);
+        // The catalog that defines the constants and other crates are exempt.
+        assert!(zone_pointer("crates/srb-mcat/src/catalog.rs", &lexed).is_empty());
+        assert!(zone_pointer("crates/srb-core/tests/zone_oracle.rs", &lexed).is_empty());
     }
 
     #[test]

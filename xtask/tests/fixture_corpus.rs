@@ -55,6 +55,7 @@ const LINT_GOLDENS: &[&str] = &[
     "crates/srb-core/src/ops_fix.rs:5: [no-panic-ops]",
     "crates/srb-core/src/ops_fix.rs:13: [storage-door]",
     "crates/srb-core/src/ops_fix.rs:21: [subject-delete]",
+    "crates/srb-core/src/ops_fix.rs:28: [zone-pointer]",
 ];
 
 #[test]
@@ -134,6 +135,7 @@ fn json_output_is_machine_readable() {
         "id-hasher-key",
         "storage-door",
         "subject-delete",
+        "zone-pointer",
     ] {
         assert!(
             lint_out.contains(&format!("\"{rule}\"")),

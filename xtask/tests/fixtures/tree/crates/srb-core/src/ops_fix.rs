@@ -21,3 +21,13 @@ pub fn drop_row(mcat: &Mcat, id: DatasetId) {
     let _ = mcat.datasets.delete(id);
     let _ = mcat.remove_dataset(id);
 }
+
+/// Seeded zone-pointer bait: a pointer URL minted outside the one pointer
+/// writer, then the same inside it (clean).
+pub fn mint_url(home: &str) -> String {
+    [ZONE_URL_SCHEME, home].concat()
+}
+
+pub(crate) fn put_pointer(home: &str) -> String {
+    [ZONE_URL_SCHEME, home].concat()
+}
