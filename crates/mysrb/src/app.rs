@@ -4,7 +4,7 @@
 
 use crate::pages;
 use crate::session::SessionStore;
-use crate::urlenc::{encode, parse_form};
+use crate::urlenc::parse_form;
 use srb_core::{Grid, IngestOptions, SrbConnection};
 use srb_mcat::metadata::DUBLIN_CORE;
 use srb_mcat::{AnnotationKind, Query, QueryCondition};
@@ -575,11 +575,6 @@ fn parent_of(p: &str) -> &str {
         Some(0) | None => "/",
         Some(i) => &p[..i],
     }
-}
-
-/// Build a browse URL for a path (used by examples).
-pub fn browse_url(path: &str) -> String {
-    format!("/browse?path={}", encode(path))
 }
 
 fn status_for(e: &SrbError) -> u16 {

@@ -141,11 +141,6 @@ impl<'g> SessionStore<'g> {
         self
     }
 
-    /// Number of shards (1 = single-lock ablation).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     fn shard_of(&self, id: &[u8; 16]) -> usize {
         // FNV-1a, same scheme as the storage memfs shards.
         let mut h: u64 = 0xcbf29ce484222325;

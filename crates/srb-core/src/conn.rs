@@ -85,7 +85,6 @@ pub(crate) struct Op<'a> {
     name: &'static str,
     action: AuditAction,
     subject: &'a str,
-    start: Timestamp,
     /// Audit outcome recorded when the body succeeds.
     pub(crate) done: &'static str,
     /// Everything charged to the op so far.
@@ -102,7 +101,6 @@ pub struct SrbConnection<'g> {
     pub(crate) fanout: FanoutMode,
     pub(crate) retry: RetryBudget,
     pub(crate) allow_stale: bool,
-    pub(crate) trace: bool,
     /// Simulated nanoseconds accumulated by ops on this connection since
     /// the last [`take_op_ns`](Self::take_op_ns) — MySRB drains this to
     /// attribute grid cost to the route that incurred it.
@@ -172,7 +170,6 @@ impl<'g> SrbConnection<'g> {
             fanout: FanoutMode::default(),
             retry: RetryBudget::default(),
             allow_stale: false,
-            trace: false,
             op_ns: AtomicU64::new(0),
         }
     }
@@ -232,17 +229,6 @@ impl<'g> SrbConnection<'g> {
         self.allow_stale
     }
 
-    /// Record a span in the grid's trace ring for every finished op on
-    /// this connection (no-op when grid observability is off).
-    pub fn set_tracing(&mut self, on: bool) {
-        self.trace = on;
-    }
-
-    /// Whether this connection records spans.
-    pub fn tracing(&self) -> bool {
-        self.trace
-    }
-
     /// Drain the simulated nanoseconds charged by this connection's ops
     /// since the previous call (resets the accumulator to zero).
     pub fn take_op_ns(&self) -> u64 {
@@ -295,7 +281,6 @@ impl<'g> SrbConnection<'g> {
             name,
             action,
             subject,
-            start: self.now(),
             done: "ok",
             receipt: self.mcat_rpc()?,
         };
@@ -332,9 +317,6 @@ impl<'g> SrbConnection<'g> {
         self.op_ns.fetch_add(op.receipt.sim_ns, Ordering::Relaxed);
         if let Some(obs) = self.grid.core_obs() {
             obs.finish_op(op.name, op.subject, &op.receipt);
-            if self.trace {
-                obs.span(op.name, op.subject, None, op.start, op.receipt.sim_ns);
-            }
         }
         result.map(|value| (value, op.receipt))
     }

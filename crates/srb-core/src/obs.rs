@@ -12,7 +12,6 @@
 use srb_net::Receipt;
 use srb_obs::{Counter, Histogram, MetricsRegistry, Obs, OpCost};
 use srb_storage::DriverKind;
-use srb_types::Timestamp;
 
 /// Convert a finished operation's receipt into the slow-op cost record.
 pub fn op_cost(receipt: &Receipt) -> OpCost {
@@ -131,19 +130,6 @@ impl CoreObs {
             .histogram("core.op_ns", op)
             .observe(receipt.sim_ns);
         self.obs.slow.record(op, subject, op_cost(receipt));
-    }
-
-    /// Record a post-hoc span for a finished operation (per-connection
-    /// tracing); returns the span id for child legs.
-    pub fn span(
-        &self,
-        name: &str,
-        label: &str,
-        parent: Option<srb_obs::SpanId>,
-        start: Timestamp,
-        dur_ns: u64,
-    ) -> srb_obs::SpanId {
-        self.obs.tracer.record(name, label, parent, start, dur_ns)
     }
 }
 

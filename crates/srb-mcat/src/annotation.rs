@@ -8,7 +8,7 @@
 //! permission on the object."
 
 use crate::metadata::Subject;
-use crate::snapshot::{by_id, write_field};
+use crate::snapshot::{Field, ImageWriter};
 use crate::wal::{WalHook, WalOp};
 use serde::{Deserialize, Serialize};
 use srb_types::sync::{LockRank, RwLock};
@@ -203,8 +203,12 @@ impl AnnotationTable {
     }
 
     /// The image's `"annotations"` field, under one read guard.
-    pub(crate) fn write_checkpoint(&self, out: &mut String) {
-        write_field(out, "annotations", by_id(&self.inner.read().rows));
+    pub(crate) fn write_image(&self, w: &mut ImageWriter<'_, '_>) {
+        w.table(
+            Field::Annotations,
+            &self.inner.read().rows,
+            AnnotationId::raw,
+        );
     }
 
     /// Rebuild the table from snapshot rows.

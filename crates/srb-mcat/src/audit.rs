@@ -4,7 +4,7 @@
 //! collections/datasets. Hence, auditing facilities will be needed as part
 //! of the framework." Every brokered operation records an audit row.
 
-use crate::snapshot::write_field;
+use crate::snapshot::{Field, ImageWriter};
 use crate::wal::{WalHook, WalOp};
 use serde::{Deserialize, Serialize};
 use srb_types::sync::{LockRank, Mutex};
@@ -171,8 +171,11 @@ impl AuditLog {
     }
 
     /// The image's `"audit"` field, under the log's lock.
-    pub(crate) fn write_checkpoint(&self, out: &mut String) {
-        write_field(out, "audit", self.rows.lock().iter());
+    pub(crate) fn write_image(&self, w: &mut ImageWriter<'_, '_>) {
+        w.rows(
+            Field::Audit,
+            self.rows.lock().iter().map(|r| (r.id.raw(), r)),
+        );
     }
 
     /// Rebuild the log from snapshot rows.

@@ -6,7 +6,7 @@
 //! everything ingested into the collection (paper §5: defaults, restricted
 //! vocabularies shown as drop-down lists, and mandatory attributes).
 
-use crate::snapshot::{by_id, write_field};
+use crate::snapshot::{Field, ImageWriter};
 use crate::wal::{WalHook, WalOp};
 use serde::{Deserialize, Serialize};
 use srb_types::sync::{LockRank, RwLock, RwLockReadGuard};
@@ -607,8 +607,12 @@ impl CollectionTable {
     }
 
     /// The image's `"collections"` field, under one read guard.
-    pub(crate) fn write_checkpoint(&self, out: &mut String) {
-        write_field(out, "collections", by_id(&self.inner.read().nodes));
+    pub(crate) fn write_image(&self, w: &mut ImageWriter<'_, '_>) {
+        w.table(
+            Field::Collections,
+            &self.inner.read().nodes,
+            CollectionId::raw,
+        );
     }
 
     /// Rebuild the tree (path index + child lists) from snapshot rows.

@@ -10,7 +10,7 @@
 //! placement, its member slices, and whether the cached copy has been
 //! synchronized to the archive. Byte movement is `srb-core`'s job.
 
-use crate::snapshot::{by_id, write_field};
+use crate::snapshot::{by_id, Field, ImageWriter};
 use crate::wal::{WalHook, WalOp};
 use serde::{Deserialize, Serialize};
 use srb_types::sync::{LockRank, RwLock};
@@ -260,8 +260,8 @@ impl ContainerTable {
     }
 
     /// The image's `"containers"` field, under one read guard.
-    pub(crate) fn write_checkpoint(&self, out: &mut String) {
-        write_field(out, "containers", by_id(&self.inner.read().rows));
+    pub(crate) fn write_image(&self, w: &mut ImageWriter<'_, '_>) {
+        w.table(Field::Containers, &self.inner.read().rows, ContainerId::raw);
     }
 
     /// Wire this table to the catalog's WAL.

@@ -8,7 +8,7 @@
 //! SRB "does not check whether a registered replica is really an equal of
 //! the other copy".
 
-use crate::snapshot::{by_id, write_field};
+use crate::snapshot::{by_id, Field, ImageWriter};
 use crate::wal::{WalHook, WalOp};
 use serde::{Deserialize, Serialize};
 use srb_types::sync::{LockRank, RwLock, RwLockReadGuard};
@@ -777,8 +777,8 @@ impl DatasetTable {
     }
 
     /// The image's `"datasets"` field, under one read guard.
-    pub(crate) fn write_checkpoint(&self, out: &mut String) {
-        write_field(out, "datasets", by_id(&self.inner.read().rows));
+    pub(crate) fn write_image(&self, w: &mut ImageWriter<'_, '_>) {
+        w.table(Field::Datasets, &self.inner.read().rows, DatasetId::raw);
     }
 
     /// Rebuild the table (name + collection indexes) from snapshot rows.
@@ -793,13 +793,6 @@ impl DatasetTable {
             }
         }
         t
-    }
-
-    /// Iterate over all datasets (used by the scan query path).
-    pub fn for_each<F: FnMut(&Dataset)>(&self, mut f: F) {
-        for d in self.inner.read().rows.values() {
-            f(d);
-        }
     }
 
     /// Datasets holding at least one `Stale` replica, paired with the

@@ -42,6 +42,6 @@ pub use dataset::{
 pub use metadata::{MetaKind, MetaRow, Subject};
 pub use query::{Query, QueryCondition, QueryHit};
 pub use resource::{LogicalResource, Resource};
-pub use snapshot::{CatalogSnapshot, SnapshotGenerations};
+pub use snapshot::{CatalogSnapshot, SnapshotGenerations, IMAGE_PAGE_IDS};
 pub use user::{Group, User};
 pub use wal::{export_deltas, Delta, DeltaFetch, RecoveryReport, Wal, WalConfig, WalOp, WalRecord};

@@ -7,7 +7,7 @@
 //! the query engine can answer `=` and range conditions without scanning —
 //! the design choice ablated in experiment E5/A1.
 
-use crate::snapshot::{by_id, write_field};
+use crate::snapshot::{Field, ImageWriter};
 use crate::wal::{WalHook, WalOp};
 use serde::{Deserialize, Serialize};
 use srb_types::sync::{LockRank, RwLock, RwLockReadGuard};
@@ -648,11 +648,14 @@ impl MetaStore {
 
     /// The image's `"metadata"` and `"meta_files"` fields, under one read
     /// guard.
-    pub(crate) fn write_checkpoint(&self, out: &mut String) {
+    pub(crate) fn write_image(&self, w: &mut ImageWriter<'_, '_>) {
         let g = self.inner.read();
-        write_field(out, "metadata", by_id(&g.rows));
-        out.push(',');
-        write_field(out, "meta_files", &meta_files_in_order(&g));
+        w.table(Field::Metadata, &g.rows, MetaId::raw);
+        // Ordered by subject, not id: the whole field is one page.
+        w.rows(
+            Field::MetaFiles,
+            meta_files_in_order(&g).iter().map(|f| (0, f)),
+        );
     }
 
     /// Rebuild the store (subject lists + value indexes) from snapshot
@@ -902,6 +905,7 @@ fn op_applies(op: CompareOp, candidate: &MetaValue, value: &MetaValue) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::by_id;
 
     fn store() -> (MetaStore, IdGen) {
         (MetaStore::new(), IdGen::new())

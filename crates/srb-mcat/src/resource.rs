@@ -5,7 +5,7 @@
 //! A *logical resource* "ties together two or more physical resources":
 //! storing into it writes synchronous replicas to every member (paper §5).
 
-use crate::snapshot::{by_id, write_field};
+use crate::snapshot::{by_id, Field, ImageWriter};
 use crate::wal::{WalHook, WalOp};
 use serde::{Deserialize, Serialize};
 use srb_storage::DriverKind;
@@ -225,11 +225,10 @@ impl ResourceTable {
 
     /// The image's `"resources"` and `"logical_resources"` fields, under
     /// one read guard.
-    pub(crate) fn write_checkpoint(&self, out: &mut String) {
+    pub(crate) fn write_image(&self, w: &mut ImageWriter<'_, '_>) {
         let g = self.inner.read();
-        write_field(out, "resources", by_id(&g.physical));
-        out.push(',');
-        write_field(out, "logical_resources", by_id(&g.logical));
+        w.table(Field::Resources, &g.physical, ResourceId::raw);
+        w.table(Field::LogicalResources, &g.logical, LogicalResourceId::raw);
     }
 
     /// Wire this table to the catalog's WAL.

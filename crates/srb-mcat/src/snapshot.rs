@@ -7,12 +7,20 @@
 //! A snapshot captures every table; restoring rebuilds all derived indexes
 //! (path maps, child lists, attribute value indexes) from the rows.
 //!
-//! The image has one text form and one writer: [`Mcat::write_image`] —
-//! behind `snapshot_json`, every WAL checkpoint and `Grid::save_state` —
-//! writes it straight from the live tables, one table read guard at a
-//! time, rows borrowed in id order: no second catalog, no tree.
+//! The image has one text form and one writer: `ImageWriter` — behind
+//! `snapshot_json`, every WAL checkpoint and `Grid::save_state` — writes
+//! it straight from the live tables, one table read guard at a time,
+//! rows borrowed in id order: no second catalog, no tree.
 //! [`CatalogSnapshot`] is only ever read: restore and recovery parse the
 //! text into it and rebuild the tables from its rows.
+//!
+//! The writer lays each table's rows out in id pages of
+//! [`IMAGE_PAGE_IDS`] ids. Rows are written in id order, so a page's rows
+//! sit together; a checkpoint copies a page's bytes from the last image
+//! the device accepted unless a redo record touched one of its rows since
+//! (the WAL marks the page as it appends the record; see `crate::wal`).
+//! A plain image (`write_image`) has no previous image and renders every
+//! page; the bytes are the same either way.
 
 use crate::annotation::{Annotation, AnnotationTable};
 use crate::audit::{AuditLog, AuditRow};
@@ -23,9 +31,11 @@ use crate::dataset::{Dataset, DatasetTable};
 use crate::metadata::{MetaRow, MetaStore, Subject};
 use crate::resource::{LogicalResource, Resource, ResourceTable};
 use crate::user::{Group, User, UserTable};
+use crate::wal::Wal;
 use serde::{Deserialize, Serialize};
 use srb_types::{DatasetId, IdGen, SimClock, SrbError, SrbResult, UserId};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Generation stamps of the three cursor-relevant tables at snapshot
 /// time, in the order continuation tokens embed them. Persisting them
@@ -90,16 +100,240 @@ pub(crate) fn by_id<K: Ord, V, S>(rows: &HashMap<K, V, S>) -> Vec<&V> {
     v.into_iter().map(|(_, row)| row).collect()
 }
 
-/// One array field of the image: `"name":[row,…]`.
-pub(crate) fn write_field<'a, T: Serialize + 'a>(
-    out: &mut String,
-    name: &str,
-    rows: impl IntoIterator<Item = &'a T>,
-) {
-    out.push('"');
-    out.push_str(name);
-    out.push_str("\":");
-    serde::write_seq(rows, out);
+/// Ids per image page: the unit a checkpoint copies or renders.
+pub const IMAGE_PAGE_IDS: u64 = 1024;
+
+/// The image's row fields, in the order the image writes them.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Field {
+    Users,
+    Groups,
+    Resources,
+    LogicalResources,
+    Collections,
+    Datasets,
+    Containers,
+    Metadata,
+    MetaFiles,
+    Annotations,
+    Audit,
+}
+
+/// How many [`Field`]s the image has.
+pub(crate) const FIELDS: usize = 11;
+
+impl Field {
+    fn name(self) -> &'static str {
+        match self {
+            Field::Users => "users",
+            Field::Groups => "groups",
+            Field::Resources => "resources",
+            Field::LogicalResources => "logical_resources",
+            Field::Collections => "collections",
+            Field::Datasets => "datasets",
+            Field::Containers => "containers",
+            Field::Metadata => "metadata",
+            Field::MetaFiles => "meta_files",
+            Field::Annotations => "annotations",
+            Field::Audit => "audit",
+        }
+    }
+}
+
+/// A set of pages of one field; `all` stands for every page.
+#[derive(Debug, Default)]
+pub(crate) struct PageSet {
+    all: bool,
+    words: Vec<u64>,
+}
+
+impl PageSet {
+    /// Add `page`, or every page for `None`.
+    pub(crate) fn insert(&mut self, page: Option<u64>) {
+        let Some(page) = page else {
+            self.all = true;
+            return;
+        };
+        let word = (page / 64) as usize;
+        if word >= self.words.len() {
+            self.words.resize(word + 1, 0);
+        }
+        self.words[word] |= 1 << (page % 64);
+    }
+
+    fn contains(&self, page: u64) -> bool {
+        self.all
+            || self
+                .words
+                .get((page / 64) as usize)
+                .is_some_and(|w| w & (1 << (page % 64)) != 0)
+    }
+
+    /// Add every page of `other`.
+    pub(crate) fn union(&mut self, other: &PageSet) {
+        self.all |= other.all;
+        if self.words.len() < other.words.len() {
+            self.words.resize(other.words.len(), 0);
+        }
+        for (w, o) in self.words.iter_mut().zip(&other.words) {
+            *w |= o;
+        }
+    }
+}
+
+/// Per field, the pages a redo record touched.
+pub(crate) type PageMarks = [PageSet; FIELDS];
+
+/// One page's bytes in an image, relative to the image's first byte.
+#[derive(Debug, Clone, Copy)]
+struct PageSpan {
+    page: u64,
+    start: usize,
+    end: usize,
+}
+
+/// Where each page of an image the device accepted sits in its text.
+#[derive(Debug)]
+pub(crate) struct ImageIndex {
+    /// The accepted text, shared with the device.
+    text: Arc<String>,
+    /// Where the image starts in `text` (after the envelope's head).
+    base: usize,
+    /// Per field, every non-empty page, page-ascending.
+    pages: [Vec<PageSpan>; FIELDS],
+}
+
+impl ImageIndex {
+    /// The accepted text this index describes.
+    pub(crate) fn text(&self) -> &Arc<String> {
+        &self.text
+    }
+
+    fn page(&self, field: Field, page: u64) -> Option<&str> {
+        let spans = &self.pages[field as usize];
+        let span = spans[spans.binary_search_by_key(&page, |s| s.page).ok()?];
+        self.text.get(self.base + span.start..self.base + span.end)
+    }
+}
+
+/// A checkpoint's side of an [`ImageWriter`]: the image it may copy
+/// pages from, the marks it takes from the WAL, and what it wrote.
+pub(crate) struct CheckpointPass<'a> {
+    wal: &'a Wal,
+    prev: Option<&'a ImageIndex>,
+    /// Marks taken from the WAL, per field; the WAL puts them back if the
+    /// device refuses the image.
+    pub(crate) taken: PageMarks,
+    pages: [Vec<PageSpan>; FIELDS],
+    /// Pages copied from `prev`.
+    pub(crate) copied: u64,
+    /// Pages rendered from the rows.
+    pub(crate) rendered: u64,
+}
+
+impl<'a> CheckpointPass<'a> {
+    /// A pass copying from `prev`, the image the device holds, if any.
+    pub(crate) fn new(wal: &'a Wal, prev: Option<&'a ImageIndex>) -> Self {
+        CheckpointPass {
+            wal,
+            prev,
+            taken: Default::default(),
+            pages: Default::default(),
+            copied: 0,
+            rendered: 0,
+        }
+    }
+
+    /// The index of the image this pass wrote, now that the device holds
+    /// it as `text`, with the image starting at `base`.
+    pub(crate) fn index(self, text: Arc<String>, base: usize) -> ImageIndex {
+        ImageIndex {
+            text,
+            base,
+            pages: self.pages,
+        }
+    }
+}
+
+/// The one writer of table rows into an image. A table hands it each of
+/// its fields under the read guard it holds for the table; during a
+/// checkpoint that guard is also what makes a copied page current: rows
+/// change only under the table's write guard, and the WAL marks a row's
+/// page under that guard as it appends the row's record.
+pub(crate) struct ImageWriter<'o, 'p> {
+    out: &'o mut String,
+    /// Where the image starts in `out`.
+    start: usize,
+    pass: Option<&'o mut CheckpointPass<'p>>,
+}
+
+impl ImageWriter<'_, '_> {
+    /// One array field from a table keyed by row id; `raw` reads the id.
+    pub(crate) fn table<K, V: Serialize, S>(
+        &mut self,
+        field: Field,
+        rows: &HashMap<K, V, S>,
+        raw: impl Fn(K) -> u64,
+    ) where
+        K: Copy,
+    {
+        let mut rows: Vec<(u64, &V)> = rows.iter().map(|(k, v)| (raw(*k), v)).collect();
+        rows.sort_unstable_by_key(|&(id, _)| id);
+        self.rows(field, rows);
+    }
+
+    /// One array field, `,"name":[row,…]`, from `(id, row)` pairs in id
+    /// order.
+    pub(crate) fn rows<'r, T: Serialize + 'r>(
+        &mut self,
+        field: Field,
+        rows: impl IntoIterator<Item = (u64, &'r T)>,
+    ) {
+        let out = &mut *self.out;
+        out.push_str(",\"");
+        out.push_str(field.name());
+        out.push_str("\":[");
+        let mut pass = self.pass.as_deref_mut();
+        if let Some(pass) = pass.as_deref_mut() {
+            pass.taken[field as usize] = pass.wal.take_marks(field);
+        }
+        let first = out.len();
+        let mut rows = rows.into_iter().peekable();
+        while let Some((id, row)) = rows.next() {
+            let page = id / IMAGE_PAGE_IDS;
+            let in_page = |&(id, _): &(u64, &T)| id / IMAGE_PAGE_IDS == page;
+            if out.len() > first {
+                out.push(',');
+            }
+            let start = out.len();
+            let unchanged = pass.as_deref().and_then(|p| {
+                let prev = p.prev.filter(|_| !p.taken[field as usize].contains(page))?;
+                prev.page(field, page)
+            });
+            if let Some(text) = unchanged {
+                out.push_str(text);
+                while rows.next_if(in_page).is_some() {}
+            } else {
+                row.write_json(out);
+                while let Some((_, row)) = rows.next_if(in_page) {
+                    out.push(',');
+                    row.write_json(out);
+                }
+            }
+            if let Some(pass) = pass.as_deref_mut() {
+                match unchanged {
+                    Some(_) => pass.copied += 1,
+                    None => pass.rendered += 1,
+                }
+                pass.pages[field as usize].push(PageSpan {
+                    page,
+                    start: start - self.start,
+                    end: out.len() - self.start,
+                });
+            }
+        }
+        out.push(']');
+    }
 }
 
 impl Mcat {
@@ -117,28 +351,32 @@ impl Mcat {
     /// table as of its own guard), which checkpoints tolerate; see
     /// `crate::wal`.
     pub fn write_image(&self, out: &mut String) {
+        self.write_paged(out, None);
+    }
+
+    /// [`Mcat::write_image`], copying the pages `pass` allows from the
+    /// previous checkpoint.
+    pub(crate) fn write_paged(&self, out: &mut String, pass: Option<&mut CheckpointPass<'_>>) {
+        let start = out.len();
         out.push_str("{\"version\":");
         SNAPSHOT_VERSION.write_json(out);
         out.push_str(",\"next_id_floor\":");
         self.ids.allocated().write_json(out);
         out.push_str(",\"admin\":");
         self.admin().write_json(out);
-        out.push(',');
-        self.users.write_checkpoint(out);
-        out.push(',');
-        self.resources.write_checkpoint(out);
-        out.push(',');
-        self.collections.write_checkpoint(out);
-        out.push(',');
-        self.datasets.write_checkpoint(out);
-        out.push(',');
-        self.containers.write_checkpoint(out);
-        out.push(',');
-        self.metadata.write_checkpoint(out);
-        out.push(',');
-        self.annotations.write_checkpoint(out);
-        out.push(',');
-        self.audit.write_checkpoint(out);
+        let mut w = ImageWriter {
+            out: &mut *out,
+            start,
+            pass,
+        };
+        self.users.write_image(&mut w);
+        self.resources.write_image(&mut w);
+        self.collections.write_image(&mut w);
+        self.datasets.write_image(&mut w);
+        self.containers.write_image(&mut w);
+        self.metadata.write_image(&mut w);
+        self.annotations.write_image(&mut w);
+        self.audit.write_image(&mut w);
         out.push_str(",\"generations\":");
         Some(self.generations()).write_json(out);
         out.push('}');

@@ -5,7 +5,7 @@
 //! stores the verifier for challenge–response auth — never the password
 //! itself.
 
-use crate::snapshot::{by_id, write_field};
+use crate::snapshot::{by_id, Field, ImageWriter};
 use crate::wal::{WalHook, WalOp};
 use serde::{Deserialize, Serialize};
 use srb_types::sync::{LockRank, RwLock};
@@ -254,11 +254,10 @@ impl UserTable {
     }
 
     /// The image's `"users"` and `"groups"` fields, under one read guard.
-    pub(crate) fn write_checkpoint(&self, out: &mut String) {
+    pub(crate) fn write_image(&self, w: &mut ImageWriter<'_, '_>) {
         let g = self.users.read();
-        write_field(out, "users", by_id(&g.users));
-        out.push(',');
-        write_field(out, "groups", by_id(&g.groups));
+        w.table(Field::Users, &g.users, UserId::raw);
+        w.table(Field::Groups, &g.groups, GroupId::raw);
     }
 
     /// Wire this table to the catalog's WAL.

@@ -25,13 +25,23 @@
 //!   actual fsyncs.
 //! * **Checkpoints** are full-catalog images installed when the virtual
 //!   clock passes the configured interval, streamed straight from the live
-//!   tables into one `String` the device takes by value
-//!   (`Mcat::write_image`: one table read guard at a time, no clone of
-//!   the catalog, no tree). The covered LSN is captured *before* the image
-//!   is written, so a fuzzy image may contain effects of slightly later
-//!   records — harmless, because redo records are idempotent row images
-//!   (`Put` overwrites, `Delete` tolerates absence) and recovery floors the
-//!   id allocator above every row the image holds.
+//!   tables into one `String` the device takes by value (the paged image
+//!   writer in `crate::snapshot`: one table read guard at a time, no
+//!   clone of the catalog, no tree). The covered LSN is captured *before*
+//!   the image is written, so a fuzzy image may contain effects of
+//!   slightly later records — harmless, because redo records are
+//!   idempotent row images (`Put` overwrites, `Delete` tolerates absence)
+//!   and recovery floors the id allocator above every row the image
+//!   holds.
+//! * An image carries what changed and **copies the rest**: `append`
+//!   marks the id page of the row a record changes, and a checkpoint
+//!   takes a table's marks under the read guard it writes that table
+//!   with, copying every unmarked page's bytes from the last image the
+//!   device accepted. No record of the table can land between the take
+//!   and the write, so a copied page is exactly what a render would
+//!   write and the fuzzy-image argument above is unchanged. A refused
+//!   install puts its marks back; an image the device no longer holds is
+//!   not copied from.
 //! * **Recovery** (`replay_device`) loads the latest checkpoint, patches
 //!   its row vectors with every *complete* commit group in the durable
 //!   tail (an unterminated trailing group was never acknowledged and is
@@ -60,7 +70,10 @@ use crate::container::ContainerRecord;
 use crate::dataset::Dataset;
 use crate::metadata::{MetaRow, Subject};
 use crate::resource::{LogicalResource, Resource};
-use crate::snapshot::{CatalogSnapshot, SnapshotGenerations, SNAPSHOT_VERSION};
+use crate::snapshot::{
+    CatalogSnapshot, CheckpointPass, Field, ImageIndex, PageMarks, PageSet, SnapshotGenerations,
+    IMAGE_PAGE_IDS, SNAPSHOT_VERSION,
+};
 use crate::user::{Group, User};
 use crate::Mcat;
 use serde::{Deserialize, Serialize};
@@ -183,6 +196,37 @@ pub enum WalOp {
     },
 }
 
+impl WalOp {
+    /// The image field and page whose rows this record changes (`None`
+    /// for the page: any of the field's pages); `None` for a marker.
+    fn image_page(&self) -> Option<(Field, Option<u64>)> {
+        let page = |id: u64| Some(id / IMAGE_PAGE_IDS);
+        Some(match self {
+            WalOp::UserPut { row } => (Field::Users, page(row.id.raw())),
+            WalOp::GroupPut { row } => (Field::Groups, page(row.id.raw())),
+            WalOp::ResourcePut { row } => (Field::Resources, page(row.id.raw())),
+            WalOp::LogicalResourcePut { row } => (Field::LogicalResources, page(row.id.raw())),
+            WalOp::CollectionPut { row } => (Field::Collections, page(row.id.raw())),
+            WalOp::CollectionDelete { id } => (Field::Collections, page(id.raw())),
+            WalOp::DatasetPut { row } => (Field::Datasets, page(row.id.raw())),
+            WalOp::DatasetDelete { id } => (Field::Datasets, page(id.raw())),
+            WalOp::ContainerPut { row } => (Field::Containers, page(row.id.raw())),
+            WalOp::ContainerDelete { id } => (Field::Containers, page(id.raw())),
+            WalOp::MetaPut { row } => (Field::Metadata, page(row.id.raw())),
+            WalOp::MetaDelete { id } => (Field::Metadata, page(id.raw())),
+            WalOp::MetaFilesPut { .. } | WalOp::MetaFilesClear { .. } => {
+                (Field::MetaFiles, page(0))
+            }
+            WalOp::AnnotationPut { row } => (Field::Annotations, page(row.id.raw())),
+            WalOp::AnnotationDelete { id } => (Field::Annotations, page(id.raw())),
+            // The record names the subject, not the rows it drops.
+            WalOp::AnnotationClear { .. } => (Field::Annotations, None),
+            WalOp::AuditPut { row } => (Field::Audit, page(row.id.raw())),
+            WalOp::Commit { .. } => return None,
+        })
+    }
+}
+
 /// One log record: LSN, the post-mutation generation of the mutated table
 /// (0 when the table has no generation counter or the op does not bump
 /// it), and the logical op.
@@ -257,6 +301,9 @@ struct WalState {
     /// LSN of the last commit marker (at start-up, of the durable tail):
     /// records past it form the open group.
     last_marker: u64,
+    /// Image pages a record touched since the checkpoint that last took
+    /// the field's marks.
+    dirty: PageMarks,
 }
 
 /// Metric handles, registered when the grid has observability enabled.
@@ -265,6 +312,8 @@ struct WalObs {
     appends: srb_obs::Counter,
     group_commits: srb_obs::Counter,
     checkpoints: srb_obs::Counter,
+    pages_copied: srb_obs::Counter,
+    pages_rendered: srb_obs::Counter,
     recovery_ns: srb_obs::Counter,
 }
 
@@ -275,6 +324,9 @@ pub struct Wal {
     clock: SimClock,
     config: WalConfig,
     state: Mutex<WalState>,
+    /// The page index of the last image the device accepted from this
+    /// WAL. Held for a whole checkpoint, so checkpoints run one at a time.
+    image: Mutex<Option<ImageIndex>>,
     /// Durability cost (ns) not yet folded into a receipt.
     pending_ns: AtomicU64,
     obs: Option<WalObs>,
@@ -302,13 +354,17 @@ impl Wal {
                     next_lsn,
                     last_ckpt_ns,
                     last_marker: next_lsn - 1,
+                    dirty: Default::default(),
                 },
             ),
+            image: Mutex::new(LockRank::McatTable, "mcat.wal.image", None),
             pending_ns: AtomicU64::new(0),
             obs: metrics.map(|m| WalObs {
                 appends: m.counter("wal.appends", ""),
                 group_commits: m.counter("wal.group_commits", ""),
                 checkpoints: m.counter("wal.checkpoints", ""),
+                pages_copied: m.counter("wal.checkpoint_pages_copied", ""),
+                pages_rendered: m.counter("wal.checkpoint_pages_rendered", ""),
                 recovery_ns: m.counter("wal.recovery_ns", ""),
             }),
         }
@@ -317,8 +373,11 @@ impl Wal {
     /// Append one redo record. Called while the mutated table's write
     /// guard is held (legal: `Wal` ranks below `McatTable`), so the log
     /// orders records exactly as the table applied them. The op is encoded
-    /// before the WAL mutex is taken. Buffered, not yet durable.
+    /// before the WAL mutex is taken; under it the image page the record
+    /// changes is marked for the next checkpoint. Buffered, not yet
+    /// durable.
     pub(crate) fn append(&self, op: &WalOp, gen: u64) -> Lsn {
+        let mark = op.image_page();
         ENCODE_BUF.with_borrow_mut(|rest| {
             rest.clear();
             rest.push_str(",\"gen\":");
@@ -327,8 +386,19 @@ impl Wal {
             op.write_json(rest);
             rest.push('}');
             let line = String::with_capacity(rest.len() + LSN_PREFIX_MAX);
-            self.append_locked(&mut self.state.lock(), line, |l| l.push_str(rest))
+            let mut st = self.state.lock();
+            if let Some((field, page)) = mark {
+                st.dirty[field as usize].insert(page);
+            }
+            self.append_locked(&mut st, line, |l| l.push_str(rest))
         })
+    }
+
+    /// Take `field`'s page marks, leaving none. The checkpointer calls
+    /// this under the read guard of the field's table, so no record of
+    /// that table lands between the take and the field's pages.
+    pub(crate) fn take_marks(&self, field: Field) -> PageSet {
+        std::mem::take(&mut self.state.lock().dirty[field as usize])
     }
 
     /// Assign the next LSN, write the `{"lsn":N` prefix into `line` and
@@ -419,12 +489,28 @@ impl Wal {
 
     /// Install a checkpoint of `mcat` covering records through `cover`:
     /// the [`CheckpointEnvelope`] text, the image streamed from the live
-    /// tables into the one `String` the device keeps. Fails, leaving the
-    /// previous checkpoint and the log untouched, when the device does not
-    /// take it.
+    /// tables into the one `String` the device keeps, each page copied
+    /// from the previous image when no record touched it since. Fails,
+    /// leaving the previous checkpoint, its page index and the log
+    /// untouched, when the device does not take it.
     pub(crate) fn install_checkpoint(&self, cover: Lsn, mcat: &Mcat) -> SrbResult<()> {
-        let mut text = String::new();
-        mcat.write_image(&mut text);
+        let mut last = self.image.lock();
+        // The index describes the device's checkpoint only while the
+        // device holds it. After any other install (a recovery by another
+        // catalog over this device, say) this image is a full render, and
+        // the text nothing else holds is let go.
+        let held = self.device.checkpoint_text();
+        let prev_held = last.as_ref().is_some_and(|prev| {
+            held.as_ref()
+                .is_some_and(|text| Arc::ptr_eq(text, prev.text()))
+        });
+        drop(held);
+        if !prev_held {
+            *last = None;
+        }
+        let mut text = String::with_capacity(last.as_ref().map_or(0, |prev| prev.text().len()));
+        let mut pass = CheckpointPass::new(self, last.as_ref());
+        mcat.write_paged(&mut text, Some(&mut pass));
         // The envelope's time is read after the image, so it is never
         // earlier than a row the image holds; the prefix is then moved in
         // front of it (one memmove, no second buffer).
@@ -433,15 +519,24 @@ impl Wal {
         head.push_str(",\"snapshot\":");
         text.insert_str(0, &head);
         text.push('}');
-        let cost = self.device.install_checkpoint(cover, text);
-        if self.device.checkpoint_lsn() != Some(cover) {
+        let Some((cost, text)) = self.device.install_checkpoint(cover, text) else {
+            // The next checkpoint still copies from the image the device
+            // holds, so it owes every page this one took a mark for.
+            let mut st = self.state.lock();
+            for (dirty, taken) in st.dirty.iter_mut().zip(&pass.taken) {
+                dirty.union(taken);
+            }
             return Err(SrbError::ResourceUnavailable(format!(
                 "log device refused the checkpoint at {cover}"
             )));
-        }
+        };
+        let (copied, rendered) = (pass.copied, pass.rendered);
+        *last = Some(pass.index(text, head.len()));
         self.pending_ns.fetch_add(cost, Ordering::Relaxed);
         if let Some(obs) = &self.obs {
             obs.checkpoints.add(1);
+            obs.pages_copied.add(copied);
+            obs.pages_rendered.add(rendered);
         }
         Ok(())
     }
@@ -772,7 +867,7 @@ pub(crate) fn replay_device(device: &LogDevice) -> SrbResult<Replayed> {
             "log device has no checkpoint (was durability ever enabled?)".into(),
         ));
     };
-    let envelope: CheckpointEnvelope = serde_json::from_str(&checkpoint_json)
+    let envelope: CheckpointEnvelope = serde_json::from_str(&checkpoint_json[..])
         .map_err(|e| SrbError::Parse(format!("checkpoint JSON: {e}")))?;
     let admin = envelope.snapshot.admin;
     let mut patch = Patch::from_snapshot(envelope.snapshot);

@@ -163,11 +163,6 @@ impl Network {
         (b.build(), s)
     }
 
-    /// Number of sites.
-    pub fn site_count(&self) -> usize {
-        self.names.len()
-    }
-
     /// Site display name.
     pub fn site_name(&self, s: SiteId) -> &str {
         self.names

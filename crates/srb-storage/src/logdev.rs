@@ -3,7 +3,9 @@
 //! Real SRB servers put the MCAT in a commercial database whose durability
 //! comes from a redo log fsynced on commit. This module is that disk: an
 //! in-memory, crash-aware sequential device holding one checkpoint slot
-//! (full catalog snapshot) plus an ordered tail of LSN-stamped records.
+//! (full catalog snapshot, immutable once installed and shared with its
+//! readers rather than copied) plus an ordered tail of LSN-stamped
+//! records.
 //! Like every other driver in this crate it never sleeps — each operation
 //! returns its virtual cost in nanoseconds so the WAL can charge group
 //! commits against the `SimClock` and fold them into receipts.
@@ -33,6 +35,7 @@
 use crate::driver::CostModel;
 use srb_types::sync::{LockRank, Mutex};
 use srb_types::{Lsn, SrbError, SrbResult};
+use std::sync::Arc;
 
 /// One durable (or buffered) log line.
 #[derive(Debug, Clone)]
@@ -86,8 +89,9 @@ struct LogInner {
     verified: usize,
     /// Records still in the buffer (lost on crash).
     unsynced: Vec<LogLine>,
-    /// Latest checkpoint: covered-through LSN + catalog snapshot JSON.
-    checkpoint: Option<(Lsn, String)>,
+    /// Latest checkpoint: covered-through LSN + catalog snapshot JSON,
+    /// immutable once installed and shared with whoever reads it.
+    checkpoint: Option<(Lsn, Arc<String>)>,
     /// Total appends accepted over the device's lifetime.
     appends: u64,
     /// Total syncs performed.
@@ -204,16 +208,22 @@ impl LogDevice {
 
     /// Atomically install a checkpoint covering records through `lsn`,
     /// pruning the covered prefix of the durable tail. Returns the virtual
-    /// cost of writing the snapshot and rewriting the log head. The device
-    /// keeps the text it is handed — an owned `String` is stored without a
-    /// copy — and frees the checkpoint it replaces after releasing its
-    /// lock.
-    pub fn install_checkpoint(&self, lsn: Lsn, snapshot: impl Into<String>) -> u64 {
-        let snapshot = snapshot.into();
+    /// cost of writing the snapshot and rewriting the log head together
+    /// with the installed text, shared, or `None` when the device refused
+    /// it (see [`LogDevice::refuse_checkpoints`]). The device keeps the
+    /// text it is handed — an owned `String` is stored without a copy —
+    /// and drops its hold on the checkpoint it replaces after releasing
+    /// its lock.
+    pub fn install_checkpoint(
+        &self,
+        lsn: Lsn,
+        snapshot: impl Into<String>,
+    ) -> Option<(u64, Arc<String>)> {
+        let snapshot = Arc::new(snapshot.into());
         let cost = self.cost.write_ns(snapshot.len() as u64);
         let mut g = self.inner.lock();
         if g.refuse_checkpoints {
-            return 0;
+            return None;
         }
         let covered = g.line_after(lsn);
         let pruned: u64 = g
@@ -223,15 +233,25 @@ impl LogDevice {
             .sum();
         g.synced_bytes -= pruned;
         g.verified = g.verified.saturating_sub(covered);
-        let replaced = g.checkpoint.replace((lsn, snapshot));
+        let replaced = g.checkpoint.replace((lsn, snapshot.clone()));
         drop(g);
         drop(replaced);
-        cost
+        Some((cost, snapshot))
     }
 
     /// LSN covered by the current checkpoint, if any.
     pub fn checkpoint_lsn(&self) -> Option<Lsn> {
         self.inner.lock().checkpoint.as_ref().map(|&(lsn, _)| lsn)
+    }
+
+    /// The current checkpoint's text, shared: no copy, and no device lock
+    /// held while it is read.
+    pub fn checkpoint_text(&self) -> Option<Arc<String>> {
+        self.inner
+            .lock()
+            .checkpoint
+            .as_ref()
+            .map(|(_, text)| text.clone())
     }
 
     /// Model `kill -9`: the buffered tail is lost, durable state survives
@@ -258,10 +278,11 @@ impl LogDevice {
     /// plus the whole readable tail — the cursor read from before the
     /// first LSN, so a line a late fsync landed at or below the cover is
     /// replayed too (redo is idempotent). A corrupt line ends the tail
-    /// (torn write); a corrupt checkpoint is fatal.
+    /// (torn write); a corrupt checkpoint is fatal. The checkpoint comes
+    /// back shared, not copied.
     /// Returns `(checkpoint, tail, virtual cost)`.
     #[allow(clippy::type_complexity)]
-    pub fn read_back(&self) -> SrbResult<(Option<(Lsn, String)>, Vec<(Lsn, String)>, u64)> {
+    pub fn read_back(&self) -> SrbResult<(Option<(Lsn, Arc<String>)>, Vec<(Lsn, String)>, u64)> {
         let mut g = self.inner.lock();
         let mut bytes = 0u64;
         let checkpoint = match &g.checkpoint {
@@ -371,7 +392,7 @@ mod tests {
         d.install_checkpoint(Lsn(2), "{snap}");
         assert_eq!(d.checkpoint_lsn(), Some(Lsn(2)));
         let (ckpt, tail, _) = d.read_back().unwrap();
-        assert_eq!(ckpt, Some((Lsn(2), "{snap}".to_string())));
+        assert_eq!(ckpt, Some((Lsn(2), Arc::new("{snap}".to_string()))));
         assert_eq!(tail.len(), 2);
         assert_eq!(tail[0].0, Lsn(3));
         // With an empty tail the checkpoint LSN is the durable LSN.

@@ -370,11 +370,6 @@ impl SqlEngine {
         SqlEngine::default()
     }
 
-    /// Number of tables.
-    pub fn table_count(&self) -> usize {
-        self.tables.read().len()
-    }
-
     /// Rows in a table (0 if absent) — used by capacity reports.
     pub fn row_count(&self, table: &str) -> usize {
         self.tables

@@ -171,16 +171,6 @@ impl AccessMatrix {
         self.public
     }
 
-    /// Explicit user grants (for MySRB's ACL display).
-    pub fn user_grants(&self) -> impl Iterator<Item = (UserId, Permission)> + '_ {
-        self.users.iter().map(|(k, v)| (*k, *v))
-    }
-
-    /// Explicit group grants.
-    pub fn group_grants(&self) -> impl Iterator<Item = (GroupId, Permission)> + '_ {
-        self.groups.iter().map(|(k, v)| (*k, *v))
-    }
-
     /// The owners (users with `Own`).
     pub fn owners(&self) -> Vec<UserId> {
         let mut v: Vec<UserId> = self

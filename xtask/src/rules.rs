@@ -490,10 +490,61 @@ pub fn zone_pointer(path: &str, lexed: &Lexed) -> Vec<Violation> {
         .collect()
 }
 
+/// What writes a sequence of rows as JSON text.
+const SEQ_WRITERS: [&str; 2] = ["write_seq", "write_field"];
+
+/// Rule `image-writer`: in `srb-mcat`'s library code table rows reach a
+/// catalog image only through the paged writer (`ImageWriter::table` /
+/// `ImageWriter::rows` in `snapshot.rs`), which writes them row by row
+/// and lays them out in id pages. A `write_seq(`/`write_field(` call
+/// beside it is a second image path: its rows are never paged, so a
+/// checkpoint either renders them every time or copies a span that does
+/// not match them.
+pub fn image_writer(path: &str, lexed: &Lexed) -> Vec<Violation> {
+    if !path.starts_with("crates/srb-mcat/src/") {
+        return Vec::new();
+    }
+    let toks = &lexed.toks;
+    (0..toks.len().saturating_sub(1))
+        .filter(|&i| {
+            SEQ_WRITERS.iter().any(|w| toks[i].is_ident(w))
+                && toks[i + 1].is_punct('(')
+                && !lexed.in_test(i)
+        })
+        .map(|i| Violation {
+            path: path.to_string(),
+            line: toks[i].line,
+            rule: "image-writer",
+            msg: format!(
+                "`{}(` writes rows outside the paged image writer; hand them to \
+                 `ImageWriter::table`/`ImageWriter::rows`",
+                toks[i].text
+            ),
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lexer::Lexed;
+
+    #[test]
+    fn image_writer_flags_sequence_writers_in_srb_mcat() {
+        let src = "fn a(out: &mut String) { serde::write_seq(rows, out);\n\
+                   write_field(out, \"datasets\", rows); }\n\
+                   fn b(w: &mut ImageWriter) { w.table(Field::Datasets, &g.rows, DatasetId::raw);\n\
+                   let f = write_seq; }\n// write_seq(rows, out) in prose\n\
+                   #[cfg(test)]\nmod tests {\n fn t() { serde::write_seq(rows, out); }\n}\n";
+        let lexed = Lexed::new(src);
+        let v = image_writer("crates/srb-mcat/src/dataset.rs", &lexed);
+        assert_eq!(v.iter().map(|v| v.line).collect::<Vec<_>>(), [1, 2]);
+        assert!(v[0].msg.contains("`write_seq(`"), "{}", v[0].msg);
+        assert!(v[1].msg.contains("`write_field(`"), "{}", v[1].msg);
+        // Other crates write sequences as they please.
+        assert!(image_writer("crates/srb-core/src/state.rs", &lexed).is_empty());
+        assert!(image_writer("crates/srb-mcat/tests/golden_formats.rs", &lexed).is_empty());
+    }
 
     #[test]
     fn id_hasher_keys_flag_user_text_only() {

@@ -56,6 +56,7 @@ const LINT_GOLDENS: &[&str] = &[
     "crates/srb-core/src/ops_fix.rs:13: [storage-door]",
     "crates/srb-core/src/ops_fix.rs:21: [subject-delete]",
     "crates/srb-core/src/ops_fix.rs:28: [zone-pointer]",
+    "crates/srb-mcat/src/table_fix.rs:5: [image-writer]",
 ];
 
 #[test]
@@ -136,6 +137,7 @@ fn json_output_is_machine_readable() {
         "storage-door",
         "subject-delete",
         "zone-pointer",
+        "image-writer",
     ] {
         assert!(
             lint_out.contains(&format!("\"{rule}\"")),
