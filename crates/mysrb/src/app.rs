@@ -1,7 +1,9 @@
 //! The MySRB application: request routing and form handling, independent
-//! of the transport (the HTTP server in [`crate::http`] and the tests both
-//! drive [`MySrb::handle`] directly).
+//! of the transport. The HTTP server in [`crate::http`] drives
+//! [`MySrb::respond`] with the body buffer of its previous reply; tests
+//! drive [`MySrb::handle`], which is `respond` with a fresh buffer.
 
+use crate::html::{page_close, page_open, text_input, Esc};
 use crate::pages;
 use crate::session::SessionStore;
 use crate::urlenc::parse_form;
@@ -10,6 +12,7 @@ use srb_mcat::metadata::DUBLIN_CORE;
 use srb_mcat::{AnnotationKind, Query, QueryCondition};
 use srb_types::{LogicalPath, ServerId, SrbError, Triplet};
 use std::collections::HashMap;
+use std::fmt::{self, Write};
 
 /// A parsed HTTP request, transport-agnostic.
 #[derive(Debug, Default, Clone)]
@@ -59,6 +62,16 @@ impl Request {
             .map(|s| s.as_str())
             .unwrap_or("")
     }
+
+    /// The `i`-th of a repeated parameter: `name`, then `name.1`, `name.2`…
+    fn nth_param(&self, name: &str, i: usize) -> &str {
+        if i == 0 {
+            return self.param(name);
+        }
+        let mut key = String::with_capacity(name.len() + 4);
+        let _ = write!(key, "{name}.{i}");
+        self.param(&key)
+    }
 }
 
 /// An HTTP response.
@@ -67,71 +80,49 @@ pub struct Response {
     /// HTTP status code.
     pub status: u16,
     /// Content type.
-    pub content_type: String,
+    pub content_type: &'static str,
     /// Body bytes.
     pub body: Vec<u8>,
     /// Extra headers (`Set-Cookie`, `Location`).
     pub headers: Vec<(String, String)>,
 }
 
+/// The content type of every page.
+const HTML: &str = "text/html; charset=utf-8";
+
 impl Response {
-    fn html(body: String) -> Response {
-        Response {
-            status: 200,
-            content_type: "text/html; charset=utf-8".into(),
-            body: body.into_bytes(),
-            headers: Vec::new(),
-        }
-    }
-
-    fn redirect(to: &str) -> Response {
-        Response {
-            status: 303,
-            content_type: "text/html".into(),
-            body: format!("redirecting to {to}").into_bytes(),
-            headers: vec![("Location".into(), to.to_string())],
-        }
-    }
-
-    fn error(status: u16, msg: &str) -> Response {
+    /// A route's answer before its body joins it: the route wrote the body
+    /// into the request's buffer, and [`MySrb::respond`] moves it in.
+    fn with_status(status: u16, content_type: &'static str) -> Response {
         Response {
             status,
-            content_type: "text/html; charset=utf-8".into(),
-            body: crate::html::page(
-                "MySRB — error",
-                None,
-                None,
-                &format!(
-                    "<p style=\"color:#900\">{}</p><p><a href=\"/\">back</a></p>",
-                    crate::html::escape(msg)
-                ),
-            )
-            .into_bytes(),
+            content_type,
+            body: Vec::new(),
             headers: Vec::new(),
         }
     }
 
-    /// Render a grid error without losing its kind: the HTTP status folds
-    /// several `SrbError` variants together (503 covers both resource and
-    /// site outages, 504 covers timeouts), so the stable error code rides
-    /// along in the body for triage.
-    fn grid_error(e: &SrbError) -> Response {
-        Response {
-            status: status_for(e),
-            content_type: "text/html; charset=utf-8".into(),
-            body: crate::html::page(
-                "MySRB — error",
-                None,
-                None,
-                &format!(
-                    "<p style=\"color:#900\">{} <code>[{}]</code></p><p><a href=\"/\">back</a></p>",
-                    crate::html::escape(&e.to_string()),
-                    e.code(),
-                ),
-            )
-            .into_bytes(),
-            headers: Vec::new(),
-        }
+    fn html() -> Response {
+        Response::with_status(200, HTML)
+    }
+
+    fn redirect(out: &mut String, to: &str) -> Response {
+        let _ = write!(out, "redirecting to {to}");
+        let mut resp = Response::with_status(303, "text/html");
+        resp.headers.push(("Location".into(), to.to_string()));
+        resp
+    }
+
+    /// An error page: `html` (text in it escaped by the caller) and a way
+    /// back.
+    fn error(out: &mut String, status: u16, html: impl fmt::Display) -> Response {
+        page_open(out, "MySRB — error", None, false);
+        let _ = write!(
+            out,
+            "<p style=\"color:#900\">{html}</p><p><a href=\"/\">back</a></p>"
+        );
+        page_close(out);
+        Response::with_status(status, HTML)
     }
 
     /// Body as UTF-8 (tests).
@@ -208,17 +199,28 @@ impl<'g> MySrb<'g> {
         &self.sessions
     }
 
-    /// Route a request to a handler, recording per-route request, status
-    /// and error metrics when the grid has observability on. Requests no
-    /// route matches share the label `other`, so distinct unknown paths
-    /// cannot grow the registry.
+    /// Answer a request with a fresh body buffer (tests, examples):
+    /// [`MySrb::respond`] with nothing to reuse.
     pub fn handle(&self, req: &Request) -> Response {
-        let (resp, route) = match self.route(req) {
+        self.respond(req, Vec::new())
+    }
+
+    /// Route a request to a handler, which renders its page into `buf`
+    /// (cleared first); `buf` comes back as the reply's body, so a caller
+    /// that hands each body to its next request keeps one buffer's
+    /// capacity instead of allocating per page. Records per-route request,
+    /// status and error metrics when the grid has observability on.
+    /// Requests no route matches share the label `other`, so distinct
+    /// unknown paths cannot grow the registry.
+    pub fn respond(&self, req: &Request, mut buf: Vec<u8>) -> Response {
+        buf.clear();
+        let mut out = String::from_utf8(buf).unwrap_or_default();
+        let (mut resp, route) = match self.route(req, &mut out) {
             Some(resp) => (resp, req.path.as_str()),
-            None => (
-                Response::error(404, &format!("no such page: {}", req.path)),
-                "other",
-            ),
+            None => {
+                let msg = format_args!("no such page: {}", Esc(&req.path));
+                (Response::error(&mut out, 404, msg), "other")
+            }
         };
         if let Some(obs) = self.grid.obs() {
             obs.metrics.counter("web.requests", route).inc();
@@ -229,115 +231,125 @@ impl<'g> MySrb<'g> {
                 obs.metrics.counter("web.errors", route).inc();
             }
         }
+        resp.body = out.into_bytes();
         resp
     }
 
-    fn route(&self, req: &Request) -> Option<Response> {
+    fn route(&self, req: &Request, out: &mut String) -> Option<Response> {
         Some(match (req.method.as_str(), req.path.as_str()) {
-            ("GET", "/metrics") => Response {
-                status: 200,
-                content_type: "text/plain; charset=utf-8".into(),
-                body: self.grid.metrics_snapshot().render_text().into_bytes(),
-                headers: Vec::new(),
-            },
-            ("GET", "/grid-status") => Response::html(pages::grid_status(self.grid, self.fed)),
-            ("GET", "/") | ("GET", "/login") => Response::html(pages::login_page(None)),
-            ("POST", "/login") => self.login(req),
+            ("GET", "/metrics") => {
+                out.push_str(&self.grid.metrics_snapshot().render_text());
+                Response::with_status(200, "text/plain; charset=utf-8")
+            }
+            ("GET", "/grid-status") => {
+                page(out, |out| pages::grid_status(out, self.grid, self.fed))
+            }
+            ("GET", "/") | ("GET", "/login") => page(out, |out| pages::login_page(out, None)),
+            ("POST", "/login") => self.login(req, out),
             ("GET", "/logout") => {
                 if let Some(k) = &req.session {
                     self.sessions.remove(k);
                 }
-                Response::redirect("/")
+                Response::redirect(out, "/")
             }
-            ("GET", "/browse") => self.with_conn(req, |conn| {
+            ("GET", "/browse") => self.with_conn(req, out, |conn, out| {
                 let path = default_path(req.param("path"));
                 let n: usize = req.param("n").parse().unwrap_or(0);
                 let cursor = req.param("cursor");
                 let cursor = (!cursor.is_empty()).then_some(cursor);
-                match pages::browse_page(conn, path, cursor, n, self.fed) {
+                let mark = out.len();
+                match pages::browse_page(out, conn, path, cursor, n, self.fed) {
                     // A stale or tampered cursor restarts the walk from
                     // page one instead of erroring the browser window.
                     Err(SrbError::Invalid(_)) if cursor.is_some() => {
-                        pages::browse_page(conn, path, None, n, self.fed)
+                        out.truncate(mark);
+                        pages::browse_page(out, conn, path, None, n, self.fed)
                     }
                     other => other,
                 }
             }),
-            ("GET", "/view") => self.with_conn(req, |conn| {
-                let args: Vec<String> = req
-                    .query
-                    .get("args")
-                    .map(|a| vec![a.clone()])
-                    .unwrap_or_default();
-                pages::view_page(conn, req.param("path"), &args)
+            ("GET", "/view") => self.with_conn(req, out, |conn, out| {
+                let args = req.query.get("args").map(std::slice::from_ref);
+                pages::view_page(out, conn, req.param("path"), args.unwrap_or_default())
             }),
-            ("GET", "/meta") => {
-                self.with_conn(req, |conn| pages::meta_page(conn, req.param("path")))
-            }
-            ("GET", "/ingest") => {
-                self.with_conn(req, |conn| pages::ingest_form(conn, req.param("coll")))
-            }
-            ("POST", "/ingest") => self.ingest(req),
-            ("GET", "/mkcoll") => self.with_conn(req, |conn| {
-                let _ = conn; // form needs no catalog data
-                Ok(crate::html::page(
-                    "MySRB — new collection",
-                    Some(""),
-                    None,
-                    &format!(
-                        "<form method=\"post\" action=\"/mkcoll\">\
-                         <input type=\"hidden\" name=\"parent\" value=\"{}\">\
-                         {}<input type=\"submit\" value=\"Create\"></form>",
-                        crate::html::escape(req.param("parent")),
-                        crate::html::text_input("Name", "name", ""),
-                    ),
-                ))
+            ("GET", "/meta") => self.with_conn(req, out, |conn, out| {
+                pages::meta_page(out, conn, req.param("path"))
             }),
-            ("POST", "/mkcoll") => self.mkcoll(req),
-            ("GET", "/query") => self.with_conn(req, |conn| {
-                pages::query_form(conn, default_path(req.param("scope")))
+            ("GET", "/ingest") => self.with_conn(req, out, |conn, out| {
+                pages::ingest_form(out, conn, req.param("coll"))
             }),
-            ("POST", "/query") => self.query(req),
-            ("GET", "/annotate") => Response::html(pages::annotate_form(req.param("path"))),
-            ("GET", "/register") => Response::html(pages::register_form(None)),
-            ("POST", "/register") => self.register(req),
-            ("GET", "/help") => Response::html(pages::help_page()),
-            ("GET", "/edit") => self.with_conn(req, |conn| {
+            ("POST", "/ingest") => self.ingest(req, out),
+            ("GET", "/mkcoll") => self.with_conn(req, out, |_, out| {
+                page_open(out, "MySRB — new collection", Some(""), false);
+                let _ = write!(
+                    out,
+                    "<form method=\"post\" action=\"/mkcoll\">\
+                     <input type=\"hidden\" name=\"parent\" value=\"{}\">",
+                    Esc(req.param("parent"))
+                );
+                text_input(out, "Name", "name", "");
+                out.push_str("<input type=\"submit\" value=\"Create\"></form>");
+                page_close(out);
+                Ok(())
+            }),
+            ("POST", "/mkcoll") => self.mkcoll(req, out),
+            ("GET", "/query") => self.with_conn(req, out, |conn, out| {
+                pages::query_form(out, conn, default_path(req.param("scope")))
+            }),
+            ("POST", "/query") => self.query(req, out),
+            ("GET", "/annotate") => page(out, |out| pages::annotate_form(out, req.param("path"))),
+            ("GET", "/register") => page(out, |out| pages::register_form(out, None)),
+            ("POST", "/register") => self.register(req, out),
+            ("GET", "/help") => page(out, pages::help_page),
+            ("GET", "/edit") => self.with_conn(req, out, |conn, out| {
                 self.check_editable(conn, req.param("path"))?;
-                pages::edit_form(conn, req.param("path"))
+                pages::edit_form(out, conn, req.param("path"))
             }),
-            ("POST", "/edit") => self.with_conn(req, |conn| {
+            ("POST", "/edit") => self.with_conn(req, out, |conn, out| {
                 let path = req.param("path");
                 self.check_editable(conn, path)?;
                 conn.write(path, req.param("content").as_bytes())?;
-                pages::view_page(conn, path, &[])
+                pages::view_page(out, conn, path, &[])
             }),
-            ("POST", "/annotate") => self.annotate(req),
-            ("POST", "/delete") => self.delete(req),
-            ("POST", "/replicate") => self.replicate(req),
-            ("GET", "/admin") => self.with_conn(req, |conn| Ok(pages::admin_page(conn))),
-            ("GET", "/api/summary") => self
-                .with_conn(req, |conn| {
-                    serde_json::to_string_pretty(&conn.grid().mcat.summary())
-                        .map_err(|e| SrbError::Internal(format!("summary serialization: {e}")))
-                })
-                .into_json(),
+            ("POST", "/annotate") => self.annotate(req, out),
+            ("POST", "/delete") => self.delete(req, out),
+            ("POST", "/replicate") => self.replicate(req, out),
+            ("GET", "/admin") => self.with_conn(req, out, |conn, out| {
+                pages::admin_page(out, conn);
+                Ok(())
+            }),
+            ("GET", "/api/summary") => {
+                let mut resp = self.with_conn(req, out, |conn, out| {
+                    let summary = serde_json::to_string_pretty(&conn.grid().mcat.summary())
+                        .map_err(|e| SrbError::Internal(format!("summary serialization: {e}")))?;
+                    out.push_str(&summary);
+                    Ok(())
+                });
+                if resp.status == 200 {
+                    resp.content_type = "application/json";
+                }
+                resp
+            }
             _ => return None,
         })
     }
 
-    fn with_conn<F>(&self, req: &Request, f: F) -> Response
+    /// Run `f` on the request's session connection, rendering into `out`.
+    /// No valid session redirects to the sign-on page; a failing `f` has
+    /// what it wrote truncated away and the grid error rendered instead.
+    fn with_conn<F>(&self, req: &Request, out: &mut String, f: F) -> Response
     where
-        F: FnOnce(&SrbConnection<'g>) -> Result<String, SrbError>,
+        F: FnOnce(&SrbConnection<'g>, &mut String) -> Result<(), SrbError>,
     {
         let Some(key) = &req.session else {
-            return Response::redirect("/");
+            return Response::redirect(out, "/");
         };
-        let out = self.sessions.with_session(key, |s| {
-            let result = f(&s.conn);
+        let mark = out.len();
+        let done = self.sessions.with_session(key, |s| {
+            let result = f(&s.conn, out);
             (result, s.conn.take_op_ns())
         });
-        match out {
+        match done {
             Ok((result, op_ns)) => {
                 if let Some(obs) = self.grid.obs() {
                     obs.metrics
@@ -345,16 +357,23 @@ impl<'g> MySrb<'g> {
                         .observe(op_ns);
                 }
                 match result {
-                    Ok(html) => Response::html(html),
+                    Ok(()) => Response::html(),
                     Err(e) => {
                         if let Some(obs) = self.grid.obs() {
                             obs.metrics.counter("web.error_codes", e.code()).inc();
                         }
-                        Response::grid_error(&e)
+                        // Render a grid error without losing its kind: the
+                        // HTTP status folds several `SrbError` variants
+                        // together (503 covers both resource and site
+                        // outages, 504 covers timeouts), so the stable
+                        // error code rides along in the body for triage.
+                        out.truncate(mark);
+                        let html = format_args!("{} <code>[{}]</code>", Esc(&e), e.code());
+                        Response::error(out, status_for(&e), html)
                     }
                 }
             }
-            Err(_) => Response::redirect("/"),
+            Err(_) => Response::redirect(out, "/"),
         }
     }
 
@@ -378,22 +397,23 @@ impl<'g> MySrb<'g> {
         Ok(())
     }
 
-    fn register(&self, req: &Request) -> Response {
+    fn register(&self, req: &Request, out: &mut String) -> Response {
         let user = req.param("user");
         let domain = req.param("domain");
         let password = req.param("password");
         if user.is_empty() || domain.is_empty() || password.is_empty() {
-            return Response::html(pages::register_form(Some(
-                "user, domain and password are all required",
-            )));
+            let msg = "user, domain and password are all required";
+            pages::register_form(out, Some(msg));
+        } else {
+            match self.grid.register_user(user, domain, password) {
+                Ok(_) => pages::login_page(out, Some("account created — sign on below")),
+                Err(e) => pages::register_form(out, Some(&e.to_string())),
+            }
         }
-        match self.grid.register_user(user, domain, password) {
-            Ok(_) => Response::html(pages::login_page(Some("account created — sign on below"))),
-            Err(e) => Response::html(pages::register_form(Some(&e.to_string()))),
-        }
+        Response::html()
     }
 
-    fn login(&self, req: &Request) -> Response {
+    fn login(&self, req: &Request, out: &mut String) -> Response {
         let user = req.param("user");
         let domain = req.param("domain");
         let password = req.param("password");
@@ -405,14 +425,17 @@ impl<'g> MySrb<'g> {
         match connected {
             Ok(conn) => {
                 let key = self.sessions.create(conn, &format!("{user}@{domain}"));
-                let mut resp = Response::redirect("/browse?path=%2F");
+                let mut resp = Response::redirect(out, "/browse?path=%2F");
                 resp.headers.push((
                     "Set-Cookie".into(),
                     format!("mysrb_session={key}; HttpOnly"),
                 ));
                 resp
             }
-            Err(e) => Response::html(pages::login_page(Some(&e.to_string()))),
+            Err(e) => {
+                pages::login_page(out, Some(&e.to_string()));
+                Response::html()
+            }
         }
     }
 
@@ -435,14 +458,9 @@ impl<'g> MySrb<'g> {
         }
         // User-defined rows: meta_name / meta_name.1 / meta_name.2 …
         for i in 0..8 {
-            let suffix = if i == 0 {
-                String::new()
-            } else {
-                format!(".{i}")
-            };
-            let name = req.param(&format!("meta_name{suffix}"));
-            let value = req.param(&format!("meta_value{suffix}"));
-            let units = req.param(&format!("meta_units{suffix}"));
+            let name = req.nth_param("meta_name", i);
+            let value = req.nth_param("meta_value", i);
+            let units = req.nth_param("meta_units", i);
             if !name.is_empty() && !value.is_empty() {
                 metadata.push(Triplet::new(name, value, units));
             }
@@ -450,62 +468,54 @@ impl<'g> MySrb<'g> {
         metadata
     }
 
-    fn ingest(&self, req: &Request) -> Response {
-        self.with_conn(req, |conn| {
+    fn ingest(&self, req: &Request, out: &mut String) -> Response {
+        self.with_conn(req, out, |conn, out| {
             let coll = req.param("coll");
             let name = req.param("name");
             if name.is_empty() {
                 return Err(SrbError::Invalid("file name is required".into()));
             }
-            let data_type = if req.param("data_type").is_empty() {
-                "generic".to_string()
-            } else {
-                req.param("data_type").to_string()
+            let data_type = match req.param("data_type") {
+                "" => "generic",
+                t => t,
             };
             let mut opts = IngestOptions {
-                data_type,
+                data_type: data_type.to_string(),
+                metadata: Self::collect_metadata(req),
                 ..IngestOptions::default()
             };
-            let container = req.param("container");
-            if !container.is_empty() {
-                opts.container = Some(container.to_string());
-            } else {
-                opts.resource = Some(req.param("resource").to_string());
+            match req.param("container") {
+                "" => opts.resource = Some(req.param("resource").to_string()),
+                c => opts.container = Some(c.to_string()),
             }
-            opts.metadata = Self::collect_metadata(req);
             let path = format!("{}/{}", coll.trim_end_matches('/'), name);
             conn.ingest(&path, req.param("content").as_bytes(), opts)?;
-            pages::browse_page(conn, coll, None, 0, self.fed)
+            pages::browse_page(out, conn, coll, None, 0, self.fed)
         })
     }
 
-    fn mkcoll(&self, req: &Request) -> Response {
-        self.with_conn(req, |conn| {
+    fn mkcoll(&self, req: &Request, out: &mut String) -> Response {
+        self.with_conn(req, out, |conn, out| {
             let parent = req.param("parent");
             let name = req.param("name");
             let path = format!("{}/{}", parent.trim_end_matches('/'), name);
             conn.make_collection(&path)?;
-            pages::browse_page(conn, parent, None, 0, self.fed)
+            pages::browse_page(out, conn, parent, None, 0, self.fed)
         })
     }
 
-    fn query(&self, req: &Request) -> Response {
-        self.with_conn(req, |conn| {
+    fn query(&self, req: &Request, out: &mut String) -> Response {
+        self.with_conn(req, out, |conn, out| {
             let scope = LogicalPath::parse(default_path(req.param("scope")))?;
             let mut q = Query::everywhere().under(scope);
             q.include_system = !req.param("system").is_empty();
             q.include_annotations = !req.param("annotations").is_empty();
             // Four parallel arrays: attr / op / value / show.
             for i in 0..4 {
-                let suffix = if i == 0 {
-                    String::new()
-                } else {
-                    format!(".{i}")
-                };
-                let attr = req.param(&format!("attr{suffix}"));
-                let op = req.param(&format!("op{suffix}"));
-                let value = req.param(&format!("value{suffix}"));
-                let show = req.param(&format!("show{suffix}"));
+                let attr = req.nth_param("attr", i);
+                let op = req.nth_param("op", i);
+                let value = req.nth_param("value", i);
+                let show = req.nth_param("show", i);
                 if !attr.is_empty() && !value.is_empty() {
                     q.conditions.push(QueryCondition::parse(attr, op, value)?);
                 }
@@ -516,50 +526,42 @@ impl<'g> MySrb<'g> {
                 }
             }
             let (hits, _) = conn.query(&q)?;
-            Ok(pages::query_results(&q, &hits))
+            pages::query_results(out, &q, &hits);
+            Ok(())
         })
     }
 
-    fn annotate(&self, req: &Request) -> Response {
-        self.with_conn(req, |conn| {
+    fn annotate(&self, req: &Request, out: &mut String) -> Response {
+        self.with_conn(req, out, |conn, out| {
             let path = req.param("path");
             let kind = AnnotationKind::parse(req.param("kind")).unwrap_or(AnnotationKind::Comment);
             conn.annotate(path, kind, req.param("location"), req.param("text"))?;
-            pages::view_page(conn, path, &[])
+            pages::view_page(out, conn, path, &[])
         })
     }
 
-    fn delete(&self, req: &Request) -> Response {
-        self.with_conn(req, |conn| {
+    fn delete(&self, req: &Request, out: &mut String) -> Response {
+        self.with_conn(req, out, |conn, out| {
             let path = req.param("path");
             let repl = req.param("replica").parse::<u32>().ok();
             conn.delete(path, repl)?;
-            pages::browse_page(conn, parent_of(path), None, 0, self.fed)
+            pages::browse_page(out, conn, parent_of(path), None, 0, self.fed)
         })
     }
 
-    fn replicate(&self, req: &Request) -> Response {
-        self.with_conn(req, |conn| {
+    fn replicate(&self, req: &Request, out: &mut String) -> Response {
+        self.with_conn(req, out, |conn, out| {
             let path = req.param("path");
             conn.replicate(path, req.param("resource"))?;
-            pages::view_page(conn, path, &[])
+            pages::view_page(out, conn, path, &[])
         })
     }
 }
 
-trait IntoJson {
-    fn into_json(self) -> Response;
-}
-
-impl IntoJson for Response {
-    fn into_json(mut self) -> Response {
-        if self.status == 200 {
-            self.content_type = "application/json".into();
-            // with_conn wrapped the JSON in the HTML page machinery only if
-            // the closure returned page HTML; /api/summary returns raw JSON.
-        }
-        self
-    }
+/// A page that cannot fail, rendered into `out`.
+fn page(out: &mut String, render: impl FnOnce(&mut String)) -> Response {
+    render(out);
+    Response::html()
 }
 
 fn default_path(p: &str) -> &str {

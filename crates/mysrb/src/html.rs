@@ -1,110 +1,178 @@
-//! Minimal HTML construction helpers shared by all pages.
+//! HTML writers shared by all pages. A page is written in document order
+//! straight into the reply's one body buffer: [`page_open`], the first
+//! pane, [`page_mid`] and the bottom pane of a split window, then
+//! [`page_close`]. Text goes in through the [`Esc`] and [`Url`] adapters,
+//! which escape and percent-encode as they write; no cell is a `String`.
 
-pub use srb_core::template::escape;
+use std::fmt::{self, Write};
 
-/// Wrap body content in the standard MySRB chrome. When `split` content is
-/// given, render the paper's split window: "the small top-window is used to
+/// Writes a value's text HTML-escaped: `&`, `<`, `>`, `"` and `'` become
+/// entities, every other character passes through.
+pub struct Esc<T>(pub T);
+
+impl<T: fmt::Display> fmt::Display for Esc<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(Escaping(f), "{}", self.0)
+    }
+}
+
+/// Writes text percent-encoded for a URL query component: ASCII letters,
+/// digits and `-_.~` pass through, a space is `%20`, and every other byte
+/// is `%XX`.
+pub struct Url<'a>(pub &'a str);
+
+impl fmt::Display for Url<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut start = 0;
+        for (i, b) in self.0.bytes().enumerate() {
+            if b.is_ascii_alphanumeric() || matches!(b, b'-' | b'_' | b'.' | b'~') {
+                continue;
+            }
+            // A non-empty `start..i` is ASCII, so both ends are boundaries.
+            if start < i {
+                f.write_str(&self.0[start..i])?;
+            }
+            match b {
+                b' ' => f.write_str("%20")?,
+                _ => write!(f, "%{b:02X}")?,
+            }
+            start = i + 1;
+        }
+        f.write_str(&self.0[start..])
+    }
+}
+
+/// Escapes each piece of text on its way to the formatter.
+struct Escaping<'a, 'f>(&'a mut fmt::Formatter<'f>);
+
+impl Write for Escaping<'_, '_> {
+    fn write_str(&mut self, mut rest: &str) -> fmt::Result {
+        while let Some(i) = rest.find(['&', '<', '>', '"', '\'']) {
+            self.0.write_str(&rest[..i])?;
+            self.0.write_str(match rest.as_bytes()[i] {
+                b'&' => "&amp;",
+                b'<' => "&lt;",
+                b'>' => "&gt;",
+                b'"' => "&quot;",
+                _ => "&#39;",
+            })?;
+            rest = &rest[i + 1..];
+        }
+        self.0.write_str(rest)
+    }
+}
+
+/// The stylesheet every page carries.
+const STYLE: &str = "body{font-family:sans-serif;margin:0}\n\
+                     .banner{background:#003366;color:#fff;padding:6px 12px}\n\
+                     .banner a{color:#9cf}\n\
+                     .split-top{height:30%;overflow:auto;border-bottom:3px double #336;\
+background:#eef;padding:8px}\n\
+                     .split-bottom{overflow:auto;padding:8px}\n\
+                     table{border-collapse:collapse}\n\
+                     td,th{border:1px solid #99c;padding:2px 6px}\n\
+                     .ops a{margin-right:6px}\n";
+
+/// Open a page in the standard MySRB chrome: head, banner (naming `user`
+/// when signed in) and the first pane. With `split`, that pane is the
+/// paper's split window's top one: "the small top-window is used to
 /// display metadata about data objects and collections, and the larger
 /// bottom-window is used for displaying elements in a collection or for
-/// displaying data objects".
-pub fn page(title: &str, user: Option<&str>, top: Option<&str>, bottom: &str) -> String {
-    let mut out = String::with_capacity(bottom.len() + 1024);
-    out.push_str("<!DOCTYPE html>\n<html><head><title>");
-    out.push_str(&escape(title));
-    out.push_str("</title><style>\n");
-    out.push_str(
-        "body{font-family:sans-serif;margin:0}\n\
-         .banner{background:#003366;color:#fff;padding:6px 12px}\n\
-         .banner a{color:#9cf}\n\
-         .split-top{height:30%;overflow:auto;border-bottom:3px double #336;\
-background:#eef;padding:8px}\n\
-         .split-bottom{overflow:auto;padding:8px}\n\
-         table{border-collapse:collapse}\n\
-         td,th{border:1px solid #99c;padding:2px 6px}\n\
-         .ops a{margin-right:6px}\n",
+/// displaying data objects"; [`page_mid`] then opens the bottom one.
+/// Without it the page has the bottom pane only. `title` is written as
+/// is, so text in it must come through [`Esc`].
+pub fn page_open(out: &mut String, title: impl fmt::Display, user: Option<&str>, split: bool) {
+    let _ = write!(
+        out,
+        "<!DOCTYPE html>\n<html><head><title>{title}</title><style>\n{STYLE}</style></head><body>\n\
+         <div class=\"banner\"><b>MySRB</b> &mdash; SDSC Storage Resource Broker"
     );
-    out.push_str("</style></head><body>\n");
-    out.push_str("<div class=\"banner\"><b>MySRB</b> &mdash; SDSC Storage Resource Broker");
     if let Some(u) = user {
-        out.push_str(&format!(
+        let _ = write!(
+            out,
             " &middot; signed in as <b>{}</b> &middot; <a href=\"/logout\">logout</a>",
-            escape(u)
-        ));
+            Esc(u)
+        );
     }
-    out.push_str("</div>\n");
-    if let Some(top) = top {
-        out.push_str("<div class=\"split-top\">\n");
-        out.push_str(top);
-        out.push_str("\n</div>\n<div class=\"split-bottom\">\n");
-        out.push_str(bottom);
-        out.push_str("\n</div>\n");
-    } else {
-        out.push_str("<div class=\"split-bottom\">\n");
-        out.push_str(bottom);
-        out.push_str("\n</div>\n");
-    }
-    out.push_str("</body></html>\n");
-    out
+    let pane = if split { "top" } else { "bottom" };
+    let _ = writeln!(out, "</div>\n<div class=\"split-{pane}\">");
 }
 
-/// An HTML table from a header row and string rows.
-pub fn table(headers: &[&str], rows: &[Vec<String>]) -> String {
-    let mut out = String::from("<table><tr>");
+/// Close the split window's top pane and open the bottom one.
+pub fn page_mid(out: &mut String) {
+    out.push_str("\n</div>\n<div class=\"split-bottom\">\n");
+}
+
+/// Close the open pane and the document.
+pub fn page_close(out: &mut String) {
+    out.push_str("\n</div>\n</body></html>\n");
+}
+
+/// A table's opening tag and header row, each header escaped.
+pub fn table_open<'h>(out: &mut String, headers: impl IntoIterator<Item = &'h str>) {
+    out.push_str("<table><tr>");
     for h in headers {
-        out.push_str("<th>");
-        out.push_str(&escape(h));
-        out.push_str("</th>");
+        let _ = write!(out, "<th>{}</th>", Esc(h));
     }
     out.push_str("</tr>\n");
-    for row in rows {
-        out.push_str("<tr>");
-        for cell in row {
-            out.push_str("<td>");
-            out.push_str(cell); // cells may carry pre-escaped markup/links
-            out.push_str("</td>");
-        }
-        out.push_str("</tr>\n");
-    }
-    out.push_str("</table>\n");
-    out
 }
 
-/// `<a href=...>` with escaped label and encoded query value.
-pub fn link(href: &str, label: &str) -> String {
-    format!("<a href=\"{}\">{}</a>", href, escape(label))
+/// A labelled text input. `name` is written as is, so text in it must
+/// come through [`Esc`].
+pub fn text_input(out: &mut String, label: &str, name: impl fmt::Display, value: &str) {
+    let _ = writeln!(
+        out,
+        "<label>{}: <input type=\"text\" name=\"{name}\" value=\"{}\"></label><br>",
+        Esc(label),
+        Esc(value)
+    );
 }
 
-/// A labelled text input.
-pub fn text_input(label: &str, name: &str, value: &str) -> String {
-    format!(
-        "<label>{}: <input type=\"text\" name=\"{}\" value=\"{}\"></label><br>\n",
-        escape(label),
-        escape(name),
-        escape(value)
-    )
-}
-
-/// A drop-down select.
-pub fn select(name: &str, options: &[String], selected: Option<&str>) -> String {
-    let mut out = format!("<select name=\"{}\">", escape(name));
+/// A drop-down select over `options`, marking `selected`. `name` is
+/// written as is, so text in it must come through [`Esc`].
+pub fn select<'o>(
+    out: &mut String,
+    name: impl fmt::Display,
+    options: impl IntoIterator<Item = &'o str>,
+    selected: Option<&str>,
+) {
+    let _ = write!(out, "<select name=\"{name}\">");
     for o in options {
-        let sel = if Some(o.as_str()) == selected {
-            " selected"
-        } else {
-            ""
-        };
-        out.push_str(&format!(
-            "<option value=\"{v}\"{sel}>{v}</option>",
-            v = escape(o)
-        ));
+        let sel = if Some(o) == selected { " selected" } else { "" };
+        let _ = write!(out, "<option value=\"{v}\"{sel}>{v}</option>", v = Esc(o));
     }
     out.push_str("</select>");
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use srb_core::template::escape;
+
+    /// Percent-encoding one byte at a time, as `urlenc::encode` did.
+    fn encode(s: &str) -> String {
+        s.bytes()
+            .map(|b| match b {
+                b'A'..=b'Z' | b'a'..=b'z' | b'0'..=b'9' | b'-' | b'_' | b'.' | b'~' => {
+                    char::from(b).to_string()
+                }
+                b' ' => "%20".to_string(),
+                _ => format!("%{b:02X}"),
+            })
+            .collect()
+    }
+
+    fn page(title: &str, user: Option<&str>, top: Option<&str>, bottom: &str) -> String {
+        let mut out = String::new();
+        page_open(&mut out, Esc(title), user, top.is_some());
+        if let Some(top) = top {
+            out.push_str(top);
+            page_mid(&mut out);
+        }
+        out.push_str(bottom);
+        page_close(&mut out);
+        out
+    }
 
     #[test]
     fn split_window_layout() {
@@ -132,15 +200,36 @@ mod tests {
     }
 
     #[test]
-    fn table_escapes_headers_not_cells() {
-        let t = table(&["A<b>"], &[vec![link("/x", "go")]]);
-        assert!(t.contains("A&lt;b&gt;"));
-        assert!(t.contains("<a href=\"/x\">go</a>"));
+    fn table_escapes_headers() {
+        let mut t = String::new();
+        table_open(&mut t, ["A<b>"]);
+        assert_eq!(t, "<table><tr><th>A&lt;b&gt;</th></tr>\n");
     }
 
     #[test]
     fn select_marks_selected() {
-        let s = select("op", &["=".into(), ">".into()], Some(">"));
+        let mut s = String::new();
+        select(&mut s, "op", ["=", ">"], Some(">"));
         assert!(s.contains("<option value=\"&gt;\" selected>"));
+    }
+
+    #[test]
+    fn adapters_write_what_the_string_forms_return() {
+        for s in [
+            "",
+            "plain",
+            "a b/c?d=e&f",
+            "<\"it's\"> & </x>",
+            "Avian Culture/condor & friends?=100%",
+            "é/ü~ 𝄞.-_",
+            "ends with é",
+        ] {
+            assert_eq!(Esc(s).to_string(), escape(s), "{s:?}");
+            assert_eq!(Url(s).to_string(), encode(s), "{s:?}");
+        }
+        assert_eq!(Url("é").to_string(), "%C3%A9");
+        // Any `Display` value, written in pieces.
+        let path = srb_types::LogicalPath::parse("/a b/<c>").unwrap();
+        assert_eq!(Esc(&path).to_string(), "/a b/&lt;c&gt;");
     }
 }

@@ -6,7 +6,9 @@
 //! page from a real browser. A fixed pool of [`WORKERS`] threads accepts
 //! connections; each answers one request per connection (`Connection:
 //! close`) in one write, within [`READ_DEADLINE`] per socket call and the
-//! [`MAX_HEAD_BYTES`]/[`MAX_BODY_BYTES`] caps (DESIGN.md §14.1).
+//! [`MAX_HEAD_BYTES`]/[`MAX_BODY_BYTES`] caps (DESIGN.md §14.1). Each
+//! acceptor renders every page into the body buffer its previous reply
+//! handed back, and sends from one reused wire buffer.
 
 use crate::app::{MySrb, Request, Response};
 use crate::urlenc::parse_form;
@@ -137,49 +139,75 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Serialize a response to the wire: head and body rendered into one
-/// buffer and handed to `stream` in a single `write_all`.
-pub fn write_response(stream: &mut dyn Write, resp: &Response) -> std::io::Result<()> {
-    let mut out = Vec::with_capacity(256 + resp.body.len());
-    write!(
-        out,
+/// Render a response's head and body into `wire` (cleared first).
+fn wire_into(wire: &mut Vec<u8>, resp: &Response) {
+    wire.clear();
+    let _ = write!(
+        wire,
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n",
         resp.status,
         reason(resp.status),
         resp.content_type,
         resp.body.len()
-    )?;
+    );
     for (k, v) in &resp.headers {
-        write!(out, "{k}: {v}\r\n")?;
+        let _ = write!(wire, "{k}: {v}\r\n");
     }
-    out.extend_from_slice(b"\r\n");
-    out.extend_from_slice(&resp.body);
-    stream.write_all(&out)?;
+    wire.extend_from_slice(b"\r\n");
+    wire.extend_from_slice(&resp.body);
+}
+
+/// Serialize a response to the wire: head and body rendered into one
+/// buffer and handed to `stream` in a single `write_all`.
+pub fn write_response(stream: &mut dyn Write, resp: &Response) -> std::io::Result<()> {
+    let mut wire = Vec::with_capacity(256 + resp.body.len());
+    wire_into(&mut wire, resp);
+    stream.write_all(&wire)?;
     stream.flush()
 }
 
-fn handle_client(app: &MySrb<'_>, stream: &TcpStream) {
+/// The most capacity an acceptor keeps in a buffer between connections.
+/// One large reply (a big `view`) grows a buffer past it; that buffer is
+/// dropped after the reply instead of being held for every later one.
+pub const KEEP_BUF_BYTES: usize = 64 << 10;
+
+/// Answer one connection: render into `body`, send head and body from
+/// `wire` in one write, and hand the body back for the next connection.
+fn handle_client(
+    app: &MySrb<'_>,
+    mut stream: &TcpStream,
+    body: Vec<u8>,
+    wire: &mut Vec<u8>,
+) -> Vec<u8> {
     if stream.set_read_timeout(Some(READ_DEADLINE)).is_err()
         || stream.set_write_timeout(Some(READ_DEADLINE)).is_err()
     {
-        return;
+        return body;
     }
     let resp = match parse_request(&mut BufReader::new(stream)) {
-        Ok(Some(req)) => app.handle(&req),
-        Ok(None) | Err(RequestError::Io(_)) => return,
-        Err(RequestError::Refused(status)) => Response {
-            status,
-            content_type: "text/plain; charset=utf-8".into(),
-            body: format!("{status} {}\n", reason(status)).into_bytes(),
-            headers: Vec::new(),
-        },
+        Ok(Some(req)) => app.respond(&req, body),
+        Ok(None) | Err(RequestError::Io(_)) => return body,
+        Err(RequestError::Refused(status)) => {
+            let mut body = body;
+            body.clear();
+            let _ = writeln!(body, "{status} {}", reason(status));
+            Response {
+                status,
+                content_type: "text/plain; charset=utf-8",
+                body,
+                headers: Vec::new(),
+            }
+        }
     };
-    let _ = write_response(&mut &*stream, &resp);
+    wire_into(wire, &resp);
+    let _ = stream.write_all(wire);
+    resp.body
 }
 
 /// One acceptor: serve connections until one arrives after `shutdown`,
 /// then poke the listener once so the next blocked acceptor wakes too.
 fn accept_loop(app: &MySrb<'_>, listener: &TcpListener, own: SocketAddr, shutdown: &AtomicBool) {
+    let (mut body, mut wire) = (Vec::new(), Vec::new());
     loop {
         let accepted = listener.accept();
         if shutdown.load(Ordering::Acquire) {
@@ -187,8 +215,13 @@ fn accept_loop(app: &MySrb<'_>, listener: &TcpListener, own: SocketAddr, shutdow
             return;
         }
         match accepted {
-            Ok((stream, _)) => handle_client(app, &stream),
+            Ok((stream, _)) => body = handle_client(app, &stream, body, &mut wire),
             Err(_) => return,
+        }
+        for buf in [&mut body, &mut wire] {
+            if buf.capacity() > KEEP_BUF_BYTES {
+                *buf = Vec::new();
+            }
         }
     }
 }
@@ -288,7 +321,7 @@ mod tests {
     fn response_serialization() {
         let resp = Response {
             status: 303,
-            content_type: "text/html".into(),
+            content_type: "text/html",
             body: b"x".to_vec(),
             headers: vec![("Location".into(), "/".into())],
         };
@@ -299,6 +332,49 @@ mod tests {
         assert!(s.contains("Location: /\r\n"));
         assert!(s.contains("Content-Length: 1\r\n"));
         assert!(s.ends_with("\r\n\r\nx"));
+    }
+
+    #[test]
+    fn respond_renders_into_the_buffer_it_is_handed() {
+        let (grid, srv) = grid(0);
+        let app = crate::MySrb::new(&grid, srv, 7);
+        for req in [
+            crate::Request::get("/help", None),
+            crate::Request::get("/no-such-page", None),
+        ] {
+            let mut buf = Vec::with_capacity(1 << 14);
+            buf.extend_from_slice(b"left over from the last reply");
+            let at = buf.as_ptr();
+            let resp = app.respond(&req, buf);
+            // The same allocation, cleared first: the same bytes as a
+            // fresh buffer gets.
+            assert_eq!(resp.body.as_ptr(), at);
+            assert_eq!(resp.body, app.handle(&req).body);
+        }
+    }
+
+    #[test]
+    fn an_acceptor_reuses_its_buffers_across_connections() {
+        let (grid, srv) = grid(0);
+        let app = crate::MySrb::new(&grid, srv, 7);
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (mut body, mut wire) = (Vec::new(), Vec::new());
+        let mut seen = Vec::new();
+        for _ in 0..3 {
+            let mut conn = client(addr);
+            conn.write_all(b"GET /help HTTP/1.1\r\n\r\n").unwrap();
+            let (stream, _) = listener.accept().unwrap();
+            body = handle_client(&app, &stream, body, &mut wire);
+            drop(stream);
+            let mut reply = String::new();
+            conn.read_to_string(&mut reply).unwrap();
+            assert!(reply.starts_with("HTTP/1.1 200"), "{reply}");
+            assert!(reply.contains("MySRB help"));
+            seen.push((body.as_ptr(), wire.as_ptr()));
+        }
+        // After the first reply sized them, both buffers stay put.
+        assert_eq!(seen[1], seen[2]);
     }
 
     /// A sink that records each `write` call it receives.
@@ -321,7 +397,7 @@ mod tests {
     fn write_response_hands_head_and_body_over_in_one_write() {
         let resp = Response {
             status: 200,
-            content_type: "text/html; charset=utf-8".into(),
+            content_type: "text/html; charset=utf-8",
             body: vec![b'y'; 5000],
             headers: vec![
                 ("Set-Cookie".into(), "mysrb_session=k; HttpOnly".into()),

@@ -1,142 +1,145 @@
 //! Page renderers.
 //!
-//! Each function renders one MySRB page to an HTML string, driven entirely
-//! through the public `SrbConnection` API (MySRB is a *client* of SRB, as
-//! in the paper). Figure 1 of the paper corresponds to [`browse_page`];
-//! Figure 2 to [`ingest_form`].
+//! Each function writes one MySRB page, in document order, into the reply's
+//! body buffer `out`, driven entirely through the public `SrbConnection`
+//! API (MySRB is a *client* of SRB, as in the paper). A renderer makes the
+//! catalog calls that can fail before it writes a byte; the caller
+//! truncates `out` before it renders an error page in its place.
+//! Figure 1 of the paper corresponds to [`browse_page`]; Figure 2 to
+//! [`ingest_form`].
 
-use crate::html::{escape, link, page, select, table, text_input};
-use crate::urlenc::encode;
-use srb_core::{ObjectContent, SrbConnection};
+use crate::html::{page_close, page_mid, page_open, select, table_open, text_input, Esc, Url};
+use srb_core::{BreakerState, Federation, Grid, ObjectContent, SrbConnection, ZoneId};
 use srb_mcat::metadata::DUBLIN_CORE;
-use srb_mcat::{AnnotationKind, Query, QueryHit};
-use srb_types::{CompareOp, LogicalPath, SrbResult};
+use srb_mcat::{AnnotationKind, MetaKind, Query, QueryHit};
+use srb_types::{CompareOp, LogicalPath, MetaValue, SrbResult};
+use std::fmt::Write;
+use std::iter::once;
 
 /// The login page.
-pub fn login_page(message: Option<&str>) -> String {
-    let mut body = String::new();
+pub fn login_page(out: &mut String, message: Option<&str>) {
+    page_open(out, "MySRB sign on", None, false);
     if let Some(m) = message {
-        body.push_str(&format!("<p style=\"color:#900\">{}</p>\n", escape(m)));
+        let _ = writeln!(out, "<p style=\"color:#900\">{}</p>", Esc(m));
     }
-    body.push_str("<h2>Sign on to MySRB</h2>\n<form method=\"post\" action=\"/login\">\n");
-    body.push_str(&text_input("User name", "user", ""));
-    body.push_str(&text_input("Domain", "domain", "sdsc"));
-    body.push_str(
+    out.push_str("<h2>Sign on to MySRB</h2>\n<form method=\"post\" action=\"/login\">\n");
+    text_input(out, "User name", "user", "");
+    text_input(out, "Domain", "domain", "sdsc");
+    out.push_str(
         "<label>Password: <input type=\"password\" name=\"password\"></label><br>\n\
          <input type=\"submit\" value=\"Connect\">\n</form>\n",
     );
-    page("MySRB sign on", None, None, &body)
+    page_close(out);
 }
 
-fn breadcrumbs(path: &str) -> String {
-    let lp = match LogicalPath::parse(path) {
-        Ok(p) => p,
-        Err(_) => return escape(path),
+/// A link to each collection on the way down to `path`, the first being
+/// the root.
+fn breadcrumbs(out: &mut String, path: &str) {
+    let Ok(lp) = LogicalPath::parse(path) else {
+        let _ = write!(out, "{}", Esc(path));
+        return;
     };
-    let mut out = link("/browse?path=%2F", "/");
-    let mut acc = LogicalPath::root();
-    for c in lp.components() {
-        let Ok(next) = acc.child(c) else {
-            return escape(path);
-        };
-        acc = next;
-        out.push_str(" &rsaquo; ");
-        out.push_str(&link(
-            &format!("/browse?path={}", encode(&acc.to_string())),
-            c,
-        ));
+    out.push_str("<a href=\"/browse?path=%2F\">/</a>");
+    for (depth, c) in lp.components().enumerate() {
+        out.push_str(" &rsaquo; <a href=\"/browse?path=");
+        for above in lp.components().take(depth + 1) {
+            let _ = write!(out, "%2F{}", Url(above));
+        }
+        let _ = write!(out, "\">{}</a>", Esc(c));
     }
-    out
 }
 
 /// Render one metadata value, honouring the paper's "creative modes": a
 /// value that is a URL or an SRB path becomes a clickable hot-link, and a
 /// value whose *units* are `inline` has its content inlined (thumbnails,
 /// database-backed properties).
-fn render_meta_value(conn: &SrbConnection, value: &str, units: &str) -> String {
+fn render_meta_value(out: &mut String, conn: &SrbConnection, value: &str, units: &str) {
     let is_url = value.starts_with("http://") || value.starts_with("https://");
     let is_srb = value.starts_with('/') && value.len() > 1;
     if units == "inline" {
         if is_srb {
             if let Ok((content, _)) = conn.open(value, &[]) {
-                return format!("<blockquote>{}</blockquote>", escape(&content.display()));
+                let _ = write!(out, "<blockquote>{}</blockquote>", Esc(content.display()));
+                return;
             }
         }
         if is_url {
             if let Ok((bytes, _)) = conn.grid().web.fetch(value) {
-                return format!(
-                    "<blockquote>{}</blockquote>",
-                    escape(&String::from_utf8_lossy(&bytes))
-                );
+                let text = String::from_utf8_lossy(&bytes);
+                let _ = write!(out, "<blockquote>{}</blockquote>", Esc(text));
+                return;
             }
         }
     }
-    if is_url {
-        return format!("<a href=\"{}\">{}</a>", escape(value), escape(value));
-    }
-    if is_srb {
-        return link(&format!("/view?path={}", encode(value)), value);
-    }
-    escape(value)
+    let _ = if is_url {
+        write!(out, "<a href=\"{v}\">{v}</a>", v = Esc(value))
+    } else if is_srb {
+        let (href, label) = (Url(value), Esc(value));
+        write!(out, "<a href=\"/view?path={href}\">{label}</a>")
+    } else {
+        write!(out, "{}", Esc(value))
+    };
 }
 
-fn metadata_pane(conn: &SrbConnection, path: &str) -> String {
-    let mut top = format!("<b>{}</b><br>\n", breadcrumbs(path));
+/// The split window's top pane: where `path` sits, its metadata and its
+/// annotations.
+fn metadata_pane(out: &mut String, conn: &SrbConnection, path: &str) {
+    out.push_str("<b>");
+    breadcrumbs(out, path);
+    out.push_str("</b><br>\n");
     match conn.metadata(path) {
         Ok(rows) if !rows.is_empty() => {
-            let rendered: Vec<Vec<String>> = rows
-                .iter()
-                .map(|r| {
-                    vec![
-                        escape(&r.triplet.name),
-                        render_meta_value(conn, &r.triplet.value.lexical(), &r.triplet.units),
-                        escape(&r.triplet.units),
-                        escape(match &r.kind {
-                            srb_mcat::MetaKind::System => "system",
-                            srb_mcat::MetaKind::UserDefined => "user",
-                            srb_mcat::MetaKind::TypeOriented(s) => s,
-                            srb_mcat::MetaKind::FileBased(_) => "file-based",
-                        }),
-                    ]
-                })
-                .collect();
-            top.push_str(&table(&["attribute", "value", "units", "kind"], &rendered));
-        }
-        Ok(_) => top.push_str("<i>no metadata</i>\n"),
-        Err(e) => top.push_str(&format!("<i>{}</i>\n", escape(&e.to_string()))),
-    }
-    match conn.annotations(path) {
-        Ok(notes) if !notes.is_empty() => {
-            top.push_str("<p><b>Annotations</b></p>\n<ul>\n");
-            for n in notes {
-                top.push_str(&format!(
-                    "<li>[{}] {} <i>({} at {})</i></li>\n",
-                    escape(n.kind.name()),
-                    escape(&n.text),
-                    n.author,
-                    n.at
-                ));
+            table_open(out, ["attribute", "value", "units", "kind"]);
+            for r in &rows {
+                let t = &r.triplet;
+                let _ = write!(out, "<tr><td>{}</td><td>", Esc(&t.name));
+                match &t.value {
+                    MetaValue::Text(v) => render_meta_value(out, conn, v, &t.units),
+                    // A number is neither a link nor a path.
+                    v => {
+                        let _ = write!(out, "{v}");
+                    }
+                }
+                let kind = match &r.kind {
+                    MetaKind::System => "system",
+                    MetaKind::UserDefined => "user",
+                    MetaKind::TypeOriented(s) => s,
+                    MetaKind::FileBased(_) => "file-based",
+                };
+                let (units, kind) = (Esc(&t.units), Esc(kind));
+                let _ = writeln!(out, "</td><td>{units}</td><td>{kind}</td></tr>");
             }
-            top.push_str("</ul>\n");
+            out.push_str("</table>\n");
         }
-        _ => {}
+        Ok(_) => out.push_str("<i>no metadata</i>\n"),
+        Err(e) => {
+            let _ = writeln!(out, "<i>{}</i>", Esc(e));
+        }
     }
-    top
+    if let Ok(notes) = conn.annotations(path) {
+        if !notes.is_empty() {
+            out.push_str("<p><b>Annotations</b></p>\n<ul>\n");
+            for n in notes {
+                let (kind, text) = (Esc(n.kind.name()), Esc(&n.text));
+                let (author, at) = (n.author, n.at);
+                let _ = writeln!(out, "<li>[{kind}] {text} <i>({author} at {at})</i></li>");
+            }
+            out.push_str("</ul>\n");
+        }
+    }
 }
 
 /// The metadata-only view ("the user can select to just view the metadata
 /// for an object").
-pub fn meta_page(conn: &SrbConnection, path: &str) -> SrbResult<String> {
+pub fn meta_page(out: &mut String, conn: &SrbConnection, path: &str) -> SrbResult<()> {
     // Permission check happens inside the pane's catalog calls; surface
     // resolution errors eagerly so missing objects 404.
     conn.metadata(path)?;
-    let top = metadata_pane(conn, path);
-    Ok(page(
-        &format!("MySRB — metadata of {path}"),
-        Some(""),
-        None,
-        &top,
-    ))
+    let title = format_args!("MySRB — metadata of {}", Esc(path));
+    page_open(out, title, Some(""), false);
+    metadata_pane(out, conn, path);
+    page_close(out);
+    Ok(())
 }
 
 /// Rows per browse page when the request names no `n` — large enough that
@@ -150,346 +153,318 @@ const BROWSE_PAGE_ROWS: usize = 500;
 /// O(page) in the catalog and ends with a stable `[next page]` link
 /// carrying the opaque continuation token.
 pub fn browse_page(
+    out: &mut String,
     conn: &SrbConnection,
     path: &str,
     cursor: Option<&str>,
     n: usize,
-    fed: Option<(&srb_core::Federation, srb_core::ZoneId)>,
-) -> SrbResult<String> {
+    fed: Option<(&Federation, ZoneId)>,
+) -> SrbResult<()> {
     let n = if n == 0 { BROWSE_PAGE_ROWS } else { n };
     let ((subs, datasets, _), next) = conn.list_collection_page(path, cursor, n)?;
-    let top = metadata_pane(conn, path);
-    let mut bottom = String::new();
-    let enc = |p: &str| encode(p);
-    let base = path.trim_end_matches('/');
-    bottom.push_str(&format!(
-        "<p class=\"ops\">{} {} {}</p>\n",
-        link(&format!("/ingest?coll={}", enc(path)), "[ingest file]"),
-        link(
-            &format!("/mkcoll?parent={}", enc(path)),
-            "[new sub-collection]"
-        ),
-        link(&format!("/query?scope={}", enc(path)), "[query]"),
-    ));
-    let mut rows: Vec<Vec<String>> = Vec::new();
-    for s in &subs {
-        let full = format!("{base}/{s}");
-        let mut row = vec![
-            link(&format!("/browse?path={}", enc(&full)), s),
-            "collection".into(),
-            String::new(),
-        ];
-        if fed.is_some() {
-            row.push(String::new());
-        }
-        row.push(String::new());
-        rows.push(row);
-    }
-    for (name, ty, size) in &datasets {
-        let full = format!("{base}/{name}");
-        let ops = format!(
-            "{} {} {}",
-            link(&format!("/view?path={}", enc(&full)), "view"),
-            link(&format!("/meta?path={}", enc(&full)), "metadata"),
-            link(&format!("/annotate?path={}", enc(&full)), "annotate"),
-        );
-        let mut row = vec![
-            link(&format!("/view?path={}", enc(&full)), name),
-            escape(ty),
-            size.to_string(),
-        ];
-        if let Some((f, here)) = fed {
-            row.push(escape(&dataset_zone(f, here, &full)));
-        }
-        row.push(ops);
-        rows.push(row);
-    }
-    if rows.is_empty() && cursor.is_none() {
-        bottom.push_str("<i>empty collection</i>\n");
+    page_open(out, format_args!("MySRB — {}", Esc(path)), Some(""), true);
+    metadata_pane(out, conn, path);
+    page_mid(out);
+    let _ = writeln!(
+        out,
+        "<p class=\"ops\"><a href=\"/ingest?coll={p}\">[ingest file]</a> \
+         <a href=\"/mkcoll?parent={p}\">[new sub-collection]</a> \
+         <a href=\"/query?scope={p}\">[query]</a></p>",
+        p = Url(path)
+    );
+    if subs.is_empty() && datasets.is_empty() && cursor.is_none() {
+        out.push_str("<i>empty collection</i>\n");
     } else {
-        let headers: &[&str] = if fed.is_some() {
-            &["name", "type", "size", "zone", "operations"]
-        } else {
-            &["name", "type", "size", "operations"]
-        };
-        bottom.push_str(&table(headers, &rows));
+        let zone = fed.map(|_| "zone");
+        let headers = ["name", "type", "size"].into_iter().chain(zone);
+        table_open(out, headers.chain(["operations"]));
+        let base = path.trim_end_matches('/');
+        // Each row's full path, rebuilt in place.
+        let mut full = String::new();
+        for s in &subs {
+            full.clear();
+            let _ = write!(full, "{base}/{s}");
+            let (href, name) = (Url(&full), Esc(s));
+            let _ = write!(
+                out,
+                "<tr><td><a href=\"/browse?path={href}\">{name}</a></td><td>collection</td><td></td>"
+            );
+            if fed.is_some() {
+                out.push_str("<td></td>");
+            }
+            out.push_str("<td></td></tr>\n");
+        }
+        for (name, ty, size) in &datasets {
+            full.clear();
+            let _ = write!(full, "{base}/{name}");
+            let (p, name, ty) = (Url(&full), Esc(name), Esc(ty));
+            let _ = write!(
+                out,
+                "<tr><td><a href=\"/view?path={p}\">{name}</a></td><td>{ty}</td><td>{size}</td>"
+            );
+            if let Some((f, here)) = fed {
+                out.push_str("<td>");
+                dataset_zone(out, f, here, &full);
+                out.push_str("</td>");
+            }
+            let _ = writeln!(
+                out,
+                "<td><a href=\"/view?path={p}\">view</a> <a href=\"/meta?path={p}\">metadata</a> \
+                 <a href=\"/annotate?path={p}\">annotate</a></td></tr>"
+            );
+        }
+        out.push_str("</table>\n");
     }
     if let Some(token) = next {
         // The continuation token is opaque and self-validating; the link
         // stays stable for a given page until the collection mutates.
-        bottom.push_str(&format!(
-            "<p class=\"pager\">{}</p>\n",
-            link(
-                &format!("/browse?path={}&n={n}&cursor={}", enc(path), enc(&token)),
-                "[next page]"
-            ),
-        ));
+        let (p, token) = (Url(path), Url(&token));
+        let _ = writeln!(
+            out,
+            "<p class=\"pager\"><a href=\"/browse?path={p}&n={n}&cursor={token}\">[next page]</a></p>"
+        );
     }
-    Ok(page(
-        &format!("MySRB — {path}"),
-        Some(""),
-        Some(&top),
-        &bottom,
-    ))
+    page_close(out);
+    Ok(())
 }
 
 /// The object view: "when a user 'opens' a file, the attributes about the
 /// file are displayed along with the contents of the file."
-pub fn view_page(conn: &SrbConnection, path: &str, args: &[String]) -> SrbResult<String> {
+pub fn view_page(
+    out: &mut String,
+    conn: &SrbConnection,
+    path: &str,
+    args: &[String],
+) -> SrbResult<()> {
     let (content, receipt) = conn.open(path, args)?;
-    let top = metadata_pane(conn, path);
-    let mut bottom = String::new();
+    page_open(out, format_args!("MySRB — {}", Esc(path)), Some(""), true);
+    metadata_pane(out, conn, path);
+    page_mid(out);
     match &content {
         ObjectContent::Bytes(b) => {
-            bottom.push_str("<pre>");
-            bottom.push_str(&escape(&String::from_utf8_lossy(b)));
-            bottom.push_str("</pre>\n");
+            let _ = writeln!(out, "<pre>{}</pre>", Esc(String::from_utf8_lossy(b)));
         }
-        ObjectContent::Table { rendered, .. } => bottom.push_str(rendered),
+        ObjectContent::Table { rendered, .. } => out.push_str(rendered),
         ObjectContent::Listing(files) => {
-            bottom.push_str("<ul>\n");
+            out.push_str("<ul>\n");
             for f in files {
-                bottom.push_str(&format!("<li>{}</li>\n", escape(f)));
+                let _ = writeln!(out, "<li>{}</li>", Esc(f));
             }
-            bottom.push_str("</ul>\n");
+            out.push_str("</ul>\n");
         }
     }
-    bottom.push_str(&format!(
-        "<p><small>served in {:.3} ms (simulated), {} replica(s) tried, {} hop(s)</small></p>\n",
-        receipt.sim_ms(),
-        receipt.replicas_tried,
-        receipt.hops
-    ));
-    Ok(page(
-        &format!("MySRB — {path}"),
-        Some(""),
-        Some(&top),
-        &bottom,
-    ))
+    let (ms, tried, hops) = (receipt.sim_ms(), receipt.replicas_tried, receipt.hops);
+    let _ = writeln!(
+        out,
+        "<p><small>served in {ms:.3} ms (simulated), {tried} replica(s) tried, {hops} hop(s)</small></p>"
+    );
+    page_close(out);
+    Ok(())
 }
 
 /// Figure 2: the file-ingestion form with structural metadata (defaults and
 /// restricted vocabularies as drop-downs), Dublin Core attributes, and
 /// free user-defined attribute rows.
-pub fn ingest_form(conn: &SrbConnection, coll: &str) -> SrbResult<String> {
+pub fn ingest_form(out: &mut String, conn: &SrbConnection, coll: &str) -> SrbResult<()> {
+    let mcat = &conn.grid().mcat;
     let lp = LogicalPath::parse(coll)?;
-    let coll_id = conn.grid().mcat.collections.resolve(&lp)?;
-    let requirements = conn.grid().mcat.requirements_for(coll_id)?;
-    let resources: Vec<String> = conn
-        .grid()
-        .mcat
-        .resources
-        .list()
-        .into_iter()
-        .map(|r| r.name)
-        .chain(
-            conn.grid()
-                .mcat
-                .resources
-                .list_logical()
-                .into_iter()
-                .map(|r| r.name),
-        )
-        .collect();
-    let containers: Vec<String> = std::iter::once(String::new())
-        .chain(
-            conn.grid()
-                .mcat
-                .containers
-                .list()
-                .into_iter()
-                .map(|c| c.name),
-        )
-        .collect();
-    let mut body = format!(
-        "<h2>Ingest into {}</h2>\n<form method=\"post\" action=\"/ingest\">\n\
-         <input type=\"hidden\" name=\"coll\" value=\"{}\">\n",
-        escape(coll),
-        escape(coll)
+    let coll_id = mcat.collections.resolve(&lp)?;
+    let requirements = mcat.requirements_for(coll_id)?;
+    let (physical, logical) = (mcat.resources.list(), mcat.resources.list_logical());
+    let containers = mcat.containers.list();
+    page_open(out, "MySRB — ingest", Some(""), false);
+    let _ = write!(
+        out,
+        "<h2>Ingest into {c}</h2>\n<form method=\"post\" action=\"/ingest\">\n\
+         <input type=\"hidden\" name=\"coll\" value=\"{c}\">\n",
+        c = Esc(coll)
     );
-    body.push_str(&text_input("File name", "name", ""));
-    body.push_str(&format!(
-        "<label>Resource: {}</label><br>\n",
-        select("resource", &resources, None)
-    ));
-    body.push_str(&format!(
-        "<label>Container (overrides resource): {}</label><br>\n",
-        select("container", &containers, None)
-    ));
-    body.push_str(&text_input("Data type", "data_type", "generic"));
-    body.push_str(
+    text_input(out, "File name", "name", "");
+    out.push_str("<label>Resource: ");
+    let logical = logical.iter().map(|r| r.name.as_str());
+    let resources = physical.iter().map(|r| r.name.as_str()).chain(logical);
+    select(out, "resource", resources, None);
+    out.push_str("</label><br>\n<label>Container (overrides resource): ");
+    let containers = once("").chain(containers.iter().map(|c| c.name.as_str()));
+    select(out, "container", containers, None);
+    out.push_str("</label><br>\n");
+    text_input(out, "Data type", "data_type", "generic");
+    out.push_str(
         "<label>Contents:<br><textarea name=\"content\" rows=\"6\" cols=\"60\">\
          </textarea></label><br>\n",
     );
     if !requirements.is_empty() {
-        body.push_str("<h3>Collection metadata requirements</h3>\n");
+        out.push_str("<h3>Collection metadata requirements</h3>\n");
         for req in &requirements {
-            let field = format!("req_{}", req.name);
+            let name = Esc(&req.name);
             let star = if req.mandatory { " *" } else { "" };
+            let _ = write!(out, "<label>{name}{star}: ");
+            let default = req.default_value();
             if req.allowed.len() > 1 {
-                body.push_str(&format!(
-                    "<label>{}{}: {} <small>{}</small></label><br>\n",
-                    escape(&req.name),
-                    star,
-                    select(&field, &req.allowed, req.default_value()),
-                    escape(&req.comment)
-                ));
+                let allowed = req.allowed.iter().map(String::as_str);
+                select(out, format_args!("req_{name}"), allowed, default);
+                out.push(' ');
             } else {
-                body.push_str(&format!(
-                    "<label>{}{}: <input type=\"text\" name=\"{}\" value=\"{}\"> \
-                     <small>{}</small></label><br>\n",
-                    escape(&req.name),
-                    star,
-                    escape(&field),
-                    escape(req.default_value().unwrap_or("")),
-                    escape(&req.comment)
-                ));
+                let value = Esc(default.unwrap_or(""));
+                let _ = write!(
+                    out,
+                    "<input type=\"text\" name=\"req_{name}\" value=\"{value}\"> "
+                );
             }
+            let _ = writeln!(out, "<small>{}</small></label><br>", Esc(&req.comment));
         }
     }
-    body.push_str("<h3>Dublin Core attributes</h3>\n");
+    out.push_str("<h3>Dublin Core attributes</h3>\n");
     for element in DUBLIN_CORE {
-        body.push_str(&text_input(element, &format!("dc_{element}"), ""));
+        text_input(out, element, format_args!("dc_{}", Esc(element)), "");
     }
-    body.push_str("<h3>User-defined attributes</h3>\n");
+    out.push_str("<h3>User-defined attributes</h3>\n");
     for _ in 0..3 {
-        body.push_str(
+        out.push_str(
             "<input type=\"text\" name=\"meta_name\" placeholder=\"name\"> = \
              <input type=\"text\" name=\"meta_value\" placeholder=\"value\"> \
              <input type=\"text\" name=\"meta_units\" placeholder=\"units\" size=\"6\"><br>\n",
         );
     }
-    body.push_str("<p><input type=\"submit\" value=\"Ingest\"></p>\n</form>\n");
-    Ok(page("MySRB — ingest", Some(""), None, &body))
+    out.push_str("<p><input type=\"submit\" value=\"Ingest\"></p>\n</form>\n");
+    page_close(out);
+    Ok(())
 }
 
 /// The query builder: four-part conditions ("a metadata name part which is
 /// a drop-down menu … a comparison operator … a text box … a checkbox").
-pub fn query_form(conn: &SrbConnection, scope: &str) -> SrbResult<String> {
+pub fn query_form(out: &mut String, conn: &SrbConnection, scope: &str) -> SrbResult<()> {
     let lp = LogicalPath::parse(scope)?;
     let attrs = conn.grid().mcat.queryable_attrs(&lp)?;
-    let ops: Vec<String> = CompareOp::all()
-        .iter()
-        .map(|o| o.display().to_string())
-        .collect();
-    let mut attr_options = vec![String::new()];
-    attr_options.extend(attrs);
-    let mut body = format!(
-        "<h2>Query under {}</h2>\n<form method=\"post\" action=\"/query\">\n\
-         <input type=\"hidden\" name=\"scope\" value=\"{}\">\n<table>\n\
+    page_open(out, "MySRB — query", Some(""), false);
+    let _ = write!(
+        out,
+        "<h2>Query under {s}</h2>\n<form method=\"post\" action=\"/query\">\n\
+         <input type=\"hidden\" name=\"scope\" value=\"{s}\">\n<table>\n\
          <tr><th>attribute</th><th>operator</th><th>value</th><th>show</th></tr>\n",
-        escape(scope),
-        escape(scope)
+        s = Esc(scope)
     );
     for _ in 0..4 {
-        body.push_str(&format!(
-            "<tr><td>{}</td><td>{}</td>\
-             <td><input type=\"text\" name=\"value\"></td>\
+        out.push_str("<tr><td>");
+        select(
+            out,
+            "attr",
+            once("").chain(attrs.iter().map(String::as_str)),
+            None,
+        );
+        out.push_str("</td><td>");
+        let ops = CompareOp::all().iter().map(|o| o.display());
+        select(out, "op", ops, None);
+        out.push_str(
+            "</td><td><input type=\"text\" name=\"value\"></td>\
              <td><input type=\"checkbox\" name=\"show\" value=\"1\"></td></tr>\n",
-            select("attr", &attr_options, None),
-            select("op", &ops, None),
-        ));
+        );
     }
-    body.push_str(
+    out.push_str(
         "</table>\n<label><input type=\"checkbox\" name=\"system\" value=\"1\"> \
          include system metadata</label>\n\
          <label><input type=\"checkbox\" name=\"annotations\" value=\"1\"> \
          include annotations</label>\n\
          <p><input type=\"submit\" value=\"Search\"></p>\n</form>\n",
     );
-    Ok(page("MySRB — query", Some(""), None, &body))
+    page_close(out);
+    Ok(())
 }
 
 /// Query result listing.
-pub fn query_results(q: &Query, hits: &[QueryHit]) -> String {
-    let mut headers = vec!["object"];
-    for s in &q.select {
-        headers.push(s.as_str());
-    }
-    let rows: Vec<Vec<String>> = hits
-        .iter()
-        .map(|h| {
-            let mut row = vec![link(&format!("/view?path={}", encode(&h.path)), &h.path)];
-            row.extend(h.selected.iter().map(|(_, v)| escape(v)));
-            row
-        })
-        .collect();
-    let mut body = format!(
-        "<h2>{} result(s) under {}</h2>\n",
-        hits.len(),
-        escape(&q.scope.to_string())
-    );
+pub fn query_results(out: &mut String, q: &Query, hits: &[QueryHit]) {
+    page_open(out, "MySRB — results", Some(""), false);
+    let (count, scope) = (hits.len(), Esc(&q.scope));
+    let _ = writeln!(out, "<h2>{count} result(s) under {scope}</h2>");
     if hits.is_empty() {
-        body.push_str("<i>no objects satisfy the conditions</i>\n");
+        out.push_str("<i>no objects satisfy the conditions</i>\n");
     } else {
-        body.push_str(&table(&headers, &rows));
+        table_open(
+            out,
+            once("object").chain(q.select.iter().map(String::as_str)),
+        );
+        for h in hits {
+            let (href, path) = (Url(&h.path), Esc(&h.path));
+            let _ = write!(out, "<tr><td><a href=\"/view?path={href}\">{path}</a></td>");
+            for (_, v) in &h.selected {
+                let _ = write!(out, "<td>{}</td>", Esc(v));
+            }
+            out.push_str("</tr>\n");
+        }
+        out.push_str("</table>\n");
     }
-    page("MySRB — results", Some(""), None, &body)
+    page_close(out);
 }
 
 /// The annotation entry form.
-pub fn annotate_form(path: &str) -> String {
-    let kinds: Vec<String> = AnnotationKind::all()
-        .iter()
-        .map(|k| k.name().to_string())
-        .collect();
-    let body = format!(
-        "<h2>Annotate {}</h2>\n<form method=\"post\" action=\"/annotate\">\n\
-         <input type=\"hidden\" name=\"path\" value=\"{}\">\n\
-         <label>Kind: {}</label><br>\n\
-         {}\
-         <label>Text:<br><textarea name=\"text\" rows=\"4\" cols=\"60\"></textarea></label><br>\n\
-         <input type=\"submit\" value=\"Add annotation\">\n</form>\n",
-        escape(path),
-        escape(path),
-        select("kind", &kinds, None),
-        text_input("Location (optional)", "location", ""),
+pub fn annotate_form(out: &mut String, path: &str) {
+    page_open(out, "MySRB — annotate", Some(""), false);
+    let _ = write!(
+        out,
+        "<h2>Annotate {p}</h2>\n<form method=\"post\" action=\"/annotate\">\n\
+         <input type=\"hidden\" name=\"path\" value=\"{p}\">\n<label>Kind: ",
+        p = Esc(path)
     );
-    page("MySRB — annotate", Some(""), None, &body)
+    select(
+        out,
+        "kind",
+        AnnotationKind::all().iter().map(|k| k.name()),
+        None,
+    );
+    out.push_str("</label><br>\n");
+    text_input(out, "Location (optional)", "location", "");
+    out.push_str(
+        "<label>Text:<br><textarea name=\"text\" rows=\"4\" cols=\"60\"></textarea></label><br>\n\
+         <input type=\"submit\" value=\"Add annotation\">\n</form>\n",
+    );
+    page_close(out);
 }
 
 /// The user-registration form (the paper lists "user registration" among
 /// MySRB's additional functionalities).
-pub fn register_form(message: Option<&str>) -> String {
-    let mut body = String::new();
+pub fn register_form(out: &mut String, message: Option<&str>) {
+    page_open(out, "MySRB — register", None, false);
     if let Some(m) = message {
-        body.push_str(&format!("<p style=\"color:#900\">{}</p>\n", escape(m)));
+        let _ = writeln!(out, "<p style=\"color:#900\">{}</p>", Esc(m));
     }
-    body.push_str(
+    out.push_str(
         "<h2>Register a MySRB account</h2>\n<form method=\"post\" action=\"/register\">\n",
     );
-    body.push_str(&text_input("User name", "user", ""));
-    body.push_str(&text_input("Domain", "domain", "sdsc"));
-    body.push_str(
+    text_input(out, "User name", "user", "");
+    text_input(out, "Domain", "domain", "sdsc");
+    out.push_str(
         "<label>Password: <input type=\"password\" name=\"password\"></label><br>\n\
          <input type=\"submit\" value=\"Register\">\n</form>\n\
          <p><a href=\"/\">back to sign on</a></p>\n",
     );
-    page("MySRB — register", None, None, &body)
+    page_close(out);
 }
 
 /// The edit form for small ASCII files ("a user can … edit a file, if it
 /// is a small ASCII file (the edit facility is allowed only for a few
 /// data types)").
-pub fn edit_form(conn: &SrbConnection, path: &str) -> SrbResult<String> {
+pub fn edit_form(out: &mut String, conn: &SrbConnection, path: &str) -> SrbResult<()> {
     let (content, _) = conn.open(path, &[])?;
-    let text = content.display();
-    let body = format!(
-        "<h2>Edit {}</h2>\n<form method=\"post\" action=\"/edit\">\n\
-         <input type=\"hidden\" name=\"path\" value=\"{}\">\n\
+    page_open(out, "MySRB — edit", Some(""), false);
+    let _ = write!(
+        out,
+        "<h2>Edit {p}</h2>\n<form method=\"post\" action=\"/edit\">\n\
+         <input type=\"hidden\" name=\"path\" value=\"{p}\">\n\
          <textarea name=\"content\" rows=\"16\" cols=\"80\">{}</textarea><br>\n\
          <input type=\"submit\" value=\"Save\">\n</form>\n",
-        escape(path),
-        escape(path),
-        escape(&text)
+        Esc(content.display()),
+        p = Esc(path)
     );
-    Ok(page("MySRB — edit", Some(""), None, &body))
+    page_close(out);
+    Ok(())
 }
 
 /// On-line help (the paper lists "on-line help" among MySRB's additional
 /// functionalities).
-pub fn help_page() -> String {
-    let body = "\
+pub fn help_page(out: &mut String) {
+    page_open(out, "MySRB — help", None, false);
+    out.push_str(
+        "\
 <h2>MySRB help</h2>
 <ul>
 <li><b>Browse</b>: the small top window shows metadata about the current
@@ -507,110 +482,96 @@ result listing. Conditions are ANDed.</li>
 ratings, errata, dialogues, annotations or memos.</li>
 <li><b>Sessions</b> expire after 60 minutes; sign on again.</li>
 </ul>
-<p><a href=\"/\">back</a></p>\n";
-    page("MySRB — help", None, None, body)
+<p><a href=\"/\">back</a></p>\n",
+    );
+    page_close(out);
 }
 
 /// Grid administration overview (resources, servers, catalog counts,
 /// recent audit rows).
-pub fn admin_page(conn: &SrbConnection) -> String {
+pub fn admin_page(out: &mut String, conn: &SrbConnection) {
     let grid = conn.grid();
-    let mut body = String::from("<h2>Grid status</h2>\n");
-    let resources: Vec<Vec<String>> = grid
-        .mcat
-        .resources
-        .list()
-        .into_iter()
-        .map(|r| {
-            let up = grid.resource_is_up(r.id);
-            vec![
-                escape(&r.name),
-                escape(r.kind.name()),
-                grid.network.site_name(r.site).to_string(),
-                if up {
-                    "up".into()
-                } else {
-                    "<b>DOWN</b>".into()
-                },
-            ]
-        })
-        .collect();
-    body.push_str("<h3>Resources</h3>\n");
-    body.push_str(&table(&["name", "kind", "site", "status"], &resources));
-    let containers: Vec<Vec<String>> = grid
-        .mcat
-        .containers
-        .list()
-        .into_iter()
-        .map(|c| {
-            vec![
-                escape(&c.name),
-                c.members.len().to_string(),
-                format!("{} / {}", c.size, c.max_size),
-                if c.synced { "synced" } else { "dirty" }.to_string(),
-            ]
-        })
-        .collect();
-    body.push_str("<h3>Containers</h3>\n");
-    body.push_str(&table(&["name", "members", "fill", "archive"], &containers));
-    let users: Vec<Vec<String>> = grid
-        .mcat
-        .users
-        .list_users()
-        .into_iter()
-        .map(|u| {
-            vec![
-                escape(&u.qualified()),
-                u.groups.len().to_string(),
-                if u.is_admin { "admin" } else { "user" }.to_string(),
-            ]
-        })
-        .collect();
-    body.push_str("<h3>Users</h3>\n");
-    body.push_str(&table(&["name", "groups", "role"], &users));
-    body.push_str("<h3>Catalog</h3>\n<pre>");
-    body.push_str(&escape(
-        &serde_json::to_string_pretty(&grid.mcat.summary())
-            .unwrap_or_else(|e| format!("catalog summary unavailable: {e}")),
-    ));
-    body.push_str("</pre>\n<h3>Recent audit rows</h3>\n");
-    let audit: Vec<Vec<String>> = grid
-        .mcat
-        .audit
-        .recent(20)
-        .into_iter()
-        .map(|r| {
-            vec![
-                r.at.to_string(),
-                r.user.to_string(),
-                r.action.name().to_string(),
-                escape(&r.subject),
-                escape(&r.outcome),
-            ]
-        })
-        .collect();
-    body.push_str(&table(
-        &["time", "user", "action", "subject", "outcome"],
-        &audit,
-    ));
-    page("MySRB — admin", Some(""), None, &body)
+    page_open(out, "MySRB — admin", Some(""), false);
+    out.push_str("<h2>Grid status</h2>\n<h3>Resources</h3>\n");
+    table_open(out, ["name", "kind", "site", "status"]);
+    for r in grid.mcat.resources.list() {
+        let status = if grid.resource_is_up(r.id) {
+            "up"
+        } else {
+            "<b>DOWN</b>"
+        };
+        let (name, kind, site) = (
+            Esc(&r.name),
+            Esc(r.kind.name()),
+            grid.network.site_name(r.site),
+        );
+        let _ = writeln!(
+            out,
+            "<tr><td>{name}</td><td>{kind}</td><td>{site}</td><td>{status}</td></tr>"
+        );
+    }
+    out.push_str("</table>\n<h3>Containers</h3>\n");
+    table_open(out, ["name", "members", "fill", "archive"]);
+    for c in grid.mcat.containers.list() {
+        let (name, members, size, max) = (Esc(&c.name), c.members.len(), c.size, c.max_size);
+        let archive = if c.synced { "synced" } else { "dirty" };
+        let _ = writeln!(
+            out,
+            "<tr><td>{name}</td><td>{members}</td><td>{size} / {max}</td><td>{archive}</td></tr>"
+        );
+    }
+    out.push_str("</table>\n<h3>Users</h3>\n");
+    table_open(out, ["name", "groups", "role"]);
+    for u in grid.mcat.users.list_users() {
+        let (name, groups) = (Esc(u.qualified()), u.groups.len());
+        let role = if u.is_admin { "admin" } else { "user" };
+        let _ = writeln!(
+            out,
+            "<tr><td>{name}</td><td>{groups}</td><td>{role}</td></tr>"
+        );
+    }
+    out.push_str("</table>\n<h3>Catalog</h3>\n<pre>");
+    let _ = match serde_json::to_string_pretty(&grid.mcat.summary()) {
+        Ok(summary) => write!(out, "{}", Esc(summary)),
+        Err(e) => write!(out, "catalog summary unavailable: {}", Esc(e)),
+    };
+    out.push_str("</pre>\n<h3>Recent audit rows</h3>\n");
+    table_open(out, ["time", "user", "action", "subject", "outcome"]);
+    for r in grid.mcat.audit.recent(20) {
+        let (at, user, action) = (r.at, r.user, r.action.name());
+        let (subject, outcome) = (Esc(&r.subject), Esc(&r.outcome));
+        let _ = writeln!(
+            out,
+            "<tr><td>{at}</td><td>{user}</td><td>{action}</td><td>{subject}</td><td>{outcome}</td></tr>"
+        );
+    }
+    out.push_str("</table>\n");
+    page_close(out);
 }
 
 /// Which zone a browsed dataset lives in: its remote-provenance home zone
 /// when the row is a cross-zone registration or replication mirror, the
 /// browsing zone's own name otherwise. Rows whose provenance was lost
 /// ([`srb_mcat::Mcat::remote_provenance`] fails closed) render as `?`.
-fn dataset_zone(fed: &srb_core::Federation, here: srb_core::ZoneId, full_path: &str) -> String {
+fn dataset_zone(out: &mut String, fed: &Federation, here: ZoneId, full_path: &str) {
     let Ok(zone) = fed.zone(here) else {
-        return String::new();
+        return;
     };
     let mcat = &zone.grid.mcat;
     let resolved = LogicalPath::parse(full_path).and_then(|lp| mcat.resolve_dataset(&lp));
-    match resolved.and_then(|id| mcat.remote_provenance(id)) {
-        Ok(Some((home, _))) => format!("{home} (remote)"),
-        Ok(None) => zone.name().to_string(),
-        Err(_) => "?".to_string(),
-    }
+    let _ = match resolved.and_then(|id| mcat.remote_provenance(id)) {
+        Ok(Some((home, _))) => write!(out, "{} (remote)", Esc(home)),
+        Ok(None) => write!(out, "{}", Esc(zone.name())),
+        Err(_) => write!(out, "?"),
+    };
+}
+
+/// A zone's name, or its id when the federation does not know it.
+fn zone_name(out: &mut String, fed: &Federation, z: ZoneId) {
+    let _ = match fed.zone(z) {
+        Ok(zone) => write!(out, "{}", zone.name()),
+        Err(_) => write!(out, "{z}"),
+    };
 }
 
 /// The operator dashboard (`/grid-status`): per-resource breaker health
@@ -618,46 +579,37 @@ fn dataset_zone(fed: &srb_core::Federation, here: srb_core::ZoneId, full_path: &
 /// operations the grid has executed, each with its receipt leg breakdown,
 /// and — when the app is zone-aware — the federation panel: member zones,
 /// peering-link health, and per-subscription replication lag.
-pub fn grid_status(
-    grid: &srb_core::Grid,
-    fed: Option<(&srb_core::Federation, srb_core::ZoneId)>,
-) -> String {
+pub fn grid_status(out: &mut String, grid: &Grid, fed: Option<(&Federation, ZoneId)>) {
     let snap = grid.metrics_snapshot();
-    let mut body = String::new();
-    body.push_str("<h3>Resource health</h3>\n");
-    let rows: Vec<Vec<String>> = grid
-        .mcat
-        .resources
-        .list()
-        .into_iter()
-        .map(|r| {
-            let state = match grid.health.state(r.id) {
-                srb_core::BreakerState::Closed => "closed",
-                srb_core::BreakerState::Open => "OPEN",
-                srb_core::BreakerState::HalfOpen => "half-open",
-            };
-            vec![
-                escape(&r.name),
-                state.to_string(),
-                snap.counter("faults.injected", &r.name).to_string(),
-                snap.counter("health.fast_fails", &r.name).to_string(),
-                snap.counter("health.breaker_trips", &r.name).to_string(),
-            ]
-        })
-        .collect();
-    body.push_str(&table(
-        &[
-            "resource",
-            "breaker",
-            "faults injected",
-            "fast fails",
-            "trips",
-        ],
-        &rows,
-    ));
-    body.push_str(&format!(
+    page_open(out, "MySRB — grid status", Some(""), false);
+    out.push_str("<h3>Resource health</h3>\n");
+    let headers = [
+        "resource",
+        "breaker",
+        "faults injected",
+        "fast fails",
+        "trips",
+    ];
+    table_open(out, headers);
+    for r in grid.mcat.resources.list() {
+        let state = match grid.health.state(r.id) {
+            BreakerState::Closed => "closed",
+            BreakerState::Open => "OPEN",
+            BreakerState::HalfOpen => "half-open",
+        };
+        let count = |name| snap.counter(name, &r.name);
+        let (injected, fast_fails) = (count("faults.injected"), count("health.fast_fails"));
+        let (name, trips) = (Esc(&r.name), count("health.breaker_trips"));
+        let _ = writeln!(
+            out,
+            "<tr><td>{name}</td><td>{state}</td><td>{injected}</td><td>{fast_fails}</td><td>{trips}</td></tr>"
+        );
+    }
+    out.push_str("</table>\n");
+    let _ = writeln!(
+        out,
         "<p>{} fan-out legs dispatched · {} failed · {} went stale · {} repaired · \
-         {} retries · {} scope-cache hits / {} misses</p>\n",
+         {} retries · {} scope-cache hits / {} misses</p>",
         snap.counter_total("fanout.legs_dispatched"),
         snap.counter_total("fanout.legs_failed"),
         snap.counter_total("fanout.legs_stale"),
@@ -665,113 +617,88 @@ pub fn grid_status(
         snap.counter_total("health.retries"),
         snap.counter_total("query.scope_cache_hits"),
         snap.counter_total("query.scope_cache_misses"),
-    ));
-    body.push_str("<h3>Slowest operations</h3>\n");
-    let slow: Vec<Vec<String>> = snap
-        .slow_ops
-        .iter()
-        .map(|op| {
-            let c = &op.cost;
-            let mut legs = vec![format!("{:.2}ms", c.sim_ns as f64 / 1e6)];
-            if c.bytes > 0 {
-                legs.push(format!("{}B", c.bytes));
-            }
-            if c.retries > 0 {
-                legs.push(format!("{} retries", c.retries));
-            }
-            if c.replicas_tried > 1 {
-                legs.push(format!("{} replicas tried", c.replicas_tried));
-            }
-            if c.served_stale {
-                legs.push("stale".to_string());
-            }
-            vec![escape(&op.op), escape(&op.subject), legs.join(" · ")]
-        })
-        .collect();
-    body.push_str(&table(&["op", "subject", "cost"], &slow));
+    );
+    out.push_str("<h3>Slowest operations</h3>\n");
+    table_open(out, ["op", "subject", "cost"]);
+    for op in &snap.slow_ops {
+        let c = &op.cost;
+        let (name, subject, ms) = (Esc(&op.op), Esc(&op.subject), c.sim_ns as f64 / 1e6);
+        let _ = write!(out, "<tr><td>{name}</td><td>{subject}</td><td>{ms:.2}ms");
+        if c.bytes > 0 {
+            let _ = write!(out, " · {}B", c.bytes);
+        }
+        if c.retries > 0 {
+            let _ = write!(out, " · {} retries", c.retries);
+        }
+        if c.replicas_tried > 1 {
+            let _ = write!(out, " · {} replicas tried", c.replicas_tried);
+        }
+        if c.served_stale {
+            out.push_str(" · stale");
+        }
+        out.push_str("</td></tr>\n");
+    }
+    out.push_str("</table>\n");
     if let Some((f, here)) = fed {
-        body.push_str("<h3>Federation</h3>\n");
-        let here_name = f
-            .zone(here)
-            .map(|z| z.name().to_string())
-            .unwrap_or_default();
-        body.push_str(&format!(
-            "<p>this zone: <b>{}</b> · {} zone(s) federated</p>\n",
-            escape(&here_name),
-            f.zone_count(),
-        ));
-        let zrows: Vec<Vec<String>> = f
-            .zones()
-            .map(|(id, z)| {
-                vec![
-                    id.to_string(),
-                    escape(z.name()),
-                    z.grid.mcat.datasets.count().to_string(),
-                ]
-            })
-            .collect();
-        body.push_str(&table(&["zone", "name", "datasets"], &zrows));
-        let lrows: Vec<Vec<String>> = f
-            .link_statuses()
-            .into_iter()
-            .map(|l| {
-                vec![
-                    l.from.to_string(),
-                    l.to.to_string(),
-                    format!("{} us", l.latency_us),
-                    if l.up {
-                        "up".into()
-                    } else {
-                        "PARTITIONED".into()
-                    },
-                ]
-            })
-            .collect();
-        body.push_str(&table(&["from", "to", "latency", "link"], &lrows));
-        let srows: Vec<Vec<String>> = f
-            .subscriptions()
-            .into_iter()
-            .map(|s| {
-                let name_of = |z| {
-                    f.zone(z)
-                        .map(|x| x.name().to_string())
-                        .unwrap_or_else(|_| z.to_string())
-                };
-                vec![
-                    format!("{} → {}", name_of(s.src), name_of(s.dst)),
-                    escape(&s.src_root),
-                    s.fetched_lsn.to_string(),
-                    s.applied.to_string(),
-                    s.outbox.to_string(),
-                    s.resyncs.to_string(),
-                    format!("{:.2} ms", s.max_lag_ns as f64 / 1e6),
-                ]
-            })
-            .collect();
-        if !srows.is_empty() {
-            body.push_str(&table(
-                &[
-                    "subscription",
-                    "subtree",
-                    "fetched lsn",
-                    "applied",
-                    "outbox",
-                    "resyncs",
-                    "max lag",
-                ],
-                &srows,
-            ));
+        out.push_str("<h3>Federation</h3>\n");
+        let here_name = Esc(f.zone(here).map(|z| z.name()).unwrap_or_default());
+        let zones = f.zone_count();
+        let _ = writeln!(
+            out,
+            "<p>this zone: <b>{here_name}</b> · {zones} zone(s) federated</p>"
+        );
+        table_open(out, ["zone", "name", "datasets"]);
+        for (id, z) in f.zones() {
+            let (name, datasets) = (Esc(z.name()), z.grid.mcat.datasets.count());
+            let _ = writeln!(
+                out,
+                "<tr><td>{id}</td><td>{name}</td><td>{datasets}</td></tr>"
+            );
+        }
+        out.push_str("</table>\n");
+        table_open(out, ["from", "to", "latency", "link"]);
+        for l in f.link_statuses() {
+            let (from, to, latency) = (l.from, l.to, l.latency_us);
+            let link = if l.up { "up" } else { "PARTITIONED" };
+            let _ = writeln!(
+                out,
+                "<tr><td>{from}</td><td>{to}</td><td>{latency} us</td><td>{link}</td></tr>"
+            );
+        }
+        out.push_str("</table>\n");
+        let subscriptions = f.subscriptions();
+        if !subscriptions.is_empty() {
+            let headers = ["subscription", "subtree", "fetched lsn", "applied"];
+            table_open(
+                out,
+                headers.into_iter().chain(["outbox", "resyncs", "max lag"]),
+            );
+            for s in subscriptions {
+                out.push_str("<tr><td>");
+                zone_name(out, f, s.src);
+                out.push_str(" → ");
+                zone_name(out, f, s.dst);
+                let (root, lsn, applied) = (Esc(&s.src_root), s.fetched_lsn, s.applied);
+                let (outbox, resyncs, lag) = (s.outbox, s.resyncs, s.max_lag_ns as f64 / 1e6);
+                let _ = writeln!(
+                    out,
+                    "</td><td>{root}</td><td>{lsn}</td><td>{applied}</td><td>{outbox}</td>\
+                     <td>{resyncs}</td><td>{lag:.2} ms</td></tr>"
+                );
+            }
+            out.push_str("</table>\n");
         }
         let fsnap = f.metrics_snapshot();
-        body.push_str(&format!(
+        let _ = writeln!(
+            out,
             "<p>{} cross-zone registration(s) · {} delta(s) shipped · {} applied · \
-             {} resync(s) · {} partition(s)</p>\n",
+             {} resync(s) · {} partition(s)</p>",
             fsnap.counter_total("zone.registrations"),
             fsnap.counter_total("zone.deltas_fetched"),
             fsnap.counter_total("zone.deltas_applied"),
             fsnap.counter_total("zone.resyncs"),
             fsnap.counter_total("zone.partitions"),
-        ));
+        );
     }
-    page("MySRB — grid status", Some(""), None, &body)
+    page_close(out);
 }

@@ -1,19 +1,13 @@
 //! Percent-encoding and `application/x-www-form-urlencoded` parsing.
 
 use std::collections::HashMap;
+use std::fmt::Write;
 
-/// Percent-encode a string for use in a URL query component.
+/// Percent-encode a string for use in a URL query component (the
+/// [`crate::html::Url`] adapter, collected).
 pub fn encode(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for b in s.bytes() {
-        match b {
-            b'A'..=b'Z' | b'a'..=b'z' | b'0'..=b'9' | b'-' | b'_' | b'.' | b'~' => {
-                out.push(b as char)
-            }
-            b' ' => out.push_str("%20"),
-            _ => out.push_str(&format!("%{b:02X}")),
-        }
-    }
+    let _ = write!(out, "{}", crate::html::Url(s));
     out
 }
 

@@ -20,7 +20,10 @@ use std::sync::Arc;
 fn check(failures: &mut Vec<String>, name: &str, status: u16, resp: &mysrb::Response) {
     let body = resp.text();
     if resp.status != status {
-        failures.push(format!("{name}: status {} != {status}\n{body}", resp.status));
+        failures.push(format!(
+            "{name}: status {} != {status}\n{body}",
+            resp.status
+        ));
         return;
     }
     let fixture = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -119,7 +122,9 @@ fn seeded_grid() -> (srb_core::Grid, srb_types::ServerId) {
     )
     .unwrap();
 
-    let db = grid.driver(grid.resource_id("oracle-dlib").unwrap()).unwrap();
+    let db = grid
+        .driver(grid.resource_id("oracle-dlib").unwrap())
+        .unwrap();
     let engine = db.as_db().unwrap().engine();
     engine.execute("CREATE TABLE art (title, artist)").unwrap();
     engine
@@ -250,7 +255,12 @@ fn every_page_matches_its_golden() {
         200,
         &get("/edit?path=%2Fhome%2Fsekar%2Freadme.txt", key),
     );
-    check(f, "mkcoll", 200, &get("/mkcoll?parent=%2Fhome%2Fsekar", key));
+    check(
+        f,
+        "mkcoll",
+        200,
+        &get("/mkcoll?parent=%2Fhome%2Fsekar", key),
+    );
     check(f, "help", 200, &get("/help", None));
     check(f, "register", 200, &get("/register", None));
     check(f, "admin", 200, &get("/admin", key));
