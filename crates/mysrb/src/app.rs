@@ -5,7 +5,7 @@
 
 use crate::html::{page_close, page_open, text_input, Esc};
 use crate::pages;
-use crate::session::SessionStore;
+use crate::session::{SessionStore, WebSession};
 use crate::urlenc::parse_form;
 use srb_core::{Grid, IngestOptions, SrbConnection};
 use srb_mcat::metadata::DUBLIN_CORE;
@@ -113,8 +113,7 @@ impl Response {
         resp
     }
 
-    /// An error page: `html` (text in it escaped by the caller) and a way
-    /// back.
+    /// An error page: `html` (its text escaped by the caller), a way back.
     fn error(out: &mut String, status: u16, html: impl fmt::Display) -> Response {
         page_open(out, "MySRB — error", None, false);
         let _ = write!(
@@ -205,13 +204,11 @@ impl<'g> MySrb<'g> {
         self.respond(req, Vec::new())
     }
 
-    /// Route a request to a handler, which renders its page into `buf`
-    /// (cleared first); `buf` comes back as the reply's body, so a caller
-    /// that hands each body to its next request keeps one buffer's
-    /// capacity instead of allocating per page. Records per-route request,
-    /// status and error metrics when the grid has observability on.
-    /// Requests no route matches share the label `other`, so distinct
-    /// unknown paths cannot grow the registry.
+    /// Route a request to a handler that renders into `buf` (cleared
+    /// first), which comes back as the reply's body for the caller to hand
+    /// to its next request. Records per-route request, status and error
+    /// metrics when the grid has observability on; requests no route
+    /// matches share the label `other`, so unknown paths cannot grow it.
     pub fn respond(&self, req: &Request, mut buf: Vec<u8>) -> Response {
         buf.clear();
         let mut out = String::from_utf8(buf).unwrap_or_default();
@@ -252,35 +249,35 @@ impl<'g> MySrb<'g> {
                 }
                 Response::redirect(out, "/")
             }
-            ("GET", "/browse") => self.with_conn(req, out, |conn, out| {
+            ("GET", "/browse") => self.with_session(req, out, |s, out| {
                 let path = default_path(req.param("path"));
                 let n: usize = req.param("n").parse().unwrap_or(0);
                 let cursor = req.param("cursor");
                 let cursor = (!cursor.is_empty()).then_some(cursor);
                 let mark = out.len();
-                match pages::browse_page(out, conn, path, cursor, n, self.fed) {
+                match pages::browse_page(out, s, path, cursor, n, self.fed) {
                     // A stale or tampered cursor restarts the walk from
                     // page one instead of erroring the browser window.
                     Err(SrbError::Invalid(_)) if cursor.is_some() => {
                         out.truncate(mark);
-                        pages::browse_page(out, conn, path, None, n, self.fed)
+                        pages::browse_page(out, s, path, None, n, self.fed)
                     }
                     other => other,
                 }
             }),
-            ("GET", "/view") => self.with_conn(req, out, |conn, out| {
+            ("GET", "/view") => self.with_session(req, out, |s, out| {
                 let args = req.query.get("args").map(std::slice::from_ref);
-                pages::view_page(out, conn, req.param("path"), args.unwrap_or_default())
+                pages::view_page(out, s, req.param("path"), args.unwrap_or_default())
             }),
-            ("GET", "/meta") => self.with_conn(req, out, |conn, out| {
-                pages::meta_page(out, conn, req.param("path"))
+            ("GET", "/meta") => self.with_session(req, out, |s, out| {
+                pages::meta_page(out, s, req.param("path"))
             }),
-            ("GET", "/ingest") => self.with_conn(req, out, |conn, out| {
-                pages::ingest_form(out, conn, req.param("coll"))
+            ("GET", "/ingest") => self.with_session(req, out, |s, out| {
+                pages::ingest_form(out, s, req.param("coll"))
             }),
             ("POST", "/ingest") => self.ingest(req, out),
-            ("GET", "/mkcoll") => self.with_conn(req, out, |_, out| {
-                page_open(out, "MySRB — new collection", Some(""), false);
+            ("GET", "/mkcoll") => self.with_session(req, out, |s, out| {
+                page_open(out, "MySRB — new collection", Some(&s.user_label), false);
                 let _ = write!(
                     out,
                     "<form method=\"post\" action=\"/mkcoll\">\
@@ -293,34 +290,37 @@ impl<'g> MySrb<'g> {
                 Ok(())
             }),
             ("POST", "/mkcoll") => self.mkcoll(req, out),
-            ("GET", "/query") => self.with_conn(req, out, |conn, out| {
-                pages::query_form(out, conn, default_path(req.param("scope")))
+            ("GET", "/query") => self.with_session(req, out, |s, out| {
+                pages::query_form(out, s, default_path(req.param("scope")))
             }),
             ("POST", "/query") => self.query(req, out),
-            ("GET", "/annotate") => page(out, |out| pages::annotate_form(out, req.param("path"))),
+            ("GET", "/annotate") => self.with_session(req, out, |s, out| {
+                pages::annotate_form(out, s, req.param("path"));
+                Ok(())
+            }),
             ("GET", "/register") => page(out, |out| pages::register_form(out, None)),
             ("POST", "/register") => self.register(req, out),
             ("GET", "/help") => page(out, pages::help_page),
-            ("GET", "/edit") => self.with_conn(req, out, |conn, out| {
-                self.check_editable(conn, req.param("path"))?;
-                pages::edit_form(out, conn, req.param("path"))
+            ("GET", "/edit") => self.with_session(req, out, |s, out| {
+                self.check_editable(&s.conn, req.param("path"))?;
+                pages::edit_form(out, s, req.param("path"))
             }),
-            ("POST", "/edit") => self.with_conn(req, out, |conn, out| {
+            ("POST", "/edit") => self.with_session(req, out, |s, out| {
                 let path = req.param("path");
-                self.check_editable(conn, path)?;
-                conn.write(path, req.param("content").as_bytes())?;
-                pages::view_page(out, conn, path, &[])
+                self.check_editable(&s.conn, path)?;
+                s.conn.write(path, req.param("content").as_bytes())?;
+                pages::view_page(out, s, path, &[])
             }),
             ("POST", "/annotate") => self.annotate(req, out),
             ("POST", "/delete") => self.delete(req, out),
             ("POST", "/replicate") => self.replicate(req, out),
-            ("GET", "/admin") => self.with_conn(req, out, |conn, out| {
-                pages::admin_page(out, conn);
+            ("GET", "/admin") => self.with_session(req, out, |s, out| {
+                pages::admin_page(out, s);
                 Ok(())
             }),
             ("GET", "/api/summary") => {
-                let mut resp = self.with_conn(req, out, |conn, out| {
-                    let summary = serde_json::to_string_pretty(&conn.grid().mcat.summary())
+                let mut resp = self.with_session(req, out, |s, out| {
+                    let summary = serde_json::to_string_pretty(&s.conn.grid().mcat.summary())
                         .map_err(|e| SrbError::Internal(format!("summary serialization: {e}")))?;
                     out.push_str(&summary);
                     Ok(())
@@ -334,19 +334,19 @@ impl<'g> MySrb<'g> {
         })
     }
 
-    /// Run `f` on the request's session connection, rendering into `out`.
+    /// Run `f` on the request's session, rendering into `out`.
     /// No valid session redirects to the sign-on page; a failing `f` has
     /// what it wrote truncated away and the grid error rendered instead.
-    fn with_conn<F>(&self, req: &Request, out: &mut String, f: F) -> Response
+    fn with_session<F>(&self, req: &Request, out: &mut String, f: F) -> Response
     where
-        F: FnOnce(&SrbConnection<'g>, &mut String) -> Result<(), SrbError>,
+        F: FnOnce(&WebSession<'g>, &mut String) -> Result<(), SrbError>,
     {
         let Some(key) = &req.session else {
             return Response::redirect(out, "/");
         };
         let mark = out.len();
         let done = self.sessions.with_session(key, |s| {
-            let result = f(&s.conn, out);
+            let result = f(s, out);
             (result, s.conn.take_op_ns())
         });
         match done {
@@ -469,7 +469,7 @@ impl<'g> MySrb<'g> {
     }
 
     fn ingest(&self, req: &Request, out: &mut String) -> Response {
-        self.with_conn(req, out, |conn, out| {
+        self.with_session(req, out, |s, out| {
             let coll = req.param("coll");
             let name = req.param("name");
             if name.is_empty() {
@@ -489,23 +489,24 @@ impl<'g> MySrb<'g> {
                 c => opts.container = Some(c.to_string()),
             }
             let path = format!("{}/{}", coll.trim_end_matches('/'), name);
-            conn.ingest(&path, req.param("content").as_bytes(), opts)?;
-            pages::browse_page(out, conn, coll, None, 0, self.fed)
+            s.conn
+                .ingest(&path, req.param("content").as_bytes(), opts)?;
+            pages::browse_page(out, s, coll, None, 0, self.fed)
         })
     }
 
     fn mkcoll(&self, req: &Request, out: &mut String) -> Response {
-        self.with_conn(req, out, |conn, out| {
+        self.with_session(req, out, |s, out| {
             let parent = req.param("parent");
             let name = req.param("name");
             let path = format!("{}/{}", parent.trim_end_matches('/'), name);
-            conn.make_collection(&path)?;
-            pages::browse_page(out, conn, parent, None, 0, self.fed)
+            s.conn.make_collection(&path)?;
+            pages::browse_page(out, s, parent, None, 0, self.fed)
         })
     }
 
     fn query(&self, req: &Request, out: &mut String) -> Response {
-        self.with_conn(req, out, |conn, out| {
+        self.with_session(req, out, |s, out| {
             let scope = LogicalPath::parse(default_path(req.param("scope")))?;
             let mut q = Query::everywhere().under(scope);
             q.include_system = !req.param("system").is_empty();
@@ -525,35 +526,36 @@ impl<'g> MySrb<'g> {
                     q.select.push(attr.to_string());
                 }
             }
-            let (hits, _) = conn.query(&q)?;
-            pages::query_results(out, &q, &hits);
+            let (hits, _) = s.conn.query(&q)?;
+            pages::query_results(out, s, &q, &hits);
             Ok(())
         })
     }
 
     fn annotate(&self, req: &Request, out: &mut String) -> Response {
-        self.with_conn(req, out, |conn, out| {
+        self.with_session(req, out, |s, out| {
             let path = req.param("path");
             let kind = AnnotationKind::parse(req.param("kind")).unwrap_or(AnnotationKind::Comment);
-            conn.annotate(path, kind, req.param("location"), req.param("text"))?;
-            pages::view_page(out, conn, path, &[])
+            s.conn
+                .annotate(path, kind, req.param("location"), req.param("text"))?;
+            pages::view_page(out, s, path, &[])
         })
     }
 
     fn delete(&self, req: &Request, out: &mut String) -> Response {
-        self.with_conn(req, out, |conn, out| {
+        self.with_session(req, out, |s, out| {
             let path = req.param("path");
             let repl = req.param("replica").parse::<u32>().ok();
-            conn.delete(path, repl)?;
-            pages::browse_page(out, conn, parent_of(path), None, 0, self.fed)
+            s.conn.delete(path, repl)?;
+            pages::browse_page(out, s, parent_of(path), None, 0, self.fed)
         })
     }
 
     fn replicate(&self, req: &Request, out: &mut String) -> Response {
-        self.with_conn(req, out, |conn, out| {
+        self.with_session(req, out, |s, out| {
             let path = req.param("path");
-            conn.replicate(path, req.param("resource"))?;
-            pages::view_page(out, conn, path, &[])
+            s.conn.replicate(path, req.param("resource"))?;
+            pages::view_page(out, s, path, &[])
         })
     }
 }

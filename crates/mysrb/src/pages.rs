@@ -9,6 +9,7 @@
 //! [`ingest_form`].
 
 use crate::html::{page_close, page_mid, page_open, select, table_open, text_input, Esc, Url};
+use crate::session::WebSession;
 use srb_core::{BreakerState, Federation, Grid, ObjectContent, SrbConnection, ZoneId};
 use srb_mcat::metadata::DUBLIN_CORE;
 use srb_mcat::{AnnotationKind, MetaKind, Query, QueryHit};
@@ -131,13 +132,13 @@ fn metadata_pane(out: &mut String, conn: &SrbConnection, path: &str) {
 
 /// The metadata-only view ("the user can select to just view the metadata
 /// for an object").
-pub fn meta_page(out: &mut String, conn: &SrbConnection, path: &str) -> SrbResult<()> {
+pub fn meta_page(out: &mut String, s: &WebSession, path: &str) -> SrbResult<()> {
     // Permission check happens inside the pane's catalog calls; surface
     // resolution errors eagerly so missing objects 404.
-    conn.metadata(path)?;
+    s.conn.metadata(path)?;
     let title = format_args!("MySRB — metadata of {}", Esc(path));
-    page_open(out, title, Some(""), false);
-    metadata_pane(out, conn, path);
+    page_open(out, title, Some(&s.user_label), false);
+    metadata_pane(out, &s.conn, path);
     page_close(out);
     Ok(())
 }
@@ -154,16 +155,17 @@ const BROWSE_PAGE_ROWS: usize = 500;
 /// carrying the opaque continuation token.
 pub fn browse_page(
     out: &mut String,
-    conn: &SrbConnection,
+    s: &WebSession,
     path: &str,
     cursor: Option<&str>,
     n: usize,
     fed: Option<(&Federation, ZoneId)>,
 ) -> SrbResult<()> {
     let n = if n == 0 { BROWSE_PAGE_ROWS } else { n };
-    let ((subs, datasets, _), next) = conn.list_collection_page(path, cursor, n)?;
-    page_open(out, format_args!("MySRB — {}", Esc(path)), Some(""), true);
-    metadata_pane(out, conn, path);
+    let ((subs, datasets, _), next) = s.conn.list_collection_page(path, cursor, n)?;
+    let title = format_args!("MySRB — {}", Esc(path));
+    page_open(out, title, Some(&s.user_label), true);
+    metadata_pane(out, &s.conn, path);
     page_mid(out);
     let _ = writeln!(
         out,
@@ -230,15 +232,11 @@ pub fn browse_page(
 
 /// The object view: "when a user 'opens' a file, the attributes about the
 /// file are displayed along with the contents of the file."
-pub fn view_page(
-    out: &mut String,
-    conn: &SrbConnection,
-    path: &str,
-    args: &[String],
-) -> SrbResult<()> {
-    let (content, receipt) = conn.open(path, args)?;
-    page_open(out, format_args!("MySRB — {}", Esc(path)), Some(""), true);
-    metadata_pane(out, conn, path);
+pub fn view_page(out: &mut String, s: &WebSession, path: &str, args: &[String]) -> SrbResult<()> {
+    let (content, receipt) = s.conn.open(path, args)?;
+    let title = format_args!("MySRB — {}", Esc(path));
+    page_open(out, title, Some(&s.user_label), true);
+    metadata_pane(out, &s.conn, path);
     page_mid(out);
     match &content {
         ObjectContent::Bytes(b) => {
@@ -265,14 +263,14 @@ pub fn view_page(
 /// Figure 2: the file-ingestion form with structural metadata (defaults and
 /// restricted vocabularies as drop-downs), Dublin Core attributes, and
 /// free user-defined attribute rows.
-pub fn ingest_form(out: &mut String, conn: &SrbConnection, coll: &str) -> SrbResult<()> {
-    let mcat = &conn.grid().mcat;
+pub fn ingest_form(out: &mut String, s: &WebSession, coll: &str) -> SrbResult<()> {
+    let mcat = &s.conn.grid().mcat;
     let lp = LogicalPath::parse(coll)?;
     let coll_id = mcat.collections.resolve(&lp)?;
     let requirements = mcat.requirements_for(coll_id)?;
     let (physical, logical) = (mcat.resources.list(), mcat.resources.list_logical());
     let containers = mcat.containers.list();
-    page_open(out, "MySRB — ingest", Some(""), false);
+    page_open(out, "MySRB — ingest", Some(&s.user_label), false);
     let _ = write!(
         out,
         "<h2>Ingest into {c}</h2>\n<form method=\"post\" action=\"/ingest\">\n\
@@ -333,10 +331,10 @@ pub fn ingest_form(out: &mut String, conn: &SrbConnection, coll: &str) -> SrbRes
 
 /// The query builder: four-part conditions ("a metadata name part which is
 /// a drop-down menu … a comparison operator … a text box … a checkbox").
-pub fn query_form(out: &mut String, conn: &SrbConnection, scope: &str) -> SrbResult<()> {
+pub fn query_form(out: &mut String, s: &WebSession, scope: &str) -> SrbResult<()> {
     let lp = LogicalPath::parse(scope)?;
-    let attrs = conn.grid().mcat.queryable_attrs(&lp)?;
-    page_open(out, "MySRB — query", Some(""), false);
+    let attrs = s.conn.grid().mcat.queryable_attrs(&lp)?;
+    page_open(out, "MySRB — query", Some(&s.user_label), false);
     let _ = write!(
         out,
         "<h2>Query under {s}</h2>\n<form method=\"post\" action=\"/query\">\n\
@@ -372,8 +370,8 @@ pub fn query_form(out: &mut String, conn: &SrbConnection, scope: &str) -> SrbRes
 }
 
 /// Query result listing.
-pub fn query_results(out: &mut String, q: &Query, hits: &[QueryHit]) {
-    page_open(out, "MySRB — results", Some(""), false);
+pub fn query_results(out: &mut String, s: &WebSession, q: &Query, hits: &[QueryHit]) {
+    page_open(out, "MySRB — results", Some(&s.user_label), false);
     let (count, scope) = (hits.len(), Esc(&q.scope));
     let _ = writeln!(out, "<h2>{count} result(s) under {scope}</h2>");
     if hits.is_empty() {
@@ -397,8 +395,8 @@ pub fn query_results(out: &mut String, q: &Query, hits: &[QueryHit]) {
 }
 
 /// The annotation entry form.
-pub fn annotate_form(out: &mut String, path: &str) {
-    page_open(out, "MySRB — annotate", Some(""), false);
+pub fn annotate_form(out: &mut String, s: &WebSession, path: &str) {
+    page_open(out, "MySRB — annotate", Some(&s.user_label), false);
     let _ = write!(
         out,
         "<h2>Annotate {p}</h2>\n<form method=\"post\" action=\"/annotate\">\n\
@@ -443,9 +441,9 @@ pub fn register_form(out: &mut String, message: Option<&str>) {
 /// The edit form for small ASCII files ("a user can … edit a file, if it
 /// is a small ASCII file (the edit facility is allowed only for a few
 /// data types)").
-pub fn edit_form(out: &mut String, conn: &SrbConnection, path: &str) -> SrbResult<()> {
-    let (content, _) = conn.open(path, &[])?;
-    page_open(out, "MySRB — edit", Some(""), false);
+pub fn edit_form(out: &mut String, s: &WebSession, path: &str) -> SrbResult<()> {
+    let (content, _) = s.conn.open(path, &[])?;
+    page_open(out, "MySRB — edit", Some(&s.user_label), false);
     let _ = write!(
         out,
         "<h2>Edit {p}</h2>\n<form method=\"post\" action=\"/edit\">\n\
@@ -489,9 +487,9 @@ ratings, errata, dialogues, annotations or memos.</li>
 
 /// Grid administration overview (resources, servers, catalog counts,
 /// recent audit rows).
-pub fn admin_page(out: &mut String, conn: &SrbConnection) {
-    let grid = conn.grid();
-    page_open(out, "MySRB — admin", Some(""), false);
+pub fn admin_page(out: &mut String, s: &WebSession) {
+    let grid = s.conn.grid();
+    page_open(out, "MySRB — admin", Some(&s.user_label), false);
     out.push_str("<h2>Grid status</h2>\n<h3>Resources</h3>\n");
     table_open(out, ["name", "kind", "site", "status"]);
     for r in grid.mcat.resources.list() {
@@ -581,7 +579,7 @@ fn zone_name(out: &mut String, fed: &Federation, z: ZoneId) {
 /// peering-link health, and per-subscription replication lag.
 pub fn grid_status(out: &mut String, grid: &Grid, fed: Option<(&Federation, ZoneId)>) {
     let snap = grid.metrics_snapshot();
-    page_open(out, "MySRB — grid status", Some(""), false);
+    page_open(out, "MySRB — grid status", None, false);
     out.push_str("<h3>Resource health</h3>\n");
     let headers = [
         "resource",

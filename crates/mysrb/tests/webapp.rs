@@ -102,6 +102,29 @@ fn figure1_split_window_collection_page() {
 }
 
 #[test]
+fn the_banner_names_the_signed_in_user() {
+    let fx = fixture();
+    let app = MySrb::new(&fx.grid, fx.srv, 1);
+    let key = login(&app);
+    let resp = app.handle(&Request::get("/browse?path=%2Fhome%2Fsekar", Some(&key)));
+    assert_eq!(resp.status, 200);
+    let html = resp.text();
+    assert!(html.contains("signed in as <b>sekar@sdsc</b>"), "{html}");
+    // The operator dashboard has no session, so it names nobody.
+    let html = app.handle(&Request::get("/grid-status", None)).text();
+    assert!(!html.contains("signed in as"), "{html}");
+}
+
+#[test]
+fn annotate_form_needs_a_session() {
+    let fx = fixture();
+    let app = MySrb::new(&fx.grid, fx.srv, 1);
+    let resp = app.handle(&Request::get("/annotate?path=%2Fhome%2Fsekar", None));
+    assert_eq!(resp.status, 303);
+    assert!(resp.headers.contains(&("Location".into(), "/".into())));
+}
+
+#[test]
 fn figure2_ingest_form_with_dublin_core_and_vocabulary() {
     let fx = fixture();
     let conn = SrbConnection::connect(&fx.grid, fx.srv, "sekar", "sdsc", "pw").unwrap();
