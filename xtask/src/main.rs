@@ -206,6 +206,7 @@ fn lint(root: &Path, out: &Output) -> ExitCode {
         violations.extend(rules::subject_delete(rel, &lexed));
         violations.extend(rules::zone_pointer(rel, &lexed));
         violations.extend(rules::image_writer(rel, &lexed));
+        violations.extend(rules::render_buffer(rel, &lexed));
     }
 
     violations.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));

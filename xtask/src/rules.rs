@@ -524,10 +524,70 @@ pub fn image_writer(path: &str, lexed: &Lexed) -> Vec<Violation> {
         .collect()
 }
 
+/// The files that render MySRB pages into the reply's body buffer.
+const RENDER_FILES: [&str; 2] = ["crates/mysrb/src/pages.rs", "crates/mysrb/src/html.rs"];
+
+/// Rule `render-buffer`: in MySRB's page renderers (`pages.rs`, `html.rs`)
+/// library code writes into the one body buffer it is handed, in document
+/// order. A `format!(` or `.to_string()` there builds a `String` beside
+/// the buffer: a second render path, and an allocation per cell that the
+/// buffer exists to avoid.
+pub fn render_buffer(path: &str, lexed: &Lexed) -> Vec<Violation> {
+    if !RENDER_FILES.contains(&path) {
+        return Vec::new();
+    }
+    let toks = &lexed.toks;
+    (0..toks.len())
+        .filter(|&i| !lexed.in_test(i))
+        .filter_map(|i| {
+            let (next, after) = (toks.get(i + 1)?, toks.get(i + 2)?);
+            let call = if toks[i].is_ident("format") && next.is_punct('!') && after.is_punct('(') {
+                "format!("
+            } else if toks[i].is_punct('.') && next.is_ident("to_string") && after.is_punct('(') {
+                ".to_string()"
+            } else {
+                return None;
+            };
+            Some(Violation {
+                path: path.to_string(),
+                line: toks[i].line,
+                rule: "render-buffer",
+                msg: format!(
+                    "`{call}` builds a String beside the body buffer; write into the \
+                     buffer with `write!`/`push_str` and the `Esc`/`Url` adapters"
+                ),
+            })
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lexer::Lexed;
+
+    #[test]
+    fn render_buffer_flags_side_strings_in_the_renderers() {
+        let src = "fn a(out: &mut String) { let s = format!(\"<b>{}</b>\", x);\n\
+                   out.push_str(&n.to_string()); }\n\
+                   fn b(out: &mut String) { let _ = write!(out, \"<b>{}</b>\", Esc(x));\n\
+                   let f = to_string; format_args!(\"{x}\"); }\n// format!( in prose\n\
+                   #[cfg(test)]\nmod tests {\n fn t() { format!(\"x\").to_string(); }\n}\n";
+        let lexed = Lexed::new(src);
+        for path in RENDER_FILES {
+            let v = render_buffer(path, &lexed);
+            assert_eq!(
+                v.iter().map(|v| v.line).collect::<Vec<_>>(),
+                [1, 2],
+                "{path}"
+            );
+            assert!(v[0].msg.contains("`format!(`"), "{}", v[0].msg);
+            assert!(v[1].msg.contains("`.to_string()`"), "{}", v[1].msg);
+        }
+        // The rest of the crate builds Strings as it pleases.
+        assert!(render_buffer("crates/mysrb/src/app.rs", &lexed).is_empty());
+        assert!(render_buffer("crates/mysrb/tests/html_golden.rs", &lexed).is_empty());
+    }
 
     #[test]
     fn image_writer_flags_sequence_writers_in_srb_mcat() {

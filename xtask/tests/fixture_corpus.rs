@@ -52,6 +52,7 @@ const LINT_GOLDENS: &[&str] = &[
     "crates/fix-lint/src/bait.rs:19: [id-hasher-key]",
     "crates/mysrb/src/app.rs:6: [metric-name]",
     "crates/mysrb/src/app.rs:7: [metric-name]",
+    "crates/mysrb/src/pages.rs:5: [render-buffer]",
     "crates/srb-core/src/ops_fix.rs:5: [no-panic-ops]",
     "crates/srb-core/src/ops_fix.rs:13: [storage-door]",
     "crates/srb-core/src/ops_fix.rs:21: [subject-delete]",
@@ -138,6 +139,7 @@ fn json_output_is_machine_readable() {
         "subject-delete",
         "zone-pointer",
         "image-writer",
+        "render-buffer",
     ] {
         assert!(
             lint_out.contains(&format!("\"{rule}\"")),
