@@ -200,10 +200,13 @@ mod tests {
     }
 
     #[test]
-    fn table_escapes_headers() {
+    fn table_escapes_headers_not_cells() {
         let mut t = String::new();
         table_open(&mut t, ["A<b>"]);
         assert_eq!(t, "<table><tr><th>A&lt;b&gt;</th></tr>\n");
+        // Cells are the caller's markup, written as they are.
+        let _ = write!(t, "<tr><td><a href=\"/x\">{}</a></td></tr>", Esc("go"));
+        assert!(t.ends_with("<tr><td><a href=\"/x\">go</a></td></tr>"));
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //! * the four-part query builder (attribute drop-down, operator, value,
 //!   display check-box),
 //! * annotation entry and display, role-based ACL forms,
-//! * a handwritten HTTP/1.1 server ([`http`]) so the whole thing is
-//!   actually browsable, plus string rendering for tests.
+//! * a handwritten HTTP/1.1 server ([`http`]) whose acceptors render each
+//!   page into one reused body buffer ([`MySrb::respond`]).
 
 pub mod app;
 pub mod html;
