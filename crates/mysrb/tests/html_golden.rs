@@ -1,10 +1,10 @@
 //! Every MySRB page, byte for byte: each request below renders one page
 //! and its body must equal `tests/fixtures/<name>.html`.
 //!
-//! A mismatch writes the new rendering to the target directory's test
-//! scratch space (`CARGO_TARGET_TMPDIR/html_golden/<name>.html`) and names
-//! it in the failure, so a deliberate change is re-recorded by copying
-//! that file over the fixture and reviewing the diff.
+//! A mismatch writes the new rendering under the test temporary directory
+//! (`CARGO_TARGET_TMPDIR/html_golden/<name>.html`) and names it in the
+//! failure, so a deliberate change is re-recorded by copying that file
+//! over the fixture and reviewing the diff.
 
 use mysrb::{MySrb, Request};
 use srb_core::{Federation, GridBuilder, IngestOptions, RegisterSpec, SrbConnection};
