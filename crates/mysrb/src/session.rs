@@ -22,7 +22,7 @@ use srb_core::SrbConnection;
 use srb_obs::{Counter, Gauge, MetricsRegistry};
 use srb_types::sync::{LockRank, RwLock};
 use srb_types::{
-    ct_eq, from_hex, hmac_sha256, splitmix64, to_hex, SimClock, SrbError, SrbResult, Timestamp,
+    ct_eq, from_hex, splitmix64, to_hex, HmacKey, SimClock, SrbError, SrbResult, Timestamp,
 };
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -82,7 +82,8 @@ struct SessionMetrics {
 /// The session-key table.
 pub struct SessionStore<'g> {
     clock: SimClock,
-    secret: [u8; 32],
+    /// The fixed key every session id is signed under, absorbed once.
+    secret: HmacKey,
     seed: u64,
     shards: Box<[Shard<'g>]>,
     /// Round-robins `create` calls across keygen streams.
@@ -109,7 +110,7 @@ impl<'g> SessionStore<'g> {
         }
         SessionStore {
             clock,
-            secret,
+            secret: HmacKey::new(&secret),
             seed,
             shards: (0..n)
                 .map(|_| Shard {
@@ -166,7 +167,7 @@ impl<'g> SessionStore<'g> {
         let mut id = [0u8; 16];
         id[..8].copy_from_slice(&splitmix64(stream, 2 * draw).to_le_bytes());
         id[8..].copy_from_slice(&splitmix64(stream, 2 * draw + 1).to_le_bytes());
-        let tag = hmac_sha256(&self.secret, &id);
+        let tag = self.secret.sign(&id);
         let key = format!("{}.{}", to_hex(&id), to_hex(&tag[..8]));
         let now = self.clock.now();
         let expires = now.plus_secs(WEB_SESSION_TTL_SECS);
@@ -199,7 +200,7 @@ impl<'g> SessionStore<'g> {
         let (id_hex, tag_hex) = key.split_once('.').ok_or_else(malformed)?;
         let id_bytes = from_hex(id_hex).ok_or_else(malformed)?;
         let id: [u8; 16] = id_bytes.try_into().map_err(|_| malformed())?;
-        let expect = hmac_sha256(&self.secret, &id);
+        let expect = self.secret.sign(&id);
         let got = from_hex(tag_hex).ok_or_else(malformed)?;
         if !ct_eq(&expect[..8], &got) {
             return Err(SrbError::AuthFailed(

@@ -8,7 +8,7 @@
 //! federation honours. Tickets expire; expired tickets fail validation.
 
 use srb_types::sync::{LockRank, RwLock};
-use srb_types::{ct_eq, hmac_sha256, splitmix64, SimClock, SrbError, SrbResult, Timestamp, UserId};
+use srb_types::{ct_eq, splitmix64, HmacKey, SimClock, SrbError, SrbResult, Timestamp, UserId};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -111,7 +111,7 @@ impl AuthService {
     /// Step 2 (client): compute the response to a nonce from the
     /// password-derived verifier.
     pub fn respond(verifier: &[u8; 32], nonce: &[u8; 32]) -> [u8; 32] {
-        hmac_sha256(verifier, nonce)
+        HmacKey::new(verifier).sign(nonce)
     }
 
     /// Step 3 (server): verify the response against the catalog's stored
@@ -185,7 +185,7 @@ mod tests {
     }
 
     fn verifier(pw: &str) -> [u8; 32] {
-        hmac_sha256(pw.as_bytes(), b"srb-verifier")
+        HmacKey::new(pw.as_bytes()).sign(b"srb-verifier")
     }
 
     #[test]

@@ -19,6 +19,7 @@ use srb_types::{
     IdGen, IdMap, IdSet, LogicalPath, MetaValue, PageToken, Permission, SimClock, SrbError,
     SrbResult, Timestamp, Triplet, UserId,
 };
+use std::cmp::Ordering;
 use std::sync::{Arc, OnceLock};
 
 /// Seed for the catalog's cursor-signing key. Fixed so two seeded
@@ -100,6 +101,13 @@ fn acl_level(acl: &AccessMatrix, user: Option<UserId>, groups: &[GroupId]) -> Pe
         Some(u) => acl.effective(u, groups),
         None => acl.effective_anonymous(),
     }
+}
+
+/// `pa + na` against `pb + nb`, byte by byte, with neither joined.
+fn joined_cmp(pa: &str, na: &str, pb: &str, nb: &str) -> Ordering {
+    pa.bytes()
+        .chain(na.bytes())
+        .cmp(pb.bytes().chain(nb.bytes()))
 }
 
 /// One index source of a plan.
@@ -1014,7 +1022,7 @@ impl Mcat {
     ///
     /// `q.limit` and `q.ordered` are ignored: the page size is `page` and
     /// pages are always served in path order. Every call re-plans and
-    /// re-sorts the candidate set by path — O(candidates), which for a
+    /// re-orders the candidate set by path — O(candidates), which for a
     /// two-sided range is its window — while residual verification only
     /// touches the candidates actually served (plus one look-ahead for
     /// the more-pages flag).
@@ -1034,33 +1042,11 @@ impl Mcat {
             None => None,
         };
         let scope = self.scope_set(&q.scope)?;
-        let (candidates, residual) = self.plan(q, &scope);
-        let mut ordered: Vec<(String, DatasetId)> = {
-            let ds = self.datasets.batch();
-            let paths = self.collections.path_batch();
-            candidates
-                .into_iter()
-                .filter_map(|d| {
-                    let row = ds.get_ref(d)?;
-                    Some((paths.path_of(row.coll)?.join_display(&row.name), d))
-                })
-                .collect()
-        };
-        ordered.sort_unstable();
-        // Binary-search the resume point: everything at or before the
-        // cursor's last-served path is done, however deep the cursor.
-        let start = match &last {
-            Some(l) => ordered.partition_point(|(p, _)| p.as_str() <= l.as_str()),
-            None => 0,
-        };
+        let (mut candidates, residual) = self.plan(q, &scope);
+        self.path_order_after(&mut candidates, last.as_deref());
         // One look-ahead past the page tells whether another follows.
         let mut page_ids: Vec<DatasetId> = self
-            .sweep(
-                q,
-                &scope,
-                &residual,
-                ordered[start..].iter().map(|(_, d)| *d),
-            )
+            .sweep(q, &scope, &residual, candidates.into_iter())
             .take(page.saturating_add(1))
             .collect();
         let more = page_ids.len() > page;
@@ -1077,6 +1063,60 @@ impl Mcat {
             })
         });
         Ok((hits, next))
+    }
+
+    /// Put `candidates` in full-path order and keep only those after
+    /// `after` (a cursor's last-served path), dropping any whose row or
+    /// collection is gone.
+    ///
+    /// The sort keys are borrowed: `(collection, &name, id)`. Each distinct
+    /// collection's display prefix (`/a/b/`, or `/` for the root) is built
+    /// once. Two keys in one collection compare by name; keys in different
+    /// collections compare as the chained bytes `prefix + name`. That is
+    /// exactly the order of the full path strings (`/b c/x` < `/b-c/x` <
+    /// `/b/x`, since ` ` < `-` < `/`), with no path built for a candidate
+    /// that is not served. The resume point is found by the same
+    /// comparison.
+    fn path_order_after(&self, candidates: &mut Vec<DatasetId>, after: Option<&str>) {
+        let ds = self.datasets.batch();
+        let paths = self.collections.path_batch();
+        let mut prefixes: Vec<String> = Vec::new();
+        let mut slot: IdMap<CollectionId, usize> = IdMap::default();
+        let mut prev: Option<(CollectionId, usize)> = None;
+        let mut keys: Vec<(usize, &str, DatasetId)> = Vec::with_capacity(candidates.len());
+        for &d in candidates.iter() {
+            let Some(row) = ds.get_ref(d) else { continue };
+            let at = match prev {
+                Some((c, at)) if c == row.coll => at,
+                _ => match slot.get(&row.coll) {
+                    Some(&at) => at,
+                    None => {
+                        let Some(path) = paths.path_of(row.coll) else {
+                            continue;
+                        };
+                        prefixes.push(path.join_display(""));
+                        slot.insert(row.coll, prefixes.len() - 1);
+                        prefixes.len() - 1
+                    }
+                },
+            };
+            prev = Some((row.coll, at));
+            keys.push((at, row.name.as_str(), d));
+        }
+        keys.sort_unstable_by(|a, b| {
+            if a.0 == b.0 {
+                a.1.cmp(b.1).then(a.2.cmp(&b.2))
+            } else {
+                joined_cmp(&prefixes[a.0], a.1, &prefixes[b.0], b.1)
+            }
+        });
+        // Binary-search the resume point: everything at or before the
+        // cursor's last-served path is done, however deep the cursor.
+        let start = after.map_or(0, |l| {
+            keys.partition_point(|k| joined_cmp(&prefixes[k.0], k.1, l, "") != Ordering::Greater)
+        });
+        candidates.clear();
+        candidates.extend(keys[start..].iter().map(|k| k.2));
     }
 
     /// One page of a collection listing — sub-collections first (name

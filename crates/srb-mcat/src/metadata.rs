@@ -19,8 +19,9 @@ use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::Bound;
 
-/// What a metadata row is attached to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+/// What a metadata row is attached to. Ordered by variant, then id: every
+/// dataset sorts before every collection.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum Subject {
     /// A dataset.
     Dataset(DatasetId),
@@ -164,12 +165,71 @@ impl Ord for IndexKey {
     }
 }
 
+/// The rows filed under one index key, as `(subject, row id)` pairs in
+/// ascending order. Insert and remove are its only mutators, so the order
+/// always holds: a subject's membership is one binary search, and the
+/// dataset subjects are a prefix (they sort before collections).
+#[derive(Debug, PartialEq)]
+struct Posting(Vec<(Subject, MetaId)>);
+
+impl Posting {
+    /// An empty posting sized for one entry: most keys (a `serial`) are
+    /// unique, and a bare `push` would reserve room for four.
+    fn new() -> Self {
+        Posting(Vec::with_capacity(1))
+    }
+
+    /// File a row. New dataset and row ids ascend, so every ingest
+    /// appends in O(1); an entry that sorts earlier is placed by binary
+    /// search and costs O(posting), as its removal does.
+    fn insert(&mut self, subject: Subject, id: MetaId) {
+        let entry = (subject, id);
+        match self.0.last() {
+            Some(last) if *last > entry => {
+                let at = self.0.partition_point(|e| *e < entry);
+                self.0.insert(at, entry);
+            }
+            _ => self.0.push(entry),
+        }
+    }
+
+    /// Unfile a row, if it is filed here.
+    fn remove(&mut self, subject: Subject, id: MetaId) {
+        if let Ok(at) = self.0.binary_search(&(subject, id)) {
+            self.0.remove(at);
+        }
+    }
+
+    /// Does any row filed here belong to `subject`?
+    fn has(&self, subject: Subject) -> bool {
+        let at = self.0.partition_point(|(s, _)| *s < subject);
+        self.0.get(at).is_some_and(|(s, _)| *s == subject)
+    }
+
+    /// The dataset subjects filed here, read straight out of the posting
+    /// (once per row, so a dataset with two equal rows appears twice).
+    fn datasets(&self) -> impl Iterator<Item = DatasetId> + '_ {
+        self.0.iter().map_while(|(s, _)| match s {
+            Subject::Dataset(d) => Some(*d),
+            Subject::Collection(_) => None,
+        })
+    }
+
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+}
+
 #[derive(Debug, Default)]
 struct Inner {
     rows: IdMap<MetaId, MetaRow>,
     by_subject: IdMap<Subject, Vec<MetaId>>,
-    /// attribute name → ordered value → row ids.
-    index: HashMap<String, BTreeMap<IndexKey, Vec<MetaId>>>,
+    /// attribute name → ordered value → the rows carrying it.
+    index: HashMap<String, BTreeMap<IndexKey, Posting>>,
     /// attribute name → total row count, maintained incrementally so the
     /// planner's partition-wide selectivity estimate is O(1) instead of a
     /// walk over every distinct value.
@@ -280,8 +340,8 @@ impl MetaStore {
             .entry(row.triplet.name.clone())
             .or_default()
             .entry(IndexKey::new(row.triplet.value.clone()))
-            .or_default()
-            .push(row.id);
+            .or_insert_with(Posting::new)
+            .insert(row.subject, row.id);
         *g.attr_counts.entry(row.triplet.name.clone()).or_default() += 1;
         g.rows.insert(row.id, row);
     }
@@ -289,71 +349,64 @@ impl MetaStore {
     /// Update a row's value/units in place.
     pub fn update(&self, id: MetaId, value: MetaValue, units: String) -> SrbResult<()> {
         let mut g = self.inner.write();
+        let g = &mut *g;
         let row = g
             .rows
-            .get(&id)
-            .cloned()
+            .get_mut(&id)
             .ok_or_else(|| SrbError::NotFound(format!("metadata {id}")))?;
+        let old = std::mem::replace(&mut row.triplet.value, value);
+        row.triplet.units = units;
         // Re-index under the new value (the attribute name is unchanged, so
         // the per-attribute row count is too).
-        if let Some(vals) = g.index.get_mut(&row.triplet.name) {
-            let old_key = IndexKey::new(row.triplet.value.clone());
-            if let Some(v) = vals.get_mut(&old_key) {
-                v.retain(|&m| m != id);
-                if v.is_empty() {
-                    vals.remove(&old_key);
-                }
-            }
-        }
+        unindex(&mut g.index, &row.triplet.name, old, row.subject, id);
         g.index
             .entry(row.triplet.name.clone())
             .or_default()
-            .entry(IndexKey::new(value.clone()))
-            .or_default()
-            .push(id);
-        if let Some(row) = g.rows.get_mut(&id) {
-            row.triplet.value = value;
-            row.triplet.units = units;
-        }
+            .entry(IndexKey::new(row.triplet.value.clone()))
+            .or_insert_with(Posting::new)
+            .insert(row.subject, id);
         let gen = self.generation.bump_get().raw();
-        if let Some(row) = g.rows.get(&id) {
-            self.wal.log(gen, || WalOp::MetaPut { row: row.clone() });
-        }
+        self.wal.log(gen, || WalOp::MetaPut { row: row.clone() });
         Ok(())
     }
 
-    /// Remove one row.
+    /// Remove one row, and with it every piece of derived state left
+    /// empty: the subject's list, the value's posting, the attribute's
+    /// partition and row count, its multi-valued entry. The store then
+    /// equals a [`MetaStore::restore`] of its own rows.
     pub fn remove(&self, id: MetaId) -> SrbResult<()> {
         let mut g = self.inner.write();
+        let g = &mut *g;
         let row = g
             .rows
             .remove(&id)
             .ok_or_else(|| SrbError::NotFound(format!("metadata {id}")))?;
-        if let Some(v) = g.by_subject.get_mut(&row.subject) {
-            v.retain(|&m| m != id);
-        }
-        if let Some(vals) = g.index.get_mut(&row.triplet.name) {
-            let key = IndexKey::new(row.triplet.value);
-            if let Some(v) = vals.get_mut(&key) {
-                v.retain(|&m| m != id);
-                if v.is_empty() {
-                    vals.remove(&key);
+        let name = row.triplet.name;
+        let left = match g.by_subject.get_mut(&row.subject) {
+            Some(ids) => {
+                ids.retain(|&m| m != id);
+                if ids.is_empty() {
+                    g.by_subject.remove(&row.subject);
+                    0
+                } else {
+                    rows_named(&g.rows, ids, &name).count()
                 }
             }
-        }
-        if let Some(n) = g.attr_counts.get_mut(&row.triplet.name) {
+            None => 0,
+        };
+        unindex(&mut g.index, &name, row.triplet.value, row.subject, id);
+        if let Some(n) = g.attr_counts.get_mut(&name) {
             *n = n.saturating_sub(1);
+            if *n == 0 {
+                g.attr_counts.remove(&name);
+            }
         }
         if let Subject::Dataset(d) = row.subject {
-            let left = g
-                .by_subject
-                .get(&row.subject)
-                .map_or(0, |ids| rows_named(&g.rows, ids, &row.triplet.name).count());
             if left < 2 {
-                if let Some(set) = g.multi.get_mut(&row.triplet.name) {
+                if let Some(set) = g.multi.get_mut(&name) {
                     set.remove(&d);
                     if set.is_empty() {
-                        g.multi.remove(&row.triplet.name);
+                        g.multi.remove(&name);
                     }
                 }
             }
@@ -435,8 +488,8 @@ impl MetaStore {
     ) -> IdSet<DatasetId> {
         let g = self.inner.read();
         let mut out = IdSet::default();
-        walk_index(&g, name, op, value, |ids| {
-            out.extend(dataset_subjects(&g, ids))
+        walk_index(&g, name, op, value, |posting| {
+            out.extend(posting.datasets())
         });
         out
     }
@@ -456,9 +509,9 @@ impl MetaStore {
     ) -> IdSet<DatasetId> {
         let g = self.inner.read();
         let mut out = IdSet::default();
-        for (k, ids) in interval_range(&g, name, conds).into_iter().flatten() {
+        for (k, posting) in interval_range(&g, name, conds).into_iter().flatten() {
             if conds.iter().all(|&(op, v)| op_applies(op, &k.v, v)) {
-                out.extend(dataset_subjects(&g, ids));
+                out.extend(posting.datasets());
             }
         }
         if let Some(multi) = g.multi.get(name) {
@@ -477,8 +530,8 @@ impl MetaStore {
     pub fn interval_selectivity(&self, name: &str, conds: &[RangeCond<'_>]) -> usize {
         let g = self.inner.read();
         let mut n = g.multi.get(name).map_or(0, IdSet::len);
-        for (_, ids) in interval_range(&g, name, conds).into_iter().flatten() {
-            n += ids.len();
+        for (_, posting) in interval_range(&g, name, conds).into_iter().flatten() {
+            n += posting.len();
             if n >= Self::RANGE_SELECTIVITY_CAP {
                 break;
             }
@@ -488,9 +541,15 @@ impl MetaStore {
 
     /// Drop from `set` every dataset with **no** row satisfying
     /// `name op value`. Equivalent to intersecting with
-    /// [`Self::dataset_candidates`], but probes each survivor's own rows
+    /// [`Self::dataset_candidates`], but costs each survivor one probe
     /// under one read guard — the planner picks this form when the
     /// condition's match count dwarfs the surviving candidate set.
+    ///
+    /// An `=` probe is a binary search of the value's one posting:
+    /// `IndexKey` equality is exactly `CompareOp::Eq` (numeric when both
+    /// sides parse, byte-equal text otherwise), so that posting holds
+    /// exactly the rows satisfying the condition. Any other operator walks
+    /// the survivor's own rows.
     pub fn filter_datasets(
         &self,
         set: &mut IdSet<DatasetId>,
@@ -499,6 +558,14 @@ impl MetaStore {
         value: &MetaValue,
     ) {
         let g = self.inner.read();
+        if op == CompareOp::Eq {
+            let key = IndexKey::new(value.clone());
+            match g.index.get(name).and_then(|vals| vals.get(&key)) {
+                Some(posting) => set.retain(|d| posting.has(Subject::Dataset(*d))),
+                None => set.clear(),
+            }
+            return;
+        }
         set.retain(|d| subject_matches_locked(&g, Subject::Dataset(*d), name, op, value));
     }
 
@@ -532,14 +599,13 @@ impl MetaStore {
         match op {
             CompareOp::Eq => vals
                 .get(&IndexKey::new(value.clone()))
-                .map(|v| v.len())
-                .unwrap_or(0),
+                .map_or(0, Posting::len),
             // A one-sided range is an interval with one end unbounded.
             CompareOp::Gt | CompareOp::Ge | CompareOp::Lt | CompareOp::Le => capped_count(
                 &mut interval_range(&g, name, &[(op, value)])
                     .into_iter()
                     .flatten()
-                    .map(|(_, v)| v.len()),
+                    .map(|(_, posting)| posting.len()),
             ),
             CompareOp::Like => match like_scan_prefix(&value.lexical()) {
                 Some(prefix) => {
@@ -550,7 +616,7 @@ impl MetaStore {
                             .take_while(|(k, _)| {
                                 k.fold.as_deref().is_some_and(|f| f.starts_with(&prefix))
                             })
-                            .map(|(_, v)| v.len()),
+                            .map(|(_, posting)| posting.len()),
                     )
                 }
                 None => partition,
@@ -659,8 +725,14 @@ impl MetaStore {
     }
 
     /// Rebuild the store (subject lists + value indexes) from snapshot
-    /// rows.
-    pub fn restore(rows: Vec<MetaRow>, meta_files: Vec<(Subject, Vec<DatasetId>)>) -> Self {
+    /// rows. The rows are filed in `(subject, id)` order, so every
+    /// posting insert is an append: the rebuild costs one sort (linear
+    /// when, as after an ingest-only history, the id order already is
+    /// that order) and never goes quadratic on a posting. Each subject's
+    /// list stays in id order, which is the order the live store added
+    /// them in.
+    pub fn restore(mut rows: Vec<MetaRow>, meta_files: Vec<(Subject, Vec<DatasetId>)>) -> Self {
+        rows.sort_unstable_by_key(|r| (r.subject, r.id));
         let t = MetaStore::new();
         {
             let mut g = t.inner.write();
@@ -765,12 +837,28 @@ fn rows_named<'a>(
         .filter(move |r| r.triplet.name == name)
 }
 
-/// The dataset subjects among `ids` (collection rows share the index).
-fn dataset_subjects<'g>(g: &'g Inner, ids: &'g [MetaId]) -> impl Iterator<Item = DatasetId> + 'g {
-    ids.iter().filter_map(|id| match g.rows.get(id)?.subject {
-        Subject::Dataset(d) => Some(d),
-        Subject::Collection(_) => None,
-    })
+/// Unfile row `id` of `subject` from the posting of `name = value`,
+/// dropping the posting and then the partition once they are empty.
+fn unindex(
+    index: &mut HashMap<String, BTreeMap<IndexKey, Posting>>,
+    name: &str,
+    value: MetaValue,
+    subject: Subject,
+    id: MetaId,
+) {
+    let Some(vals) = index.get_mut(name) else {
+        return;
+    };
+    let key = IndexKey::new(value);
+    if let Some(posting) = vals.get_mut(&key) {
+        posting.remove(subject, id);
+        if posting.is_empty() {
+            vals.remove(&key);
+        }
+    }
+    if vals.is_empty() {
+        index.remove(name);
+    }
 }
 
 /// One folded operator of an interval source: `op value` on the source's
@@ -799,7 +887,7 @@ fn interval_range<'g>(
     g: &'g Inner,
     name: &str,
     conds: &[RangeCond<'_>],
-) -> Option<std::collections::btree_map::Range<'g, IndexKey, Vec<MetaId>>> {
+) -> Option<std::collections::btree_map::Range<'g, IndexKey, Posting>> {
     let vals = g.index.get(name)?;
     let (mut lo, mut hi) = (Bound::Unbounded, Bound::Unbounded);
     for &(op, value) in conds {
@@ -828,15 +916,15 @@ fn interval_range<'g>(
     non_empty.then(|| vals.range((lo, hi)))
 }
 
-/// Walk the ordered value index for `name`, invoking `emit` with each row-id
-/// slice whose key satisfies `op value`. The guard is already held by the
-/// caller, so resolving the emitted ids costs no further locking.
+/// Walk the ordered value index for `name`, invoking `emit` with each
+/// posting whose key satisfies `op value`. Postings carry their subjects,
+/// so the caller resolves nothing further.
 fn walk_index(
     g: &Inner,
     name: &str,
     op: CompareOp,
     value: &MetaValue,
-    mut emit: impl FnMut(&[MetaId]),
+    mut emit: impl FnMut(&Posting),
 ) {
     let Some(vals) = g.index.get(name) else {
         return;
@@ -1236,6 +1324,96 @@ mod tests {
         add(ds(2), "r", 6);
         s.remove_all(ds(2));
         assert!(s.inner.read().multi.is_empty());
+    }
+
+    /// Every derived map equals a rebuild from the rows, and every posting
+    /// is non-empty and strictly sorted.
+    fn assert_derived_state_matches_rebuild(s: &MetaStore) {
+        let g = s.inner.read();
+        for (name, vals) in &g.index {
+            assert!(!vals.is_empty(), "empty partition {name}");
+            for posting in vals.values() {
+                assert!(!posting.is_empty(), "empty posting under {name}");
+                assert!(
+                    posting.0.windows(2).all(|w| w[0] < w[1]),
+                    "unsorted posting under {name}: {posting:?}"
+                );
+            }
+        }
+        let rows = by_id(&g.rows).into_iter().cloned().collect();
+        let rebuilt = MetaStore::restore(rows, Vec::new());
+        let r = rebuilt.inner.read();
+        assert_eq!(g.by_subject, r.by_subject);
+        assert_eq!(g.index, r.index);
+        assert_eq!(g.attr_counts, r.attr_counts);
+        assert_eq!(g.multi, r.multi);
+    }
+
+    /// A seeded run of adds, updates, removes and whole-subject removes,
+    /// over values that are equal across kinds (`1`, `1.0`, `"1"`,
+    /// `"1.0"`) and text that differs only in case: the live store never
+    /// keeps derived state its rows would not rebuild.
+    #[test]
+    fn derived_state_equals_a_rebuild_from_the_rows() {
+        use srb_types::SeedStream;
+        let values = [
+            MetaValue::Int(1),
+            MetaValue::Float(1.0),
+            MetaValue::Text("1".into()),
+            MetaValue::Text("1.0".into()),
+            MetaValue::Float(2.5),
+            MetaValue::Text("red".into()),
+            MetaValue::Text("Red".into()),
+            MetaValue::Int(3),
+        ];
+        let names = ["ghost", "kind", "score"];
+        let subject = |n: usize| {
+            if n % 8 == 7 {
+                Subject::Collection(CollectionId(n as u64))
+            } else {
+                ds(n as u64)
+            }
+        };
+        let (s, ids) = store();
+        let mut rng = SeedStream::new(0x6057);
+        let mut live: Vec<MetaId> = Vec::new();
+        for step in 0..3000 {
+            let value = values[rng.below(values.len())].clone();
+            match rng.below(10) {
+                0..=4 => live.push(s.add(
+                    &ids,
+                    subject(rng.below(40)),
+                    Triplet::new(names[rng.below(names.len())], value, ""),
+                    MetaKind::UserDefined,
+                )),
+                5 | 6 if !live.is_empty() => {
+                    let id = live[rng.below(live.len())];
+                    s.update(id, value, "u".into()).unwrap();
+                }
+                7 | 8 if !live.is_empty() => {
+                    let id = live.swap_remove(rng.below(live.len()));
+                    s.remove(id).unwrap();
+                }
+                9 => {
+                    s.remove_all(subject(rng.below(40)));
+                    let g = s.inner.read();
+                    live.retain(|id| g.rows.contains_key(id));
+                }
+                _ => {}
+            }
+            if step % 101 == 0 {
+                assert_derived_state_matches_rebuild(&s);
+            }
+        }
+        assert_derived_state_matches_rebuild(&s);
+        for id in live {
+            s.remove(id).unwrap();
+        }
+        assert_derived_state_matches_rebuild(&s);
+        assert_eq!(s.attr_names(None), Vec::<String>::new());
+        let g = s.inner.read();
+        assert!(g.by_subject.is_empty() && g.index.is_empty());
+        assert!(g.attr_counts.is_empty() && g.multi.is_empty());
     }
 
     #[test]

@@ -9,7 +9,7 @@ use crate::snapshot::{by_id, Field, ImageWriter};
 use crate::wal::{WalHook, WalOp};
 use serde::{Deserialize, Serialize};
 use srb_types::sync::{LockRank, RwLock};
-use srb_types::{hmac_sha256, GroupId, IdGen, SrbError, SrbResult, UserId};
+use srb_types::{GroupId, HmacKey, IdGen, SrbError, SrbResult, UserId};
 use std::collections::HashMap;
 
 /// A registered grid user.
@@ -49,7 +49,7 @@ pub struct Group {
 
 /// Domain-separated verifier derivation: HMAC(password, "srb-verifier").
 pub fn derive_verifier(password: &str) -> [u8; 32] {
-    hmac_sha256(password.as_bytes(), b"srb-verifier")
+    HmacKey::new(password.as_bytes()).sign(b"srb-verifier")
 }
 
 /// The user/group tables.

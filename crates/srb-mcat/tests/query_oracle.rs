@@ -34,10 +34,19 @@ const OPS: [CompareOp; 8] = [
 /// exercise the numeric-lexical guard in `like_scan_prefix`.
 const PATTERNS: [&str; 6] = ["%e%", "%r%", "%1%", "re%", "gr%", "1%"];
 
+/// Size of the value pool [`value_for`] draws from.
+const VALUES: u8 = 9;
+
+/// Ints, text, numeric-looking text and a float. `"1"` and `"1.0"` equal
+/// `Int(1)` and `Float(2.0)` equals `Int(2)` under `CompareOp::Eq`, so one
+/// index key may hold rows of several kinds.
 fn value_for(idx: u8) -> MetaValue {
-    match idx % 6 {
+    match idx % VALUES {
         0..=2 => MetaValue::Int((idx % 3) as i64),
-        _ => MetaValue::Text(TEXTS[(idx as usize - 3) % TEXTS.len()].to_string()),
+        3..=5 => MetaValue::Text(TEXTS[(idx as usize - 3) % TEXTS.len()].to_string()),
+        6 => MetaValue::Text("1".into()),
+        7 => MetaValue::Text("1.0".into()),
+        _ => MetaValue::Float(2.0),
     }
 }
 
@@ -184,9 +193,9 @@ proptest! {
         coll_parents in prop::collection::vec(0u8..8, 0..7),
         links in prop::collection::vec((0u8..8, 0u8..8), 0..3),
         ds_specs in prop::collection::vec((0u8..8, 0u16..200), 1..25),
-        meta in prop::collection::vec((0u8..25, 0u8..4, 0u8..6), 0..50),
+        meta in prop::collection::vec((0u8..25, 0u8..4, 0u8..VALUES), 0..50),
         annos in prop::collection::vec((0u8..25, 0u8..4), 0..8),
-        conds in prop::collection::vec((0u8..6, 0u8..8, 0u8..6), 0..4),
+        conds in prop::collection::vec((0u8..6, 0u8..8, 0u8..VALUES), 0..4),
         scope_idx in 0u8..9,
         flags in 0u8..4,
         limit in 0usize..5,
@@ -368,13 +377,13 @@ proptest! {
     fn interval_sources_agree_with_scan_on_multi_valued_attributes(
         coll_parents in prop::collection::vec(0u8..4, 0..4),
         ds_specs in prop::collection::vec((0u8..4, 0u16..200), 1..12),
-        ranged in prop::collection::vec((0u8..12, 0u8..6), 0..30),
-        other in prop::collection::vec((0u8..12, 0u8..4, 0u8..6), 0..10),
+        ranged in prop::collection::vec((0u8..12, 0u8..VALUES), 0..30),
+        other in prop::collection::vec((0u8..12, 0u8..4, 0u8..VALUES), 0..10),
         attr in 1u8..3,
-        lower in (2u8..4, 0u8..6),
-        upper in (4u8..6, 0u8..6),
-        third in prop::collection::vec((2u8..6, 0u8..6), 0..2),
-        extra in prop::collection::vec((0u8..6, 0u8..8, 0u8..6), 0..2),
+        lower in (2u8..4, 0u8..VALUES),
+        upper in (4u8..6, 0u8..VALUES),
+        third in prop::collection::vec((2u8..6, 0u8..VALUES), 0..2),
+        extra in prop::collection::vec((0u8..6, 0u8..8, 0u8..VALUES), 0..2),
         rotate in 0usize..4,
         scope_idx in 0u8..5,
         flags in 0u8..4,
@@ -456,6 +465,123 @@ fn large_sweep_agrees_with_scan() {
     assert_eq!(first.len(), 40);
     let all: std::collections::HashSet<DatasetId> = planned.iter().map(|h| h.dataset).collect();
     assert!(first.iter().all(|h| all.contains(&h.dataset)));
+}
+
+/// A selective window beside an `=` on a large partition: the window
+/// drives the plan and the `=` is applied as a probe of its survivors.
+/// The partition mixes every value kind, with values equal across kinds
+/// (`1`, `1.0`, `"1"`, `"1.0"`), text equal but for case, and collection
+/// rows filed under the same keys; for each kind of probed value the hits
+/// equal the scan's.
+#[test]
+fn eq_probe_beside_a_window_agrees_with_scan_for_every_value_kind() {
+    let kinds = [
+        MetaValue::Int(1),
+        MetaValue::Float(1.0),
+        MetaValue::Text("1".into()),
+        MetaValue::Text("1.0".into()),
+        MetaValue::Float(2.5),
+        MetaValue::Text("red".into()),
+        MetaValue::Text("Red".into()),
+        MetaValue::Int(3),
+    ];
+    let f = build(&[0], &[], &[(0, 1); 1600], &[], &[]);
+    for (i, &d) in f.datasets.iter().enumerate() {
+        for (attr, value) in [
+            ("kind", kinds[i % kinds.len()].clone()),
+            ("score", MetaValue::Int(i as i64 % 397)),
+        ] {
+            f.m.metadata.add(
+                &f.m.ids,
+                Subject::Dataset(d),
+                Triplet::new(attr, value, ""),
+                MetaKind::UserDefined,
+            );
+        }
+    }
+    for (i, value) in kinds.iter().enumerate() {
+        f.m.metadata.add(
+            &f.m.ids,
+            Subject::Collection(f.colls[i % f.colls.len()]),
+            Triplet::new("kind", value.clone(), ""),
+            MetaKind::UserDefined,
+        );
+    }
+    let window = [
+        (CompareOp::Ge, &MetaValue::Int(40)),
+        (CompareOp::Lt, &MetaValue::Int(43)),
+    ];
+    let window_cost = f.m.metadata.interval_selectivity("score", &window);
+    for probe in kinds.iter().chain(&[MetaValue::Text("absent".into())]) {
+        // The planner probes a source whose estimate exceeds 4× the
+        // running set: the window's 12 rows against this partition.
+        let partition = f.m.metadata.selectivity("kind", CompareOp::Eq, probe);
+        if *probe != MetaValue::Text("absent".into()) {
+            assert!(
+                partition > 4 * window_cost,
+                "{probe:?}: {partition} vs {window_cost}"
+            );
+        }
+        let q = Query::everywhere()
+            .and("kind", CompareOp::Eq, probe.clone())
+            .and("score", CompareOp::Ge, 40i64)
+            .and("score", CompareOp::Lt, 43i64);
+        engines_agree(&f.m, &q, 7);
+    }
+}
+
+/// Sibling collections whose names differ only after a shared stem
+/// (`b`, `b c`, `b-c`, `b.d`) and dataset names holding ` ` and `-`: the
+/// path order is full-string byte order (` ` < `-` < `.` < `/`), not
+/// (collection, name) order. Concatenated pages equal the one-shot query,
+/// which equals the sorted full paths, with and without an index source.
+#[test]
+fn pages_follow_full_path_order_across_sibling_collections() {
+    let m = Mcat::new(SimClock::new(), "pw");
+    let admin = m.admin();
+    let now = m.clock.now();
+    let root = m.collections.root();
+    let p = m.collections.create(&m.ids, root, "p", admin, now).unwrap();
+    let mut colls = vec![p];
+    for name in ["b", "b-c", "b c", "b.d"] {
+        colls.push(m.collections.create(&m.ids, p, name, admin, now).unwrap());
+    }
+    colls.push(
+        m.collections
+            .create(&m.ids, colls[1], "c", admin, now)
+            .unwrap(),
+    );
+    let mut want = Vec::new();
+    for &c in &colls {
+        let dir = m.collections.get(c).unwrap().path.to_string();
+        for name in ["c", "c d", "c-d", "b", "b c", "b-c", "a.z"] {
+            let d = m
+                .datasets
+                .create(&m.ids, c, name, "generic", admin, vec![], now)
+                .unwrap();
+            m.metadata.add(
+                &m.ids,
+                Subject::Dataset(d),
+                Triplet::new("tag", "t", ""),
+                MetaKind::UserDefined,
+            );
+            want.push(format!("{}/{name}", dir.trim_end_matches('/')));
+        }
+    }
+    want.sort();
+    let scope = m.collections.get(p).unwrap().path;
+    for q in [
+        Query::everywhere().under(scope.clone()),
+        Query::everywhere()
+            .under(scope)
+            .and("tag", CompareOp::Eq, "t"),
+    ] {
+        let one_shot: Vec<String> = m.query(&q).unwrap().into_iter().map(|h| h.path).collect();
+        assert_eq!(one_shot, want, "{q:?}");
+        for page in [1, 2, 3, 5] {
+            engines_agree(&m, &q, page);
+        }
+    }
 }
 
 // ------------------------------------------------------ recovery cursors --

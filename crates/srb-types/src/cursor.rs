@@ -17,7 +17,8 @@
 //! `,` plus a truncated hex MAC — so tokens travel safely in query strings.
 
 use crate::error::{SrbError, SrbResult};
-use crate::hash::{ct_eq, from_hex, hmac_sha256, splitmix64, to_hex};
+use crate::hash::{ct_eq, from_hex, hex_digits, splitmix64, HmacKey};
+use std::fmt::Write;
 
 /// Where a paged read stopped: the section being walked, the generation
 /// stamps of the tables it was computed from, and the last key served.
@@ -44,10 +45,11 @@ const TAG_HEX: usize = 32;
 /// The key derives deterministically from a seed via the same splitmix64
 /// stream used for session ids, so seeded simulation runs emit
 /// byte-identical tokens (the bench determinism gates hash full page
-/// walks, tokens included).
+/// walks, tokens included). It is absorbed into an [`HmacKey`] once, so a
+/// token costs one MAC over its payload and nothing more.
 #[derive(Debug, Clone)]
 pub struct CursorCodec {
-    key: [u8; 32],
+    mac: HmacKey,
 }
 
 impl CursorCodec {
@@ -57,14 +59,30 @@ impl CursorCodec {
         for (i, chunk) in key.chunks_mut(8).enumerate() {
             chunk.copy_from_slice(&splitmix64(seed, i as u64).to_le_bytes());
         }
-        CursorCodec { key }
+        CursorCodec {
+            mac: HmacKey::new(&key),
+        }
     }
 
-    /// Serialize and sign a token.
+    /// Serialize and sign a token: the payload, `.`, then the truncated
+    /// hex tag, written into one `String`.
     pub fn encode(&self, token: &PageToken) -> String {
-        let payload = Self::payload(token);
-        let tag = to_hex(&hmac_sha256(&self.key, payload.as_bytes()));
-        format!("{payload}.{}", &tag[..TAG_HEX])
+        let mut out = Self::payload(token);
+        let tag = self.mac.sign(out.as_bytes());
+        out.push('.');
+        out.extend(hex_digits(&tag[..TAG_HEX / 2]));
+        out
+    }
+
+    /// Does `tag` spell the truncated hex MAC of `payload`? Compared in
+    /// constant time, digit by digit, with no hex string built.
+    fn tag_matches(&self, payload: &[u8], tag: &str) -> bool {
+        let mut want = [0u8; TAG_HEX];
+        let mac = self.mac.sign(payload);
+        for (w, c) in want.iter_mut().zip(hex_digits(&mac[..TAG_HEX / 2])) {
+            *w = c as u8;
+        }
+        ct_eq(tag.as_bytes(), &want)
     }
 
     /// Verify and parse a token. Any malformed, forged, or truncated input
@@ -73,8 +91,7 @@ impl CursorCodec {
     pub fn decode(&self, s: &str) -> SrbResult<PageToken> {
         let bad = || SrbError::Invalid("malformed cursor".into());
         let (payload, tag) = s.rsplit_once('.').ok_or_else(bad)?;
-        let expect = to_hex(&hmac_sha256(&self.key, payload.as_bytes()));
-        if !ct_eq(tag.as_bytes(), &expect.as_bytes()[..TAG_HEX]) {
+        if !self.tag_matches(payload.as_bytes(), tag) {
             return Err(bad());
         }
         let mut parts = payload.split(':');
@@ -116,14 +133,22 @@ impl CursorCodec {
         Ok(t)
     }
 
+    /// `section:gen,gen,…:hex(last)`, with room for the tag behind it: a
+    /// `u8` section and its `:` take at most 4 bytes, a `u64` stamp and
+    /// its separator at most 21.
     fn payload(token: &PageToken) -> String {
-        let gens = token
-            .gens
-            .iter()
-            .map(|g| g.to_string())
-            .collect::<Vec<_>>()
-            .join(",");
-        format!("{}:{gens}:{}", token.section, to_hex(token.last.as_bytes()))
+        let mut out =
+            String::with_capacity(4 + token.gens.len() * 21 + token.last.len() * 2 + 1 + TAG_HEX);
+        let _ = write!(out, "{}:", token.section);
+        for (i, g) in token.gens.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let _ = write!(out, "{g}");
+        }
+        out.push(':');
+        out.extend(hex_digits(token.last.as_bytes()));
+        out
     }
 }
 

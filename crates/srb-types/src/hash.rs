@@ -83,16 +83,21 @@ impl Sha256 {
         }
     }
 
-    /// Finish and produce the 32-byte digest.
+    /// Finish and produce the 32-byte digest. The padding — `0x80`, zeros,
+    /// the 8-byte big-endian bit length — is written into the buffer in
+    /// one step: into this block when the length still fits (at most 55
+    /// buffered bytes), otherwise across this block and one more.
     pub fn finalize(mut self) -> [u8; 32] {
         let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, 8-byte big-endian bit length.
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
+        let n = self.buf_len;
+        self.buf[n] = 0x80;
+        self.buf[n + 1..].fill(0);
+        if n >= 56 {
+            let block = self.buf;
+            self.compress(&block);
+            self.buf = [0u8; 64];
         }
-        // Manual final block write: bypass update's length accounting.
-        self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
+        self.buf[56..].copy_from_slice(&bit_len.to_be_bytes());
         let block = self.buf;
         self.compress(&block);
         let mut out = [0u8; 32];
@@ -164,37 +169,71 @@ pub fn sha256_hex(data: &[u8]) -> String {
     to_hex(&sha256(data))
 }
 
-/// HMAC-SHA256 per RFC 2104 — the keyed MAC behind challenge–response
-/// authentication and MySRB session keys.
-pub fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; 32] {
-    let mut key_block = [0u8; 64];
-    if key.len() > 64 {
-        key_block[..32].copy_from_slice(&sha256(key));
-    } else {
-        key_block[..key.len()].copy_from_slice(key);
-    }
-    let mut inner = Sha256::new();
-    let ipad: Vec<u8> = key_block.iter().map(|b| b ^ 0x36).collect();
-    inner.update(&ipad);
-    inner.update(message);
-    let inner_digest = inner.finalize();
+/// An HMAC-SHA256 key (RFC 2104) — the keyed MAC behind challenge–response
+/// authentication, MySRB session keys and catalog cursors.
+///
+/// The key's padded inner and outer blocks are absorbed once, here;
+/// [`HmacKey::sign`] clones the two hasher states, so a key that signs
+/// many messages pays for its own blocks only once.
+#[derive(Clone)]
+pub struct HmacKey {
+    inner: Sha256,
+    outer: Sha256,
+}
 
-    let mut outer = Sha256::new();
-    let opad: Vec<u8> = key_block.iter().map(|b| b ^ 0x5c).collect();
-    outer.update(&opad);
-    outer.update(&inner_digest);
-    outer.finalize()
+impl HmacKey {
+    /// Absorb `key` (hashed first when longer than one block).
+    pub fn new(key: &[u8]) -> Self {
+        let mut block = [0u8; 64];
+        if key.len() > 64 {
+            block[..32].copy_from_slice(&sha256(key));
+        } else {
+            block[..key.len()].copy_from_slice(key);
+        }
+        let padded = |pad: u8| {
+            let mut h = Sha256::new();
+            h.update(&block.map(|b| b ^ pad));
+            h
+        };
+        HmacKey {
+            inner: padded(0x36),
+            outer: padded(0x5c),
+        }
+    }
+
+    /// The 32-byte MAC of `message`.
+    pub fn sign(&self, message: &[u8]) -> [u8; 32] {
+        let mut inner = self.inner.clone();
+        inner.update(message);
+        let mut outer = self.outer.clone();
+        outer.update(&inner.finalize());
+        outer.finalize()
+    }
+}
+
+impl std::fmt::Debug for HmacKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // The absorbed states are as good as the key: never print them.
+        f.write_str("HmacKey(..)")
+    }
 }
 
 /// Lowercase hex encoding.
 pub fn to_hex(bytes: &[u8]) -> String {
-    const HEX: &[u8; 16] = b"0123456789abcdef";
     let mut s = String::with_capacity(bytes.len() * 2);
-    for &b in bytes {
-        s.push(HEX[(b >> 4) as usize] as char);
-        s.push(HEX[(b & 0xf) as usize] as char);
-    }
+    s.extend(hex_digits(bytes));
     s
+}
+
+/// The lowercase hex digits of `bytes`, two per byte, without allocating.
+pub(crate) fn hex_digits(bytes: &[u8]) -> impl Iterator<Item = char> + '_ {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    bytes.iter().flat_map(|&b| {
+        [
+            HEX[(b >> 4) as usize] as char,
+            HEX[(b & 0xf) as usize] as char,
+        ]
+    })
 }
 
 /// Decode lowercase/uppercase hex; `None` on odd length or bad digits.
@@ -372,11 +411,60 @@ mod tests {
         }
     }
 
+    /// SHA-256 of `data` by the letter of FIPS 180-4 §5.1.1: the whole
+    /// padded message is built first, then compressed block by block.
+    fn sha256_reference(data: &[u8]) -> [u8; 32] {
+        let mut padded = data.to_vec();
+        padded.push(0x80);
+        while padded.len() % 64 != 56 {
+            padded.push(0);
+        }
+        padded.extend_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+        let mut h = Sha256::new();
+        for block in padded.chunks_exact(64) {
+            h.compress(block.try_into().expect("64-byte chunk"));
+        }
+        let mut out = [0u8; 32];
+        for (i, w) in h.state.iter().enumerate() {
+            out[i * 4..i * 4 + 4].copy_from_slice(&w.to_be_bytes());
+        }
+        out
+    }
+
+    /// Every message length up to three blocks, so each padding branch —
+    /// the length fits after the `0x80` (≤ 55 bytes buffered), or it
+    /// spills into an extra block (56–63), or the buffer is empty (64) —
+    /// is checked against the reference, whole and one byte at a time.
+    #[test]
+    fn padding_matches_reference_at_every_length() {
+        let data: Vec<u8> = (0..200u16).map(|i| (i * 7 % 256) as u8).collect();
+        for len in 0..=200 {
+            let msg = &data[..len];
+            let want = sha256_reference(msg);
+            assert_eq!(sha256(msg), want, "length {len}");
+            let mut h = Sha256::new();
+            for b in msg {
+                h.update(std::slice::from_ref(b));
+            }
+            assert_eq!(h.finalize(), want, "length {len}, bytewise");
+        }
+    }
+
+    /// One key signs many messages: the precomputed states are cloned,
+    /// never consumed.
+    #[test]
+    fn hmac_key_signs_repeatably() {
+        let key = HmacKey::new(b"Jefe");
+        let first = key.sign(b"what do ya want for nothing?");
+        assert_ne!(key.sign(b"something else"), first);
+        assert_eq!(key.sign(b"what do ya want for nothing?"), first);
+    }
+
     // RFC 4231 HMAC-SHA256 test cases 1, 2 and 6 (oversized key).
     #[test]
     fn hmac_rfc4231_case1() {
         let key = [0x0b; 20];
-        let mac = hmac_sha256(&key, b"Hi There");
+        let mac = HmacKey::new(&key).sign(b"Hi There");
         assert_eq!(
             to_hex(&mac),
             "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
@@ -385,7 +473,7 @@ mod tests {
 
     #[test]
     fn hmac_rfc4231_case2() {
-        let mac = hmac_sha256(b"Jefe", b"what do ya want for nothing?");
+        let mac = HmacKey::new(b"Jefe").sign(b"what do ya want for nothing?");
         assert_eq!(
             to_hex(&mac),
             "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
@@ -395,10 +483,8 @@ mod tests {
     #[test]
     fn hmac_rfc4231_case6_long_key() {
         let key = [0xaa; 131];
-        let mac = hmac_sha256(
-            &key,
-            b"Test Using Larger Than Block-Size Key - Hash Key First",
-        );
+        let mac =
+            HmacKey::new(&key).sign(b"Test Using Larger Than Block-Size Key - Hash Key First");
         assert_eq!(
             to_hex(&mac),
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"

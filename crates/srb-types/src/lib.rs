@@ -25,7 +25,7 @@ pub use cursor::{CursorCodec, PageToken};
 pub use error::{SrbError, SrbResult};
 pub use gen::{GenCounter, Generation, Lsn};
 pub use hash::{
-    ct_eq, from_hex, hmac_sha256, mix64, sha256, sha256_hex, splitmix64, to_hex, IdHasher, IdMap,
+    ct_eq, from_hex, mix64, sha256, sha256_hex, splitmix64, to_hex, HmacKey, IdHasher, IdMap,
     IdSet, SeedStream, Sha256,
 };
 pub use id::*;

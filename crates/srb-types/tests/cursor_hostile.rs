@@ -11,7 +11,7 @@
 //! MAC check instead of being stopped by it.
 
 use proptest::prelude::*;
-use srb_types::{hmac_sha256, splitmix64, to_hex, CursorCodec, PageToken, SrbError, SrbResult};
+use srb_types::{splitmix64, to_hex, CursorCodec, HmacKey, PageToken, SrbError, SrbResult};
 
 const SEED: u64 = 0x5eed;
 
@@ -26,7 +26,7 @@ fn signed(payload: &str) -> String {
     for (i, chunk) in key.chunks_mut(8).enumerate() {
         chunk.copy_from_slice(&splitmix64(SEED, i as u64).to_le_bytes());
     }
-    let tag = to_hex(&hmac_sha256(&key, payload.as_bytes()));
+    let tag = to_hex(&HmacKey::new(&key).sign(payload.as_bytes()));
     format!("{payload}.{}", &tag[..32])
 }
 
