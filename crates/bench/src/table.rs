@@ -70,19 +70,6 @@ impl Table {
     }
 }
 
-/// Format nanoseconds as adaptive human units.
-pub fn fmt_ns(ns: u64) -> String {
-    if ns >= 1_000_000_000 {
-        format!("{:.2} s", ns as f64 / 1e9)
-    } else if ns >= 1_000_000 {
-        format!("{:.2} ms", ns as f64 / 1e6)
-    } else if ns >= 1_000 {
-        format!("{:.2} us", ns as f64 / 1e3)
-    } else {
-        format!("{ns} ns")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,13 +84,5 @@ mod tests {
         assert!(s.contains("long-header"));
         assert_eq!(t.len(), 2);
         assert!(!t.is_empty());
-    }
-
-    #[test]
-    fn ns_formatting() {
-        assert_eq!(fmt_ns(500), "500 ns");
-        assert_eq!(fmt_ns(1_500), "1.50 us");
-        assert_eq!(fmt_ns(2_500_000), "2.50 ms");
-        assert_eq!(fmt_ns(3_000_000_000), "3.00 s");
     }
 }

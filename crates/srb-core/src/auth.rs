@@ -167,11 +167,6 @@ impl AuthService {
     pub fn failure_count(&self) -> u64 {
         self.auth_failures.load(Ordering::Relaxed)
     }
-
-    /// Live session count.
-    pub fn session_count(&self) -> usize {
-        self.sessions.iter().map(|s| s.read().len()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -182,6 +177,10 @@ mod tests {
     fn svc() -> (AuthService, SimClock) {
         let clock = SimClock::new();
         (AuthService::new(clock.clone(), 42), clock)
+    }
+
+    fn session_count(a: &AuthService) -> usize {
+        a.sessions.iter().map(|s| s.read().len()).sum()
     }
 
     fn verifier(pw: &str) -> [u8; 32] {
@@ -196,7 +195,7 @@ mod tests {
         let resp = AuthService::respond(&v, &nonce);
         let session = a.verify(cid, &resp, UserId(1), &v).unwrap();
         assert_eq!(a.validate(&session.ticket).unwrap(), UserId(1));
-        assert_eq!(a.session_count(), 1);
+        assert_eq!(session_count(&a), 1);
     }
 
     #[test]
@@ -246,7 +245,7 @@ mod tests {
             .unwrap();
         a.logout(&s.ticket);
         assert!(a.validate(&s.ticket).is_err());
-        assert_eq!(a.session_count(), 0);
+        assert_eq!(session_count(&a), 0);
     }
 
     #[test]

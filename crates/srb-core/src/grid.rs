@@ -108,13 +108,6 @@ impl SrbServer {
             .cloned()
             .ok_or_else(|| SrbError::NotFound(format!("resource {r} not on server {}", self.name)))
     }
-
-    /// Ids of locally brokered resources.
-    pub fn resource_ids(&self) -> Vec<ResourceId> {
-        let mut v: Vec<ResourceId> = self.resources.read().keys().copied().collect();
-        v.sort();
-        v
-    }
 }
 
 /// Specification of a resource to create at build time.
@@ -133,7 +126,6 @@ pub struct GridBuilder {
     servers: Vec<(String, SiteId)>,
     resources: Vec<(String, usize, ResourceSpec)>,
     logical: Vec<(String, Vec<String>)>,
-    mcat_server: usize,
     admin_password: String,
     auth_seed: u64,
     breakers: BreakerConfig,
@@ -155,7 +147,6 @@ impl GridBuilder {
             servers: Vec::new(),
             resources: Vec::new(),
             logical: Vec::new(),
-            mcat_server: 0,
             admin_password: "srb-admin".to_string(),
             auth_seed: 0x5eed,
             breakers: BreakerConfig::default(),
@@ -204,18 +195,11 @@ impl GridBuilder {
         self
     }
 
-    /// Add a server at a site. The first server hosts the MCAT unless
-    /// [`GridBuilder::mcat_at`] says otherwise.
+    /// Add a server at a site. The first server hosts the MCAT.
     pub fn server(&mut self, name: &str, site: SiteId) -> ServerId {
         let id = ServerId(self.servers.len() as u64);
         self.servers.push((name.to_string(), site));
         id
-    }
-
-    /// Choose which server hosts the MCAT.
-    pub fn mcat_at(&mut self, server: ServerId) -> &mut Self {
-        self.mcat_server = server.raw() as usize;
-        self
     }
 
     /// Set the bootstrap admin password.
@@ -380,7 +364,7 @@ impl GridBuilder {
         let mut faults = FaultPlan::new();
         let mut mcat = mcat;
         let obs = if self.observability {
-            let obs = Obs::new(clock.clone());
+            let obs = Obs::new();
             let labels = ResourceLabels::new(resource_names);
             health = health.with_metrics(obs.metrics.clone(), labels.clone());
             faults = faults.with_metrics(obs.metrics.clone(), labels);
@@ -402,7 +386,7 @@ impl GridBuilder {
             web: UrlDriver::new(),
             servers,
             resource_home: RwLock::new(LockRank::CoreState, "core.resource_home", resource_home),
-            mcat_server: ServerId(self.mcat_server as u64),
+            mcat_server: ServerId(0),
             obs,
         })
     }
@@ -755,7 +739,7 @@ mod tests {
         let servers = g.servers();
         assert_eq!(servers[0].id, s1);
         assert_eq!(servers[0].name, "srb-sdsc");
-        assert_eq!(servers[0].resource_ids().len(), 2);
+        assert_eq!(servers[0].resources.read().len(), 2);
         assert!(g.server(ServerId(99)).is_err());
     }
 }

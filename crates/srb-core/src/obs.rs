@@ -39,7 +39,7 @@ const DRIVER_KINDS: [DriverKind; 5] = [
 /// Cached metric handles for the broker's own hot paths.
 #[derive(Debug, Clone)]
 pub struct CoreObs {
-    /// The shared registry / tracer / slow-op log.
+    /// The shared registry and slow-op log.
     pub obs: Obs,
     /// `fanout.legs_dispatched`: storage legs handed to the fan-out engine.
     pub legs_dispatched: Counter,
@@ -136,7 +136,6 @@ impl CoreObs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use srb_types::SimClock;
 
     #[test]
     fn op_cost_mirrors_receipt() {
@@ -162,7 +161,7 @@ mod tests {
 
     #[test]
     fn finish_op_feeds_histogram_and_slow_log() {
-        let core = CoreObs::new(Obs::new(SimClock::new()));
+        let core = CoreObs::new(Obs::new());
         let r = Receipt {
             sim_ns: 9_999,
             ..Default::default()
@@ -176,7 +175,7 @@ mod tests {
 
     #[test]
     fn storage_counters_label_by_driver_kind() {
-        let core = CoreObs::new(Obs::new(SimClock::new()));
+        let core = CoreObs::new(Obs::new());
         for (i, kind) in DRIVER_KINDS.into_iter().enumerate() {
             assert_eq!(kind as usize, i);
             core.storage_op(kind, 1_000 * (i as u64 + 1));

@@ -307,18 +307,6 @@ impl SrbConnection<'_> {
         self.end_op(op, hits)
     }
 
-    /// Paging helper for the MySRB result listing: run `q` with an
-    /// *unordered* limit of `n`, letting the catalog short-circuit
-    /// candidate verification as soon as `n` hits confirm ("show me some
-    /// matches fast"). The hits are real matches, sorted among themselves,
-    /// but not necessarily the first `n` in global path order; permission
-    /// filtering happens afterwards, so fewer than `n` rows may come back
-    /// even when more matches exist.
-    pub fn query_first(&self, q: &Query, n: usize) -> SrbResult<(Vec<QueryHit>, Receipt)> {
-        let q = q.clone().first_hits(n);
-        self.query(&q)
-    }
-
     /// One ordered page of query results through the catalog's resumable
     /// cursor (`token` from the previous page, `None` to start). Pages
     /// are in path order and cost O(page) verification regardless of how

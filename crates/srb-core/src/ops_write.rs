@@ -493,13 +493,6 @@ impl SrbConnection<'_> {
         }
     }
 
-    /// Re-ingest: replace the data, keeping all linked metadata (paper:
-    /// "a user can reingest a file (i.e., all metadata associated with the
-    /// file by the SRB are still linked to it)").
-    pub fn reingest(&self, path: &str, data: impl Into<Bytes>) -> SrbResult<Receipt> {
-        self.write(path, data.into())
-    }
-
     // --------------------------------------------------------- bulk ingest --
 
     /// Ingest many small files into one collection in a single brokered

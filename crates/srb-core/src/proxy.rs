@@ -13,7 +13,6 @@
 use srb_types::sync::{LockRank, RwLock};
 use srb_types::{SrbError, SrbResult};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 type CommandFn = Box<dyn Fn(&[String]) -> Vec<u8> + Send + Sync>;
 
@@ -21,7 +20,6 @@ type CommandFn = Box<dyn Fn(&[String]) -> Vec<u8> + Send + Sync>;
 pub struct ProxyRegistry {
     commands: RwLock<HashMap<String, CommandFn>>,
     functions: RwLock<HashMap<String, CommandFn>>,
-    invocations: AtomicU64,
 }
 
 impl Default for ProxyRegistry {
@@ -29,7 +27,6 @@ impl Default for ProxyRegistry {
         ProxyRegistry {
             commands: RwLock::new(LockRank::CoreState, "core.proxy.commands", HashMap::new()),
             functions: RwLock::new(LockRank::CoreState, "core.proxy.functions", HashMap::new()),
-            invocations: AtomicU64::new(0),
         }
     }
 }
@@ -77,7 +74,6 @@ impl ProxyRegistry {
         let f = g.get(name).ok_or_else(|| {
             SrbError::NotFound(format!("proxy command '{name}' not in server bin"))
         })?;
-        self.invocations.fetch_add(1, Ordering::Relaxed);
         Ok(f(args))
     }
 
@@ -87,7 +83,6 @@ impl ProxyRegistry {
         let f = g
             .get(name)
             .ok_or_else(|| SrbError::NotFound(format!("proxy function '{name}'")))?;
-        self.invocations.fetch_add(1, Ordering::Relaxed);
         Ok(f(args))
     }
 
@@ -99,11 +94,6 @@ impl ProxyRegistry {
     /// Does the named function exist?
     pub fn has_function(&self, name: &str) -> bool {
         self.functions.read().contains_key(name)
-    }
-
-    /// Total invocations (commands + functions).
-    pub fn invocation_count(&self) -> u64 {
-        self.invocations.load(Ordering::Relaxed)
     }
 }
 
@@ -140,7 +130,6 @@ mod tests {
             b"a b"
         );
         assert_eq!(reg.run_function("double", &["21".into()]).unwrap(), b"42");
-        assert_eq!(reg.invocation_count(), 2);
     }
 
     #[test]

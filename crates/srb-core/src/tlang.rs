@@ -279,13 +279,6 @@ impl TScript {
         out
     }
 
-    /// Does the script contain any style (header/row/footer) statements?
-    pub fn is_style_sheet(&self) -> bool {
-        self.stmts
-            .iter()
-            .any(|s| matches!(s, Stmt::Header(_) | Stmt::Row(_) | Stmt::Footer(_)))
-    }
-
     /// Number of parsed statements.
     pub fn len(&self) -> usize {
         self.stmts.len()
@@ -408,7 +401,6 @@ mod tests {
             "#,
         )
         .unwrap();
-        assert!(script.is_style_sheet());
         let e = SqlEngine::new();
         e.execute("CREATE TABLE b (name, wingspan)").unwrap();
         e.execute("INSERT INTO b VALUES ('condor', 290), ('sparrow', 20)")
@@ -447,7 +439,6 @@ mod tests {
         let s = TScript::parse("\n# comment\n\n  # another\n").unwrap();
         assert!(s.is_empty());
         assert_eq!(s.len(), 0);
-        assert!(!s.is_style_sheet());
     }
 
     #[test]

@@ -271,35 +271,6 @@ fn query_respects_permissions() {
 }
 
 #[test]
-fn query_first_pages_without_global_order() {
-    let f = grid();
-    let conn = connect(&f, "sekar");
-    for i in 0..20 {
-        conn.ingest(
-            &format!("/home/sekar/d{i:02}"),
-            b"x",
-            IngestOptions::to_resource("unix-sdsc")
-                .with_metadata(Triplet::new("project", "grid", "")),
-        )
-        .unwrap();
-    }
-    let q = Query::everywhere().and("project", CompareOp::Eq, "grid");
-    let (all, _) = conn.query(&q).unwrap();
-    assert_eq!(all.len(), 20);
-    // The paging form returns exactly n hits, each a real match, sorted
-    // among themselves.
-    let (page, _) = conn.query_first(&q, 5).unwrap();
-    assert_eq!(page.len(), 5);
-    assert!(page.windows(2).all(|w| w[0].path <= w[1].path));
-    for h in &page {
-        assert!(all.iter().any(|a| a.dataset == h.dataset));
-    }
-    // Asking for more than exist returns everything.
-    let (page, _) = conn.query_first(&q, 100).unwrap();
-    assert_eq!(page.len(), 20);
-}
-
-#[test]
 fn group_grants_open_access_to_members() {
     let f = grid();
     let sekar = connect(&f, "sekar");

@@ -876,9 +876,9 @@ impl Mcat {
     ///    plan only when no point/range source exists.
     /// 2. **Verification sweep** — scope membership plus residual
     ///    conditions are checked lazily against borrowed rows under one
-    ///    metadata guard and one dataset guard (`sweep`).
-    ///    Unordered limited queries take the first `limit` confirmed
-    ///    hits; every other query drains the sweep.
+    ///    metadata guard and one dataset guard (`sweep`), which every
+    ///    query drains: the first `limit` hits in path order are known
+    ///    only once every candidate is verified.
     /// 3. **Hit building** — paths and selected values come from batch
     ///    guards; each hit touches its dataset row once
     ///    (`build_hits`).
@@ -886,15 +886,8 @@ impl Mcat {
         let scope = self.scope_set(&q.scope)?;
         let (candidates, residual) = self.plan(q, &scope);
         let scanned = candidates.len() as u64;
-        // The unordered limit push-down: any `limit` hits will do.
-        let stop_after = if q.limit > 0 && !q.ordered {
-            q.limit
-        } else {
-            usize::MAX
-        };
         let confirmed: Vec<DatasetId> = self
             .sweep(q, &scope, &residual, candidates.into_iter())
-            .take(stop_after)
             .collect();
         if let Some(obs) = &self.obs {
             obs.candidates_scanned.add(scanned);
@@ -1020,18 +1013,22 @@ impl Mcat {
     /// next call fail cleanly with `SrbError::Invalid` (never silently
     /// wrong pages), and the client restarts from the first page.
     ///
-    /// `q.limit` and `q.ordered` are ignored: the page size is `page` and
+    /// `q.limit` is ignored: the page size is `page` and
     /// pages are always served in path order. Every call re-plans and
     /// re-orders the candidate set by path — O(candidates), which for a
     /// two-sided range is its window — while residual verification only
     /// touches the candidates actually served (plus one look-ahead for
-    /// the more-pages flag).
+    /// the more-pages flag). A `page` of 0 is refused with
+    /// `SrbError::Invalid`: it would never reach the end.
     pub fn query_page(
         &self,
         q: &Query,
         token: Option<&str>,
         page: usize,
     ) -> SrbResult<(Vec<QueryHit>, Option<String>)> {
+        if page == 0 {
+            return Err(SrbError::Invalid("page size must be positive".into()));
+        }
         let gens = vec![
             self.collections.generation().raw(),
             self.datasets.generation().raw(),
@@ -1128,13 +1125,17 @@ impl Mcat {
     ///
     /// Tokens carry the collection/dataset generation stamps; any
     /// structural mutation (create/move/delete, not in-place row updates)
-    /// invalidates outstanding tokens with `SrbError::Invalid`.
+    /// invalidates outstanding tokens with `SrbError::Invalid`, and so is
+    /// a `limit` of 0, which would never reach the end.
     pub fn list_page(
         &self,
         coll: CollectionId,
         token: Option<&str>,
         limit: usize,
     ) -> SrbResult<(Vec<Collection>, Vec<DatasetEntry>, Option<String>)> {
+        if limit == 0 {
+            return Err(SrbError::Invalid("page size must be positive".into()));
+        }
         let gens = vec![
             self.collections.generation().raw(),
             self.datasets.generation().raw(),
@@ -1760,6 +1761,24 @@ mod tests {
         assert!(matches!(
             m.list_page(zoo, Some("garbage"), 1).unwrap_err(),
             SrbError::Invalid(_)
+        ));
+    }
+
+    #[test]
+    fn a_zero_page_size_is_refused() {
+        let (m, ..) = seeded();
+        let zoo = m.collections.resolve(&p("/zoo")).unwrap();
+        let q = Query::everywhere().under(p("/zoo"));
+        assert!(!m.query(&q).unwrap().is_empty());
+        // A 0-row page would hand back a token to another 0-row page,
+        // forever; both pagers refuse it before reading anything.
+        assert!(matches!(
+            m.query_page(&q, None, 0),
+            Err(SrbError::Invalid(e)) if e == "page size must be positive"
+        ));
+        assert!(matches!(
+            m.list_page(zoo, None, 0),
+            Err(SrbError::Invalid(e)) if e == "page size must be positive"
         ));
     }
 

@@ -638,7 +638,7 @@ impl MetaStore {
     }
 
     /// Attribute names carried by any dataset in `datasets`, sorted and
-    /// deduplicated — the scoped form of [`Self::attr_names`]. One pass
+    /// deduplicated. One pass
     /// over the subject index with set-membership probes; no `Vec<Subject>`
     /// is materialized.
     pub fn attr_names_in(&self, datasets: &IdSet<DatasetId>) -> Vec<String> {
@@ -660,31 +660,6 @@ impl MetaStore {
             }
         }
         names.into_iter().collect()
-    }
-
-    /// Attribute names present on the given subject set plus all names in
-    /// the store when `subjects` is `None` — feeds MySRB's query drop-down.
-    pub fn attr_names(&self, subjects: Option<&[Subject]>) -> Vec<String> {
-        let g = self.inner.read();
-        let mut names: Vec<String> = match subjects {
-            None => g.index.keys().cloned().collect(),
-            Some(subs) => {
-                let mut names = Vec::new();
-                for s in subs {
-                    if let Some(ids) = g.by_subject.get(s) {
-                        for id in ids {
-                            if let Some(r) = g.rows.get(id) {
-                                names.push(r.triplet.name.clone());
-                            }
-                        }
-                    }
-                }
-                names
-            }
-        };
-        names.sort();
-        names.dedup();
-        names
     }
 
     /// Associate `carrier` as a metadata-carrying file for `subject`. One
@@ -1003,6 +978,25 @@ mod tests {
         Subject::Dataset(DatasetId(n))
     }
 
+    /// Attribute names present on the given subjects, or every name the
+    /// value index holds when `subjects` is `None`; sorted, deduplicated.
+    fn attr_names(s: &MetaStore, subjects: Option<&[Subject]>) -> Vec<String> {
+        let g = s.inner.read();
+        let mut names: Vec<String> = match subjects {
+            None => g.index.keys().cloned().collect(),
+            Some(subs) => subs
+                .iter()
+                .filter_map(|sub| g.by_subject.get(sub))
+                .flatten()
+                .filter_map(|id| g.rows.get(id))
+                .map(|r| r.triplet.name.clone())
+                .collect(),
+        };
+        names.sort();
+        names.dedup();
+        names
+    }
+
     /// The datasets `dataset_candidates` finds for `name op value`, sorted.
     fn found(s: &MetaStore, name: &str, op: CompareOp, value: &MetaValue) -> Vec<u64> {
         let mut v: Vec<u64> = s
@@ -1156,8 +1150,8 @@ mod tests {
         s.add(&ids, ds(1), Triplet::new("b", 1, ""), MetaKind::UserDefined);
         s.add(&ids, ds(2), Triplet::new("a", 1, ""), MetaKind::UserDefined);
         s.add(&ids, ds(2), Triplet::new("a", 2, ""), MetaKind::UserDefined);
-        assert_eq!(s.attr_names(None), vec!["a", "b"]);
-        assert_eq!(s.attr_names(Some(&[ds(2)])), vec!["a"]);
+        assert_eq!(attr_names(&s, None), vec!["a", "b"]);
+        assert_eq!(attr_names(&s, Some(&[ds(2)])), vec!["a"]);
     }
 
     #[test]
@@ -1410,7 +1404,7 @@ mod tests {
             s.remove(id).unwrap();
         }
         assert_derived_state_matches_rebuild(&s);
-        assert_eq!(s.attr_names(None), Vec::<String>::new());
+        assert_eq!(attr_names(&s, None), Vec::<String>::new());
         let g = s.inner.read();
         assert!(g.by_subject.is_empty() && g.index.is_empty());
         assert!(g.attr_counts.is_empty() && g.multi.is_empty());

@@ -50,14 +50,8 @@ pub struct Query {
     pub include_system: bool,
     /// Also match annotation text (attribute name `annotation`).
     pub include_annotations: bool,
-    /// Stop after this many hits (0 = unlimited).
+    /// Keep the first this many hits in path order (0 = unlimited).
     pub limit: usize,
-    /// When `true` (the default), hits are the first `limit` in global
-    /// path order, so every candidate must be verified before truncation.
-    /// When `false` ("any `limit` matching hits will do"), the engine
-    /// short-circuits candidate verification as soon as `limit` hits are
-    /// confirmed — the paging pattern of the MySRB result listing.
-    pub ordered: bool,
 }
 
 impl Query {
@@ -70,7 +64,6 @@ impl Query {
             include_system: false,
             include_annotations: false,
             limit: 0,
-            ordered: true,
         }
     }
 
@@ -112,20 +105,6 @@ impl Query {
     pub fn limit(mut self, n: usize) -> Self {
         self.limit = n;
         self
-    }
-
-    /// Accept *any* `limit` matching hits instead of the first `limit` in
-    /// path order, enabling the limit push-down short-circuit. The hits
-    /// returned are still real matches, still sorted among themselves.
-    pub fn any_order(mut self) -> Self {
-        self.ordered = false;
-        self
-    }
-
-    /// Convenience: `limit(n)` + [`Self::any_order`] — "give me `n`
-    /// matches, whichever are cheapest to confirm".
-    pub fn first_hits(self, n: usize) -> Self {
-        self.limit(n).any_order()
     }
 }
 

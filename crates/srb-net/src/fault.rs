@@ -142,16 +142,6 @@ impl FaultPlan {
         self.clear_mode(r);
     }
 
-    /// Mark an entire site down (all its resources become unreachable).
-    pub fn fail_site(&self, s: SiteId) {
-        self.inner.write().down_sites.insert(s);
-    }
-
-    /// Bring a site back.
-    pub fn restore_site(&self, s: SiteId) {
-        self.inner.write().down_sites.remove(&s);
-    }
-
     /// Is this resource (at this site) reachable *right now*? Flaky and
     /// slow modes count as up — only `Down` and site failures do not.
     pub fn is_up(&self, r: ResourceId, site: SiteId) -> bool {
@@ -234,22 +224,27 @@ impl FaultPlan {
         g.modes.clear();
         g.down_sites.clear();
     }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Mark an entire site down (all its resources become unreachable).
+    fn fail_site(f: &FaultPlan, s: SiteId) {
+        f.inner.write().down_sites.insert(s);
+    }
 
     /// Number of currently hard-failed resources (not counting flaky or
     /// slow modes, nor site failures).
-    pub fn failed_resource_count(&self) -> usize {
-        self.inner
+    fn failed_resource_count(f: &FaultPlan) -> usize {
+        f.inner
             .read()
             .modes
             .values()
             .filter(|s| matches!(s.mode, FaultMode::Down))
             .count()
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
 
     #[test]
     fn injected_failures_feed_metrics() {
@@ -293,14 +288,14 @@ mod tests {
     #[test]
     fn site_failure_takes_down_all_its_resources() {
         let f = FaultPlan::new();
-        f.fail_site(SiteId(3));
+        fail_site(&f, SiteId(3));
         assert!(!f.is_up(ResourceId(1), SiteId(3)));
         assert!(!f.is_up(ResourceId(2), SiteId(3)));
         assert!(f.is_up(ResourceId(1), SiteId(0)));
         // Site-down errors say site, not resource.
         let err = f.check(ResourceId(1), SiteId(3)).unwrap_err();
         assert!(matches!(err, SrbError::SiteUnavailable(_)));
-        f.restore_site(SiteId(3));
+        f.inner.write().down_sites.remove(&SiteId(3));
         assert!(f.is_up(ResourceId(1), SiteId(3)));
     }
 
@@ -350,7 +345,7 @@ mod tests {
         }
         // Flaky resources still count as "up" for the binary view.
         assert!(f.is_up(ResourceId(2), SiteId(0)));
-        assert_eq!(f.failed_resource_count(), 0);
+        assert_eq!(failed_resource_count(&f), 0);
     }
 
     #[test]
@@ -370,11 +365,11 @@ mod tests {
         let f = FaultPlan::new();
         f.fail_resource(ResourceId(1));
         f.set_mode(ResourceId(2), FaultMode::FailWithProb(0.9, 7));
-        f.fail_site(SiteId(1));
-        assert_eq!(f.failed_resource_count(), 1);
+        fail_site(&f, SiteId(1));
+        assert_eq!(failed_resource_count(&f), 1);
         f.heal_all();
         assert!(f.is_up(ResourceId(1), SiteId(1)));
         assert!(f.inject(ResourceId(2), SiteId(0)).is_ok());
-        assert_eq!(f.failed_resource_count(), 0);
+        assert_eq!(failed_resource_count(&f), 0);
     }
 }

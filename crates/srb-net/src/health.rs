@@ -317,41 +317,6 @@ impl HealthRegistry {
         self.state(r) == BreakerState::Open
     }
 
-    /// Resources whose breakers are currently not `Closed`, for status
-    /// displays and the repair sweep.
-    pub fn unhealthy(&self) -> Vec<(ResourceId, BreakerState)> {
-        if !self.config.enabled {
-            return Vec::new();
-        }
-        let g = self.cells.read();
-        let mut v: Vec<(ResourceId, BreakerState)> = g
-            .keys()
-            .map(|r| (*r, self.state_locked(&g, *r)))
-            .filter(|(_, s)| *s != BreakerState::Closed)
-            .collect();
-        v.sort_by_key(|(r, _)| *r);
-        v
-    }
-
-    fn state_locked(&self, g: &HashMap<ResourceId, Cell>, r: ResourceId) -> BreakerState {
-        match g.get(&r) {
-            None => BreakerState::Closed,
-            Some(cell) => match cell.state {
-                BreakerState::Open
-                    if self.clock.now().since(cell.opened_at) >= self.config.cooldown_ns =>
-                {
-                    BreakerState::HalfOpen
-                }
-                s => s,
-            },
-        }
-    }
-
-    /// Forget all recorded history (test helper; a fresh start).
-    pub fn reset(&self) {
-        self.cells.write().clear();
-    }
-
     /// Forget recorded history for one resource — e.g. a healed link —
     /// leaving every other breaker untouched.
     pub fn reset_resource(&self, r: ResourceId) {
@@ -362,6 +327,17 @@ impl HealthRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Resources whose breakers are currently not `Closed`.
+    fn unhealthy(h: &HealthRegistry) -> Vec<(ResourceId, BreakerState)> {
+        let mut known: Vec<ResourceId> = h.cells.read().keys().copied().collect();
+        known.sort();
+        known
+            .into_iter()
+            .map(|r| (r, h.state(r)))
+            .filter(|(_, s)| *s != BreakerState::Closed)
+            .collect()
+    }
 
     fn registry(clock: &SimClock) -> HealthRegistry {
         HealthRegistry::new(
@@ -382,7 +358,7 @@ mod tests {
         let h = registry(&clock);
         assert_eq!(h.state(ResourceId(1)), BreakerState::Closed);
         assert_eq!(h.admit(ResourceId(1)), Admission::Allow);
-        assert!(h.unhealthy().is_empty());
+        assert!(unhealthy(&h).is_empty());
     }
 
     #[test]
@@ -398,7 +374,7 @@ mod tests {
         assert_eq!(h.state(r), BreakerState::Open);
         assert_eq!(h.admit(r), Admission::FastFail);
         assert!(h.is_open(r));
-        assert_eq!(h.unhealthy(), vec![(r, BreakerState::Open)]);
+        assert_eq!(unhealthy(&h), vec![(r, BreakerState::Open)]);
     }
 
     #[test]
@@ -500,7 +476,7 @@ mod tests {
         }
         assert_eq!(h.state(r), BreakerState::Closed);
         assert_eq!(h.admit(r), Admission::Allow);
-        assert!(h.unhealthy().is_empty());
+        assert!(unhealthy(&h).is_empty());
     }
 
     #[test]

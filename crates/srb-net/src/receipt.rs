@@ -84,32 +84,6 @@ impl Receipt {
     pub fn sim_ms(&self) -> f64 {
         self.sim_ns as f64 / 1e6
     }
-
-    /// One-line leg breakdown for status pages and the slow-op log:
-    /// `"1.50ms · 4096B · 3 msgs · 1 hop · 2 tried · 1 retry · stale"`,
-    /// omitting zero legs.
-    pub fn breakdown(&self) -> String {
-        let mut parts = vec![format!("{:.2}ms", self.sim_ms())];
-        if self.bytes > 0 {
-            parts.push(format!("{}B", self.bytes));
-        }
-        if self.messages > 0 {
-            parts.push(format!("{} msgs", self.messages));
-        }
-        if self.hops > 0 {
-            parts.push(format!("{} hops", self.hops));
-        }
-        if self.replicas_tried > 0 {
-            parts.push(format!("{} tried", self.replicas_tried));
-        }
-        if self.retries > 0 {
-            parts.push(format!("{} retries", self.retries));
-        }
-        if self.served_stale {
-            parts.push("stale".to_string());
-        }
-        parts.join(" · ")
-    }
 }
 
 #[cfg(test)]
@@ -132,17 +106,6 @@ mod tests {
         assert_eq!(a.messages, 3);
         assert_eq!(a.hops, 1);
         assert_eq!(a.served_by, Some(ReplicaId(7)));
-    }
-
-    #[test]
-    fn breakdown_omits_zero_legs() {
-        assert_eq!(Receipt::time(1_500_000).breakdown(), "1.50ms");
-        let mut r = Receipt::time(2_000_000);
-        r.bytes = 4096;
-        r.messages = 3;
-        r.replicas_tried = 2;
-        r.served_stale = true;
-        assert_eq!(r.breakdown(), "2.00ms · 4096B · 3 msgs · 2 tried · stale");
     }
 
     #[test]

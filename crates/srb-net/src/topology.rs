@@ -70,11 +70,6 @@ impl Route {
         }
     }
 
-    /// Number of network hops (0 for a local route).
-    pub fn hop_count(&self) -> usize {
-        self.links.len()
-    }
-
     /// Cost in nanoseconds to push `bytes` along the whole route.
     ///
     /// Store-and-forward model: each hop pays full latency plus
@@ -156,13 +151,6 @@ pub struct Network {
 }
 
 impl Network {
-    /// Single-site network (everything local) — handy for unit tests.
-    pub fn single_site() -> (Network, SiteId) {
-        let mut b = NetworkBuilder::new();
-        let s = b.site("local");
-        (b.build(), s)
-    }
-
     /// Site display name.
     pub fn site_name(&self, s: SiteId) -> &str {
         self.names
@@ -315,9 +303,11 @@ mod tests {
 
     #[test]
     fn local_route_is_free() {
-        let (net, s) = Network::single_site();
+        let mut b = NetworkBuilder::new();
+        let s = b.site("local");
+        let net = b.build();
         let r = net.route(s, s).unwrap();
-        assert_eq!(r.hop_count(), 0);
+        assert_eq!(r.links.len(), 0);
         assert_eq!(r.transfer_ns(1 << 20), 0);
         assert_eq!(r.rpc_ns(), 0);
     }
@@ -327,7 +317,7 @@ mod tests {
         let (net, sdsc, caltech, ncsa) = three_site();
         let r = net.route(sdsc, ncsa).unwrap();
         assert_eq!(r.hops, vec![sdsc, caltech, ncsa]);
-        assert_eq!(r.hop_count(), 2);
+        assert_eq!(r.links.len(), 2);
         // Cost is the sum of the two links.
         assert_eq!(
             r.transfer_ns(1024),
@@ -352,7 +342,7 @@ mod tests {
         b.default_link(LinkSpec::wan());
         let net = b.build();
         let r = net.route(a, c).unwrap();
-        assert_eq!(r.hop_count(), 1);
+        assert_eq!(r.links.len(), 1);
     }
 
     #[test]

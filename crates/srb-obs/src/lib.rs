@@ -5,9 +5,9 @@
 //! Sky, NARA); operating it meant knowing which resources were healthy,
 //! which queries were slow and where replication time went. This crate is
 //! that layer for the reproduction: a **metrics registry** of atomic
-//! counters, gauges and log₂-bucketed latency histograms, a **span tracer**
-//! over the virtual [`SimClock`], and a bounded **slow-op log** keeping the
-//! N most expensive operations with their cost breakdown.
+//! counters, gauges and log₂-bucketed latency histograms, and a bounded
+//! **slow-op log** keeping the N most expensive operations with their
+//! cost breakdown.
 //!
 //! Two properties are load-bearing:
 //!
@@ -40,15 +40,11 @@ pub mod labels;
 pub mod metrics;
 pub mod slowlog;
 pub mod snapshot;
-pub mod trace;
 
 pub use labels::ResourceLabels;
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry};
 pub use slowlog::{OpCost, SlowOp, SlowOpLog};
 pub use snapshot::{HistogramSnapshot, MetricsSnapshot};
-pub use trace::{Span, SpanId, Tracer};
-
-use srb_types::SimClock;
 
 /// The subsystems a metric may belong to. Kept in one place so the
 /// registry, the lint rule and DESIGN.md §12 agree on the universe.
@@ -70,28 +66,31 @@ pub fn valid_metric_name(name: &str) -> bool {
             .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_')
 }
 
-/// One observability domain: registry + tracer + slow-op log sharing a
-/// virtual clock. Cloning shares all state; a [`Grid`]-alike owns one and
-/// hands clones to each subsystem it instruments.
+/// One observability domain: registry + slow-op log. Cloning shares all
+/// state; a [`Grid`]-alike owns one and hands clones to each subsystem it
+/// instruments.
 ///
 /// [`Grid`]: https://en.wikipedia.org/wiki/Data_grid
 #[derive(Clone, Debug)]
 pub struct Obs {
     /// Counters, gauges and histograms.
     pub metrics: MetricsRegistry,
-    /// Ring-buffered structured spans.
-    pub tracer: Tracer,
     /// The N most expensive operations seen so far.
     pub slow: SlowOpLog,
 }
 
+impl Default for Obs {
+    fn default() -> Obs {
+        Obs::new()
+    }
+}
+
 impl Obs {
-    /// A fresh domain over `clock` with default capacities
-    /// (1024 spans, 16 slow ops).
-    pub fn new(clock: SimClock) -> Obs {
+    /// A fresh domain: an empty registry and a slow-op log keeping the
+    /// 16 most expensive operations.
+    pub fn new() -> Obs {
         Obs {
             metrics: MetricsRegistry::new(),
-            tracer: Tracer::new(clock, trace::DEFAULT_SPAN_CAPACITY),
             slow: SlowOpLog::new(slowlog::DEFAULT_SLOW_OPS),
         }
     }
@@ -123,7 +122,7 @@ mod tests {
 
     #[test]
     fn obs_snapshot_combines_metrics_and_slow_ops() {
-        let obs = Obs::new(SimClock::new());
+        let obs = Obs::new();
         obs.metrics.counter("core.ops", "").add(3);
         obs.slow.record("open", "/zoo/a", OpCost::default());
         let snap = obs.snapshot();

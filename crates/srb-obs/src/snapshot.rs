@@ -106,10 +106,9 @@ impl MetricsSnapshot {
 mod tests {
     use super::*;
     use crate::{Obs, OpCost};
-    use srb_types::SimClock;
 
     fn sample_obs() -> Obs {
-        let obs = Obs::new(SimClock::new());
+        let obs = Obs::new();
         obs.metrics.counter("web.requests", "/query").add(7);
         obs.metrics.gauge("health.breaker_state", "fs2").set(2);
         obs.metrics.histogram("core.op_ns", "open").observe(4_096);

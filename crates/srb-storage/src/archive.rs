@@ -5,9 +5,8 @@
 //! latency (mount + robot + position) plus a slow streaming rate before the
 //! first byte arrives; once staged to the archive's internal disk cache it
 //! reads at disk speed. Writes land on the disk cache and migrate to tape
-//! asynchronously (here: when [`ArchiveDriver::migrate_all`] runs, or
-//! implicitly "eventually" — experiments call `purge_staged` to force the
-//! cold-tape state).
+//! "eventually"; experiments call `purge_staged` to force the cold-tape
+//! state.
 
 use crate::driver::{CostModel, DriverKind, ObjStat, StorageDriver};
 use crate::memfs::MemStore;
@@ -69,20 +68,6 @@ impl ArchiveDriver {
     /// the tape staging cost. Experiments use this to model a cold archive.
     pub fn purge_staged(&self) {
         self.staged.write().clear();
-    }
-
-    /// Migrate all dirty cache-resident data to tape. Returns the virtual
-    /// cost of the tape writes. (Data is always durable in this simulation;
-    /// the cost is what's being modelled.)
-    pub fn migrate_all(&self) -> u64 {
-        let staged = self.staged.read();
-        let mut cost = 0;
-        for path in staged.iter() {
-            if let Ok((size, _, _)) = self.store.stat(path) {
-                cost += self.tape.write_ns(size);
-            }
-        }
-        cost
     }
 
     /// How many staging operations (tape recalls) have happened.
@@ -197,6 +182,16 @@ mod tests {
         ArchiveDriver::new(SimClock::new())
     }
 
+    /// Virtual cost of migrating every cache-resident object to tape.
+    fn migrate_all(a: &ArchiveDriver) -> u64 {
+        a.staged
+            .read()
+            .iter()
+            .filter_map(|path| a.store.stat(path).ok())
+            .map(|(size, _, _)| a.tape.write_ns(size))
+            .sum()
+    }
+
     #[test]
     fn fresh_writes_are_staged() {
         let a = archive();
@@ -262,12 +257,12 @@ mod tests {
         let a = archive();
         a.create("x", &[0u8; 1_000_000]).unwrap();
         a.create("y", &[0u8; 2_000_000]).unwrap();
-        let cost = a.migrate_all();
+        let cost = migrate_all(&a);
         assert!(cost > 0);
         // Cost scales with data volume.
         let a2 = archive();
         a2.create("x", &[0u8; 1_000_000]).unwrap();
-        assert!(a2.migrate_all() < cost);
+        assert!(migrate_all(&a2) < cost);
     }
 
     #[test]

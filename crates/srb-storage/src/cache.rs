@@ -81,17 +81,6 @@ impl CacheDriver {
         }
     }
 
-    /// Is the object currently pinned (pin present and not expired)?
-    pub fn is_pinned(&self, path: &str) -> bool {
-        let now = self.clock.now();
-        self.entries
-            .lock()
-            .get(path)
-            .and_then(|e| e.pinned_until)
-            .map(|t| t > now)
-            .unwrap_or(false)
-    }
-
     fn evict_for(&self, needed: u64, g: &mut HashMap<String, Entry>) -> SrbResult<()> {
         let now = self.clock.now();
         while self.used.load(Ordering::Relaxed) + needed > self.capacity {
@@ -162,16 +151,6 @@ impl CacheDriver {
         }
         self.used.fetch_add(data.len() as u64, Ordering::Relaxed);
         Ok(self.cost.write_ns(data.len() as u64))
-    }
-
-    /// Cache hits observed so far.
-    pub fn hit_count(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Cache misses (reads of objects not present).
-    pub fn miss_count(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
     }
 
     /// Objects evicted by the purger.
@@ -283,6 +262,17 @@ impl StorageDriver for CacheDriver {
 mod tests {
     use super::*;
 
+    /// Is the object currently pinned (pin present and not expired)?
+    fn is_pinned(c: &CacheDriver, path: &str) -> bool {
+        let now = c.clock.now();
+        c.entries
+            .lock()
+            .get(path)
+            .and_then(|e| e.pinned_until)
+            .map(|t| t > now)
+            .unwrap_or(false)
+    }
+
     fn cache(cap: u64) -> (CacheDriver, SimClock) {
         let clock = SimClock::new();
         (CacheDriver::new(clock.clone(), cap), clock)
@@ -319,9 +309,9 @@ mod tests {
         let (c, clock) = cache(8);
         c.create("old", &[0u8; 4]).unwrap();
         c.pin("old", clock.now().plus_secs(10)).unwrap();
-        assert!(c.is_pinned("old"));
+        assert!(is_pinned(&c, "old"));
         clock.advance(11_000_000_000);
-        assert!(!c.is_pinned("old"));
+        assert!(!is_pinned(&c, "old"));
         c.create("new", &[0u8; 8]).unwrap();
         assert!(!c.exists("old"));
     }
@@ -348,8 +338,8 @@ mod tests {
         c.read("x").unwrap();
         c.read("x").unwrap();
         let _ = c.read("absent");
-        assert_eq!(c.hit_count(), 2);
-        assert_eq!(c.miss_count(), 1);
+        assert_eq!(c.hits.load(Ordering::Relaxed), 2);
+        assert_eq!(c.misses.load(Ordering::Relaxed), 1);
     }
 
     #[test]
@@ -380,6 +370,6 @@ mod tests {
         c.create("x", b"1").unwrap();
         c.pin("x", clock.now().plus_secs(100)).unwrap();
         c.write("x", b"2").unwrap();
-        assert!(c.is_pinned("x"));
+        assert!(is_pinned(&c, "x"));
     }
 }

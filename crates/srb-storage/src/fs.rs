@@ -8,7 +8,7 @@ use crate::driver::{CostModel, DriverKind, ObjStat, StorageDriver};
 use crate::memfs::MemStore;
 use bytes::Bytes;
 use srb_types::sync::{LockRank, RwLock};
-use srb_types::{SimClock, SrbError, SrbResult, Timestamp};
+use srb_types::{SimClock, SrbResult, Timestamp};
 use std::collections::BTreeSet;
 
 /// Simulated Unix/NT/Mac file system.
@@ -33,15 +33,6 @@ impl FsDriver {
             cost,
             clock,
         }
-    }
-
-    /// Create an (empty) directory explicitly.
-    pub fn mkdir(&self, path: &str) -> SrbResult<()> {
-        let mut dirs = self.dirs.write();
-        if !dirs.insert(path.trim_end_matches('/').to_string()) {
-            return Err(SrbError::AlreadyExists(format!("directory '{path}'")));
-        }
-        Ok(())
     }
 
     /// Is `path` a known directory (explicit, or implied by some object)?
@@ -134,9 +125,22 @@ impl StorageDriver for FsDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use srb_types::SrbError;
 
     fn fs() -> FsDriver {
         FsDriver::new(SimClock::new())
+    }
+
+    /// Create an (empty) directory explicitly.
+    fn mkdir(f: &FsDriver, path: &str) -> SrbResult<()> {
+        if !f
+            .dirs
+            .write()
+            .insert(path.trim_end_matches('/').to_string())
+        {
+            return Err(SrbError::AlreadyExists(format!("directory '{path}'")));
+        }
+        Ok(())
     }
 
     #[test]
@@ -167,10 +171,10 @@ mod tests {
     #[test]
     fn explicit_mkdir() {
         let f = fs();
-        f.mkdir("staging").unwrap();
+        mkdir(&f, "staging").unwrap();
         assert!(f.is_dir("staging"));
         assert!(f.exists("staging"));
-        assert!(f.mkdir("staging").is_err());
+        assert!(mkdir(&f, "staging").is_err());
     }
 
     #[test]

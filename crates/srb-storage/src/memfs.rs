@@ -178,16 +178,15 @@ impl MemStore {
     pub fn used_bytes(&self) -> u64 {
         self.used.load(Ordering::Relaxed)
     }
-
-    /// Number of objects stored.
-    pub fn object_count(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn object_count(s: &MemStore) -> usize {
+        s.shards.iter().map(|s| s.read().len()).sum()
+    }
 
     fn store() -> MemStore {
         MemStore::new(SimClock::new())
@@ -271,7 +270,7 @@ mod tests {
         assert_eq!(s.list(""), vec!["a/1", "b/1", "b/2"]);
         assert_eq!(s.list("b/"), vec!["b/1", "b/2"]);
         assert!(s.list("zzz").is_empty());
-        assert_eq!(s.object_count(), 3);
+        assert_eq!(object_count(&s), 3);
     }
 
     #[test]
@@ -287,7 +286,7 @@ mod tests {
                 });
             }
         });
-        assert_eq!(s.object_count(), 1600);
+        assert_eq!(object_count(&s), 1600);
         assert_eq!(s.used_bytes(), 3200);
     }
 }

@@ -58,16 +58,6 @@ impl UrlDriver {
             .insert(url.to_string(), UrlProvider::Static(content.into()));
     }
 
-    /// Host a dynamic (CGI-like) endpoint.
-    pub fn host_dynamic<F>(&self, url: &str, f: F)
-    where
-        F: Fn(u64) -> Vec<u8> + Send + Sync + 'static,
-    {
-        self.providers
-            .write()
-            .insert(url.to_string(), UrlProvider::Dynamic(Box::new(f)));
-    }
-
     /// Remove a URL from the simulated web (the origin went away).
     pub fn take_down(&self, url: &str) {
         self.providers.write().remove(url);
@@ -88,16 +78,6 @@ impl UrlDriver {
             self.fetch_latency_ns + (content.len() as f64 / (self.mbps * 1_000_000.0) * 1e9) as u64;
         Ok((content, cost))
     }
-
-    /// Is a URL currently reachable?
-    pub fn reachable(&self, url: &str) -> bool {
-        self.providers.read().contains_key(url)
-    }
-
-    /// Number of fetches served.
-    pub fn fetch_count(&self) -> u64 {
-        self.fetches.load(Ordering::Relaxed)
-    }
 }
 
 #[cfg(test)]
@@ -116,9 +96,10 @@ mod tests {
     #[test]
     fn dynamic_url_changes_between_fetches() {
         let web = UrlDriver::new();
-        web.host_dynamic("http://example.org/cgi?count", |n| {
-            format!("fetch #{n}").into_bytes()
-        });
+        web.providers.write().insert(
+            "http://example.org/cgi?count".to_string(),
+            UrlProvider::Dynamic(Box::new(|n| format!("fetch #{n}").into_bytes())),
+        );
         let (a, _) = web.fetch("http://example.org/cgi?count").unwrap();
         let (b, _) = web.fetch("http://example.org/cgi?count").unwrap();
         assert_ne!(a, b);
@@ -131,14 +112,14 @@ mod tests {
             web.fetch("http://gone.example/"),
             Err(SrbError::NotFound(_))
         ));
-        assert!(!web.reachable("http://gone.example/"));
+        assert!(!web.providers.read().contains_key("http://gone.example/"));
     }
 
     #[test]
     fn take_down_makes_url_unreachable() {
         let web = UrlDriver::new();
         web.host_static("http://x/", &b"up"[..]);
-        assert!(web.reachable("http://x/"));
+        assert!(web.providers.read().contains_key("http://x/"));
         web.take_down("http://x/");
         assert!(web.fetch("http://x/").is_err());
     }
@@ -149,6 +130,6 @@ mod tests {
         web.host_static("http://x/", &b"up"[..]);
         web.fetch("http://x/").unwrap();
         let _ = web.fetch("http://missing/");
-        assert_eq!(web.fetch_count(), 2);
+        assert_eq!(web.fetches.load(Ordering::Relaxed), 2);
     }
 }

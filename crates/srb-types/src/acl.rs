@@ -170,10 +170,15 @@ impl AccessMatrix {
     pub fn effective_anonymous(&self) -> Permission {
         self.public
     }
+}
 
-    /// The owners (users with `Own`).
-    pub fn owners(&self) -> Vec<UserId> {
-        let mut v: Vec<UserId> = self
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The owners (users with `Own`), sorted.
+    fn owners(m: &AccessMatrix) -> Vec<UserId> {
+        let mut v: Vec<UserId> = m
             .users
             .iter()
             .filter(|(_, p)| **p == Permission::Own)
@@ -182,11 +187,6 @@ impl AccessMatrix {
         v.sort();
         v
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
 
     #[test]
     fn permission_ladder_implies_lower_levels() {
@@ -230,7 +230,7 @@ mod tests {
         assert_eq!(m.effective(UserId(1), &[]), Permission::Own);
         m.grant_user(UserId(1), Permission::None);
         assert_eq!(m.effective(UserId(1), &[]), Permission::None);
-        assert!(m.owners().is_empty());
+        assert!(owners(&m).is_empty());
     }
 
     #[test]
@@ -238,7 +238,7 @@ mod tests {
         let mut m = AccessMatrix::owned_by(UserId(5));
         m.grant_user(UserId(2), Permission::Own);
         m.grant_user(UserId(3), Permission::Read);
-        assert_eq!(m.owners(), vec![UserId(2), UserId(5)]);
+        assert_eq!(owners(&m), vec![UserId(2), UserId(5)]);
     }
 
     #[test]

@@ -33,18 +33,6 @@ impl Timestamp {
         self.0 / 1_000
     }
 
-    /// Milliseconds since boot (truncating).
-    #[inline]
-    pub fn millis(self) -> u64 {
-        self.0 / 1_000_000
-    }
-
-    /// Whole seconds since boot (truncating).
-    #[inline]
-    pub fn secs(self) -> u64 {
-        self.0 / 1_000_000_000
-    }
-
     /// Timestamp `d` nanoseconds later.
     #[inline]
     pub fn plus_nanos(self, d: u64) -> Timestamp {
@@ -172,10 +160,8 @@ mod tests {
     #[test]
     fn timestamp_conversions() {
         let t = Timestamp(3_456_789_012);
-        assert_eq!(t.secs(), 3);
-        assert_eq!(t.millis(), 3_456);
         assert_eq!(t.micros(), 3_456_789);
-        assert_eq!(t.plus_secs(2).secs(), 5);
+        assert_eq!(t.plus_secs(2), Timestamp(5_456_789_012));
         assert_eq!(t.since(Timestamp(456_789_012)), 3_000_000_000);
         assert_eq!(Timestamp(0).since(t), 0);
     }

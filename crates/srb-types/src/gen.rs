@@ -56,13 +56,6 @@ impl Generation {
     pub fn raw(self) -> u64 {
         self.0
     }
-
-    /// Rebuild a stamp from a raw value recovered from a durable log.
-    /// Only meaningful against the counter it was originally taken from
-    /// (or a restored copy of it).
-    pub fn from_raw(raw: u64) -> Generation {
-        Generation(raw)
-    }
 }
 
 /// A monotone mutation counter owned by a table; see the module docs.
@@ -76,18 +69,14 @@ impl GenCounter {
     }
 
     /// The current generation. `Acquire` pairs with the `Release` in
-    /// [`bump`](Self::bump): a reader that observes generation `g` also
+    /// [`bump_get`](Self::bump_get): a reader that observes generation `g` also
     /// observes every table write that happened before the bump to `g`.
     pub fn current(&self) -> Generation {
         Generation(self.0.load(Ordering::Acquire))
     }
 
-    /// Record one mutation, invalidating every stamp taken earlier.
-    pub fn bump(&self) {
-        self.0.fetch_add(1, Ordering::Release);
-    }
-
-    /// Record one mutation and return the *post*-bump generation — the
+    /// Record one mutation, invalidating every stamp taken earlier, and
+    /// return the *post*-bump generation — the
     /// stamp a durable log record must carry so replaying it reproduces
     /// exactly this counter state.
     pub fn bump_get(&self) -> Generation {
@@ -121,7 +110,7 @@ mod tests {
         let a = c.current();
         let b = c.current();
         assert_eq!(a, b);
-        c.bump();
+        c.bump_get();
         assert_ne!(a, c.current());
         assert_eq!(c.current().raw(), 1);
     }
@@ -150,7 +139,7 @@ mod tests {
         assert_eq!(c.current().raw(), 7);
         c.ensure_at_least(3); // never lowers
         assert_eq!(c.current().raw(), 7);
-        assert_eq!(c.current(), Generation::from_raw(7));
+        assert_eq!(c.current(), Generation(7));
     }
 
     #[test]
@@ -160,7 +149,7 @@ mod tests {
             for _ in 0..4 {
                 s.spawn(|| {
                     for _ in 0..100 {
-                        c.bump();
+                        c.bump_get();
                     }
                 });
             }

@@ -1,8 +1,8 @@
-//! `cargo xtask analyze` — structure-aware static concurrency and
-//! determinism analysis over the whole workspace.
+//! `cargo xtask analyze` — structure-aware static concurrency,
+//! determinism and reachability analysis over the whole workspace.
 //!
-//! Three analyses run on the token stream (see [`crate::lexer`]), all
-//! scoped to library code (`crates/*/src/**`, `src/**`) outside
+//! Four analyses run on the token stream (see [`crate::lexer`]). The first
+//! three are scoped to library code (`crates/*/src/**`, `src/**`) outside
 //! `#[cfg(test)]` regions — test code deliberately constructs inversions
 //! to exercise the runtime detector:
 //!
@@ -24,6 +24,15 @@
 //!    producing functions unless the items are sorted or consumed
 //!    order-insensitively. Iteration-order leakage is the one
 //!    nondeterminism class the wall-clock ban cannot see.
+//! 4. **`unreached`** — flags a `pub fn` under `crates/*/src` (outside
+//!    `#[cfg(test)]`) that no identifier token names anywhere else:
+//!    `crates/`, `src/`, `tests/`, `benchmark/src/` and `examples/` are
+//!    searched, and only the function's own file's test regions do not
+//!    count. Comments and strings are not tokens, so a name that survives
+//!    only in a doc comment is still unreached. Matching is by name, so a
+//!    name shared with any other item (`new`, `get`) is never flagged: the
+//!    rule can miss dead code but never flags live code. `pub(crate)`
+//!    items are left to rustc's `dead_code` lint.
 //!
 //! Guard liveness is tracked lexically: a `let`-bound guard lives to the
 //! end of its enclosing block (or an explicit `drop(guard)`); a guard
@@ -119,9 +128,10 @@ fn in_analysis_scope(path: &str) -> bool {
         && !path.contains("/examples/")
 }
 
-/// Run all three analyses over `files` (workspace-relative paths under
-/// `root`). Reads each file once and lexes it once.
-pub fn analyze(root: &Path, files: &[String]) -> std::io::Result<Analysis> {
+/// Run all four analyses over `files` (workspace-relative paths under
+/// `root`); `refs` are read only as references for `unreached`. Reads
+/// each file once and lexes it once.
+pub fn analyze(root: &Path, files: &[String], refs: &[String]) -> std::io::Result<Analysis> {
     let ranks_src = std::fs::read_to_string(root.join("crates/srb-types/src/sync.rs")).ok();
     let (ranks, ranks_from_source) = match ranks_src.as_deref().and_then(LockRegistry::parse_ranks)
     {
@@ -135,14 +145,15 @@ pub fn analyze(root: &Path, files: &[String]) -> std::io::Result<Analysis> {
         ),
     };
 
-    let mut lexed_files: Vec<(String, Lexed)> = Vec::new();
-    for rel in files {
-        if !in_analysis_scope(rel) {
-            continue;
-        }
+    let mut all_files: Vec<(String, Lexed)> = Vec::new();
+    for rel in files.iter().chain(refs) {
         let src = std::fs::read_to_string(root.join(rel))?;
-        lexed_files.push((rel.clone(), Lexed::new(&src)));
+        all_files.push((rel.clone(), Lexed::new(&src)));
     }
+    let lexed_files: Vec<&(String, Lexed)> = all_files[..files.len()]
+        .iter()
+        .filter(|(rel, _)| in_analysis_scope(rel))
+        .collect();
 
     // Pass 1: harvest the lock registry from every file.
     let mut registry = LockRegistry::default();
@@ -157,6 +168,7 @@ pub fn analyze(root: &Path, files: &[String]) -> std::io::Result<Analysis> {
         scan_file(path, lexed, &registry, &mut graph, &mut violations);
         hash_iter_file(path, lexed, &mut violations);
     }
+    violations.extend(unreached(&all_files));
 
     // Graph-level checks.
     let rank_of: BTreeMap<String, u8> = registry
@@ -620,6 +632,52 @@ fn hash_iter_file(path: &str, lexed: &Lexed, violations: &mut Vec<Violation>) {
     }
 }
 
+/// Does `path` define the workspace API `unreached` checks
+/// (`crates/<crate>/src/**`)?
+fn defines_api(path: &str) -> bool {
+    let mut parts = path.splitn(3, '/');
+    parts.next() == Some("crates")
+        && parts.next().is_some()
+        && parts.next().is_some_and(|rest| rest.starts_with("src/"))
+}
+
+/// Flag every `pub fn` in [`defines_api`] files that no identifier token
+/// in `files` names, apart from its own name and its own file's test
+/// regions.
+fn unreached(files: &[(String, Lexed)]) -> Vec<Violation> {
+    let mut named: BTreeMap<&str, usize> = BTreeMap::new();
+    for (_, lexed) in files {
+        for t in lexed.toks.iter().filter(|t| t.kind == TokKind::Ident) {
+            *named.entry(t.text.as_str()).or_default() += 1;
+        }
+    }
+    let mut out = Vec::new();
+    for (path, lexed) in files.iter().filter(|(p, _)| defines_api(p)) {
+        for f in lexed.fns.iter().filter(|f| f.public && !f.in_test) {
+            let own_tests = lexed
+                .toks
+                .iter()
+                .enumerate()
+                .filter(|&(i, t)| t.is_ident(&f.name) && lexed.in_test(i))
+                .count();
+            let elsewhere = named.get(f.name.as_str()).copied().unwrap_or(0) - 1 - own_tests;
+            if elsewhere == 0 {
+                out.push(Violation {
+                    path: path.clone(),
+                    line: f.line,
+                    rule: "unreached",
+                    msg: format!(
+                        "`pub fn {}` is named nowhere outside its own file's tests; \
+                         delete it, or make it a private #[cfg(test)] helper",
+                        f.name
+                    ),
+                });
+            }
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -854,5 +912,22 @@ impl T {
     }
 }"#;
         assert!(run(src).iter().all(|v| v.rule != "hash-iter"));
+    }
+
+    #[test]
+    fn unreached_counts_code_tokens_outside_the_own_tests() {
+        let lib = "pub fn dead() {}\npub fn used() {}\npub fn doc_only() {}\n\
+                   pub(crate) fn inner() {}\n/// doc_only\nfn x() { let _ = \"doc_only\"; }\n\
+                   #[cfg(test)]\nmod tests { pub fn helper() { super::dead(); } }\n";
+        let files = vec![
+            ("crates/a/src/lib.rs".to_string(), Lexed::new(lib)),
+            (
+                "tests/it.rs".to_string(),
+                Lexed::new("pub fn orphan_in_tests() {}\nfn t() { a::used(); }"),
+            ),
+        ];
+        let flagged: Vec<(usize, &str)> =
+            unreached(&files).iter().map(|v| (v.line, v.rule)).collect();
+        assert_eq!(flagged, vec![(1, "unreached"), (3, "unreached")]);
     }
 }

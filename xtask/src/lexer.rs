@@ -67,8 +67,9 @@ pub struct FnItem {
     /// The function's name.
     pub name: String,
     /// 1-based line of the `fn` keyword.
-    #[allow(dead_code)] // lexer API; exercised by unit tests
     pub line: usize,
+    /// Declared plain `pub` (not `pub(crate)`, `pub(super)`, ...)?
+    pub public: bool,
     /// Token-index range of the body **including** its `{` and `}`;
     /// `None` for bodyless trait-method declarations.
     pub body: Option<(usize, usize)>,
@@ -504,6 +505,7 @@ fn parse_fns(toks: &[Tok], test_ranges: &[(usize, usize)]) -> Vec<FnItem> {
             fns.push(FnItem {
                 name,
                 line,
+                public: is_plain_pub(toks, i),
                 body,
                 in_test,
             });
@@ -511,6 +513,25 @@ fn parse_fns(toks: &[Tok], test_ranges: &[(usize, usize)]) -> Vec<FnItem> {
         i += 1;
     }
     fns
+}
+
+/// Is the fn keyword at `fn_idx` preceded by a bare `pub`, past any
+/// `const`/`async`/`unsafe`/`extern "abi"` qualifiers? `pub(…)` is not.
+fn is_plain_pub(toks: &[Tok], fn_idx: usize) -> bool {
+    let mut j = fn_idx;
+    while j > 0 {
+        j -= 1;
+        let t = &toks[j];
+        let qualifier = t.is_ident("const")
+            || t.is_ident("async")
+            || t.is_ident("unsafe")
+            || t.is_ident("extern")
+            || t.kind == TokKind::Str;
+        if !qualifier {
+            return t.is_ident("pub");
+        }
+    }
+    false
 }
 
 /// Does the fn keyword at `i` have a `#[test]`-like attribute directly
@@ -593,6 +614,7 @@ mod tests {
         assert_eq!(names, vec!["alpha", "beta", "decl"]);
         assert!(l.fns[0].body.is_some());
         assert!(l.fns[2].body.is_none());
+        assert_eq!(l.fns[1].line, 2);
         // Token inside beta's if-block resolves to beta.
         let call = l
             .toks
@@ -612,6 +634,20 @@ mod tests {
         assert!(!real.in_test);
         assert!(t.in_test);
         assert!(!real2.in_test);
+    }
+
+    #[test]
+    fn only_bare_pub_is_public() {
+        let src = "pub fn a() {}\npub const unsafe fn b() {}\npub extern \"C\" fn c() {}\n\
+                   pub(crate) fn d() {}\npub(super) fn e() {}\nfn f() {}";
+        let l = Lexed::new(src);
+        let public: Vec<&str> = l
+            .fns
+            .iter()
+            .filter(|f| f.public)
+            .map(|f| f.name.as_str())
+            .collect();
+        assert_eq!(public, vec!["a", "b", "c"]);
     }
 
     #[test]

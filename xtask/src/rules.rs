@@ -754,6 +754,33 @@ mod tests {
     }
 
     #[test]
+    fn metric_subsystems_match_srb_obs() {
+        let lib = concat!(env!("CARGO_MANIFEST_DIR"), "/../crates/srb-obs/src/lib.rs");
+        let src = std::fs::read_to_string(lib).expect("srb-obs lib.rs readable");
+        let lexed = Lexed::new(&src);
+        let toks = &lexed.toks;
+        let decl = (1..toks.len())
+            .find(|&i| toks[i - 1].is_ident("const") && toks[i].is_ident("SUBSYSTEMS"))
+            .expect("srb-obs declares `const SUBSYSTEMS`");
+        let eq = (decl..toks.len())
+            .find(|&i| toks[i].is_punct('='))
+            .expect("SUBSYSTEMS has a value");
+        let open = (eq..toks.len())
+            .find(|&i| toks[i].is_punct('['))
+            .expect("SUBSYSTEMS is an array");
+        let close = matching_close(toks, open).expect("SUBSYSTEMS array closes");
+        let declared: std::collections::BTreeSet<&str> = toks[open..close]
+            .iter()
+            .filter(|t| t.kind == TokKind::Str)
+            .map(|t| t.text.as_str())
+            .collect();
+        let mirrored: std::collections::BTreeSet<&str> =
+            METRIC_SUBSYSTEMS.iter().copied().collect();
+        assert!(!declared.is_empty());
+        assert_eq!(mirrored, declared);
+    }
+
+    #[test]
     fn metric_name_escaped_quote_is_not_truncated() {
         // Regression: the old string extraction used `find('"')` on the
         // raw source, so an escaped quote inside the literal cut the name

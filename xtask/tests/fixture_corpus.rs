@@ -39,6 +39,9 @@ const ANALYZE_GOLDENS: &[&str] = &[
     "crates/fix-lock/src/order.rs:36: [lock-order]",
     "crates/fix-lock/src/order.rs:43: [lock-cycle]",
     "crates/fix-lock/src/storage.rs:24: [guard-across-storage]",
+    "crates/fix-reach/src/lib.rs:4: [unreached]",
+    "crates/fix-reach/src/lib.rs:9: [unreached]",
+    "crates/fix-reach/src/lib.rs:15: [unreached]",
 ];
 
 /// `path:line: [rule]` prefixes of every seeded lint violation.
@@ -71,7 +74,9 @@ fn analyze_detects_every_seeded_violation() {
     let findings = stdout.lines().filter(|l| l.contains(": [")).count();
     assert_eq!(findings, ANALYZE_GOLDENS.len(), "extra findings:\n{stdout}");
     // The clean fixtures (down-rank nesting, guard dropped before
-    // dispatch, sorted/terminal/ordered iteration) must not appear.
+    // dispatch, sorted/terminal/ordered iteration, `pub fn`s named from
+    // `tests/`, `examples/`, `benchmark/src/` or elsewhere in their file,
+    // `pub(crate)` and test-module fns) must not appear.
     for clean in [
         "layered",
         "flush_ok",
@@ -79,6 +84,12 @@ fn analyze_detects_every_seeded_violation() {
         "checkpoint_sorted",
         "digest",
         "render",
+        "used_by_tests",
+        "used_by_examples",
+        "used_by_benchmark",
+        "crate_only",
+        "called_here",
+        "test_helper",
     ] {
         assert!(
             !stdout.contains(clean),
@@ -119,6 +130,7 @@ fn json_output_is_machine_readable() {
         "lock-cycle",
         "guard-across-storage",
         "hash-iter",
+        "unreached",
     ] {
         assert!(
             stdout.contains(&format!("\"{rule}\"")),
@@ -153,6 +165,10 @@ fn github_annotations_are_emitted() {
     let (stdout, _) = run(&["analyze", "--github"], &fixture_root());
     assert!(
         stdout.contains("::error file=crates/fix-lock/src/order.rs,line=36,title=lock-order::"),
+        "no annotation:\n{stdout}"
+    );
+    assert!(
+        stdout.contains("::error file=crates/fix-reach/src/lib.rs,line=4,title=unreached::"),
         "no annotation:\n{stdout}"
     );
     let annotations = stdout.lines().filter(|l| l.starts_with("::error ")).count();

@@ -1,0 +1,3 @@
+fn main() {
+    println!("{}", fix_reach::used_by_examples());
+}
