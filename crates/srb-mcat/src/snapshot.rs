@@ -16,11 +16,13 @@
 //!
 //! The writer lays each table's rows out in id pages of
 //! [`IMAGE_PAGE_IDS`] ids. Rows are written in id order, so a page's rows
-//! sit together; a checkpoint copies a page's bytes from the last image
-//! the device accepted unless a redo record touched one of its rows since
-//! (the WAL marks the page as it appends the record; see `crate::wal`).
-//! A plain image (`write_image`) has no previous image and renders every
-//! page; the bytes are the same either way.
+//! sit together. A checkpoint writes its image as parts — the text
+//! between pages, then each page as a part of its own — and shares a
+//! page's part with the last image the device accepted unless a redo
+//! record touched one of its rows since (the WAL marks the page as it
+//! appends the record; see `crate::wal`): a clean page costs one refcount.
+//! A plain image (`write_image`) is one `String` and renders every page;
+//! the bytes are the same either way.
 
 use crate::annotation::{Annotation, AnnotationTable};
 use crate::audit::{AuditLog, AuditRow};
@@ -33,6 +35,7 @@ use crate::resource::{LogicalResource, Resource, ResourceTable};
 use crate::user::{Group, User, UserTable};
 use crate::wal::Wal;
 use serde::{Deserialize, Serialize};
+use srb_storage::Image;
 use srb_types::{DatasetId, IdGen, SimClock, SrbError, SrbResult, UserId};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -100,7 +103,7 @@ pub(crate) fn by_id<K: Ord, V, S>(rows: &HashMap<K, V, S>) -> Vec<&V> {
     v.into_iter().map(|(_, row)| row).collect()
 }
 
-/// Ids per image page: the unit a checkpoint copies or renders.
+/// Ids per image page: the unit a checkpoint shares or renders.
 pub const IMAGE_PAGE_IDS: u64 = 1024;
 
 /// The image's row fields, in the order the image writes them.
@@ -184,72 +187,88 @@ impl PageSet {
 /// Per field, the pages a redo record touched.
 pub(crate) type PageMarks = [PageSet; FIELDS];
 
-/// One page's bytes in an image, relative to the image's first byte.
-#[derive(Debug, Clone, Copy)]
-struct PageSpan {
-    page: u64,
-    start: usize,
-    end: usize,
-}
+/// One page of an image the device accepted: its number and its part.
+type PagePart = (u64, Arc<str>);
 
-/// Where each page of an image the device accepted sits in its text.
+/// The page parts of an image the device accepted.
 #[derive(Debug)]
 pub(crate) struct ImageIndex {
-    /// The accepted text, shared with the device.
-    text: Arc<String>,
-    /// Where the image starts in `text` (after the envelope's head).
-    base: usize,
+    /// The accepted image, shared with the device.
+    image: Arc<Image>,
     /// Per field, every non-empty page, page-ascending.
-    pages: [Vec<PageSpan>; FIELDS],
+    pages: [Vec<PagePart>; FIELDS],
 }
 
 impl ImageIndex {
-    /// The accepted text this index describes.
-    pub(crate) fn text(&self) -> &Arc<String> {
-        &self.text
+    /// The accepted image this index describes.
+    pub(crate) fn image(&self) -> &Arc<Image> {
+        &self.image
     }
 
-    fn page(&self, field: Field, page: u64) -> Option<&str> {
-        let spans = &self.pages[field as usize];
-        let span = spans[spans.binary_search_by_key(&page, |s| s.page).ok()?];
-        self.text.get(self.base + span.start..self.base + span.end)
+    fn page(&self, field: Field, page: u64) -> Option<&Arc<str>> {
+        let pages = &self.pages[field as usize];
+        let at = pages.binary_search_by_key(&page, |&(p, _)| p).ok()?;
+        Some(&pages[at].1)
     }
 }
 
-/// A checkpoint's side of an [`ImageWriter`]: the image it may copy
-/// pages from, the marks it takes from the WAL, and what it wrote.
+/// A checkpoint's side of an [`ImageWriter`]: the image it may share
+/// pages with, the marks it takes from the WAL, and the parts it wrote.
 pub(crate) struct CheckpointPass<'a> {
     wal: &'a Wal,
     prev: Option<&'a ImageIndex>,
     /// Marks taken from the WAL, per field; the WAL puts them back if the
     /// device refuses the image.
     pub(crate) taken: PageMarks,
-    pages: [Vec<PageSpan>; FIELDS],
-    /// Pages copied from `prev`.
+    /// The image so far: text between pages and pages, alternating.
+    parts: Vec<Arc<str>>,
+    pages: [Vec<PagePart>; FIELDS],
+    /// Where a touched page is rendered before it is frozen into a part.
+    scratch: String,
+    /// Pages shared with `prev`.
     pub(crate) copied: u64,
     /// Pages rendered from the rows.
     pub(crate) rendered: u64,
 }
 
 impl<'a> CheckpointPass<'a> {
-    /// A pass copying from `prev`, the image the device holds, if any.
+    /// A pass sharing pages with `prev`, the image the device holds, if
+    /// any.
     pub(crate) fn new(wal: &'a Wal, prev: Option<&'a ImageIndex>) -> Self {
         CheckpointPass {
             wal,
             prev,
             taken: Default::default(),
+            parts: Vec::new(),
             pages: Default::default(),
+            scratch: String::new(),
             copied: 0,
             rendered: 0,
         }
     }
 
+    /// End the text in front of a page: freeze `text` into a part.
+    fn flush(&mut self, text: &mut String) {
+        self.parts.push(Arc::from(text.as_str()));
+        text.clear();
+    }
+
+    /// The image this pass wrote, between `head` and `tail` (the text
+    /// after the last page). `head` joins the first part, which is never
+    /// a page, so the parts alternate: text, page, text, …, page, text.
+    pub(crate) fn image(&mut self, mut head: String, tail: &mut String) -> Image {
+        self.flush(tail);
+        let mut parts = std::mem::take(&mut self.parts);
+        head.push_str(&parts[0]);
+        parts[0] = Arc::from(head);
+        parts.into_iter().collect()
+    }
+
     /// The index of the image this pass wrote, now that the device holds
-    /// it as `text`, with the image starting at `base`.
-    pub(crate) fn index(self, text: Arc<String>, base: usize) -> ImageIndex {
+    /// it.
+    pub(crate) fn index(self, image: Arc<Image>) -> ImageIndex {
         ImageIndex {
-            text,
-            base,
+            image,
             pages: self.pages,
         }
     }
@@ -257,13 +276,13 @@ impl<'a> CheckpointPass<'a> {
 
 /// The one writer of table rows into an image. A table hands it each of
 /// its fields under the read guard it holds for the table; during a
-/// checkpoint that guard is also what makes a copied page current: rows
+/// checkpoint that guard is also what makes a shared page current: rows
 /// change only under the table's write guard, and the WAL marks a row's
 /// page under that guard as it appends the row's record.
 pub(crate) struct ImageWriter<'o, 'p> {
+    /// A plain image's text; in a checkpoint, the text since the last
+    /// page.
     out: &'o mut String,
-    /// Where the image starts in `out`.
-    start: usize,
     pass: Option<&'o mut CheckpointPass<'p>>,
 }
 
@@ -283,7 +302,8 @@ impl ImageWriter<'_, '_> {
     }
 
     /// One array field, `,"name":[row,…]`, from `(id, row)` pairs in id
-    /// order.
+    /// order. In a checkpoint each page is a part of its own: shared with
+    /// the previous image when no record touched it, else rendered.
     pub(crate) fn rows<'r, T: Serialize + 'r>(
         &mut self,
         field: Field,
@@ -297,40 +317,49 @@ impl ImageWriter<'_, '_> {
         if let Some(pass) = pass.as_deref_mut() {
             pass.taken[field as usize] = pass.wal.take_marks(field);
         }
-        let first = out.len();
+        let mut first = true;
         let mut rows = rows.into_iter().peekable();
         while let Some((id, row)) = rows.next() {
             let page = id / IMAGE_PAGE_IDS;
             let in_page = |&(id, _): &(u64, &T)| id / IMAGE_PAGE_IDS == page;
-            if out.len() > first {
+            if !first {
                 out.push(',');
             }
-            let start = out.len();
-            let unchanged = pass.as_deref().and_then(|p| {
-                let prev = p.prev.filter(|_| !p.taken[field as usize].contains(page))?;
-                prev.page(field, page)
-            });
-            if let Some(text) = unchanged {
-                out.push_str(text);
-                while rows.next_if(in_page).is_some() {}
-            } else {
+            first = false;
+            let Some(pass) = pass.as_deref_mut() else {
                 row.write_json(out);
                 while let Some((_, row)) = rows.next_if(in_page) {
                     out.push(',');
                     row.write_json(out);
                 }
-            }
-            if let Some(pass) = pass.as_deref_mut() {
-                match unchanged {
-                    Some(_) => pass.copied += 1,
-                    None => pass.rendered += 1,
+                continue;
+            };
+            pass.flush(out);
+            let clean = pass
+                .prev
+                .filter(|_| !pass.taken[field as usize].contains(page))
+                .and_then(|prev| prev.page(field, page));
+            let part = match clean {
+                Some(part) => {
+                    while rows.next_if(in_page).is_some() {}
+                    pass.copied += 1;
+                    part.clone()
                 }
-                pass.pages[field as usize].push(PageSpan {
-                    page,
-                    start: start - self.start,
-                    end: out.len() - self.start,
-                });
-            }
+                None => {
+                    let text = &mut pass.scratch;
+                    row.write_json(text);
+                    while let Some((_, row)) = rows.next_if(in_page) {
+                        text.push(',');
+                        row.write_json(text);
+                    }
+                    let part = Arc::from(text.as_str());
+                    text.clear();
+                    pass.rendered += 1;
+                    part
+                }
+            };
+            pass.parts.push(part.clone());
+            pass.pages[field as usize].push((page, part));
         }
         out.push(']');
     }
@@ -354,10 +383,10 @@ impl Mcat {
         self.write_paged(out, None);
     }
 
-    /// [`Mcat::write_image`], copying the pages `pass` allows from the
-    /// previous checkpoint.
+    /// [`Mcat::write_image`], or with a `pass` a checkpoint's parts,
+    /// sharing the pages the pass allows with the previous checkpoint;
+    /// `out` then ends with the text after the last page.
     pub(crate) fn write_paged(&self, out: &mut String, pass: Option<&mut CheckpointPass<'_>>) {
-        let start = out.len();
         out.push_str("{\"version\":");
         SNAPSHOT_VERSION.write_json(out);
         out.push_str(",\"next_id_floor\":");
@@ -366,7 +395,6 @@ impl Mcat {
         self.admin().write_json(out);
         let mut w = ImageWriter {
             out: &mut *out,
-            start,
             pass,
         };
         self.users.write_image(&mut w);

@@ -12,8 +12,9 @@
 //!   counters exact (continuation tokens either resume or cleanly fail).
 //!   A record's op is encoded to text *before* the WAL mutex is taken;
 //!   under it only the LSN prefix is written and the line handed to the
-//!   device (a commit marker also writes its time there, see
-//!   `Wal::commit`).
+//!   device, which copies it (a commit marker also writes its time there,
+//!   see `Wal::commit`). Both buffers are the thread's own and reused, so
+//!   logging a record allocates nothing once they have grown.
 //! * Tables only log. The *operation* that owns the mutations ends the
 //!   group: [`Mcat::commit`] — the one caller of `Wal::commit` — appends a
 //!   `Commit` marker and fsyncs, so one acknowledged op is one marker and
@@ -25,23 +26,23 @@
 //!   actual fsyncs.
 //! * **Checkpoints** are full-catalog images installed when the virtual
 //!   clock passes the configured interval, streamed straight from the live
-//!   tables into one `String` the device takes by value (the paged image
-//!   writer in `crate::snapshot`: one table read guard at a time, no
-//!   clone of the catalog, no tree). The covered LSN is captured *before*
-//!   the image is written, so a fuzzy image may contain effects of
-//!   slightly later records — harmless, because redo records are
-//!   idempotent row images (`Put` overwrites, `Delete` tolerates absence)
-//!   and recovery floors the id allocator above every row the image
-//!   holds.
-//! * An image carries what changed and **copies the rest**: `append`
+//!   tables into the parts of an [`Image`](srb_storage::Image) the device
+//!   takes by value (the paged image writer in `crate::snapshot`: one
+//!   table read guard at a time, no clone of the catalog, no tree). The
+//!   covered LSN is captured *before* the image is written, so a fuzzy
+//!   image may contain effects of slightly later records — harmless,
+//!   because redo records are idempotent row images (`Put` overwrites,
+//!   `Delete` tolerates absence) and recovery floors the id allocator
+//!   above every row the image holds.
+//! * An image renders what changed and **shares the rest**: `append`
 //!   marks the id page of the row a record changes, and a checkpoint
 //!   takes a table's marks under the read guard it writes that table
-//!   with, copying every unmarked page's bytes from the last image the
-//!   device accepted. No record of the table can land between the take
-//!   and the write, so a copied page is exactly what a render would
-//!   write and the fuzzy-image argument above is unchanged. A refused
-//!   install puts its marks back; an image the device no longer holds is
-//!   not copied from.
+//!   with, sharing every unmarked page's part with the last image the
+//!   device accepted — one refcount, no bytes copied. No record of the
+//!   table can land between the take and the write, so a shared page is
+//!   exactly what a render would write and the fuzzy-image argument above
+//!   is unchanged. A refused install puts its marks back; an image the
+//!   device no longer holds is not shared from.
 //! * **Recovery** (`replay_device`) loads the latest checkpoint, patches
 //!   its row vectors with every *complete* commit group in the durable
 //!   tail (an unterminated trailing group was never acknowledged and is
@@ -244,6 +245,9 @@ thread_local! {
     /// Where a record is encoded before the WAL mutex is taken; reused, so
     /// encoding stops allocating once it has grown to the largest row.
     static ENCODE_BUF: RefCell<String> = const { RefCell::new(String::new()) };
+    /// Where a line is assembled under the WAL mutex for the device to
+    /// copy; reserved before the mutex is taken, and reused.
+    static LINE_BUF: RefCell<String> = const { RefCell::new(String::new()) };
 }
 
 /// `{"lsn":` plus the longest `u64`.
@@ -324,7 +328,7 @@ pub struct Wal {
     clock: SimClock,
     config: WalConfig,
     state: Mutex<WalState>,
-    /// The page index of the last image the device accepted from this
+    /// The page parts of the last image the device accepted from this
     /// WAL. Held for a whole checkpoint, so checkpoints run one at a time.
     image: Mutex<Option<ImageIndex>>,
     /// Durability cost (ns) not yet folded into a receipt.
@@ -385,12 +389,15 @@ impl Wal {
             rest.push_str(",\"op\":");
             op.write_json(rest);
             rest.push('}');
-            let line = String::with_capacity(rest.len() + LSN_PREFIX_MAX);
-            let mut st = self.state.lock();
-            if let Some((field, page)) = mark {
-                st.dirty[field as usize].insert(page);
-            }
-            self.append_locked(&mut st, line, |l| l.push_str(rest))
+            LINE_BUF.with_borrow_mut(|line| {
+                line.clear();
+                line.reserve(rest.len() + LSN_PREFIX_MAX);
+                let mut st = self.state.lock();
+                if let Some((field, page)) = mark {
+                    st.dirty[field as usize].insert(page);
+                }
+                self.append_locked(&mut st, line, |l| l.push_str(rest))
+            })
         })
     }
 
@@ -401,22 +408,22 @@ impl Wal {
         std::mem::take(&mut self.state.lock().dirty[field as usize])
     }
 
-    /// Assign the next LSN, write the `{"lsn":N` prefix into `line` and
-    /// `rest` after it, and hand the line to the device. Called under the
-    /// WAL mutex; `rest` copies text encoded before it was taken, or
-    /// writes a marker's one number.
+    /// Assign the next LSN, write the `{"lsn":N` prefix into the empty
+    /// `line` and `rest` after it, and hand the line to the device to
+    /// copy. Called under the WAL mutex; `rest` copies text encoded before
+    /// it was taken, or writes a marker's one number.
     fn append_locked(
         &self,
         st: &mut WalState,
-        mut line: String,
+        line: &mut String,
         rest: impl FnOnce(&mut String),
     ) -> Lsn {
         let lsn = Lsn(st.next_lsn);
         st.next_lsn += 1;
         line.push_str("{\"lsn\":");
-        serde::write_u64(lsn.raw(), &mut line);
-        rest(&mut line);
-        let cost = self.device.append(lsn, line);
+        serde::write_u64(lsn.raw(), line);
+        rest(line);
+        let cost = self.device.append(lsn, line.as_str());
         self.pending_ns.fetch_add(cost, Ordering::Relaxed);
         if let Some(obs) = &self.obs {
             obs.appends.add(1);
@@ -440,11 +447,14 @@ impl Wal {
                 // writers' included: its time is read under the lock so it
                 // is never earlier than any of theirs.
                 let at_ns = self.clock.now().nanos();
-                let line = String::with_capacity(MARKER_MAX);
-                let lsn = self.append_locked(&mut st, line, |l| {
-                    l.push_str(MARKER_MID);
-                    serde::write_u64(at_ns, l);
-                    l.push_str("}}}");
+                let lsn = LINE_BUF.with_borrow_mut(|line| {
+                    line.clear();
+                    line.reserve(MARKER_MAX);
+                    self.append_locked(&mut st, line, |l| {
+                        l.push_str(MARKER_MID);
+                        serde::write_u64(at_ns, l);
+                        l.push_str("}}}");
+                    })
                 });
                 st.last_marker = lsn.raw();
             }
@@ -489,8 +499,8 @@ impl Wal {
 
     /// Install a checkpoint of `mcat` covering records through `cover`:
     /// the [`CheckpointEnvelope`] text, the image streamed from the live
-    /// tables into the one `String` the device keeps, each page copied
-    /// from the previous image when no record touched it since. Fails,
+    /// tables into the parts the device keeps, each page's part shared
+    /// with the previous image when no record touched it since. Fails,
     /// leaving the previous checkpoint, its page index and the log
     /// untouched, when the device does not take it.
     pub(crate) fn install_checkpoint(&self, cover: Lsn, mcat: &Mcat) -> SrbResult<()> {
@@ -498,28 +508,27 @@ impl Wal {
         // The index describes the device's checkpoint only while the
         // device holds it. After any other install (a recovery by another
         // catalog over this device, say) this image is a full render, and
-        // the text nothing else holds is let go.
-        let held = self.device.checkpoint_text();
+        // the parts nothing else holds are let go.
+        let held = self.device.checkpoint_image();
         let prev_held = last.as_ref().is_some_and(|prev| {
             held.as_ref()
-                .is_some_and(|text| Arc::ptr_eq(text, prev.text()))
+                .is_some_and(|image| Arc::ptr_eq(image, prev.image()))
         });
         drop(held);
         if !prev_held {
             *last = None;
         }
-        let mut text = String::with_capacity(last.as_ref().map_or(0, |prev| prev.text().len()));
+        let mut tail = String::new();
         let mut pass = CheckpointPass::new(self, last.as_ref());
-        mcat.write_paged(&mut text, Some(&mut pass));
+        mcat.write_paged(&mut tail, Some(&mut pass));
+        tail.push('}');
         // The envelope's time is read after the image, so it is never
-        // earlier than a row the image holds; the prefix is then moved in
-        // front of it (one memmove, no second buffer).
+        // earlier than a row the image holds.
         let mut head = String::from("{\"at_ns\":");
         serde::write_u64(self.clock.now().nanos(), &mut head);
         head.push_str(",\"snapshot\":");
-        text.insert_str(0, &head);
-        text.push('}');
-        let Some((cost, text)) = self.device.install_checkpoint(cover, text) else {
+        let image = pass.image(head, &mut tail);
+        let Some((cost, image)) = self.device.install_checkpoint(cover, image) else {
             // The next checkpoint still copies from the image the device
             // holds, so it owes every page this one took a mark for.
             let mut st = self.state.lock();
@@ -531,7 +540,7 @@ impl Wal {
             )));
         };
         let (copied, rendered) = (pass.copied, pass.rendered);
-        *last = Some(pass.index(text, head.len()));
+        *last = Some(pass.index(image));
         self.pending_ns.fetch_add(cost, Ordering::Relaxed);
         if let Some(obs) = &self.obs {
             obs.checkpoints.add(1);

@@ -1,26 +1,28 @@
 //! Paged checkpoint images against a full render.
 //!
-//! A checkpoint copies a page of rows from the previous image unless a
-//! redo record touched the page since. A seeded single-writer op mix
-//! covers every row-mutating path; after each checkpoint the device's
-//! image must equal `snapshot_json()` byte for byte, and the pages the
-//! checkpoint rendered must be exactly the pages of the image that a
-//! record logged since the previous accepted checkpoint touched — the
-//! rest were copied. Arms: a refused install between two accepted ones,
-//! a crash plus `recover` (and a checkpoint by a catalog whose image the
-//! device no longer holds), and a page emptied by deletes.
+//! A checkpoint shares a page of rows — its part of the image the device
+//! holds — with the previous image unless a redo record touched the page
+//! since. A seeded single-writer op mix covers every row-mutating path;
+//! after each checkpoint the device's image, its parts joined, must equal
+//! `snapshot_json()` byte for byte, and the pages the checkpoint rendered
+//! must be exactly the pages of the image that a record logged since the
+//! previous accepted checkpoint touched — the rest were shared. Arms: a
+//! refused install between two accepted ones, a crash plus `recover` (and
+//! a checkpoint by a catalog whose image the device no longer holds), a
+//! page emptied by deletes, and the parts themselves: a clean page's part
+//! is the previous image's, by pointer.
 
 use srb_mcat::{
     AccessSpec, AnnotationKind, AuditAction, CatalogSnapshot, Mcat, MetaKind, Subject, WalConfig,
     WalOp, WalRecord, IMAGE_PAGE_IDS,
 };
 use srb_obs::MetricsRegistry;
-use srb_storage::{DriverKind, LogDevice, TailRead};
+use srb_storage::{DriverKind, Image, LogDevice, TailRead};
 use srb_types::{
     AccessMatrix, AnnotationId, CollectionId, DatasetId, MetaId, MetaValue, Permission, ResourceId,
     SeedStream, SimClock, SiteId, Triplet, UserId,
 };
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 const CONFIG: WalConfig = WalConfig {
@@ -98,9 +100,49 @@ fn pages_of(image: &str) -> BTreeSet<Page> {
 
 /// The catalog image inside the device's checkpoint envelope.
 fn device_image(device: &LogDevice) -> String {
-    let text = device.checkpoint_text().unwrap();
+    let text = device.checkpoint_image().unwrap().join();
     let (_, rest) = text.split_once(",\"snapshot\":").unwrap();
     rest.strip_suffix('}').unwrap().to_string()
+}
+
+/// The image's fields, by the names it writes.
+const FIELD_NAMES: [&str; 11] = [
+    "users",
+    "groups",
+    "resources",
+    "logical_resources",
+    "collections",
+    "datasets",
+    "containers",
+    "metadata",
+    "meta_files",
+    "annotations",
+    "audit",
+];
+
+/// A checkpoint image's page parts, by page. The parts alternate text,
+/// page, text, …, page, text; the text in front of a field's first page
+/// ends with the field's `"name":[`, and a page's first row names its id
+/// (a `meta_files` page, whose rows carry none, is page 0).
+fn page_parts(image: &Image) -> BTreeMap<Page, Arc<str>> {
+    let mut field = "";
+    let mut pages = BTreeMap::new();
+    for (i, part) in image.parts().iter().enumerate() {
+        if i % 2 == 0 {
+            if let Some(open) = part.rfind("\":[") {
+                let name = &part[part[..open].rfind('"').unwrap() + 1..open];
+                field = FIELD_NAMES.iter().find(|&&f| f == name).unwrap();
+            }
+            continue;
+        }
+        let id = part.strip_prefix("{\"id\":").map_or(0, |rest| {
+            let digits = rest.find(|c: char| !c.is_ascii_digit()).unwrap();
+            rest[..digits].parse().unwrap()
+        });
+        let page = (field, id / IMAGE_PAGE_IDS);
+        assert!(pages.insert(page, part.clone()).is_none(), "{page:?} twice");
+    }
+    pages
 }
 
 /// `(pages copied, pages rendered)` counted so far.
@@ -412,12 +454,12 @@ fn a_refused_install_leaves_the_next_checkpoint_owing_its_pages() {
     let mut rig = Rig::new(7);
     rig.run(1_500);
     rig.checkpoint(false);
-    let held = rig.device.checkpoint_text().unwrap();
+    let held = rig.device.checkpoint_image().unwrap();
     rig.run_unchecked(400);
     rig.device.refuse_checkpoints(true);
     let before = counters(&rig.metrics);
     assert!(rig.m.checkpoint_now().is_err());
-    assert!(Arc::ptr_eq(&held, &rig.device.checkpoint_text().unwrap()));
+    assert!(Arc::ptr_eq(&held, &rig.device.checkpoint_image().unwrap()));
     assert_eq!(
         counters(&rig.metrics),
         before,
@@ -485,4 +527,48 @@ fn a_page_emptied_by_deletes_leaves_the_image() {
     assert!(!pages_of(&image).contains(&("datasets", page)));
     rig.run(500);
     rig.checkpoint(false);
+}
+
+#[test]
+fn a_checkpoint_shares_the_parts_of_the_pages_no_record_touched() {
+    let mut rig = Rig::new(17);
+    rig.run(1_500);
+    rig.checkpoint(false);
+    // No record since the last image: every page's part is that image's.
+    let prev = rig.device.checkpoint_image().unwrap();
+    let before = counters(&rig.metrics);
+    rig.checkpoint(false);
+    let next = rig.device.checkpoint_image().unwrap();
+    assert!(!Arc::ptr_eq(&prev, &next), "a new image was installed");
+    let (prev_pages, next_pages) = (page_parts(&prev), page_parts(&next));
+    assert_eq!(
+        next_pages.keys().collect::<BTreeSet<_>>(),
+        pages_of(&device_image(&rig.device)).iter().collect()
+    );
+    assert!(prev_pages.keys().eq(next_pages.keys()));
+    for (page, part) in &next_pages {
+        assert!(Arc::ptr_eq(part, &prev_pages[page]), "{page:?} not shared");
+    }
+    let after = counters(&rig.metrics);
+    assert_eq!(after.1, before.1, "a clean checkpoint renders nothing");
+    assert_eq!(after.0 - before.0, next_pages.len() as u64);
+    // After a seeded mix: new parts for exactly the touched pages.
+    let mut fresh = 0;
+    for _ in 0..3 {
+        rig.run_unchecked(300);
+        let (touched, whole) = rig.dirtied();
+        let prev_pages = page_parts(&rig.device.checkpoint_image().unwrap());
+        let copied = rig.checkpoint(false);
+        let next_pages = page_parts(&rig.device.checkpoint_image().unwrap());
+        let mut shared = 0;
+        for (page, part) in &next_pages {
+            let clean = !touched.contains(page) && !whole.contains(page.0);
+            let kept = prev_pages.get(page).is_some_and(|p| Arc::ptr_eq(p, part));
+            assert_eq!(kept, clean, "{page:?} at step {}", rig.step);
+            shared += u64::from(kept);
+        }
+        assert_eq!(shared, copied);
+        fresh += next_pages.len() as u64 - shared;
+    }
+    assert!(fresh > 0, "the mix touched no page");
 }
