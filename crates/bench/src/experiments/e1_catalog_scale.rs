@@ -97,7 +97,7 @@ pub fn run(max: usize) -> Table {
 
 /// The same measurements as machine-readable rows for `BENCH_E1.json`
 /// (`exp e1_catalog_scale --json`).
-pub fn run_json(max: usize) -> serde_json::Value {
+pub(crate) fn run_json(max: usize) -> serde_json::Value {
     let rows: Vec<serde_json::Value> = measure(max)
         .0
         .iter()
@@ -121,6 +121,6 @@ pub fn run_json(max: usize) -> serde_json::Value {
 /// The grid's full metric snapshot after the same run — `exp
 /// e1_catalog_scale --metrics-json` writes it next to `BENCH_E1.json` so a
 /// seeded run's counters can be diffed offline.
-pub fn metrics_json(max: usize) -> serde_json::Value {
+pub(crate) fn metrics_json(max: usize) -> serde_json::Value {
     json!({ "experiment": "e1_catalog_scale", "snapshot": measure(max).1 })
 }

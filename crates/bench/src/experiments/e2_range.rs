@@ -383,7 +383,7 @@ pub fn run(max: usize) -> Table {
 }
 
 /// Human-readable paging table: page-fetch cost vs page number.
-pub fn run_paging(entries: usize) -> Table {
+pub(crate) fn run_paging(entries: usize) -> Table {
     let (grid, _srv) = single_site_grid();
     let m = &grid.mcat;
     let coll = seed_catalog(m, entries);
@@ -422,7 +422,7 @@ fn page_rows_json(rows: &[PageRow]) -> Vec<serde_json::Value> {
 
 /// Machine-readable results for `BENCH_E2.json` (`exp e2_range --json`),
 /// gated by the `e2-*` rows of `cargo xtask benchcheck`.
-pub fn run_json(max: usize) -> serde_json::Value {
+pub(crate) fn run_json(max: usize) -> serde_json::Value {
     let range_rows: Vec<serde_json::Value> = measure_range(max)
         .iter()
         .map(|r| {

@@ -107,7 +107,7 @@ const FLAKY_P: f64 = 0.3;
 const READ_TICK_NS: u64 = 25_000_000;
 
 /// One k-replica comparison between the resilient stack and the ablation.
-pub struct FlakyRow {
+pub(crate) struct FlakyRow {
     /// Replica count.
     pub k: usize,
     /// Per-access transient failure probability.
@@ -214,7 +214,7 @@ fn flaky_rows(reads: usize) -> Vec<FlakyRow> {
 }
 
 /// Part 2, human-readable.
-pub fn run_flaky(reads: usize) -> Table {
+pub(crate) fn run_flaky(reads: usize) -> Table {
     let mut table = Table::new(
         "E3b: flaky replicas (p=0.3) — breakers+retry vs ablation",
         &[
@@ -244,7 +244,7 @@ pub fn run_flaky(reads: usize) -> Table {
 }
 
 /// Machine-checkable artifact for `cargo xtask benchcheck`.
-pub fn run_json(reads: usize) -> serde_json::Value {
+pub(crate) fn run_json(reads: usize) -> serde_json::Value {
     let rows: Vec<serde_json::Value> = flaky_rows(reads)
         .iter()
         .map(|r| {

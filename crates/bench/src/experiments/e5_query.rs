@@ -96,7 +96,7 @@ pub fn run(n: usize) -> Table {
 
 /// The same measurements as machine-readable rows for `BENCH_E5.json`
 /// (`exp e5_query --json`).
-pub fn run_json(n: usize) -> serde_json::Value {
+pub(crate) fn run_json(n: usize) -> serde_json::Value {
     let rows: Vec<serde_json::Value> = measure(n)
         .iter()
         .map(|r| {

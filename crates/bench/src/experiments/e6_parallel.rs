@@ -32,7 +32,7 @@ pub fn real_workers() -> usize {
 }
 
 /// Part 1: client-pool scaling.
-pub fn run_scaling() -> Table {
+pub(crate) fn run_scaling() -> Table {
     let mut table = Table::new(
         "E6a: parallel client throughput (ingest+read mix, wall clock)",
         &["threads", "ops", "wall ms", "kops/s"],
@@ -247,7 +247,7 @@ pub fn run_policies_skewed() -> Table {
 
 /// One measured comparison: the same workload under sequential and
 /// parallel fan-out.
-pub struct AblationRow {
+pub(crate) struct AblationRow {
     /// Row label: "fanout" (k-replica logical ingests) or "bulk"
     /// (ingest_bulk vs a per-file loop).
     pub kind: &'static str,
@@ -304,7 +304,7 @@ fn run_ingests(k: usize, files: usize, payload: usize, mode: FanoutMode) -> (f64
 /// sequential ablation. Simulated time max-composes over the engine's
 /// virtual lanes, so the win there is architectural; the wall-clock win
 /// depends on this host's core count (`real_workers`).
-pub fn measure_fanout(files: usize) -> Vec<AblationRow> {
+pub(crate) fn measure_fanout(files: usize) -> Vec<AblationRow> {
     let payload = 1 << 20;
     [3usize, 4, 8]
         .iter()
@@ -332,7 +332,7 @@ pub fn measure_fanout(files: usize) -> Vec<AblationRow> {
 /// Part 5 (E6e): a small-file workload through `ingest_bulk` (one
 /// structural validation, batched catalog locks, one audit record,
 /// file-level fan-out) vs the same files ingested one call at a time.
-pub fn measure_bulk(files: usize) -> AblationRow {
+pub(crate) fn measure_bulk(files: usize) -> AblationRow {
     let payload = 1 << 10;
     let k = 3;
 
@@ -392,7 +392,7 @@ fn ablation_rows(files: usize) -> Vec<AblationRow> {
 }
 
 /// Human-readable table over `ablation_rows`.
-pub fn run_fanout(files: usize) -> Table {
+pub(crate) fn run_fanout(files: usize) -> Table {
     let mut table = Table::new(
         &format!(
             "E6d/e: fan-out engine vs sequential ablation ({} worker threads)",
@@ -427,7 +427,7 @@ pub fn run_fanout(files: usize) -> Table {
 /// `--metrics-json` support: one instrumented pass of the E6d fan-out
 /// workload (k = 8, parallel engine), returning the grid's full metric
 /// snapshot for `BENCH_E6_METRICS.json`.
-pub fn metrics_json(files: usize) -> serde_json::Value {
+pub(crate) fn metrics_json(files: usize) -> serde_json::Value {
     let fan_files = (files / 400).clamp(4, 64);
     let (grid, srv) = fanout_grid(8);
     let mut conn = ok(SrbConnection::connect(&grid, srv, "bench", "sdsc", "pw"));
@@ -447,7 +447,7 @@ pub fn metrics_json(files: usize) -> serde_json::Value {
 }
 
 /// Machine-checkable artifact for `cargo xtask benchcheck`.
-pub fn run_json(files: usize) -> serde_json::Value {
+pub(crate) fn run_json(files: usize) -> serde_json::Value {
     let workers = real_workers();
     let rows: Vec<serde_json::Value> = ablation_rows(files)
         .iter()

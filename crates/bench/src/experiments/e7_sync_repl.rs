@@ -17,7 +17,7 @@ use srb_core::{FanoutMode, GridBuilder, IngestOptions, SrbConnection};
 use srb_net::LinkSpec;
 
 /// One fan-out width measured under both modes.
-pub struct SyncRow {
+pub(crate) struct SyncRow {
     /// Synchronous fan-out width (logical-resource member count).
     pub k: usize,
     /// Sequential-mode synchronous ingest, simulated ms.
@@ -62,7 +62,7 @@ fn sync_ingest_ms(k: usize, payload: &Bytes, mode: FanoutMode) -> f64 {
 
 /// Measure every fan-out width 1..=4 under both modes plus the
 /// asynchronous alternative.
-pub fn measure() -> Vec<SyncRow> {
+pub(crate) fn measure() -> Vec<SyncRow> {
     let payload = Bytes::from(vec![3u8; 1 << 20]);
     (1..=4usize)
         .map(|k| {
@@ -137,7 +137,7 @@ pub fn run() -> Table {
 }
 
 /// Machine-checkable artifact for `cargo xtask benchcheck`.
-pub fn run_json() -> serde_json::Value {
+pub(crate) fn run_json() -> serde_json::Value {
     let rows: Vec<serde_json::Value> = measure()
         .iter()
         .map(|r| {

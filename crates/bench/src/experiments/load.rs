@@ -38,7 +38,7 @@ use mysrb::WEB_SESSION_TTL_SECS;
 
 /// Knobs (env-capped in CI; see `exp load`).
 #[derive(Clone, Copy, Debug)]
-pub struct LoadParams {
+pub(crate) struct LoadParams {
     /// Cap on live sessions (rows above the cap are skipped).
     pub max_sessions: usize,
     /// Measured requests per row.
@@ -620,7 +620,7 @@ fn row_json(r: &RunResult, shards: usize, pooled: bool) -> serde_json::Value {
 }
 
 /// Machine-checkable artifact for `cargo xtask benchcheck`.
-pub fn run_json(p: &LoadParams) -> serde_json::Value {
+pub(crate) fn run_json(p: &LoadParams) -> serde_json::Value {
     let rows: Vec<serde_json::Value> = scaling_rows(p)
         .iter()
         .map(|r| row_json(r, SessionConfig::default().shards, true))
@@ -652,7 +652,7 @@ pub fn run_json(p: &LoadParams) -> serde_json::Value {
 }
 
 /// Human-readable tables.
-pub fn run_tables(p: &LoadParams) -> Vec<Table> {
+pub(crate) fn run_tables(p: &LoadParams) -> Vec<Table> {
     let mut scale = Table::new(
         &format!(
             "LOAD: open-workload scenario mix, sharded+pooled front-end ({} workers)",

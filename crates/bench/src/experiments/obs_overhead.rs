@@ -21,7 +21,7 @@ use std::time::Instant;
 
 /// One paired measurement: the same workload with observability off
 /// (`base`) and on (`obs`).
-pub struct OverheadRow {
+pub(crate) struct OverheadRow {
     pub workload: &'static str,
     pub unit: &'static str,
     /// Wall cost with observability disabled.
@@ -157,7 +157,7 @@ fn fanout_pair(files: usize, payload: usize, trials: usize) -> ((f64, f64), (f64
 
 /// Both paired workloads. `datasets` sizes the point-query catalog,
 /// `files` the fan-out ingest batch.
-pub fn measure(datasets: usize, files: usize) -> Vec<OverheadRow> {
+pub(crate) fn measure(datasets: usize, files: usize) -> Vec<OverheadRow> {
     // Two temporally separated point-query blocks with the fan-out
     // measurement between them: a burst of machine-wide interference that
     // inflates one whole block cannot inflate both, and the min spans
@@ -207,7 +207,7 @@ pub fn run(datasets: usize, files: usize) -> Table {
 
 /// Machine-checkable artifact for `cargo xtask benchcheck` (the `obs-*`
 /// gates).
-pub fn run_json(datasets: usize, files: usize) -> serde_json::Value {
+pub(crate) fn run_json(datasets: usize, files: usize) -> serde_json::Value {
     let rows: Vec<serde_json::Value> = measure(datasets, files)
         .iter()
         .map(|r| {

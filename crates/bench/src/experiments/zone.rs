@@ -235,7 +235,7 @@ pub fn run() -> Table {
 }
 
 /// Human-readable table of the `tail` sweep (wall time).
-pub fn run_tail() -> Table {
+pub(crate) fn run_tail() -> Table {
     let mut table = Table::new(
         "ZONE tail: cost of replicating 50 new ingests vs log already fetched (wall)",
         &[
@@ -257,7 +257,7 @@ pub fn run_tail() -> Table {
 }
 
 /// `BENCH_ZONE.json` payload for `cargo xtask benchcheck`.
-pub fn run_json() -> serde_json::Value {
+pub(crate) fn run_json() -> serde_json::Value {
     let rows: Vec<serde_json::Value> = measure()
         .into_iter()
         .map(|r| {

@@ -45,7 +45,7 @@ pub fn federated_grid() -> (Grid, [ServerId; 3]) {
 /// the given spec, periodic WAL checkpoints off so experiments stay on
 /// the pure delta-replication path, the `bench` user registered in both
 /// zones. Returns the federation and both zone ids.
-pub fn zone_federation(
+pub(crate) fn zone_federation(
     spec: LinkSpec,
 ) -> (srb_core::Federation, srb_core::ZoneId, srb_core::ZoneId) {
     let mut fed = srb_core::Federation::new();
@@ -75,7 +75,10 @@ pub fn zone_federation(
 }
 
 /// Connect the bench user to one federation zone.
-pub fn zone_connect<'f>(fed: &'f srb_core::Federation, z: srb_core::ZoneId) -> SrbConnection<'f> {
+pub(crate) fn zone_connect<'f>(
+    fed: &'f srb_core::Federation,
+    z: srb_core::ZoneId,
+) -> SrbConnection<'f> {
     let zone = ok(fed.zone(z));
     ok(SrbConnection::connect(
         &zone.grid,
@@ -96,7 +99,7 @@ pub fn ok<T, E: std::fmt::Display>(r: Result<T, E>) -> T {
 }
 
 /// Average wall-clock microseconds over `reps` runs of `f`.
-pub fn time_us(reps: usize, mut f: impl FnMut()) -> f64 {
+pub(crate) fn time_us(reps: usize, mut f: impl FnMut()) -> f64 {
     let t0 = std::time::Instant::now();
     for _ in 0..reps {
         f();

@@ -587,7 +587,7 @@ fn status_for(e: &SrbError) -> u16 {
         SrbError::PermissionDenied(_) => 403,
         SrbError::AuthFailed(_) => 401,
         SrbError::AlreadyExists(_) | SrbError::Locked(_) => 409,
-        SrbError::ResourceUnavailable(_) | SrbError::SiteUnavailable(_) => 503,
+        SrbError::ResourceUnavailable(_) => 503,
         SrbError::Timeout(_) => 504,
         SrbError::Corrupt(_) | SrbError::Internal(_) => 500,
         _ => 400,

@@ -1,14 +1,14 @@
 //! HTML writers shared by all pages. A page is written in document order
-//! straight into the reply's one body buffer: [`page_open`], the first
-//! pane, [`page_mid`] and the bottom pane of a split window, then
-//! [`page_close`]. Text goes in through the [`Esc`] and [`Url`] adapters,
+//! straight into the reply's one body buffer: `page_open`, the first
+//! pane, `page_mid` and the bottom pane of a split window, then
+//! `page_close`. Text goes in through the `Esc` and [`Url`] adapters,
 //! which escape and percent-encode as they write; no cell is a `String`.
 
 use std::fmt::{self, Write};
 
 /// Writes a value's text HTML-escaped: `&`, `<`, `>`, `"` and `'` become
 /// entities, every other character passes through.
-pub struct Esc<T>(pub T);
+pub(crate) struct Esc<T>(pub T);
 
 impl<T: fmt::Display> fmt::Display for Esc<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -81,7 +81,12 @@ background:#eef;padding:8px}\n\
 /// displaying data objects"; [`page_mid`] then opens the bottom one.
 /// Without it the page has the bottom pane only. `title` is written as
 /// is, so text in it must come through [`Esc`].
-pub fn page_open(out: &mut String, title: impl fmt::Display, user: Option<&str>, split: bool) {
+pub(crate) fn page_open(
+    out: &mut String,
+    title: impl fmt::Display,
+    user: Option<&str>,
+    split: bool,
+) {
     let _ = write!(
         out,
         "<!DOCTYPE html>\n<html><head><title>{title}</title><style>\n{STYLE}</style></head><body>\n\
@@ -99,17 +104,17 @@ pub fn page_open(out: &mut String, title: impl fmt::Display, user: Option<&str>,
 }
 
 /// Close the split window's top pane and open the bottom one.
-pub fn page_mid(out: &mut String) {
+pub(crate) fn page_mid(out: &mut String) {
     out.push_str("\n</div>\n<div class=\"split-bottom\">\n");
 }
 
 /// Close the open pane and the document.
-pub fn page_close(out: &mut String) {
+pub(crate) fn page_close(out: &mut String) {
     out.push_str("\n</div>\n</body></html>\n");
 }
 
 /// A table's opening tag and header row, each header escaped.
-pub fn table_open<'h>(out: &mut String, headers: impl IntoIterator<Item = &'h str>) {
+pub(crate) fn table_open<'h>(out: &mut String, headers: impl IntoIterator<Item = &'h str>) {
     out.push_str("<table><tr>");
     for h in headers {
         let _ = write!(out, "<th>{}</th>", Esc(h));
@@ -119,7 +124,7 @@ pub fn table_open<'h>(out: &mut String, headers: impl IntoIterator<Item = &'h st
 
 /// A labelled text input. `name` is written as is, so text in it must
 /// come through [`Esc`].
-pub fn text_input(out: &mut String, label: &str, name: impl fmt::Display, value: &str) {
+pub(crate) fn text_input(out: &mut String, label: &str, name: impl fmt::Display, value: &str) {
     let _ = writeln!(
         out,
         "<label>{}: <input type=\"text\" name=\"{name}\" value=\"{}\"></label><br>",
@@ -129,7 +134,7 @@ pub fn text_input(out: &mut String, label: &str, name: impl fmt::Display, value:
 }
 
 /// A drop-down select over `options`, marking `selected`. `name` is
-/// written as is, so text in it must come through [`Esc`].
+/// written as is, so text in it must come through `Esc`.
 pub fn select<'o>(
     out: &mut String,
     name: impl fmt::Display,

@@ -3,7 +3,7 @@
 //! The paper serves MySRB over https with session cookies; DESIGN.md §2
 //! documents the TLS substitution. This server handles GET/POST with
 //! urlencoded bodies and the `mysrb_session` cookie — enough to drive every
-//! page from a real browser. A fixed pool of [`WORKERS`] threads accepts
+//! page from a real browser. A fixed pool of `WORKERS` threads accepts
 //! connections; each answers one request per connection (`Connection:
 //! close`) in one write, within [`READ_DEADLINE`] per socket call and the
 //! [`MAX_HEAD_BYTES`]/[`MAX_BODY_BYTES`] caps (DESIGN.md §14.1). Each
@@ -18,7 +18,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 /// Acceptor threads `serve` runs: the most requests in service at once.
-pub const WORKERS: usize = 8;
+pub(crate) const WORKERS: usize = 8;
 
 /// Longest a worker waits on one socket read or write before dropping the
 /// connection. Wall time: the simulated clock never sees the transport.
@@ -169,7 +169,7 @@ pub fn write_response(stream: &mut dyn Write, resp: &Response) -> std::io::Resul
 /// The most capacity an acceptor keeps in a buffer between connections.
 /// One large reply (a big `view`) grows a buffer past it; that buffer is
 /// dropped after the reply instead of being held for every later one.
-pub const KEEP_BUF_BYTES: usize = 64 << 10;
+pub(crate) const KEEP_BUF_BYTES: usize = 64 << 10;
 
 /// Answer one connection: render into `body`, send head and body from
 /// `wire` in one write, and hand the body back for the next connection.
@@ -227,7 +227,7 @@ fn accept_loop(app: &MySrb<'_>, listener: &TcpListener, own: SocketAddr, shutdow
 }
 
 /// Serve the app on `listener` until `shutdown` turns true, on
-/// [`WORKERS`] threads that each block in `accept` on the shared listener.
+/// `WORKERS` threads that each block in `accept` on the shared listener.
 /// Returns once every worker has seen the flag; one `shutdown_poke` after
 /// setting it is enough, as each exiting worker wakes the next.
 pub fn serve(app: &MySrb<'_>, listener: TcpListener, shutdown: &AtomicBool) {

@@ -10,9 +10,9 @@
 //! * session keys with a 60-minute limit and per-request security checks
 //!   ([`session`]),
 //! * the split-window browse view — metadata pane on top, collection
-//!   listing below (Figure 1 → [`pages::browse_page`]),
+//!   listing below (Figure 1 → `pages::browse_page`),
 //! * the file-ingestion form with Dublin Core and structural metadata
-//!   (Figure 2 → [`pages::ingest_form`]),
+//!   (Figure 2 → `pages::ingest_form`),
 //! * the four-part query builder (attribute drop-down, operator, value,
 //!   display check-box),
 //! * annotation entry and display, role-based ACL forms,

@@ -5,8 +5,8 @@
 //! API (MySRB is a *client* of SRB, as in the paper). A renderer makes the
 //! catalog calls that can fail before it writes a byte; the caller
 //! truncates `out` before it renders an error page in its place.
-//! Figure 1 of the paper corresponds to [`browse_page`]; Figure 2 to
-//! [`ingest_form`].
+//! Figure 1 of the paper corresponds to `browse_page`; Figure 2 to
+//! `ingest_form`.
 
 use crate::html::{page_close, page_mid, page_open, select, table_open, text_input, Esc, Url};
 use crate::session::WebSession;
@@ -18,7 +18,7 @@ use std::fmt::Write;
 use std::iter::once;
 
 /// The login page.
-pub fn login_page(out: &mut String, message: Option<&str>) {
+pub(crate) fn login_page(out: &mut String, message: Option<&str>) {
     page_open(out, "MySRB sign on", None, false);
     if let Some(m) = message {
         let _ = writeln!(out, "<p style=\"color:#900\">{}</p>", Esc(m));
@@ -132,7 +132,7 @@ fn metadata_pane(out: &mut String, conn: &SrbConnection, path: &str) {
 
 /// The metadata-only view ("the user can select to just view the metadata
 /// for an object").
-pub fn meta_page(out: &mut String, s: &WebSession, path: &str) -> SrbResult<()> {
+pub(crate) fn meta_page(out: &mut String, s: &WebSession, path: &str) -> SrbResult<()> {
     // Permission check happens inside the pane's catalog calls; surface
     // resolution errors eagerly so missing objects 404.
     s.conn.metadata(path)?;
@@ -153,7 +153,7 @@ const BROWSE_PAGE_ROWS: usize = 500;
 /// are served by cursor (`cursor`/`n` request params): each page costs
 /// O(page) in the catalog and ends with a stable `[next page]` link
 /// carrying the opaque continuation token.
-pub fn browse_page(
+pub(crate) fn browse_page(
     out: &mut String,
     s: &WebSession,
     path: &str,
@@ -232,7 +232,12 @@ pub fn browse_page(
 
 /// The object view: "when a user 'opens' a file, the attributes about the
 /// file are displayed along with the contents of the file."
-pub fn view_page(out: &mut String, s: &WebSession, path: &str, args: &[String]) -> SrbResult<()> {
+pub(crate) fn view_page(
+    out: &mut String,
+    s: &WebSession,
+    path: &str,
+    args: &[String],
+) -> SrbResult<()> {
     let (content, receipt) = s.conn.open(path, args)?;
     let title = format_args!("MySRB — {}", Esc(path));
     page_open(out, title, Some(&s.user_label), true);
@@ -263,7 +268,7 @@ pub fn view_page(out: &mut String, s: &WebSession, path: &str, args: &[String]) 
 /// Figure 2: the file-ingestion form with structural metadata (defaults and
 /// restricted vocabularies as drop-downs), Dublin Core attributes, and
 /// free user-defined attribute rows.
-pub fn ingest_form(out: &mut String, s: &WebSession, coll: &str) -> SrbResult<()> {
+pub(crate) fn ingest_form(out: &mut String, s: &WebSession, coll: &str) -> SrbResult<()> {
     let mcat = &s.conn.grid().mcat;
     let lp = LogicalPath::parse(coll)?;
     let coll_id = mcat.collections.resolve(&lp)?;
@@ -331,7 +336,7 @@ pub fn ingest_form(out: &mut String, s: &WebSession, coll: &str) -> SrbResult<()
 
 /// The query builder: four-part conditions ("a metadata name part which is
 /// a drop-down menu … a comparison operator … a text box … a checkbox").
-pub fn query_form(out: &mut String, s: &WebSession, scope: &str) -> SrbResult<()> {
+pub(crate) fn query_form(out: &mut String, s: &WebSession, scope: &str) -> SrbResult<()> {
     let lp = LogicalPath::parse(scope)?;
     let attrs = s.conn.grid().mcat.queryable_attrs(&lp)?;
     page_open(out, "MySRB — query", Some(&s.user_label), false);
@@ -370,7 +375,7 @@ pub fn query_form(out: &mut String, s: &WebSession, scope: &str) -> SrbResult<()
 }
 
 /// Query result listing.
-pub fn query_results(out: &mut String, s: &WebSession, q: &Query, hits: &[QueryHit]) {
+pub(crate) fn query_results(out: &mut String, s: &WebSession, q: &Query, hits: &[QueryHit]) {
     page_open(out, "MySRB — results", Some(&s.user_label), false);
     let (count, scope) = (hits.len(), Esc(&q.scope));
     let _ = writeln!(out, "<h2>{count} result(s) under {scope}</h2>");
@@ -395,7 +400,7 @@ pub fn query_results(out: &mut String, s: &WebSession, q: &Query, hits: &[QueryH
 }
 
 /// The annotation entry form.
-pub fn annotate_form(out: &mut String, s: &WebSession, path: &str) {
+pub(crate) fn annotate_form(out: &mut String, s: &WebSession, path: &str) {
     page_open(out, "MySRB — annotate", Some(&s.user_label), false);
     let _ = write!(
         out,
@@ -420,7 +425,7 @@ pub fn annotate_form(out: &mut String, s: &WebSession, path: &str) {
 
 /// The user-registration form (the paper lists "user registration" among
 /// MySRB's additional functionalities).
-pub fn register_form(out: &mut String, message: Option<&str>) {
+pub(crate) fn register_form(out: &mut String, message: Option<&str>) {
     page_open(out, "MySRB — register", None, false);
     if let Some(m) = message {
         let _ = writeln!(out, "<p style=\"color:#900\">{}</p>", Esc(m));
@@ -441,7 +446,7 @@ pub fn register_form(out: &mut String, message: Option<&str>) {
 /// The edit form for small ASCII files ("a user can … edit a file, if it
 /// is a small ASCII file (the edit facility is allowed only for a few
 /// data types)").
-pub fn edit_form(out: &mut String, s: &WebSession, path: &str) -> SrbResult<()> {
+pub(crate) fn edit_form(out: &mut String, s: &WebSession, path: &str) -> SrbResult<()> {
     let (content, _) = s.conn.open(path, &[])?;
     page_open(out, "MySRB — edit", Some(&s.user_label), false);
     let _ = write!(
@@ -459,7 +464,7 @@ pub fn edit_form(out: &mut String, s: &WebSession, path: &str) -> SrbResult<()> 
 
 /// On-line help (the paper lists "on-line help" among MySRB's additional
 /// functionalities).
-pub fn help_page(out: &mut String) {
+pub(crate) fn help_page(out: &mut String) {
     page_open(out, "MySRB — help", None, false);
     out.push_str(
         "\
@@ -487,7 +492,7 @@ ratings, errata, dialogues, annotations or memos.</li>
 
 /// Grid administration overview (resources, servers, catalog counts,
 /// recent audit rows).
-pub fn admin_page(out: &mut String, s: &WebSession) {
+pub(crate) fn admin_page(out: &mut String, s: &WebSession) {
     let grid = s.conn.grid();
     page_open(out, "MySRB — admin", Some(&s.user_label), false);
     out.push_str("<h2>Grid status</h2>\n<h3>Resources</h3>\n");
@@ -577,7 +582,7 @@ fn zone_name(out: &mut String, fed: &Federation, z: ZoneId) {
 /// operations the grid has executed, each with its receipt leg breakdown,
 /// and — when the app is zone-aware — the federation panel: member zones,
 /// peering-link health, and per-subscription replication lag.
-pub fn grid_status(out: &mut String, grid: &Grid, fed: Option<(&Federation, ZoneId)>) {
+pub(crate) fn grid_status(out: &mut String, grid: &Grid, fed: Option<(&Federation, ZoneId)>) {
     let snap = grid.metrics_snapshot();
     page_open(out, "MySRB — grid status", None, false);
     out.push_str("<h3>Resource health</h3>\n");

@@ -31,7 +31,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 pub const WEB_SESSION_TTL_SECS: u64 = 60 * 60;
 
 /// One authenticated browser session.
-pub struct WebSession<'g> {
+pub(crate) struct WebSession<'g> {
     /// The underlying SRB connection.
     pub conn: SrbConnection<'g>,
     /// `name@domain` for display.
@@ -217,7 +217,11 @@ impl<'g> SessionStore<'g> {
     }
 
     /// Run `f` with the session's connection after validation.
-    pub fn with_session<R>(&self, key: &str, f: impl FnOnce(&WebSession<'g>) -> R) -> SrbResult<R> {
+    pub(crate) fn with_session<R>(
+        &self,
+        key: &str,
+        f: impl FnOnce(&WebSession<'g>) -> R,
+    ) -> SrbResult<R> {
         let id = self.parse(key)?;
         let now = self.clock.now();
         let shard = &self.shards[self.shard_of(&id)];

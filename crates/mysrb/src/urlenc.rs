@@ -53,7 +53,7 @@ fn hex_val(b: u8) -> Option<u8> {
 /// Parse a query string or form body into a map (last value wins, except
 /// that repeated keys are also collected with `key` suffixed by its index
 /// for multi-row forms: `meta_name`, `meta_name.1`, …).
-pub fn parse_form(s: &str) -> HashMap<String, String> {
+pub(crate) fn parse_form(s: &str) -> HashMap<String, String> {
     let mut out: HashMap<String, String> = HashMap::new();
     let mut counts: HashMap<String, usize> = HashMap::new();
     for pair in s.split('&') {

@@ -101,7 +101,7 @@ impl AuthService {
 
     /// Step 1 (server): issue a challenge nonce. Returns (challenge id,
     /// nonce).
-    pub fn challenge(&self) -> (u64, [u8; 32]) {
+    pub(crate) fn challenge(&self) -> (u64, [u8; 32]) {
         let id = self.challenge_seq.fetch_add(1, Ordering::Relaxed);
         let nonce = draw32(self.seed ^ 0x006e_6f6e_6365, id);
         self.pending_shard(id).write().insert(id, nonce);
@@ -116,7 +116,7 @@ impl AuthService {
 
     /// Step 3 (server): verify the response against the catalog's stored
     /// verifier and mint a session ticket.
-    pub fn verify(
+    pub(crate) fn verify(
         &self,
         challenge_id: u64,
         response: &[u8; 32],

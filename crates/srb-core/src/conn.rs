@@ -212,7 +212,7 @@ impl<'g> SrbConnection<'g> {
     }
 
     /// The connection's current retry budget.
-    pub fn retry_budget(&self) -> RetryBudget {
+    pub(crate) fn retry_budget(&self) -> RetryBudget {
         self.retry
     }
 

@@ -15,7 +15,7 @@
 //! with [`Receipt::absorb`] (durations add), parallel legs with
 //! [`Receipt::join_parallel`] (overlapping durations take the max, byte
 //! and message counters still add). Parallel composition models a fixed
-//! number of [`VIRTUAL_LANES`] rather than the host's thread count, so
+//! number of `VIRTUAL_LANES` rather than the host's thread count, so
 //! `sim_ns` is identical on every machine.
 //!
 //! Below the engine sit `SrbConnection::storage_call`, the one door
@@ -34,7 +34,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FanoutMode {
     /// Concurrent legs on scoped worker threads; costs max-compose
-    /// across [`VIRTUAL_LANES`]. The default.
+    /// across `VIRTUAL_LANES`. The default.
     #[default]
     Parallel,
     /// One leg after another on the caller thread; costs sum-compose.
@@ -46,7 +46,7 @@ pub enum FanoutMode {
 /// [`FanoutMode::Parallel`]. Fixed — deliberately independent of the
 /// host's real core count — so simulated time is deterministic across
 /// machines. Real execution may use fewer or more threads.
-pub const VIRTUAL_LANES: usize = 8;
+pub(crate) const VIRTUAL_LANES: usize = 8;
 
 /// How hard a connection retries transient storage errors before giving
 /// up on a replica (and, on the write side, marking its leg `Stale`).
@@ -237,12 +237,12 @@ pub(crate) struct FanoutOutcome {
 
 impl FanoutOutcome {
     /// Number of legs that stored their bytes.
-    pub fn successes(&self) -> usize {
+    pub(crate) fn successes(&self) -> usize {
         self.results.iter().filter(|r| r.is_ok()).count()
     }
 
     /// First non-retryable error, in leg order.
-    pub fn first_fatal(&self) -> Option<SrbError> {
+    pub(crate) fn first_fatal(&self) -> Option<SrbError> {
         self.results
             .iter()
             .filter_map(|r| r.as_ref().err())
@@ -251,7 +251,7 @@ impl FanoutOutcome {
     }
 
     /// First error of any kind, in leg order.
-    pub fn first_err(&self) -> Option<SrbError> {
+    pub(crate) fn first_err(&self) -> Option<SrbError> {
         self.results
             .iter()
             .filter_map(|r| r.as_ref().err())
@@ -263,9 +263,10 @@ impl FanoutOutcome {
 impl SrbConnection<'_> {
     /// The one door to a resource: every storage access in this crate
     /// runs `access` here (the whole-grid dump and restore in `state.rs`
-    /// aside). In order: one fault-plan draw (a `Down` resource, a down
-    /// site or an injected burst refuses the access before the driver is
-    /// touched), the in-flight load guard, the access, one
+    /// aside). In order: the resource's catalog row (an unknown resource
+    /// fails), one fault-plan draw (a `Down` resource or an injected
+    /// burst refuses the access before the driver is touched), the
+    /// in-flight load guard, the access, one
     /// `storage.ops`/`storage.errors` count, and the busy time charged to
     /// the resource's load. `access` returns its value and its storage
     /// nanoseconds; the door returns the value and the busy nanoseconds
@@ -278,8 +279,8 @@ impl SrbConnection<'_> {
         resource: ResourceId,
         access: impl FnOnce(&ResourceDriver) -> SrbResult<(T, u64)>,
     ) -> SrbResult<(T, u64)> {
-        let site = self.grid.site_of_resource(resource)?;
-        let injected_ns = self.grid.faults.inject(resource, site)?;
+        self.grid.site_of_resource(resource)?;
+        let injected_ns = self.grid.faults.inject(resource)?;
         let driver = self.grid.driver(resource)?;
         let _inflight = self.grid.load.begin(resource);
         let (value, storage_ns) = match access(&driver) {

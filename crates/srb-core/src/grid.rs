@@ -65,7 +65,7 @@ impl ResourceDriver {
     }
 
     /// Downcast to the cache driver (pinning).
-    pub fn as_cache(&self) -> Option<&CacheDriver> {
+    pub(crate) fn as_cache(&self) -> Option<&CacheDriver> {
         match self {
             ResourceDriver::Cache(d) => Some(d),
             _ => None,
@@ -73,7 +73,7 @@ impl ResourceDriver {
     }
 
     /// Downcast to the file-system driver (shadow directories).
-    pub fn as_fs(&self) -> Option<&FsDriver> {
+    pub(crate) fn as_fs(&self) -> Option<&FsDriver> {
         match self {
             ResourceDriver::Fs(d) => Some(d),
             _ => None,
@@ -119,6 +119,9 @@ enum ResourceSpec {
     Db,
 }
 
+/// Password of the bootstrap administrator `srb@sdsc`.
+const ADMIN_PASSWORD: &str = "srb-admin";
+
 /// Builder for a [`Grid`].
 pub struct GridBuilder {
     clock: SimClock,
@@ -126,7 +129,6 @@ pub struct GridBuilder {
     servers: Vec<(String, SiteId)>,
     resources: Vec<(String, usize, ResourceSpec)>,
     logical: Vec<(String, Vec<String>)>,
-    admin_password: String,
     auth_seed: u64,
     breakers: BreakerConfig,
     observability: bool,
@@ -147,7 +149,6 @@ impl GridBuilder {
             servers: Vec::new(),
             resources: Vec::new(),
             logical: Vec::new(),
-            admin_password: "srb-admin".to_string(),
             auth_seed: 0x5eed,
             breakers: BreakerConfig::default(),
             observability: true,
@@ -200,12 +201,6 @@ impl GridBuilder {
         let id = ServerId(self.servers.len() as u64);
         self.servers.push((name.to_string(), site));
         id
-    }
-
-    /// Set the bootstrap admin password.
-    pub fn admin_password(&mut self, pw: &str) -> &mut Self {
-        self.admin_password = pw.to_string();
-        self
     }
 
     /// Add a file-system resource brokered by `server`.
@@ -267,10 +262,9 @@ impl GridBuilder {
         self
     }
 
-    /// Assemble the grid, panicking on an invalid specification. Most
-    /// callers construct grids from literals where a specification error
-    /// is a programming bug; fallible assembly (config files, user input)
-    /// should use [`GridBuilder::try_build`].
+    /// Assemble the grid, panicking on an invalid specification: grids
+    /// are built from literals, where a specification error is a
+    /// programming bug. The checks live in `GridBuilder::try_build`.
     pub fn build(self) -> Grid {
         match self.try_build() {
             Ok(grid) => grid,
@@ -281,13 +275,13 @@ impl GridBuilder {
     /// Assemble the grid, reporting specification errors instead of
     /// panicking: duplicate resource names, resources on undeclared
     /// servers, logical resources over undeclared members.
-    pub fn try_build(self) -> SrbResult<Grid> {
+    pub(crate) fn try_build(self) -> SrbResult<Grid> {
         if self.servers.is_empty() {
             return Err(SrbError::Invalid("a grid needs at least one server".into()));
         }
         let clock = self.clock;
         let network = self.net.build();
-        let mcat = Mcat::new(clock.clone(), &self.admin_password);
+        let mcat = Mcat::new(clock.clone(), ADMIN_PASSWORD);
         let auth = AuthService::new(clock.clone(), self.auth_seed);
 
         let mut servers = HashMap::new();
@@ -420,7 +414,7 @@ pub struct Grid {
 
 impl Grid {
     /// The server hosting the MCAT.
-    pub fn mcat_server(&self) -> ServerId {
+    pub(crate) fn mcat_server(&self) -> ServerId {
         self.mcat_server
     }
 
@@ -523,7 +517,7 @@ impl Grid {
     }
 
     /// Which server brokers a resource.
-    pub fn server_for_resource(&self, r: ResourceId) -> SrbResult<ServerId> {
+    pub(crate) fn server_for_resource(&self, r: ResourceId) -> SrbResult<ServerId> {
         self.resource_home
             .read()
             .get(&r)
@@ -538,7 +532,7 @@ impl Grid {
     }
 
     /// The site a resource lives at.
-    pub fn site_of_resource(&self, r: ResourceId) -> SrbResult<SiteId> {
+    pub(crate) fn site_of_resource(&self, r: ResourceId) -> SrbResult<SiteId> {
         Ok(self.mcat.resources.get(r)?.site)
     }
 
@@ -580,7 +574,7 @@ impl Grid {
     }
 
     /// Convenience: resolve a logical resource name.
-    pub fn logical_resource_id(&self, name: &str) -> SrbResult<LogicalResourceId> {
+    pub(crate) fn logical_resource_id(&self, name: &str) -> SrbResult<LogicalResourceId> {
         self.mcat
             .resources
             .find_logical(name)
@@ -614,10 +608,7 @@ impl Grid {
 
     /// Is the named resource currently reachable?
     pub fn resource_is_up(&self, r: ResourceId) -> bool {
-        match self.site_of_resource(r) {
-            Ok(site) => self.faults.is_up(r, site),
-            Err(_) => false,
-        }
+        self.site_of_resource(r).is_ok() && self.faults.is_up(r)
     }
 }
 
@@ -718,11 +709,25 @@ mod tests {
         let unix = g.resource_id("unix-sdsc").unwrap();
         // p = 1.0: every access fails, but the resource still counts as up.
         assert!(g.resource_is_up(unix));
-        let site = g.site_of_resource(unix).unwrap();
-        assert!(g.faults.check(unix, site).is_err());
+        assert!(g.faults.inject(unix).is_err());
         assert!(g.flaky_resource("missing", 0.5, 1).is_err());
         g.restore_resource("unix-sdsc").unwrap();
-        assert!(g.faults.check(unix, site).is_ok());
+        assert!(g.faults.inject(unix).is_ok());
+    }
+
+    /// A resource the topology does not know is down, and the storage door
+    /// refuses it before any fault draw or driver lookup.
+    #[test]
+    fn an_unknown_resource_is_down_and_refused() {
+        let (g, s1, _) = demo_grid();
+        let ghost = ResourceId(9_999);
+        assert!(!g.resource_is_up(ghost));
+        g.register_user("sekar", "sdsc", "pw").unwrap();
+        let conn = crate::SrbConnection::connect(&g, s1, "sekar", "sdsc", "pw").unwrap();
+        let err = conn
+            .storage_call(ghost, |d| d.driver().read("home/sekar/x"))
+            .unwrap_err();
+        assert!(matches!(err, SrbError::NotFound(_)), "{err:?}");
     }
 
     #[test]

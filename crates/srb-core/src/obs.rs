@@ -14,7 +14,7 @@ use srb_obs::{Counter, Histogram, MetricsRegistry, Obs, OpCost};
 use srb_storage::DriverKind;
 
 /// Convert a finished operation's receipt into the slow-op cost record.
-pub fn op_cost(receipt: &Receipt) -> OpCost {
+pub(crate) fn op_cost(receipt: &Receipt) -> OpCost {
     OpCost {
         sim_ns: receipt.sim_ns,
         bytes: receipt.bytes,
@@ -104,7 +104,7 @@ impl CoreObs {
 
     /// Count one storage-driver operation of `sim_ns` simulated cost
     /// against the driver family's `storage.ops` / `storage.op_ns`.
-    pub fn storage_op(&self, kind: DriverKind, sim_ns: u64) {
+    pub(crate) fn storage_op(&self, kind: DriverKind, sim_ns: u64) {
         let (ops, op_ns) = &self.storage[kind as usize];
         ops.inc();
         op_ns.observe(sim_ns);
@@ -113,7 +113,7 @@ impl CoreObs {
     /// Count one failed storage-driver operation (`storage.errors`),
     /// labelled by driver family and sub-labelled by error code via the
     /// `storage.error_codes` counter.
-    pub fn storage_error(&self, kind: DriverKind, code: &str) {
+    pub(crate) fn storage_error(&self, kind: DriverKind, code: &str) {
         self.obs
             .metrics
             .counter("storage.errors", kind.name())
@@ -124,7 +124,7 @@ impl CoreObs {
     /// Report a finished top-level operation: observe its whole-op
     /// latency histogram (`core.op_ns`, labelled by op) and offer it to
     /// the slow-op log.
-    pub fn finish_op(&self, op: &str, subject: &str, receipt: &Receipt) {
+    pub(crate) fn finish_op(&self, op: &str, subject: &str, receipt: &Receipt) {
         self.obs
             .metrics
             .histogram("core.op_ns", op)

@@ -52,7 +52,7 @@ impl ProxyRegistry {
 
     /// Install an executable into the server's bin directory
     /// (administrator action).
-    pub fn install_command<F>(&self, name: &str, f: F)
+    pub(crate) fn install_command<F>(&self, name: &str, f: F)
     where
         F: Fn(&[String]) -> Vec<u8> + Send + Sync + 'static,
     {
@@ -78,7 +78,7 @@ impl ProxyRegistry {
     }
 
     /// Invoke a proxy function.
-    pub fn run_function(&self, name: &str, args: &[String]) -> SrbResult<Vec<u8>> {
+    pub(crate) fn run_function(&self, name: &str, args: &[String]) -> SrbResult<Vec<u8>> {
         let g = self.functions.read();
         let f = g
             .get(name)
@@ -87,12 +87,12 @@ impl ProxyRegistry {
     }
 
     /// Does the named command exist?
-    pub fn has_command(&self, name: &str) -> bool {
+    pub(crate) fn has_command(&self, name: &str) -> bool {
         self.commands.read().contains_key(name)
     }
 
     /// Does the named function exist?
-    pub fn has_function(&self, name: &str) -> bool {
+    pub(crate) fn has_function(&self, name: &str) -> bool {
         self.functions.read().contains_key(name)
     }
 }

@@ -39,7 +39,7 @@ pub enum ReplicaPolicy {
 
 impl ReplicaPolicy {
     /// Order the byte-addressable, up-to-date replicas for a read attempt.
-    /// Convenience wrapper over [`ReplicaPolicy::order_with_health`] with
+    /// Convenience wrapper over `ReplicaPolicy::order_with_health` with
     /// no breaker consultation; stale replicas are excluded entirely.
     pub fn order<'a>(&self, replicas: &'a [Replica], load: &LoadTracker) -> Vec<&'a Replica> {
         self.order_with_health(replicas, load, None).fresh
@@ -50,7 +50,7 @@ impl ReplicaPolicy {
     /// `Open` are demoted behind every non-open one (stable within each
     /// group, so the policy order is preserved). Stale byte replicas come
     /// back separately for graceful degradation.
-    pub fn order_with_health<'a>(
+    pub(crate) fn order_with_health<'a>(
         &self,
         replicas: &'a [Replica],
         load: &LoadTracker,

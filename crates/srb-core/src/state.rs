@@ -29,7 +29,7 @@ use srb_types::{from_hex, to_hex, SrbError, SrbResult, Timestamp};
 
 /// Serialized image of one resource's physical objects.
 #[derive(Debug, Serialize, Deserialize)]
-pub struct ResourceState {
+pub(crate) struct ResourceState {
     /// Resource name (topology key).
     pub name: String,
     /// `(physical path, hex-encoded bytes)` pairs.
@@ -41,7 +41,7 @@ pub struct ResourceState {
 /// A complete grid image: catalog + storage, as read back from the text
 /// [`Grid::save_state`] writes.
 #[derive(Debug, Deserialize)]
-pub struct GridState {
+pub(crate) struct GridState {
     /// Format version.
     pub version: u32,
     /// The catalog.
@@ -53,7 +53,7 @@ pub struct GridState {
 }
 
 /// Current grid-state format version.
-pub const GRID_STATE_VERSION: u32 = 1;
+pub(crate) const GRID_STATE_VERSION: u32 = 1;
 
 impl Grid {
     /// Capture the full grid state (catalog + every resource's objects)

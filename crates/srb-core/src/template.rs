@@ -25,7 +25,7 @@ pub fn escape(s: &str) -> String {
 }
 
 /// Render a query result as a flat relational HTML table.
-pub fn html_rel(r: &QueryResult) -> String {
+pub(crate) fn html_rel(r: &QueryResult) -> String {
     let mut out = String::from("<table border=\"1\">\n<tr>");
     for c in &r.columns {
         out.push_str("<th>");
@@ -48,7 +48,7 @@ pub fn html_rel(r: &QueryResult) -> String {
 
 /// Render as a nested HTML table: rows are grouped by the first column,
 /// each group becoming an inner table of the remaining columns.
-pub fn html_nest(r: &QueryResult) -> String {
+pub(crate) fn html_nest(r: &QueryResult) -> String {
     if r.columns.is_empty() {
         return "<table></table>\n".to_string();
     }
@@ -77,7 +77,7 @@ pub fn html_nest(r: &QueryResult) -> String {
 
 /// Render as XML with the paper's "simple DTD": a `<result>` of `<row>`s
 /// whose children are named after the columns.
-pub fn xml_rel(r: &QueryResult) -> String {
+pub(crate) fn xml_rel(r: &QueryResult) -> String {
     let mut out = String::from("<?xml version=\"1.0\"?>\n<result>\n");
     for row in &r.rows {
         out.push_str("  <row>\n");

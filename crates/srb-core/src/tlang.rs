@@ -191,7 +191,7 @@ impl TScript {
     }
 
     /// Apply the extraction rules to a text document, producing triplets.
-    pub fn extract(&self, text: &str) -> Vec<Triplet> {
+    pub(crate) fn extract(&self, text: &str) -> Vec<Triplet> {
         let mut out: Vec<Triplet> = Vec::new();
         for stmt in &self.stmts {
             match stmt {

@@ -21,7 +21,7 @@
 use srb_types::{MetaValue, SrbError, SrbResult, Triplet};
 
 /// Parse an XML metadata document into triplets.
-pub fn parse_xml_triplets(doc: &str) -> SrbResult<Vec<Triplet>> {
+pub(crate) fn parse_xml_triplets(doc: &str) -> SrbResult<Vec<Triplet>> {
     let mut out = Vec::new();
     let bytes = doc.as_bytes();
     let mut i = 0usize;
@@ -80,7 +80,7 @@ pub fn parse_xml_triplets(doc: &str) -> SrbResult<Vec<Triplet>> {
 
 /// Does this document look like XML metadata (vs the `name|value|units`
 /// triplet format)?
-pub fn looks_like_xml(doc: &str) -> bool {
+pub(crate) fn looks_like_xml(doc: &str) -> bool {
     doc.trim_start().starts_with('<')
 }
 

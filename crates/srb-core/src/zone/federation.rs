@@ -14,8 +14,8 @@ use srb_obs::{MetricsRegistry, MetricsSnapshot};
 use srb_storage::LogDevice;
 use srb_types::sync::{LockRank, RwLock};
 use srb_types::{
-    CollectionId, DatasetId, LogicalPath, MetaValue, ResourceId, ServerId, SimClock, SiteId,
-    SrbError, SrbResult, Triplet, UserId,
+    CollectionId, DatasetId, LogicalPath, MetaValue, ResourceId, ServerId, SimClock, SrbError,
+    SrbResult, Triplet, UserId,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -29,10 +29,6 @@ impl std::fmt::Display for ZoneId {
         write!(f, "zone#{}", self.0)
     }
 }
-
-/// The pseudo-site all link pseudo-resources live at in the federation's
-/// own fault plan (zone links are not resources of any member grid).
-const FED_SITE: SiteId = SiteId(u64::MAX);
 
 /// One directed peering link.
 struct LinkInfo {
@@ -228,9 +224,9 @@ impl Federation {
 
     /// Is the directed link currently reachable? `false` when the pair is
     /// unlinked, partitioned, or hard-down in this direction.
-    pub fn link_up(&self, from: ZoneId, to: ZoneId) -> bool {
+    pub(crate) fn link_up(&self, from: ZoneId, to: ZoneId) -> bool {
         match self.links.get(&(from.0, to.0)) {
-            Some(link) => self.faults.is_up(link.fault, FED_SITE),
+            Some(link) => self.faults.is_up(link.fault),
             None => false,
         }
     }
@@ -263,7 +259,7 @@ impl Federation {
                 ZoneId(to)
             )));
         }
-        match self.faults.inject(link.fault, FED_SITE) {
+        match self.faults.inject(link.fault) {
             Ok(extra) => {
                 self.health.record(link.fault, true);
                 Ok(extra + link.spec.transfer_ns(bytes))

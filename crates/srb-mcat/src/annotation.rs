@@ -196,7 +196,7 @@ impl AnnotationTable {
     }
 
     /// Does any annotation on the subject match `pattern` (SQL LIKE)?
-    pub fn text_matches(&self, subject: Subject, pattern: &str) -> bool {
+    pub(crate) fn text_matches(&self, subject: Subject, pattern: &str) -> bool {
         self.for_subject(subject)
             .iter()
             .any(|a| srb_types::value::like_match(pattern, &a.text))

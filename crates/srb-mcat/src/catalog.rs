@@ -453,7 +453,7 @@ impl Mcat {
     /// Effective permission of `user` on a collection: the collection's own
     /// matrix, or any ancestor grant (a grant on `/Cultures` extends to
     /// `/Cultures/Avian Culture`).
-    pub fn effective_on_collection(
+    pub(crate) fn effective_on_collection(
         &self,
         user: Option<UserId>,
         coll: CollectionId,

@@ -307,7 +307,7 @@ impl CollectionTable {
     /// One page of direct children in name order, resuming strictly after
     /// `after`. Returns up to `limit` rows plus whether more remain —
     /// O(page) however deep the cursor is.
-    pub fn children_page(
+    pub(crate) fn children_page(
         &self,
         id: CollectionId,
         after: Option<&str>,
@@ -360,7 +360,7 @@ impl CollectionTable {
     /// The stamp is read **before** the set is computed, so a mutation that
     /// races the computation leaves the inserted entry already stale rather
     /// than fresh-but-wrong.
-    pub fn subtree_set(&self, root: CollectionId) -> Arc<IdSet<CollectionId>> {
+    pub(crate) fn subtree_set(&self, root: CollectionId) -> Arc<IdSet<CollectionId>> {
         let gen_before = self.generation.current();
         if let Some((stamp, set)) = self.scope_cache.read().get(&root) {
             if *stamp == gen_before {
@@ -382,7 +382,7 @@ impl CollectionTable {
 
     /// Attach the scope-cache hit/miss counters (called once by the grid
     /// at construction when observability is enabled).
-    pub fn attach_metrics(&mut self, metrics: &srb_obs::MetricsRegistry) {
+    pub(crate) fn attach_metrics(&mut self, metrics: &srb_obs::MetricsRegistry) {
         self.cache_obs = Some((
             metrics.counter("query.scope_cache_hits", ""),
             metrics.counter("query.scope_cache_misses", ""),
@@ -427,13 +427,13 @@ impl CollectionTable {
     }
 
     /// Current mutation generation (cache diagnostics and tests).
-    pub fn generation(&self) -> Generation {
+    pub(crate) fn generation(&self) -> Generation {
         self.generation.current()
     }
 
     /// Raise the mutation counter to at least `raw` (snapshot restore /
     /// WAL recovery — recovered cursors must see the stamps they embed).
-    pub fn restore_generation(&self, raw: u64) {
+    pub(crate) fn restore_generation(&self, raw: u64) {
         self.generation.ensure_at_least(raw);
     }
 
@@ -446,7 +446,7 @@ impl CollectionTable {
     /// serves any number of [`CollPathBatch::path_of`] and
     /// [`CollPathBatch::get_ref`] lookups, and what they return is
     /// borrowed, not cloned.
-    pub fn path_batch(&self) -> CollPathBatch<'_> {
+    pub(crate) fn path_batch(&self) -> CollPathBatch<'_> {
         CollPathBatch {
             g: self.inner.read(),
         }
@@ -645,7 +645,7 @@ impl CollectionTable {
 
 /// Batch path lookups under one read guard; see
 /// [`CollectionTable::path_batch`].
-pub struct CollPathBatch<'a> {
+pub(crate) struct CollPathBatch<'a> {
     g: RwLockReadGuard<'a, Inner>,
 }
 

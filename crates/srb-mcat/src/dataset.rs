@@ -811,7 +811,7 @@ impl DatasetTable {
     /// guard and without cloning any row — the scope-expansion primitive
     /// of the query engine. Order follows each collection's insertion
     /// order; callers needing a stable order sort the resulting hits.
-    pub fn ids_in_colls(&self, colls: &IdSet<CollectionId>) -> Vec<DatasetId> {
+    pub(crate) fn ids_in_colls(&self, colls: &IdSet<CollectionId>) -> Vec<DatasetId> {
         let g = self.inner.read();
         let mut out = Vec::new();
         for coll in colls {
@@ -824,7 +824,7 @@ impl DatasetTable {
 
     /// Number of datasets whose collection is in `colls` — the planner's
     /// scope size, without materializing any id list.
-    pub fn count_in_colls(&self, colls: &IdSet<CollectionId>) -> usize {
+    pub(crate) fn count_in_colls(&self, colls: &IdSet<CollectionId>) -> usize {
         let g = self.inner.read();
         colls
             .iter()
@@ -834,14 +834,14 @@ impl DatasetTable {
     }
 
     /// Current membership/naming generation (cursor invalidation).
-    pub fn generation(&self) -> Generation {
+    pub(crate) fn generation(&self) -> Generation {
         self.generation.current()
     }
 
     /// Fast-forward the generation counter to at least `raw` — called when
     /// a snapshot or WAL replay restores a catalog, so cursor tokens minted
     /// before the restart stay comparable.
-    pub fn restore_generation(&self, raw: u64) {
+    pub(crate) fn restore_generation(&self, raw: u64) {
         self.generation.ensure_at_least(raw);
     }
 

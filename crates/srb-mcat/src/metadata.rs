@@ -464,7 +464,7 @@ impl MetaStore {
     /// First value of a named attribute on a subject. One read guard, one
     /// clone: only the matched value is copied out, never the subject's
     /// full row vector.
-    pub fn value_of(&self, subject: Subject, name: &str) -> Option<MetaValue> {
+    pub(crate) fn value_of(&self, subject: Subject, name: &str) -> Option<MetaValue> {
         let g = self.inner.read();
         g.by_subject.get(&subject)?.iter().find_map(|id| {
             g.rows
@@ -480,7 +480,7 @@ impl MetaStore {
     /// (`Like`/`NotLike`/`Ne` scan only that attribute's partition). Index
     /// walk and row resolution run under a single read guard; the planner
     /// intersects these sets.
-    pub fn dataset_candidates(
+    pub(crate) fn dataset_candidates(
         &self,
         name: &str,
         op: CompareOp,
@@ -502,7 +502,7 @@ impl MetaStore {
     /// do), plus a per-condition probe of the datasets carrying several
     /// rows of `name`, which different rows may qualify. An inverted or
     /// empty interval yields the probed datasets only.
-    pub fn interval_dataset_candidates(
+    pub(crate) fn interval_dataset_candidates(
         &self,
         name: &str,
         conds: &[RangeCond<'_>],
@@ -550,7 +550,7 @@ impl MetaStore {
     /// sides parse, byte-equal text otherwise), so that posting holds
     /// exactly the rows satisfying the condition. Any other operator walks
     /// the survivor's own rows.
-    pub fn filter_datasets(
+    pub(crate) fn filter_datasets(
         &self,
         set: &mut IdSet<DatasetId>,
         name: &str,
@@ -641,7 +641,7 @@ impl MetaStore {
     /// deduplicated. One pass
     /// over the subject index with set-membership probes; no `Vec<Subject>`
     /// is materialized.
-    pub fn attr_names_in(&self, datasets: &IdSet<DatasetId>) -> Vec<String> {
+    pub(crate) fn attr_names_in(&self, datasets: &IdSet<DatasetId>) -> Vec<String> {
         let g = self.inner.read();
         let mut names = BTreeSet::new();
         for (subject, ids) in &g.by_subject {
@@ -727,13 +727,13 @@ impl MetaStore {
     }
 
     /// Current mutation generation (cursor invalidation and tests).
-    pub fn generation(&self) -> Generation {
+    pub(crate) fn generation(&self) -> Generation {
         self.generation.current()
     }
 
     /// Raise the mutation counter to at least `raw` (snapshot restore /
     /// WAL recovery — recovered cursors must see the stamps they embed).
-    pub fn restore_generation(&self, raw: u64) {
+    pub(crate) fn restore_generation(&self, raw: u64) {
         self.generation.ensure_at_least(raw);
     }
 
@@ -752,7 +752,7 @@ impl MetaBatch<'_> {
     /// Does `subject` carry any row whose attribute `name` satisfies
     /// `op value`? Evaluated against borrowed rows — no clones, no extra
     /// lock traffic.
-    pub fn subject_matches(
+    pub(crate) fn subject_matches(
         &self,
         subject: Subject,
         name: &str,
@@ -763,7 +763,7 @@ impl MetaBatch<'_> {
     }
 
     /// First value of a named attribute on a subject, borrowed.
-    pub fn value_of(&self, subject: Subject, name: &str) -> Option<&MetaValue> {
+    pub(crate) fn value_of(&self, subject: Subject, name: &str) -> Option<&MetaValue> {
         self.g.by_subject.get(&subject)?.iter().find_map(|id| {
             self.g
                 .rows

@@ -93,7 +93,7 @@ pub struct CatalogSnapshot {
 }
 
 /// Current snapshot format version.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub(crate) const SNAPSHOT_VERSION: u32 = 1;
 
 /// A table's rows in id order, borrowed: the order the image writes and
 /// the tables' listings return. Every table map is keyed by the row id.

@@ -132,7 +132,7 @@ impl UserTable {
     }
 
     /// Groups the user belongs to.
-    pub fn groups_of(&self, id: UserId) -> Vec<GroupId> {
+    pub(crate) fn groups_of(&self, id: UserId) -> Vec<GroupId> {
         self.users
             .read()
             .users
@@ -241,7 +241,7 @@ impl UserTable {
     }
 
     /// Number of registered users.
-    pub fn user_count(&self) -> usize {
+    pub(crate) fn user_count(&self) -> usize {
         self.users.read().users.len()
     }
 

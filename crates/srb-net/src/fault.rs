@@ -19,15 +19,11 @@
 //! | `FailWithProb(p, s)` | seeded coin per access: `Timeout` w.p. `p`     |
 //! | `AddedLatency(ns)`   | succeeds, charges `ns` extra simulated time    |
 //! | `SlowUntilHealed(ns)`| like `AddedLatency` but reads as "degraded"    |
-//!
-//! Site failures stay binary (a partitioned site is simply gone) and
-//! surface as [`SrbError::SiteUnavailable`], distinct from a single broken
-//! resource.
 
 use srb_obs::{MetricsRegistry, ResourceLabels};
 use srb_types::sync::{LockRank, RwLock};
-use srb_types::{splitmix64, ResourceId, SiteId, SrbError, SrbResult};
-use std::collections::{HashMap, HashSet};
+use srb_types::{splitmix64, ResourceId, SrbError, SrbResult};
+use std::collections::HashMap;
 
 /// How a resource misbehaves. See the module docs for per-access semantics.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -58,10 +54,10 @@ struct FaultState {
     accesses: u64,
 }
 
-/// Shared record of which resources and sites are currently misbehaving.
+/// Shared record of which resources are currently misbehaving.
 #[derive(Debug)]
 pub struct FaultPlan {
-    inner: RwLock<Inner>,
+    modes: RwLock<HashMap<ResourceId, FaultState>>,
     obs: Option<FaultObs>,
 }
 
@@ -76,16 +72,10 @@ struct FaultObs {
 impl Default for FaultPlan {
     fn default() -> Self {
         FaultPlan {
-            inner: RwLock::new(LockRank::Topology, "net.fault.inner", Inner::default()),
+            modes: RwLock::new(LockRank::Topology, "net.fault.modes", HashMap::new()),
             obs: None,
         }
     }
-}
-
-#[derive(Debug, Default)]
-struct Inner {
-    modes: HashMap<ResourceId, FaultState>,
-    down_sites: HashSet<SiteId>,
 }
 
 impl FaultPlan {
@@ -103,8 +93,7 @@ impl FaultPlan {
         self
     }
 
-    /// Count one injected failure against `r` (site faults count against
-    /// every resource they block, as they surface per-access too).
+    /// Count one injected failure against `r`.
     fn count_injected(&self, r: ResourceId) {
         if let Some(obs) = &self.obs {
             obs.metrics
@@ -116,20 +105,19 @@ impl FaultPlan {
     /// Install a fault mode on a resource, replacing any existing one
     /// (and resetting its access counter).
     pub fn set_mode(&self, r: ResourceId, mode: FaultMode) {
-        self.inner
+        self.modes
             .write()
-            .modes
             .insert(r, FaultState { mode, accesses: 0 });
     }
 
     /// Remove any fault mode from a resource.
     pub fn clear_mode(&self, r: ResourceId) {
-        self.inner.write().modes.remove(&r);
+        self.modes.write().remove(&r);
     }
 
     /// The currently installed mode, if any.
     pub fn mode(&self, r: ResourceId) -> Option<FaultMode> {
-        self.inner.read().modes.get(&r).map(|s| s.mode)
+        self.modes.read().get(&r).map(|s| s.mode)
     }
 
     /// Mark one storage resource hard-down.
@@ -142,52 +130,45 @@ impl FaultPlan {
         self.clear_mode(r);
     }
 
-    /// Is this resource (at this site) reachable *right now*? Flaky and
-    /// slow modes count as up — only `Down` and site failures do not.
-    pub fn is_up(&self, r: ResourceId, site: SiteId) -> bool {
-        let g = self.inner.read();
-        !g.down_sites.contains(&site)
-            && !matches!(
-                g.modes.get(&r),
-                Some(FaultState {
-                    mode: FaultMode::Down,
-                    ..
-                })
-            )
+    /// Is this resource reachable *right now*? Flaky and slow modes count
+    /// as up — only `Down` does not.
+    pub fn is_up(&self, r: ResourceId) -> bool {
+        !matches!(
+            self.modes.read().get(&r),
+            Some(FaultState {
+                mode: FaultMode::Down,
+                ..
+            })
+        )
     }
 
-    /// Consult the switchboard for one access to `r` at `site`.
+    /// Consult the switchboard for one access to `r`.
     ///
     /// Returns the injected extra latency (ns) to charge the access, or
     /// the injected failure. Each call is one draw: `FailNext` burns one
     /// of its budget, `FailWithProb` advances the seeded stream — so call
     /// exactly once per storage access.
-    pub fn inject(&self, r: ResourceId, site: SiteId) -> SrbResult<u64> {
-        let result = self.inject_inner(r, site);
+    pub fn inject(&self, r: ResourceId) -> SrbResult<u64> {
+        let result = self.inject_inner(r);
         if result.is_err() {
             self.count_injected(r);
         }
         result
     }
 
-    fn inject_inner(&self, r: ResourceId, site: SiteId) -> SrbResult<u64> {
-        let mut g = self.inner.write();
-        if g.down_sites.contains(&site) {
-            return Err(SrbError::SiteUnavailable(format!(
-                "site {site} is down (resource {r} unreachable)"
-            )));
-        }
-        let Some(state) = g.modes.get_mut(&r) else {
+    fn inject_inner(&self, r: ResourceId) -> SrbResult<u64> {
+        let mut g = self.modes.write();
+        let Some(state) = g.get_mut(&r) else {
             return Ok(0);
         };
         state.accesses += 1;
         match state.mode {
             FaultMode::Down => Err(SrbError::ResourceUnavailable(format!(
-                "resource {r} at site {site} is down"
+                "resource {r} is down"
             ))),
             FaultMode::FailNext(n) => {
                 if n <= 1 {
-                    g.modes.remove(&r);
+                    g.remove(&r);
                 } else {
                     state.mode = FaultMode::FailNext(n - 1);
                 }
@@ -211,18 +192,9 @@ impl FaultPlan {
         }
     }
 
-    /// Error unless the resource is reachable. One [`FaultPlan::inject`]
-    /// draw, with the injected latency discarded — for call sites that
-    /// have no receipt to charge.
-    pub fn check(&self, r: ResourceId, site: SiteId) -> SrbResult<()> {
-        self.inject(r, site).map(|_| ())
-    }
-
     /// Restore everything.
     pub fn heal_all(&self) {
-        let mut g = self.inner.write();
-        g.modes.clear();
-        g.down_sites.clear();
+        self.modes.write().clear();
     }
 }
 
@@ -230,17 +202,11 @@ impl FaultPlan {
 mod tests {
     use super::*;
 
-    /// Mark an entire site down (all its resources become unreachable).
-    fn fail_site(f: &FaultPlan, s: SiteId) {
-        f.inner.write().down_sites.insert(s);
-    }
-
     /// Number of currently hard-failed resources (not counting flaky or
-    /// slow modes, nor site failures).
+    /// slow modes).
     fn failed_resource_count(f: &FaultPlan) -> usize {
-        f.inner
+        f.modes
             .read()
-            .modes
             .values()
             .filter(|s| matches!(s.mode, FaultMode::Down))
             .count()
@@ -253,50 +219,36 @@ mod tests {
             ResourceLabels::new([(ResourceId(1), "fs1".to_string())].into_iter().collect());
         let f = FaultPlan::new().with_metrics(metrics.clone(), labels);
         f.set_mode(ResourceId(1), FaultMode::FailNext(2));
-        assert!(f.inject(ResourceId(1), SiteId(0)).is_err());
-        assert!(f.inject(ResourceId(1), SiteId(0)).is_err());
-        assert!(f.inject(ResourceId(1), SiteId(0)).is_ok(), "burst healed");
+        assert!(f.inject(ResourceId(1)).is_err());
+        assert!(f.inject(ResourceId(1)).is_err());
+        assert!(f.inject(ResourceId(1)).is_ok(), "burst healed");
         assert_eq!(metrics.counter("faults.injected", "fs1").get(), 2);
         // Added latency is not a failure: it must not count.
         f.set_mode(ResourceId(1), FaultMode::AddedLatency(5));
-        assert_eq!(f.inject(ResourceId(1), SiteId(0)).unwrap(), 5);
+        assert_eq!(f.inject(ResourceId(1)).unwrap(), 5);
         assert_eq!(metrics.counter("faults.injected", "fs1").get(), 2);
     }
 
     #[test]
     fn resources_start_up() {
         let f = FaultPlan::new();
-        assert!(f.is_up(ResourceId(1), SiteId(0)));
-        assert!(f.check(ResourceId(1), SiteId(0)).is_ok());
-        assert_eq!(f.inject(ResourceId(1), SiteId(0)).unwrap(), 0);
+        assert!(f.is_up(ResourceId(1)));
+        assert!(f.inject(ResourceId(1)).is_ok());
+        assert_eq!(f.inject(ResourceId(1)).unwrap(), 0);
     }
 
     #[test]
     fn fail_and_restore_resource() {
         let f = FaultPlan::new();
         f.fail_resource(ResourceId(1));
-        assert!(!f.is_up(ResourceId(1), SiteId(0)));
-        assert!(f.is_up(ResourceId(2), SiteId(0)));
-        let err = f.check(ResourceId(1), SiteId(0)).unwrap_err();
+        assert!(!f.is_up(ResourceId(1)));
+        assert!(f.is_up(ResourceId(2)));
+        let err = f.inject(ResourceId(1)).unwrap_err();
         assert!(err.is_retryable());
         assert!(!err.is_transient()); // hard down: fail over, don't retry
         assert!(matches!(err, SrbError::ResourceUnavailable(_)));
         f.restore_resource(ResourceId(1));
-        assert!(f.is_up(ResourceId(1), SiteId(0)));
-    }
-
-    #[test]
-    fn site_failure_takes_down_all_its_resources() {
-        let f = FaultPlan::new();
-        fail_site(&f, SiteId(3));
-        assert!(!f.is_up(ResourceId(1), SiteId(3)));
-        assert!(!f.is_up(ResourceId(2), SiteId(3)));
-        assert!(f.is_up(ResourceId(1), SiteId(0)));
-        // Site-down errors say site, not resource.
-        let err = f.check(ResourceId(1), SiteId(3)).unwrap_err();
-        assert!(matches!(err, SrbError::SiteUnavailable(_)));
-        f.inner.write().down_sites.remove(&SiteId(3));
-        assert!(f.is_up(ResourceId(1), SiteId(3)));
+        assert!(f.is_up(ResourceId(1)));
     }
 
     #[test]
@@ -305,12 +257,12 @@ mod tests {
         let r = ResourceId(7);
         f.set_mode(r, FaultMode::FailNext(3));
         for _ in 0..3 {
-            let err = f.inject(r, SiteId(0)).unwrap_err();
+            let err = f.inject(r).unwrap_err();
             assert!(matches!(err, SrbError::Timeout(_)));
             assert!(err.is_transient());
         }
         // Mode cleared itself; subsequent accesses succeed.
-        assert_eq!(f.inject(r, SiteId(0)).unwrap(), 0);
+        assert_eq!(f.inject(r).unwrap(), 0);
         assert!(f.mode(r).is_none());
     }
 
@@ -320,7 +272,7 @@ mod tests {
             let f = FaultPlan::new();
             let r = ResourceId(9);
             f.set_mode(r, FaultMode::FailWithProb(0.5, seed));
-            (0..64).map(|_| f.inject(r, SiteId(0)).is_err()).collect()
+            (0..64).map(|_| f.inject(r).is_err()).collect()
         };
         let a = schedule(42);
         let b = schedule(42);
@@ -340,11 +292,11 @@ mod tests {
         f.set_mode(ResourceId(1), FaultMode::FailWithProb(0.0, 1));
         f.set_mode(ResourceId(2), FaultMode::FailWithProb(1.0, 1));
         for _ in 0..32 {
-            assert!(f.inject(ResourceId(1), SiteId(0)).is_ok());
-            assert!(f.inject(ResourceId(2), SiteId(0)).is_err());
+            assert!(f.inject(ResourceId(1)).is_ok());
+            assert!(f.inject(ResourceId(2)).is_err());
         }
         // Flaky resources still count as "up" for the binary view.
-        assert!(f.is_up(ResourceId(2), SiteId(0)));
+        assert!(f.is_up(ResourceId(2)));
         assert_eq!(failed_resource_count(&f), 0);
     }
 
@@ -353,11 +305,11 @@ mod tests {
         let f = FaultPlan::new();
         f.set_mode(ResourceId(1), FaultMode::AddedLatency(5_000));
         f.set_mode(ResourceId(2), FaultMode::SlowUntilHealed(9_000));
-        assert_eq!(f.inject(ResourceId(1), SiteId(0)).unwrap(), 5_000);
-        assert_eq!(f.inject(ResourceId(2), SiteId(0)).unwrap(), 9_000);
-        assert!(f.is_up(ResourceId(1), SiteId(0)));
+        assert_eq!(f.inject(ResourceId(1)).unwrap(), 5_000);
+        assert_eq!(f.inject(ResourceId(2)).unwrap(), 9_000);
+        assert!(f.is_up(ResourceId(1)));
         f.clear_mode(ResourceId(2));
-        assert_eq!(f.inject(ResourceId(2), SiteId(0)).unwrap(), 0);
+        assert_eq!(f.inject(ResourceId(2)).unwrap(), 0);
     }
 
     #[test]
@@ -365,11 +317,10 @@ mod tests {
         let f = FaultPlan::new();
         f.fail_resource(ResourceId(1));
         f.set_mode(ResourceId(2), FaultMode::FailWithProb(0.9, 7));
-        fail_site(&f, SiteId(1));
         assert_eq!(failed_resource_count(&f), 1);
         f.heal_all();
-        assert!(f.is_up(ResourceId(1), SiteId(1)));
-        assert!(f.inject(ResourceId(2), SiteId(0)).is_ok());
+        assert!(f.is_up(ResourceId(1)));
+        assert!(f.inject(ResourceId(2)).is_ok());
         assert_eq!(failed_resource_count(&f), 0);
     }
 }

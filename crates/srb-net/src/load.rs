@@ -84,15 +84,6 @@ impl LoadTracker {
             .unwrap_or(0)
     }
 
-    /// Operations currently in flight.
-    pub fn inflight(&self, r: ResourceId) -> u64 {
-        self.entries
-            .read()
-            .get(&r)
-            .map(|e| e.inflight.load(Ordering::Acquire))
-            .unwrap_or(0)
-    }
-
     /// Operations completed so far.
     pub fn completed(&self, r: ResourceId) -> u64 {
         self.entries
@@ -134,13 +125,14 @@ mod tests {
     fn inflight_guard_counts_and_releases() {
         let t = LoadTracker::new();
         let r = ResourceId(1);
-        assert_eq!(t.inflight(r), 0);
+        // With no busy time charged, the score is in-flight ops × 10¹².
+        assert_eq!(t.score(r), 0);
         {
             let _g1 = t.begin(r);
             let _g2 = t.begin(r);
-            assert_eq!(t.inflight(r), 2);
+            assert_eq!(t.score(r), 2_000_000_000_000);
         }
-        assert_eq!(t.inflight(r), 0);
+        assert_eq!(t.score(r), 0);
         assert_eq!(t.completed(r), 2);
     }
 
@@ -171,6 +163,7 @@ mod tests {
         });
         assert_eq!(t.busy_ns(ResourceId(9)), 8000);
         assert_eq!(t.completed(ResourceId(9)), 8000);
-        assert_eq!(t.inflight(ResourceId(9)), 0);
+        // Busy time only: nothing is left in flight.
+        assert_eq!(t.score(ResourceId(9)), 8000);
     }
 }

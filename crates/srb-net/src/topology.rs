@@ -80,7 +80,7 @@ impl Route {
     }
 
     /// Round-trip cost of a small control message (request + reply).
-    pub fn rpc_ns(&self) -> u64 {
+    pub(crate) fn rpc_ns(&self) -> u64 {
         2 * self.transfer_ns(RPC_MESSAGE_BYTES)
     }
 }

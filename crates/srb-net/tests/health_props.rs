@@ -10,7 +10,7 @@
 use proptest::prelude::*;
 use srb_net::fault::FaultMode;
 use srb_net::{Admission, BreakerConfig, BreakerState, FaultPlan, HealthRegistry};
-use srb_types::{ResourceId, SimClock, SiteId};
+use srb_types::{ResourceId, SimClock};
 
 const COOLDOWN: u64 = 1_000;
 
@@ -132,7 +132,7 @@ proptest! {
             let f = FaultPlan::new();
             let r = ResourceId(3);
             f.set_mode(r, FaultMode::FailWithProb(p, seed));
-            (0..accesses).map(|_| f.inject(r, SiteId(0)).is_err()).collect()
+            (0..accesses).map(|_| f.inject(r).is_err()).collect()
         };
         prop_assert_eq!(run(), run());
     }
@@ -147,7 +147,7 @@ proptest! {
         let r = ResourceId(4);
         f.set_mode(r, FaultMode::FailWithProb(p, seed));
         let n = 512;
-        let fails = (0..n).filter(|_| f.inject(r, SiteId(0)).is_err()).count();
+        let fails = (0..n).filter(|_| f.inject(r).is_err()).count();
         let rate = fails as f64 / n as f64;
         prop_assert!((rate - p).abs() < 0.15, "p={p} but measured {rate}");
     }

@@ -27,7 +27,7 @@
 //! # Naming scheme
 //!
 //! Every metric name is `subsystem.name`: a subsystem from
-//! [`SUBSYSTEMS`], a single dot, then a `[a-z0-9_]+` metric name
+//! `SUBSYSTEMS`, a single dot, then a `[a-z0-9_]+` metric name
 //! (e.g. `fanout.legs_dispatched`, `query.scope_cache_hits`). The scheme
 //! is enforced at registration — an ill-formed name panics, like a lock
 //! rank inversion, because it is a programming bug, not an input error —
@@ -48,14 +48,14 @@ pub use snapshot::{HistogramSnapshot, MetricsSnapshot};
 
 /// The subsystems a metric may belong to. Kept in one place so the
 /// registry, the lint rule and DESIGN.md §12 agree on the universe.
-pub const SUBSYSTEMS: &[&str] = &[
+pub(crate) const SUBSYSTEMS: &[&str] = &[
     "storage", "health", "faults", "fanout", "query", "mcat", "wal", "web", "core", "zone",
 ];
 
 /// True when `name` follows the `subsystem.name` scheme documented on the
 /// crate root. Shared verbatim with the `cargo xtask lint` metric-name
 /// rule, which applies it to registration call sites across the workspace.
-pub fn valid_metric_name(name: &str) -> bool {
+pub(crate) fn valid_metric_name(name: &str) -> bool {
     let Some((subsystem, rest)) = name.split_once('.') else {
         return false;
     };

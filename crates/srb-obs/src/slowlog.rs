@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Slow ops kept per grid.
-pub const DEFAULT_SLOW_OPS: usize = 16;
+pub(crate) const DEFAULT_SLOW_OPS: usize = 16;
 
 /// Cost breakdown of one operation, mirroring the fields of the
 /// `srb-net` `Receipt` (this crate sits below `srb-net`, so callers

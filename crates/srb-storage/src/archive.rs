@@ -14,7 +14,6 @@ use bytes::Bytes;
 use srb_types::sync::{LockRank, RwLock};
 use srb_types::{SimClock, SrbResult};
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Simulated hierarchical tape archive.
 pub struct ArchiveDriver {
@@ -25,12 +24,11 @@ pub struct ArchiveDriver {
     tape: CostModel,
     /// Fixed latency to mount/position tape for one staging request.
     stage_latency_ns: u64,
-    stage_count: AtomicU64,
 }
 
 impl ArchiveDriver {
     /// Default stage latency: 2 s (mount + robot + position).
-    pub const DEFAULT_STAGE_LATENCY_NS: u64 = 2_000_000_000;
+    pub(crate) const DEFAULT_STAGE_LATENCY_NS: u64 = 2_000_000_000;
 
     /// New archive with default cost models.
     pub fn new(clock: SimClock) -> Self {
@@ -43,7 +41,7 @@ impl ArchiveDriver {
     }
 
     /// New archive with explicit cost models.
-    pub fn with_costs(
+    pub(crate) fn with_costs(
         clock: SimClock,
         disk: CostModel,
         tape: CostModel,
@@ -55,12 +53,11 @@ impl ArchiveDriver {
             disk,
             tape,
             stage_latency_ns,
-            stage_count: AtomicU64::new(0),
         }
     }
 
     /// Is the object currently on the disk cache (no staging needed)?
-    pub fn is_staged(&self, path: &str) -> bool {
+    pub(crate) fn is_staged(&self, path: &str) -> bool {
         self.staged.read().contains(path)
     }
 
@@ -68,11 +65,6 @@ impl ArchiveDriver {
     /// the tape staging cost. Experiments use this to model a cold archive.
     pub fn purge_staged(&self) {
         self.staged.write().clear();
-    }
-
-    /// How many staging operations (tape recalls) have happened.
-    pub fn stage_count(&self) -> u64 {
-        self.stage_count.load(Ordering::Relaxed)
     }
 
     /// Cost of staging an object of `size` bytes from tape.
@@ -94,7 +86,6 @@ impl ArchiveDriver {
             return Ok(0);
         }
         staged.insert(path.to_string());
-        self.stage_count.fetch_add(1, Ordering::Relaxed);
         Ok(self.stage_cost(size))
     }
 }
@@ -213,7 +204,8 @@ mod tests {
         // Second read is warm.
         let (_, warm) = a.read("t/file").unwrap();
         assert!(warm < cold / 10);
-        assert_eq!(a.stage_count(), 1);
+        // …and stages nothing: the cold read was the one recall.
+        assert!(warm < ArchiveDriver::DEFAULT_STAGE_LATENCY_NS);
     }
 
     #[test]
@@ -232,14 +224,16 @@ mod tests {
         let a = archive();
         a.create("x", &[1u8; 1000]).unwrap();
         a.purge_staged();
-        std::thread::scope(|s| {
-            for _ in 0..8 {
-                s.spawn(|| {
-                    a.read("x").unwrap();
-                });
-            }
+        let costs: Vec<u64> = std::thread::scope(|s| {
+            let reads: Vec<_> = (0..8).map(|_| s.spawn(|| a.read("x").unwrap().1)).collect();
+            reads.into_iter().map(|r| r.join().unwrap()).collect()
         });
-        assert_eq!(a.stage_count(), 1);
+        // Exactly one read paid the staging latency.
+        let staged = costs
+            .iter()
+            .filter(|&&c| c >= ArchiveDriver::DEFAULT_STAGE_LATENCY_NS)
+            .count();
+        assert_eq!(staged, 1, "{costs:?}");
     }
 
     #[test]

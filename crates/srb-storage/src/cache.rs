@@ -32,8 +32,6 @@ pub struct CacheDriver {
     cost: CostModel,
     clock: SimClock,
     tick: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
     evictions: AtomicU64,
 }
 
@@ -47,8 +45,6 @@ impl CacheDriver {
             cost: CostModel::disk(),
             clock,
             tick: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
         }
     }
@@ -178,14 +174,10 @@ impl StorageDriver for CacheDriver {
         match g.get_mut(path) {
             Some(e) => {
                 e.last_used = self.tick.fetch_add(1, Ordering::Relaxed);
-                self.hits.fetch_add(1, Ordering::Relaxed);
                 let cost = self.cost.read_ns(e.data.len() as u64);
                 Ok((e.data.clone(), cost))
             }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                Err(SrbError::NotFound(format!("cache object '{path}'")))
-            }
+            None => Err(SrbError::NotFound(format!("cache object '{path}'"))),
         }
     }
 
@@ -329,17 +321,6 @@ mod tests {
     fn oversized_object_rejected() {
         let (c, _) = cache(4);
         assert!(c.create("big", &[0u8; 5]).is_err());
-    }
-
-    #[test]
-    fn hit_and_miss_counters() {
-        let (c, _) = cache(100);
-        c.create("x", b"1").unwrap();
-        c.read("x").unwrap();
-        c.read("x").unwrap();
-        let _ = c.read("absent");
-        assert_eq!(c.hits.load(Ordering::Relaxed), 2);
-        assert_eq!(c.misses.load(Ordering::Relaxed), 1);
     }
 
     #[test]

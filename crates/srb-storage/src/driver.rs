@@ -67,7 +67,7 @@ pub struct CostModel {
 
 impl CostModel {
     /// A modern-for-2002 local disk (~0.2 ms op, 50 MB/s).
-    pub fn disk() -> Self {
+    pub(crate) fn disk() -> Self {
         CostModel {
             fixed_ns: 200_000,
             read_mbps: 50.0,
@@ -77,7 +77,7 @@ impl CostModel {
 
     /// Tape staging path of an archive (per-op handled separately; this is
     /// the drive streaming rate).
-    pub fn tape() -> Self {
+    pub(crate) fn tape() -> Self {
         CostModel {
             fixed_ns: 2_000_000,
             read_mbps: 15.0,
@@ -86,7 +86,7 @@ impl CostModel {
     }
 
     /// Database engine: higher per-op cost, decent throughput.
-    pub fn database() -> Self {
+    pub(crate) fn database() -> Self {
         CostModel {
             fixed_ns: 500_000,
             read_mbps: 30.0,

@@ -1,20 +1,17 @@
 //! File-system driver — the "unix-sdsc" style resource of the paper.
 //!
-//! A thin policy layer over [`MemStore`]: disk cost model, plus explicit
-//! directory support so registered *shadow directories* (paper §4, object
-//! type 2) can expose a cone of files.
+//! A thin policy layer over `MemStore`: disk cost model, plus the
+//! directories its objects imply, so registered *shadow directories*
+//! (paper §4, object type 2) can expose a cone of files.
 
 use crate::driver::{CostModel, DriverKind, ObjStat, StorageDriver};
 use crate::memfs::MemStore;
 use bytes::Bytes;
-use srb_types::sync::{LockRank, RwLock};
 use srb_types::{SimClock, SrbResult, Timestamp};
-use std::collections::BTreeSet;
 
 /// Simulated Unix/NT/Mac file system.
 pub struct FsDriver {
     store: MemStore,
-    dirs: RwLock<BTreeSet<String>>,
     cost: CostModel,
     clock: SimClock,
 }
@@ -29,19 +26,14 @@ impl FsDriver {
     pub fn with_cost(clock: SimClock, cost: CostModel) -> Self {
         FsDriver {
             store: MemStore::new(clock.clone()),
-            dirs: RwLock::new(LockRank::Storage, "storage.fs.dirs", BTreeSet::new()),
             cost,
             clock,
         }
     }
 
-    /// Is `path` a known directory (explicit, or implied by some object)?
+    /// Is `path` a directory, implied by some object under it?
     pub fn is_dir(&self, path: &str) -> bool {
-        let p = path.trim_end_matches('/');
-        if self.dirs.read().contains(p) {
-            return true;
-        }
-        let prefix = format!("{p}/");
+        let prefix = format!("{}/", path.trim_end_matches('/'));
         !self.store.list(&prefix).is_empty()
     }
 
@@ -125,22 +117,9 @@ impl StorageDriver for FsDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use srb_types::SrbError;
 
     fn fs() -> FsDriver {
         FsDriver::new(SimClock::new())
-    }
-
-    /// Create an (empty) directory explicitly.
-    fn mkdir(f: &FsDriver, path: &str) -> SrbResult<()> {
-        if !f
-            .dirs
-            .write()
-            .insert(path.trim_end_matches('/').to_string())
-        {
-            return Err(SrbError::AlreadyExists(format!("directory '{path}'")));
-        }
-        Ok(())
     }
 
     #[test]
@@ -166,15 +145,6 @@ mod tests {
         assert!(!f.is_dir("data/set2"));
         let st = f.stat("data/set1").unwrap();
         assert!(st.is_dir);
-    }
-
-    #[test]
-    fn explicit_mkdir() {
-        let f = fs();
-        mkdir(&f, "staging").unwrap();
-        assert!(f.is_dir("staging"));
-        assert!(f.exists("staging"));
-        assert!(mkdir(&f, "staging").is_err());
     }
 
     #[test]

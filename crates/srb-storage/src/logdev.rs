@@ -294,7 +294,7 @@ pub struct LogDevice {
 
 impl LogDevice {
     /// Per-record buffered-append overhead (a memcpy into the log buffer).
-    pub const APPEND_NS: u64 = 2_000;
+    pub(crate) const APPEND_NS: u64 = 2_000;
 
     /// A log device with the default cost model: fsync pays a 2002-era
     /// rotational-latency fixed cost, then streams at disk write speed.

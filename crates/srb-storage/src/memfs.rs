@@ -23,7 +23,7 @@ const SHARDS: usize = 16;
 
 /// Thread-safe in-memory path → bytes store.
 #[derive(Debug)]
-pub struct MemStore {
+pub(crate) struct MemStore {
     shards: Vec<RwLock<BTreeMap<String, Object>>>,
     used: AtomicU64,
     clock: SimClock,

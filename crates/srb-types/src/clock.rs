@@ -29,13 +29,13 @@ impl Timestamp {
 
     /// Microseconds since boot (truncating).
     #[inline]
-    pub fn micros(self) -> u64 {
+    pub(crate) fn micros(self) -> u64 {
         self.0 / 1_000
     }
 
     /// Timestamp `d` nanoseconds later.
     #[inline]
-    pub fn plus_nanos(self, d: u64) -> Timestamp {
+    pub(crate) fn plus_nanos(self, d: u64) -> Timestamp {
         Timestamp(self.0.saturating_add(d))
     }
 

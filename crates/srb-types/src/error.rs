@@ -23,12 +23,8 @@ pub enum SrbError {
     /// Authentication failed (bad credentials, expired session, bad ticket).
     AuthFailed(String),
     /// A storage resource is unavailable (down, circuit-broken, out of
-    /// space). The rest of its site may still be reachable.
+    /// space).
     ResourceUnavailable(String),
-    /// An entire site is unreachable (network partition, site outage).
-    /// Distinct from [`SrbError::ResourceUnavailable`] so failover can
-    /// tell "this disk is down" from "everything over there is down".
-    SiteUnavailable(String),
     /// An operation timed out transiently (flaky storage, lost message).
     /// Retrying the *same* replica may succeed.
     Timeout(String),
@@ -61,7 +57,6 @@ impl SrbError {
             SrbError::PermissionDenied(_) => "PERMISSION_DENIED",
             SrbError::AuthFailed(_) => "AUTH_FAILED",
             SrbError::ResourceUnavailable(_) => "RESOURCE_UNAVAILABLE",
-            SrbError::SiteUnavailable(_) => "SITE_UNAVAILABLE",
             SrbError::Timeout(_) => "TIMEOUT",
             SrbError::Corrupt(_) => "CORRUPT",
             SrbError::Locked(_) => "LOCKED",
@@ -84,10 +79,7 @@ impl SrbError {
     pub fn is_retryable(&self) -> bool {
         matches!(
             self,
-            SrbError::ResourceUnavailable(_)
-                | SrbError::SiteUnavailable(_)
-                | SrbError::Timeout(_)
-                | SrbError::Io(_)
+            SrbError::ResourceUnavailable(_) | SrbError::Timeout(_) | SrbError::Io(_)
         )
     }
 
@@ -96,22 +88,21 @@ impl SrbError {
     /// resource is down.
     ///
     /// The retry engine uses this: `Timeout`/`Io` legs are worth a
-    /// backoff-and-retry; `ResourceUnavailable`/`SiteUnavailable` mean the
-    /// switchboard (or a circuit breaker) has declared the target dead for
-    /// now, so the right move is failing over, not hammering it.
+    /// backoff-and-retry; `ResourceUnavailable` means the switchboard (or
+    /// a circuit breaker) has declared the target dead for now, so the
+    /// right move is failing over, not hammering it.
     pub fn is_transient(&self) -> bool {
         matches!(self, SrbError::Timeout(_) | SrbError::Io(_))
     }
 
     /// The human-readable detail attached at construction.
-    pub fn detail(&self) -> &str {
+    pub(crate) fn detail(&self) -> &str {
         match self {
             SrbError::NotFound(s)
             | SrbError::AlreadyExists(s)
             | SrbError::PermissionDenied(s)
             | SrbError::AuthFailed(s)
             | SrbError::ResourceUnavailable(s)
-            | SrbError::SiteUnavailable(s)
             | SrbError::Timeout(s)
             | SrbError::Corrupt(s)
             | SrbError::Locked(s)
@@ -174,12 +165,6 @@ mod tests {
                 true,
                 false,
             ),
-            (
-                SrbError::SiteUnavailable("x".into()),
-                "SITE_UNAVAILABLE",
-                true,
-                false,
-            ),
             (SrbError::Timeout("x".into()), "TIMEOUT", true, true),
             (SrbError::Corrupt("x".into()), "CORRUPT", false, false),
             (SrbError::Locked("x".into()), "LOCKED", false, false),
@@ -213,7 +198,6 @@ mod tests {
             SrbError::Timeout("t".into()),
             SrbError::Io("io".into()),
             SrbError::ResourceUnavailable("r".into()),
-            SrbError::SiteUnavailable("s".into()),
         ] {
             if e.is_transient() {
                 assert!(e.is_retryable(), "{} transient but not retryable", e.code());

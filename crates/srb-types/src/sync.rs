@@ -191,13 +191,6 @@ impl<T> Mutex<T> {
             inner: std::sync::Mutex::new(value),
         }
     }
-
-    /// Consume the lock, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.inner
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
 }
 
 impl<T: ?Sized> Mutex<T> {
@@ -267,13 +260,6 @@ impl<T> RwLock<T> {
             name,
             inner: std::sync::RwLock::new(value),
         }
-    }
-
-    /// Consume the lock, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.inner
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -429,7 +415,6 @@ mod tests {
         let m = Mutex::new(LockRank::Storage, "test.round_trip", 1);
         *m.lock() += 1;
         assert_eq!(*m.lock(), 2);
-        assert_eq!(m.into_inner(), 2);
     }
 
     #[test]
@@ -445,7 +430,7 @@ mod tests {
     }
 
     /// A holder that panics does not poison the grid: the next `lock`,
-    /// `read`, `write` and `into_inner` all get the value.
+    /// `read` and `write` all get the value.
     #[test]
     fn poisoned_lock_recovers() {
         use std::sync::Arc;
@@ -469,10 +454,6 @@ mod tests {
         assert_eq!(*l.read(), 0);
         *l.write() += 2;
         assert_eq!(*l.read(), 2);
-
-        let m = Arc::try_unwrap(m).unwrap();
-        let l = Arc::try_unwrap(l).unwrap();
-        assert_eq!((m.into_inner(), l.into_inner()), (1, 2));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! `cargo xtask analyze` — structure-aware static concurrency,
 //! determinism and reachability analysis over the whole workspace.
 //!
-//! Four analyses run on the token stream (see [`crate::lexer`]). The first
+//! Five analyses run on the token stream (see [`crate::lexer`]). The first
 //! three are scoped to library code (`crates/*/src/**`, `src/**`) outside
 //! `#[cfg(test)]` regions — test code deliberately constructs inversions
 //! to exercise the runtime detector:
@@ -33,15 +33,27 @@
 //!    name shared with any other item (`new`, `get`) is never flagged: the
 //!    rule can miss dead code but never flags live code. `pub(crate)`
 //!    items are left to rustc's `dead_code` lint.
+//! 5. **`over-public`** — flags a plain `pub` item under `crates/*/src`
+//!    (outside `#[cfg(test)]`) that no identifier outside its crate's
+//!    library names, so it could be `pub(crate)`: the same files as
+//!    `unreached`, where the crate's own `tests/`, `examples/` and binary
+//!    targets, and doc-test code blocks, count as outside. An item a
+//!    `pub use` re-exports, or one named in the interface of an item that
+//!    stays `pub`, is never flagged: the compiler would refuse to narrow
+//!    it. Name-level like `unreached`, so it can miss an item but never
+//!    flags one wrongly.
+//!
+//! The text summary ends with a [`Ledger`] line: the size of the API
+//! under `crates/*/src`.
 //!
 //! Guard liveness is tracked lexically: a `let`-bound guard lives to the
 //! end of its enclosing block (or an explicit `drop(guard)`); a guard
 //! used as a temporary lives to the end of its statement.
 
-use crate::lexer::{FnItem, Lexed, Tok, TokKind};
+use crate::lexer::{matching_close, FnItem, Lexed, Tok, TokKind};
 use crate::lockgraph::{Edge, LockGraph, LockRegistry, DEFAULT_RANKS};
 use crate::rules::Violation;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
 /// Simulated-storage / fan-out dispatch entry points: calls that charge
@@ -118,6 +130,39 @@ pub struct Analysis {
     pub ranks: BTreeMap<String, u8>,
     /// Did `LockRank` parse out of sync.rs, or are we on the fallback?
     pub ranks_from_source: bool,
+    pub ledger: Ledger,
+}
+
+/// Item keywords the ledger counts after a line's leading `pub `.
+const LEDGER_KINDS: &[&str] = &[
+    "fn", "struct", "enum", "trait", "const", "static", "type", "mod", "use",
+];
+
+/// The size of the workspace API under `crates/*/src`: non-blank lines
+/// before each file's first column-0 `#[cfg(test)]`, and how many of them
+/// open with `pub <kind> ` for a kind in [`LEDGER_KINDS`].
+#[derive(Default)]
+pub struct Ledger {
+    pub lines: usize,
+    pub pub_items: usize,
+}
+
+impl Ledger {
+    fn add(&mut self, src: &str) {
+        for line in src.lines().take_while(|l| !l.starts_with("#[cfg(test)]")) {
+            let line = line.trim_start();
+            if line.is_empty() {
+                continue;
+            }
+            self.lines += 1;
+            let item = line.strip_prefix("pub ").is_some_and(|rest| {
+                LEDGER_KINDS
+                    .iter()
+                    .any(|k| rest.strip_prefix(k).is_some_and(|r| r.starts_with(' ')))
+            });
+            self.pub_items += usize::from(item);
+        }
+    }
 }
 
 /// Is this file in scope for the three analyses (library code only)?
@@ -128,9 +173,9 @@ fn in_analysis_scope(path: &str) -> bool {
         && !path.contains("/examples/")
 }
 
-/// Run all four analyses over `files` (workspace-relative paths under
-/// `root`); `refs` are read only as references for `unreached`. Reads
-/// each file once and lexes it once.
+/// Run all five analyses over `files` (workspace-relative paths under
+/// `root`); `refs` are read only as references for `unreached` and
+/// `over-public`. Reads each file once and lexes it once.
 pub fn analyze(root: &Path, files: &[String], refs: &[String]) -> std::io::Result<Analysis> {
     let ranks_src = std::fs::read_to_string(root.join("crates/srb-types/src/sync.rs")).ok();
     let (ranks, ranks_from_source) = match ranks_src.as_deref().and_then(LockRegistry::parse_ranks)
@@ -146,10 +191,21 @@ pub fn analyze(root: &Path, files: &[String], refs: &[String]) -> std::io::Resul
     };
 
     let mut all_files: Vec<(String, Lexed)> = Vec::new();
+    let mut doc_tests = Vec::new();
+    let mut ledger = Ledger::default();
     for rel in files.iter().chain(refs) {
         let src = std::fs::read_to_string(root.join(rel))?;
+        if defines_api(rel) {
+            ledger.add(&src);
+        }
+        let code = doc_test_code(&src);
+        if !code.is_empty() {
+            doc_tests.push((format!("doctest:{rel}"), Lexed::new(&code)));
+        }
         all_files.push((rel.clone(), Lexed::new(&src)));
     }
+    // Doc tests compile outside their crate: references only.
+    all_files.extend(doc_tests);
     let lexed_files: Vec<&(String, Lexed)> = all_files[..files.len()]
         .iter()
         .filter(|(rel, _)| in_analysis_scope(rel))
@@ -168,7 +224,9 @@ pub fn analyze(root: &Path, files: &[String], refs: &[String]) -> std::io::Resul
         scan_file(path, lexed, &registry, &mut graph, &mut violations);
         hash_iter_file(path, lexed, &mut violations);
     }
-    violations.extend(unreached(&all_files));
+    let unreached = unreached(&all_files);
+    violations.extend(over_public(&all_files, &unreached));
+    violations.extend(unreached);
 
     // Graph-level checks.
     let rank_of: BTreeMap<String, u8> = registry
@@ -232,6 +290,7 @@ pub fn analyze(root: &Path, files: &[String], refs: &[String]) -> std::io::Resul
         graph,
         ranks,
         ranks_from_source,
+        ledger,
     })
 }
 
@@ -632,6 +691,37 @@ fn hash_iter_file(path: &str, lexed: &Lexed, violations: &mut Vec<Violation>) {
     }
 }
 
+/// The Rust code blocks of `src`'s doc comments, which rustdoc compiles as
+/// tests outside the crate.
+fn doc_test_code(src: &str) -> String {
+    let mut code = String::new();
+    // `Some(true)` inside a Rust block, `Some(false)` inside another.
+    let mut fence = None;
+    for line in src.lines() {
+        let line = line.trim_start();
+        let Some(doc) = line
+            .strip_prefix("///")
+            .or_else(|| line.strip_prefix("//!"))
+        else {
+            continue;
+        };
+        let doc = doc.trim_start();
+        if let Some(info) = doc.strip_prefix("```") {
+            fence = match fence {
+                None => Some(
+                    info.split(',')
+                        .all(|a| ["", "rust", "no_run", "should_panic"].contains(&a.trim())),
+                ),
+                Some(_) => None,
+            };
+        } else if fence == Some(true) {
+            code.push_str(doc);
+            code.push('\n');
+        }
+    }
+    code
+}
+
 /// Does `path` define the workspace API `unreached` checks
 /// (`crates/<crate>/src/**`)?
 fn defines_api(path: &str) -> bool {
@@ -676,6 +766,217 @@ fn unreached(files: &[(String, Lexed)]) -> Vec<Violation> {
         }
     }
     out
+}
+
+/// The crate whose library `path` is part of: `crates/<crate>/src/**`,
+/// minus the binary targets `src/main.rs` and `src/bin/**`.
+fn library_crate(path: &str) -> Option<&str> {
+    let (krate, rest) = path.strip_prefix("crates/")?.split_once('/')?;
+    let rest = rest.strip_prefix("src/")?;
+    (rest != "main.rs" && !rest.starts_with("bin/")).then_some(krate)
+}
+
+/// Item kinds `over-public` narrows.
+const ITEM_KINDS: &[&str] = &["fn", "struct", "enum", "trait", "const", "type", "static"];
+
+/// A plain-`pub` item outside `#[cfg(test)]`.
+struct PubItem<'a> {
+    kind: &'static str,
+    name: &'a str,
+    line: usize,
+    /// Identifiers of its interface, which must stay `pub` while it does:
+    /// a fn's signature, a struct's `pub` fields, an enum's or a trait's
+    /// body, a const's or static's type, an alias's target.
+    interface: Vec<&'a str>,
+}
+
+/// How the token at `i` moves the generics depth: `<` opens, `>` closes
+/// (the `>` of `->` does not).
+fn angle_step(toks: &[Tok], i: usize) -> isize {
+    match toks[i].text.as_str() {
+        "<" if toks[i].kind == TokKind::Punct => 1,
+        ">" if toks[i].kind == TokKind::Punct && !(i > 0 && toks[i - 1].is_punct('-')) => -1,
+        _ => 0,
+    }
+}
+
+/// Identifier texts of `toks[from..to]`.
+fn idents(toks: &[Tok], from: usize, to: usize) -> impl Iterator<Item = &str> {
+    toks[from..to.min(toks.len())]
+        .iter()
+        .filter(|t| t.kind == TokKind::Ident)
+        .map(|t| t.text.as_str())
+}
+
+/// First index from `i` holding one of `stops` outside parens, brackets
+/// and generics (`toks.len()` if none).
+fn scan_to(toks: &[Tok], mut i: usize, stops: &[char]) -> usize {
+    let mut depth = 0isize;
+    while i < toks.len() {
+        let t = &toks[i];
+        if depth == 0 && stops.iter().any(|&c| t.is_punct(c)) {
+            return i;
+        }
+        if t.is_punct('(') || t.is_punct('[') {
+            depth += 1;
+        } else if t.is_punct(')') || t.is_punct(']') {
+            depth -= 1;
+        }
+        depth += angle_step(toks, i);
+        i += 1;
+    }
+    i
+}
+
+/// Identifiers of the `pub` fields between the brackets at `open` and
+/// `close` (a brace or tuple struct body).
+fn pub_field_idents<'a>(toks: &'a [Tok], open: usize, close: usize, out: &mut Vec<&'a str>) {
+    let mut i = open + 1;
+    while i < close {
+        let end = scan_to(toks, i, &[',']).min(close);
+        let mut j = i;
+        while toks[j].is_punct('#') {
+            j = matching_close(toks, j + 1).map_or(end, |c| c + 1);
+        }
+        if j < end && toks[j].is_ident("pub") && !toks[j + 1].is_punct('(') {
+            out.extend(idents(toks, j + 1, end));
+        }
+        i = end + 1;
+    }
+}
+
+/// Every plain-`pub` item of `lexed` outside `#[cfg(test)]`.
+fn pub_items(lexed: &Lexed) -> Vec<PubItem<'_>> {
+    let toks = &lexed.toks;
+    let mut out = Vec::new();
+    for i in 0..toks.len().saturating_sub(2) {
+        if !toks[i].is_ident("pub") || toks[i + 1].is_punct('(') || lexed.in_test(i) {
+            continue;
+        }
+        // Past `const`/`async`/`unsafe`/`extern "abi"` qualifiers of a fn.
+        let mut j = i + 1;
+        while j + 1 < toks.len() {
+            let t = &toks[j];
+            let fn_const = t.is_ident("const")
+                && ["fn", "unsafe", "async", "extern"]
+                    .iter()
+                    .any(|w| toks[j + 1].is_ident(w));
+            if !(fn_const
+                || t.is_ident("async")
+                || t.is_ident("unsafe")
+                || t.is_ident("extern")
+                || t.kind == TokKind::Str)
+            {
+                break;
+            }
+            j += 1;
+        }
+        let Some(&kind) = ITEM_KINDS.iter().find(|k| toks[j].is_ident(k)) else {
+            continue;
+        };
+        let mut n = j + 1;
+        if toks.get(n).is_some_and(|t| t.is_ident("mut")) {
+            n += 1;
+        }
+        let Some(name) = toks.get(n).filter(|t| t.kind == TokKind::Ident) else {
+            continue;
+        };
+        let stops: &[char] = match kind {
+            "fn" => &['{', ';'],
+            "const" | "static" => &['=', ';'],
+            "type" => &[';'],
+            _ => &['{', '(', ';'],
+        };
+        let head = scan_to(toks, n + 1, stops);
+        let mut interface: Vec<&str> = idents(toks, n + 1, head).collect();
+        // A struct's, enum's or trait's body.
+        let body = ["struct", "enum", "trait"].contains(&kind)
+            && toks.get(head).is_some_and(|t| !t.is_punct(';'));
+        if let Some(close) = body.then(|| matching_close(toks, head)).flatten() {
+            if kind == "struct" {
+                pub_field_idents(toks, head, close, &mut interface);
+            } else {
+                interface.extend(idents(toks, head, close));
+            }
+        }
+        out.push(PubItem {
+            kind,
+            name: &name.text,
+            line: toks[j].line,
+            interface,
+        });
+    }
+    out
+}
+
+/// Flag every plain-`pub` item of a crate library ([`library_crate`])
+/// that no identifier outside that library names, and that neither a
+/// `pub use` nor the interface of an item staying `pub` names: those it
+/// could be `pub(crate)`. `skip` holds the `(path, line)` findings of
+/// `unreached`, whose fns are deleted rather than narrowed.
+fn over_public(files: &[(String, Lexed)], skip: &[Violation]) -> Vec<Violation> {
+    // Which libraries name each identifier (`None`: a file in no library).
+    let mut namers: BTreeMap<&str, Vec<Option<&str>>> = BTreeMap::new();
+    for (path, lexed) in files {
+        let krate = library_crate(path);
+        for t in lexed.toks.iter().filter(|t| t.kind == TokKind::Ident) {
+            let who = namers.entry(t.text.as_str()).or_default();
+            if !who.contains(&krate) {
+                who.push(krate);
+            }
+        }
+    }
+    // (crate, path, item, stays `pub`)
+    let mut items: Vec<(&str, &str, PubItem, bool)> = Vec::new();
+    let mut bound: BTreeSet<(&str, &str)> = BTreeSet::new();
+    for (path, lexed) in files {
+        let Some(krate) = library_crate(path) else {
+            continue;
+        };
+        // `pub use` re-exports must stay re-exportable.
+        let toks = &lexed.toks;
+        for i in 0..toks.len().saturating_sub(1) {
+            if toks[i].is_ident("pub") && toks[i + 1].is_ident("use") && !lexed.in_test(i) {
+                for name in idents(toks, i + 2, scan_to(toks, i + 2, &[';'])) {
+                    bound.insert((krate, name));
+                }
+            }
+        }
+        for it in pub_items(lexed) {
+            let outside = namers[it.name].iter().any(|&w| w != Some(krate));
+            items.push((krate, path.as_str(), it, outside));
+        }
+    }
+    // What the interface of an item staying `pub` names stays `pub` too,
+    // up to a fixed point.
+    loop {
+        let before = bound.len();
+        for (krate, _, it, kept) in &mut items {
+            *kept |= bound.contains(&(*krate, it.name));
+            if *kept {
+                bound.extend(it.interface.iter().map(|&name| (*krate, name)));
+            }
+        }
+        if bound.len() == before {
+            break;
+        }
+    }
+    items
+        .iter()
+        .filter(|(_, path, it, kept)| {
+            !kept && !skip.iter().any(|v| v.path == *path && v.line == it.line)
+        })
+        .map(|(krate, path, it, _)| Violation {
+            path: path.to_string(),
+            line: it.line,
+            rule: "over-public",
+            msg: format!(
+                "`pub {} {}` is named nowhere outside crate `{krate}`'s library; \
+                 make it `pub(crate)`",
+                it.kind, it.name
+            ),
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -929,5 +1230,38 @@ impl T {
         let flagged: Vec<(usize, &str)> =
             unreached(&files).iter().map(|v| (v.line, v.rule)).collect();
         assert_eq!(flagged, vec![(1, "unreached"), (3, "unreached")]);
+    }
+
+    #[test]
+    fn over_public_counts_names_outside_the_library() {
+        let lib = "pub use m::Shown;\npub fn inner_only() {}\npub struct Arg;\npub fn api(a: Arg) {}\n\
+                   pub struct Hidden { pub f: Field }\npub struct Field;\npub(crate) fn narrow() {}\n\
+                   fn f() { inner_only(); }\npub fn bin_only() {}\n\
+                   #[cfg(test)]\nmod tests { pub fn t() { Hidden; } }\n";
+        let files: Vec<(String, Lexed)> = [
+            ("crates/a/src/lib.rs", lib),
+            ("crates/a/src/m.rs", "pub struct Shown;\n"),
+            ("crates/a/src/bin/tool.rs", "fn main() { a::bin_only(); }"),
+            ("crates/a/tests/it.rs", "fn t() { a::api(); }"),
+        ]
+        .into_iter()
+        .map(|(p, src)| (p.to_string(), Lexed::new(src)))
+        .collect();
+        let flagged: Vec<(&str, usize)> = over_public(&files, &[])
+            .iter()
+            .map(|v| (v.rule, v.line))
+            .collect();
+        // `Field` is named only by `Hidden`, which is narrowed too.
+        assert_eq!(
+            flagged,
+            vec![("over-public", 2), ("over-public", 5), ("over-public", 6)]
+        );
+    }
+
+    #[test]
+    fn doc_tests_are_the_rust_fences_of_doc_comments() {
+        let src = "//! ```\n//! a::run();\n//! ```\n/// ```text\n/// a::shown_only\n/// ```\n\
+                   /// ```rust,no_run\n/// a::go();\n/// ```\n// ```\n// a::commented();\n";
+        assert_eq!(doc_test_code(src), "a::run();\na::go();\n");
     }
 }

@@ -38,8 +38,11 @@
 //!   - `unreached` — a `pub fn` under `crates/*/src` that no identifier
 //!     names outside its own file's tests (`benchmark/src/` and
 //!     `examples/` are read as references only).
+//!   - `over-public` — a `pub` item under `crates/*/src` that nothing
+//!     outside its crate's library names: it could be `pub(crate)`.
 //!
-//!   `--dot` regenerates `docs/lock-graph.dot`.
+//!   `--dot` regenerates `docs/lock-graph.dot`. The text summary ends with
+//!   a ledger line: non-test lines and `pub` items under `crates/*/src`.
 //!
 //! - `cargo xtask benchcheck` — holds the committed `BENCH_*.json`
 //!   artifacts to the bounds in one declarative gate table (see
@@ -279,5 +282,13 @@ fn run_analyze(root: &Path, dot: bool, out: &Output) -> ExitCode {
         analysis.graph.edges.len(),
         files.len()
     );
-    out.finish("analyze", &analysis.violations, clean)
+    let code = out.finish("analyze", &analysis.violations, clean);
+    if !out.json {
+        let ledger = &analysis.ledger;
+        println!(
+            "xtask analyze: ledger — crates/*/src: {} non-test lines, {} pub items",
+            ledger.lines, ledger.pub_items
+        );
+    }
+    code
 }

@@ -39,6 +39,8 @@ const ANALYZE_GOLDENS: &[&str] = &[
     "crates/fix-lock/src/order.rs:36: [lock-order]",
     "crates/fix-lock/src/order.rs:43: [lock-cycle]",
     "crates/fix-lock/src/storage.rs:24: [guard-across-storage]",
+    "crates/fix-public/src/lib.rs:10: [over-public]",
+    "crates/fix-public/src/lib.rs:15: [over-public]",
     "crates/fix-reach/src/lib.rs:4: [unreached]",
     "crates/fix-reach/src/lib.rs:9: [unreached]",
     "crates/fix-reach/src/lib.rs:15: [unreached]",
@@ -76,7 +78,9 @@ fn analyze_detects_every_seeded_violation() {
     // The clean fixtures (down-rank nesting, guard dropped before
     // dispatch, sorted/terminal/ordered iteration, `pub fn`s named from
     // `tests/`, `examples/`, `benchmark/src/` or elsewhere in their file,
-    // `pub(crate)` and test-module fns) must not appear.
+    // `pub(crate)` and test-module fns, and `pub` items that a `pub use`,
+    // a `pub` signature, the crate's `tests/` or its `src/bin/` name)
+    // must not appear.
     for clean in [
         "layered",
         "flush_ok",
@@ -90,6 +94,10 @@ fn analyze_detects_every_seeded_violation() {
         "crate_only",
         "called_here",
         "test_helper",
+        "Reexported",
+        "Token",
+        "make_token",
+        "used_by_bin",
     ] {
         assert!(
             !stdout.contains(clean),
@@ -101,6 +109,12 @@ fn analyze_detects_every_seeded_violation() {
     assert!(stdout.contains("`fix.store` (LockRank::Storage = 1)"));
     // The cycle message spells out the loop.
     assert!(stdout.contains("fix.table_a -> fix.table_b -> fix.table_a"));
+    // The summary ends with the ledger of `crates/*/src`.
+    assert_eq!(
+        stdout.lines().last(),
+        Some("xtask analyze: ledger — crates/*/src: 280 non-test lines, 48 pub items"),
+        "{stdout}"
+    );
 }
 
 #[test]
@@ -131,6 +145,7 @@ fn json_output_is_machine_readable() {
         "guard-across-storage",
         "hash-iter",
         "unreached",
+        "over-public",
     ] {
         assert!(
             stdout.contains(&format!("\"{rule}\"")),
@@ -169,6 +184,10 @@ fn github_annotations_are_emitted() {
     );
     assert!(
         stdout.contains("::error file=crates/fix-reach/src/lib.rs,line=4,title=unreached::"),
+        "no annotation:\n{stdout}"
+    );
+    assert!(
+        stdout.contains("::error file=crates/fix-public/src/lib.rs,line=15,title=over-public::"),
         "no annotation:\n{stdout}"
     );
     let annotations = stdout.lines().filter(|l| l.starts_with("::error ")).count();

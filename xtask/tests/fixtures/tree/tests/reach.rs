@@ -1,10 +1,10 @@
-//! Integration test naming every fixture `pub fn` that is not an
-//! `unreached` bait.
+//! Integration test naming every fixture `pub` item that is not an
+//! `unreached` or `over-public` bait.
 
 use fix_det::{all, checkpoint_sorted, digest, export, render, snapshot, snapshot_sorted};
-use fix_det::write_checkpoint;
-use fix_lint::now_ms;
-use fix_lock::{ab, ba, flush, flush_ok, inverted, layered};
+use fix_det::{write_checkpoint, Catalog, Table};
+use fix_lint::{first, now_ms, Tables};
+use fix_lock::{ab, ba, flush, flush_ok, inverted, layered, retry_storage, Flusher, State};
 use fix_reach::{called_here, used_by_tests};
 use mysrb::{cell, cell_in_place, register};
 use srb_core::{drop_row, handle, mint_url, read_raw};
