@@ -38,7 +38,7 @@ use crate::table::Table;
 use serde_json::json;
 use srb_core::Grid;
 use srb_mcat::{Mcat, MetaKind, NewDataset, Query, Subject};
-use srb_types::{CollectionId, CompareOp, MetaValue, SeedStream, Triplet};
+use srb_types::{fnv1a64, CollectionId, CompareOp, MetaValue, SeedStream, Triplet};
 
 /// Entries per `list_page` window in the paging half.
 const PAGE: usize = 100;
@@ -276,15 +276,6 @@ fn measure_query_paging(m: &Mcat, coll: CollectionId, entries: usize) -> Vec<Pag
         .collect()
 }
 
-fn fnv64(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
 /// Two same-seed 2000-entry runs: every simulated artifact — hit paths,
 /// continuation tokens, `mcat.*` counters — must hash identically. Wall
 /// timings are deliberately absent from the digest.
@@ -337,7 +328,7 @@ fn determinism_block() -> serde_json::Value {
         ] {
             text.push_str(&format!("{c}:{}\n", snap.counter(c, "")));
         }
-        fnv64(&text)
+        fnv1a64(&[text.as_bytes()])
     };
     let a = digest(&single_site_grid().0);
     let b = digest(&single_site_grid().0);

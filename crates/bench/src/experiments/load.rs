@@ -27,7 +27,7 @@ use mysrb::urlenc::encode;
 use mysrb::{MySrb, MySrbConfig, Request, SessionConfig};
 use serde_json::json;
 use srb_core::{Grid, GridBuilder, IngestOptions, SrbConnection};
-use srb_types::{splitmix64, ServerId, Triplet};
+use srb_types::{fnv1a64, splitmix64, ServerId, Triplet};
 use std::collections::BTreeMap;
 use std::time::Instant;
 
@@ -436,15 +436,6 @@ fn sim_fields(r: &RunResult) -> serde_json::Value {
     })
 }
 
-fn fnv64(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
 /// Session-count scaling rows: 10⁴ → 10⁶ live sessions, standard mix,
 /// sharded + pooled front-end.
 fn scaling_rows(p: &LoadParams) -> Vec<RunResult> {
@@ -557,7 +548,7 @@ fn determinism_block(p: &LoadParams) -> serde_json::Value {
             grid.metrics_snapshot().render_text(),
             keys.join(",")
         );
-        fnv64(&text)
+        fnv1a64(&[text.as_bytes()])
     };
     let a = digest();
     let b = digest();

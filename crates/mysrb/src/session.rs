@@ -22,7 +22,7 @@ use srb_core::SrbConnection;
 use srb_obs::{Counter, Gauge, MetricsRegistry};
 use srb_types::sync::{LockRank, RwLock};
 use srb_types::{
-    ct_eq, from_hex, splitmix64, to_hex, HmacKey, SimClock, SrbError, SrbResult, Timestamp,
+    ct_eq, fnv1a64, from_hex, splitmix64, to_hex, HmacKey, SimClock, SrbError, SrbResult, Timestamp,
 };
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -143,13 +143,7 @@ impl<'g> SessionStore<'g> {
     }
 
     fn shard_of(&self, id: &[u8; 16]) -> usize {
-        // FNV-1a, same scheme as the storage memfs shards.
-        let mut h: u64 = 0xcbf29ce484222325;
-        for &b in id {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-        (h % self.shards.len() as u64) as usize
+        (fnv1a64(&[id]) % self.shards.len() as u64) as usize
     }
 
     /// Mint a key for an authenticated connection.

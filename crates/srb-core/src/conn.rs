@@ -463,45 +463,32 @@ impl<'g> SrbConnection<'g> {
 
     /// Walk the policy-ordered fresh replicas (open-breaker resources
     /// demoted) with failover; if every fresh replica is unreachable and
-    /// the connection opted into degradation, fall back to stale copies,
-    /// flagging the receipt.
+    /// the connection opted into degradation, go on to the stale copies,
+    /// flagging the receipt when one serves.
     fn read_with_failover(&self, replicas: &[Replica], receipt: &mut Receipt) -> SrbResult<Bytes> {
         let ordered =
             self.policy
                 .order_with_health(replicas, &self.grid.load, Some(&self.grid.health));
-        if ordered.fresh.is_empty() && (!self.allow_stale || ordered.stale.is_empty()) {
+        let stale = if self.allow_stale {
+            &ordered.stale[..]
+        } else {
+            &[]
+        };
+        if ordered.fresh.is_empty() && stale.is_empty() {
             return Err(SrbError::NotFound("object has no readable replica".into()));
         }
+        let fresh = ordered.fresh.iter().map(|r| (r, false));
         let mut last_err = SrbError::ResourceUnavailable("no replica reachable".into());
-        for replica in ordered.fresh {
+        for (replica, is_stale) in fresh.chain(stale.iter().map(|r| (r, true))) {
             receipt.replicas_tried += 1;
             match self.read_replica(replica, receipt) {
                 Ok(bytes) => {
                     receipt.served_by = Some(replica.id);
+                    receipt.served_stale |= is_stale;
                     return Ok(bytes);
                 }
-                Err(e) if e.is_retryable() => {
-                    last_err = e;
-                    continue;
-                }
+                Err(e) if e.is_retryable() => last_err = e,
                 Err(e) => return Err(e),
-            }
-        }
-        if self.allow_stale {
-            for replica in ordered.stale {
-                receipt.replicas_tried += 1;
-                match self.read_replica(replica, receipt) {
-                    Ok(bytes) => {
-                        receipt.served_by = Some(replica.id);
-                        receipt.served_stale = true;
-                        return Ok(bytes);
-                    }
-                    Err(e) if e.is_retryable() => {
-                        last_err = e;
-                        continue;
-                    }
-                    Err(e) => return Err(e),
-                }
             }
         }
         Err(last_err)

@@ -23,7 +23,7 @@ use crate::auth::Session;
 use crate::conn::SrbConnection;
 use crate::grid::Grid;
 use srb_types::sync::{LockRank, RwLock};
-use srb_types::{ct_eq, ServerId, SrbResult};
+use srb_types::{ct_eq, fnv1a64, ServerId, SrbResult};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -63,11 +63,7 @@ impl ConnPool {
     }
 
     fn shard(&self, name: &str, domain: &str) -> &PoolShard {
-        let mut h: u64 = 0xcbf29ce484222325;
-        for b in name.bytes().chain([b'@']).chain(domain.bytes()) {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
+        let h = fnv1a64(&[name.as_bytes(), b"@", domain.as_bytes()]);
         &self.shards[(h % POOL_SHARDS as u64) as usize]
     }
 

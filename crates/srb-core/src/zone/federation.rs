@@ -5,7 +5,6 @@
 use crate::grid::Grid;
 use crate::zone::replication::{subtree_rows, Subscription};
 use crate::zone::Zone;
-use srb_mcat::dataset::{AccessSpec, Dataset};
 use srb_mcat::metadata::{MetaKind, Subject};
 use srb_mcat::{Mcat, WalConfig, WalOp};
 use srb_net::topology::RPC_MESSAGE_BYTES;
@@ -14,8 +13,7 @@ use srb_obs::{MetricsRegistry, MetricsSnapshot};
 use srb_storage::LogDevice;
 use srb_types::sync::{LockRank, RwLock};
 use srb_types::{
-    CollectionId, DatasetId, LogicalPath, MetaValue, ResourceId, ServerId, SimClock, SrbError,
-    SrbResult, Triplet, UserId,
+    CollectionId, LogicalPath, ResourceId, ServerId, SimClock, SrbError, SrbResult, UserId,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -290,11 +288,11 @@ impl Federation {
     /// Register a dataset that lives in `src` into `dst`'s catalog as a
     /// remote replica with home-zone provenance.
     ///
-    /// The pointer row carries an [`AccessSpec::Url`] of the form
+    /// The pointer row, written by [`Mcat::put_pointer`], carries an
+    /// [`AccessSpec::Url`](srb_mcat::AccessSpec::Url) of the form
     /// `srb+zone://<src zone>/<path>` and two WAL-logged system-metadata
-    /// triplets ([`ZONE_HOME_ATTR`](srb_mcat::ZONE_HOME_ATTR),
-    /// [`ZONE_PATH_ATTR`](srb_mcat::ZONE_PATH_ATTR)) so provenance
-    /// survives a crash with the row itself —
+    /// triplets (`zone_home`, `zone_path`) so provenance survives a crash
+    /// with the row itself —
     /// [`Mcat::remote_provenance`] fails closed when it does not. Parent
     /// collections of `dst_path` are created as needed, owned by `dst`'s
     /// administrator.
@@ -325,7 +323,9 @@ impl Federation {
                 .ok_or_else(|| SrbError::Invalid("registration target is the root".into()))?;
             let parent = ensure_collection(dst_mcat, &parent_lp, dst_mcat.admin())?;
             let home = (src_zone.name(), src_path);
-            put_pointer(dst_mcat, None, (parent, name), home, &ds).map(drop)
+            dst_mcat
+                .put_pointer(None, (parent, name), home, &ds)
+                .map(drop)
         })();
         dst_mcat.commit();
         if let Some(wal) = dst_mcat.wal() {
@@ -360,7 +360,7 @@ impl Federation {
                 }
                 WalOp::DatasetPut { row } => {
                     ds = coll.child(&row.name)?;
-                    let (size, sum) = home_stat(&row);
+                    let (size, sum) = Mcat::home_stat(&row);
                     format!("D {ds} {} {size} {}", row.data_type, sum.unwrap_or("-"))
                 }
                 WalOp::MetaPut { row } => {
@@ -409,71 +409,4 @@ pub(crate) fn ensure_collection(
         };
     }
     Ok(cur)
-}
-
-/// The size and checksum a pointer row and the digest take from a home
-/// row: its largest replica's size and its first replica's checksum.
-fn home_stat(ds: &Dataset) -> (u64, Option<&str>) {
-    let checksum = ds.replicas.first().and_then(|r| r.checksum.as_deref());
-    (
-        ds.replicas.iter().map(|r| r.size).max().unwrap_or(0),
-        checksum,
-    )
-}
-
-/// The one writer of a remote pointer row: an admin-owned dataset at
-/// `parent`/`name` whose one replica is the URL `srb+zone://<home
-/// zone><home path>`, with the home row `src`'s type, size and checksum,
-/// then its `zone_home` and `zone_path` system triplets, WAL-logged in that
-/// order. Given the `local` row instead, it refreshes that row's type, size
-/// and checksum, first moving and [re-pointing](repoint_home) it if it
-/// is elsewhere.
-pub(crate) fn put_pointer(
-    mcat: &Mcat,
-    local: Option<DatasetId>,
-    (parent, name): (CollectionId, &str),
-    (home, home_path): (&str, &str),
-    src: &Dataset,
-) -> SrbResult<DatasetId> {
-    use srb_mcat::{ZONE_HOME_ATTR, ZONE_PATH_ATTR, ZONE_URL_SCHEME};
-    let (size, checksum) = home_stat(src);
-    let Some(local) = local else {
-        let url = format!("{ZONE_URL_SCHEME}{home}{home_path}");
-        let spec = vec![(AccessSpec::Url { url }, size, checksum.map(str::to_string))];
-        let (ids, admin, now) = (&mcat.ids, mcat.admin(), mcat.clock.now());
-        let id = mcat
-            .datasets
-            .create(ids, parent, name, &src.data_type, admin, spec, now)?;
-        for (attr, value) in [(ZONE_HOME_ATTR, home), (ZONE_PATH_ATTR, home_path)] {
-            let (of, triplet) = (Subject::Dataset(id), Triplet::new(attr, value, ""));
-            mcat.metadata.add(ids, of, triplet, MetaKind::System);
-        }
-        return Ok(id);
-    };
-    let cur = mcat.datasets.get(local)?;
-    if cur.coll != parent || cur.name != name {
-        mcat.datasets.move_dataset(local, parent, name)?;
-        repoint_home(mcat, local, home_path)?;
-    }
-    mcat.datasets.update(local, |d| {
-        d.data_type = src.data_type.clone();
-        if let Some(r0) = d.replicas.first_mut() {
-            r0.size = size;
-            r0.checksum = checksum.map(str::to_string);
-        }
-        Ok(())
-    })?;
-    Ok(local)
-}
-
-/// Point a remote pointer row's `zone_path` triplet at `home_path`, after
-/// its home row moved.
-pub(crate) fn repoint_home(mcat: &Mcat, local: DatasetId, home_path: &str) -> SrbResult<()> {
-    for row in mcat.metadata.for_subject(Subject::Dataset(local)) {
-        if row.kind == MetaKind::System && row.triplet.name == srb_mcat::ZONE_PATH_ATTR {
-            let path = MetaValue::Text(home_path.to_string());
-            mcat.metadata.update(row.id, path, String::new())?;
-        }
-    }
-    Ok(())
 }

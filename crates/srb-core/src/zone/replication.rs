@@ -29,7 +29,7 @@
 //! [`Federation::pump`] still runs the subscriptions after a failing one.
 //! One publisher's subscriptions into one subscriber never overlap.
 
-use crate::zone::federation::{ensure_collection, put_pointer, repoint_home, Federation, ZoneId};
+use crate::zone::federation::{ensure_collection, Federation, ZoneId};
 use srb_mcat::metadata::{MetaKind, Subject};
 use srb_mcat::{export_deltas, Collection, Dataset, Delta, DeltaFetch, Mcat, WalOp};
 use srb_types::sync::{LockRank, Mutex};
@@ -486,7 +486,7 @@ impl Federation {
                         let home_path = mirror.src_path.child(&row.name)?.to_string();
                         let home = (src.name(), home_path.as_str());
                         let at = (mirror.local, row.name.as_str());
-                        let id = put_pointer(dst_mcat, local, at, home, &row)?;
+                        let id = dst_mcat.put_pointer(local, at, home, &row)?;
                         inner.dss.insert(row.id.raw(), id);
                     }
                     (Some(local), None) => {
@@ -673,11 +673,7 @@ fn mirror_move(
             continue;
         };
         if d.coll == local {
-            repoint_home(
-                dst_mcat,
-                local_ds,
-                &new_src_path.child(&d.name)?.to_string(),
-            )?;
+            dst_mcat.repoint_home(local_ds, &new_src_path.child(&d.name)?.to_string())?;
         }
     }
     if let Some(m) = inner.colls.get_mut(&src_raw) {

@@ -7,7 +7,7 @@ use crate::annotation::AnnotationTable;
 use crate::audit::AuditLog;
 use crate::collection::{AttrRequirement, Collection, CollectionTable};
 use crate::container::ContainerTable;
-use crate::dataset::{Dataset, DatasetEntry, DatasetTable};
+use crate::dataset::{AccessSpec, Dataset, DatasetEntry, DatasetTable};
 use crate::metadata::{MetaKind, MetaStore, RangeCond, Subject, DUBLIN_CORE};
 use crate::query::{Query, QueryCondition, QueryHit};
 use crate::resource::ResourceTable;
@@ -28,19 +28,18 @@ use std::sync::{Arc, OnceLock};
 const CURSOR_KEY_SEED: u64 = 0x5352_425f_4355_5253; // "SRB_CURS"
 
 /// URL scheme of a cross-zone replica pointer: a replica whose
-/// [`AccessSpec::Url`](crate::dataset::AccessSpec::Url) starts with this
-/// scheme holds no local bytes — it names a dataset in a peer zone as
-/// `srb+zone://<zone>/<logical path>`.
-pub const ZONE_URL_SCHEME: &str = "srb+zone://";
+/// [`AccessSpec::Url`] starts with this scheme holds no local bytes — it
+/// names a dataset in a peer zone as `srb+zone://<zone>/<logical path>`.
+const ZONE_URL_SCHEME: &str = "srb+zone://";
 
 /// System-metadata attribute naming the home zone of a remote-registered
 /// dataset. Written WAL-logged alongside the pointer so provenance
 /// survives crash recovery with the row itself.
-pub const ZONE_HOME_ATTR: &str = "zone_home";
+const ZONE_HOME_ATTR: &str = "zone_home";
 
 /// System-metadata attribute holding the dataset's logical path in its
 /// home zone.
-pub const ZONE_PATH_ATTR: &str = "zone_path";
+const ZONE_PATH_ATTR: &str = "zone_path";
 
 /// The Metadata Catalog.
 ///
@@ -1220,22 +1219,21 @@ impl Mcat {
     /// purely local dataset.
     ///
     /// A dataset is *remote-registered* when any replica is a
-    /// [`ZONE_URL_SCHEME`] pointer. Such a row must carry its provenance —
-    /// system-metadata triplets [`ZONE_HOME_ATTR`] and [`ZONE_PATH_ATTR`]
+    /// `srb+zone://` pointer. Such a row must carry its provenance —
+    /// system-metadata triplets `zone_home` and `zone_path`
     /// naming the home zone and the path there — or the pointer is
     /// unusable: the grid could neither route a read home nor prove where
     /// the bytes live. Lost provenance therefore **fails closed** with
     /// [`SrbError::Invalid`] instead of answering from a dangling pointer.
     pub fn remote_provenance(&self, id: DatasetId) -> SrbResult<Option<(String, String)>> {
         let d = self.datasets.get(id)?;
-        let remote = d.replicas.iter().any(|r| {
-            matches!(&r.spec, crate::dataset::AccessSpec::Url { url }
-                     if url.starts_with(ZONE_URL_SCHEME))
-        });
+        let remote = d.replicas.iter().any(
+            |r| matches!(&r.spec, AccessSpec::Url { url } if url.starts_with(ZONE_URL_SCHEME)),
+        );
         if !remote {
             return Ok(None);
         }
-        let subject = crate::metadata::Subject::Dataset(id);
+        let subject = Subject::Dataset(id);
         let home = self.metadata.value_of(subject, ZONE_HOME_ATTR);
         let path = self.metadata.value_of(subject, ZONE_PATH_ATTR);
         match (home, path) {
@@ -1245,6 +1243,80 @@ impl Mcat {
                  (missing {ZONE_HOME_ATTR}/{ZONE_PATH_ATTR} system metadata)"
             ))),
         }
+    }
+
+    /// The size and checksum a pointer row and the subtree digest take
+    /// from a home row: its largest replica's size and its first replica's
+    /// checksum.
+    pub fn home_stat(ds: &Dataset) -> (u64, Option<&str>) {
+        let checksum = ds.replicas.first().and_then(|r| r.checksum.as_deref());
+        (
+            ds.replicas.iter().map(|r| r.size).max().unwrap_or(0),
+            checksum,
+        )
+    }
+
+    /// The one writer of a remote pointer row: an admin-owned dataset at
+    /// `parent`/`name` whose one replica is the URL `srb+zone://<home
+    /// zone><home path>`, with the home row `src`'s type, size and checksum,
+    /// then its `zone_home` and `zone_path` system triplets, WAL-logged in
+    /// that order. Given the `local` row instead, it refreshes that row's
+    /// type, size and checksum, first moving and
+    /// [re-pointing](Self::repoint_home) it if it is elsewhere.
+    ///
+    /// The scheme and the two attribute names are private consts of this
+    /// file, so no code elsewhere can name them:
+    ///
+    /// ```compile_fail
+    /// let _ = srb_mcat::ZONE_URL_SCHEME;
+    /// ```
+    pub fn put_pointer(
+        &self,
+        local: Option<DatasetId>,
+        (parent, name): (CollectionId, &str),
+        (home, home_path): (&str, &str),
+        src: &Dataset,
+    ) -> SrbResult<DatasetId> {
+        let (size, checksum) = Self::home_stat(src);
+        let Some(local) = local else {
+            let url = format!("{ZONE_URL_SCHEME}{home}{home_path}");
+            let spec = vec![(AccessSpec::Url { url }, size, checksum.map(str::to_string))];
+            let (ids, admin, now) = (&self.ids, self.admin(), self.clock.now());
+            let id = self
+                .datasets
+                .create(ids, parent, name, &src.data_type, admin, spec, now)?;
+            for (attr, value) in [(ZONE_HOME_ATTR, home), (ZONE_PATH_ATTR, home_path)] {
+                let (of, triplet) = (Subject::Dataset(id), Triplet::new(attr, value, ""));
+                self.metadata.add(ids, of, triplet, MetaKind::System);
+            }
+            return Ok(id);
+        };
+        let cur = self.datasets.get(local)?;
+        if cur.coll != parent || cur.name != name {
+            self.datasets.move_dataset(local, parent, name)?;
+            self.repoint_home(local, home_path)?;
+        }
+        self.datasets.update(local, |d| {
+            d.data_type = src.data_type.clone();
+            if let Some(r0) = d.replicas.first_mut() {
+                r0.size = size;
+                r0.checksum = checksum.map(str::to_string);
+            }
+            Ok(())
+        })?;
+        Ok(local)
+    }
+
+    /// Point a remote pointer row's `zone_path` triplet at `home_path`,
+    /// after its home row moved.
+    pub fn repoint_home(&self, local: DatasetId, home_path: &str) -> SrbResult<()> {
+        for row in self.metadata.for_subject(Subject::Dataset(local)) {
+            if row.kind == MetaKind::System && row.triplet.name == ZONE_PATH_ATTR {
+                let path = MetaValue::Text(home_path.to_string());
+                self.metadata.update(row.id, path, String::new())?;
+            }
+        }
+        Ok(())
     }
 
     // ------------------------------------------------------------ stats --
@@ -1267,7 +1339,6 @@ impl Mcat {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataset::AccessSpec;
     use srb_types::{CompareOp, ResourceId};
 
     fn mcat() -> Mcat {

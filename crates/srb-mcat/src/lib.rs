@@ -17,22 +17,22 @@
 //! distributed policy — replica selection, failover, permission checks on
 //! data access — lives in `srb-core`, which reads the facts recorded here.
 
-pub mod annotation;
-pub mod audit;
-pub mod catalog;
-pub mod collection;
-pub mod container;
+mod annotation;
+mod audit;
+mod catalog;
+mod collection;
+mod container;
 pub mod dataset;
 pub mod metadata;
-pub mod query;
-pub mod resource;
-pub mod snapshot;
+mod query;
+mod resource;
+mod snapshot;
 pub mod user;
-pub mod wal;
+mod wal;
 
 pub use annotation::{Annotation, AnnotationKind};
 pub use audit::{AuditAction, AuditRow};
-pub use catalog::{Mcat, ZONE_HOME_ATTR, ZONE_PATH_ATTR, ZONE_URL_SCHEME};
+pub use catalog::Mcat;
 pub use collection::{AttrRequirement, Collection};
 pub use container::ContainerRecord;
 pub use dataset::{

@@ -2,7 +2,7 @@
 //!
 //! Five kinds of metadata (paper §5): system-defined, user-defined,
 //! type-oriented (e.g. Dublin Core), file-based, and annotations (the last
-//! live in [`crate::annotation`]). User/type metadata are *(name, value,
+//! live in [`Mcat::annotations`](crate::Mcat::annotations)). User/type metadata are *(name, value,
 //! units)* triplets. The store keeps a per-attribute ordered value index so
 //! the query engine can answer `=` and range conditions without scanning —
 //! the design choice ablated in experiment E5/A1.

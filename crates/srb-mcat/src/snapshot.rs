@@ -47,7 +47,7 @@ use std::sync::Arc;
 /// silently accepting stale tokens against reset counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SnapshotGenerations {
-    /// [`CollectionTable`] mutation counter.
+    /// [`Mcat::collections`](crate::Mcat::collections) mutation counter.
     pub collections: u64,
     /// [`DatasetTable`] mutation counter.
     pub datasets: u64,

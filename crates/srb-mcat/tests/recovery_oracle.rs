@@ -617,8 +617,6 @@ fn wal_metrics_account_for_durability_work() {
 
 #[test]
 fn two_zones_recover_independently_and_registrations_survive() {
-    use srb_mcat::{ZONE_HOME_ATTR, ZONE_PATH_ATTR, ZONE_URL_SCHEME};
-
     // Zone alpha: home of the dataset.
     let alpha = Mcat::new(SimClock::new(), "pw");
     let dev_a = Arc::new(LogDevice::new());
@@ -639,37 +637,20 @@ fn two_zones_recover_independently_and_registrations_survive() {
     alpha.commit();
 
     // Zone beta: registers alpha's dataset as a remote replica with
-    // WAL-logged provenance — the same rows srb-core's register_remote
-    // writes.
+    // WAL-logged provenance, through the one pointer writer.
     let beta = Mcat::new(SimClock::new(), "pw");
     let dev_b = Arc::new(LogDevice::new());
     beta.enable_wal(dev_b.clone(), NO_CKPT, None).unwrap();
     let root_b = beta.collections.root();
-    let url = format!("{ZONE_URL_SCHEME}alpha/survey.dat");
+    let home = alpha.datasets.get(d_home).unwrap();
     let d_remote = beta
-        .datasets
-        .create(
-            &beta.ids,
-            root_b,
-            "survey.dat",
-            "generic",
-            beta.admin(),
-            vec![(AccessSpec::Url { url }, 1024, Some("fnv:abc".into()))],
-            beta.clock.now(),
+        .put_pointer(
+            None,
+            (root_b, "survey.dat"),
+            ("alpha", "/survey.dat"),
+            &home,
         )
         .unwrap();
-    beta.metadata.add(
-        &beta.ids,
-        Subject::Dataset(d_remote),
-        Triplet::new(ZONE_HOME_ATTR, "alpha", ""),
-        MetaKind::System,
-    );
-    beta.metadata.add(
-        &beta.ids,
-        Subject::Dataset(d_remote),
-        Triplet::new(ZONE_PATH_ATTR, "/survey.dat", ""),
-        MetaKind::System,
-    );
     beta.commit();
 
     // Both zones crash and recover independently, each from its own log.
@@ -692,8 +673,6 @@ fn two_zones_recover_independently_and_registrations_survive() {
 
 #[test]
 fn remote_row_without_provenance_fails_closed() {
-    use srb_mcat::ZONE_URL_SCHEME;
-
     let m = Mcat::new(SimClock::new(), "pw");
     let root = m.collections.root();
     // A remote pointer whose provenance triplets were never written (or
@@ -709,7 +688,7 @@ fn remote_row_without_provenance_fails_closed() {
             m.admin(),
             vec![(
                 AccessSpec::Url {
-                    url: format!("{ZONE_URL_SCHEME}ghost/orphan.dat"),
+                    url: "srb+zone://ghost/orphan.dat".into(),
                 },
                 1,
                 None,

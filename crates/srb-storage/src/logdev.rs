@@ -43,7 +43,7 @@
 
 use crate::driver::CostModel;
 use srb_types::sync::{LockRank, Mutex};
-use srb_types::{Lsn, SrbError, SrbResult};
+use srb_types::{fnv1a64, Lsn, SrbError, SrbResult};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -113,19 +113,9 @@ impl Segments {
     }
 }
 
-/// FNV-1a over the LSN and payload; stable and cheap, matching the
-/// checksum style used elsewhere in the workspace.
+/// FNV-1a over the LSN's little-endian bytes, then the payload.
 fn line_checksum(lsn: Lsn, payload: &str) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in lsn.raw().to_le_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    for b in payload.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
+    fnv1a64(&[&lsn.raw().to_le_bytes(), payload.as_bytes()])
 }
 
 /// A checkpoint image as the device holds it: the text in ordered parts,

@@ -2,13 +2,15 @@
 //!
 //! A flat `BTreeMap<String, Object>` plus an implicit directory model:
 //! `mkdir`-less, a path `a/b/c` implies directories `a` and `a/b`, as in an
-//! object store. The file-system driver layers explicit empty-directory
-//! support on top. `Bytes` keeps reads copy-free; a sharded `RwLock` keeps
-//! 32-thread ingest pools from serializing.
+//! object store. No driver keeps a directory of its own, so an empty
+//! directory does not exist: the file-system driver's directories are the
+//! ones its objects imply. `Bytes` keeps reads copy-free; a sharded
+//! `RwLock`, its shard picked by FNV-1a of the path, keeps 32-thread
+//! ingest pools from serializing.
 
 use bytes::Bytes;
 use srb_types::sync::{LockRank, RwLock};
-use srb_types::{SimClock, SrbError, SrbResult, Timestamp};
+use srb_types::{fnv1a64, SimClock, SrbError, SrbResult, Timestamp};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -30,13 +32,7 @@ pub(crate) struct MemStore {
 }
 
 fn shard_of(path: &str) -> usize {
-    // FNV-1a over the path; stable and cheap.
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in path.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    (h as usize) % SHARDS
+    (fnv1a64(&[path.as_bytes()]) as usize) % SHARDS
 }
 
 impl MemStore {

@@ -10,7 +10,9 @@
 //! It also holds the workspace's one seeded generator, splitmix64: the
 //! [`mix64`] finalizer, the counter-indexed [`splitmix64`] and the stateful
 //! [`SeedStream`]; and the [`IdHasher`] behind the catalog's id-keyed
-//! [`IdMap`]/[`IdSet`] tables, which ends in the same finalizer.
+//! [`IdMap`]/[`IdSet`] tables, which ends in the same finalizer; and
+//! [`fnv1a64`], the one cheap stable hash behind log-line checksums,
+//! shard choice and bench digests.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -349,6 +351,20 @@ pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 /// A `HashSet` of catalog-assigned ids, on [`IdHasher`].
 pub type IdSet<K> = HashSet<K, BuildHasherDefault<IdHasher>>;
 
+/// 64-bit FNV-1a over `parts`, as if they were one concatenated byte
+/// string. Stable across hosts and runs, and cheap; not a MAC.
+#[inline]
+pub fn fnv1a64(parts: &[&[u8]]) -> u64 {
+    let mut h: u64 = 0xcbf29ce484222325;
+    for part in parts {
+        for &b in *part {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x100000001b3);
+        }
+    }
+    h
+}
+
 /// Constant-time equality for MACs and session keys.
 pub fn ct_eq(a: &[u8], b: &[u8]) -> bool {
     if a.len() != b.len() {
@@ -562,6 +578,15 @@ mod tests {
         words.write_u64(0x0102_0304_0506_0708);
         bytes.write(&0x0102_0304_0506_0708u64.to_le_bytes());
         assert_eq!(words.finish(), bytes.finish());
+    }
+
+    #[test]
+    fn fnv1a64_matches_the_published_vectors() {
+        assert_eq!(fnv1a64(&[]), 0xcbf29ce484222325);
+        assert_eq!(fnv1a64(&[b""]), 0xcbf29ce484222325);
+        assert_eq!(fnv1a64(&[b"a"]), 0xaf63dc4c8601ec8c);
+        assert_eq!(fnv1a64(&[b"foobar"]), 0x85944171f73967e8);
+        assert_eq!(fnv1a64(&[b"foo", b"", b"bar"]), 0x85944171f73967e8);
     }
 
     #[test]

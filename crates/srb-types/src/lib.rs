@@ -9,6 +9,7 @@
 //! a from-scratch SHA-256/HMAC used by the single-sign-on handshake.
 
 pub mod acl;
+pub mod alloc;
 pub mod clock;
 pub mod cursor;
 pub mod error;
@@ -25,8 +26,8 @@ pub use cursor::{CursorCodec, PageToken};
 pub use error::{SrbError, SrbResult};
 pub use gen::{GenCounter, Generation, Lsn};
 pub use hash::{
-    ct_eq, from_hex, mix64, sha256, sha256_hex, splitmix64, to_hex, HmacKey, IdHasher, IdMap,
-    IdSet, SeedStream, Sha256,
+    ct_eq, fnv1a64, from_hex, mix64, sha256, sha256_hex, splitmix64, to_hex, HmacKey, IdHasher,
+    IdMap, IdSet, SeedStream, Sha256,
 };
 pub use id::*;
 pub use path::LogicalPath;

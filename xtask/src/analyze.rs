@@ -1,7 +1,7 @@
 //! `cargo xtask analyze` — structure-aware static concurrency,
 //! determinism and reachability analysis over the whole workspace.
 //!
-//! Five analyses run on the token stream (see [`crate::lexer`]). The first
+//! Four analyses run on the token stream (see [`crate::lexer`]). The first
 //! three are scoped to library code (`crates/*/src/**`, `src/**`) outside
 //! `#[cfg(test)]` regions — test code deliberately constructs inversions
 //! to exercise the runtime detector:
@@ -24,24 +24,19 @@
 //!    producing functions unless the items are sorted or consumed
 //!    order-insensitively. Iteration-order leakage is the one
 //!    nondeterminism class the wall-clock ban cannot see.
-//! 4. **`unreached`** — flags a `pub fn` under `crates/*/src` (outside
-//!    `#[cfg(test)]`) that no identifier token names anywhere else:
-//!    `crates/`, `src/`, `tests/`, `benchmark/src/` and `examples/` are
-//!    searched, and only the function's own file's test regions do not
-//!    count. Comments and strings are not tokens, so a name that survives
-//!    only in a doc comment is still unreached. Matching is by name, so a
-//!    name shared with any other item (`new`, `get`) is never flagged: the
-//!    rule can miss dead code but never flags live code. `pub(crate)`
-//!    items are left to rustc's `dead_code` lint.
-//! 5. **`over-public`** — flags a plain `pub` item under `crates/*/src`
-//!    (outside `#[cfg(test)]`) that no identifier outside its crate's
-//!    library names, so it could be `pub(crate)`: the same files as
-//!    `unreached`, where the crate's own `tests/`, `examples/` and binary
-//!    targets, and doc-test code blocks, count as outside. An item a
+//! 4. **`over-public`** — flags a plain `pub` item under `crates/*/src`
+//!    (outside `#[cfg(test)]`) that no identifier outside its unit names,
+//!    so it could be `pub(crate)`. A unit is a crate's library, or one of
+//!    its binary targets (`src/main.rs`, `src/bin/*`). `crates/`, `src/`,
+//!    `tests/`, `benchmark/src/`, `examples/` and doc-test code blocks are
+//!    searched; comments and strings are not tokens, so a name that
+//!    survives only in a doc comment or a literal names nothing. An item a
 //!    `pub use` re-exports, or one named in the interface of an item that
 //!    stays `pub`, is never flagged: the compiler would refuse to narrow
-//!    it. Name-level like `unreached`, so it can miss an item but never
-//!    flags one wrongly.
+//!    it. Matching is by name, so the rule can miss an item but never
+//!    flags one wrongly. Once narrowed, an item nothing uses is rustc's
+//!    `dead_code` to report; a binary is a unit of its own because rustc
+//!    does not report an unused `pub fn` at a binary's root.
 //!
 //! The text summary ends with a [`Ledger`] line: the size of the API
 //! under `crates/*/src`.
@@ -173,9 +168,9 @@ fn in_analysis_scope(path: &str) -> bool {
         && !path.contains("/examples/")
 }
 
-/// Run all five analyses over `files` (workspace-relative paths under
-/// `root`); `refs` are read only as references for `unreached` and
-/// `over-public`. Reads each file once and lexes it once.
+/// Run all four analyses over `files` (workspace-relative paths under
+/// `root`); `refs` are read only as references for `over-public`. Reads
+/// each file once and lexes it once.
 pub fn analyze(root: &Path, files: &[String], refs: &[String]) -> std::io::Result<Analysis> {
     let ranks_src = std::fs::read_to_string(root.join("crates/srb-types/src/sync.rs")).ok();
     let (ranks, ranks_from_source) = match ranks_src.as_deref().and_then(LockRegistry::parse_ranks)
@@ -224,9 +219,7 @@ pub fn analyze(root: &Path, files: &[String], refs: &[String]) -> std::io::Resul
         scan_file(path, lexed, &registry, &mut graph, &mut violations);
         hash_iter_file(path, lexed, &mut violations);
     }
-    let unreached = unreached(&all_files);
-    violations.extend(over_public(&all_files, &unreached));
-    violations.extend(unreached);
+    violations.extend(over_public(&all_files));
 
     // Graph-level checks.
     let rank_of: BTreeMap<String, u8> = registry
@@ -722,8 +715,8 @@ fn doc_test_code(src: &str) -> String {
     code
 }
 
-/// Does `path` define the workspace API `unreached` checks
-/// (`crates/<crate>/src/**`)?
+/// Does `path` define workspace API (`crates/<crate>/src/**`), which the
+/// [`Ledger`] counts?
 fn defines_api(path: &str) -> bool {
     let mut parts = path.splitn(3, '/');
     parts.next() == Some("crates")
@@ -731,49 +724,20 @@ fn defines_api(path: &str) -> bool {
         && parts.next().is_some_and(|rest| rest.starts_with("src/"))
 }
 
-/// Flag every `pub fn` in [`defines_api`] files that no identifier token
-/// in `files` names, apart from its own name and its own file's test
-/// regions.
-fn unreached(files: &[(String, Lexed)]) -> Vec<Violation> {
-    let mut named: BTreeMap<&str, usize> = BTreeMap::new();
-    for (_, lexed) in files {
-        for t in lexed.toks.iter().filter(|t| t.kind == TokKind::Ident) {
-            *named.entry(t.text.as_str()).or_default() += 1;
-        }
-    }
-    let mut out = Vec::new();
-    for (path, lexed) in files.iter().filter(|(p, _)| defines_api(p)) {
-        for f in lexed.fns.iter().filter(|f| f.public && !f.in_test) {
-            let own_tests = lexed
-                .toks
-                .iter()
-                .enumerate()
-                .filter(|&(i, t)| t.is_ident(&f.name) && lexed.in_test(i))
-                .count();
-            let elsewhere = named.get(f.name.as_str()).copied().unwrap_or(0) - 1 - own_tests;
-            if elsewhere == 0 {
-                out.push(Violation {
-                    path: path.clone(),
-                    line: f.line,
-                    rule: "unreached",
-                    msg: format!(
-                        "`pub fn {}` is named nowhere outside its own file's tests; \
-                         delete it, or make it a private #[cfg(test)] helper",
-                        f.name
-                    ),
-                });
-            }
-        }
-    }
-    out
-}
-
-/// The crate whose library `path` is part of: `crates/<crate>/src/**`,
-/// minus the binary targets `src/main.rs` and `src/bin/**`.
+/// The unit `path` compiles in, for `over-public`: under
+/// `crates/<crate>/src/`, a binary target (`main.rs`, `bin/<name>.rs` or
+/// `bin/<name>/**`), named by its path, or else the crate's library,
+/// named by the crate.
 fn library_crate(path: &str) -> Option<&str> {
     let (krate, rest) = path.strip_prefix("crates/")?.split_once('/')?;
     let rest = rest.strip_prefix("src/")?;
-    (rest != "main.rs" && !rest.starts_with("bin/")).then_some(krate)
+    if rest == "main.rs" {
+        return Some(path);
+    }
+    Some(match rest.strip_prefix("bin/") {
+        Some(bin) => &path[..path.len() - bin.len() + bin.find('/').unwrap_or(bin.len())],
+        None => krate,
+    })
 }
 
 /// Item kinds `over-public` narrows.
@@ -909,13 +873,12 @@ fn pub_items(lexed: &Lexed) -> Vec<PubItem<'_>> {
     out
 }
 
-/// Flag every plain-`pub` item of a crate library ([`library_crate`])
-/// that no identifier outside that library names, and that neither a
-/// `pub use` nor the interface of an item staying `pub` names: those it
-/// could be `pub(crate)`. `skip` holds the `(path, line)` findings of
-/// `unreached`, whose fns are deleted rather than narrowed.
-fn over_public(files: &[(String, Lexed)], skip: &[Violation]) -> Vec<Violation> {
-    // Which libraries name each identifier (`None`: a file in no library).
+/// Flag every plain-`pub` item of a unit ([`library_crate`]) that no
+/// identifier outside that unit names, and that neither a `pub use` nor
+/// the interface of an item staying `pub` names: those could be
+/// `pub(crate)`.
+fn over_public(files: &[(String, Lexed)]) -> Vec<Violation> {
+    // Which units name each identifier (`None`: a file in no unit).
     let mut namers: BTreeMap<&str, Vec<Option<&str>>> = BTreeMap::new();
     for (path, lexed) in files {
         let krate = library_crate(path);
@@ -963,18 +926,23 @@ fn over_public(files: &[(String, Lexed)], skip: &[Violation]) -> Vec<Violation> 
     }
     items
         .iter()
-        .filter(|(_, path, it, kept)| {
-            !kept && !skip.iter().any(|v| v.path == *path && v.line == it.line)
-        })
-        .map(|(krate, path, it, _)| Violation {
-            path: path.to_string(),
-            line: it.line,
-            rule: "over-public",
-            msg: format!(
-                "`pub {} {}` is named nowhere outside crate `{krate}`'s library; \
-                 make it `pub(crate)`",
-                it.kind, it.name
-            ),
+        .filter(|(.., kept)| !kept)
+        .map(|(unit, path, it, _)| {
+            // A crate name has no `/`; a binary is named by its path.
+            let unit = if unit.contains('/') {
+                format!("binary `{unit}`")
+            } else {
+                format!("crate `{unit}`'s library")
+            };
+            Violation {
+                path: path.to_string(),
+                line: it.line,
+                rule: "over-public",
+                msg: format!(
+                    "`pub {} {}` is named nowhere outside {unit}; make it `pub(crate)`",
+                    it.kind, it.name
+                ),
+            }
         })
         .collect()
 }
@@ -1216,23 +1184,6 @@ impl T {
     }
 
     #[test]
-    fn unreached_counts_code_tokens_outside_the_own_tests() {
-        let lib = "pub fn dead() {}\npub fn used() {}\npub fn doc_only() {}\n\
-                   pub(crate) fn inner() {}\n/// doc_only\nfn x() { let _ = \"doc_only\"; }\n\
-                   #[cfg(test)]\nmod tests { pub fn helper() { super::dead(); } }\n";
-        let files = vec![
-            ("crates/a/src/lib.rs".to_string(), Lexed::new(lib)),
-            (
-                "tests/it.rs".to_string(),
-                Lexed::new("pub fn orphan_in_tests() {}\nfn t() { a::used(); }"),
-            ),
-        ];
-        let flagged: Vec<(usize, &str)> =
-            unreached(&files).iter().map(|v| (v.line, v.rule)).collect();
-        assert_eq!(flagged, vec![(1, "unreached"), (3, "unreached")]);
-    }
-
-    #[test]
     fn over_public_counts_names_outside_the_library() {
         let lib = "pub use m::Shown;\npub fn inner_only() {}\npub struct Arg;\npub fn api(a: Arg) {}\n\
                    pub struct Hidden { pub f: Field }\npub struct Field;\npub(crate) fn narrow() {}\n\
@@ -1241,21 +1192,34 @@ impl T {
         let files: Vec<(String, Lexed)> = [
             ("crates/a/src/lib.rs", lib),
             ("crates/a/src/m.rs", "pub struct Shown;\n"),
-            ("crates/a/src/bin/tool.rs", "fn main() { a::bin_only(); }"),
+            (
+                "crates/a/src/bin/tool.rs",
+                "fn main() { a::bin_only(); }\npub fn in_bin() {}\n",
+            ),
             ("crates/a/tests/it.rs", "fn t() { a::api(); }"),
         ]
         .into_iter()
         .map(|(p, src)| (p.to_string(), Lexed::new(src)))
         .collect();
-        let flagged: Vec<(&str, usize)> = over_public(&files, &[])
-            .iter()
-            .map(|v| (v.rule, v.line))
+        let flagged: Vec<(String, usize)> = over_public(&files)
+            .into_iter()
+            .map(|v| (v.path, v.line))
             .collect();
-        // `Field` is named only by `Hidden`, which is narrowed too.
-        assert_eq!(
-            flagged,
-            vec![("over-public", 2), ("over-public", 5), ("over-public", 6)]
-        );
+        // `Field` is named only by `Hidden`, which is narrowed too; nothing
+        // outside a binary can name `in_bin`.
+        let at = |path: &str, line| (path.to_string(), line);
+        let lib = "crates/a/src/lib.rs";
+        let bin = "crates/a/src/bin/tool.rs";
+        assert_eq!(flagged, [at(lib, 2), at(lib, 5), at(lib, 6), at(bin, 2)]);
+    }
+
+    #[test]
+    fn only_bare_pub_is_public() {
+        let src = "pub fn a() {}\npub const unsafe fn b() {}\npub extern \"C\" fn c() {}\n\
+                   pub(crate) fn d() {}\npub(super) fn e() {}\nfn f() {}";
+        let lexed = Lexed::new(src);
+        let public: Vec<&str> = pub_items(&lexed).iter().map(|it| it.name).collect();
+        assert_eq!(public, vec!["a", "b", "c"]);
     }
 
     #[test]

@@ -66,10 +66,6 @@ impl Tok {
 pub struct FnItem {
     /// The function's name.
     pub name: String,
-    /// 1-based line of the `fn` keyword.
-    pub line: usize,
-    /// Declared plain `pub` (not `pub(crate)`, `pub(super)`, ...)?
-    pub public: bool,
     /// Token-index range of the body **including** its `{` and `}`;
     /// `None` for bodyless trait-method declarations.
     pub body: Option<(usize, usize)>,
@@ -104,17 +100,6 @@ impl Lexed {
     /// Is token index `i` inside a `#[cfg(test)]` region?
     pub fn in_test(&self, i: usize) -> bool {
         self.test_ranges.iter().any(|&(s, e)| i >= s && i <= e)
-    }
-
-    /// The innermost fn whose body contains token index `i`.
-    pub fn enclosing_fn(&self, i: usize) -> Option<&FnItem> {
-        self.fns
-            .iter()
-            .filter(|f| f.body.is_some_and(|(s, e)| i > s && i < e))
-            .min_by_key(|f| {
-                let (s, e) = f.body.unwrap_or((0, usize::MAX));
-                e - s
-            })
     }
 
     /// 1-based line numbers of every occurrence of `word` as an identifier
@@ -475,7 +460,6 @@ fn parse_fns(toks: &[Tok], test_ranges: &[(usize, usize)]) -> Vec<FnItem> {
     while i < toks.len() {
         if toks[i].is_ident("fn") && toks.get(i + 1).map(|t| t.kind) == Some(TokKind::Ident) {
             let name = toks[i + 1].text.clone();
-            let line = toks[i].line;
             // Scan forward past generics/args/return type for either the
             // body `{` or a terminating `;` (trait method declaration).
             // Parens and angle brackets can nest; only `(`/`)` need
@@ -504,8 +488,6 @@ fn parse_fns(toks: &[Tok], test_ranges: &[(usize, usize)]) -> Vec<FnItem> {
                 test_ranges.iter().any(|&(s, e)| i >= s && i <= e) || has_test_attr(toks, i);
             fns.push(FnItem {
                 name,
-                line,
-                public: is_plain_pub(toks, i),
                 body,
                 in_test,
             });
@@ -513,25 +495,6 @@ fn parse_fns(toks: &[Tok], test_ranges: &[(usize, usize)]) -> Vec<FnItem> {
         i += 1;
     }
     fns
-}
-
-/// Is the fn keyword at `fn_idx` preceded by a bare `pub`, past any
-/// `const`/`async`/`unsafe`/`extern "abi"` qualifiers? `pub(…)` is not.
-fn is_plain_pub(toks: &[Tok], fn_idx: usize) -> bool {
-    let mut j = fn_idx;
-    while j > 0 {
-        j -= 1;
-        let t = &toks[j];
-        let qualifier = t.is_ident("const")
-            || t.is_ident("async")
-            || t.is_ident("unsafe")
-            || t.is_ident("extern")
-            || t.kind == TokKind::Str;
-        if !qualifier {
-            return t.is_ident("pub");
-        }
-    }
-    false
 }
 
 /// Does the fn keyword at `i` have a `#[test]`-like attribute directly
@@ -614,14 +577,6 @@ mod tests {
         assert_eq!(names, vec!["alpha", "beta", "decl"]);
         assert!(l.fns[0].body.is_some());
         assert!(l.fns[2].body.is_none());
-        assert_eq!(l.fns[1].line, 2);
-        // Token inside beta's if-block resolves to beta.
-        let call = l
-            .toks
-            .iter()
-            .position(|t| t.is_ident("alpha") && t.line == 2)
-            .unwrap();
-        assert_eq!(l.enclosing_fn(call).unwrap().name, "beta");
     }
 
     #[test]
@@ -634,20 +589,6 @@ mod tests {
         assert!(!real.in_test);
         assert!(t.in_test);
         assert!(!real2.in_test);
-    }
-
-    #[test]
-    fn only_bare_pub_is_public() {
-        let src = "pub fn a() {}\npub const unsafe fn b() {}\npub extern \"C\" fn c() {}\n\
-                   pub(crate) fn d() {}\npub(super) fn e() {}\nfn f() {}";
-        let l = Lexed::new(src);
-        let public: Vec<&str> = l
-            .fns
-            .iter()
-            .filter(|f| f.public)
-            .map(|f| f.name.as_str())
-            .collect();
-        assert_eq!(public, vec!["a", "b", "c"]);
     }
 
     #[test]

@@ -20,8 +20,6 @@
 //!     `storage_call(…)`, the door that draws faults and meters access.
 //!   - `subject-delete` — `srb-core` drops a dataset or collection row only
 //!     through `Mcat::remove_dataset`/`remove_collection`.
-//!   - `zone-pointer` — the remote-pointer constants are named in `srb-core`
-//!     only inside `put_pointer` and `repoint_home`.
 //!   - `image-writer` — `srb-mcat` writes table rows into an image only
 //!     through the paged `ImageWriter`.
 //!   - `render-buffer` — MySRB's renderers write into the body buffer they
@@ -35,11 +33,11 @@
 //!     storage or fan-out dispatch.
 //!   - `hash-iter` — nondeterministic `HashMap`/`HashSet` iteration in
 //!     snapshot/serialization functions.
-//!   - `unreached` — a `pub fn` under `crates/*/src` that no identifier
-//!     names outside its own file's tests (`benchmark/src/` and
-//!     `examples/` are read as references only).
 //!   - `over-public` — a `pub` item under `crates/*/src` that nothing
-//!     outside its crate's library names: it could be `pub(crate)`.
+//!     outside its unit (the crate's library, or one binary target) names:
+//!     it could be `pub(crate)`, and rustc's `dead_code` then reports it
+//!     if nothing uses it at all (`benchmark/src/` and `examples/` are
+//!     read as references only).
 //!
 //!   `--dot` regenerates `docs/lock-graph.dot`. The text summary ends with
 //!   a ledger line: non-test lines and `pub` items under `crates/*/src`.
@@ -229,7 +227,6 @@ fn lint(root: &Path, out: &Output) -> ExitCode {
         violations.extend(rules::id_hasher_keys(rel, &lexed));
         violations.extend(rules::storage_door(rel, &lexed));
         violations.extend(rules::subject_delete(rel, &lexed));
-        violations.extend(rules::zone_pointer(rel, &lexed));
         violations.extend(rules::image_writer(rel, &lexed));
         violations.extend(rules::render_buffer(rel, &lexed));
     }
@@ -247,7 +244,7 @@ fn run_analyze(root: &Path, dot: bool, out: &Output) -> ExitCode {
         );
         return ExitCode::from(2);
     }
-    // Callers outside the linted tree still reach a `pub fn`.
+    // Names outside the linted tree still keep a `pub` item `pub`.
     let refs = rs_files(root, &["benchmark/src", "examples"]);
     let analysis = match analyze::analyze(root, &files, &refs) {
         Ok(a) => a,

@@ -1,4 +1,4 @@
-//! Seeded `unreached` baits (three flagged) beside reached `pub fn`s.
+//! Seeded `over-public` baits on `pub fn`s (three flagged) beside reached ones.
 
 /// Named nowhere else: flagged.
 pub fn orphan() -> u32 {
@@ -36,7 +36,7 @@ pub(crate) fn crate_only() -> u32 {
     6
 }
 
-/// A caller elsewhere in the file reaches it: not flagged.
+/// Named from `tests/`, as well as called in this file: not flagged.
 pub fn called_here() -> u32 {
     crate_only()
 }
