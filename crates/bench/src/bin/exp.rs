@@ -3,6 +3,10 @@
 //! tables are printed; `--json` / `--metrics-json` instead record its
 //! `BENCH_*.json` artifact in the current directory.
 
+// Experiments time themselves on the wall clock; the lock ban still holds.
+#![allow(clippy::disallowed_methods)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 use bench::experiments::{Artifact, Experiment, REGISTRY};
 use std::process::ExitCode;
 

@@ -89,8 +89,8 @@ pub(crate) fn zone_connect<'f>(
     ))
 }
 
-/// Unwrap an experiment-infrastructure result without `.unwrap()` (the
-/// `no-unwrap` lint rule covers bench library code too).
+/// Unwrap an experiment-infrastructure result without `.unwrap()`
+/// (`clippy::unwrap_used` covers bench library code too).
 pub fn ok<T, E: std::fmt::Display>(r: Result<T, E>) -> T {
     match r {
         Ok(v) => v,

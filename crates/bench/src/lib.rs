@@ -6,6 +6,10 @@
 //! a table; the `exp` binary runs them by name from one registry
 //! ([`experiments::REGISTRY`]).
 
+// Experiments time themselves on the wall clock; the lock ban still holds.
+#![allow(clippy::disallowed_methods)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod experiments;
 pub mod fixtures;
 pub mod table;

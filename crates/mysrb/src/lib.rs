@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 //! MySRB — the web-based interface to the SRB.
 //!
 //! "MySRB is a web-oriented interface for accessing the data and metadata

@@ -583,7 +583,7 @@ fn grid_errors_keep_the_error_kind_in_the_body() {
     // Take the only replica's resource down: the 503 page must say *which*
     // kind of failure it folded into that status, not just the message.
     let rid = fx.grid.resource_id("unix-sdsc").unwrap();
-    fx.grid.faults.fail_resource(rid);
+    fx.grid.faults.set_mode(rid, srb_core::FaultMode::Down);
     let resp = app.handle(&Request::get(
         "/view?path=%2Fhome%2Fsekar%2Fsolo",
         Some(&key),
@@ -594,7 +594,7 @@ fn grid_errors_keep_the_error_kind_in_the_body() {
         "error kind lost: {}",
         resp.text()
     );
-    fx.grid.faults.restore_resource(rid);
+    fx.grid.faults.clear_mode(rid);
     // A timeout maps to 504, again with its kind in the body.
     fx.grid
         .faults

@@ -262,9 +262,9 @@ impl GridBuilder {
         self
     }
 
-    /// Assemble the grid, panicking on an invalid specification: grids
-    /// are built from literals, where a specification error is a
-    /// programming bug. The checks live in `GridBuilder::try_build`.
+    /// Assemble the grid, panicking on an invalid specification (a bug: grids
+    /// come from literals, never from a client request; see `try_build`).
+    #[allow(clippy::panic)] // srb-core's one panic outside tests
     pub fn build(self) -> Grid {
         match self.try_build() {
             Ok(grid) => grid,
@@ -584,13 +584,14 @@ impl Grid {
 
     /// Fail a resource by name (experiments).
     pub fn fail_resource(&self, name: &str) -> SrbResult<()> {
-        self.faults.fail_resource(self.resource_id(name)?);
+        self.faults
+            .set_mode(self.resource_id(name)?, FaultMode::Down);
         Ok(())
     }
 
     /// Restore a resource by name.
     pub fn restore_resource(&self, name: &str) -> SrbResult<()> {
-        self.faults.restore_resource(self.resource_id(name)?);
+        self.faults.clear_mode(self.resource_id(name)?);
         Ok(())
     }
 

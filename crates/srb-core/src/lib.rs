@@ -1,4 +1,6 @@
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![warn(clippy::panic, clippy::todo, clippy::unimplemented)]
 //! The Storage Resource Broker.
 //!
 //! This crate is the paper's primary contribution: federated client–server

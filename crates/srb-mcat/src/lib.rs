@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 //! MCAT — the Metadata Catalog.
 //!
 //! "The SRB, in conjunction with the Metadata Catalog, supports location

@@ -965,6 +965,9 @@ fn op_applies(op: CompareOp, candidate: &MetaValue, value: &MetaValue) -> bool {
     op.eval(candidate, value)
 }
 
+// Subjects are catalog ids: they key `by_subject` and `meta_files`.
+impl srb_types::CatalogKey for Subject {}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -279,6 +279,14 @@ impl<'a> CheckpointPass<'a> {
 /// checkpoint that guard is also what makes a shared page current: rows
 /// change only under the table's write guard, and the WAL marks a row's
 /// page under that guard as it appends the row's record.
+///
+/// It is the only one: the vendored serde keeps its sequence writer
+/// private, so no table can write a field as one unpaged array:
+///
+/// ```compile_fail,E0425
+/// let mut out = String::new();
+/// serde::write_seq(&[1u64, 2], &mut out);
+/// ```
 pub(crate) struct ImageWriter<'o, 'p> {
     /// A plain image's text; in a checkpoint, the text since the last
     /// page.

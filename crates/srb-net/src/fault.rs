@@ -120,16 +120,6 @@ impl FaultPlan {
         self.modes.read().get(&r).map(|s| s.mode)
     }
 
-    /// Mark one storage resource hard-down.
-    pub fn fail_resource(&self, r: ResourceId) {
-        self.set_mode(r, FaultMode::Down);
-    }
-
-    /// Bring a storage resource back (clears any mode, not just `Down`).
-    pub fn restore_resource(&self, r: ResourceId) {
-        self.clear_mode(r);
-    }
-
     /// Is this resource reachable *right now*? Flaky and slow modes count
     /// as up — only `Down` does not.
     pub fn is_up(&self, r: ResourceId) -> bool {
@@ -240,14 +230,14 @@ mod tests {
     #[test]
     fn fail_and_restore_resource() {
         let f = FaultPlan::new();
-        f.fail_resource(ResourceId(1));
+        f.set_mode(ResourceId(1), FaultMode::Down);
         assert!(!f.is_up(ResourceId(1)));
         assert!(f.is_up(ResourceId(2)));
         let err = f.inject(ResourceId(1)).unwrap_err();
         assert!(err.is_retryable());
         assert!(!err.is_transient()); // hard down: fail over, don't retry
         assert!(matches!(err, SrbError::ResourceUnavailable(_)));
-        f.restore_resource(ResourceId(1));
+        f.clear_mode(ResourceId(1));
         assert!(f.is_up(ResourceId(1)));
     }
 
@@ -315,7 +305,7 @@ mod tests {
     #[test]
     fn heal_all_clears_everything() {
         let f = FaultPlan::new();
-        f.fail_resource(ResourceId(1));
+        f.set_mode(ResourceId(1), FaultMode::Down);
         f.set_mode(ResourceId(2), FaultMode::FailWithProb(0.9, 7));
         assert_eq!(failed_resource_count(&f), 1);
         f.heal_all();

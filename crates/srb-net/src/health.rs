@@ -18,8 +18,8 @@
 //! ```
 //!
 //! Everything is driven by [`srb_types::SimClock`]: no wall-clock reads, no
-//! sleeps, so breaker behaviour is deterministic and replayable (and the
-//! xtask wall-clock lint stays happy). Time only moves when the simulation
+//! sleeps, so breaker behaviour is deterministic and replayable (and
+//! clippy's wall-clock ban stays happy). Time only moves when the simulation
 //! advances the clock, which means a breaker can only half-open after the
 //! caller has charged enough simulated work.
 

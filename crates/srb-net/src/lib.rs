@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 //! Simulated wide-area network for the data grid.
 //!
 //! The SRB paper's deployments span SDSC, CalTech and other sites over a

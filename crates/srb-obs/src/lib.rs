@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 //! Deterministic observability for the data grid.
 //!
 //! The SRB of the paper ran as shared production infrastructure (Digital

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 //! Heterogeneous storage substrate for the data grid.
 //!
 //! The SRB paper brokers "archival storage systems (such as HPSS, DMF,

@@ -15,7 +15,8 @@
 //! shard choice and bench digests.
 
 use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::{BuildHasher, Hash, Hasher};
+use std::marker::PhantomData;
 
 /// Streaming SHA-256 hasher.
 #[derive(Clone)]
@@ -315,8 +316,22 @@ impl SeedStream {
 ///
 /// There is no per-process key, so colliding keys can be crafted: use it
 /// only for keys the catalog assigns, never for user text (names, paths,
-/// attribute names). `cargo xtask lint` rule `id-hasher-key` enforces that.
-#[derive(Debug, Default, Clone, Copy)]
+/// attribute names). It has no `Default` and no public constructor, so the
+/// one way to get one is [`IdBuild`], whose key type must be a
+/// [`CatalogKey`]:
+///
+/// ```compile_fail,E0277
+/// // `String` is user text, not a `CatalogKey`.
+/// let m: srb_types::IdMap<String, u8> = Default::default();
+/// ```
+///
+/// ```compile_fail,E0599
+/// // `BuildHasherDefault` needs `IdHasher: Default`, which it is not.
+/// use std::{collections::HashMap, hash::BuildHasherDefault};
+/// let mut m: HashMap<String, u8, BuildHasherDefault<srb_types::IdHasher>> = HashMap::default();
+/// m.insert(String::from("name"), 1);
+/// ```
+#[derive(Debug, Clone, Copy)]
 pub struct IdHasher(u64);
 
 impl Hasher for IdHasher {
@@ -345,11 +360,35 @@ impl Hasher for IdHasher {
     }
 }
 
+/// A key the catalog assigns, and so one [`IdHasher`] may hash: ids from
+/// `define_id!` and what is built from them. User text never is one.
+pub trait CatalogKey: Hash + Eq {}
+
+/// Builds [`IdHasher`]s for a table keyed by `K`. A key type that is not a
+/// [`CatalogKey`] cannot name it, so [`IdMap`]/[`IdSet`] refuse it.
+#[derive(Clone)]
+pub struct IdBuild<K: CatalogKey>(PhantomData<fn() -> K>);
+
+impl<K: CatalogKey> Default for IdBuild<K> {
+    fn default() -> Self {
+        IdBuild(PhantomData)
+    }
+}
+
+impl<K: CatalogKey> BuildHasher for IdBuild<K> {
+    type Hasher = IdHasher;
+
+    #[inline]
+    fn build_hasher(&self) -> IdHasher {
+        IdHasher(0)
+    }
+}
+
 /// A `HashMap` keyed by a catalog-assigned id, on [`IdHasher`].
-pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+pub type IdMap<K, V> = HashMap<K, V, IdBuild<K>>;
 
 /// A `HashSet` of catalog-assigned ids, on [`IdHasher`].
-pub type IdSet<K> = HashSet<K, BuildHasherDefault<IdHasher>>;
+pub type IdSet<K> = HashSet<K, IdBuild<K>>;
 
 /// 64-bit FNV-1a over `parts`, as if they were one concatenated byte
 /// string. Stable across hosts and runs, and cheap; not a MAC.
@@ -550,14 +589,13 @@ mod tests {
     /// bucket holds more than twice its share.
     #[test]
     fn id_hasher_spreads_strided_ids() {
-        use std::hash::BuildHasher;
         const N: u64 = 100_000;
-        let build = BuildHasherDefault::<IdHasher>::default();
+        let build = IdBuild::<crate::DatasetId>::default();
         for stride in [1u64, 4, 8, 64] {
             let mut low = vec![0u32; 1 << 10];
             let mut top = vec![0u32; 1 << 7];
             for i in 0..N {
-                let h = build.hash_one(1 + i * stride);
+                let h = build.hash_one(crate::DatasetId(1 + i * stride));
                 low[(h & 0x3ff) as usize] += 1;
                 top[(h >> 57) as usize] += 1;
             }
@@ -574,7 +612,7 @@ mod tests {
 
     #[test]
     fn id_hasher_byte_path_matches_word_path() {
-        let (mut words, mut bytes) = (IdHasher::default(), IdHasher::default());
+        let (mut words, mut bytes) = (IdHasher(0), IdHasher(0));
         words.write_u64(0x0102_0304_0506_0708);
         bytes.write(&0x0102_0304_0506_0708u64.to_le_bytes());
         assert_eq!(words.finish(), bytes.finish());

@@ -24,6 +24,8 @@ macro_rules! define_id {
             }
         }
 
+        impl crate::CatalogKey for $name {}
+
         impl fmt::Display for $name {
             fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
                 write!(f, concat!($prefix, "{}"), self.0)

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 //! Common foundation types for the `srb-grid` workspace.
 //!
 //! This crate holds everything that more than one subsystem needs but that
@@ -17,6 +18,8 @@ pub mod gen;
 pub mod hash;
 pub mod id;
 pub mod path;
+// The ranked wrappers are the one place that names `std::sync`'s locks.
+#[allow(clippy::disallowed_types)]
 pub mod sync;
 pub mod value;
 
@@ -26,8 +29,8 @@ pub use cursor::{CursorCodec, PageToken};
 pub use error::{SrbError, SrbResult};
 pub use gen::{GenCounter, Generation, Lsn};
 pub use hash::{
-    ct_eq, fnv1a64, from_hex, mix64, sha256, sha256_hex, splitmix64, to_hex, HmacKey, IdHasher,
-    IdMap, IdSet, SeedStream, Sha256,
+    ct_eq, fnv1a64, from_hex, mix64, sha256, sha256_hex, splitmix64, to_hex, CatalogKey, HmacKey,
+    IdBuild, IdHasher, IdMap, IdSet, SeedStream, Sha256,
 };
 pub use id::*;
 pub use path::LogicalPath;

@@ -36,7 +36,7 @@
 //! The locks underneath are `std::sync`'s. A holder that panics does not
 //! poison the grid: every acquisition recovers a poisoned lock and hands
 //! out its guard. Naming a raw std `Mutex`/`RwLock` outside this module is
-//! rejected by `cargo xtask lint` (rule `raw-lock`).
+//! rejected by clippy (`disallowed-types` in the root `clippy.toml`).
 
 use std::cell::RefCell;
 use std::fmt;

@@ -14,6 +14,8 @@
 //!
 //! Start with [`prelude`] and the `examples/` directory.
 
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 pub use mysrb as web;
 pub use srb_core as core;
 pub use srb_mcat as mcat;

@@ -3,12 +3,11 @@
 //! `cargo xtask lint` started life on a masking pass (blank out comments
 //! and literals, then substring-scan). The static analyses introduced with
 //! `cargo xtask analyze` need more structure than a masked string offers:
-//! which function a token belongs to, how deep inside nested blocks it
-//! sits, and what a string literal *actually contains* once escapes are
-//! resolved. This module lexes a Rust source file into a flat token vector
-//! with per-token line numbers and brace depth, then runs a lightweight
-//! item parser over it that recovers `fn` bodies and `#[cfg(test)]`
-//! regions.
+//! which function a token belongs to and what a string literal *actually
+//! contains* once escapes are resolved. This module lexes a Rust source
+//! file into a flat token vector with per-token line numbers, then runs a
+//! lightweight item parser over it that recovers `fn` bodies and
+//! `#[cfg(test)]` regions.
 //!
 //! It is deliberately not a full Rust parser (`syn` is not in the vendored
 //! crate set, and the invariants we check don't need one): no expression
@@ -44,9 +43,6 @@ pub struct Tok {
     pub text: String,
     /// 1-based source line of the token's first byte.
     pub line: usize,
-    /// Brace (`{}`) nesting depth *before* this token is consumed; the
-    /// `{` that opens a block carries the depth outside it.
-    pub depth: usize,
 }
 
 impl Tok {
@@ -101,16 +97,6 @@ impl Lexed {
     pub fn in_test(&self, i: usize) -> bool {
         self.test_ranges.iter().any(|&(s, e)| i >= s && i <= e)
     }
-
-    /// 1-based line numbers of every occurrence of `word` as an identifier
-    /// token (never inside comments or literals — those aren't tokens).
-    pub fn ident_lines(&self, word: &str) -> Vec<usize> {
-        self.toks
-            .iter()
-            .filter(|t| t.is_ident(word))
-            .map(|t| t.line)
-            .collect()
-    }
 }
 
 // ------------------------------------------------------------------ lexer --
@@ -120,7 +106,6 @@ fn lex(src: &str) -> Vec<Tok> {
     let mut toks = Vec::new();
     let mut i = 0;
     let mut line = 1usize;
-    let mut depth = 0usize;
 
     while i < bytes.len() {
         let b = bytes[i];
@@ -163,7 +148,6 @@ fn lex(src: &str) -> Vec<Tok> {
                     kind: TokKind::Str,
                     text: value,
                     line: start_line,
-                    depth,
                 });
                 i = end;
             }
@@ -184,7 +168,6 @@ fn lex(src: &str) -> Vec<Tok> {
                     kind: TokKind::Str,
                     text: value,
                     line: start_line,
-                    depth,
                 });
                 i = end;
             }
@@ -196,7 +179,6 @@ fn lex(src: &str) -> Vec<Tok> {
                         kind: TokKind::Char,
                         text: String::new(),
                         line,
-                        depth,
                     });
                     line += nl;
                     i = end;
@@ -211,7 +193,6 @@ fn lex(src: &str) -> Vec<Tok> {
                         kind: TokKind::Lifetime,
                         text: String::from_utf8_lossy(&bytes[i..j]).into_owned(),
                         line,
-                        depth,
                     });
                     i = j;
                 }
@@ -233,7 +214,6 @@ fn lex(src: &str) -> Vec<Tok> {
                     kind: TokKind::Num,
                     text: String::from_utf8_lossy(&bytes[i..j]).into_owned(),
                     line,
-                    depth,
                 });
                 i = j;
             }
@@ -248,23 +228,15 @@ fn lex(src: &str) -> Vec<Tok> {
                     kind: TokKind::Ident,
                     text: String::from_utf8_lossy(&bytes[i..j]).into_owned(),
                     line,
-                    depth,
                 });
                 i = j;
             }
             _ => {
-                if b == b'}' {
-                    depth = depth.saturating_sub(1);
-                }
                 toks.push(Tok {
                     kind: TokKind::Punct,
                     text: (b as char).to_string(),
                     line,
-                    depth,
                 });
-                if b == b'{' {
-                    depth += 1;
-                }
                 i += 1;
             }
         }
@@ -525,23 +497,32 @@ fn has_test_attr(toks: &[Tok], fn_idx: usize) -> bool {
 mod tests {
     use super::*;
 
+    /// 1-based lines of every identifier token `word`.
+    fn ident_lines(l: &Lexed, word: &str) -> Vec<usize> {
+        l.toks
+            .iter()
+            .filter(|t| t.is_ident(word))
+            .map(|t| t.line)
+            .collect()
+    }
+
     #[test]
     fn comments_and_literals_are_not_ident_tokens() {
         let l = Lexed::new(
             "let x = 1; // RwLock here\nlet s = \"thread_rng inside\";\n/* Instant */ let y = 2;",
         );
-        assert!(l.ident_lines("RwLock").is_empty());
-        assert!(l.ident_lines("thread_rng").is_empty());
-        assert!(l.ident_lines("Instant").is_empty());
-        assert_eq!(l.ident_lines("x"), vec![1]);
-        assert_eq!(l.ident_lines("y"), vec![3]);
+        assert!(ident_lines(&l, "RwLock").is_empty());
+        assert!(ident_lines(&l, "thread_rng").is_empty());
+        assert!(ident_lines(&l, "Instant").is_empty());
+        assert_eq!(ident_lines(&l, "x"), vec![1]);
+        assert_eq!(ident_lines(&l, "y"), vec![3]);
     }
 
     #[test]
     fn code_identifiers_survive() {
         let l = Lexed::new("use std::sync::RwLock;\nlet t = Instant::now();");
-        assert_eq!(l.ident_lines("RwLock"), vec![1]);
-        assert_eq!(l.ident_lines("Instant"), vec![2]);
+        assert_eq!(ident_lines(&l, "RwLock"), vec![1]);
+        assert_eq!(ident_lines(&l, "Instant"), vec![2]);
     }
 
     #[test]
@@ -598,18 +579,9 @@ mod tests {
     }
 
     #[test]
-    fn depth_tracking() {
-        let l = Lexed::new("fn f() { { inner(); } outer(); }");
-        let inner = l.toks.iter().find(|t| t.is_ident("inner")).unwrap();
-        let outer = l.toks.iter().find(|t| t.is_ident("outer")).unwrap();
-        assert_eq!(inner.depth, 2);
-        assert_eq!(outer.depth, 1);
-    }
-
-    #[test]
     fn numbers_do_not_eat_method_calls() {
         let l = Lexed::new("let a = 1.max(2); let b = 1.5; let r = 0..10;");
-        assert_eq!(l.ident_lines("max"), vec![1]);
+        assert_eq!(ident_lines(&l, "max"), vec![1]);
         assert!(l
             .toks
             .iter()

@@ -1,11 +1,4 @@
-//! Seeded op-handler fixture: a panic on a malformed client request.
-
-pub fn handle(req: u32) -> u32 {
-    if req == 0 {
-        panic!("bad request");
-    }
-    req
-}
+//! Seeded `srb-core` baits for `storage-door` and `subject-delete`.
 
 /// Seeded storage-door bait: a raw driver call outside the door, then the
 /// same call inside it (clean).
