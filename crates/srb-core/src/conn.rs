@@ -362,16 +362,15 @@ impl<'g> SrbConnection<'g> {
         resource: srb_types::ResourceId,
         bytes: u64,
     ) -> SrbResult<Receipt> {
-        let rsite = self.grid.site_of_resource(resource)?;
+        let home = self.grid.placement(resource)?;
         let ns = self
             .grid
             .network
-            .charge_transfer(rsite, self.site(), bytes)?;
+            .charge_transfer(home.site, self.site(), bytes)?;
         let mut r = Receipt::time(ns);
         r.bytes = bytes;
         r.messages = 1;
-        let home = self.grid.server_for_resource(resource)?;
-        if home != self.server {
+        if home.server != self.server {
             r.hops = 1;
         }
         Ok(r)

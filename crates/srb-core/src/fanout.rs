@@ -263,7 +263,7 @@ impl FanoutOutcome {
 impl SrbConnection<'_> {
     /// The one door to a resource: every storage access in this crate
     /// runs `access` here (the whole-grid dump and restore in `state.rs`
-    /// aside). In order: the resource's catalog row (an unknown resource
+    /// aside). In order: the resource's placement (an unknown resource
     /// fails), one fault-plan draw (a `Down` resource or an injected
     /// burst refuses the access before the driver is touched), the
     /// in-flight load guard, the access, one
@@ -279,11 +279,10 @@ impl SrbConnection<'_> {
         resource: ResourceId,
         access: impl FnOnce(&ResourceDriver) -> SrbResult<(T, u64)>,
     ) -> SrbResult<(T, u64)> {
-        self.grid.site_of_resource(resource)?;
+        let driver = &self.grid.placement(resource)?.driver;
         let injected_ns = self.grid.faults.inject(resource)?;
-        let driver = self.grid.driver(resource)?;
         let _inflight = self.grid.load.begin(resource);
-        let (value, storage_ns) = match access(&driver) {
+        let (value, storage_ns) = match access(driver) {
             Ok(ok) => ok,
             Err(e) => {
                 if let Some(obs) = self.grid.core_obs() {

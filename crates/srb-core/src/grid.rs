@@ -18,9 +18,8 @@ use srb_obs::{MetricsSnapshot, Obs, ResourceLabels};
 use srb_storage::{
     ArchiveDriver, CacheDriver, DbDriver, DriverKind, FsDriver, StorageDriver, UrlDriver,
 };
-use srb_types::sync::{LockRank, RwLock};
 use srb_types::{
-    LogicalResourceId, ResourceId, ServerId, SimClock, SiteId, SrbError, SrbResult, UserId,
+    IdMap, LogicalResourceId, ResourceId, ServerId, SimClock, SiteId, SrbError, SrbResult, UserId,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -96,18 +95,17 @@ pub struct SrbServer {
     pub site: SiteId,
     /// Proxy command/function bin directory.
     pub proxies: ProxyRegistry,
-    resources: RwLock<HashMap<ResourceId, Arc<ResourceDriver>>>,
 }
 
-impl SrbServer {
-    /// The driver for a locally brokered resource.
-    pub fn driver(&self, r: ResourceId) -> SrbResult<Arc<ResourceDriver>> {
-        self.resources
-            .read()
-            .get(&r)
-            .cloned()
-            .ok_or_else(|| SrbError::NotFound(format!("resource {r} not on server {}", self.name)))
-    }
+/// Where a resource lives and what serves it — fixed when the grid is
+/// built.
+pub(crate) struct Placement {
+    /// The server that brokers it.
+    pub(crate) server: ServerId,
+    /// That server's site.
+    pub(crate) site: SiteId,
+    /// Its storage driver.
+    pub(crate) driver: Arc<ResourceDriver>,
 }
 
 /// Specification of a resource to create at build time.
@@ -284,28 +282,22 @@ impl GridBuilder {
         let mcat = Mcat::new(clock.clone(), ADMIN_PASSWORD);
         let auth = AuthService::new(clock.clone(), self.auth_seed);
 
-        let mut servers = HashMap::new();
-        for (i, (name, site)) in self.servers.iter().enumerate() {
-            servers.insert(
-                ServerId(i as u64),
-                SrbServer {
-                    id: ServerId(i as u64),
-                    name: name.clone(),
-                    site: *site,
-                    proxies: ProxyRegistry::new(name),
-                    resources: RwLock::new(
-                        LockRank::CoreState,
-                        "core.server.resources",
-                        HashMap::new(),
-                    ),
-                },
-            );
-        }
+        let servers: Vec<SrbServer> = self
+            .servers
+            .iter()
+            .enumerate()
+            .map(|(i, (name, site))| SrbServer {
+                id: ServerId(i as u64),
+                name: name.clone(),
+                site: *site,
+                proxies: ProxyRegistry::new(name),
+            })
+            .collect();
 
-        let mut resource_home = HashMap::new();
+        let mut placement = IdMap::default();
         let mut resource_names: HashMap<ResourceId, String> = HashMap::new();
         for (name, server_idx, spec) in self.resources {
-            let server = servers.get(&ServerId(server_idx as u64)).ok_or_else(|| {
+            let server = servers.get(server_idx).ok_or_else(|| {
                 SrbError::Invalid(format!(
                     "resource '{name}' references undeclared server #{server_idx}"
                 ))
@@ -335,8 +327,14 @@ impl GridBuilder {
             let rid = mcat
                 .resources
                 .register(&mcat.ids, &name, kind, server.site)?;
-            server.resources.write().insert(rid, Arc::new(driver));
-            resource_home.insert(rid, server.id);
+            placement.insert(
+                rid,
+                Placement {
+                    server: server.id,
+                    site: server.site,
+                    driver: Arc::new(driver),
+                },
+            );
             resource_names.insert(rid, name);
         }
 
@@ -373,13 +371,13 @@ impl GridBuilder {
             clock,
             network,
             faults,
-            load: LoadTracker::new(),
+            load: LoadTracker::new(placement.keys().copied()),
             mcat,
             auth,
             pool: ConnPool::new(),
             web: UrlDriver::new(),
             servers,
-            resource_home: RwLock::new(LockRank::CoreState, "core.resource_home", resource_home),
+            placement,
             mcat_server: ServerId(0),
             obs,
         })
@@ -406,8 +404,9 @@ pub struct Grid {
     pub pool: ConnPool,
     /// The simulated web (registered URLs live here).
     pub web: UrlDriver,
-    servers: HashMap<ServerId, SrbServer>,
-    resource_home: RwLock<HashMap<ResourceId, ServerId>>,
+    /// Indexed by the dense [`ServerId`].
+    servers: Vec<SrbServer>,
+    placement: IdMap<ResourceId, Placement>,
     mcat_server: ServerId,
     obs: Option<CoreObs>,
 }
@@ -455,7 +454,7 @@ impl Grid {
     /// Rebuild the catalog of this (freshly built, same-topology) grid
     /// from a crashed deployment's log device: redo recovery over the
     /// latest checkpoint, adopted as [`Grid::restore_state`] adopts a
-    /// saved catalog — resources verified by name/id/kind, catalog metrics
+    /// saved catalog — resources verified by name/id/kind/site, catalog metrics
     /// re-attached. Only the catalog is recovered — the WAL does not carry
     /// physical bytes; pair with [`Grid::restore_state`] (or replica
     /// resync) for the data itself.
@@ -476,7 +475,7 @@ impl Grid {
 
     /// Swap in a rebuilt catalog — the one way a restored or recovered
     /// catalog enters a grid. Every resource it names must be declared
-    /// here under the same id and kind (same names, same order); on a
+    /// here under the same id, kind and site (same names, same order); on a
     /// mismatch the grid keeps its catalog. The adopted catalog reports to
     /// this grid's metrics, as the builder's did.
     pub(crate) fn adopt_catalog(&mut self, mcat: Mcat) -> SrbResult<()> {
@@ -487,7 +486,7 @@ impl Grid {
                     r.name
                 ))
             })?;
-            if local.id != r.id || local.kind != r.kind {
+            if local.id != r.id || local.kind != r.kind || local.site != r.site {
                 return Err(SrbError::Invalid(format!(
                     "resource '{}' differs between topology and catalog \
                      (declare resources in the same order)",
@@ -505,35 +504,30 @@ impl Grid {
     /// Look up a server.
     pub fn server(&self, id: ServerId) -> SrbResult<&SrbServer> {
         self.servers
-            .get(&id)
+            .get(id.raw() as usize)
             .ok_or_else(|| SrbError::NotFound(format!("server {id}")))
     }
 
-    /// All servers, sorted by id.
-    pub fn servers(&self) -> Vec<&SrbServer> {
-        let mut v: Vec<&SrbServer> = self.servers.values().collect();
-        v.sort_by_key(|s| s.id);
-        v
+    /// All servers, in id order.
+    pub fn servers(&self) -> &[SrbServer] {
+        &self.servers
     }
 
-    /// Which server brokers a resource.
-    pub(crate) fn server_for_resource(&self, r: ResourceId) -> SrbResult<ServerId> {
-        self.resource_home
-            .read()
+    /// A resource's placement; an unknown resource is `NotFound`.
+    pub(crate) fn placement(&self, r: ResourceId) -> SrbResult<&Placement> {
+        self.placement
             .get(&r)
-            .copied()
-            .ok_or_else(|| SrbError::NotFound(format!("no server brokers resource {r}")))
+            .ok_or_else(|| SrbError::NotFound(format!("resource {r}")))
     }
 
     /// The driver instance for a resource, wherever it lives.
     pub fn driver(&self, r: ResourceId) -> SrbResult<Arc<ResourceDriver>> {
-        let home = self.server_for_resource(r)?;
-        self.server(home)?.driver(r)
+        Ok(self.placement(r)?.driver.clone())
     }
 
     /// The site a resource lives at.
     pub(crate) fn site_of_resource(&self, r: ResourceId) -> SrbResult<SiteId> {
-        Ok(self.mcat.resources.get(r)?.site)
+        Ok(self.placement(r)?.site)
     }
 
     /// Convenience: register a normal (non-admin) user and create their
@@ -609,7 +603,7 @@ impl Grid {
 
     /// Is the named resource currently reachable?
     pub fn resource_is_up(&self, r: ResourceId) -> bool {
-        self.site_of_resource(r).is_ok() && self.faults.is_up(r)
+        self.placement.contains_key(&r) && self.faults.is_up(r)
     }
 }
 
@@ -640,9 +634,9 @@ mod tests {
         assert_eq!(g.mcat.resources.list().len(), 4);
         assert_eq!(g.mcat.resources.list_logical().len(), 1);
         let unix = g.resource_id("unix-sdsc").unwrap();
-        assert_eq!(g.server_for_resource(unix).unwrap(), s1);
+        assert_eq!(g.placement(unix).unwrap().server, s1);
         let hpss = g.resource_id("hpss-caltech").unwrap();
-        assert_eq!(g.server_for_resource(hpss).unwrap(), s2);
+        assert_eq!(g.placement(hpss).unwrap().server, s2);
         assert!(g.resource_id("missing").is_err());
     }
 
@@ -745,7 +739,8 @@ mod tests {
         let servers = g.servers();
         assert_eq!(servers[0].id, s1);
         assert_eq!(servers[0].name, "srb-sdsc");
-        assert_eq!(servers[0].resources.read().len(), 2);
+        let on_s1 = g.placement.values().filter(|p| p.server == s1).count();
+        assert_eq!(on_s1, 2);
         assert!(g.server(ServerId(99)).is_err());
     }
 }

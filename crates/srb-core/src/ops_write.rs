@@ -1169,15 +1169,15 @@ impl SrbConnection<'_> {
             }?;
             Ok(((), ns))
         })?;
-        let site = self.grid.site_of_resource(resource)?;
-        let net_ns = self
-            .grid
-            .network
-            .charge_transfer(self.site(), site, data.len() as u64)?;
+        let home = self.grid.placement(resource)?;
+        let net_ns =
+            self.grid
+                .network
+                .charge_transfer(self.site(), home.site, data.len() as u64)?;
         let mut r = Receipt::time(storage_ns + net_ns);
         r.bytes = data.len() as u64;
         r.messages = 1;
-        if self.grid.server_for_resource(resource)? != self.server {
+        if home.server != self.server {
             r.hops = 1;
         }
         Ok(r)

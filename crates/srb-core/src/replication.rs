@@ -9,7 +9,7 @@
 
 use srb_mcat::{Replica, ReplicaStatus};
 use srb_net::{HealthRegistry, LoadTracker};
-use srb_types::{ResourceId, SeedStream};
+use srb_types::SeedStream;
 
 /// The candidates a read walks, grouped by how desperate the caller is.
 #[derive(Debug)]
@@ -38,13 +38,6 @@ pub enum ReplicaPolicy {
 }
 
 impl ReplicaPolicy {
-    /// Order the byte-addressable, up-to-date replicas for a read attempt.
-    /// Convenience wrapper over `ReplicaPolicy::order_with_health` with
-    /// no breaker consultation; stale replicas are excluded entirely.
-    pub fn order<'a>(&self, replicas: &'a [Replica], load: &LoadTracker) -> Vec<&'a Replica> {
-        self.order_with_health(replicas, load, None).fresh
-    }
-
     /// Order candidate replicas for a read attempt, consulting the health
     /// registry when given: fresh replicas whose resource's breaker is
     /// `Open` are demoted behind every non-open one (stable within each
@@ -112,21 +105,13 @@ impl ReplicaPolicy {
         }
         fresh
     }
-
-    /// The resource the policy would pick first (for tests and the MySRB
-    /// replica display).
-    pub fn pick(&self, replicas: &[Replica], load: &LoadTracker) -> Option<ResourceId> {
-        self.order(replicas, load)
-            .first()
-            .and_then(|r| r.spec.resource())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use srb_mcat::AccessSpec;
-    use srb_types::{ReplicaId, Timestamp};
+    use srb_types::{ReplicaId, ResourceId, Timestamp};
 
     fn replica(num: u32, resource: u64, status: ReplicaStatus) -> Replica {
         Replica {
@@ -145,14 +130,21 @@ mod tests {
         }
     }
 
+    /// A tracker over the replicas' resources.
+    fn tracker(reps: &[Replica]) -> LoadTracker {
+        LoadTracker::new(reps.iter().filter_map(|r| r.spec.resource()))
+    }
+
     #[test]
     fn first_alive_uses_catalog_order() {
         let reps = vec![
             replica(2, 20, ReplicaStatus::UpToDate),
             replica(1, 10, ReplicaStatus::UpToDate),
         ];
-        let load = LoadTracker::new();
-        let order = ReplicaPolicy::FirstAlive.order(&reps, &load);
+        let load = tracker(&reps);
+        let order = ReplicaPolicy::FirstAlive
+            .order_with_health(&reps, &load, None)
+            .fresh;
         assert_eq!(order[0].repl_num, 1);
         assert_eq!(order[1].repl_num, 2);
     }
@@ -163,14 +155,12 @@ mod tests {
             replica(1, 10, ReplicaStatus::UpToDate),
             replica(2, 20, ReplicaStatus::UpToDate),
         ];
-        let load = LoadTracker::new();
+        let load = tracker(&reps);
         load.charge(ResourceId(10), 1_000_000);
-        let order = ReplicaPolicy::LeastLoaded.order(&reps, &load);
+        let order = ReplicaPolicy::LeastLoaded
+            .order_with_health(&reps, &load, None)
+            .fresh;
         assert_eq!(order[0].spec.resource(), Some(ResourceId(20)));
-        assert_eq!(
-            ReplicaPolicy::LeastLoaded.pick(&reps, &load),
-            Some(ResourceId(20))
-        );
     }
 
     #[test]
@@ -179,13 +169,13 @@ mod tests {
             replica(1, 10, ReplicaStatus::Stale),
             replica(2, 20, ReplicaStatus::UpToDate),
         ];
-        let load = LoadTracker::new();
+        let load = tracker(&reps);
         for policy in [
             ReplicaPolicy::FirstAlive,
             ReplicaPolicy::LeastLoaded,
             ReplicaPolicy::Random(1),
         ] {
-            let order = policy.order(&reps, &load);
+            let order = policy.order_with_health(&reps, &load, None).fresh;
             assert_eq!(order.len(), 1);
             assert_eq!(order[0].repl_num, 2);
         }
@@ -199,7 +189,7 @@ mod tests {
             replica(1, 10, ReplicaStatus::UpToDate),
             replica(2, 20, ReplicaStatus::UpToDate),
         ];
-        let load = LoadTracker::new();
+        let load = tracker(&reps);
         let health = HealthRegistry::new(SimClock::new(), BreakerConfig::default());
         // Trip resource 10's breaker; catalog-order policy would try it
         // first, but health-aware ordering demotes it behind resource 20.
@@ -222,7 +212,7 @@ mod tests {
             replica(2, 20, ReplicaStatus::UpToDate),
             replica(3, 30, ReplicaStatus::Stale),
         ];
-        let load = LoadTracker::new();
+        let load = tracker(&reps);
         let ordered = ReplicaPolicy::FirstAlive.order_with_health(&reps, &load, None);
         assert_eq!(ordered.fresh.len(), 1);
         assert_eq!(ordered.fresh[0].repl_num, 2);
@@ -237,8 +227,10 @@ mod tests {
             url: "http://x/".into(),
         };
         let reps = vec![url, replica(2, 20, ReplicaStatus::UpToDate)];
-        let load = LoadTracker::new();
-        let order = ReplicaPolicy::FirstAlive.order(&reps, &load);
+        let load = tracker(&reps);
+        let order = ReplicaPolicy::FirstAlive
+            .order_with_health(&reps, &load, None)
+            .fresh;
         assert_eq!(order.len(), 1);
         assert_eq!(order[0].repl_num, 2);
     }
@@ -248,14 +240,16 @@ mod tests {
         let reps: Vec<Replica> = (1..=8)
             .map(|i| replica(i, i as u64 * 10, ReplicaStatus::UpToDate))
             .collect();
-        let load = LoadTracker::new();
+        let load = tracker(&reps);
         let a: Vec<u32> = ReplicaPolicy::Random(7)
-            .order(&reps, &load)
+            .order_with_health(&reps, &load, None)
+            .fresh
             .iter()
             .map(|r| r.repl_num)
             .collect();
         let b: Vec<u32> = ReplicaPolicy::Random(7)
-            .order(&reps, &load)
+            .order_with_health(&reps, &load, None)
+            .fresh
             .iter()
             .map(|r| r.repl_num)
             .collect();
@@ -266,12 +260,14 @@ mod tests {
         // Different seeds give different orders (with 8! permutations the
         // chance of collision across 3 seeds is negligible).
         let c: Vec<u32> = ReplicaPolicy::Random(8)
-            .order(&reps, &load)
+            .order_with_health(&reps, &load, None)
+            .fresh
             .iter()
             .map(|r| r.repl_num)
             .collect();
         let d: Vec<u32> = ReplicaPolicy::Random(9)
-            .order(&reps, &load)
+            .order_with_health(&reps, &load, None)
+            .fresh
             .iter()
             .map(|r| r.repl_num)
             .collect();

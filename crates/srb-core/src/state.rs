@@ -245,6 +245,29 @@ mod tests {
         assert!(wrong.restore_state("{]").is_err());
     }
 
+    /// Same names, ids and kinds in the same order, but brokered from
+    /// another site: the catalog's resource rows would disagree with where
+    /// the grid places them, so the restore fails closed.
+    #[test]
+    fn a_resource_on_another_site_is_rejected() {
+        let saved = saved_with(&["a.txt"]);
+        let mut gb = GridBuilder::new();
+        gb.site("sdsc");
+        let site = gb.site("caltech");
+        let srv = gb.server("srb", site);
+        gb.fs_resource("fs", srv)
+            .cache_resource("cache", srv, 1 << 20)
+            .archive_resource("tape", srv)
+            .db_resource("db", srv)
+            .logical_resource("ct-store", &["cache", "tape"]);
+        let mut moved = gb.build();
+        let before = moved.mcat.snapshot_json().unwrap();
+        let err = moved.restore_state(&saved).unwrap_err();
+        assert!(err.to_string().contains("differs between"), "{err}");
+        assert_eq!(moved.mcat.snapshot_json().unwrap(), before);
+        assert!(drivers_empty(&moved));
+    }
+
     /// The saved state of a grid where sekar ingested `files` to `fs`,
     /// each tagged `k = v`.
     fn saved_with(files: &[&str]) -> String {

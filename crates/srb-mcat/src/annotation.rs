@@ -177,8 +177,12 @@ impl AnnotationTable {
             .rows
             .remove(&id)
             .ok_or_else(|| SrbError::NotFound(format!("annotation {id}")))?;
-        if let Some(v) = g.by_subject.get_mut(&row.subject) {
+        let emptied = g.by_subject.get_mut(&row.subject).is_some_and(|v| {
             v.retain(|&a| a != id);
+            v.is_empty()
+        });
+        if emptied {
+            g.by_subject.remove(&row.subject);
         }
         self.wal.log(0, || WalOp::AnnotationDelete { id });
         Ok(())
@@ -349,5 +353,63 @@ mod tests {
             assert_eq!(AnnotationKind::parse(k.name()), Some(*k));
         }
         assert_eq!(AnnotationKind::parse("sticker"), None);
+    }
+
+    /// The live table's derived map against a rebuild from its rows.
+    fn assert_derived_state_matches_rebuild(t: &AnnotationTable) {
+        let g = t.inner.read();
+        let mut rows: Vec<Annotation> = g.rows.values().cloned().collect();
+        rows.sort_by_key(|a| a.id);
+        let rebuilt = AnnotationTable::restore(rows);
+        let r = rebuilt.inner.read();
+        assert_eq!(g.by_subject, r.by_subject);
+    }
+
+    /// A seeded run of adds, removes and whole-subject removes: the live
+    /// table never keeps derived state its rows would not rebuild, such
+    /// as the list of a subject whose last annotation went.
+    #[test]
+    fn derived_state_equals_a_rebuild_from_the_rows() {
+        use srb_types::SeedStream;
+        let t = AnnotationTable::new();
+        let ids = IdGen::new();
+        let mut rng = SeedStream::new(0xa770);
+        let mut live: Vec<(AnnotationId, UserId)> = Vec::new();
+        for step in 0..3000 {
+            match rng.below(10) {
+                0..=4 => {
+                    let author = UserId(rng.below(3) as u64);
+                    let id = t.add(
+                        &ids,
+                        sub(rng.below(24) as u64),
+                        author,
+                        Timestamp(step),
+                        AnnotationKind::Comment,
+                        "",
+                        "c",
+                    );
+                    live.push((id, author));
+                }
+                5..=8 if !live.is_empty() => {
+                    let (id, author) = live.swap_remove(rng.below(live.len()));
+                    t.remove(id, author).unwrap();
+                }
+                9 => {
+                    t.remove_all(sub(rng.below(24) as u64));
+                    let g = t.inner.read();
+                    live.retain(|(id, _)| g.rows.contains_key(id));
+                }
+                _ => {}
+            }
+            if step % 101 == 0 {
+                assert_derived_state_matches_rebuild(&t);
+            }
+        }
+        assert_derived_state_matches_rebuild(&t);
+        for (id, author) in live {
+            t.remove(id, author).unwrap();
+        }
+        assert_derived_state_matches_rebuild(&t);
+        assert!(t.inner.read().by_subject.is_empty());
     }
 }

@@ -89,6 +89,9 @@ type CachedScope = (Generation, Arc<IdSet<CollectionId>>);
 #[derive(Debug)]
 pub struct CollectionTable {
     inner: RwLock<Inner>,
+    /// Fixed for the table's lifetime: `delete` and `move_collection`
+    /// refuse the root.
+    root: CollectionId,
     /// Bumped by every structural mutation (create/link/move/delete); the
     /// subtree cache below stamps its entries with this counter.
     generation: GenCounter,
@@ -103,22 +106,6 @@ pub struct CollectionTable {
     wal: WalHook,
 }
 
-impl Default for CollectionTable {
-    fn default() -> Self {
-        CollectionTable {
-            inner: RwLock::new(LockRank::McatTable, "mcat.collections", Inner::default()),
-            generation: GenCounter::new(),
-            scope_cache: RwLock::new(
-                LockRank::McatTable,
-                "mcat.collections.scope_cache",
-                IdMap::default(),
-            ),
-            cache_obs: None,
-            wal: WalHook::default(),
-        }
-    }
-}
-
 #[derive(Debug, Default)]
 struct Inner {
     nodes: IdMap<CollectionId, Collection>,
@@ -129,11 +116,26 @@ struct Inner {
 }
 
 impl CollectionTable {
+    /// A table over a built tree; nothing cached, nothing logged yet.
+    fn from_tree(root: CollectionId, tree: Inner) -> Self {
+        CollectionTable {
+            inner: RwLock::new(LockRank::McatTable, "mcat.collections", tree),
+            root,
+            generation: GenCounter::new(),
+            scope_cache: RwLock::new(
+                LockRank::McatTable,
+                "mcat.collections.scope_cache",
+                IdMap::default(),
+            ),
+            cache_obs: None,
+            wal: WalHook::default(),
+        }
+    }
+
     /// New table containing only the root collection owned by `admin`.
     pub fn new(ids: &IdGen, admin: UserId, now: Timestamp) -> Self {
-        let t = CollectionTable::default();
         let root_id: CollectionId = ids.next();
-        let mut g = t.inner.write();
+        let mut g = Inner::default();
         let mut acl = AccessMatrix::owned_by(admin);
         acl.public = srb_types::Permission::Discover;
         g.nodes.insert(
@@ -151,17 +153,12 @@ impl CollectionTable {
         );
         g.by_path.insert("/".to_string(), root_id);
         g.children.insert(root_id, BTreeMap::new());
-        drop(g);
-        t
+        CollectionTable::from_tree(root_id, g)
     }
 
     /// The root collection id.
     pub fn root(&self) -> CollectionId {
-        match self.inner.read().by_path.get("/") {
-            Some(id) => *id,
-            // "/" is inserted at construction and delete() refuses the root.
-            None => unreachable!("root exists for the table's lifetime"),
-        }
+        self.root
     }
 
     /// Create a sub-collection under `parent`.
@@ -494,7 +491,7 @@ impl CollectionTable {
         new_name: &str,
     ) -> SrbResult<()> {
         let mut g = self.inner.write();
-        if id == self.root_locked(&g) {
+        if id == self.root {
             return Err(SrbError::Unsupported("cannot move the root".into()));
         }
         let old_path = g
@@ -568,19 +565,11 @@ impl CollectionTable {
         Ok(())
     }
 
-    fn root_locked(&self, g: &Inner) -> CollectionId {
-        match g.by_path.get("/") {
-            Some(id) => *id,
-            // See root(): "/" is present for the table's lifetime.
-            None => unreachable!("root exists for the table's lifetime"),
-        }
-    }
-
     /// Delete a collection. It must have no child collections (the catalog
     /// facade checks for datasets).
     pub fn delete(&self, id: CollectionId) -> SrbResult<()> {
         let mut g = self.inner.write();
-        if id == self.root_locked(&g) {
+        if id == self.root {
             return Err(SrbError::Unsupported("cannot delete the root".into()));
         }
         if !g.children.get(&id).map(|c| c.is_empty()).unwrap_or(true) {
@@ -615,26 +604,27 @@ impl CollectionTable {
         );
     }
 
-    /// Rebuild the tree (path index + child lists) from snapshot rows.
-    pub fn restore(rows: Vec<Collection>) -> Self {
-        let t = CollectionTable::default();
-        {
-            let mut g = t.inner.write();
-            for c in &rows {
-                g.by_path.insert(c.path.to_string(), c.id);
-                g.children.entry(c.id).or_default();
-                if let (Some(p), Some(name)) = (c.parent, c.path.name()) {
-                    g.children
-                        .entry(p)
-                        .or_default()
-                        .insert(name.to_string(), c.id);
-                }
-            }
-            for c in rows {
-                g.nodes.insert(c.id, c);
+    /// Rebuild the tree (path index + child lists) from snapshot rows,
+    /// which must hold the root.
+    pub(crate) fn restore(rows: Vec<Collection>) -> SrbResult<Self> {
+        let mut g = Inner::default();
+        for c in &rows {
+            g.by_path.insert(c.path.to_string(), c.id);
+            g.children.entry(c.id).or_default();
+            if let (Some(p), Some(name)) = (c.parent, c.path.name()) {
+                g.children
+                    .entry(p)
+                    .or_default()
+                    .insert(name.to_string(), c.id);
             }
         }
-        t
+        for c in rows {
+            g.nodes.insert(c.id, c);
+        }
+        let Some(&root) = g.by_path.get("/") else {
+            return Err(SrbError::Invalid("snapshot has no root collection".into()));
+        };
+        Ok(CollectionTable::from_tree(root, g))
     }
 
     /// Total number of collections.

@@ -725,9 +725,7 @@ impl DatasetTable {
         d.name = new_name.to_string();
         g.by_name.remove(&key_old);
         g.by_name.insert(key_new, id);
-        if let Some(v) = g.by_coll.get_mut(&old_coll) {
-            v.retain(|&x| x != id);
-        }
+        unlist(&mut g.by_coll, old_coll, id);
         g.by_coll.entry(new_coll).or_default().push(id);
         let gen = self.generation.bump_get().raw();
         if let Some(row) = g.rows.get(&id) {
@@ -744,9 +742,7 @@ impl DatasetTable {
             .remove(&id)
             .ok_or_else(|| SrbError::NotFound(format!("dataset {id}")))?;
         g.by_name.remove(&(d.coll, d.name.clone()));
-        if let Some(v) = g.by_coll.get_mut(&d.coll) {
-            v.retain(|&x| x != id);
-        }
+        unlist(&mut g.by_coll, d.coll, id);
         let gen = self.generation.bump_get().raw();
         self.wal.log(gen, || WalOp::DatasetDelete { id });
         Ok(d)
@@ -878,9 +874,20 @@ impl DatasetBatch<'_> {
     }
 }
 
+/// Drop `id` from its collection's list, and the list once it is empty.
+fn unlist(by_coll: &mut IdMap<CollectionId, Vec<DatasetId>>, coll: CollectionId, id: DatasetId) {
+    if let Some(v) = by_coll.get_mut(&coll) {
+        v.retain(|&x| x != id);
+        if v.is_empty() {
+            by_coll.remove(&coll);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     fn stored(r: u64) -> AccessSpec {
         AccessSpec::Stored {
@@ -1239,5 +1246,69 @@ mod tests {
         })
         .unwrap();
         assert_eq!(t.get(id).unwrap().size(), 20);
+    }
+
+    /// The live table's derived maps against a rebuild from its rows;
+    /// `by_coll` lists follow insertion order, so they compare as sets.
+    fn assert_derived_state_matches_rebuild(t: &DatasetTable) {
+        let g = t.inner.read();
+        let rows = by_id(&g.rows).into_iter().cloned().collect();
+        let rebuilt = DatasetTable::restore(rows);
+        let r = rebuilt.inner.read();
+        assert_eq!(g.by_name, r.by_name);
+        let as_sets = |m: &IdMap<CollectionId, Vec<DatasetId>>| {
+            m.iter()
+                .map(|(c, ids)| (*c, ids.iter().copied().collect::<BTreeSet<_>>()))
+                .collect::<BTreeMap<_, _>>()
+        };
+        assert_eq!(as_sets(&g.by_coll), as_sets(&r.by_coll));
+    }
+
+    /// A seeded run of creates, moves and deletes across a few
+    /// collections: the live table never keeps derived state its rows
+    /// would not rebuild, such as the list of a collection it emptied.
+    #[test]
+    fn derived_state_equals_a_rebuild_from_the_rows() {
+        use srb_types::SeedStream;
+        let (t, ids) = table();
+        let coll = |n: usize| CollectionId(n as u64 + 1);
+        let mut rng = SeedStream::new(0xda7a);
+        let mut live: Vec<DatasetId> = Vec::new();
+        for step in 0..3000 {
+            match rng.below(10) {
+                0..=3 => live.push(
+                    t.create(
+                        &ids,
+                        coll(rng.below(12)),
+                        &format!("d{step}"),
+                        "generic",
+                        UserId(1),
+                        vec![],
+                        Timestamp(0),
+                    )
+                    .unwrap(),
+                ),
+                4..=6 if !live.is_empty() => {
+                    let id = live[rng.below(live.len())];
+                    t.move_dataset(id, coll(rng.below(12)), &format!("m{step}"))
+                        .unwrap();
+                }
+                7..=9 if !live.is_empty() => {
+                    let id = live.swap_remove(rng.below(live.len()));
+                    t.delete(id).unwrap();
+                }
+                _ => {}
+            }
+            if step % 101 == 0 {
+                assert_derived_state_matches_rebuild(&t);
+            }
+        }
+        assert_derived_state_matches_rebuild(&t);
+        for id in live {
+            t.delete(id).unwrap();
+        }
+        assert_derived_state_matches_rebuild(&t);
+        let g = t.inner.read();
+        assert!(g.by_name.is_empty() && g.by_coll.is_empty());
     }
 }

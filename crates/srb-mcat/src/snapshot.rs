@@ -433,9 +433,7 @@ impl Mcat {
                 snap.version
             )));
         }
-        if !snap.collections.iter().any(|c| c.path.is_root()) {
-            return Err(SrbError::Invalid("snapshot has no root collection".into()));
-        }
+        let collections = CollectionTable::restore(snap.collections)?;
         if !snap.users.iter().any(|u| u.id == snap.admin) {
             return Err(SrbError::Invalid(
                 "snapshot admin is not among its users".into(),
@@ -449,7 +447,7 @@ impl Mcat {
             snap.admin,
             UserTable::restore(snap.users, snap.groups),
             ResourceTable::restore(snap.resources, snap.logical_resources),
-            CollectionTable::restore(snap.collections),
+            collections,
             DatasetTable::restore(snap.datasets),
             ContainerTable::restore(snap.containers),
             MetaStore::restore(snap.metadata, snap.meta_files),

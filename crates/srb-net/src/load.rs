@@ -3,28 +3,17 @@
 //! The paper lists "load balancing" as a reason to replicate. To make a
 //! least-loaded replica-selection policy meaningful in a simulation, each
 //! resource accumulates the virtual busy-time charged against it; the
-//! selector reads these counters. Lock-free (a fixed-capacity table of
-//! atomics behind an RwLock used only for insertion) so a 32-thread client
+//! selector reads these counters. Lock-free: one set of atomics per
+//! resource, allocated when the tracker is built, so a 32-thread client
 //! pool doesn't serialize on bookkeeping.
 
-use srb_types::sync::{LockRank, RwLock};
-use srb_types::ResourceId;
-use std::collections::HashMap;
+use srb_types::{IdMap, ResourceId};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Tracks cumulative busy nanoseconds and in-flight operations per resource.
 #[derive(Debug)]
 pub struct LoadTracker {
-    entries: RwLock<HashMap<ResourceId, Arc<Entry>>>,
-}
-
-impl Default for LoadTracker {
-    fn default() -> Self {
-        LoadTracker {
-            entries: RwLock::new(LockRank::Topology, "net.load.entries", HashMap::new()),
-        }
-    }
+    entries: IdMap<ResourceId, Entry>,
 }
 
 #[derive(Debug, Default)]
@@ -35,50 +24,50 @@ struct Entry {
 }
 
 /// RAII guard marking an operation in flight on a resource.
-pub struct InflightGuard {
-    entry: Arc<Entry>,
+pub struct InflightGuard<'a> {
+    entry: Option<&'a Entry>,
 }
 
-impl Drop for InflightGuard {
+impl Drop for InflightGuard<'_> {
     fn drop(&mut self) {
-        self.entry.inflight.fetch_sub(1, Ordering::AcqRel);
-        self.entry.completed.fetch_add(1, Ordering::Relaxed);
+        if let Some(e) = self.entry {
+            e.inflight.fetch_sub(1, Ordering::AcqRel);
+            e.completed.fetch_add(1, Ordering::Relaxed);
+        }
     }
 }
 
 impl LoadTracker {
-    /// Empty tracker.
-    pub fn new() -> Self {
-        LoadTracker::default()
-    }
-
-    fn entry(&self, r: ResourceId) -> Arc<Entry> {
-        if let Some(e) = self.entries.read().get(&r) {
-            return e.clone();
+    /// A tracker for a fixed set of resources. A resource outside the set
+    /// reads as idle, and charges against it are dropped.
+    pub fn new(resources: impl IntoIterator<Item = ResourceId>) -> Self {
+        LoadTracker {
+            entries: resources
+                .into_iter()
+                .map(|r| (r, Entry::default()))
+                .collect(),
         }
-        self.entries
-            .write()
-            .entry(r)
-            .or_insert_with(|| Arc::new(Entry::default()))
-            .clone()
     }
 
     /// Charge `ns` of busy time to a resource.
     pub fn charge(&self, r: ResourceId, ns: u64) {
-        self.entry(r).busy_ns.fetch_add(ns, Ordering::Relaxed);
+        if let Some(e) = self.entries.get(&r) {
+            e.busy_ns.fetch_add(ns, Ordering::Relaxed);
+        }
     }
 
     /// Mark an operation as started; dropping the guard marks it done.
-    pub fn begin(&self, r: ResourceId) -> InflightGuard {
-        let entry = self.entry(r);
-        entry.inflight.fetch_add(1, Ordering::AcqRel);
+    pub fn begin(&self, r: ResourceId) -> InflightGuard<'_> {
+        let entry = self.entries.get(&r);
+        if let Some(e) = entry {
+            e.inflight.fetch_add(1, Ordering::AcqRel);
+        }
         InflightGuard { entry }
     }
 
     /// Cumulative busy nanoseconds.
     pub fn busy_ns(&self, r: ResourceId) -> u64 {
         self.entries
-            .read()
             .get(&r)
             .map(|e| e.busy_ns.load(Ordering::Relaxed))
             .unwrap_or(0)
@@ -87,7 +76,6 @@ impl LoadTracker {
     /// Operations completed so far.
     pub fn completed(&self, r: ResourceId) -> u64 {
         self.entries
-            .read()
             .get(&r)
             .map(|e| e.completed.load(Ordering::Relaxed))
             .unwrap_or(0)
@@ -96,8 +84,7 @@ impl LoadTracker {
     /// Composite load score used by the least-loaded selector: in-flight
     /// operations dominate; accumulated busy time breaks ties.
     pub fn score(&self, r: ResourceId) -> u128 {
-        let g = self.entries.read();
-        match g.get(&r) {
+        match self.entries.get(&r) {
             Some(e) => {
                 let inflight = e.inflight.load(Ordering::Acquire) as u128;
                 let busy = e.busy_ns.load(Ordering::Relaxed) as u128;
@@ -114,7 +101,7 @@ mod tests {
 
     #[test]
     fn charge_accumulates() {
-        let t = LoadTracker::new();
+        let t = LoadTracker::new([ResourceId(1), ResourceId(2)]);
         t.charge(ResourceId(1), 100);
         t.charge(ResourceId(1), 50);
         assert_eq!(t.busy_ns(ResourceId(1)), 150);
@@ -123,7 +110,7 @@ mod tests {
 
     #[test]
     fn inflight_guard_counts_and_releases() {
-        let t = LoadTracker::new();
+        let t = LoadTracker::new([ResourceId(1)]);
         let r = ResourceId(1);
         // With no busy time charged, the score is in-flight ops × 10¹².
         assert_eq!(t.score(r), 0);
@@ -138,7 +125,7 @@ mod tests {
 
     #[test]
     fn score_prefers_idle_resources() {
-        let t = LoadTracker::new();
+        let t = LoadTracker::new([ResourceId(1), ResourceId(2)]);
         let busy = ResourceId(1);
         let idle = ResourceId(2);
         t.charge(busy, 1_000_000);
@@ -149,8 +136,20 @@ mod tests {
     }
 
     #[test]
+    fn an_unknown_resource_reads_idle() {
+        let t = LoadTracker::new([ResourceId(1)]);
+        let ghost = ResourceId(7);
+        t.charge(ghost, 100);
+        drop(t.begin(ghost));
+        assert_eq!(
+            (t.busy_ns(ghost), t.completed(ghost), t.score(ghost)),
+            (0, 0, 0)
+        );
+    }
+
+    #[test]
     fn concurrent_charges_do_not_lose_updates() {
-        let t = LoadTracker::new();
+        let t = LoadTracker::new([ResourceId(9)]);
         std::thread::scope(|s| {
             for _ in 0..8 {
                 s.spawn(|| {

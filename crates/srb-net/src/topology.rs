@@ -1,7 +1,6 @@
 //! Site/link topology and the analytic transfer-cost model.
 
 use serde::{Deserialize, Serialize};
-use srb_types::sync::{LockRank, RwLock};
 use srb_types::{SiteId, SrbError, SrbResult};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -62,14 +61,6 @@ pub struct Route {
 }
 
 impl Route {
-    /// A degenerate local route (source == destination).
-    pub fn local(site: SiteId) -> Self {
-        Route {
-            hops: vec![site],
-            links: Vec::new(),
-        }
-    }
-
     /// Cost in nanoseconds to push `bytes` along the whole route.
     ///
     /// Store-and-forward model: each hop pays full latency plus
@@ -123,82 +114,41 @@ impl NetworkBuilder {
         self
     }
 
-    /// Finish; routes are computed lazily and cached.
+    /// Finish: every site pair's cheapest route is computed here, once.
     pub fn build(self) -> Network {
+        let n = self.names.len();
+        let mut routes = Vec::with_capacity(n * n);
+        for from in 0..n {
+            routes.extend(self.routes_from(from));
+        }
         Network {
             names: self.names,
-            links: self.links,
-            default_link: self.default_link,
-            route_cache: RwLock::new(LockRank::Topology, "net.route_cache", HashMap::new()),
+            routes,
             messages: AtomicU64::new(0),
             bytes_moved: AtomicU64::new(0),
         }
     }
-}
 
-/// The site graph plus traffic counters.
-///
-/// Thread-safe: routing reads a cached table under an `RwLock`; counters are
-/// atomics so concurrent client pools can charge traffic without contention.
-#[derive(Debug)]
-pub struct Network {
-    names: Vec<String>,
-    links: HashMap<(SiteId, SiteId), LinkSpec>,
-    default_link: Option<LinkSpec>,
-    route_cache: RwLock<HashMap<(SiteId, SiteId), Route>>,
-    messages: AtomicU64,
-    bytes_moved: AtomicU64,
-}
-
-impl Network {
-    /// Site display name.
-    pub fn site_name(&self, s: SiteId) -> &str {
-        self.names
-            .get(s.raw() as usize)
-            .map(|n| n.as_str())
-            .unwrap_or("?")
+    fn link_between(&self, from: usize, to: usize) -> Option<LinkSpec> {
+        self.links
+            .get(&(SiteId(from as u64), SiteId(to as u64)))
+            .copied()
+            .or(self.default_link)
     }
 
-    fn neighbors(&self, from: SiteId) -> Vec<(SiteId, LinkSpec)> {
-        let n = self.names.len() as u64;
-        let mut out = Vec::new();
-        for to in 0..n {
-            let to = SiteId(to);
-            if to == from {
-                continue;
-            }
-            if let Some(l) = self.links.get(&(from, to)) {
-                out.push((to, *l));
-            } else if let Some(d) = self.default_link {
-                out.push((to, d));
-            }
-        }
-        out
-    }
-
-    /// Cheapest route between two sites (Dijkstra on 1 KiB transfer cost).
-    ///
-    /// Errors when the sites are disconnected.
-    pub fn route(&self, from: SiteId, to: SiteId) -> SrbResult<Route> {
-        if from == to {
-            return Ok(Route::local(from));
-        }
-        if let Some(r) = self.route_cache.read().get(&(from, to)) {
-            return Ok(r.clone());
-        }
+    /// Cheapest routes from one site to every site, in site order
+    /// (Dijkstra on 1 KiB transfer cost, so low-latency paths win even if
+    /// a long path has more bandwidth); `None` where disconnected. Sites
+    /// settle in (cost, id) order and an equal-cost path never replaces
+    /// the first one found, so each route is the one a search for that
+    /// pair alone would return.
+    fn routes_from(&self, from: usize) -> Vec<Option<Route>> {
         let n = self.names.len();
-        if from.raw() as usize >= n || to.raw() as usize >= n {
-            return Err(SrbError::NotFound(format!(
-                "site {from} or {to} not in network"
-            )));
-        }
-        // Dijkstra keyed on the cost of a small transfer, so low-latency
-        // paths win even if a long path has more bandwidth.
         let metric = |l: &LinkSpec| l.transfer_ns(1024);
         let mut dist: Vec<u64> = vec![u64::MAX; n];
         let mut prev: Vec<Option<(usize, LinkSpec)>> = vec![None; n];
         let mut visited = vec![false; n];
-        dist[from.raw() as usize] = 0;
+        dist[from] = 0;
         for _ in 0..n {
             let mut u = usize::MAX;
             let mut best = u64::MAX;
@@ -212,38 +162,81 @@ impl Network {
                 break;
             }
             visited[u] = true;
-            if u == to.raw() as usize {
-                break;
-            }
-            for (v, l) in self.neighbors(SiteId(u as u64)) {
-                let vi = v.raw() as usize;
+            for v in (0..n).filter(|&v| v != u) {
+                let Some(l) = self.link_between(u, v) else {
+                    continue;
+                };
                 let nd = dist[u].saturating_add(metric(&l));
-                if nd < dist[vi] {
-                    dist[vi] = nd;
-                    prev[vi] = Some((u, l));
+                if nd < dist[v] {
+                    dist[v] = nd;
+                    prev[v] = Some((u, l));
                 }
             }
         }
-        if dist[to.raw() as usize] == u64::MAX {
-            return Err(SrbError::ResourceUnavailable(format!(
+        (0..n)
+            .map(|to| {
+                if dist[to] == u64::MAX {
+                    return None;
+                }
+                let mut hops = vec![SiteId(to as u64)];
+                let mut links = Vec::new();
+                let mut cur = to;
+                while let Some((p, l)) = prev[cur] {
+                    links.push(l);
+                    hops.push(SiteId(p as u64));
+                    cur = p;
+                }
+                hops.reverse();
+                links.reverse();
+                Some(Route { hops, links })
+            })
+            .collect()
+    }
+}
+
+/// The site graph plus traffic counters.
+///
+/// Thread-safe without locks: the route table is fixed at build and only
+/// read; counters are atomics so concurrent client pools can charge
+/// traffic without contention.
+#[derive(Debug)]
+pub struct Network {
+    names: Vec<String>,
+    /// `routes[from * n + to]`, `None` where the sites are disconnected.
+    routes: Vec<Option<Route>>,
+    messages: AtomicU64,
+    bytes_moved: AtomicU64,
+}
+
+impl Network {
+    /// Site display name.
+    pub fn site_name(&self, s: SiteId) -> &str {
+        self.names
+            .get(s.raw() as usize)
+            .map(|n| n.as_str())
+            .unwrap_or("?")
+    }
+
+    /// Cheapest route between two sites (Dijkstra on 1 KiB transfer cost,
+    /// computed at build); a site's route to itself has no links.
+    ///
+    /// Errors when either site is not in the network or the sites are
+    /// disconnected.
+    pub fn route(&self, from: SiteId, to: SiteId) -> SrbResult<&Route> {
+        let n = self.names.len();
+        let (f, t) = (from.raw() as usize, to.raw() as usize);
+        if f >= n || t >= n {
+            return Err(SrbError::NotFound(format!(
+                "site {from} or {to} not in network"
+            )));
+        }
+        self.routes[f * n + t].as_ref().ok_or_else(|| {
+            SrbError::ResourceUnavailable(format!(
                 "no route from {} to {}",
                 self.site_name(from),
                 self.site_name(to)
-            )));
-        }
-        let mut hops = vec![to];
-        let mut links = Vec::new();
-        let mut cur = to.raw() as usize;
-        while let Some((p, l)) = prev[cur] {
-            links.push(l);
-            hops.push(SiteId(p as u64));
-            cur = p;
-        }
-        hops.reverse();
-        links.reverse();
-        let route = Route { hops, links };
-        self.route_cache.write().insert((from, to), route.clone());
-        Ok(route)
+            ))
+        })
     }
 
     /// Charge a transfer of `bytes` from `from` to `to`; returns the cost in
@@ -326,6 +319,17 @@ mod tests {
     }
 
     #[test]
+    fn sites_outside_the_network_are_not_found() {
+        let (net, sdsc, ..) = three_site();
+        let ghost = SiteId(7);
+        assert!(matches!(
+            net.route(ghost, ghost),
+            Err(SrbError::NotFound(_))
+        ));
+        assert!(matches!(net.route(sdsc, ghost), Err(SrbError::NotFound(_))));
+    }
+
+    #[test]
     fn disconnected_sites_error() {
         let mut b = NetworkBuilder::new();
         let a = b.site("a");
@@ -374,7 +378,8 @@ mod tests {
         let (net, sdsc, _, ncsa) = three_site();
         let r1 = net.route(sdsc, ncsa).unwrap();
         let r2 = net.route(sdsc, ncsa).unwrap();
-        assert_eq!(r1, r2);
+        // Both calls read the one table entry built with the network.
+        assert!(std::ptr::eq(r1, r2));
     }
 
     #[test]

@@ -23,11 +23,11 @@
 //! | 7                       | `Session`     | `mysrb` web sessions                |
 //! | 6                       | `ZoneFed`     | `srb-core` federation membership    |
 //! | 5                       | `ZoneLink`    | `srb-core` zone peering link state  |
-//! | 4                       | `CoreState`   | `srb-core` grid/auth/proxy state    |
+//! | 4                       | `CoreState`   | `srb-core` auth/pool/proxy state    |
 //! | 3                       | `McatTable`   | `srb-mcat` catalog tables           |
 //! | 2                       | `Wal`         | `srb-mcat` write-ahead log buffer   |
 //! | 1                       | `Storage`     | `srb-storage` driver internals      |
-//! | 0                       | `Topology`    | `srb-net` routes/load/faults        |
+//! | 0                       | `Topology`    | `srb-net` faults/health, `srb-obs`  |
 //!
 //! Locks of **equal** rank may be held simultaneously (the catalog routinely
 //! holds several table locks); same-rank siblings are only acquired from
@@ -48,7 +48,7 @@ use std::sync::PoisonError;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u8)]
 pub enum LockRank {
-    /// `srb-net`: route cache, load accounting, fault injection.
+    /// `srb-net`: fault injection and breaker cells; `srb-obs` registries.
     Topology = 0,
     /// `srb-storage`: driver-internal state (shards, staging sets, tables).
     Storage = 1,
@@ -57,7 +57,7 @@ pub enum LockRank {
     Wal = 2,
     /// `srb-mcat`: one catalog table (users, datasets, metadata, ...).
     McatTable = 3,
-    /// `srb-core`: grid resource maps, auth sessions, proxy registries.
+    /// `srb-core`: auth sessions, connection pool, proxy registries.
     CoreState = 4,
     /// `srb-core`: one zone-peering link's outbox, cursors and lag state.
     /// The replication pump holds a link lock while applying deltas to the

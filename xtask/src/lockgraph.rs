@@ -26,7 +26,7 @@
 //! rank so down-rank edges read top-to-bottom.
 
 use crate::lexer::{Lexed, TokKind};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Fallback hierarchy used when `sync.rs` cannot be parsed; mirrors
 /// `srb_types::sync::LockRank`.
@@ -41,7 +41,7 @@ pub const DEFAULT_RANKS: &[(&str, u8)] = &[
 /// One harvested `Mutex::new` / `RwLock::new` construction site.
 #[derive(Debug, Clone)]
 pub struct LockDef {
-    /// Diagnostic name from the construction site (`"net.load.entries"`).
+    /// Diagnostic name from the construction site (`"net.fault.modes"`).
     pub name: String,
     /// `LockRank` variant ident (`"Topology"`).
     pub rank_ident: String,
@@ -52,8 +52,6 @@ pub struct LockDef {
     pub field: Option<String>,
     /// Workspace-relative path of the construction site.
     pub path: String,
-    /// 1-based line of the construction site.
-    pub line: usize,
 }
 
 /// All locks in the workspace, with lookup tables for resolving an
@@ -138,7 +136,6 @@ impl LockRegistry {
                 rank,
                 field: field.clone(),
                 path: path.to_string(),
-                line: toks[i].line,
             });
             if let Some(f) = field {
                 self.by_file_field
@@ -335,30 +332,29 @@ impl LockGraph {
                 "  subgraph cluster_rank{rank} {{\n    label=\"rank {rank} · {}\";\n",
                 rank_name(rank)
             ));
-            // One node per lock name; tooltip lists every construction
-            // site (a name can be constructed in several places, e.g. a
-            // sharded lock array).
-            let mut sites: BTreeMap<&str, Vec<String>> = BTreeMap::new();
+            // One node per lock name; tooltip lists every file that
+            // constructs it (a name can be constructed in several places,
+            // e.g. a sharded lock array). Files, not lines, so the graph
+            // changes only when a lock does.
+            let mut files: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
             for d in defs {
-                sites
+                files
                     .entry(d.name.as_str())
                     .or_default()
-                    .push(format!("{}:{}", d.path, d.line));
+                    .insert(d.path.as_str());
             }
-            for (name, mut at) in sites {
-                at.sort();
-                at.dedup();
+            for (name, at) in files {
+                let at: Vec<&str> = at.into_iter().collect();
                 out.push_str(&format!("    \"{name}\" [tooltip=\"{}\"];\n", at.join(" ")));
             }
             out.push_str("  }\n");
         }
         for edge in self.edges.values() {
             out.push_str(&format!(
-                "  \"{}\" -> \"{}\" [label=\"{}:{}\"];\n",
+                "  \"{}\" -> \"{}\" [label=\"{}\"];\n",
                 edge.held,
                 edge.acquired,
                 edge.path.rsplit('/').next().unwrap_or(&edge.path),
-                edge.line
             ));
         }
         out.push_str("}\n");
@@ -513,6 +509,7 @@ impl M {
         let dot = g.emit_dot(&reg, &ranks());
         assert!(dot.contains("cluster_rank4"));
         assert!(dot.contains("\"web.a\" -> \"storage.b\""));
-        assert!(dot.contains("a.rs:2"));
+        assert!(dot.contains("a.rs"));
+        assert!(!dot.contains("a.rs:"), "no line numbers: {dot}");
     }
 }

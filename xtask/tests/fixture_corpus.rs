@@ -188,10 +188,11 @@ fn dot_emission_renders_the_graph() {
     assert!(stdout.contains("wrote docs/lock-graph.dot"), "{stdout}");
     let dot = std::fs::read_to_string(scratch.join("docs/lock-graph.dot")).expect("dot written");
     assert!(dot.contains("digraph lock_order"), "{dot}");
-    // Nodes are clustered by rank, edges labeled with their site.
+    // Nodes are clustered by rank, edges labeled with their file (no
+    // line, so moving a lock's code does not change the graph).
     assert!(dot.contains("cluster_rank3"), "{dot}");
     assert!(dot.contains("\"fix.store\" -> \"fix.core\""), "{dot}");
-    assert!(dot.contains("order.rs:36"), "{dot}");
+    assert!(dot.contains("[label=\"order.rs\"]"), "{dot}");
 
     let _ = std::fs::remove_dir_all(&scratch);
 }
