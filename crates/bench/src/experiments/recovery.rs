@@ -45,6 +45,9 @@ pub struct Row {
     pub recovery_sim_ms: f64,
     /// Commit groups the replay applied over the checkpoint.
     pub groups_applied: usize,
+    /// Pages the checkpoint that sealed the recovery rendered; it shared
+    /// every other page with the checkpoint it recovered from.
+    pub pages_rendered: u64,
     /// Recovered catalog byte-identical to the pre-crash snapshot.
     pub identical: bool,
 }
@@ -131,6 +134,7 @@ fn measure(max: usize) -> Vec<Row> {
             recovery_wall_ms,
             recovery_sim_ms: report.recovery_ns as f64 / 1e6,
             groups_applied: report.groups_applied,
+            pages_rendered: report.pages_rendered,
             identical,
         });
         n *= 10;
@@ -150,6 +154,7 @@ pub fn run(max: usize) -> Table {
             "tail records",
             "recover wall ms",
             "recover sim ms",
+            "pages rendered",
             "identical",
         ],
     );
@@ -162,6 +167,7 @@ pub fn run(max: usize) -> Table {
             r.tail_records.to_string(),
             format!("{:.1}", r.recovery_wall_ms),
             format!("{:.2}", r.recovery_sim_ms),
+            r.pages_rendered.to_string(),
             r.identical.to_string(),
         ]);
     }
@@ -184,6 +190,7 @@ pub(crate) fn run_json(max: usize) -> serde_json::Value {
                 "recovery_wall_ms": r.recovery_wall_ms,
                 "recovery_sim_ms": r.recovery_sim_ms,
                 "groups_applied": r.groups_applied,
+                "pages_rendered": r.pages_rendered,
                 "identical": r.identical,
             })
         })

@@ -85,7 +85,7 @@ pub fn assert_no_orphans(m: &Mcat) {
         .map(|c| Subject::Collection(c.id))
         .chain(snap.datasets.iter().map(|d| Subject::Dataset(d.id)))
         .collect();
-    for row in &snap.metadata {
+    for row in snap.metadata.iter() {
         assert!(live.contains(&row.subject), "orphan metadata row {row:?}");
     }
     for (subject, _) in &snap.meta_files {
@@ -94,7 +94,7 @@ pub fn assert_no_orphans(m: &Mcat) {
             "orphan meta-file link on {subject:?}"
         );
     }
-    for a in &snap.annotations {
+    for a in snap.annotations.iter() {
         assert!(live.contains(&a.subject), "orphan annotation {a:?}");
     }
 }

@@ -8,6 +8,7 @@
 //! permission on the object."
 
 use crate::metadata::Subject;
+use crate::pages::RowPages;
 use crate::snapshot::{Field, ImageWriter};
 use crate::wal::{WalHook, WalOp};
 use serde::{Deserialize, Serialize};
@@ -110,7 +111,7 @@ impl Default for AnnotationTable {
 
 #[derive(Debug, Default)]
 struct Inner {
-    rows: HashMap<AnnotationId, Annotation>,
+    rows: RowPages<Annotation>,
     by_subject: HashMap<Subject, Vec<AnnotationId>>,
 }
 
@@ -146,7 +147,7 @@ impl AnnotationTable {
         g.by_subject.entry(subject).or_default().push(id);
         self.wal
             .log(0, || WalOp::AnnotationPut { row: row.clone() });
-        g.rows.insert(id, row);
+        g.rows.insert(row);
         id
     }
 
@@ -155,7 +156,7 @@ impl AnnotationTable {
         let g = self.inner.read();
         g.by_subject
             .get(&subject)
-            .map(|ids| ids.iter().filter_map(|i| g.rows.get(i)).cloned().collect())
+            .map(|ids| ids.iter().filter_map(|&i| g.rows.get(i)).cloned().collect())
             .unwrap_or_default()
     }
 
@@ -165,7 +166,7 @@ impl AnnotationTable {
         let mut g = self.inner.write();
         let row = g
             .rows
-            .get(&id)
+            .get(id)
             .ok_or_else(|| SrbError::NotFound(format!("annotation {id}")))?;
         if row.author != by {
             return Err(SrbError::PermissionDenied(format!(
@@ -175,7 +176,7 @@ impl AnnotationTable {
         }
         let row = g
             .rows
-            .remove(&id)
+            .remove(id)
             .ok_or_else(|| SrbError::NotFound(format!("annotation {id}")))?;
         let emptied = g.by_subject.get_mut(&row.subject).is_some_and(|v| {
             v.retain(|&a| a != id);
@@ -193,7 +194,7 @@ impl AnnotationTable {
         let mut g = self.inner.write();
         if let Some(ids) = g.by_subject.remove(&subject) {
             for id in ids {
-                g.rows.remove(&id);
+                g.rows.remove(id);
             }
             self.wal.log(0, || WalOp::AnnotationClear { subject });
         }
@@ -208,22 +209,18 @@ impl AnnotationTable {
 
     /// The image's `"annotations"` field, under one read guard.
     pub(crate) fn write_image(&self, w: &mut ImageWriter<'_, '_>) {
-        w.table(
-            Field::Annotations,
-            &self.inner.read().rows,
-            AnnotationId::raw,
-        );
+        w.pages(Field::Annotations, &self.inner.read().rows);
     }
 
-    /// Rebuild the table from snapshot rows.
-    pub fn restore(rows: Vec<Annotation>) -> Self {
+    /// The table over image rows, its subject index built from them.
+    pub(crate) fn restore(rows: RowPages<Annotation>) -> Self {
         let t = AnnotationTable::new();
         {
             let mut g = t.inner.write();
-            for a in rows {
+            for a in rows.iter() {
                 g.by_subject.entry(a.subject).or_default().push(a.id);
-                g.rows.insert(a.id, a);
             }
+            g.rows = rows;
         }
         t
     }
@@ -358,9 +355,7 @@ mod tests {
     /// The live table's derived map against a rebuild from its rows.
     fn assert_derived_state_matches_rebuild(t: &AnnotationTable) {
         let g = t.inner.read();
-        let mut rows: Vec<Annotation> = g.rows.values().cloned().collect();
-        rows.sort_by_key(|a| a.id);
-        let rebuilt = AnnotationTable::restore(rows);
+        let rebuilt = AnnotationTable::restore(g.rows.clone());
         let r = rebuilt.inner.read();
         assert_eq!(g.by_subject, r.by_subject);
     }
@@ -397,7 +392,7 @@ mod tests {
                 9 => {
                     t.remove_all(sub(rng.below(24) as u64));
                     let g = t.inner.read();
-                    live.retain(|(id, _)| g.rows.contains_key(id));
+                    live.retain(|&(id, _)| g.rows.contains(id));
                 }
                 _ => {}
             }

@@ -4,6 +4,7 @@
 //! collections/datasets. Hence, auditing facilities will be needed as part
 //! of the framework." Every brokered operation records an audit row.
 
+use crate::pages::RowPages;
 use crate::snapshot::{Field, ImageWriter};
 use crate::wal::{WalHook, WalOp};
 use serde::{Deserialize, Serialize};
@@ -91,7 +92,7 @@ pub struct AuditRow {
 /// Append-only audit log.
 #[derive(Debug)]
 pub struct AuditLog {
-    rows: Mutex<Vec<AuditRow>>,
+    rows: Mutex<RowPages<AuditRow>>,
     /// Redo-log hook; a no-op until the catalog enables durability.
     wal: WalHook,
 }
@@ -99,7 +100,7 @@ pub struct AuditLog {
 impl Default for AuditLog {
     fn default() -> Self {
         AuditLog {
-            rows: Mutex::new(LockRank::McatTable, "mcat.audit", Vec::new()),
+            rows: Mutex::new(LockRank::McatTable, "mcat.audit", RowPages::default()),
             wal: WalHook::default(),
         }
     }
@@ -129,20 +130,20 @@ impl AuditLog {
             subject: subject.to_string(),
             outcome: outcome.to_string(),
         };
-        // The id is drawn under the lock, so id order, log order and push
-        // order agree under any number of writers: recovery rebuilds the
-        // log in id order, `dump()` and the checkpoint in push order.
+        // The id is drawn under the lock, so id order and log order agree
+        // under any number of writers, and every row appends.
         let mut g = self.rows.lock();
         row.id = ids.next();
         self.wal.log(0, || WalOp::AuditPut { row: row.clone() });
-        g.push(row);
+        g.insert(row);
     }
 
     /// The most recent `n` rows, newest last.
     pub fn recent(&self, n: usize) -> Vec<AuditRow> {
         let g = self.rows.lock();
-        let start = g.len().saturating_sub(n);
-        g[start..].to_vec()
+        let mut rows: Vec<AuditRow> = g.iter().rev().take(n).cloned().collect();
+        rows.reverse();
+        rows
     }
 
     /// All rows for one user.
@@ -165,21 +166,18 @@ impl AuditLog {
             .collect()
     }
 
-    /// Every audit row (snapshots).
+    /// Every audit row, oldest first.
     pub fn dump(&self) -> Vec<AuditRow> {
-        self.rows.lock().clone()
+        self.rows.lock().iter().cloned().collect()
     }
 
     /// The image's `"audit"` field, under the log's lock.
     pub(crate) fn write_image(&self, w: &mut ImageWriter<'_, '_>) {
-        w.rows(
-            Field::Audit,
-            self.rows.lock().iter().map(|r| (r.id.raw(), r)),
-        );
+        w.pages(Field::Audit, &self.rows.lock());
     }
 
-    /// Rebuild the log from snapshot rows.
-    pub fn restore(rows: Vec<AuditRow>) -> Self {
+    /// The log over image rows.
+    pub(crate) fn restore(rows: RowPages<AuditRow>) -> Self {
         let log = AuditLog::new();
         *log.rows.lock() = rows;
         log

@@ -366,7 +366,8 @@ impl Mcat {
         let Some(walh) = self.wal.get() else {
             return Err(SrbError::Invalid("durability not enabled".into()));
         };
-        walh.install_checkpoint(walh.checkpoint_cover(), self)
+        walh.install_checkpoint(walh.checkpoint_cover(), self)?;
+        Ok(())
     }
 
     /// Redo recovery: rebuild the catalog a crashed `device` proves — its
@@ -377,7 +378,9 @@ impl Mcat {
     /// commit's virtual time, a fresh WAL resumes LSN assignment after the
     /// durable tail, and a post-recovery checkpoint is installed so
     /// records the replay discarded (an unterminated trailing group) can
-    /// never resurface in a later recovery.
+    /// never resurface in a later recovery. That checkpoint renders only
+    /// the pages the replayed tail touched and shares every other page
+    /// with the checkpoint recovery read.
     pub fn recover(
         clock: SimClock,
         device: Arc<LogDevice>,
@@ -385,14 +388,16 @@ impl Mcat {
         metrics: Option<&srb_obs::MetricsRegistry>,
     ) -> SrbResult<(Mcat, RecoveryReport)> {
         let replayed = wal::replay_device(&device)?;
+        let mut report = replayed.report;
         let mcat = Mcat::restore(clock.clone(), replayed.snapshot)?;
         clock.advance_to(Timestamp(replayed.max_at_ns));
         let walh = Arc::new(Wal::new(device, clock, config, metrics));
-        walh.charge_recovery(replayed.report.recovery_ns);
-        walh.install_checkpoint(walh.checkpoint_cover(), &mcat)?;
+        walh.charge_recovery(report.recovery_ns);
+        walh.resume(replayed.image, replayed.touched);
+        report.pages_rendered = walh.install_checkpoint(walh.checkpoint_cover(), &mcat)?;
         mcat.attach_wal_all(&walh);
         let _ = mcat.wal.set(walh);
-        Ok((mcat, replayed.report))
+        Ok((mcat, report))
     }
 
     // ------------------------------------------------------- resolution --
@@ -962,24 +967,25 @@ impl Mcat {
         }
 
         let candidates: Vec<DatasetId> = if let Some((_, driver)) = sources.first() {
-            let mut set = driver.candidates(&self.metadata);
+            // Survivors stay id-sorted, so an `=` probe walks its posting
+            // alongside them once.
+            let mut ids: Vec<DatasetId> = driver.candidates(&self.metadata).into_iter().collect();
+            ids.sort_unstable();
             for (cost, src) in &sources[1..] {
-                if set.is_empty() {
+                if ids.is_empty() {
                     break;
                 }
-                if *cost > set.len().saturating_mul(4) {
+                if *cost > ids.len().saturating_mul(4) {
                     for c in src.conds() {
                         self.metadata
-                            .filter_datasets(&mut set, &c.attr, c.op, &c.value);
+                            .filter_datasets(&mut ids, &c.attr, c.op, &c.value);
                     }
                 } else {
                     let other = src.candidates(&self.metadata);
-                    set.retain(|d| other.contains(d));
+                    ids.retain(|d| other.contains(d));
                 }
             }
-            let mut v: Vec<DatasetId> = set.into_iter().collect();
-            v.sort_unstable();
-            v
+            ids
         } else {
             self.datasets.ids_in_colls(scope)
         };

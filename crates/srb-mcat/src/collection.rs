@@ -6,6 +6,7 @@
 //! everything ingested into the collection (paper §5: defaults, restricted
 //! vocabularies shown as drop-down lists, and mandatory attributes).
 
+use crate::pages::RowPages;
 use crate::snapshot::{Field, ImageWriter};
 use crate::wal::{WalHook, WalOp};
 use serde::{Deserialize, Serialize};
@@ -108,7 +109,7 @@ pub struct CollectionTable {
 
 #[derive(Debug, Default)]
 struct Inner {
-    nodes: IdMap<CollectionId, Collection>,
+    nodes: RowPages<Collection>,
     by_path: HashMap<String, CollectionId>,
     /// Per-parent children keyed by child name — already in listing order,
     /// so `children`/`children_page` are bounded range reads, not sorts.
@@ -138,19 +139,16 @@ impl CollectionTable {
         let mut g = Inner::default();
         let mut acl = AccessMatrix::owned_by(admin);
         acl.public = srb_types::Permission::Discover;
-        g.nodes.insert(
-            root_id,
-            Collection {
-                id: root_id,
-                parent: None,
-                path: LogicalPath::root(),
-                owner: admin,
-                acl,
-                requirements: Vec::new(),
-                link_target: None,
-                created: now,
-            },
-        );
+        g.nodes.insert(Collection {
+            id: root_id,
+            parent: None,
+            path: LogicalPath::root(),
+            owner: admin,
+            acl,
+            requirements: Vec::new(),
+            link_target: None,
+            created: now,
+        });
         g.by_path.insert("/".to_string(), root_id);
         g.children.insert(root_id, BTreeMap::new());
         CollectionTable::from_tree(root_id, g)
@@ -173,7 +171,7 @@ impl CollectionTable {
         let mut g = self.inner.write();
         let parent_node = g
             .nodes
-            .get(&parent)
+            .get(parent)
             .ok_or_else(|| SrbError::NotFound(format!("collection {parent}")))?;
         if parent_node.link_target.is_some() {
             return Err(SrbError::Unsupported(
@@ -199,7 +197,7 @@ impl CollectionTable {
         let gen = self.generation.bump_get().raw();
         self.wal
             .log(gen, || WalOp::CollectionPut { row: row.clone() });
-        g.nodes.insert(id, row);
+        g.nodes.insert(row);
         g.by_path.insert(key, id);
         g.children
             .entry(parent)
@@ -224,13 +222,13 @@ impl CollectionTable {
         let resolved_target = {
             let t = g
                 .nodes
-                .get(&target)
+                .get(target)
                 .ok_or_else(|| SrbError::NotFound(format!("collection {target}")))?;
             t.link_target.unwrap_or(target)
         };
         let parent_node = g
             .nodes
-            .get(&parent)
+            .get(parent)
             .ok_or_else(|| SrbError::NotFound(format!("collection {parent}")))?;
         let path = parent_node.path.child(name)?;
         let key = path.to_string();
@@ -251,7 +249,7 @@ impl CollectionTable {
         let gen = self.generation.bump_get().raw();
         self.wal
             .log(gen, || WalOp::CollectionPut { row: row.clone() });
-        g.nodes.insert(id, row);
+        g.nodes.insert(row);
         g.by_path.insert(key, id);
         g.children
             .entry(parent)
@@ -265,7 +263,7 @@ impl CollectionTable {
         self.inner
             .read()
             .nodes
-            .get(&id)
+            .get(id)
             .cloned()
             .ok_or_else(|| SrbError::NotFound(format!("collection {id}")))
     }
@@ -278,7 +276,7 @@ impl CollectionTable {
             .get(&path.to_string())
             .copied()
             .ok_or_else(|| SrbError::NotFound(format!("collection '{path}'")))?;
-        Ok(g.nodes[&id].link_target.unwrap_or(id))
+        Ok(g.nodes.get(id).and_then(|n| n.link_target).unwrap_or(id))
     }
 
     /// Resolve without following a final link (to operate on the link
@@ -297,7 +295,12 @@ impl CollectionTable {
         let g = self.inner.read();
         g.children
             .get(&id)
-            .map(|c| c.values().filter_map(|i| g.nodes.get(i)).cloned().collect())
+            .map(|c| {
+                c.values()
+                    .filter_map(|&i| g.nodes.get(i))
+                    .cloned()
+                    .collect()
+            })
             .unwrap_or_default()
     }
 
@@ -320,7 +323,7 @@ impl CollectionTable {
         };
         let mut iter = kids
             .range((start, Bound::Unbounded))
-            .filter_map(|(_, i)| g.nodes.get(i));
+            .filter_map(|(_, &i)| g.nodes.get(i));
         let mut page = Vec::with_capacity(limit.min(1024));
         for c in iter.by_ref() {
             if page.len() == limit {
@@ -404,7 +407,7 @@ impl CollectionTable {
         // sub-collections are searched through their targets too.
         let linked: Vec<CollectionId> = set
             .iter()
-            .filter_map(|c| g.nodes.get(c).and_then(|n| n.link_target))
+            .filter_map(|&c| g.nodes.get(c).and_then(|n| n.link_target))
             .collect();
         for t in linked {
             if set.insert(t) {
@@ -452,7 +455,7 @@ impl CollectionTable {
     /// Update the ACL.
     pub fn set_acl(&self, id: CollectionId, acl: AccessMatrix) -> SrbResult<()> {
         let mut g = self.inner.write();
-        match g.nodes.get_mut(&id) {
+        match g.nodes.get_mut(id) {
             Some(c) => {
                 c.acl = acl;
                 // No generation bump: ACL changes don't reshape the tree,
@@ -469,7 +472,7 @@ impl CollectionTable {
     /// Replace the structural metadata requirements.
     pub fn set_requirements(&self, id: CollectionId, reqs: Vec<AttrRequirement>) -> SrbResult<()> {
         let mut g = self.inner.write();
-        match g.nodes.get_mut(&id) {
+        match g.nodes.get_mut(id) {
             Some(c) => {
                 c.requirements = reqs;
                 let row = &*c;
@@ -496,13 +499,13 @@ impl CollectionTable {
         }
         let old_path = g
             .nodes
-            .get(&id)
+            .get(id)
             .ok_or_else(|| SrbError::NotFound(format!("collection {id}")))?
             .path
             .clone();
         let parent_path = g
             .nodes
-            .get(&new_parent)
+            .get(new_parent)
             .ok_or_else(|| SrbError::NotFound(format!("collection {new_parent}")))?
             .path
             .clone();
@@ -518,7 +521,7 @@ impl CollectionTable {
         // Unhook from the old parent. The root cannot reach here (its path
         // prefixes every other, tripping the own-subtree check above), so
         // the defensive error is unreachable in practice.
-        let Some(old_parent) = g.nodes.get(&id).and_then(|n| n.parent) else {
+        let Some(old_parent) = g.nodes.get(id).and_then(|n| n.parent) else {
             return Err(SrbError::Invalid("cannot move the root collection".into()));
         };
         if let Some(kids) = g.children.get_mut(&old_parent) {
@@ -542,22 +545,24 @@ impl CollectionTable {
             }
         }
         for cid in &affected {
-            let node_path = g.nodes[cid].path.clone();
+            let Some(node_path) = g.nodes.get(*cid).map(|n| n.path.clone()) else {
+                continue;
+            };
             let rebased = node_path.rebase(&old_path, &new_path)?;
             g.by_path.remove(&node_path.to_string());
             g.by_path.insert(rebased.to_string(), *cid);
-            if let Some(node) = g.nodes.get_mut(cid) {
+            if let Some(node) = g.nodes.get_mut(*cid) {
                 node.path = rebased;
             }
         }
-        if let Some(node) = g.nodes.get_mut(&id) {
+        if let Some(node) = g.nodes.get_mut(id) {
             node.parent = Some(new_parent);
         }
         // One bump covers the whole rebase; every touched row is logged
         // with the same post-move stamp.
         let gen = self.generation.bump_get().raw();
         for cid in &affected {
-            if let Some(node) = g.nodes.get(cid) {
+            if let Some(node) = g.nodes.get(*cid) {
                 self.wal
                     .log(gen, || WalOp::CollectionPut { row: node.clone() });
             }
@@ -579,7 +584,7 @@ impl CollectionTable {
         }
         let node = g
             .nodes
-            .remove(&id)
+            .remove(id)
             .ok_or_else(|| SrbError::NotFound(format!("collection {id}")))?;
         g.by_path.remove(&node.path.to_string());
         g.children.remove(&id);
@@ -597,18 +602,14 @@ impl CollectionTable {
 
     /// The image's `"collections"` field, under one read guard.
     pub(crate) fn write_image(&self, w: &mut ImageWriter<'_, '_>) {
-        w.table(
-            Field::Collections,
-            &self.inner.read().nodes,
-            CollectionId::raw,
-        );
+        w.pages(Field::Collections, &self.inner.read().nodes);
     }
 
-    /// Rebuild the tree (path index + child lists) from snapshot rows,
-    /// which must hold the root.
-    pub(crate) fn restore(rows: Vec<Collection>) -> SrbResult<Self> {
+    /// The tree over image rows, which must hold the root, its path index
+    /// and child lists built from them.
+    pub(crate) fn restore(rows: RowPages<Collection>) -> SrbResult<Self> {
         let mut g = Inner::default();
-        for c in &rows {
+        for c in rows.iter() {
             g.by_path.insert(c.path.to_string(), c.id);
             g.children.entry(c.id).or_default();
             if let (Some(p), Some(name)) = (c.parent, c.path.name()) {
@@ -618,9 +619,7 @@ impl CollectionTable {
                     .insert(name.to_string(), c.id);
             }
         }
-        for c in rows {
-            g.nodes.insert(c.id, c);
-        }
+        g.nodes = rows;
         let Some(&root) = g.by_path.get("/") else {
             return Err(SrbError::Invalid("snapshot has no root collection".into()));
         };
@@ -647,7 +646,7 @@ impl CollPathBatch<'_> {
 
     /// The collection row, borrowed from the table.
     pub fn get_ref(&self, id: CollectionId) -> Option<&Collection> {
-        self.g.nodes.get(&id)
+        self.g.nodes.get(id)
     }
 }
 

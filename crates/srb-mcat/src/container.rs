@@ -10,7 +10,8 @@
 //! placement, its member slices, and whether the cached copy has been
 //! synchronized to the archive. Byte movement is `srb-core`'s job.
 
-use crate::snapshot::{by_id, Field, ImageWriter};
+use crate::pages::RowPages;
+use crate::snapshot::{Field, ImageWriter};
 use crate::wal::{WalHook, WalOp};
 use serde::{Deserialize, Serialize};
 use srb_types::sync::{LockRank, RwLock};
@@ -70,7 +71,7 @@ impl Default for ContainerTable {
 
 #[derive(Debug, Default)]
 struct Inner {
-    rows: HashMap<ContainerId, ContainerRecord>,
+    rows: RowPages<ContainerRecord>,
     by_name: HashMap<String, ContainerId>,
 }
 
@@ -105,7 +106,7 @@ impl ContainerTable {
             created: now,
         };
         self.wal.log(0, || WalOp::ContainerPut { row: row.clone() });
-        g.rows.insert(id, row);
+        g.rows.insert(row);
         g.by_name.insert(name.to_string(), id);
         Ok(id)
     }
@@ -115,7 +116,7 @@ impl ContainerTable {
         self.inner
             .read()
             .rows
-            .get(&id)
+            .get(id)
             .cloned()
             .ok_or_else(|| SrbError::NotFound(format!("container {id}")))
     }
@@ -123,7 +124,7 @@ impl ContainerTable {
     /// Find by name.
     pub fn find(&self, name: &str) -> Option<ContainerRecord> {
         let g = self.inner.read();
-        g.by_name.get(name).and_then(|id| g.rows.get(id)).cloned()
+        g.by_name.get(name).and_then(|&id| g.rows.get(id)).cloned()
     }
 
     /// Reserve a slice for `dataset` of `len` bytes; returns its offset.
@@ -132,7 +133,7 @@ impl ContainerTable {
         let mut g = self.inner.write();
         let c = g
             .rows
-            .get_mut(&id)
+            .get_mut(id)
             .ok_or_else(|| SrbError::NotFound(format!("container {id}")))?;
         if c.size + len > c.max_size {
             return Err(SrbError::ResourceUnavailable(format!(
@@ -156,7 +157,7 @@ impl ContainerTable {
     /// Mark the archive copy as synchronized.
     pub fn mark_synced(&self, id: ContainerId) -> SrbResult<()> {
         let mut g = self.inner.write();
-        match g.rows.get_mut(&id) {
+        match g.rows.get_mut(id) {
             Some(c) => {
                 c.synced = true;
                 let row = &*c;
@@ -173,7 +174,7 @@ impl ContainerTable {
         let mut g = self.inner.write();
         let c = g
             .rows
-            .get_mut(&id)
+            .get_mut(id)
             .ok_or_else(|| SrbError::NotFound(format!("container {id}")))?;
         let before = c.members.len();
         c.members.retain(|m| m.dataset != dataset);
@@ -198,7 +199,7 @@ impl ContainerTable {
         let mut g = self.inner.write();
         let c = g
             .rows
-            .get_mut(&id)
+            .get_mut(id)
             .ok_or_else(|| SrbError::NotFound(format!("container {id}")))?;
         c.members = members
             .into_iter()
@@ -220,7 +221,7 @@ impl ContainerTable {
         let mut g = self.inner.write();
         let c = g
             .rows
-            .get(&id)
+            .get(id)
             .ok_or_else(|| SrbError::NotFound(format!("container {id}")))?;
         if !c.members.is_empty() {
             return Err(SrbError::Invalid(format!(
@@ -231,37 +232,34 @@ impl ContainerTable {
         }
         let c = g
             .rows
-            .remove(&id)
+            .remove(id)
             .ok_or_else(|| SrbError::NotFound(format!("container {id}")))?;
         g.by_name.remove(&c.name);
         self.wal.log(0, || WalOp::ContainerDelete { id });
         Ok(())
     }
 
-    /// Rebuild the table from snapshot rows.
-    pub fn restore(rows: Vec<ContainerRecord>) -> Self {
+    /// The table over image rows, its name index built from them.
+    pub(crate) fn restore(rows: RowPages<ContainerRecord>) -> Self {
         let t = ContainerTable::new();
         {
             let mut g = t.inner.write();
-            for c in rows {
+            for c in rows.iter() {
                 g.by_name.insert(c.name.clone(), c.id);
-                g.rows.insert(c.id, c);
             }
+            g.rows = rows;
         }
         t
     }
 
     /// All containers, sorted by id.
     pub fn list(&self) -> Vec<ContainerRecord> {
-        by_id(&self.inner.read().rows)
-            .into_iter()
-            .cloned()
-            .collect()
+        self.inner.read().rows.iter().cloned().collect()
     }
 
     /// The image's `"containers"` field, under one read guard.
     pub(crate) fn write_image(&self, w: &mut ImageWriter<'_, '_>) {
-        w.table(Field::Containers, &self.inner.read().rows, ContainerId::raw);
+        w.pages(Field::Containers, &self.inner.read().rows);
     }
 
     /// Wire this table to the catalog's WAL.

@@ -8,7 +8,8 @@
 //! SRB "does not check whether a registered replica is really an equal of
 //! the other copy".
 
-use crate::snapshot::{by_id, Field, ImageWriter};
+use crate::pages::RowPages;
+use crate::snapshot::{Field, ImageWriter};
 use crate::wal::{WalHook, WalOp};
 use serde::{Deserialize, Serialize};
 use srb_types::sync::{LockRank, RwLock, RwLockReadGuard};
@@ -371,7 +372,7 @@ impl Default for DatasetTable {
 
 #[derive(Debug, Default)]
 struct Inner {
-    rows: IdMap<DatasetId, Dataset>,
+    rows: RowPages<Dataset>,
     /// Ordered by (collection, name): one bounded range serves both name
     /// lookup and the O(page) listing scans behind resumable cursors.
     by_name: BTreeMap<(CollectionId, String), DatasetId>,
@@ -454,7 +455,7 @@ impl DatasetTable {
         let resolved = {
             let t = g
                 .rows
-                .get(&target)
+                .get(target)
                 .ok_or_else(|| SrbError::NotFound(format!("dataset {target}")))?;
             t.link_target.unwrap_or(target)
         };
@@ -536,7 +537,7 @@ impl DatasetTable {
             modified: now,
         };
         self.wal.log(gen, || WalOp::DatasetPut { row: row.clone() });
-        g.rows.insert(id, row);
+        g.rows.insert(row);
         g.by_coll.entry(key.0).or_default().push(id);
         g.by_name.insert(key, id);
         id
@@ -547,7 +548,7 @@ impl DatasetTable {
         self.inner
             .read()
             .rows
-            .get(&id)
+            .get(id)
             .cloned()
             .ok_or_else(|| SrbError::NotFound(format!("dataset {id}")))
     }
@@ -578,7 +579,7 @@ impl DatasetTable {
         g.by_name
             .range((coll, String::new())..)
             .take_while(|((c, _), _)| *c == coll)
-            .filter_map(|(_, id)| g.rows.get(id))
+            .filter_map(|(_, &id)| g.rows.get(id))
             .cloned()
             .collect()
     }
@@ -602,7 +603,7 @@ impl DatasetTable {
             .by_name
             .range((start, Bound::Unbounded))
             .take_while(|((c, _), _)| *c == coll)
-            .filter_map(|(_, id)| g.rows.get(id));
+            .filter_map(|(_, &id)| g.rows.get(id));
         let mut page = Vec::with_capacity(limit.min(1024));
         for d in iter.by_ref() {
             if page.len() == limit {
@@ -628,7 +629,7 @@ impl DatasetTable {
         let mut g = self.inner.write();
         let d = g
             .rows
-            .get_mut(&id)
+            .get_mut(id)
             .ok_or_else(|| SrbError::NotFound(format!("dataset {id}")))?;
         let out = f(d)?;
         let row = &*d;
@@ -717,7 +718,7 @@ impl DatasetTable {
         let key_new = Self::free_key(&g, new_coll, new_name)?;
         let d = g
             .rows
-            .get_mut(&id)
+            .get_mut(id)
             .ok_or_else(|| SrbError::NotFound(format!("dataset {id}")))?;
         let key_old = (d.coll, d.name.clone());
         let old_coll = d.coll;
@@ -728,7 +729,7 @@ impl DatasetTable {
         unlist(&mut g.by_coll, old_coll, id);
         g.by_coll.entry(new_coll).or_default().push(id);
         let gen = self.generation.bump_get().raw();
-        if let Some(row) = g.rows.get(&id) {
+        if let Some(row) = g.rows.get(id) {
             self.wal.log(gen, || WalOp::DatasetPut { row: row.clone() });
         }
         Ok(())
@@ -739,7 +740,7 @@ impl DatasetTable {
         let mut g = self.inner.write();
         let d = g
             .rows
-            .remove(&id)
+            .remove(id)
             .ok_or_else(|| SrbError::NotFound(format!("dataset {id}")))?;
         g.by_name.remove(&(d.coll, d.name.clone()));
         unlist(&mut g.by_coll, d.coll, id);
@@ -755,27 +756,25 @@ impl DatasetTable {
 
     /// Every dataset row, sorted by id (snapshots).
     pub fn dump(&self) -> Vec<Dataset> {
-        by_id(&self.inner.read().rows)
-            .into_iter()
-            .cloned()
-            .collect()
+        self.inner.read().rows.iter().cloned().collect()
     }
 
     /// The image's `"datasets"` field, under one read guard.
     pub(crate) fn write_image(&self, w: &mut ImageWriter<'_, '_>) {
-        w.table(Field::Datasets, &self.inner.read().rows, DatasetId::raw);
+        w.pages(Field::Datasets, &self.inner.read().rows);
     }
 
-    /// Rebuild the table (name + collection indexes) from snapshot rows.
-    pub fn restore(rows: Vec<Dataset>) -> Self {
+    /// The table over image rows, its name and collection indexes built
+    /// from them.
+    pub(crate) fn restore(rows: RowPages<Dataset>) -> Self {
         let t = DatasetTable::default();
         {
             let mut g = t.inner.write();
-            for d in rows {
+            for d in rows.iter() {
                 g.by_name.insert((d.coll, d.name.clone()), d.id);
                 g.by_coll.entry(d.coll).or_default().push(d.id);
-                g.rows.insert(d.id, d);
             }
+            g.rows = rows;
         }
         t
     }
@@ -786,9 +785,8 @@ impl DatasetTable {
     /// deterministic.
     pub fn with_stale_replicas(&self) -> Vec<(DatasetId, Vec<ResourceId>)> {
         let g = self.inner.read();
-        let mut out: Vec<(DatasetId, Vec<ResourceId>)> = g
-            .rows
-            .values()
+        g.rows
+            .iter()
             .filter_map(|d| {
                 let resources: Vec<ResourceId> = d
                     .replicas
@@ -798,9 +796,7 @@ impl DatasetTable {
                     .collect();
                 (!resources.is_empty()).then_some((d.id, resources))
             })
-            .collect();
-        out.sort_by_key(|(id, _)| *id);
-        out
+            .collect()
     }
 
     /// Ids of every dataset whose collection is in `colls`, under one read
@@ -863,7 +859,7 @@ pub struct DatasetBatch<'a> {
 impl DatasetBatch<'_> {
     /// The dataset row, borrowed from the table (no link following).
     pub fn get_ref(&self, id: DatasetId) -> Option<&Dataset> {
-        self.g.rows.get(&id)
+        self.g.rows.get(id)
     }
 
     /// Is a name already taken in `coll`? Used by bulk ingest to reject
@@ -1252,8 +1248,7 @@ mod tests {
     /// `by_coll` lists follow insertion order, so they compare as sets.
     fn assert_derived_state_matches_rebuild(t: &DatasetTable) {
         let g = t.inner.read();
-        let rows = by_id(&g.rows).into_iter().cloned().collect();
-        let rebuilt = DatasetTable::restore(rows);
+        let rebuilt = DatasetTable::restore(g.rows.clone());
         let r = rebuilt.inner.read();
         assert_eq!(g.by_name, r.by_name);
         let as_sets = |m: &IdMap<CollectionId, Vec<DatasetId>>| {

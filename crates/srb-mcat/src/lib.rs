@@ -25,6 +25,7 @@ mod collection;
 mod container;
 pub mod dataset;
 pub mod metadata;
+mod pages;
 mod query;
 mod resource;
 mod snapshot;
@@ -41,8 +42,9 @@ pub use dataset::{
     ReplicaStatus, Template, VersionRecord,
 };
 pub use metadata::{MetaKind, MetaRow, Subject};
+pub use pages::{RowPages, IMAGE_PAGE_IDS};
 pub use query::{Query, QueryCondition, QueryHit};
 pub use resource::{LogicalResource, Resource};
-pub use snapshot::{CatalogSnapshot, SnapshotGenerations, IMAGE_PAGE_IDS};
+pub use snapshot::{CatalogSnapshot, SnapshotGenerations};
 pub use user::{Group, User};
 pub use wal::{export_deltas, Delta, DeltaFetch, RecoveryReport, Wal, WalConfig, WalOp, WalRecord};

@@ -7,6 +7,7 @@
 //! the query engine can answer `=` and range conditions without scanning —
 //! the design choice ablated in experiment E5/A1.
 
+use crate::pages::RowPages;
 use crate::snapshot::{Field, ImageWriter};
 use crate::wal::{WalHook, WalOp};
 use serde::{Deserialize, Serialize};
@@ -200,10 +201,29 @@ impl Posting {
         }
     }
 
-    /// Does any row filed here belong to `subject`?
-    fn has(&self, subject: Subject) -> bool {
-        let at = self.0.partition_point(|(s, _)| *s < subject);
-        self.0.get(at).is_some_and(|(s, _)| *s == subject)
+    /// Keep the datasets of `ids`, ascending, that have a row filed
+    /// here. One forward walk: from each survivor to the next, the
+    /// posting is searched by galloping — probes 1, 2, 4, … entries ahead,
+    /// then a binary search inside the last step — so a short survivor
+    /// list costs O(log posting) per survivor and a long one O(posting)
+    /// in all.
+    fn retain_datasets(&self, ids: &mut Vec<DatasetId>) {
+        let mut rest = self.0.as_slice();
+        ids.retain(|&d| {
+            let subject = Subject::Dataset(d);
+            let (mut lo, mut step) = (0, 1);
+            while let Some(probe) = rest.get(lo + step - 1) {
+                if probe.0 >= subject {
+                    break;
+                }
+                lo += step;
+                step *= 2;
+            }
+            let hi = (lo + step).min(rest.len());
+            let at = lo + rest[lo..hi].partition_point(|(s, _)| *s < subject);
+            rest = &rest[at..];
+            rest.first().is_some_and(|(s, _)| *s == subject)
+        });
     }
 
     /// The dataset subjects filed here, read straight out of the posting
@@ -226,7 +246,7 @@ impl Posting {
 
 #[derive(Debug, Default)]
 struct Inner {
-    rows: IdMap<MetaId, MetaRow>,
+    rows: RowPages<MetaRow>,
     by_subject: IdMap<Subject, Vec<MetaId>>,
     /// attribute name → ordered value → the rows carrying it.
     index: HashMap<String, BTreeMap<IndexKey, Posting>>,
@@ -322,9 +342,21 @@ impl MetaStore {
         id
     }
 
-    /// The one index-maintenance path for a new row: subject list, value
-    /// index, per-attribute count and the multi-valued side set.
+    /// The one index-maintenance path for a new row: the row itself,
+    /// then [`Self::index_locked`].
     fn insert_locked(g: &mut Inner, row: MetaRow) {
+        let id = row.id;
+        g.rows.insert(row);
+        Self::index_locked(g, id);
+    }
+
+    /// File row `id`, held in `g.rows`, in the derived state: subject
+    /// list, value index, per-attribute count and the multi-valued side
+    /// set.
+    fn index_locked(g: &mut Inner, id: MetaId) {
+        let Some(row) = g.rows.get(id) else {
+            return;
+        };
         let ids = g.by_subject.entry(row.subject).or_default();
         // One pass over the subject's earlier rows (O(k) for its k-th row;
         // a dataset carries a handful), allocation-free unless one of
@@ -335,15 +367,14 @@ impl MetaStore {
                 g.multi.entry(name.clone()).or_default().insert(d);
             }
         }
-        ids.push(row.id);
+        ids.push(id);
         g.index
             .entry(row.triplet.name.clone())
             .or_default()
             .entry(IndexKey::new(row.triplet.value.clone()))
             .or_insert_with(Posting::new)
-            .insert(row.subject, row.id);
+            .insert(row.subject, id);
         *g.attr_counts.entry(row.triplet.name.clone()).or_default() += 1;
-        g.rows.insert(row.id, row);
     }
 
     /// Update a row's value/units in place.
@@ -352,7 +383,7 @@ impl MetaStore {
         let g = &mut *g;
         let row = g
             .rows
-            .get_mut(&id)
+            .get_mut(id)
             .ok_or_else(|| SrbError::NotFound(format!("metadata {id}")))?;
         let old = std::mem::replace(&mut row.triplet.value, value);
         row.triplet.units = units;
@@ -373,13 +404,13 @@ impl MetaStore {
     /// Remove one row, and with it every piece of derived state left
     /// empty: the subject's list, the value's posting, the attribute's
     /// partition and row count, its multi-valued entry. The store then
-    /// equals a [`MetaStore::restore`] of its own rows.
+    /// equals a `MetaStore::restore` of its own rows.
     pub fn remove(&self, id: MetaId) -> SrbResult<()> {
         let mut g = self.inner.write();
         let g = &mut *g;
         let row = g
             .rows
-            .remove(&id)
+            .remove(id)
             .ok_or_else(|| SrbError::NotFound(format!("metadata {id}")))?;
         let name = row.triplet.name;
         let left = match g.by_subject.get_mut(&row.subject) {
@@ -440,7 +471,7 @@ impl MetaStore {
         let g = self.inner.read();
         g.by_subject
             .get(&subject)
-            .map(|ids| ids.iter().filter_map(|i| g.rows.get(i)).cloned().collect())
+            .map(|ids| ids.iter().filter_map(|&i| g.rows.get(i)).cloned().collect())
             .unwrap_or_default()
     }
 
@@ -466,7 +497,7 @@ impl MetaStore {
     /// full row vector.
     pub(crate) fn value_of(&self, subject: Subject, name: &str) -> Option<MetaValue> {
         let g = self.inner.read();
-        g.by_subject.get(&subject)?.iter().find_map(|id| {
+        g.by_subject.get(&subject)?.iter().find_map(|&id| {
             g.rows
                 .get(id)
                 .filter(|r| r.triplet.name == name)
@@ -539,20 +570,21 @@ impl MetaStore {
         n
     }
 
-    /// Drop from `set` every dataset with **no** row satisfying
-    /// `name op value`. Equivalent to intersecting with
+    /// Drop from `ids`, ascending, every dataset with **no** row
+    /// satisfying `name op value`. Equivalent to intersecting with
     /// [`Self::dataset_candidates`], but costs each survivor one probe
     /// under one read guard — the planner picks this form when the
     /// condition's match count dwarfs the surviving candidate set.
     ///
-    /// An `=` probe is a binary search of the value's one posting:
-    /// `IndexKey` equality is exactly `CompareOp::Eq` (numeric when both
-    /// sides parse, byte-equal text otherwise), so that posting holds
-    /// exactly the rows satisfying the condition. Any other operator walks
-    /// the survivor's own rows.
+    /// An `=` condition is one galloping walk of the value's one posting
+    /// alongside the survivors (`Posting::retain_datasets`): `IndexKey`
+    /// equality is exactly `CompareOp::Eq` (numeric when both sides
+    /// parse, byte-equal text otherwise), so that posting holds exactly
+    /// the rows satisfying the condition. Any other operator walks the
+    /// survivor's own rows.
     pub(crate) fn filter_datasets(
         &self,
-        set: &mut IdSet<DatasetId>,
+        ids: &mut Vec<DatasetId>,
         name: &str,
         op: CompareOp,
         value: &MetaValue,
@@ -561,12 +593,12 @@ impl MetaStore {
         if op == CompareOp::Eq {
             let key = IndexKey::new(value.clone());
             match g.index.get(name).and_then(|vals| vals.get(&key)) {
-                Some(posting) => set.retain(|d| posting.has(Subject::Dataset(*d))),
-                None => set.clear(),
+                Some(posting) => posting.retain_datasets(ids),
+                None => ids.clear(),
             }
             return;
         }
-        set.retain(|d| subject_matches_locked(&g, Subject::Dataset(*d), name, op, value));
+        ids.retain(|d| subject_matches_locked(&g, Subject::Dataset(*d), name, op, value));
     }
 
     /// Keys examined before a range-selectivity estimate gives up and
@@ -651,7 +683,7 @@ impl MetaStore {
             if !datasets.contains(d) {
                 continue;
             }
-            for id in ids {
+            for &id in ids {
                 if let Some(r) = g.rows.get(id) {
                     if !names.contains(r.triplet.name.as_str()) {
                         names.insert(r.triplet.name.clone());
@@ -691,32 +723,39 @@ impl MetaStore {
     /// guard.
     pub(crate) fn write_image(&self, w: &mut ImageWriter<'_, '_>) {
         let g = self.inner.read();
-        w.table(Field::Metadata, &g.rows, MetaId::raw);
+        w.pages(Field::Metadata, &g.rows);
         // Ordered by subject, not id: the whole field is one page.
-        w.rows(
-            Field::MetaFiles,
-            meta_files_in_order(&g).iter().map(|f| (0, f)),
-        );
+        w.one_page(Field::MetaFiles, &meta_files_in_order(&g));
     }
 
-    /// Rebuild the store (subject lists + value indexes) from snapshot
-    /// rows. The rows are filed in `(subject, id)` order, so every
-    /// posting insert is an append: the rebuild costs one sort (linear
-    /// when, as after an ingest-only history, the id order already is
-    /// that order) and never goes quadratic on a posting. Each subject's
-    /// list stays in id order, which is the order the live store added
-    /// them in.
-    pub fn restore(mut rows: Vec<MetaRow>, meta_files: Vec<(Subject, Vec<DatasetId>)>) -> Self {
-        rows.sort_unstable_by_key(|r| (r.subject, r.id));
+    /// The store over image rows, its subject lists and value indexes
+    /// built from them. The rows are filed in `(subject, id)` order, so
+    /// every posting insert is an append: the rebuild costs one sort of
+    /// the row ids (linear when, as after an ingest-only history, the id
+    /// order already is that order) and never goes quadratic on a
+    /// posting. Each subject's list stays in id order, which is the order
+    /// the live store added them in. The subject map is sized once.
+    pub(crate) fn restore(
+        rows: RowPages<MetaRow>,
+        meta_files: Vec<(Subject, Vec<DatasetId>)>,
+    ) -> Self {
+        let subject = |id: MetaId| rows.get(id).map(|r| r.subject);
+        let mut order: Vec<MetaId> = rows.iter().map(|r| r.id).collect();
+        order.sort_unstable_by_key(|&id| (subject(id), id));
+        let subjects = 1 + order
+            .windows(2)
+            .filter(|w| subject(w[0]) != subject(w[1]))
+            .count();
         let t = MetaStore::new();
         {
             let mut g = t.inner.write();
-            for r in rows {
-                Self::insert_locked(&mut g, r);
+            let g = &mut *g;
+            g.by_subject.reserve(subjects);
+            g.rows = rows;
+            for id in order {
+                Self::index_locked(g, id);
             }
-            for (s, v) in meta_files {
-                g.meta_files.insert(s, v);
-            }
+            g.meta_files.extend(meta_files);
         }
         t
     }
@@ -764,7 +803,7 @@ impl MetaBatch<'_> {
 
     /// First value of a named attribute on a subject, borrowed.
     pub(crate) fn value_of(&self, subject: Subject, name: &str) -> Option<&MetaValue> {
-        self.g.by_subject.get(&subject)?.iter().find_map(|id| {
+        self.g.by_subject.get(&subject)?.iter().find_map(|&id| {
             self.g
                 .rows
                 .get(id)
@@ -785,7 +824,7 @@ fn subject_matches_locked(
     value: &MetaValue,
 ) -> bool {
     g.by_subject.get(&subject).is_some_and(|ids| {
-        ids.iter().any(|id| {
+        ids.iter().any(|&id| {
             g.rows
                 .get(id)
                 .is_some_and(|r| r.triplet.name == name && op.eval(&r.triplet.value, value))
@@ -803,12 +842,12 @@ fn meta_files_in_order(g: &Inner) -> Vec<(&Subject, &Vec<DatasetId>)> {
 
 /// The rows among a subject's `ids` whose attribute is `name`.
 fn rows_named<'a>(
-    rows: &'a IdMap<MetaId, MetaRow>,
+    rows: &'a RowPages<MetaRow>,
     ids: &'a [MetaId],
     name: &'a str,
 ) -> impl Iterator<Item = &'a MetaRow> {
     ids.iter()
-        .filter_map(|id| rows.get(id))
+        .filter_map(|&id| rows.get(id))
         .filter(move |r| r.triplet.name == name)
 }
 
@@ -971,7 +1010,40 @@ impl srb_types::CatalogKey for Subject {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::by_id;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The galloping walk keeps exactly the survivors a search of the
+        /// whole posting per survivor keeps.
+        #[test]
+        fn galloping_retain_equals_a_search_per_survivor(
+            filed in prop::collection::vec((0u64..300, any::<bool>(), 0u64..4), 0..200),
+            survivors in prop::collection::vec(0u64..320, 0..120),
+        ) {
+            let mut posting = Posting::new();
+            for (n, dataset, row) in filed {
+                let subject = match dataset {
+                    true => Subject::Dataset(DatasetId(n)),
+                    false => Subject::Collection(CollectionId(n)),
+                };
+                if !posting.0.contains(&(subject, MetaId(row))) {
+                    posting.insert(subject, MetaId(row));
+                }
+            }
+            let mut ids: Vec<DatasetId> = survivors.into_iter().map(DatasetId).collect();
+            ids.sort_unstable();
+            ids.dedup();
+            let has = |d: DatasetId| {
+                let at = posting.0.partition_point(|(s, _)| *s < Subject::Dataset(d));
+                posting.0.get(at).is_some_and(|(s, _)| *s == Subject::Dataset(d))
+            };
+            let want: Vec<DatasetId> = ids.iter().copied().filter(|&d| has(d)).collect();
+            posting.retain_datasets(&mut ids);
+            prop_assert_eq!(ids, want);
+        }
+    }
 
     fn store() -> (MetaStore, IdGen) {
         (MetaStore::new(), IdGen::new())
@@ -991,7 +1063,7 @@ mod tests {
                 .iter()
                 .filter_map(|sub| g.by_subject.get(sub))
                 .flatten()
-                .filter_map(|id| g.rows.get(id))
+                .filter_map(|&id| g.rows.get(id))
                 .map(|r| r.triplet.name.clone())
                 .collect(),
         };
@@ -1308,7 +1380,7 @@ mod tests {
         add(coll, "r", 1);
         assert_eq!(multi(&s, "r"), [DatasetId(1)], "datasets only");
 
-        let rows = by_id(&s.inner.read().rows).into_iter().cloned().collect();
+        let rows = s.inner.read().rows.clone();
         assert_eq!(
             multi(&MetaStore::restore(rows, Vec::new()), "r"),
             [DatasetId(1)]
@@ -1337,8 +1409,7 @@ mod tests {
                 );
             }
         }
-        let rows = by_id(&g.rows).into_iter().cloned().collect();
-        let rebuilt = MetaStore::restore(rows, Vec::new());
+        let rebuilt = MetaStore::restore(g.rows.clone(), Vec::new());
         let r = rebuilt.inner.read();
         assert_eq!(g.by_subject, r.by_subject);
         assert_eq!(g.index, r.index);
@@ -1394,7 +1465,7 @@ mod tests {
                 9 => {
                     s.remove_all(subject(rng.below(40)));
                     let g = s.inner.read();
-                    live.retain(|id| g.rows.contains_key(id));
+                    live.retain(|&id| g.rows.contains(id));
                 }
                 _ => {}
             }

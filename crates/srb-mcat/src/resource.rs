@@ -5,7 +5,8 @@
 //! A *logical resource* "ties together two or more physical resources":
 //! storing into it writes synchronous replicas to every member (paper §5).
 
-use crate::snapshot::{by_id, Field, ImageWriter};
+use crate::pages::RowPages;
+use crate::snapshot::{Field, ImageWriter};
 use crate::wal::{WalHook, WalOp};
 use serde::{Deserialize, Serialize};
 use srb_storage::DriverKind;
@@ -57,9 +58,9 @@ impl Default for ResourceTable {
 
 #[derive(Debug, Default)]
 struct Inner {
-    physical: HashMap<ResourceId, Resource>,
+    physical: RowPages<Resource>,
     by_name: HashMap<String, ResourceId>,
-    logical: HashMap<LogicalResourceId, LogicalResource>,
+    logical: RowPages<LogicalResource>,
     logical_by_name: HashMap<String, LogicalResourceId>,
 }
 
@@ -89,7 +90,7 @@ impl ResourceTable {
             site,
         };
         self.wal.log(0, || WalOp::ResourcePut { row: row.clone() });
-        g.physical.insert(id, row);
+        g.physical.insert(row);
         g.by_name.insert(name.to_string(), id);
         Ok(id)
     }
@@ -111,7 +112,7 @@ impl ResourceTable {
             return Err(SrbError::AlreadyExists(format!("resource '{name}'")));
         }
         for m in members {
-            if !g.physical.contains_key(m) {
+            if !g.physical.contains(*m) {
                 return Err(SrbError::NotFound(format!("member resource {m}")));
             }
         }
@@ -123,7 +124,7 @@ impl ResourceTable {
         };
         self.wal
             .log(0, || WalOp::LogicalResourcePut { row: row.clone() });
-        g.logical.insert(id, row);
+        g.logical.insert(row);
         g.logical_by_name.insert(name.to_string(), id);
         Ok(id)
     }
@@ -133,7 +134,7 @@ impl ResourceTable {
         self.inner
             .read()
             .physical
-            .get(&id)
+            .get(id)
             .cloned()
             .ok_or_else(|| SrbError::NotFound(format!("resource {id}")))
     }
@@ -143,7 +144,7 @@ impl ResourceTable {
         let g = self.inner.read();
         g.by_name
             .get(name)
-            .and_then(|id| g.physical.get(id))
+            .and_then(|&id| g.physical.get(id))
             .cloned()
     }
 
@@ -152,7 +153,7 @@ impl ResourceTable {
         self.inner
             .read()
             .logical
-            .get(&id)
+            .get(id)
             .cloned()
             .ok_or_else(|| SrbError::NotFound(format!("logical resource {id}")))
     }
@@ -162,7 +163,7 @@ impl ResourceTable {
         let g = self.inner.read();
         g.logical_by_name
             .get(name)
-            .and_then(|id| g.logical.get(id))
+            .and_then(|&id| g.logical.get(id))
             .cloned()
     }
 
@@ -178,10 +179,10 @@ impl ResourceTable {
         if let Some(id) = g.by_name.get(name) {
             return Ok(vec![*id]);
         }
-        if let Some(lid) = g.logical_by_name.get(name) {
-            let members = &g.logical[lid].members;
+        if let Some(&lid) = g.logical_by_name.get(name) {
+            let members = g.logical.get(lid).map_or(&[][..], |l| &l.members);
             if !members.is_empty() {
-                return Ok(members.clone());
+                return Ok(members.to_vec());
             }
             return Err(SrbError::NotFound(format!(
                 "no physical resource behind '{name}'"
@@ -190,45 +191,42 @@ impl ResourceTable {
         Err(SrbError::NotFound(format!("resource '{name}'")))
     }
 
-    /// Rebuild the table from snapshot rows.
-    pub fn restore(physical: Vec<Resource>, logical: Vec<LogicalResource>) -> Self {
+    /// The table over image rows, its name indexes built from them.
+    pub(crate) fn restore(
+        physical: RowPages<Resource>,
+        logical: RowPages<LogicalResource>,
+    ) -> Self {
         let t = ResourceTable::new();
         {
             let mut g = t.inner.write();
-            for r in physical {
+            let g = &mut *g;
+            for r in physical.iter() {
                 g.by_name.insert(r.name.clone(), r.id);
-                g.physical.insert(r.id, r);
             }
-            for l in logical {
+            for l in logical.iter() {
                 g.logical_by_name.insert(l.name.clone(), l.id);
-                g.logical.insert(l.id, l);
             }
+            (g.physical, g.logical) = (physical, logical);
         }
         t
     }
 
     /// All physical resources, sorted by id.
     pub fn list(&self) -> Vec<Resource> {
-        by_id(&self.inner.read().physical)
-            .into_iter()
-            .cloned()
-            .collect()
+        self.inner.read().physical.iter().cloned().collect()
     }
 
     /// All logical resources, sorted by id.
     pub fn list_logical(&self) -> Vec<LogicalResource> {
-        by_id(&self.inner.read().logical)
-            .into_iter()
-            .cloned()
-            .collect()
+        self.inner.read().logical.iter().cloned().collect()
     }
 
     /// The image's `"resources"` and `"logical_resources"` fields, under
     /// one read guard.
     pub(crate) fn write_image(&self, w: &mut ImageWriter<'_, '_>) {
         let g = self.inner.read();
-        w.table(Field::Resources, &g.physical, ResourceId::raw);
-        w.table(Field::LogicalResources, &g.logical, LogicalResourceId::raw);
+        w.pages(Field::Resources, &g.physical);
+        w.pages(Field::LogicalResources, &g.logical);
     }
 
     /// Wire this table to the catalog's WAL.
@@ -300,7 +298,7 @@ mod tests {
             name: "empty".into(),
             members: Vec::new(),
         };
-        let t = ResourceTable::restore(Vec::new(), vec![empty]);
+        let t = ResourceTable::restore(RowPages::default(), [empty].into_iter().collect());
         assert!(t.resolve_targets("empty").is_err());
     }
 

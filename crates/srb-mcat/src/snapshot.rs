@@ -7,37 +7,42 @@
 //! A snapshot captures every table; restoring rebuilds all derived indexes
 //! (path maps, child lists, attribute value indexes) from the rows.
 //!
-//! The image has one text form and one writer: `ImageWriter` — behind
-//! `snapshot_json`, every WAL checkpoint and `Grid::save_state` — writes
-//! it straight from the live tables, one table read guard at a time,
-//! rows borrowed in id order: no second catalog, no tree.
-//! [`CatalogSnapshot`] is only ever read: restore and recovery parse the
-//! text into it and rebuild the tables from its rows.
+//! The image has one text form, one writer and one reader, and both walk
+//! the row pages every table keeps its rows in ([`RowPages`]).
+//! `ImageWriter` — behind `snapshot_json`, every WAL checkpoint and
+//! `Grid::save_state` — writes it straight from the live tables, one
+//! table read guard at a time, page by page: no second catalog, no tree,
+//! no sort. `ImageReader` — behind [`CatalogSnapshot`]'s `Deserialize`,
+//! and so behind `restore_json`, `Grid::restore_state` and recovery —
+//! reads it straight back into row pages, one part of the image at a
+//! time.
 //!
-//! The writer lays each table's rows out in id pages of
-//! [`IMAGE_PAGE_IDS`] ids. Rows are written in id order, so a page's rows
-//! sit together. A checkpoint writes its image as parts — the text
-//! between pages, then each page as a part of its own — and shares a
-//! page's part with the last image the device accepted unless a redo
-//! record touched one of its rows since (the WAL marks the page as it
-//! appends the record; see `crate::wal`): a clean page costs one refcount.
-//! A plain image (`write_image`) is one `String` and renders every page;
-//! the bytes are the same either way.
+//! Each table field is laid out in id pages of [`IMAGE_PAGE_IDS`] ids. A
+//! checkpoint writes its image as parts — the text between pages, then
+//! each page as a part of its own — and shares a page's part with the
+//! last image the device accepted unless a redo record touched one of its
+//! rows since (the WAL marks the page as it appends the record; see
+//! `crate::wal`): a clean page costs one refcount, and its rows are not
+//! visited. A plain image (`write_image`) is one `String` and renders
+//! every page; the bytes are the same either way. Reading a checkpoint
+//! back notes which of its parts hold exactly one page, so recovery can
+//! share them in turn.
 
-use crate::annotation::{Annotation, AnnotationTable};
-use crate::audit::{AuditLog, AuditRow};
+use crate::annotation::AnnotationTable;
+use crate::audit::AuditLog;
 use crate::catalog::Mcat;
 use crate::collection::{Collection, CollectionTable};
 use crate::container::{ContainerRecord, ContainerTable};
 use crate::dataset::{Dataset, DatasetTable};
 use crate::metadata::{MetaRow, MetaStore, Subject};
+use crate::pages::{Row, RowPages, IMAGE_PAGE_IDS};
 use crate::resource::{LogicalResource, Resource, ResourceTable};
 use crate::user::{Group, User, UserTable};
 use crate::wal::Wal;
-use serde::{Deserialize, Serialize};
+use crate::{Annotation, AuditRow};
+use serde::{DeError, Deserialize, JsonReader, Serialize};
 use srb_storage::Image;
 use srb_types::{DatasetId, IdGen, SimClock, SrbError, SrbResult, UserId};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Generation stamps of the three cursor-relevant tables at snapshot
@@ -56,8 +61,9 @@ pub struct SnapshotGenerations {
 }
 
 /// A complete, self-contained image of a catalog, as read back from the
-/// text [`Mcat::write_image`] writes.
-#[derive(Debug, Deserialize)]
+/// text [`Mcat::write_image`] writes: every table's rows in the row pages
+/// the table will keep them in.
+#[derive(Debug)]
 pub struct CatalogSnapshot {
     /// Snapshot format version.
     pub version: u32,
@@ -66,27 +72,27 @@ pub struct CatalogSnapshot {
     /// The bootstrap administrator.
     pub admin: UserId,
     /// Users.
-    pub users: Vec<User>,
+    pub users: RowPages<User>,
     /// Groups.
-    pub groups: Vec<Group>,
+    pub groups: RowPages<Group>,
     /// Physical resources.
-    pub resources: Vec<Resource>,
+    pub resources: RowPages<Resource>,
     /// Logical resources.
-    pub logical_resources: Vec<LogicalResource>,
+    pub logical_resources: RowPages<LogicalResource>,
     /// Collections (including the root).
-    pub collections: Vec<Collection>,
+    pub collections: RowPages<Collection>,
     /// Datasets with their replicas.
-    pub datasets: Vec<Dataset>,
+    pub datasets: RowPages<Dataset>,
     /// Containers.
-    pub containers: Vec<ContainerRecord>,
+    pub containers: RowPages<ContainerRecord>,
     /// Metadata triplets.
-    pub metadata: Vec<MetaRow>,
+    pub metadata: RowPages<MetaRow>,
     /// File-based metadata associations.
     pub meta_files: Vec<(Subject, Vec<DatasetId>)>,
     /// Annotations.
-    pub annotations: Vec<Annotation>,
+    pub annotations: RowPages<Annotation>,
     /// The audit trail.
-    pub audit: Vec<AuditRow>,
+    pub audit: RowPages<AuditRow>,
     /// Cursor-relevant generation stamps (absent in pre-WAL snapshots,
     /// which restore with counters at their rebuilt values).
     pub generations: Option<SnapshotGenerations>,
@@ -94,17 +100,6 @@ pub struct CatalogSnapshot {
 
 /// Current snapshot format version.
 pub(crate) const SNAPSHOT_VERSION: u32 = 1;
-
-/// A table's rows in id order, borrowed: the order the image writes and
-/// the tables' listings return. Every table map is keyed by the row id.
-pub(crate) fn by_id<K: Ord, V, S>(rows: &HashMap<K, V, S>) -> Vec<&V> {
-    let mut v: Vec<(&K, &V)> = rows.iter().collect();
-    v.sort_unstable_by(|a, b| a.0.cmp(b.0));
-    v.into_iter().map(|(_, row)| row).collect()
-}
-
-/// Ids per image page: the unit a checkpoint shares or renders.
-pub const IMAGE_PAGE_IDS: u64 = 1024;
 
 /// The image's row fields, in the order the image writes them.
 #[derive(Debug, Clone, Copy)]
@@ -195,7 +190,7 @@ type PagePart = (u64, Arc<str>);
 pub(crate) struct ImageIndex {
     /// The accepted image, shared with the device.
     image: Arc<Image>,
-    /// Per field, every non-empty page, page-ascending.
+    /// Per field, every page that is a part of its own, page-ascending.
     pages: [Vec<PagePart>; FIELDS],
 }
 
@@ -278,10 +273,11 @@ impl<'a> CheckpointPass<'a> {
 /// its fields under the read guard it holds for the table; during a
 /// checkpoint that guard is also what makes a shared page current: rows
 /// change only under the table's write guard, and the WAL marks a row's
-/// page under that guard as it appends the row's record.
+/// page under that guard as it appends the record.
 ///
 /// It is the only one: the vendored serde keeps its sequence writer
-/// private, so no table can write a field as one unpaged array:
+/// private, so no table can write a field as one unpaged array through
+/// it:
 ///
 /// ```compile_fail,E0425
 /// let mut out = String::new();
@@ -295,28 +291,26 @@ pub(crate) struct ImageWriter<'o, 'p> {
 }
 
 impl ImageWriter<'_, '_> {
-    /// One array field from a table keyed by row id; `raw` reads the id.
-    pub(crate) fn table<K, V: Serialize, S>(
-        &mut self,
-        field: Field,
-        rows: &HashMap<K, V, S>,
-        raw: impl Fn(K) -> u64,
-    ) where
-        K: Copy,
-    {
-        let mut rows: Vec<(u64, &V)> = rows.iter().map(|(k, v)| (raw(*k), v)).collect();
-        rows.sort_unstable_by_key(|&(id, _)| id);
-        self.rows(field, rows);
+    /// One table field, `,"name":[row,…]`, walked page by page.
+    pub(crate) fn pages<R: Serialize>(&mut self, field: Field, rows: &RowPages<R>) {
+        self.field(field, rows.pages().map(|(page, rows)| (page, rows.iter())));
     }
 
-    /// One array field, `,"name":[row,…]`, from `(id, row)` pairs in id
-    /// order. In a checkpoint each page is a part of its own: shared with
-    /// the previous image when no record touched it, else rendered.
-    pub(crate) fn rows<'r, T: Serialize + 'r>(
-        &mut self,
-        field: Field,
-        rows: impl IntoIterator<Item = (u64, &'r T)>,
-    ) {
+    /// A field whose rows carry no id, as one page (page 0), in the order
+    /// given.
+    pub(crate) fn one_page<T: Serialize>(&mut self, field: Field, rows: &[T]) {
+        self.field(field, (!rows.is_empty()).then_some((0, rows.iter())));
+    }
+
+    /// The field's pages, page-ascending, each with its rows in order. In
+    /// a checkpoint each page is a part of its own: shared with the
+    /// previous image when no record touched it — its rows unvisited —
+    /// else rendered.
+    fn field<'r, T, I>(&mut self, field: Field, pages: impl IntoIterator<Item = (u64, I)>)
+    where
+        T: Serialize + 'r,
+        I: Iterator<Item = &'r T>,
+    {
         let out = &mut *self.out;
         out.push_str(",\"");
         out.push_str(field.name());
@@ -325,21 +319,12 @@ impl ImageWriter<'_, '_> {
         if let Some(pass) = pass.as_deref_mut() {
             pass.taken[field as usize] = pass.wal.take_marks(field);
         }
-        let mut first = true;
-        let mut rows = rows.into_iter().peekable();
-        while let Some((id, row)) = rows.next() {
-            let page = id / IMAGE_PAGE_IDS;
-            let in_page = |&(id, _): &(u64, &T)| id / IMAGE_PAGE_IDS == page;
-            if !first {
+        for (i, (page, rows)) in pages.into_iter().enumerate() {
+            if i > 0 {
                 out.push(',');
             }
-            first = false;
             let Some(pass) = pass.as_deref_mut() else {
-                row.write_json(out);
-                while let Some((_, row)) = rows.next_if(in_page) {
-                    out.push(',');
-                    row.write_json(out);
-                }
+                write_rows(out, rows);
                 continue;
             };
             pass.flush(out);
@@ -349,19 +334,13 @@ impl ImageWriter<'_, '_> {
                 .and_then(|prev| prev.page(field, page));
             let part = match clean {
                 Some(part) => {
-                    while rows.next_if(in_page).is_some() {}
                     pass.copied += 1;
                     part.clone()
                 }
                 None => {
-                    let text = &mut pass.scratch;
-                    row.write_json(text);
-                    while let Some((_, row)) = rows.next_if(in_page) {
-                        text.push(',');
-                        row.write_json(text);
-                    }
-                    let part = Arc::from(text.as_str());
-                    text.clear();
+                    write_rows(&mut pass.scratch, rows);
+                    let part = Arc::from(pass.scratch.as_str());
+                    pass.scratch.clear();
                     pass.rendered += 1;
                     part
                 }
@@ -371,6 +350,325 @@ impl ImageWriter<'_, '_> {
         }
         out.push(']');
     }
+}
+
+/// One page's rows, comma-separated.
+fn write_rows<'r, T: Serialize + 'r>(out: &mut String, rows: impl Iterator<Item = &'r T>) {
+    for (i, row) in rows.enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        row.write_json(out);
+    }
+}
+
+/// The catalog image's fields, by the names it writes.
+const CATALOG_FIELDS: [&str; 15] = [
+    "version",
+    "next_id_floor",
+    "admin",
+    "users",
+    "groups",
+    "resources",
+    "logical_resources",
+    "collections",
+    "datasets",
+    "containers",
+    "metadata",
+    "meta_files",
+    "annotations",
+    "audit",
+    "generations",
+];
+
+/// The one reader of an image: it reads the text [`ImageWriter`] wrote
+/// straight into row pages, one part of the image at a time, the parts
+/// borrowed, never joined. Every token, and every row, lies inside one
+/// part; the writer's parts split between rows and around the text
+/// between pages.
+///
+/// It also notes which parts hold exactly one page of one field — the
+/// parts a checkpoint wrote for its pages — so that the image recovery
+/// reads can lend them to the checkpoint recovery installs.
+struct ImageReader<'a, 'r> {
+    r: &'r mut JsonReader<'a>,
+    /// The parts after the one being read.
+    rest: std::slice::Iter<'a, Arc<str>>,
+    /// Number of the part being read.
+    part: usize,
+    /// Per field, `(page, part number)` of every part that holds exactly
+    /// that page's rows, page-ascending.
+    found: [Vec<(u64, usize)>; FIELDS],
+}
+
+impl<'a> ImageReader<'a, '_> {
+    /// Move on through the parts until a token is next; returns the
+    /// number of the part it left, if it moved.
+    fn fill(&mut self) -> Option<usize> {
+        let left = self.part;
+        while self.r.peek_token().is_none() {
+            let Some(next) = self.rest.next() else {
+                break;
+            };
+            self.r.continue_in(next);
+            self.part += 1;
+        }
+        (self.part != left).then_some(left)
+    }
+
+    /// A whole catalog image. As a derived reader would: keys in any
+    /// order, unknown keys skipped, the first of a repeated key wins, and
+    /// every field but `generations` required.
+    fn catalog(&mut self) -> Result<CatalogSnapshot, DeError> {
+        let mut snap = CatalogSnapshot {
+            version: 0,
+            next_id_floor: 0,
+            admin: UserId(0),
+            users: RowPages::default(),
+            groups: RowPages::default(),
+            resources: RowPages::default(),
+            logical_resources: RowPages::default(),
+            collections: RowPages::default(),
+            datasets: RowPages::default(),
+            containers: RowPages::default(),
+            metadata: RowPages::default(),
+            meta_files: Vec::new(),
+            annotations: RowPages::default(),
+            audit: RowPages::default(),
+            generations: None,
+        };
+        let mut seen = [false; CATALOG_FIELDS.len()];
+        self.fill();
+        let mut entries = self.r.object("CatalogSnapshot")?;
+        loop {
+            self.fill();
+            let Some(key) = entries.next_key(self.r)? else {
+                break;
+            };
+            self.fill();
+            let slot = CATALOG_FIELDS.iter().position(|&f| f == key);
+            let Some(k) = slot.filter(|&k| !seen[k]) else {
+                self.r.skip_value()?;
+                continue;
+            };
+            seen[k] = true;
+            self.catalog_field(&mut snap, CATALOG_FIELDS[k])
+                .map_err(|e| e.at(&format!("CatalogSnapshot.{key}")))?;
+        }
+        let missing = CATALOG_FIELDS
+            .iter()
+            .zip(seen)
+            .find(|&(&f, seen)| !seen && f != "generations");
+        if let Some((f, _)) = missing {
+            return Err(DeError::new("missing field").at(&format!("CatalogSnapshot.{f}")));
+        }
+        Ok(snap)
+    }
+
+    fn catalog_field(&mut self, snap: &mut CatalogSnapshot, name: &str) -> Result<(), DeError> {
+        match name {
+            "version" => snap.version = u32::read_json(self.r)?,
+            "next_id_floor" => snap.next_id_floor = u64::read_json(self.r)?,
+            "admin" => snap.admin = UserId::read_json(self.r)?,
+            "users" => snap.users = self.pages(Field::Users)?,
+            "groups" => snap.groups = self.pages(Field::Groups)?,
+            "resources" => snap.resources = self.pages(Field::Resources)?,
+            "logical_resources" => snap.logical_resources = self.pages(Field::LogicalResources)?,
+            "collections" => snap.collections = self.pages(Field::Collections)?,
+            "datasets" => snap.datasets = self.pages(Field::Datasets)?,
+            "containers" => snap.containers = self.pages(Field::Containers)?,
+            "metadata" => snap.metadata = self.pages(Field::Metadata)?,
+            "meta_files" => {
+                let files = &mut snap.meta_files;
+                self.array(Field::MetaFiles, |_| 0, |f| files.push(f))?;
+            }
+            "annotations" => snap.annotations = self.pages(Field::Annotations)?,
+            "audit" => snap.audit = self.pages(Field::Audit)?,
+            _ => snap.generations = Option::read_json(self.r)?,
+        }
+        Ok(())
+    }
+
+    /// A table field, each row put under its id.
+    fn pages<R: Row + Deserialize>(&mut self, field: Field) -> Result<RowPages<R>, DeError> {
+        let mut rows = RowPages::default();
+        let mut fresh = true;
+        let page = |row: &R| R::raw(row.id()) / IMAGE_PAGE_IDS;
+        self.array(field, page, |row| fresh &= rows.insert(row).is_none())?;
+        if !fresh {
+            // A repeated id: the page's part says more than its rows.
+            self.found[field as usize].clear();
+        }
+        Ok(rows)
+    }
+
+    /// One array field, `[row,…]`, each row handed to `keep`, noting the
+    /// parts that hold exactly one of its pages (`page` of a row). Rows
+    /// out of page order disable the noting for the field: only a field
+    /// in page order keeps each page's rows together, so that the rows
+    /// around a part tell whether it holds all of its page.
+    fn array<T: Deserialize>(
+        &mut self,
+        field: Field,
+        page: impl Fn(&T) -> u64,
+        mut keep: impl FnMut(T),
+    ) -> Result<(), DeError> {
+        let mut runs = Runs::default();
+        let mut items = self.r.array(field.name())?;
+        let mut i = 0usize;
+        loop {
+            // After `[` or after a row.
+            if let Some(left) = self.fill() {
+                match i {
+                    0 => runs.start(self.part),
+                    _ => runs.end(left),
+                }
+            }
+            if !items.next_element(self.r)? {
+                break;
+            }
+            // After `,`: the part may end there, in front of a row.
+            if self.fill().is_some() {
+                runs.start(self.part);
+            }
+            let row = T::read_json(self.r).map_err(|e| e.at(&format!("[{i}]")))?;
+            runs.row(page(&row));
+            keep(row);
+            i += 1;
+        }
+        self.found[field as usize] = runs.finish();
+        Ok(())
+    }
+}
+
+/// Which parts of one array field hold exactly one of its pages; see
+/// [`ImageReader::array`].
+#[derive(Default)]
+struct Runs {
+    /// The part being read, entered in front of a row: its number, its
+    /// rows' page so far, whether they all share it, and the page of the
+    /// row before the part.
+    open: Option<(usize, Option<u64>, bool, Option<u64>)>,
+    /// A part that ended right after a row of its one page, waiting to
+    /// see the page of the row after it.
+    pending: Option<(u64, usize)>,
+    last_page: Option<u64>,
+    unordered: bool,
+    found: Vec<(u64, usize)>,
+}
+
+impl Runs {
+    /// A part begins in front of a row.
+    fn start(&mut self, part: usize) {
+        self.open = Some((part, None, true, self.last_page));
+    }
+
+    /// A row of `page` was read.
+    fn row(&mut self, page: u64) {
+        self.unordered |= self.last_page.is_some_and(|last| last > page);
+        self.last_page = Some(page);
+        if let Some((p, part)) = self.pending.take() {
+            if p != page {
+                self.found.push((p, part));
+            }
+        }
+        if let Some((_, first, one, _)) = &mut self.open {
+            *one &= first.is_none_or(|p| p == page);
+            *first = Some(page);
+        }
+    }
+
+    /// Part `left` ended right after a row.
+    fn end(&mut self, left: usize) {
+        if let Some((part, Some(page), true, before)) = self.open.take() {
+            if part == left && before != Some(page) {
+                self.pending = Some((page, part));
+            }
+        }
+    }
+
+    /// The field's array closed.
+    fn finish(mut self) -> Vec<(u64, usize)> {
+        self.found.extend(self.pending.take());
+        if self.unordered {
+            self.found.clear();
+        }
+        self.found
+    }
+}
+
+impl Deserialize for CatalogSnapshot {
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, DeError> {
+        ImageReader {
+            r,
+            rest: [].iter(),
+            part: 0,
+            found: Default::default(),
+        }
+        .catalog()
+    }
+}
+
+/// Read a checkpoint `image` — `{"at_ns":…,"snapshot":<catalog image>}`
+/// — part by part: the envelope's time, the catalog in row pages, and the
+/// index of the image's page parts, which a checkpoint of the recovered
+/// catalog may share.
+pub(crate) fn read_checkpoint(
+    image: &Arc<Image>,
+) -> Result<(u64, CatalogSnapshot, ImageIndex), DeError> {
+    let Some((first, rest)) = image.parts().split_first() else {
+        return Err(DeError::new("empty checkpoint image"));
+    };
+    let mut r = JsonReader::new(first);
+    let mut reader = ImageReader {
+        r: &mut r,
+        rest: rest.iter(),
+        part: 0,
+        found: Default::default(),
+    };
+    let (mut at_ns, mut snap) = (None, None);
+    reader.fill();
+    let mut entries = reader.r.object("CheckpointEnvelope")?;
+    loop {
+        reader.fill();
+        let Some(key) = entries.next_key(reader.r)? else {
+            break;
+        };
+        reader.fill();
+        match &*key {
+            "at_ns" if at_ns.is_none() => {
+                let read = u64::read_json(reader.r);
+                at_ns = Some(read.map_err(|e| e.at("CheckpointEnvelope.at_ns"))?);
+            }
+            "snapshot" if snap.is_none() => {
+                let read = reader.catalog();
+                snap = Some(read.map_err(|e| e.at("CheckpointEnvelope.snapshot"))?);
+            }
+            _ => reader.r.skip_value()?,
+        }
+    }
+    reader.fill();
+    let found = std::mem::take(&mut reader.found);
+    let rest_len = reader.rest.len();
+    r.finish()?;
+    if rest_len > 0 {
+        return Err(DeError::new("trailing parts after the checkpoint image"));
+    }
+    let missing = |f: &str| DeError::new("missing field").at(&format!("CheckpointEnvelope.{f}"));
+    let at_ns = at_ns.ok_or_else(|| missing("at_ns"))?;
+    let snap = snap.ok_or_else(|| missing("snapshot"))?;
+    let parts = image.parts();
+    let pages = found.map(|pages| {
+        pages
+            .into_iter()
+            .map(|(page, part)| (page, parts[part].clone()))
+            .collect()
+    });
+    let index = ImageIndex {
+        image: image.clone(),
+        pages,
+    };
+    Ok((at_ns, snap, index))
 }
 
 impl Mcat {
@@ -425,7 +723,9 @@ impl Mcat {
         Ok(out)
     }
 
-    /// Rebuild a catalog from a snapshot, sharing `clock`.
+    /// Rebuild a catalog from a snapshot, sharing `clock`: the tables
+    /// take the snapshot's row pages as they are and build their derived
+    /// maps from them once.
     pub fn restore(clock: SimClock, snap: CatalogSnapshot) -> SrbResult<Mcat> {
         if snap.version != SNAPSHOT_VERSION {
             return Err(SrbError::Invalid(format!(
@@ -433,12 +733,12 @@ impl Mcat {
                 snap.version
             )));
         }
-        let collections = CollectionTable::restore(snap.collections)?;
-        if !snap.users.iter().any(|u| u.id == snap.admin) {
+        if !snap.users.contains(snap.admin) {
             return Err(SrbError::Invalid(
                 "snapshot admin is not among its users".into(),
             ));
         }
+        let collections = CollectionTable::restore(snap.collections)?;
         let ids = IdGen::new();
         ids.ensure_floor(snap.next_id_floor);
         let mcat = Mcat::from_parts(
@@ -598,10 +898,10 @@ mod tests {
         snap.version = 99;
         assert!(Mcat::restore(SimClock::new(), snap).is_err());
         let mut snap = parsed(&m);
-        snap.collections.clear();
+        snap.collections = RowPages::default();
         assert!(Mcat::restore(SimClock::new(), snap).is_err());
         let mut snap = parsed(&m);
-        snap.users.clear();
+        snap.users = RowPages::default();
         assert!(Mcat::restore(SimClock::new(), snap).is_err());
     }
 
@@ -621,5 +921,79 @@ mod tests {
         r.metadata.remove_all(Subject::Dataset(ds));
         let q = Query::everywhere().and("wingspan", CompareOp::Gt, 100i64);
         assert!(r.query(&q).unwrap().is_empty());
+    }
+}
+
+#[cfg(test)]
+mod reader_tests {
+    use super::*;
+    use crate::dataset::AccessSpec;
+    use crate::wal::{Wal, WalConfig};
+    use srb_storage::LogDevice;
+    use srb_types::{Lsn, ResourceId};
+
+    /// A checkpoint image of a catalog whose datasets span a few pages,
+    /// as the writer parts it.
+    fn written() -> (Mcat, Arc<Image>) {
+        let m = Mcat::new(SimClock::new(), "pw");
+        let (root, admin, now) = (m.collections.root(), m.admin(), m.clock.now());
+        for i in 0..1500 {
+            let replica = AccessSpec::Stored {
+                resource: ResourceId(1),
+                phys_path: format!("/p/{i}"),
+            };
+            let replicas = vec![(replica, 1, None)];
+            m.datasets
+                .create(&m.ids, root, &format!("d{i}"), "t", admin, replicas, now)
+                .unwrap();
+        }
+        let device = Arc::new(LogDevice::new());
+        let wal = Wal::new(device.clone(), SimClock::new(), WalConfig::default(), None);
+        wal.install_checkpoint(Lsn(0), &m).unwrap();
+        (m, device.checkpoint_image().unwrap())
+    }
+
+    /// Read `parts` back; the catalog's image and how many page parts
+    /// the reader found.
+    fn read(parts: Vec<Arc<str>>) -> Result<(String, usize), DeError> {
+        let image = Arc::new(parts.into_iter().collect::<Image>());
+        let (_, snap, index) = read_checkpoint(&image)?;
+        let found = index.pages.iter().map(Vec::len).sum();
+        let text = Mcat::restore(SimClock::new(), snap)
+            .unwrap()
+            .snapshot_json();
+        Ok((text.unwrap(), found))
+    }
+
+    #[test]
+    fn the_reader_takes_any_split_between_tokens_and_shares_only_whole_pages() {
+        let (m, image) = written();
+        let want = m.snapshot_json().unwrap();
+        let parts = image.parts().to_vec();
+        // The parts alternate text and page; every page is found.
+        let pages = parts.len() / 2;
+        assert!(pages > 3);
+        assert_eq!(read(parts.clone()).unwrap(), (want.clone(), pages));
+        // One part per page and the text after it: no page stands alone.
+        let merged: Vec<Arc<str>> = parts
+            .chunks(2)
+            .map(|pair| Arc::from(pair.concat().as_str()))
+            .collect();
+        assert_eq!(read(merged).unwrap(), (want.clone(), 0));
+        // The largest page split between two of its rows: only that page
+        // is lost.
+        let (at, page) = (1..parts.len())
+            .step_by(2)
+            .map(|i| (i, &parts[i]))
+            .max_by_key(|(_, p)| p.len())
+            .unwrap();
+        let cut = page.find(",{").unwrap() + 1;
+        let mut split = parts.clone();
+        split.splice(at..=at, [Arc::from(&page[..cut]), Arc::from(&page[cut..])]);
+        assert_eq!(read(split).unwrap(), (want, pages - 1));
+        // A split inside a row is refused, not read as something else.
+        let mut torn = parts.clone();
+        torn.splice(at..=at, [Arc::from(&page[..5]), Arc::from(&page[5..])]);
+        assert!(read(torn).is_err());
     }
 }

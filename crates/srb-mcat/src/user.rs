@@ -5,7 +5,8 @@
 //! stores the verifier for challenge–response auth — never the password
 //! itself.
 
-use crate::snapshot::{by_id, Field, ImageWriter};
+use crate::pages::RowPages;
+use crate::snapshot::{Field, ImageWriter};
 use crate::wal::{WalHook, WalOp};
 use serde::{Deserialize, Serialize};
 use srb_types::sync::{LockRank, RwLock};
@@ -71,9 +72,9 @@ impl Default for UserTable {
 
 #[derive(Debug, Default)]
 struct Inner {
-    users: HashMap<UserId, User>,
+    users: RowPages<User>,
     by_name: HashMap<(String, String), UserId>,
-    groups: HashMap<GroupId, Group>,
+    groups: RowPages<Group>,
     group_by_name: HashMap<String, GroupId>,
 }
 
@@ -107,7 +108,7 @@ impl UserTable {
             is_admin,
         };
         self.wal.log(0, || WalOp::UserPut { row: row.clone() });
-        g.users.insert(id, row);
+        g.users.insert(row);
         g.by_name.insert(key, id);
         Ok(id)
     }
@@ -117,7 +118,7 @@ impl UserTable {
         let g = self.users.read();
         g.by_name
             .get(&(name.to_string(), domain.to_string()))
-            .and_then(|id| g.users.get(id))
+            .and_then(|&id| g.users.get(id))
             .cloned()
     }
 
@@ -126,7 +127,7 @@ impl UserTable {
         self.users
             .read()
             .users
-            .get(&id)
+            .get(id)
             .cloned()
             .ok_or_else(|| SrbError::NotFound(format!("user {id}")))
     }
@@ -136,7 +137,7 @@ impl UserTable {
         self.users
             .read()
             .users
-            .get(&id)
+            .get(id)
             .map(|u| u.groups.clone())
             .unwrap_or_default()
     }
@@ -154,7 +155,7 @@ impl UserTable {
             members: Vec::new(),
         };
         self.wal.log(0, || WalOp::GroupPut { row: row.clone() });
-        g.groups.insert(id, row);
+        g.groups.insert(row);
         g.group_by_name.insert(name.to_string(), id);
         Ok(id)
     }
@@ -162,24 +163,24 @@ impl UserTable {
     /// Add a user to a group (idempotent).
     pub fn add_to_group(&self, user: UserId, group: GroupId) -> SrbResult<()> {
         let mut g = self.users.write();
-        if !g.groups.contains_key(&group) {
+        if !g.groups.contains(group) {
             return Err(SrbError::NotFound(format!("group {group}")));
         }
         let u = g
             .users
-            .get_mut(&user)
+            .get_mut(user)
             .ok_or_else(|| SrbError::NotFound(format!("user {user}")))?;
         if !u.groups.contains(&group) {
             u.groups.push(group);
         }
         let grp = g
             .groups
-            .get_mut(&group)
+            .get_mut(group)
             .ok_or_else(|| SrbError::NotFound(format!("group {group}")))?;
         if !grp.members.contains(&user) {
             grp.members.push(user);
         }
-        if let (Some(u), Some(grp)) = (g.users.get(&user), g.groups.get(&group)) {
+        if let (Some(u), Some(grp)) = (g.users.get(user), g.groups.get(group)) {
             self.wal.log(0, || WalOp::UserPut { row: u.clone() });
             self.wal.log(0, || WalOp::GroupPut { row: grp.clone() });
         }
@@ -189,16 +190,16 @@ impl UserTable {
     /// Remove a user from a group.
     pub fn remove_from_group(&self, user: UserId, group: GroupId) -> SrbResult<()> {
         let mut g = self.users.write();
-        if let Some(u) = g.users.get_mut(&user) {
+        if let Some(u) = g.users.get_mut(user) {
             u.groups.retain(|&gid| gid != group);
         }
-        if let Some(grp) = g.groups.get_mut(&group) {
+        if let Some(grp) = g.groups.get_mut(group) {
             grp.members.retain(|&uid| uid != user);
         }
-        if let Some(u) = g.users.get(&user) {
+        if let Some(u) = g.users.get(user) {
             self.wal.log(0, || WalOp::UserPut { row: u.clone() });
         }
-        if let Some(grp) = g.groups.get(&group) {
+        if let Some(grp) = g.groups.get(group) {
             self.wal.log(0, || WalOp::GroupPut { row: grp.clone() });
         }
         Ok(())
@@ -209,7 +210,7 @@ impl UserTable {
         self.users
             .read()
             .groups
-            .get(&id)
+            .get(id)
             .cloned()
             .ok_or_else(|| SrbError::NotFound(format!("group {id}")))
     }
@@ -219,23 +220,23 @@ impl UserTable {
         let g = self.users.read();
         g.group_by_name
             .get(name)
-            .and_then(|id| g.groups.get(id))
+            .and_then(|&id| g.groups.get(id))
             .cloned()
     }
 
-    /// Rebuild the table from snapshot rows.
-    pub fn restore(users: Vec<User>, groups: Vec<Group>) -> Self {
+    /// The table over image rows, its name indexes built from them.
+    pub(crate) fn restore(users: RowPages<User>, groups: RowPages<Group>) -> Self {
         let t = UserTable::new();
         {
             let mut g = t.users.write();
-            for u in users {
+            let g = &mut *g;
+            for u in users.iter() {
                 g.by_name.insert((u.name.clone(), u.domain.clone()), u.id);
-                g.users.insert(u.id, u);
             }
-            for grp in groups {
+            for grp in groups.iter() {
                 g.group_by_name.insert(grp.name.clone(), grp.id);
-                g.groups.insert(grp.id, grp);
             }
+            (g.users, g.groups) = (users, groups);
         }
         t
     }
@@ -247,17 +248,14 @@ impl UserTable {
 
     /// All users (for MySRB admin pages), sorted by id.
     pub fn list_users(&self) -> Vec<User> {
-        by_id(&self.users.read().users)
-            .into_iter()
-            .cloned()
-            .collect()
+        self.users.read().users.iter().cloned().collect()
     }
 
     /// The image's `"users"` and `"groups"` fields, under one read guard.
     pub(crate) fn write_image(&self, w: &mut ImageWriter<'_, '_>) {
         let g = self.users.read();
-        w.table(Field::Users, &g.users, UserId::raw);
-        w.table(Field::Groups, &g.groups, GroupId::raw);
+        w.pages(Field::Users, &g.users);
+        w.pages(Field::Groups, &g.groups);
     }
 
     /// Wire this table to the catalog's WAL.

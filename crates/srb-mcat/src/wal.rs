@@ -43,11 +43,14 @@
 //!   exactly what a render would write and the fuzzy-image argument above
 //!   is unchanged. A refused install puts its marks back; an image the
 //!   device no longer holds is not shared from.
-//! * **Recovery** (`replay_device`) loads the latest checkpoint, patches
-//!   its row vectors with every *complete* commit group in the durable
-//!   tail (an unterminated trailing group was never acknowledged and is
-//!   discarded), and rebuilds the catalog in one restore — no per-record
-//!   index maintenance.
+//! * **Recovery** (`replay_device`) reads the latest checkpoint part by
+//!   part straight into row pages, applies every *complete* commit group
+//!   in the durable tail to them in place (an unterminated trailing group
+//!   was never acknowledged and is discarded), noting each page a record
+//!   touched, and rebuilds the catalog's derived maps once — no
+//!   per-record index maintenance. The checkpoint that seals the
+//!   recovery shares every page the tail did not touch with the image it
+//!   read.
 //! * **Replication** ([`export_deltas`]) reads the same groups from a
 //!   subscriber's cursor instead of from the checkpoint. What a committed
 //!   group is, is written once — `for_each_commit_group` — and both
@@ -70,10 +73,11 @@ use crate::collection::Collection;
 use crate::container::ContainerRecord;
 use crate::dataset::Dataset;
 use crate::metadata::{MetaRow, Subject};
+use crate::pages::{Row, RowPages, IMAGE_PAGE_IDS};
 use crate::resource::{LogicalResource, Resource};
 use crate::snapshot::{
-    CatalogSnapshot, CheckpointPass, Field, ImageIndex, PageMarks, PageSet, SnapshotGenerations,
-    IMAGE_PAGE_IDS, SNAPSHOT_VERSION,
+    read_checkpoint, CatalogSnapshot, CheckpointPass, Field, ImageIndex, PageMarks, PageSet,
+    SnapshotGenerations,
 };
 use crate::user::{Group, User};
 use crate::Mcat;
@@ -85,15 +89,14 @@ use srb_types::{
     Timestamp,
 };
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// One logical redo operation. Variants are full row images (`*Put`) or
-/// bare ids (`*Delete`): replay patches the checkpoint's row vectors and
-/// rebuilds all derived indexes in a single restore, so records never
-/// describe index maintenance. `Commit` terminates a group; only complete
-/// groups are applied.
+/// bare ids (`*Delete`): replay upserts and deletes the checkpoint's rows
+/// in their pages and rebuilds all derived indexes in a single restore,
+/// so records never describe index maintenance. `Commit` terminates a
+/// group; only complete groups are applied.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum WalOp {
     /// Upsert a user row.
@@ -259,19 +262,6 @@ const MARKER_MID: &str = ",\"gen\":0,\"op\":{\"Commit\":{\"at_ns\":";
 /// A whole `Commit` marker line: the LSN prefix, [`MARKER_MID`], the
 /// longest `u64` and the closing `}}}`.
 const MARKER_MAX: usize = LSN_PREFIX_MAX + MARKER_MID.len() + 20 + 3;
-
-/// What the device stores as its checkpoint: the catalog snapshot plus
-/// the virtual time it was taken, so recovery restores the clock even when
-/// the checkpoint covers the entire log and the replay tail is empty.
-/// Read through this type; written by [`Wal::install_checkpoint`] straight
-/// from the live tables.
-#[derive(Debug, Deserialize)]
-struct CheckpointEnvelope {
-    /// Virtual time the snapshot was taken.
-    at_ns: u64,
-    /// The catalog image.
-    snapshot: CatalogSnapshot,
-}
 
 /// WAL tuning knobs.
 #[derive(Debug, Clone, Copy)]
@@ -498,12 +488,15 @@ impl Wal {
     }
 
     /// Install a checkpoint of `mcat` covering records through `cover`:
-    /// the [`CheckpointEnvelope`] text, the image streamed from the live
-    /// tables into the parts the device keeps, each page's part shared
-    /// with the previous image when no record touched it since. Fails,
+    /// the envelope `{"at_ns":…,"snapshot":…}` — the virtual time the
+    /// image was taken, so recovery restores the clock even when the
+    /// checkpoint covers the entire log and the replay tail is empty — and
+    /// the image streamed from the live tables into the parts the device
+    /// keeps, each page's part shared with the previous image when no
+    /// record touched it since. Returns how many pages it rendered. Fails,
     /// leaving the previous checkpoint, its page index and the log
     /// untouched, when the device does not take it.
-    pub(crate) fn install_checkpoint(&self, cover: Lsn, mcat: &Mcat) -> SrbResult<()> {
+    pub(crate) fn install_checkpoint(&self, cover: Lsn, mcat: &Mcat) -> SrbResult<u64> {
         let mut last = self.image.lock();
         // The index describes the device's checkpoint only while the
         // device holds it. After any other install (a recovery by another
@@ -547,7 +540,16 @@ impl Wal {
             obs.pages_copied.add(copied);
             obs.pages_rendered.add(rendered);
         }
-        Ok(())
+        Ok(rendered)
+    }
+
+    /// Take up `image`, the checkpoint the device holds as recovery read
+    /// it, as the last image this WAL installed, with the pages `touched`
+    /// — by the tail recovery applied over it — still owed: the next
+    /// checkpoint renders those and shares every other page.
+    pub(crate) fn resume(&self, image: ImageIndex, touched: PageMarks) {
+        *self.image.lock() = Some(image);
+        self.state.lock().dirty = touched;
     }
 
     /// Record the virtual cost of a recovery read-back + replay.
@@ -624,220 +626,185 @@ pub struct RecoveryReport {
     pub records_discarded: usize,
     /// Virtual cost of the read-back and replay.
     pub recovery_ns: u64,
+    /// Pages the checkpoint that sealed the recovery rendered; it shared
+    /// the rest with the checkpoint recovery started from.
+    pub pages_rendered: u64,
 }
 
-/// The outcome of [`replay_device`]: a patched snapshot ready for
-/// [`Mcat::restore`], plus bookkeeping.
+/// The outcome of [`replay_device`]: the recovered rows ready for
+/// [`Mcat::restore`], the image they were read from with the pages the
+/// tail touched, plus bookkeeping.
 ///
 /// [`Mcat::restore`]: crate::Mcat::restore
 pub(crate) struct Replayed {
     pub snapshot: CatalogSnapshot,
+    /// The checkpoint recovery read, indexed by its page parts.
+    pub image: ImageIndex,
+    /// Per field, the pages a replayed record touched.
+    pub touched: PageMarks,
     /// Highest commit-marker virtual time (restore the clock to at least
     /// this).
     pub max_at_ns: u64,
     pub report: RecoveryReport,
 }
 
-/// Mutable row-image maps built from a checkpoint, patched by replay.
-struct Patch {
-    users: BTreeMap<u64, User>,
-    groups: BTreeMap<u64, Group>,
-    resources: BTreeMap<u64, Resource>,
-    logical_resources: BTreeMap<u64, LogicalResource>,
-    collections: BTreeMap<u64, Collection>,
-    datasets: BTreeMap<u64, Dataset>,
-    containers: BTreeMap<u64, ContainerRecord>,
-    metadata: BTreeMap<u64, MetaRow>,
-    meta_files: Vec<(Subject, Vec<DatasetId>)>,
-    annotations: BTreeMap<u64, Annotation>,
-    audit: BTreeMap<u64, AuditRow>,
+/// A checkpoint's rows under redo: each record applied in place as the
+/// upsert or delete it is, its page noted.
+struct Redo {
+    snap: CatalogSnapshot,
     /// Max generation stamp seen per table: collections, datasets,
     /// metadata — the order continuation tokens embed them.
     gens: [u64; 3],
-    /// Highest raw id seen in any replayed row (drives the id floor).
+    /// Highest raw id seen in any row (drives the id floor).
     max_id: u64,
+    touched: PageMarks,
 }
 
-impl Patch {
-    fn from_snapshot(snap: CatalogSnapshot) -> Patch {
+/// The highest id in `rows`.
+fn last_id<R: Row>(rows: &RowPages<R>) -> Option<u64> {
+    rows.iter().next_back().map(|r| R::raw(r.id()))
+}
+
+impl Redo {
+    fn new(snap: CatalogSnapshot) -> Redo {
         let gens = snap
             .generations
             .map(|g| [g.collections, g.datasets, g.metadata])
             .unwrap_or([0; 3]);
-        let mut patch = Patch {
-            users: snap.users.into_iter().map(|r| (r.id.raw(), r)).collect(),
-            groups: snap.groups.into_iter().map(|r| (r.id.raw(), r)).collect(),
-            resources: snap
-                .resources
-                .into_iter()
-                .map(|r| (r.id.raw(), r))
-                .collect(),
-            logical_resources: snap
-                .logical_resources
-                .into_iter()
-                .map(|r| (r.id.raw(), r))
-                .collect(),
-            collections: snap
-                .collections
-                .into_iter()
-                .map(|r| (r.id.raw(), r))
-                .collect(),
-            datasets: snap.datasets.into_iter().map(|r| (r.id.raw(), r)).collect(),
-            containers: snap
-                .containers
-                .into_iter()
-                .map(|r| (r.id.raw(), r))
-                .collect(),
-            metadata: snap.metadata.into_iter().map(|r| (r.id.raw(), r)).collect(),
-            meta_files: snap.meta_files,
-            annotations: snap
-                .annotations
-                .into_iter()
-                .map(|r| (r.id.raw(), r))
-                .collect(),
-            audit: snap.audit.into_iter().map(|r| (r.id.raw(), r)).collect(),
-            gens,
-            max_id: snap.next_id_floor,
-        };
         // A fuzzy image can hold rows allocated after it read the floor
         // (their records may never have committed): floor above them too.
         let row_ids = [
-            patch.users.keys().next_back(),
-            patch.groups.keys().next_back(),
-            patch.resources.keys().next_back(),
-            patch.logical_resources.keys().next_back(),
-            patch.collections.keys().next_back(),
-            patch.datasets.keys().next_back(),
-            patch.containers.keys().next_back(),
-            patch.metadata.keys().next_back(),
-            patch.annotations.keys().next_back(),
-            patch.audit.keys().next_back(),
+            last_id(&snap.users),
+            last_id(&snap.groups),
+            last_id(&snap.resources),
+            last_id(&snap.logical_resources),
+            last_id(&snap.collections),
+            last_id(&snap.datasets),
+            last_id(&snap.containers),
+            last_id(&snap.metadata),
+            last_id(&snap.annotations),
+            last_id(&snap.audit),
         ];
-        let replica_ids = patch.datasets.values().flat_map(|d| &d.replicas);
+        let replica_ids = snap.datasets.iter().flat_map(|d| &d.replicas);
         let max = row_ids
             .into_iter()
             .flatten()
-            .copied()
             .chain(replica_ids.map(|r| r.id.raw()))
             .max();
-        patch.note_id(max.unwrap_or(0));
-        patch
+        Redo {
+            max_id: snap.next_id_floor.max(max.unwrap_or(0)),
+            snap,
+            gens,
+            touched: Default::default(),
+        }
     }
 
     fn note_id(&mut self, raw: u64) {
         self.max_id = self.max_id.max(raw);
     }
 
+    fn note_gen(&mut self, table: usize, gen: u64) {
+        self.gens[table] = self.gens[table].max(gen);
+    }
+
     fn apply(&mut self, record: WalRecord) {
+        if let Some((field, page)) = record.op.image_page() {
+            self.touched[field as usize].insert(page);
+        }
         let gen = record.gen;
         match record.op {
             WalOp::UserPut { row } => {
                 self.note_id(row.id.raw());
-                self.users.insert(row.id.raw(), row);
+                self.snap.users.insert(row);
             }
             WalOp::GroupPut { row } => {
                 self.note_id(row.id.raw());
-                self.groups.insert(row.id.raw(), row);
+                self.snap.groups.insert(row);
             }
             WalOp::ResourcePut { row } => {
                 self.note_id(row.id.raw());
-                self.resources.insert(row.id.raw(), row);
+                self.snap.resources.insert(row);
             }
             WalOp::LogicalResourcePut { row } => {
                 self.note_id(row.id.raw());
-                self.logical_resources.insert(row.id.raw(), row);
+                self.snap.logical_resources.insert(row);
             }
             WalOp::CollectionPut { row } => {
                 self.note_id(row.id.raw());
-                self.gens[0] = self.gens[0].max(gen);
-                self.collections.insert(row.id.raw(), row);
+                self.note_gen(0, gen);
+                self.snap.collections.insert(row);
             }
             WalOp::CollectionDelete { id } => {
-                self.gens[0] = self.gens[0].max(gen);
-                self.collections.remove(&id.raw());
+                self.note_gen(0, gen);
+                self.snap.collections.remove(id);
             }
             WalOp::DatasetPut { row } => {
                 self.note_id(row.id.raw());
                 for r in &row.replicas {
                     self.note_id(r.id.raw());
                 }
-                self.gens[1] = self.gens[1].max(gen);
-                self.datasets.insert(row.id.raw(), row);
+                self.note_gen(1, gen);
+                self.snap.datasets.insert(row);
             }
             WalOp::DatasetDelete { id } => {
-                self.gens[1] = self.gens[1].max(gen);
-                self.datasets.remove(&id.raw());
+                self.note_gen(1, gen);
+                self.snap.datasets.remove(id);
             }
             WalOp::ContainerPut { row } => {
                 self.note_id(row.id.raw());
-                self.containers.insert(row.id.raw(), row);
+                self.snap.containers.insert(row);
             }
             WalOp::ContainerDelete { id } => {
-                self.containers.remove(&id.raw());
+                self.snap.containers.remove(id);
             }
             WalOp::MetaPut { row } => {
                 self.note_id(row.id.raw());
-                self.gens[2] = self.gens[2].max(gen);
-                self.metadata.insert(row.id.raw(), row);
+                self.note_gen(2, gen);
+                self.snap.metadata.insert(row);
             }
             WalOp::MetaDelete { id } => {
-                self.gens[2] = self.gens[2].max(gen);
-                self.metadata.remove(&id.raw());
+                self.note_gen(2, gen);
+                self.snap.metadata.remove(id);
             }
             WalOp::MetaFilesPut { subject, files } => {
-                self.gens[2] = self.gens[2].max(gen);
-                match self.meta_files.iter_mut().find(|(s, _)| *s == subject) {
+                self.note_gen(2, gen);
+                let all = &mut self.snap.meta_files;
+                match all.iter_mut().find(|(s, _)| *s == subject) {
                     Some((_, fs)) => *fs = files,
-                    None => self.meta_files.push((subject, files)),
+                    None => all.push((subject, files)),
                 }
             }
             WalOp::MetaFilesClear { subject } => {
-                self.gens[2] = self.gens[2].max(gen);
-                self.meta_files.retain(|(s, _)| *s != subject);
+                self.note_gen(2, gen);
+                self.snap.meta_files.retain(|(s, _)| *s != subject);
             }
             WalOp::AnnotationPut { row } => {
                 self.note_id(row.id.raw());
-                self.annotations.insert(row.id.raw(), row);
+                self.snap.annotations.insert(row);
             }
             WalOp::AnnotationDelete { id } => {
-                self.annotations.remove(&id.raw());
+                self.snap.annotations.remove(id);
             }
             WalOp::AnnotationClear { subject } => {
-                self.annotations.retain(|_, a| a.subject != subject);
+                self.snap.annotations.retain(|a| a.subject != subject);
             }
             WalOp::AuditPut { row } => {
                 self.note_id(row.id.raw());
-                self.audit.insert(row.id.raw(), row);
+                self.snap.audit.insert(row);
             }
             WalOp::Commit { .. } => {}
         }
     }
 
-    fn into_snapshot(mut self, admin: srb_types::UserId) -> CatalogSnapshot {
-        // The image orders meta_files by subject display; match it so a
-        // recovered catalog's image is byte-identical to a live one's.
-        self.meta_files.sort_by_key(|(s, _)| format!("{s}"));
-        CatalogSnapshot {
-            version: SNAPSHOT_VERSION,
-            next_id_floor: self.max_id,
-            admin,
-            users: self.users.into_values().collect(),
-            groups: self.groups.into_values().collect(),
-            resources: self.resources.into_values().collect(),
-            logical_resources: self.logical_resources.into_values().collect(),
-            collections: self.collections.into_values().collect(),
-            datasets: self.datasets.into_values().collect(),
-            containers: self.containers.into_values().collect(),
-            metadata: self.metadata.into_values().collect(),
-            meta_files: self.meta_files,
-            annotations: self.annotations.into_values().collect(),
-            audit: self.audit.into_values().collect(),
-            generations: Some(SnapshotGenerations {
-                collections: self.gens[0],
-                datasets: self.gens[1],
-                metadata: self.gens[2],
-            }),
-        }
+    fn finish(self) -> (CatalogSnapshot, PageMarks) {
+        let mut snap = self.snap;
+        snap.next_id_floor = self.max_id;
+        snap.generations = Some(SnapshotGenerations {
+            collections: self.gens[0],
+            datasets: self.gens[1],
+            metadata: self.gens[2],
+        });
+        (snap, self.touched)
     }
 }
 
@@ -867,37 +834,41 @@ fn for_each_commit_group(
 }
 
 /// Redo recovery: read the device's durable image and produce the
-/// catalog snapshot it proves — checkpoint plus every complete commit
-/// group of the tail, trailing incomplete group discarded.
+/// catalog rows it proves — checkpoint plus every complete commit group
+/// of the tail, trailing incomplete group discarded. The checkpoint is
+/// read part by part straight into row pages, and the tail applied to
+/// them in place.
 pub(crate) fn replay_device(device: &LogDevice) -> SrbResult<Replayed> {
-    let (checkpoint, tail, read_ns) = device.read_back()?;
-    let Some((ckpt_lsn, checkpoint_json)) = checkpoint else {
+    let (checkpoint, tail, read_ns) = device.read_back_parts()?;
+    let Some((ckpt_lsn, image)) = checkpoint else {
         return Err(SrbError::Invalid(
             "log device has no checkpoint (was durability ever enabled?)".into(),
         ));
     };
-    let envelope: CheckpointEnvelope = serde_json::from_str(&checkpoint_json[..])
-        .map_err(|e| SrbError::Parse(format!("checkpoint JSON: {e}")))?;
-    let admin = envelope.snapshot.admin;
-    let mut patch = Patch::from_snapshot(envelope.snapshot);
+    let (at_ns, snapshot, image) =
+        read_checkpoint(&image).map_err(|e| SrbError::Parse(format!("checkpoint JSON: {e}")))?;
+    let mut redo = Redo::new(snapshot);
 
     let durable_lsn = tail.last().map(|&(lsn, _)| lsn).unwrap_or(ckpt_lsn);
     // The clock never runs backwards through a checkpoint, even when the
     // replay tail is empty.
-    let mut max_at_ns = envelope.at_ns;
+    let mut max_at_ns = at_ns;
     let mut groups_applied = 0usize;
     let records_discarded = for_each_commit_group(&tail, |group, _marker, at_ns| {
         max_at_ns = max_at_ns.max(at_ns);
         for (record, _len) in group {
-            patch.apply(record);
+            redo.apply(record);
         }
         groups_applied += 1;
     })?;
     let records_replayed = tail.len();
     let recovery_ns = read_ns + REPLAY_NS_PER_RECORD * records_replayed as u64;
+    let (snapshot, touched) = redo.finish();
 
     Ok(Replayed {
-        snapshot: patch.into_snapshot(admin),
+        snapshot,
+        image,
+        touched,
         max_at_ns,
         report: RecoveryReport {
             checkpoint_lsn: ckpt_lsn,
@@ -906,6 +877,7 @@ pub(crate) fn replay_device(device: &LogDevice) -> SrbResult<Replayed> {
             groups_applied,
             records_discarded,
             recovery_ns,
+            pages_rendered: 0,
         },
     })
 }
@@ -1024,8 +996,8 @@ mod tests {
         let mut snap: CatalogSnapshot =
             serde_json::from_str(&mcat.snapshot_json().unwrap()).unwrap();
         snap.next_id_floor = 0; // read before the rows were allocated
-        let patch = Patch::from_snapshot(snap);
-        assert_eq!(patch.max_id, mcat.ids.allocated());
+        let redo = Redo::new(snap);
+        assert_eq!(redo.max_id, mcat.ids.allocated());
     }
 
     #[test]

@@ -7,10 +7,12 @@
 //! `snapshot_json()` byte for byte, and the pages the checkpoint rendered
 //! must be exactly the pages of the image that a record logged since the
 //! previous accepted checkpoint touched — the rest were shared. Arms: a
-//! refused install between two accepted ones, a crash plus `recover` (and
-//! a checkpoint by a catalog whose image the device no longer holds), a
-//! page emptied by deletes, and the parts themselves: a clean page's part
-//! is the previous image's, by pointer.
+//! refused install between two accepted ones, a crash plus `recover` —
+//! whose checkpoint renders the pages the replayed tail touched and shares
+//! the rest with the image it read — and a checkpoint by a catalog whose
+//! image the device no longer holds, a page emptied by deletes, and the
+//! parts themselves: a clean page's part is the previous image's, by
+//! pointer.
 
 use srb_mcat::{
     AccessSpec, AnnotationKind, AuditAction, CatalogSnapshot, Mcat, MetaKind, Subject, WalConfig,
@@ -475,24 +477,47 @@ fn a_refused_install_leaves_the_next_checkpoint_owing_its_pages() {
 }
 
 #[test]
-fn recovery_and_a_replaced_image_fall_back_to_a_full_render() {
+fn recovery_shares_the_untouched_pages_and_a_replaced_image_falls_back_to_a_full_render() {
     let mut rig = Rig::new(11);
     rig.run(1_500);
     rig.checkpoint(false);
+    let read = rig.device.checkpoint_image().unwrap();
     rig.run_unchecked(300);
     rig.device.crash();
+    let (pages, whole) = rig.dirtied();
     let metrics = MetricsRegistry::new();
-    let (m2, _) = Mcat::recover(
+    let (m2, report) = Mcat::recover(
         rig.clock.clone(),
         rig.device.clone(),
         CONFIG,
         Some(&metrics),
     )
     .unwrap();
-    // The recovery checkpoint is a full render of the recovered catalog.
+    // The recovery checkpoint equals a full render of the recovered
+    // catalog, but renders only the pages the replayed tail touched: the
+    // rest are the parts of the image recovery read, by pointer.
     let image = device_image(&rig.device);
     assert_eq!(image, m2.snapshot_json().unwrap());
-    assert_eq!(counters(&metrics), (0, pages_of(&image).len() as u64));
+    let present = pages_of(&image);
+    let touched = |p: &Page| pages.contains(p) || whole.contains(p.0);
+    let rendered = present.iter().filter(|p| touched(p)).count() as u64;
+    assert!(0 < rendered && rendered < present.len() as u64);
+    assert_eq!(
+        counters(&metrics),
+        (present.len() as u64 - rendered, rendered)
+    );
+    assert_eq!(report.pages_rendered, rendered);
+    let (old, new) = (
+        page_parts(&read),
+        page_parts(&rig.device.checkpoint_image().unwrap()),
+    );
+    for (page, part) in &new {
+        assert_eq!(
+            old.get(page).is_some_and(|was| Arc::ptr_eq(was, part)),
+            !touched(page),
+            "{page:?}"
+        );
+    }
     // The old catalog's last image is no longer the device's: its next
     // checkpoint renders everything.
     rig.checkpoint(true);

@@ -6,8 +6,8 @@
 //! (a full catalog snapshot, immutable once installed) plus an ordered
 //! tail of LSN-stamped records. The checkpoint is an [`Image`]: its text
 //! in ordered parts, so a writer that installs an image sharing most of
-//! its parts with the last one copies none of them. Recovery reads the
-//! parts back joined into one text, as a real read copies anyway.
+//! its parts with the last one copies none of them, and recovery reads
+//! the parts back as they are, shared.
 //! Like every other driver in this crate it never sleeps — each operation
 //! returns its virtual cost in nanoseconds so the WAL can charge group
 //! commits against the `SimClock` and fold them into receipts.
@@ -425,11 +425,13 @@ impl LogDevice {
     /// first LSN, so a line a late fsync landed at or below the cover is
     /// replayed too (redo is idempotent). A corrupt line ends the tail
     /// (torn write); a corrupt checkpoint is fatal. The checkpoint comes
-    /// back as one text, its parts joined after the device lock is let
-    /// go; the read is priced on its length, as one part would be.
-    /// Returns `(checkpoint, tail, virtual cost)`.
+    /// back as the device holds it — its parts, shared, not copied; the
+    /// read is priced on its length, as one part would be. Returns
+    /// `(checkpoint, tail, virtual cost)`.
     #[allow(clippy::type_complexity)]
-    pub fn read_back(&self) -> SrbResult<(Option<(Lsn, String)>, Vec<(Lsn, String)>, u64)> {
+    pub fn read_back_parts(
+        &self,
+    ) -> SrbResult<(Option<(Lsn, Arc<Image>)>, Vec<(Lsn, String)>, u64)> {
         let mut g = self.inner.lock();
         let checkpoint = g.checkpoint.clone();
         if checkpoint.as_ref().is_some_and(|(_, snap)| snap.is_empty()) {
@@ -438,11 +440,17 @@ impl LogDevice {
         let tail = g.tail_after(Lsn::default());
         drop(g);
         let mut bytes = tail.iter().map(|(_, p)| line_bytes(p.len())).sum::<u64>();
-        let checkpoint = checkpoint.map(|(lsn, snap)| {
-            bytes += snap.len() as u64;
-            (lsn, snap.join())
-        });
+        bytes += checkpoint.as_ref().map_or(0, |(_, snap)| snap.len() as u64);
         Ok((checkpoint, tail, self.cost.read_ns(bytes)))
+    }
+
+    /// [`LogDevice::read_back_parts`] with the checkpoint's parts joined
+    /// into one text, after the device lock is let go; same tail, same
+    /// price.
+    #[allow(clippy::type_complexity)]
+    pub fn read_back(&self) -> SrbResult<(Option<(Lsn, String)>, Vec<(Lsn, String)>, u64)> {
+        let (checkpoint, tail, cost) = self.read_back_parts()?;
+        Ok((checkpoint.map(|(lsn, snap)| (lsn, snap.join())), tail, cost))
     }
 
     /// Cursor read for replication: the readable durable lines with

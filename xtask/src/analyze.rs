@@ -46,7 +46,7 @@
 //! used as a temporary lives to the end of its statement.
 
 use crate::lexer::{matching_close, FnItem, Lexed, Tok, TokKind};
-use crate::lockgraph::{Edge, LockGraph, LockRegistry, DEFAULT_RANKS};
+use crate::lockgraph::{Edge, LockGraph, LockRegistry};
 use crate::rules::Violation;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
@@ -123,8 +123,6 @@ pub struct Analysis {
     pub registry: LockRegistry,
     pub graph: LockGraph,
     pub ranks: BTreeMap<String, u8>,
-    /// Did `LockRank` parse out of sync.rs, or are we on the fallback?
-    pub ranks_from_source: bool,
     pub ledger: Ledger,
 }
 
@@ -160,6 +158,10 @@ impl Ledger {
     }
 }
 
+/// Where `LockRank`, the lock hierarchy every ranked lock names, is
+/// defined.
+const SYNC_FILE: &str = "crates/srb-types/src/sync.rs";
+
 /// Is this file in scope for the three analyses (library code only)?
 fn in_analysis_scope(path: &str) -> bool {
     (path.starts_with("src/") || path.contains("/src/"))
@@ -172,18 +174,16 @@ fn in_analysis_scope(path: &str) -> bool {
 /// `root`); `refs` are read only as references for `over-public`. Reads
 /// each file once and lexes it once.
 pub fn analyze(root: &Path, files: &[String], refs: &[String]) -> std::io::Result<Analysis> {
-    let ranks_src = std::fs::read_to_string(root.join("crates/srb-types/src/sync.rs")).ok();
-    let (ranks, ranks_from_source) = match ranks_src.as_deref().and_then(LockRegistry::parse_ranks)
-    {
-        Some(r) => (r, true),
-        None => (
-            DEFAULT_RANKS
-                .iter()
-                .map(|&(n, r)| (n.to_string(), r))
-                .collect(),
-            false,
-        ),
-    };
+    // The hierarchy is read from the one place it is defined; without it
+    // no lock can be ranked, so the analysis fails rather than guess.
+    let ranks_src = std::fs::read_to_string(root.join(SYNC_FILE))
+        .map_err(|e| std::io::Error::new(e.kind(), format!("cannot read {SYNC_FILE}: {e}")))?;
+    let ranks = LockRegistry::parse_ranks(&ranks_src).ok_or_else(|| {
+        std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!("cannot parse `enum LockRank` out of {SYNC_FILE}"),
+        )
+    })?;
 
     let mut all_files: Vec<(String, Lexed)> = Vec::new();
     let mut doc_tests = Vec::new();
@@ -282,7 +282,6 @@ pub fn analyze(root: &Path, files: &[String], refs: &[String]) -> std::io::Resul
         registry,
         graph,
         ranks,
-        ranks_from_source,
         ledger,
     })
 }
@@ -953,10 +952,7 @@ mod tests {
 
     fn run(src: &str) -> Vec<Violation> {
         let lexed = Lexed::new(src);
-        let ranks: BTreeMap<String, u8> = DEFAULT_RANKS
-            .iter()
-            .map(|&(n, r)| (n.to_string(), r))
-            .collect();
+        let ranks = crate::lockgraph::tests::ranks();
         let mut registry = LockRegistry::default();
         registry.harvest("crates/x/src/a.rs", &lexed, &ranks);
         let mut graph = LockGraph::default();

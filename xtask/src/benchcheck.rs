@@ -244,7 +244,8 @@ const GATES: &[Gate] = &[
     g(LOAD, "", All, "load-sweep-live", is(R("sweep.live_after"), Eq, N(0.0))),
     g(LOAD, "", All, "load-sweep-gauge", is(R("sweep.live_gauge_after"), Eq, N(0.0))),
     // RECOVERY: byte-identical recovery; the WAL costs something, but not much
-    // (twice the worst recorded row); one commit group per tail ingest.
+    // (twice the worst recorded row); one commit group per tail ingest; the
+    // recovery checkpoint renders no more pages than tail records touch.
     g(RECOVERY, "rows", All, "recovery-datasets-positive", pos("datasets")),
     g(RECOVERY, "rows", All, "recovery-base-positive", pos("base_ingest_us")),
     g(RECOVERY, "rows", All, "recovery-wal-positive", pos("wal_ingest_us")),
@@ -257,6 +258,8 @@ const GATES: &[Gate] = &[
       is(R("tail_records"), Ge, R("groups_applied"))),
     g(RECOVERY, "rows", All, "recovery-one-group-per-ingest",
       Cmp { c: 1.0, ..is(R("groups_applied"), Le, R("tail_datasets")) }),
+    g(RECOVERY, "rows", All, "recovery-renders-touched-pages",
+      is(R("pages_rendered"), Le, R("tail_records"))),
     g(RECOVERY, "rows", All, "recovery-wal-costs", is(R("wal_ingest_us"), Gt, R("base_ingest_us"))),
     g(RECOVERY, "rows", All, "recovery-wal-overhead",
       cmp(R("wal_ingest_us"), Le, 7.0, R("base_ingest_us"))),

@@ -28,16 +28,6 @@
 use crate::lexer::{Lexed, TokKind};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Fallback hierarchy used when `sync.rs` cannot be parsed; mirrors
-/// `srb_types::sync::LockRank`.
-pub const DEFAULT_RANKS: &[(&str, u8)] = &[
-    ("Topology", 0),
-    ("Storage", 1),
-    ("McatTable", 2),
-    ("CoreState", 3),
-    ("Session", 4),
-];
-
 /// One harvested `Mutex::new` / `RwLock::new` construction site.
 #[derive(Debug, Clone)]
 pub struct LockDef {
@@ -363,14 +353,13 @@ impl LockGraph {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    fn ranks() -> BTreeMap<String, u8> {
-        DEFAULT_RANKS
-            .iter()
-            .map(|&(n, r)| (n.to_string(), r))
-            .collect()
+    /// The hierarchy the unit tests rank their locks by.
+    pub(crate) fn ranks() -> BTreeMap<String, u8> {
+        let src = "pub enum LockRank { Topology = 0, Storage = 1, McatTable = 2, CoreState = 3, Session = 4 }";
+        LockRegistry::parse_ranks(src).unwrap()
     }
 
     #[test]

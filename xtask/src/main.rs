@@ -241,12 +241,6 @@ fn run_analyze(root: &Path, dot: bool, out: &Output) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    if !analysis.ranks_from_source && !out.json {
-        println!(
-            "xtask analyze: note: could not parse LockRank from \
-             crates/srb-types/src/sync.rs; using the built-in hierarchy"
-        );
-    }
     if dot {
         let text = analysis.graph.emit_dot(&analysis.registry, &analysis.ranks);
         let path = root.join(DOT_FILE);

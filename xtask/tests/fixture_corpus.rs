@@ -210,3 +210,28 @@ fn copy_tree(from: &std::path::Path, to: &std::path::Path) -> std::io::Result<()
     }
     Ok(())
 }
+
+#[test]
+fn analyze_fails_closed_without_the_lock_hierarchy() {
+    // A copy of the fixture tree whose `sync.rs` is gone, then unreadable
+    // as a hierarchy: no lock can be ranked, so analyze refuses to run.
+    let scratch = std::env::temp_dir().join(format!("xtask-fixture-ranks-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&scratch);
+    copy_tree(std::path::Path::new(&fixture_root()), &scratch).expect("copy fixture tree");
+    let sync = scratch.join("crates/srb-types/src/sync.rs");
+    for text in [None, Some("pub enum Rank { Topology }\n")] {
+        match text {
+            None => std::fs::remove_file(&sync).expect("sync.rs removed"),
+            Some(text) => std::fs::write(&sync, text).expect("sync.rs rewritten"),
+        }
+        let out = Command::new(env!("CARGO_BIN_EXE_xtask"))
+            .args(["analyze", "--root", &scratch.to_string_lossy()])
+            .output()
+            .expect("xtask binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{stderr}");
+        assert!(stderr.contains("crates/srb-types/src/sync.rs"), "{stderr}");
+        assert!(out.stdout.is_empty(), "no findings without a hierarchy");
+    }
+    let _ = std::fs::remove_dir_all(&scratch);
+}
