@@ -324,7 +324,7 @@ impl<'g> SrbConnection<'g> {
     /// Append one audit row for this session's user. Ops audit through
     /// [`end_op`](Self::end_op); this is for the extra rows some write
     /// mid-op, which ride the op's commit.
-    pub(crate) fn audit_row(&self, action: AuditAction, subject: &str, outcome: &str) {
+    pub(crate) fn audit_row(&self, action: AuditAction, subject: &str, outcome: &'static str) {
         let mcat = &self.grid.mcat;
         mcat.audit.record(
             &mcat.ids,

@@ -7,9 +7,11 @@
 use crate::pages::RowPages;
 use crate::snapshot::{Field, ImageWriter};
 use crate::wal::{WalHook, WalOp};
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, JsonReader, Serialize};
 use srb_types::sync::{LockRank, Mutex};
 use srb_types::{AuditId, IdGen, Timestamp, UserId};
+use std::borrow::Cow;
+use std::fmt;
 
 /// What happened.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -85,8 +87,102 @@ pub struct AuditRow {
     pub action: AuditAction,
     /// What they did it to (logical path or entity id).
     pub subject: String,
-    /// `ok` or an error code.
-    pub outcome: String,
+    /// `ok`, the op's own word for success, or an error code.
+    pub outcome: Outcome,
+}
+
+// Row budget: every brokered op appends one row, kept for good; a field
+// that grows the row fails the build.
+const _: () = assert!(std::mem::size_of::<AuditRow>() <= 80);
+
+/// An audit row's outcome. The grid writes only static words (`ok`, an
+/// op's word for success such as `unlink`, an `SrbError::code`), so a row
+/// holds one without an allocation. Text read back from a log or an image
+/// is matched against the same words, and any other text is kept as
+/// read. Written as a plain JSON string.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Outcome(Cow<'static, str>);
+
+/// The outcome words the grid writes.
+const WORDS: &[&str] = &[
+    "ok",
+    "lock",
+    "unlock",
+    "pin",
+    "unpin",
+    "checkout",
+    "checkin",
+    "resync",
+    "sweep",
+    "compact",
+    "unlink",
+    "repair",
+    "repair-skip-breaker",
+    "NOT_FOUND",
+    "ALREADY_EXISTS",
+    "PERMISSION_DENIED",
+    "AUTH_FAILED",
+    "RESOURCE_UNAVAILABLE",
+    "TIMEOUT",
+    "CORRUPT",
+    "LOCKED",
+    "INVALID",
+    "MISSING_METADATA",
+    "UNSUPPORTED",
+    "IO",
+    "PARSE",
+    "INTERNAL",
+];
+
+impl std::ops::Deref for Outcome {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        &self.0
+    }
+}
+
+impl From<&'static str> for Outcome {
+    fn from(word: &'static str) -> Self {
+        Outcome(Cow::Borrowed(word))
+    }
+}
+
+impl PartialEq<&str> for Outcome {
+    fn eq(&self, other: &&str) -> bool {
+        &*self.0 == *other
+    }
+}
+
+impl PartialEq<Outcome> for String {
+    fn eq(&self, other: &Outcome) -> bool {
+        *self == *other.0
+    }
+}
+
+impl fmt::Display for Outcome {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl Serialize for Outcome {
+    fn write_json(&self, out: &mut String) {
+        self.0.write_json(out);
+    }
+}
+
+impl Deserialize for Outcome {
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, DeError> {
+        if r.peek_token() != Some(b'"') {
+            return Err(r.expected("string", "Outcome"));
+        }
+        let text = r.str()?;
+        Ok(Outcome(match WORDS.iter().find(|&&w| w == text) {
+            Some(&word) => Cow::Borrowed(word),
+            None => Cow::Owned(text.into_owned()),
+        }))
+    }
 }
 
 /// Append-only audit log.
@@ -120,7 +216,7 @@ impl AuditLog {
         user: UserId,
         action: AuditAction,
         subject: &str,
-        outcome: &str,
+        outcome: &'static str,
     ) {
         let mut row = AuditRow {
             id: AuditId(0),
@@ -128,7 +224,7 @@ impl AuditLog {
             user,
             action,
             subject: subject.to_string(),
-            outcome: outcome.to_string(),
+            outcome: outcome.into(),
         };
         // The id is drawn under the lock, so id order and log order agree
         // under any number of writers, and every row appends.
@@ -233,6 +329,44 @@ mod tests {
         assert_eq!(log.for_user(UserId(1)).len(), 2);
         assert_eq!(log.for_subject("/a").len(), 2);
         assert_eq!(log.for_subject("/b")[0].outcome, "PERMISSION_DENIED");
+    }
+
+    /// Every word the grid writes reads back static, including every
+    /// error code; other text reads back as it was, and is written the
+    /// same.
+    #[test]
+    fn outcomes_read_back_as_static_words() {
+        use srb_types::SrbError;
+        let errors = [
+            SrbError::NotFound(String::new()),
+            SrbError::AlreadyExists(String::new()),
+            SrbError::PermissionDenied(String::new()),
+            SrbError::AuthFailed(String::new()),
+            SrbError::ResourceUnavailable(String::new()),
+            SrbError::Timeout(String::new()),
+            SrbError::Corrupt(String::new()),
+            SrbError::Locked(String::new()),
+            SrbError::Invalid(String::new()),
+            SrbError::MissingMetadata(String::new()),
+            SrbError::Unsupported(String::new()),
+            SrbError::Io(String::new()),
+            SrbError::Parse(String::new()),
+            SrbError::Internal(String::new()),
+        ];
+        let read = |text: &str| serde_json::from_str::<Outcome>(text).unwrap();
+        for word in errors.iter().map(SrbError::code).chain(["ok", "unlink"]) {
+            let outcome = read(&serde_json::to_string(word).unwrap());
+            assert!(
+                matches!(outcome.0, Cow::Borrowed(_)),
+                "{word} is not interned"
+            );
+            assert_eq!(outcome, word);
+        }
+        let odd = read(r#""half \"done\"""#);
+        assert!(matches!(odd.0, Cow::Owned(_)));
+        assert_eq!(odd, r#"half "done""#);
+        assert_eq!(serde_json::to_string(&odd).unwrap(), r#""half \"done\"""#);
+        assert!(serde_json::from_str::<Outcome>("7").is_err());
     }
 
     #[test]

@@ -172,6 +172,12 @@ pub struct Replica {
     pub created: Timestamp,
 }
 
+// Row budgets: a dataset page holds 1 024 `Dataset`s inline, and each
+// stored dataset owns at least one `Replica`. A field that grows either
+// fails the build.
+const _: () = assert!(std::mem::size_of::<Dataset>() <= 240);
+const _: () = assert!(std::mem::size_of::<Replica>() <= 160);
+
 /// Lock flavour (paper: shared and exclusive locks with expiry).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum LockKind {
@@ -376,7 +382,39 @@ struct Inner {
     /// Ordered by (collection, name): one bounded range serves both name
     /// lookup and the O(page) listing scans behind resumable cursors.
     by_name: BTreeMap<(CollectionId, String), DatasetId>,
-    by_coll: IdMap<CollectionId, Vec<DatasetId>>,
+    /// Datasets per collection (none listed for an empty one): the
+    /// planner's scope size without a walk.
+    counts: IdMap<CollectionId, usize>,
+}
+
+impl Inner {
+    /// Name a row in its collection.
+    fn list(&mut self, coll: CollectionId, name: String, id: DatasetId) {
+        self.by_name.insert((coll, name), id);
+        *self.counts.entry(coll).or_default() += 1;
+    }
+
+    /// Drop a row's name from its collection, and the collection's count
+    /// once it is empty.
+    fn unlist(&mut self, coll: CollectionId, name: String) {
+        if self.by_name.remove(&(coll, name)).is_none() {
+            return;
+        }
+        if let Some(n) = self.counts.get_mut(&coll) {
+            *n -= 1;
+            if *n == 0 {
+                self.counts.remove(&coll);
+            }
+        }
+    }
+
+    /// The rows of one collection, in name order.
+    fn ids_in(&self, coll: CollectionId) -> impl Iterator<Item = DatasetId> + '_ {
+        self.by_name
+            .range((coll, String::new())..)
+            .take_while(move |((c, _), _)| *c == coll)
+            .map(|(_, &id)| id)
+    }
 }
 
 impl DatasetTable {
@@ -538,8 +576,7 @@ impl DatasetTable {
         };
         self.wal.log(gen, || WalOp::DatasetPut { row: row.clone() });
         g.rows.insert(row);
-        g.by_coll.entry(key.0).or_default().push(id);
-        g.by_name.insert(key, id);
+        g.list(key.0, key.1, id);
         id
     }
 
@@ -720,14 +757,11 @@ impl DatasetTable {
             .rows
             .get_mut(id)
             .ok_or_else(|| SrbError::NotFound(format!("dataset {id}")))?;
-        let key_old = (d.coll, d.name.clone());
         let old_coll = d.coll;
         d.coll = new_coll;
-        d.name = new_name.to_string();
-        g.by_name.remove(&key_old);
-        g.by_name.insert(key_new, id);
-        unlist(&mut g.by_coll, old_coll, id);
-        g.by_coll.entry(new_coll).or_default().push(id);
+        let old_name = std::mem::replace(&mut d.name, new_name.to_string());
+        g.unlist(old_coll, old_name);
+        g.list(key_new.0, key_new.1, id);
         let gen = self.generation.bump_get().raw();
         if let Some(row) = g.rows.get(id) {
             self.wal.log(gen, || WalOp::DatasetPut { row: row.clone() });
@@ -742,8 +776,7 @@ impl DatasetTable {
             .rows
             .remove(id)
             .ok_or_else(|| SrbError::NotFound(format!("dataset {id}")))?;
-        g.by_name.remove(&(d.coll, d.name.clone()));
-        unlist(&mut g.by_coll, d.coll, id);
+        g.unlist(d.coll, d.name.clone());
         let gen = self.generation.bump_get().raw();
         self.wal.log(gen, || WalOp::DatasetDelete { id });
         Ok(d)
@@ -771,8 +804,7 @@ impl DatasetTable {
         {
             let mut g = t.inner.write();
             for d in rows.iter() {
-                g.by_name.insert((d.coll, d.name.clone()), d.id);
-                g.by_coll.entry(d.coll).or_default().push(d.id);
+                g.list(d.coll, d.name.clone(), d.id);
             }
             g.rows = rows;
         }
@@ -801,15 +833,14 @@ impl DatasetTable {
 
     /// Ids of every dataset whose collection is in `colls`, under one read
     /// guard and without cloning any row — the scope-expansion primitive
-    /// of the query engine. Order follows each collection's insertion
-    /// order; callers needing a stable order sort the resulting hits.
+    /// of the query engine. Each collection's rows come in name order, the
+    /// collections in no set order; callers needing a stable order sort
+    /// the resulting hits.
     pub(crate) fn ids_in_colls(&self, colls: &IdSet<CollectionId>) -> Vec<DatasetId> {
         let g = self.inner.read();
-        let mut out = Vec::new();
-        for coll in colls {
-            if let Some(ids) = g.by_coll.get(coll) {
-                out.extend_from_slice(ids);
-            }
+        let mut out = Vec::with_capacity(Self::count_locked(&g, colls));
+        for &coll in colls {
+            out.extend(g.ids_in(coll));
         }
         out
     }
@@ -817,12 +848,11 @@ impl DatasetTable {
     /// Number of datasets whose collection is in `colls` — the planner's
     /// scope size, without materializing any id list.
     pub(crate) fn count_in_colls(&self, colls: &IdSet<CollectionId>) -> usize {
-        let g = self.inner.read();
-        colls
-            .iter()
-            .filter_map(|c| g.by_coll.get(c))
-            .map(Vec::len)
-            .sum()
+        Self::count_locked(&self.inner.read(), colls)
+    }
+
+    fn count_locked(g: &Inner, colls: &IdSet<CollectionId>) -> usize {
+        colls.iter().filter_map(|c| g.counts.get(c)).sum()
     }
 
     /// Current membership/naming generation (cursor invalidation).
@@ -870,20 +900,9 @@ impl DatasetBatch<'_> {
     }
 }
 
-/// Drop `id` from its collection's list, and the list once it is empty.
-fn unlist(by_coll: &mut IdMap<CollectionId, Vec<DatasetId>>, coll: CollectionId, id: DatasetId) {
-    if let Some(v) = by_coll.get_mut(&coll) {
-        v.retain(|&x| x != id);
-        if v.is_empty() {
-            by_coll.remove(&coll);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeSet;
 
     fn stored(r: u64) -> AccessSpec {
         AccessSpec::Stored {
@@ -1244,19 +1263,13 @@ mod tests {
         assert_eq!(t.get(id).unwrap().size(), 20);
     }
 
-    /// The live table's derived maps against a rebuild from its rows;
-    /// `by_coll` lists follow insertion order, so they compare as sets.
+    /// The live table's derived maps against a rebuild from its rows.
     fn assert_derived_state_matches_rebuild(t: &DatasetTable) {
         let g = t.inner.read();
         let rebuilt = DatasetTable::restore(g.rows.clone());
         let r = rebuilt.inner.read();
         assert_eq!(g.by_name, r.by_name);
-        let as_sets = |m: &IdMap<CollectionId, Vec<DatasetId>>| {
-            m.iter()
-                .map(|(c, ids)| (*c, ids.iter().copied().collect::<BTreeSet<_>>()))
-                .collect::<BTreeMap<_, _>>()
-        };
-        assert_eq!(as_sets(&g.by_coll), as_sets(&r.by_coll));
+        assert_eq!(g.counts, r.counts);
     }
 
     /// A seeded run of creates, moves and deletes across a few
@@ -1304,6 +1317,6 @@ mod tests {
         }
         assert_derived_state_matches_rebuild(&t);
         let g = t.inner.read();
-        assert!(g.by_name.is_empty() && g.by_coll.is_empty());
+        assert!(g.by_name.is_empty() && g.counts.is_empty());
     }
 }

@@ -16,6 +16,7 @@ use srb_types::{
     like_scan_prefix, CollectionId, CompareOp, DatasetId, GenCounter, Generation, IdGen, IdMap,
     IdSet, MetaId, MetaValue, SrbError, SrbResult, Triplet,
 };
+use std::borrow::{Borrow, Cow};
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::Bound;
@@ -64,6 +65,10 @@ pub struct MetaRow {
     /// Category.
     pub kind: MetaKind,
 }
+
+// Row budget: a metadata page holds 1 024 rows inline; a field that grows
+// the row fails the build.
+const _: () = assert!(std::mem::size_of::<MetaRow>() <= 120);
 
 /// The fifteen Dublin Core elements, as the paper's canonical example of a
 /// type-oriented schema.
@@ -135,6 +140,121 @@ impl IndexKey {
     }
 }
 
+/// What the index order reads of a key: its numeric view, and for a text
+/// key its case fold and raw form. A stored [`IndexKey`] and a borrowed
+/// [`KeyProbe`] both have them, so a lookup need not build a key: the
+/// map is searched as `dyn KeyView`.
+trait KeyView {
+    /// The numeric view; `None` for pure text.
+    fn num(&self) -> Option<f64>;
+    /// Text whose bytes, ASCII-lowercased, are the key's case fold: the
+    /// fold itself (lowercasing it again changes nothing), or raw ASCII
+    /// text, whose fold that is.
+    fn fold(&self) -> Option<&str>;
+    /// Raw lexical form of a text key.
+    fn raw(&self) -> &str;
+}
+
+impl KeyView for IndexKey {
+    fn num(&self) -> Option<f64> {
+        self.num
+    }
+
+    fn fold(&self) -> Option<&str> {
+        self.fold.as_deref()
+    }
+
+    fn raw(&self) -> &str {
+        IndexKey::raw(self)
+    }
+}
+
+/// A value's place in the index, borrowed: no clone of the value, and no
+/// folded copy of ASCII text.
+struct KeyProbe<'a> {
+    num: Option<f64>,
+    fold: Option<Cow<'a, str>>,
+    raw: &'a str,
+}
+
+impl<'a> KeyProbe<'a> {
+    fn new(v: &'a MetaValue) -> Self {
+        let num = v.as_f64();
+        let raw = match v {
+            MetaValue::Text(s) if num.is_none() => s.as_str(),
+            _ => "",
+        };
+        let fold = match num {
+            Some(_) => None,
+            None if raw.is_ascii() => Some(Cow::Borrowed(raw)),
+            None => Some(Cow::Owned(raw.to_lowercase())),
+        };
+        KeyProbe { num, fold, raw }
+    }
+
+    fn view(&self) -> &(dyn KeyView + 'a) {
+        self
+    }
+}
+
+impl KeyView for KeyProbe<'_> {
+    fn num(&self) -> Option<f64> {
+        self.num
+    }
+
+    fn fold(&self) -> Option<&str> {
+        self.fold.as_deref()
+    }
+
+    fn raw(&self) -> &str {
+        self.raw
+    }
+}
+
+impl<'a> Borrow<dyn KeyView + 'a> for IndexKey {
+    fn borrow(&self) -> &(dyn KeyView + 'a) {
+        self
+    }
+}
+
+/// Numbers first, by value; then text by case fold, raw form breaking
+/// ties.
+fn key_cmp<A: KeyView + ?Sized, B: KeyView + ?Sized>(a: &A, b: &B) -> Ordering {
+    match (a.num(), b.num()) {
+        (Some(a), Some(b)) => a.partial_cmp(&b).unwrap_or(Ordering::Equal),
+        (Some(_), None) => Ordering::Less,
+        (None, Some(_)) => Ordering::Greater,
+        (None, None) => {
+            let (fa, fb) = (a.fold().unwrap_or_default(), b.fold().unwrap_or_default());
+            let lower = |b: u8| b.to_ascii_lowercase();
+            match fa.bytes().map(lower).cmp(fb.bytes().map(lower)) {
+                Ordering::Equal => a.raw().cmp(b.raw()),
+                o => o,
+            }
+        }
+    }
+}
+
+impl PartialEq for dyn KeyView + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        key_cmp(self, other) == Ordering::Equal
+    }
+}
+
+impl Eq for dyn KeyView + '_ {}
+
+impl PartialOrd for dyn KeyView + '_ {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for dyn KeyView + '_ {
+    fn cmp(&self, other: &Self) -> Ordering {
+        key_cmp(self, other)
+    }
+}
+
 impl PartialEq for IndexKey {
     fn eq(&self, other: &Self) -> bool {
         self.cmp(other) == Ordering::Equal
@@ -151,18 +271,7 @@ impl PartialOrd for IndexKey {
 
 impl Ord for IndexKey {
     fn cmp(&self, other: &Self) -> Ordering {
-        match (self.num, other.num) {
-            (Some(a), Some(b)) => a.partial_cmp(&b).unwrap_or(Ordering::Equal),
-            (Some(_), None) => Ordering::Less,
-            (None, Some(_)) => Ordering::Greater,
-            (None, None) => {
-                let (fa, fb) = (self.fold.as_deref(), other.fold.as_deref());
-                match fa.cmp(&fb) {
-                    Ordering::Equal => self.raw().cmp(other.raw()),
-                    o => o,
-                }
-            }
-        }
+        key_cmp(self, other)
     }
 }
 
@@ -170,14 +279,22 @@ impl Ord for IndexKey {
 /// ascending order. Insert and remove are its only mutators, so the order
 /// always holds: a subject's membership is one binary search, and the
 /// dataset subjects are a prefix (they sort before collections).
+///
+/// Most keys (a `serial`) are unique, so one row is held inline; `Many`
+/// always holds two or more, so one set of rows has one shape. A posting
+/// is never empty: the index drops it with its last row.
 #[derive(Debug, PartialEq)]
-struct Posting(Vec<(Subject, MetaId)>);
+enum Posting {
+    One((Subject, MetaId)),
+    Many(Vec<(Subject, MetaId)>),
+}
 
 impl Posting {
-    /// An empty posting sized for one entry: most keys (a `serial`) are
-    /// unique, and a bare `push` would reserve room for four.
-    fn new() -> Self {
-        Posting(Vec::with_capacity(1))
+    fn entries(&self) -> &[(Subject, MetaId)] {
+        match self {
+            Posting::One(entry) => std::slice::from_ref(entry),
+            Posting::Many(v) => v,
+        }
     }
 
     /// File a row. New dataset and row ids ascend, so every ingest
@@ -185,19 +302,40 @@ impl Posting {
     /// search and costs O(posting), as its removal does.
     fn insert(&mut self, subject: Subject, id: MetaId) {
         let entry = (subject, id);
-        match self.0.last() {
-            Some(last) if *last > entry => {
-                let at = self.0.partition_point(|e| *e < entry);
-                self.0.insert(at, entry);
+        match self {
+            Posting::One(only) => {
+                let pair = if *only > entry {
+                    [entry, *only]
+                } else {
+                    [*only, entry]
+                };
+                *self = Posting::Many(pair.to_vec());
             }
-            _ => self.0.push(entry),
+            Posting::Many(v) => match v.last() {
+                Some(last) if *last > entry => {
+                    let at = v.partition_point(|e| *e < entry);
+                    v.insert(at, entry);
+                }
+                _ => v.push(entry),
+            },
         }
     }
 
-    /// Unfile a row, if it is filed here.
-    fn remove(&mut self, subject: Subject, id: MetaId) {
-        if let Ok(at) = self.0.binary_search(&(subject, id)) {
-            self.0.remove(at);
+    /// Unfile a row, if it is filed here; `true` when that leaves the
+    /// posting empty, for the caller to drop.
+    fn remove(&mut self, subject: Subject, id: MetaId) -> bool {
+        let entry = (subject, id);
+        match self {
+            Posting::One(only) => *only == entry,
+            Posting::Many(v) => {
+                if let Ok(at) = v.binary_search(&entry) {
+                    v.remove(at);
+                }
+                if let [only] = v[..] {
+                    *self = Posting::One(only);
+                }
+                false
+            }
         }
     }
 
@@ -208,7 +346,7 @@ impl Posting {
     /// list costs O(log posting) per survivor and a long one O(posting)
     /// in all.
     fn retain_datasets(&self, ids: &mut Vec<DatasetId>) {
-        let mut rest = self.0.as_slice();
+        let mut rest = self.entries();
         ids.retain(|&d| {
             let subject = Subject::Dataset(d);
             let (mut lo, mut step) = (0, 1);
@@ -229,18 +367,14 @@ impl Posting {
     /// The dataset subjects filed here, read straight out of the posting
     /// (once per row, so a dataset with two equal rows appears twice).
     fn datasets(&self) -> impl Iterator<Item = DatasetId> + '_ {
-        self.0.iter().map_while(|(s, _)| match s {
+        self.entries().iter().map_while(|(s, _)| match s {
             Subject::Dataset(d) => Some(*d),
             Subject::Collection(_) => None,
         })
     }
 
     fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.entries().len()
     }
 }
 
@@ -368,13 +502,14 @@ impl MetaStore {
             }
         }
         ids.push(id);
-        g.index
-            .entry(row.triplet.name.clone())
-            .or_default()
-            .entry(IndexKey::new(row.triplet.value.clone()))
-            .or_insert_with(Posting::new)
-            .insert(row.subject, id);
-        *g.attr_counts.entry(row.triplet.name.clone()).or_default() += 1;
+        let name = &row.triplet.name;
+        file(&mut g.index, name, &row.triplet.value, row.subject, id);
+        match g.attr_counts.get_mut(name.as_str()) {
+            Some(n) => *n += 1,
+            None => {
+                g.attr_counts.insert(name.clone(), 1);
+            }
+        }
     }
 
     /// Update a row's value/units in place.
@@ -389,13 +524,14 @@ impl MetaStore {
         row.triplet.units = units;
         // Re-index under the new value (the attribute name is unchanged, so
         // the per-attribute row count is too).
-        unindex(&mut g.index, &row.triplet.name, old, row.subject, id);
-        g.index
-            .entry(row.triplet.name.clone())
-            .or_default()
-            .entry(IndexKey::new(row.triplet.value.clone()))
-            .or_insert_with(Posting::new)
-            .insert(row.subject, id);
+        unindex(&mut g.index, &row.triplet.name, &old, row.subject, id);
+        file(
+            &mut g.index,
+            &row.triplet.name,
+            &row.triplet.value,
+            row.subject,
+            id,
+        );
         let gen = self.generation.bump_get().raw();
         self.wal.log(gen, || WalOp::MetaPut { row: row.clone() });
         Ok(())
@@ -425,7 +561,7 @@ impl MetaStore {
             }
             None => 0,
         };
-        unindex(&mut g.index, &name, row.triplet.value, row.subject, id);
+        unindex(&mut g.index, &name, &row.triplet.value, row.subject, id);
         if let Some(n) = g.attr_counts.get_mut(&name) {
             *n = n.saturating_sub(1);
             if *n == 0 {
@@ -591,8 +727,8 @@ impl MetaStore {
     ) {
         let g = self.inner.read();
         if op == CompareOp::Eq {
-            let key = IndexKey::new(value.clone());
-            match g.index.get(name).and_then(|vals| vals.get(&key)) {
+            let probe = KeyProbe::new(value);
+            match g.index.get(name).and_then(|vals| vals.get(probe.view())) {
                 Some(posting) => posting.retain_datasets(ids),
                 None => ids.clear(),
             }
@@ -630,7 +766,7 @@ impl MetaStore {
         };
         match op {
             CompareOp::Eq => vals
-                .get(&IndexKey::new(value.clone()))
+                .get(KeyProbe::new(value).view())
                 .map_or(0, Posting::len),
             // A one-sided range is an interval with one end unbounded.
             CompareOp::Gt | CompareOp::Ge | CompareOp::Lt | CompareOp::Le => capped_count(
@@ -851,24 +987,47 @@ fn rows_named<'a>(
         .filter(move |r| r.triplet.name == name)
 }
 
+/// File row `id` of `subject` under `name = value`. The attribute name is
+/// cloned only for a new partition, and the value only for a new key.
+fn file(
+    index: &mut HashMap<String, BTreeMap<IndexKey, Posting>>,
+    name: &str,
+    value: &MetaValue,
+    subject: Subject,
+    id: MetaId,
+) {
+    let Some(vals) = index.get_mut(name) else {
+        let key = IndexKey::new(value.clone());
+        let vals = BTreeMap::from([(key, Posting::One((subject, id)))]);
+        index.insert(name.to_string(), vals);
+        return;
+    };
+    match vals.get_mut(KeyProbe::new(value).view()) {
+        Some(posting) => posting.insert(subject, id),
+        None => {
+            vals.insert(IndexKey::new(value.clone()), Posting::One((subject, id)));
+        }
+    }
+}
+
 /// Unfile row `id` of `subject` from the posting of `name = value`,
 /// dropping the posting and then the partition once they are empty.
 fn unindex(
     index: &mut HashMap<String, BTreeMap<IndexKey, Posting>>,
     name: &str,
-    value: MetaValue,
+    value: &MetaValue,
     subject: Subject,
     id: MetaId,
 ) {
     let Some(vals) = index.get_mut(name) else {
         return;
     };
-    let key = IndexKey::new(value);
-    if let Some(posting) = vals.get_mut(&key) {
-        posting.remove(subject, id);
-        if posting.is_empty() {
-            vals.remove(&key);
-        }
+    let probe = KeyProbe::new(value);
+    if vals
+        .get_mut(probe.view())
+        .is_some_and(|posting| posting.remove(subject, id))
+    {
+        vals.remove(probe.view());
     }
     if vals.is_empty() {
         index.remove(name);
@@ -945,7 +1104,7 @@ fn walk_index(
     };
     match op {
         CompareOp::Eq => {
-            if let Some(v) = vals.get(&IndexKey::new(value.clone())) {
+            if let Some(v) = vals.get(KeyProbe::new(value).view()) {
                 emit(v);
             }
         }
@@ -1022,27 +1181,82 @@ mod tests {
             filed in prop::collection::vec((0u64..300, any::<bool>(), 0u64..4), 0..200),
             survivors in prop::collection::vec(0u64..320, 0..120),
         ) {
-            let mut posting = Posting::new();
-            for (n, dataset, row) in filed {
+            let mut filed = filed.into_iter().map(|(n, dataset, row)| {
                 let subject = match dataset {
                     true => Subject::Dataset(DatasetId(n)),
                     false => Subject::Collection(CollectionId(n)),
                 };
-                if !posting.0.contains(&(subject, MetaId(row))) {
-                    posting.insert(subject, MetaId(row));
+                (subject, MetaId(row))
+            });
+            let Some(first) = filed.next() else {
+                return Ok(());
+            };
+            let mut posting = Posting::One(first);
+            for (subject, row) in filed {
+                if !posting.entries().contains(&(subject, row)) {
+                    posting.insert(subject, row);
                 }
             }
             let mut ids: Vec<DatasetId> = survivors.into_iter().map(DatasetId).collect();
             ids.sort_unstable();
             ids.dedup();
             let has = |d: DatasetId| {
-                let at = posting.0.partition_point(|(s, _)| *s < Subject::Dataset(d));
-                posting.0.get(at).is_some_and(|(s, _)| *s == Subject::Dataset(d))
+                let entries = posting.entries();
+                let at = entries.partition_point(|(s, _)| *s < Subject::Dataset(d));
+                entries.get(at).is_some_and(|(s, _)| *s == Subject::Dataset(d))
             };
             let want: Vec<DatasetId> = ids.iter().copied().filter(|&d| has(d)).collect();
             posting.retain_datasets(&mut ids);
             prop_assert_eq!(ids, want);
         }
+    }
+
+    /// One row is inline; a second lists both, in order, and removing
+    /// down to one row goes back inline. Removing the last row asks the
+    /// caller to drop the posting.
+    #[test]
+    fn posting_goes_one_to_many_and_back() {
+        let (a, b, c) = (
+            (ds(2), MetaId(20)),
+            (ds(1), MetaId(30)),
+            (ds(3), MetaId(40)),
+        );
+        let mut p = Posting::One(a);
+        p.insert(b.0, b.1);
+        assert_eq!(p, Posting::Many(vec![b, a]));
+        p.insert(c.0, c.1);
+        assert_eq!(p.entries(), [b, a, c]);
+        assert!(!p.remove(a.0, a.1));
+        assert!(!p.remove(a.0, a.1), "a row filed elsewhere is left alone");
+        assert_eq!(p, Posting::Many(vec![b, c]));
+        assert!(!p.remove(c.0, c.1));
+        assert_eq!(p, Posting::One(b));
+        assert!(!p.remove(c.0, c.1));
+        p.insert(a.0, a.1);
+        assert_eq!(p, Posting::Many(vec![b, a]));
+        assert!(!p.remove(b.0, b.1));
+        assert_eq!(p, Posting::One(a));
+        assert!(p.remove(a.0, a.1));
+    }
+
+    /// A probe finds the key a value was filed under, across kinds and
+    /// case, without building a key.
+    #[test]
+    fn probes_find_filed_keys() {
+        let keys = ["Red", "1", "Émile", "x"].map(|t| IndexKey::new(MetaValue::Text(t.into())));
+        let vals: BTreeMap<IndexKey, u8> = keys.into_iter().zip(0..).collect();
+        let at = |v: MetaValue| vals.get(KeyProbe::new(&v).view()).copied();
+        assert_eq!(at(MetaValue::Text("Red".into())), Some(0));
+        assert_eq!(
+            at(MetaValue::Text("red".into())),
+            None,
+            "case breaks the tie"
+        );
+        assert_eq!(at(MetaValue::Int(1)), Some(1));
+        assert_eq!(at(MetaValue::Float(1.0)), Some(1));
+        assert_eq!(at(MetaValue::Text("Émile".into())), Some(2));
+        assert_eq!(at(MetaValue::Text("x".into())), Some(3));
+        assert_eq!(at(MetaValue::Text("y".into())), None);
     }
 
     fn store() -> (MetaStore, IdGen) {
@@ -1396,15 +1610,19 @@ mod tests {
     }
 
     /// Every derived map equals a rebuild from the rows, and every posting
-    /// is non-empty and strictly sorted.
+    /// is strictly sorted and of one shape: one row inline, more listed.
     fn assert_derived_state_matches_rebuild(s: &MetaStore) {
         let g = s.inner.read();
         for (name, vals) in &g.index {
             assert!(!vals.is_empty(), "empty partition {name}");
             for posting in vals.values() {
-                assert!(!posting.is_empty(), "empty posting under {name}");
                 assert!(
-                    posting.0.windows(2).all(|w| w[0] < w[1]),
+                    matches!(posting, Posting::One(_)) || posting.len() >= 2,
+                    "a posting of {} rows listed under {name}",
+                    posting.len()
+                );
+                assert!(
+                    posting.entries().windows(2).all(|w| w[0] < w[1]),
                     "unsorted posting under {name}: {posting:?}"
                 );
             }

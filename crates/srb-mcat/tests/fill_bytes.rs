@@ -4,18 +4,17 @@
 //! plus the row's own text. A table keeps its rows in id pages that grow
 //! a page at a time and never rehash; a hash map of 300 000 rows doubles
 //! its buckets as it fills, the last time by tens of megabytes in one
-//! insert, under the table's write guard.
+//! insert, under the table's write guard. All 300 000 datasets go into
+//! one collection, as an ingest-heavy grid puts them.
 //!
-//! The datasets go into collections of 1 000: a collection's member list
-//! is a plain vector that doubles as it grows, at 8 bytes a member, which
-//! one collection of 300 000 would push past a page; the row store is what
-//! is measured here. The audit trail has no such list.
+//! The bytes the fill leaves live are pinned too, per dataset: the row in
+//! its page, its name, type and replica, and its entry in the name index.
 //!
 //! This file holds one test so no other test thread allocates while a
 //! write is counted.
 
 use srb_mcat::{AccessSpec, AuditAction, AuditRow, Dataset, Mcat, IMAGE_PAGE_IDS};
-use srb_types::alloc::{bytes, Counting};
+use srb_types::alloc::{bytes, live_bytes, Counting};
 use srb_types::{ResourceId, SimClock};
 use std::mem::size_of;
 
@@ -25,8 +24,9 @@ static ALLOC: Counting = Counting;
 /// Rows each fill writes.
 const ROWS: usize = 300_000;
 
-/// Datasets per collection.
-const PER_COLLECTION: usize = 1_000;
+/// Live bytes per dataset after the fill, at most. A field or a
+/// per-row allocation added to a dataset row shows here.
+const LIVE_PER_DATASET: u64 = 517;
 
 /// What one row owns beside its slot in the page: its name, path and
 /// subject strings, its replica list and ACL.
@@ -42,16 +42,10 @@ fn no_write_takes_more_than_a_page() {
     let m = Mcat::new(SimClock::new(), "pw");
     let (admin, now) = (m.admin(), m.clock.now());
     let root = m.collections.root();
-    let mut coll = root;
+    let coll = m.collections.create(&m.ids, root, "c", admin, now).unwrap();
+    let before = live_bytes();
     let mut worst = 0;
     for k in 0..ROWS {
-        if k % PER_COLLECTION == 0 {
-            let name = format!("c{k}");
-            coll = m
-                .collections
-                .create(&m.ids, root, &name, admin, now)
-                .unwrap();
-        }
         let name = format!("obj{k:07}");
         let replica = AccessSpec::Stored {
             resource: ResourceId(1),
@@ -65,6 +59,11 @@ fn no_write_takes_more_than_a_page() {
         made.unwrap();
         worst = worst.max(taken);
     }
+    let per_dataset = (live_bytes() - before) / ROWS as u64;
+    assert!(
+        per_dataset <= LIVE_PER_DATASET,
+        "the fill holds {per_dataset} live bytes per dataset, more than {LIVE_PER_DATASET}"
+    );
     assert!(
         worst <= page_of::<Dataset>(),
         "a dataset create took {worst} bytes, more than one page's worth ({})",

@@ -8,6 +8,10 @@
 //! by part, into the catalog's row pages, and every page the tail did not
 //! touch is shared: no joined copy of the image, no second image.
 //!
+//! The recovered catalog itself may hold no more bytes than the catalog
+//! that crashed did: rows decoded from text cost what rows built by the
+//! ops cost, with no spare room in their vectors.
+//!
 //! This file holds one test so no other test thread allocates while the
 //! recovery is measured.
 
@@ -112,7 +116,9 @@ fn recovery_holds_no_more_than_the_catalog_and_the_touched_pages() {
             m.checkpoint_now().unwrap();
         }
     }
+    let live = live_bytes();
     drop(m);
+    let crashed = live - live_bytes();
     device.crash();
     let pages = touched(&device);
 
@@ -132,6 +138,11 @@ fn recovery_holds_no_more_than_the_catalog_and_the_touched_pages() {
     let catalog = held - live_bytes();
     let rendered = pages.iter().map(BTreeSet::len).sum::<usize>() as u64;
     assert_eq!(report.pages_rendered, rendered);
+    assert!(
+        catalog <= crashed,
+        "the recovered catalog holds {catalog} bytes, more than the {crashed} \
+         the catalog held before the crash"
+    );
     assert!(
         peak <= catalog + touched_text + buffer,
         "recovery peaked {peak} bytes above where it started; the catalog \

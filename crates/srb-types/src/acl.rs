@@ -11,8 +11,8 @@
 //! annotate, which is why `Annotate` sits *below* `Read` in the ladder.
 
 use crate::id::{GroupId, UserId};
-use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use serde::{DeError, Deserialize, JsonReader, KeyFromString, Serialize};
+use std::cmp::Ordering;
 
 /// Permission levels, weakest to strongest. Each level implies all lower
 /// levels.
@@ -112,12 +112,122 @@ impl Role {
 
 /// Per-entity access matrix: explicit user grants, group grants, and a
 /// public (anonymous) level.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+///
+/// The grants are one list sorted by grantee. Nearly every row has one
+/// grant, its owner's, and holds it inline without an allocation; a longer
+/// list is binary-searched. The JSON form is two maps, `users` and
+/// `groups`, keyed by id and written in the string order of their keys.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AccessMatrix {
-    users: HashMap<UserId, Permission>,
-    groups: HashMap<GroupId, Permission>,
+    grants: Grants,
     /// Level granted to everyone, authenticated or not.
     pub public: Permission,
+}
+
+// Every collection and dataset row holds one inline: a field
+// that grows the matrix fails the build here.
+const _: () = assert!(std::mem::size_of::<AccessMatrix>() <= 32);
+
+/// Whom a grant is for. Users sort first: the image writes the `users`
+/// map before the `groups` map.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Grantee {
+    User,
+    Group,
+}
+
+/// One grant: a user's or group's id and level.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Grant {
+    to: Grantee,
+    level: Permission,
+    id: u64,
+}
+
+impl Grant {
+    /// The list order: users before groups, then ids in the order of their
+    /// decimal text, which is the order the image writes map keys in
+    /// (`"10"` before `"9"`).
+    fn order(&self, to: Grantee, id: u64) -> Ordering {
+        self.to.cmp(&to).then_with(|| decimal_cmp(self.id, id))
+    }
+}
+
+/// `a` and `b` in the order of their decimal text, without writing it:
+/// the shorter is scaled up to the longer's digit count, and on a tie the
+/// shorter, a prefix of the longer, comes first.
+fn decimal_cmp(a: u64, b: u64) -> Ordering {
+    let digits = |n: u64| n.checked_ilog10().unwrap_or(0) + 1;
+    let (da, db) = (digits(a), digits(b));
+    let scaled = |n: u64, d: u32| u128::from(n) * 10u128.pow(da.max(db) - d);
+    scaled(a, da).cmp(&scaled(b, db)).then(da.cmp(&db))
+}
+
+/// The grants, sorted by [`Grant::order`]. None or one is held inline;
+/// `Many` always holds two or more, so each set of grants has one shape.
+#[derive(Debug, Clone, PartialEq)]
+enum Grants {
+    Inline(Option<Grant>),
+    Many(Vec<Grant>),
+}
+
+impl Default for Grants {
+    fn default() -> Self {
+        Grants::Inline(None)
+    }
+}
+
+impl Grants {
+    fn as_slice(&self) -> &[Grant] {
+        match self {
+            Grants::Inline(g) => g.as_slice(),
+            Grants::Many(v) => v,
+        }
+    }
+
+    fn find(&self, to: Grantee, id: u64) -> Result<usize, usize> {
+        self.as_slice().binary_search_by(|g| g.order(to, id))
+    }
+
+    fn level(&self, to: Grantee, id: u64) -> Option<Permission> {
+        let at = self.find(to, id).ok()?;
+        Some(self.as_slice()[at].level)
+    }
+
+    /// Set a grant, replacing the grantee's earlier one.
+    fn put(&mut self, grant: Grant) {
+        match (self.find(grant.to, grant.id), &mut *self) {
+            (Ok(at), Grants::Many(v)) => v[at] = grant,
+            (Ok(_), Grants::Inline(slot)) | (Err(_), Grants::Inline(slot @ None)) => {
+                *slot = Some(grant)
+            }
+            (Err(at), Grants::Inline(Some(old))) => {
+                let pair = if at == 0 {
+                    [grant, *old]
+                } else {
+                    [*old, grant]
+                };
+                *self = Grants::Many(pair.to_vec());
+            }
+            (Err(at), Grants::Many(v)) => v.insert(at, grant),
+        }
+    }
+
+    /// Drop the grantee's grant, if any.
+    fn remove(&mut self, to: Grantee, id: u64) {
+        let Ok(at) = self.find(to, id) else {
+            return;
+        };
+        match self {
+            Grants::Inline(slot) => *slot = None,
+            Grants::Many(v) => {
+                v.remove(at);
+                if let [only] = v[..] {
+                    *self = Grants::Inline(Some(only));
+                }
+            }
+        }
+    }
 }
 
 impl AccessMatrix {
@@ -128,26 +238,31 @@ impl AccessMatrix {
 
     /// Matrix with a single owner.
     pub fn owned_by(owner: UserId) -> Self {
-        let mut m = AccessMatrix::new();
-        m.grant_user(owner, Permission::Own);
-        m
+        AccessMatrix {
+            grants: Grants::Inline(Some(Grant {
+                to: Grantee::User,
+                level: Permission::Own,
+                id: owner.0,
+            })),
+            public: Permission::None,
+        }
     }
 
     /// Grant (or change) a user's level. `Permission::None` revokes.
     pub fn grant_user(&mut self, user: UserId, p: Permission) {
-        if p == Permission::None {
-            self.users.remove(&user);
-        } else {
-            self.users.insert(user, p);
-        }
+        self.grant(Grantee::User, user.0, p);
     }
 
     /// Grant (or change) a group's level. `Permission::None` revokes.
     pub fn grant_group(&mut self, group: GroupId, p: Permission) {
-        if p == Permission::None {
-            self.groups.remove(&group);
+        self.grant(Grantee::Group, group.0, p);
+    }
+
+    fn grant(&mut self, to: Grantee, id: u64, level: Permission) {
+        if level == Permission::None {
+            self.grants.remove(to, id);
         } else {
-            self.groups.insert(group, p);
+            self.grants.put(Grant { to, level, id });
         }
     }
 
@@ -155,11 +270,11 @@ impl AccessMatrix {
     /// of the explicit user grant, any group grant, and the public level.
     pub fn effective(&self, user: UserId, groups: &[GroupId]) -> Permission {
         let mut p = self.public;
-        if let Some(&up) = self.users.get(&user) {
+        if let Some(up) = self.grants.level(Grantee::User, user.0) {
             p = p.max(up);
         }
         for g in groups {
-            if let Some(&gp) = self.groups.get(g) {
+            if let Some(gp) = self.grants.level(Grantee::Group, g.0) {
                 p = p.max(gp);
             }
         }
@@ -170,6 +285,90 @@ impl AccessMatrix {
     pub fn effective_anonymous(&self) -> Permission {
         self.public
     }
+
+    /// One of the two maps: `{"<id>":<level>,…}`, in list order.
+    fn write_grants(&self, to: Grantee, out: &mut String) {
+        out.push('{');
+        let grants = self.grants.as_slice().iter().filter(|g| g.to == to);
+        for (i, g) in grants.enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push('"');
+            serde::write_u64(g.id, out);
+            out.push_str("\":");
+            g.level.write_json(out);
+        }
+        out.push('}');
+    }
+
+    /// Read one of the two maps into the list. A repeated key is set
+    /// again, so the last one wins, as it did for the maps' decoding.
+    fn read_grants(&mut self, r: &mut JsonReader<'_>, to: Grantee) -> Result<(), DeError> {
+        let mut entries = r.object("AccessMatrix grants")?;
+        while let Some(key) = entries.next_key(r)? {
+            let id = match to {
+                Grantee::User => UserId::key_parse(&key)?.0,
+                Grantee::Group => GroupId::key_parse(&key)?.0,
+            };
+            let level = Permission::read_json(r).map_err(|e| e.at(&key))?;
+            self.grants.put(Grant { to, level, id });
+        }
+        Ok(())
+    }
+}
+
+impl Serialize for AccessMatrix {
+    fn write_json(&self, out: &mut String) {
+        out.push_str("{\"users\":");
+        self.write_grants(Grantee::User, out);
+        out.push_str(",\"groups\":");
+        self.write_grants(Grantee::Group, out);
+        out.push_str(",\"public\":");
+        self.public.write_json(out);
+        out.push('}');
+    }
+}
+
+/// Read as the derived form of the two-map struct was: unknown keys
+/// skipped, the first of a repeated field wins, an absent one is an error.
+impl Deserialize for AccessMatrix {
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, DeError> {
+        let mut m = AccessMatrix::new();
+        let (mut users, mut groups, mut public) = (false, false, None);
+        let mut fields = r.object("AccessMatrix")?;
+        while let Some(key) = fields.next_key(r)? {
+            match &*key {
+                "users" if !users => {
+                    users = true;
+                    let read = m.read_grants(r, Grantee::User);
+                    read.map_err(|e| e.at("AccessMatrix.users"))?;
+                }
+                "groups" if !groups => {
+                    groups = true;
+                    let read = m.read_grants(r, Grantee::Group);
+                    read.map_err(|e| e.at("AccessMatrix.groups"))?;
+                }
+                "public" if public.is_none() => {
+                    let read = Permission::read_json(r);
+                    public = Some(read.map_err(|e| e.at("AccessMatrix.public"))?);
+                }
+                _ => r.skip_value()?,
+            }
+        }
+        let missing = |field: &str| DeError::new("missing field").at(field);
+        if !users {
+            return Err(missing("AccessMatrix.users"));
+        }
+        if !groups {
+            return Err(missing("AccessMatrix.groups"));
+        }
+        m.public = public.ok_or_else(|| missing("AccessMatrix.public"))?;
+        if let Grants::Many(v) = &mut m.grants {
+            v.shrink_to_fit();
+        }
+        Ok(m)
+    }
 }
 
 #[cfg(test)]
@@ -179,10 +378,11 @@ mod tests {
     /// The owners (users with `Own`), sorted.
     fn owners(m: &AccessMatrix) -> Vec<UserId> {
         let mut v: Vec<UserId> = m
-            .users
+            .grants
+            .as_slice()
             .iter()
-            .filter(|(_, p)| **p == Permission::Own)
-            .map(|(u, _)| *u)
+            .filter(|g| g.to == Grantee::User && g.level == Permission::Own)
+            .map(|g| UserId(g.id))
             .collect();
         v.sort();
         v
