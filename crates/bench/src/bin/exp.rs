@@ -6,6 +6,7 @@
 // Experiments time themselves on the wall clock; the lock ban still holds.
 #![allow(clippy::disallowed_methods)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
+#![forbid(unsafe_code)]
 
 use bench::experiments::{Artifact, Experiment, REGISTRY};
 use std::process::ExitCode;

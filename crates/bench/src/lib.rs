@@ -9,6 +9,7 @@
 // Experiments time themselves on the wall clock; the lock ban still holds.
 #![allow(clippy::disallowed_methods)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
+#![forbid(unsafe_code)]
 
 pub mod experiments;
 pub mod fixtures;

@@ -1,5 +1,6 @@
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
+#![forbid(unsafe_code)]
 //! MySRB — the web-based interface to the SRB.
 //!
 //! "MySRB is a web-oriented interface for accessing the data and metadata

@@ -1,5 +1,6 @@
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
+#![forbid(unsafe_code)]
 #![warn(clippy::panic, clippy::todo, clippy::unimplemented)]
 //! The Storage Resource Broker.
 //!

@@ -335,6 +335,7 @@ fn substitute(template: &str, columns: &[String], row: &[srb_storage::sql::SqlVa
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use srb_storage::sql::SqlEngine;
 
     #[test]
@@ -446,5 +447,85 @@ mod tests {
         let s = TScript::parse(r#"set Note "line1\nline2\t\"quoted\"""#).unwrap();
         let t = s.extract("");
         assert_eq!(t[0].value.lexical(), "line1\nline2\t\"quoted\"");
+    }
+
+    /// T-language words and punctuation hostile input is made of.
+    const VOCAB: &[&str] = &[
+        "extract ",
+        "set ",
+        "units ",
+        " after ",
+        " between ",
+        " keyvalue ",
+        "Title",
+        "Format",
+        "\"",
+        "\"=\"",
+        "\"<title>\"",
+        "\\",
+        "'",
+        "#",
+        "\n",
+        " ",
+        "\t",
+        "=",
+        ":",
+        "\u{e9}",
+        "\0",
+    ];
+
+    /// Scripts `TScript::parse` accepts.
+    const VALID: &[&str] = &[
+        "extract OBJECT keyvalue \"=\"\nset Format \"FITS\"",
+        "extract Title between \"<title>\" \"</title>\"",
+        "# comment\nextract Wingspan after \"Wingspan:\"\nunits Wingspan \"cm\"",
+    ];
+
+    /// Arbitrary text: tokens of `VOCAB` and raw characters, any order.
+    fn arbitrary() -> impl Strategy<Value = String> {
+        let tok = (0..VOCAB.len() + 8, any::<u32>());
+        prop::collection::vec(tok, 0..40).prop_map(|toks| {
+            let raw = |c: u32| char::from_u32(c % 0x11_0000).unwrap_or('\u{fffd}');
+            toks.into_iter()
+                .map(|(k, c)| {
+                    VOCAB
+                        .get(k)
+                        .map_or_else(|| raw(c).to_string(), |t| t.to_string())
+                })
+                .collect()
+        })
+    }
+
+    /// Near-valid text: one of `VALID` with tokens of `VOCAB` spliced
+    /// in, characters cut out, or its tail cut off.
+    fn near_valid() -> impl Strategy<Value = String> {
+        let edit = (any::<usize>(), 0u8..3, 0..VOCAB.len());
+        (0..VALID.len(), prop::collection::vec(edit, 1..5)).prop_map(|(k, edits)| {
+            let mut s: Vec<char> = VALID[k].chars().collect();
+            for (at, op, t) in edits {
+                let at = at % (s.len() + 1);
+                match op {
+                    0 => drop(s.splice(at..at, VOCAB[t].chars())),
+                    1 => drop(s.drain(at..(at + 1 + t % 4).min(s.len()))),
+                    _ => s.truncate(at),
+                }
+            }
+            s.into_iter().collect()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        /// Hostile scripts parse or fail, never panic; a script that
+        /// parses also runs over a document.
+        #[test]
+        fn hostile_scripts_never_panic(text in arbitrary(), near in near_valid()) {
+            for src in [&text, &near] {
+                if let Ok(script) = TScript::parse(src) {
+                    script.extract("OBJECT = 'M31'\n<title>t</title>\nWingspan: 290");
+                }
+            }
+        }
     }
 }

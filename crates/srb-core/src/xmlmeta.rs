@@ -114,6 +114,7 @@ fn decode_entities(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn attr_elements_with_units() {
@@ -170,5 +171,85 @@ mod tests {
         assert!(parse_xml_triplets("<metadata></metadata>")
             .unwrap()
             .is_empty());
+    }
+
+    /// XML markup and text hostile input is made of.
+    const VOCAB: &[&str] = &[
+        "<",
+        ">",
+        "</",
+        "/>",
+        "<metadata>",
+        "</metadata>",
+        "<attr ",
+        "</attr>",
+        "name=\"",
+        "units='",
+        "\"",
+        "'",
+        "=",
+        "&amp;",
+        "&",
+        ";",
+        "<!--",
+        "-->",
+        "<?xml",
+        "?>",
+        "Title",
+        "\u{e9}",
+        " ",
+        "\n",
+        "\0",
+    ];
+
+    /// Documents `parse_xml_triplets` accepts.
+    const VALID: &[&str] = &[
+        "<metadata><attr name=\"wingspan\" units=\"cm\">290</attr></metadata>",
+        "<dc><Title>Andean Condor</Title><Creator>sekar</Creator></dc>",
+        "<?xml version=\"1.0\"?><!-- c --><m><attr name='t'>B &amp; B</attr><e/></m>",
+    ];
+
+    /// Arbitrary text: tokens of `VOCAB` and raw characters, any order.
+    fn arbitrary() -> impl Strategy<Value = String> {
+        let tok = (0..VOCAB.len() + 8, any::<u32>());
+        prop::collection::vec(tok, 0..40).prop_map(|toks| {
+            let raw = |c: u32| char::from_u32(c % 0x11_0000).unwrap_or('\u{fffd}');
+            toks.into_iter()
+                .map(|(k, c)| {
+                    VOCAB
+                        .get(k)
+                        .map_or_else(|| raw(c).to_string(), |t| t.to_string())
+                })
+                .collect()
+        })
+    }
+
+    /// Near-valid text: one of `VALID` with tokens of `VOCAB` spliced
+    /// in, characters cut out, or its tail cut off.
+    fn near_valid() -> impl Strategy<Value = String> {
+        let edit = (any::<usize>(), 0u8..3, 0..VOCAB.len());
+        (0..VALID.len(), prop::collection::vec(edit, 1..5)).prop_map(|(k, edits)| {
+            let mut s: Vec<char> = VALID[k].chars().collect();
+            for (at, op, t) in edits {
+                let at = at % (s.len() + 1);
+                match op {
+                    0 => drop(s.splice(at..at, VOCAB[t].chars())),
+                    1 => drop(s.drain(at..(at + 1 + t % 4).min(s.len()))),
+                    _ => s.truncate(at),
+                }
+            }
+            s.into_iter().collect()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        /// Hostile documents come back as `Ok` or `Err`, never a panic.
+        #[test]
+        fn hostile_documents_never_panic(text in arbitrary(), near in near_valid()) {
+            let _ = parse_xml_triplets(&text);
+            let _ = parse_xml_triplets(&near);
+        }
     }
 }

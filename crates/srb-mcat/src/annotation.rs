@@ -9,7 +9,7 @@
 
 use crate::metadata::Subject;
 use crate::pages::RowPages;
-use crate::snapshot::{Field, ImageWriter};
+use crate::table::{Derived, Table};
 use crate::wal::{WalHook, WalOp};
 use serde::{Deserialize, Serialize};
 use srb_types::sync::{LockRank, RwLock};
@@ -92,33 +92,43 @@ pub struct Annotation {
     pub text: String,
 }
 
-/// Annotation table.
-#[derive(Debug)]
-pub struct AnnotationTable {
-    inner: RwLock<Inner>,
-    /// Redo-log hook; a no-op until the catalog enables durability.
-    wal: WalHook,
-}
+/// The annotation table's derived state: each subject's annotations, in
+/// id order. A subject whose last annotation goes has no entry.
+impl Derived<Annotation> for HashMap<Subject, Vec<AnnotationId>> {
+    fn index(&mut self, a: &Annotation) {
+        let ids = self.entry(a.subject).or_default();
+        let at = ids.partition_point(|&id| id < a.id);
+        ids.insert(at, a.id);
+    }
 
-impl Default for AnnotationTable {
-    fn default() -> Self {
-        AnnotationTable {
-            inner: RwLock::new(LockRank::McatTable, "mcat.annotations", Inner::default()),
-            wal: WalHook::default(),
+    fn unindex(&mut self, a: &Annotation) {
+        if let Some(ids) = self.get_mut(&a.subject) {
+            ids.retain(|&id| id != a.id);
+            if ids.is_empty() {
+                self.remove(&a.subject);
+            }
         }
     }
 }
 
-#[derive(Debug, Default)]
-struct Inner {
-    rows: RowPages<Annotation>,
-    by_subject: HashMap<Subject, Vec<AnnotationId>>,
+/// Annotation table.
+#[derive(Debug)]
+pub struct AnnotationTable {
+    pub(crate) rows: RwLock<Table<Annotation>>,
 }
 
 impl AnnotationTable {
     /// Empty table.
     pub fn new() -> Self {
-        AnnotationTable::default()
+        AnnotationTable::restore(RowPages::default(), &WalHook::default())
+    }
+
+    /// The table over image rows, logging through `wal`.
+    pub(crate) fn restore(rows: RowPages<Annotation>, wal: &WalHook) -> Self {
+        let rows = Table::restore(rows, wal);
+        AnnotationTable {
+            rows: RwLock::new(LockRank::McatTable, "mcat.annotations", rows),
+        }
     }
 
     /// Add an annotation.
@@ -133,9 +143,8 @@ impl AnnotationTable {
         location: &str,
         text: &str,
     ) -> AnnotationId {
-        let id: AnnotationId = ids.next();
-        let row = Annotation {
-            id,
+        let mut row = Annotation {
+            id: AnnotationId(0),
             subject,
             author,
             at,
@@ -143,29 +152,29 @@ impl AnnotationTable {
             location: location.to_string(),
             text: text.to_string(),
         };
-        let mut g = self.inner.write();
-        g.by_subject.entry(subject).or_default().push(id);
-        self.wal
-            .log(0, || WalOp::AnnotationPut { row: row.clone() });
-        g.rows.insert(row);
+        // The id is drawn under the guard, so a subject's list, the log
+        // and the pages see the same order under any number of writers.
+        let mut g = self.rows.write();
+        row.id = ids.next();
+        let id = row.id;
+        g.put(row);
         id
     }
 
     /// All annotations on a subject, oldest first.
     pub fn for_subject(&self, subject: Subject) -> Vec<Annotation> {
-        let g = self.inner.read();
-        g.by_subject
+        let g = self.rows.read();
+        g.derived()
             .get(&subject)
-            .map(|ids| ids.iter().filter_map(|&i| g.rows.get(i)).cloned().collect())
+            .map(|ids| ids.iter().filter_map(|&i| g.get(i)).cloned().collect())
             .unwrap_or_default()
     }
 
     /// Remove one annotation; only its author may (enforced by caller's
     /// permission layer, checked again here for defence in depth).
     pub fn remove(&self, id: AnnotationId, by: UserId) -> SrbResult<()> {
-        let mut g = self.inner.write();
+        let mut g = self.rows.write();
         let row = g
-            .rows
             .get(id)
             .ok_or_else(|| SrbError::NotFound(format!("annotation {id}")))?;
         if row.author != by {
@@ -174,30 +183,21 @@ impl AnnotationTable {
                 row.author
             )));
         }
-        let row = g
-            .rows
-            .remove(id)
-            .ok_or_else(|| SrbError::NotFound(format!("annotation {id}")))?;
-        let emptied = g.by_subject.get_mut(&row.subject).is_some_and(|v| {
-            v.retain(|&a| a != id);
-            v.is_empty()
-        });
-        if emptied {
-            g.by_subject.remove(&row.subject);
-        }
-        self.wal.log(0, || WalOp::AnnotationDelete { id });
+        g.remove(id);
         Ok(())
     }
 
-    /// Drop all annotations on a subject (object deletion).
+    /// Drop all annotations on a subject (object deletion): one
+    /// `AnnotationClear` record, which names the subject, not its rows.
     pub fn remove_all(&self, subject: Subject) {
-        let mut g = self.inner.write();
-        if let Some(ids) = g.by_subject.remove(&subject) {
-            for id in ids {
-                g.rows.remove(id);
-            }
-            self.wal.log(0, || WalOp::AnnotationClear { subject });
+        let mut g = self.rows.write();
+        let Some(ids) = g.derived().get(&subject).cloned() else {
+            return;
+        };
+        for id in ids {
+            g.take(id);
         }
+        g.wal().log(0, || WalOp::AnnotationClear { subject });
     }
 
     /// Does any annotation on the subject match `pattern` (SQL LIKE)?
@@ -207,32 +207,9 @@ impl AnnotationTable {
             .any(|a| srb_types::value::like_match(pattern, &a.text))
     }
 
-    /// The image's `"annotations"` field, under one read guard.
-    pub(crate) fn write_image(&self, w: &mut ImageWriter<'_, '_>) {
-        w.pages(Field::Annotations, &self.inner.read().rows);
-    }
-
-    /// The table over image rows, its subject index built from them.
-    pub(crate) fn restore(rows: RowPages<Annotation>) -> Self {
-        let t = AnnotationTable::new();
-        {
-            let mut g = t.inner.write();
-            for a in rows.iter() {
-                g.by_subject.entry(a.subject).or_default().push(a.id);
-            }
-            g.rows = rows;
-        }
-        t
-    }
-
     /// Total number of annotations.
     pub fn count(&self) -> usize {
-        self.inner.read().rows.len()
-    }
-
-    /// Wire this table to the catalog's WAL.
-    pub(crate) fn attach_wal(&self, wal: std::sync::Arc<crate::wal::Wal>) {
-        self.wal.attach(wal);
+        self.rows.read().len()
     }
 }
 
@@ -350,61 +327,5 @@ mod tests {
             assert_eq!(AnnotationKind::parse(k.name()), Some(*k));
         }
         assert_eq!(AnnotationKind::parse("sticker"), None);
-    }
-
-    /// The live table's derived map against a rebuild from its rows.
-    fn assert_derived_state_matches_rebuild(t: &AnnotationTable) {
-        let g = t.inner.read();
-        let rebuilt = AnnotationTable::restore(g.rows.clone());
-        let r = rebuilt.inner.read();
-        assert_eq!(g.by_subject, r.by_subject);
-    }
-
-    /// A seeded run of adds, removes and whole-subject removes: the live
-    /// table never keeps derived state its rows would not rebuild, such
-    /// as the list of a subject whose last annotation went.
-    #[test]
-    fn derived_state_equals_a_rebuild_from_the_rows() {
-        use srb_types::SeedStream;
-        let t = AnnotationTable::new();
-        let ids = IdGen::new();
-        let mut rng = SeedStream::new(0xa770);
-        let mut live: Vec<(AnnotationId, UserId)> = Vec::new();
-        for step in 0..3000 {
-            match rng.below(10) {
-                0..=4 => {
-                    let author = UserId(rng.below(3) as u64);
-                    let id = t.add(
-                        &ids,
-                        sub(rng.below(24) as u64),
-                        author,
-                        Timestamp(step),
-                        AnnotationKind::Comment,
-                        "",
-                        "c",
-                    );
-                    live.push((id, author));
-                }
-                5..=8 if !live.is_empty() => {
-                    let (id, author) = live.swap_remove(rng.below(live.len()));
-                    t.remove(id, author).unwrap();
-                }
-                9 => {
-                    t.remove_all(sub(rng.below(24) as u64));
-                    let g = t.inner.read();
-                    live.retain(|&(id, _)| g.rows.contains(id));
-                }
-                _ => {}
-            }
-            if step % 101 == 0 {
-                assert_derived_state_matches_rebuild(&t);
-            }
-        }
-        assert_derived_state_matches_rebuild(&t);
-        for (id, author) in live {
-            t.remove(id, author).unwrap();
-        }
-        assert_derived_state_matches_rebuild(&t);
-        assert!(t.inner.read().by_subject.is_empty());
     }
 }

@@ -5,8 +5,8 @@
 //! of the framework." Every brokered operation records an audit row.
 
 use crate::pages::RowPages;
-use crate::snapshot::{Field, ImageWriter};
-use crate::wal::{WalHook, WalOp};
+use crate::table::Table;
+use crate::wal::WalHook;
 use serde::{DeError, Deserialize, JsonReader, Serialize};
 use srb_types::sync::{LockRank, Mutex};
 use srb_types::{AuditId, IdGen, Timestamp, UserId};
@@ -188,24 +188,21 @@ impl Deserialize for Outcome {
 /// Append-only audit log.
 #[derive(Debug)]
 pub struct AuditLog {
-    rows: Mutex<RowPages<AuditRow>>,
-    /// Redo-log hook; a no-op until the catalog enables durability.
-    wal: WalHook,
-}
-
-impl Default for AuditLog {
-    fn default() -> Self {
-        AuditLog {
-            rows: Mutex::new(LockRank::McatTable, "mcat.audit", RowPages::default()),
-            wal: WalHook::default(),
-        }
-    }
+    pub(crate) rows: Mutex<Table<AuditRow>>,
 }
 
 impl AuditLog {
     /// Empty log.
     pub fn new() -> Self {
-        AuditLog::default()
+        AuditLog::restore(RowPages::default(), &WalHook::default())
+    }
+
+    /// The log over image rows, logging through `wal`.
+    pub(crate) fn restore(rows: RowPages<AuditRow>, wal: &WalHook) -> Self {
+        let rows = Table::restore(rows, wal);
+        AuditLog {
+            rows: Mutex::new(LockRank::McatTable, "mcat.audit", rows),
+        }
     }
 
     /// Record a row.
@@ -230,8 +227,7 @@ impl AuditLog {
         // under any number of writers, and every row appends.
         let mut g = self.rows.lock();
         row.id = ids.next();
-        self.wal.log(0, || WalOp::AuditPut { row: row.clone() });
-        g.insert(row);
+        g.put(row);
     }
 
     /// The most recent `n` rows, newest last.
@@ -267,26 +263,9 @@ impl AuditLog {
         self.rows.lock().iter().cloned().collect()
     }
 
-    /// The image's `"audit"` field, under the log's lock.
-    pub(crate) fn write_image(&self, w: &mut ImageWriter<'_, '_>) {
-        w.pages(Field::Audit, &self.rows.lock());
-    }
-
-    /// The log over image rows.
-    pub(crate) fn restore(rows: RowPages<AuditRow>) -> Self {
-        let log = AuditLog::new();
-        *log.rows.lock() = rows;
-        log
-    }
-
     /// Row count.
     pub fn count(&self) -> usize {
         self.rows.lock().len()
-    }
-
-    /// Wire this table to the catalog's WAL.
-    pub(crate) fn attach_wal(&self, wal: std::sync::Arc<crate::wal::Wal>) {
-        self.wal.attach(wal);
     }
 }
 

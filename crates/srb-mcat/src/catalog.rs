@@ -9,10 +9,11 @@ use crate::collection::{AttrRequirement, Collection, CollectionTable};
 use crate::container::ContainerTable;
 use crate::dataset::{AccessSpec, Dataset, DatasetEntry, DatasetTable};
 use crate::metadata::{MetaKind, MetaStore, RangeCond, Subject, DUBLIN_CORE};
+use crate::pages::RowPages;
 use crate::query::{Query, QueryCondition, QueryHit};
 use crate::resource::ResourceTable;
 use crate::user::UserTable;
-use crate::wal::{self, RecoveryReport, Wal, WalConfig};
+use crate::wal::{self, RecoveryReport, Wal, WalConfig, WalHook};
 use srb_storage::LogDevice;
 use srb_types::{
     like_scan_prefix, AccessMatrix, CollectionId, CompareOp, CursorCodec, DatasetId, GroupId,
@@ -20,7 +21,7 @@ use srb_types::{
     SrbResult, Timestamp, Triplet, UserId,
 };
 use std::cmp::Ordering;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Seed for the catalog's cursor-signing key. Fixed so two seeded
 /// simulation runs emit byte-identical tokens; clients still cannot mint
@@ -73,8 +74,9 @@ pub struct Mcat {
     cursors: CursorCodec,
     /// Query-planner metric handles, attached when observability is on.
     obs: Option<QueryObs>,
-    /// The write-ahead log, once durability is enabled.
-    wal: OnceLock<Arc<Wal>>,
+    /// The write-ahead log, once durability is enabled: the one hook
+    /// every table logs through.
+    wal: WalHook,
 }
 
 /// A dataset row's half of its permission: its own matrix's verdict and
@@ -209,29 +211,28 @@ impl Mcat {
     /// Create a catalog with a bootstrap administrator (`srb@sdsc`).
     pub fn new(clock: SimClock, admin_password: &str) -> Self {
         let ids = IdGen::new();
-        let users = UserTable::new();
+        let wal = WalHook::default();
+        let users = UserTable::restore(RowPages::default(), RowPages::default(), &wal);
         let admin = match users.register(&ids, "srb", "sdsc", admin_password, true) {
             Ok(u) => u,
             // Registration only fails on a duplicate name; the table is new.
             Err(_) => unreachable!("fresh user table has no duplicate names"),
         };
-        let collections = CollectionTable::new(&ids, admin, clock.now());
-        Mcat {
+        let collections = CollectionTable::with_root(&ids, admin, clock.now(), &wal);
+        Mcat::from_parts(
             ids,
             clock,
-            users,
-            resources: ResourceTable::new(),
-            collections,
-            datasets: DatasetTable::new(),
-            containers: ContainerTable::new(),
-            metadata: MetaStore::new(),
-            annotations: AnnotationTable::new(),
-            audit: AuditLog::new(),
             admin,
-            cursors: CursorCodec::new(CURSOR_KEY_SEED),
-            obs: None,
-            wal: OnceLock::new(),
-        }
+            users,
+            ResourceTable::restore(RowPages::default(), RowPages::default(), &wal),
+            collections,
+            DatasetTable::restore(RowPages::default(), &wal),
+            ContainerTable::restore(RowPages::default(), &wal),
+            MetaStore::restore(RowPages::default(), Vec::new(), &wal),
+            AnnotationTable::restore(RowPages::default(), &wal),
+            AuditLog::restore(RowPages::default(), &wal),
+            wal,
+        )
     }
 
     /// Attach planner and scope-cache instrumentation (builder-style,
@@ -257,7 +258,8 @@ impl Mcat {
         self.admin
     }
 
-    /// Assemble a catalog from restored tables (see [`crate::snapshot`]).
+    /// Assemble a catalog from its tables, each logging through `wal`
+    /// (see [`crate::snapshot`] for the restored ones).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts(
         ids: IdGen,
@@ -271,6 +273,7 @@ impl Mcat {
         metadata: MetaStore,
         annotations: AnnotationTable,
         audit: AuditLog,
+        wal: WalHook,
     ) -> Mcat {
         Mcat {
             ids,
@@ -286,24 +289,11 @@ impl Mcat {
             admin,
             cursors: CursorCodec::new(CURSOR_KEY_SEED),
             obs: None,
-            wal: OnceLock::new(),
+            wal,
         }
     }
 
     // ------------------------------------------------------- durability --
-
-    /// Wire every table to `walh` (shared hook-attachment of
-    /// [`enable_wal`](Self::enable_wal) and [`recover`](Self::recover)).
-    fn attach_wal_all(&self, walh: &Arc<Wal>) {
-        self.users.attach_wal(walh.clone());
-        self.resources.attach_wal(walh.clone());
-        self.collections.attach_wal(walh.clone());
-        self.datasets.attach_wal(walh.clone());
-        self.containers.attach_wal(walh.clone());
-        self.metadata.attach_wal(walh.clone());
-        self.annotations.attach_wal(walh.clone());
-        self.audit.attach_wal(walh.clone());
-    }
 
     /// Enable write-ahead durability over `device`. Everything already in
     /// the catalog (the bootstrap admin, the root collection, any rows
@@ -322,7 +312,6 @@ impl Mcat {
         }
         let walh = Arc::new(Wal::new(device, self.clock.clone(), config, metrics));
         walh.install_checkpoint(walh.checkpoint_cover(), self)?;
-        self.attach_wal_all(&walh);
         let _ = self.wal.set(walh);
         Ok(())
     }
@@ -395,7 +384,6 @@ impl Mcat {
         walh.charge_recovery(report.recovery_ns);
         walh.resume(replayed.image, replayed.touched);
         report.pages_rendered = walh.install_checkpoint(walh.checkpoint_cover(), &mcat)?;
-        mcat.attach_wal_all(&walh);
         let _ = mcat.wal.set(walh);
         Ok((mcat, report))
     }

@@ -103,7 +103,7 @@ pub struct CollectionTable {
     /// `query.scope_cache_hits` / `query.scope_cache_misses`, attached by
     /// the grid when observability is on.
     cache_obs: Option<(srb_obs::Counter, srb_obs::Counter)>,
-    /// Redo-log hook; a no-op until the catalog enables durability.
+    /// The catalog's redo-log hook.
     wal: WalHook,
 }
 
@@ -113,12 +113,27 @@ struct Inner {
     by_path: HashMap<String, CollectionId>,
     /// Per-parent children keyed by child name — already in listing order,
     /// so `children`/`children_page` are bounded range reads, not sorts.
+    /// Only a node with children has an entry: a new node, a link and a
+    /// node whose last child went have none, so the map is a function of
+    /// the rows' `(parent, name, id)` alone.
     children: IdMap<CollectionId, BTreeMap<String, CollectionId>>,
 }
 
+impl Inner {
+    /// Take child `name` off `parent`'s list, and the list once empty.
+    fn unlist_child(&mut self, parent: CollectionId, name: &str) {
+        if let Some(kids) = self.children.get_mut(&parent) {
+            kids.remove(name);
+            if kids.is_empty() {
+                self.children.remove(&parent);
+            }
+        }
+    }
+}
+
 impl CollectionTable {
-    /// A table over a built tree; nothing cached, nothing logged yet.
-    fn from_tree(root: CollectionId, tree: Inner) -> Self {
+    /// A table over a built tree, logging through `wal`; nothing cached.
+    fn from_tree(root: CollectionId, tree: Inner, wal: &WalHook) -> Self {
         CollectionTable {
             inner: RwLock::new(LockRank::McatTable, "mcat.collections", tree),
             root,
@@ -129,12 +144,17 @@ impl CollectionTable {
                 IdMap::default(),
             ),
             cache_obs: None,
-            wal: WalHook::default(),
+            wal: wal.clone(),
         }
     }
 
     /// New table containing only the root collection owned by `admin`.
     pub fn new(ids: &IdGen, admin: UserId, now: Timestamp) -> Self {
+        CollectionTable::with_root(ids, admin, now, &WalHook::default())
+    }
+
+    /// [`CollectionTable::new`], logging through `wal`.
+    pub(crate) fn with_root(ids: &IdGen, admin: UserId, now: Timestamp, wal: &WalHook) -> Self {
         let root_id: CollectionId = ids.next();
         let mut g = Inner::default();
         let mut acl = AccessMatrix::owned_by(admin);
@@ -150,8 +170,7 @@ impl CollectionTable {
             created: now,
         });
         g.by_path.insert("/".to_string(), root_id);
-        g.children.insert(root_id, BTreeMap::new());
-        CollectionTable::from_tree(root_id, g)
+        CollectionTable::from_tree(root_id, g, wal)
     }
 
     /// The root collection id.
@@ -203,7 +222,6 @@ impl CollectionTable {
             .entry(parent)
             .or_default()
             .insert(name.to_string(), id);
-        g.children.insert(id, BTreeMap::new());
         Ok(id)
     }
 
@@ -437,11 +455,6 @@ impl CollectionTable {
         self.generation.ensure_at_least(raw);
     }
 
-    /// Wire this table to the catalog's WAL.
-    pub(crate) fn attach_wal(&self, wal: Arc<crate::wal::Wal>) {
-        self.wal.attach(wal);
-    }
-
     /// A read guard over the tree for batch reads: one lock acquisition
     /// serves any number of [`CollPathBatch::path_of`] and
     /// [`CollPathBatch::get_ref`] lookups, and what they return is
@@ -524,10 +537,8 @@ impl CollectionTable {
         let Some(old_parent) = g.nodes.get(id).and_then(|n| n.parent) else {
             return Err(SrbError::Invalid("cannot move the root collection".into()));
         };
-        if let Some(kids) = g.children.get_mut(&old_parent) {
-            if let Some(old_name) = old_path.name() {
-                kids.remove(old_name);
-            }
+        if let Some(old_name) = old_path.name() {
+            g.unlist_child(old_parent, old_name);
         }
         g.children
             .entry(new_parent)
@@ -587,13 +598,8 @@ impl CollectionTable {
             .remove(id)
             .ok_or_else(|| SrbError::NotFound(format!("collection {id}")))?;
         g.by_path.remove(&node.path.to_string());
-        g.children.remove(&id);
-        if let Some(p) = node.parent {
-            if let Some(kids) = g.children.get_mut(&p) {
-                if let Some(name) = node.path.name() {
-                    kids.remove(name);
-                }
-            }
+        if let (Some(p), Some(name)) = (node.parent, node.path.name()) {
+            g.unlist_child(p, name);
         }
         let gen = self.generation.bump_get().raw();
         self.wal.log(gen, || WalOp::CollectionDelete { id });
@@ -607,11 +613,10 @@ impl CollectionTable {
 
     /// The tree over image rows, which must hold the root, its path index
     /// and child lists built from them.
-    pub(crate) fn restore(rows: RowPages<Collection>) -> SrbResult<Self> {
+    pub(crate) fn restore(rows: RowPages<Collection>, wal: &WalHook) -> SrbResult<Self> {
         let mut g = Inner::default();
         for c in rows.iter() {
             g.by_path.insert(c.path.to_string(), c.id);
-            g.children.entry(c.id).or_default();
             if let (Some(p), Some(name)) = (c.parent, c.path.name()) {
                 g.children
                     .entry(p)
@@ -623,7 +628,7 @@ impl CollectionTable {
         let Some(&root) = g.by_path.get("/") else {
             return Err(SrbError::Invalid("snapshot has no root collection".into()));
         };
-        Ok(CollectionTable::from_tree(root, g))
+        Ok(CollectionTable::from_tree(root, g, wal))
     }
 
     /// Total number of collections.
@@ -812,5 +817,49 @@ mod tests {
         assert_eq!(got, reqs);
         assert_eq!(got[1].default_value(), Some("image"));
         assert!(got[0].mandatory);
+    }
+
+    /// The live tree's derived maps against a rebuild from its rows.
+    fn assert_derived_state_matches_rebuild(t: &CollectionTable) {
+        let g = t.inner.read();
+        let rebuilt = CollectionTable::restore(g.nodes.clone(), &WalHook::default()).unwrap();
+        let r = rebuilt.inner.read();
+        assert_eq!(g.by_path, r.by_path);
+        assert_eq!(g.children, r.children);
+    }
+
+    /// A seeded run of creates, links, moves and deletes: the live tree
+    /// keeps exactly the path index and child lists its rows rebuild —
+    /// no child list for a link, a new node or a node whose last child
+    /// went.
+    #[test]
+    fn derived_state_equals_a_rebuild_from_the_rows() {
+        use srb_types::SeedStream;
+        let (t, ids) = table();
+        let mut rng = SeedStream::new(0xc011);
+        let mut live = vec![t.root()];
+        for step in 0..4000 {
+            let mut pick = || live[rng.below(live.len())];
+            let (a, b) = (pick(), pick());
+            let name = format!("n{}", rng.below(6));
+            let at = Timestamp(step);
+            match rng.below(10) {
+                0..=3 => live.extend(t.create(&ids, a, &name, UserId(1), at).ok()),
+                4..=5 => live.extend(t.link(&ids, a, &name, b, UserId(1), at).ok()),
+                6..=7 => {
+                    t.move_collection(a, b, &name).ok();
+                }
+                _ => {
+                    if t.delete(a).is_ok() {
+                        live.retain(|&c| c != a);
+                    }
+                }
+            }
+            if step % 40 == 0 {
+                assert_derived_state_matches_rebuild(&t);
+            }
+        }
+        assert_derived_state_matches_rebuild(&t);
+        assert!(live.len() > 100, "the run grew a tree: {}", live.len());
     }
 }

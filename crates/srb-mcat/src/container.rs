@@ -11,12 +11,11 @@
 //! synchronized to the archive. Byte movement is `srb-core`'s job.
 
 use crate::pages::RowPages;
-use crate::snapshot::{Field, ImageWriter};
-use crate::wal::{WalHook, WalOp};
+use crate::table::Table;
+use crate::wal::WalHook;
 use serde::{Deserialize, Serialize};
 use srb_types::sync::{LockRank, RwLock};
 use srb_types::{ContainerId, DatasetId, IdGen, LogicalResourceId, SrbError, SrbResult, Timestamp};
-use std::collections::HashMap;
 
 /// One member slice of a container.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -55,30 +54,25 @@ pub struct ContainerRecord {
 /// Container table.
 #[derive(Debug)]
 pub struct ContainerTable {
-    inner: RwLock<Inner>,
-    /// Redo-log hook; a no-op until the catalog enables durability.
-    wal: WalHook,
+    pub(crate) rows: RwLock<Table<ContainerRecord>>,
 }
 
-impl Default for ContainerTable {
-    fn default() -> Self {
-        ContainerTable {
-            inner: RwLock::new(LockRank::McatTable, "mcat.containers", Inner::default()),
-            wal: WalHook::default(),
-        }
-    }
-}
-
-#[derive(Debug, Default)]
-struct Inner {
-    rows: RowPages<ContainerRecord>,
-    by_name: HashMap<String, ContainerId>,
+fn missing(id: ContainerId) -> SrbError {
+    SrbError::NotFound(format!("container {id}"))
 }
 
 impl ContainerTable {
     /// Empty table.
     pub fn new() -> Self {
-        ContainerTable::default()
+        ContainerTable::restore(RowPages::default(), &WalHook::default())
+    }
+
+    /// The table over image rows, logging through `wal`.
+    pub(crate) fn restore(rows: RowPages<ContainerRecord>, wal: &WalHook) -> Self {
+        let rows = Table::restore(rows, wal);
+        ContainerTable {
+            rows: RwLock::new(LockRank::McatTable, "mcat.containers", rows),
+        }
     }
 
     /// Create a container.
@@ -90,12 +84,12 @@ impl ContainerTable {
         max_size: u64,
         now: Timestamp,
     ) -> SrbResult<ContainerId> {
-        let mut g = self.inner.write();
-        if g.by_name.contains_key(name) {
+        let mut g = self.rows.write();
+        if g.derived().contains_key(name) {
             return Err(SrbError::AlreadyExists(format!("container '{name}'")));
         }
         let id: ContainerId = ids.next();
-        let row = ContainerRecord {
+        g.put(ContainerRecord {
             id,
             name: name.to_string(),
             logical_resource,
@@ -104,37 +98,26 @@ impl ContainerTable {
             max_size,
             synced: true,
             created: now,
-        };
-        self.wal.log(0, || WalOp::ContainerPut { row: row.clone() });
-        g.rows.insert(row);
-        g.by_name.insert(name.to_string(), id);
+        });
         Ok(id)
     }
 
     /// Get a record.
     pub fn get(&self, id: ContainerId) -> SrbResult<ContainerRecord> {
-        self.inner
-            .read()
-            .rows
-            .get(id)
-            .cloned()
-            .ok_or_else(|| SrbError::NotFound(format!("container {id}")))
+        self.rows.read().get(id).cloned().ok_or_else(|| missing(id))
     }
 
     /// Find by name.
     pub fn find(&self, name: &str) -> Option<ContainerRecord> {
-        let g = self.inner.read();
-        g.by_name.get(name).and_then(|&id| g.rows.get(id)).cloned()
+        let g = self.rows.read();
+        g.derived().get(name).and_then(|&id| g.get(id)).cloned()
     }
 
     /// Reserve a slice for `dataset` of `len` bytes; returns its offset.
     /// Marks the container out-of-sync with its archive copy.
     pub fn append_member(&self, id: ContainerId, dataset: DatasetId, len: u64) -> SrbResult<u64> {
-        let mut g = self.inner.write();
-        let c = g
-            .rows
-            .get_mut(id)
-            .ok_or_else(|| SrbError::NotFound(format!("container {id}")))?;
+        let mut g = self.rows.write();
+        let c = g.get(id).ok_or_else(|| missing(id))?;
         if c.size + len > c.max_size {
             return Err(SrbError::ResourceUnavailable(format!(
                 "container '{}' full ({} + {} > {})",
@@ -142,49 +125,35 @@ impl ContainerTable {
             )));
         }
         let offset = c.size;
-        c.members.push(MemberSlice {
-            dataset,
-            offset,
-            len,
+        g.update(id, |c| {
+            c.members.push(MemberSlice {
+                dataset,
+                offset,
+                len,
+            });
+            c.size += len;
+            c.synced = false;
         });
-        c.size += len;
-        c.synced = false;
-        let row = &*c;
-        self.wal.log(0, || WalOp::ContainerPut { row: row.clone() });
         Ok(offset)
     }
 
     /// Mark the archive copy as synchronized.
     pub fn mark_synced(&self, id: ContainerId) -> SrbResult<()> {
-        let mut g = self.inner.write();
-        match g.rows.get_mut(id) {
-            Some(c) => {
-                c.synced = true;
-                let row = &*c;
-                self.wal.log(0, || WalOp::ContainerPut { row: row.clone() });
-                Ok(())
-            }
-            None => Err(SrbError::NotFound(format!("container {id}"))),
-        }
+        let mut g = self.rows.write();
+        g.update(id, |c| c.synced = true).ok_or_else(|| missing(id))
     }
 
     /// Remove a member's slice record (the hole is not reclaimed — like a
     /// tar file, space is recovered only by rewriting the container).
     pub fn remove_member(&self, id: ContainerId, dataset: DatasetId) -> SrbResult<()> {
-        let mut g = self.inner.write();
-        let c = g
-            .rows
-            .get_mut(id)
-            .ok_or_else(|| SrbError::NotFound(format!("container {id}")))?;
-        let before = c.members.len();
-        c.members.retain(|m| m.dataset != dataset);
-        if c.members.len() == before {
+        let mut g = self.rows.write();
+        let c = g.get(id).ok_or_else(|| missing(id))?;
+        if !c.members.iter().any(|m| m.dataset == dataset) {
             return Err(SrbError::NotFound(format!(
                 "dataset {dataset} not in container {id}"
             )));
         }
-        let row = &*c;
-        self.wal.log(0, || WalOp::ContainerPut { row: row.clone() });
+        g.update(id, |c| c.members.retain(|m| m.dataset != dataset));
         Ok(())
     }
 
@@ -196,33 +165,26 @@ impl ContainerTable {
         members: Vec<(DatasetId, u64, u64)>,
         new_size: u64,
     ) -> SrbResult<()> {
-        let mut g = self.inner.write();
-        let c = g
-            .rows
-            .get_mut(id)
-            .ok_or_else(|| SrbError::NotFound(format!("container {id}")))?;
-        c.members = members
-            .into_iter()
-            .map(|(dataset, offset, len)| MemberSlice {
-                dataset,
-                offset,
-                len,
-            })
-            .collect();
-        c.size = new_size;
-        c.synced = false;
-        let row = &*c;
-        self.wal.log(0, || WalOp::ContainerPut { row: row.clone() });
-        Ok(())
+        let mut g = self.rows.write();
+        g.update(id, |c| {
+            c.members = members
+                .into_iter()
+                .map(|(dataset, offset, len)| MemberSlice {
+                    dataset,
+                    offset,
+                    len,
+                })
+                .collect();
+            c.size = new_size;
+            c.synced = false;
+        })
+        .ok_or_else(|| missing(id))
     }
 
     /// Delete an empty container record.
     pub fn delete(&self, id: ContainerId) -> SrbResult<()> {
-        let mut g = self.inner.write();
-        let c = g
-            .rows
-            .get(id)
-            .ok_or_else(|| SrbError::NotFound(format!("container {id}")))?;
+        let mut g = self.rows.write();
+        let c = g.get(id).ok_or_else(|| missing(id))?;
         if !c.members.is_empty() {
             return Err(SrbError::Invalid(format!(
                 "container '{}' still has {} members",
@@ -230,41 +192,13 @@ impl ContainerTable {
                 c.members.len()
             )));
         }
-        let c = g
-            .rows
-            .remove(id)
-            .ok_or_else(|| SrbError::NotFound(format!("container {id}")))?;
-        g.by_name.remove(&c.name);
-        self.wal.log(0, || WalOp::ContainerDelete { id });
+        g.remove(id);
         Ok(())
-    }
-
-    /// The table over image rows, its name index built from them.
-    pub(crate) fn restore(rows: RowPages<ContainerRecord>) -> Self {
-        let t = ContainerTable::new();
-        {
-            let mut g = t.inner.write();
-            for c in rows.iter() {
-                g.by_name.insert(c.name.clone(), c.id);
-            }
-            g.rows = rows;
-        }
-        t
     }
 
     /// All containers, sorted by id.
     pub fn list(&self) -> Vec<ContainerRecord> {
-        self.inner.read().rows.iter().cloned().collect()
-    }
-
-    /// The image's `"containers"` field, under one read guard.
-    pub(crate) fn write_image(&self, w: &mut ImageWriter<'_, '_>) {
-        w.pages(Field::Containers, &self.inner.read().rows);
-    }
-
-    /// Wire this table to the catalog's WAL.
-    pub(crate) fn attach_wal(&self, wal: std::sync::Arc<crate::wal::Wal>) {
-        self.wal.attach(wal);
+        self.rows.read().iter().cloned().collect()
     }
 }
 

@@ -362,7 +362,7 @@ pub struct DatasetTable {
     /// tokens. In-place row updates (replicas, locks, ACLs) do not bump
     /// it: they cannot change which names a page serves or their order.
     generation: GenCounter,
-    /// Redo-log hook; a no-op until the catalog enables durability.
+    /// The catalog's redo-log hook.
     wal: WalHook,
 }
 
@@ -798,9 +798,12 @@ impl DatasetTable {
     }
 
     /// The table over image rows, its name and collection indexes built
-    /// from them.
-    pub(crate) fn restore(rows: RowPages<Dataset>) -> Self {
-        let t = DatasetTable::default();
+    /// from them, logging through `wal`.
+    pub(crate) fn restore(rows: RowPages<Dataset>, wal: &WalHook) -> Self {
+        let t = DatasetTable {
+            wal: wal.clone(),
+            ..DatasetTable::default()
+        };
         {
             let mut g = t.inner.write();
             for d in rows.iter() {
@@ -865,11 +868,6 @@ impl DatasetTable {
     /// before the restart stay comparable.
     pub(crate) fn restore_generation(&self, raw: u64) {
         self.generation.ensure_at_least(raw);
-    }
-
-    /// Wire this table to the catalog's WAL.
-    pub(crate) fn attach_wal(&self, wal: std::sync::Arc<crate::wal::Wal>) {
-        self.wal.attach(wal);
     }
 
     /// A read guard over the table for batch verification: one lock
@@ -1266,7 +1264,7 @@ mod tests {
     /// The live table's derived maps against a rebuild from its rows.
     fn assert_derived_state_matches_rebuild(t: &DatasetTable) {
         let g = t.inner.read();
-        let rebuilt = DatasetTable::restore(g.rows.clone());
+        let rebuilt = DatasetTable::restore(g.rows.clone(), &WalHook::default());
         let r = rebuilt.inner.read();
         assert_eq!(g.by_name, r.by_name);
         assert_eq!(g.counts, r.counts);

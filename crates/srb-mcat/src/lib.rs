@@ -1,5 +1,6 @@
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
+#![forbid(unsafe_code)]
 //! MCAT — the Metadata Catalog.
 //!
 //! "The SRB, in conjunction with the Metadata Catalog, supports location
@@ -29,6 +30,7 @@ mod pages;
 mod query;
 mod resource;
 mod snapshot;
+mod table;
 pub mod user;
 mod wal;
 

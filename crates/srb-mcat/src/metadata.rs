@@ -408,7 +408,7 @@ pub struct MetaStore {
     /// stamp themselves with this counter (plus the dataset and collection
     /// ones) and are rejected once it moves.
     generation: GenCounter,
-    /// Redo-log hook; a no-op until the catalog enables durability.
+    /// The catalog's redo-log hook.
     wal: WalHook,
 }
 
@@ -870,10 +870,12 @@ impl MetaStore {
     /// the row ids (linear when, as after an ingest-only history, the id
     /// order already is that order) and never goes quadratic on a
     /// posting. Each subject's list stays in id order, which is the order
-    /// the live store added them in. The subject map is sized once.
+    /// the live store added them in. The subject map is sized once. It
+    /// logs through `wal`.
     pub(crate) fn restore(
         rows: RowPages<MetaRow>,
         meta_files: Vec<(Subject, Vec<DatasetId>)>,
+        wal: &WalHook,
     ) -> Self {
         let subject = |id: MetaId| rows.get(id).map(|r| r.subject);
         let mut order: Vec<MetaId> = rows.iter().map(|r| r.id).collect();
@@ -882,7 +884,10 @@ impl MetaStore {
             .windows(2)
             .filter(|w| subject(w[0]) != subject(w[1]))
             .count();
-        let t = MetaStore::new();
+        let t = MetaStore {
+            wal: wal.clone(),
+            ..MetaStore::default()
+        };
         {
             let mut g = t.inner.write();
             let g = &mut *g;
@@ -910,11 +915,6 @@ impl MetaStore {
     /// WAL recovery — recovered cursors must see the stamps they embed).
     pub(crate) fn restore_generation(&self, raw: u64) {
         self.generation.ensure_at_least(raw);
-    }
-
-    /// Wire this table to the catalog's WAL.
-    pub(crate) fn attach_wal(&self, wal: std::sync::Arc<crate::wal::Wal>) {
-        self.wal.attach(wal);
     }
 }
 
@@ -1596,7 +1596,10 @@ mod tests {
 
         let rows = s.inner.read().rows.clone();
         assert_eq!(
-            multi(&MetaStore::restore(rows, Vec::new()), "r"),
+            multi(
+                &MetaStore::restore(rows, Vec::new(), &WalHook::default()),
+                "r"
+            ),
             [DatasetId(1)]
         );
 
@@ -1627,7 +1630,7 @@ mod tests {
                 );
             }
         }
-        let rebuilt = MetaStore::restore(g.rows.clone(), Vec::new());
+        let rebuilt = MetaStore::restore(g.rows.clone(), Vec::new(), &WalHook::default());
         let r = rebuilt.inner.read();
         assert_eq!(g.by_subject, r.by_subject);
         assert_eq!(g.index, r.index);

@@ -185,12 +185,12 @@ impl<R> RowPages<R> {
         }
     }
 
-    /// Page `no`, made if it holds no row yet. A page made behind a full
-    /// previous one gives that page's spare capacity back: ids ascend, so
-    /// it is done growing.
-    fn page_or_new(&mut self, no: u64) -> &mut Page<R> {
+    /// Page `no`, made if it holds no row yet, and the row count. A page
+    /// made behind a full previous one gives that page's spare capacity
+    /// back: ids ascend, so it is done growing.
+    fn page_or_new(&mut self, no: u64) -> (&mut Page<R>, &mut usize) {
         if no >= DENSE_PAGES {
-            return self.far.entry(no).or_insert_with(Page::new);
+            return (self.far.entry(no).or_insert_with(Page::new), &mut self.len);
         }
         let at = no as usize;
         if at >= self.dense.len() {
@@ -201,7 +201,8 @@ impl<R> RowPages<R> {
                 prev.rows.shrink_to_fit();
             }
         }
-        self.dense[at].get_or_insert_with(|| Box::new(Page::new()))
+        let page = self.dense[at].get_or_insert_with(|| Box::new(Page::new()));
+        (page, &mut self.len)
     }
 
     /// Let go of page `no`, now empty.
@@ -249,17 +250,23 @@ impl<R: Row> RowPages<R> {
     /// Put `row` under its id; returns the row it replaced. A row whose
     /// id is above every other in its page appends.
     pub(crate) fn insert(&mut self, row: R) -> Option<R> {
+        self.put(row).1
+    }
+
+    /// [`RowPages::insert`], also handing back the row where it now sits.
+    pub(crate) fn put(&mut self, row: R) -> (&R, Option<R>) {
         let raw = R::raw(row.id());
         let slot = raw % IMAGE_PAGE_IDS;
-        let page = self.page_or_new(raw / IMAGE_PAGE_IDS);
+        let (page, len) = self.page_or_new(raw / IMAGE_PAGE_IDS);
         let (at, held) = page.find(slot);
         if held {
-            return Some(std::mem::replace(&mut page.rows[at], row));
+            let old = std::mem::replace(&mut page.rows[at], row);
+            return (&page.rows[at], Some(old));
         }
         page.rows.insert(at, row);
         page.flip(slot, true);
-        self.len += 1;
-        None
+        *len += 1;
+        (&page.rows[at], None)
     }
 
     /// Take the row with id `id` out.

@@ -6,13 +6,12 @@
 //! storing into it writes synchronous replicas to every member (paper §5).
 
 use crate::pages::RowPages;
-use crate::snapshot::{Field, ImageWriter};
-use crate::wal::{WalHook, WalOp};
+use crate::table::Table;
+use crate::wal::WalHook;
 use serde::{Deserialize, Serialize};
 use srb_storage::DriverKind;
 use srb_types::sync::{LockRank, RwLock};
 use srb_types::{IdGen, LogicalResourceId, ResourceId, SiteId, SrbError, SrbResult};
-use std::collections::HashMap;
 
 /// A physical storage resource registered in the catalog.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -39,35 +38,33 @@ pub struct LogicalResource {
     pub members: Vec<ResourceId>,
 }
 
-/// Resource tables.
+/// Resource tables: physical and logical resources under one lock, their
+/// names unique across both.
 #[derive(Debug)]
 pub struct ResourceTable {
-    inner: RwLock<Inner>,
-    /// Redo-log hook; a no-op until the catalog enables durability.
-    wal: WalHook,
-}
-
-impl Default for ResourceTable {
-    fn default() -> Self {
-        ResourceTable {
-            inner: RwLock::new(LockRank::McatTable, "mcat.resources", Inner::default()),
-            wal: WalHook::default(),
-        }
-    }
-}
-
-#[derive(Debug, Default)]
-struct Inner {
-    physical: RowPages<Resource>,
-    by_name: HashMap<String, ResourceId>,
-    logical: RowPages<LogicalResource>,
-    logical_by_name: HashMap<String, LogicalResourceId>,
+    pub(crate) rows: RwLock<(Table<Resource>, Table<LogicalResource>)>,
 }
 
 impl ResourceTable {
     /// Empty tables.
     pub fn new() -> Self {
-        ResourceTable::default()
+        ResourceTable::restore(
+            RowPages::default(),
+            RowPages::default(),
+            &WalHook::default(),
+        )
+    }
+
+    /// The tables over image rows, logging through `wal`.
+    pub(crate) fn restore(
+        physical: RowPages<Resource>,
+        logical: RowPages<LogicalResource>,
+        wal: &WalHook,
+    ) -> Self {
+        let rows = (Table::restore(physical, wal), Table::restore(logical, wal));
+        ResourceTable {
+            rows: RwLock::new(LockRank::McatTable, "mcat.resources", rows),
+        }
     }
 
     /// Register a physical resource.
@@ -78,20 +75,18 @@ impl ResourceTable {
         kind: DriverKind,
         site: SiteId,
     ) -> SrbResult<ResourceId> {
-        let mut g = self.inner.write();
-        if g.by_name.contains_key(name) || g.logical_by_name.contains_key(name) {
+        let mut g = self.rows.write();
+        let (physical, logical) = &mut *g;
+        if physical.derived().contains_key(name) || logical.derived().contains_key(name) {
             return Err(SrbError::AlreadyExists(format!("resource '{name}'")));
         }
         let id: ResourceId = ids.next();
-        let row = Resource {
+        physical.put(Resource {
             id,
             name: name.to_string(),
             kind,
             site,
-        };
-        self.wal.log(0, || WalOp::ResourcePut { row: row.clone() });
-        g.physical.insert(row);
-        g.by_name.insert(name.to_string(), id);
+        });
         Ok(id)
     }
 
@@ -107,33 +102,28 @@ impl ResourceTable {
                 "logical resource needs at least one member".into(),
             ));
         }
-        let mut g = self.inner.write();
-        if g.logical_by_name.contains_key(name) || g.by_name.contains_key(name) {
+        let mut g = self.rows.write();
+        let (physical, logical) = &mut *g;
+        if logical.derived().contains_key(name) || physical.derived().contains_key(name) {
             return Err(SrbError::AlreadyExists(format!("resource '{name}'")));
         }
-        for m in members {
-            if !g.physical.contains(*m) {
-                return Err(SrbError::NotFound(format!("member resource {m}")));
-            }
+        if let Some(m) = members.iter().find(|&&m| !physical.contains(m)) {
+            return Err(SrbError::NotFound(format!("member resource {m}")));
         }
         let id: LogicalResourceId = ids.next();
-        let row = LogicalResource {
+        logical.put(LogicalResource {
             id,
             name: name.to_string(),
             members: members.to_vec(),
-        };
-        self.wal
-            .log(0, || WalOp::LogicalResourcePut { row: row.clone() });
-        g.logical.insert(row);
-        g.logical_by_name.insert(name.to_string(), id);
+        });
         Ok(id)
     }
 
     /// Get a physical resource.
     pub fn get(&self, id: ResourceId) -> SrbResult<Resource> {
-        self.inner
+        self.rows
             .read()
-            .physical
+            .0
             .get(id)
             .cloned()
             .ok_or_else(|| SrbError::NotFound(format!("resource {id}")))
@@ -141,18 +131,20 @@ impl ResourceTable {
 
     /// Find a physical resource by name.
     pub fn find(&self, name: &str) -> Option<Resource> {
-        let g = self.inner.read();
-        g.by_name
+        let g = self.rows.read();
+        let physical = &g.0;
+        physical
+            .derived()
             .get(name)
-            .and_then(|&id| g.physical.get(id))
+            .and_then(|&id| physical.get(id))
             .cloned()
     }
 
     /// Get a logical resource.
     pub fn get_logical(&self, id: LogicalResourceId) -> SrbResult<LogicalResource> {
-        self.inner
+        self.rows
             .read()
-            .logical
+            .1
             .get(id)
             .cloned()
             .ok_or_else(|| SrbError::NotFound(format!("logical resource {id}")))
@@ -160,10 +152,12 @@ impl ResourceTable {
 
     /// Find a logical resource by name.
     pub fn find_logical(&self, name: &str) -> Option<LogicalResource> {
-        let g = self.inner.read();
-        g.logical_by_name
+        let g = self.rows.read();
+        let logical = &g.1;
+        logical
+            .derived()
             .get(name)
-            .and_then(|&id| g.logical.get(id))
+            .and_then(|&id| logical.get(id))
             .cloned()
     }
 
@@ -175,12 +169,13 @@ impl ResourceTable {
     /// member. The list is never empty: a logical resource without
     /// members (only a restored image can hold one) resolves to an error.
     pub fn resolve_targets(&self, name: &str) -> SrbResult<Vec<ResourceId>> {
-        let g = self.inner.read();
-        if let Some(id) = g.by_name.get(name) {
+        let g = self.rows.read();
+        let (physical, logical) = &*g;
+        if let Some(id) = physical.derived().get(name) {
             return Ok(vec![*id]);
         }
-        if let Some(&lid) = g.logical_by_name.get(name) {
-            let members = g.logical.get(lid).map_or(&[][..], |l| &l.members);
+        if let Some(&lid) = logical.derived().get(name) {
+            let members = logical.get(lid).map_or(&[][..], |l| &l.members);
             if !members.is_empty() {
                 return Ok(members.to_vec());
             }
@@ -191,47 +186,14 @@ impl ResourceTable {
         Err(SrbError::NotFound(format!("resource '{name}'")))
     }
 
-    /// The table over image rows, its name indexes built from them.
-    pub(crate) fn restore(
-        physical: RowPages<Resource>,
-        logical: RowPages<LogicalResource>,
-    ) -> Self {
-        let t = ResourceTable::new();
-        {
-            let mut g = t.inner.write();
-            let g = &mut *g;
-            for r in physical.iter() {
-                g.by_name.insert(r.name.clone(), r.id);
-            }
-            for l in logical.iter() {
-                g.logical_by_name.insert(l.name.clone(), l.id);
-            }
-            (g.physical, g.logical) = (physical, logical);
-        }
-        t
-    }
-
     /// All physical resources, sorted by id.
     pub fn list(&self) -> Vec<Resource> {
-        self.inner.read().physical.iter().cloned().collect()
+        self.rows.read().0.iter().cloned().collect()
     }
 
     /// All logical resources, sorted by id.
     pub fn list_logical(&self) -> Vec<LogicalResource> {
-        self.inner.read().logical.iter().cloned().collect()
-    }
-
-    /// The image's `"resources"` and `"logical_resources"` fields, under
-    /// one read guard.
-    pub(crate) fn write_image(&self, w: &mut ImageWriter<'_, '_>) {
-        let g = self.inner.read();
-        w.pages(Field::Resources, &g.physical);
-        w.pages(Field::LogicalResources, &g.logical);
-    }
-
-    /// Wire this table to the catalog's WAL.
-    pub(crate) fn attach_wal(&self, wal: std::sync::Arc<crate::wal::Wal>) {
-        self.wal.attach(wal);
+        self.rows.read().1.iter().cloned().collect()
     }
 }
 
@@ -298,7 +260,8 @@ mod tests {
             name: "empty".into(),
             members: Vec::new(),
         };
-        let t = ResourceTable::restore(RowPages::default(), [empty].into_iter().collect());
+        let logical = [empty].into_iter().collect();
+        let t = ResourceTable::restore(RowPages::default(), logical, &WalHook::default());
         assert!(t.resolve_targets("empty").is_err());
     }
 

@@ -38,7 +38,7 @@ use crate::metadata::{MetaRow, MetaStore, Subject};
 use crate::pages::{Row, RowPages, IMAGE_PAGE_IDS};
 use crate::resource::{LogicalResource, Resource, ResourceTable};
 use crate::user::{Group, User, UserTable};
-use crate::wal::Wal;
+use crate::wal::{Wal, WalHook};
 use crate::{Annotation, AuditRow};
 use serde::{DeError, Deserialize, JsonReader, Serialize};
 use srb_storage::Image;
@@ -703,14 +703,20 @@ impl Mcat {
             out: &mut *out,
             pass,
         };
-        self.users.write_image(&mut w);
-        self.resources.write_image(&mut w);
+        let users = self.users.users.read();
+        users.0.write_image(&mut w);
+        users.1.write_image(&mut w);
+        drop(users);
+        let resources = self.resources.rows.read();
+        resources.0.write_image(&mut w);
+        resources.1.write_image(&mut w);
+        drop(resources);
         self.collections.write_image(&mut w);
         self.datasets.write_image(&mut w);
-        self.containers.write_image(&mut w);
+        self.containers.rows.read().write_image(&mut w);
         self.metadata.write_image(&mut w);
-        self.annotations.write_image(&mut w);
-        self.audit.write_image(&mut w);
+        self.annotations.rows.read().write_image(&mut w);
+        self.audit.rows.lock().write_image(&mut w);
         out.push_str(",\"generations\":");
         Some(self.generations()).write_json(out);
         out.push('}');
@@ -738,21 +744,23 @@ impl Mcat {
                 "snapshot admin is not among its users".into(),
             ));
         }
-        let collections = CollectionTable::restore(snap.collections)?;
+        let wal = WalHook::default();
+        let collections = CollectionTable::restore(snap.collections, &wal)?;
         let ids = IdGen::new();
         ids.ensure_floor(snap.next_id_floor);
         let mcat = Mcat::from_parts(
             ids,
             clock,
             snap.admin,
-            UserTable::restore(snap.users, snap.groups),
-            ResourceTable::restore(snap.resources, snap.logical_resources),
+            UserTable::restore(snap.users, snap.groups, &wal),
+            ResourceTable::restore(snap.resources, snap.logical_resources, &wal),
             collections,
-            DatasetTable::restore(snap.datasets),
-            ContainerTable::restore(snap.containers),
-            MetaStore::restore(snap.metadata, snap.meta_files),
-            AnnotationTable::restore(snap.annotations),
-            AuditLog::restore(snap.audit),
+            DatasetTable::restore(snap.datasets, &wal),
+            ContainerTable::restore(snap.containers, &wal),
+            MetaStore::restore(snap.metadata, snap.meta_files, &wal),
+            AnnotationTable::restore(snap.annotations, &wal),
+            AuditLog::restore(snap.audit, &wal),
+            wal,
         );
         if let Some(gens) = snap.generations {
             mcat.collections.restore_generation(gens.collections);

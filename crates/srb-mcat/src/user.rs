@@ -6,12 +6,11 @@
 //! itself.
 
 use crate::pages::RowPages;
-use crate::snapshot::{Field, ImageWriter};
-use crate::wal::{WalHook, WalOp};
+use crate::table::Table;
+use crate::wal::WalHook;
 use serde::{Deserialize, Serialize};
 use srb_types::sync::{LockRank, RwLock};
 use srb_types::{GroupId, HmacKey, IdGen, SrbError, SrbResult, UserId};
-use std::collections::HashMap;
 
 /// A registered grid user.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -53,35 +52,34 @@ pub fn derive_verifier(password: &str) -> [u8; 32] {
     HmacKey::new(password.as_bytes()).sign(b"srb-verifier")
 }
 
-/// The user/group tables.
+/// The user/group tables, under one lock.
 #[derive(Debug)]
 pub struct UserTable {
-    users: RwLock<Inner>,
-    /// Redo-log hook; a no-op until the catalog enables durability.
-    wal: WalHook,
+    pub(crate) users: RwLock<(Table<User>, Table<Group>)>,
 }
 
 impl Default for UserTable {
     fn default() -> Self {
-        UserTable {
-            users: RwLock::new(LockRank::McatTable, "mcat.users", Inner::default()),
-            wal: WalHook::default(),
-        }
+        UserTable::restore(
+            RowPages::default(),
+            RowPages::default(),
+            &WalHook::default(),
+        )
     }
-}
-
-#[derive(Debug, Default)]
-struct Inner {
-    users: RowPages<User>,
-    by_name: HashMap<(String, String), UserId>,
-    groups: RowPages<Group>,
-    group_by_name: HashMap<String, GroupId>,
 }
 
 impl UserTable {
     /// Empty tables.
     pub fn new() -> Self {
         UserTable::default()
+    }
+
+    /// The tables over image rows, logging through `wal`.
+    pub(crate) fn restore(users: RowPages<User>, groups: RowPages<Group>, wal: &WalHook) -> Self {
+        let rows = (Table::restore(users, wal), Table::restore(groups, wal));
+        UserTable {
+            users: RwLock::new(LockRank::McatTable, "mcat.users", rows),
+        }
     }
 
     /// Register a user; names are unique within a domain.
@@ -94,31 +92,33 @@ impl UserTable {
         is_admin: bool,
     ) -> SrbResult<UserId> {
         let mut g = self.users.write();
-        let key = (name.to_string(), domain.to_string());
-        if g.by_name.contains_key(&key) {
+        let users = &mut g.0;
+        if users
+            .derived()
+            .contains_key(&(name.to_string(), domain.to_string()))
+        {
             return Err(SrbError::AlreadyExists(format!("user '{name}@{domain}'")));
         }
         let id: UserId = ids.next();
-        let row = User {
+        users.put(User {
             id,
             name: name.to_string(),
             domain: domain.to_string(),
             verifier: derive_verifier(password),
             groups: Vec::new(),
             is_admin,
-        };
-        self.wal.log(0, || WalOp::UserPut { row: row.clone() });
-        g.users.insert(row);
-        g.by_name.insert(key, id);
+        });
         Ok(id)
     }
 
     /// Look up by qualified name.
     pub fn find(&self, name: &str, domain: &str) -> Option<User> {
         let g = self.users.read();
-        g.by_name
+        let users = &g.0;
+        users
+            .derived()
             .get(&(name.to_string(), domain.to_string()))
-            .and_then(|&id| g.users.get(id))
+            .and_then(|&id| users.get(id))
             .cloned()
     }
 
@@ -126,7 +126,7 @@ impl UserTable {
     pub fn get(&self, id: UserId) -> SrbResult<User> {
         self.users
             .read()
-            .users
+            .0
             .get(id)
             .cloned()
             .ok_or_else(|| SrbError::NotFound(format!("user {id}")))
@@ -136,7 +136,7 @@ impl UserTable {
     pub(crate) fn groups_of(&self, id: UserId) -> Vec<GroupId> {
         self.users
             .read()
-            .users
+            .0
             .get(id)
             .map(|u| u.groups.clone())
             .unwrap_or_default()
@@ -145,63 +145,47 @@ impl UserTable {
     /// Create a group.
     pub fn create_group(&self, ids: &IdGen, name: &str) -> SrbResult<GroupId> {
         let mut g = self.users.write();
-        if g.group_by_name.contains_key(name) {
+        let groups = &mut g.1;
+        if groups.derived().contains_key(name) {
             return Err(SrbError::AlreadyExists(format!("group '{name}'")));
         }
         let id: GroupId = ids.next();
-        let row = Group {
+        groups.put(Group {
             id,
             name: name.to_string(),
             members: Vec::new(),
-        };
-        self.wal.log(0, || WalOp::GroupPut { row: row.clone() });
-        g.groups.insert(row);
-        g.group_by_name.insert(name.to_string(), id);
+        });
         Ok(id)
     }
 
     /// Add a user to a group (idempotent).
     pub fn add_to_group(&self, user: UserId, group: GroupId) -> SrbResult<()> {
         let mut g = self.users.write();
-        if !g.groups.contains(group) {
+        let (users, groups) = &mut *g;
+        if !groups.contains(group) {
             return Err(SrbError::NotFound(format!("group {group}")));
         }
-        let u = g
-            .users
-            .get_mut(user)
+        users
+            .update(user, |u| {
+                if !u.groups.contains(&group) {
+                    u.groups.push(group);
+                }
+            })
             .ok_or_else(|| SrbError::NotFound(format!("user {user}")))?;
-        if !u.groups.contains(&group) {
-            u.groups.push(group);
-        }
-        let grp = g
-            .groups
-            .get_mut(group)
-            .ok_or_else(|| SrbError::NotFound(format!("group {group}")))?;
-        if !grp.members.contains(&user) {
-            grp.members.push(user);
-        }
-        if let (Some(u), Some(grp)) = (g.users.get(user), g.groups.get(group)) {
-            self.wal.log(0, || WalOp::UserPut { row: u.clone() });
-            self.wal.log(0, || WalOp::GroupPut { row: grp.clone() });
-        }
+        groups.update(group, |grp| {
+            if !grp.members.contains(&user) {
+                grp.members.push(user);
+            }
+        });
         Ok(())
     }
 
     /// Remove a user from a group.
     pub fn remove_from_group(&self, user: UserId, group: GroupId) -> SrbResult<()> {
         let mut g = self.users.write();
-        if let Some(u) = g.users.get_mut(user) {
-            u.groups.retain(|&gid| gid != group);
-        }
-        if let Some(grp) = g.groups.get_mut(group) {
-            grp.members.retain(|&uid| uid != user);
-        }
-        if let Some(u) = g.users.get(user) {
-            self.wal.log(0, || WalOp::UserPut { row: u.clone() });
-        }
-        if let Some(grp) = g.groups.get(group) {
-            self.wal.log(0, || WalOp::GroupPut { row: grp.clone() });
-        }
+        let (users, groups) = &mut *g;
+        users.update(user, |u| u.groups.retain(|&gid| gid != group));
+        groups.update(group, |grp| grp.members.retain(|&uid| uid != user));
         Ok(())
     }
 
@@ -209,7 +193,7 @@ impl UserTable {
     pub fn get_group(&self, id: GroupId) -> SrbResult<Group> {
         self.users
             .read()
-            .groups
+            .1
             .get(id)
             .cloned()
             .ok_or_else(|| SrbError::NotFound(format!("group {id}")))
@@ -218,49 +202,22 @@ impl UserTable {
     /// Find a group by name.
     pub fn find_group(&self, name: &str) -> Option<Group> {
         let g = self.users.read();
-        g.group_by_name
+        let groups = &g.1;
+        groups
+            .derived()
             .get(name)
-            .and_then(|&id| g.groups.get(id))
+            .and_then(|&id| groups.get(id))
             .cloned()
-    }
-
-    /// The table over image rows, its name indexes built from them.
-    pub(crate) fn restore(users: RowPages<User>, groups: RowPages<Group>) -> Self {
-        let t = UserTable::new();
-        {
-            let mut g = t.users.write();
-            let g = &mut *g;
-            for u in users.iter() {
-                g.by_name.insert((u.name.clone(), u.domain.clone()), u.id);
-            }
-            for grp in groups.iter() {
-                g.group_by_name.insert(grp.name.clone(), grp.id);
-            }
-            (g.users, g.groups) = (users, groups);
-        }
-        t
     }
 
     /// Number of registered users.
     pub(crate) fn user_count(&self) -> usize {
-        self.users.read().users.len()
+        self.users.read().0.len()
     }
 
     /// All users (for MySRB admin pages), sorted by id.
     pub fn list_users(&self) -> Vec<User> {
-        self.users.read().users.iter().cloned().collect()
-    }
-
-    /// The image's `"users"` and `"groups"` fields, under one read guard.
-    pub(crate) fn write_image(&self, w: &mut ImageWriter<'_, '_>) {
-        let g = self.users.read();
-        w.pages(Field::Users, &g.users);
-        w.pages(Field::Groups, &g.groups);
-    }
-
-    /// Wire this table to the catalog's WAL.
-    pub(crate) fn attach_wal(&self, wal: std::sync::Arc<crate::wal::Wal>) {
-        self.wal.attach(wal);
+        self.users.read().0.iter().cloned().collect()
     }
 }
 

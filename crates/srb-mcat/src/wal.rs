@@ -90,7 +90,7 @@ use srb_types::{
 };
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// One logical redo operation. Variants are full row images (`*Put`) or
 /// bare ids (`*Delete`): replay upserts and deletes the checkpoint's rows
@@ -579,32 +579,34 @@ impl Wal {
     }
 }
 
-/// A table's handle on the catalog's WAL: empty until durability is
-/// enabled, then a shared [`Wal`]. Every table owns one; logging through
-/// it is a no-op for catalogs running without a WAL, so the mutation paths
-/// pay only an atomic load when durability is off. Tables log and never
+/// The catalog's handle on its WAL: one `OnceLock`, empty until
+/// durability is enabled and then set once, shared by the catalog
+/// ([`Mcat::wal`]) and a clone in every table. Logging through it is a
+/// no-op for catalogs running without a WAL, so the mutation paths pay
+/// only an atomic load when durability is off. Tables log and never
 /// commit: closing the group belongs to the operation ([`Mcat::commit`]).
 ///
+/// [`Mcat::wal`]: crate::Mcat::wal
 /// [`Mcat::commit`]: crate::Mcat::commit
-#[derive(Debug, Default)]
-pub(crate) struct WalHook(std::sync::OnceLock<Arc<Wal>>);
+#[derive(Debug, Clone, Default)]
+pub(crate) struct WalHook(Arc<OnceLock<Arc<Wal>>>);
 
 impl WalHook {
-    /// Wire the hook to a live WAL. Idempotent per catalog lifetime —
-    /// attaching twice is a programming bug.
-    pub(crate) fn attach(&self, wal: Arc<Wal>) {
-        if self.0.set(wal).is_err() {
-            panic!("WAL attached twice to the same table");
-        }
-    }
-
-    /// Append a redo record if a WAL is attached. Called under the
-    /// mutated table's write guard. The op is built lazily so catalogs
-    /// running without durability never pay the row clone.
+    /// Append a redo record if a WAL is set. Called under the mutated
+    /// table's write guard. The op is built lazily so catalogs running
+    /// without durability never pay the row clone.
     pub(crate) fn log(&self, gen: u64, op: impl FnOnce() -> WalOp) {
         if let Some(wal) = self.0.get() {
             wal.append(&op(), gen);
         }
+    }
+}
+
+impl std::ops::Deref for WalHook {
+    type Target = OnceLock<Arc<Wal>>;
+
+    fn deref(&self) -> &OnceLock<Arc<Wal>> {
+        &self.0
     }
 }
 
@@ -660,6 +662,17 @@ struct Redo {
     touched: PageMarks,
 }
 
+/// Redo a put: upsert `row` into `rows`, noting its id.
+fn put<R: Row>(max_id: &mut u64, rows: &mut RowPages<R>, row: R) {
+    *max_id = (*max_id).max(R::raw(row.id()));
+    rows.insert(row);
+}
+
+/// Redo a delete (a row already gone is tolerated).
+fn delete<R: Row>(rows: &mut RowPages<R>, id: R::Id) {
+    rows.remove(id);
+}
+
 /// The highest id in `rows`.
 fn last_id<R: Row>(rows: &RowPages<R>) -> Option<u64> {
     rows.iter().next_back().map(|r| R::raw(r.id()))
@@ -699,99 +712,57 @@ impl Redo {
         }
     }
 
-    fn note_id(&mut self, raw: u64) {
-        self.max_id = self.max_id.max(raw);
-    }
-
-    fn note_gen(&mut self, table: usize, gen: u64) {
-        self.gens[table] = self.gens[table].max(gen);
-    }
-
     fn apply(&mut self, record: WalRecord) {
-        if let Some((field, page)) = record.op.image_page() {
-            self.touched[field as usize].insert(page);
+        let Some((field, page)) = record.op.image_page() else {
+            return;
+        };
+        self.touched[field as usize].insert(page);
+        let stamped = match field {
+            Field::Collections => Some(0),
+            Field::Datasets => Some(1),
+            Field::Metadata | Field::MetaFiles => Some(2),
+            _ => None,
+        };
+        if let Some(table) = stamped {
+            self.gens[table] = self.gens[table].max(record.gen);
         }
-        let gen = record.gen;
+        let (snap, max_id) = (&mut self.snap, &mut self.max_id);
         match record.op {
-            WalOp::UserPut { row } => {
-                self.note_id(row.id.raw());
-                self.snap.users.insert(row);
-            }
-            WalOp::GroupPut { row } => {
-                self.note_id(row.id.raw());
-                self.snap.groups.insert(row);
-            }
-            WalOp::ResourcePut { row } => {
-                self.note_id(row.id.raw());
-                self.snap.resources.insert(row);
-            }
+            WalOp::UserPut { row } => put(max_id, &mut snap.users, row),
+            WalOp::GroupPut { row } => put(max_id, &mut snap.groups, row),
+            WalOp::ResourcePut { row } => put(max_id, &mut snap.resources, row),
             WalOp::LogicalResourcePut { row } => {
-                self.note_id(row.id.raw());
-                self.snap.logical_resources.insert(row);
+                put(max_id, &mut snap.logical_resources, row);
             }
-            WalOp::CollectionPut { row } => {
-                self.note_id(row.id.raw());
-                self.note_gen(0, gen);
-                self.snap.collections.insert(row);
-            }
-            WalOp::CollectionDelete { id } => {
-                self.note_gen(0, gen);
-                self.snap.collections.remove(id);
-            }
+            WalOp::CollectionPut { row } => put(max_id, &mut snap.collections, row),
+            WalOp::CollectionDelete { id } => delete(&mut snap.collections, id),
             WalOp::DatasetPut { row } => {
-                self.note_id(row.id.raw());
                 for r in &row.replicas {
-                    self.note_id(r.id.raw());
+                    *max_id = (*max_id).max(r.id.raw());
                 }
-                self.note_gen(1, gen);
-                self.snap.datasets.insert(row);
+                put(max_id, &mut snap.datasets, row);
             }
-            WalOp::DatasetDelete { id } => {
-                self.note_gen(1, gen);
-                self.snap.datasets.remove(id);
-            }
-            WalOp::ContainerPut { row } => {
-                self.note_id(row.id.raw());
-                self.snap.containers.insert(row);
-            }
-            WalOp::ContainerDelete { id } => {
-                self.snap.containers.remove(id);
-            }
-            WalOp::MetaPut { row } => {
-                self.note_id(row.id.raw());
-                self.note_gen(2, gen);
-                self.snap.metadata.insert(row);
-            }
-            WalOp::MetaDelete { id } => {
-                self.note_gen(2, gen);
-                self.snap.metadata.remove(id);
-            }
+            WalOp::DatasetDelete { id } => delete(&mut snap.datasets, id),
+            WalOp::ContainerPut { row } => put(max_id, &mut snap.containers, row),
+            WalOp::ContainerDelete { id } => delete(&mut snap.containers, id),
+            WalOp::MetaPut { row } => put(max_id, &mut snap.metadata, row),
+            WalOp::MetaDelete { id } => delete(&mut snap.metadata, id),
             WalOp::MetaFilesPut { subject, files } => {
-                self.note_gen(2, gen);
-                let all = &mut self.snap.meta_files;
+                let all = &mut snap.meta_files;
                 match all.iter_mut().find(|(s, _)| *s == subject) {
                     Some((_, fs)) => *fs = files,
                     None => all.push((subject, files)),
                 }
             }
             WalOp::MetaFilesClear { subject } => {
-                self.note_gen(2, gen);
-                self.snap.meta_files.retain(|(s, _)| *s != subject);
+                snap.meta_files.retain(|(s, _)| *s != subject);
             }
-            WalOp::AnnotationPut { row } => {
-                self.note_id(row.id.raw());
-                self.snap.annotations.insert(row);
-            }
-            WalOp::AnnotationDelete { id } => {
-                self.snap.annotations.remove(id);
-            }
+            WalOp::AnnotationPut { row } => put(max_id, &mut snap.annotations, row),
+            WalOp::AnnotationDelete { id } => delete(&mut snap.annotations, id),
             WalOp::AnnotationClear { subject } => {
-                self.snap.annotations.retain(|a| a.subject != subject);
+                snap.annotations.retain(|a| a.subject != subject);
             }
-            WalOp::AuditPut { row } => {
-                self.note_id(row.id.raw());
-                self.snap.audit.insert(row);
-            }
+            WalOp::AuditPut { row } => put(max_id, &mut snap.audit, row),
             WalOp::Commit { .. } => {}
         }
     }

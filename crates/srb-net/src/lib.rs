@@ -1,5 +1,6 @@
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
+#![forbid(unsafe_code)]
 //! Simulated wide-area network for the data grid.
 //!
 //! The SRB paper's deployments span SDSC, CalTech and other sites over a

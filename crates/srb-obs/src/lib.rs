@@ -1,5 +1,6 @@
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
+#![forbid(unsafe_code)]
 //! Deterministic observability for the data grid.
 //!
 //! The SRB of the paper ran as shared production infrastructure (Digital

@@ -1,5 +1,6 @@
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
+#![forbid(unsafe_code)]
 //! Heterogeneous storage substrate for the data grid.
 //!
 //! The SRB paper brokers "archival storage systems (such as HPSS, DMF,

@@ -641,68 +641,41 @@ fn empty_result() -> QueryResult {
     }
 }
 
-/// Split a query on top-level (not-in-parens) UNION keywords.
+/// Split a query on top-level (not-in-parens) UNION keywords. Walks the
+/// text by character, so text outside ASCII passes through whole.
 fn split_union(sql: &str) -> Vec<String> {
     let mut parts = Vec::new();
     let mut depth = 0i32;
     let mut in_str = false;
     let mut cur = String::new();
-    let mut i = 0;
-    let bytes = sql.as_bytes();
-    while i < bytes.len() {
-        let c = bytes[i] as char;
+    let mut chars = sql.char_indices();
+    while let Some((i, c)) = chars.next() {
         if in_str {
             cur.push(c);
-            if c == '\'' {
-                in_str = false;
-            }
-            i += 1;
+            in_str = c != '\'';
             continue;
         }
         match c {
-            '\'' => {
-                in_str = true;
-                cur.push(c);
-                i += 1;
-            }
-            '(' => {
-                depth += 1;
-                cur.push(c);
-                i += 1;
-            }
-            ')' => {
-                depth -= 1;
-                cur.push(c);
-                i += 1;
-            }
+            '\'' => in_str = true,
+            '(' => depth += 1,
+            ')' => depth -= 1,
             'u' | 'U' if depth == 0 => {
-                let rest = &sql[i..];
-                let is_union = rest.len() >= 5
-                    && rest[..5].eq_ignore_ascii_case("union")
-                    && rest[5..]
-                        .chars()
-                        .next()
-                        .map(|n| n.is_whitespace())
-                        .unwrap_or(false)
-                    && cur
-                        .chars()
-                        .last()
-                        .map(|p| p.is_whitespace())
-                        .unwrap_or(false);
+                // Five ASCII bytes, so `i + 5` is a character boundary.
+                let is_union = sql
+                    .as_bytes()
+                    .get(i..i + 5)
+                    .is_some_and(|w| w.eq_ignore_ascii_case(b"union"))
+                    && sql[i + 5..].chars().next().is_some_and(char::is_whitespace)
+                    && cur.chars().last().is_some_and(char::is_whitespace);
                 if is_union {
-                    parts.push(cur.clone());
-                    cur.clear();
-                    i += 5;
-                } else {
-                    cur.push(c);
-                    i += 1;
+                    parts.push(std::mem::take(&mut cur));
+                    chars.nth(3);
+                    continue;
                 }
             }
-            _ => {
-                cur.push(c);
-                i += 1;
-            }
+            _ => {}
         }
+        cur.push(c);
     }
     parts.push(cur);
     parts
@@ -783,6 +756,7 @@ fn output_columns(sel: &Select, bound: &[(&str, &Table)]) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn engine_with_birds() -> SqlEngine {
         let e = SqlEngine::new();
@@ -931,6 +905,19 @@ mod tests {
         assert_eq!(r.rows[0][0], SqlValue::Int(-5));
     }
 
+    /// Text outside ASCII reaches the query whole, and a multi-byte
+    /// character beside a `u` is no keyword boundary.
+    #[test]
+    fn non_ascii_text_is_matched_whole() {
+        let e = SqlEngine::new();
+        e.execute("CREATE TABLE t (v)").unwrap();
+        e.execute("INSERT INTO t VALUES ('café'), ('naïve')")
+            .unwrap();
+        let r = e.execute("SELECT v FROM t WHERE v = 'café'").unwrap();
+        assert_eq!(r.rows, vec![vec![SqlValue::Text("café".into())]]);
+        assert!(e.execute("SELECT v FROM t WHERE v = uni\u{7eafa}").is_err());
+    }
+
     #[test]
     fn parse_errors_are_reported() {
         let e = SqlEngine::new();
@@ -964,5 +951,114 @@ mod tests {
         e.execute("INSERT INTO birds VALUES ('albatross','diomedeid',340)")
             .unwrap();
         assert_eq!(e.execute(q).unwrap().rows.len(), 3);
+    }
+
+    /// SQL words, names and punctuation hostile input is made of.
+    const VOCAB: &[&str] = &[
+        "SELECT ",
+        "select ",
+        " FROM ",
+        " WHERE ",
+        "INSERT INTO ",
+        " VALUES ",
+        "CREATE TABLE ",
+        "DELETE FROM ",
+        "DROP TABLE ",
+        " UNION ",
+        " ORDER BY ",
+        " DESC",
+        " LIMIT ",
+        " LIKE ",
+        " NOT ",
+        " AND ",
+        " OR ",
+        "NULL",
+        "birds",
+        "habitats",
+        "name",
+        "wingspan",
+        "birds.name",
+        "*",
+        ",",
+        "(",
+        ")",
+        "'",
+        "''",
+        "=",
+        "<>",
+        "<",
+        ">=",
+        "-",
+        "1",
+        "-5",
+        "1.5e400",
+        "99999999999999999999",
+        ";",
+        " ",
+        "%",
+        "_",
+        "\u{e9}",
+        "\0",
+    ];
+
+    /// Statements the engine accepts over `engine_with_birds`.
+    const VALID: &[&str] = &[
+        "SELECT * FROM birds",
+        "SELECT name FROM birds WHERE wingspan > 100",
+        "SELECT name, wingspan FROM birds ORDER BY wingspan DESC LIMIT 2",
+        "SELECT name FROM birds WHERE name NOT LIKE '%o%'",
+        "SELECT name FROM birds WHERE wingspan > 100 UNION SELECT name FROM birds",
+        "SELECT birds.name, h.region FROM birds, habitats h WHERE birds.family = h.family",
+        "INSERT INTO birds VALUES ('it''s', 'x', -5), (NULL, 'y', 2)",
+        "CREATE TABLE t (a, b)",
+        "DELETE FROM birds WHERE wingspan < 100",
+        "DROP TABLE birds",
+    ];
+
+    /// Arbitrary text: tokens of `VOCAB` and raw characters, any order.
+    fn arbitrary() -> impl Strategy<Value = String> {
+        let tok = (0..VOCAB.len() + 8, any::<u32>());
+        prop::collection::vec(tok, 0..40).prop_map(|toks| {
+            let raw = |c: u32| char::from_u32(c % 0x11_0000).unwrap_or('\u{fffd}');
+            toks.into_iter()
+                .map(|(k, c)| {
+                    VOCAB
+                        .get(k)
+                        .map_or_else(|| raw(c).to_string(), |t| t.to_string())
+                })
+                .collect()
+        })
+    }
+
+    /// Near-valid text: one of `VALID` with tokens of `VOCAB` spliced
+    /// in, characters cut out, or its tail cut off.
+    fn near_valid() -> impl Strategy<Value = String> {
+        let edit = (any::<usize>(), 0u8..3, 0..VOCAB.len());
+        (0..VALID.len(), prop::collection::vec(edit, 1..5)).prop_map(|(k, edits)| {
+            let mut s: Vec<char> = VALID[k].chars().collect();
+            for (at, op, t) in edits {
+                let at = at % (s.len() + 1);
+                match op {
+                    0 => drop(s.splice(at..at, VOCAB[t].chars())),
+                    1 => drop(s.drain(at..(at + 1 + t % 4).min(s.len()))),
+                    _ => s.truncate(at),
+                }
+            }
+            s.into_iter().collect()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        /// Hostile statements come back as `Ok` or `Err`, never a panic.
+        #[test]
+        fn hostile_statements_never_panic(text in arbitrary(), near in near_valid()) {
+            let e = engine_with_birds();
+            e.execute("CREATE TABLE habitats (family, region)").unwrap();
+            e.execute("INSERT INTO habitats VALUES ('vulture','andes')").unwrap();
+            let _ = e.execute(&text);
+            let _ = e.execute(&near);
+        }
     }
 }

@@ -1,5 +1,6 @@
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
+#![deny(unsafe_code)]
 //! Common foundation types for the `srb-grid` workspace.
 //!
 //! This crate holds everything that more than one subsystem needs but that
@@ -10,6 +11,7 @@
 //! a from-scratch SHA-256/HMAC used by the single-sign-on handshake.
 
 pub mod acl;
+#[allow(unsafe_code)]
 pub mod alloc;
 pub mod clock;
 pub mod cursor;

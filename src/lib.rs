@@ -15,6 +15,7 @@
 //! Start with [`prelude`] and the `examples/` directory.
 
 #![warn(clippy::unwrap_used, clippy::expect_used)]
+#![forbid(unsafe_code)]
 
 pub use mysrb as web;
 pub use srb_core as core;

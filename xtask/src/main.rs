@@ -47,6 +47,8 @@
 //! `vendor/` (offline dependency stand-ins) and `xtask/` itself are out of
 //! scope; everything under `crates/`, `src/`, and `tests/` is linted.
 
+#![forbid(unsafe_code)]
+
 mod analyze;
 mod benchcheck;
 mod lexer;
