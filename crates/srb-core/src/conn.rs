@@ -500,7 +500,7 @@ impl<'g> SrbConnection<'g> {
         replica: &Replica,
         receipt: &mut Receipt,
     ) -> SrbResult<Bytes> {
-        if let Some(slice) = replica.in_container {
+        if let Some(&slice) = replica.in_container.as_deref() {
             return self.read_container_slice(slice, receipt);
         }
         let (resource, phys_path) = match &replica.spec {

@@ -13,7 +13,7 @@ use srb_mcat::dataset::ContainerSlice;
 use srb_mcat::{AccessSpec, AuditAction, ContainerRecord, Subject};
 use srb_net::Receipt;
 use srb_storage::DriverKind;
-use srb_types::{sha256_hex, CollectionId, DatasetId, ResourceId, SrbError, SrbResult, UserId};
+use srb_types::{Checksum, CollectionId, DatasetId, ResourceId, SrbError, SrbResult, UserId};
 
 impl SrbConnection<'_> {
     /// Create a container on a logical resource.
@@ -112,7 +112,7 @@ impl SrbConnection<'_> {
                     phys_path: Self::container_phys_path(&record),
                 },
                 data.len() as u64,
-                Some(sha256_hex(data)),
+                Some(Checksum::of(data)),
                 self.now(),
             )?;
             self.grid.mcat.datasets.update(ds, |d| {
@@ -123,7 +123,7 @@ impl SrbConnection<'_> {
                     .ok_or_else(|| {
                         SrbError::NotFound(format!("replica #{repl_num} vanished during ingest"))
                     })?;
-                r.in_container = Some(slice);
+                r.in_container = Some(Box::new(slice));
                 Ok(())
             })?;
             for t in &opts.metadata {
@@ -297,13 +297,13 @@ impl SrbConnection<'_> {
         let record = self.grid.mcat.containers.get(old.container)?;
         let (cache_rid, _) = self.container_members(&record)?;
         let (slice, receipt) = self.append_slice(&record, cache_rid, ds, true, data)?;
-        let checksum = sha256_hex(data);
+        let checksum = Checksum::of(data);
         self.grid.mcat.datasets.update(ds, |d| {
             for r in d.replicas.iter_mut() {
-                if r.in_container == Some(old) {
-                    r.in_container = Some(slice);
+                if r.in_container.as_deref() == Some(&old) {
+                    r.in_container = Some(Box::new(slice));
                     r.size = data.len() as u64;
-                    r.checksum = Some(checksum.clone());
+                    r.checksum = Some(checksum);
                 }
             }
             Ok(())

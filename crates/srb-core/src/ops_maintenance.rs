@@ -15,7 +15,7 @@ use crate::fanout::StoreLeg;
 use srb_mcat::dataset::ContainerSlice;
 use srb_mcat::{AccessSpec, AuditAction, ReplicaStatus};
 use srb_net::Receipt;
-use srb_types::{sha256_hex, DatasetId, Permission, SrbError, SrbResult, UserId};
+use srb_types::{Checksum, DatasetId, Permission, SrbError, SrbResult, UserId};
 
 /// Outcome of verifying one replica's checksum.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -26,9 +26,9 @@ pub enum ChecksumStatus {
     /// behind SRB's back.
     Mismatch {
         /// What the catalog recorded.
-        expected: String,
+        expected: Checksum,
         /// What the bytes hash to now.
-        actual: String,
+        actual: Checksum,
     },
     /// The catalog holds no checksum for this replica (registered objects).
     NoChecksum,
@@ -97,7 +97,7 @@ impl SrbConnection<'_> {
         }
         let (fresh, read_receipt) = self.read_dataset_bytes(ds.id)?;
         receipt.absorb(&read_receipt);
-        let checksum = sha256_hex(&fresh);
+        let checksum = Checksum::of(&fresh);
         // One leg per repairable stale replica; registered replicas cannot
         // be rewritten. Catalog commits happen after the join, in leg
         // order, on this thread.
@@ -139,7 +139,7 @@ impl SrbConnection<'_> {
                     if repaired_nums.contains(&rep.repl_num) {
                         rep.status = ReplicaStatus::UpToDate;
                         rep.size = fresh.len() as u64;
-                        rep.checksum = Some(checksum.clone());
+                        rep.checksum = Some(checksum);
                     }
                 }
                 d.modified = now;
@@ -196,13 +196,13 @@ impl SrbConnection<'_> {
                 if !replica.spec.is_byte_addressable() {
                     continue;
                 }
-                let Some(expected) = replica.checksum.clone() else {
+                let Some(expected) = replica.checksum else {
                     out.push((replica.repl_num, ChecksumStatus::NoChecksum));
                     continue;
                 };
                 let status = match self.read_replica(replica, &mut op.receipt) {
                     Ok(bytes) => {
-                        let actual = sha256_hex(&bytes);
+                        let actual = Checksum::of(&bytes);
                         if actual == expected {
                             ChecksumStatus::Ok
                         } else {
@@ -274,8 +274,8 @@ impl SrbConnection<'_> {
             for (ds, old, new) in &moves {
                 self.grid.mcat.datasets.update(*ds, |d| {
                     for r in d.replicas.iter_mut() {
-                        if r.in_container == Some(*old) {
-                            r.in_container = Some(*new);
+                        if r.in_container.as_deref() == Some(old) {
+                            r.in_container = Some(Box::new(*new));
                         }
                     }
                     Ok(())

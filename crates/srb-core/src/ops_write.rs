@@ -10,7 +10,7 @@ use srb_mcat::{
 };
 use srb_net::Receipt;
 use srb_types::{
-    sha256_hex, CollectionId, DatasetId, LogicalPath, Permission, ResourceId, SrbError, SrbResult,
+    Checksum, CollectionId, DatasetId, LogicalPath, Permission, ResourceId, SrbError, SrbResult,
     Triplet, UserId,
 };
 use std::collections::HashSet;
@@ -274,8 +274,9 @@ impl SrbConnection<'_> {
         receipt: &mut Receipt,
     ) -> SrbResult<Vec<DatasetId>> {
         self.refuse_taken_names(coll, files.iter().map(|(name, _)| name.as_str()))?;
-        let checksums =
-            fanout::run_legs(self.fanout_mode(), files.len(), |i| sha256_hex(&files[i].1));
+        let checksums = fanout::run_legs(self.fanout_mode(), files.len(), |i| {
+            Checksum::of(&files[i].1)
+        });
         let legs: Vec<StoreLeg> = files
             .iter()
             .flat_map(|(name, data)| {
@@ -303,12 +304,7 @@ impl SrbConnection<'_> {
             };
             let size = files[i].1.len() as u64;
             match fan.results[j] {
-                Ok(_) => (
-                    spec,
-                    size,
-                    Some(checksums[i].clone()),
-                    ReplicaStatus::UpToDate,
-                ),
+                Ok(_) => (spec, size, Some(checksums[i]), ReplicaStatus::UpToDate),
                 Err(_) => (spec, size, None, ReplicaStatus::Stale),
             }
         };
@@ -406,14 +402,14 @@ impl SrbConnection<'_> {
                 }
             }
         }
-        let checksum = sha256_hex(data);
+        let checksum = Checksum::of(data);
         // Container slices rewrite inline (they share one container file
         // and must not race); standalone stored replicas fan out.
         let mut staleness: Vec<(u32, ReplicaStatus)> = Vec::new();
         let mut legs: Vec<StoreLeg> = Vec::new();
         let mut leg_nums: Vec<u32> = Vec::new();
         for replica in &ds.replicas {
-            if let Some(slice) = replica.in_container {
+            if let Some(&slice) = replica.in_container.as_deref() {
                 let r = self.rewrite_container_slice(ds.id, slice, data)?;
                 receipt.absorb(&r);
                 staleness.push((replica.repl_num, ReplicaStatus::UpToDate));
@@ -457,7 +453,7 @@ impl SrbConnection<'_> {
                     r.status = *status;
                     if *status == ReplicaStatus::UpToDate {
                         r.size = data.len() as u64;
-                        r.checksum = Some(checksum.clone());
+                        r.checksum = Some(checksum);
                     }
                 }
             }
@@ -710,7 +706,7 @@ impl SrbConnection<'_> {
         receipt: &mut Receipt,
     ) -> SrbResult<()> {
         let targets = self.grid.mcat.resources.resolve_targets(resource_name)?;
-        let checksum = sha256_hex(&data);
+        let checksum = Checksum::of(&data);
         let base = Self::phys_path(ds.coll, &ds.name);
         let legs: Vec<StoreLeg> = targets
             .iter()
@@ -724,7 +720,7 @@ impl SrbConnection<'_> {
             .collect();
         let fan = self.store_fanout(&legs);
         receipt.absorb(&fan.receipt);
-        self.commit_fanout_replicas(ds.id, &legs, &fan, data.len() as u64, &checksum)
+        self.commit_fanout_replicas(ds.id, &legs, &fan, data.len() as u64, checksum)
     }
 
     /// The catalog commit of [`create_replicas`](Self::create_replicas):
@@ -739,7 +735,7 @@ impl SrbConnection<'_> {
         legs: &[StoreLeg],
         fan: &FanoutOutcome,
         size: u64,
-        checksum: &str,
+        checksum: Checksum,
     ) -> SrbResult<()> {
         if let Some(e) = fan.first_err().filter(|_| fan.successes() == 0) {
             return Err(e);
@@ -756,7 +752,7 @@ impl SrbConnection<'_> {
                         ds,
                         spec,
                         size,
-                        Some(checksum.to_string()),
+                        Some(checksum),
                         self.now(),
                     )?;
                 }
@@ -1092,7 +1088,7 @@ impl SrbConnection<'_> {
     /// Physically dispose of an SRB-controlled replica's bytes; registered
     /// specs leave the physical object untouched.
     fn dispose_replica(&self, ds: DatasetId, replica: &srb_mcat::Replica) {
-        if let Some(slice) = replica.in_container {
+        if let Some(slice) = &replica.in_container {
             let _ = self.grid.mcat.containers.remove_member(slice.container, ds);
             return;
         }

@@ -361,7 +361,8 @@ impl Federation {
                 WalOp::DatasetPut { row } => {
                     ds = coll.child(&row.name)?;
                     let (size, sum) = Mcat::home_stat(&row);
-                    format!("D {ds} {} {size} {}", row.data_type, sum.unwrap_or("-"))
+                    let sum = sum.map_or_else(|| "-".to_string(), |s| s.to_string());
+                    format!("D {ds} {} {size} {sum}", row.data_type)
                 }
                 WalOp::MetaPut { row } => {
                     let tag = match &row.kind {

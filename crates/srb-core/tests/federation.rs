@@ -8,7 +8,9 @@ use common::{connect, grid, zone_grid};
 use srb_core::{Federation, IngestOptions, ReplicaPolicy, SrbConnection};
 use srb_mcat::dataset::AccessSpec;
 use srb_mcat::{Dataset, Mcat, MetaKind, Subject};
-use srb_types::{CollectionId, DatasetId, MetaValue, Permission, ResourceId, Triplet, UserId};
+use srb_types::{
+    Checksum, CollectionId, DatasetId, MetaValue, Permission, ResourceId, Triplet, UserId,
+};
 
 #[test]
 fn least_loaded_policy_spreads_reads_across_replicas() {
@@ -295,7 +297,9 @@ fn the_digest_sees_every_field_a_mirror_carries_and_nothing_zone_local() {
             edit_dataset(m, s.d, |r| r.replicas[0].size += 1)
         }),
         ("checksum", |m, s| {
-            edit_dataset(m, s.d, |r| r.replicas[0].checksum = Some("beef".into()))
+            edit_dataset(m, s.d, |r| {
+                r.replicas[0].checksum = Some(Checksum::of(b"beef"))
+            })
         }),
         ("collection name", |m, s| {
             m.collections.move_collection(s.sub, s.root, "tub").unwrap()

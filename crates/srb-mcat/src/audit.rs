@@ -248,16 +248,6 @@ impl AuditLog {
             .collect()
     }
 
-    /// All rows touching a subject (exact match).
-    pub fn for_subject(&self, subject: &str) -> Vec<AuditRow> {
-        self.rows
-            .lock()
-            .iter()
-            .filter(|r| r.subject == subject)
-            .cloned()
-            .collect()
-    }
-
     /// Every audit row, oldest first.
     pub fn dump(&self) -> Vec<AuditRow> {
         self.rows.lock().iter().cloned().collect()
@@ -306,8 +296,11 @@ mod tests {
             "PERMISSION_DENIED",
         );
         assert_eq!(log.for_user(UserId(1)).len(), 2);
-        assert_eq!(log.for_subject("/a").len(), 2);
-        assert_eq!(log.for_subject("/b")[0].outcome, "PERMISSION_DENIED");
+        let for_subject = |s: &str| -> Vec<AuditRow> {
+            log.dump().into_iter().filter(|r| r.subject == s).collect()
+        };
+        assert_eq!(for_subject("/a").len(), 2);
+        assert_eq!(for_subject("/b")[0].outcome, "PERMISSION_DENIED");
     }
 
     /// Every word the grid writes reads back static, including every

@@ -16,9 +16,9 @@ use crate::user::UserTable;
 use crate::wal::{self, RecoveryReport, Wal, WalConfig, WalHook};
 use srb_storage::LogDevice;
 use srb_types::{
-    like_scan_prefix, AccessMatrix, CollectionId, CompareOp, CursorCodec, DatasetId, GroupId,
-    IdGen, IdMap, IdSet, LogicalPath, MetaValue, PageToken, Permission, SimClock, SrbError,
-    SrbResult, Timestamp, Triplet, UserId,
+    like_scan_prefix, AccessMatrix, Checksum, CollectionId, CompareOp, CursorCodec, DatasetId,
+    GroupId, IdGen, IdMap, IdSet, LogicalPath, MetaValue, PageToken, Permission, SimClock,
+    SrbError, SrbResult, Timestamp, Triplet, UserId,
 };
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -228,7 +228,7 @@ impl Mcat {
             collections,
             DatasetTable::restore(RowPages::default(), &wal),
             ContainerTable::restore(RowPages::default(), &wal),
-            MetaStore::restore(RowPages::default(), Vec::new(), &wal),
+            MetaStore::restore(Default::default(), Vec::new(), &wal),
             AnnotationTable::restore(RowPages::default(), &wal),
             AuditLog::restore(RowPages::default(), &wal),
             wal,
@@ -1242,8 +1242,8 @@ impl Mcat {
     /// The size and checksum a pointer row and the subtree digest take
     /// from a home row: its largest replica's size and its first replica's
     /// checksum.
-    pub fn home_stat(ds: &Dataset) -> (u64, Option<&str>) {
-        let checksum = ds.replicas.first().and_then(|r| r.checksum.as_deref());
+    pub fn home_stat(ds: &Dataset) -> (u64, Option<Checksum>) {
+        let checksum = ds.replicas.first().and_then(|r| r.checksum);
         (
             ds.replicas.iter().map(|r| r.size).max().unwrap_or(0),
             checksum,
@@ -1274,7 +1274,7 @@ impl Mcat {
         let (size, checksum) = Self::home_stat(src);
         let Some(local) = local else {
             let url = format!("{ZONE_URL_SCHEME}{home}{home_path}");
-            let spec = vec![(AccessSpec::Url { url }, size, checksum.map(str::to_string))];
+            let spec = vec![(AccessSpec::Url { url }, size, checksum)];
             let (ids, admin, now) = (&self.ids, self.admin(), self.clock.now());
             let id = self
                 .datasets
@@ -1294,7 +1294,7 @@ impl Mcat {
             d.data_type = src.data_type.clone();
             if let Some(r0) = d.replicas.first_mut() {
                 r0.size = size;
-                r0.checksum = checksum.map(str::to_string);
+                r0.checksum = checksum;
             }
             Ok(())
         })?;

@@ -14,8 +14,8 @@ use crate::wal::{WalHook, WalOp};
 use serde::{Deserialize, Serialize};
 use srb_types::sync::{LockRank, RwLock, RwLockReadGuard};
 use srb_types::{
-    AccessMatrix, CollectionId, ContainerId, DatasetId, GenCounter, Generation, IdGen, IdMap,
-    IdSet, ReplicaId, ResourceId, SrbError, SrbResult, Timestamp, UserId,
+    AccessMatrix, Checksum, CollectionId, ContainerId, DatasetId, GenCounter, Generation, IdGen,
+    IdMap, IdSet, ReplicaId, ResourceId, SrbError, SrbResult, Timestamp, UserId,
 };
 use std::collections::{BTreeMap, HashSet};
 use std::ops::Bound;
@@ -161,9 +161,11 @@ pub struct Replica {
     /// files).
     pub size: u64,
     /// SHA-256 checksum of SRB-controlled content.
-    pub checksum: Option<String>,
+    pub checksum: Option<Checksum>,
     /// Set when the bytes live inside a container rather than standalone.
-    pub in_container: Option<ContainerSlice>,
+    /// Few replicas do, so the slice is boxed: inline it would push the
+    /// row past its budget now that the checksum is held inline.
+    pub in_container: Option<Box<ContainerSlice>>,
     /// Replica health.
     pub status: ReplicaStatus,
     /// Pin expiry, when pinned to its resource.
@@ -176,7 +178,7 @@ pub struct Replica {
 // stored dataset owns at least one `Replica`. A field that grows either
 // fails the build.
 const _: () = assert!(std::mem::size_of::<Dataset>() <= 240);
-const _: () = assert!(std::mem::size_of::<Replica>() <= 160);
+const _: () = assert!(std::mem::size_of::<Replica>() <= 144);
 
 /// Lock flavour (paper: shared and exclusive locks with expiry).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -350,7 +352,7 @@ pub struct NewDataset {
     /// Name within the target collection.
     pub name: String,
     /// Initial replicas: spec, size, checksum, health.
-    pub replicas: Vec<(AccessSpec, u64, Option<String>, ReplicaStatus)>,
+    pub replicas: Vec<(AccessSpec, u64, Option<Checksum>, ReplicaStatus)>,
 }
 
 /// The dataset table.
@@ -432,7 +434,7 @@ impl DatasetTable {
         name: &str,
         data_type: &str,
         owner: UserId,
-        replicas: Vec<(AccessSpec, u64, Option<String>)>,
+        replicas: Vec<(AccessSpec, u64, Option<Checksum>)>,
         now: Timestamp,
     ) -> SrbResult<DatasetId> {
         let mut g = self.inner.write();
@@ -539,7 +541,7 @@ impl DatasetTable {
         key: (CollectionId, String),
         data_type: &str,
         owner: UserId,
-        replicas: impl Iterator<Item = (AccessSpec, u64, Option<String>, ReplicaStatus)>,
+        replicas: impl Iterator<Item = (AccessSpec, u64, Option<Checksum>, ReplicaStatus)>,
         link_target: Option<DatasetId>,
         now: Timestamp,
     ) -> DatasetId {
@@ -681,7 +683,7 @@ impl DatasetTable {
         dataset: DatasetId,
         spec: AccessSpec,
         size: u64,
-        checksum: Option<String>,
+        checksum: Option<Checksum>,
         now: Timestamp,
     ) -> SrbResult<u32> {
         self.add_replica_with_status(
@@ -705,7 +707,7 @@ impl DatasetTable {
         dataset: DatasetId,
         spec: AccessSpec,
         size: u64,
-        checksum: Option<String>,
+        checksum: Option<Checksum>,
         status: ReplicaStatus,
         now: Timestamp,
     ) -> SrbResult<u32> {
@@ -798,7 +800,9 @@ impl DatasetTable {
     }
 
     /// The table over image rows, its name and collection indexes built
-    /// from them, logging through `wal`.
+    /// from them, logging through `wal`. The name index is built from one
+    /// run of its entries by `BTreeMap::from_iter`, which fills its nodes
+    /// where inserts one name at a time leave them half empty.
     pub(crate) fn restore(rows: RowPages<Dataset>, wal: &WalHook) -> Self {
         let t = DatasetTable {
             wal: wal.clone(),
@@ -806,8 +810,11 @@ impl DatasetTable {
         };
         {
             let mut g = t.inner.write();
+            let mut names = Vec::with_capacity(rows.len());
+            names.extend(rows.iter().map(|d| ((d.coll, d.name.clone()), d.id)));
+            g.by_name = BTreeMap::from_iter(names);
             for d in rows.iter() {
-                g.list(d.coll, d.name.clone(), d.id);
+                *g.counts.entry(d.coll).or_default() += 1;
             }
             g.rows = rows;
         }

@@ -43,7 +43,7 @@ pub use dataset::{
     AccessSpec, CheckoutState, Dataset, DatasetEntry, LockKind, LockState, NewDataset, Replica,
     ReplicaStatus, Template, VersionRecord,
 };
-pub use metadata::{MetaKind, MetaRow, Subject};
+pub use metadata::{MetaKind, MetaRow, MetaRows, Subject};
 pub use pages::{RowPages, IMAGE_PAGE_IDS};
 pub use query::{Query, QueryCondition, QueryHit};
 pub use resource::{LogicalResource, Resource};

@@ -6,12 +6,19 @@
 //! units)* triplets. The store keeps a per-attribute ordered value index so
 //! the query engine can answer `=` and range conditions without scanning —
 //! the design choice ablated in experiment E5/A1.
+//!
+//! A row is held compact: its attribute name, units and schema are few
+//! distinct texts shared by many rows, so the row names each by a `Sym`
+//! of the store's one string table ([`MetaRows`]), and reads materialize a
+//! [`MetaRow`] view. The image, the redo log and recovery speak the view's
+//! text, resolved under the store's guard.
 
 use crate::pages::RowPages;
 use crate::snapshot::{Field, ImageWriter};
 use crate::wal::{WalHook, WalOp};
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, JsonReader, Serialize};
 use srb_types::sync::{LockRank, RwLock, RwLockReadGuard};
+use srb_types::value::like_match;
 use srb_types::{
     like_scan_prefix, CollectionId, CompareOp, DatasetId, GenCounter, Generation, IdGen, IdMap,
     IdSet, MetaId, MetaValue, SrbError, SrbResult, Triplet,
@@ -20,6 +27,7 @@ use std::borrow::{Borrow, Cow};
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::Bound;
+use std::sync::Arc;
 
 /// What a metadata row is attached to. Ordered by variant, then id: every
 /// dataset sorts before every collection.
@@ -53,7 +61,8 @@ pub enum MetaKind {
     FileBased(DatasetId),
 }
 
-/// One metadata row.
+/// One metadata row, as reads return it and the image and the redo log
+/// write it. The store keeps a compact form of it; see the module docs.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MetaRow {
     /// Catalog id.
@@ -66,9 +75,10 @@ pub struct MetaRow {
     pub kind: MetaKind,
 }
 
-// Row budget: a metadata page holds 1 024 rows inline; a field that grows
-// the row fails the build.
+// Row budgets: a metadata page holds 1 024 stored rows inline, and a view
+// is what every read hands out; a field that grows either fails the build.
 const _: () = assert!(std::mem::size_of::<MetaRow>() <= 120);
+const _: () = assert!(std::mem::size_of::<StoredRow>() <= 72);
 
 /// The fifteen Dublin Core elements, as the paper's canonical example of a
 /// type-oriented schema.
@@ -90,53 +100,445 @@ pub const DUBLIN_CORE: [&str; 15] = [
     "Rights",
 ];
 
-/// Ordered wrapper so `MetaValue`s can key a BTreeMap: numbers first (by
-/// numeric value), then text in case-folded order with a raw tie-break —
-/// the same total order as `MetaValue::index_cmp`, but with the numeric
-/// view and the case fold computed **once** at insertion instead of on
-/// every comparison (a B-tree insert at 10⁶ keys performs ~20 of them).
-#[derive(Debug, Clone)]
-struct IndexKey {
-    v: MetaValue,
-    /// Cached numeric view (`MetaValue::as_f64`); `None` for pure text.
-    num: Option<f64>,
-    /// Cached lowercase fold of the lexical form; populated only for pure
-    /// text (numeric keys order by value, never by fold).
-    fold: Option<String>,
+/// A text of a store's string table: an attribute name, a units string or
+/// a schema name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct Sym(u32);
+
+// Symbols are assigned by the store, never typed by a user.
+impl srb_types::CatalogKey for Sym {}
+
+/// Each distinct text the rows of one store name, held once with the
+/// number of row fields naming it. A text goes when its last use does,
+/// and its symbol is handed out again.
+#[derive(Debug, Default, Clone)]
+struct Strings {
+    /// Symbol → its text and uses; `None` for a free symbol.
+    slots: Vec<Option<(Arc<str>, usize)>>,
+    /// Text → symbol.
+    syms: HashMap<Arc<str>, Sym>,
+    /// Free symbols, reused first.
+    free: Vec<u32>,
 }
 
-impl IndexKey {
-    fn new(v: MetaValue) -> Self {
-        let num = v.as_f64();
-        let fold = if num.is_none() {
-            Some(v.lexical().to_lowercase())
-        } else {
-            None
-        };
-        IndexKey { v, num, fold }
-    }
-
-    /// A synthetic lower bound for the case-folded text region starting at
-    /// `fold`: it sorts after every numeric key, and at-or-before every
-    /// text key whose fold is ≥ `fold` (its raw form is empty, the minimum
-    /// tie-break). Used only as a range-scan probe, never stored.
-    fn text_probe(fold: String) -> Self {
-        IndexKey {
-            v: MetaValue::Text(String::new()),
-            num: None,
-            fold: Some(fold),
+impl Strings {
+    /// The symbol of `text`, counting one more use of it.
+    fn intern(&mut self, text: &str) -> Sym {
+        if let Some(&sym) = self.syms.get(text) {
+            if let Some((_, uses)) = &mut self.slots[sym.0 as usize] {
+                *uses += 1;
+            }
+            return sym;
         }
+        let text: Arc<str> = Arc::from(text);
+        let slot = Some((text.clone(), 1));
+        let sym = match self.free.pop() {
+            Some(n) => {
+                self.slots[n as usize] = slot;
+                Sym(n)
+            }
+            None => {
+                self.slots.push(slot);
+                Sym((self.slots.len() - 1) as u32)
+            }
+        };
+        self.syms.insert(text, sym);
+        sym
     }
 
-    /// Raw lexical form of a text key, borrowed. Text keys are always the
-    /// `Text` variant: any `Int`/`Float` (or numeric-looking text) has
-    /// `num = Some(_)` and never reaches the text comparison leg.
-    fn raw(&self) -> &str {
-        match &self.v {
-            MetaValue::Text(s) => s.as_str(),
-            // Unreachable for keys in the text region; harmless fallback.
+    /// The symbol of `text`, if a row names it.
+    fn get(&self, text: &str) -> Option<Sym> {
+        self.syms.get(text).copied()
+    }
+
+    /// The text of `sym`.
+    fn text(&self, sym: Sym) -> &str {
+        match self.slots.get(sym.0 as usize) {
+            Some(Some((text, _))) => text,
             _ => "",
         }
+    }
+
+    /// One use of `sym` fewer; the text goes with its last use.
+    fn release(&mut self, sym: Sym) {
+        let Some(slot) = self.slots.get_mut(sym.0 as usize) else {
+            return;
+        };
+        if let Some((text, uses)) = slot {
+            *uses -= 1;
+            if *uses == 0 {
+                self.syms.remove(&**text);
+                *slot = None;
+                self.free.push(sym.0);
+            }
+        }
+    }
+}
+
+/// [`MetaKind`] with its schema name as a symbol.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum StoredKind {
+    System,
+    UserDefined,
+    TypeOriented(Sym),
+    FileBased(DatasetId),
+}
+
+/// A metadata row as the store holds it: the triplet's name and units,
+/// and the schema of a type-oriented row, are symbols of the store's
+/// string table.
+#[derive(Debug, Clone)]
+pub(crate) struct StoredRow {
+    pub(crate) id: MetaId,
+    subject: Subject,
+    value: MetaValue,
+    name: Sym,
+    units: Sym,
+    kind: StoredKind,
+}
+
+/// A store's metadata rows, in id pages, and the string table their
+/// symbols point into: what the image holds, what recovery and the redo
+/// log decode into, and what `MetaStore::restore` builds its indexes
+/// over. [`MetaRows::iter`] reads the rows as [`MetaRow`]s.
+#[derive(Debug, Default, Clone)]
+pub struct MetaRows {
+    rows: RowPages<StoredRow>,
+    strings: Strings,
+}
+
+impl MetaRows {
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Whether there are no rows.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// The rows, in id order, each as a [`MetaRow`].
+    pub fn iter(&self) -> impl Iterator<Item = MetaRow> + '_ {
+        self.rows.iter().map(|r| self.view(r))
+    }
+
+    /// The highest row id.
+    pub(crate) fn last_id(&self) -> Option<MetaId> {
+        self.rows.iter().next_back().map(|r| r.id)
+    }
+
+    fn get(&self, id: MetaId) -> Option<&StoredRow> {
+        self.rows.get(id)
+    }
+
+    /// `row` as reads return it.
+    fn view(&self, row: &StoredRow) -> MetaRow {
+        MetaRow {
+            id: row.id,
+            subject: row.subject,
+            triplet: Triplet {
+                name: self.strings.text(row.name).to_string(),
+                value: row.value.clone(),
+                units: self.strings.text(row.units).to_string(),
+            },
+            kind: match row.kind {
+                StoredKind::System => MetaKind::System,
+                StoredKind::UserDefined => MetaKind::UserDefined,
+                StoredKind::TypeOriented(s) => {
+                    MetaKind::TypeOriented(self.strings.text(s).to_string())
+                }
+                StoredKind::FileBased(d) => MetaKind::FileBased(d),
+            },
+        }
+    }
+
+    /// Put `row` under its id, its texts interned; returns whether a row
+    /// was replaced.
+    pub(crate) fn put(&mut self, row: MetaRow) -> bool {
+        let kind = match &row.kind {
+            MetaKind::System => StoredKind::System,
+            MetaKind::UserDefined => StoredKind::UserDefined,
+            MetaKind::TypeOriented(s) => StoredKind::TypeOriented(self.strings.intern(s)),
+            MetaKind::FileBased(d) => StoredKind::FileBased(*d),
+        };
+        let stored = StoredRow {
+            id: row.id,
+            subject: row.subject,
+            name: self.strings.intern(&row.triplet.name),
+            units: self.strings.intern(&row.triplet.units),
+            value: row.triplet.value,
+            kind,
+        };
+        self.insert(stored)
+    }
+
+    /// Put a row whose symbols are already counted; returns whether a row
+    /// was replaced, its uses let go.
+    fn insert(&mut self, row: StoredRow) -> bool {
+        match self.rows.insert(row) {
+            Some(old) => {
+                self.release(&old);
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Give row `id` a new value and units; returns the value it had.
+    fn update(&mut self, id: MetaId, value: MetaValue, units: &str) -> Option<MetaValue> {
+        let row = self.rows.get_mut(id)?;
+        let units = self.strings.intern(units);
+        self.strings
+            .release(std::mem::replace(&mut row.units, units));
+        Some(std::mem::replace(&mut row.value, value))
+    }
+
+    /// Take the row with id `id` out, its uses let go.
+    pub(crate) fn remove(&mut self, id: MetaId) -> Option<StoredRow> {
+        let row = self.rows.remove(id)?;
+        self.release(&row);
+        Some(row)
+    }
+
+    fn release(&mut self, row: &StoredRow) {
+        self.strings.release(row.name);
+        self.strings.release(row.units);
+        if let StoredKind::TypeOriented(s) = row.kind {
+            self.strings.release(s);
+        }
+    }
+
+    /// The image's `"metadata"` field: every row as its [`MetaRow`] text.
+    fn write_image(&self, w: &mut ImageWriter<'_, '_>) {
+        w.pages_as(Field::Metadata, &self.rows, |row, out| {
+            self.write_row(row, out)
+        });
+    }
+
+    /// Append `row`'s text: byte for byte what its [`MetaRow`] writes.
+    fn write_row(&self, row: &StoredRow, out: &mut String) {
+        out.push_str("{\"id\":");
+        row.id.write_json(out);
+        out.push_str(",\"subject\":");
+        row.subject.write_json(out);
+        out.push_str(",\"triplet\":{\"name\":");
+        self.strings.text(row.name).write_json(out);
+        out.push_str(",\"value\":");
+        row.value.write_json(out);
+        out.push_str(",\"units\":");
+        self.strings.text(row.units).write_json(out);
+        out.push_str("},\"kind\":");
+        match row.kind {
+            StoredKind::System => out.push_str("\"System\""),
+            StoredKind::UserDefined => out.push_str("\"UserDefined\""),
+            StoredKind::TypeOriented(s) => {
+                out.push_str("{\"TypeOriented\":");
+                self.strings.text(s).write_json(out);
+                out.push('}');
+            }
+            StoredKind::FileBased(d) => {
+                out.push_str("{\"FileBased\":");
+                d.write_json(out);
+                out.push('}');
+            }
+        }
+        out.push('}');
+    }
+
+    /// Read one row's [`MetaRow`] text straight into a stored row, its
+    /// texts interned as they are read (borrowed from the input unless
+    /// escaped), and put it under its id. As the derived reader would:
+    /// keys in any order, unknown keys skipped, the first of a repeated
+    /// key wins, every field required. Returns the row's id and whether it
+    /// replaced one.
+    pub(crate) fn read_row(&mut self, r: &mut JsonReader<'_>) -> Result<(MetaId, bool), DeError> {
+        let (mut id, mut subject, mut triplet, mut kind) = (None, None, None, None);
+        let mut e = r.object("MetaRow")?;
+        while let Some(key) = e.next_key(r)? {
+            match &*key {
+                "id" if id.is_none() => {
+                    id = Some(MetaId::read_json(r).map_err(|e| e.at("MetaRow.id"))?);
+                }
+                "subject" if subject.is_none() => {
+                    subject = Some(Subject::read_json(r).map_err(|e| e.at("MetaRow.subject"))?);
+                }
+                "triplet" if triplet.is_none() => {
+                    let read = self.read_triplet(r);
+                    triplet = Some(read.map_err(|e| e.at("MetaRow.triplet"))?);
+                }
+                "kind" if kind.is_none() => {
+                    kind = Some(self.read_kind(r).map_err(|e| e.at("MetaRow.kind"))?);
+                }
+                _ => r.skip_value()?,
+            }
+        }
+        let missing = |f: &str| DeError::new("missing field").at(&format!("MetaRow.{f}"));
+        let id = id.ok_or_else(|| missing("id"))?;
+        let subject = subject.ok_or_else(|| missing("subject"))?;
+        let (name, value, units) = triplet.ok_or_else(|| missing("triplet"))?;
+        let kind = kind.ok_or_else(|| missing("kind"))?;
+        let row = StoredRow {
+            id,
+            subject,
+            value,
+            name,
+            units,
+            kind,
+        };
+        Ok((id, self.insert(row)))
+    }
+
+    /// A [`Triplet`]'s text: `(name, value, units)`.
+    fn read_triplet(&mut self, r: &mut JsonReader<'_>) -> Result<(Sym, MetaValue, Sym), DeError> {
+        let (mut name, mut value, mut units) = (None, None, None);
+        let mut e = r.object("Triplet")?;
+        while let Some(key) = e.next_key(r)? {
+            match &*key {
+                "name" if name.is_none() => {
+                    name = Some(self.read_text(r).map_err(|e| e.at("Triplet.name"))?);
+                }
+                "value" if value.is_none() => {
+                    value = Some(MetaValue::read_json(r).map_err(|e| e.at("Triplet.value"))?);
+                }
+                "units" if units.is_none() => {
+                    units = Some(self.read_text(r).map_err(|e| e.at("Triplet.units"))?);
+                }
+                _ => r.skip_value()?,
+            }
+        }
+        let missing = |f: &str| DeError::new("missing field").at(&format!("Triplet.{f}"));
+        Ok((
+            name.ok_or_else(|| missing("name"))?,
+            value.ok_or_else(|| missing("value"))?,
+            units.ok_or_else(|| missing("units"))?,
+        ))
+    }
+
+    /// A [`MetaKind`]'s text.
+    fn read_kind(&mut self, r: &mut JsonReader<'_>) -> Result<StoredKind, DeError> {
+        let single = || DeError::expected("string or single-entry object", "MetaKind", "object");
+        match r.peek_token() {
+            Some(b'"') => match &*r.str()? {
+                "System" => Ok(StoredKind::System),
+                "UserDefined" => Ok(StoredKind::UserDefined),
+                other => Err(DeError::new(format!("unknown MetaKind variant {other:?}"))),
+            },
+            Some(b'{') => {
+                let mut e = r.object("MetaKind")?;
+                let Some(tag) = e.next_key(r)? else {
+                    return Err(single());
+                };
+                let kind = match &*tag {
+                    "TypeOriented" => self
+                        .read_text(r)
+                        .map(StoredKind::TypeOriented)
+                        .map_err(|e| e.at("MetaKind::TypeOriented")),
+                    "FileBased" => DatasetId::read_json(r)
+                        .map(StoredKind::FileBased)
+                        .map_err(|e| e.at("MetaKind::FileBased")),
+                    other => Err(DeError::new(format!("unknown MetaKind variant {other:?}"))),
+                }?;
+                if e.next_key(r)?.is_some() {
+                    return Err(single());
+                }
+                Ok(kind)
+            }
+            _ => Err(r.expected("string or single-entry object", "MetaKind")),
+        }
+    }
+
+    /// A string, interned.
+    fn read_text(&mut self, r: &mut JsonReader<'_>) -> Result<Sym, DeError> {
+        if r.peek_token() != Some(b'"') {
+            return Err(r.expected("string", "String"));
+        }
+        Ok(self.strings.intern(&r.str()?))
+    }
+}
+
+/// A value's key in the ordered index. A number — an `Int`, a `Float`, or
+/// text that reads as one — is held as its value; text as its raw form,
+/// plus its case fold when that is not the raw form's ASCII lowercase.
+#[derive(Debug, Clone)]
+enum IndexKey {
+    Num(f64),
+    /// Text whose ASCII lowercase is its fold.
+    Text(Box<str>),
+    /// Text whose fold lowercases beyond ASCII.
+    Folded(Box<FoldedText>),
+}
+
+#[derive(Debug, Clone)]
+struct FoldedText {
+    raw: Box<str>,
+    fold: Box<str>,
+}
+
+// Key budget: every value-index entry holds one key.
+const _: () = assert!(std::mem::size_of::<IndexKey>() <= 24);
+
+impl IndexKey {
+    fn new(v: &MetaValue) -> Self {
+        let raw = match (v.as_f64(), v) {
+            (Some(n), _) => return IndexKey::Num(n),
+            (None, MetaValue::Text(s)) => s.as_str(),
+            // A number always has a numeric view.
+            (None, _) => "",
+        };
+        if raw.is_ascii() {
+            return IndexKey::Text(raw.into());
+        }
+        let fold = raw.to_lowercase();
+        if fold.bytes().eq(raw.bytes().map(|b| b.to_ascii_lowercase())) {
+            return IndexKey::Text(raw.into());
+        }
+        IndexKey::Folded(Box::new(FoldedText {
+            raw: raw.into(),
+            fold: fold.into(),
+        }))
+    }
+
+    /// Whether the key is text whose fold starts with `prefix`, itself a
+    /// fold.
+    fn fold_starts_with(&self, prefix: &str) -> bool {
+        match self {
+            IndexKey::Num(_) => false,
+            IndexKey::Text(raw) => raw
+                .as_bytes()
+                .get(..prefix.len())
+                .is_some_and(|head| head.eq_ignore_ascii_case(prefix.as_bytes())),
+            IndexKey::Folded(t) => t.fold.starts_with(prefix),
+        }
+    }
+
+    /// Whether the rows filed under this key satisfy `op value`: `Some`
+    /// when the key decides it for all of them, `None` when each row must
+    /// be asked — `LIKE` and `NOT LIKE` on a number, which its rows may
+    /// spell differently (`1`, `1.0`, `"1e0"`). Agrees with
+    /// [`CompareOp::eval`] on every row filed here.
+    fn eval(&self, op: CompareOp, value: &MetaValue) -> Option<bool> {
+        let raw = match self {
+            IndexKey::Num(_) if matches!(op, CompareOp::Like | CompareOp::NotLike) => {
+                return None;
+            }
+            IndexKey::Num(n) => return Some(op.eval(&MetaValue::Float(*n), value)),
+            IndexKey::Text(raw) => raw,
+            IndexKey::Folded(t) => &t.raw,
+        };
+        let probe = KeyProbe::new(value);
+        // Text is equal to text only, and ordered against text only.
+        let order = probe.num.is_none().then(|| key_cmp(self, &probe));
+        Some(match op {
+            CompareOp::Eq => order == Some(Ordering::Equal),
+            CompareOp::Ne => order != Some(Ordering::Equal),
+            CompareOp::Gt => order == Some(Ordering::Greater),
+            CompareOp::Lt => order == Some(Ordering::Less),
+            CompareOp::Ge => matches!(order, Some(Ordering::Greater | Ordering::Equal)),
+            CompareOp::Le => matches!(order, Some(Ordering::Less | Ordering::Equal)),
+            CompareOp::Like => like_match(&value.lexical(), raw),
+            CompareOp::NotLike => !like_match(&value.lexical(), raw),
+        })
     }
 }
 
@@ -148,8 +550,8 @@ trait KeyView {
     /// The numeric view; `None` for pure text.
     fn num(&self) -> Option<f64>;
     /// Text whose bytes, ASCII-lowercased, are the key's case fold: the
-    /// fold itself (lowercasing it again changes nothing), or raw ASCII
-    /// text, whose fold that is.
+    /// fold itself (lowercasing it again changes nothing), or raw text
+    /// whose fold that is.
     fn fold(&self) -> Option<&str>;
     /// Raw lexical form of a text key.
     fn raw(&self) -> &str;
@@ -157,15 +559,26 @@ trait KeyView {
 
 impl KeyView for IndexKey {
     fn num(&self) -> Option<f64> {
-        self.num
+        match self {
+            IndexKey::Num(n) => Some(*n),
+            _ => None,
+        }
     }
 
     fn fold(&self) -> Option<&str> {
-        self.fold.as_deref()
+        match self {
+            IndexKey::Num(_) => None,
+            IndexKey::Text(raw) => Some(raw),
+            IndexKey::Folded(t) => Some(&t.fold),
+        }
     }
 
     fn raw(&self) -> &str {
-        IndexKey::raw(self)
+        match self {
+            IndexKey::Num(_) => "",
+            IndexKey::Text(raw) => raw,
+            IndexKey::Folded(t) => &t.raw,
+        }
     }
 }
 
@@ -190,6 +603,18 @@ impl<'a> KeyProbe<'a> {
             None => Some(Cow::Owned(raw.to_lowercase())),
         };
         KeyProbe { num, fold, raw }
+    }
+
+    /// The start of the text region whose folds are at or after `fold`:
+    /// it sorts after every number, and at or before every text key whose
+    /// fold is at least `fold` (its raw form is empty, the least
+    /// tie-break). A range-scan probe, never stored.
+    fn text(fold: &'a str) -> Self {
+        KeyProbe {
+            num: None,
+            fold: Some(Cow::Borrowed(fold)),
+            raw: "",
+        }
     }
 
     fn view(&self) -> &(dyn KeyView + 'a) {
@@ -290,6 +715,15 @@ enum Posting {
 }
 
 impl Posting {
+    /// The posting of `entries`, ascending and not empty.
+    fn of(entries: impl ExactSizeIterator<Item = (Subject, MetaId)>) -> Self {
+        let mut entries = entries.peekable();
+        match (entries.len(), entries.peek()) {
+            (1, Some(&one)) => Posting::One(one),
+            _ => Posting::Many(entries.collect()),
+        }
+    }
+
     fn entries(&self) -> &[(Subject, MetaId)] {
         match self {
             Posting::One(entry) => std::slice::from_ref(entry),
@@ -364,13 +798,18 @@ impl Posting {
         });
     }
 
-    /// The dataset subjects filed here, read straight out of the posting
-    /// (once per row, so a dataset with two equal rows appears twice).
-    fn datasets(&self) -> impl Iterator<Item = DatasetId> + '_ {
-        self.entries().iter().map_while(|(s, _)| match s {
-            Subject::Dataset(d) => Some(*d),
+    /// The dataset rows filed here, read straight out of the posting.
+    fn dataset_rows(&self) -> impl Iterator<Item = (DatasetId, MetaId)> + '_ {
+        self.entries().iter().map_while(|&(s, id)| match s {
+            Subject::Dataset(d) => Some((d, id)),
             Subject::Collection(_) => None,
         })
+    }
+
+    /// The dataset subjects filed here (once per row, so a dataset with
+    /// two equal rows appears twice).
+    fn datasets(&self) -> impl Iterator<Item = DatasetId> + '_ {
+        self.dataset_rows().map(|(d, _)| d)
     }
 
     fn len(&self) -> usize {
@@ -378,26 +817,111 @@ impl Posting {
     }
 }
 
+/// A subject's row ids, in the order they were added. Most subjects carry
+/// one or two rows, held inline; `Many` always holds three or more, so one
+/// list has one shape. Never empty: the subject is dropped with its last
+/// row.
+#[derive(Debug, Clone, PartialEq)]
+enum RowIds {
+    One(MetaId),
+    Two([MetaId; 2]),
+    Many(Vec<MetaId>),
+}
+
+impl RowIds {
+    fn as_slice(&self) -> &[MetaId] {
+        match self {
+            RowIds::One(id) => std::slice::from_ref(id),
+            RowIds::Two(ids) => ids,
+            RowIds::Many(ids) => ids,
+        }
+    }
+
+    fn push(&mut self, id: MetaId) {
+        match self {
+            RowIds::One(a) => *self = RowIds::Two([*a, id]),
+            RowIds::Two([a, b]) => *self = RowIds::Many(vec![*a, *b, id]),
+            RowIds::Many(ids) => ids.push(id),
+        }
+    }
+
+    /// Drop `id`; `true` when that leaves the list empty, for the caller
+    /// to drop.
+    fn remove(&mut self, id: MetaId) -> bool {
+        match self {
+            RowIds::One(a) => *a == id,
+            RowIds::Two([a, b]) => {
+                if *a == id {
+                    *self = RowIds::One(*b);
+                } else if *b == id {
+                    *self = RowIds::One(*a);
+                }
+                false
+            }
+            RowIds::Many(ids) => {
+                ids.retain(|&m| m != id);
+                if let [a, b] = ids[..] {
+                    *self = RowIds::Two([a, b]);
+                }
+                false
+            }
+        }
+    }
+}
+
+/// Everything the store derives about one attribute name.
+#[derive(Debug, Default)]
+struct Attr {
+    /// Ordered value → the rows carrying it.
+    vals: BTreeMap<IndexKey, Posting>,
+    /// Rows of this name, maintained incrementally so the planner's
+    /// partition-wide selectivity estimate is O(1) instead of a walk over
+    /// every distinct value.
+    rows: usize,
+    /// Datasets carrying **two or more** rows of this name. Conjunctive
+    /// conditions are satisfied per condition, by *any* row, so on such a
+    /// dataset different rows may satisfy the two halves of a range
+    /// (`{0, 2}` matches `>= 2 AND < 1`); an interval walk over the value
+    /// index sees one key at a time and would miss it. Members are probed
+    /// per condition and unioned into every interval result. Empty for
+    /// single-valued attributes, so the walk stays O(window).
+    multi: IdSet<DatasetId>,
+}
+
 #[derive(Debug, Default)]
 struct Inner {
-    rows: RowPages<MetaRow>,
-    by_subject: IdMap<Subject, Vec<MetaId>>,
-    /// attribute name → ordered value → the rows carrying it.
-    index: HashMap<String, BTreeMap<IndexKey, Posting>>,
-    /// attribute name → total row count, maintained incrementally so the
-    /// planner's partition-wide selectivity estimate is O(1) instead of a
-    /// walk over every distinct value.
-    attr_counts: HashMap<String, usize>,
-    /// attribute name → datasets carrying **two or more** rows of that
-    /// name. Conjunctive conditions are satisfied per condition, by *any*
-    /// row, so on such a dataset different rows may satisfy the two halves
-    /// of a range (`{0, 2}` matches `>= 2 AND < 1`); an interval walk over
-    /// the value index sees one key at a time and would miss it. Members
-    /// are probed per condition and unioned into every interval result.
-    /// Empty for single-valued attributes, so the walk stays O(window).
-    multi: HashMap<String, IdSet<DatasetId>>,
+    rows: MetaRows,
+    by_subject: IdMap<Subject, RowIds>,
+    /// Attribute name → its index, row count and multi-valued datasets;
+    /// present while a row carries the name.
+    attrs: IdMap<Sym, Attr>,
     /// file-based metadata associations: subject → carrying datasets.
     meta_files: IdMap<Subject, Vec<DatasetId>>,
+}
+
+impl Inner {
+    /// What the store derives about attribute `name`, if a row carries it.
+    fn attr(&self, name: &str) -> Option<&Attr> {
+        self.attrs.get(&self.rows.strings.get(name)?)
+    }
+
+    /// The stored rows of `subject`, in the order they were added.
+    fn rows_of(&self, subject: Subject) -> impl Iterator<Item = &StoredRow> + '_ {
+        let ids = self.by_subject.get(&subject).map(RowIds::as_slice);
+        let ids = ids.unwrap_or_default().iter();
+        ids.filter_map(|&id| self.rows.get(id))
+    }
+
+    /// The stored rows of `subject` whose attribute is `name`.
+    fn rows_named<'a>(
+        &'a self,
+        subject: Subject,
+        name: &str,
+    ) -> impl Iterator<Item = &'a StoredRow> + 'a {
+        let sym = self.rows.strings.get(name);
+        self.rows_of(subject)
+            .filter(move |r| sym.is_some_and(|s| r.name == s))
+    }
 }
 
 /// The triplet store.
@@ -472,16 +996,9 @@ impl MetaStore {
             kind,
         };
         self.wal.log(gen, || WalOp::MetaPut { row: row.clone() });
-        Self::insert_locked(g, row);
-        id
-    }
-
-    /// The one index-maintenance path for a new row: the row itself,
-    /// then [`Self::index_locked`].
-    fn insert_locked(g: &mut Inner, row: MetaRow) {
-        let id = row.id;
-        g.rows.insert(row);
+        g.rows.put(row);
         Self::index_locked(g, id);
+        id
     }
 
     /// File row `id`, held in `g.rows`, in the derived state: subject
@@ -491,56 +1008,56 @@ impl MetaStore {
         let Some(row) = g.rows.get(id) else {
             return;
         };
-        let ids = g.by_subject.entry(row.subject).or_default();
-        // One pass over the subject's earlier rows (O(k) for its k-th row;
-        // a dataset carries a handful), allocation-free unless one of
-        // them already has the name.
-        if let Subject::Dataset(d) = row.subject {
-            let name = &row.triplet.name;
-            if rows_named(&g.rows, ids, name).next().is_some() {
-                g.multi.entry(name.clone()).or_default().insert(d);
+        let attr = g.attrs.entry(row.name).or_default();
+        match g.by_subject.get_mut(&row.subject) {
+            Some(ids) => {
+                // One pass over the subject's earlier rows (O(k) for its
+                // k-th row; a dataset carries a handful).
+                if let Subject::Dataset(d) = row.subject {
+                    let rows = &g.rows;
+                    let named = |&m: &MetaId| rows.get(m).is_some_and(|r| r.name == row.name);
+                    if ids.as_slice().iter().any(named) {
+                        attr.multi.insert(d);
+                    }
+                }
+                ids.push(id);
             }
-        }
-        ids.push(id);
-        let name = &row.triplet.name;
-        file(&mut g.index, name, &row.triplet.value, row.subject, id);
-        match g.attr_counts.get_mut(name.as_str()) {
-            Some(n) => *n += 1,
             None => {
-                g.attr_counts.insert(name.clone(), 1);
+                g.by_subject.insert(row.subject, RowIds::One(id));
             }
         }
+        file(&mut attr.vals, &row.value, row.subject, id);
+        attr.rows += 1;
     }
 
     /// Update a row's value/units in place.
     pub fn update(&self, id: MetaId, value: MetaValue, units: String) -> SrbResult<()> {
         let mut g = self.inner.write();
         let g = &mut *g;
-        let row = g
+        let old = g
             .rows
-            .get_mut(id)
+            .update(id, value, &units)
             .ok_or_else(|| SrbError::NotFound(format!("metadata {id}")))?;
-        let old = std::mem::replace(&mut row.triplet.value, value);
-        row.triplet.units = units;
-        // Re-index under the new value (the attribute name is unchanged, so
-        // the per-attribute row count is too).
-        unindex(&mut g.index, &row.triplet.name, &old, row.subject, id);
-        file(
-            &mut g.index,
-            &row.triplet.name,
-            &row.triplet.value,
-            row.subject,
-            id,
-        );
         let gen = self.generation.bump_get().raw();
-        self.wal.log(gen, || WalOp::MetaPut { row: row.clone() });
+        if let Some(row) = g.rows.get(id) {
+            // Re-index under the new value (the attribute name is
+            // unchanged, so the per-attribute row count is too).
+            if let Some(attr) = g.attrs.get_mut(&row.name) {
+                unindex(&mut attr.vals, &old, row.subject, id);
+                file(&mut attr.vals, &row.value, row.subject, id);
+            }
+            let rows = &g.rows;
+            self.wal.log(gen, || WalOp::MetaPut {
+                row: rows.view(row),
+            });
+        }
         Ok(())
     }
 
     /// Remove one row, and with it every piece of derived state left
     /// empty: the subject's list, the value's posting, the attribute's
-    /// partition and row count, its multi-valued entry. The store then
-    /// equals a `MetaStore::restore` of its own rows.
+    /// entry, its multi-valued membership. The store then equals a
+    /// `MetaStore::restore` of its own rows.
     pub fn remove(&self, id: MetaId) -> SrbResult<()> {
         let mut g = self.inner.write();
         let g = &mut *g;
@@ -548,34 +1065,29 @@ impl MetaStore {
             .rows
             .remove(id)
             .ok_or_else(|| SrbError::NotFound(format!("metadata {id}")))?;
-        let name = row.triplet.name;
         let left = match g.by_subject.get_mut(&row.subject) {
             Some(ids) => {
-                ids.retain(|&m| m != id);
-                if ids.is_empty() {
+                if ids.remove(id) {
                     g.by_subject.remove(&row.subject);
                     0
                 } else {
-                    rows_named(&g.rows, ids, &name).count()
+                    let rows = &g.rows;
+                    let named = |&&m: &&MetaId| rows.get(m).is_some_and(|r| r.name == row.name);
+                    ids.as_slice().iter().filter(named).count()
                 }
             }
             None => 0,
         };
-        unindex(&mut g.index, &name, &row.triplet.value, row.subject, id);
-        if let Some(n) = g.attr_counts.get_mut(&name) {
-            *n = n.saturating_sub(1);
-            if *n == 0 {
-                g.attr_counts.remove(&name);
-            }
-        }
-        if let Subject::Dataset(d) = row.subject {
-            if left < 2 {
-                if let Some(set) = g.multi.get_mut(&name) {
-                    set.remove(&d);
-                    if set.is_empty() {
-                        g.multi.remove(&name);
-                    }
+        if let Some(attr) = g.attrs.get_mut(&row.name) {
+            unindex(&mut attr.vals, &row.value, row.subject, id);
+            attr.rows = attr.rows.saturating_sub(1);
+            if let Subject::Dataset(d) = row.subject {
+                if left < 2 {
+                    attr.multi.remove(&d);
                 }
+            }
+            if attr.rows == 0 {
+                g.attrs.remove(&row.name);
             }
         }
         let gen = self.generation.bump_get().raw();
@@ -591,7 +1103,7 @@ impl MetaStore {
             .read()
             .by_subject
             .get(&subject)
-            .cloned()
+            .map(|ids| ids.as_slice().to_vec())
             .unwrap_or_default();
         for id in ids {
             let _ = self.remove(id);
@@ -605,10 +1117,7 @@ impl MetaStore {
     /// All rows for a subject, in insertion order.
     pub fn for_subject(&self, subject: Subject) -> Vec<MetaRow> {
         let g = self.inner.read();
-        g.by_subject
-            .get(&subject)
-            .map(|ids| ids.iter().filter_map(|&i| g.rows.get(i)).cloned().collect())
-            .unwrap_or_default()
+        g.rows_of(subject).map(|r| g.rows.view(r)).collect()
     }
 
     /// Copy user-defined and type-oriented rows from one subject to
@@ -633,12 +1142,8 @@ impl MetaStore {
     /// full row vector.
     pub(crate) fn value_of(&self, subject: Subject, name: &str) -> Option<MetaValue> {
         let g = self.inner.read();
-        g.by_subject.get(&subject)?.iter().find_map(|&id| {
-            g.rows
-                .get(id)
-                .filter(|r| r.triplet.name == name)
-                .map(|r| r.triplet.value.clone())
-        })
+        let value = g.rows_named(subject, name).next().map(|r| r.value.clone());
+        value
     }
 
     /// Dataset subjects with at least one row whose attribute `name`
@@ -655,9 +1160,7 @@ impl MetaStore {
     ) -> IdSet<DatasetId> {
         let g = self.inner.read();
         let mut out = IdSet::default();
-        walk_index(&g, name, op, value, |posting| {
-            out.extend(posting.datasets())
-        });
+        walk_index(&g, name, op, value, &mut out);
         out
     }
 
@@ -676,18 +1179,17 @@ impl MetaStore {
     ) -> IdSet<DatasetId> {
         let g = self.inner.read();
         let mut out = IdSet::default();
-        for (k, posting) in interval_range(&g, name, conds).into_iter().flatten() {
-            if conds.iter().all(|&(op, v)| op_applies(op, &k.v, v)) {
-                out.extend(posting.datasets());
-            }
+        let Some(attr) = g.attr(name) else {
+            return out;
+        };
+        for (k, posting) in interval_range(attr, conds).into_iter().flatten() {
+            emit_matching(&g, k, posting, conds, &mut out);
         }
-        if let Some(multi) = g.multi.get(name) {
-            out.extend(multi.iter().copied().filter(|d| {
-                conds
-                    .iter()
-                    .all(|&(op, v)| subject_matches_locked(&g, Subject::Dataset(*d), name, op, v))
-            }));
-        }
+        out.extend(attr.multi.iter().copied().filter(|d| {
+            conds
+                .iter()
+                .all(|&(op, v)| subject_matches_locked(&g, Subject::Dataset(*d), name, op, v))
+        }));
         out
     }
 
@@ -696,8 +1198,11 @@ impl MetaStore {
     /// the multi-valued probe must visit.
     pub fn interval_selectivity(&self, name: &str, conds: &[RangeCond<'_>]) -> usize {
         let g = self.inner.read();
-        let mut n = g.multi.get(name).map_or(0, IdSet::len);
-        for (_, posting) in interval_range(&g, name, conds).into_iter().flatten() {
+        let Some(attr) = g.attr(name) else {
+            return 0;
+        };
+        let mut n = attr.multi.len();
+        for (_, posting) in interval_range(attr, conds).into_iter().flatten() {
             n += posting.len();
             if n >= Self::RANGE_SELECTIVITY_CAP {
                 break;
@@ -728,7 +1233,7 @@ impl MetaStore {
         let g = self.inner.read();
         if op == CompareOp::Eq {
             let probe = KeyProbe::new(value);
-            match g.index.get(name).and_then(|vals| vals.get(probe.view())) {
+            match g.attr(name).and_then(|a| a.vals.get(probe.view())) {
                 Some(posting) => posting.retain_datasets(ids),
                 None => ids.clear(),
             }
@@ -750,10 +1255,10 @@ impl MetaStore {
     /// other patterns fall back to the O(1) whole-partition count.
     pub fn selectivity(&self, name: &str, op: CompareOp, value: &MetaValue) -> usize {
         let g = self.inner.read();
-        let Some(vals) = g.index.get(name) else {
+        let Some(attr) = g.attr(name) else {
             return 0;
         };
-        let partition = g.attr_counts.get(name).copied().unwrap_or(0);
+        let partition = attr.rows;
         let capped_count = |it: &mut dyn Iterator<Item = usize>| -> usize {
             let mut n = 0usize;
             for len in it {
@@ -765,27 +1270,20 @@ impl MetaStore {
             n.min(partition)
         };
         match op {
-            CompareOp::Eq => vals
+            CompareOp::Eq => attr
+                .vals
                 .get(KeyProbe::new(value).view())
                 .map_or(0, Posting::len),
             // A one-sided range is an interval with one end unbounded.
             CompareOp::Gt | CompareOp::Ge | CompareOp::Lt | CompareOp::Le => capped_count(
-                &mut interval_range(&g, name, &[(op, value)])
+                &mut interval_range(attr, &[(op, value)])
                     .into_iter()
                     .flatten()
                     .map(|(_, posting)| posting.len()),
             ),
             CompareOp::Like => match like_scan_prefix(&value.lexical()) {
                 Some(prefix) => {
-                    let probe = IndexKey::text_probe(prefix.clone());
-                    capped_count(
-                        &mut vals
-                            .range(probe..)
-                            .take_while(|(k, _)| {
-                                k.fold.as_deref().is_some_and(|f| f.starts_with(&prefix))
-                            })
-                            .map(|(_, posting)| posting.len()),
-                    )
+                    capped_count(&mut prefix_range(attr, &prefix).map(|(_, posting)| posting.len()))
                 }
                 None => partition,
             },
@@ -819,15 +1317,13 @@ impl MetaStore {
             if !datasets.contains(d) {
                 continue;
             }
-            for &id in ids {
+            for &id in ids.as_slice() {
                 if let Some(r) = g.rows.get(id) {
-                    if !names.contains(r.triplet.name.as_str()) {
-                        names.insert(r.triplet.name.clone());
-                    }
+                    names.insert(g.rows.strings.text(r.name));
                 }
             }
         }
-        names.into_iter().collect()
+        names.into_iter().map(str::to_string).collect()
     }
 
     /// Associate `carrier` as a metadata-carrying file for `subject`. One
@@ -859,43 +1355,96 @@ impl MetaStore {
     /// guard.
     pub(crate) fn write_image(&self, w: &mut ImageWriter<'_, '_>) {
         let g = self.inner.read();
-        w.pages(Field::Metadata, &g.rows);
+        g.rows.write_image(w);
         // Ordered by subject, not id: the whole field is one page.
         w.one_page(Field::MetaFiles, &meta_files_in_order(&g));
     }
 
-    /// The store over image rows, its subject lists and value indexes
-    /// built from them. The rows are filed in `(subject, id)` order, so
-    /// every posting insert is an append: the rebuild costs one sort of
-    /// the row ids (linear when, as after an ingest-only history, the id
-    /// order already is that order) and never goes quadratic on a
-    /// posting. Each subject's list stays in id order, which is the order
-    /// the live store added them in. The subject map is sized once. It
-    /// logs through `wal`.
+    /// The store over image rows, its indexes built from them, logging
+    /// through `wal`.
+    ///
+    /// Each attribute's value index is built from one sorted run: its row
+    /// ids sorted by `(key, subject, id)` — linear when, as after an
+    /// ingest-only history, id order already is key order — grouped into
+    /// postings, and handed to `BTreeMap::from_iter`, which fills its
+    /// nodes where inserts one key at a time leave them half empty. The
+    /// indexes are built before the subject lists, so the run of one
+    /// attribute is the largest transient the rebuild holds. Each
+    /// subject's list is in id order, the order the live store added them
+    /// in, and the subject map is sized once.
     pub(crate) fn restore(
-        rows: RowPages<MetaRow>,
+        rows: MetaRows,
         meta_files: Vec<(Subject, Vec<DatasetId>)>,
         wal: &WalHook,
     ) -> Self {
-        let subject = |id: MetaId| rows.get(id).map(|r| r.subject);
-        let mut order: Vec<MetaId> = rows.iter().map(|r| r.id).collect();
-        order.sort_unstable_by_key(|&id| (subject(id), id));
-        let subjects = 1 + order
-            .windows(2)
-            .filter(|w| subject(w[0]) != subject(w[1]))
-            .count();
+        let mut named: IdMap<Sym, Vec<&StoredRow>> = IdMap::default();
+        for r in rows.rows.iter() {
+            named.entry(r.name).or_default().push(r);
+        }
+        let mut attrs: IdMap<Sym, Attr> = IdMap::default();
+        attrs.reserve(named.len());
+        fn key(r: &StoredRow) -> KeyProbe<'_> {
+            KeyProbe::new(&r.value)
+        }
+        let same_key = |a: &&StoredRow, b: &&StoredRow| key_cmp(&key(a), &key(b)).is_eq();
+        for (sym, mut run) in named {
+            run.sort_unstable_by(|a, b| {
+                let order = key_cmp(&key(a), &key(b));
+                order.then_with(|| (a.subject, a.id).cmp(&(b.subject, b.id)))
+            });
+            let mut vals = Vec::with_capacity(run.chunk_by(same_key).count());
+            for chunk in run.chunk_by(same_key) {
+                let entries = chunk.iter().map(|r| (r.subject, r.id));
+                vals.push((IndexKey::new(&chunk[0].value), Posting::of(entries)));
+            }
+            let attr = Attr {
+                vals: BTreeMap::from_iter(vals),
+                rows: run.len(),
+                multi: IdSet::default(),
+            };
+            attrs.insert(sym, attr);
+        }
+
+        // A subject's rows are usually adjacent in id order (an ingest
+        // adds them together), so the changes of subject along it count
+        // the subjects, or bound them from above.
+        let mut by_subject: IdMap<Subject, RowIds> = IdMap::default();
+        let mut last = None;
+        let runs = rows
+            .rows
+            .iter()
+            .filter(|r| last.replace(r.subject) != Some(r.subject));
+        by_subject.reserve(runs.count());
+        for r in rows.rows.iter() {
+            match by_subject.get_mut(&r.subject) {
+                Some(ids) => ids.push(r.id),
+                None => {
+                    by_subject.insert(r.subject, RowIds::One(r.id));
+                }
+            }
+        }
+        let name = |id: MetaId| rows.get(id).map(|r| r.name);
+        for (subject, ids) in &by_subject {
+            let (Subject::Dataset(d), ids @ [_, _, ..]) = (subject, ids.as_slice()) else {
+                continue;
+            };
+            for (i, &id) in ids.iter().enumerate() {
+                let again = ids[..i].iter().any(|&m| name(m) == name(id));
+                if let Some(attr) = name(id).filter(|_| again).and_then(|s| attrs.get_mut(&s)) {
+                    attr.multi.insert(*d);
+                }
+            }
+        }
+
         let t = MetaStore {
             wal: wal.clone(),
             ..MetaStore::default()
         };
         {
             let mut g = t.inner.write();
-            let g = &mut *g;
-            g.by_subject.reserve(subjects);
             g.rows = rows;
-            for id in order {
-                Self::index_locked(g, id);
-            }
+            g.by_subject = by_subject;
+            g.attrs = attrs;
             g.meta_files.extend(meta_files);
         }
         t
@@ -939,13 +1488,7 @@ impl MetaBatch<'_> {
 
     /// First value of a named attribute on a subject, borrowed.
     pub(crate) fn value_of(&self, subject: Subject, name: &str) -> Option<&MetaValue> {
-        self.g.by_subject.get(&subject)?.iter().find_map(|&id| {
-            self.g
-                .rows
-                .get(id)
-                .filter(|r| r.triplet.name == name)
-                .map(|r| &r.triplet.value)
-        })
+        self.g.rows_named(subject, name).next().map(|r| &r.value)
     }
 }
 
@@ -959,13 +1502,8 @@ fn subject_matches_locked(
     op: CompareOp,
     value: &MetaValue,
 ) -> bool {
-    g.by_subject.get(&subject).is_some_and(|ids| {
-        ids.iter().any(|&id| {
-            g.rows
-                .get(id)
-                .is_some_and(|r| r.triplet.name == name && op.eval(&r.triplet.value, value))
-        })
-    })
+    g.rows_named(subject, name)
+        .any(|r| op.eval(&r.value, value))
 }
 
 /// The file-based associations, ordered by subject display (`c…` before
@@ -976,61 +1514,31 @@ fn meta_files_in_order(g: &Inner) -> Vec<(&Subject, &Vec<DatasetId>)> {
     files
 }
 
-/// The rows among a subject's `ids` whose attribute is `name`.
-fn rows_named<'a>(
-    rows: &'a RowPages<MetaRow>,
-    ids: &'a [MetaId],
-    name: &'a str,
-) -> impl Iterator<Item = &'a MetaRow> {
-    ids.iter()
-        .filter_map(|&id| rows.get(id))
-        .filter(move |r| r.triplet.name == name)
-}
-
-/// File row `id` of `subject` under `name = value`. The attribute name is
-/// cloned only for a new partition, and the value only for a new key.
-fn file(
-    index: &mut HashMap<String, BTreeMap<IndexKey, Posting>>,
-    name: &str,
-    value: &MetaValue,
-    subject: Subject,
-    id: MetaId,
-) {
-    let Some(vals) = index.get_mut(name) else {
-        let key = IndexKey::new(value.clone());
-        let vals = BTreeMap::from([(key, Posting::One((subject, id)))]);
-        index.insert(name.to_string(), vals);
-        return;
-    };
+/// File row `id` of `subject` under `value`. The value is copied into a
+/// key only for a new key.
+fn file(vals: &mut BTreeMap<IndexKey, Posting>, value: &MetaValue, subject: Subject, id: MetaId) {
     match vals.get_mut(KeyProbe::new(value).view()) {
         Some(posting) => posting.insert(subject, id),
         None => {
-            vals.insert(IndexKey::new(value.clone()), Posting::One((subject, id)));
+            vals.insert(IndexKey::new(value), Posting::One((subject, id)));
         }
     }
 }
 
-/// Unfile row `id` of `subject` from the posting of `name = value`,
-/// dropping the posting and then the partition once they are empty.
+/// Unfile row `id` of `subject` from the posting of `value`, dropping the
+/// posting once it is empty.
 fn unindex(
-    index: &mut HashMap<String, BTreeMap<IndexKey, Posting>>,
-    name: &str,
+    vals: &mut BTreeMap<IndexKey, Posting>,
     value: &MetaValue,
     subject: Subject,
     id: MetaId,
 ) {
-    let Some(vals) = index.get_mut(name) else {
-        return;
-    };
     let probe = KeyProbe::new(value);
     if vals
         .get_mut(probe.view())
         .is_some_and(|posting| posting.remove(subject, id))
     {
         vals.remove(probe.view());
-    }
-    if vals.is_empty() {
-        index.remove(name);
     }
 }
 
@@ -1041,27 +1549,25 @@ pub type RangeCond<'a> = (CompareOp, &'a MetaValue);
 /// Should a bound at `key` (exclusive if `excl`) replace `old`? `side` is
 /// the direction of tightening: `Greater` for lower bounds, `Less` for
 /// upper ones. At equal keys the exclusive bound is the tighter.
-fn tightens(old: &Bound<IndexKey>, key: &IndexKey, excl: bool, side: Ordering) -> bool {
+fn tightens(old: &Bound<KeyProbe<'_>>, key: &KeyProbe<'_>, excl: bool, side: Ordering) -> bool {
     match old {
         Bound::Unbounded => true,
-        Bound::Included(k) => match key.cmp(k) {
+        Bound::Included(k) => match key_cmp(key, k) {
             Ordering::Equal => excl,
             o => o == side,
         },
-        Bound::Excluded(k) => key.cmp(k) == side,
+        Bound::Excluded(k) => key_cmp(key, k) == side,
     }
 }
 
 /// The index entries between the tightest lower and upper bound in
-/// `conds`, or `None` when the attribute has no index or the interval is
-/// inverted or excludes its only point — `BTreeMap::range` panics on such
-/// bounds, so they never reach it.
+/// `conds`, or `None` when the interval is inverted or excludes its only
+/// point — `BTreeMap::range` panics on such bounds, so they never reach
+/// it.
 fn interval_range<'g>(
-    g: &'g Inner,
-    name: &str,
+    attr: &'g Attr,
     conds: &[RangeCond<'_>],
 ) -> Option<std::collections::btree_map::Range<'g, IndexKey, Posting>> {
-    let vals = g.index.get(name)?;
     let (mut lo, mut hi) = (Bound::Unbounded, Bound::Unbounded);
     for &(op, value) in conds {
         let (bound, excl, side) = match op {
@@ -1072,7 +1578,7 @@ fn interval_range<'g>(
             // Not a range operator: bounds nothing, re-checked per key.
             _ => continue,
         };
-        let key = IndexKey::new(value.clone());
+        let key = KeyProbe::new(value);
         if tightens(bound, &key, excl, side) {
             *bound = if excl {
                 Bound::Excluded(key)
@@ -1082,41 +1588,82 @@ fn interval_range<'g>(
         }
     }
     let non_empty = match (&lo, &hi) {
-        (Bound::Included(a), Bound::Included(b)) => a <= b,
-        (Bound::Included(a) | Bound::Excluded(a), Bound::Included(b) | Bound::Excluded(b)) => a < b,
+        (Bound::Included(a), Bound::Included(b)) => key_cmp(a, b) != Ordering::Greater,
+        (Bound::Included(a) | Bound::Excluded(a), Bound::Included(b) | Bound::Excluded(b)) => {
+            key_cmp(a, b) == Ordering::Less
+        }
         _ => true,
     };
-    non_empty.then(|| vals.range((lo, hi)))
+    let bounds = (
+        lo.as_ref().map(KeyProbe::view),
+        hi.as_ref().map(KeyProbe::view),
+    );
+    non_empty.then(|| attr.vals.range::<dyn KeyView, _>(bounds))
 }
 
-/// Walk the ordered value index for `name`, invoking `emit` with each
-/// posting whose key satisfies `op value`. Postings carry their subjects,
-/// so the caller resolves nothing further.
-fn walk_index(
+/// The text keys whose fold starts with `prefix`, itself a fold: the keys
+/// from its probe on, while their fold extends it. Folds are contiguous
+/// in the index order, and numbers sort before every text key.
+fn prefix_range<'g>(
+    attr: &'g Attr,
+    prefix: &'g str,
+) -> impl Iterator<Item = (&'g IndexKey, &'g Posting)> + 'g {
+    let probe = KeyProbe::text(prefix);
+    let from: (Bound<&dyn KeyView>, Bound<&dyn KeyView>) =
+        (Bound::Included(probe.view()), Bound::Unbounded);
+    attr.vals
+        .range::<dyn KeyView, _>(from)
+        .take_while(move |(k, _)| k.fold_starts_with(prefix))
+}
+
+/// Add to `out` the datasets filed in `posting`, under `key`, whose row
+/// satisfies every `op value` of `conds`: all of them when the key decides
+/// each condition, else each row asked in turn.
+fn emit_matching(
     g: &Inner,
-    name: &str,
-    op: CompareOp,
-    value: &MetaValue,
-    mut emit: impl FnMut(&Posting),
+    key: &IndexKey,
+    posting: &Posting,
+    conds: &[RangeCond<'_>],
+    out: &mut IdSet<DatasetId>,
 ) {
-    let Some(vals) = g.index.get(name) else {
+    let mut undecided = false;
+    for &(op, value) in conds {
+        match key.eval(op, value) {
+            Some(true) => {}
+            Some(false) => return,
+            None => undecided = true,
+        }
+    }
+    if !undecided {
+        out.extend(posting.datasets());
+        return;
+    }
+    for (d, id) in posting.dataset_rows() {
+        let row = g.rows.get(id);
+        if row.is_some_and(|r| conds.iter().all(|&(op, v)| op.eval(&r.value, v))) {
+            out.insert(d);
+        }
+    }
+}
+
+/// Walk the ordered value index for `name`, adding to `out` the datasets
+/// of every row whose value satisfies `op value`. Postings carry their
+/// subjects, so the caller resolves nothing further.
+fn walk_index(g: &Inner, name: &str, op: CompareOp, value: &MetaValue, out: &mut IdSet<DatasetId>) {
+    let Some(attr) = g.attr(name) else {
         return;
     };
+    let cond = [(op, value)];
     match op {
         CompareOp::Eq => {
-            if let Some(v) = vals.get(KeyProbe::new(value).view()) {
-                emit(v);
+            if let Some(v) = attr.vals.get(KeyProbe::new(value).view()) {
+                out.extend(v.datasets());
             }
         }
         // A one-sided range is an interval with one end unbounded.
         CompareOp::Gt | CompareOp::Ge | CompareOp::Lt | CompareOp::Le => {
-            for (k, v) in interval_range(g, name, &[(op, value)])
-                .into_iter()
-                .flatten()
-            {
-                if op_applies(op, &k.v, value) {
-                    emit(v);
-                }
+            for (k, v) in interval_range(attr, &cond).into_iter().flatten() {
+                emit_matching(g, k, v, &cond, out);
             }
         }
         // A pattern with a usable literal prefix is a bounded range scan
@@ -1126,41 +1673,24 @@ fn walk_index(
         // — so the scan starts at the prefix probe and stops at the first
         // fold that no longer extends it. The full pattern is still
         // evaluated per key (it may carry further wildcards).
-        CompareOp::Like => {
-            if let Some(prefix) = like_scan_prefix(&value.lexical()) {
-                let probe = IndexKey::text_probe(prefix.clone());
-                for (k, v) in vals.range(probe..) {
-                    match k.fold.as_deref() {
-                        Some(f) if f.starts_with(&prefix) => {
-                            if op.eval(&k.v, value) {
-                                emit(v);
-                            }
-                        }
-                        _ => break,
-                    }
-                }
-            } else {
-                for (k, v) in vals.iter() {
-                    if op.eval(&k.v, value) {
-                        emit(v);
-                    }
+        CompareOp::Like => match like_scan_prefix(&value.lexical()) {
+            Some(prefix) => {
+                for (k, v) in prefix_range(attr, &prefix) {
+                    emit_matching(g, k, v, &cond, out);
                 }
             }
-        }
-        CompareOp::Ne | CompareOp::NotLike => {
-            for (k, v) in vals.iter() {
-                if op.eval(&k.v, value) {
-                    emit(v);
+            None => {
+                for (k, v) in &attr.vals {
+                    emit_matching(g, k, v, &cond, out);
                 }
+            }
+        },
+        CompareOp::Ne | CompareOp::NotLike => {
+            for (k, v) in &attr.vals {
+                emit_matching(g, k, v, &cond, out);
             }
         }
     }
-}
-
-/// Range scans over the index can cross the number/text boundary (numbers
-/// sort before text); re-check the operator against mixed types.
-fn op_applies(op: CompareOp, candidate: &MetaValue, value: &MetaValue) -> bool {
-    op.eval(candidate, value)
 }
 
 // Subjects are catalog ids: they key `by_subject` and `meta_files`.
@@ -1211,6 +1741,168 @@ mod tests {
         }
     }
 
+    /// A subject's first two rows are inline, a third lists them all, and
+    /// removing goes back the same way; removing the last row asks the
+    /// caller to drop the list.
+    #[test]
+    fn subject_lists_go_one_two_many_and_back() {
+        let [a, b, c] = [MetaId(3), MetaId(5), MetaId(9)];
+        let mut ids = RowIds::One(a);
+        ids.push(b);
+        assert_eq!(ids, RowIds::Two([a, b]));
+        ids.push(c);
+        assert_eq!(ids, RowIds::Many(vec![a, b, c]));
+        assert!(!ids.remove(a));
+        assert_eq!(ids, RowIds::Two([b, c]));
+        assert!(!ids.remove(MetaId(4)), "an id not listed is left alone");
+        assert!(!ids.remove(c));
+        assert_eq!(ids, RowIds::One(b));
+        assert!(!ids.remove(a));
+        assert!(ids.remove(b));
+    }
+
+    /// A stored row writes the bytes its view writes, and reads back from
+    /// them to the same view — for every kind, escaped text, units and
+    /// every value type; a malformed row is refused.
+    #[test]
+    fn stored_rows_write_and_read_the_text_of_their_views() {
+        let (s, ids) = store();
+        let coll = Subject::Collection(CollectionId(7));
+        let rows = [
+            (ds(1), Triplet::new("serial", 42, ""), MetaKind::UserDefined),
+            (
+                ds(1),
+                Triplet::new("wingspan", 12.5, "cm"),
+                MetaKind::System,
+            ),
+            (
+                coll,
+                Triplet::new("Title", "a \"quoted\"\n\\ Émile", "—"),
+                MetaKind::TypeOriented("DublinCore".into()),
+            ),
+            (
+                ds(2),
+                Triplet::new("from", "file", ""),
+                MetaKind::FileBased(DatasetId(9)),
+            ),
+            (
+                ds(2),
+                Triplet::new("serial", "1.0", ""),
+                MetaKind::UserDefined,
+            ),
+        ];
+        for (subject, triplet, kind) in rows {
+            s.add(&ids, subject, triplet, kind);
+        }
+        let g = s.inner.read();
+        let mut back = MetaRows::default();
+        for row in g.rows.rows.iter() {
+            let mut text = String::new();
+            g.rows.write_row(row, &mut text);
+            let view = g.rows.view(row);
+            assert_eq!(text, serde_json::to_string(&view).unwrap());
+            let (id, replaced) = back.read_row(&mut serde::JsonReader::new(&text)).unwrap();
+            assert_eq!((id, replaced), (view.id, false));
+            assert_eq!(back.get(id).map(|r| back.view(r)), Some(view));
+        }
+        assert_eq!(
+            back.iter().collect::<Vec<_>>(),
+            g.rows.iter().collect::<Vec<_>>()
+        );
+        let reordered = r#"{"kind":"System","zz":[1],"triplet":{"units":"","value":{"Int":1},"name":"n"},"subject":{"Dataset":3},"id":8,"id":9}"#;
+        let (id, _) = back
+            .read_row(&mut serde::JsonReader::new(reordered))
+            .unwrap();
+        assert_eq!(id, MetaId(8), "the first of a repeated key wins");
+        for bad in [
+            r#"{"id":1,"subject":{"Dataset":3},"kind":"System"}"#,
+            r#"{"id":1,"subject":{"Dataset":3},"triplet":{"name":"n","value":{"Int":1}},"kind":"System"}"#,
+            r#"{"id":1,"subject":{"Dataset":3},"triplet":{"name":"n","value":{"Int":1},"units":""},"kind":"Other"}"#,
+            r#"{"id":1,"subject":{"Dataset":3},"triplet":{"name":7,"value":{"Int":1},"units":""},"kind":"System"}"#,
+            r#"{"id":1,"subject":{"Dataset":3},"triplet":{"name":"n","value":{"Int":1},"units":""},"kind":{"FileBased":1,"System":2}}"#,
+        ] {
+            let mut rows = MetaRows::default();
+            assert!(
+                rows.read_row(&mut serde::JsonReader::new(bad)).is_err(),
+                "{bad}"
+            );
+        }
+    }
+
+    /// The thin keys order values as `MetaValue::index_cmp` does, and are
+    /// equal exactly when it says so: numbers by value whatever their
+    /// spelling, text by fold with the raw form breaking ties, beyond
+    /// ASCII too.
+    #[test]
+    fn index_keys_order_as_index_cmp() {
+        let values: Vec<MetaValue> = [
+            "1", "1.0", "1e0", "-3", "2.5", "apple", "Apple", "APPLE", "Émile", "émile", "émilf",
+            "Zebra", "zebra", "ß", "SS", "ǅ", "ǆ", "Σ", "σς", "", "inf", "NaN",
+        ]
+        .into_iter()
+        .map(|t| MetaValue::Text(t.into()))
+        .chain([MetaValue::Int(1), MetaValue::Int(-3), MetaValue::Float(2.5)])
+        .collect();
+        for a in &values {
+            for b in &values {
+                let keys = IndexKey::new(a).cmp(&IndexKey::new(b));
+                assert_eq!(keys, a.index_cmp(b), "{a:?} against {b:?}");
+                let probe = key_cmp(&IndexKey::new(a), &KeyProbe::new(b));
+                assert_eq!(probe, keys, "probe {b:?} against {a:?}");
+            }
+        }
+        assert!(matches!(
+            IndexKey::new(&MetaValue::Text("émile".into())),
+            IndexKey::Text(_)
+        ));
+        assert!(matches!(
+            IndexKey::new(&MetaValue::Text("Émile".into())),
+            IndexKey::Folded(_)
+        ));
+        assert!(matches!(
+            IndexKey::new(&MetaValue::Text("1.0".into())),
+            IndexKey::Num(_)
+        ));
+    }
+
+    /// `LIKE` on a number asks each row how it spells it: `1`, `1.0` and
+    /// `"1.0"` share one key, but only some of them match `1.%`. Every
+    /// operator's candidates equal a scan of the rows.
+    #[test]
+    fn like_on_a_number_asks_each_row() {
+        let (s, ids) = store();
+        let values = [
+            MetaValue::Int(1),
+            MetaValue::Text("1.0".into()),
+            MetaValue::Float(1.0),
+            MetaValue::Text("1e0".into()),
+            MetaValue::Int(10),
+            MetaValue::Text("one".into()),
+        ];
+        for (i, v) in values.iter().enumerate() {
+            s.add(
+                &ids,
+                ds(i as u64),
+                Triplet::new("n", v.clone(), ""),
+                MetaKind::UserDefined,
+            );
+        }
+        let patterns = ["1", "1.%", "1%", "%e%", "%", "one", "10", "1.0"];
+        for op in CompareOp::all().iter().copied() {
+            for p in patterns {
+                let value = MetaValue::Text(p.into());
+                let want: Vec<u64> = (0..values.len() as u64)
+                    .filter(|&i| op.eval(&values[i as usize], &value))
+                    .collect();
+                assert_eq!(found(&s, "n", op, &value), want, "n {} {p:?}", op.display());
+            }
+        }
+        assert_eq!(
+            found(&s, "n", CompareOp::Like, &MetaValue::Text("1.%".into())),
+            [1]
+        );
+    }
+
     /// One row is inline; a second lists both, in order, and removing
     /// down to one row goes back inline. Removing the last row asks the
     /// caller to drop the posting.
@@ -1243,7 +1935,7 @@ mod tests {
     /// case, without building a key.
     #[test]
     fn probes_find_filed_keys() {
-        let keys = ["Red", "1", "Émile", "x"].map(|t| IndexKey::new(MetaValue::Text(t.into())));
+        let keys = ["Red", "1", "Émile", "x"].map(|t| IndexKey::new(&MetaValue::Text(t.into())));
         let vals: BTreeMap<IndexKey, u8> = keys.into_iter().zip(0..).collect();
         let at = |v: MetaValue| vals.get(KeyProbe::new(&v).view()).copied();
         assert_eq!(at(MetaValue::Text("Red".into())), Some(0));
@@ -1271,14 +1963,13 @@ mod tests {
     /// value index holds when `subjects` is `None`; sorted, deduplicated.
     fn attr_names(s: &MetaStore, subjects: Option<&[Subject]>) -> Vec<String> {
         let g = s.inner.read();
+        let text = |sym: Sym| g.rows.strings.text(sym).to_string();
         let mut names: Vec<String> = match subjects {
-            None => g.index.keys().cloned().collect(),
+            None => g.attrs.keys().map(|&sym| text(sym)).collect(),
             Some(subs) => subs
                 .iter()
-                .filter_map(|sub| g.by_subject.get(sub))
-                .flatten()
-                .filter_map(|&id| g.rows.get(id))
-                .map(|r| r.triplet.name.clone())
+                .flat_map(|&sub| g.rows_of(sub))
+                .map(|r| text(r.name))
                 .collect(),
         };
         names.sort();
@@ -1570,7 +2261,8 @@ mod tests {
     fn side_set_tracks_datasets_with_several_rows_of_a_name() {
         fn multi(s: &MetaStore, name: &str) -> Vec<DatasetId> {
             let g = s.inner.read();
-            let mut v: Vec<DatasetId> = g.multi.get(name).into_iter().flatten().copied().collect();
+            let multi = g.attr(name).into_iter().flat_map(|a| &a.multi);
+            let mut v: Vec<DatasetId> = multi.copied().collect();
             v.sort_unstable();
             v
         }
@@ -1606,19 +2298,46 @@ mod tests {
         s.remove(third).unwrap();
         assert_eq!(multi(&s, "r"), [DatasetId(1)], "still two rows");
         s.remove(second).unwrap();
-        assert!(s.inner.read().multi.is_empty(), "empty entries are dropped");
+        assert!(no_multi(&s), "empty entries are dropped");
         add(ds(2), "r", 6);
         s.remove_all(ds(2));
-        assert!(s.inner.read().multi.is_empty());
+        assert!(no_multi(&s));
     }
 
-    /// Every derived map equals a rebuild from the rows, and every posting
-    /// is strictly sorted and of one shape: one row inline, more listed.
+    fn no_multi(s: &MetaStore) -> bool {
+        s.inner.read().attrs.values().all(|a| a.multi.is_empty())
+    }
+
+    /// What `s` derives from its rows, keyed by text rather than by the
+    /// symbol a text happened to get: per attribute name its index, row
+    /// count and multi-valued datasets; per text of the string table its
+    /// uses.
+    fn derived(s: &MetaStore) -> (BTreeMap<String, String>, BTreeMap<String, usize>) {
+        let g = s.inner.read();
+        let strings = &g.rows.strings;
+        let attrs = g.attrs.iter().map(|(&sym, a)| {
+            let vals: Vec<(&IndexKey, &[(Subject, MetaId)])> =
+                a.vals.iter().map(|(k, p)| (k, p.entries())).collect();
+            let mut multi: Vec<&DatasetId> = a.multi.iter().collect();
+            multi.sort_unstable();
+            let text = format!("{vals:?} {} {multi:?}", a.rows);
+            (strings.text(sym).to_string(), text)
+        });
+        let uses = strings.slots.iter().flatten();
+        let uses = uses.map(|(text, n)| (text.to_string(), *n));
+        (attrs.collect(), uses.collect())
+    }
+
+    /// Every derived map equals a rebuild from the rows, every posting is
+    /// strictly sorted and of one shape — one row inline, more listed —
+    /// and the string table holds exactly the texts the rows name, each
+    /// counted once per use.
     fn assert_derived_state_matches_rebuild(s: &MetaStore) {
         let g = s.inner.read();
-        for (name, vals) in &g.index {
-            assert!(!vals.is_empty(), "empty partition {name}");
-            for posting in vals.values() {
+        for (&sym, attr) in &g.attrs {
+            let name = g.rows.strings.text(sym);
+            assert!(!attr.vals.is_empty(), "empty partition {name}");
+            for posting in attr.vals.values() {
                 assert!(
                     matches!(posting, Posting::One(_)) || posting.len() >= 2,
                     "a posting of {} rows listed under {name}",
@@ -1630,12 +2349,29 @@ mod tests {
                 );
             }
         }
+        for ids in g.by_subject.values() {
+            assert!(matches!(ids, RowIds::One(_) | RowIds::Two(_)) || ids.as_slice().len() >= 3);
+        }
+        let mut want: BTreeMap<String, usize> = BTreeMap::new();
+        for row in g.rows.iter() {
+            let schema = match row.kind {
+                MetaKind::TypeOriented(schema) => Some(schema),
+                _ => None,
+            };
+            for text in [row.triplet.name, row.triplet.units]
+                .into_iter()
+                .chain(schema)
+            {
+                *want.entry(text).or_default() += 1;
+            }
+        }
         let rebuilt = MetaStore::restore(g.rows.clone(), Vec::new(), &WalHook::default());
         let r = rebuilt.inner.read();
         assert_eq!(g.by_subject, r.by_subject);
-        assert_eq!(g.index, r.index);
-        assert_eq!(g.attr_counts, r.attr_counts);
-        assert_eq!(g.multi, r.multi);
+        let (live, uses) = derived(s);
+        assert_eq!(live, derived(&rebuilt).0);
+        assert_eq!(uses, want, "the string table counts each use of a text");
+        assert_eq!(g.rows.strings.syms.len(), want.len());
     }
 
     /// A seeded run of adds, updates, removes and whole-subject removes,
@@ -1686,7 +2422,7 @@ mod tests {
                 9 => {
                     s.remove_all(subject(rng.below(40)));
                     let g = s.inner.read();
-                    live.retain(|&id| g.rows.contains(id));
+                    live.retain(|&id| g.rows.get(id).is_some());
                 }
                 _ => {}
             }
@@ -1701,8 +2437,11 @@ mod tests {
         assert_derived_state_matches_rebuild(&s);
         assert_eq!(attr_names(&s, None), Vec::<String>::new());
         let g = s.inner.read();
-        assert!(g.by_subject.is_empty() && g.index.is_empty());
-        assert!(g.attr_counts.is_empty() && g.multi.is_empty());
+        assert!(g.by_subject.is_empty() && g.attrs.is_empty());
+        assert!(
+            g.rows.strings.syms.is_empty(),
+            "every text went with its rows"
+        );
     }
 
     #[test]

@@ -16,7 +16,7 @@ use crate::audit::AuditRow;
 use crate::collection::Collection;
 use crate::container::ContainerRecord;
 use crate::dataset::Dataset;
-use crate::metadata::MetaRow;
+use crate::metadata::StoredRow;
 use crate::resource::{LogicalResource, Resource};
 use crate::user::{Group, User};
 use srb_types::{
@@ -70,7 +70,7 @@ rows! {
     Collection: CollectionId,
     Dataset: DatasetId,
     ContainerRecord: ContainerId,
-    MetaRow: MetaId,
+    StoredRow: MetaId,
     Annotation: AnnotationId,
     AuditRow: AuditId,
 }

@@ -34,7 +34,7 @@ use crate::catalog::Mcat;
 use crate::collection::{Collection, CollectionTable};
 use crate::container::{ContainerRecord, ContainerTable};
 use crate::dataset::{Dataset, DatasetTable};
-use crate::metadata::{MetaRow, MetaStore, Subject};
+use crate::metadata::{MetaRows, MetaStore, Subject};
 use crate::pages::{Row, RowPages, IMAGE_PAGE_IDS};
 use crate::resource::{LogicalResource, Resource, ResourceTable};
 use crate::user::{Group, User, UserTable};
@@ -86,7 +86,7 @@ pub struct CatalogSnapshot {
     /// Containers.
     pub containers: RowPages<ContainerRecord>,
     /// Metadata triplets.
-    pub metadata: RowPages<MetaRow>,
+    pub metadata: MetaRows,
     /// File-based metadata associations.
     pub meta_files: Vec<(Subject, Vec<DatasetId>)>,
     /// Annotations.
@@ -293,22 +293,38 @@ pub(crate) struct ImageWriter<'o, 'p> {
 impl ImageWriter<'_, '_> {
     /// One table field, `,"name":[row,…]`, walked page by page.
     pub(crate) fn pages<R: Serialize>(&mut self, field: Field, rows: &RowPages<R>) {
-        self.field(field, rows.pages().map(|(page, rows)| (page, rows.iter())));
+        self.pages_as(field, rows, R::write_json);
+    }
+
+    /// One table field whose rows `write` writes, walked page by page.
+    pub(crate) fn pages_as<R>(
+        &mut self,
+        field: Field,
+        rows: &RowPages<R>,
+        write: impl Fn(&R, &mut String),
+    ) {
+        let pages = rows.pages().map(|(page, rows)| (page, rows.iter()));
+        self.field(field, pages, write);
     }
 
     /// A field whose rows carry no id, as one page (page 0), in the order
     /// given.
     pub(crate) fn one_page<T: Serialize>(&mut self, field: Field, rows: &[T]) {
-        self.field(field, (!rows.is_empty()).then_some((0, rows.iter())));
+        let page = (!rows.is_empty()).then_some((0, rows.iter()));
+        self.field(field, page, T::write_json);
     }
 
     /// The field's pages, page-ascending, each with its rows in order. In
     /// a checkpoint each page is a part of its own: shared with the
     /// previous image when no record touched it — its rows unvisited —
     /// else rendered.
-    fn field<'r, T, I>(&mut self, field: Field, pages: impl IntoIterator<Item = (u64, I)>)
-    where
-        T: Serialize + 'r,
+    fn field<'r, T, I>(
+        &mut self,
+        field: Field,
+        pages: impl IntoIterator<Item = (u64, I)>,
+        write: impl Fn(&T, &mut String),
+    ) where
+        T: 'r,
         I: Iterator<Item = &'r T>,
     {
         let out = &mut *self.out;
@@ -324,7 +340,7 @@ impl ImageWriter<'_, '_> {
                 out.push(',');
             }
             let Some(pass) = pass.as_deref_mut() else {
-                write_rows(out, rows);
+                write_rows(out, rows, &write);
                 continue;
             };
             pass.flush(out);
@@ -338,7 +354,7 @@ impl ImageWriter<'_, '_> {
                     part.clone()
                 }
                 None => {
-                    write_rows(&mut pass.scratch, rows);
+                    write_rows(&mut pass.scratch, rows, &write);
                     let part = Arc::from(pass.scratch.as_str());
                     pass.scratch.clear();
                     pass.rendered += 1;
@@ -353,12 +369,16 @@ impl ImageWriter<'_, '_> {
 }
 
 /// One page's rows, comma-separated.
-fn write_rows<'r, T: Serialize + 'r>(out: &mut String, rows: impl Iterator<Item = &'r T>) {
+fn write_rows<'r, T: 'r>(
+    out: &mut String,
+    rows: impl Iterator<Item = &'r T>,
+    write: impl Fn(&T, &mut String),
+) {
     for (i, row) in rows.enumerate() {
         if i > 0 {
             out.push(',');
         }
-        row.write_json(out);
+        write(row, out);
     }
 }
 
@@ -431,7 +451,7 @@ impl<'a> ImageReader<'a, '_> {
             collections: RowPages::default(),
             datasets: RowPages::default(),
             containers: RowPages::default(),
-            metadata: RowPages::default(),
+            metadata: MetaRows::default(),
             meta_files: Vec::new(),
             annotations: RowPages::default(),
             audit: RowPages::default(),
@@ -477,10 +497,13 @@ impl<'a> ImageReader<'a, '_> {
             "collections" => snap.collections = self.pages(Field::Collections)?,
             "datasets" => snap.datasets = self.pages(Field::Datasets)?,
             "containers" => snap.containers = self.pages(Field::Containers)?,
-            "metadata" => snap.metadata = self.pages(Field::Metadata)?,
+            "metadata" => snap.metadata = self.metadata()?,
             "meta_files" => {
                 let files = &mut snap.meta_files;
-                self.array(Field::MetaFiles, |_| 0, |f| files.push(f))?;
+                self.array(Field::MetaFiles, |r| {
+                    files.push(Deserialize::read_json(r)?);
+                    Ok(0)
+                })?;
             }
             "annotations" => snap.annotations = self.pages(Field::Annotations)?,
             "audit" => snap.audit = self.pages(Field::Audit)?,
@@ -493,25 +516,46 @@ impl<'a> ImageReader<'a, '_> {
     fn pages<R: Row + Deserialize>(&mut self, field: Field) -> Result<RowPages<R>, DeError> {
         let mut rows = RowPages::default();
         let mut fresh = true;
-        let page = |row: &R| R::raw(row.id()) / IMAGE_PAGE_IDS;
-        self.array(field, page, |row| fresh &= rows.insert(row).is_none())?;
-        if !fresh {
-            // A repeated id: the page's part says more than its rows.
-            self.found[field as usize].clear();
-        }
+        self.array(field, |r| {
+            let row = R::read_json(r)?;
+            let page = R::raw(row.id()) / IMAGE_PAGE_IDS;
+            fresh &= rows.insert(row).is_none();
+            Ok(page)
+        })?;
+        self.repeated(field, fresh);
         Ok(rows)
     }
 
-    /// One array field, `[row,…]`, each row handed to `keep`, noting the
-    /// parts that hold exactly one of its pages (`page` of a row). Rows
-    /// out of page order disable the noting for the field: only a field
-    /// in page order keeps each page's rows together, so that the rows
-    /// around a part tell whether it holds all of its page.
-    fn array<T: Deserialize>(
+    /// The metadata field, each row read straight into its compact form.
+    fn metadata(&mut self) -> Result<MetaRows, DeError> {
+        let mut rows = MetaRows::default();
+        let mut fresh = true;
+        self.array(Field::Metadata, |r| {
+            let (id, replaced) = rows.read_row(r)?;
+            fresh &= !replaced;
+            Ok(id.raw() / IMAGE_PAGE_IDS)
+        })?;
+        self.repeated(Field::Metadata, fresh);
+        Ok(rows)
+    }
+
+    /// After a table field: a repeated id (not `fresh`) means a page's
+    /// part says more than its rows, so none of the field's is shared.
+    fn repeated(&mut self, field: Field, fresh: bool) {
+        if !fresh {
+            self.found[field as usize].clear();
+        }
+    }
+
+    /// One array field, `[row,…]`, each row read and kept by `row`, which
+    /// returns its page, noting the parts that hold exactly one of its
+    /// pages. Rows out of page order disable the noting for the field:
+    /// only a field in page order keeps each page's rows together, so that
+    /// the rows around a part tell whether it holds all of its page.
+    fn array(
         &mut self,
         field: Field,
-        page: impl Fn(&T) -> u64,
-        mut keep: impl FnMut(T),
+        mut row: impl FnMut(&mut JsonReader<'a>) -> Result<u64, DeError>,
     ) -> Result<(), DeError> {
         let mut runs = Runs::default();
         let mut items = self.r.array(field.name())?;
@@ -531,9 +575,8 @@ impl<'a> ImageReader<'a, '_> {
             if self.fill().is_some() {
                 runs.start(self.part);
             }
-            let row = T::read_json(self.r).map_err(|e| e.at(&format!("[{i}]")))?;
-            runs.row(page(&row));
-            keep(row);
+            let page = row(self.r).map_err(|e| e.at(&format!("[{i}]")))?;
+            runs.row(page);
             i += 1;
         }
         self.found[field as usize] = runs.finish();
@@ -809,7 +852,7 @@ mod tests {
                         phys_path: "/p/1".into(),
                     },
                     1000,
-                    Some("abc".into()),
+                    Some(srb_types::Checksum::of(b"abc")),
                 )],
                 now,
             )

@@ -694,7 +694,7 @@ impl Redo {
             last_id(&snap.collections),
             last_id(&snap.datasets),
             last_id(&snap.containers),
-            last_id(&snap.metadata),
+            snap.metadata.last_id().map(MetaId::raw),
             last_id(&snap.annotations),
             last_id(&snap.audit),
         ];
@@ -745,8 +745,13 @@ impl Redo {
             WalOp::DatasetDelete { id } => delete(&mut snap.datasets, id),
             WalOp::ContainerPut { row } => put(max_id, &mut snap.containers, row),
             WalOp::ContainerDelete { id } => delete(&mut snap.containers, id),
-            WalOp::MetaPut { row } => put(max_id, &mut snap.metadata, row),
-            WalOp::MetaDelete { id } => delete(&mut snap.metadata, id),
+            WalOp::MetaPut { row } => {
+                *max_id = (*max_id).max(row.id.raw());
+                snap.metadata.put(row);
+            }
+            WalOp::MetaDelete { id } => {
+                snap.metadata.remove(id);
+            }
             WalOp::MetaFilesPut { subject, files } => {
                 let all = &mut snap.meta_files;
                 match all.iter_mut().find(|(s, _)| *s == subject) {

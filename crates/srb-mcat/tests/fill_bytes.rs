@@ -8,14 +8,15 @@
 //! one collection, as an ingest-heavy grid puts them.
 //!
 //! The bytes the fill leaves live are pinned too, per dataset: the row in
-//! its page, its name, type and replica, and its entry in the name index.
+//! its page, its name, type and replica — with its checksum, as an
+//! ingest's replica has — and its entry in the name index.
 //!
 //! This file holds one test so no other test thread allocates while a
 //! write is counted.
 
 use srb_mcat::{AccessSpec, AuditAction, AuditRow, Dataset, Mcat, IMAGE_PAGE_IDS};
 use srb_types::alloc::{bytes, live_bytes, Counting};
-use srb_types::{ResourceId, SimClock};
+use srb_types::{Checksum, ResourceId, SimClock};
 use std::mem::size_of;
 
 #[global_allocator]
@@ -26,7 +27,7 @@ const ROWS: usize = 300_000;
 
 /// Live bytes per dataset after the fill, at most. A field or a
 /// per-row allocation added to a dataset row shows here.
-const LIVE_PER_DATASET: u64 = 517;
+const LIVE_PER_DATASET: u64 = 501;
 
 /// What one row owns beside its slot in the page: its name, path and
 /// subject strings, its replica list and ACL.
@@ -51,7 +52,7 @@ fn no_write_takes_more_than_a_page() {
             resource: ResourceId(1),
             phys_path: format!("/p/{k}"),
         };
-        let replicas = vec![(replica, 256, None)];
+        let replicas = vec![(replica, 256, Some(Checksum::of(name.as_bytes())))];
         let (taken, made) = bytes(|| {
             m.datasets
                 .create(&m.ids, coll, &name, "generic", admin, replicas, now)

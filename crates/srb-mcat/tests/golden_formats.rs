@@ -15,7 +15,7 @@ use srb_mcat::{
     Mcat, MetaKind, ReplicaStatus, Subject, Template, VersionRecord, WalConfig, WalRecord,
 };
 use srb_storage::{DriverKind, LogDevice};
-use srb_types::{AccessMatrix, Lsn, Permission, SimClock, SiteId, Timestamp, Triplet};
+use srb_types::{AccessMatrix, Checksum, Lsn, Permission, SimClock, SiteId, Timestamp, Triplet};
 use std::sync::Arc;
 
 const CHECKPOINT: &str = include_str!("fixtures/golden_checkpoint.txt");
@@ -107,7 +107,7 @@ fn golden_workload(checkpoint: bool) -> (Mcat, Arc<LogDevice>) {
             "jpeg image",
             admin,
             vec![
-                (stored("/p/1"), 1000, Some("sha:abc".into())),
+                (stored("/p/1"), 1000, Some(Checksum::of(b"sha:abc"))),
                 (
                     AccessSpec::RegisteredFile {
                         resource: r2,
@@ -215,11 +215,11 @@ fn golden_workload(checkpoint: bool) -> (Mcat, Arc<LogDevice>) {
             x.current_version = 2;
             x.acl.grant_user(u, Permission::Annotate);
             x.acl.grant_group(g, Permission::Read);
-            x.replicas[0].in_container = Some(ContainerSlice {
+            x.replicas[0].in_container = Some(Box::new(ContainerSlice {
                 container: ct,
                 offset: 0,
                 len: 100,
-            });
+            }));
             x.replicas[0].pinned_until = Some(Timestamp(123));
             x.replicas[1].status = ReplicaStatus::Stale;
             Ok(())
@@ -387,7 +387,14 @@ fn golden_workload(checkpoint: bool) -> (Mcat, Arc<LogDevice>) {
         )
         .unwrap();
     m.datasets
-        .add_replica(&m.ids, d5, stored("/p/5b"), 7, Some("c".into()), now)
+        .add_replica(
+            &m.ids,
+            d5,
+            stored("/p/5b"),
+            7,
+            Some(Checksum::of(b"c")),
+            now,
+        )
         .unwrap();
     add(
         Subject::Dataset(d5),

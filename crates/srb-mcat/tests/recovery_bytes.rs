@@ -17,8 +17,8 @@
 
 use serde::Serialize;
 use srb_mcat::{
-    AccessSpec, AuditAction, CatalogSnapshot, Mcat, MetaKind, RowPages, Subject, WalConfig, WalOp,
-    WalRecord, IMAGE_PAGE_IDS,
+    AccessSpec, AuditAction, CatalogSnapshot, Mcat, MetaKind, Subject, WalConfig, WalOp, WalRecord,
+    IMAGE_PAGE_IDS,
 };
 use srb_storage::{LogDevice, TailRead};
 use srb_types::alloc::{live_bytes, peak_bytes, reset_peak, Counting};
@@ -66,14 +66,14 @@ fn touched(device: &LogDevice) -> Touched {
 
 /// The text of each of `rows`' pages in `pages`, as an image writes it.
 fn page_text<R: Serialize>(
-    rows: &RowPages<R>,
+    rows: impl IntoIterator<Item = R>,
     id: impl Fn(&R) -> u64,
     pages: &BTreeSet<u64>,
 ) -> Vec<u64> {
     let mut text = vec![0; pages.len()];
-    for row in rows.iter() {
-        if let Some(at) = pages.iter().position(|&p| p == id(row) / IMAGE_PAGE_IDS) {
-            text[at] += serde_json::to_string(row).unwrap().len() as u64 + 1;
+    for row in rows {
+        if let Some(at) = pages.iter().position(|&p| p == id(&row) / IMAGE_PAGE_IDS) {
+            text[at] += serde_json::to_string(&row).unwrap().len() as u64 + 1;
         }
     }
     text
@@ -128,9 +128,9 @@ fn recovery_holds_no_more_than_the_catalog_and_the_touched_pages() {
     let peak = peak_bytes() - before;
 
     let image: CatalogSnapshot = serde_json::from_str(&rec.snapshot_json().unwrap()).unwrap();
-    let mut text = page_text(&image.datasets, |d| d.id.raw(), &pages[0]);
-    text.extend(page_text(&image.metadata, |r| r.id.raw(), &pages[1]));
-    text.extend(page_text(&image.audit, |a| a.id.raw(), &pages[2]));
+    let mut text = page_text(image.datasets.iter(), |d| d.id.raw(), &pages[0]);
+    text.extend(page_text(image.metadata.iter(), |r| r.id.raw(), &pages[1]));
+    text.extend(page_text(image.audit.iter(), |a| a.id.raw(), &pages[2]));
     let (touched_text, buffer) = (text.iter().sum::<u64>(), 2 * text.iter().max().unwrap());
     drop((image, text));
     let held = live_bytes();

@@ -20,8 +20,8 @@ use srb_mcat::{
 };
 use srb_storage::{DriverKind, LogDevice};
 use srb_types::{
-    CollectionId, DatasetId, Lsn, ResourceId, SeedStream, SimClock, SiteId, SrbError, Timestamp,
-    Triplet,
+    Checksum, CollectionId, DatasetId, Lsn, ResourceId, SeedStream, SimClock, SiteId, SrbError,
+    Timestamp, Triplet,
 };
 use std::sync::Arc;
 
@@ -630,7 +630,7 @@ fn two_zones_recover_independently_and_registrations_survive() {
             "survey.dat",
             "generic",
             alpha.admin(),
-            vec![(stored(0), 1024, Some("fnv:abc".into()))],
+            vec![(stored(0), 1024, Some(Checksum::of(b"fnv:abc")))],
             alpha.clock.now(),
         )
         .unwrap();

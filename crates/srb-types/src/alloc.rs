@@ -1,9 +1,12 @@
 //! A counting global allocator, for tests that pin how many allocator
-//! calls, and how many bytes, a piece of code takes.
+//! calls, how many bytes and how many blocks a piece of code takes.
 //!
 //! A test binary installs [`Counting`] with `#[global_allocator]` and wraps
 //! the code it measures in [`count`] (calls) or [`bytes`] (bytes handed
-//! out), or reads [`live_bytes`] and [`peak_bytes`] around it. The
+//! out), or reads [`live_bytes`], [`live_blocks`] and [`peak_bytes`]
+//! around it. Bytes count what was asked for, blocks count each block
+//! once whatever its size: a 6-byte string takes a block of the
+//! allocator's smallest size, which its 6 bytes barely show. The
 //! counters are process-wide, so such a test file holds one test: no
 //! other test thread allocates while a call is counted, and the counts are
 //! deterministic.
@@ -12,16 +15,18 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// `System`, counting every call that hands out memory — `alloc`,
-/// `alloc_zeroed` and `realloc` — the bytes they hand out, the bytes live
-/// (handed out and not yet freed) and the most bytes live at once. A
-/// `realloc` counts as its new block handed out, then its old one freed:
-/// a move holds both for a moment.
+/// `alloc_zeroed` and `realloc` — the bytes they hand out, the bytes and
+/// blocks live (handed out and not yet freed) and the most bytes live at
+/// once. A `realloc` counts as its new block handed out, then its old one
+/// freed: a move holds both for a moment, and the blocks live stay as
+/// they were.
 pub struct Counting;
 
 static CALLS: AtomicU64 = AtomicU64::new(0);
 static BYTES: AtomicU64 = AtomicU64::new(0);
 static LIVE: AtomicU64 = AtomicU64::new(0);
 static PEAK: AtomicU64 = AtomicU64::new(0);
+static BLOCKS: AtomicU64 = AtomicU64::new(0);
 
 /// Count a call handing out a block of `size` bytes.
 fn handed_out(size: usize) {
@@ -41,12 +46,14 @@ fn freed(size: usize) {
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         handed_out(layout.size());
+        BLOCKS.fetch_add(1, Ordering::Relaxed);
         // SAFETY: forwarded contract of `GlobalAlloc::alloc`.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         handed_out(layout.size());
+        BLOCKS.fetch_add(1, Ordering::Relaxed);
         // SAFETY: forwarded contract of `GlobalAlloc::alloc_zeroed`.
         unsafe { System.alloc_zeroed(layout) }
     }
@@ -60,6 +67,7 @@ unsafe impl GlobalAlloc for Counting {
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         freed(layout.size());
+        BLOCKS.fetch_sub(1, Ordering::Relaxed);
         // SAFETY: forwarded contract of `GlobalAlloc::dealloc`.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -84,6 +92,11 @@ pub fn bytes<R>(f: impl FnOnce() -> R) -> (u64, R) {
 /// Bytes handed out and not yet freed.
 pub fn live_bytes() -> u64 {
     LIVE.load(Ordering::Relaxed)
+}
+
+/// Blocks handed out and not yet freed.
+pub fn live_blocks() -> u64 {
+    BLOCKS.load(Ordering::Relaxed)
 }
 
 /// The most bytes live at once since the last [`reset_peak`].

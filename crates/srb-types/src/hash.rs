@@ -5,7 +5,10 @@
 //! structure* (challenge–response, keyed session tokens, checksummed
 //! replicas) with SHA-256/HMAC rather than pulling in a TLS stack; see
 //! DESIGN.md §2. The implementation follows FIPS 180-4 and is validated
-//! against the published test vectors below.
+//! against the published test vectors below. Blocks are compressed on the
+//! CPU's SHA extensions when it has them, chosen once at first use; the
+//! portable compression is the fallback and the reference both are
+//! checked against.
 //!
 //! It also holds the workspace's one seeded generator, splitmix64: the
 //! [`mix64`] finalizer, the counter-indexed [`splitmix64`] and the stateful
@@ -14,9 +17,12 @@
 //! [`fnv1a64`], the one cheap stable hash behind log-line checksums,
 //! shard choice and bench digests.
 
+use serde::{DeError, Deserialize, JsonReader, Serialize};
 use std::collections::{HashMap, HashSet};
+use std::fmt;
 use std::hash::{BuildHasher, Hash, Hasher};
 use std::marker::PhantomData;
+use std::sync::OnceLock;
 
 /// Streaming SHA-256 hasher.
 #[derive(Clone)]
@@ -25,6 +31,154 @@ pub struct Sha256 {
     buf: [u8; 64],
     buf_len: usize,
     total_len: u64,
+    compress: Compress,
+}
+
+/// A SHA-256 compression: the state through every 64-byte block of
+/// `blocks`, whose length is a multiple of 64.
+type Compress = fn(&mut [u32; 8], &[u8]);
+
+/// The compression this CPU runs fastest, chosen on first use.
+fn chosen() -> Compress {
+    static CHOSEN: OnceLock<Compress> = OnceLock::new();
+    *CHOSEN.get_or_init(|| hardware().unwrap_or(compress_portable))
+}
+
+/// The compression on the CPU's SHA extensions, if it has them.
+fn hardware() -> Option<Compress> {
+    #[cfg(target_arch = "x86_64")]
+    {
+        fn sha_ni(state: &mut [u32; 8], blocks: &[u8]) {
+            // SAFETY: `hardware` hands this function out only once it has
+            // detected every feature `compress_sha_ni` is compiled for.
+            unsafe { compress_sha_ni(state, blocks) }
+        }
+        if is_x86_feature_detected!("sha")
+            && is_x86_feature_detected!("sse2")
+            && is_x86_feature_detected!("ssse3")
+            && is_x86_feature_detected!("sse4.1")
+        {
+            return Some(sha_ni);
+        }
+    }
+    None
+}
+
+/// The compression of FIPS 180-4 §6.2.2, block by block.
+fn compress_portable(state: &mut [u32; 8], blocks: &[u8]) {
+    for block in blocks.chunks_exact(64) {
+        let mut w = [0u32; 64];
+        for (i, word) in block.chunks_exact(4).enumerate() {
+            w[i] = u32::from_be_bytes([word[0], word[1], word[2], word[3]]);
+        }
+        for i in 16..64 {
+            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+            w[i] = w[i - 16]
+                .wrapping_add(s0)
+                .wrapping_add(w[i - 7])
+                .wrapping_add(s1);
+        }
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+        for i in 0..64 {
+            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+            let ch = (e & f) ^ (!e & g);
+            let t1 = h
+                .wrapping_add(s1)
+                .wrapping_add(ch)
+                .wrapping_add(K[i])
+                .wrapping_add(w[i]);
+            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+            let maj = (a & b) ^ (a & c) ^ (b & c);
+            let t2 = s0.wrapping_add(maj);
+            h = g;
+            g = f;
+            f = e;
+            e = d.wrapping_add(t1);
+            d = c;
+            c = b;
+            b = a;
+            a = t1.wrapping_add(t2);
+        }
+        for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *s = s.wrapping_add(v);
+        }
+    }
+}
+
+/// The compression on the SHA extensions (`sha256rnds2` runs two rounds,
+/// `sha256msg1`/`sha256msg2` extend the message schedule four words at a
+/// time). The state lives in two registers, `ABEF` and `CDGH`, as the
+/// round instruction wants it. Words go in through `set` and out through
+/// `extract`, so no pointer is read or written.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+// The schedule updates the last groups skip sit behind conditions that
+// are false for them, which the liveness lint does not see.
+#[allow(unused_assignments)]
+fn compress_sha_ni(state: &mut [u32; 8], blocks: &[u8]) {
+    use std::arch::x86_64::*;
+    let lanes = |w: [u32; 4]| _mm_set_epi32(w[3] as i32, w[2] as i32, w[1] as i32, w[0] as i32);
+    let abcd = lanes([state[0], state[1], state[2], state[3]]);
+    let efgh = lanes([state[4], state[5], state[6], state[7]]);
+    let cdab = _mm_shuffle_epi32(abcd, 0xB1);
+    let hgfe = _mm_shuffle_epi32(efgh, 0x1B);
+    let mut abef = _mm_alignr_epi8(cdab, hgfe, 8);
+    let mut cdgh = _mm_blend_epi16(hgfe, cdab, 0xF0);
+    let swap = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+    let k: [__m128i; 16] =
+        std::array::from_fn(|g| lanes([K[4 * g], K[4 * g + 1], K[4 * g + 2], K[4 * g + 3]]));
+    for block in blocks.chunks_exact(64) {
+        let (abef_in, cdgh_in) = (abef, cdgh);
+        // Sixteen bytes as two little-endian halves, then each word's
+        // bytes swapped: the message is big-endian.
+        let half = |at: usize| {
+            let mut bytes = [0u8; 8];
+            bytes.copy_from_slice(&block[at..at + 8]);
+            i64::from_le_bytes(bytes)
+        };
+        let words = |at: usize| _mm_shuffle_epi8(_mm_set_epi64x(half(at + 8), half(at)), swap);
+        let mut msg = [_mm_setzero_si128(); 4];
+        // Four rounds; written out sixteen times, so every index is a
+        // constant and the schedule stays in registers.
+        macro_rules! rounds {
+            ($($g:literal)*) => {$({
+                const G: usize = $g;
+                if G < 4 {
+                    msg[G % 4] = words(16 * G);
+                }
+                let wk = _mm_add_epi32(msg[G % 4], k[G]);
+                cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+                if 3 <= G && G < 15 {
+                    let (cur, prev, next) = (G % 4, (G + 3) % 4, (G + 1) % 4);
+                    let carry = _mm_alignr_epi8(msg[cur], msg[prev], 4);
+                    msg[next] = _mm_sha256msg2_epu32(_mm_add_epi32(msg[next], carry), msg[cur]);
+                }
+                abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+                if 1 <= G && G < 13 {
+                    let prev = (G + 3) % 4;
+                    msg[prev] = _mm_sha256msg1_epu32(msg[prev], msg[G % 4]);
+                }
+            })*};
+        }
+        rounds!(0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15);
+        abef = _mm_add_epi32(abef, abef_in);
+        cdgh = _mm_add_epi32(cdgh, cdgh_in);
+    }
+    let feba = _mm_shuffle_epi32(abef, 0x1B);
+    let dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+    let dcba = _mm_blend_epi16(feba, dchg, 0xF0);
+    let hgfe = _mm_alignr_epi8(dchg, feba, 8);
+    *state = [
+        _mm_extract_epi32(dcba, 0) as u32,
+        _mm_extract_epi32(dcba, 1) as u32,
+        _mm_extract_epi32(dcba, 2) as u32,
+        _mm_extract_epi32(dcba, 3) as u32,
+        _mm_extract_epi32(hgfe, 0) as u32,
+        _mm_extract_epi32(hgfe, 1) as u32,
+        _mm_extract_epi32(hgfe, 2) as u32,
+        _mm_extract_epi32(hgfe, 3) as u32,
+    ];
 }
 
 const K: [u32; 64] = [
@@ -51,11 +205,17 @@ impl Default for Sha256 {
 impl Sha256 {
     /// Fresh hasher.
     pub fn new() -> Self {
+        Sha256::with(chosen())
+    }
+
+    /// Fresh hasher compressing through `compress`.
+    fn with(compress: Compress) -> Self {
         Sha256 {
             state: H0,
             buf: [0u8; 64],
             buf_len: 0,
             total_len: 0,
+            compress,
         }
     }
 
@@ -74,12 +234,9 @@ impl Sha256 {
                 self.buf_len = 0;
             }
         }
-        while data.len() >= 64 {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(&data[..64]);
-            self.compress(&block);
-            data = &data[64..];
-        }
+        let whole = data.len() / 64 * 64;
+        (self.compress)(&mut self.state, &data[..whole]);
+        data = &data[whole..];
         if !data.is_empty() {
             self.buf[..data.len()].copy_from_slice(data);
             self.buf_len = data.len();
@@ -111,52 +268,7 @@ impl Sha256 {
     }
 
     fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        for i in 0..16 {
-            w[i] = u32::from_be_bytes([
-                block[i * 4],
-                block[i * 4 + 1],
-                block[i * 4 + 2],
-                block[i * 4 + 3],
-            ]);
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let t1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        (self.compress)(&mut self.state, block);
     }
 }
 
@@ -167,9 +279,70 @@ pub fn sha256(data: &[u8]) -> [u8; 32] {
     h.finalize()
 }
 
-/// One-shot SHA-256 as lowercase hex (replica checksums, etags).
-pub fn sha256_hex(data: &[u8]) -> String {
-    to_hex(&sha256(data))
+/// A replica's checksum: the SHA-256 digest of its bytes, held as the 32
+/// bytes. Its text — in the image, the redo log, saved state and pages —
+/// is the digest's 64 lowercase hex digits, and no other text reads back
+/// as one.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Checksum(pub [u8; 32]);
+
+impl Checksum {
+    /// The checksum of `data`.
+    pub fn of(data: &[u8]) -> Checksum {
+        Checksum(sha256(data))
+    }
+
+    /// The checksum whose text is `hex`: 64 lowercase hex digits.
+    fn parse(hex: &str) -> Option<Checksum> {
+        let digit = |c: u8| match c {
+            b'0'..=b'9' => Some(c - b'0'),
+            b'a'..=b'f' => Some(c - b'a' + 10),
+            _ => None,
+        };
+        let hex = hex.as_bytes();
+        if hex.len() != 64 {
+            return None;
+        }
+        let mut out = [0u8; 32];
+        for (byte, pair) in out.iter_mut().zip(hex.chunks_exact(2)) {
+            *byte = digit(pair[0])? << 4 | digit(pair[1])?;
+        }
+        Some(Checksum(out))
+    }
+}
+
+impl fmt::Display for Checksum {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        hex_digits(&self.0).try_for_each(|c| fmt::Write::write_char(f, c))
+    }
+}
+
+impl fmt::Debug for Checksum {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "Checksum({self})")
+    }
+}
+
+impl Serialize for Checksum {
+    fn write_json(&self, out: &mut String) {
+        out.push('"');
+        out.extend(hex_digits(&self.0));
+        out.push('"');
+    }
+}
+
+impl Deserialize for Checksum {
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, DeError> {
+        if r.peek_token() != Some(b'"') {
+            return Err(r.expected("string", "Checksum"));
+        }
+        let text = r.str()?;
+        Checksum::parse(&text).ok_or_else(|| {
+            DeError::new(format!(
+                "expected 64 lowercase hex digits for Checksum, got {text:?}"
+            ))
+        })
+    }
 }
 
 /// An HMAC-SHA256 key (RFC 2104) — the keyed MAC behind challenge–response
@@ -187,14 +360,21 @@ pub struct HmacKey {
 impl HmacKey {
     /// Absorb `key` (hashed first when longer than one block).
     pub fn new(key: &[u8]) -> Self {
+        HmacKey::with(key, chosen())
+    }
+
+    /// [`HmacKey::new`], compressing through `compress`.
+    fn with(key: &[u8], compress: Compress) -> Self {
         let mut block = [0u8; 64];
         if key.len() > 64 {
-            block[..32].copy_from_slice(&sha256(key));
+            let mut h = Sha256::with(compress);
+            h.update(key);
+            block[..32].copy_from_slice(&h.finalize());
         } else {
             block[..key.len()].copy_from_slice(key);
         }
         let padded = |pad: u8| {
-            let mut h = Sha256::new();
+            let mut h = Sha256::with(compress);
             h.update(&block.map(|b| b ^ pad));
             h
         };
@@ -419,12 +599,123 @@ pub fn ct_eq(a: &[u8], b: &[u8]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
-    // FIPS 180-4 / NIST test vectors.
+    /// Every compression this CPU runs: the portable one, and the SHA
+    /// extensions' when it has them.
+    fn compressions() -> Vec<Compress> {
+        let mut out: Vec<Compress> = vec![compress_portable];
+        out.extend(hardware());
+        out
+    }
+
+    /// SHA-256 of `data` on `compress`, fed in two pieces split at `split`.
+    fn digest_on(compress: Compress, data: &[u8], split: usize) -> [u8; 32] {
+        let mut h = Sha256::with(compress);
+        h.update(&data[..split]);
+        h.update(&data[split..]);
+        h.finalize()
+    }
+
+    /// The hex digest of `data`, the same on every compression.
+    fn hex_on_each(data: &[u8]) -> String {
+        let digests: Vec<String> = compressions()
+            .into_iter()
+            .map(|c| to_hex(&digest_on(c, data, data.len() / 2)))
+            .collect();
+        assert!(digests.windows(2).all(|w| w[0] == w[1]), "{digests:?}");
+        digests[0].clone()
+    }
+
+    /// The hex HMAC of `message` under `key`, the same on every
+    /// compression.
+    fn mac_on_each(key: &[u8], message: &[u8]) -> String {
+        let macs: Vec<String> = compressions()
+            .into_iter()
+            .map(|c| to_hex(&HmacKey::with(key, c).sign(message)))
+            .collect();
+        assert!(macs.windows(2).all(|w| w[0] == w[1]), "{macs:?}");
+        macs[0].clone()
+    }
+
+    /// This host's CPU has the SHA extensions, so the hardware arm below
+    /// runs here; elsewhere it compares the portable path with itself.
+    #[test]
+    fn the_chosen_compression_is_the_hardware_one_when_there_is_one() {
+        let chosen = chosen() as usize;
+        match hardware() {
+            Some(hw) => assert_eq!(chosen, hw as usize),
+            None => assert_eq!(chosen, compress_portable as Compress as usize),
+        }
+    }
+
+    /// Message lengths from 0 to 1 000 bytes, weighted to the block
+    /// boundaries where padding changes shape.
+    fn length() -> impl Strategy<Value = usize> {
+        prop_oneof![
+            0usize..1001,
+            (0usize..16).prop_map(|b| b * 64),
+            (1usize..16).prop_map(|b| b * 64 - 1),
+            (0usize..16).prop_map(|b| b * 64 + 55),
+            (0usize..16).prop_map(|b| b * 64 + 56),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The SHA extensions compute what the portable compression does,
+        /// for `sha256` and for `HmacKey::sign`, at any length and any
+        /// split of the input.
+        #[test]
+        fn hardware_compression_equals_portable(
+            len in length(),
+            seed in any::<u64>(),
+            split in any::<u64>(),
+            key_len in 0usize..150,
+        ) {
+            let mut rng = SeedStream::new(seed);
+            let data: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+            let key: Vec<u8> = (0..key_len).map(|_| rng.next_u64() as u8).collect();
+            let split = (split % (len as u64 + 1)) as usize;
+            let want = digest_on(compress_portable, &data, split);
+            prop_assert_eq!(sha256(&data), want);
+            let mac = HmacKey::with(&key, compress_portable).sign(&data);
+            for c in compressions() {
+                prop_assert_eq!(digest_on(c, &data, split), want);
+                prop_assert_eq!(HmacKey::with(&key, c).sign(&data), mac);
+            }
+        }
+    }
+
+    #[test]
+    fn checksum_text_is_64_lowercase_hex_digits_and_nothing_else() {
+        let sum = Checksum::of(b"abc");
+        let text = sum.to_string();
+        assert_eq!(text, to_hex(&sha256(b"abc")));
+        assert_eq!(Checksum::parse(&text), Some(sum));
+        assert_eq!(serde_json::to_string(&sum).unwrap(), format!("\"{text}\""));
+        let back: Checksum = serde_json::from_str(&format!("\"{text}\"")).unwrap();
+        assert_eq!(back, sum);
+        for bad in [
+            "beef".to_string(),
+            text.to_uppercase(),
+            format!("{text}0"),
+            text[1..].to_string(),
+            format!("{}g", &text[1..]),
+            String::new(),
+        ] {
+            assert_eq!(Checksum::parse(&bad), None, "{bad:?}");
+            assert!(serde_json::from_str::<Checksum>(&format!("\"{bad}\"")).is_err());
+        }
+        assert!(serde_json::from_str::<Checksum>("7").is_err());
+    }
+
+    // FIPS 180-4 / NIST test vectors, on every compression.
     #[test]
     fn sha256_empty() {
         assert_eq!(
-            sha256_hex(b""),
+            hex_on_each(b""),
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
         );
     }
@@ -432,7 +723,7 @@ mod tests {
     #[test]
     fn sha256_abc() {
         assert_eq!(
-            sha256_hex(b"abc"),
+            hex_on_each(b"abc"),
             "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
         );
     }
@@ -440,7 +731,7 @@ mod tests {
     #[test]
     fn sha256_two_block_message() {
         assert_eq!(
-            sha256_hex(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
+            hex_on_each(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
             "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
         );
     }
@@ -449,7 +740,7 @@ mod tests {
     fn sha256_million_a() {
         let data = vec![b'a'; 1_000_000];
         assert_eq!(
-            to_hex(&sha256(&data)),
+            hex_on_each(&data),
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
         );
     }
@@ -519,18 +810,16 @@ mod tests {
     #[test]
     fn hmac_rfc4231_case1() {
         let key = [0x0b; 20];
-        let mac = HmacKey::new(&key).sign(b"Hi There");
         assert_eq!(
-            to_hex(&mac),
+            mac_on_each(&key, b"Hi There"),
             "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
         );
     }
 
     #[test]
     fn hmac_rfc4231_case2() {
-        let mac = HmacKey::new(b"Jefe").sign(b"what do ya want for nothing?");
         assert_eq!(
-            to_hex(&mac),
+            mac_on_each(b"Jefe", b"what do ya want for nothing?"),
             "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
         );
     }
@@ -538,10 +827,9 @@ mod tests {
     #[test]
     fn hmac_rfc4231_case6_long_key() {
         let key = [0xaa; 131];
-        let mac =
-            HmacKey::new(&key).sign(b"Test Using Larger Than Block-Size Key - Hash Key First");
+        let message = b"Test Using Larger Than Block-Size Key - Hash Key First";
         assert_eq!(
-            to_hex(&mac),
+            mac_on_each(&key, message),
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
         );
     }

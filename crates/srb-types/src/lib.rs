@@ -17,6 +17,8 @@ pub mod clock;
 pub mod cursor;
 pub mod error;
 pub mod gen;
+// The SHA extensions' compression is called through one `unsafe` call.
+#[allow(unsafe_code)]
 pub mod hash;
 pub mod id;
 pub mod path;
@@ -31,7 +33,7 @@ pub use cursor::{CursorCodec, PageToken};
 pub use error::{SrbError, SrbResult};
 pub use gen::{GenCounter, Generation, Lsn};
 pub use hash::{
-    ct_eq, fnv1a64, from_hex, mix64, sha256, sha256_hex, splitmix64, to_hex, CatalogKey, HmacKey,
+    ct_eq, fnv1a64, from_hex, mix64, sha256, splitmix64, to_hex, CatalogKey, Checksum, HmacKey,
     IdBuild, IdHasher, IdMap, IdSet, SeedStream, Sha256,
 };
 pub use id::*;

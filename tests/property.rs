@@ -175,8 +175,8 @@ proptest! {
         }
         let ds = grid.mcat.resolve_dataset(&LogicalPath::parse("/home/u/f").unwrap()).unwrap();
         let ds = grid.mcat.datasets.get(ds).unwrap();
-        let checksums: Vec<&str> = ds.replicas.iter()
-            .filter_map(|r| r.checksum.as_deref())
+        let checksums: Vec<_> = ds.replicas.iter()
+            .filter_map(|r| r.checksum)
             .collect();
         prop_assert!(!checksums.is_empty());
         prop_assert!(checksums.windows(2).all(|w| w[0] == w[1]),
