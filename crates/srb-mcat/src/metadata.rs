@@ -16,7 +16,7 @@
 use crate::pages::RowPages;
 use crate::snapshot::{Field, ImageWriter};
 use crate::wal::{WalHook, WalOp};
-use serde::{DeError, Deserialize, JsonReader, Serialize};
+use serde::{Deserialize, Serialize};
 use srb_types::sync::{LockRank, RwLock, RwLockReadGuard};
 use srb_types::value::like_match;
 use srb_types::{
@@ -312,148 +312,8 @@ impl MetaRows {
     /// The image's `"metadata"` field: every row as its [`MetaRow`] text.
     fn write_image(&self, w: &mut ImageWriter<'_, '_>) {
         w.pages_as(Field::Metadata, &self.rows, |row, out| {
-            self.write_row(row, out)
+            self.view(row).write_json(out)
         });
-    }
-
-    /// Append `row`'s text: byte for byte what its [`MetaRow`] writes.
-    fn write_row(&self, row: &StoredRow, out: &mut String) {
-        out.push_str("{\"id\":");
-        row.id.write_json(out);
-        out.push_str(",\"subject\":");
-        row.subject.write_json(out);
-        out.push_str(",\"triplet\":{\"name\":");
-        self.strings.text(row.name).write_json(out);
-        out.push_str(",\"value\":");
-        row.value.write_json(out);
-        out.push_str(",\"units\":");
-        self.strings.text(row.units).write_json(out);
-        out.push_str("},\"kind\":");
-        match row.kind {
-            StoredKind::System => out.push_str("\"System\""),
-            StoredKind::UserDefined => out.push_str("\"UserDefined\""),
-            StoredKind::TypeOriented(s) => {
-                out.push_str("{\"TypeOriented\":");
-                self.strings.text(s).write_json(out);
-                out.push('}');
-            }
-            StoredKind::FileBased(d) => {
-                out.push_str("{\"FileBased\":");
-                d.write_json(out);
-                out.push('}');
-            }
-        }
-        out.push('}');
-    }
-
-    /// Read one row's [`MetaRow`] text straight into a stored row, its
-    /// texts interned as they are read (borrowed from the input unless
-    /// escaped), and put it under its id. As the derived reader would:
-    /// keys in any order, unknown keys skipped, the first of a repeated
-    /// key wins, every field required. Returns the row's id and whether it
-    /// replaced one.
-    pub(crate) fn read_row(&mut self, r: &mut JsonReader<'_>) -> Result<(MetaId, bool), DeError> {
-        let (mut id, mut subject, mut triplet, mut kind) = (None, None, None, None);
-        let mut e = r.object("MetaRow")?;
-        while let Some(key) = e.next_key(r)? {
-            match &*key {
-                "id" if id.is_none() => {
-                    id = Some(MetaId::read_json(r).map_err(|e| e.at("MetaRow.id"))?);
-                }
-                "subject" if subject.is_none() => {
-                    subject = Some(Subject::read_json(r).map_err(|e| e.at("MetaRow.subject"))?);
-                }
-                "triplet" if triplet.is_none() => {
-                    let read = self.read_triplet(r);
-                    triplet = Some(read.map_err(|e| e.at("MetaRow.triplet"))?);
-                }
-                "kind" if kind.is_none() => {
-                    kind = Some(self.read_kind(r).map_err(|e| e.at("MetaRow.kind"))?);
-                }
-                _ => r.skip_value()?,
-            }
-        }
-        let missing = |f: &str| DeError::new("missing field").at(&format!("MetaRow.{f}"));
-        let id = id.ok_or_else(|| missing("id"))?;
-        let subject = subject.ok_or_else(|| missing("subject"))?;
-        let (name, value, units) = triplet.ok_or_else(|| missing("triplet"))?;
-        let kind = kind.ok_or_else(|| missing("kind"))?;
-        let row = StoredRow {
-            id,
-            subject,
-            value,
-            name,
-            units,
-            kind,
-        };
-        Ok((id, self.insert(row)))
-    }
-
-    /// A [`Triplet`]'s text: `(name, value, units)`.
-    fn read_triplet(&mut self, r: &mut JsonReader<'_>) -> Result<(Sym, MetaValue, Sym), DeError> {
-        let (mut name, mut value, mut units) = (None, None, None);
-        let mut e = r.object("Triplet")?;
-        while let Some(key) = e.next_key(r)? {
-            match &*key {
-                "name" if name.is_none() => {
-                    name = Some(self.read_text(r).map_err(|e| e.at("Triplet.name"))?);
-                }
-                "value" if value.is_none() => {
-                    value = Some(MetaValue::read_json(r).map_err(|e| e.at("Triplet.value"))?);
-                }
-                "units" if units.is_none() => {
-                    units = Some(self.read_text(r).map_err(|e| e.at("Triplet.units"))?);
-                }
-                _ => r.skip_value()?,
-            }
-        }
-        let missing = |f: &str| DeError::new("missing field").at(&format!("Triplet.{f}"));
-        Ok((
-            name.ok_or_else(|| missing("name"))?,
-            value.ok_or_else(|| missing("value"))?,
-            units.ok_or_else(|| missing("units"))?,
-        ))
-    }
-
-    /// A [`MetaKind`]'s text.
-    fn read_kind(&mut self, r: &mut JsonReader<'_>) -> Result<StoredKind, DeError> {
-        let single = || DeError::expected("string or single-entry object", "MetaKind", "object");
-        match r.peek_token() {
-            Some(b'"') => match &*r.str()? {
-                "System" => Ok(StoredKind::System),
-                "UserDefined" => Ok(StoredKind::UserDefined),
-                other => Err(DeError::new(format!("unknown MetaKind variant {other:?}"))),
-            },
-            Some(b'{') => {
-                let mut e = r.object("MetaKind")?;
-                let Some(tag) = e.next_key(r)? else {
-                    return Err(single());
-                };
-                let kind = match &*tag {
-                    "TypeOriented" => self
-                        .read_text(r)
-                        .map(StoredKind::TypeOriented)
-                        .map_err(|e| e.at("MetaKind::TypeOriented")),
-                    "FileBased" => DatasetId::read_json(r)
-                        .map(StoredKind::FileBased)
-                        .map_err(|e| e.at("MetaKind::FileBased")),
-                    other => Err(DeError::new(format!("unknown MetaKind variant {other:?}"))),
-                }?;
-                if e.next_key(r)?.is_some() {
-                    return Err(single());
-                }
-                Ok(kind)
-            }
-            _ => Err(r.expected("string or single-entry object", "MetaKind")),
-        }
-    }
-
-    /// A string, interned.
-    fn read_text(&mut self, r: &mut JsonReader<'_>) -> Result<Sym, DeError> {
-        if r.peek_token() != Some(b'"') {
-            return Err(r.expected("string", "String"));
-        }
-        Ok(self.strings.intern(&r.str()?))
     }
 }
 
@@ -633,6 +493,41 @@ impl KeyView for KeyProbe<'_> {
 
     fn raw(&self) -> &str {
         self.raw
+    }
+}
+
+/// A row of an attribute's run as `MetaStore::restore` sorts it, keyed
+/// once: the number its value reads as, or its text's fold. The raw form
+/// is read from the row, so a run costs 32 bytes a row.
+struct Keyed<'a> {
+    key: Result<f64, Cow<'a, str>>,
+    row: &'a StoredRow,
+}
+
+const _: () = assert!(std::mem::size_of::<Keyed>() <= 32);
+
+impl<'a> Keyed<'a> {
+    fn new(row: &'a StoredRow) -> Self {
+        let KeyProbe { num, fold, .. } = KeyProbe::new(&row.value);
+        let key = num.ok_or_else(|| fold.unwrap_or_default());
+        Keyed { key, row }
+    }
+}
+
+impl KeyView for Keyed<'_> {
+    fn num(&self) -> Option<f64> {
+        self.key.as_ref().ok().copied()
+    }
+
+    fn fold(&self) -> Option<&str> {
+        self.key.as_ref().err().map(|fold| &**fold)
+    }
+
+    fn raw(&self) -> &str {
+        match (&self.key, &self.row.value) {
+            (Err(_), MetaValue::Text(raw)) => raw,
+            _ => "",
+        }
     }
 }
 
@@ -1363,15 +1258,16 @@ impl MetaStore {
     /// The store over image rows, its indexes built from them, logging
     /// through `wal`.
     ///
-    /// Each attribute's value index is built from one sorted run: its row
-    /// ids sorted by `(key, subject, id)` — linear when, as after an
-    /// ingest-only history, id order already is key order — grouped into
-    /// postings, and handed to `BTreeMap::from_iter`, which fills its
-    /// nodes where inserts one key at a time leave them half empty. The
-    /// indexes are built before the subject lists, so the run of one
-    /// attribute is the largest transient the rebuild holds. Each
-    /// subject's list is in id order, the order the live store added them
-    /// in, and the subject map is sized once.
+    /// Each attribute's value index is built from one sorted run: its rows
+    /// each keyed once ([`Keyed`]), sorted by `(key, subject, id)` —
+    /// linear when, as after an ingest-only history, id order already is
+    /// key order — grouped into postings, and handed to
+    /// `BTreeMap::from_iter`, which fills its nodes where inserts one key
+    /// at a time leave them half empty. The rebuild's transient is one
+    /// reference per row, grouped by attribute, plus the keyed run of one
+    /// attribute at a time, gone before its map is built. Each subject's
+    /// list is in id order, the order the live store added them in, and
+    /// the subject map is sized once.
     pub(crate) fn restore(
         rows: MetaRows,
         meta_files: Vec<(Subject, Vec<DatasetId>)>,
@@ -1383,23 +1279,25 @@ impl MetaStore {
         }
         let mut attrs: IdMap<Sym, Attr> = IdMap::default();
         attrs.reserve(named.len());
-        fn key(r: &StoredRow) -> KeyProbe<'_> {
-            KeyProbe::new(&r.value)
-        }
-        let same_key = |a: &&StoredRow, b: &&StoredRow| key_cmp(&key(a), &key(b)).is_eq();
-        for (sym, mut run) in named {
+        for (sym, run) in named {
+            let mut run: Vec<Keyed<'_>> = run.into_iter().map(Keyed::new).collect();
             run.sort_unstable_by(|a, b| {
-                let order = key_cmp(&key(a), &key(b));
-                order.then_with(|| (a.subject, a.id).cmp(&(b.subject, b.id)))
+                let order = key_cmp(a, b);
+                order.then_with(|| (a.row.subject, a.row.id).cmp(&(b.row.subject, b.row.id)))
             });
+            let same_key = |a: &Keyed<'_>, b: &Keyed<'_>| key_cmp(a, b).is_eq();
+            // Counted first, so the postings take exactly their room, and
+            // the keyed run goes before the map is built from them.
             let mut vals = Vec::with_capacity(run.chunk_by(same_key).count());
             for chunk in run.chunk_by(same_key) {
-                let entries = chunk.iter().map(|r| (r.subject, r.id));
-                vals.push((IndexKey::new(&chunk[0].value), Posting::of(entries)));
+                let entries = chunk.iter().map(|k| (k.row.subject, k.row.id));
+                vals.push((IndexKey::new(&chunk[0].row.value), Posting::of(entries)));
             }
+            let rows = run.len();
+            drop(run);
             let attr = Attr {
                 vals: BTreeMap::from_iter(vals),
-                rows: run.len(),
+                rows,
                 multi: IdSet::default(),
             };
             attrs.insert(sym, attr);
@@ -1759,74 +1657,6 @@ mod tests {
         assert_eq!(ids, RowIds::One(b));
         assert!(!ids.remove(a));
         assert!(ids.remove(b));
-    }
-
-    /// A stored row writes the bytes its view writes, and reads back from
-    /// them to the same view — for every kind, escaped text, units and
-    /// every value type; a malformed row is refused.
-    #[test]
-    fn stored_rows_write_and_read_the_text_of_their_views() {
-        let (s, ids) = store();
-        let coll = Subject::Collection(CollectionId(7));
-        let rows = [
-            (ds(1), Triplet::new("serial", 42, ""), MetaKind::UserDefined),
-            (
-                ds(1),
-                Triplet::new("wingspan", 12.5, "cm"),
-                MetaKind::System,
-            ),
-            (
-                coll,
-                Triplet::new("Title", "a \"quoted\"\n\\ Émile", "—"),
-                MetaKind::TypeOriented("DublinCore".into()),
-            ),
-            (
-                ds(2),
-                Triplet::new("from", "file", ""),
-                MetaKind::FileBased(DatasetId(9)),
-            ),
-            (
-                ds(2),
-                Triplet::new("serial", "1.0", ""),
-                MetaKind::UserDefined,
-            ),
-        ];
-        for (subject, triplet, kind) in rows {
-            s.add(&ids, subject, triplet, kind);
-        }
-        let g = s.inner.read();
-        let mut back = MetaRows::default();
-        for row in g.rows.rows.iter() {
-            let mut text = String::new();
-            g.rows.write_row(row, &mut text);
-            let view = g.rows.view(row);
-            assert_eq!(text, serde_json::to_string(&view).unwrap());
-            let (id, replaced) = back.read_row(&mut serde::JsonReader::new(&text)).unwrap();
-            assert_eq!((id, replaced), (view.id, false));
-            assert_eq!(back.get(id).map(|r| back.view(r)), Some(view));
-        }
-        assert_eq!(
-            back.iter().collect::<Vec<_>>(),
-            g.rows.iter().collect::<Vec<_>>()
-        );
-        let reordered = r#"{"kind":"System","zz":[1],"triplet":{"units":"","value":{"Int":1},"name":"n"},"subject":{"Dataset":3},"id":8,"id":9}"#;
-        let (id, _) = back
-            .read_row(&mut serde::JsonReader::new(reordered))
-            .unwrap();
-        assert_eq!(id, MetaId(8), "the first of a repeated key wins");
-        for bad in [
-            r#"{"id":1,"subject":{"Dataset":3},"kind":"System"}"#,
-            r#"{"id":1,"subject":{"Dataset":3},"triplet":{"name":"n","value":{"Int":1}},"kind":"System"}"#,
-            r#"{"id":1,"subject":{"Dataset":3},"triplet":{"name":"n","value":{"Int":1},"units":""},"kind":"Other"}"#,
-            r#"{"id":1,"subject":{"Dataset":3},"triplet":{"name":7,"value":{"Int":1},"units":""},"kind":"System"}"#,
-            r#"{"id":1,"subject":{"Dataset":3},"triplet":{"name":"n","value":{"Int":1},"units":""},"kind":{"FileBased":1,"System":2}}"#,
-        ] {
-            let mut rows = MetaRows::default();
-            assert!(
-                rows.read_row(&mut serde::JsonReader::new(bad)).is_err(),
-                "{bad}"
-            );
-        }
     }
 
     /// The thin keys order values as `MetaValue::index_cmp` does, and are

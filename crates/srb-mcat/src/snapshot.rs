@@ -34,7 +34,7 @@ use crate::catalog::Mcat;
 use crate::collection::{Collection, CollectionTable};
 use crate::container::{ContainerRecord, ContainerTable};
 use crate::dataset::{Dataset, DatasetTable};
-use crate::metadata::{MetaRows, MetaStore, Subject};
+use crate::metadata::{MetaRow, MetaRows, MetaStore, Subject};
 use crate::pages::{Row, RowPages, IMAGE_PAGE_IDS};
 use crate::resource::{LogicalResource, Resource, ResourceTable};
 use crate::user::{Group, User, UserTable};
@@ -526,14 +526,16 @@ impl<'a> ImageReader<'a, '_> {
         Ok(rows)
     }
 
-    /// The metadata field, each row read straight into its compact form.
+    /// The metadata field, each row put into its compact form as it is
+    /// read, as redo puts a logged row.
     fn metadata(&mut self) -> Result<MetaRows, DeError> {
         let mut rows = MetaRows::default();
         let mut fresh = true;
         self.array(Field::Metadata, |r| {
-            let (id, replaced) = rows.read_row(r)?;
-            fresh &= !replaced;
-            Ok(id.raw() / IMAGE_PAGE_IDS)
+            let row = MetaRow::read_json(r)?;
+            let page = row.id.raw() / IMAGE_PAGE_IDS;
+            fresh &= !rows.put(row);
+            Ok(page)
         })?;
         self.repeated(Field::Metadata, fresh);
         Ok(rows)
