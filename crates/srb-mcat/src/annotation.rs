@@ -157,7 +157,7 @@ impl AnnotationTable {
         let mut g = self.rows.write();
         row.id = ids.next();
         let id = row.id;
-        g.put(row);
+        g.put(0, row);
         id
     }
 
@@ -183,7 +183,7 @@ impl AnnotationTable {
                 row.author
             )));
         }
-        g.remove(id);
+        g.remove(id, 0);
         Ok(())
     }
 

@@ -227,7 +227,7 @@ impl AuditLog {
         // under any number of writers, and every row appends.
         let mut g = self.rows.lock();
         row.id = ids.next();
-        g.put(row);
+        g.put(0, row);
     }
 
     /// The most recent `n` rows, newest last.

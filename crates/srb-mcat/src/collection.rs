@@ -7,8 +7,8 @@
 //! vocabularies shown as drop-down lists, and mandatory attributes).
 
 use crate::pages::RowPages;
-use crate::snapshot::{Field, ImageWriter};
-use crate::wal::{WalHook, WalOp};
+use crate::table::{Derived, Table};
+use crate::wal::WalHook;
 use serde::{Deserialize, Serialize};
 use srb_types::sync::{LockRank, RwLock, RwLockReadGuard};
 use srb_types::{
@@ -89,7 +89,7 @@ type CachedScope = (Generation, Arc<IdSet<CollectionId>>);
 /// The collection tree.
 #[derive(Debug)]
 pub struct CollectionTable {
-    inner: RwLock<Inner>,
+    pub(crate) rows: RwLock<Table<Collection>>,
     /// Fixed for the table's lifetime: `delete` and `move_collection`
     /// refuse the root.
     root: CollectionId,
@@ -103,39 +103,98 @@ pub struct CollectionTable {
     /// `query.scope_cache_hits` / `query.scope_cache_misses`, attached by
     /// the grid when observability is on.
     cache_obs: Option<(srb_obs::Counter, srb_obs::Counter)>,
-    /// The catalog's redo-log hook.
-    wal: WalHook,
 }
 
-#[derive(Debug, Default)]
-struct Inner {
-    nodes: RowPages<Collection>,
+/// What the collection table derives from its rows.
+#[derive(Debug, Default, PartialEq)]
+pub(crate) struct Tree {
     by_path: HashMap<String, CollectionId>,
     /// Per-parent children keyed by child name — already in listing order,
     /// so `children`/`children_page` are bounded range reads, not sorts.
     /// Only a node with children has an entry: a new node, a link and a
-    /// node whose last child went have none, so the map is a function of
-    /// the rows' `(parent, name, id)` alone.
+    /// node whose last child went have none.
     children: IdMap<CollectionId, BTreeMap<String, CollectionId>>,
 }
 
-impl Inner {
-    /// Take child `name` off `parent`'s list, and the list once empty.
-    fn unlist_child(&mut self, parent: CollectionId, name: &str) {
-        if let Some(kids) = self.children.get_mut(&parent) {
-            kids.remove(name);
-            if kids.is_empty() {
-                self.children.remove(&parent);
+impl Derived<Collection> for Tree {
+    fn index(&mut self, c: &Collection) {
+        self.by_path.insert(c.path.to_string(), c.id);
+        if let (Some(p), Some(name)) = (c.parent, c.path.name()) {
+            let kids = self.children.entry(p).or_default();
+            kids.insert(name.to_string(), c.id);
+        }
+    }
+
+    fn unindex(&mut self, c: &Collection) {
+        self.by_path.remove(&c.path.to_string());
+        if let (Some(p), Some(name)) = (c.parent, c.path.name()) {
+            if let Some(kids) = self.children.get_mut(&p) {
+                kids.remove(name);
+                if kids.is_empty() {
+                    self.children.remove(&p);
+                }
             }
         }
     }
 }
 
+impl Tree {
+    /// Every collection below `id`, link nodes not followed, in the order
+    /// a stack walk meets them: a node's children together and in name
+    /// order, the last child's subtree walked first.
+    fn below(&self, id: CollectionId) -> Vec<CollectionId> {
+        let mut out = Vec::new();
+        let mut stack = vec![id];
+        while let Some(cur) = stack.pop() {
+            if let Some(kids) = self.children.get(&cur) {
+                for &k in kids.values() {
+                    out.push(k);
+                    stack.push(k);
+                }
+            }
+        }
+        out
+    }
+}
+
+fn missing(id: CollectionId) -> SrbError {
+    SrbError::NotFound(format!("collection {id}"))
+}
+
 impl CollectionTable {
-    /// A table over a built tree, logging through `wal`; nothing cached.
-    fn from_tree(root: CollectionId, tree: Inner, wal: &WalHook) -> Self {
-        CollectionTable {
-            inner: RwLock::new(LockRank::McatTable, "mcat.collections", tree),
+    /// New table containing only the root collection owned by `admin`.
+    pub fn new(ids: &IdGen, admin: UserId, now: Timestamp) -> Self {
+        CollectionTable::with_root(ids, admin, now, &WalHook::default())
+    }
+
+    /// [`CollectionTable::new`], logging through `wal`.
+    pub(crate) fn with_root(ids: &IdGen, admin: UserId, now: Timestamp, wal: &WalHook) -> Self {
+        let mut acl = AccessMatrix::owned_by(admin);
+        acl.public = srb_types::Permission::Discover;
+        let root = Collection {
+            id: ids.next(),
+            parent: None,
+            path: LogicalPath::root(),
+            owner: admin,
+            acl,
+            requirements: Vec::new(),
+            link_target: None,
+            created: now,
+        };
+        match CollectionTable::restore(RowPages::from_iter([root]), wal) {
+            Ok(t) => t,
+            Err(_) => unreachable!("the rows hold the root"),
+        }
+    }
+
+    /// The tree over image rows, which must hold the root; nothing cached.
+    pub(crate) fn restore(rows: RowPages<Collection>, wal: &WalHook) -> SrbResult<Self> {
+        let rows = Table::restore(rows, wal);
+        let Some(&root) = rows.derived().by_path.get("/") else {
+            return Err(SrbError::Invalid("snapshot has no root collection".into()));
+        };
+        Ok(CollectionTable {
+            rows: RwLock::new(LockRank::McatTable, "mcat.collections", rows),
             root,
             generation: GenCounter::new(),
             scope_cache: RwLock::new(
@@ -144,33 +203,7 @@ impl CollectionTable {
                 IdMap::default(),
             ),
             cache_obs: None,
-            wal: wal.clone(),
-        }
-    }
-
-    /// New table containing only the root collection owned by `admin`.
-    pub fn new(ids: &IdGen, admin: UserId, now: Timestamp) -> Self {
-        CollectionTable::with_root(ids, admin, now, &WalHook::default())
-    }
-
-    /// [`CollectionTable::new`], logging through `wal`.
-    pub(crate) fn with_root(ids: &IdGen, admin: UserId, now: Timestamp, wal: &WalHook) -> Self {
-        let root_id: CollectionId = ids.next();
-        let mut g = Inner::default();
-        let mut acl = AccessMatrix::owned_by(admin);
-        acl.public = srb_types::Permission::Discover;
-        g.nodes.insert(Collection {
-            id: root_id,
-            parent: None,
-            path: LogicalPath::root(),
-            owner: admin,
-            acl,
-            requirements: Vec::new(),
-            link_target: None,
-            created: now,
-        });
-        g.by_path.insert("/".to_string(), root_id);
-        CollectionTable::from_tree(root_id, g, wal)
+        })
     }
 
     /// The root collection id.
@@ -187,42 +220,7 @@ impl CollectionTable {
         owner: UserId,
         now: Timestamp,
     ) -> SrbResult<CollectionId> {
-        let mut g = self.inner.write();
-        let parent_node = g
-            .nodes
-            .get(parent)
-            .ok_or_else(|| SrbError::NotFound(format!("collection {parent}")))?;
-        if parent_node.link_target.is_some() {
-            return Err(SrbError::Unsupported(
-                "cannot create children under a linked collection".into(),
-            ));
-        }
-        let path = parent_node.path.child(name)?;
-        let key = path.to_string();
-        if g.by_path.contains_key(&key) {
-            return Err(SrbError::AlreadyExists(format!("collection '{key}'")));
-        }
-        let id: CollectionId = ids.next();
-        let row = Collection {
-            id,
-            parent: Some(parent),
-            path,
-            owner,
-            acl: AccessMatrix::owned_by(owner),
-            requirements: Vec::new(),
-            link_target: None,
-            created: now,
-        };
-        let gen = self.generation.bump_get().raw();
-        self.wal
-            .log(gen, || WalOp::CollectionPut { row: row.clone() });
-        g.nodes.insert(row);
-        g.by_path.insert(key, id);
-        g.children
-            .entry(parent)
-            .or_default()
-            .insert(name.to_string(), id);
-        Ok(id)
+        self.add_child(ids, parent, name, owner, now, None)
     }
 
     /// Link `target` as a sub-collection of `parent` under `name`.
@@ -236,22 +234,35 @@ impl CollectionTable {
         owner: UserId,
         now: Timestamp,
     ) -> SrbResult<CollectionId> {
-        let mut g = self.inner.write();
-        let resolved_target = {
-            let t = g
-                .nodes
-                .get(target)
-                .ok_or_else(|| SrbError::NotFound(format!("collection {target}")))?;
-            t.link_target.unwrap_or(target)
+        self.add_child(ids, parent, name, owner, now, Some(target))
+    }
+
+    /// The one builder of a new row: a sub-collection of `parent`, or with
+    /// a `target` a link to it (or to what it links to). Only a link may
+    /// sit under a linked collection.
+    fn add_child(
+        &self,
+        ids: &IdGen,
+        parent: CollectionId,
+        name: &str,
+        owner: UserId,
+        now: Timestamp,
+        target: Option<CollectionId>,
+    ) -> SrbResult<CollectionId> {
+        let mut g = self.rows.write();
+        let link_target = match target {
+            Some(t) => Some(g.get(t).ok_or_else(|| missing(t))?.link_target.unwrap_or(t)),
+            None => None,
         };
-        let parent_node = g
-            .nodes
-            .get(parent)
-            .ok_or_else(|| SrbError::NotFound(format!("collection {parent}")))?;
+        let parent_node = g.get(parent).ok_or_else(|| missing(parent))?;
+        if target.is_none() && parent_node.link_target.is_some() {
+            return Err(SrbError::Unsupported(
+                "cannot create children under a linked collection".into(),
+            ));
+        }
         let path = parent_node.path.child(name)?;
-        let key = path.to_string();
-        if g.by_path.contains_key(&key) {
-            return Err(SrbError::AlreadyExists(format!("collection '{key}'")));
+        if g.derived().by_path.contains_key(&path.to_string()) {
+            return Err(SrbError::AlreadyExists(format!("collection '{path}'")));
         }
         let id: CollectionId = ids.next();
         let row = Collection {
@@ -261,65 +272,46 @@ impl CollectionTable {
             owner,
             acl: AccessMatrix::owned_by(owner),
             requirements: Vec::new(),
-            link_target: Some(resolved_target),
+            link_target,
             created: now,
         };
-        let gen = self.generation.bump_get().raw();
-        self.wal
-            .log(gen, || WalOp::CollectionPut { row: row.clone() });
-        g.nodes.insert(row);
-        g.by_path.insert(key, id);
-        g.children
-            .entry(parent)
-            .or_default()
-            .insert(name.to_string(), id);
+        g.put(self.generation.bump_get().raw(), row);
         Ok(id)
     }
 
     /// Get a collection by id.
     pub fn get(&self, id: CollectionId) -> SrbResult<Collection> {
-        self.inner
-            .read()
-            .nodes
-            .get(id)
-            .cloned()
-            .ok_or_else(|| SrbError::NotFound(format!("collection {id}")))
+        self.rows.read().get(id).cloned().ok_or_else(|| missing(id))
     }
 
     /// Resolve a path to a collection id, following collection links.
     pub fn resolve(&self, path: &LogicalPath) -> SrbResult<CollectionId> {
-        let g = self.inner.read();
-        let id = g
-            .by_path
-            .get(&path.to_string())
-            .copied()
-            .ok_or_else(|| SrbError::NotFound(format!("collection '{path}'")))?;
-        Ok(g.nodes.get(id).and_then(|n| n.link_target).unwrap_or(id))
+        let g = self.rows.read();
+        let id = Self::id_at(&g, path)?;
+        Ok(g.get(id).and_then(|n| n.link_target).unwrap_or(id))
     }
 
     /// Resolve without following a final link (to operate on the link
     /// object itself, e.g. unlink).
     pub fn resolve_nofollow(&self, path: &LogicalPath) -> SrbResult<CollectionId> {
-        self.inner
-            .read()
-            .by_path
-            .get(&path.to_string())
-            .copied()
-            .ok_or_else(|| SrbError::NotFound(format!("collection '{path}'")))
+        Self::id_at(&self.rows.read(), path)
+    }
+
+    fn id_at(g: &Table<Collection>, path: &LogicalPath) -> SrbResult<CollectionId> {
+        let id = g.derived().by_path.get(&path.to_string()).copied();
+        id.ok_or_else(|| SrbError::NotFound(format!("collection '{path}'")))
     }
 
     /// Direct children, sorted by name (the child index's native order).
     pub fn children(&self, id: CollectionId) -> Vec<Collection> {
-        let g = self.inner.read();
-        g.children
+        let g = self.rows.read();
+        let kids = g
+            .derived()
+            .children
             .get(&id)
-            .map(|c| {
-                c.values()
-                    .filter_map(|&i| g.nodes.get(i))
-                    .cloned()
-                    .collect()
-            })
-            .unwrap_or_default()
+            .into_iter()
+            .flat_map(|c| c.values());
+        kids.filter_map(|&i| g.get(i)).cloned().collect()
     }
 
     /// One page of direct children in name order, resuming strictly after
@@ -331,8 +323,8 @@ impl CollectionTable {
         after: Option<&str>,
         limit: usize,
     ) -> (Vec<Collection>, bool) {
-        let g = self.inner.read();
-        let Some(kids) = g.children.get(&id) else {
+        let g = self.rows.read();
+        let Some(kids) = g.derived().children.get(&id) else {
             return (Vec::new(), false);
         };
         let start = match after {
@@ -341,7 +333,7 @@ impl CollectionTable {
         };
         let mut iter = kids
             .range((start, Bound::Unbounded))
-            .filter_map(|(_, &i)| g.nodes.get(i));
+            .filter_map(|(_, &i)| g.get(i));
         let mut page = Vec::with_capacity(limit.min(1024));
         for c in iter.by_ref() {
             if page.len() == limit {
@@ -355,18 +347,7 @@ impl CollectionTable {
     /// All descendant collection ids (not including `id`), link nodes not
     /// followed.
     pub fn descendants(&self, id: CollectionId) -> Vec<CollectionId> {
-        let g = self.inner.read();
-        let mut out = Vec::new();
-        let mut stack = vec![id];
-        while let Some(cur) = stack.pop() {
-            if let Some(kids) = g.children.get(&cur) {
-                for &k in kids.values() {
-                    out.push(k);
-                    stack.push(k);
-                }
-            }
-        }
-        out
+        self.rows.read().derived().below(id)
     }
 
     /// The subtree rooted at `root` as a set: `root`, every descendant,
@@ -408,37 +389,18 @@ impl CollectionTable {
     }
 
     fn compute_subtree(&self, root: CollectionId) -> IdSet<CollectionId> {
-        let g = self.inner.read();
-        let mut set = IdSet::default();
-        set.insert(root);
-        let mut stack = vec![root];
-        while let Some(cur) = stack.pop() {
-            if let Some(kids) = g.children.get(&cur) {
-                for &k in kids.values() {
-                    if set.insert(k) {
-                        stack.push(k);
-                    }
-                }
-            }
-        }
+        let g = self.rows.read();
+        let tree = g.derived();
+        let mut set: IdSet<CollectionId> = std::iter::once(root).chain(tree.below(root)).collect();
         // Follow collection links inside the scope so linked
         // sub-collections are searched through their targets too.
         let linked: Vec<CollectionId> = set
             .iter()
-            .filter_map(|&c| g.nodes.get(c).and_then(|n| n.link_target))
+            .filter_map(|&c| g.get(c).and_then(|n| n.link_target))
             .collect();
         for t in linked {
             if set.insert(t) {
-                let mut stack = vec![t];
-                while let Some(cur) = stack.pop() {
-                    if let Some(kids) = g.children.get(&cur) {
-                        for &k in kids.values() {
-                            if set.insert(k) {
-                                stack.push(k);
-                            }
-                        }
-                    }
-                }
+                set.extend(tree.below(t));
             }
         }
         set
@@ -461,40 +423,22 @@ impl CollectionTable {
     /// borrowed, not cloned.
     pub(crate) fn path_batch(&self) -> CollPathBatch<'_> {
         CollPathBatch {
-            g: self.inner.read(),
+            g: self.rows.read(),
         }
     }
 
-    /// Update the ACL.
+    /// Update the ACL. No generation bump: ACL changes don't reshape the
+    /// tree, so outstanding cursors stay valid (gen 0 on the record).
     pub fn set_acl(&self, id: CollectionId, acl: AccessMatrix) -> SrbResult<()> {
-        let mut g = self.inner.write();
-        match g.nodes.get_mut(id) {
-            Some(c) => {
-                c.acl = acl;
-                // No generation bump: ACL changes don't reshape the tree,
-                // so outstanding cursors stay valid (gen 0 on the record).
-                let row = &*c;
-                self.wal
-                    .log(0, || WalOp::CollectionPut { row: row.clone() });
-                Ok(())
-            }
-            None => Err(SrbError::NotFound(format!("collection {id}"))),
-        }
+        let mut g = self.rows.write();
+        g.update(id, 0, |c| c.acl = acl).ok_or_else(|| missing(id))
     }
 
     /// Replace the structural metadata requirements.
     pub fn set_requirements(&self, id: CollectionId, reqs: Vec<AttrRequirement>) -> SrbResult<()> {
-        let mut g = self.inner.write();
-        match g.nodes.get_mut(id) {
-            Some(c) => {
-                c.requirements = reqs;
-                let row = &*c;
-                self.wal
-                    .log(0, || WalOp::CollectionPut { row: row.clone() });
-                Ok(())
-            }
-            None => Err(SrbError::NotFound(format!("collection {id}"))),
-        }
+        let mut g = self.rows.write();
+        g.update(id, 0, |c| c.requirements = reqs)
+            .ok_or_else(|| missing(id))
     }
 
     /// Move (or rename) a collection subtree under a new parent. All
@@ -506,77 +450,38 @@ impl CollectionTable {
         new_parent: CollectionId,
         new_name: &str,
     ) -> SrbResult<()> {
-        let mut g = self.inner.write();
+        let mut g = self.rows.write();
         if id == self.root {
             return Err(SrbError::Unsupported("cannot move the root".into()));
         }
-        let old_path = g
-            .nodes
-            .get(id)
-            .ok_or_else(|| SrbError::NotFound(format!("collection {id}")))?
-            .path
-            .clone();
-        let parent_path = g
-            .nodes
-            .get(new_parent)
-            .ok_or_else(|| SrbError::NotFound(format!("collection {new_parent}")))?
-            .path
-            .clone();
-        if parent_path.starts_with(&old_path) {
+        let old_path = &g.get(id).ok_or_else(|| missing(id))?.path;
+        let parent = g.get(new_parent).ok_or_else(|| missing(new_parent))?;
+        if parent.path.starts_with(old_path) {
             return Err(SrbError::Invalid(
                 "cannot move a collection into its own subtree".into(),
             ));
         }
-        let new_path = parent_path.child(new_name)?;
-        if g.by_path.contains_key(&new_path.to_string()) {
+        let new_path = parent.path.child(new_name)?;
+        if g.derived().by_path.contains_key(&new_path.to_string()) {
             return Err(SrbError::AlreadyExists(format!("collection '{new_path}'")));
         }
-        // Unhook from the old parent. The root cannot reach here (its path
-        // prefixes every other, tripping the own-subtree check above), so
-        // the defensive error is unreachable in practice.
-        let Some(old_parent) = g.nodes.get(id).and_then(|n| n.parent) else {
-            return Err(SrbError::Invalid("cannot move the root collection".into()));
-        };
-        if let Some(old_name) = old_path.name() {
-            g.unlist_child(old_parent, old_name);
-        }
-        g.children
-            .entry(new_parent)
-            .or_default()
-            .insert(new_name.to_string(), id);
-        // Rebase this node and every descendant.
-        let mut affected = vec![id];
-        let mut stack = vec![id];
-        while let Some(cur) = stack.pop() {
-            if let Some(kids) = g.children.get(&cur) {
-                for &k in kids.values() {
-                    affected.push(k);
-                    stack.push(k);
-                }
+        // The node and every descendant, rebased before any row changes.
+        let mut rebased = Vec::new();
+        for c in std::iter::once(id).chain(g.derived().below(id)) {
+            if let Some(node) = g.get(c) {
+                rebased.push((c, node.path.rebase(old_path, &new_path)?));
             }
-        }
-        for cid in &affected {
-            let Some(node_path) = g.nodes.get(*cid).map(|n| n.path.clone()) else {
-                continue;
-            };
-            let rebased = node_path.rebase(&old_path, &new_path)?;
-            g.by_path.remove(&node_path.to_string());
-            g.by_path.insert(rebased.to_string(), *cid);
-            if let Some(node) = g.nodes.get_mut(*cid) {
-                node.path = rebased;
-            }
-        }
-        if let Some(node) = g.nodes.get_mut(id) {
-            node.parent = Some(new_parent);
         }
         // One bump covers the whole rebase; every touched row is logged
         // with the same post-move stamp.
         let gen = self.generation.bump_get().raw();
-        for cid in &affected {
-            if let Some(node) = g.nodes.get(*cid) {
-                self.wal
-                    .log(gen, || WalOp::CollectionPut { row: node.clone() });
-            }
+        for (c, path) in rebased {
+            g.update(c, gen, |node| {
+                node.path = path;
+                if c == id {
+                    node.parent = Some(new_parent);
+                }
+            });
         }
         Ok(())
     }
@@ -584,63 +489,32 @@ impl CollectionTable {
     /// Delete a collection. It must have no child collections (the catalog
     /// facade checks for datasets).
     pub fn delete(&self, id: CollectionId) -> SrbResult<()> {
-        let mut g = self.inner.write();
+        let mut g = self.rows.write();
         if id == self.root {
             return Err(SrbError::Unsupported("cannot delete the root".into()));
         }
-        if !g.children.get(&id).map(|c| c.is_empty()).unwrap_or(true) {
+        if g.derived().children.contains_key(&id) {
             return Err(SrbError::Invalid(format!(
                 "collection {id} has sub-collections"
             )));
         }
-        let node = g
-            .nodes
-            .remove(id)
-            .ok_or_else(|| SrbError::NotFound(format!("collection {id}")))?;
-        g.by_path.remove(&node.path.to_string());
-        if let (Some(p), Some(name)) = (node.parent, node.path.name()) {
-            g.unlist_child(p, name);
+        if !g.contains(id) {
+            return Err(missing(id));
         }
-        let gen = self.generation.bump_get().raw();
-        self.wal.log(gen, || WalOp::CollectionDelete { id });
+        g.remove(id, self.generation.bump_get().raw());
         Ok(())
-    }
-
-    /// The image's `"collections"` field, under one read guard.
-    pub(crate) fn write_image(&self, w: &mut ImageWriter<'_, '_>) {
-        w.pages(Field::Collections, &self.inner.read().nodes);
-    }
-
-    /// The tree over image rows, which must hold the root, its path index
-    /// and child lists built from them.
-    pub(crate) fn restore(rows: RowPages<Collection>, wal: &WalHook) -> SrbResult<Self> {
-        let mut g = Inner::default();
-        for c in rows.iter() {
-            g.by_path.insert(c.path.to_string(), c.id);
-            if let (Some(p), Some(name)) = (c.parent, c.path.name()) {
-                g.children
-                    .entry(p)
-                    .or_default()
-                    .insert(name.to_string(), c.id);
-            }
-        }
-        g.nodes = rows;
-        let Some(&root) = g.by_path.get("/") else {
-            return Err(SrbError::Invalid("snapshot has no root collection".into()));
-        };
-        Ok(CollectionTable::from_tree(root, g, wal))
     }
 
     /// Total number of collections.
     pub fn count(&self) -> usize {
-        self.inner.read().nodes.len()
+        self.rows.read().len()
     }
 }
 
 /// Batch path lookups under one read guard; see
 /// [`CollectionTable::path_batch`].
 pub(crate) struct CollPathBatch<'a> {
-    g: RwLockReadGuard<'a, Inner>,
+    g: RwLockReadGuard<'a, Table<Collection>>,
 }
 
 impl CollPathBatch<'_> {
@@ -651,7 +525,7 @@ impl CollPathBatch<'_> {
 
     /// The collection row, borrowed from the table.
     pub fn get_ref(&self, id: CollectionId) -> Option<&Collection> {
-        self.g.nodes.get(id)
+        self.g.get(id)
     }
 }
 
@@ -819,47 +693,55 @@ mod tests {
         assert!(got[0].mandatory);
     }
 
-    /// The live tree's derived maps against a rebuild from its rows.
-    fn assert_derived_state_matches_rebuild(t: &CollectionTable) {
-        let g = t.inner.read();
-        let rebuilt = CollectionTable::restore(g.nodes.clone(), &WalHook::default()).unwrap();
-        let r = rebuilt.inner.read();
-        assert_eq!(g.by_path, r.by_path);
-        assert_eq!(g.children, r.children);
-    }
-
-    /// A seeded run of creates, links, moves and deletes: the live tree
-    /// keeps exactly the path index and child lists its rows rebuild —
-    /// no child list for a link, a new node or a node whose last child
-    /// went.
+    /// A move logs every row of the subtree once — the node, then its
+    /// descendants depth first, each node's children in name order — all
+    /// under the one stamp the move bumped the generation to.
     #[test]
-    fn derived_state_equals_a_rebuild_from_the_rows() {
-        use srb_types::SeedStream;
-        let (t, ids) = table();
-        let mut rng = SeedStream::new(0xc011);
-        let mut live = vec![t.root()];
-        for step in 0..4000 {
-            let mut pick = || live[rng.below(live.len())];
-            let (a, b) = (pick(), pick());
-            let name = format!("n{}", rng.below(6));
-            let at = Timestamp(step);
-            match rng.below(10) {
-                0..=3 => live.extend(t.create(&ids, a, &name, UserId(1), at).ok()),
-                4..=5 => live.extend(t.link(&ids, a, &name, b, UserId(1), at).ok()),
-                6..=7 => {
-                    t.move_collection(a, b, &name).ok();
-                }
-                _ => {
-                    if t.delete(a).is_ok() {
-                        live.retain(|&c| c != a);
-                    }
-                }
-            }
-            if step % 40 == 0 {
-                assert_derived_state_matches_rebuild(&t);
+    fn move_collection_logs_the_subtree_once_under_one_stamp() {
+        use crate::wal::{WalOp, WalRecord};
+        use crate::{Mcat, WalConfig};
+        use srb_storage::LogDevice;
+        let m = Mcat::new(srb_types::SimClock::new(), "pw");
+        let device = Arc::new(LogDevice::new());
+        let config = WalConfig {
+            checkpoint_interval_ns: 0,
+        };
+        m.enable_wal(device.clone(), config, None).unwrap();
+        let (t, ids, now) = (&m.collections, &m.ids, Timestamp(0));
+        let mk = |parent, name| t.create(ids, parent, name, UserId(1), now).unwrap();
+        let a = mk(t.root(), "a");
+        let (b, e) = (mk(a, "b"), mk(a, "e"));
+        let c = mk(b, "c");
+        let d = mk(c, "d");
+        let dst = mk(t.root(), "dst");
+        m.commit();
+        let before = device.read_back().unwrap().1.len();
+
+        t.move_collection(a, dst, "a2").unwrap();
+        m.commit();
+        let (_, tail, _) = device.read_back().unwrap();
+        let mut logged = Vec::new();
+        for (_, line) in &tail[before..] {
+            let record: WalRecord = serde_json::from_str(line).unwrap();
+            match record.op {
+                WalOp::CollectionPut { row } => logged.push((row.id, row.path, record.gen)),
+                WalOp::Commit { .. } => {}
+                other => panic!("a move logs no {other:?}"),
             }
         }
-        assert_derived_state_matches_rebuild(&t);
-        assert!(live.len() > 100, "the run grew a tree: {}", live.len());
+        let stamp = t.generation().raw();
+        let expected = [
+            (a, "/dst/a2"),
+            (b, "/dst/a2/b"),
+            (e, "/dst/a2/e"),
+            (c, "/dst/a2/b/c"),
+            (d, "/dst/a2/b/c/d"),
+        ];
+        let expected: Vec<_> = expected
+            .iter()
+            .map(|&(id, p)| (id, path(p), stamp))
+            .collect();
+        assert_eq!(logged, expected);
+        assert_eq!(t.get(a).unwrap().parent, Some(dst));
     }
 }

@@ -89,7 +89,7 @@ impl ContainerTable {
             return Err(SrbError::AlreadyExists(format!("container '{name}'")));
         }
         let id: ContainerId = ids.next();
-        g.put(ContainerRecord {
+        let row = ContainerRecord {
             id,
             name: name.to_string(),
             logical_resource,
@@ -98,7 +98,8 @@ impl ContainerTable {
             max_size,
             synced: true,
             created: now,
-        });
+        };
+        g.put(0, row);
         Ok(id)
     }
 
@@ -125,7 +126,7 @@ impl ContainerTable {
             )));
         }
         let offset = c.size;
-        g.update(id, |c| {
+        g.update(id, 0, |c| {
             c.members.push(MemberSlice {
                 dataset,
                 offset,
@@ -140,7 +141,8 @@ impl ContainerTable {
     /// Mark the archive copy as synchronized.
     pub fn mark_synced(&self, id: ContainerId) -> SrbResult<()> {
         let mut g = self.rows.write();
-        g.update(id, |c| c.synced = true).ok_or_else(|| missing(id))
+        g.update(id, 0, |c| c.synced = true)
+            .ok_or_else(|| missing(id))
     }
 
     /// Remove a member's slice record (the hole is not reclaimed — like a
@@ -153,7 +155,7 @@ impl ContainerTable {
                 "dataset {dataset} not in container {id}"
             )));
         }
-        g.update(id, |c| c.members.retain(|m| m.dataset != dataset));
+        g.update(id, 0, |c| c.members.retain(|m| m.dataset != dataset));
         Ok(())
     }
 
@@ -166,7 +168,7 @@ impl ContainerTable {
         new_size: u64,
     ) -> SrbResult<()> {
         let mut g = self.rows.write();
-        g.update(id, |c| {
+        g.update(id, 0, |c| {
             c.members = members
                 .into_iter()
                 .map(|(dataset, offset, len)| MemberSlice {
@@ -192,7 +194,7 @@ impl ContainerTable {
                 c.members.len()
             )));
         }
-        g.remove(id);
+        g.remove(id, 0);
         Ok(())
     }
 

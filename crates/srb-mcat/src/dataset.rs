@@ -9,8 +9,8 @@
 //! the other copy".
 
 use crate::pages::RowPages;
-use crate::snapshot::{Field, ImageWriter};
-use crate::wal::{WalHook, WalOp};
+use crate::table::{Derived, Table};
+use crate::wal::WalHook;
 use serde::{Deserialize, Serialize};
 use srb_types::sync::{LockRank, RwLock, RwLockReadGuard};
 use srb_types::{
@@ -358,71 +358,128 @@ pub struct NewDataset {
 /// The dataset table.
 #[derive(Debug)]
 pub struct DatasetTable {
-    inner: RwLock<Inner>,
+    pub(crate) rows: RwLock<Table<Dataset>>,
     /// Bumped on any change to collection membership or naming (create,
     /// link, move, delete) — the stamp paged listings embed in cursor
     /// tokens. In-place row updates (replicas, locks, ACLs) do not bump
     /// it: they cannot change which names a page serves or their order.
     generation: GenCounter,
-    /// The catalog's redo-log hook.
-    wal: WalHook,
 }
 
 impl Default for DatasetTable {
     fn default() -> Self {
-        DatasetTable {
-            inner: RwLock::new(LockRank::McatTable, "mcat.datasets", Inner::default()),
-            generation: GenCounter::new(),
-            wal: WalHook::default(),
-        }
+        DatasetTable::restore(RowPages::default(), &WalHook::default())
     }
 }
 
+/// What the dataset table derives from its rows.
 #[derive(Debug, Default)]
-struct Inner {
-    rows: RowPages<Dataset>,
+pub(crate) struct Names {
     /// Ordered by (collection, name): one bounded range serves both name
     /// lookup and the O(page) listing scans behind resumable cursors.
     by_name: BTreeMap<(CollectionId, String), DatasetId>,
     /// Datasets per collection (none listed for an empty one): the
     /// planner's scope size without a walk.
     counts: IdMap<CollectionId, usize>,
+    /// The key the last unindexed row was found under, and the buffer
+    /// that found it: an in-place update that keeps the row's name puts
+    /// that key back, so it allocates nothing.
+    spare: Option<(CollectionId, String)>,
+    probe: Option<(CollectionId, String)>,
 }
 
-impl Inner {
-    /// Name a row in its collection.
-    fn list(&mut self, coll: CollectionId, name: String, id: DatasetId) {
-        self.by_name.insert((coll, name), id);
-        *self.counts.entry(coll).or_default() += 1;
+impl PartialEq for Names {
+    fn eq(&self, other: &Names) -> bool {
+        self.by_name == other.by_name && self.counts == other.counts
+    }
+}
+
+impl Derived<Dataset> for Names {
+    fn index(&mut self, d: &Dataset) {
+        let key = match self.spare.take() {
+            Some(key) if key.0 == d.coll && key.1 == d.name => key,
+            _ => (d.coll, d.name.clone()),
+        };
+        self.by_name.insert(key, d.id);
+        *self.counts.entry(d.coll).or_default() += 1;
     }
 
-    /// Drop a row's name from its collection, and the collection's count
-    /// once it is empty.
-    fn unlist(&mut self, coll: CollectionId, name: String) {
-        if self.by_name.remove(&(coll, name)).is_none() {
+    fn unindex(&mut self, d: &Dataset) {
+        let probe = self.probe.get_or_insert_with(|| (d.coll, String::new()));
+        probe.0 = d.coll;
+        probe.1.clear();
+        probe.1.push_str(&d.name);
+        let Some((key, _)) = self.by_name.remove_entry(probe) else {
             return;
-        }
-        if let Some(n) = self.counts.get_mut(&coll) {
+        };
+        self.spare = Some(key);
+        if let Some(n) = self.counts.get_mut(&d.coll) {
             *n -= 1;
             if *n == 0 {
-                self.counts.remove(&coll);
+                self.counts.remove(&d.coll);
             }
         }
     }
 
-    /// The rows of one collection, in name order.
-    fn ids_in(&self, coll: CollectionId) -> impl Iterator<Item = DatasetId> + '_ {
+    /// The name index built from one run of its entries by
+    /// `BTreeMap::from_iter`, which fills its nodes where inserts one name
+    /// at a time leave them half empty.
+    fn rebuild(rows: &RowPages<Dataset>) -> Self {
+        let mut names = Vec::with_capacity(rows.len());
+        names.extend(rows.iter().map(|d| ((d.coll, d.name.clone()), d.id)));
+        let mut counts = IdMap::default();
+        for d in rows.iter() {
+            *counts.entry(d.coll).or_default() += 1;
+        }
+        Names {
+            by_name: BTreeMap::from_iter(names),
+            counts,
+            ..Names::default()
+        }
+    }
+}
+
+impl Names {
+    /// The rows of one collection from `start` on, in name order.
+    fn in_coll(
+        &self,
+        coll: CollectionId,
+        start: Bound<(CollectionId, String)>,
+    ) -> impl Iterator<Item = DatasetId> + '_ {
         self.by_name
-            .range((coll, String::new())..)
+            .range((start, Bound::Unbounded))
             .take_while(move |((c, _), _)| *c == coll)
             .map(|(_, &id)| id)
     }
+
+    /// The rows of one collection, in name order.
+    fn ids_in(&self, coll: CollectionId) -> impl Iterator<Item = DatasetId> + '_ {
+        self.in_coll(coll, Bound::Included((coll, String::new())))
+    }
+
+    /// Number of datasets whose collection is in `colls`.
+    fn count_in(&self, colls: &IdSet<CollectionId>) -> usize {
+        colls.iter().filter_map(|c| self.counts.get(c)).sum()
+    }
+}
+
+fn missing(id: DatasetId) -> SrbError {
+    SrbError::NotFound(format!("dataset {id}"))
 }
 
 impl DatasetTable {
     /// Empty table.
     pub fn new() -> Self {
         DatasetTable::default()
+    }
+
+    /// The table over image rows, logging through `wal`.
+    pub(crate) fn restore(rows: RowPages<Dataset>, wal: &WalHook) -> Self {
+        let rows = Table::restore(rows, wal);
+        DatasetTable {
+            rows: RwLock::new(LockRank::McatTable, "mcat.datasets", rows),
+            generation: GenCounter::new(),
+        }
     }
 
     /// Create a dataset with initial replicas.
@@ -437,13 +494,15 @@ impl DatasetTable {
         replicas: Vec<(AccessSpec, u64, Option<Checksum>)>,
         now: Timestamp,
     ) -> SrbResult<DatasetId> {
-        let mut g = self.inner.write();
+        let mut g = self.rows.write();
         let key = Self::free_key(&g, coll, name)?;
         let gen = self.generation.bump_get().raw();
         let replicas = replicas
             .into_iter()
             .map(|(spec, size, checksum)| (spec, size, checksum, ReplicaStatus::UpToDate));
-        Ok(self.insert_new(&mut g, ids, gen, key, data_type, owner, replicas, None, now))
+        Ok(Self::insert_new(
+            &mut g, ids, gen, key, data_type, owner, replicas, None, now,
+        ))
     }
 
     /// Create many datasets in one collection under a single write-lock
@@ -460,10 +519,11 @@ impl DatasetTable {
         batch: Vec<NewDataset>,
         now: Timestamp,
     ) -> SrbResult<Vec<DatasetId>> {
-        let mut g = self.inner.write();
+        let mut g = self.rows.write();
         let mut in_batch: HashSet<&str> = HashSet::with_capacity(batch.len());
         for nd in &batch {
-            if g.by_name.contains_key(&(coll, nd.name.clone())) || !in_batch.insert(&nd.name) {
+            let taken = g.derived().by_name.contains_key(&(coll, nd.name.clone()));
+            if taken || !in_batch.insert(&nd.name) {
                 return Err(Self::name_taken(coll, &nd.name));
             }
         }
@@ -474,7 +534,7 @@ impl DatasetTable {
             .into_iter()
             .map(|nd| {
                 let (key, replicas) = ((coll, nd.name), nd.replicas.into_iter());
-                self.insert_new(&mut g, ids, gen, key, data_type, owner, replicas, None, now)
+                Self::insert_new(&mut g, ids, gen, key, data_type, owner, replicas, None, now)
             })
             .collect())
     }
@@ -491,27 +551,15 @@ impl DatasetTable {
         owner: UserId,
         now: Timestamp,
     ) -> SrbResult<DatasetId> {
-        let mut g = self.inner.write();
-        let resolved = {
-            let t = g
-                .rows
-                .get(target)
-                .ok_or_else(|| SrbError::NotFound(format!("dataset {target}")))?;
-            t.link_target.unwrap_or(target)
-        };
+        let mut g = self.rows.write();
+        let t = g.get(target).ok_or_else(|| missing(target))?;
+        let resolved = t.link_target.unwrap_or(target);
         let key = Self::free_key(&g, coll, name)?;
         let gen = self.generation.bump_get().raw();
         let none = std::iter::empty();
-        Ok(self.insert_new(
-            &mut g,
-            ids,
-            gen,
-            key,
-            "link",
-            owner,
-            none,
-            Some(resolved),
-            now,
+        let link = Some(resolved);
+        Ok(Self::insert_new(
+            &mut g, ids, gen, key, "link", owner, none, link, now,
         ))
     }
 
@@ -520,9 +568,13 @@ impl DatasetTable {
     }
 
     /// The name-index key for a new `name` in `coll`, if it is free.
-    fn free_key(g: &Inner, coll: CollectionId, name: &str) -> SrbResult<(CollectionId, String)> {
+    fn free_key(
+        g: &Table<Dataset>,
+        coll: CollectionId,
+        name: &str,
+    ) -> SrbResult<(CollectionId, String)> {
         let key = (coll, name.to_string());
-        if g.by_name.contains_key(&key) {
+        if g.derived().by_name.contains_key(&key) {
             return Err(Self::name_taken(coll, name));
         }
         Ok(key)
@@ -530,15 +582,13 @@ impl DatasetTable {
 
     /// The one builder of a new row, under the caller's write guard and
     /// generation stamp: the dataset's id, then one id per replica
-    /// (numbered from 1 in the order given), the row image logged, all
-    /// three indexes maintained. `key` must be free.
+    /// (numbered from 1 in the order given). `key` must be free.
     #[allow(clippy::too_many_arguments)]
     fn insert_new(
-        &self,
-        g: &mut Inner,
+        g: &mut Table<Dataset>,
         ids: &IdGen,
         gen: u64,
-        key: (CollectionId, String),
+        (coll, name): (CollectionId, String),
         data_type: &str,
         owner: UserId,
         replicas: impl Iterator<Item = (AccessSpec, u64, Option<Checksum>, ReplicaStatus)>,
@@ -562,8 +612,8 @@ impl DatasetTable {
             .collect();
         let row = Dataset {
             id,
-            coll: key.0,
-            name: key.1.clone(),
+            coll,
+            name,
             data_type: data_type.to_string(),
             owner,
             acl: AccessMatrix::owned_by(owner),
@@ -576,20 +626,13 @@ impl DatasetTable {
             created: now,
             modified: now,
         };
-        self.wal.log(gen, || WalOp::DatasetPut { row: row.clone() });
-        g.rows.insert(row);
-        g.list(key.0, key.1, id);
+        g.put(gen, row);
         id
     }
 
     /// Get a dataset (no link following).
     pub fn get(&self, id: DatasetId) -> SrbResult<Dataset> {
-        self.inner
-            .read()
-            .rows
-            .get(id)
-            .cloned()
-            .ok_or_else(|| SrbError::NotFound(format!("dataset {id}")))
+        self.rows.read().get(id).cloned().ok_or_else(|| missing(id))
     }
 
     /// Follow a link chain (already collapsed to depth ≤ 1) to the real
@@ -604,23 +647,16 @@ impl DatasetTable {
 
     /// Find by collection + name.
     pub fn find(&self, coll: CollectionId, name: &str) -> Option<DatasetId> {
-        self.inner
-            .read()
-            .by_name
-            .get(&(coll, name.to_string()))
-            .copied()
+        let g = self.rows.read();
+        g.derived().by_name.get(&(coll, name.to_string())).copied()
     }
 
     /// Datasets directly in a collection, sorted by name — one bounded
     /// range over the ordered name index, no per-call sort.
     pub fn list(&self, coll: CollectionId) -> Vec<Dataset> {
-        let g = self.inner.read();
-        g.by_name
-            .range((coll, String::new())..)
-            .take_while(|((c, _), _)| *c == coll)
-            .filter_map(|(_, &id)| g.rows.get(id))
-            .cloned()
-            .collect()
+        let g = self.rows.read();
+        let rows = g.derived().ids_in(coll).filter_map(|id| g.get(id));
+        rows.cloned().collect()
     }
 
     /// One page of a collection listing in name order, resuming strictly
@@ -633,16 +669,12 @@ impl DatasetTable {
         after: Option<&str>,
         limit: usize,
     ) -> (Vec<DatasetEntry>, bool) {
-        let g = self.inner.read();
+        let g = self.rows.read();
         let start = match after {
             Some(name) => Bound::Excluded((coll, name.to_string())),
             None => Bound::Included((coll, String::new())),
         };
-        let mut iter = g
-            .by_name
-            .range((start, Bound::Unbounded))
-            .take_while(|((c, _), _)| *c == coll)
-            .filter_map(|(_, &id)| g.rows.get(id));
+        let mut iter = g.derived().in_coll(coll, start).filter_map(|id| g.get(id));
         let mut page = Vec::with_capacity(limit.min(1024));
         for d in iter.by_ref() {
             if page.len() == limit {
@@ -660,22 +692,16 @@ impl DatasetTable {
 
     /// Mutate a dataset in place under the table lock. In-place edits do
     /// not bump the listing generation, but the full post-image is still
-    /// redo-logged so replicas, locks and versions survive recovery.
+    /// redo-logged so replicas, locks and versions survive recovery. A
+    /// change that fails must fail before it touches the row; nothing is
+    /// logged for it.
     pub fn update<F, R>(&self, id: DatasetId, f: F) -> SrbResult<R>
     where
         F: FnOnce(&mut Dataset) -> SrbResult<R>,
     {
-        let mut g = self.inner.write();
-        let d = g
-            .rows
-            .get_mut(id)
-            .ok_or_else(|| SrbError::NotFound(format!("dataset {id}")))?;
-        let out = f(d)?;
-        let row = &*d;
-        self.wal.log(0, || WalOp::DatasetPut { row: row.clone() });
-        Ok(out)
+        let mut g = self.rows.write();
+        g.try_update(id, 0, f).ok_or_else(|| missing(id))?
     }
-
     /// Add a replica; returns the assigned replica number.
     pub fn add_replica(
         &self,
@@ -753,72 +779,34 @@ impl DatasetTable {
         new_coll: CollectionId,
         new_name: &str,
     ) -> SrbResult<()> {
-        let mut g = self.inner.write();
-        let key_new = Self::free_key(&g, new_coll, new_name)?;
-        let d = g
-            .rows
-            .get_mut(id)
-            .ok_or_else(|| SrbError::NotFound(format!("dataset {id}")))?;
-        let old_coll = d.coll;
-        d.coll = new_coll;
-        let old_name = std::mem::replace(&mut d.name, new_name.to_string());
-        g.unlist(old_coll, old_name);
-        g.list(key_new.0, key_new.1, id);
-        let gen = self.generation.bump_get().raw();
-        if let Some(row) = g.rows.get(id) {
-            self.wal.log(gen, || WalOp::DatasetPut { row: row.clone() });
+        let mut g = self.rows.write();
+        let (coll, name) = Self::free_key(&g, new_coll, new_name)?;
+        if !g.contains(id) {
+            return Err(missing(id));
         }
+        let gen = self.generation.bump_get().raw();
+        g.update(id, gen, |d| (d.coll, d.name) = (coll, name));
         Ok(())
     }
 
     /// Delete a dataset row entirely (caller has already dealt with data).
     pub fn delete(&self, id: DatasetId) -> SrbResult<Dataset> {
-        let mut g = self.inner.write();
-        let d = g
-            .rows
-            .remove(id)
-            .ok_or_else(|| SrbError::NotFound(format!("dataset {id}")))?;
-        g.unlist(d.coll, d.name.clone());
+        let mut g = self.rows.write();
+        if !g.contains(id) {
+            return Err(missing(id));
+        }
         let gen = self.generation.bump_get().raw();
-        self.wal.log(gen, || WalOp::DatasetDelete { id });
-        Ok(d)
+        g.remove(id, gen).ok_or_else(|| missing(id))
     }
 
     /// Total number of datasets.
     pub fn count(&self) -> usize {
-        self.inner.read().rows.len()
+        self.rows.read().len()
     }
 
     /// Every dataset row, sorted by id (snapshots).
     pub fn dump(&self) -> Vec<Dataset> {
-        self.inner.read().rows.iter().cloned().collect()
-    }
-
-    /// The image's `"datasets"` field, under one read guard.
-    pub(crate) fn write_image(&self, w: &mut ImageWriter<'_, '_>) {
-        w.pages(Field::Datasets, &self.inner.read().rows);
-    }
-
-    /// The table over image rows, its name and collection indexes built
-    /// from them, logging through `wal`. The name index is built from one
-    /// run of its entries by `BTreeMap::from_iter`, which fills its nodes
-    /// where inserts one name at a time leave them half empty.
-    pub(crate) fn restore(rows: RowPages<Dataset>, wal: &WalHook) -> Self {
-        let t = DatasetTable {
-            wal: wal.clone(),
-            ..DatasetTable::default()
-        };
-        {
-            let mut g = t.inner.write();
-            let mut names = Vec::with_capacity(rows.len());
-            names.extend(rows.iter().map(|d| ((d.coll, d.name.clone()), d.id)));
-            g.by_name = BTreeMap::from_iter(names);
-            for d in rows.iter() {
-                *g.counts.entry(d.coll).or_default() += 1;
-            }
-            g.rows = rows;
-        }
-        t
+        self.rows.read().iter().cloned().collect()
     }
 
     /// Datasets holding at least one `Stale` replica, paired with the
@@ -826,9 +814,8 @@ impl DatasetTable {
     /// maintenance repair sweep. Sorted by dataset id so sweeps are
     /// deterministic.
     pub fn with_stale_replicas(&self) -> Vec<(DatasetId, Vec<ResourceId>)> {
-        let g = self.inner.read();
-        g.rows
-            .iter()
+        let g = self.rows.read();
+        g.iter()
             .filter_map(|d| {
                 let resources: Vec<ResourceId> = d
                     .replicas
@@ -847,10 +834,11 @@ impl DatasetTable {
     /// collections in no set order; callers needing a stable order sort
     /// the resulting hits.
     pub(crate) fn ids_in_colls(&self, colls: &IdSet<CollectionId>) -> Vec<DatasetId> {
-        let g = self.inner.read();
-        let mut out = Vec::with_capacity(Self::count_locked(&g, colls));
+        let g = self.rows.read();
+        let names = g.derived();
+        let mut out = Vec::with_capacity(names.count_in(colls));
         for &coll in colls {
-            out.extend(g.ids_in(coll));
+            out.extend(names.ids_in(coll));
         }
         out
     }
@@ -858,11 +846,7 @@ impl DatasetTable {
     /// Number of datasets whose collection is in `colls` — the planner's
     /// scope size, without materializing any id list.
     pub(crate) fn count_in_colls(&self, colls: &IdSet<CollectionId>) -> usize {
-        Self::count_locked(&self.inner.read(), colls)
-    }
-
-    fn count_locked(g: &Inner, colls: &IdSet<CollectionId>) -> usize {
-        colls.iter().filter_map(|c| g.counts.get(c)).sum()
+        self.rows.read().derived().count_in(colls)
     }
 
     /// Current membership/naming generation (cursor invalidation).
@@ -881,27 +865,28 @@ impl DatasetTable {
     /// acquisition serves any number of borrowed row lookups.
     pub fn batch(&self) -> DatasetBatch<'_> {
         DatasetBatch {
-            g: self.inner.read(),
+            g: self.rows.read(),
         }
     }
 }
 
 /// Borrowed row access under one read guard; see [`DatasetTable::batch`].
 pub struct DatasetBatch<'a> {
-    g: RwLockReadGuard<'a, Inner>,
+    g: RwLockReadGuard<'a, Table<Dataset>>,
 }
 
 impl DatasetBatch<'_> {
     /// The dataset row, borrowed from the table (no link following).
     pub fn get_ref(&self, id: DatasetId) -> Option<&Dataset> {
-        self.g.rows.get(id)
+        self.g.get(id)
     }
 
     /// Is a name already taken in `coll`? Used by bulk ingest to reject
     /// duplicates before any bytes move, under one read guard for the
     /// whole batch.
     pub fn contains_name(&self, coll: CollectionId, name: &str) -> bool {
-        self.g.by_name.contains_key(&(coll, name.to_string()))
+        let key = (coll, name.to_string());
+        self.g.derived().by_name.contains_key(&key)
     }
 }
 
@@ -1266,62 +1251,5 @@ mod tests {
         })
         .unwrap();
         assert_eq!(t.get(id).unwrap().size(), 20);
-    }
-
-    /// The live table's derived maps against a rebuild from its rows.
-    fn assert_derived_state_matches_rebuild(t: &DatasetTable) {
-        let g = t.inner.read();
-        let rebuilt = DatasetTable::restore(g.rows.clone(), &WalHook::default());
-        let r = rebuilt.inner.read();
-        assert_eq!(g.by_name, r.by_name);
-        assert_eq!(g.counts, r.counts);
-    }
-
-    /// A seeded run of creates, moves and deletes across a few
-    /// collections: the live table never keeps derived state its rows
-    /// would not rebuild, such as the list of a collection it emptied.
-    #[test]
-    fn derived_state_equals_a_rebuild_from_the_rows() {
-        use srb_types::SeedStream;
-        let (t, ids) = table();
-        let coll = |n: usize| CollectionId(n as u64 + 1);
-        let mut rng = SeedStream::new(0xda7a);
-        let mut live: Vec<DatasetId> = Vec::new();
-        for step in 0..3000 {
-            match rng.below(10) {
-                0..=3 => live.push(
-                    t.create(
-                        &ids,
-                        coll(rng.below(12)),
-                        &format!("d{step}"),
-                        "generic",
-                        UserId(1),
-                        vec![],
-                        Timestamp(0),
-                    )
-                    .unwrap(),
-                ),
-                4..=6 if !live.is_empty() => {
-                    let id = live[rng.below(live.len())];
-                    t.move_dataset(id, coll(rng.below(12)), &format!("m{step}"))
-                        .unwrap();
-                }
-                7..=9 if !live.is_empty() => {
-                    let id = live.swap_remove(rng.below(live.len()));
-                    t.delete(id).unwrap();
-                }
-                _ => {}
-            }
-            if step % 101 == 0 {
-                assert_derived_state_matches_rebuild(&t);
-            }
-        }
-        assert_derived_state_matches_rebuild(&t);
-        for id in live {
-            t.delete(id).unwrap();
-        }
-        assert_derived_state_matches_rebuild(&t);
-        let g = t.inner.read();
-        assert!(g.by_name.is_empty() && g.counts.is_empty());
     }
 }

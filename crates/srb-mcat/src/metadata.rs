@@ -955,11 +955,17 @@ impl MetaStore {
     /// `MetaStore::restore` of its own rows.
     pub fn remove(&self, id: MetaId) -> SrbResult<()> {
         let mut g = self.inner.write();
-        let g = &mut *g;
         let row = g
             .rows
             .remove(id)
             .ok_or_else(|| SrbError::NotFound(format!("metadata {id}")))?;
+        self.drop_row(&mut g, id, row);
+        Ok(())
+    }
+
+    /// Let go of what `row`, just taken out of the rows under id `id`,
+    /// held in the indexes, and log its delete.
+    fn drop_row(&self, g: &mut Inner, id: MetaId, row: StoredRow) {
         let left = match g.by_subject.get_mut(&row.subject) {
             Some(ids) => {
                 if ids.remove(id) {
@@ -987,23 +993,23 @@ impl MetaStore {
         }
         let gen = self.generation.bump_get().raw();
         self.wal.log(gen, || WalOp::MetaDelete { id });
-        Ok(())
     }
 
     /// Remove every row attached to a subject ("when the last replica is
-    /// deleted all the metadata … are also deleted").
+    /// deleted all the metadata … are also deleted"), and its meta-files,
+    /// under one write guard: a `MetaDelete` per row, then one
+    /// `MetaFilesClear`.
     pub fn remove_all(&self, subject: Subject) {
-        let ids = self
-            .inner
-            .read()
+        let mut g = self.inner.write();
+        let ids = g
             .by_subject
             .get(&subject)
-            .map(|ids| ids.as_slice().to_vec())
-            .unwrap_or_default();
-        for id in ids {
-            let _ = self.remove(id);
+            .map(|ids| ids.as_slice().to_vec());
+        for id in ids.unwrap_or_default() {
+            if let Some(row) = g.rows.remove(id) {
+                self.drop_row(&mut g, id, row);
+            }
         }
-        let mut g = self.inner.write();
         if g.meta_files.remove(&subject).is_some() {
             self.wal.log(0, || WalOp::MetaFilesClear { subject });
         }

@@ -81,12 +81,13 @@ impl ResourceTable {
             return Err(SrbError::AlreadyExists(format!("resource '{name}'")));
         }
         let id: ResourceId = ids.next();
-        physical.put(Resource {
+        let row = Resource {
             id,
             name: name.to_string(),
             kind,
             site,
-        });
+        };
+        physical.put(0, row);
         Ok(id)
     }
 
@@ -111,11 +112,12 @@ impl ResourceTable {
             return Err(SrbError::NotFound(format!("member resource {m}")));
         }
         let id: LogicalResourceId = ids.next();
-        logical.put(LogicalResource {
+        let row = LogicalResource {
             id,
             name: name.to_string(),
             members: members.to_vec(),
-        });
+        };
+        logical.put(0, row);
         Ok(id)
     }
 

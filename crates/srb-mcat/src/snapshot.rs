@@ -756,8 +756,8 @@ impl Mcat {
         resources.0.write_image(&mut w);
         resources.1.write_image(&mut w);
         drop(resources);
-        self.collections.write_image(&mut w);
-        self.datasets.write_image(&mut w);
+        self.collections.rows.read().write_image(&mut w);
+        self.datasets.rows.read().write_image(&mut w);
         self.containers.rows.read().write_image(&mut w);
         self.metadata.write_image(&mut w);
         self.annotations.rows.read().write_image(&mut w);

@@ -2,24 +2,30 @@
 //! records that log them.
 //!
 //! A [`Table`] keeps its rows in a [`RowPages`] and its derived state (a
-//! name index, a subject list) beside them, and is the only code that
-//! writes either. Every change goes through one pair, [`Derived::index`]
-//! and [`Derived::unindex`]: a put unindexes the row it replaces and
-//! indexes the new one, an in-place update unindexes the row, changes it
-//! and indexes it again, and a remove unindexes it. [`Table::restore`]
-//! folds `index` over the rows, so the live derived state equals a
-//! rebuild from the rows by construction. Each put or delete is logged
-//! from the row type's own record ([`TableRow::put`], [`Deleted::delete`])
-//! through the catalog's one [`WalHook`], and the table writes its rows
-//! into the image field its row type names ([`TableRow::FIELD`]).
+//! name index, a path index and child lists, a subject list) beside them,
+//! and is the only code that writes either. Every change goes through one
+//! pair, [`Derived::index`] and [`Derived::unindex`]: a put unindexes the
+//! row it replaces and indexes the new one, an in-place update unindexes
+//! the row, changes it and indexes it again, and a remove unindexes it.
+//! [`Table::restore`] builds the derived state from the rows in one pass
+//! ([`Derived::rebuild`], by default `index` folded over them), so the
+//! live derived state equals a rebuild from the rows by construction. Each
+//! put or delete is logged from the row type's own record
+//! ([`TableRow::put`], [`Deleted::delete`]) through the catalog's one
+//! [`WalHook`], under the stamp the caller passes (the generation of a
+//! table whose cursors must notice the change, otherwise 0), and the table
+//! writes its rows into the image field its row type names
+//! ([`TableRow::FIELD`]).
 //!
 //! A table module keeps what is its own: its lock (built there, with its
-//! literal name and rank), its rules (name uniqueness, author checks,
-//! capacity) and the reads its callers make.
+//! literal name and rank), its generation counter, its rules (name
+//! uniqueness, author checks, capacity) and the reads its callers make.
 
 use crate::annotation::Annotation;
 use crate::audit::AuditRow;
+use crate::collection::{Collection, Tree};
 use crate::container::ContainerRecord;
+use crate::dataset::{Dataset, Names};
 use crate::metadata::Subject;
 use crate::pages::{Row, RowPages};
 use crate::resource::{LogicalResource, Resource};
@@ -29,6 +35,7 @@ use crate::wal::{WalHook, WalOp};
 use serde::Serialize;
 use srb_types::{AnnotationId, ContainerId, GroupId, LogicalResourceId, ResourceId, UserId};
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::ops::Deref;
 
 /// State derived from a table's rows. [`Table`] is its only writer.
@@ -37,6 +44,14 @@ pub(crate) trait Derived<R>: Default {
     fn index(&mut self, row: &R);
     /// Let `row` go.
     fn unindex(&mut self, row: &R);
+    /// The state derived from all of `rows` at once.
+    fn rebuild(rows: &RowPages<R>) -> Self {
+        let mut derived = Self::default();
+        for row in rows.iter() {
+            derived.index(row);
+        }
+        derived
+    }
 }
 
 /// No derived state (the audit trail).
@@ -113,6 +128,8 @@ table_rows! {
     ContainerRecord: HashMap<String, ContainerId>, Containers, ContainerPut, ContainerDelete;
     Annotation: HashMap<Subject, Vec<AnnotationId>>, Annotations, AnnotationPut, AnnotationDelete;
     AuditRow: (), Audit, AuditPut;
+    Collection: Tree, Collections, CollectionPut, CollectionDelete;
+    Dataset: Names, Datasets, DatasetPut, DatasetDelete;
 }
 
 /// A table: its rows, what it derives from them, and the catalog's WAL
@@ -125,16 +142,12 @@ pub(crate) struct Table<R: TableRow> {
 }
 
 impl<R: TableRow> Table<R> {
-    /// The table over `rows`, its derived state folded from them, logging
+    /// The table over `rows`, its derived state built from them, logging
     /// through `wal`.
     pub(crate) fn restore(rows: RowPages<R>, wal: &WalHook) -> Self {
-        let mut derived = R::Derived::default();
-        for row in rows.iter() {
-            derived.index(row);
-        }
         Table {
+            derived: R::Derived::rebuild(&rows),
             rows,
-            derived,
             wal: wal.clone(),
         }
     }
@@ -144,24 +157,44 @@ impl<R: TableRow> Table<R> {
         &self.derived
     }
 
-    /// Put `row` under its id, in place of any row there, and log it.
-    pub(crate) fn put(&mut self, row: R) {
+    /// Put `row` under its id, in place of any row there, and log it under
+    /// `stamp`.
+    pub(crate) fn put(&mut self, stamp: u64, row: R) {
         let (row, old) = self.rows.put(row);
         if let Some(old) = &old {
             self.derived.unindex(old);
         }
         self.derived.index(row);
-        self.wal.log(0, || row.put());
+        self.wal.log(stamp, || row.put());
     }
 
-    /// Change the row with id `id` by `change` and log it; `None` when
-    /// there is no such row.
-    pub(crate) fn update<T>(&mut self, id: R::Id, change: impl FnOnce(&mut R) -> T) -> Option<T> {
+    /// Change the row with id `id` by `change` and log it under `stamp`;
+    /// `None` when there is no such row.
+    pub(crate) fn update<T>(
+        &mut self,
+        id: R::Id,
+        stamp: u64,
+        change: impl FnOnce(&mut R) -> T,
+    ) -> Option<T> {
+        let done = self.try_update(id, stamp, |row| Ok::<T, Infallible>(change(row)));
+        done.map(|Ok(out)| out)
+    }
+
+    /// [`Table::update`] by a change that may refuse: a refused change
+    /// must leave the row as it found it, and is not logged.
+    pub(crate) fn try_update<T, E>(
+        &mut self,
+        id: R::Id,
+        stamp: u64,
+        change: impl FnOnce(&mut R) -> Result<T, E>,
+    ) -> Option<Result<T, E>> {
         let row = self.rows.get_mut(id)?;
         self.derived.unindex(row);
         let out = change(row);
         self.derived.index(row);
-        self.wal.log(0, || row.put());
+        if out.is_ok() {
+            self.wal.log(stamp, || row.put());
+        }
         Some(out)
     }
 
@@ -185,10 +218,10 @@ impl<R: TableRow> Table<R> {
 }
 
 impl<R: Deleted> Table<R> {
-    /// Take the row with id `id` out and log its delete.
-    pub(crate) fn remove(&mut self, id: R::Id) -> Option<R> {
+    /// Take the row with id `id` out and log its delete under `stamp`.
+    pub(crate) fn remove(&mut self, id: R::Id, stamp: u64) -> Option<R> {
         let row = self.take(id)?;
-        self.wal.log(0, || R::delete(id));
+        self.wal.log(stamp, || R::delete(id));
         Some(row)
     }
 }
@@ -206,7 +239,10 @@ mod tests {
     use super::*;
     use crate::annotation::AnnotationKind;
     use srb_storage::DriverKind;
-    use srb_types::{DatasetId, SeedStream, SiteId, Timestamp};
+    use srb_types::{
+        AccessMatrix, CollectionId, DatasetId, LogicalPath, Permission, SeedStream, SiteId,
+        Timestamp,
+    };
     use std::fmt::Debug;
 
     /// A row the test makes up from an id and a draw, and changes in
@@ -323,8 +359,74 @@ mod tests {
         }
     }
 
-    /// The live derived state against a `Table::restore` of the same
-    /// rows.
+    impl Sample for Dataset {
+        fn sample(id: u64, draw: u64) -> Self {
+            Dataset {
+                id: DatasetId(id),
+                coll: CollectionId(draw % 12),
+                name: format!("d{id}"),
+                data_type: "generic".into(),
+                owner: UserId(1),
+                acl: AccessMatrix::owned_by(UserId(1)),
+                replicas: Vec::new(),
+                link_target: None,
+                lock: None,
+                checkout: None,
+                versions: Vec::new(),
+                current_version: 1,
+                created: Timestamp(draw),
+                modified: Timestamp(draw),
+            }
+        }
+        /// A third of the changes keep the row's name and collection, as
+        /// replica, lock and ACL updates do.
+        fn vary(&mut self, draw: u64) {
+            self.modified = Timestamp(draw);
+            if !draw.is_multiple_of(3) {
+                self.coll = CollectionId(draw % 12);
+                self.name = format!("d{}.{draw}", self.id);
+            }
+        }
+    }
+
+    impl Sample for Collection {
+        /// A node under one of a few parents, or now and then a root of
+        /// its own; the path ends in a name that carries the id.
+        fn sample(id: u64, draw: u64) -> Self {
+            let parent = (!draw.is_multiple_of(7)).then_some(CollectionId(draw % 9));
+            Collection {
+                id: CollectionId(id),
+                parent,
+                path: path_of(parent, &format!("c{id}")),
+                owner: UserId(1),
+                acl: AccessMatrix::owned_by(UserId(1)),
+                requirements: Vec::new(),
+                link_target: draw.is_multiple_of(5).then_some(CollectionId(draw % 9)),
+                created: Timestamp(draw),
+            }
+        }
+        /// A third of the changes keep the path and parent, as ACL and
+        /// requirement updates do; the rest move and rename the node.
+        fn vary(&mut self, draw: u64) {
+            self.acl.public = Permission::Read;
+            if !draw.is_multiple_of(3) {
+                self.parent = Some(CollectionId(draw % 9));
+                self.path = path_of(self.parent, &format!("c{}.{draw}", self.id));
+            }
+        }
+    }
+
+    /// `/p<parent>/<name>`, or `/<name>` without a parent.
+    fn path_of(parent: Option<CollectionId>, name: &str) -> LogicalPath {
+        let under = match parent {
+            Some(p) => LogicalPath::root().child(&format!("p{p}")).unwrap(),
+            None => LogicalPath::root(),
+        };
+        under.child(name).unwrap()
+    }
+
+    /// The live derived state, kept row by row, against the bulk
+    /// `Derived::rebuild` a `Table::restore` of the same rows runs.
     fn assert_derived_state_matches_rebuild<R: Sample>(t: &Table<R>)
     where
         R::Derived: PartialEq + Debug,
@@ -349,10 +451,10 @@ mod tests {
             let held = (!t.is_empty()).then(|| rng.below(t.len()));
             let held = held.and_then(|k| t.iter().nth(k)).cloned();
             match (rng.below(10), held) {
-                (0..=3, _) => t.put(R::sample(rng.below(600) as u64, draw)),
-                (4, Some(row)) => t.put(R::sample(R::raw(row.id()), draw)),
+                (0..=3, _) => t.put(0, R::sample(rng.below(600) as u64, draw)),
+                (4, Some(row)) => t.put(0, R::sample(R::raw(row.id()), draw)),
                 (5..=6, Some(row)) => {
-                    assert!(t.update(row.id(), |r| r.vary(draw)).is_some());
+                    assert!(t.update(row.id(), 0, |r| r.vary(draw)).is_some());
                 }
                 (7..=8, Some(row)) => assert!(t.take(row.id()).is_some()),
                 (9, Some(row)) => {
@@ -381,6 +483,8 @@ mod tests {
         derived_state_equals_a_rebuild::<LogicalResource>(0x10);
         derived_state_equals_a_rebuild::<User>(0x05e5);
         derived_state_equals_a_rebuild::<Group>(0x9);
+        derived_state_equals_a_rebuild::<Dataset>(0xda7a);
+        derived_state_equals_a_rebuild::<Collection>(0xc011);
     }
 
     /// A put over a held id replaces the row, and its derived entries; a
@@ -388,15 +492,15 @@ mod tests {
     #[test]
     fn a_put_replaces_and_a_remove_deletes() {
         let mut t: Table<Annotation> = Table::restore(RowPages::default(), &WalHook::default());
-        t.put(Annotation::sample(7, 1));
-        t.put(Annotation::sample(7, 2));
+        t.put(0, Annotation::sample(7, 1));
+        t.put(0, Annotation::sample(7, 2));
         assert_eq!(t.len(), 1);
         let subject = Subject::Dataset(DatasetId(2));
         assert_eq!(t.get(AnnotationId(7)).map(|a| a.subject), Some(subject));
         assert_eq!(t.derived().len(), 1);
         assert_eq!(t.derived()[&subject], [AnnotationId(7)]);
-        assert!(t.remove(AnnotationId(7)).is_some());
-        assert!(t.remove(AnnotationId(7)).is_none());
+        assert!(t.remove(AnnotationId(7), 0).is_some());
+        assert!(t.remove(AnnotationId(7), 0).is_none());
         assert!(t.derived().is_empty());
     }
 }

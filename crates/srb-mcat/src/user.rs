@@ -100,14 +100,15 @@ impl UserTable {
             return Err(SrbError::AlreadyExists(format!("user '{name}@{domain}'")));
         }
         let id: UserId = ids.next();
-        users.put(User {
+        let row = User {
             id,
             name: name.to_string(),
             domain: domain.to_string(),
             verifier: derive_verifier(password),
             groups: Vec::new(),
             is_admin,
-        });
+        };
+        users.put(0, row);
         Ok(id)
     }
 
@@ -150,11 +151,12 @@ impl UserTable {
             return Err(SrbError::AlreadyExists(format!("group '{name}'")));
         }
         let id: GroupId = ids.next();
-        groups.put(Group {
+        let row = Group {
             id,
             name: name.to_string(),
             members: Vec::new(),
-        });
+        };
+        groups.put(0, row);
         Ok(id)
     }
 
@@ -166,13 +168,13 @@ impl UserTable {
             return Err(SrbError::NotFound(format!("group {group}")));
         }
         users
-            .update(user, |u| {
+            .update(user, 0, |u| {
                 if !u.groups.contains(&group) {
                     u.groups.push(group);
                 }
             })
             .ok_or_else(|| SrbError::NotFound(format!("user {user}")))?;
-        groups.update(group, |grp| {
+        groups.update(group, 0, |grp| {
             if !grp.members.contains(&user) {
                 grp.members.push(user);
             }
@@ -184,8 +186,8 @@ impl UserTable {
     pub fn remove_from_group(&self, user: UserId, group: GroupId) -> SrbResult<()> {
         let mut g = self.users.write();
         let (users, groups) = &mut *g;
-        users.update(user, |u| u.groups.retain(|&gid| gid != group));
-        groups.update(group, |grp| grp.members.retain(|&uid| uid != user));
+        users.update(user, 0, |u| u.groups.retain(|&gid| gid != group));
+        groups.update(group, 0, |grp| grp.members.retain(|&uid| uid != user));
         Ok(())
     }
 

@@ -39,7 +39,10 @@
 //! text into the open segment, and a prune, a crash or a cut lets go of
 //! whole segments, after the device lock is released. A checkpoint
 //! prunes a whole interval of log, and freeing its lines one by one
-//! stalls the writer that freed them.
+//! stalls the writer that freed them. A prune also moves the lines it
+//! keeps to an index of their own length, so the index does not stay at
+//! the most lines the device ever held; the old index goes with the
+//! segments.
 
 use crate::driver::CostModel;
 use srb_types::sync::{LockRank, Mutex};
@@ -230,18 +233,21 @@ impl LogInner {
         self.durable().partition_point(|l| l.lsn <= lsn)
     }
 
-    /// Let go of the first `covered` durable lines; returns the segments
-    /// no line is left in.
-    fn prune(&mut self, covered: usize) -> Vec<String> {
+    /// Let go of the first `covered` durable lines. The lines kept move to
+    /// an index of their own length, so the capacity the drained ones
+    /// held goes back; returns the old index and the segments no line is
+    /// left in, for the caller to drop once the device lock is released.
+    fn prune(&mut self, covered: usize) -> (Vec<LogLine>, Vec<String>) {
         let pruned: u64 = self.lines[..covered]
             .iter()
             .map(|l| line_bytes(l.len))
             .sum();
         self.synced_bytes -= pruned;
-        self.lines.drain(..covered);
+        let kept = self.lines[covered..].to_vec();
+        let old = std::mem::replace(&mut self.lines, kept);
         self.synced -= covered;
         self.verified = self.verified.saturating_sub(covered);
-        self.text.keep(&self.lines)
+        (old, self.text.keep(&self.lines))
     }
 
     /// Let go of the durable lines from `at` on, and of the buffered ones;
@@ -551,6 +557,25 @@ mod tests {
         // With an empty tail the checkpoint LSN is the durable LSN.
         d.truncate_after(Lsn(2));
         assert_eq!(d.synced_lsn(), Lsn(2));
+    }
+
+    /// A checkpoint that prunes all but `k` lines leaves the line index
+    /// room for about `k` of them, not for every line it ever held.
+    #[test]
+    fn a_prune_gives_back_the_line_index() {
+        let (d, k) = (LogDevice::new(), 10);
+        for i in 1..=1000 {
+            d.append(Lsn(i), "r");
+        }
+        d.sync();
+        d.install_checkpoint(Lsn(1000 - k), "{snap}");
+        let g = d.inner.lock();
+        assert_eq!(g.lines.len(), k as usize);
+        assert!(
+            g.lines.capacity() <= 2 * k as usize,
+            "{}",
+            g.lines.capacity()
+        );
     }
 
     #[test]

@@ -131,30 +131,54 @@ const LEDGER_KINDS: &[&str] = &[
     "fn", "struct", "enum", "trait", "const", "static", "type", "mod", "use",
 ];
 
-/// The size of the workspace API under `crates/*/src`: non-blank lines
-/// before each file's first column-0 `#[cfg(test)]`, and how many of them
-/// open with `pub <kind> ` for a kind in [`LEDGER_KINDS`].
-#[derive(Default)]
-pub struct Ledger {
+/// Non-blank lines before a file's first column-0 `#[cfg(test)]`, and
+/// how many of them open with `pub <kind> ` for a kind in
+/// [`LEDGER_KINDS`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Count {
     pub lines: usize,
     pub pub_items: usize,
 }
 
-impl Ledger {
-    fn add(&mut self, src: &str) {
+impl Count {
+    fn of(src: &str) -> Count {
+        let mut count = Count::default();
         for line in src.lines().take_while(|l| !l.starts_with("#[cfg(test)]")) {
             let line = line.trim_start();
             if line.is_empty() {
                 continue;
             }
-            self.lines += 1;
+            count.lines += 1;
             let item = line.strip_prefix("pub ").is_some_and(|rest| {
                 LEDGER_KINDS
                     .iter()
                     .any(|k| rest.strip_prefix(k).is_some_and(|r| r.starts_with(' ')))
             });
-            self.pub_items += usize::from(item);
+            count.pub_items += usize::from(item);
         }
+        count
+    }
+
+    fn add(&mut self, other: Count) {
+        self.lines += other.lines;
+        self.pub_items += other.pub_items;
+    }
+}
+
+/// The size of the workspace API under `crates/*/src`, per crate and in
+/// total.
+#[derive(Default)]
+pub struct Ledger {
+    pub crates: BTreeMap<String, Count>,
+    pub total: Count,
+}
+
+impl Ledger {
+    /// Count `src`, a file of `krate`.
+    fn add(&mut self, krate: &str, src: &str) {
+        let count = Count::of(src);
+        self.crates.entry(krate.to_string()).or_default().add(count);
+        self.total.add(count);
     }
 }
 
@@ -190,8 +214,8 @@ pub fn analyze(root: &Path, files: &[String], refs: &[String]) -> std::io::Resul
     let mut ledger = Ledger::default();
     for rel in files.iter().chain(refs) {
         let src = std::fs::read_to_string(root.join(rel))?;
-        if defines_api(rel) {
-            ledger.add(&src);
+        if let Some(krate) = api_crate(rel) {
+            ledger.add(krate, &src);
         }
         let code = doc_test_code(&src);
         if !code.is_empty() {
@@ -714,13 +738,11 @@ fn doc_test_code(src: &str) -> String {
     code
 }
 
-/// Does `path` define workspace API (`crates/<crate>/src/**`), which the
-/// [`Ledger`] counts?
-fn defines_api(path: &str) -> bool {
-    let mut parts = path.splitn(3, '/');
-    parts.next() == Some("crates")
-        && parts.next().is_some()
-        && parts.next().is_some_and(|rest| rest.starts_with("src/"))
+/// The crate whose workspace API `path` defines (`crates/<crate>/src/**`),
+/// which the [`Ledger`] counts.
+fn api_crate(path: &str) -> Option<&str> {
+    let (krate, rest) = path.strip_prefix("crates/")?.split_once('/')?;
+    rest.starts_with("src/").then_some(krate)
 }
 
 /// The unit `path` compiles in, for `over-public`: under
@@ -1223,5 +1245,35 @@ impl T {
         let src = "//! ```\n//! a::run();\n//! ```\n/// ```text\n/// a::shown_only\n/// ```\n\
                    /// ```rust,no_run\n/// a::go();\n/// ```\n// ```\n// a::commented();\n";
         assert_eq!(doc_test_code(src), "a::run();\na::go();\n");
+    }
+
+    /// The ledger counts each crate's files up to their test module, and
+    /// its total is the sum of the crates.
+    #[test]
+    fn ledger_counts_per_crate_and_in_total() {
+        let mut ledger = Ledger::default();
+        let files = [
+            ("crates/a/src/lib.rs", "pub fn f() {}\n\nfn g() {}\n"),
+            (
+                "crates/a/src/m.rs",
+                "pub struct S;\n#[cfg(test)]\nmod tests {}\n",
+            ),
+            (
+                "crates/b/src/lib.rs",
+                "  pub(crate) fn h() {}\npub use x::y;\n",
+            ),
+            ("crates/b/tests/t.rs", "pub fn not_api() {}\n"),
+            ("xtask/src/main.rs", "fn main() {}\n"),
+        ];
+        for (path, src) in files {
+            if let Some(krate) = api_crate(path) {
+                ledger.add(krate, src);
+            }
+        }
+        let count = |lines, pub_items| Count { lines, pub_items };
+        assert_eq!(ledger.crates.len(), 2);
+        assert_eq!(ledger.crates["a"], count(3, 2));
+        assert_eq!(ledger.crates["b"], count(2, 1));
+        assert_eq!(ledger.total, count(5, 3));
     }
 }

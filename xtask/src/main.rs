@@ -34,7 +34,8 @@
 //!     read as references only).
 //!
 //!   `--dot` regenerates `docs/lock-graph.dot`. The text summary ends with
-//!   a ledger line: non-test lines and `pub` items under `crates/*/src`.
+//!   the ledger: non-test lines and `pub` items of each crate's `src/`,
+//!   then of all of `crates/*/src`.
 //!
 //! - `cargo xtask benchcheck` — holds the committed `BENCH_*.json`
 //!   artifacts to the bounds in one declarative gate table (see
@@ -266,10 +267,16 @@ fn run_analyze(root: &Path, dot: bool, out: &Output) -> ExitCode {
     let code = out.finish("analyze", &analysis.violations, clean);
     if !out.json {
         let ledger = &analysis.ledger;
-        println!(
-            "xtask analyze: ledger — crates/*/src: {} non-test lines, {} pub items",
-            ledger.lines, ledger.pub_items
-        );
+        let line = |part: &str, count: &analyze::Count| {
+            println!(
+                "xtask analyze: ledger — {part}: {} non-test lines, {} pub items",
+                count.lines, count.pub_items
+            );
+        };
+        for (krate, count) in &ledger.crates {
+            line(&format!("crates/{krate}/src"), count);
+        }
+        line("crates/*/src", &ledger.total);
     }
     code
 }
