@@ -39,6 +39,11 @@ pub struct Row {
     /// Durable records on the device at crash time (tail past the
     /// checkpoint only — the checkpoint pruned the covered prefix).
     pub tail_records: usize,
+    /// Checkpoint image text per dataset it holds.
+    pub image_bytes_per_dataset: f64,
+    /// Durable log bytes (payload plus the device's per-line framing) per
+    /// tail ingest at crash time.
+    pub log_bytes_per_ingest: f64,
     /// Wall time of read-back + replay + restore.
     pub recovery_wall_ms: f64,
     /// Simulated recovery cost from the report.
@@ -118,6 +123,9 @@ fn measure(max: usize) -> Vec<Row> {
         drop(m);
         device.crash();
         let (_, _, tail_records) = device.stats();
+        let tail_datasets = n - n * 9 / 10 - 1;
+        let image_bytes = device.checkpoint_image().map_or(0, |image| image.len());
+        let log_bytes = device.log_bytes();
 
         let t0 = Instant::now();
         let (rec, report) = ok(Mcat::recover(SimClock::new(), device, NO_CKPT, None));
@@ -129,8 +137,10 @@ fn measure(max: usize) -> Vec<Row> {
             base_ingest_us,
             wal_ingest_us,
             wal_sim_ns_per_op: sim_ns as f64 / n.max(1) as f64,
-            tail_datasets: n - n * 9 / 10 - 1,
+            tail_datasets,
             tail_records,
+            image_bytes_per_dataset: image_bytes as f64 / (n - tail_datasets) as f64,
+            log_bytes_per_ingest: log_bytes as f64 / tail_datasets.max(1) as f64,
             recovery_wall_ms,
             recovery_sim_ms: report.recovery_ns as f64 / 1e6,
             groups_applied: report.groups_applied,
@@ -152,6 +162,8 @@ pub fn run(max: usize) -> Table {
             "ingest us (wal)",
             "wal sim ns/op",
             "tail records",
+            "image B/dataset",
+            "log B/ingest",
             "recover wall ms",
             "recover sim ms",
             "pages rendered",
@@ -165,6 +177,8 @@ pub fn run(max: usize) -> Table {
             format!("{:.1}", r.wal_ingest_us),
             format!("{:.0}", r.wal_sim_ns_per_op),
             r.tail_records.to_string(),
+            format!("{:.0}", r.image_bytes_per_dataset),
+            format!("{:.0}", r.log_bytes_per_ingest),
             format!("{:.1}", r.recovery_wall_ms),
             format!("{:.2}", r.recovery_sim_ms),
             r.pages_rendered.to_string(),
@@ -187,6 +201,8 @@ pub(crate) fn run_json(max: usize) -> serde_json::Value {
                 "wal_sim_ns_per_op": r.wal_sim_ns_per_op,
                 "tail_datasets": r.tail_datasets,
                 "tail_records": r.tail_records,
+                "image_bytes_per_dataset": r.image_bytes_per_dataset,
+                "log_bytes_per_ingest": r.log_bytes_per_ingest,
                 "recovery_wall_ms": r.recovery_wall_ms,
                 "recovery_sim_ms": r.recovery_sim_ms,
                 "groups_applied": r.groups_applied,

@@ -58,7 +58,8 @@ pub(crate) const GRID_STATE_VERSION: u32 = 1;
 impl Grid {
     /// Capture the full grid state (catalog + every resource's objects)
     /// as `{"version":…,"catalog":…,"resources":[…],"clock_ns":…}`, the
-    /// catalog written straight from the live tables.
+    /// catalog written straight from the live tables and each resource in
+    /// its row form, `[name,objects,tables]`.
     pub fn save_state(&self) -> SrbResult<String> {
         let mut out = String::from("{\"version\":");
         GRID_STATE_VERSION.write_json(&mut out);
@@ -84,7 +85,7 @@ impl Grid {
                 objects,
                 tables,
             }
-            .write_json(&mut out);
+            .write_row(&mut out);
         }
         out.push_str("],\"clock_ns\":");
         self.clock.now().nanos().write_json(&mut out);

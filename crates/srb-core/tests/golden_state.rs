@@ -1,6 +1,7 @@
-//! `Grid::save_state()` is byte-identical to the text recorded at the
-//! commit before the vendored serde became text-first, and the recorded
-//! text restores into a grid that saves the same bytes again.
+//! `Grid::save_state()` is byte-identical to the recorded text, whose
+//! rows are in the row form, and the recorded text restores into a grid
+//! that saves the same bytes again. A state file the object form wrote
+//! (recorded before rows were positional) restores to the same grid.
 
 mod common;
 
@@ -8,7 +9,10 @@ use srb_core::{IngestOptions, RegisterSpec};
 use srb_mcat::Template;
 use srb_types::Triplet;
 
-const SAVED: &str = include_str!("fixtures/golden_save_state.json");
+const SAVED: &str = include_str!("fixtures/golden_save_state_rows.json");
+
+/// The object-form state file `SAVED` is the twin of.
+const OLD_SAVED: &str = include_str!("fixtures/golden_save_state.json");
 
 /// The shared fixture after a few ops: plain, replicated, containered and
 /// registered-SQL objects, metadata and an annotation.
@@ -79,4 +83,15 @@ fn the_recorded_state_restores_to_the_same_bytes() {
     let mut f = common::grid();
     f.grid.restore_state(SAVED.trim_end()).unwrap();
     assert_eq!(f.grid.save_state().unwrap(), SAVED.trim_end());
+}
+
+
+#[test]
+fn a_state_file_in_the_object_form_restores_to_the_same_grid() {
+    let mut old = common::grid();
+    old.grid.restore_state(OLD_SAVED.trim_end()).unwrap();
+    let mut new = common::grid();
+    new.grid.restore_state(SAVED.trim_end()).unwrap();
+    assert_eq!(old.grid.mcat.summary(), new.grid.mcat.summary());
+    assert_eq!(old.grid.save_state().unwrap(), SAVED.trim_end());
 }

@@ -106,7 +106,7 @@ pub struct CollectionTable {
 }
 
 /// What the collection table derives from its rows.
-#[derive(Debug, Default, PartialEq)]
+#[derive(Debug, Default)]
 pub(crate) struct Tree {
     by_path: HashMap<String, CollectionId>,
     /// Per-parent children keyed by child name — already in listing order,
@@ -114,24 +114,72 @@ pub(crate) struct Tree {
     /// Only a node with children has an entry: a new node, a link and a
     /// node whose last child went have none.
     children: IdMap<CollectionId, BTreeMap<String, CollectionId>>,
+    spare: Spare,
+}
+
+/// What the last unindexed row left behind: the keys it was found under,
+/// its parent's child map if that emptied, and the buffer its path was
+/// looked up in. An in-place update that keeps the row's path puts them
+/// back, so it allocates nothing.
+#[derive(Debug, Default)]
+struct Spare {
+    path: Option<String>,
+    child: Option<(CollectionId, String)>,
+    kids: Option<BTreeMap<String, CollectionId>>,
+    probe: String,
+}
+
+impl Spare {
+    /// `path`'s text in the probe buffer.
+    fn probe(&mut self, path: &LogicalPath) -> &str {
+        use std::fmt::Write;
+        self.probe.clear();
+        // Writing into a String cannot fail.
+        let _ = write!(self.probe, "{path}");
+        &self.probe
+    }
+}
+
+impl PartialEq for Tree {
+    fn eq(&self, other: &Tree) -> bool {
+        self.by_path == other.by_path && self.children == other.children
+    }
 }
 
 impl Derived<Collection> for Tree {
     fn index(&mut self, c: &Collection) {
-        self.by_path.insert(c.path.to_string(), c.id);
+        let spare = self.spare.path.take();
+        let path = match spare {
+            Some(key) if key == self.spare.probe(&c.path) => key,
+            _ => c.path.to_string(),
+        };
+        self.by_path.insert(path, c.id);
         if let (Some(p), Some(name)) = (c.parent, c.path.name()) {
-            let kids = self.children.entry(p).or_default();
-            kids.insert(name.to_string(), c.id);
+            let key = match self.spare.child.take() {
+                Some((parent, key)) if parent == p && key == name => key,
+                _ => name.to_string(),
+            };
+            let spare = &mut self.spare.kids;
+            let kids = self
+                .children
+                .entry(p)
+                .or_insert_with(|| spare.take().unwrap_or_default());
+            kids.insert(key, c.id);
         }
     }
 
     fn unindex(&mut self, c: &Collection) {
-        self.by_path.remove(&c.path.to_string());
+        let probe = self.spare.probe(&c.path);
+        if let Some((key, _)) = self.by_path.remove_entry(probe) {
+            self.spare.path = Some(key);
+        }
         if let (Some(p), Some(name)) = (c.parent, c.path.name()) {
             if let Some(kids) = self.children.get_mut(&p) {
-                kids.remove(name);
+                if let Some((key, _)) = kids.remove_entry(name) {
+                    self.spare.child = Some((p, key));
+                }
                 if kids.is_empty() {
-                    self.children.remove(&p);
+                    self.spare.kids = self.children.remove(&p);
                 }
             }
         }

@@ -309,10 +309,11 @@ impl MetaRows {
         }
     }
 
-    /// The image's `"metadata"` field: every row as its [`MetaRow`] text.
+    /// The image's `"metadata"` field: every row as its [`MetaRow`] view's
+    /// row form.
     fn write_image(&self, w: &mut ImageWriter<'_, '_>) {
         w.pages_as(Field::Metadata, &self.rows, |row, out| {
-            self.view(row).write_json(out)
+            self.view(row).write_row(out)
         });
     }
 }

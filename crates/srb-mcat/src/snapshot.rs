@@ -15,7 +15,10 @@
 //! no sort. `ImageReader` — behind [`CatalogSnapshot`]'s `Deserialize`,
 //! and so behind `restore_json`, `Grid::restore_state` and recovery —
 //! reads it straight back into row pages, one part of the image at a
-//! time.
+//! time. Each row is written in its row form (`Serialize::write_row`,
+//! the array of its fields in declared order) inside the image's keyed
+//! fields; the reader also takes rows in the object form, as images
+//! written before the row form hold them.
 //!
 //! Each table field is laid out in id pages of [`IMAGE_PAGE_IDS`] ids. A
 //! checkpoint writes its image as parts — the text between pages, then
@@ -291,9 +294,10 @@ pub(crate) struct ImageWriter<'o, 'p> {
 }
 
 impl ImageWriter<'_, '_> {
-    /// One table field, `,"name":[row,…]`, walked page by page.
+    /// One table field, `,"name":[row,…]`, walked page by page, each row
+    /// in its row form.
     pub(crate) fn pages<R: Serialize>(&mut self, field: Field, rows: &RowPages<R>) {
-        self.pages_as(field, rows, R::write_json);
+        self.pages_as(field, rows, R::write_row);
     }
 
     /// One table field whose rows `write` writes, walked page by page.
@@ -308,10 +312,10 @@ impl ImageWriter<'_, '_> {
     }
 
     /// A field whose rows carry no id, as one page (page 0), in the order
-    /// given.
+    /// given, each row in its row form.
     pub(crate) fn one_page<T: Serialize>(&mut self, field: Field, rows: &[T]) {
         let page = (!rows.is_empty()).then_some((0, rows.iter()));
-        self.field(field, page, T::write_json);
+        self.field(field, page, T::write_row);
     }
 
     /// The field's pages, page-ascending, each with its rows in order. In
@@ -763,7 +767,7 @@ impl Mcat {
         self.annotations.rows.read().write_image(&mut w);
         self.audit.rows.lock().write_image(&mut w);
         out.push_str(",\"generations\":");
-        Some(self.generations()).write_json(out);
+        Some(self.generations()).write_row(out);
         out.push('}');
     }
 
@@ -1040,7 +1044,14 @@ mod reader_tests {
             .map(|i| (i, &parts[i]))
             .max_by_key(|(_, p)| p.len())
             .unwrap();
-        let cut = page.find(",{").unwrap() + 1;
+        // Rows are arrays that open with their id; nothing inside a row
+        // is an array that opens with a digit.
+        let cut = page
+            .match_indices(",[")
+            .find(|&(i, _)| page.as_bytes()[i + 2].is_ascii_digit())
+            .unwrap()
+            .0
+            + 1;
         let mut split = parts.clone();
         split.splice(at..=at, [Arc::from(&page[..cut]), Arc::from(&page[cut..])]);
         assert_eq!(read(split).unwrap(), (want, pages - 1));

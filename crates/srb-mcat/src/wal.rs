@@ -233,7 +233,8 @@ impl WalOp {
 
 /// One log record: LSN, the post-mutation generation of the mutated table
 /// (0 when the table has no generation counter or the op does not bump
-/// it), and the logical op.
+/// it), and the logical op. A log line is its row form,
+/// `[lsn,gen,{"Op":[fields…]}]`; the object form reads too.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct WalRecord {
     /// Position in the log.
@@ -253,15 +254,18 @@ thread_local! {
     static LINE_BUF: RefCell<String> = const { RefCell::new(String::new()) };
 }
 
-/// `{"lsn":` plus the longest `u64`.
-const LSN_PREFIX_MAX: usize = 27;
+/// `[` plus the longest `u64`.
+const LSN_PREFIX_MAX: usize = 21;
 
 /// The text after the LSN of a `Commit` marker's line, up to its `at_ns`.
-const MARKER_MID: &str = ",\"gen\":0,\"op\":{\"Commit\":{\"at_ns\":";
+const MARKER_MID: &str = ",0,{\"Commit\":[";
+
+/// The text after a `Commit` marker's `at_ns`.
+const MARKER_END: &str = "]}]";
 
 /// A whole `Commit` marker line: the LSN prefix, [`MARKER_MID`], the
-/// longest `u64` and the closing `}}}`.
-const MARKER_MAX: usize = LSN_PREFIX_MAX + MARKER_MID.len() + 20 + 3;
+/// longest `u64` and [`MARKER_END`].
+const MARKER_MAX: usize = LSN_PREFIX_MAX + MARKER_MID.len() + 20 + MARKER_END.len();
 
 /// WAL tuning knobs.
 #[derive(Debug, Clone, Copy)]
@@ -374,11 +378,11 @@ impl Wal {
         let mark = op.image_page();
         ENCODE_BUF.with_borrow_mut(|rest| {
             rest.clear();
-            rest.push_str(",\"gen\":");
+            rest.push(',');
             serde::write_u64(gen, rest);
-            rest.push_str(",\"op\":");
-            op.write_json(rest);
-            rest.push('}');
+            rest.push(',');
+            op.write_row(rest);
+            rest.push(']');
             LINE_BUF.with_borrow_mut(|line| {
                 line.clear();
                 line.reserve(rest.len() + LSN_PREFIX_MAX);
@@ -398,7 +402,7 @@ impl Wal {
         std::mem::take(&mut self.state.lock().dirty[field as usize])
     }
 
-    /// Assign the next LSN, write the `{"lsn":N` prefix into the empty
+    /// Assign the next LSN, write the `[N` prefix into the empty
     /// `line` and `rest` after it, and hand the line to the device to
     /// copy. Called under the WAL mutex; `rest` copies text encoded before
     /// it was taken, or writes a marker's one number.
@@ -410,7 +414,7 @@ impl Wal {
     ) -> Lsn {
         let lsn = Lsn(st.next_lsn);
         st.next_lsn += 1;
-        line.push_str("{\"lsn\":");
+        line.push('[');
         serde::write_u64(lsn.raw(), line);
         rest(line);
         let cost = self.device.append(lsn, line.as_str());
@@ -443,7 +447,7 @@ impl Wal {
                     self.append_locked(&mut st, line, |l| {
                         l.push_str(MARKER_MID);
                         serde::write_u64(at_ns, l);
-                        l.push_str("}}}");
+                        l.push_str(MARKER_END);
                     })
                 });
                 st.last_marker = lsn.raw();
@@ -954,7 +958,7 @@ mod tests {
             gen: 17,
             op,
         };
-        assert_eq!(tail[0].1, serde_json::to_string(&record).unwrap());
+        assert_eq!(tail[0].1, serde_json::to_row_string(&record).unwrap());
         let marker = WalRecord {
             lsn: 2,
             gen: 0,
@@ -962,7 +966,7 @@ mod tests {
                 at_ns: u64::MAX / 2,
             },
         };
-        assert_eq!(tail[1].1, serde_json::to_string(&marker).unwrap());
+        assert_eq!(tail[1].1, serde_json::to_row_string(&marker).unwrap());
         assert!(tail[1].1.len() <= MARKER_MAX);
     }
 
@@ -986,17 +990,42 @@ mod tests {
                 files: vec![DatasetId(1), DatasetId(2)],
             },
         };
-        let json = serde_json::to_string(&rec).unwrap();
-        let back: WalRecord = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.lsn, 7);
-        assert_eq!(back.gen, 3);
-        match back.op {
-            WalOp::MetaFilesPut { subject, files } => {
-                assert_eq!(subject, Subject::Dataset(DatasetId(9)));
-                assert_eq!(files.len(), 2);
+        let row = serde_json::to_row_string(&rec).unwrap();
+        assert_eq!(row, r#"[7,3,{"MetaFilesPut":[{"Dataset":9},[1,2]]}]"#);
+        for json in [serde_json::to_string(&rec).unwrap(), row] {
+            let back: WalRecord = serde_json::from_str(&json).unwrap();
+            assert_eq!(back.lsn, 7);
+            assert_eq!(back.gen, 3);
+            match back.op {
+                WalOp::MetaFilesPut { subject, files } => {
+                    assert_eq!(subject, Subject::Dataset(DatasetId(9)));
+                    assert_eq!(files.len(), 2);
+                }
+                other => panic!("wrong op after round trip: {other:?}"),
             }
-            other => panic!("wrong op after round trip: {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_row_reads_its_missing_tail_as_absent_and_refuses_extra_fields() {
+        let read = serde_json::from_str::<WalRecord>;
+        let err = read(r#"[7,3,{"Commit":[1]},0]"#).unwrap_err();
+        assert_eq!(err.to_string(), "WalRecord: expected 3 elements, got 4");
+        let err = read(r#"[7,3]"#).unwrap_err();
+        assert_eq!(err.to_string(), "WalRecord.op: missing field");
+        let err = read(r#"[7,3,{"Commit":[]}]"#).unwrap_err();
+        assert!(err.to_string().contains("at_ns: missing field"), "{err}");
+        // A missing `Option` reads as `None`; a missing field of any
+        // other type is an error.
+        let row = r#"[1,2,[[]],1,[{},{},"None"],[],null,0]"#;
+        let c: Collection = serde_json::from_str(row).unwrap();
+        assert_eq!((c.link_target, c.created), (None, Timestamp(0)));
+        let short = r#"[1,2,[[]],1,[{},{},"None"],[]]"#;
+        let err = serde_json::from_str::<Collection>(short).unwrap_err();
+        assert_eq!(err.to_string(), "Collection.created: missing field");
+        let short = r#"[1,2,[[]],1,[{},{},"None"]]"#;
+        let err = serde_json::from_str::<Collection>(short).unwrap_err();
+        assert_eq!(err.to_string(), "Collection.requirements: missing field");
     }
 
     #[test]

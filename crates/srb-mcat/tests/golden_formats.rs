@@ -1,27 +1,41 @@
-//! Byte-identical persistence formats, pinned by fixtures recorded at the
-//! commit *before* the vendored serde became text-first.
+//! Persistence formats, pinned by recorded fixtures.
 //!
 //! A fixed workload emits every [`WalOp`] variant — rows with every
 //! `AccessSpec`, lock/checkout/version state, ACL matrices, integer, float
-//! and escaped-text metadata — with a checkpoint in the middle. The WAL
-//! tail, the checkpoint text and the final `snapshot_json()` must equal
-//! the recorded bytes; the recorded log (a log written by the old code)
-//! must recover under the new reader to the recorded catalog; every
-//! recorded line must re-render to itself.
+//! and escaped-text metadata — with a checkpoint in the middle. Two sets
+//! of fixtures record it:
+//!
+//! * the row-form twins (`*_rows.*`): what the writers write now — every
+//!   row as the array of its fields in declared order. The WAL tail, the
+//!   checkpoint text and the final `snapshot_json()` must equal them byte
+//!   for byte, and every recorded line must re-render to itself. A field
+//!   moved in a declaration moves in the text and fails here.
+//! * the object-form fixtures (no suffix), recorded before rows were
+//!   positional, kept byte-identical as restore fixtures: a log, image or
+//!   snapshot written by the old code must still recover, to the same
+//!   catalog as its twin — the same `Mcat::summary()` and every row.
 
-use srb_mcat::dataset::ContainerSlice;
+use srb_mcat::dataset::{ContainerSlice, Dataset};
 use srb_mcat::{
     AccessSpec, AnnotationKind, AttrRequirement, AuditAction, CheckoutState, LockKind, LockState,
     Mcat, MetaKind, ReplicaStatus, Subject, Template, VersionRecord, WalConfig, WalRecord,
 };
 use srb_storage::{DriverKind, LogDevice};
-use srb_types::{AccessMatrix, Checksum, Lsn, Permission, SimClock, SiteId, Timestamp, Triplet};
+use srb_types::{
+    AccessMatrix, Checksum, DatasetId, Lsn, Permission, SimClock, SiteId, Timestamp, Triplet,
+};
 use std::sync::Arc;
 
-const CHECKPOINT: &str = include_str!("fixtures/golden_checkpoint.txt");
-const TAIL: &str = include_str!("fixtures/golden_tail.txt");
-const FULL_TAIL: &str = include_str!("fixtures/golden_tail_full.txt");
-const SNAPSHOT: &str = include_str!("fixtures/golden_snapshot.json");
+const CHECKPOINT: &str = include_str!("fixtures/golden_checkpoint_rows.txt");
+const TAIL: &str = include_str!("fixtures/golden_tail_rows.txt");
+const FULL_TAIL: &str = include_str!("fixtures/golden_tail_full_rows.txt");
+const SNAPSHOT: &str = include_str!("fixtures/golden_snapshot_rows.json");
+
+/// The object-form fixtures the row-form ones are twins of.
+const OLD_CHECKPOINT: &str = include_str!("fixtures/golden_checkpoint.txt");
+const OLD_TAIL: &str = include_str!("fixtures/golden_tail.txt");
+const OLD_FULL_TAIL: &str = include_str!("fixtures/golden_tail_full.txt");
+const OLD_SNAPSHOT: &str = include_str!("fixtures/golden_snapshot.json");
 
 const NO_CKPT: WalConfig = WalConfig {
     checkpoint_interval_ns: 0,
@@ -408,9 +422,9 @@ fn golden_workload(checkpoint: bool) -> (Mcat, Arc<LogDevice>) {
     (m, device)
 }
 
-/// Recorded checkpoint: `(cover LSN, text)`.
-fn golden_checkpoint() -> (Lsn, &'static str) {
-    let (lsn, text) = CHECKPOINT.split_once('\n').unwrap();
+/// A recorded checkpoint: `(cover LSN, text)`.
+fn golden_checkpoint(fixture: &'static str) -> (Lsn, &'static str) {
+    let (lsn, text) = fixture.split_once('\n').unwrap();
     (Lsn(lsn.parse().unwrap()), text.trim_end_matches('\n'))
 }
 
@@ -451,6 +465,12 @@ fn normalized(json: &str) -> String {
     serde_json::to_string(&v).unwrap()
 }
 
+/// What a catalog holds: its summary, and every row as the image writes
+/// it.
+fn contents(m: &Mcat) -> (serde_json::Value, String) {
+    (m.summary(), normalized(&m.snapshot_json().unwrap()))
+}
+
 #[test]
 fn the_writers_reproduce_the_recorded_bytes() {
     let (m, device) = golden_workload(true);
@@ -468,33 +488,35 @@ fn the_writers_reproduce_the_recorded_bytes() {
 
 #[test]
 fn the_recorded_full_tail_holds_every_wal_op_variant() {
-    let tail = parse_tail(FULL_TAIL);
-    for tag in [
-        "UserPut",
-        "GroupPut",
-        "ResourcePut",
-        "LogicalResourcePut",
-        "CollectionPut",
-        "CollectionDelete",
-        "DatasetPut",
-        "DatasetDelete",
-        "ContainerPut",
-        "ContainerDelete",
-        "MetaPut",
-        "MetaDelete",
-        "MetaFilesPut",
-        "MetaFilesClear",
-        "AnnotationPut",
-        "AnnotationDelete",
-        "AnnotationClear",
-        "AuditPut",
-        "Commit",
-    ] {
-        let needle = format!("\"op\":{{\"{tag}\":");
-        assert!(
-            tail.iter().any(|(_, p)| p.contains(&needle)),
-            "{tag} missing from the recorded tail"
-        );
+    for (tail, opens) in [(FULL_TAIL, ","), (OLD_FULL_TAIL, "\"op\":")] {
+        let tail = parse_tail(tail);
+        for tag in [
+            "UserPut",
+            "GroupPut",
+            "ResourcePut",
+            "LogicalResourcePut",
+            "CollectionPut",
+            "CollectionDelete",
+            "DatasetPut",
+            "DatasetDelete",
+            "ContainerPut",
+            "ContainerDelete",
+            "MetaPut",
+            "MetaDelete",
+            "MetaFilesPut",
+            "MetaFilesClear",
+            "AnnotationPut",
+            "AnnotationDelete",
+            "AnnotationClear",
+            "AuditPut",
+            "Commit",
+        ] {
+            let needle = format!("{opens}{{\"{tag}\":");
+            assert!(
+                tail.iter().any(|(_, p)| p.contains(&needle)),
+                "{tag} missing from the recorded tail"
+            );
+        }
     }
 }
 
@@ -503,11 +525,19 @@ fn recorded_lines_reread_and_rerender_byte_for_byte() {
     for (lsn, payload) in parse_tail(FULL_TAIL) {
         let rec: WalRecord = serde_json::from_str(&payload).unwrap();
         assert_eq!(rec.lsn, lsn.raw());
-        assert_eq!(serde_json::to_string(&rec).unwrap(), payload);
+        assert_eq!(serde_json::to_row_string(&rec).unwrap(), payload);
         let v: serde_json::Value = serde_json::from_str(&payload).unwrap();
         assert_eq!(serde_json::to_string(&v).unwrap(), payload);
     }
-    let (_, text) = golden_checkpoint();
+    // An object-form line reads as the same record as its twin.
+    let twins = parse_tail(OLD_FULL_TAIL).into_iter().zip(parse_tail(FULL_TAIL));
+    for ((old_lsn, old), (lsn, payload)) in twins {
+        assert_eq!(old_lsn, lsn);
+        let rec: WalRecord = serde_json::from_str(&old).unwrap();
+        assert_eq!(serde_json::to_string(&rec).unwrap(), old);
+        assert_eq!(serde_json::to_row_string(&rec).unwrap(), payload);
+    }
+    let (_, text) = golden_checkpoint(CHECKPOINT);
     let v: serde_json::Value = serde_json::from_str(text).unwrap();
     assert_eq!(serde_json::to_string(&v).unwrap(), text);
 }
@@ -524,50 +554,106 @@ fn recorded_device(cover: Lsn, checkpoint: &str, tail: &str) -> Arc<LogDevice> {
     device
 }
 
-#[test]
-fn a_log_written_by_the_old_code_recovers_to_the_recorded_catalog() {
-    let (cover, text) = golden_checkpoint();
-    let (rec, report) = Mcat::recover(
-        SimClock::new(),
-        recorded_device(cover, text, TAIL),
-        NO_CKPT,
-        None,
-    )
-    .unwrap();
+/// Recover the recorded checkpoint and tail: the catalog's contents and
+/// the groups the tail applied.
+fn recover(cover: Lsn, checkpoint: &str, tail: &str) -> ((serde_json::Value, String), usize) {
+    let device = recorded_device(cover, checkpoint, tail);
+    let (rec, report) = Mcat::recover(SimClock::new(), device, NO_CKPT, None).unwrap();
     assert_eq!(report.checkpoint_lsn, cover);
-    assert_eq!(report.groups_applied, 3);
     assert_eq!(report.records_discarded, 0);
-    assert_eq!(
-        normalized(&rec.snapshot_json().unwrap()),
-        normalized(SNAPSHOT)
-    );
-    // The full tail replays from the enable-time checkpoint: the old
-    // code's image of a fresh catalog.
-    let fresh = Mcat::new(SimClock::new(), "pw");
-    let (rec, report) = Mcat::recover(
-        SimClock::new(),
-        recorded_device(Lsn(0), &checkpoint_of(&fresh), FULL_TAIL),
-        NO_CKPT,
-        None,
-    )
-    .unwrap();
-    assert!(report.groups_applied >= 8);
-    assert_eq!(
-        normalized(&rec.snapshot_json().unwrap()),
-        normalized(SNAPSHOT)
-    );
+    (contents(&rec), report.groups_applied)
 }
 
-/// The checkpoint text `enable_wal` installs for `m` at virtual time 0.
-fn checkpoint_of(m: &Mcat) -> String {
-    format!(
-        "{{\"at_ns\":0,\"snapshot\":{}}}",
-        m.snapshot_json().unwrap()
-    )
+#[test]
+fn a_log_written_by_the_old_code_recovers_to_the_recorded_catalog() {
+    let want = contents(&Mcat::restore_json(SimClock::new(), SNAPSHOT).unwrap());
+    assert_eq!(want.1, normalized(SNAPSHOT));
+    for (checkpoint, tail) in [(CHECKPOINT, TAIL), (OLD_CHECKPOINT, OLD_TAIL)] {
+        let (cover, text) = golden_checkpoint(checkpoint);
+        let (got, groups) = recover(cover, text, tail);
+        assert_eq!(groups, 3);
+        assert_eq!(got, want);
+    }
+    // The full tails replay from the enable-time checkpoint: the image of
+    // a fresh catalog, in the form of its tail.
+    let fresh = Mcat::new(SimClock::new(), "pw");
+    let old_fresh = old_form(&fresh.snapshot_json().unwrap());
+    for (image, tail) in [
+        (fresh.snapshot_json().unwrap(), FULL_TAIL),
+        (old_fresh, OLD_FULL_TAIL),
+    ] {
+        let (got, groups) = recover(Lsn(0), &checkpoint_of(&image), tail);
+        assert!(groups >= 8);
+        assert_eq!(got, want);
+    }
+}
+
+/// The checkpoint text `enable_wal` installs for the catalog `image` at
+/// virtual time 0.
+fn checkpoint_of(image: &str) -> String {
+    format!("{{\"at_ns\":0,\"snapshot\":{image}}}")
+}
+
+/// A row-form image of a fresh catalog in the object form the old code
+/// wrote: each row read back and written with `write_json`.
+fn old_form(image: &str) -> String {
+    let snap: srb_mcat::CatalogSnapshot = serde_json::from_str(image).unwrap();
+    let users: Vec<String> = snap
+        .users
+        .iter()
+        .map(|u| serde_json::to_string(u).unwrap())
+        .collect();
+    let collections: Vec<String> = snap
+        .collections
+        .iter()
+        .map(|c| serde_json::to_string(c).unwrap())
+        .collect();
+    let generations = serde_json::to_string(&snap.generations).unwrap();
+    let text = format!(
+        "{{\"version\":1,\"next_id_floor\":{},\"admin\":{},\"users\":[{}],\"groups\":[],\
+         \"resources\":[],\"logical_resources\":[],\"collections\":[{}],\"datasets\":[],\
+         \"containers\":[],\"metadata\":[],\"meta_files\":[],\"annotations\":[],\"audit\":[],\
+         \"generations\":{generations}}}",
+        snap.next_id_floor,
+        snap.admin.raw(),
+        users.join(","),
+        collections.join(","),
+    );
+    assert!(!text.contains(":[["), "no row left in the row form: {text}");
+    text
 }
 
 #[test]
 fn the_recorded_catalog_restores_to_the_same_bytes() {
     let m = Mcat::restore_json(SimClock::new(), SNAPSHOT).unwrap();
     assert_eq!(m.snapshot_json().unwrap(), SNAPSHOT.trim_end());
+    let old = Mcat::restore_json(SimClock::new(), OLD_SNAPSHOT).unwrap();
+    assert_eq!(old.snapshot_json().unwrap(), SNAPSHOT.trim_end());
+    assert_eq!(contents(&old), contents(&m));
+}
+
+/// `condor.jpg` as the row form writes it, modified a second after it was
+/// created: in the golden workload every dataset's two times are equal,
+/// so only a row whose times differ shows them swapped.
+const CONDOR_ROW: &str = concat!(
+    r#"[10,8,"condor.jpg","jpeg image",1,[{"1":"Own","3":"Annotate"},{"4":"Read"},"None"],"#,
+    r#"[[11,1,{"Stored":[5,"/p/1"]},1000,"#,
+    r#""800d5e662ded100a8dc957381c2a258df6e6313bd3163e6d3ce309162c546c43",[20,0,100],"#,
+    r#""UpToDate",123,3000000],[12,2,{"RegisteredFile":[6,"/reg/1"]},5,null,null,"Stale","#,
+    r#"null,3000000]],null,["Shared",3,99000],[1,7],[[1,5,"/p/1.v1",999,1,5]],2,3000000,"#,
+    r#"4000000]"#
+);
+
+#[test]
+fn a_rows_fields_keep_their_recorded_order() {
+    let (m, _) = golden_workload(false);
+    let mut condor = m.datasets.get(DatasetId(10)).unwrap();
+    condor.modified = Timestamp(4_000_000);
+    assert_eq!(serde_json::to_row_string(&condor).unwrap(), CONDOR_ROW);
+    let back: Dataset = serde_json::from_str(CONDOR_ROW).unwrap();
+    assert_eq!((back.created, back.modified), (Timestamp(3_000_000), Timestamp(4_000_000)));
+    assert_eq!(
+        serde_json::to_string(&back).unwrap(),
+        serde_json::to_string(&condor).unwrap()
+    );
 }

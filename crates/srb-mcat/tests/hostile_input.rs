@@ -4,12 +4,18 @@
 //! change what they accept: whatever parses re-renders to text that
 //! parses to the same value.
 //!
-//! Inputs are real WAL lines and a real checkpoint envelope (the recorded
-//! goldens of `golden_formats.rs`), truncated, byte-flipped and spliced,
-//! plus arbitrary bytes.
+//! Inputs are real WAL lines, a real checkpoint envelope and a real
+//! snapshot (the recorded goldens of `golden_formats.rs`, in both the row
+//! form and the object form), truncated, byte-flipped and spliced, plus
+//! arbitrary bytes; and near-valid text, where one struct of a recorded
+//! value is reshaped (`shapes`): its row form short or long, an array
+//! where an object is due or the reverse, a field of the wrong type.
+
+mod shapes;
 
 use proptest::prelude::*;
-use srb_mcat::{Mcat, WalConfig, WalRecord};
+use shapes::{reshaped, targets, Reshape};
+use srb_mcat::{CatalogSnapshot, Mcat, WalConfig, WalRecord};
 use srb_storage::LogDevice;
 use srb_types::{Lsn, SimClock, SrbError};
 use std::sync::Arc;
@@ -17,6 +23,13 @@ use std::sync::Arc;
 const CHECKPOINT: &str = include_str!("fixtures/golden_checkpoint.txt");
 const TAIL: &str = include_str!("fixtures/golden_tail.txt");
 const FULL_TAIL: &str = include_str!("fixtures/golden_tail_full.txt");
+const SNAPSHOT: &str = include_str!("fixtures/golden_snapshot.json");
+
+/// The row-form twins of the fixtures above.
+const ROW_CHECKPOINT: &str = include_str!("fixtures/golden_checkpoint_rows.txt");
+const ROW_TAIL: &str = include_str!("fixtures/golden_tail_rows.txt");
+const ROW_FULL_TAIL: &str = include_str!("fixtures/golden_tail_full_rows.txt");
+const ROW_SNAPSHOT: &str = include_str!("fixtures/golden_snapshot_rows.json");
 
 const NO_CKPT: WalConfig = WalConfig {
     checkpoint_interval_ns: 0,
@@ -33,18 +46,51 @@ fn lines(text: &str) -> Vec<(Lsn, &str)> {
         .collect()
 }
 
-/// The recorded checkpoint: `(cover, envelope text)`.
-fn checkpoint() -> (Lsn, &'static str) {
-    let (lsn, text) = CHECKPOINT.split_once('\n').unwrap_or(("0", ""));
+/// A recorded checkpoint: `(cover, envelope text)`.
+fn checkpoint_of(fixture: &'static str) -> (Lsn, &'static str) {
+    let (lsn, text) = fixture.split_once('\n').unwrap_or(("0", ""));
     (Lsn(lsn.parse().unwrap_or(0)), text.trim_end())
 }
 
+/// The object-form checkpoint.
+fn checkpoint() -> (Lsn, &'static str) {
+    checkpoint_of(CHECKPOINT)
+}
+
 /// Every recorded text a mutation may start from: WAL lines, then the
-/// checkpoint envelope.
+/// checkpoint envelope, in both forms.
 fn sources() -> Vec<&'static str> {
-    let mut v: Vec<&str> = lines(FULL_TAIL).into_iter().map(|(_, p)| p).collect();
-    v.push(checkpoint().1);
+    let mut v: Vec<&str> = Vec::new();
+    for (tail, checkpoint) in [(FULL_TAIL, CHECKPOINT), (ROW_FULL_TAIL, ROW_CHECKPOINT)] {
+        v.extend(lines(tail).into_iter().map(|(_, p)| p));
+        v.push(checkpoint_of(checkpoint).1);
+    }
     v
+}
+
+/// Each recorded WAL line in the object form with its row-form twin.
+fn twin_lines() -> Vec<(&'static str, &'static str)> {
+    let old = lines(FULL_TAIL).into_iter().map(|(_, p)| p);
+    old.zip(lines(ROW_FULL_TAIL).into_iter().map(|(_, p)| p))
+        .collect()
+}
+
+fn reshape() -> impl Strategy<Value = Reshape> {
+    (0u8..5, 1usize..4, any::<usize>(), any::<bool>()).prop_map(|(how, k, field, row)| match how {
+        0 => Reshape::Row,
+        1 => Reshape::Short(k),
+        2 => Reshape::Long,
+        3 => Reshape::Retype { field, row },
+        _ => Reshape::Flip,
+    })
+}
+
+/// The object-form `text` with its `n`-th target (mod the count) reshaped
+/// by `how`, and every other struct in its row form with `rows`.
+fn reshaped_text(text: &str, n: usize, how: Reshape, rows: bool) -> String {
+    let v: serde_json::Value = serde_json::from_str(text).unwrap();
+    let n = n % targets(&v, how).max(1);
+    serde_json::to_string(&reshaped(&v, n, how, rows)).unwrap()
 }
 
 /// One way of damaging recorded text.
@@ -132,6 +178,36 @@ proptest! {
             let again = serde_json::to_string(&rec).unwrap();
             let back: WalRecord = serde_json::from_str(&again).unwrap();
             prop_assert_eq!(serde_json::to_string(&back).unwrap(), again);
+            let row = serde_json::to_row_string(&rec).unwrap();
+            let back: WalRecord = serde_json::from_str(&row).unwrap();
+            prop_assert_eq!(serde_json::to_row_string(&back).unwrap(), row);
+        }
+    }
+
+    #[test]
+    fn reshaped_records_read_or_fail_closed(
+        pick in any::<usize>(),
+        n in any::<usize>(),
+        how in reshape(),
+        rows in any::<bool>(),
+    ) {
+        let twins = twin_lines();
+        let (old, new) = twins[pick % twins.len()];
+        let text = reshaped_text(old, n, how, rows);
+        let read = serde_json::from_str::<WalRecord>(&text);
+        match how {
+            Reshape::Row => {
+                let rec = read.as_ref().map_err(|e| format!("{e} in {text}"));
+                let row = serde_json::to_row_string(rec.unwrap()).unwrap();
+                prop_assert_eq!(row, new);
+            }
+            Reshape::Long => prop_assert!(read.is_err(), "a long array read: {}", text),
+            _ => {}
+        }
+        if let Ok(rec) = read {
+            let row = serde_json::to_row_string(&rec).unwrap();
+            let back: WalRecord = serde_json::from_str(&row).unwrap();
+            prop_assert_eq!(serde_json::to_row_string(&back).unwrap(), row);
         }
     }
 
@@ -140,10 +216,15 @@ proptest! {
         which in 0usize..3,
         line in any::<usize>(),
         d in damage(),
+        row_form in any::<bool>(),
     ) {
-        let (_, envelope) = checkpoint();
+        let (checkpoint, tail) = match row_form {
+            true => (ROW_CHECKPOINT, ROW_TAIL),
+            false => (CHECKPOINT, TAIL),
+        };
+        let (_, envelope) = checkpoint_of(checkpoint);
         let mut tail: Vec<(Lsn, String)> =
-            lines(TAIL).into_iter().map(|(l, p)| (l, p.to_string())).collect();
+            lines(tail).into_iter().map(|(l, p)| (l, p.to_string())).collect();
         let envelope = match which {
             // Damage the checkpoint …
             0 => damaged(envelope, &d),
@@ -165,6 +246,71 @@ proptest! {
             let json = m.snapshot_json().unwrap();
             let again = Mcat::restore_json(SimClock::new(), &json).unwrap();
             prop_assert_eq!(again.snapshot_json().unwrap(), json);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn reshaped_snapshots_read_or_fail_closed(
+        n in any::<usize>(),
+        how in reshape(),
+        rows in any::<bool>(),
+    ) {
+        let text = reshaped_text(SNAPSHOT, n, how, rows);
+        let read = serde_json::from_str::<CatalogSnapshot>(&text);
+        match how {
+            Reshape::Row => {
+                let snap = read.map_err(|e| format!("{e} in {text}")).unwrap();
+                let m = Mcat::restore(SimClock::new(), snap).unwrap();
+                prop_assert_eq!(m.snapshot_json().unwrap(), ROW_SNAPSHOT.trim_end());
+            }
+            Reshape::Long => prop_assert!(read.is_err(), "a long array read: {}", text),
+            _ => {
+                if let Ok(m) = Mcat::restore_json(SimClock::new(), &text) {
+                    let json = m.snapshot_json().unwrap();
+                    let again = Mcat::restore_json(SimClock::new(), &json).unwrap();
+                    prop_assert_eq!(again.snapshot_json().unwrap(), json);
+                }
+            }
+        }
+    }
+}
+
+/// Every struct of an object-form fixture in its row form is the fixture's
+/// row-form twin, byte for byte: the writers put nothing else in a row.
+#[test]
+fn every_struct_in_its_row_form_is_the_recorded_twin() {
+    let mut pairs = twin_lines();
+    pairs.push((checkpoint().1, checkpoint_of(ROW_CHECKPOINT).1));
+    pairs.push((SNAPSHOT.trim_end(), ROW_SNAPSHOT.trim_end()));
+    for (old, new) in pairs {
+        assert_eq!(reshaped_text(old, usize::MAX, Reshape::Row, true), new);
+    }
+}
+
+/// A record cut at any byte, or a snapshot cut anywhere, is an error in
+/// either form.
+#[test]
+fn truncation_at_every_byte_fails_closed() {
+    let longest = |tail: &'static str| {
+        let all = lines(tail).into_iter().map(|(_, p)| p);
+        all.max_by_key(|p| p.len()).unwrap()
+    };
+    for line in [longest(FULL_TAIL), longest(ROW_FULL_TAIL)] {
+        for cut in 0..line.len() {
+            let text = &line[..cut];
+            assert!(serde_json::from_str::<WalRecord>(text).is_err(), "{text}");
+        }
+    }
+    // A snapshot at every 13th byte: each cut reads the whole prefix.
+    for snapshot in [SNAPSHOT.trim_end(), ROW_SNAPSHOT.trim_end()] {
+        let cuts = (0..snapshot.len()).step_by(13);
+        for cut in cuts.filter(|&i| snapshot.is_char_boundary(i)) {
+            let text = &snapshot[..cut];
+            assert!(serde_json::from_str::<CatalogSnapshot>(text).is_err());
         }
     }
 }

@@ -124,22 +124,28 @@ const FIELD_NAMES: [&str; 11] = [
 
 /// A checkpoint image's page parts, by page. The parts alternate text,
 /// page, text, …, page, text; the text in front of a field's first page
-/// ends with the field's `"name":[`, and a page's first row names its id
-/// (a `meta_files` page, whose rows carry none, is page 0).
+/// ends with the field's `"name":[`, and a page's first row opens with its
+/// id — `[id,…` in the row form, `{"id":id,…` in the object form (a
+/// `meta_files` page, whose rows carry none, is page 0).
 fn page_parts(image: &Image) -> BTreeMap<Page, Arc<str>> {
     let mut field = "";
     let mut pages = BTreeMap::new();
     for (i, part) in image.parts().iter().enumerate() {
         if i % 2 == 0 {
             if let Some(open) = part.rfind("\":[") {
+                // The text after the last page ends with the row form of
+                // `"generations":[…]`, which no page follows.
                 let name = &part[part[..open].rfind('"').unwrap() + 1..open];
-                field = FIELD_NAMES.iter().find(|&&f| f == name).unwrap();
+                if name != "generations" {
+                    field = FIELD_NAMES.iter().find(|&&f| f == name).unwrap();
+                }
             }
             continue;
         }
-        let id = part.strip_prefix("{\"id\":").map_or(0, |rest| {
+        let row = part.strip_prefix('[').or(part.strip_prefix("{\"id\":"));
+        let id = row.map_or(0, |rest| {
             let digits = rest.find(|c: char| !c.is_ascii_digit()).unwrap();
-            rest[..digits].parse().unwrap()
+            rest[..digits].parse().unwrap_or(0)
         });
         let page = (field, id / IMAGE_PAGE_IDS);
         assert!(pages.insert(page, part.clone()).is_none(), "{page:?} twice");

@@ -1,15 +1,19 @@
 //! Heap allocations per catalog read, counted exactly: a counting global
 //! allocator wraps `System`, and each of a first and a resumed range page,
 //! a conjunctive query, a point query and a listing page must stay within
-//! the cap recorded for it. The counts are single-threaded and
+//! the cap recorded for it. An in-place change to a collection that keeps
+//! its path — its ACL, its requirements — makes none: the tree's keys for
+//! it are put back, not built again. The counts are single-threaded and
 //! deterministic, so they hold on any host and in debug and release alike.
 //!
 //! This file holds one test so no other test thread allocates while a
 //! read is counted.
 
-use srb_mcat::{AccessSpec, Mcat, MetaKind, Query, Subject};
+use srb_mcat::{AccessSpec, AttrRequirement, Mcat, MetaKind, Query, Subject};
 use srb_types::alloc::{count, Counting};
-use srb_types::{splitmix64, CompareOp, LogicalPath, ResourceId, SimClock, Triplet};
+use srb_types::{
+    splitmix64, AccessMatrix, CompareOp, LogicalPath, Permission, ResourceId, SimClock, Triplet,
+};
 
 #[global_allocator]
 static ALLOC: Counting = Counting;
@@ -126,5 +130,22 @@ fn catalog_reads_stay_within_their_allocation_caps() {
         "{} (all: {})",
         over.join("; "),
         all.join(", ")
+    );
+
+    // `/data` is the root's one child, so taking it out of the tree empties
+    // the root's child map, which is put back too. The first change sizes
+    // the buffer the tree looks a path up in.
+    let mut acl = AccessMatrix::owned_by(admin);
+    m.collections.set_acl(coll, acl.clone()).unwrap();
+    acl.public = Permission::Read;
+    let reqs = vec![AttrRequirement::mandatory("serial", "")];
+    let (calls_acl, set) = count(|| m.collections.set_acl(coll, acl));
+    set.unwrap();
+    let (calls_reqs, set) = count(|| m.collections.set_requirements(coll, reqs));
+    set.unwrap();
+    assert_eq!(
+        (calls_acl, calls_reqs),
+        (0, 0),
+        "allocator calls of set_acl and set_requirements"
     );
 }

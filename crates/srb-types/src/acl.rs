@@ -302,6 +302,42 @@ impl AccessMatrix {
         out.push('}');
     }
 
+    /// The row form, `[users,groups,public]`, into this empty matrix.
+    fn read_row(&mut self, r: &mut JsonReader<'_>) -> Result<(), DeError> {
+        let mut fields = r.array("AccessMatrix")?;
+        for (to, at) in [
+            (Grantee::User, "AccessMatrix.users"),
+            (Grantee::Group, "AccessMatrix.groups"),
+        ] {
+            if !fields.next_element(r)? {
+                return Err(DeError::new("missing field").at(at));
+            }
+            self.read_grants(r, to).map_err(|e| e.at(at))?;
+        }
+        if !fields.next_element(r)? {
+            return Err(DeError::new("missing field").at("AccessMatrix.public"));
+        }
+        let public = Permission::read_json(r);
+        self.public = public.map_err(|e| e.at("AccessMatrix.public"))?;
+        let mut got = 3;
+        while fields.next_element(r)? {
+            got += 1;
+            r.skip_value()?;
+        }
+        if got > 3 {
+            return Err(serde::__arity_error("AccessMatrix", 3, got));
+        }
+        self.shrink();
+        Ok(())
+    }
+
+    /// A decoded matrix keeps its list for good: no spare capacity.
+    fn shrink(&mut self) {
+        if let Grants::Many(v) = &mut self.grants {
+            v.shrink_to_fit();
+        }
+    }
+
     /// Read one of the two maps into the list. A repeated key is set
     /// again, so the last one wins, as it did for the maps' decoding.
     fn read_grants(&mut self, r: &mut JsonReader<'_>, to: Grantee) -> Result<(), DeError> {
@@ -328,13 +364,30 @@ impl Serialize for AccessMatrix {
         self.public.write_json(out);
         out.push('}');
     }
+
+    /// `[users,groups,public]`, each map as in the object form.
+    fn write_row(&self, out: &mut String) {
+        out.push('[');
+        self.write_grants(Grantee::User, out);
+        out.push(',');
+        self.write_grants(Grantee::Group, out);
+        out.push(',');
+        self.public.write_json(out);
+        out.push(']');
+    }
 }
 
-/// Read as the derived form of the two-map struct was: unknown keys
-/// skipped, the first of a repeated field wins, an absent one is an error.
+/// Read as the derived form of the two-map struct is: from an object,
+/// unknown keys skipped and the first of a repeated field winning; from
+/// an array, the fields in order, a fourth element an arity error. An
+/// absent field is an error either way.
 impl Deserialize for AccessMatrix {
     fn read_json(r: &mut JsonReader<'_>) -> Result<Self, DeError> {
         let mut m = AccessMatrix::new();
+        if r.peek_token() == Some(b'[') {
+            m.read_row(r)?;
+            return Ok(m);
+        }
         let (mut users, mut groups, mut public) = (false, false, None);
         let mut fields = r.object("AccessMatrix")?;
         while let Some(key) = fields.next_key(r)? {
@@ -364,9 +417,7 @@ impl Deserialize for AccessMatrix {
             return Err(missing("AccessMatrix.groups"));
         }
         m.public = public.ok_or_else(|| missing("AccessMatrix.public"))?;
-        if let Grants::Many(v) = &mut m.grants {
-            v.shrink_to_fit();
-        }
+        m.shrink();
         Ok(m)
     }
 }

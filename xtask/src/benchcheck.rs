@@ -265,6 +265,10 @@ const GATES: &[Gate] = &[
       cmp(R("wal_ingest_us"), Le, 7.0, R("base_ingest_us"))),
     g(RECOVERY, "rows", Pair, "recovery-sim-monotone",
       is(R("recovery_sim_ms"), Ge, P("recovery_sim_ms"))),
+    // A row costs its values, not its field names: the image holds at most
+    // 55 % of the 854 bytes per dataset it held when rows named fields.
+    g(RECOVERY, "rows", All, "recovery-image-bytes",
+      cmp(R("image_bytes_per_dataset"), Le, 0.55, N(854.0))),
     // ZONE: every link converges; federated cost and lag grow with latency;
     // replication cost follows what is new, not the log length (`tail`).
     g(ZONE, "rows", All, "zone-converged", is(R("converged"), Eq, B(true))),

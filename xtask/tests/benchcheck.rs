@@ -117,9 +117,10 @@ const MUTANTS: &[(&str, &str, &str, &str)] = &[
     ("BENCH_RECOVERY.json", "rows.0.tail_records", "98", "recovery-tail-covers-groups"),
     ("BENCH_RECOVERY.json", "rows.0.groups_applied", "101", "recovery-one-group-per-ingest"),
     ("BENCH_RECOVERY.json", "rows.0.pages_rendered", "298", "recovery-renders-touched-pages"),
-    ("BENCH_RECOVERY.json", "rows.0.wal_ingest_us", "3.868", "recovery-wal-costs"),
-    ("BENCH_RECOVERY.json", "rows.0.wal_ingest_us", "27.077", "recovery-wal-overhead"),
-    ("BENCH_RECOVERY.json", "rows.1.recovery_sim_ms", "17.15", "recovery-sim-monotone"),
+    ("BENCH_RECOVERY.json", "rows.0.wal_ingest_us", "2.535", "recovery-wal-costs"),
+    ("BENCH_RECOVERY.json", "rows.0.wal_ingest_us", "17.746", "recovery-wal-overhead"),
+    ("BENCH_RECOVERY.json", "rows.1.recovery_sim_ms", "10.37", "recovery-sim-monotone"),
+    ("BENCH_RECOVERY.json", "rows.0.image_bytes_per_dataset", "470", "recovery-image-bytes"),
     ("BENCH_ZONE.json", "rows.0.converged", "false", "zone-converged"),
     // Accepted before the gate table: `federated >= local` was vacuous at 0.
     ("BENCH_ZONE.json", "rows.0.local_query_ms", "0", "zone-local-positive"),
