@@ -77,7 +77,7 @@ fn seed_catalog(m: &Mcat, n: usize) -> CollectionId {
                 ),
                 (
                     Subject::Dataset(d),
-                    Triplet::new("tag", MetaValue::Text(format!("t{i:07}")), ""),
+                    Triplet::new("tag", MetaValue::Text(format!("t{i:07}").into()), ""),
                     MetaKind::UserDefined,
                 ),
                 (

@@ -75,7 +75,7 @@ pub type CollectionListing = (Vec<String>, Vec<(String, String, u64)>, Receipt);
 fn summaries(entries: Vec<DatasetEntry>) -> Vec<(String, String, u64)> {
     entries
         .into_iter()
-        .map(|d| (d.name, d.data_type, d.size))
+        .map(|d| (d.name.into(), d.data_type.into(), d.size))
         .collect()
 }
 
@@ -699,7 +699,7 @@ impl<'g> SrbConnection<'g> {
         let user = self.check_session()?;
         let ds = self.dataset_for(user, path, Permission::Discover)?;
         Ok((
-            ds.data_type.clone(),
+            ds.data_type.to_string(),
             ds.size(),
             ds.replicas.len(),
             ds.current_version,

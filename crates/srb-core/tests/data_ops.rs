@@ -411,7 +411,7 @@ fn listing_rows_equal_dataset_rows() {
         .datasets
         .list(coll)
         .into_iter()
-        .map(|d| (d.name.clone(), d.data_type.clone(), d.size()))
+        .map(|d| (d.name.to_string(), d.data_type.to_string(), d.size()))
         .collect();
     assert_eq!(want.len(), 3);
     assert_eq!(want[0], ("a.txt".into(), "ascii text".into(), 12));

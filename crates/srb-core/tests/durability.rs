@@ -1,12 +1,12 @@
 //! Grid-level durability: a WAL-enabled deployment crashes, a fresh
 //! same-topology grid recovers the catalog from the log device, and
-//! acknowledged work survives.
+//! acknowledged work survives, short text at the inline boundary too.
 
 mod common;
 
 use srb_core::ops_write::IngestOptions;
 use srb_core::SrbConnection;
-use srb_mcat::WalConfig;
+use srb_mcat::{Mcat, Subject, WalConfig};
 use srb_storage::LogDevice;
 use srb_types::{SrbError, Triplet};
 use std::sync::Arc;
@@ -119,4 +119,84 @@ fn checkpoints_ride_the_op_epilogue() {
     assert!(snap.counter("wal.appends", "") > 0);
     assert!(snap.counter("wal.group_commits", "") > 0);
     assert!(snap.counter("wal.checkpoints", "") > 0);
+}
+
+/// Texts at the edge of what a `ShortStr` holds inline (22 bytes): 21, 22
+/// and 23 bytes, and two that end in the two-byte `é`, one filling byte
+/// 22 and one straddling it. Each text is `c` repeated.
+fn boundary_texts(c: char) -> [String; 5] {
+    let run = |n: usize| c.to_string().repeat(n);
+    [
+        run(21),
+        run(22),
+        run(23),
+        format!("{}é", run(20)),
+        format!("{}é", run(21)),
+    ]
+}
+
+/// The row form of every dataset in `/home/sekar` and of its metadata.
+fn rows(m: &Mcat) -> Vec<String> {
+    let home = m.collections.resolve(&"/home/sekar".parse().unwrap());
+    let mut out = Vec::new();
+    for d in m.datasets.list(home.unwrap()) {
+        out.push(serde_json::to_row_string(&d).unwrap());
+        for row in m.metadata.for_subject(Subject::Dataset(d.id)) {
+            out.push(serde_json::to_row_string(&row).unwrap());
+        }
+    }
+    out
+}
+
+#[test]
+fn text_at_the_inline_boundary_survives_every_path() {
+    let f = common::grid();
+    let device = Arc::new(LogDevice::new());
+    f.grid.enable_durability(device.clone(), NO_CKPT).unwrap();
+    let conn = common::connect(&f, "sekar");
+    let texts = boundary_texts('n')
+        .into_iter()
+        .zip(boundary_texts('t'))
+        .zip(boundary_texts('v'));
+    for ((name, data_type), value) in texts {
+        let options = IngestOptions::to_resource("unix-sdsc")
+            .with_type(&data_type)
+            .with_metadata(Triplet::new("label", value.as_str(), ""));
+        conn.ingest(&format!("/home/sekar/{name}"), b"x".as_slice(), options)
+            .unwrap();
+    }
+    let _ = conn;
+    let want = (f.grid.mcat.summary(), rows(&f.grid.mcat));
+    assert_eq!(want.1.len(), 10, "five datasets, one metadata row each");
+    assert!(want
+        .1
+        .iter()
+        .any(|r| r.contains(&format!("\"{}é\"", "n".repeat(21)))));
+    let state = f.grid.save_state().unwrap();
+
+    // The log alone: every row replays from its WAL line.
+    device.crash();
+    let mut replayed = common::grid();
+    replayed
+        .grid
+        .recover_catalog(device.clone(), NO_CKPT)
+        .unwrap();
+    let m = &replayed.grid.mcat;
+    assert_eq!((m.summary(), rows(m)), want, "WAL replay");
+    assert_eq!(common::normalized(m), common::normalized(&f.grid.mcat));
+
+    // The image alone: a checkpoint, then recovery with no tail.
+    m.checkpoint_now().unwrap();
+    device.crash();
+    let mut restored = common::grid();
+    restored.grid.recover_catalog(device, NO_CKPT).unwrap();
+    let m = &restored.grid.mcat;
+    assert_eq!((m.summary(), rows(m)), want, "checkpoint restore");
+
+    // A saved grid state restores to the same rows and saves the same text.
+    let mut from_state = common::grid();
+    from_state.grid.restore_state(&state).unwrap();
+    let m = &from_state.grid.mcat;
+    assert_eq!((m.summary(), rows(m)), want, "restore_state");
+    assert_eq!(from_state.grid.save_state().unwrap(), state);
 }

@@ -682,7 +682,7 @@ impl Mcat {
                 .users
                 .get(d.owner)
                 .ok()
-                .map(|u| MetaValue::Text(u.qualified())),
+                .map(|u| MetaValue::Text(u.qualified().into())),
             _ => None,
         }
     }
@@ -1178,7 +1178,10 @@ impl Mcat {
             self.cursors.encode(&PageToken {
                 section: 1,
                 gens,
-                last: ds_page.last().map(|d| d.name.clone()).unwrap_or_default(),
+                last: ds_page
+                    .last()
+                    .map(|d| d.name.to_string())
+                    .unwrap_or_default(),
             })
         });
         if let Some(obs) = &self.obs {
@@ -1306,7 +1309,7 @@ impl Mcat {
     pub fn repoint_home(&self, local: DatasetId, home_path: &str) -> SrbResult<()> {
         for row in self.metadata.for_subject(Subject::Dataset(local)) {
             if row.kind == MetaKind::System && row.triplet.name == ZONE_PATH_ATTR {
-                let path = MetaValue::Text(home_path.to_string());
+                let path = MetaValue::Text(home_path.into());
                 self.metadata.update(row.id, path, String::new())?;
             }
         }

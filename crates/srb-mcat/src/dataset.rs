@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 use srb_types::sync::{LockRank, RwLock, RwLockReadGuard};
 use srb_types::{
     AccessMatrix, Checksum, CollectionId, ContainerId, DatasetId, GenCounter, Generation, IdGen,
-    IdMap, IdSet, ReplicaId, ResourceId, SrbError, SrbResult, Timestamp, UserId,
+    IdMap, IdSet, ReplicaId, ResourceId, ShortStr, SrbError, SrbResult, Timestamp, UserId,
 };
 use std::collections::{BTreeMap, HashSet};
 use std::ops::Bound;
@@ -234,10 +234,10 @@ pub struct Dataset {
     /// Owning collection.
     pub coll: CollectionId,
     /// Name within the collection.
-    pub name: String,
+    pub name: ShortStr,
     /// Data type ("generic", "fits image", "ascii text", …) — drives
     /// type-oriented metadata and extraction methods.
-    pub data_type: String,
+    pub data_type: ShortStr,
     /// Creating user.
     pub owner: UserId,
     /// Access matrix.
@@ -336,9 +336,9 @@ pub struct DatasetEntry {
     /// Catalog id.
     pub id: DatasetId,
     /// Name within the collection.
-    pub name: String,
+    pub name: ShortStr,
     /// Data type.
-    pub data_type: String,
+    pub data_type: ShortStr,
     /// Logical size ([`Dataset::size`]).
     pub size: u64,
 }
@@ -373,46 +373,28 @@ impl Default for DatasetTable {
 }
 
 /// What the dataset table derives from its rows.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq)]
 pub(crate) struct Names {
     /// Ordered by (collection, name): one bounded range serves both name
     /// lookup and the O(page) listing scans behind resumable cursors.
-    by_name: BTreeMap<(CollectionId, String), DatasetId>,
+    /// A short name is held in its key, so copying the row's name into
+    /// a key or a probe allocates nothing.
+    by_name: BTreeMap<(CollectionId, ShortStr), DatasetId>,
     /// Datasets per collection (none listed for an empty one): the
     /// planner's scope size without a walk.
     counts: IdMap<CollectionId, usize>,
-    /// The key the last unindexed row was found under, and the buffer
-    /// that found it: an in-place update that keeps the row's name puts
-    /// that key back, so it allocates nothing.
-    spare: Option<(CollectionId, String)>,
-    probe: Option<(CollectionId, String)>,
-}
-
-impl PartialEq for Names {
-    fn eq(&self, other: &Names) -> bool {
-        self.by_name == other.by_name && self.counts == other.counts
-    }
 }
 
 impl Derived<Dataset> for Names {
     fn index(&mut self, d: &Dataset) {
-        let key = match self.spare.take() {
-            Some(key) if key.0 == d.coll && key.1 == d.name => key,
-            _ => (d.coll, d.name.clone()),
-        };
-        self.by_name.insert(key, d.id);
+        self.by_name.insert((d.coll, d.name.clone()), d.id);
         *self.counts.entry(d.coll).or_default() += 1;
     }
 
     fn unindex(&mut self, d: &Dataset) {
-        let probe = self.probe.get_or_insert_with(|| (d.coll, String::new()));
-        probe.0 = d.coll;
-        probe.1.clear();
-        probe.1.push_str(&d.name);
-        let Some((key, _)) = self.by_name.remove_entry(probe) else {
+        if self.by_name.remove(&(d.coll, d.name.clone())).is_none() {
             return;
-        };
-        self.spare = Some(key);
+        }
         if let Some(n) = self.counts.get_mut(&d.coll) {
             *n -= 1;
             if *n == 0 {
@@ -434,7 +416,6 @@ impl Derived<Dataset> for Names {
         Names {
             by_name: BTreeMap::from_iter(names),
             counts,
-            ..Names::default()
         }
     }
 }
@@ -444,7 +425,7 @@ impl Names {
     fn in_coll(
         &self,
         coll: CollectionId,
-        start: Bound<(CollectionId, String)>,
+        start: Bound<(CollectionId, ShortStr)>,
     ) -> impl Iterator<Item = DatasetId> + '_ {
         self.by_name
             .range((start, Bound::Unbounded))
@@ -454,7 +435,7 @@ impl Names {
 
     /// The rows of one collection, in name order.
     fn ids_in(&self, coll: CollectionId) -> impl Iterator<Item = DatasetId> + '_ {
-        self.in_coll(coll, Bound::Included((coll, String::new())))
+        self.in_coll(coll, Bound::Included((coll, ShortStr::new())))
     }
 
     /// Number of datasets whose collection is in `colls`.
@@ -522,7 +503,10 @@ impl DatasetTable {
         let mut g = self.rows.write();
         let mut in_batch: HashSet<&str> = HashSet::with_capacity(batch.len());
         for nd in &batch {
-            let taken = g.derived().by_name.contains_key(&(coll, nd.name.clone()));
+            let taken = g
+                .derived()
+                .by_name
+                .contains_key(&(coll, nd.name.as_str().into()));
             if taken || !in_batch.insert(&nd.name) {
                 return Err(Self::name_taken(coll, &nd.name));
             }
@@ -533,7 +517,7 @@ impl DatasetTable {
         Ok(batch
             .into_iter()
             .map(|nd| {
-                let (key, replicas) = ((coll, nd.name), nd.replicas.into_iter());
+                let (key, replicas) = ((coll, nd.name.into()), nd.replicas.into_iter());
                 Self::insert_new(&mut g, ids, gen, key, data_type, owner, replicas, None, now)
             })
             .collect())
@@ -572,8 +556,8 @@ impl DatasetTable {
         g: &Table<Dataset>,
         coll: CollectionId,
         name: &str,
-    ) -> SrbResult<(CollectionId, String)> {
-        let key = (coll, name.to_string());
+    ) -> SrbResult<(CollectionId, ShortStr)> {
+        let key = (coll, name.into());
         if g.derived().by_name.contains_key(&key) {
             return Err(Self::name_taken(coll, name));
         }
@@ -588,7 +572,7 @@ impl DatasetTable {
         g: &mut Table<Dataset>,
         ids: &IdGen,
         gen: u64,
-        (coll, name): (CollectionId, String),
+        (coll, name): (CollectionId, ShortStr),
         data_type: &str,
         owner: UserId,
         replicas: impl Iterator<Item = (AccessSpec, u64, Option<Checksum>, ReplicaStatus)>,
@@ -614,7 +598,7 @@ impl DatasetTable {
             id,
             coll,
             name,
-            data_type: data_type.to_string(),
+            data_type: data_type.into(),
             owner,
             acl: AccessMatrix::owned_by(owner),
             replicas,
@@ -648,7 +632,7 @@ impl DatasetTable {
     /// Find by collection + name.
     pub fn find(&self, coll: CollectionId, name: &str) -> Option<DatasetId> {
         let g = self.rows.read();
-        g.derived().by_name.get(&(coll, name.to_string())).copied()
+        g.derived().by_name.get(&(coll, name.into())).copied()
     }
 
     /// Datasets directly in a collection, sorted by name — one bounded
@@ -671,11 +655,15 @@ impl DatasetTable {
     ) -> (Vec<DatasetEntry>, bool) {
         let g = self.rows.read();
         let start = match after {
-            Some(name) => Bound::Excluded((coll, name.to_string())),
-            None => Bound::Included((coll, String::new())),
+            Some(name) => Bound::Excluded((coll, name.into())),
+            None => Bound::Included((coll, ShortStr::new())),
         };
-        let mut iter = g.derived().in_coll(coll, start).filter_map(|id| g.get(id));
-        let mut page = Vec::with_capacity(limit.min(1024));
+        let names = g.derived();
+        // Room for what the collection holds, not for `limit`: a page of
+        // a small collection reserves no unused rows.
+        let rows = names.counts.get(&coll).copied().unwrap_or(0);
+        let mut iter = names.in_coll(coll, start).filter_map(|id| g.get(id));
+        let mut page = Vec::with_capacity(limit.min(rows).min(1024));
         for d in iter.by_ref() {
             if page.len() == limit {
                 return (page, true);
@@ -885,8 +873,7 @@ impl DatasetBatch<'_> {
     /// duplicates before any bytes move, under one read guard for the
     /// whole batch.
     pub fn contains_name(&self, coll: CollectionId, name: &str) -> bool {
-        let key = (coll, name.to_string());
-        self.g.derived().by_name.contains_key(&key)
+        self.g.derived().by_name.contains_key(&(coll, name.into()))
     }
 }
 
@@ -1185,10 +1172,10 @@ mod tests {
             if !more {
                 break;
             }
-            after = page.last().map(|d| d.name.clone());
+            after = page.last().map(|d| d.name.to_string());
         }
         assert_eq!(walked, vec!["a", "b", "m", "q", "z"]);
-        let full: Vec<String> = t
+        let full: Vec<ShortStr> = t
             .list(CollectionId(1))
             .into_iter()
             .map(|d| d.name)

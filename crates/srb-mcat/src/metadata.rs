@@ -2032,7 +2032,7 @@ mod tests {
             s.add(
                 &ids,
                 ds(i as u64),
-                Triplet::new("species", MetaValue::Text(v.to_string()), ""),
+                Triplet::new("species", MetaValue::Text((*v).into()), ""),
                 MetaKind::UserDefined,
             );
         }
@@ -2044,12 +2044,12 @@ mod tests {
             MetaKind::UserDefined,
         );
         for pattern in ["con%", "Con%", "con%o%", "co_d%", "sparrow", "%cond%", "1%"] {
-            let pat = MetaValue::Text(pattern.to_string());
+            let pat = MetaValue::Text(pattern.into());
             let got = found(&s, "species", CompareOp::Like, &pat);
             let want: Vec<u64> = values
                 .iter()
                 .enumerate()
-                .filter(|(_, v)| CompareOp::Like.eval(&MetaValue::Text(v.to_string()), &pat))
+                .filter(|(_, v)| CompareOp::Like.eval(&MetaValue::Text((**v).into()), &pat))
                 .map(|(i, _)| i as u64)
                 .chain(
                     CompareOp::Like

@@ -364,7 +364,7 @@ mod tests {
             Dataset {
                 id: DatasetId(id),
                 coll: CollectionId(draw % 12),
-                name: format!("d{id}"),
+                name: format!("d{id}").into(),
                 data_type: "generic".into(),
                 owner: UserId(1),
                 acl: AccessMatrix::owned_by(UserId(1)),
@@ -384,7 +384,7 @@ mod tests {
             self.modified = Timestamp(draw);
             if !draw.is_multiple_of(3) {
                 self.coll = CollectionId(draw % 12);
-                self.name = format!("d{}.{draw}", self.id);
+                self.name = format!("d{}.{draw}", self.id).into();
             }
         }
     }

@@ -313,6 +313,20 @@ fn truncation_at_every_byte_fails_closed() {
             assert!(serde_json::from_str::<CatalogSnapshot>(text).is_err());
         }
     }
+    // A recorded checkpoint cut short, at byte 0 too, fails recovery as
+    // corrupt input.
+    for fixture in [CHECKPOINT, ROW_CHECKPOINT] {
+        let envelope = checkpoint_of(fixture).1;
+        let cuts = [0, 1, envelope.len() / 2, envelope.len() - 1];
+        for cut in cuts.into_iter().filter(|&i| envelope.is_char_boundary(i)) {
+            let recovered = recover(&envelope[..cut], &[]);
+            let err = recovered.err();
+            assert!(
+                matches!(err, Some(SrbError::Parse(_))),
+                "cut at {cut}: {err:?}"
+            );
+        }
+    }
 }
 
 #[test]

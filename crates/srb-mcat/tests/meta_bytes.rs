@@ -5,11 +5,12 @@
 //! them: the dataset, its replica, the two rows, the audit row.
 //!
 //! The live bytes and live blocks the store holds per dataset are pinned:
-//! the stored rows in their pages, the value text, the value index, the
-//! subject lists and the string table. A row that copies its attribute
-//! name, an index key that copies its value, or a subject list on the heap
-//! shows here — in bytes, and in blocks, where a 6-byte name that takes a
-//! whole allocator block shows in full.
+//! the stored rows in their pages, value text too long to sit inline in
+//! its row, the value index, the subject lists and the string table. A
+//! row that copies its attribute name, an index key that copies its
+//! value, a short value on the heap or a subject list on the heap shows
+//! here — in bytes, and in blocks, where a 6-byte name that takes a whole
+//! allocator block shows in full.
 //!
 //! This file holds one test so no other test thread allocates while the
 //! fill is counted.
@@ -26,10 +27,12 @@ static ALLOC: Counting = Counting;
 const DATASETS: u64 = 300_000;
 
 /// Live bytes per dataset after the fill, at most.
-const LIVE_BYTES_PER_DATASET: u64 = 360;
+const LIVE_BYTES_PER_DATASET: u64 = 355;
 
-/// Live blocks per 100 datasets after the fill, at most.
-const LIVE_BLOCKS_PER_100_DATASETS: u64 = 117;
+/// Live blocks per 100 datasets after the fill, at most. 117 → 17 once a
+/// short text value (`kind`) was held inline in its row: what is left is
+/// the pages, the index and the string table.
+const LIVE_BLOCKS_PER_100_DATASETS: u64 = 17;
 
 const KINDS: [&str; 3] = ["image", "text", "movie"];
 

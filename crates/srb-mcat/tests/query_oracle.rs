@@ -43,7 +43,7 @@ const VALUES: u8 = 9;
 fn value_for(idx: u8) -> MetaValue {
     match idx % VALUES {
         0..=2 => MetaValue::Int((idx % 3) as i64),
-        3..=5 => MetaValue::Text(TEXTS[(idx as usize - 3) % TEXTS.len()].to_string()),
+        3..=5 => MetaValue::Text(TEXTS[(idx as usize - 3) % TEXTS.len()].into()),
         6 => MetaValue::Text("1".into()),
         7 => MetaValue::Text("1.0".into()),
         _ => MetaValue::Float(2.0),
@@ -53,7 +53,7 @@ fn value_for(idx: u8) -> MetaValue {
 fn cond_value_for(op: CompareOp, idx: u8) -> MetaValue {
     match op {
         CompareOp::Like | CompareOp::NotLike => {
-            MetaValue::Text(PATTERNS[idx as usize % PATTERNS.len()].to_string())
+            MetaValue::Text(PATTERNS[idx as usize % PATTERNS.len()].into())
         }
         _ => value_for(idx),
     }

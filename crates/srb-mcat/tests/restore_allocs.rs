@@ -37,7 +37,7 @@ fn restore_allocs(text: impl Fn(u64) -> String) -> u64 {
         m.metadata.add(
             &m.ids,
             Subject::Dataset(DatasetId(1_000_000 + k)),
-            Triplet::new("title", MetaValue::Text(text(k)), ""),
+            Triplet::new("title", MetaValue::Text(text(k).into()), ""),
             MetaKind::UserDefined,
         );
     }

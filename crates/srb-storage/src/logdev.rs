@@ -430,7 +430,8 @@ impl LogDevice {
     /// plus the whole readable tail — the cursor read from before the
     /// first LSN, so a line a late fsync landed at or below the cover is
     /// replayed too (redo is idempotent). A corrupt line ends the tail
-    /// (torn write); a corrupt checkpoint is fatal. The checkpoint comes
+    /// (torn write); a corrupt checkpoint is fatal, and an empty one is
+    /// [`SrbError::Parse`] here already. The checkpoint comes
     /// back as the device holds it — its parts, shared, not copied; the
     /// read is priced on its length, as one part would be. Returns
     /// `(checkpoint, tail, virtual cost)`.
@@ -441,7 +442,7 @@ impl LogDevice {
         let mut g = self.inner.lock();
         let checkpoint = g.checkpoint.clone();
         if checkpoint.as_ref().is_some_and(|(_, snap)| snap.is_empty()) {
-            return Err(SrbError::Internal("empty checkpoint snapshot".into()));
+            return Err(SrbError::Parse("empty checkpoint snapshot".into()));
         }
         let tail = g.tail_after(Lsn::default());
         drop(g);
@@ -711,7 +712,8 @@ mod tests {
         let (whole_read, split_read) = (whole.read_back().unwrap(), split.read_back().unwrap());
         assert_eq!(split_read.0, Some((Lsn(1), text.to_string())));
         assert_eq!(whole_read, split_read, "same text, same tail, same cost");
-        // An image with no text fails recovery's read, in parts or whole.
+        // An image with no text is corrupt: recovery's read fails to
+        // parse it, in parts or whole.
         for empty in [
             Image::from(""),
             Image::from_iter([]),
@@ -721,7 +723,7 @@ mod tests {
             d.install_checkpoint(Lsn(1), empty);
             assert_eq!(
                 d.read_back(),
-                Err(SrbError::Internal("empty checkpoint snapshot".into()))
+                Err(SrbError::Parse("empty checkpoint snapshot".into()))
             );
         }
     }

@@ -1,6 +1,6 @@
 //! The in-memory object store shared by the concrete drivers.
 //!
-//! A flat `BTreeMap<String, Object>` plus an implicit directory model:
+//! A flat `BTreeMap<ShortStr, Object>` plus an implicit directory model:
 //! `mkdir`-less, a path `a/b/c` implies directories `a` and `a/b`, as in an
 //! object store. No driver keeps a directory of its own, so an empty
 //! directory does not exist: the file-system driver's directories are the
@@ -10,7 +10,7 @@
 
 use bytes::Bytes;
 use srb_types::sync::{LockRank, RwLock};
-use srb_types::{fnv1a64, SimClock, SrbError, SrbResult, Timestamp};
+use srb_types::{fnv1a64, ShortStr, SimClock, SrbError, SrbResult, Timestamp};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -26,7 +26,8 @@ const SHARDS: usize = 16;
 /// Thread-safe in-memory path → bytes store.
 #[derive(Debug)]
 pub(crate) struct MemStore {
-    shards: Vec<RwLock<BTreeMap<String, Object>>>,
+    /// Keyed by path; a path of up to 22 bytes costs no block of its own.
+    shards: Vec<RwLock<BTreeMap<ShortStr, Object>>>,
     used: AtomicU64,
     clock: SimClock,
 }
@@ -56,7 +57,7 @@ impl MemStore {
         }
         self.used.fetch_add(data.len() as u64, Ordering::Relaxed);
         shard.insert(
-            path.to_string(),
+            path.into(),
             Object {
                 data: Bytes::copy_from_slice(data),
                 created: now,
@@ -74,7 +75,7 @@ impl MemStore {
         // Preserve the original creation time across overwrites.
         let created = shard.get(path).map(|o| o.created).unwrap_or(now);
         shard.insert(
-            path.to_string(),
+            path.into(),
             Object {
                 data: Bytes::copy_from_slice(data),
                 created,
@@ -99,7 +100,7 @@ impl MemStore {
             }
             None => {
                 shard.insert(
-                    path.to_string(),
+                    path.into(),
                     Object {
                         data: Bytes::copy_from_slice(data),
                         created: now,
@@ -162,7 +163,7 @@ impl MemStore {
             let g = shard.read();
             for k in g.keys() {
                 if k.starts_with(prefix) {
-                    out.push(k.clone());
+                    out.push(k.to_string());
                 }
             }
         }

@@ -11,7 +11,7 @@
 
 use serde::{Deserialize, Serialize};
 use srb_types::sync::{LockRank, RwLock};
-use srb_types::{CompareOp, MetaValue, SrbError, SrbResult};
+use srb_types::{CompareOp, MetaValue, ShortStr, SrbError, SrbResult};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -41,7 +41,7 @@ impl SqlValue {
 
     fn to_meta(&self) -> MetaValue {
         match self {
-            SqlValue::Null => MetaValue::Text(String::new()),
+            SqlValue::Null => MetaValue::Text(ShortStr::new()),
             SqlValue::Int(i) => MetaValue::Int(*i),
             SqlValue::Float(f) => MetaValue::Float(*f),
             SqlValue::Text(s) => MetaValue::parse(s),

@@ -7,8 +7,9 @@
 //! carries no policy of its own: strongly typed identifiers, the error type,
 //! the logical name space path representation, the deterministic virtual
 //! clock used by the simulated WAN, metadata value types with the comparison
-//! operators the MCAT query language exposes, the access-control model, and
-//! a from-scratch SHA-256/HMAC used by the single-sign-on handshake.
+//! operators the MCAT query language exposes, the access-control model, a
+//! small-string type for short catalog text, and a from-scratch
+//! SHA-256/HMAC used by the single-sign-on handshake.
 
 pub mod acl;
 #[allow(unsafe_code)]
@@ -22,6 +23,7 @@ pub mod gen;
 pub mod hash;
 pub mod id;
 pub mod path;
+pub mod short;
 // The ranked wrappers are the one place that names `std::sync`'s locks.
 #[allow(clippy::disallowed_types)]
 pub mod sync;
@@ -38,5 +40,6 @@ pub use hash::{
 };
 pub use id::*;
 pub use path::LogicalPath;
+pub use short::ShortStr;
 pub use sync::LockRank;
 pub use value::{like_prefix, like_scan_prefix, text_index_cmp, CompareOp, MetaValue, Triplet};

@@ -12,12 +12,13 @@ use std::cmp::Ordering;
 use std::fmt;
 
 use crate::error::{SrbError, SrbResult};
+use crate::short::ShortStr;
 
 /// A metadata value: text, integer or floating point.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum MetaValue {
-    /// Free text (also the fallback lexical form).
-    Text(String),
+    /// Free text (also the fallback lexical form), inline when short.
+    Text(ShortStr),
     /// A 64-bit signed integer.
     Int(i64),
     /// A 64-bit float.
@@ -35,7 +36,7 @@ impl MetaValue {
                 return MetaValue::Float(f);
             }
         }
-        MetaValue::Text(s.to_string())
+        MetaValue::Text(s.into())
     }
 
     /// Numeric view, when the value is or parses as a number.
@@ -50,7 +51,7 @@ impl MetaValue {
     /// Lexical form (what MySRB displays and what LIKE matches against).
     pub fn lexical(&self) -> String {
         match self {
-            MetaValue::Text(s) => s.clone(),
+            MetaValue::Text(s) => s.to_string(),
             MetaValue::Int(i) => i.to_string(),
             MetaValue::Float(f) => format!("{f}"),
         }

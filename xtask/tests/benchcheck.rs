@@ -2,7 +2,9 @@
 //! committed `BENCH_*.json` artifacts. The artifacts pass; unreadable,
 //! malformed or incomplete input fails; and every mutant — one field of
 //! one artifact pushed just past one gate — fails naming that gate, with
-//! every gate of the table tripped by at least one mutant.
+//! every gate of the table tripped by at least one mutant. A mutant of a
+//! recorded timing is derived from the row it mutates, so it holds when
+//! the artifact is re-recorded.
 
 use serde_json::Value;
 use std::collections::BTreeSet;
@@ -117,9 +119,6 @@ const MUTANTS: &[(&str, &str, &str, &str)] = &[
     ("BENCH_RECOVERY.json", "rows.0.tail_records", "98", "recovery-tail-covers-groups"),
     ("BENCH_RECOVERY.json", "rows.0.groups_applied", "101", "recovery-one-group-per-ingest"),
     ("BENCH_RECOVERY.json", "rows.0.pages_rendered", "298", "recovery-renders-touched-pages"),
-    ("BENCH_RECOVERY.json", "rows.0.wal_ingest_us", "2.535", "recovery-wal-costs"),
-    ("BENCH_RECOVERY.json", "rows.0.wal_ingest_us", "17.746", "recovery-wal-overhead"),
-    ("BENCH_RECOVERY.json", "rows.1.recovery_sim_ms", "10.37", "recovery-sim-monotone"),
     ("BENCH_RECOVERY.json", "rows.0.image_bytes_per_dataset", "470", "recovery-image-bytes"),
     ("BENCH_ZONE.json", "rows.0.converged", "false", "zone-converged"),
     // Accepted before the gate table: `federated >= local` was vacuous at 0.
@@ -139,6 +138,27 @@ const MUTANTS: &[(&str, &str, &str, &str)] = &[
     ("BENCH_ZONE.json", "tail.2.export_us", "920.82", "zone-tail-export-flat"),
     ("BENCH_ZONE.json", "tail.2.pump_ms", "1.8492", "zone-tail-pump-flat"),
 ];
+
+/// Mutants whose value is read off the artifact they mutate: (artifact,
+/// dotted path of the field, its new value from the artifact, the gate it
+/// must trip). Their bases are timings a re-record moves, so each is
+/// pushed past its gate's bound from wherever the base now is.
+type Derive = fn(&Value) -> f64;
+#[rustfmt::skip]
+const DERIVED_MUTANTS: &[(&str, &str, Derive, &str)] = &[
+    // The WAL at its base cost costs nothing.
+    ("BENCH_RECOVERY.json", "rows.0.wal_ingest_us", |d| num(d, "rows.0.base_ingest_us"),
+     "recovery-wal-costs"),
+    // Just past 7x its base.
+    ("BENCH_RECOVERY.json", "rows.0.wal_ingest_us", |d| 7.07 * num(d, "rows.0.base_ingest_us"),
+     "recovery-wal-overhead"),
+    // The larger catalog recovering just faster than the smaller one.
+    ("BENCH_RECOVERY.json", "rows.1.recovery_sim_ms", |d| 0.99 * num(d, "rows.0.recovery_sim_ms"),
+     "recovery-sim-monotone"),
+];
+
+/// The timing columns [`DERIVED_MUTANTS`] read and write.
+const RECOVERY_TIMINGS: [&str; 3] = ["wal_ingest_us", "base_ingest_us", "recovery_sim_ms"];
 
 /// A fresh directory holding copies of the committed artifacts.
 fn scratch(tag: &str) -> PathBuf {
@@ -185,8 +205,7 @@ fn findings(root: &Path) -> (i32, Vec<(String, String, String)>) {
 
 /// Set (or, with `None`, remove) the field at a dotted `path` of `file`.
 fn edit(root: &Path, file: &str, path: &str, value: Option<&str>) {
-    let mut doc: Value =
-        serde_json::from_str(&std::fs::read_to_string(root.join(file)).unwrap()).unwrap();
+    let mut doc = read(root, file);
     let (parents, last) = path.rsplit_once('.').map_or(("", path), |(p, l)| (p, l));
     let mut at = &mut doc;
     for key in parents.split('.').filter(|k| !k.is_empty()) {
@@ -200,6 +219,27 @@ fn edit(root: &Path, file: &str, path: &str, value: Option<&str>) {
         },
     }
     std::fs::write(root.join(file), serde_json::to_string_pretty(&doc).unwrap()).unwrap();
+}
+
+/// The number at a dotted `path` of `doc`.
+fn num(doc: &Value, path: &str) -> f64 {
+    let mut at = doc;
+    for key in path.split('.') {
+        at = match at {
+            Value::Map(entries) => match entries.iter().find(|(k, _)| k == key) {
+                Some((_, child)) => child,
+                None => panic!("no field `{key}`"),
+            },
+            Value::Seq(items) => &items[key.parse::<usize>().expect("array index")],
+            _ => panic!("`{key}` under a scalar"),
+        };
+    }
+    at.as_f64()
+        .unwrap_or_else(|| panic!("{path} is not a number"))
+}
+
+fn read(root: &Path, file: &str) -> Value {
+    serde_json::from_str(&std::fs::read_to_string(root.join(file)).unwrap()).unwrap()
 }
 
 fn child<'v>(v: &'v mut Value, key: &str) -> &'v mut Value {
@@ -273,29 +313,72 @@ fn broken_input_fails() {
     assert_rejects("missing-field", drop_field, e7, "e7-par-positive", msg);
 }
 
+/// Set `path` of `file` to `value`; benchcheck must exit 1 naming `gate`
+/// on `file`. The file is put back after.
+fn assert_trips(root: &Path, file: &str, path: &str, value: &str, gate: &str) {
+    let original = std::fs::read(root.join(file)).unwrap();
+    edit(root, file, path, Some(value));
+    let (code, found) = findings(root);
+    std::fs::write(root.join(file), original).unwrap();
+    assert_eq!(code, 1, "{file} {path} = {value} passed");
+    assert!(
+        found.iter().any(|(p, r, _)| p == file && r == gate),
+        "{file} {path} = {value} did not trip `{gate}`: {found:?}"
+    );
+}
+
+/// Each derived mutant of the artifacts under `root`, tripping its gate.
+fn derived_mutants_trip(root: &Path) -> Vec<&'static str> {
+    let mut tripped = Vec::new();
+    for &(file, path, derive, gate) in DERIVED_MUTANTS {
+        let value = derive(&read(root, file));
+        assert_trips(root, file, path, &value.to_string(), gate);
+        tripped.push(gate);
+    }
+    tripped
+}
+
 #[test]
 fn every_mutant_fails_and_every_gate_is_tripped() {
     let root = scratch("mutants");
     let (_, clean) = run(&root, &[]);
     let mut tripped = BTreeSet::new();
     for &(file, path, value, gate) in MUTANTS {
-        let original = std::fs::read(root.join(file)).unwrap();
-        edit(&root, file, path, Some(value));
-        let (code, found) = findings(&root);
-        std::fs::write(root.join(file), original).unwrap();
-        assert_eq!(code, 1, "{file} {path} = {value} passed");
-        assert!(
-            found.iter().any(|(p, r, _)| p == file && r == gate),
-            "{file} {path} = {value} did not trip `{gate}`: {found:?}"
-        );
+        assert_trips(&root, file, path, value, gate);
         tripped.insert(gate);
     }
+    tripped.extend(derived_mutants_trip(&root));
     assert_eq!(
         tripped.len(),
         gate_count(&clean),
         "gates no mutant trips hide in the table; tripped: {tripped:?}"
     );
     let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn derived_mutants_follow_a_rerecorded_artifact() {
+    let file = "BENCH_RECOVERY.json";
+    for scale in [0.5, 2.0] {
+        let root = scratch(&format!("rerecord-{scale}"));
+        let doc = read(&root, file);
+        let rows = doc
+            .get("rows")
+            .and_then(Value::as_array)
+            .map_or(0, Vec::len);
+        assert!(rows > 1, "{file}: fewer than two rows");
+        for row in 0..rows {
+            for column in RECOVERY_TIMINGS {
+                let path = format!("rows.{row}.{column}");
+                let value = scale * num(&read(&root, file), &path);
+                edit(&root, file, &path, Some(&value.to_string()));
+            }
+        }
+        let (code, stdout) = run(&root, &[]);
+        assert_eq!(code, 0, "scaled by {scale}: {stdout}");
+        assert_eq!(derived_mutants_trip(&root).len(), DERIVED_MUTANTS.len());
+        let _ = std::fs::remove_dir_all(&root);
+    }
 }
 
 #[test]
