@@ -38,6 +38,7 @@ use crate::table::Table;
 use serde_json::json;
 use srb_core::Grid;
 use srb_mcat::{Mcat, MetaKind, NewDataset, Query, Subject};
+use srb_obs::metric;
 use srb_types::{fnv1a64, CollectionId, CompareOp, MetaValue, SeedStream, Triplet};
 
 /// Entries per `list_page` window in the paging half.
@@ -322,9 +323,9 @@ fn determinism_block() -> serde_json::Value {
         }
         let snap = grid.metrics_snapshot();
         for c in [
-            "mcat.range_scan",
-            "mcat.cursor_pages",
-            "mcat.cursor_invalidated",
+            metric!("mcat.range_scan"),
+            metric!("mcat.cursor_pages"),
+            metric!("mcat.cursor_invalidated"),
         ] {
             text.push_str(&format!("{c}:{}\n", snap.counter(c, "")));
         }

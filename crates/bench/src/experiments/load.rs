@@ -27,6 +27,7 @@ use mysrb::urlenc::encode;
 use mysrb::{MySrb, MySrbConfig, Request, SessionConfig};
 use serde_json::json;
 use srb_core::{Grid, GridBuilder, IngestOptions, SrbConnection};
+use srb_obs::metric;
 use srb_types::{fnv1a64, splitmix64, ServerId, Triplet};
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -580,7 +581,9 @@ fn sweep_block(p: &LoadParams) -> serde_json::Value {
         reclaimed += app.sessions().sweep_expired(1024);
         calls += 1;
     }
-    let gauge = grid.metrics_snapshot().gauge("web.session_live", "all");
+    let gauge = grid
+        .metrics_snapshot()
+        .gauge(metric!("web.session_live"), "all");
     json!({
         "sessions": sessions,
         "live_before_sweep": live_before,

@@ -10,6 +10,7 @@ use crate::urlenc::parse_form;
 use srb_core::{Grid, IngestOptions, SrbConnection};
 use srb_mcat::metadata::DUBLIN_CORE;
 use srb_mcat::{AnnotationKind, Query, QueryCondition};
+use srb_obs::metric;
 use srb_types::{LogicalPath, ServerId, SrbError, Triplet};
 use std::collections::HashMap;
 use std::fmt::{self, Write};
@@ -220,12 +221,12 @@ impl<'g> MySrb<'g> {
             }
         };
         if let Some(obs) = self.grid.obs() {
-            obs.metrics.counter("web.requests", route).inc();
+            obs.metrics.counter(metric!("web.requests"), route).inc();
             obs.metrics
-                .counter("web.status", &resp.status.to_string())
+                .counter(metric!("web.status"), &resp.status.to_string())
                 .inc();
             if resp.status >= 400 {
-                obs.metrics.counter("web.errors", route).inc();
+                obs.metrics.counter(metric!("web.errors"), route).inc();
             }
         }
         resp.body = out.into_bytes();
@@ -353,14 +354,16 @@ impl<'g> MySrb<'g> {
             Ok((result, op_ns)) => {
                 if let Some(obs) = self.grid.obs() {
                     obs.metrics
-                        .histogram("web.request_ns", &req.path)
+                        .histogram(metric!("web.request_ns"), &req.path)
                         .observe(op_ns);
                 }
                 match result {
                     Ok(()) => Response::html(),
                     Err(e) => {
                         if let Some(obs) = self.grid.obs() {
-                            obs.metrics.counter("web.error_codes", e.code()).inc();
+                            obs.metrics
+                                .counter(metric!("web.error_codes"), e.code())
+                                .inc();
                         }
                         // Render a grid error without losing its kind: the
                         // HTTP status folds several `SrbError` variants

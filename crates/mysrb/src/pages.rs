@@ -13,6 +13,7 @@ use crate::session::WebSession;
 use srb_core::{BreakerState, Federation, Grid, ObjectContent, SrbConnection, ZoneId};
 use srb_mcat::metadata::DUBLIN_CORE;
 use srb_mcat::{AnnotationKind, MetaKind, Query, QueryHit};
+use srb_obs::metric;
 use srb_types::{CompareOp, LogicalPath, MetaValue, SrbResult};
 use std::fmt::Write;
 use std::iter::once;
@@ -601,8 +602,9 @@ pub(crate) fn grid_status(out: &mut String, grid: &Grid, fed: Option<(&Federatio
             BreakerState::HalfOpen => "half-open",
         };
         let count = |name| snap.counter(name, &r.name);
-        let (injected, fast_fails) = (count("faults.injected"), count("health.fast_fails"));
-        let (name, trips) = (Esc(&r.name), count("health.breaker_trips"));
+        let injected = count(metric!("faults.injected"));
+        let fast_fails = count(metric!("health.fast_fails"));
+        let (name, trips) = (Esc(&r.name), count(metric!("health.breaker_trips")));
         let _ = writeln!(
             out,
             "<tr><td>{name}</td><td>{state}</td><td>{injected}</td><td>{fast_fails}</td><td>{trips}</td></tr>"

@@ -19,7 +19,7 @@
 //! the TTL is fixed and the virtual clock is monotone).
 
 use srb_core::SrbConnection;
-use srb_obs::{Counter, Gauge, MetricsRegistry};
+use srb_obs::{metric, Counter, Gauge, MetricsRegistry};
 use srb_types::sync::{LockRank, RwLock};
 use srb_types::{
     ct_eq, fnv1a64, from_hex, splitmix64, to_hex, HmacKey, SimClock, SrbError, SrbResult, Timestamp,
@@ -135,9 +135,9 @@ impl<'g> SessionStore<'g> {
     /// Attach web-tier metrics (live gauge + create/expire counters).
     pub fn with_metrics(mut self, registry: &MetricsRegistry) -> Self {
         self.metrics = Some(SessionMetrics {
-            live: registry.gauge("web.session_live", "all"),
-            created: registry.counter("web.session_created", "all"),
-            expired: registry.counter("web.session_expired", "all"),
+            live: registry.gauge(metric!("web.session_live"), "all"),
+            created: registry.counter(metric!("web.session_created"), "all"),
+            expired: registry.counter(metric!("web.session_expired"), "all"),
         });
         self
     }

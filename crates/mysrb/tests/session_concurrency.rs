@@ -5,7 +5,7 @@
 
 use mysrb::{SessionConfig, SessionStore, WEB_SESSION_TTL_SECS};
 use srb_core::{Grid, GridBuilder, SrbConnection};
-use srb_obs::MetricsRegistry;
+use srb_obs::{metric, MetricsRegistry};
 use srb_types::splitmix64;
 
 fn fixture() -> (Grid, srb_types::ServerId) {
@@ -143,16 +143,20 @@ fn concurrent_eviction_and_sweep_reclaim_exactly_once() {
 
     assert_eq!(store.count(), 0);
     assert_eq!(
-        registry.gauge("web.session_live", "all").get(),
+        registry.gauge(metric!("web.session_live"), "all").get(),
         0,
         "live gauge must balance: every reclaim counted exactly once"
     );
     assert_eq!(
-        registry.counter("web.session_expired", "all").get(),
+        registry
+            .counter(metric!("web.session_expired"), "all")
+            .get(),
         SESSIONS as u64
     );
     assert_eq!(
-        registry.counter("web.session_created", "all").get(),
+        registry
+            .counter(metric!("web.session_created"), "all")
+            .get(),
         SESSIONS as u64
     );
 }

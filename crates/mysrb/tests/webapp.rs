@@ -6,6 +6,7 @@ use mysrb::{MySrb, Request};
 use srb_core::{GridBuilder, IngestOptions, SrbConnection};
 use srb_mcat::AttrRequirement;
 use srb_net::LinkSpec;
+use srb_obs::metric;
 use srb_types::{LogicalPath, Permission, ServerId, Triplet};
 
 struct Fx {
@@ -630,9 +631,9 @@ fn metrics_and_grid_status_endpoints() {
     assert_eq!(resp.status, 200);
     // Route metrics recorded against the grid's registry.
     let snap = fx.grid.metrics_snapshot();
-    assert_eq!(snap.counter("web.requests", "/view"), 1);
-    assert_eq!(snap.counter("web.status", "200"), 1);
-    assert!(snap.counter("storage.ops", "file-system") >= 1);
+    assert_eq!(snap.counter(metric!("web.requests"), "/view"), 1);
+    assert_eq!(snap.counter(metric!("web.status"), "200"), 1);
+    assert!(snap.counter(metric!("storage.ops"), "file-system") >= 1);
     // /metrics needs no session and renders the text exposition.
     let resp = app.handle(&Request::get("/metrics", None));
     assert_eq!(resp.status, 200);
@@ -658,8 +659,8 @@ fn metrics_and_grid_status_endpoints() {
     ));
     assert_eq!(resp.status, 404);
     let snap = fx.grid.metrics_snapshot();
-    assert_eq!(snap.counter("web.errors", "/view"), 1);
-    assert_eq!(snap.counter("web.error_codes", "NOT_FOUND"), 1);
+    assert_eq!(snap.counter(metric!("web.errors"), "/view"), 1);
+    assert_eq!(snap.counter(metric!("web.error_codes"), "NOT_FOUND"), 1);
 }
 
 #[test]
@@ -679,7 +680,7 @@ fn unknown_paths_share_one_metric_label() {
     let snap = fx.grid.metrics_snapshot();
     let after = families(&snap);
     assert!(after[0] <= before[0] + 1 && after[1] <= before[1] + 1);
-    assert_eq!(snap.counter("web.requests", "other"), 1001);
-    assert_eq!(snap.counter("web.errors", "other"), 1001);
+    assert_eq!(snap.counter(metric!("web.requests"), "other"), 1001);
+    assert_eq!(snap.counter(metric!("web.errors"), "other"), 1001);
     assert!(!snap.render_text().contains("/probe/"));
 }

@@ -10,7 +10,7 @@
 //! per-event cost is a `fetch_add` on a cached handle.
 
 use srb_net::Receipt;
-use srb_obs::{Counter, Histogram, MetricsRegistry, Obs, OpCost};
+use srb_obs::{metric, Counter, Histogram, MetricsRegistry, Obs, OpCost};
 use srb_storage::DriverKind;
 
 /// Convert a finished operation's receipt into the slow-op cost record.
@@ -77,20 +77,20 @@ impl CoreObs {
     pub fn new(obs: Obs) -> CoreObs {
         let m = &obs.metrics;
         CoreObs {
-            legs_dispatched: m.counter("fanout.legs_dispatched", ""),
-            legs_failed: m.counter("fanout.legs_failed", ""),
-            legs_stale: m.counter("fanout.legs_stale", ""),
-            queue_wait: m.histogram("fanout.queue_wait_ns", ""),
-            retries: m.counter("health.retries", ""),
-            backoff_ns: m.counter("health.backoff_ns", ""),
-            repairs: m.counter("health.repairs", ""),
-            pool_hits: m.counter("core.pool_hits", ""),
-            pool_misses: m.counter("core.pool_misses", ""),
-            checkpoint_failures: m.counter("wal.checkpoint_failures", ""),
+            legs_dispatched: m.counter(metric!("fanout.legs_dispatched"), ""),
+            legs_failed: m.counter(metric!("fanout.legs_failed"), ""),
+            legs_stale: m.counter(metric!("fanout.legs_stale"), ""),
+            queue_wait: m.histogram(metric!("fanout.queue_wait_ns"), ""),
+            retries: m.counter(metric!("health.retries"), ""),
+            backoff_ns: m.counter(metric!("health.backoff_ns"), ""),
+            repairs: m.counter(metric!("health.repairs"), ""),
+            pool_hits: m.counter(metric!("core.pool_hits"), ""),
+            pool_misses: m.counter(metric!("core.pool_misses"), ""),
+            checkpoint_failures: m.counter(metric!("wal.checkpoint_failures"), ""),
             storage: DRIVER_KINDS.map(|kind| {
                 (
-                    m.counter("storage.ops", kind.name()),
-                    m.histogram("storage.op_ns", kind.name()),
+                    m.counter(metric!("storage.ops"), kind.name()),
+                    m.histogram(metric!("storage.op_ns"), kind.name()),
                 )
             }),
             obs,
@@ -114,11 +114,9 @@ impl CoreObs {
     /// labelled by driver family and sub-labelled by error code via the
     /// `storage.error_codes` counter.
     pub(crate) fn storage_error(&self, kind: DriverKind, code: &str) {
-        self.obs
-            .metrics
-            .counter("storage.errors", kind.name())
-            .inc();
-        self.obs.metrics.counter("storage.error_codes", code).inc();
+        let m = &self.obs.metrics;
+        m.counter(metric!("storage.errors"), kind.name()).inc();
+        m.counter(metric!("storage.error_codes"), code).inc();
     }
 
     /// Report a finished top-level operation: observe its whole-op
@@ -127,7 +125,7 @@ impl CoreObs {
     pub(crate) fn finish_op(&self, op: &str, subject: &str, receipt: &Receipt) {
         self.obs
             .metrics
-            .histogram("core.op_ns", op)
+            .histogram(metric!("core.op_ns"), op)
             .observe(receipt.sim_ns);
         self.obs.slow.record(op, subject, op_cost(receipt));
     }
@@ -183,11 +181,11 @@ mod tests {
         core.storage_op(DriverKind::FileSystem, 1_000);
         core.storage_error(DriverKind::Archive, "TIMEOUT");
         let snap = core.obs.snapshot();
-        assert_eq!(snap.counter("storage.ops", "file-system"), 2);
-        assert_eq!(snap.counter("storage.ops", "url"), 1);
+        assert_eq!(snap.counter(metric!("storage.ops"), "file-system"), 2);
+        assert_eq!(snap.counter(metric!("storage.ops"), "url"), 1);
         assert_eq!(snap.histograms["storage.op_ns"]["database"].count, 1);
         assert_eq!(snap.histograms["storage.op_ns"]["database"].sum, 4_000);
-        assert_eq!(snap.counter("storage.errors", "archive"), 1);
-        assert_eq!(snap.counter("storage.error_codes", "TIMEOUT"), 1);
+        assert_eq!(snap.counter(metric!("storage.errors"), "archive"), 1);
+        assert_eq!(snap.counter(metric!("storage.error_codes"), "TIMEOUT"), 1);
     }
 }

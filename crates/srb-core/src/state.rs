@@ -153,6 +153,7 @@ mod tests {
     use crate::ops_write::{IngestOptions, RegisterSpec};
     use crate::SrbConnection;
     use srb_mcat::{Query, Template, WalConfig};
+    use srb_obs::metric;
     use srb_storage::LogDevice;
     use srb_types::{to_hex, CompareOp, SrbError, Triplet};
     use std::sync::Arc;
@@ -305,7 +306,7 @@ mod tests {
         let q = Query::everywhere().and("k", CompareOp::Eq, "v");
         assert_eq!(conn.query(&q).unwrap().0.len(), 1);
         let metrics = grid.metrics_snapshot();
-        assert!(metrics.counter("query.plans", "indexed") >= 1);
+        assert!(metrics.counter(metric!("query.plans"), "indexed") >= 1);
     }
 
     #[test]

@@ -9,7 +9,7 @@ use srb_mcat::metadata::{MetaKind, Subject};
 use srb_mcat::{Mcat, WalConfig, WalOp};
 use srb_net::topology::RPC_MESSAGE_BYTES;
 use srb_net::{Admission, BreakerConfig, FaultMode, FaultPlan, HealthRegistry, LinkSpec, Receipt};
-use srb_obs::{MetricsRegistry, MetricsSnapshot};
+use srb_obs::{metric, MetricsRegistry, MetricsSnapshot};
 use srb_storage::LogDevice;
 use srb_types::sync::{LockRank, RwLock};
 use srb_types::{
@@ -131,7 +131,7 @@ impl Federation {
             device,
         });
         self.metrics
-            .gauge("zone.zones", "")
+            .gauge(metric!("zone.zones"), "")
             .set(self.zones.len() as i64);
         Ok(id)
     }
@@ -177,7 +177,7 @@ impl Federation {
             );
         }
         self.metrics
-            .gauge("zone.links", "")
+            .gauge(metric!("zone.links"), "")
             .set((self.links.len() / 2) as i64);
         Ok(self)
     }
@@ -195,7 +195,7 @@ impl Federation {
             let link = self.link_info(from, to)?;
             self.faults.set_mode(link.fault, FaultMode::Down);
         }
-        self.metrics.counter("zone.partitions", "").inc();
+        self.metrics.counter(metric!("zone.partitions"), "").inc();
         Ok(())
     }
 
@@ -250,7 +250,9 @@ impl Federation {
     pub(crate) fn charge_link(&self, from: usize, to: usize, bytes: u64) -> SrbResult<u64> {
         let link = self.link_info(from, to)?;
         if self.health.admit(link.fault) == Admission::FastFail {
-            self.metrics.counter("zone.link_fastfail", "").inc();
+            self.metrics
+                .counter(metric!("zone.link_fastfail"), "")
+                .inc();
             return Err(SrbError::ResourceUnavailable(format!(
                 "link {} -> {} circuit open",
                 ZoneId(from),
@@ -264,7 +266,7 @@ impl Federation {
             }
             Err(e) => {
                 self.health.record(link.fault, false);
-                self.metrics.counter("zone.link_blocked", "").inc();
+                self.metrics.counter(metric!("zone.link_blocked"), "").inc();
                 Err(e)
             }
         }
@@ -332,7 +334,9 @@ impl Federation {
             receipt.absorb(&Receipt::time(wal.take_pending_ns()));
         }
         done?;
-        self.metrics.counter("zone.registrations", "").inc();
+        self.metrics
+            .counter(metric!("zone.registrations"), "")
+            .inc();
         Ok(receipt)
     }
 

@@ -18,6 +18,7 @@ use crate::zone::federation::{Federation, ZoneId};
 use crate::SrbConnection;
 use srb_mcat::{Query, QueryHit};
 use srb_net::Receipt;
+use srb_obs::metric;
 use srb_types::{SrbError, SrbResult};
 
 /// A query hit tagged with the zone whose catalog produced it.
@@ -111,7 +112,7 @@ impl<'f> FedConnection<'f> {
         let home = self.home;
         self.fed
             .metrics()
-            .counter("zone.query_legs", "")
+            .counter(metric!("zone.query_legs"), "")
             .add(legs.len() as u64);
         let results: Vec<SrbResult<(usize, Vec<QueryHit>, Receipt)>> =
             run_legs(FanoutMode::Parallel, legs.len(), |i| {
@@ -142,7 +143,9 @@ impl<'f> FedConnection<'f> {
                 }
                 Err(e) if legs[leg_no] == home => return Err(e),
                 Err(_) => {
-                    fed.metrics().counter("zone.query_leg_failures", "").inc();
+                    fed.metrics()
+                        .counter(metric!("zone.query_leg_failures"), "")
+                        .inc();
                 }
             }
         }
@@ -201,7 +204,9 @@ impl<'f> FedConnection<'f> {
                 match fed.charge_link_rpc(self.home, z) {
                     Ok(ns) => receipt.absorb(&Receipt::time(ns)),
                     Err(_) => {
-                        fed.metrics().counter("zone.query_leg_failures", "").inc();
+                        fed.metrics()
+                            .counter(metric!("zone.query_leg_failures"), "")
+                            .inc();
                         pos += 1;
                         inner = None;
                         continue;

@@ -32,6 +32,7 @@
 use crate::zone::federation::{ensure_collection, Federation, ZoneId};
 use srb_mcat::metadata::{MetaKind, Subject};
 use srb_mcat::{export_deltas, Collection, Dataset, Delta, DeltaFetch, Mcat, WalOp};
+use srb_obs::metric;
 use srb_types::sync::{LockRank, Mutex};
 use srb_types::{CollectionId, DatasetId, LogicalPath, Lsn, MetaId, SrbError, SrbResult};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -178,7 +179,9 @@ impl Federation {
             self.clock().advance(handshake_ns + copy_ns);
         }
         self.subs_registry().write().push(sub);
-        self.metrics().counter("zone.subscriptions", "").inc();
+        self.metrics()
+            .counter(metric!("zone.subscriptions"), "")
+            .inc();
         Ok(dst_root.to_string())
     }
 
@@ -203,10 +206,12 @@ impl Federation {
             outcome = outcome.and(one);
             report.pending += inner.outbox.len();
             self.metrics()
-                .gauge("zone.outbox_depth", &link)
+                .gauge(metric!("zone.outbox_depth"), &link)
                 .set(inner.outbox.len() as i64);
         }
-        self.metrics().counter("zone.pump_rounds", "").inc();
+        self.metrics()
+            .counter(metric!("zone.pump_rounds"), "")
+            .inc();
         report.cost_ns = report.cost_ns.max(1); // a round is never free
         outcome.map(|()| report)
     }
@@ -279,7 +284,7 @@ impl Federation {
                             fetch_ns += ns;
                             inner.resyncs += 1;
                             report.resyncs += 1;
-                            self.metrics().counter("zone.resyncs", "").inc();
+                            self.metrics().counter(metric!("zone.resyncs"), "").inc();
                         }
                         Err(_) => report.blocked += 1,
                     },
@@ -308,9 +313,11 @@ impl Federation {
                                         .collect();
                                     report.fetched += relevant.len();
                                     self.metrics()
-                                        .counter("zone.deltas_fetched", "")
+                                        .counter(metric!("zone.deltas_fetched"), "")
                                         .add(relevant.len() as u64);
-                                    self.metrics().counter("zone.delta_bytes", "").add(bytes);
+                                    self.metrics()
+                                        .counter(metric!("zone.delta_bytes"), "")
+                                        .add(bytes);
                                     inner.outbox.extend(relevant);
                                 }
                                 Err(_) => report.blocked += 1,
@@ -366,7 +373,7 @@ impl Federation {
             inner.max_lag_ns = inner.max_lag_ns.max(lag);
             report.max_lag_ns = report.max_lag_ns.max(lag);
             lag_hist
-                .get_or_insert_with(|| self.metrics().histogram("zone.lag_ns", link))
+                .get_or_insert_with(|| self.metrics().histogram(metric!("zone.lag_ns"), link))
                 .observe(lag);
         }
         // The applied batch is one commit group on the subscriber (a no-op
@@ -379,7 +386,7 @@ impl Federation {
         }
         report.applied += applied;
         self.metrics()
-            .counter("zone.deltas_applied", "")
+            .counter(metric!("zone.deltas_applied"), "")
             .add(applied as u64);
         outcome
     }

@@ -7,6 +7,7 @@ mod common;
 use srb_core::ops_write::IngestOptions;
 use srb_core::SrbConnection;
 use srb_mcat::{Mcat, Subject, WalConfig};
+use srb_obs::metric;
 use srb_storage::LogDevice;
 use srb_types::{SrbError, Triplet};
 use std::sync::Arc;
@@ -116,9 +117,9 @@ fn checkpoints_ride_the_op_epilogue() {
         "ingest epilogues must have triggered a periodic checkpoint"
     );
     let snap = f.grid.metrics_snapshot();
-    assert!(snap.counter("wal.appends", "") > 0);
-    assert!(snap.counter("wal.group_commits", "") > 0);
-    assert!(snap.counter("wal.checkpoints", "") > 0);
+    assert!(snap.counter(metric!("wal.appends"), "") > 0);
+    assert!(snap.counter(metric!("wal.group_commits"), "") > 0);
+    assert!(snap.counter(metric!("wal.checkpoints"), "") > 0);
 }
 
 /// Texts at the edge of what a `ShortStr` holds inline (22 bytes): 21, 22

@@ -85,7 +85,6 @@ fn the_recorded_state_restores_to_the_same_bytes() {
     assert_eq!(f.grid.save_state().unwrap(), SAVED.trim_end());
 }
 
-
 #[test]
 fn a_state_file_in_the_object_form_restores_to_the_same_grid() {
     let mut old = common::grid();

@@ -18,6 +18,7 @@ use common::normalized;
 use srb_core::{Federation, GridBuilder, IngestOptions, SrbConnection, ZoneId};
 use srb_mcat::{CatalogSnapshot, Mcat, WalConfig};
 use srb_net::LinkSpec;
+use srb_obs::metric;
 use srb_storage::LogDevice;
 use srb_types::{Lsn, SeedStream, SimClock, Triplet};
 use std::sync::Arc;
@@ -224,11 +225,12 @@ fn one_ingest_is_five_records_and_one_fsync() {
     let after = grid.metrics_snapshot();
     // Dataset row, two triplets, audit row, commit marker.
     assert_eq!(
-        after.counter("wal.appends", "") - before.counter("wal.appends", ""),
+        after.counter(metric!("wal.appends"), "") - before.counter(metric!("wal.appends"), ""),
         5
     );
     assert_eq!(
-        after.counter("wal.group_commits", "") - before.counter("wal.group_commits", ""),
+        after.counter(metric!("wal.group_commits"), "")
+            - before.counter(metric!("wal.group_commits"), ""),
         1
     );
     let (appends2, syncs2, _) = w.device.stats();

@@ -14,6 +14,7 @@ mod common;
 use common::{normalized, Fixture};
 use srb_core::{IngestOptions, RegisterSpec, SrbConnection};
 use srb_mcat::{AnnotationKind, LockKind, Mcat, Query, WalConfig};
+use srb_obs::metric;
 use srb_storage::LogDevice;
 use srb_types::{MetaId, MetaValue, Permission, SimClock, SrbResult, Triplet};
 use std::collections::BTreeSet;
@@ -651,7 +652,7 @@ fn a_failed_checkpoint_is_counted_and_the_op_stands() {
     let failures = |f: &Fixture| {
         f.grid
             .metrics_snapshot()
-            .counter("wal.checkpoint_failures", "")
+            .counter(metric!("wal.checkpoint_failures"), "")
     };
     assert_eq!(failures(&f), 1);
     assert_eq!(device.checkpoint_lsn(), cover, "old checkpoint untouched");

@@ -14,6 +14,7 @@ use crate::query::{Query, QueryCondition, QueryHit};
 use crate::resource::ResourceTable;
 use crate::user::UserTable;
 use crate::wal::{self, RecoveryReport, Wal, WalConfig, WalHook};
+use srb_obs::metric;
 use srb_storage::LogDevice;
 use srb_types::{
     like_scan_prefix, AccessMatrix, Checksum, CollectionId, CompareOp, CursorCodec, DatasetId,
@@ -240,14 +241,14 @@ impl Mcat {
     /// enabled).
     pub fn with_metrics(mut self, metrics: &srb_obs::MetricsRegistry) -> Self {
         self.obs = Some(QueryObs {
-            plans_indexed: metrics.counter("query.plans", "indexed"),
-            plans_scan: metrics.counter("query.plans", "scan"),
-            indexes_probed: metrics.counter("query.indexes_probed", ""),
-            candidates_scanned: metrics.counter("query.candidates_scanned", ""),
-            candidates_verified: metrics.counter("query.candidates_verified", ""),
-            range_scans: metrics.counter("mcat.range_scan", ""),
-            cursor_pages: metrics.counter("mcat.cursor_pages", ""),
-            cursor_invalidated: metrics.counter("mcat.cursor_invalidated", ""),
+            plans_indexed: metrics.counter(metric!("query.plans"), "indexed"),
+            plans_scan: metrics.counter(metric!("query.plans"), "scan"),
+            indexes_probed: metrics.counter(metric!("query.indexes_probed"), ""),
+            candidates_scanned: metrics.counter(metric!("query.candidates_scanned"), ""),
+            candidates_verified: metrics.counter(metric!("query.candidates_verified"), ""),
+            range_scans: metrics.counter(metric!("mcat.range_scan"), ""),
+            cursor_pages: metrics.counter(metric!("mcat.cursor_pages"), ""),
+            cursor_invalidated: metrics.counter(metric!("mcat.cursor_invalidated"), ""),
         });
         self.collections.attach_metrics(metrics);
         self
@@ -1459,18 +1460,39 @@ mod tests {
         // Indexed plan: one strong source drives it.
         let q = Query::everywhere().and("wingspan", CompareOp::Gt, 100i64);
         assert_eq!(m.query(&q).unwrap().len(), 1);
-        assert_eq!(metrics.counter("query.plans", "indexed").get(), 1);
-        assert_eq!(metrics.counter("query.indexes_probed", "").get(), 1);
-        assert_eq!(metrics.counter("query.candidates_scanned", "").get(), 1);
-        assert_eq!(metrics.counter("query.candidates_verified", "").get(), 1);
+        assert_eq!(metrics.counter(metric!("query.plans"), "indexed").get(), 1);
+        assert_eq!(
+            metrics.counter(metric!("query.indexes_probed"), "").get(),
+            1
+        );
+        assert_eq!(
+            metrics
+                .counter(metric!("query.candidates_scanned"), "")
+                .get(),
+            1
+        );
+        assert_eq!(
+            metrics
+                .counter(metric!("query.candidates_verified"), "")
+                .get(),
+            1
+        );
         // No index-complete condition: full-scope scan plan.
         let q_scan = Query::everywhere();
         let hits = m.query(&q_scan).unwrap();
         assert_eq!(hits.len(), 3);
-        assert_eq!(metrics.counter("query.plans", "scan").get(), 1);
+        assert_eq!(metrics.counter(metric!("query.plans"), "scan").get(), 1);
         // The second query reused the cached "/" scope set.
-        assert_eq!(metrics.counter("query.scope_cache_misses", "").get(), 1);
-        assert_eq!(metrics.counter("query.scope_cache_hits", "").get(), 1);
+        assert_eq!(
+            metrics
+                .counter(metric!("query.scope_cache_misses"), "")
+                .get(),
+            1
+        );
+        assert_eq!(
+            metrics.counter(metric!("query.scope_cache_hits"), "").get(),
+            1
+        );
     }
 
     #[test]
@@ -1743,13 +1765,18 @@ mod tests {
         assert_eq!(hits, m.query_scan(&q).unwrap());
         // Prefix patterns are strong sources now: indexed plan, one range
         // scan, one candidate pulled instead of a partition sweep.
-        assert_eq!(metrics.counter("query.plans", "indexed").get(), 1);
-        assert_eq!(metrics.counter("mcat.range_scan", "").get(), 1);
-        assert_eq!(metrics.counter("query.candidates_scanned", "").get(), 1);
+        assert_eq!(metrics.counter(metric!("query.plans"), "indexed").get(), 1);
+        assert_eq!(metrics.counter(metric!("mcat.range_scan"), "").get(), 1);
+        assert_eq!(
+            metrics
+                .counter(metric!("query.candidates_scanned"), "")
+                .get(),
+            1
+        );
         // Non-prefix patterns still demote to pattern/residual handling.
         let q2 = Query::everywhere().and("habitat", CompareOp::Like, "%anna");
         assert_eq!(m.query(&q2).unwrap().len(), 1);
-        assert_eq!(metrics.counter("mcat.range_scan", "").get(), 1);
+        assert_eq!(metrics.counter(metric!("mcat.range_scan"), "").get(), 1);
     }
 
     #[test]
@@ -1766,13 +1793,13 @@ mod tests {
         let hits = m.query(&q).unwrap();
         assert!(hits.is_empty());
         assert_eq!(hits, m.query_scan(&q).unwrap());
-        assert_eq!(metrics.counter("query.plans", "scan").get(), 1);
+        assert_eq!(metrics.counter(metric!("query.plans"), "scan").get(), 1);
         // Same condition over the birds scope stays indexed.
         let q2 = Query::everywhere()
             .under(p("/zoo/birds"))
             .and("wingspan", CompareOp::Gt, 0i64);
         assert_eq!(m.query(&q2).unwrap().len(), 2);
-        assert_eq!(metrics.counter("query.plans", "indexed").get(), 1);
+        assert_eq!(metrics.counter(metric!("query.plans"), "indexed").get(), 1);
     }
 
     #[test]

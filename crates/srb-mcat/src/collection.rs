@@ -10,6 +10,7 @@ use crate::pages::RowPages;
 use crate::table::{Derived, Table};
 use crate::wal::WalHook;
 use serde::{Deserialize, Serialize};
+use srb_obs::metric;
 use srb_types::sync::{LockRank, RwLock, RwLockReadGuard};
 use srb_types::{
     AccessMatrix, CollectionId, GenCounter, Generation, IdGen, IdMap, IdSet, LogicalPath, SrbError,
@@ -431,8 +432,8 @@ impl CollectionTable {
     /// at construction when observability is enabled).
     pub(crate) fn attach_metrics(&mut self, metrics: &srb_obs::MetricsRegistry) {
         self.cache_obs = Some((
-            metrics.counter("query.scope_cache_hits", ""),
-            metrics.counter("query.scope_cache_misses", ""),
+            metrics.counter(metric!("query.scope_cache_hits"), ""),
+            metrics.counter(metric!("query.scope_cache_misses"), ""),
         ));
     }
 

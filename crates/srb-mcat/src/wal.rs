@@ -82,6 +82,7 @@ use crate::snapshot::{
 use crate::user::{Group, User};
 use crate::Mcat;
 use serde::{Deserialize, Serialize};
+use srb_obs::metric;
 use srb_storage::{LogDevice, TailRead};
 use srb_types::sync::{LockRank, Mutex};
 use srb_types::{
@@ -358,12 +359,12 @@ impl Wal {
             image: Mutex::new(LockRank::McatTable, "mcat.wal.image", None),
             pending_ns: AtomicU64::new(0),
             obs: metrics.map(|m| WalObs {
-                appends: m.counter("wal.appends", ""),
-                group_commits: m.counter("wal.group_commits", ""),
-                checkpoints: m.counter("wal.checkpoints", ""),
-                pages_copied: m.counter("wal.checkpoint_pages_copied", ""),
-                pages_rendered: m.counter("wal.checkpoint_pages_rendered", ""),
-                recovery_ns: m.counter("wal.recovery_ns", ""),
+                appends: m.counter(metric!("wal.appends"), ""),
+                group_commits: m.counter(metric!("wal.group_commits"), ""),
+                checkpoints: m.counter(metric!("wal.checkpoints"), ""),
+                pages_copied: m.counter(metric!("wal.checkpoint_pages_copied"), ""),
+                pages_rendered: m.counter(metric!("wal.checkpoint_pages_rendered"), ""),
+                recovery_ns: m.counter(metric!("wal.recovery_ns"), ""),
             }),
         }
     }

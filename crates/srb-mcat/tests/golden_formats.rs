@@ -530,7 +530,9 @@ fn recorded_lines_reread_and_rerender_byte_for_byte() {
         assert_eq!(serde_json::to_string(&v).unwrap(), payload);
     }
     // An object-form line reads as the same record as its twin.
-    let twins = parse_tail(OLD_FULL_TAIL).into_iter().zip(parse_tail(FULL_TAIL));
+    let twins = parse_tail(OLD_FULL_TAIL)
+        .into_iter()
+        .zip(parse_tail(FULL_TAIL));
     for ((old_lsn, old), (lsn, payload)) in twins {
         assert_eq!(old_lsn, lsn);
         let rec: WalRecord = serde_json::from_str(&old).unwrap();
@@ -651,7 +653,10 @@ fn a_rows_fields_keep_their_recorded_order() {
     condor.modified = Timestamp(4_000_000);
     assert_eq!(serde_json::to_row_string(&condor).unwrap(), CONDOR_ROW);
     let back: Dataset = serde_json::from_str(CONDOR_ROW).unwrap();
-    assert_eq!((back.created, back.modified), (Timestamp(3_000_000), Timestamp(4_000_000)));
+    assert_eq!(
+        (back.created, back.modified),
+        (Timestamp(3_000_000), Timestamp(4_000_000))
+    );
     assert_eq!(
         serde_json::to_string(&back).unwrap(),
         serde_json::to_string(&condor).unwrap()

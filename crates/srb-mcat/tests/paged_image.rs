@@ -18,7 +18,7 @@ use srb_mcat::{
     AccessSpec, AnnotationKind, AuditAction, CatalogSnapshot, Mcat, MetaKind, Subject, WalConfig,
     WalOp, WalRecord, IMAGE_PAGE_IDS,
 };
-use srb_obs::MetricsRegistry;
+use srb_obs::{metric, MetricsRegistry};
 use srb_storage::{DriverKind, Image, LogDevice, TailRead};
 use srb_types::{
     AccessMatrix, AnnotationId, CollectionId, DatasetId, MetaId, MetaValue, Permission, ResourceId,
@@ -156,8 +156,12 @@ fn page_parts(image: &Image) -> BTreeMap<Page, Arc<str>> {
 /// `(pages copied, pages rendered)` counted so far.
 fn counters(metrics: &MetricsRegistry) -> (u64, u64) {
     (
-        metrics.counter("wal.checkpoint_pages_copied", "").get(),
-        metrics.counter("wal.checkpoint_pages_rendered", "").get(),
+        metrics
+            .counter(metric!("wal.checkpoint_pages_copied"), "")
+            .get(),
+        metrics
+            .counter(metric!("wal.checkpoint_pages_rendered"), "")
+            .get(),
     )
 }
 

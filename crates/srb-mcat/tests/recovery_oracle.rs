@@ -18,6 +18,7 @@ use srb_mcat::{
     export_deltas, AccessSpec, AnnotationKind, AuditAction, CatalogSnapshot, DeltaFetch, Mcat,
     MetaKind, Subject, WalConfig, WalOp,
 };
+use srb_obs::metric;
 use srb_storage::{DriverKind, LogDevice};
 use srb_types::{
     Checksum, CollectionId, DatasetId, Lsn, ResourceId, SeedStream, SimClock, SiteId, SrbError,
@@ -586,9 +587,9 @@ fn wal_metrics_account_for_durability_work() {
         m.commit();
         m.maybe_checkpoint().unwrap();
     }
-    assert!(metrics.counter("wal.appends", "").get() >= 20);
-    assert!(metrics.counter("wal.group_commits", "").get() >= 10);
-    assert!(metrics.counter("wal.checkpoints", "").get() >= 2);
+    assert!(metrics.counter(metric!("wal.appends"), "").get() >= 20);
+    assert!(metrics.counter(metric!("wal.group_commits"), "").get() >= 10);
+    assert!(metrics.counter(metric!("wal.checkpoints"), "").get() >= 2);
     let wal = m.wal().unwrap();
     assert!(
         wal.take_pending_ns() > 0,
@@ -609,10 +610,10 @@ fn wal_metrics_account_for_durability_work() {
     .unwrap();
     assert!(rec.clock.now() >= Timestamp(before.nanos() - 1_000_000));
     assert_eq!(
-        metrics2.counter("wal.recovery_ns", "").get(),
+        metrics2.counter(metric!("wal.recovery_ns"), "").get(),
         report.recovery_ns
     );
-    assert!(metrics2.counter("wal.checkpoints", "").get() >= 1);
+    assert!(metrics2.counter(metric!("wal.checkpoints"), "").get() >= 1);
 }
 
 #[test]

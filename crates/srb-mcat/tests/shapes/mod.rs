@@ -74,7 +74,9 @@ fn walk(v: &Value, n: usize, seen: &mut usize, how: Reshape, rows: bool) -> Valu
         *seen - 1 == n
     };
     let out = match v {
-        Value::Seq(items) => Value::Seq(items.iter().map(|x| walk(x, n, seen, how, rows)).collect()),
+        Value::Seq(items) => {
+            Value::Seq(items.iter().map(|x| walk(x, n, seen, how, rows)).collect())
+        }
         Value::Map(entries) => Value::Map(
             entries
                 .iter()

@@ -20,7 +20,7 @@
 //! | `AddedLatency(ns)`   | succeeds, charges `ns` extra simulated time    |
 //! | `SlowUntilHealed(ns)`| like `AddedLatency` but reads as "degraded"    |
 
-use srb_obs::{MetricsRegistry, ResourceLabels};
+use srb_obs::{metric, MetricsRegistry, ResourceLabels};
 use srb_types::sync::{LockRank, RwLock};
 use srb_types::{splitmix64, ResourceId, SrbError, SrbResult};
 use std::collections::HashMap;
@@ -97,7 +97,7 @@ impl FaultPlan {
     fn count_injected(&self, r: ResourceId) {
         if let Some(obs) = &self.obs {
             obs.metrics
-                .counter("faults.injected", &obs.labels.get(r))
+                .counter(metric!("faults.injected"), &obs.labels.get(r))
                 .inc();
         }
     }
@@ -212,11 +212,11 @@ mod tests {
         assert!(f.inject(ResourceId(1)).is_err());
         assert!(f.inject(ResourceId(1)).is_err());
         assert!(f.inject(ResourceId(1)).is_ok(), "burst healed");
-        assert_eq!(metrics.counter("faults.injected", "fs1").get(), 2);
+        assert_eq!(metrics.counter(metric!("faults.injected"), "fs1").get(), 2);
         // Added latency is not a failure: it must not count.
         f.set_mode(ResourceId(1), FaultMode::AddedLatency(5));
         assert_eq!(f.inject(ResourceId(1)).unwrap(), 5);
-        assert_eq!(metrics.counter("faults.injected", "fs1").get(), 2);
+        assert_eq!(metrics.counter(metric!("faults.injected"), "fs1").get(), 2);
     }
 
     #[test]

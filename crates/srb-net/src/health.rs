@@ -23,7 +23,7 @@
 //! advances the clock, which means a breaker can only half-open after the
 //! caller has charged enough simulated work.
 
-use srb_obs::{MetricsRegistry, ResourceLabels};
+use srb_obs::{metric, MetricsRegistry, ResourceLabels};
 use srb_types::sync::{LockRank, RwLock};
 use srb_types::{ResourceId, SimClock, Timestamp};
 use std::collections::HashMap;
@@ -156,19 +156,21 @@ struct HealthObs {
 }
 
 impl HealthObs {
-    /// Record a state transition: bump `counter` for `r` and move the
+    /// Record a transition into `state`: bump its counter for `r`
+    /// (`health.breaker_trips`, `_half_opens` or `_closes`) and move the
     /// per-resource `health.breaker_state` gauge (0 closed, 1 half-open,
     /// 2 open).
-    fn transition(&self, r: ResourceId, counter: &str, state: BreakerState) {
+    fn transition(&self, r: ResourceId, state: BreakerState) {
+        let (counter, gauge) = match state {
+            BreakerState::Closed => (metric!("health.breaker_closes"), 0),
+            BreakerState::HalfOpen => (metric!("health.breaker_half_opens"), 1),
+            BreakerState::Open => (metric!("health.breaker_trips"), 2),
+        };
         let label = self.labels.get(r);
         self.metrics.counter(counter, &label).inc();
         self.metrics
-            .gauge("health.breaker_state", &label)
-            .set(match state {
-                BreakerState::Closed => 0,
-                BreakerState::HalfOpen => 1,
-                BreakerState::Open => 2,
-            });
+            .gauge(metric!("health.breaker_state"), &label)
+            .set(gauge);
     }
 }
 
@@ -230,13 +232,13 @@ impl HealthRegistry {
                     cell.state = BreakerState::HalfOpen;
                     cell.probe_successes = 0;
                     if let Some(obs) = &self.obs {
-                        obs.transition(r, "health.breaker_half_opens", BreakerState::HalfOpen);
+                        obs.transition(r, BreakerState::HalfOpen);
                     }
                     Admission::Probe
                 } else {
                     if let Some(obs) = &self.obs {
                         obs.metrics
-                            .counter("health.fast_fails", &obs.labels.get(r))
+                            .counter(metric!("health.fast_fails"), &obs.labels.get(r))
                             .inc();
                     }
                     Admission::FastFail
@@ -263,7 +265,7 @@ impl HealthRegistry {
                 if cell.failures() >= self.config.failure_threshold {
                     cell.trip(now);
                     if let Some(obs) = &self.obs {
-                        obs.transition(r, "health.breaker_trips", BreakerState::Open);
+                        obs.transition(r, BreakerState::Open);
                     }
                 }
             }
@@ -273,14 +275,14 @@ impl HealthRegistry {
                     if cell.probe_successes >= self.config.halfopen_successes {
                         cell.close();
                         if let Some(obs) = &self.obs {
-                            obs.transition(r, "health.breaker_closes", BreakerState::Closed);
+                            obs.transition(r, BreakerState::Closed);
                         }
                     }
                 } else {
                     // Probe failed: reopen and restart the cool-down.
                     cell.trip(now);
                     if let Some(obs) = &self.obs {
-                        obs.transition(r, "health.breaker_trips", BreakerState::Open);
+                        obs.transition(r, BreakerState::Open);
                     }
                 }
             }
@@ -490,18 +492,45 @@ mod tests {
         for _ in 0..4 {
             h.record(r, false);
         }
-        assert_eq!(metrics.counter("health.breaker_trips", "fs1").get(), 1);
-        assert_eq!(metrics.gauge("health.breaker_state", "fs1").get(), 2);
+        assert_eq!(
+            metrics
+                .counter(metric!("health.breaker_trips"), "fs1")
+                .get(),
+            1
+        );
+        assert_eq!(
+            metrics.gauge(metric!("health.breaker_state"), "fs1").get(),
+            2
+        );
         assert_eq!(h.admit(r), Admission::FastFail);
-        assert_eq!(metrics.counter("health.fast_fails", "fs1").get(), 1);
+        assert_eq!(
+            metrics.counter(metric!("health.fast_fails"), "fs1").get(),
+            1
+        );
         clock.advance(1_000);
         assert_eq!(h.admit(r), Admission::Probe);
-        assert_eq!(metrics.counter("health.breaker_half_opens", "fs1").get(), 1);
-        assert_eq!(metrics.gauge("health.breaker_state", "fs1").get(), 1);
+        assert_eq!(
+            metrics
+                .counter(metric!("health.breaker_half_opens"), "fs1")
+                .get(),
+            1
+        );
+        assert_eq!(
+            metrics.gauge(metric!("health.breaker_state"), "fs1").get(),
+            1
+        );
         h.record(r, true);
         h.record(r, true);
-        assert_eq!(metrics.counter("health.breaker_closes", "fs1").get(), 1);
-        assert_eq!(metrics.gauge("health.breaker_state", "fs1").get(), 0);
+        assert_eq!(
+            metrics
+                .counter(metric!("health.breaker_closes"), "fs1")
+                .get(),
+            1
+        );
+        assert_eq!(
+            metrics.gauge(metric!("health.breaker_state"), "fs1").get(),
+            0
+        );
     }
 
     #[test]

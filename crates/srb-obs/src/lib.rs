@@ -30,13 +30,12 @@
 //!
 //! Every metric name is `subsystem.name`: a subsystem from
 //! `SUBSYSTEMS`, a single dot, then a `[a-z0-9_]+` metric name
-//! (e.g. `fanout.legs_dispatched`, `query.scope_cache_hits`). The scheme
-//! is enforced at registration — an ill-formed name panics, like a lock
-//! rank inversion, because it is a programming bug, not an input error —
-//! and `cargo xtask lint` statically checks registration call sites
-//! outside this crate. Labels distinguish instances of one metric
-//! (a resource name, a driver kind, a web route); the empty label is the
-//! convention for unlabelled metrics.
+//! (e.g. `fanout.legs_dispatched`, `query.scope_cache_hits`). The
+//! compiler holds the scheme: the registry and the snapshot lookups take
+//! a [`MetricName`], which [`metric!`] builds in a `const` block, so an
+//! ill-formed name fails the build. Labels distinguish instances of one
+//! metric (a resource name, a driver kind, a web route); the empty label
+//! is the convention for unlabelled metrics.
 
 pub mod labels;
 pub mod metrics;
@@ -48,24 +47,76 @@ pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry};
 pub use slowlog::{OpCost, SlowOp, SlowOpLog};
 pub use snapshot::{HistogramSnapshot, MetricsSnapshot};
 
-/// The subsystems a metric may belong to. Kept in one place so the
-/// registry, the lint rule and DESIGN.md §12 agree on the universe.
-pub(crate) const SUBSYSTEMS: &[&str] = &[
+/// The subsystems a metric may belong to: the one list the scheme check
+/// in [`MetricName::new`] and DESIGN.md §12 agree on.
+const SUBSYSTEMS: &[&str] = &[
     "storage", "health", "faults", "fanout", "query", "mcat", "wal", "web", "core", "zone",
 ];
 
 /// True when `name` follows the `subsystem.name` scheme documented on the
-/// crate root. Shared verbatim with the `cargo xtask lint` metric-name
-/// rule, which applies it to registration call sites across the workspace.
-pub(crate) fn valid_metric_name(name: &str) -> bool {
-    let Some((subsystem, rest)) = name.split_once('.') else {
-        return false;
+/// crate root: a `const fn`, so [`metric!`] runs it at compile time.
+const fn follows_scheme(name: &str) -> bool {
+    let mut s = 0;
+    while s < SUBSYSTEMS.len() {
+        if let Some(tail) = after_dot(name.as_bytes(), SUBSYSTEMS[s].as_bytes()) {
+            return !tail.is_empty() && is_name(tail);
+        }
+        s += 1;
+    }
+    false
+}
+
+/// What follows `subsystem.` when `name` starts with it.
+const fn after_dot<'a>(name: &'a [u8], subsystem: &[u8]) -> Option<&'a [u8]> {
+    match (name, subsystem) {
+        ([b'.', tail @ ..], []) => Some(tail),
+        ([a, name @ ..], [b, subsystem @ ..]) if *a == *b => after_dot(name, subsystem),
+        _ => None,
+    }
+}
+
+/// True when every byte of `tail` is in `[a-z0-9_]`.
+const fn is_name(tail: &[u8]) -> bool {
+    match tail {
+        [] => true,
+        [b, rest @ ..] => {
+            (b.is_ascii_lowercase() || b.is_ascii_digit() || *b == b'_') && is_name(rest)
+        }
+    }
+}
+
+/// A metric name that follows the `subsystem.name` scheme. [`metric!`]
+/// builds one in a `const` block, so a bad literal fails the build (E0080):
+///
+/// ```compile_fail,E0080
+/// let _ = srb_obs::metric!("requests");
+/// ```
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub struct MetricName(&'static str);
+
+impl MetricName {
+    /// `name` as a metric name; panics when it breaks the scheme.
+    pub const fn new(name: &'static str) -> MetricName {
+        assert!(
+            follows_scheme(name),
+            "metric name violates the `subsystem.name` scheme (see srb_obs::SUBSYSTEMS)"
+        );
+        MetricName(name)
+    }
+}
+
+impl std::fmt::Display for MetricName {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.0)
+    }
+}
+
+/// `metric!("core.ops")`: the [`MetricName`], checked at compile time.
+#[macro_export]
+macro_rules! metric {
+    ($name:literal) => {
+        const { $crate::MetricName::new($name) }
     };
-    SUBSYSTEMS.contains(&subsystem)
-        && !rest.is_empty()
-        && rest
-            .bytes()
-            .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_')
 }
 
 /// One observability domain: registry + slow-op log. Cloning shares all
@@ -108,24 +159,68 @@ impl Obs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn naming_scheme() {
-        assert!(valid_metric_name("fanout.legs_dispatched"));
-        assert!(valid_metric_name("query.scope_cache_hits"));
-        assert!(valid_metric_name("web.requests"));
-        assert!(!valid_metric_name("fanout"), "missing name part");
-        assert!(!valid_metric_name("fanout."), "empty name part");
-        assert!(!valid_metric_name("replica.count"), "unknown subsystem");
-        assert!(!valid_metric_name("fanout.LegsStale"), "uppercase");
-        assert!(!valid_metric_name("fanout.legs stale"), "space");
-        assert!(!valid_metric_name("fanout.legs.stale"), "second dot");
+        assert!(follows_scheme("fanout.legs_dispatched"));
+        assert!(follows_scheme("query.scope_cache_hits"));
+        assert!(follows_scheme("web.requests"));
+        assert!(!follows_scheme("fanout"), "missing name part");
+        assert!(!follows_scheme("fanout."), "empty name part");
+        assert!(!follows_scheme("replica.count"), "unknown subsystem");
+        assert!(!follows_scheme("fanout.LegsStale"), "uppercase");
+        assert!(!follows_scheme("fanout.legs stale"), "space");
+        assert!(!follows_scheme("fanout.legs.stale"), "second dot");
+        assert!(!follows_scheme(".ops"), "empty subsystem");
+        assert!(
+            !follows_scheme("cores.ops"),
+            "a subsystem's prefix is not enough"
+        );
+    }
+
+    #[test]
+    fn new_panics_at_run_time_on_a_bad_name() {
+        for bad in ["replica.count", "core.", "core.Ops", "core.ops.total"] {
+            let built = std::panic::catch_unwind(|| MetricName::new(bad));
+            assert!(built.is_err(), "{bad} was accepted");
+        }
+        assert_eq!(MetricName::new("core.ops").to_string(), "core.ops");
+    }
+
+    /// The scheme as `split_once` reads it: the reference the `const fn`
+    /// [`follows_scheme`] must agree with.
+    fn reference(name: &str) -> bool {
+        name.split_once('.').is_some_and(|(subsystem, rest)| {
+            SUBSYSTEMS.contains(&subsystem)
+                && !rest.is_empty()
+                && rest
+                    .bytes()
+                    .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_')
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn the_const_check_agrees_with_split_once(
+            subsystem in 0..SUBSYSTEMS.len() + 2,
+            cut in 0usize..2,
+            tail in "[a-z0-9_.A-Z ]{0,6}",
+        ) {
+            // A known subsystem, one cut short, or none at all, then a tail
+            // that may add a dot, a second dot, an uppercase letter or a space.
+            let prefix = SUBSYSTEMS.get(subsystem).copied().unwrap_or("webby");
+            let prefix = &prefix[..prefix.len() - cut];
+            for name in [format!("{prefix}.{tail}"), format!("{prefix}{tail}")] {
+                prop_assert_eq!(follows_scheme(&name), reference(&name), "{}", name);
+            }
+        }
     }
 
     #[test]
     fn obs_snapshot_combines_metrics_and_slow_ops() {
         let obs = Obs::new();
-        obs.metrics.counter("core.ops", "").add(3);
+        obs.metrics.counter(metric!("core.ops"), "").add(3);
         obs.slow.record("open", "/zoo/a", OpCost::default());
         let snap = obs.snapshot();
         assert_eq!(snap.counters["core.ops"][""], 3);

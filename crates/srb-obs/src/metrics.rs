@@ -9,7 +9,7 @@
 //! re-registration path (one read lock, two `BTreeMap` probes, no
 //! allocation on hit) for call sites where caching a handle is awkward.
 
-use crate::valid_metric_name;
+use crate::MetricName;
 use serde::{Deserialize, Serialize};
 use srb_types::sync::RwLock;
 use srb_types::LockRank;
@@ -179,10 +179,14 @@ pub struct HistogramSnapshot {
 /// allocation-free and snapshots deterministically ordered.
 type Family<H> = BTreeMap<String, H>;
 
+/// Metric name → family. A [`MetricName`] is a checked `&'static str`, so
+/// the name keys cost no allocation.
+type Families<H> = RwLock<BTreeMap<&'static str, Family<H>>>;
+
 struct Inner {
-    counters: RwLock<BTreeMap<String, Family<Counter>>>,
-    gauges: RwLock<BTreeMap<String, Family<Gauge>>>,
-    histograms: RwLock<BTreeMap<String, Family<Histogram>>>,
+    counters: Families<Counter>,
+    gauges: Families<Gauge>,
+    histograms: Families<Histogram>,
 }
 
 /// The registry. Cloning shares all metrics; every subsystem of one grid
@@ -204,21 +208,12 @@ impl Default for MetricsRegistry {
     }
 }
 
-fn get_or_register<H: Clone + Default>(
-    map: &RwLock<BTreeMap<String, Family<H>>>,
-    name: &str,
-    label: &str,
-) -> H {
-    if let Some(h) = map.read().get(name).and_then(|f| f.get(label)) {
+fn get_or_register<H: Clone + Default>(map: &Families<H>, name: MetricName, label: &str) -> H {
+    if let Some(h) = map.read().get(name.0).and_then(|f| f.get(label)) {
         return h.clone();
     }
-    assert!(
-        valid_metric_name(name),
-        "metric name `{name}` violates the `subsystem.name` scheme \
-         (see srb_obs::SUBSYSTEMS)"
-    );
     let mut w = map.write();
-    w.entry(name.to_string())
+    w.entry(name.0)
         .or_default()
         .entry(label.to_string())
         .or_default()
@@ -238,91 +233,65 @@ impl MetricsRegistry {
     }
 
     /// The counter `name{label}`, registering it on first use.
-    /// Panics if `name` violates the naming scheme.
-    pub fn counter(&self, name: &str, label: &str) -> Counter {
+    pub fn counter(&self, name: MetricName, label: &str) -> Counter {
         get_or_register(&self.inner.counters, name, label)
     }
 
     /// The gauge `name{label}`, registering it on first use.
-    pub fn gauge(&self, name: &str, label: &str) -> Gauge {
+    pub fn gauge(&self, name: MetricName, label: &str) -> Gauge {
         get_or_register(&self.inner.gauges, name, label)
     }
 
     /// The histogram `name{label}`, registering it on first use.
-    pub fn histogram(&self, name: &str, label: &str) -> Histogram {
+    pub fn histogram(&self, name: MetricName, label: &str) -> Histogram {
         get_or_register(&self.inner.histograms, name, label)
     }
 
     /// Deterministic point-in-time snapshot of every registered metric
     /// (the slow-op log is merged in by [`crate::Obs::snapshot`]).
     pub fn snapshot(&self) -> crate::MetricsSnapshot {
-        let counters = self
-            .inner
-            .counters
-            .read()
-            .iter()
-            .map(|(name, fam)| {
-                (
-                    name.clone(),
-                    fam.iter().map(|(l, c)| (l.clone(), c.get())).collect(),
-                )
-            })
-            .collect();
-        let gauges = self
-            .inner
-            .gauges
-            .read()
-            .iter()
-            .map(|(name, fam)| {
-                (
-                    name.clone(),
-                    fam.iter().map(|(l, g)| (l.clone(), g.get())).collect(),
-                )
-            })
-            .collect();
-        let histograms = self
-            .inner
-            .histograms
-            .read()
-            .iter()
-            .map(|(name, fam)| {
-                (
-                    name.clone(),
-                    fam.iter().map(|(l, h)| (l.clone(), h.snapshot())).collect(),
-                )
-            })
-            .collect();
+        let inner = &*self.inner;
         crate::MetricsSnapshot {
-            counters,
-            gauges,
-            histograms,
+            counters: values(&inner.counters, Counter::get),
+            gauges: values(&inner.gauges, Gauge::get),
+            histograms: values(&inner.histograms, Histogram::snapshot),
             slow_ops: Vec::new(),
         }
     }
 }
 
+/// Every handle's `value`, by metric name then label.
+fn values<H, V>(map: &Families<H>, value: fn(&H) -> V) -> BTreeMap<String, BTreeMap<String, V>> {
+    let family = |fam: &Family<H>| fam.iter().map(|(l, h)| (l.clone(), value(h))).collect();
+    map.read()
+        .iter()
+        .map(|(name, fam)| (name.to_string(), family(fam)))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metric;
 
     #[test]
     fn counter_and_gauge_roundtrip() {
         let reg = MetricsRegistry::new();
-        let c = reg.counter("core.ops", "");
+        let c = reg.counter(metric!("core.ops"), "");
         c.inc();
         c.add(4);
         // Re-registration returns the same underlying atomic.
-        assert_eq!(reg.counter("core.ops", "").get(), 5);
-        let g = reg.gauge("health.breaker_state", "fs2");
+        assert_eq!(reg.counter(metric!("core.ops"), "").get(), 5);
+        let g = reg.gauge(metric!("health.breaker_state"), "fs2");
         g.set(2);
         g.add(-1);
-        assert_eq!(reg.gauge("health.breaker_state", "fs2").get(), 1);
+        assert_eq!(reg.gauge(metric!("health.breaker_state"), "fs2").get(), 1);
     }
 
     #[test]
     #[should_panic(expected = "subsystem.name")]
     fn bad_name_panics_at_registration() {
-        MetricsRegistry::new().counter("bogus.metric", "");
+        MetricsRegistry::new().counter(MetricName::new("bogus.metric"), "");
     }
 
     #[test]
@@ -342,7 +311,7 @@ mod tests {
     #[test]
     fn histogram_quantiles() {
         let reg = MetricsRegistry::new();
-        let h = reg.histogram("core.op_ns", "");
+        let h = reg.histogram(metric!("core.op_ns"), "");
         // 100 observations: 90 cheap (~1us), 10 expensive (~1ms).
         for _ in 0..90 {
             h.observe(1_000);
@@ -366,7 +335,7 @@ mod tests {
     #[test]
     fn empty_histogram_snapshot_is_zero() {
         let reg = MetricsRegistry::new();
-        let s = reg.histogram("core.op_ns", "x").snapshot();
+        let s = reg.histogram(metric!("core.op_ns"), "x").snapshot();
         assert_eq!(
             s,
             HistogramSnapshot {
@@ -383,9 +352,9 @@ mod tests {
     #[test]
     fn snapshot_orders_names_and_labels() {
         let reg = MetricsRegistry::new();
-        reg.counter("web.requests", "/query").inc();
-        reg.counter("web.requests", "/browse").inc();
-        reg.counter("core.ops", "").inc();
+        reg.counter(metric!("web.requests"), "/query").inc();
+        reg.counter(metric!("web.requests"), "/browse").inc();
+        reg.counter(metric!("core.ops"), "").inc();
         let snap = reg.snapshot();
         let names: Vec<&String> = snap.counters.keys().collect();
         assert_eq!(names, ["core.ops", "web.requests"]);

@@ -8,6 +8,7 @@
 
 pub use crate::metrics::HistogramSnapshot;
 use crate::slowlog::SlowOp;
+use crate::MetricName;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -32,18 +33,18 @@ impl MetricsSnapshot {
     }
 
     /// One counter value (0 when unregistered).
-    pub fn counter(&self, name: &str, label: &str) -> u64 {
+    pub fn counter(&self, name: MetricName, label: &str) -> u64 {
         self.counters
-            .get(name)
+            .get(name.0)
             .and_then(|fam| fam.get(label))
             .copied()
             .unwrap_or(0)
     }
 
     /// One gauge value (0 when unregistered).
-    pub fn gauge(&self, name: &str, label: &str) -> i64 {
+    pub fn gauge(&self, name: MetricName, label: &str) -> i64 {
         self.gauges
-            .get(name)
+            .get(name.0)
             .and_then(|fam| fam.get(label))
             .copied()
             .unwrap_or(0)
@@ -105,13 +106,20 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metric;
     use crate::{Obs, OpCost};
 
     fn sample_obs() -> Obs {
         let obs = Obs::new();
-        obs.metrics.counter("web.requests", "/query").add(7);
-        obs.metrics.gauge("health.breaker_state", "fs2").set(2);
-        obs.metrics.histogram("core.op_ns", "open").observe(4_096);
+        obs.metrics
+            .counter(metric!("web.requests"), "/query")
+            .add(7);
+        obs.metrics
+            .gauge(metric!("health.breaker_state"), "fs2")
+            .set(2);
+        obs.metrics
+            .histogram(metric!("core.op_ns"), "open")
+            .observe(4_096);
         obs.slow.record(
             "open",
             "/zoo/a",
@@ -149,7 +157,7 @@ mod tests {
     fn accessors_default_to_zero() {
         let snap = MetricsSnapshot::default();
         assert_eq!(snap.counter_total("fanout.legs_dispatched"), 0);
-        assert_eq!(snap.counter("web.requests", "/query"), 0);
-        assert_eq!(snap.gauge("health.breaker_state", "fs1"), 0);
+        assert_eq!(snap.counter(metric!("web.requests"), "/query"), 0);
+        assert_eq!(snap.gauge(metric!("health.breaker_state"), "fs1"), 0);
     }
 }

@@ -1,10 +1,10 @@
 //! `cargo xtask analyze` — structure-aware static concurrency,
 //! determinism and reachability analysis over the whole workspace.
 //!
-//! Four analyses run on the token stream (see [`crate::lexer`]). The first
-//! three are scoped to library code (`crates/*/src/**`, `src/**`) outside
-//! `#[cfg(test)]` regions — test code deliberately constructs inversions
-//! to exercise the runtime detector:
+//! Six analyses run on the token stream (see [`crate::lexer`]). All but
+//! `over-public` are scoped to library code (`crates/*/src/**`,
+//! `src/**`) outside `#[cfg(test)]` regions — test code deliberately
+//! constructs inversions to exercise the runtime detector:
 //!
 //! 1. **`lock-order`** — harvests every ranked-lock construction site into
 //!    a [`LockRegistry`], scans fn bodies
@@ -38,6 +38,14 @@
 //!    `dead_code` to report; a binary is a unit of its own because rustc
 //!    does not report an unused `pub fn` at a binary's root.
 //!
+//! 5. **`storage-door`** — a raw `.driver().` call in `srb-core` outside
+//!    the argument list of `storage_call(…)`, the one door that draws from
+//!    the fault plan, meters the access and charges its load.
+//! 6. **`subject-delete`** — a raw `.datasets.delete(` or
+//!    `.collections.delete(` in `srb-core`; rows go through
+//!    `Mcat::remove_dataset`/`remove_collection`, which take the row's
+//!    metadata, meta-file links and annotations with it.
+//!
 //! The text summary ends with a [`Ledger`] line: the size of the API
 //! under `crates/*/src`.
 //!
@@ -47,7 +55,7 @@
 
 use crate::lexer::{matching_close, FnItem, Lexed, Tok, TokKind};
 use crate::lockgraph::{Edge, LockGraph, LockRegistry};
-use crate::rules::Violation;
+use crate::Violation;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
@@ -186,7 +194,7 @@ impl Ledger {
 /// defined.
 const SYNC_FILE: &str = "crates/srb-types/src/sync.rs";
 
-/// Is this file in scope for the three analyses (library code only)?
+/// Is this file in scope for the per-file analyses (library code only)?
 fn in_analysis_scope(path: &str) -> bool {
     (path.starts_with("src/") || path.contains("/src/"))
         && !path.contains("/tests/")
@@ -194,7 +202,7 @@ fn in_analysis_scope(path: &str) -> bool {
         && !path.contains("/examples/")
 }
 
-/// Run all four analyses over `files` (workspace-relative paths under
+/// Run all six analyses over `files` (workspace-relative paths under
 /// `root`); `refs` are read only as references for `over-public`. Reads
 /// each file once and lexes it once.
 pub fn analyze(root: &Path, files: &[String], refs: &[String]) -> std::io::Result<Analysis> {
@@ -242,6 +250,8 @@ pub fn analyze(root: &Path, files: &[String], refs: &[String]) -> std::io::Resul
     for (path, lexed) in &lexed_files {
         scan_file(path, lexed, &registry, &mut graph, &mut violations);
         hash_iter_file(path, lexed, &mut violations);
+        storage_door_file(path, lexed, &mut violations);
+        subject_delete_file(path, lexed, &mut violations);
     }
     violations.extend(over_public(&all_files));
 
@@ -703,6 +713,90 @@ fn hash_iter_file(path: &str, lexed: &Lexed, violations: &mut Vec<Violation>) {
                     ),
                 });
             }
+        }
+    }
+}
+
+// ---------------------------------------------------------------- doors --
+
+/// The one door to a resource in `srb-core`: `SrbConnection::storage_call`.
+const STORAGE_DOOR: &str = "storage_call";
+
+/// `storage-door`: in `srb-core`'s library code a raw driver call — a
+/// `.driver().` chain into any `StorageDriver` method but `kind` — sits
+/// inside the argument list of a `storage_call(…)`, the one door that
+/// draws from the fault plan, meters the access and charges its load. A
+/// call outside it serves a down resource and goes uncounted. The
+/// whole-grid dump and restore in `state.rs` are the one exemption.
+fn storage_door_file(path: &str, lexed: &Lexed, violations: &mut Vec<Violation>) {
+    let in_scope = path
+        .strip_prefix("crates/srb-core/src/")
+        .is_some_and(|f| f != "state.rs");
+    if !in_scope {
+        return;
+    }
+    let toks = &lexed.toks;
+    let doors: Vec<(usize, usize)> = (0..toks.len())
+        .filter(|&i| {
+            toks[i].is_ident(STORAGE_DOOR) && toks.get(i + 1).is_some_and(|t| t.is_punct('('))
+        })
+        .filter_map(|i| matching_close(toks, i + 1).map(|close| (i + 1, close)))
+        .collect();
+    for i in 0..toks.len().saturating_sub(5) {
+        let raw = toks[i].is_punct('.')
+            && toks[i + 1].is_ident("driver")
+            && toks[i + 2].is_punct('(')
+            && toks[i + 3].is_punct(')')
+            && toks[i + 4].is_punct('.')
+            && !toks[i + 5].is_ident("kind");
+        if raw && !lexed.in_test(i) && !doors.iter().any(|&(open, close)| open < i && i < close) {
+            violations.push(Violation {
+                path: path.to_string(),
+                line: toks[i + 1].line,
+                rule: "storage-door",
+                msg: format!(
+                    "raw driver call `.driver().{}(` outside `{STORAGE_DOOR}`: it skips the \
+                     fault plan, the storage metrics and the load charge",
+                    toks[i + 5].text
+                ),
+            });
+        }
+    }
+}
+
+/// `subject-delete`: in `srb-core`'s library code a dataset or collection
+/// row is dropped only through `Mcat::remove_dataset` /
+/// `Mcat::remove_collection`, which take its metadata rows, meta-file
+/// links and annotations with it. A raw `.datasets.delete(` or
+/// `.collections.delete(` leaves them behind as orphans.
+fn subject_delete_file(path: &str, lexed: &Lexed, violations: &mut Vec<Violation>) {
+    if !path.starts_with("crates/srb-core/src/") {
+        return;
+    }
+    let toks = &lexed.toks;
+    for i in 0..toks.len().saturating_sub(4) {
+        let helper = match toks[i + 1].text.as_str() {
+            "datasets" => "remove_dataset",
+            "collections" => "remove_collection",
+            _ => continue,
+        };
+        if toks[i].is_punct('.')
+            && toks[i + 1].kind == TokKind::Ident
+            && toks[i + 2].is_punct('.')
+            && toks[i + 3].is_ident("delete")
+            && toks[i + 4].is_punct('(')
+            && !lexed.in_test(i)
+        {
+            let table = &toks[i + 1].text;
+            violations.push(Violation {
+                path: path.to_string(),
+                line: toks[i + 1].line,
+                rule: "subject-delete",
+                msg: format!(
+                    "raw `.{table}.delete(` leaves the row's metadata and annotations \
+                     behind; use `Mcat::{helper}`"
+                ),
+            });
         }
     }
 }
@@ -1249,6 +1343,49 @@ impl T {
 
     /// The ledger counts each crate's files up to their test module, and
     /// its total is the sum of the crates.
+    fn doors(path: &str, src: &str) -> Vec<Violation> {
+        let lexed = Lexed::new(src);
+        let mut violations = Vec::new();
+        storage_door_file(path, &lexed, &mut violations);
+        subject_delete_file(path, &lexed, &mut violations);
+        violations
+    }
+
+    #[test]
+    fn storage_door_flags_raw_driver_calls_outside_the_door() {
+        let src = "fn a() { let d = grid.driver(r)?;\n d.driver().read(p)?;\n\
+                   grid.driver(r)?.driver()\n .delete(p); }\n\
+                   fn b() { self.storage_call(r, |d| d.driver().read(p))?;\n\
+                   self.storage_call(r, |d| {\n Ok(((), d.driver().write(p, x)?))\n });\n\
+                   d.driver().kind(); }\n\
+                   #[cfg(test)]\nmod tests {\n fn t() { d.driver().read(p); }\n}\n";
+        let v = doors("crates/srb-core/src/ops_x.rs", src);
+        assert_eq!(v.iter().map(|v| v.line).collect::<Vec<_>>(), [2, 3]);
+        assert!(v[0].msg.contains("`.driver().read(`"), "{}", v[0].msg);
+        // The whole-grid dump and restore, and other crates, are exempt.
+        assert!(doors("crates/srb-core/src/state.rs", src).is_empty());
+        assert!(doors("crates/srb-storage/src/fs.rs", src).is_empty());
+        // A call after a door's argument list has closed is outside it.
+        let after = "self.storage_call(r, f)?; d.driver().read(p);\n";
+        assert_eq!(doors("crates/srb-core/src/conn.rs", after).len(), 1);
+    }
+
+    #[test]
+    fn subject_delete_flags_raw_row_deletes_in_srb_core() {
+        let src = "fn a() { mcat.datasets.delete(id)?;\n\
+                   let _ = self.grid.mcat.collections\n .delete(c); }\n\
+                   fn b() { mcat.remove_dataset(id)?; mcat.containers.delete(k)?;\n\
+                   datasets.delete(id); mcat.datasets.deleted(); }\n\
+                   #[cfg(test)]\nmod tests {\n fn t() { m.datasets.delete(d); }\n}\n";
+        let v = doors("crates/srb-core/src/zone/replication.rs", src);
+        assert_eq!(v.iter().map(|v| v.line).collect::<Vec<_>>(), [1, 2]);
+        assert!(v[0].msg.contains("Mcat::remove_dataset"), "{}", v[0].msg);
+        assert!(v[1].msg.contains("Mcat::remove_collection"), "{}", v[1].msg);
+        // The tables themselves and other crates may delete rows.
+        assert!(doors("crates/srb-mcat/src/catalog.rs", src).is_empty());
+        assert!(doors("crates/srb-core/tests/t.rs", src).is_empty());
+    }
+
     #[test]
     fn ledger_counts_per_crate_and_in_total() {
         let mut ledger = Ledger::default();

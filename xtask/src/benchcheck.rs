@@ -14,7 +14,7 @@
 //! on the artifact, ruled by the gate's name (`artifact` when the file does
 //! not load), whose message names the row and both sides' values.
 
-use crate::rules::Violation;
+use crate::Violation;
 use serde_json::Value;
 use std::collections::BTreeMap;
 use std::path::Path;

@@ -1,10 +1,9 @@
 //! Zero-dependency token-stream lexer for the workspace analyses.
 //!
-//! `cargo xtask lint` started life on a masking pass (blank out comments
-//! and literals, then substring-scan). The static analyses introduced with
-//! `cargo xtask analyze` need more structure than a masked string offers:
-//! which function a token belongs to and what a string literal *actually
-//! contains* once escapes are resolved. This module lexes a Rust source
+//! The static analyses of `cargo xtask analyze` need more structure than
+//! a substring scan offers: which function a token belongs to and what a
+//! string literal *actually contains* once escapes are resolved. This
+//! module lexes a Rust source
 //! file into a flat token vector with per-token line numbers, then runs a
 //! lightweight item parser over it that recovers `fn` bodies and
 //! `#[cfg(test)]` regions.
@@ -14,7 +13,7 @@
 //! trees, no type resolution, no macro expansion. Tokens are enough to ask
 //! "is this identifier a real code token?", "which fn body is it in?", and
 //! "what locks are constructed/acquired around here?" — the questions the
-//! lint rules and the concurrency analyses actually ask.
+//! analyses actually ask.
 
 /// What kind of token this is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -1,23 +1,16 @@
-//! Workspace automation: invariant linting, static analysis and the bench
-//! artifact gates.
+//! Workspace automation: static analysis and the bench artifact gates.
 //!
-//! - `cargo xtask lint` — source-level invariants of *this* workspace
-//!   that rustc and clippy cannot hold yet (DESIGN.md §8.2):
-//!   - `metric-name` — literal metric registrations outside `srb-obs` must
-//!     follow the `subsystem.name` scheme (`srb_obs::SUBSYSTEMS`).
-//!   - `storage-door` — a raw driver call in `srb-core` sits inside a
-//!     `storage_call(…)`, the door that draws faults and meters access.
-//!   - `subject-delete` — `srb-core` drops a dataset or collection row only
-//!     through `Mcat::remove_dataset`/`remove_collection`.
-//!   - `render-buffer` — MySRB's renderers write into the body buffer they
-//!     are handed, with no `format!`/`.to_string()` beside it.
-//!
-//!   The compiler holds the rest: `clippy.toml` bans raw `std::sync`
-//!   locks and wall-clock reads, crate-root `clippy::unwrap_used`/
-//!   `expect_used` (and `panic`/`todo`/`unimplemented` in `srb-core`) ban
-//!   unwraps and panics in library code, the `CatalogKey` bound keeps user
-//!   text off the id hasher, and serde's privacy keeps table rows on the
-//!   paged image writer.
+//! The compiler holds the workspace's source invariants where it can
+//! (DESIGN.md §8.2): `clippy.toml` bans raw `std::sync` locks and
+//! wall-clock reads, crate-root `clippy::unwrap_used`/`expect_used` (and
+//! `panic`/`todo`/`unimplemented` in `srb-core`) ban unwraps and panics in
+//! library code, the `CatalogKey` bound keeps user text off the id hasher,
+//! serde's privacy keeps table rows on the paged image writer, and
+//! `srb_obs::MetricName` makes a metric name that breaks the
+//! `subsystem.name` scheme a build error. `render_allocs.rs` pins the
+//! allocator calls of every MySRB page. The two checks neither can hold,
+//! the storage door and the subject delete in `srb-core`, are findings of
+//! `analyze`.
 //!
 //! - `cargo xtask analyze` — structure-aware static concurrency,
 //!   determinism and reachability analysis (see `analyze.rs`):
@@ -32,6 +25,10 @@
 //!     it could be `pub(crate)`, and rustc's `dead_code` then reports it
 //!     if nothing uses it at all (`benchmark/src/` and `examples/` are
 //!     read as references only).
+//!   - `storage-door` — a raw driver call in `srb-core` outside a
+//!     `storage_call(…)`, the door that draws faults and meters access.
+//!   - `subject-delete` — `srb-core` dropping a dataset or collection row
+//!     other than through `Mcat::remove_dataset`/`remove_collection`.
 //!
 //!   `--dot` regenerates `docs/lock-graph.dot`. The text summary ends with
 //!   the ledger: non-test lines and `pub` items of each crate's `src/`,
@@ -41,12 +38,12 @@
 //!   artifacts to the bounds in one declarative gate table (see
 //!   `benchcheck.rs`); each broken gate is a finding on its artifact.
 //!
-//! All three commands take `--json` (machine-readable findings) and
+//! Both commands take `--json` (machine-readable findings) and
 //! `--github` (GitHub Actions `::error` annotations for inline PR
 //! comments), and exit 1 on any finding.
 //!
 //! `vendor/` (offline dependency stand-ins) and `xtask/` itself are out of
-//! scope; everything under `crates/`, `src/`, and `tests/` is linted.
+//! scope; everything under `crates/`, `src/`, and `tests/` is analyzed.
 
 #![forbid(unsafe_code)]
 
@@ -54,13 +51,53 @@ mod analyze;
 mod benchcheck;
 mod lexer;
 mod lockgraph;
-mod rules;
 
-use rules::Violation;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 const DOT_FILE: &str = "docs/lock-graph.dot";
+
+/// One finding: file, line, rule id, message.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Violation {
+    pub path: String,
+    pub line: usize,
+    pub rule: &'static str,
+    pub msg: String,
+}
+
+impl std::fmt::Display for Violation {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{}:{}: [{}] {}",
+            self.path, self.line, self.rule, self.msg
+        )
+    }
+}
+
+impl Violation {
+    /// GitHub Actions workflow-command form: renders as an inline PR
+    /// annotation when printed from CI.
+    pub fn github_annotation(&self) -> String {
+        // Messages are single-line; commas/colons are fine inside the
+        // message part of a workflow command.
+        format!(
+            "::error file={},line={},title={}::{}",
+            self.path, self.line, self.rule, self.msg
+        )
+    }
+
+    /// Machine-readable form for `--json`.
+    pub fn to_json(&self) -> serde_json::Value {
+        serde_json::json!({
+            "path": self.path,
+            "line": self.line,
+            "rule": self.rule,
+            "msg": self.msg,
+        })
+    }
+}
 
 /// Output flags shared by every command.
 #[derive(Default)]
@@ -122,7 +159,6 @@ fn main() -> ExitCode {
         None => workspace_root(),
     };
     match args.first().map(String::as_str) {
-        Some("lint") => lint(&root, &out),
         Some("analyze") => {
             let dot = args.iter().any(|a| a == "--dot");
             run_analyze(&root, dot, &out)
@@ -133,8 +169,7 @@ fn main() -> ExitCode {
         }
         _ => {
             eprintln!(
-                "usage: cargo xtask lint [--json] [--github]\n\
-                 \x20      cargo xtask analyze [--dot] [--json] [--github]\n\
+                "usage: cargo xtask analyze [--dot] [--json] [--github]\n\
                  \x20      cargo xtask benchcheck [--json] [--github]"
             );
             ExitCode::from(2)
@@ -142,7 +177,7 @@ fn main() -> ExitCode {
     }
 }
 
-/// `--root <dir>` points the scanner at another tree (used by the fixture
+/// `--root <dir>` points the analyzer at another tree (used by the fixture
 /// tests to run the real binary over a corpus of seeded violations).
 fn root_override(args: &[String]) -> Option<PathBuf> {
     args.iter()
@@ -163,7 +198,7 @@ fn workspace_root() -> PathBuf {
 }
 
 /// All workspace-relative `.rs` paths in scope, sorted.
-fn lintable_files(root: &Path) -> Vec<String> {
+fn analyzed_files(root: &Path) -> Vec<String> {
     rs_files(root, &["crates", "src", "tests"])
 }
 
@@ -201,33 +236,8 @@ fn collect_rs(dir: &Path, root: &Path, out: &mut Vec<String>) {
     }
 }
 
-fn lint(root: &Path, out: &Output) -> ExitCode {
-    let files = lintable_files(root);
-    if files.is_empty() {
-        eprintln!("xtask lint: no source files found under {}", root.display());
-        return ExitCode::from(2);
-    }
-
-    let mut violations: Vec<Violation> = Vec::new();
-
-    for rel in &files {
-        let Ok(src) = std::fs::read_to_string(root.join(rel)) else {
-            eprintln!("xtask lint: unreadable file {rel}");
-            return ExitCode::from(2);
-        };
-        let lexed = lexer::Lexed::new(&src);
-        violations.extend(rules::metric_names(rel, &lexed));
-        violations.extend(rules::storage_door(rel, &lexed));
-        violations.extend(rules::subject_delete(rel, &lexed));
-        violations.extend(rules::render_buffer(rel, &lexed));
-    }
-
-    violations.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
-    out.finish("lint", &violations, format!("{} files clean", files.len()))
-}
-
 fn run_analyze(root: &Path, dot: bool, out: &Output) -> ExitCode {
-    let files = lintable_files(root);
+    let files = analyzed_files(root);
     if files.is_empty() {
         eprintln!(
             "xtask analyze: no source files found under {}",
@@ -235,7 +245,7 @@ fn run_analyze(root: &Path, dot: bool, out: &Output) -> ExitCode {
         );
         return ExitCode::from(2);
     }
-    // Names outside the linted tree still keep a `pub` item `pub`.
+    // Names outside the analyzed tree still keep a `pub` item `pub`.
     let refs = rs_files(root, &["benchmark/src", "examples"]);
     let analysis = match analyze::analyze(root, &files, &refs) {
         Ok(a) => a,
@@ -279,4 +289,25 @@ fn run_analyze(root: &Path, dot: bool, out: &Output) -> ExitCode {
         line("crates/*/src", &ledger.total);
     }
     code
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Violation;
+
+    #[test]
+    fn github_annotation_and_json_forms() {
+        let v = Violation {
+            path: "crates/x/src/a.rs".into(),
+            line: 7,
+            rule: "storage-door",
+            msg: "nope".into(),
+        };
+        assert_eq!(
+            v.github_annotation(),
+            "::error file=crates/x/src/a.rs,line=7,title=storage-door::nope"
+        );
+        let j = serde_json::to_string(&v.to_json()).unwrap();
+        assert!(j.contains("\"rule\":\"storage-door\""), "{j}");
+    }
 }

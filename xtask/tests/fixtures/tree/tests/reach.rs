@@ -5,5 +5,4 @@ use fix_det::{all, checkpoint_sorted, digest, export, render, snapshot, snapshot
 use fix_det::{write_checkpoint, Catalog, Table};
 use fix_lock::{ab, ba, flush, flush_ok, inverted, layered, retry_storage, Flusher, State};
 use fix_reach::{called_here, used_by_tests};
-use mysrb::{cell, cell_in_place, register};
 use srb_core::{drop_row, read_raw};
