@@ -584,7 +584,11 @@ fn zone_name(out: &mut String, fed: &Federation, z: ZoneId) {
 /// and — when the app is zone-aware — the federation panel: member zones,
 /// peering-link health, and per-subscription replication lag.
 pub(crate) fn grid_status(out: &mut String, grid: &Grid, fed: Option<(&Federation, ZoneId)>) {
-    let snap = grid.metrics_snapshot();
+    // Read in place: the page needs a handful of counters, not a copy of
+    // every series.
+    let obs = grid.obs();
+    let count = |name, label: &str| obs.map_or(0, |o| o.metrics.counter_value(name, label));
+    let total = |name| obs.map_or(0, |o| o.metrics.counter_total(name));
     page_open(out, "MySRB — grid status", None, false);
     out.push_str("<h3>Resource health</h3>\n");
     let headers = [
@@ -601,10 +605,10 @@ pub(crate) fn grid_status(out: &mut String, grid: &Grid, fed: Option<(&Federatio
             BreakerState::Open => "OPEN",
             BreakerState::HalfOpen => "half-open",
         };
-        let count = |name| snap.counter(name, &r.name);
-        let injected = count(metric!("faults.injected"));
-        let fast_fails = count(metric!("health.fast_fails"));
-        let (name, trips) = (Esc(&r.name), count(metric!("health.breaker_trips")));
+        let injected = count(metric!("faults.injected"), &r.name);
+        let fast_fails = count(metric!("health.fast_fails"), &r.name);
+        let trips = count(metric!("health.breaker_trips"), &r.name);
+        let name = Esc(&r.name);
         let _ = writeln!(
             out,
             "<tr><td>{name}</td><td>{state}</td><td>{injected}</td><td>{fast_fails}</td><td>{trips}</td></tr>"
@@ -615,17 +619,17 @@ pub(crate) fn grid_status(out: &mut String, grid: &Grid, fed: Option<(&Federatio
         out,
         "<p>{} fan-out legs dispatched · {} failed · {} went stale · {} repaired · \
          {} retries · {} scope-cache hits / {} misses</p>",
-        snap.counter_total("fanout.legs_dispatched"),
-        snap.counter_total("fanout.legs_failed"),
-        snap.counter_total("fanout.legs_stale"),
-        snap.counter_total("health.repairs"),
-        snap.counter_total("health.retries"),
-        snap.counter_total("query.scope_cache_hits"),
-        snap.counter_total("query.scope_cache_misses"),
+        total(metric!("fanout.legs_dispatched")),
+        total(metric!("fanout.legs_failed")),
+        total(metric!("fanout.legs_stale")),
+        total(metric!("health.repairs")),
+        total(metric!("health.retries")),
+        total(metric!("query.scope_cache_hits")),
+        total(metric!("query.scope_cache_misses")),
     );
     out.push_str("<h3>Slowest operations</h3>\n");
     table_open(out, ["op", "subject", "cost"]);
-    for op in &snap.slow_ops {
+    for op in &obs.map(|o| o.slow.entries()).unwrap_or_default() {
         let c = &op.cost;
         let (name, subject, ms) = (Esc(&op.op), Esc(&op.subject), c.sim_ns as f64 / 1e6);
         let _ = write!(out, "<tr><td>{name}</td><td>{subject}</td><td>{ms:.2}ms");
@@ -693,16 +697,16 @@ pub(crate) fn grid_status(out: &mut String, grid: &Grid, fed: Option<(&Federatio
             }
             out.push_str("</table>\n");
         }
-        let fsnap = f.metrics_snapshot();
+        let total = |name| f.metrics().counter_total(name);
         let _ = writeln!(
             out,
             "<p>{} cross-zone registration(s) · {} delta(s) shipped · {} applied · \
              {} resync(s) · {} partition(s)</p>",
-            fsnap.counter_total("zone.registrations"),
-            fsnap.counter_total("zone.deltas_fetched"),
-            fsnap.counter_total("zone.deltas_applied"),
-            fsnap.counter_total("zone.resyncs"),
-            fsnap.counter_total("zone.partitions"),
+            total(metric!("zone.registrations")),
+            total(metric!("zone.deltas_fetched")),
+            total(metric!("zone.deltas_applied")),
+            total(metric!("zone.resyncs")),
+            total(metric!("zone.partitions")),
         );
     }
     page_close(out);

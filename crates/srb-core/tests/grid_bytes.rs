@@ -45,21 +45,24 @@ const DATA: &str = "/home/bench/data";
 /// whatever its bytes say. A dataset's name and type, its name-index key,
 /// its store key and its `kind` value became inline `ShortStr`s: 5 blocks
 /// fewer per live dataset, 4 per recovered one. Before: (1155, 953),
-/// (1836, 953), (1401, 956) and (727, 724).
+/// (1836, 953), (1401, 956) and (727, 724). Then the audit trail became
+/// page text, one block per page rather than a row slot and a subject
+/// block per row, and a checkpoint's image shares the trail's pages:
+/// from (1103, 453), (1785, 453), (1349, 456) and (694, 324).
 type Live = (u64, u64);
 
 /// Without durability.
-const PLAIN: Live = (1103, 453);
+const PLAIN: Live = (1060, 353);
 
 /// Durable, before a checkpoint: the rows and the log's lines.
-const LOGGED: Live = (1785, 453);
+const LOGGED: Live = (1741, 353);
 
 /// Durable, after a checkpoint: the rows and the image.
-const CHECKPOINTED: Live = (1349, 456);
+const CHECKPOINTED: Live = (1240, 355);
 
 /// The catalog recovered from the image and the tail, per dataset it
 /// holds.
-const RECOVERED: Live = (694, 324);
+const RECOVERED: Live = (585, 223);
 
 /// Image text per dataset.
 const IMAGE_BYTES_PER_DATASET: u64 = 454;

@@ -4,7 +4,7 @@
 //! its indexed planner and full-scan baseline (ablation A1).
 
 use crate::annotation::AnnotationTable;
-use crate::audit::AuditLog;
+use crate::audit::{AuditLog, AuditPages};
 use crate::collection::{AttrRequirement, Collection, CollectionTable};
 use crate::container::ContainerTable;
 use crate::dataset::{AccessSpec, Dataset, DatasetEntry, DatasetTable};
@@ -231,7 +231,7 @@ impl Mcat {
             ContainerTable::restore(RowPages::default(), &wal),
             MetaStore::restore(Default::default(), Vec::new(), &wal),
             AnnotationTable::restore(RowPages::default(), &wal),
-            AuditLog::restore(RowPages::default(), &wal),
+            AuditLog::restore(AuditPages::default(), &wal),
             wal,
         )
     }

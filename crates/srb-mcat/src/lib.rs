@@ -35,7 +35,7 @@ pub mod user;
 mod wal;
 
 pub use annotation::{Annotation, AnnotationKind};
-pub use audit::{AuditAction, AuditRow, Outcome};
+pub use audit::{AuditAction, AuditPages, AuditRow, Outcome};
 pub use catalog::Mcat;
 pub use collection::{AttrRequirement, Collection};
 pub use container::ContainerRecord;

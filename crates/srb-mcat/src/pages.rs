@@ -12,7 +12,6 @@
 //! an image page by page straight into them.
 
 use crate::annotation::Annotation;
-use crate::audit::AuditRow;
 use crate::collection::Collection;
 use crate::container::ContainerRecord;
 use crate::dataset::Dataset;
@@ -20,8 +19,8 @@ use crate::metadata::StoredRow;
 use crate::resource::{LogicalResource, Resource};
 use crate::user::{Group, User};
 use srb_types::{
-    AnnotationId, AuditId, CollectionId, ContainerId, DatasetId, GroupId, LogicalResourceId,
-    MetaId, ResourceId, UserId,
+    AnnotationId, CollectionId, ContainerId, DatasetId, GroupId, LogicalResourceId, MetaId,
+    ResourceId, UserId,
 };
 use std::collections::BTreeMap;
 
@@ -72,7 +71,6 @@ rows! {
     ContainerRecord: ContainerId,
     StoredRow: MetaId,
     Annotation: AnnotationId,
-    AuditRow: AuditId,
 }
 
 /// One page: the rows of up to [`IMAGE_PAGE_IDS`] consecutive ids.
@@ -322,6 +320,7 @@ impl<R> IntoIterator for RowPages<R> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use srb_types::AuditId;
 
     /// A bare row: an id and a payload.
     #[derive(Debug, Clone, PartialEq)]

@@ -30,9 +30,15 @@
 //! every page; the bytes are the same either way. Reading a checkpoint
 //! back notes which of its parts hold exactly one page, so recovery can
 //! share them in turn.
+//!
+//! The audit trail is the exception on both sides: it keeps no rows,
+//! only each page's text (`crate::audit`). A checkpoint freezes each page
+//! into its part and shares it with the trail ([`ImageWriter::texts`]);
+//! reading, every row is decoded to check it, and a page takes the part
+//! its rows were read from when they re-render to it byte for byte.
 
 use crate::annotation::AnnotationTable;
-use crate::audit::AuditLog;
+use crate::audit::{AuditLog, AuditPages, Text};
 use crate::catalog::Mcat;
 use crate::collection::{Collection, CollectionTable};
 use crate::container::{ContainerRecord, ContainerTable};
@@ -94,8 +100,8 @@ pub struct CatalogSnapshot {
     pub meta_files: Vec<(Subject, Vec<DatasetId>)>,
     /// Annotations.
     pub annotations: RowPages<Annotation>,
-    /// The audit trail.
-    pub audit: RowPages<AuditRow>,
+    /// The audit trail, as page text.
+    pub audit: AuditPages,
     /// Cursor-relevant generation stamps (absent in pre-WAL snapshots,
     /// which restore with counters at their rebuilt values).
     pub generations: Option<SnapshotGenerations>,
@@ -318,6 +324,33 @@ impl ImageWriter<'_, '_> {
         self.field(field, page, T::write_row);
     }
 
+    /// Open a field: `,"name":[`.
+    fn open(&mut self, field: Field) {
+        self.out.push_str(",\"");
+        self.out.push_str(field.name());
+        self.out.push_str("\":[");
+    }
+
+    /// A field kept as page text (the audit trail), each page's text as
+    /// it is. In a checkpoint each page is a part of its own, frozen and
+    /// shared between the page and the image: no row is rendered.
+    pub(crate) fn texts<'t>(&mut self, field: Field, pages: impl Iterator<Item = &'t mut Text>) {
+        self.open(field);
+        for (i, text) in pages.enumerate() {
+            if i > 0 {
+                self.out.push(',');
+            }
+            match self.pass.as_deref_mut() {
+                None => self.out.push_str(text.as_str()),
+                Some(pass) => {
+                    pass.flush(self.out);
+                    pass.parts.push(text.freeze());
+                }
+            }
+        }
+        self.out.push(']');
+    }
+
     /// The field's pages, page-ascending, each with its rows in order. In
     /// a checkpoint each page is a part of its own: shared with the
     /// previous image when no record touched it — its rows unvisited —
@@ -331,10 +364,8 @@ impl ImageWriter<'_, '_> {
         T: 'r,
         I: Iterator<Item = &'r T>,
     {
+        self.open(field);
         let out = &mut *self.out;
-        out.push_str(",\"");
-        out.push_str(field.name());
-        out.push_str("\":[");
         let mut pass = self.pass.as_deref_mut();
         if let Some(pass) = pass.as_deref_mut() {
             pass.taken[field as usize] = pass.wal.take_marks(field);
@@ -373,7 +404,7 @@ impl ImageWriter<'_, '_> {
 }
 
 /// One page's rows, comma-separated.
-fn write_rows<'r, T: 'r>(
+pub(crate) fn write_rows<'r, T: 'r>(
     out: &mut String,
     rows: impl Iterator<Item = &'r T>,
     write: impl Fn(&T, &mut String),
@@ -416,6 +447,8 @@ const CATALOG_FIELDS: [&str; 15] = [
 /// reads can lend them to the checkpoint recovery installs.
 struct ImageReader<'a, 'r> {
     r: &'r mut JsonReader<'a>,
+    /// Every part of the image, by number (none for a plain image).
+    parts: &'a [Arc<str>],
     /// The parts after the one being read.
     rest: std::slice::Iter<'a, Arc<str>>,
     /// Number of the part being read.
@@ -458,7 +491,7 @@ impl<'a> ImageReader<'a, '_> {
             metadata: MetaRows::default(),
             meta_files: Vec::new(),
             annotations: RowPages::default(),
-            audit: RowPages::default(),
+            audit: AuditPages::default(),
             generations: None,
         };
         let mut seen = [false; CATALOG_FIELDS.len()];
@@ -504,13 +537,13 @@ impl<'a> ImageReader<'a, '_> {
             "metadata" => snap.metadata = self.metadata()?,
             "meta_files" => {
                 let files = &mut snap.meta_files;
-                self.array(Field::MetaFiles, |r| {
+                self.array(Field::MetaFiles, |r, _| {
                     files.push(Deserialize::read_json(r)?);
                     Ok(0)
                 })?;
             }
             "annotations" => snap.annotations = self.pages(Field::Annotations)?,
-            "audit" => snap.audit = self.pages(Field::Audit)?,
+            "audit" => snap.audit = self.audit()?,
             _ => snap.generations = Option::read_json(self.r)?,
         }
         Ok(())
@@ -520,7 +553,7 @@ impl<'a> ImageReader<'a, '_> {
     fn pages<R: Row + Deserialize>(&mut self, field: Field) -> Result<RowPages<R>, DeError> {
         let mut rows = RowPages::default();
         let mut fresh = true;
-        self.array(field, |r| {
+        self.array(field, |r, _| {
             let row = R::read_json(r)?;
             let page = R::raw(row.id()) / IMAGE_PAGE_IDS;
             fresh &= rows.insert(row).is_none();
@@ -535,7 +568,7 @@ impl<'a> ImageReader<'a, '_> {
     fn metadata(&mut self) -> Result<MetaRows, DeError> {
         let mut rows = MetaRows::default();
         let mut fresh = true;
-        self.array(Field::Metadata, |r| {
+        self.array(Field::Metadata, |r, _| {
             let row = MetaRow::read_json(r)?;
             let page = row.id.raw() / IMAGE_PAGE_IDS;
             fresh &= !rows.put(row);
@@ -543,6 +576,39 @@ impl<'a> ImageReader<'a, '_> {
         })?;
         self.repeated(Field::Metadata, fresh);
         Ok(rows)
+    }
+
+    /// The audit field, each row decoded to check it and put into its
+    /// page's text. A page whose first row was read from a part that is
+    /// exactly the page's text, byte for byte, takes that part as its
+    /// text, shared with the image; any other page keeps its render.
+    fn audit(&mut self) -> Result<AuditPages, DeError> {
+        let mut pages = AuditPages::default();
+        let parts = self.parts;
+        // The page being read, and the part its first row was read from.
+        let mut open: Option<(u64, usize)> = None;
+        let share = |pages: &mut AuditPages, (no, part): (u64, usize)| {
+            if let Some(part) = parts.get(part) {
+                pages.share(no, part);
+            }
+        };
+        self.array(Field::Audit, |r, part| {
+            let row = AuditRow::read_json(r)?;
+            let page = row.id.raw() / IMAGE_PAGE_IDS;
+            if open.is_none_or(|(no, _)| no != page) {
+                if let Some(done) = open.replace((page, part)) {
+                    share(&mut pages, done);
+                }
+            }
+            pages.put(&row);
+            Ok(page)
+        })?;
+        if let Some(done) = open {
+            share(&mut pages, done);
+        }
+        // The trail holds its own parts; a checkpoint never looks them up.
+        self.found[Field::Audit as usize].clear();
+        Ok(pages)
     }
 
     /// After a table field: a repeated id (not `fresh`) means a page's
@@ -553,15 +619,15 @@ impl<'a> ImageReader<'a, '_> {
         }
     }
 
-    /// One array field, `[row,…]`, each row read and kept by `row`, which
-    /// returns its page, noting the parts that hold exactly one of its
+    /// One array field, `[row,…]`, each row read and kept by `row` — given
+    /// the number of the part the row starts in — which returns its page, noting the parts that hold exactly one of its
     /// pages. Rows out of page order disable the noting for the field:
     /// only a field in page order keeps each page's rows together, so that
     /// the rows around a part tell whether it holds all of its page.
     fn array(
         &mut self,
         field: Field,
-        mut row: impl FnMut(&mut JsonReader<'a>) -> Result<u64, DeError>,
+        mut row: impl FnMut(&mut JsonReader<'a>, usize) -> Result<u64, DeError>,
     ) -> Result<(), DeError> {
         let mut runs = Runs::default();
         let mut items = self.r.array(field.name())?;
@@ -581,7 +647,7 @@ impl<'a> ImageReader<'a, '_> {
             if self.fill().is_some() {
                 runs.start(self.part);
             }
-            let page = row(self.r).map_err(|e| e.at(&format!("[{i}]")))?;
+            let page = row(self.r, self.part).map_err(|e| e.at(&format!("[{i}]")))?;
             runs.row(page);
             i += 1;
         }
@@ -650,6 +716,7 @@ impl Deserialize for CatalogSnapshot {
     fn read_json(r: &mut JsonReader<'_>) -> Result<Self, DeError> {
         ImageReader {
             r,
+            parts: &[],
             rest: [].iter(),
             part: 0,
             found: Default::default(),
@@ -671,6 +738,7 @@ pub(crate) fn read_checkpoint(
     let mut r = JsonReader::new(first);
     let mut reader = ImageReader {
         r: &mut r,
+        parts: image.parts(),
         rest: rest.iter(),
         part: 0,
         found: Default::default(),
@@ -765,7 +833,7 @@ impl Mcat {
         self.containers.rows.read().write_image(&mut w);
         self.metadata.write_image(&mut w);
         self.annotations.rows.read().write_image(&mut w);
-        self.audit.rows.lock().write_image(&mut w);
+        w.texts(Field::Audit, self.audit.rows.lock().texts());
         out.push_str(",\"generations\":");
         Some(self.generations()).write_row(out);
         out.push('}');

@@ -22,7 +22,6 @@
 //! uniqueness, author checks, capacity) and the reads its callers make.
 
 use crate::annotation::Annotation;
-use crate::audit::AuditRow;
 use crate::collection::{Collection, Tree};
 use crate::container::ContainerRecord;
 use crate::dataset::{Dataset, Names};
@@ -52,12 +51,6 @@ pub(crate) trait Derived<R>: Default {
         }
         derived
     }
-}
-
-/// No derived state (the audit trail).
-impl<R> Derived<R> for () {
-    fn index(&mut self, _: &R) {}
-    fn unindex(&mut self, _: &R) {}
 }
 
 /// A row a [`Table`] keeps.
@@ -127,7 +120,6 @@ table_rows! {
     LogicalResource: HashMap<String, LogicalResourceId>, LogicalResources, LogicalResourcePut;
     ContainerRecord: HashMap<String, ContainerId>, Containers, ContainerPut, ContainerDelete;
     Annotation: HashMap<Subject, Vec<AnnotationId>>, Annotations, AnnotationPut, AnnotationDelete;
-    AuditRow: (), Audit, AuditPut;
     Collection: Tree, Collections, CollectionPut, CollectionDelete;
     Dataset: Names, Datasets, DatasetPut, DatasetDelete;
 }

@@ -203,7 +203,8 @@ pub enum WalOp {
 
 impl WalOp {
     /// The image field and page whose rows this record changes (`None`
-    /// for the page: any of the field's pages); `None` for a marker.
+    /// for the page: any of the field's pages); `None` for a marker and
+    /// an audit row.
     fn image_page(&self) -> Option<(Field, Option<u64>)> {
         let page = |id: u64| Some(id / IMAGE_PAGE_IDS);
         Some(match self {
@@ -226,8 +227,9 @@ impl WalOp {
             WalOp::AnnotationDelete { id } => (Field::Annotations, page(id.raw())),
             // The record names the subject, not the rows it drops.
             WalOp::AnnotationClear { .. } => (Field::Annotations, None),
-            WalOp::AuditPut { row } => (Field::Audit, page(row.id.raw())),
-            WalOp::Commit { .. } => return None,
+            // The trail keeps its pages as text a checkpoint shares whole
+            // (`crate::audit`): there is no page to mark.
+            WalOp::AuditPut { .. } | WalOp::Commit { .. } => return None,
         })
     }
 }
@@ -263,6 +265,12 @@ const MARKER_MID: &str = ",0,{\"Commit\":[";
 
 /// The text after a `Commit` marker's `at_ns`.
 const MARKER_END: &str = "]}]";
+
+/// The text after the LSN of an `AuditPut` record's line, up to its row.
+const AUDIT_MID: &str = ",0,{\"AuditPut\":[";
+
+/// The text after an `AuditPut` record's row.
+const AUDIT_END: &str = "]}]";
 
 /// A whole `Commit` marker line: the LSN prefix, [`MARKER_MID`], the
 /// longest `u64` and [`MARKER_END`].
@@ -392,6 +400,22 @@ impl Wal {
                     st.dirty[field as usize].insert(page);
                 }
                 self.append_locked(&mut st, line, |l| l.push_str(rest))
+            })
+        })
+    }
+
+    /// Append an `AuditPut` record of `row`, an audit row's text as the
+    /// trail holds it: the line is written around those bytes under the
+    /// WAL mutex, as a marker's is, with no second encoding.
+    pub(crate) fn append_audit(&self, row: &str) -> Lsn {
+        LINE_BUF.with_borrow_mut(|line| {
+            line.clear();
+            line.reserve(LSN_PREFIX_MAX + AUDIT_MID.len() + row.len() + AUDIT_END.len());
+            let mut st = self.state.lock();
+            self.append_locked(&mut st, line, |l| {
+                l.push_str(AUDIT_MID);
+                l.push_str(row);
+                l.push_str(AUDIT_END);
             })
         })
     }
@@ -605,6 +629,14 @@ impl WalHook {
             wal.append(&op(), gen);
         }
     }
+
+    /// Append an `AuditPut` record of the audit row `row` if a WAL is
+    /// set; see [`Wal::append_audit`].
+    pub(crate) fn log_audit(&self, row: &str) {
+        if let Some(wal) = self.0.get() {
+            wal.append_audit(row);
+        }
+    }
 }
 
 impl std::ops::Deref for WalHook {
@@ -701,7 +733,7 @@ impl Redo {
             last_id(&snap.containers),
             snap.metadata.last_id().map(MetaId::raw),
             last_id(&snap.annotations),
-            last_id(&snap.audit),
+            snap.audit.last_id(),
         ];
         let replica_ids = snap.datasets.iter().flat_map(|d| &d.replicas);
         let max = row_ids
@@ -718,6 +750,11 @@ impl Redo {
     }
 
     fn apply(&mut self, record: WalRecord) {
+        if let WalOp::AuditPut { row } = &record.op {
+            self.max_id = self.max_id.max(row.id.raw());
+            self.snap.audit.put(row);
+            return;
+        }
         let Some((field, page)) = record.op.image_page() else {
             return;
         };
@@ -772,8 +809,7 @@ impl Redo {
             WalOp::AnnotationClear { subject } => {
                 snap.annotations.retain(|a| a.subject != subject);
             }
-            WalOp::AuditPut { row } => put(max_id, &mut snap.audit, row),
-            WalOp::Commit { .. } => {}
+            WalOp::AuditPut { .. } | WalOp::Commit { .. } => {}
         }
     }
 

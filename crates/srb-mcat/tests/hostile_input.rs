@@ -15,8 +15,8 @@ mod shapes;
 
 use proptest::prelude::*;
 use shapes::{reshaped, targets, Reshape};
-use srb_mcat::{CatalogSnapshot, Mcat, WalConfig, WalRecord};
-use srb_storage::LogDevice;
+use srb_mcat::{AuditAction, CatalogSnapshot, Mcat, WalConfig, WalRecord};
+use srb_storage::{Image, LogDevice};
 use srb_types::{Lsn, SimClock, SrbError};
 use std::sync::Arc;
 
@@ -349,4 +349,54 @@ fn the_undamaged_log_recovers() {
         .map(|(l, p)| (l, p.to_string()))
         .collect();
     assert!(recover(checkpoint().1, &tail).is_ok());
+}
+
+/// One byte flipped inside an audit part of a real checkpoint fails
+/// recovery as corrupt input: recovery decodes every audit row before it
+/// keeps a part as its page's text. Every byte outside the rows' strings
+/// is flipped in turn.
+#[test]
+fn a_flipped_byte_in_an_audit_part_fails_recovery() {
+    let m = Mcat::new(SimClock::new(), "pw");
+    let device = Arc::new(LogDevice::new());
+    m.enable_wal(device.clone(), NO_CKPT, None).unwrap();
+    for i in 0..20 {
+        let (now, admin) = (m.clock.now(), m.admin());
+        let subject = format!("/zoo/f{i}");
+        m.audit
+            .record(&m.ids, now, admin, AuditAction::Read, &subject, "ok");
+        m.commit();
+    }
+    m.checkpoint_now().unwrap();
+    let cover = device.checkpoint_lsn().unwrap();
+    let parts = device.checkpoint_image().unwrap().parts().to_vec();
+    let at = 1 + parts
+        .iter()
+        .position(|p| p.ends_with("\"audit\":["))
+        .unwrap();
+    let recover_parts = |parts: Vec<Arc<str>>| {
+        let device = Arc::new(LogDevice::new());
+        device.install_checkpoint(cover, parts.into_iter().collect::<Image>());
+        device.crash();
+        Mcat::recover(SimClock::new(), device, NO_CKPT, None).map(|(m, _)| m)
+    };
+    let recovered = recover_parts(parts.clone()).unwrap();
+    assert_eq!(recovered.audit.dump(), m.audit.dump());
+    let part = parts[at].as_bytes();
+    let (mut in_string, mut flipped) = (false, 0);
+    for i in 0..part.len() {
+        let quote = part[i] == b'"' && (i == 0 || part[i - 1] != b'\\');
+        if in_string && !quote {
+            continue;
+        }
+        in_string ^= quote;
+        let mut bytes = part.to_vec();
+        bytes[i] = b'#';
+        let mut damaged = parts.clone();
+        damaged[at] = Arc::from(String::from_utf8(bytes).unwrap());
+        let err = recover_parts(damaged).err();
+        assert!(matches!(err, Some(SrbError::Parse(_))), "byte {i}: {err:?}");
+        flipped += 1;
+    }
+    assert!(flipped > 20 * 12, "{flipped} bytes flipped");
 }

@@ -247,6 +247,22 @@ impl MetricsRegistry {
         get_or_register(&self.inner.histograms, name, label)
     }
 
+    /// One counter's value, read in place: nothing is registered or
+    /// copied (0 when unregistered).
+    pub fn counter_value(&self, name: MetricName, label: &str) -> u64 {
+        let counters = self.inner.counters.read();
+        let family = counters.get(name.0);
+        family.and_then(|f| f.get(label)).map_or(0, Counter::get)
+    }
+
+    /// Sum of one counter family across labels, read in place (0 when
+    /// unregistered).
+    pub fn counter_total(&self, name: MetricName) -> u64 {
+        let counters = self.inner.counters.read();
+        let family = counters.get(name.0);
+        family.map_or(0, |f| f.values().map(Counter::get).sum())
+    }
+
     /// Deterministic point-in-time snapshot of every registered metric
     /// (the slow-op log is merged in by [`crate::Obs::snapshot`]).
     pub fn snapshot(&self) -> crate::MetricsSnapshot {
@@ -347,6 +363,21 @@ mod tests {
                 p99: 0
             }
         );
+    }
+
+    /// In-place reads agree with the snapshot and register nothing.
+    #[test]
+    fn counters_read_in_place_as_the_snapshot_does() {
+        let reg = MetricsRegistry::new();
+        reg.counter(metric!("fanout.legs_failed"), "a").add(2);
+        reg.counter(metric!("fanout.legs_failed"), "b").add(5);
+        let snap = reg.snapshot();
+        assert_eq!(reg.counter_total(metric!("fanout.legs_failed")), 7);
+        assert_eq!(snap.counter_total("fanout.legs_failed"), 7);
+        assert_eq!(reg.counter_value(metric!("fanout.legs_failed"), "b"), 5);
+        assert_eq!(reg.counter_value(metric!("fanout.legs_failed"), "c"), 0);
+        assert_eq!(reg.counter_total(metric!("fanout.legs_stale")), 0);
+        assert_eq!(reg.snapshot(), snap, "reads register nothing");
     }
 
     #[test]
